@@ -427,7 +427,7 @@ fn cluster_bench_main(mut args: impl Iterator<Item = String>) -> ! {
         // The chaos run is the observed one: request-scoped spans, the
         // windowed series, and flow-linked Chrome tracks all come from it
         // (the healthy run stays obs-off, pinning the zero-cost path).
-        chaos_opts.obs = Some(foresight::ObsOptions::default());
+        chaos_opts.serve.obs = Some(foresight::ObsOptions::default());
         // reset() also disables, so enable after it: the Chrome trace
         // should carry only the chaos run's timeline.
         telemetry::reset();

@@ -42,7 +42,7 @@
 
 use crate::cbench::ExecPath;
 use crate::codec::{self, CodecConfig, Shape};
-use crate::obs::{self, ObsOptions, ObsRecorder, ObsTrace, TraceContext};
+use crate::obs::{self, ObsRecorder, ObsTrace, TraceContext};
 use crate::serve::{
     self, assemble_output, execute_units, fold_units, jitter01, record_units, shard_plan,
     synth_field, wrap_shards, ExecState, ServeNode, ServeOptions, ServeReport, ServeRequest,
@@ -109,11 +109,6 @@ pub struct ClusterOptions {
     pub backoff_cap_s: f64,
     /// Node-level fault schedule (default quiet).
     pub chaos: NodeChaosPlan,
-    /// Request-scoped tracing + windowed series (default `None`: off —
-    /// the report carries an empty [`ObsTrace`] and no series).
-    /// Scheduling, bytes, and every pre-existing report field are
-    /// identical either way.
-    pub obs: Option<ObsOptions>,
 }
 
 impl Default for ClusterOptions {
@@ -127,7 +122,6 @@ impl Default for ClusterOptions {
             backoff_base_s: 5e-4,
             backoff_cap_s: 8e-3,
             chaos: NodeChaosPlan::quiet(),
-            obs: None,
         }
     }
 }
@@ -246,11 +240,11 @@ pub struct ClusterReport {
     pub trace: Vec<TraceEvent>,
     /// Request-scoped spans — every shed, breaker rejection, timeout,
     /// interrupted dispatch, commit, and device lane, causally linked
-    /// per request (empty unless [`ClusterOptions::obs`] is set).
+    /// per request (empty unless `opts.serve.obs` is set).
     pub obs: ObsTrace,
     /// Windowed series: latency, queue depth, failover/shed/fault
-    /// counters, per-node utilization (`None` unless
-    /// [`ClusterOptions::obs`] is set).
+    /// counters, per-node utilization (`None` unless `opts.serve.obs` is
+    /// set).
     pub series: Option<WindowSeries>,
 }
 
@@ -496,10 +490,11 @@ pub fn serve_cluster(
     let mut transitions: Vec<BreakerTransition> = Vec::new();
     let mut router_events: Vec<TraceEvent> = Vec::new();
     let mut router_cpu_free_s = 0.0f64;
-    // Obs layer: inert when `opts.obs` is None. The dispatch loop below
-    // is serial, so everything recorded here is deterministic.
-    let mut rec = ObsRecorder::new(opts.obs.is_some());
-    let mut series = opts.obs.map(|o| WindowSeries::new(o.series_width_s, o.series_retention));
+    // Obs layer: inert when `opts.serve.obs` is None. The dispatch loop
+    // below is serial, so everything recorded here is deterministic.
+    let obs = opts.serve.obs;
+    let mut rec = ObsRecorder::new(obs.is_some());
+    let mut series = obs.map(|o| WindowSeries::new(o.series_width_s, o.series_retention));
 
     let mut order: Vec<usize> = (0..requests.len()).collect();
     order.sort_by(|&a, &b| {

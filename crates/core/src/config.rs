@@ -31,362 +31,405 @@
 //! array declares service-level objectives evaluated over the windowed
 //! telemetry series with multi-window burn-rate alerts (see
 //! [`SloSetting`] and [`crate::obs`]).
+//!
+//! Every section below is one `section!` declaration that states each
+//! option once; DESIGN.md "Configuration schema" has the policy.
 
 use crate::cbench::ChaosConfig;
 use crate::codec::CodecConfig;
-use foresight_util::json::Value;
+use foresight_util::json::{must_be, Json, Value};
 use foresight_util::{Error, Result};
 use gpu_sim::{FaultRates, SanitizerConfig};
+use std::fmt::Display;
+use std::ops::Bound::{self, Excluded, Included, Unbounded};
+use std::ops::RangeBounds;
 use std::path::PathBuf;
 
-fn bad(msg: impl Into<String>) -> Error {
-    Error::Config(msg.into())
-}
-
-fn field<'a>(obj: &'a Value, key: &str) -> Result<&'a Value> {
-    obj.get(key).ok_or_else(|| bad(format!("missing field '{key}'")))
-}
-
-fn str_field<'a>(obj: &'a Value, key: &str) -> Result<&'a str> {
-    field(obj, key)?
-        .as_str()
-        .ok_or_else(|| bad(format!("field '{key}' must be a string")))
-}
-
-fn f64_field(obj: &Value, key: &str, default: f64) -> Result<f64> {
-    match obj.get(key) {
-        None => Ok(default),
-        Some(v) => v.as_f64().ok_or_else(|| bad(format!("field '{key}' must be a number"))),
+/// The dotted path of `key` inside the section at `at` (`""` is the top
+/// level).
+fn join(at: &str, key: &str) -> String {
+    if at.is_empty() {
+        key.to_string()
+    } else {
+        format!("{at}.{key}")
     }
 }
 
-fn usize_field(obj: &Value, key: &str, default: usize) -> Result<usize> {
-    match obj.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .as_u64()
-            .map(|n| n as usize)
-            .ok_or_else(|| bad(format!("field '{key}' must be a non-negative integer"))),
+/// Fails unless `section` is an object whose every key is in `known`.
+fn known_keys(section: &Value, at: &str, known: &[&str]) -> Result<()> {
+    let here = if at.is_empty() { "the top level" } else { at };
+    let fields = section.as_object().ok_or_else(|| must_be(here, "an object", section))?;
+    match fields.iter().find(|(key, _)| !known.contains(&key.as_str())) {
+        None => Ok(()),
+        Some((key, _)) => Err(Error::Config(format!(
+            "{} is not a known option; {here} accepts: {}",
+            join(at, key),
+            known.join(", ")
+        ))),
     }
 }
 
-fn bool_field(obj: &Value, key: &str, default: bool) -> Result<bool> {
-    match obj.get(key) {
-        None => Ok(default),
-        Some(v) => v.as_bool().ok_or_else(|| bad(format!("field '{key}' must be a boolean"))),
+/// A JSON object of `fields` in the order given; a `None` option is left
+/// out rather than written as `null`.
+fn object<const N: usize>(fields: [(&str, Value); N]) -> Value {
+    let kept = fields.into_iter().filter(|(_, v)| *v != Value::Null);
+    Value::Object(kept.map(|(k, v)| (k.to_string(), v)).collect())
+}
+
+/// The values an option accepts beyond what its type can hold.
+trait Allowed<T> {
+    fn allows(&self, value: &T) -> bool;
+    /// Completes "`section.key` must be …".
+    fn describe(&self) -> String;
+}
+
+/// A std range allows the values inside it: `1..`, `0.0..=1.0`, or a
+/// `(Bound, Bound)` pair where an end is excluded.
+impl<T: PartialOrd + Display, R: RangeBounds<T>> Allowed<T> for R {
+    fn allows(&self, value: &T) -> bool {
+        self.contains(value)
+    }
+    fn describe(&self) -> String {
+        let end = |bound: Bound<&T>, sign: &str| match bound {
+            Included(x) => Some(format!("{sign}= {x}")),
+            Excluded(x) => Some(format!("{sign} {x}")),
+            Unbounded => None,
+        };
+        let ends = [end(self.start_bound(), ">"), end(self.end_bound(), "<")];
+        ends.into_iter().flatten().collect::<Vec<_>>().join(" and ")
     }
 }
 
-fn f64_list(obj: &Value, key: &str) -> Result<Vec<f64>> {
-    field(obj, key)?
-        .as_array()
-        .ok_or_else(|| bad(format!("field '{key}' must be an array")))?
-        .iter()
-        .map(|v| v.as_f64().ok_or_else(|| bad(format!("'{key}' entries must be numbers"))))
-        .collect()
+/// Above zero.
+const POSITIVE: (Bound<f64>, Bound<f64>) = (Excluded(0.0), Unbounded);
+
+/// One of a fixed set of strings.
+struct OneOf(&'static [&'static str]);
+
+impl Allowed<String> for OneOf {
+    fn allows(&self, value: &String) -> bool {
+        self.0.contains(&value.as_str())
+    }
+    fn describe(&self) -> String {
+        format!("one of {}", self.0.join("|"))
+    }
 }
 
-/// Which synthetic dataset to generate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DatasetKind {
-    /// HACC-like particle snapshot (six 1-D arrays).
-    Hacc,
-    /// Nyx-like grid snapshot (six 3-D fields).
-    Nyx,
+/// Any string but `""`, any list but `[]`.
+struct NonEmpty;
+
+impl Allowed<String> for NonEmpty {
+    fn allows(&self, value: &String) -> bool {
+        !value.is_empty()
+    }
+    fn describe(&self) -> String {
+        "non-empty".into()
+    }
 }
 
-impl DatasetKind {
-    fn from_name(name: &str) -> Result<Self> {
-        match name {
-            "hacc" => Ok(DatasetKind::Hacc),
-            "nyx" => Ok(DatasetKind::Nyx),
-            other => Err(bad(format!("unknown dataset '{other}' (expected hacc|nyx)"))),
+impl<T> Allowed<Vec<T>> for NonEmpty {
+    fn allows(&self, value: &Vec<T>) -> bool {
+        !value.is_empty()
+    }
+    fn describe(&self) -> String {
+        "non-empty".into()
+    }
+}
+
+/// Fails with "`at` must be …" unless `rule` allows `value`.
+fn allowed<T: Json>(rule: &impl Allowed<T>, value: &T, at: &str) -> Result<()> {
+    if rule.allows(value) {
+        Ok(())
+    } else {
+        Err(must_be(at, rule.describe(), &value.write()))
+    }
+}
+
+/// Declares one config section, stating each option once:
+///
+/// ```text
+/// /// doc comment
+/// pub field [as "json_key"]: Type [= default] [, in rule] [, each in rule];
+/// ```
+///
+/// The JSON key is the field name unless `as` renames it; an option
+/// without a default is required; `default` may use the options declared
+/// above it, and so may a `rule`, which is any [`Allowed`] applied to the
+/// value (`in`) or to every entry of a list or optional (`each in`). `pub
+/// struct Name:
+/// Default` also derives `Default` (every option then needs a default).
+/// `also rules` after the body names a hand-written `fn rules(&self, at:
+/// &str) -> Result<()>` for what relates two options. The `pub enum Name
+/// by "tag"` form declares a section whose `tag` key picks the variant.
+///
+/// Reading is the only place a rule is applied, so a section is valid
+/// exactly when its written form reads back ([`ForesightConfig::validate`]).
+macro_rules! section {
+    (@key $field:ident) => { stringify!($field) };
+    (@key $field:ident $key:literal) => { $key };
+
+    // One option of section object `$v`: read or defaulted, then checked.
+    (@read $v:ident, $at:ident, $key:expr, $ty:ty
+        $(, = $default:expr)? $(, in $rule:expr)? $(, each in $each:expr)?) => {{
+        let path = join($at, $key);
+        let value: $ty = match $v.get($key) {
+            Some(json) => Json::read(json, &path)?,
+            None => section!(@absent path $(, $default)?),
+        };
+        $(allowed(&$rule, &value, &path)?;)?
+        $(value.iter().try_for_each(|entry| allowed(&$each, entry, &path))?;)?
+        value
+    }};
+    (@absent $path:ident, $default:expr) => { $default };
+    (@absent $path:ident) => { return Err(Error::Config(format!("{} is required", $path))) };
+
+    (@default Default, $name:ident { $($field:ident = $default:expr),+ }) => {
+        impl Default for $name {
+            fn default() -> Self {
+                $name { $($field: $default),+ }
+            }
         }
-    }
+    };
+    (@default , $($unused:tt)*) => {};
 
-    fn name(&self) -> &'static str {
-        match self {
-            DatasetKind::Hacc => "hacc",
-            DatasetKind::Nyx => "nyx",
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident $(: $derive_default:ident)? {
+            $(
+                $(#[$field_meta:meta])*
+                pub $field:ident $(as $key:literal)? : $ty:ty $(= $default:expr)?
+                    $(, in $rule:expr)? $(, each in $each:expr)? ;
+            )+
         }
+        $(also $rules:ident)?
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $($(#[$field_meta])* pub $field: $ty,)+
+        }
+
+        section!(@default $($derive_default)?, $name { $($field $(= $default)?),+ });
+
+        impl Json for $name {
+            fn read(v: &Value, at: &str) -> Result<Self> {
+                known_keys(v, at, &[$(section!(@key $field $($key)?)),+])?;
+                $(
+                    let $field = section!(
+                        @read v, at, section!(@key $field $($key)?), $ty
+                        $(, = $default)? $(, in $rule)? $(, each in $each)?
+                    );
+                )+
+                let section = $name { $($field),+ };
+                $(section.$rules(at)?;)?
+                Ok(section)
+            }
+            fn write(&self) -> Value {
+                object([$((section!(@key $field $($key)?), self.$field.write())),+])
+            }
+        }
+    };
+
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident by $tag:literal {
+            $(
+                $(#[$variant_meta:meta])*
+                $variant:ident = $text:literal {
+                    $(
+                        $(#[$field_meta:meta])*
+                        $field:ident : $ty:ty $(= $default:expr)?
+                            $(, in $rule:expr)? $(, each in $each:expr)? ;
+                    )+
+                }
+            )+
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum $name {
+            $($(#[$variant_meta])* $variant { $($(#[$field_meta])* $field: $ty,)+ },)+
+        }
+
+        impl Json for $name {
+            fn read(v: &Value, at: &str) -> Result<Self> {
+                let tag = v.get($tag).unwrap_or(&Value::Null);
+                match tag.as_str() {
+                    $(Some($text) => {
+                        known_keys(v, at, &[$tag, $(stringify!($field)),+])?;
+                        $(
+                            let $field = section!(
+                                @read v, at, stringify!($field), $ty
+                                $(, = $default)? $(, in $rule)? $(, each in $each)?
+                            );
+                        )+
+                        Ok($name::$variant { $($field),+ })
+                    })+
+                    _ => Err(must_be(&join(at, $tag), OneOf(&[$($text),+]).describe(), tag)),
+                }
+            }
+            fn write(&self) -> Value {
+                match self {
+                    $($name::$variant { $($field),+ } => object([
+                        ($tag, Value::String($text.into())),
+                        $((stringify!($field), $field.write())),+
+                    ]),)+
+                }
+            }
+        }
+    };
+}
+
+/// Declares an enum whose variants configs write by name.
+macro_rules! named_enum {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident { $($(#[$variant_meta:meta])* $variant:ident = $text:literal,)+ }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $name {
+            $($(#[$variant_meta])* $variant,)+
+        }
+
+        impl Json for $name {
+            fn read(v: &Value, at: &str) -> Result<Self> {
+                match v.as_str() {
+                    $(Some($text) => Ok($name::$variant),)+
+                    _ => Err(must_be(at, OneOf(&[$($text),+]).describe(), v)),
+                }
+            }
+            fn write(&self) -> Value {
+                Value::String(match self { $($name::$variant => $text,)+ }.into())
+            }
+        }
+    };
+}
+
+named_enum! {
+    /// Which synthetic dataset to generate.
+    pub enum DatasetKind {
+        /// HACC-like particle snapshot (six 1-D arrays).
+        Hacc = "hacc",
+        /// Nyx-like grid snapshot (six 3-D fields).
+        Nyx = "nyx",
     }
 }
 
-/// Input dataset parameters.
-#[derive(Debug, Clone)]
-pub struct InputConfig {
-    /// Dataset family.
-    pub dataset: DatasetKind,
-    /// Grid/particle-lattice side (default 64).
-    pub n_side: usize,
-    /// RNG seed for the synthetic universe (default 0).
-    pub seed: u64,
-    /// PM steps (clustering strength, default 10).
-    pub steps: usize,
-    /// Box side length (default 256.0).
-    pub box_size: f64,
+section! {
+    /// Input dataset parameters.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct InputConfig {
+        /// Dataset family.
+        pub dataset: DatasetKind;
+        /// Grid/particle-lattice side (default 64).
+        pub n_side: usize = 64;
+        /// RNG seed for the synthetic universe (default 0).
+        pub seed: u64 = 0;
+        /// PM steps (clustering strength, default 10).
+        pub steps: usize = 10;
+        /// Box side length (default 256.0).
+        pub box_size: f64 = 256.0;
+    }
+    also rules
 }
 
 impl InputConfig {
-    fn from_value(v: &Value) -> Result<Self> {
-        if v.as_object().is_none() {
-            return Err(bad("'input' must be an object"));
+    fn rules(&self, at: &str) -> Result<()> {
+        if self.n_side < 8 || !self.n_side.is_power_of_two() {
+            return Err(must_be(&join(at, "n_side"), "a power of two >= 8", &self.n_side.write()));
         }
-        let seed = match v.get("seed") {
-            None => 0,
-            Some(s) => s.as_u64().ok_or_else(|| bad("field 'seed' must be a non-negative integer"))?,
-        };
-        Ok(InputConfig {
-            dataset: DatasetKind::from_name(str_field(v, "dataset")?)?,
-            n_side: usize_field(v, "n_side", 64)?,
-            seed,
-            steps: usize_field(v, "steps", 10)?,
-            box_size: f64_field(v, "box_size", 256.0)?,
-        })
-    }
-
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("dataset".into(), Value::String(self.dataset.name().into())),
-            ("n_side".into(), Value::Number(self.n_side as f64)),
-            ("seed".into(), Value::Number(self.seed as f64)),
-            ("steps".into(), Value::Number(self.steps as f64)),
-            ("box_size".into(), Value::Number(self.box_size)),
-        ])
+        Ok(())
     }
 }
 
-/// One compressor sweep entry.
-#[derive(Debug, Clone)]
-pub enum CompressorSweep {
-    /// GPU-SZ with a list of error bounds.
-    GpuSz {
-        /// Error-bound mode.
-        mode: SzModeKind,
-        /// Bounds to sweep.
-        bounds: Vec<f64>,
-        /// Optional block-size override.
-        block_size: Option<usize>,
-    },
-    /// cuZFP with a list of fixed rates.
-    Cuzfp {
-        /// Bitrates to sweep.
-        rates: Vec<f64>,
-    },
+named_enum! {
+    /// SZ error-bound mode names used in configs.
+    pub enum SzModeKind {
+        /// Absolute bound.
+        Abs = "abs",
+        /// Value-range relative bound.
+        Rel = "rel",
+        /// Point-wise relative bound (log-transform scheme).
+        PwRel = "pw_rel",
+    }
 }
 
-impl CompressorSweep {
-    fn from_value(v: &Value) -> Result<Self> {
-        match str_field(v, "name")? {
-            "gpu-sz" => {
-                let block_size = match v.get("block_size") {
-                    None | Some(Value::Null) => None,
-                    Some(bs) => Some(
-                        bs.as_u64()
-                            .map(|n| n as usize)
-                            .ok_or_else(|| bad("field 'block_size' must be an integer"))?,
-                    ),
-                };
-                Ok(CompressorSweep::GpuSz {
-                    mode: SzModeKind::from_name(str_field(v, "mode")?)?,
-                    bounds: f64_list(v, "bounds")?,
-                    block_size,
-                })
-            }
-            "cuzfp" => Ok(CompressorSweep::Cuzfp { rates: f64_list(v, "rates")? }),
-            other => Err(bad(format!("unknown compressor '{other}' (expected gpu-sz|cuzfp)"))),
+section! {
+    /// One compressor sweep entry.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum CompressorSweep by "name" {
+        /// GPU-SZ with a list of error bounds.
+        GpuSz = "gpu-sz" {
+            /// Error-bound mode.
+            mode: SzModeKind;
+            /// Bounds to sweep.
+            bounds: Vec<f64>, in NonEmpty, each in POSITIVE;
+            /// Optional block-size override.
+            block_size: Option<usize> = None, each in 2..;
         }
-    }
-
-    fn to_value(&self) -> Value {
-        match self {
-            CompressorSweep::GpuSz { mode, bounds, block_size } => {
-                let mut fields = vec![
-                    ("name".into(), Value::String("gpu-sz".into())),
-                    ("mode".into(), Value::String(mode.name().into())),
-                    (
-                        "bounds".into(),
-                        Value::Array(bounds.iter().map(|&b| Value::Number(b)).collect()),
-                    ),
-                ];
-                if let Some(bs) = block_size {
-                    fields.push(("block_size".into(), Value::Number(*bs as f64)));
-                }
-                Value::Object(fields)
-            }
-            CompressorSweep::Cuzfp { rates } => Value::Object(vec![
-                ("name".into(), Value::String("cuzfp".into())),
-                (
-                    "rates".into(),
-                    Value::Array(rates.iter().map(|&r| Value::Number(r)).collect()),
-                ),
-            ]),
+        /// cuZFP with a list of fixed rates.
+        Cuzfp = "cuzfp" {
+            /// Bitrates to sweep.
+            rates: Vec<f64>, in NonEmpty, each in (Excluded(0.0), Included(64.0));
         }
     }
 }
 
-/// SZ error-bound mode names used in configs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SzModeKind {
-    /// Absolute bound.
-    Abs,
-    /// Value-range relative bound.
-    Rel,
-    /// Point-wise relative bound (log-transform scheme).
-    PwRel,
-}
-
-impl SzModeKind {
-    fn from_name(name: &str) -> Result<Self> {
-        match name {
-            "abs" => Ok(SzModeKind::Abs),
-            "rel" => Ok(SzModeKind::Rel),
-            "pw_rel" => Ok(SzModeKind::PwRel),
-            other => Err(bad(format!("unknown sz mode '{other}' (expected abs|rel|pw_rel)"))),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            SzModeKind::Abs => "abs",
-            SzModeKind::Rel => "rel",
-            SzModeKind::PwRel => "pw_rel",
-        }
+named_enum! {
+    /// Analysis stages to run after compression.
+    pub enum AnalysisKind {
+        /// PSNR/MSE/MRE and rate-distortion.
+        Distortion = "distortion",
+        /// Matter power spectrum pk-ratio.
+        PowerSpectrum = "power-spectrum",
+        /// FoF halo finder comparison.
+        HaloFinder = "halo-finder",
+        /// GPU/CPU throughput modeling.
+        Throughput = "throughput",
     }
 }
 
-/// Analysis stages to run after compression.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AnalysisKind {
-    /// PSNR/MSE/MRE and rate-distortion.
-    Distortion,
-    /// Matter power spectrum pk-ratio.
-    PowerSpectrum,
-    /// FoF halo finder comparison.
-    HaloFinder,
-    /// GPU/CPU throughput modeling.
-    Throughput,
-}
-
-impl AnalysisKind {
-    fn from_name(name: &str) -> Result<Self> {
-        match name {
-            "distortion" => Ok(AnalysisKind::Distortion),
-            "power-spectrum" => Ok(AnalysisKind::PowerSpectrum),
-            "halo-finder" => Ok(AnalysisKind::HaloFinder),
-            "throughput" => Ok(AnalysisKind::Throughput),
-            other => Err(bad(format!(
-                "unknown analysis '{other}' \
-                 (expected distortion|power-spectrum|halo-finder|throughput)"
-            ))),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            AnalysisKind::Distortion => "distortion",
-            AnalysisKind::PowerSpectrum => "power-spectrum",
-            AnalysisKind::HaloFinder => "halo-finder",
-            AnalysisKind::Throughput => "throughput",
-        }
+section! {
+    /// Output location and options.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct OutputConfig {
+        /// Directory for CSVs and the Cinema database.
+        pub dir: PathBuf;
+        /// Whether to emit a Cinema-style database (default false).
+        pub cinema: bool = false;
     }
 }
 
-/// Output location and options.
-#[derive(Debug, Clone)]
-pub struct OutputConfig {
-    /// Directory for CSVs and the Cinema database.
-    pub dir: PathBuf,
-    /// Whether to emit a Cinema-style database (default false).
-    pub cinema: bool,
-}
-
-impl OutputConfig {
-    fn from_value(v: &Value) -> Result<Self> {
-        if v.as_object().is_none() {
-            return Err(bad("'output' must be an object"));
-        }
-        let cinema = match v.get("cinema") {
-            None => false,
-            Some(c) => c.as_bool().ok_or_else(|| bad("field 'cinema' must be a boolean"))?,
-        };
-        Ok(OutputConfig { dir: PathBuf::from(str_field(v, "dir")?), cinema })
+section! {
+    /// Optional fault-injection ("chaos") settings for a pipeline run.
+    ///
+    /// When present, CBench runs through the simulated GPU with the given
+    /// fault rates (quarantining persistently failing pairs) and the PAT
+    /// workflow executes with per-job retries under node-level faults. All
+    /// injection is seeded, so a run is reproducible bit-for-bit.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ChaosSettings {
+        /// Master fault seed (default 0).
+        pub seed: u64 = 0;
+        /// Per-transfer PCIe failure probability (default 0).
+        pub transfer: f64 = 0.0, in 0.0..=1.0;
+        /// Per-download silent bit-flip probability (default 0).
+        pub bit_flip: f64 = 0.0, in 0.0..=1.0;
+        /// Per-launch kernel-fault probability (default 0).
+        pub kernel: f64 = 0.0, in 0.0..=1.0;
+        /// Per-allocation spurious-OOM probability (default 0).
+        pub oom: f64 = 0.0, in 0.0..=1.0;
+        /// Per-wave node-failure probability (default 0).
+        pub node: f64 = 0.0, in 0.0..=1.0;
+        /// Per-device-operation retry budget (default 3).
+        pub device_retries: u32 = 3;
+        /// Whole-GPU-roundtrip retries before CPU fallback (default 2).
+        pub op_retries: u32 = 2;
+        /// Per-job workflow retries (default 2).
+        pub job_retries: u32 = 2;
     }
-
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("dir".into(), Value::String(self.dir.to_string_lossy().into_owned())),
-            ("cinema".into(), Value::Bool(self.cinema)),
-        ])
-    }
-}
-
-/// Optional fault-injection ("chaos") settings for a pipeline run.
-///
-/// When present, CBench runs through the simulated GPU with the given
-/// fault rates (quarantining persistently failing pairs) and the PAT
-/// workflow executes with per-job retries under node-level faults. All
-/// injection is seeded, so a run is reproducible bit-for-bit.
-#[derive(Debug, Clone)]
-pub struct ChaosSettings {
-    /// Master fault seed (default 0).
-    pub seed: u64,
-    /// Per-transfer PCIe failure probability (default 0).
-    pub transfer: f64,
-    /// Per-download silent bit-flip probability (default 0).
-    pub bit_flip: f64,
-    /// Per-launch kernel-fault probability (default 0).
-    pub kernel: f64,
-    /// Per-allocation spurious-OOM probability (default 0).
-    pub oom: f64,
-    /// Per-wave node-failure probability (default 0).
-    pub node: f64,
-    /// Per-device-operation retry budget (default 3).
-    pub device_retries: u32,
-    /// Whole-GPU-roundtrip retries before CPU fallback (default 2).
-    pub op_retries: u32,
-    /// Per-job workflow retries (default 2).
-    pub job_retries: u32,
 }
 
 impl ChaosSettings {
-    fn from_value(v: &Value) -> Result<Self> {
-        if v.as_object().is_none() {
-            return Err(bad("'chaos' must be an object"));
-        }
-        let seed = match v.get("seed") {
-            None => 0,
-            Some(s) => {
-                s.as_u64().ok_or_else(|| bad("field 'seed' must be a non-negative integer"))?
-            }
-        };
-        Ok(ChaosSettings {
-            seed,
-            transfer: f64_field(v, "transfer", 0.0)?,
-            bit_flip: f64_field(v, "bit_flip", 0.0)?,
-            kernel: f64_field(v, "kernel", 0.0)?,
-            oom: f64_field(v, "oom", 0.0)?,
-            node: f64_field(v, "node", 0.0)?,
-            device_retries: usize_field(v, "device_retries", 3)? as u32,
-            op_retries: usize_field(v, "op_retries", 2)? as u32,
-            job_retries: usize_field(v, "job_retries", 2)? as u32,
-        })
-    }
-
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("seed".into(), Value::Number(self.seed as f64)),
-            ("transfer".into(), Value::Number(self.transfer)),
-            ("bit_flip".into(), Value::Number(self.bit_flip)),
-            ("kernel".into(), Value::Number(self.kernel)),
-            ("oom".into(), Value::Number(self.oom)),
-            ("node".into(), Value::Number(self.node)),
-            ("device_retries".into(), Value::Number(self.device_retries as f64)),
-            ("op_retries".into(), Value::Number(self.op_retries as f64)),
-            ("job_retries".into(), Value::Number(self.job_retries as f64)),
-        ])
-    }
-
     /// The device-level fault rates.
     pub fn fault_rates(&self) -> FaultRates {
         FaultRates {
@@ -406,178 +449,101 @@ impl ChaosSettings {
             ..ChaosConfig::new(self.seed, self.fault_rates())
         }
     }
-
-    fn validate(&self) -> Result<()> {
-        self.fault_rates()
-            .validate()
-            .map_err(|e| Error::Config(format!("chaos rates: {e}")))
-    }
 }
 
-/// Optional device-sanitizer ("sanitize") settings for a pipeline run.
-///
-/// When present, the sweep runs through the simulated GPU with a
-/// sanitizer attached: codec kernels execute on the traced launch path,
-/// memcheck shadows every device allocation, and racecheck intersects
-/// per-block access ranges. Findings surface in the pipeline report (and
-/// fail the CLI with a dedicated exit code). Both checks default to on;
-/// disable one with `"memcheck": false` / `"racecheck": false`.
-#[derive(Debug, Clone, Copy)]
-pub struct SanitizeSettings {
-    /// Shadow-heap checks: bounds, uninitialized reads, double-free,
-    /// use-after-free, leaks (default true).
-    pub memcheck: bool,
-    /// Cross-block race detection on traced launches (default true).
-    pub racecheck: bool,
+section! {
+    /// Optional device-sanitizer ("sanitize") settings for a pipeline run.
+    ///
+    /// When present, the sweep runs through the simulated GPU with a
+    /// sanitizer attached: codec kernels execute on the traced launch path,
+    /// memcheck shadows every device allocation, and racecheck intersects
+    /// per-block access ranges. Findings surface in the pipeline report (and
+    /// fail the CLI with a dedicated exit code). Both checks default to on;
+    /// disable one with `"memcheck": false` / `"racecheck": false`.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct SanitizeSettings {
+        /// Shadow-heap checks: bounds, uninitialized reads, double-free,
+        /// use-after-free, leaks (default true).
+        pub memcheck: bool = true;
+        /// Cross-block race detection on traced launches (default true).
+        pub racecheck: bool = true;
+    }
+    also rules
 }
 
 impl SanitizeSettings {
-    fn from_value(v: &Value) -> Result<Self> {
-        if v.as_object().is_none() {
-            return Err(bad("'sanitize' must be an object"));
-        }
-        Ok(SanitizeSettings {
-            memcheck: bool_field(v, "memcheck", true)?,
-            racecheck: bool_field(v, "racecheck", true)?,
-        })
-    }
-
-    fn to_value(self) -> Value {
-        Value::Object(vec![
-            ("memcheck".into(), Value::Bool(self.memcheck)),
-            ("racecheck".into(), Value::Bool(self.racecheck)),
-        ])
-    }
-
     /// The device-level checker configuration.
     pub fn to_sanitizer_config(self) -> SanitizerConfig {
         SanitizerConfig { memcheck: self.memcheck, racecheck: self.racecheck }
     }
 
-    fn validate(&self) -> Result<()> {
+    fn rules(&self, at: &str) -> Result<()> {
         if !self.memcheck && !self.racecheck {
-            return Err(Error::Config(
-                "'sanitize' enables neither memcheck nor racecheck; drop the section instead"
-                    .into(),
-            ));
+            return Err(Error::Config(format!(
+                "{at} enables neither memcheck nor racecheck; drop the section instead"
+            )));
         }
         Ok(())
     }
 }
 
-/// Optional serving-scheduler ("serve") settings.
-///
-/// When present, `foresight-cli serve-bench` uses these instead of its
-/// built-in defaults: the node shape (device count and host link), the
-/// scheduler knobs ([`crate::serve::ServeOptions`]), and the synthetic
-/// open-loop workload ([`crate::serve::WorkloadSpec`]). Device fault
-/// rates are *not* duplicated here — serve-bench reads them from the
-/// existing `chaos` section so one knob governs all fault injection.
-#[derive(Debug, Clone)]
-pub struct ServeSettings {
-    /// Simulated devices on the serving node (default 6).
-    pub devices: usize,
-    /// Host link: `"nvlink"` (default, Summit-like) or `"pcie"`.
-    pub link: String,
-    /// Max units per dispatched batch (default 8).
-    pub max_batch: usize,
-    /// Outstanding-unit bound before admission rejects (default 64).
-    pub queue_depth: usize,
-    /// Shard threshold in KiB (default 256).
-    pub shard_kb: usize,
-    /// Batching window in milliseconds (default 1.0).
-    pub window_ms: f64,
-    /// Scheduler fault seed (default 0).
-    pub seed: u64,
-    /// Synthetic workload: request count (default 48).
-    pub requests: usize,
-    /// Synthetic workload: mean arrival rate, requests/s (default 4000).
-    pub arrival_hz: f64,
-    /// Synthetic workload: per-request deadline in ms; 0 means none
-    /// (default 0).
-    pub deadline_ms: f64,
-    /// Synthetic workload: decompression fraction (default 0.25).
-    pub decompress_fraction: f64,
+/// Host links a serving node's devices can sit on.
+const LINKS: OneOf = OneOf(&["nvlink", "pcie"]);
+
+/// `devices` V100s on the named host link.
+fn v100_node(devices: usize, link: &str) -> crate::serve::ServeNode {
+    let mut node = crate::serve::ServeNode::v100_pcie(devices);
+    if link == "nvlink" {
+        node.link = gpu_sim::PcieLink::nvlink2();
+    }
+    node
 }
 
-impl Default for ServeSettings {
-    fn default() -> Self {
-        ServeSettings {
-            devices: 6,
-            link: "nvlink".into(),
-            max_batch: 8,
-            queue_depth: 64,
-            shard_kb: 256,
-            window_ms: 1.0,
-            seed: 0,
-            requests: 48,
-            arrival_hz: 4000.0,
-            deadline_ms: 0.0,
-            decompress_fraction: 0.25,
-        }
+/// The largest `shard_kb`: `shard_kb * 1024` bytes must fit `u64`.
+const MAX_SHARD_KB: usize = usize::MAX >> 10;
+
+section! {
+    /// Optional serving-scheduler ("serve") settings.
+    ///
+    /// When present, `foresight-cli serve-bench` uses these instead of its
+    /// built-in defaults: the node shape (device count and host link), the
+    /// scheduler knobs ([`crate::serve::ServeOptions`]), and the synthetic
+    /// open-loop workload ([`crate::serve::WorkloadSpec`]). Device fault
+    /// rates are *not* duplicated here — serve-bench reads them from the
+    /// existing `chaos` section so one knob governs all fault injection.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ServeSettings: Default {
+        /// Simulated devices on the serving node (default 6).
+        pub devices: usize = 6, in 1..;
+        /// Host link: `"nvlink"` (default, Summit-like) or `"pcie"`.
+        pub link: String = "nvlink".into(), in LINKS;
+        /// Max units per dispatched batch (default 8).
+        pub max_batch: usize = 8, in 1..;
+        /// Outstanding-unit bound before admission rejects (default 64).
+        pub queue_depth: usize = 64, in 1..;
+        /// Shard threshold in KiB (default 256).
+        pub shard_kb: usize = 256, in 1..=MAX_SHARD_KB;
+        /// Batching window in milliseconds (default 1.0).
+        pub window_ms: f64 = 1.0, in POSITIVE;
+        /// Scheduler fault seed (default 0).
+        pub seed: u64 = 0;
+        /// Synthetic workload: request count (default 48).
+        pub requests: usize = 48;
+        /// Synthetic workload: mean arrival rate, requests/s (default 4000).
+        pub arrival_hz: f64 = 4000.0, in POSITIVE;
+        /// Synthetic workload: per-request deadline in ms; 0 means none
+        /// (default 0).
+        pub deadline_ms: f64 = 0.0, in 0.0..;
+        /// Synthetic workload: decompression fraction (default 0.25).
+        pub decompress_fraction: f64 = 0.25, in 0.0..=1.0;
     }
 }
 
 impl ServeSettings {
-    fn from_value(v: &Value) -> Result<Self> {
-        if v.as_object().is_none() {
-            return Err(bad("'serve' must be an object"));
-        }
-        let seed = match v.get("seed") {
-            None => 0,
-            Some(s) => {
-                s.as_u64().ok_or_else(|| bad("field 'seed' must be a non-negative integer"))?
-            }
-        };
-        let link = match v.get("link") {
-            None => "nvlink".to_string(),
-            Some(s) => s
-                .as_str()
-                .ok_or_else(|| bad("field 'link' must be a string"))?
-                .to_string(),
-        };
-        Ok(ServeSettings {
-            devices: usize_field(v, "devices", 6)?,
-            link,
-            max_batch: usize_field(v, "max_batch", 8)?,
-            queue_depth: usize_field(v, "queue_depth", 64)?,
-            shard_kb: usize_field(v, "shard_kb", 256)?,
-            window_ms: f64_field(v, "window_ms", 1.0)?,
-            seed,
-            requests: usize_field(v, "requests", 48)?,
-            arrival_hz: f64_field(v, "arrival_hz", 4000.0)?,
-            deadline_ms: f64_field(v, "deadline_ms", 0.0)?,
-            decompress_fraction: f64_field(v, "decompress_fraction", 0.25)?,
-        })
-    }
-
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("devices".into(), Value::Number(self.devices as f64)),
-            ("link".into(), Value::String(self.link.clone())),
-            ("max_batch".into(), Value::Number(self.max_batch as f64)),
-            ("queue_depth".into(), Value::Number(self.queue_depth as f64)),
-            ("shard_kb".into(), Value::Number(self.shard_kb as f64)),
-            ("window_ms".into(), Value::Number(self.window_ms)),
-            ("seed".into(), Value::Number(self.seed as f64)),
-            ("requests".into(), Value::Number(self.requests as f64)),
-            ("arrival_hz".into(), Value::Number(self.arrival_hz)),
-            ("deadline_ms".into(), Value::Number(self.deadline_ms)),
-            (
-                "decompress_fraction".into(),
-                Value::Number(self.decompress_fraction),
-            ),
-        ])
-    }
-
     /// The serving node these settings describe (V100 devices; the link
     /// string picks the interconnect).
     pub fn to_node(&self) -> crate::serve::ServeNode {
-        let mut node = crate::serve::ServeNode::v100_pcie(self.devices);
-        if self.link == "nvlink" {
-            node.link = gpu_sim::PcieLink::nvlink2();
-        }
-        node
+        v100_node(self.devices, &self.link)
     }
 
     /// Scheduler options; `rates` come from the `chaos` section (or
@@ -605,86 +571,33 @@ impl ServeSettings {
             ..crate::serve::WorkloadSpec::default()
         }
     }
-
-    fn validate(&self) -> Result<()> {
-        if self.devices == 0 {
-            return Err(Error::Config("serve.devices must be >= 1".into()));
-        }
-        if self.link != "nvlink" && self.link != "pcie" {
-            return Err(Error::Config(format!(
-                "serve.link must be 'nvlink' or 'pcie', got '{}'",
-                self.link
-            )));
-        }
-        if self.max_batch == 0 || self.queue_depth == 0 || self.shard_kb == 0 {
-            return Err(Error::Config(
-                "serve.max_batch, queue_depth, and shard_kb must be >= 1".into(),
-            ));
-        }
-        if !(self.window_ms > 0.0 && self.window_ms.is_finite()) {
-            return Err(Error::Config("serve.window_ms must be positive".into()));
-        }
-        if !(self.arrival_hz > 0.0 && self.arrival_hz.is_finite()) {
-            return Err(Error::Config("serve.arrival_hz must be positive".into()));
-        }
-        if !(0.0..=1.0).contains(&self.decompress_fraction) {
-            return Err(Error::Config(
-                "serve.decompress_fraction must be in [0, 1]".into(),
-            ));
-        }
-        if !(self.deadline_ms >= 0.0 && self.deadline_ms.is_finite()) {
-            return Err(Error::Config("serve.deadline_ms must be >= 0".into()));
-        }
-        Ok(())
-    }
 }
 
-/// One scheduled node-level fault in a `cluster` section.
-#[derive(Debug, Clone)]
-pub struct ClusterFaultSetting {
-    /// `"crash"`, `"slow"`, or `"partition"`.
-    pub kind: String,
-    /// Target node index.
-    pub node: usize,
-    /// Onset, milliseconds on the simulated clock.
-    pub at_ms: f64,
-    /// Duration in milliseconds (ignored for `crash`).
-    pub duration_ms: f64,
-    /// Straggler factor (only for `slow`; must be >= 1).
-    pub factor: f64,
+section! {
+    /// One scheduled node-level fault in a `cluster` section.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ClusterFaultSetting {
+        /// `"crash"`, `"slow"`, or `"partition"`.
+        pub kind: String, in OneOf(&["crash", "slow", "partition"]);
+        /// Target node index.
+        pub node: usize = 0;
+        /// Onset, milliseconds on the simulated clock.
+        pub at_ms: f64 = 0.0, in 0.0..;
+        /// Duration in milliseconds (ignored for `crash`).
+        pub duration_ms: f64 = 0.0, in 0.0..;
+        /// Straggler factor (only for `slow`; must be >= 1).
+        pub factor: f64 = 1.0;
+    }
 }
 
 impl ClusterFaultSetting {
-    fn from_value(v: &Value) -> Result<Self> {
-        if v.as_object().is_none() {
-            return Err(bad("'cluster.faults' entries must be objects"));
-        }
-        Ok(ClusterFaultSetting {
-            kind: str_field(v, "kind")?.to_string(),
-            node: usize_field(v, "node", 0)?,
-            at_ms: f64_field(v, "at_ms", 0.0)?,
-            duration_ms: f64_field(v, "duration_ms", 0.0)?,
-            factor: f64_field(v, "factor", 1.0)?,
-        })
-    }
-
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("kind".into(), Value::String(self.kind.clone())),
-            ("node".into(), Value::Number(self.node as f64)),
-            ("at_ms".into(), Value::Number(self.at_ms)),
-            ("duration_ms".into(), Value::Number(self.duration_ms)),
-            ("factor".into(), Value::Number(self.factor)),
-        ])
-    }
-
     fn to_event(&self) -> Result<gpu_sim::NodeFaultEvent> {
         let kind = match self.kind.as_str() {
             "crash" => gpu_sim::NodeFaultKind::Crash,
             "slow" => gpu_sim::NodeFaultKind::Slow,
             "partition" => gpu_sim::NodeFaultKind::Partition,
             other => {
-                return Err(bad(format!(
+                return Err(Error::Config(format!(
                     "cluster fault kind must be crash|slow|partition, got '{other}'"
                 )))
             }
@@ -699,183 +612,70 @@ impl ClusterFaultSetting {
     }
 }
 
-/// Optional multi-node serving ("cluster") settings.
-///
-/// When present, `foresight-cli cluster-bench` uses these instead of its
-/// built-in defaults: the cluster shape (node count, replication, devices
-/// per node), the router knobs ([`crate::cluster::ClusterOptions`]), the
-/// Zipf open-loop workload ([`crate::cluster::ClusterWorkloadSpec`]), and
-/// an explicit node-fault schedule (`faults`). Absent `faults` means a
-/// healthy run; `cluster-bench` injects its own node-kill when asked for
-/// chaos.
-#[derive(Debug, Clone)]
-pub struct ClusterSettings {
-    /// Serving nodes (default 4).
-    pub nodes: usize,
-    /// Replicas per placement key (default 2).
-    pub replication: usize,
-    /// Devices per node (default 2).
-    pub devices: usize,
-    /// Host link per device: `"nvlink"` (default) or `"pcie"`.
-    pub link: String,
-    /// Per-node outstanding-unit bound (default 64).
-    pub queue_depth: usize,
-    /// Shard threshold in KiB (default 256).
-    pub shard_kb: usize,
-    /// Batching window in milliseconds (default 1.0).
-    pub window_ms: f64,
-    /// Seed for jitter, workload, and fault streams (default 0).
-    pub seed: u64,
-    /// Health-probe interval in milliseconds (default 2.0).
-    pub heartbeat_ms: f64,
-    /// Missed probes before a node is marked down (default 2).
-    pub probe_misses: u32,
-    /// Failures that open a node's circuit breaker (default 3).
-    pub breaker_threshold: u32,
-    /// Open-breaker cooldown in milliseconds (default 20.0).
-    pub breaker_open_ms: f64,
-    /// First redirect backoff in milliseconds (default 0.5).
-    pub backoff_base_ms: f64,
-    /// Redirect backoff cap in milliseconds (default 8.0).
-    pub backoff_cap_ms: f64,
-    /// Workload: request count (default 96).
-    pub requests: usize,
-    /// Workload: mean arrival rate, requests/s (default 6000).
-    pub arrival_hz: f64,
-    /// Workload: catalog size, distinct placement keys (default 12).
-    pub fields: usize,
-    /// Workload: Zipf popularity exponent (default 1.1).
-    pub zipf_s: f64,
-    /// Workload: decompression fraction (default 0.25).
-    pub decompress_fraction: f64,
-    /// Workload: per-request deadline in ms; 0 means none (default 0).
-    pub deadline_ms: f64,
-    /// Workload: priority tiers (default 3).
-    pub priorities: u8,
-    /// Scheduled node faults (default none).
-    pub faults: Vec<ClusterFaultSetting>,
-}
-
-impl Default for ClusterSettings {
-    fn default() -> Self {
-        ClusterSettings {
-            nodes: 4,
-            replication: 2,
-            devices: 2,
-            link: "nvlink".into(),
-            queue_depth: 64,
-            shard_kb: 256,
-            window_ms: 1.0,
-            seed: 0,
-            heartbeat_ms: 2.0,
-            probe_misses: 2,
-            breaker_threshold: 3,
-            breaker_open_ms: 20.0,
-            backoff_base_ms: 0.5,
-            backoff_cap_ms: 8.0,
-            requests: 96,
-            arrival_hz: 6000.0,
-            fields: 12,
-            zipf_s: 1.1,
-            decompress_fraction: 0.25,
-            deadline_ms: 0.0,
-            priorities: 3,
-            faults: Vec::new(),
-        }
+section! {
+    /// Optional multi-node serving ("cluster") settings.
+    ///
+    /// When present, `foresight-cli cluster-bench` uses these instead of its
+    /// built-in defaults: the cluster shape (node count, replication, devices
+    /// per node), the router knobs ([`crate::cluster::ClusterOptions`]), the
+    /// Zipf open-loop workload ([`crate::cluster::ClusterWorkloadSpec`]), and
+    /// an explicit node-fault schedule (`faults`). Absent `faults` means a
+    /// healthy run; `cluster-bench` injects its own node-kill when asked for
+    /// chaos.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ClusterSettings: Default {
+        /// Serving nodes (default 4).
+        pub nodes: usize = 4, in 1..;
+        /// Replicas per placement key (default 2).
+        pub replication: usize = 2, in 1..=nodes;
+        /// Devices per node (default 2).
+        pub devices: usize = 2, in 1..;
+        /// Host link per device: `"nvlink"` (default) or `"pcie"`.
+        pub link: String = "nvlink".into(), in LINKS;
+        /// Per-node outstanding-unit bound (default 64).
+        pub queue_depth: usize = 64, in 1..;
+        /// Shard threshold in KiB (default 256).
+        pub shard_kb: usize = 256, in 1..=MAX_SHARD_KB;
+        /// Batching window in milliseconds (default 1.0).
+        pub window_ms: f64 = 1.0, in POSITIVE;
+        /// Seed for jitter, workload, and fault streams (default 0).
+        pub seed: u64 = 0;
+        /// Health-probe interval in milliseconds (default 2.0).
+        pub heartbeat_ms: f64 = 2.0, in POSITIVE;
+        /// Missed probes before a node is marked down (default 2).
+        pub probe_misses: u32 = 2, in 1..;
+        /// Failures that open a node's circuit breaker (default 3).
+        pub breaker_threshold: u32 = 3, in 1..;
+        /// Open-breaker cooldown in milliseconds (default 20.0).
+        pub breaker_open_ms: f64 = 20.0, in POSITIVE;
+        /// First redirect backoff in milliseconds (default 0.5).
+        pub backoff_base_ms: f64 = 0.5, in POSITIVE;
+        /// Redirect backoff cap in milliseconds (default 8.0).
+        pub backoff_cap_ms: f64 = 8.0, in backoff_base_ms..;
+        /// Workload: request count (default 96).
+        pub requests: usize = 96;
+        /// Workload: mean arrival rate, requests/s (default 6000).
+        pub arrival_hz: f64 = 6000.0, in POSITIVE;
+        /// Workload: catalog size, distinct placement keys (default 12).
+        pub fields: usize = 12, in 1..;
+        /// Workload: Zipf popularity exponent (default 1.1).
+        pub zipf_s: f64 = 1.1, in 0.0..;
+        /// Workload: decompression fraction (default 0.25).
+        pub decompress_fraction: f64 = 0.25, in 0.0..=1.0;
+        /// Workload: per-request deadline in ms; 0 means none (default 0).
+        pub deadline_ms: f64 = 0.0, in 0.0..;
+        /// Workload: priority tiers (default 3).
+        pub priorities: u8 = 3, in 1..;
+        /// Scheduled node faults (default none).
+        pub faults: Vec<ClusterFaultSetting> = Vec::new();
     }
+    also rules
 }
 
 impl ClusterSettings {
-    fn from_value(v: &Value) -> Result<Self> {
-        if v.as_object().is_none() {
-            return Err(bad("'cluster' must be an object"));
-        }
-        let d = ClusterSettings::default();
-        let seed = match v.get("seed") {
-            None => 0,
-            Some(s) => {
-                s.as_u64().ok_or_else(|| bad("field 'seed' must be a non-negative integer"))?
-            }
-        };
-        let link = match v.get("link") {
-            None => d.link.clone(),
-            Some(s) => s
-                .as_str()
-                .ok_or_else(|| bad("field 'link' must be a string"))?
-                .to_string(),
-        };
-        let faults = match v.get("faults") {
-            None | Some(Value::Null) => Vec::new(),
-            Some(f) => f
-                .as_array()
-                .ok_or_else(|| bad("'cluster.faults' must be an array"))?
-                .iter()
-                .map(ClusterFaultSetting::from_value)
-                .collect::<Result<Vec<_>>>()?,
-        };
-        Ok(ClusterSettings {
-            nodes: usize_field(v, "nodes", d.nodes)?,
-            replication: usize_field(v, "replication", d.replication)?,
-            devices: usize_field(v, "devices", d.devices)?,
-            link,
-            queue_depth: usize_field(v, "queue_depth", d.queue_depth)?,
-            shard_kb: usize_field(v, "shard_kb", d.shard_kb)?,
-            window_ms: f64_field(v, "window_ms", d.window_ms)?,
-            seed,
-            heartbeat_ms: f64_field(v, "heartbeat_ms", d.heartbeat_ms)?,
-            probe_misses: usize_field(v, "probe_misses", d.probe_misses as usize)? as u32,
-            breaker_threshold: usize_field(v, "breaker_threshold", d.breaker_threshold as usize)?
-                as u32,
-            breaker_open_ms: f64_field(v, "breaker_open_ms", d.breaker_open_ms)?,
-            backoff_base_ms: f64_field(v, "backoff_base_ms", d.backoff_base_ms)?,
-            backoff_cap_ms: f64_field(v, "backoff_cap_ms", d.backoff_cap_ms)?,
-            requests: usize_field(v, "requests", d.requests)?,
-            arrival_hz: f64_field(v, "arrival_hz", d.arrival_hz)?,
-            fields: usize_field(v, "fields", d.fields)?,
-            zipf_s: f64_field(v, "zipf_s", d.zipf_s)?,
-            decompress_fraction: f64_field(v, "decompress_fraction", d.decompress_fraction)?,
-            deadline_ms: f64_field(v, "deadline_ms", d.deadline_ms)?,
-            priorities: usize_field(v, "priorities", d.priorities as usize)? as u8,
-            faults,
-        })
-    }
-
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("nodes".into(), Value::Number(self.nodes as f64)),
-            ("replication".into(), Value::Number(self.replication as f64)),
-            ("devices".into(), Value::Number(self.devices as f64)),
-            ("link".into(), Value::String(self.link.clone())),
-            ("queue_depth".into(), Value::Number(self.queue_depth as f64)),
-            ("shard_kb".into(), Value::Number(self.shard_kb as f64)),
-            ("window_ms".into(), Value::Number(self.window_ms)),
-            ("seed".into(), Value::Number(self.seed as f64)),
-            ("heartbeat_ms".into(), Value::Number(self.heartbeat_ms)),
-            ("probe_misses".into(), Value::Number(self.probe_misses as f64)),
-            ("breaker_threshold".into(), Value::Number(self.breaker_threshold as f64)),
-            ("breaker_open_ms".into(), Value::Number(self.breaker_open_ms)),
-            ("backoff_base_ms".into(), Value::Number(self.backoff_base_ms)),
-            ("backoff_cap_ms".into(), Value::Number(self.backoff_cap_ms)),
-            ("requests".into(), Value::Number(self.requests as f64)),
-            ("arrival_hz".into(), Value::Number(self.arrival_hz)),
-            ("fields".into(), Value::Number(self.fields as f64)),
-            ("zipf_s".into(), Value::Number(self.zipf_s)),
-            ("decompress_fraction".into(), Value::Number(self.decompress_fraction)),
-            ("deadline_ms".into(), Value::Number(self.deadline_ms)),
-            ("priorities".into(), Value::Number(self.priorities as f64)),
-            (
-                "faults".into(),
-                Value::Array(self.faults.iter().map(ClusterFaultSetting::to_value).collect()),
-            ),
-        ])
-    }
-
     /// The cluster shape these settings describe.
     pub fn to_cluster(&self) -> crate::cluster::ServeCluster {
-        let mut node = crate::serve::ServeNode::v100_pcie(self.devices);
-        if self.link == "nvlink" {
-            node.link = gpu_sim::PcieLink::nvlink2();
-        }
+        let node = v100_node(self.devices, &self.link);
         crate::cluster::ServeCluster::new(self.nodes, self.replication, node)
     }
 
@@ -896,7 +696,6 @@ impl ClusterSettings {
             backoff_base_s: self.backoff_base_ms * 1e-3,
             backoff_cap_s: self.backoff_cap_ms * 1e-3,
             chaos: self.to_chaos_plan()?,
-            obs: None,
         })
     }
 
@@ -925,136 +724,53 @@ impl ClusterSettings {
         }
     }
 
-    fn validate(&self) -> Result<()> {
-        if self.nodes == 0 {
-            return Err(Error::Config("cluster.nodes must be >= 1".into()));
-        }
-        if self.replication == 0 || self.replication > self.nodes {
-            return Err(Error::Config(format!(
-                "cluster.replication must be in [1, nodes={}], got {}",
-                self.nodes, self.replication
-            )));
-        }
-        if self.devices == 0 {
-            return Err(Error::Config("cluster.devices must be >= 1".into()));
-        }
-        if self.link != "nvlink" && self.link != "pcie" {
-            return Err(Error::Config(format!(
-                "cluster.link must be 'nvlink' or 'pcie', got '{}'",
-                self.link
-            )));
-        }
-        if self.queue_depth == 0 || self.shard_kb == 0 || self.fields == 0 {
-            return Err(Error::Config(
-                "cluster.queue_depth, shard_kb, and fields must be >= 1".into(),
-            ));
-        }
-        if self.probe_misses == 0 || self.breaker_threshold == 0 || self.priorities == 0 {
-            return Err(Error::Config(
-                "cluster.probe_misses, breaker_threshold, and priorities must be >= 1".into(),
-            ));
-        }
-        for (name, v) in [
-            ("window_ms", self.window_ms),
-            ("heartbeat_ms", self.heartbeat_ms),
-            ("breaker_open_ms", self.breaker_open_ms),
-            ("backoff_base_ms", self.backoff_base_ms),
-            ("backoff_cap_ms", self.backoff_cap_ms),
-            ("arrival_hz", self.arrival_hz),
-        ] {
-            if !(v > 0.0 && v.is_finite()) {
-                return Err(Error::Config(format!("cluster.{name} must be positive")));
-            }
-        }
-        if self.backoff_cap_ms < self.backoff_base_ms {
-            return Err(Error::Config(
-                "cluster.backoff_cap_ms must be >= backoff_base_ms".into(),
-            ));
-        }
-        if !(0.0..=1.0).contains(&self.decompress_fraction) {
-            return Err(Error::Config(
-                "cluster.decompress_fraction must be in [0, 1]".into(),
-            ));
-        }
-        if !(self.deadline_ms >= 0.0
-            && self.deadline_ms.is_finite()
-            && self.zipf_s >= 0.0
-            && self.zipf_s.is_finite())
-        {
-            return Err(Error::Config(
-                "cluster.deadline_ms and zipf_s must be finite and >= 0".into(),
-            ));
-        }
-        for f in &self.faults {
+    fn rules(&self, at: &str) -> Result<()> {
+        for (i, f) in self.faults.iter().enumerate() {
             if f.node >= self.nodes {
                 return Err(Error::Config(format!(
-                    "cluster fault targets node {} but the cluster has {}",
-                    f.node, self.nodes
+                    "{at}.faults[{i}].node must be below nodes={}, got {}",
+                    self.nodes, f.node
                 )));
             }
-            f.to_event()?;
         }
-        // Delegate range checks the chaos model enforces itself.
+        // The slow-factor rule depends on the fault kind; the chaos model
+        // owns it.
         self.to_chaos_plan()?;
         Ok(())
     }
 }
 
-/// One declarative service-level objective, from the optional `slo`
-/// array:
-///
-/// ```json
-/// { "slo": [ { "metric": "cluster.latency.p99", "threshold_ms": 5.0,
-///              "window": 0.002 } ] }
-/// ```
-///
-/// `metric` is either `<series>.<stat>` over a histogram series (stat in
-/// `p50|p95|p99|mean|max`, compared in milliseconds) or a bare counter
-/// name (compared as a raw count). `window` is the fast alert window in
-/// sim seconds; `slow_window` defaults to 4x the fast one and `objective`
-/// to 0.99 availability. See [`crate::obs::SloSpec`] for the burn-rate
-/// semantics.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SloSetting {
-    /// Metric selector, e.g. `cluster.latency.p99` or `cluster.shed`.
-    pub metric: String,
-    /// Per-window bad threshold (ms for latency stats, count otherwise).
-    pub threshold_ms: f64,
-    /// Fast burn-rate alert window in sim seconds.
-    pub window_s: f64,
-    /// Slow burn-rate alert window in sim seconds (default `4 * window`).
-    pub slow_window_s: f64,
-    /// Availability objective in (0, 1); the error budget is `1 - objective`.
-    pub objective: f64,
+section! {
+    /// One declarative service-level objective, from the optional `slo`
+    /// array:
+    ///
+    /// ```json
+    /// { "slo": [ { "metric": "cluster.latency.p99", "threshold_ms": 5.0,
+    ///              "window": 0.002 } ] }
+    /// ```
+    ///
+    /// `metric` is either `<series>.<stat>` over a histogram series (stat in
+    /// `p50|p95|p99|mean|max`, compared in milliseconds) or a bare counter
+    /// name (compared as a raw count). `window` is the fast alert window in
+    /// sim seconds; `slow_window` defaults to 4x the fast one and `objective`
+    /// to 0.99 availability. See [`crate::obs::SloSpec`] for the burn-rate
+    /// semantics.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SloSetting {
+        /// Metric selector, e.g. `cluster.latency.p99` or `cluster.shed`.
+        pub metric: String, in NonEmpty;
+        /// Per-window bad threshold (ms for latency stats, count otherwise).
+        pub threshold_ms: f64, in POSITIVE;
+        /// Fast burn-rate alert window in sim seconds.
+        pub window_s as "window": f64, in POSITIVE;
+        /// Slow burn-rate alert window in sim seconds (default `4 * window`).
+        pub slow_window_s as "slow_window": f64 = window_s * 4.0, in window_s..;
+        /// Availability objective in (0, 1); the error budget is `1 - objective`.
+        pub objective: f64 = 0.99, in (Excluded(0.0), Excluded(1.0));
+    }
 }
 
 impl SloSetting {
-    fn from_value(v: &Value) -> Result<Self> {
-        if v.as_object().is_none() {
-            return Err(bad("'slo' entries must be objects"));
-        }
-        let metric = str_field(v, "metric")?.to_string();
-        let threshold_ms = field(v, "threshold_ms")?
-            .as_f64()
-            .ok_or_else(|| bad("field 'threshold_ms' must be a number"))?;
-        let window_s = field(v, "window")?
-            .as_f64()
-            .ok_or_else(|| bad("field 'window' must be a number (sim seconds)"))?;
-        let slow_window_s = f64_field(v, "slow_window", window_s * 4.0)?;
-        let objective = f64_field(v, "objective", 0.99)?;
-        Ok(SloSetting { metric, threshold_ms, window_s, slow_window_s, objective })
-    }
-
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("metric".into(), Value::String(self.metric.clone())),
-            ("threshold_ms".into(), Value::Number(self.threshold_ms)),
-            ("window".into(), Value::Number(self.window_s)),
-            ("slow_window".into(), Value::Number(self.slow_window_s)),
-            ("objective".into(), Value::Number(self.objective)),
-        ])
-    }
-
     /// The evaluator-side spec these settings describe.
     pub fn to_spec(&self) -> crate::obs::SloSpec {
         crate::obs::SloSpec {
@@ -1065,235 +781,70 @@ impl SloSetting {
             objective: self.objective,
         }
     }
+}
 
-    fn validate(&self) -> Result<()> {
-        if self.metric.is_empty() {
-            return Err(Error::Config("slo.metric must be non-empty".into()));
-        }
-        for (name, v) in [
-            ("threshold_ms", self.threshold_ms),
-            ("window", self.window_s),
-            ("slow_window", self.slow_window_s),
-        ] {
-            if !(v > 0.0 && v.is_finite()) {
-                return Err(Error::Config(format!("slo.{name} must be positive")));
-            }
-        }
-        if self.slow_window_s < self.window_s {
-            return Err(Error::Config("slo.slow_window must be >= window".into()));
-        }
-        if !(self.objective > 0.0 && self.objective < 1.0) {
-            return Err(Error::Config("slo.objective must be in (0, 1)".into()));
-        }
-        Ok(())
+section! {
+    /// Optional archive-packing settings for the pipeline.
+    ///
+    /// When present, the pipeline adds an `archive` stage after dataset
+    /// generation: every generated field is chunked, compressed through the
+    /// first codec configuration of the sweep, and sealed into a
+    /// `foresight-store` container under the output directory. The archive
+    /// then serves chunk-granular `(snapshot, field, region)` reads via
+    /// `foresight-cli store` and the store-backed serve path.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct StoreSettings: Default {
+        /// Archive file name inside the output directory (default
+        /// "snapshot.fstr").
+        pub file: String = "snapshot.fstr".into(), in NonEmpty;
+        /// Chunk side length in values along each axis (default 16).
+        pub chunk: usize = 16, in 4..;
+        /// Snapshot id recorded for the packed fields (default 0).
+        pub snapshot: u32 = 0;
     }
 }
 
-/// Optional archive-packing settings for the pipeline.
-///
-/// When present, the pipeline adds an `archive` stage after dataset
-/// generation: every generated field is chunked, compressed through the
-/// first codec configuration of the sweep, and sealed into a
-/// `foresight-store` container under the output directory. The archive
-/// then serves chunk-granular `(snapshot, field, region)` reads via
-/// `foresight-cli store` and the store-backed serve path.
-#[derive(Debug, Clone)]
-pub struct StoreSettings {
-    /// Archive file name inside the output directory (default
-    /// "snapshot.fstr").
-    pub file: String,
-    /// Chunk side length in values along each axis (default 16).
-    pub chunk: usize,
-    /// Snapshot id recorded for the packed fields (default 0).
-    pub snapshot: u32,
-}
-
-impl Default for StoreSettings {
-    fn default() -> Self {
-        StoreSettings { file: "snapshot.fstr".into(), chunk: 16, snapshot: 0 }
+section! {
+    /// A full pipeline configuration.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ForesightConfig {
+        /// Dataset to generate.
+        pub input: InputConfig;
+        /// Compressors and their parameter sweeps.
+        pub compressors: Vec<CompressorSweep>, in NonEmpty;
+        /// Analyses to run.
+        pub analysis: Vec<AnalysisKind>;
+        /// Output options.
+        pub output: OutputConfig;
+        /// Optional fault-injection settings (absent means a quiet run).
+        pub chaos: Option<ChaosSettings> = None;
+        /// Optional device-sanitizer settings (absent means untraced runs).
+        pub sanitize: Option<SanitizeSettings> = None;
+        /// Optional serving-scheduler settings for `serve-bench` (absent
+        /// means built-in defaults).
+        pub serve: Option<ServeSettings> = None;
+        /// Optional multi-node serving settings for `cluster-bench` (absent
+        /// means built-in defaults).
+        pub cluster: Option<ClusterSettings> = None;
+        /// Optional service-level objectives evaluated over the windowed
+        /// telemetry series (absent means no SLO report).
+        pub slo: Option<Vec<SloSetting>> = None;
+        /// Optional archive-packing settings (absent means no archive
+        /// stage).
+        pub store: Option<StoreSettings> = None;
     }
-}
-
-impl StoreSettings {
-    fn from_value(v: &Value) -> Result<Self> {
-        if v.as_object().is_none() {
-            return Err(bad("'store' must be an object"));
-        }
-        let file = match v.get("file") {
-            None => "snapshot.fstr".to_string(),
-            Some(s) => s
-                .as_str()
-                .ok_or_else(|| bad("field 'file' must be a string"))?
-                .to_string(),
-        };
-        let chunk = usize_field(v, "chunk", 16)?;
-        let snapshot = match v.get("snapshot") {
-            None => 0,
-            Some(s) => u32::try_from(
-                s.as_u64()
-                    .ok_or_else(|| bad("field 'snapshot' must be a non-negative integer"))?,
-            )
-            .map_err(|_| bad("field 'snapshot' must fit in 32 bits"))?,
-        };
-        Ok(StoreSettings { file, chunk, snapshot })
-    }
-
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("file".into(), Value::String(self.file.clone())),
-            ("chunk".into(), Value::Number(self.chunk as f64)),
-            ("snapshot".into(), Value::Number(self.snapshot as f64)),
-        ])
-    }
-
-    fn validate(&self) -> Result<()> {
-        if self.file.is_empty() {
-            return Err(Error::Config("store.file must be non-empty".into()));
-        }
-        if self.chunk < 4 {
-            return Err(Error::Config("store.chunk must be >= 4".into()));
-        }
-        Ok(())
-    }
-}
-
-/// A full pipeline configuration.
-#[derive(Debug, Clone)]
-pub struct ForesightConfig {
-    /// Dataset to generate.
-    pub input: InputConfig,
-    /// Compressors and their parameter sweeps.
-    pub compressors: Vec<CompressorSweep>,
-    /// Analyses to run.
-    pub analysis: Vec<AnalysisKind>,
-    /// Output options.
-    pub output: OutputConfig,
-    /// Optional fault-injection settings (absent means a quiet run).
-    pub chaos: Option<ChaosSettings>,
-    /// Optional device-sanitizer settings (absent means untraced runs).
-    pub sanitize: Option<SanitizeSettings>,
-    /// Optional serving-scheduler settings for `serve-bench` (absent
-    /// means built-in defaults).
-    pub serve: Option<ServeSettings>,
-    /// Optional multi-node serving settings for `cluster-bench` (absent
-    /// means built-in defaults).
-    pub cluster: Option<ClusterSettings>,
-    /// Optional service-level objectives evaluated over the windowed
-    /// telemetry series (absent means no SLO report).
-    pub slo: Option<Vec<SloSetting>>,
-    /// Optional archive-packing settings (absent means no archive
-    /// stage).
-    pub store: Option<StoreSettings>,
 }
 
 impl ForesightConfig {
     /// Parses and validates a JSON document.
     pub fn from_json(json: &str) -> Result<Self> {
-        let doc = Value::parse(json)?;
-        if doc.as_object().is_none() {
-            return Err(bad("config root must be an object"));
-        }
-        let compressors = field(&doc, "compressors")?
-            .as_array()
-            .ok_or_else(|| bad("'compressors' must be an array"))?
-            .iter()
-            .map(CompressorSweep::from_value)
-            .collect::<Result<Vec<_>>>()?;
-        let analysis = field(&doc, "analysis")?
-            .as_array()
-            .ok_or_else(|| bad("'analysis' must be an array"))?
-            .iter()
-            .map(|v| {
-                AnalysisKind::from_name(
-                    v.as_str().ok_or_else(|| bad("'analysis' entries must be strings"))?,
-                )
-            })
-            .collect::<Result<Vec<_>>>()?;
-        let chaos = match doc.get("chaos") {
-            None | Some(Value::Null) => None,
-            Some(v) => Some(ChaosSettings::from_value(v)?),
-        };
-        let sanitize = match doc.get("sanitize") {
-            None | Some(Value::Null) => None,
-            Some(v) => Some(SanitizeSettings::from_value(v)?),
-        };
-        let serve = match doc.get("serve") {
-            None | Some(Value::Null) => None,
-            Some(v) => Some(ServeSettings::from_value(v)?),
-        };
-        let cluster = match doc.get("cluster") {
-            None | Some(Value::Null) => None,
-            Some(v) => Some(ClusterSettings::from_value(v)?),
-        };
-        let slo = match doc.get("slo") {
-            None | Some(Value::Null) => None,
-            Some(v) => Some(
-                v.as_array()
-                    .ok_or_else(|| bad("'slo' must be an array"))?
-                    .iter()
-                    .map(SloSetting::from_value)
-                    .collect::<Result<Vec<_>>>()?,
-            ),
-        };
-        let store = match doc.get("store") {
-            None | Some(Value::Null) => None,
-            Some(v) => Some(StoreSettings::from_value(v)?),
-        };
-        let cfg = ForesightConfig {
-            input: InputConfig::from_value(field(&doc, "input")?)?,
-            compressors,
-            analysis,
-            output: OutputConfig::from_value(field(&doc, "output")?)?,
-            chaos,
-            sanitize,
-            serve,
-            cluster,
-            slo,
-            store,
-        };
-        cfg.validate()?;
-        Ok(cfg)
+        Self::read(&Value::parse(json)?, "")
     }
 
     /// Serializes back to a compact JSON document that [`Self::from_json`]
     /// accepts.
     pub fn to_json(&self) -> String {
-        let mut fields = vec![
-            ("input".into(), self.input.to_value()),
-            (
-                "compressors".into(),
-                Value::Array(self.compressors.iter().map(CompressorSweep::to_value).collect()),
-            ),
-            (
-                "analysis".into(),
-                Value::Array(
-                    self.analysis
-                        .iter()
-                        .map(|a| Value::String(a.name().into()))
-                        .collect(),
-                ),
-            ),
-            ("output".into(), self.output.to_value()),
-        ];
-        if let Some(chaos) = &self.chaos {
-            fields.push(("chaos".into(), chaos.to_value()));
-        }
-        if let Some(sanitize) = &self.sanitize {
-            fields.push(("sanitize".into(), sanitize.to_value()));
-        }
-        if let Some(serve) = &self.serve {
-            fields.push(("serve".into(), serve.to_value()));
-        }
-        if let Some(cluster) = &self.cluster {
-            fields.push(("cluster".into(), cluster.to_value()));
-        }
-        if let Some(slo) = &self.slo {
-            fields.push(("slo".into(), Value::Array(slo.iter().map(SloSetting::to_value).collect())));
-        }
-        if let Some(store) = &self.store {
-            fields.push(("store".into(), store.to_value()));
-        }
-        Value::Object(fields).to_json()
+        self.write().to_json()
     }
 
     /// Reads a config file.
@@ -1302,59 +853,11 @@ impl ForesightConfig {
         Self::from_json(&text)
     }
 
-    /// Validates semantic constraints beyond the schema.
+    /// Validates every option's range and the cross-field rules: a config
+    /// built or edited in code is valid exactly when its written form reads
+    /// back.
     pub fn validate(&self) -> Result<()> {
-        if self.input.n_side < 8 || !self.input.n_side.is_power_of_two() {
-            return Err(Error::Config(format!(
-                "n_side must be a power of two >= 8, got {}",
-                self.input.n_side
-            )));
-        }
-        if self.compressors.is_empty() {
-            return Err(Error::Config("at least one compressor sweep required".into()));
-        }
-        for c in &self.compressors {
-            match c {
-                CompressorSweep::GpuSz { bounds, block_size, .. } => {
-                    if bounds.is_empty() || bounds.iter().any(|&b| !(b > 0.0 && b.is_finite())) {
-                        return Err(Error::Config("gpu-sz bounds must be positive".into()));
-                    }
-                    if let Some(bs) = block_size {
-                        if *bs < 2 {
-                            return Err(Error::Config("gpu-sz block_size must be >= 2".into()));
-                        }
-                    }
-                }
-                CompressorSweep::Cuzfp { rates } => {
-                    if rates.is_empty()
-                        || rates.iter().any(|&r| !(r > 0.0 && r <= 64.0 && r.is_finite()))
-                    {
-                        return Err(Error::Config("cuzfp rates must be in (0, 64]".into()));
-                    }
-                }
-            }
-        }
-        if let Some(chaos) = &self.chaos {
-            chaos.validate()?;
-        }
-        if let Some(sanitize) = &self.sanitize {
-            sanitize.validate()?;
-        }
-        if let Some(serve) = &self.serve {
-            serve.validate()?;
-        }
-        if let Some(cluster) = &self.cluster {
-            cluster.validate()?;
-        }
-        if let Some(slo) = &self.slo {
-            for s in slo {
-                s.validate()?;
-            }
-        }
-        if let Some(store) = &self.store {
-            store.validate()?;
-        }
-        Ok(())
+        Self::read(&self.write(), "").map(drop)
     }
 
     /// Expands all sweeps into concrete codec configurations.
@@ -1741,5 +1244,394 @@ mod tests {
         assert!(with_serve(r#"{ "decompress_fraction": 1.5 }"#).is_err());
         assert!(with_serve(r#"{ "queue_depth": 0 }"#).is_err());
         assert!(with_serve(r#"[1]"#).is_err());
+    }
+
+    const TOP_LEVEL: [&str; 10] = [
+        "input", "compressors", "analysis", "output", "chaos", "sanitize", "serve", "cluster",
+        "slo", "store",
+    ];
+
+    // The probe inputs of ISSUE 15: each was accepted (wrapped, ignored or
+    // overflowing later) before the schema carried types and key lists.
+
+    #[test]
+    fn integers_too_wide_for_their_type_are_errors_not_wraps() {
+        let err = with_cluster(r#"{ "priorities": 257, "probe_misses": 4294967297 }"#).unwrap_err();
+        assert!(err.to_string().contains("cluster.probe_misses"), "{err}");
+        let err = with_cluster(r#"{ "priorities": 257 }"#).unwrap_err();
+        assert!(matches!(err, Error::Config(_)));
+        assert!(err.to_string().contains("cluster.priorities"), "{err}");
+        let json = SAMPLE.replace(
+            "\"output\": { \"dir\": \"out\", \"cinema\": true }",
+            "\"output\": { \"dir\": \"out\", \"cinema\": true },\n        \
+             \"chaos\": { \"device_retries\": 4294967296 }",
+        );
+        let err = ForesightConfig::from_json(&json).unwrap_err();
+        assert!(err.to_string().contains("chaos.device_retries"), "{err}");
+    }
+
+    #[test]
+    fn unknown_keys_are_errors_that_list_the_valid_ones() {
+        let err = with_cluster(r#"{ "hearbeat_ms": 5.0 }"#).unwrap_err();
+        assert!(matches!(err, Error::Config(_)));
+        let msg = err.to_string();
+        assert!(msg.contains("cluster.hearbeat_ms"), "{msg}");
+        assert!(msg.contains("accepts: nodes, replication, devices, link,"), "{msg}");
+        assert!(msg.contains("heartbeat_ms"), "{msg}");
+        let json = SAMPLE.replace("\"output\":", "\"clustr\": { \"nodes\": 2 }, \"output\":");
+        let msg = ForesightConfig::from_json(&json).unwrap_err().to_string();
+        assert!(msg.contains("clustr is not a known option"), "{msg}");
+        assert!(msg.ends_with(&format!("accepts: {}", TOP_LEVEL.join(", "))), "{msg}");
+        // `null` for an optional section still means "absent".
+        let json = SAMPLE.replace("\"output\":", "\"cluster\": null, \"output\":");
+        assert!(ForesightConfig::from_json(&json).unwrap().cluster.is_none());
+    }
+
+    #[test]
+    fn no_valid_shard_kb_overflows_the_byte_conversion() {
+        // 2^54 KiB is 2^64 bytes: one past what `shard_kb * 1024` can hold.
+        for section in [with_serve, with_cluster] {
+            let err = section(r#"{ "shard_kb": 18014398509481984 }"#).unwrap_err();
+            assert!(err.to_string().contains(".shard_kb"), "{err}");
+        }
+        assert!((MAX_SHARD_KB as u64).checked_mul(1024).is_some());
+        assert!((MAX_SHARD_KB as u64 + 1).checked_mul(1024).is_none());
+        // The largest value JSON can carry below the bound converts exactly.
+        let cfg = with_serve(r#"{ "shard_kb": 18014398509481982 }"#).unwrap();
+        let opts = cfg.serve.unwrap().to_serve_options(FaultRates::default());
+        assert_eq!(opts.shard_bytes, 18014398509481982 * 1024);
+        let cfg = with_cluster(r#"{ "shard_kb": 18014398509481982 }"#).unwrap();
+        let opts = cfg.cluster.unwrap().to_cluster_options().unwrap();
+        assert_eq!(opts.serve.shard_bytes, 18014398509481982 * 1024);
+        // A value set in code is held to the same bound by `validate`.
+        let mut cfg = with_serve("{}").unwrap();
+        cfg.serve.as_mut().unwrap().shard_kb = usize::MAX;
+        let err = cfg.validate().unwrap_err();
+        assert!(err.to_string().contains("serve.shard_kb"), "{err}");
+    }
+
+    /// One option as the schema walk sees it.
+    struct Row {
+        key: &'static str,
+        /// JSON of the value read when the key is absent; `None` when the
+        /// option is required, `"null"` when absent stays absent.
+        default: Option<&'static str>,
+        /// A valid value other than the default, in written form.
+        good: &'static str,
+        /// Values of the right JSON type that the option must reject.
+        bad: &'static [&'static str],
+    }
+
+    const fn row(
+        key: &'static str,
+        default: Option<&'static str>,
+        good: &'static str,
+        bad: &'static [&'static str],
+    ) -> Row {
+        Row { key, default, good, bad }
+    }
+
+    /// One section: where it sits in a document (`@` in `template`, the
+    /// `pointer` into the parsed document) and a row per option.
+    struct Case {
+        path: &'static str,
+        template: &'static str,
+        pointer: &'static [&'static str],
+        /// Where the same section sits in the maximal golden config.
+        golden_pointer: &'static [&'static str],
+        rows: &'static [Row],
+    }
+
+    const REST: &str = r#""input": { "dataset": "nyx", "n_side": 16 },
+        "compressors": [ { "name": "cuzfp", "rates": [4] } ],
+        "analysis": [], "output": { "dir": "o" }"#;
+
+    const CASES: &[Case] = &[
+        Case {
+            path: "input",
+            template: r#"{ "input": @, "compressors": [ { "name": "cuzfp", "rates": [4] } ],
+                "analysis": [], "output": { "dir": "o" } }"#,
+            pointer: &["input"],
+            golden_pointer: &["input"],
+            rows: &[
+                row("dataset", None, r#""hacc""#, &[r#""enzo""#]),
+                row("n_side", Some("64"), "32", &["33", "4", "-8", "16.5"]),
+                row("seed", Some("0"), "42", &["-1", "1.5"]),
+                row("steps", Some("10"), "6", &["-1"]),
+                row("box_size", Some("256"), "128.5", &["1e999"]),
+            ],
+        },
+        Case {
+            path: "compressors[0]",
+            template: r#"{ "input": { "dataset": "nyx" }, "compressors": [ @ ],
+                "analysis": [], "output": { "dir": "o" } }"#,
+            pointer: &["compressors", "0"],
+            golden_pointer: &["compressors", "0"],
+            rows: &[
+                row("name", None, r#""gpu-sz""#, &[r#""zstd""#]),
+                row("mode", None, r#""pw_rel""#, &[r#""absolute""#]),
+                row("bounds", None, "[0.1,0.25]", &["[]", "[-0.1]", "[0]", "[1e999]"]),
+                row("block_size", Some("null"), "8", &["1", "-2"]),
+            ],
+        },
+        Case {
+            path: "compressors[0]",
+            template: r#"{ "input": { "dataset": "nyx" }, "compressors": [ @ ],
+                "analysis": [], "output": { "dir": "o" } }"#,
+            pointer: &["compressors", "0"],
+            golden_pointer: &["compressors", "2"],
+            rows: &[
+                row("name", None, r#""cuzfp""#, &[r#""zstd""#]),
+                row("rates", None, "[2,4.5]", &["[]", "[0]", "[65]"]),
+            ],
+        },
+        Case {
+            path: "output",
+            template: r#"{ "input": { "dataset": "nyx" }, "analysis": [], "output": @,
+                "compressors": [ { "name": "cuzfp", "rates": [4] } ] }"#,
+            pointer: &["output"],
+            golden_pointer: &["output"],
+            rows: &[
+                row("dir", None, r#""out/maximal""#, &[]),
+                row("cinema", Some("false"), "true", &[]),
+            ],
+        },
+        Case {
+            path: "chaos",
+            template: r#"{ "chaos": @, @REST }"#,
+            pointer: &["chaos"],
+            golden_pointer: &["chaos"],
+            rows: &[
+                row("seed", Some("0"), "7", &["-1"]),
+                row("transfer", Some("0"), "0.05", &["1.5", "-0.1"]),
+                row("bit_flip", Some("0"), "0.01", &["1.5", "-0.1"]),
+                row("kernel", Some("0"), "0.02", &["1.5", "-0.1"]),
+                row("oom", Some("0"), "0.03", &["1.5", "-0.1"]),
+                row("node", Some("0"), "0.1", &["1.5", "-0.1"]),
+                row("device_retries", Some("3"), "5", &["4294967296", "-1", "0.5"]),
+                row("op_retries", Some("2"), "4", &["4294967296"]),
+                row("job_retries", Some("2"), "6", &["4294967296"]),
+            ],
+        },
+        Case {
+            path: "sanitize",
+            template: r#"{ "sanitize": @, @REST }"#,
+            pointer: &["sanitize"],
+            golden_pointer: &["sanitize"],
+            rows: &[
+                row("memcheck", Some("true"), "false", &[]),
+                row("racecheck", Some("true"), "false", &[]),
+            ],
+        },
+        Case {
+            path: "serve",
+            template: r#"{ "serve": @, @REST }"#,
+            pointer: &["serve"],
+            golden_pointer: &["serve"],
+            rows: &[
+                row("devices", Some("6"), "4", &["0"]),
+                row("link", Some(r#""nvlink""#), r#""pcie""#, &[r#""infiniband""#]),
+                row("max_batch", Some("8"), "16", &["0"]),
+                row("queue_depth", Some("64"), "32", &["0"]),
+                row("shard_kb", Some("256"), "128", &["0", "18014398509481984"]),
+                row("window_ms", Some("1"), "0.5", &["0", "-1"]),
+                row("seed", Some("0"), "9", &["-1"]),
+                row("requests", Some("48"), "12", &["-1"]),
+                row("arrival_hz", Some("4000"), "1000.5", &["0"]),
+                row("deadline_ms", Some("0"), "2.5", &["-1"]),
+                row("decompress_fraction", Some("0.25"), "0.5", &["1.5", "-0.1"]),
+            ],
+        },
+        Case {
+            path: "cluster.faults[0]",
+            template: r#"{ "cluster": { "faults": [ @ ] }, @REST }"#,
+            pointer: &["cluster", "faults", "0"],
+            golden_pointer: &["cluster", "faults", "0"],
+            rows: &[
+                row("kind", None, r#""slow""#, &[r#""meteor""#]),
+                row("node", Some("0"), "1", &["9"]),
+                row("at_ms", Some("0"), "0.2", &["-1"]),
+                row("duration_ms", Some("0"), "2", &["-1"]),
+                // `factor >= 1` binds `slow` faults only; the chaos model
+                // owns that rule (`cluster_section_rejects_bad_values`).
+                row("factor", Some("1"), "4", &[]),
+            ],
+        },
+        Case {
+            path: "cluster",
+            template: r#"{ "cluster": @, @REST }"#,
+            pointer: &["cluster"],
+            golden_pointer: &["cluster"],
+            rows: &[
+                row("nodes", Some("4"), "3", &["0"]),
+                row("replication", Some("2"), "3", &["0", "5"]),
+                row("devices", Some("2"), "1", &["0"]),
+                row("link", Some(r#""nvlink""#), r#""pcie""#, &[r#""ethernet""#]),
+                row("queue_depth", Some("64"), "48", &["0"]),
+                row("shard_kb", Some("256"), "64", &["0", "18014398509481984"]),
+                row("window_ms", Some("1"), "0.75", &["0"]),
+                row("seed", Some("0"), "11", &["-1"]),
+                row("heartbeat_ms", Some("2"), "1.5", &["0"]),
+                row("probe_misses", Some("2"), "4", &["0", "4294967297"]),
+                row("breaker_threshold", Some("3"), "5", &["0", "4294967296"]),
+                row("breaker_open_ms", Some("20"), "10.5", &["0"]),
+                row("backoff_base_ms", Some("0.5"), "0.25", &["0"]),
+                row("backoff_cap_ms", Some("8"), "4.5", &["0", "0.1"]),
+                row("requests", Some("96"), "24", &["-1"]),
+                row("arrival_hz", Some("6000"), "2500.5", &["0"]),
+                row("fields", Some("12"), "5", &["0"]),
+                row("zipf_s", Some("1.1"), "0.9", &["-1"]),
+                row("decompress_fraction", Some("0.25"), "0.4", &["1.5"]),
+                row("deadline_ms", Some("0"), "3.5", &["-1"]),
+                row("priorities", Some("3"), "2", &["0", "257"]),
+                row(
+                    "faults",
+                    Some("[]"),
+                    r#"[{"kind":"crash","node":2,"at_ms":0.8,"duration_ms":1,"factor":1.5}]"#,
+                    &[],
+                ),
+            ],
+        },
+        Case {
+            path: "slo[0]",
+            template: r#"{ "slo": [ @ ], @REST }"#,
+            pointer: &["slo", "0"],
+            golden_pointer: &["slo", "0"],
+            rows: &[
+                row("metric", None, r#""cluster.latency.p99""#, &[r#""""#]),
+                row("threshold_ms", None, "5", &["0"]),
+                row("window", None, "0.002", &["0"]),
+                row("slow_window", Some("0.008"), "0.016", &["0", "0.001"]),
+                row("objective", Some("0.99"), "0.999", &["0", "1"]),
+            ],
+        },
+        Case {
+            path: "store",
+            template: r#"{ "store": @, @REST }"#,
+            pointer: &["store"],
+            golden_pointer: &["store"],
+            rows: &[
+                row("file", Some(r#""snapshot.fstr""#), r#""maximal.fstr""#, &[r#""""#]),
+                row("chunk", Some("16"), "8", &["3"]),
+                row("snapshot", Some("0"), "3", &["4294967296"]),
+            ],
+        },
+    ];
+
+    fn descend<'a>(doc: &'a Value, pointer: &[&str]) -> &'a Value {
+        pointer.iter().fold(doc, |v, step| match v {
+            Value::Array(items) => &items[step.parse::<usize>().unwrap()],
+            v => v.get(step).unwrap_or_else(|| panic!("no '{step}' in {}", v.to_json())),
+        })
+    }
+
+    impl Case {
+        /// Parses a document holding this section with `fields`.
+        fn parse(&self, fields: &[(&str, &str)]) -> Result<ForesightConfig> {
+            let body: Vec<String> = fields.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
+            let section = format!("{{ {} }}", body.join(", "));
+            ForesightConfig::from_json(&self.template.replace("@REST", REST).replace('@', &section))
+        }
+
+        /// The required options at their good values, plus `extra`.
+        fn with<'a>(&'a self, extra: &[(&'a str, &'a str)]) -> Vec<(&'a str, &'a str)> {
+            let required = self.rows.iter().filter(|r| r.default.is_none());
+            let mut fields: Vec<_> = required.map(|r| (r.key, r.good)).collect();
+            for &(key, value) in extra {
+                fields.retain(|(k, _)| *k != key);
+                fields.push((key, value));
+            }
+            fields
+        }
+
+        /// What the section's `key` reads as after a parse and a write.
+        fn written(&self, cfg: &ForesightConfig, key: &str) -> Value {
+            let doc = Value::parse(&cfg.to_json()).unwrap();
+            descend(&doc, self.pointer).get(key).cloned().unwrap_or(Value::Null)
+        }
+    }
+
+    /// Walks every option of every section: the default is applied when
+    /// the key is absent, a valid value round-trips, and an out-of-range
+    /// value, a wrong JSON type and an unknown sibling key are each an
+    /// error naming `section.key`. The unknown-key message lists the
+    /// schema's keys, which ties the rows here to the declarations: an
+    /// option added to a section without a row fails this test.
+    #[test]
+    fn every_option_defaults_round_trips_and_rejects() {
+        let golden = Value::parse(include_str!("../../../tests/golden/config/maximal.json")).unwrap();
+        for case in CASES {
+            let keys: Vec<&str> = case.rows.iter().map(|r| r.key).collect();
+            let err = case.parse(&case.with(&[("bogus_key", "1")])).unwrap_err().to_string();
+            assert!(err.contains(&format!("{}.bogus_key", case.path)), "{err}");
+            assert!(err.ends_with(&format!("accepts: {}", keys.join(", "))), "{err}");
+
+            for r in case.rows {
+                let at = format!("{}.{}", case.path, r.key);
+                let absent: Vec<_> = case.with(&[]).into_iter().filter(|(k, _)| *k != r.key).collect();
+                match r.default {
+                    Some(default) => {
+                        let cfg = case.parse(&absent).unwrap_or_else(|e| panic!("{at} absent: {e}"));
+                        assert_eq!(case.written(&cfg, r.key), Value::parse(default).unwrap(), "{at}");
+                    }
+                    None => {
+                        let err = case.parse(&absent).unwrap_err().to_string();
+                        assert!(err.contains(&at), "{at} absent: {err}");
+                    }
+                }
+
+                let good = Value::parse(r.good).unwrap();
+                let cfg = case.parse(&case.with(&[(r.key, r.good)])).unwrap_or_else(|e| panic!("{at}: {e}"));
+                assert_eq!(case.written(&cfg, r.key), good, "{at}");
+                assert_eq!(ForesightConfig::from_json(&cfg.to_json()).unwrap(), cfg, "{at}");
+
+                let wrong_type = if good.as_str().is_some() { "7" } else { r#""x""# };
+                for bad in r.bad.iter().chain([&wrong_type]) {
+                    let err = match case.parse(&case.with(&[(r.key, bad)])) {
+                        Ok(_) => panic!("{at} accepted {bad}"),
+                        Err(e) => e,
+                    };
+                    assert!(matches!(err, Error::Config(_)), "{at} = {bad}: {err}");
+                    assert!(err.to_string().contains(&at), "{at} = {bad}: {err}");
+                }
+
+                // The maximal golden config exercises the option at a
+                // non-default value (both sanitize checks off is invalid).
+                let pinned = descend(&golden, case.golden_pointer).get(r.key);
+                let pinned = pinned.unwrap_or_else(|| panic!("maximal.json lacks {at}"));
+                if at != "sanitize.racecheck" {
+                    assert_ne!(Some(pinned), r.default.map(|d| Value::parse(d).unwrap()).as_ref(), "{at}");
+                }
+            }
+        }
+    }
+
+    /// The top level is a section like any other: required and optional
+    /// keys, strict types, and the six optional sections absent by default.
+    #[test]
+    fn top_level_sections_default_round_trip_and_reject() {
+        let text = include_str!("../../../tests/golden/config/maximal.json");
+        let golden = Value::parse(text).unwrap();
+        let fields = golden.as_object().unwrap();
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, TOP_LEVEL);
+        for (i, (key, _)) in fields.iter().enumerate() {
+            let without: Vec<_> = fields.iter().filter(|(k, _)| k != key).cloned().collect();
+            match ForesightConfig::from_json(&Value::Object(without).to_json()) {
+                Ok(cfg) => {
+                    assert!(i >= 4, "{key} is required");
+                    assert!(Value::parse(&cfg.to_json()).unwrap().get(key).is_none());
+                }
+                Err(e) => {
+                    assert!(i < 4, "{key} is optional: {e}");
+                    assert!(e.to_string().contains(key.as_str()), "{e}");
+                }
+            }
+            let mut wrong = fields.to_vec();
+            wrong[i].1 = Value::Number(7.0);
+            let err = ForesightConfig::from_json(&Value::Object(wrong).to_json()).unwrap_err();
+            assert!(err.to_string().contains(&format!("{key} must be")), "{key}: {err}");
+        }
+        assert_eq!(ForesightConfig::from_json(text).unwrap().to_json(), text);
     }
 }

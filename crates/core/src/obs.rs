@@ -414,7 +414,8 @@ fn meta(pid: f64, tid: Option<f64>, kind: &str, name: &str) -> Value {
 // ---------------------------------------------------------------------------
 
 /// Knobs of the observability layer (series geometry). Present on
-/// [`crate::cluster::ClusterOptions::obs`]; `None` keeps obs off.
+/// [`crate::serve::ServeOptions::obs`], which `serve` and `serve_cluster`
+/// both read; `None` keeps obs off.
 #[derive(Debug, Clone, Copy)]
 pub struct ObsOptions {
     /// Series window width on the simulated clock (default 1 ms — one

@@ -139,6 +139,8 @@ pub struct ServeOptions {
     /// Request-scoped tracing + windowed series (default `None`: off —
     /// nothing is recorded and the report carries an empty
     /// [`ObsTrace`]). Scheduling and bytes are identical either way.
+    /// Under [`crate::cluster::serve_cluster`] this same switch turns on
+    /// the cluster-level recorder.
     pub obs: Option<ObsOptions>,
 }
 
@@ -1650,11 +1652,7 @@ mod tests {
         };
         let reqs: Vec<ServeRequest> =
             (0..3).map(|i| compress_req(i, 1e-5 * i as f64, 16, 4.0)).collect();
-        telemetry::reset();
-        telemetry::enable();
         let r = serve(&node, &opts, &reqs).unwrap();
-        let snap = telemetry::snapshot();
-        telemetry::reset();
         assert_eq!(r.cpu_fallbacks, 3);
         assert_eq!(r.failovers, 6, "3 units x 2 devices all faulted");
         // The fault phase is charged on the device timelines.
@@ -1669,12 +1667,12 @@ mod tests {
         }
         let faults = r.trace.iter().filter(|e| e.track == "fault").count();
         assert_eq!(faults as u64, r.failovers);
-        // Report counters and global telemetry counters both fire
-        // (global ones are >= because concurrent tests may add).
+        // The process-global counters are checked in
+        // `tests/telemetry_pipeline.rs`, whose tests serialize on one lock:
+        // enabling the collector here would race every sibling test's
+        // span-parentage assertions.
         assert_eq!(r.metrics.counter("serve.failover"), 6);
         assert_eq!(r.metrics.counter("serve.cpu_fallback"), 3);
-        assert!(snap.metrics.counter("serve.fault") >= 6, "telemetry fault counter missing");
-        assert!(snap.metrics.counter("serve.cpu_fallback") >= 3);
     }
 
     #[test]

@@ -33,9 +33,13 @@ fn options(chaos: NodeChaosPlan, obs_on: bool) -> ClusterOptions {
     ClusterOptions {
         // Depth raised so the whole workload is admitted: these tests are
         // about failover visibility, not shedding.
-        serve: ServeOptions { queue_depth: 256, seed: 7, ..Default::default() },
+        serve: ServeOptions {
+            queue_depth: 256,
+            seed: 7,
+            obs: obs_on.then(ObsOptions::default),
+            ..Default::default()
+        },
         chaos,
-        obs: obs_on.then(ObsOptions::default),
         ..Default::default()
     }
 }

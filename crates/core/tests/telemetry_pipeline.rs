@@ -140,6 +140,41 @@ fn sweep_spans_nest_under_sweep_parent_across_rayon() {
     telemetry::reset();
 }
 
+/// Lives here rather than in `serve`'s unit tests because the collector is
+/// process-global and only this binary serializes every test that enables
+/// it.
+#[test]
+fn serve_cpu_fallback_fires_global_fault_counters() {
+    use foresight::{serve, ServeNode, ServeOptions, ServePayload, ServeRequest};
+    let _g = lock();
+    let shape = Shape::D3(16, 16, 16);
+    let reqs: Vec<ServeRequest> = (0..3)
+        .map(|id| ServeRequest {
+            id,
+            arrival_s: 1e-5 * id as f64,
+            deadline_s: None,
+            payload: ServePayload::Compress {
+                data: (0..shape.len()).map(|i| (i as f32 * 0.01).sin() * 50.0).collect(),
+                shape,
+                config: CodecConfig::Zfp(lossy_zfp::ZfpConfig::rate(4.0)),
+            },
+        })
+        .collect();
+    // Every device faults every kernel, so all three units land on the CPU.
+    let opts = ServeOptions {
+        rates: gpu_sim::FaultRates { kernel: 1.0, ..Default::default() },
+        seed: 5,
+        ..Default::default()
+    };
+    telemetry::enable();
+    let r = serve(&ServeNode::v100_pcie(2), &opts, &reqs).unwrap();
+    let snap = telemetry::snapshot();
+    telemetry::reset();
+    assert_eq!(r.cpu_fallbacks, 3);
+    assert_eq!(snap.metrics.counter("serve.fault"), 6, "3 units x 2 devices all faulted");
+    assert_eq!(snap.metrics.counter("serve.cpu_fallback"), 3);
+}
+
 fn pipeline_cfg(tag: &str) -> ForesightConfig {
     let dir = std::env::temp_dir().join(format!("telemetry_pipe_{tag}_{}", std::process::id()));
     ForesightConfig::from_json(&format!(

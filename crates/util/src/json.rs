@@ -140,6 +140,104 @@ impl Value {
     }
 }
 
+/// A Rust type with one exact JSON form: the strict typed view of a
+/// [`Value`] that config sections are read and written through.
+///
+/// `at` is the dotted path of the value being read (`cluster.priorities`,
+/// `slo[0].metric`); it leads every error message, so a caller several
+/// levels up can report where in a document a value was wrong.
+pub trait Json: Sized {
+    /// Strict read: a JSON value the type cannot hold exactly — wrong
+    /// kind, fraction or sign for an integer, too wide for the integer
+    /// type, not finite — is an [`Error::Config`].
+    fn read(v: &Value, at: &str) -> Result<Self>;
+    /// The JSON form that [`Self::read`] reads back to an equal value.
+    fn write(&self) -> Value;
+}
+
+/// "`at` must be `what`, got `got`": the error for a value outside what
+/// its reader accepts.
+pub fn must_be(at: &str, what: impl std::fmt::Display, got: &Value) -> Error {
+    Error::Config(format!("{at} must be {what}, got {}", got.to_json()))
+}
+
+impl Json for bool {
+    fn read(v: &Value, at: &str) -> Result<Self> {
+        v.as_bool().ok_or_else(|| must_be(at, "a boolean", v))
+    }
+    fn write(&self) -> Value {
+        Value::Bool(*self)
+    }
+}
+
+/// JSON has no infinity or NaN, so neither could be written back.
+impl Json for f64 {
+    fn read(v: &Value, at: &str) -> Result<Self> {
+        v.as_f64().filter(|n| n.is_finite()).ok_or_else(|| must_be(at, "a finite number", v))
+    }
+    fn write(&self) -> Value {
+        Value::Number(*self)
+    }
+}
+
+/// Integers carry their type's range, so a value that does not fit is an
+/// error instead of a silent wrap.
+macro_rules! integer_json {
+    ($($int:ty)+) => {$(
+        impl Json for $int {
+            fn read(v: &Value, at: &str) -> Result<Self> {
+                let fits = v.as_u64().and_then(|n| <$int>::try_from(n).ok());
+                fits.ok_or_else(|| must_be(at, format_args!("an integer in [0, {}]", <$int>::MAX), v))
+            }
+            fn write(&self) -> Value {
+                Value::Number(*self as f64)
+            }
+        }
+    )+};
+}
+integer_json!(u8 u32 u64 usize);
+
+impl Json for String {
+    fn read(v: &Value, at: &str) -> Result<Self> {
+        v.as_str().map(str::to_string).ok_or_else(|| must_be(at, "a string", v))
+    }
+    fn write(&self) -> Value {
+        Value::String(self.clone())
+    }
+}
+
+impl Json for std::path::PathBuf {
+    fn read(v: &Value, at: &str) -> Result<Self> {
+        String::read(v, at).map(Self::from)
+    }
+    fn write(&self) -> Value {
+        Value::String(self.to_string_lossy().into_owned())
+    }
+}
+
+impl<T: Json> Json for Vec<T> {
+    fn read(v: &Value, at: &str) -> Result<Self> {
+        let items = v.as_array().ok_or_else(|| must_be(at, "an array", v))?;
+        items.iter().enumerate().map(|(i, item)| T::read(item, &format!("{at}[{i}]"))).collect()
+    }
+    fn write(&self) -> Value {
+        Value::Array(self.iter().map(T::write).collect())
+    }
+}
+
+/// `null` reads as `None`, the same as leaving the key out.
+impl<T: Json> Json for Option<T> {
+    fn read(v: &Value, at: &str) -> Result<Self> {
+        match v {
+            Value::Null => Ok(None),
+            v => T::read(v, at).map(Some),
+        }
+    }
+    fn write(&self) -> Value {
+        self.as_ref().map_or(Value::Null, T::write)
+    }
+}
+
 fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
@@ -419,6 +517,24 @@ mod tests {
         let v = Value::parse(r#""😀""#).unwrap();
         assert_eq!(v.as_str(), Some("\u{1F600}"));
         assert!(Value::parse(r#""\ud83d""#).is_err());
+    }
+
+    #[test]
+    fn typed_reads_are_strict_and_name_the_path() {
+        let num = |text: &str| Value::parse(text).unwrap();
+        assert_eq!(u8::read(&num("255"), "p").unwrap(), 255);
+        for (bad, at) in [("256", "a.b"), ("-1", "a.b"), ("1.5", "a.b"), ("\"1\"", "a.b")] {
+            let err = u8::read(&num(bad), at).unwrap_err().to_string();
+            assert!(err.contains("a.b must be an integer in [0, 255]"), "{err}");
+        }
+        assert!(u32::read(&num("4294967296"), "x").is_err());
+        assert!(f64::read(&num("1e999"), "x").is_err(), "infinity cannot be written back");
+        assert_eq!(Option::<bool>::read(&Value::Null, "x").unwrap(), None);
+        assert_eq!(Some(true).write(), Value::Bool(true));
+        let err = Vec::<u8>::read(&num("[1, 2, 300]"), "list").unwrap_err().to_string();
+        assert!(err.contains("list[2] must be"), "{err}");
+        let list = vec![String::from("a"), String::from("b")];
+        assert_eq!(Vec::<String>::read(&list.write(), "x").unwrap(), list);
     }
 
     #[test]
