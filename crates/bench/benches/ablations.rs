@@ -115,32 +115,10 @@ fn bench_zfp_dimensionality(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_dualquant_vs_classic(c: &mut Criterion) {
-    // cuSZ's dual-quantization removes the reconstruction dependency so
-    // prediction is fully parallel; compare against the classic in-loop
-    // Lorenzo at the same bound.
-    let data = hacc_like_positions(1 << 17);
-    let n = data.len();
-    let mut g = c.benchmark_group("ablation_dualquant");
-    g.throughput(Throughput::Bytes((n * 4) as u64));
-    g.bench_function("classic_lorenzo", |b| {
-        let cfg = CodecConfig::Sz(SzConfig {
-            predictor: PredictorKind::Lorenzo,
-            ..SzConfig::abs(0.005)
-        });
-        b.iter(|| compress(&data, Shape::D1(n), &cfg).unwrap());
-    });
-    g.bench_function("dualquant", |b| {
-        b.iter(|| lossy_sz::compress_dualquant(&data, lossy_sz::Dims::D1(n), 0.005, 32).unwrap());
-    });
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_sz_block_size,
     bench_sz_predictor,
-    bench_zfp_dimensionality,
-    bench_dualquant_vs_classic
+    bench_zfp_dimensionality
 );
 criterion_main!(benches);

@@ -36,6 +36,7 @@ use std::path::{Path, PathBuf};
 /// here. Shared understanding with `foresight-lint`'s decode rules.
 pub const DECODE_CRITICAL: &[&str] = &[
     "crates/sz/src/stream.rs",
+    "crates/sz/src/block.rs",
     "crates/sz/src/gpu_kernel.rs",
     "crates/sz/src/gpu_exec.rs",
     "crates/sz/src/huffman.rs",

@@ -1,4 +1,5 @@
-//! Per-block prediction + quantization kernel.
+//! Block decomposition, per-block predictor choice, and the block
+//! compress / decompress entry points.
 //!
 //! GPU-SZ (and cuSZ after it) obtains parallelism by cutting the array into
 //! independent blocks; each block predicts only from data inside itself, so
@@ -7,8 +8,14 @@
 //! attributes GPU-SZ's low-bitrate PSNR drop to exactly this, and this
 //! implementation reproduces it faithfully: the first plane/row/point of a
 //! block is predicted from an implicit zero ghost boundary.
+//!
+//! The arithmetic — dual quantization on an integer lattice — lives in
+//! `gpu_kernel`; this module decides *which* predictor codes the
+//! lattice and packages the result for the stream layer.
 
 use crate::config::{Dims, PredictorKind};
+use crate::gpu_kernel::{plane_lattice, Lattice};
+use std::cell::RefCell;
 
 /// A rectangular tile of the input array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,6 +31,13 @@ impl Block {
     pub fn cells(&self) -> usize {
         self.size[0] * self.size[1] * self.size[2]
     }
+
+    /// Index into the full array (extents `ext`) of the block's first cell
+    /// in local row `(j, k)`; the row's cells are contiguous from there.
+    #[inline]
+    pub(crate) fn row_start(&self, ext: [usize; 3], j: usize, k: usize) -> usize {
+        self.origin[0] + ext[0] * ((self.origin[1] + j) + ext[1] * (self.origin[2] + k))
+    }
 }
 
 /// Tiles `dims` into blocks.
@@ -33,7 +47,9 @@ impl Block {
 pub fn partition(dims: Dims, bs: usize) -> Vec<Block> {
     let [nx, ny, nz] = dims.extents();
     let (bx, by, bz) = match dims {
-        Dims::D1(_) => (bs * bs * bs, 1, 1),
+        // Saturating: `bs` can come from a stream header, and a wrapped
+        // segment length of 0 would never advance the loop below.
+        Dims::D1(_) => (bs.saturating_mul(bs).saturating_mul(bs), 1, 1),
         Dims::D2(..) => (bs, bs, 1),
         Dims::D3(..) => (bs, bs, bs),
     };
@@ -60,9 +76,9 @@ pub fn partition(dims: Dims, bs: usize) -> Vec<Block> {
 /// Which predictor a block ended up using (stored per block in the stream).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PredictorTag {
-    /// Lorenzo prediction from reconstructed neighbors.
+    /// First-order Lorenzo prediction from the neighbors' lattice values.
     Lorenzo,
-    /// Linear regression with the stored coefficients.
+    /// The stored regression plane, rounded to the lattice.
     Regression,
 }
 
@@ -90,6 +106,9 @@ impl PredictorTag {
 pub struct BlockOutput {
     /// Quantization symbols, one per cell; 0 marks an outlier.
     pub codes: Vec<u32>,
+    /// Smallest and largest non-zero symbol (`None` when every cell is an
+    /// outlier), so the histogram stage can size its table to the span.
+    pub code_range: Option<(u32, u32)>,
     /// Raw values for cells that did not quantize within bound.
     pub outliers: Vec<f32>,
     /// Predictor actually used.
@@ -98,161 +117,56 @@ pub struct BlockOutput {
     pub coeffs: [f32; 4],
 }
 
-/// Quantizes one value against a prediction.
+thread_local! {
+    /// Per-thread lattice scratch, reused across the blocks a worker handles.
+    static LATTICE: RefCell<Lattice> = const { RefCell::new(Lattice::new()) };
+}
+
+/// Fits `q ~ b0 + b1*i + b2*j + b3*k` by least squares over the lattice
+/// sample and returns the plane in value units.
 ///
-/// Returns `(symbol, reconstructed)`. Symbol 0 flags an outlier whose exact
-/// value is stored verbatim — this also captures NaN/Inf losslessly.
-#[inline]
-pub fn quantize(val: f32, pred: f64, eb: f64, radius: u32) -> (u32, f32) {
-    if val.is_finite() {
-        let diff = val as f64 - pred;
-        let code = (diff / (2.0 * eb)).round();
-        if code.abs() < radius as f64 {
-            let recon = (pred + code * 2.0 * eb) as f32;
-            if recon.is_finite() && (recon as f64 - val as f64).abs() <= eb {
-                return ((code as i64 + radius as i64) as u32, recon);
-            }
+/// The sample is a regular grid, so the coordinates are uncorrelated and
+/// each slope is `cov(coord, q) / var(coord)` independently, with the
+/// coordinate moments known in closed form.
+fn fit_plane(lattice: &Lattice, eb: f64) -> [f32; 4] {
+    let grid = lattice.sample_grid();
+    let n = grid.iter().map(|&(_, count)| count as f64).product::<f64>();
+    // Sums of q, i*q, j*q, k*q.
+    let mut sums = [0.0f64; 4];
+    lattice.for_each_sample(|i, j, k, q, _| {
+        let q = q as f64;
+        for (sum, c) in sums.iter_mut().zip([1.0, i as f64, j as f64, k as f64]) {
+            *sum += c * q;
         }
+    });
+    let mean_q = sums[0] / n;
+    let mut plane = [mean_q; 4];
+    for (axis, &(stride, count)) in grid.iter().enumerate() {
+        let (stride, count) = (stride as f64, count as f64);
+        let mean_c = stride * (count - 1.0) / 2.0;
+        let var_c = stride * stride * (count * count - 1.0) / 12.0;
+        let slope = if var_c > 0.0 { (sums[axis + 1] / n - mean_c * mean_q) / var_c } else { 0.0 };
+        plane[axis + 1] = slope;
+        plane[0] -= slope * mean_c;
     }
-    (0, val)
+    plane.map(|b| (b * 2.0 * eb) as f32)
 }
 
-/// Local reconstruction buffer with an implicit zero ghost boundary.
-struct Recon<'a> {
-    buf: &'a mut [f32],
-    sx: usize,
-    sxy: usize,
+/// Whether the plane leaves smaller residuals than Lorenzo on the lattice
+/// sample (the SZ 2.x selection heuristic, scored on the very deltas pass 2
+/// would code; a delta past the radius costs an outlier either way).
+fn plane_wins(lattice: &Lattice, coeffs: &[f32; 4], eb: f64, radius: u32) -> bool {
+    let cap = radius as u64;
+    let (mut lorenzo_err, mut plane_err) = (0u64, 0u64);
+    lattice.for_each_sample(|i, j, k, q, lorenzo| {
+        lorenzo_err += q.abs_diff(lorenzo).min(cap);
+        plane_err += q.abs_diff(plane_lattice(coeffs, i, j, k, eb)).min(cap);
+    });
+    plane_err < lorenzo_err
 }
 
-impl Recon<'_> {
-    #[inline]
-    fn get(&self, i: isize, j: isize, k: isize) -> f64 {
-        if i < 0 || j < 0 || k < 0 {
-            0.0
-        } else {
-            self.buf[i as usize + self.sx * j as usize + self.sxy * k as usize] as f64
-        }
-    }
-
-    #[inline]
-    fn set(&mut self, i: usize, j: usize, k: usize, v: f32) {
-        self.buf[i + self.sx * j + self.sxy * k] = v;
-    }
-}
-
-/// First-order Lorenzo prediction at local `(i, j, k)`.
-#[inline]
-fn lorenzo(r: &Recon<'_>, i: usize, j: usize, k: usize) -> f64 {
-    let (i, j, k) = (i as isize, j as isize, k as isize);
-    r.get(i - 1, j, k) + r.get(i, j - 1, k) + r.get(i, j, k - 1)
-        - r.get(i - 1, j - 1, k)
-        - r.get(i - 1, j, k - 1)
-        - r.get(i, j - 1, k - 1)
-        + r.get(i - 1, j - 1, k - 1)
-}
-
-/// Fits `v ~ b0 + b1*i + b2*j + b3*k` by least squares over the block.
-///
-/// On a full regular grid the coordinates are uncorrelated, so each slope is
-/// `cov(coord, v) / var(coord)` independently; non-finite samples are skipped.
-fn fit_regression(data: &[f32], ext: [usize; 3], block: &Block) -> [f32; 4] {
-    let [sx, sy, sz] = block.size;
-    let n = (sx * sy * sz) as f64;
-    let (mut sum_v, mut si_v, mut sj_v, mut sk_v) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-    let mut finite = 0.0f64;
-    for k in 0..sz {
-        for j in 0..sy {
-            let row = global_index(ext, block, 0, j, k);
-            for i in 0..sx {
-                let v = data[row + i] as f64;
-                if v.is_finite() {
-                    finite += 1.0;
-                    sum_v += v;
-                    si_v += i as f64 * v;
-                    sj_v += j as f64 * v;
-                    sk_v += k as f64 * v;
-                }
-            }
-        }
-    }
-    if finite < 1.0 {
-        return [0.0; 4];
-    }
-    // Means of coordinates over the *full* grid (used even when some values
-    // are non-finite; the bias this introduces only affects prediction
-    // quality, not correctness, since residuals are error-bounded anyway).
-    let mi = (sx as f64 - 1.0) / 2.0;
-    let mj = (sy as f64 - 1.0) / 2.0;
-    let mk = (sz as f64 - 1.0) / 2.0;
-    let var = |s: usize| (s as f64 * s as f64 - 1.0) / 12.0;
-    let mean_v = sum_v / finite;
-    let slope = |s_cv: f64, m: f64, sdim: usize| -> f64 {
-        let v = var(sdim);
-        if v <= 0.0 {
-            0.0
-        } else {
-            (s_cv / n - m * mean_v * (finite / n)) / v * (n / finite)
-        }
-    };
-    let b1 = slope(si_v, mi, sx);
-    let b2 = slope(sj_v, mj, sy);
-    let b3 = slope(sk_v, mk, sz);
-    let b0 = mean_v - b1 * mi - b2 * mj - b3 * mk;
-    [b0 as f32, b1 as f32, b2 as f32, b3 as f32]
-}
-
-#[inline]
-fn global_index(ext: [usize; 3], block: &Block, i: usize, j: usize, k: usize) -> usize {
-    (block.origin[0] + i)
-        + ext[0] * ((block.origin[1] + j) + ext[1] * (block.origin[2] + k))
-}
-
-/// Estimates which predictor fits the block better by sampling residuals
-/// against the *original* data (the standard SZ 2.x heuristic).
-fn choose_predictor(data: &[f32], ext: [usize; 3], block: &Block, coeffs: &[f32; 4]) -> PredictorTag {
-    let [sx, sy, sz] = block.size;
-    let orig = |i: isize, j: isize, k: isize| -> f64 {
-        if i < 0 || j < 0 || k < 0 {
-            0.0
-        } else {
-            let v = data[global_index(ext, block, i as usize, j as usize, k as usize)];
-            if v.is_finite() {
-                v as f64
-            } else {
-                0.0
-            }
-        }
-    };
-    let mut lorenzo_err = 0.0f64;
-    let mut reg_err = 0.0f64;
-    let step = 2usize;
-    for k in (0..sz).step_by(step) {
-        for j in (0..sy).step_by(step) {
-            for i in (0..sx).step_by(step) {
-                let v = orig(i as isize, j as isize, k as isize);
-                let (ii, jj, kk) = (i as isize, j as isize, k as isize);
-                let pl = orig(ii - 1, jj, kk) + orig(ii, jj - 1, kk) + orig(ii, jj, kk - 1)
-                    - orig(ii - 1, jj - 1, kk)
-                    - orig(ii - 1, jj, kk - 1)
-                    - orig(ii, jj - 1, kk - 1)
-                    + orig(ii - 1, jj - 1, kk - 1);
-                let pr = coeffs[0] as f64
-                    + coeffs[1] as f64 * i as f64
-                    + coeffs[2] as f64 * j as f64
-                    + coeffs[3] as f64 * k as f64;
-                lorenzo_err += (v - pl).abs();
-                reg_err += (v - pr).abs();
-            }
-        }
-    }
-    if reg_err < lorenzo_err {
-        PredictorTag::Regression
-    } else {
-        PredictorTag::Lorenzo
-    }
-}
-
-/// Compresses one block: predicts, quantizes, and collects outliers.
+/// Compresses one block: prequantizes it to the integer lattice, picks the
+/// predictor, codes the lattice deltas, and collects outliers.
 pub fn compress_block(
     data: &[f32],
     ext: [usize; 3],
@@ -261,48 +175,39 @@ pub fn compress_block(
     radius: u32,
     predictor: PredictorKind,
 ) -> BlockOutput {
-    let tag = match predictor {
-        PredictorKind::Lorenzo => PredictorTag::Lorenzo,
-        PredictorKind::Regression => PredictorTag::Regression,
-        PredictorKind::Adaptive => {
-            let coeffs = fit_regression(data, ext, block);
-            choose_predictor(data, ext, block, &coeffs)
-        }
-    };
-    let coeffs = if tag == PredictorTag::Regression {
-        fit_regression(data, ext, block)
-    } else {
-        [0.0; 4]
-    };
-    let [sx, sy, sz] = block.size;
-    let mut codes = Vec::with_capacity(block.cells());
-    let mut outliers = Vec::new();
-    let mut recon_buf = vec![0.0f32; block.cells()];
-    let mut recon = Recon { buf: &mut recon_buf, sx, sxy: sx * sy };
-    for k in 0..sz {
-        for j in 0..sy {
-            let row = global_index(ext, block, 0, j, k);
-            for i in 0..sx {
-                let val = data[row + i];
-                let pred = match tag {
-                    PredictorTag::Lorenzo => lorenzo(&recon, i, j, k),
-                    PredictorTag::Regression => {
-                        coeffs[0] as f64
-                            + coeffs[1] as f64 * i as f64
-                            + coeffs[2] as f64 * j as f64
-                            + coeffs[3] as f64 * k as f64
-                    }
-                };
-                let (sym, rec) = quantize(val, pred, eb, radius);
-                if sym == 0 {
-                    outliers.push(val);
+    let mut codes = vec![0u32; block.cells()];
+    if codes.is_empty() {
+        let (tag, coeffs) = (PredictorTag::Lorenzo, [0.0; 4]);
+        return BlockOutput { codes, code_range: None, outliers: Vec::new(), tag, coeffs };
+    }
+    let (tag, coeffs, stats) = LATTICE.with_borrow_mut(|lattice| {
+        lattice.prequantize(data, ext, block, eb, &mut codes);
+        let (tag, coeffs) = match predictor {
+            PredictorKind::Lorenzo => (PredictorTag::Lorenzo, [0.0; 4]),
+            PredictorKind::Regression => (PredictorTag::Regression, fit_plane(lattice, eb)),
+            PredictorKind::Adaptive => {
+                let plane = fit_plane(lattice, eb);
+                if plane_wins(lattice, &plane, eb, radius) {
+                    (PredictorTag::Regression, plane)
+                } else {
+                    (PredictorTag::Lorenzo, [0.0; 4])
                 }
-                codes.push(sym);
-                recon.set(i, j, k, rec);
+            }
+        };
+        (tag, coeffs, lattice.postquantize(tag, &coeffs, eb, radius, &mut codes))
+    });
+    let mut outliers = Vec::with_capacity(stats.outliers);
+    if stats.outliers > 0 {
+        let mut rows = codes.chunks_exact(block.size[0]);
+        for k in 0..block.size[2] {
+            for j in 0..block.size[1] {
+                let src = block.row_start(ext, j, k);
+                let cells = rows.next().unwrap_or_default().iter().zip(&data[src..]);
+                outliers.extend(cells.filter(|(&code, _)| code == 0).map(|(_, &v)| v));
             }
         }
     }
-    BlockOutput { codes, outliers, tag, coeffs }
+    BlockOutput { codes, outliers, tag, coeffs, code_range: stats.range }
 }
 
 /// Decompresses one block into `out` (the full destination array).
@@ -321,39 +226,13 @@ pub fn decompress_block(
     radius: u32,
     out: &mut [f32],
 ) {
-    let [sx, sy, sz] = block.size;
     debug_assert_eq!(codes.len(), block.cells());
-    let mut recon_buf = vec![0.0f32; block.cells()];
-    let mut recon = Recon { buf: &mut recon_buf, sx, sxy: sx * sy };
-    let mut next_outlier = 0usize;
-    let mut c = 0usize;
-    for k in 0..sz {
-        for j in 0..sy {
-            let row = global_index(ext, block, 0, j, k);
-            for i in 0..sx {
-                let sym = codes[c];
-                c += 1;
-                let rec = if sym == 0 {
-                    let v = outliers.get(next_outlier).copied().unwrap_or(0.0);
-                    next_outlier += 1;
-                    v
-                } else {
-                    let pred = match tag {
-                        PredictorTag::Lorenzo => lorenzo(&recon, i, j, k),
-                        PredictorTag::Regression => {
-                            coeffs[0] as f64
-                                + coeffs[1] as f64 * i as f64
-                                + coeffs[2] as f64 * j as f64
-                                + coeffs[3] as f64 * k as f64
-                        }
-                    };
-                    (pred + (sym as i64 - radius as i64) as f64 * 2.0 * eb) as f32
-                };
-                recon.set(i, j, k, rec);
-                out[row + i] = rec;
-            }
-        }
+    if block.cells() == 0 {
+        return;
     }
+    LATTICE.with_borrow_mut(|lattice| {
+        lattice.reconstruct(codes, outliers, tag, &coeffs, ext, block, eb, radius, out)
+    });
 }
 
 #[cfg(test)]
@@ -370,7 +249,7 @@ mod tests {
         for k in 0..sz {
             for j in 0..sy {
                 for i in 0..sx {
-                    let gi = global_index(ext, &block, i, j, k);
+                    let gi = block.row_start(ext, j, k) + i;
                     let (a, b) = (data[gi], recon[gi]);
                     if a.is_finite() {
                         assert!(
@@ -473,15 +352,56 @@ mod tests {
 
     #[test]
     fn quantize_respects_bound() {
-        for &(val, pred, eb) in
-            &[(1.0f32, 0.9f64, 0.01f64), (-5.0, 5.0, 0.5), (1e20, 0.0, 1.0), (0.0, 0.0, 1e-9)]
-        {
-            let (sym, rec) = quantize(val, pred, eb, 32768);
-            if sym != 0 {
-                assert!((rec as f64 - val as f64).abs() <= eb);
-            } else {
-                assert_eq!(rec, val);
-            }
+        // One-cell blocks: the code alone must reconstruct within the
+        // bound, and what the lattice cannot carry goes out verbatim.
+        let block = Block { origin: [0, 0, 0], size: [1, 1, 1] };
+        for &(val, eb, on_lattice) in &[
+            (1.0f32, 0.01f64, true),
+            (-5.0, 0.5, true),
+            (0.0, 1e-9, true),
+            (1e20, 1.0, false),     // delta past the radius
+            (3.0e38, 1e-30, false), // |q| past Q_MAX
+            (f32::NAN, 0.1, false),
+        ] {
+            let out = compress_block(&[val], [1, 1, 1], &block, eb, 32768, PredictorKind::Lorenzo);
+            assert_eq!(out.codes[0] != 0, on_lattice, "{val} eb={eb}");
+            assert_eq!(out.outliers.len(), usize::from(!on_lattice));
+            assert_eq!(out.code_range, on_lattice.then_some((out.codes[0], out.codes[0])));
+            roundtrip_block(&[val], [1, 1, 1], block, eb, PredictorKind::Lorenzo);
         }
+    }
+
+    #[test]
+    fn adaptive_fits_the_plane_once_on_the_sample() {
+        // A forced-Regression block and an Adaptive block that picks
+        // Regression carry the same coefficients: one fit, same sample.
+        let ext = [16, 16, 1];
+        let data: Vec<f32> =
+            (0..256).map(|i| 1000.0 + 50.0 * (i % 16) as f32 - 20.0 * (i / 16) as f32).collect();
+        let block = Block { origin: [0, 0, 0], size: [16, 16, 1] };
+        let forced = compress_block(&data, ext, &block, 0.01, 32768, PredictorKind::Regression);
+        let adaptive = compress_block(&data, ext, &block, 0.01, 32768, PredictorKind::Adaptive);
+        assert_eq!(adaptive.tag, PredictorTag::Regression);
+        assert_eq!(forced.coeffs, adaptive.coeffs);
+        assert_eq!(forced.codes, adaptive.codes);
+        for (c, want) in forced.coeffs.iter().zip([1000.0f32, 50.0, -20.0, 0.0]) {
+            assert!((c - want).abs() <= 1e-2 * want.abs().max(1.0), "{:?}", forced.coeffs);
+        }
+    }
+
+    #[test]
+    fn hostile_block_size_cannot_stall_partition() {
+        // bs^3 wraps to 0 for bs = 2^32 on 64-bit; the segment length must
+        // saturate instead.
+        let blocks = partition(Dims::D1(10), 1 << 32);
+        assert_eq!(blocks, vec![Block { origin: [0, 0, 0], size: [10, 1, 1] }]);
+    }
+
+    #[test]
+    fn empty_block_is_a_no_op() {
+        let block = Block { origin: [0, 0, 0], size: [0, 1, 1] };
+        let out = compress_block(&[], [0, 1, 1], &block, 0.1, 32768, PredictorKind::Adaptive);
+        assert!(out.codes.is_empty() && out.outliers.is_empty() && out.code_range.is_none());
+        decompress_block(&[], &[], out.tag, out.coeffs, [0, 1, 1], &block, 0.1, 32768, &mut []);
     }
 }

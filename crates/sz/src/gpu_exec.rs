@@ -109,7 +109,7 @@ fn compress_launches(
             block::compress_block(data, ext, b, plan.eb_abs, cfg.radius, cfg.predictor)
         })?;
 
-    let book = stream::global_codebook(&outputs, cfg.radius)?;
+    let book = stream::global_codebook(&outputs)?;
 
     // Worst-case per-block staging slots for the encoded bitstreams
     // (64 bits per value plus slack), allocated up front the way real
@@ -281,13 +281,14 @@ mod tests {
 
     #[test]
     fn dualquant_blocks_are_race_free_under_tracing() {
-        // Route the dual-quant block kernel through a traced launch: each
-        // block decodes into its own cells of a shared output buffer.
+        // Route the block kernel alone through a traced launch: each block
+        // codes its lattice and decodes into its own cells of a shared
+        // output buffer, on whichever worker thread's scratch it lands.
         let data = field(4096);
         let dims = Dims::D1(4096);
         let ext = dims.extents();
-        let blocks = block::partition(dims, 16);
-        let eb = 0.05;
+        let blocks = block::partition(dims, 8);
+        let (eb, radius) = (0.05, 1 << 15);
         let mut dev = traced_device();
         let out_buf = dev.malloc((data.len() * 4) as u64, "szdq.out").unwrap();
         let mut out = vec![0.0f32; data.len()];
@@ -300,20 +301,20 @@ mod tests {
         };
         launch_grid_traced(&mut dev, KernelKind::SzDecompress, grid, "szdq", |bi, acc| {
             let b = &blocks[bi];
-            let dq = crate::gpu_kernel::compress_block_dq(&data, ext, b, eb);
+            let o = block::compress_block(&data, ext, b, eb, radius, crate::PredictorKind::Lorenzo);
             record_rows(acc, out_buf, b, ext, true);
             let p = ptr;
             // SAFETY: disjoint blocks, validated by the racecheck.
             #[allow(unsafe_code)]
             let slice = unsafe { std::slice::from_raw_parts_mut(p.0, out_len) };
-            crate::gpu_kernel::decompress_block_dq(&dq.codes, &dq.outliers, b, eb, ext, slice);
+            block::decompress_block(&o.codes, &o.outliers, o.tag, o.coeffs, ext, b, eb, radius, slice);
         })
         .unwrap();
         dev.free(out_buf).unwrap();
         let report = dev.sanitizer_report().unwrap();
         assert!(report.is_clean(), "{:?}", report.diagnostics);
         for (a, b) in data.iter().zip(&out) {
-            assert!((*a as f64 - *b as f64).abs() <= eb + 1e-9);
+            assert!((*a as f64 - *b as f64).abs() <= eb);
         }
     }
 

@@ -1,444 +1,467 @@
 //! Dual-quantization: the fully parallel prediction scheme of the
-//! *shipping* GPU SZ (cuSZ, Tian et al. 2020).
+//! *shipping* GPU SZ (cuSZ / cuSZ+, Tian et al., arXiv:2105.12912), and the
+//! only block kernel of this crate.
 //!
-//! The classic SZ loop predicts from *reconstructed* neighbors, which
-//! serializes every block. cuSZ removes the dependency with two
-//! quantizations:
+//! A classic SZ loop predicts from *reconstructed* neighbors, so every cell
+//! waits for the quantization of the cell before it. Two quantizations
+//! remove that read-after-write:
 //!
-//! 1. **Prequantization** — every value is independently quantized to an
-//!    integer lattice: `q_i = round(v_i / (2 eb))`. Reconstruction is
-//!    `v'_i = 2 eb q_i`, so `|v'_i - v_i| <= eb` holds *before* any
-//!    prediction happens.
-//! 2. **Postquantization** — the Lorenzo predictor runs on the integer
-//!    lattice itself: `d_i = q_i - L(q_neighbors)`. Because `q` is known
-//!    up front (it does not depend on reconstruction), every `d_i` is
-//!    computable in parallel — this is exactly the data-parallelism the
-//!    GPU kernel needs.
+//! 1. **Prequantization** — every value is independently rounded to an
+//!    integer lattice: `q = round(v / 2eb)`. Reconstruction is
+//!    `v' = 2eb * q`, so `|v' - v| <= eb` holds *before* any prediction
+//!    happens, and it is checked on the very expression the decoder
+//!    evaluates (including its final cast to `f32`).
+//! 2. **Postquantization** — the predictor runs on the lattice itself:
+//!    `code = q - pred(q neighbors) + radius`. `q` is known up front, so
+//!    every code is computable in parallel and in exact integer arithmetic.
 //!
-//! The decoder inverts the Lorenzo sum per block (a prefix-sum-like
-//! recurrence, parallel across blocks) and multiplies back. Entropy stage
-//! and container reuse the crate's Huffman/stream machinery.
+//! The decoder runs the integer recurrence and multiplies back once.
+//! Values the lattice cannot carry (non-finite, `|q| > Q_MAX`, a cast that
+//! lands outside the bound) and deltas outside the code radius are stored
+//! verbatim as outliers; both sides then predict their neighbors from the
+//! same deterministic lattice value ([`prequant`] of the verbatim value).
+//!
+//! [`Lattice`] is the per-thread scratch both directions work in: the
+//! block's lattice values inside a one-cell ghost border of zeros, so the
+//! seven-point stencil needs no bounds or sign branches.
 
-use crate::block::{self, Block};
-use crate::config::Dims;
-use crate::huffman::Codebook;
-use foresight_util::bits::{BitReader, BitWriter};
-use foresight_util::crc::crc32;
-use foresight_util::{ByteReader, Error, Result};
-use rayon::prelude::*;
-
-const MAGIC: &[u8; 4] = b"SZDQ";
-/// Quantization-code radius (codes span the open interval around it).
-const RADIUS: i64 = 1 << 15;
-/// Largest per-axis extent accepted from a header (2^40 values).
-const MAX_EXTENT: u64 = 1 << 40;
-
-/// Per-block dual-quant compression output.
-pub(crate) struct DqBlock {
-    pub codes: Vec<u32>,
-    pub outliers: Vec<f32>, // raw values stored verbatim (exact recovery)
-}
+use crate::block::{Block, PredictorTag};
 
 /// Largest lattice magnitude kept on the fast path; beyond it the f64
 /// rounding of `v / 2eb` can no longer guarantee the bound, so the value
 /// goes out as a verbatim outlier.
 const Q_MAX: f64 = (1u64 << 50) as f64;
 
-/// Prequantizes one value; `None` routes it to the outlier path.
+/// `2^52`: adding and subtracting it rounds a smaller non-negative f64 to
+/// an integer (ties to even) in two SSE2 instructions.
+const ROUND_MAGIC: f64 = (1u64 << 52) as f64;
+
+/// `f64::round` (ties away from zero) without the libm call baseline
+/// x86-64 needs for it: ties-to-even through [`ROUND_MAGIC`], then the one
+/// case that differs (a tie rounded down) fixed up. `a - y` is exact, so
+/// the result is bit-equal to `round` for every input. Written with
+/// selects, not branches, so the pass-1 loop vectorizes.
+#[inline]
+fn round_half_away(x: f64) -> f64 {
+    let a = x.abs();
+    let y = (a + ROUND_MAGIC) - ROUND_MAGIC;
+    let y = y + if a - y == 0.5 { 1.0 } else { 0.0 };
+    // At or past 2^52 every f64 is an integer already (or not finite).
+    (if a < ROUND_MAGIC { y } else { a }).copysign(x)
+}
+
+/// An integer-valued f64 with `|q| <= 2^51` as an `i64`: the low mantissa
+/// bits of `q + 1.5 * 2^52` hold it in two's complement. `q as i64` is the
+/// same number, but its saturation fix-up is scalar-only before AVX-512 and
+/// keeps the pass-1 loop from vectorizing.
+#[inline]
+fn lattice_int(q: f64) -> i64 {
+    const BIAS: f64 = (3u64 << 51) as f64;
+    ((q + BIAS).to_bits() as i64).wrapping_sub(BIAS.to_bits() as i64)
+}
+
+/// Prequantizes one value: its lattice value and whether it is on the
+/// lattice. A value that is not goes out verbatim and stands as 0 in its
+/// neighbors' predictions — on both sides, since the decoder calls this on
+/// the verbatim value.
 ///
-/// Besides range checks, the `f32` rounding of the reconstruction is
-/// verified — the lattice point `2 eb q` is an `f64`, and the final cast
-/// can push a borderline value past the bound.
+/// NaN and ±inf fail the range comparison. The reconstruction is checked
+/// after its cast to `f32`, which can push a borderline value past the
+/// bound or overflow to infinity; both fail the second comparison.
 #[inline]
-fn prequant(v: f32, eb: f64) -> Option<i64> {
-    if !v.is_finite() {
-        return None;
-    }
-    let q = (v as f64 / (2.0 * eb)).round();
-    if q.abs() > Q_MAX {
-        return None;
-    }
-    let recon = (q * 2.0 * eb) as f32;
-    if recon.is_finite() && (recon as f64 - v as f64).abs() <= eb {
-        Some(q as i64)
-    } else {
-        None
-    }
+fn prequant(v: f32, eb: f64) -> (i64, bool) {
+    let v = v as f64;
+    let two_eb = 2.0 * eb;
+    let q = round_half_away(v / two_eb);
+    let recon = (q * two_eb) as f32;
+    let on_lattice = (q.abs() <= Q_MAX) & ((recon as f64 - v).abs() <= eb);
+    (lattice_int(if on_lattice { q } else { 0.0 }), on_lattice)
 }
 
-/// The lattice value both encoder and decoder use at an outlier position
-/// (deterministic on both sides; only used to predict neighbors).
+/// The regression plane `b0 + b1 i + b2 j + b3 k` rounded to the lattice.
+/// Encoder and decoder both evaluate exactly this expression on the stored
+/// `f32` coefficients; a plane the lattice cannot carry predicts 0.
 #[inline]
-fn outlier_lattice(v: f32, eb: f64) -> i64 {
-    prequant(v, eb).unwrap_or(0)
+pub(crate) fn plane_lattice(coeffs: &[f32; 4], i: usize, j: usize, k: usize, eb: f64) -> i64 {
+    let p = coeffs[0] as f64
+        + coeffs[1] as f64 * i as f64
+        + coeffs[2] as f64 * j as f64
+        + coeffs[3] as f64 * k as f64;
+    let q = round_half_away(p / (2.0 * eb));
+    lattice_int(if q.abs() <= Q_MAX { q } else { 0.0 })
 }
 
-/// Lorenzo predictor over the integer lattice with a zero ghost boundary.
+/// Cells of a block the predictor choice samples at most: 8 per axis of a
+/// 32^3 cube, every 32nd value of a 1-D segment. Enough for a
+/// four-parameter fit and a stable choice (at 512 a few noisy 1-D blocks
+/// flipped to the plane and cost 1 % of a field), at under a tenth of the
+/// cost of coding the block.
+const SAMPLE_BUDGET: usize = 1024;
+
+/// What pass 2 saw: the span of the non-zero codes and how many cells
+/// became outliers.
+pub(crate) struct CodeStats {
+    /// Smallest and largest non-zero code, `None` when there is none.
+    pub range: Option<(u32, u32)>,
+    /// Cells coded 0.
+    pub outliers: usize,
+}
+
+/// One block's lattice inside a zero ghost border: cell `(i, j, k)` lives
+/// at `(i+1) + px*((j+1) + py*(k+1))` with `px = sx+1`, `py = sy+1`. The
+/// border is zeroed when the block shape changes and never written after.
+pub(crate) struct Lattice {
+    q: Vec<i64>,
+    size: [usize; 3],
+}
+
+/// The rows the Lorenzo stencil of the row starting at padded index `base`
+/// reads — `(j-1, k)`, `(j, k-1)`, `(j-1, k-1)` — each `px` long and
+/// aligned with that row. `q` needs to hold only the cells ahead of `base`.
 #[inline]
-fn lorenzo_q(q: &[i64], sx: usize, sxy: usize, i: usize, j: usize, k: usize) -> i64 {
-    let at = |di: usize, dj: usize, dk: usize| -> i64 {
-        if i < di || j < dj || k < dk {
-            0
-        } else {
-            q[(i - di) + sx * (j - dj) + sxy * (k - dk)]
+fn stencil_rows(q: &[i64], base: usize, px: usize, pxy: usize) -> [&[i64]; 3] {
+    [&q[base - px..base], &q[base - pxy..base - pxy + px], &q[base - pxy - px..base - pxy]]
+}
+
+/// First-order Lorenzo prediction of cell `i` of a row from the row itself
+/// (`left` is cell `i - 1`, the ghost for `i = 0`) and its stencil rows.
+#[inline]
+fn lorenzo(left: i64, [up, back, bu]: [&[i64]; 3], i: usize) -> i64 {
+    left.wrapping_add(up[i + 1])
+        .wrapping_sub(up[i])
+        .wrapping_add(back[i + 1])
+        .wrapping_sub(back[i])
+        .wrapping_sub(bu[i + 1])
+        .wrapping_add(bu[i])
+}
+
+impl Lattice {
+    pub const fn new() -> Self {
+        Self { q: Vec::new(), size: [0; 3] }
+    }
+
+    fn layout(&mut self, size: [usize; 3]) {
+        if self.size != size {
+            let n = (size[0] + 1) * (size[1] + 1) * (size[2] + 1);
+            self.q.clear();
+            self.q.resize(n, 0);
+            self.size = size;
         }
-    };
-    at(1, 0, 0) + at(0, 1, 0) + at(0, 0, 1) - at(1, 1, 0) - at(1, 0, 1) - at(0, 1, 1)
-        + at(1, 1, 1)
-}
+    }
 
-pub(crate) fn compress_block_dq(data: &[f32], ext: [usize; 3], b: &Block, eb: f64) -> DqBlock {
-    let [sx, sy, sz] = b.size;
-    let cells = b.cells();
-    // Prequantization (independent per value — the parallel step).
-    let mut q = vec![0i64; cells];
-    let mut fast = vec![true; cells];
-    let mut raw = vec![0.0f32; cells];
-    let mut local = 0;
-    for k in 0..sz {
-        for j in 0..sy {
-            let row = (b.origin[0])
-                + ext[0] * ((b.origin[1] + j) + ext[1] * (b.origin[2] + k));
-            for i in 0..sx {
-                let v = data[row + i];
-                raw[local] = v;
-                match prequant(v, eb) {
-                    Some(qv) => q[local] = qv,
-                    None => {
-                        q[local] = outlier_lattice(v, eb);
-                        fast[local] = false;
+    /// Padded row length and plane size.
+    #[inline]
+    fn strides(&self) -> (usize, usize) {
+        let px = self.size[0] + 1;
+        (px, px * (self.size[1] + 1))
+    }
+
+    /// Padded index of the ghost cell that starts row `(j, k)`; the row's
+    /// cells follow at `+1..=sx`.
+    #[inline]
+    fn row_base(&self, j: usize, k: usize) -> usize {
+        let (px, pxy) = self.strides();
+        px * (j + 1) + pxy * (k + 1)
+    }
+
+    /// Pass 1: prequantizes the block into the lattice. `fast[c]` becomes 1
+    /// where cell `c` is on the lattice and 0 where it must go out verbatim.
+    pub fn prequantize(
+        &mut self,
+        data: &[f32],
+        ext: [usize; 3],
+        b: &Block,
+        eb: f64,
+        fast: &mut [u32],
+    ) {
+        self.layout(b.size);
+        let [sx, sy, sz] = b.size;
+        let mut marks = fast.chunks_exact_mut(sx);
+        for k in 0..sz {
+            for j in 0..sy {
+                let src = b.row_start(ext, j, k);
+                let base = self.row_base(j, k) + 1;
+                let cells = self.q[base..base + sx].iter_mut();
+                let marks = marks.next().unwrap_or_default();
+                for ((q, m), &v) in cells.zip(marks).zip(&data[src..src + sx]) {
+                    let (lattice, on_lattice) = prequant(v, eb);
+                    *q = lattice;
+                    *m = on_lattice as u32;
+                }
+            }
+        }
+    }
+
+    /// Stride and count per axis of the sample the predictor choice looks
+    /// at: every `stride`-th cell from the block's origin, with the smallest
+    /// power-of-two stride that leaves at most [`SAMPLE_BUDGET`] cells, so
+    /// choosing costs the same for every block.
+    pub fn sample_grid(&self) -> [(usize, usize); 3] {
+        let mut stride = 1;
+        loop {
+            let grid = self.size.map(|extent| (stride, extent.div_ceil(stride)));
+            if grid.iter().map(|&(_, count)| count).product::<usize>() <= SAMPLE_BUDGET {
+                return grid;
+            }
+            stride *= 2;
+        }
+    }
+
+    /// Calls `f(i, j, k, q, lorenzo prediction of q)` on every cell of
+    /// [`Self::sample_grid`].
+    pub fn for_each_sample(&self, mut f: impl FnMut(usize, usize, usize, i64, i64)) {
+        let (px, pxy) = self.strides();
+        let [xs, ys, zs] =
+            self.sample_grid().map(|(stride, count)| (0..count).map(move |s| s * stride));
+        for k in zs {
+            for j in ys.clone() {
+                let base = self.row_base(j, k);
+                let stencil = stencil_rows(&self.q, base, px, pxy);
+                let cur = &self.q[base..base + px];
+                for i in xs.clone() {
+                    f(i, j, k, cur[i + 1], lorenzo(cur[i], stencil, i));
+                }
+            }
+        }
+    }
+
+    /// Pass 2: turns each `fast` mark into the cell's code,
+    /// `q - pred + radius` when that lies in `[1, 2*radius)` and 0 (an
+    /// outlier) otherwise. The encoder's lattice stays within `Q_MAX`, so
+    /// neither the stencil nor the delta can overflow.
+    pub fn postquantize(
+        &self,
+        tag: PredictorTag,
+        coeffs: &[f32; 4],
+        eb: f64,
+        radius: u32,
+        codes: &mut [u32],
+    ) -> CodeStats {
+        let [sx, sy, sz] = self.size;
+        let (px, pxy) = self.strides();
+        let r = radius as i64;
+        let (mut lo, mut hi, mut outliers) = (u32::MAX, 0u32, 0usize);
+        let mut emit = |code: &mut u32, delta: i64| {
+            let sym = delta + r;
+            let ok = *code != 0 && ((sym - 1) as u64) < (2 * r - 1) as u64;
+            *code = if ok { sym as u32 } else { 0 };
+            lo = lo.min(if ok { sym as u32 } else { u32::MAX });
+            hi = hi.max(*code);
+            outliers += !ok as usize;
+        };
+        let mut rows = codes.chunks_exact_mut(sx);
+        for k in 0..sz {
+            for j in 0..sy {
+                let base = self.row_base(j, k);
+                let (before, cur) = self.q.split_at(base);
+                let cur = &cur[..px];
+                let row = rows.next().unwrap_or_default();
+                match tag {
+                    PredictorTag::Lorenzo => {
+                        let stencil = stencil_rows(before, base, px, pxy);
+                        for (i, code) in row.iter_mut().enumerate() {
+                            emit(code, cur[i + 1] - lorenzo(cur[i], stencil, i));
+                        }
+                    }
+                    PredictorTag::Regression => {
+                        for (i, code) in row.iter_mut().enumerate() {
+                            emit(code, cur[i + 1] - plane_lattice(coeffs, i, j, k, eb));
+                        }
                     }
                 }
-                local += 1;
+            }
+        }
+        CodeStats { range: (lo <= hi).then_some((lo, hi)), outliers }
+    }
+
+    /// The inverse of both passes: rebuilds the lattice from `codes` and
+    /// writes the block's cells of `out`. Arithmetic wraps, since codes
+    /// from a hostile stream can drive the recurrence anywhere.
+    #[allow(clippy::too_many_arguments)] // mirrors `block::decompress_block`
+    pub fn reconstruct(
+        &mut self,
+        codes: &[u32],
+        outliers: &[f32],
+        tag: PredictorTag,
+        coeffs: &[f32; 4],
+        ext: [usize; 3],
+        b: &Block,
+        eb: f64,
+        radius: u32,
+        out: &mut [f32],
+    ) {
+        self.layout(b.size);
+        let [sx, sy, sz] = b.size;
+        let (px, pxy) = self.strides();
+        let r = radius as i64;
+        let two_eb = 2.0 * eb;
+        let mut outliers = outliers.iter();
+        // One cell: its lattice value (for its neighbors) and its output.
+        // A verbatim cell predicts its neighbors from the lattice value the
+        // encoder used for it.
+        let mut cell = |sym: u32, pred: i64| {
+            if sym == 0 {
+                let v = outliers.next().copied().unwrap_or(0.0);
+                (prequant(v, eb).0, v)
+            } else {
+                let q = pred.wrapping_add(sym as i64 - r);
+                (q, (q as f64 * two_eb) as f32)
+            }
+        };
+        let mut rows = codes.chunks_exact(sx);
+        for k in 0..sz {
+            for j in 0..sy {
+                let dst = b.row_start(ext, j, k);
+                let base = self.row_base(j, k);
+                let (before, cur) = self.q.split_at_mut(base);
+                let cur = &mut cur[..px];
+                let row = rows.next().unwrap_or_default();
+                let cells = out[dst..dst + sx].iter_mut().zip(row).enumerate();
+                match tag {
+                    PredictorTag::Lorenzo => {
+                        let stencil = stencil_rows(before, base, px, pxy);
+                        for (i, (o, &sym)) in cells {
+                            (cur[i + 1], *o) = cell(sym, lorenzo(cur[i], stencil, i));
+                        }
+                    }
+                    PredictorTag::Regression => {
+                        for (i, (o, &sym)) in cells {
+                            (cur[i + 1], *o) = cell(sym, plane_lattice(coeffs, i, j, k, eb));
+                        }
+                    }
+                }
             }
         }
     }
-    // Postquantization: Lorenzo deltas on the lattice.
-    let mut codes = Vec::with_capacity(cells);
-    let mut outliers = Vec::new();
-    let sxy = sx * sy;
-    let mut idx = 0;
-    for k in 0..sz {
-        for j in 0..sy {
-            for i in 0..sx {
-                if !fast[idx] {
-                    codes.push(0);
-                    outliers.push(raw[idx]);
-                    idx += 1;
-                    continue;
-                }
-                let pred = lorenzo_q(&q, sx, sxy, i, j, k);
-                let d = q[idx] - pred;
-                if d.abs() < RADIUS {
-                    codes.push((d + RADIUS) as u32);
-                } else {
-                    codes.push(0);
-                    outliers.push(raw[idx]);
-                }
-                idx += 1;
-            }
-        }
-    }
-    DqBlock { codes, outliers }
-}
-
-pub(crate) fn decompress_block_dq(
-    codes: &[u32],
-    outliers: &[f32],
-    b: &Block,
-    eb: f64,
-    ext: [usize; 3],
-    out: &mut [f32],
-) {
-    let [sx, sy, sz] = b.size;
-    let sxy = sx * sy;
-    let mut q = vec![0i64; b.cells()];
-    let mut verbatim: Vec<Option<f32>> = vec![None; b.cells()];
-    let mut next_outlier = 0;
-    let mut idx = 0;
-    for k in 0..sz {
-        for j in 0..sy {
-            for i in 0..sx {
-                let sym = codes[idx];
-                if sym == 0 {
-                    let v = outliers.get(next_outlier).copied().unwrap_or(0.0);
-                    next_outlier += 1;
-                    verbatim[idx] = Some(v);
-                    // Deterministic lattice value for neighbor prediction,
-                    // identical to the encoder's choice.
-                    q[idx] = outlier_lattice(v, eb);
-                } else {
-                    q[idx] = lorenzo_q(&q, sx, sxy, i, j, k) + (sym as i64 - RADIUS);
-                }
-                idx += 1;
-            }
-        }
-    }
-    idx = 0;
-    for k in 0..sz {
-        for j in 0..sy {
-            let row =
-                (b.origin[0]) + ext[0] * ((b.origin[1] + j) + ext[1] * (b.origin[2] + k));
-            for i in 0..sx {
-                out[row + i] = match verbatim[idx] {
-                    Some(v) => v,
-                    None => (q[idx] as f64 * 2.0 * eb) as f32,
-                };
-                idx += 1;
-            }
-        }
-    }
-}
-
-/// Compresses with cuSZ-style dual quantization (ABS bound only).
-pub fn compress_dualquant(
-    data: &[f32],
-    dims: Dims,
-    eb: f64,
-    block_size: usize,
-) -> Result<Vec<u8>> {
-    if !(eb.is_finite() && eb > 0.0) {
-        return Err(Error::invalid("error bound must be positive"));
-    }
-    if data.len() != dims.len() {
-        return Err(Error::invalid("data length does not match dims"));
-    }
-    let ext = dims.extents();
-    let blocks = block::partition(dims, block_size.max(2));
-    let outputs: Vec<DqBlock> =
-        blocks.par_iter().map(|b| compress_block_dq(data, ext, b, eb)).collect();
-
-    // Global Huffman over all codes: parallel fold/reduce into dense
-    // per-chunk tables (codes live in [0, 2*RADIUS); 0 = outlier).
-    let hist = {
-        let dense_len = 2 * RADIUS as usize;
-        let new_acc = || vec![0u64; dense_len];
-        let dense = outputs
-            .par_iter()
-            .fold(new_acc, |mut acc: Vec<u64>, o| {
-                for &c in &o.codes {
-                    acc[c as usize] += 1;
-                }
-                acc
-            })
-            .reduce(new_acc, |mut a: Vec<u64>, b: Vec<u64>| {
-                for (d, s) in a.iter_mut().zip(&b) {
-                    *d += s;
-                }
-                a
-            });
-        dense
-            .iter()
-            .enumerate()
-            .filter(|&(_, &f)| f > 0)
-            .map(|(s, &f)| (s as u32, f))
-            .collect::<Vec<_>>()
-    };
-    let book = Codebook::from_frequencies(&hist)?;
-    let streams: Vec<Vec<u8>> = outputs
-        .par_iter()
-        .map(|o| {
-            let mut w = BitWriter::with_capacity(o.codes.len() / 2);
-            for &c in &o.codes {
-                book.encode(c, &mut w)?;
-            }
-            Ok(w.into_bytes())
-        })
-        .collect::<Vec<Result<Vec<u8>>>>()
-        .into_iter()
-        .collect::<Result<Vec<Vec<u8>>>>()?;
-
-    let mut body = Vec::new();
-    for (o, s) in outputs.iter().zip(&streams) {
-        body.extend_from_slice(&(o.outliers.len() as u32).to_le_bytes());
-        body.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    }
-    book.serialize(&mut body);
-    for s in &streams {
-        body.extend_from_slice(s);
-    }
-    for o in &outputs {
-        for &v in &o.outliers {
-            body.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-
-    // lint: allow(alloc-arith) — encoder-side capacity hint on an already-materialized body
-    let mut out = Vec::with_capacity(body.len() + 80);
-    out.extend_from_slice(MAGIC);
-    out.push(dims.ndim());
-    for e in ext {
-        out.extend_from_slice(&(e as u64).to_le_bytes());
-    }
-    out.extend_from_slice(&(block_size as u32).to_le_bytes());
-    out.extend_from_slice(&eb.to_le_bytes());
-    out.extend_from_slice(&(blocks.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
-    out.extend_from_slice(&(body.len() as u64).to_le_bytes());
-    out.extend_from_slice(&body);
-    Ok(out)
-}
-
-/// Decompresses a dual-quant stream.
-pub fn decompress_dualquant(stream: &[u8]) -> Result<(Vec<f32>, Dims)> {
-    const HDR: usize = 4 + 1 + 24 + 4 + 8 + 8 + 4 + 8;
-    let mut rd = ByteReader::new(stream);
-    rd.expect_magic(MAGIC, "SZDQ stream")?;
-    let ndim = rd.u8()?;
-    let nx = rd.u64_le_capped(MAX_EXTENT, "x extent")?;
-    let ny = rd.u64_le_capped(MAX_EXTENT, "y extent")?;
-    let nz = rd.u64_le_capped(MAX_EXTENT, "z extent")?;
-    let dims = match ndim {
-        1 => Dims::D1(nx),
-        2 => Dims::D2(nx, ny),
-        3 => Dims::D3(nx, ny, nz),
-        v => return Err(Error::corrupt(format!("bad ndim {v}"))),
-    };
-    let block_size = rd.u32_le()? as usize;
-    let eb = rd.f64_le()?;
-    if !(eb.is_finite() && eb > 0.0) || block_size < 2 {
-        return Err(Error::corrupt("bad header parameters"));
-    }
-    let nblocks = rd.u64_le_capped(u64::MAX >> 8, "block count")?;
-    let crc = rd.u32_le()?;
-    let body_len = rd.u64_le_capped(u64::MAX >> 8, "body length")?;
-    debug_assert_eq!(rd.pos(), HDR);
-    let body = stream.get(HDR..).ok_or_else(|| Error::corrupt("truncated SZDQ header"))?;
-    if body.len() != body_len {
-        return Err(Error::corrupt("body length mismatch"));
-    }
-    if crc32(body) != crc {
-        return Err(Error::corrupt("body CRC mismatch"));
-    }
-    let ext = dims.extents();
-    let blocks = block::partition(dims, block_size);
-    if blocks.len() != nblocks {
-        return Err(Error::corrupt("block count mismatch"));
-    }
-    let meta_len = nblocks.checked_mul(8).ok_or_else(|| Error::corrupt("meta overflow"))?;
-    let mut meta_rd = ByteReader::new(
-        body.get(..meta_len).ok_or_else(|| Error::corrupt("truncated meta"))?,
-    );
-    let mut metas = Vec::with_capacity(nblocks);
-    for _ in 0..nblocks {
-        let n_out = meta_rd.u32_le()? as usize;
-        let s_len = meta_rd.u32_le()? as usize;
-        metas.push((n_out, s_len));
-    }
-    let table = body.get(meta_len..).ok_or_else(|| Error::corrupt("truncated table"))?;
-    let (book, table_len) = Codebook::deserialize(table)?;
-    let codes_start = meta_len + table_len;
-    let total_stream: u64 = metas.iter().map(|&(_, s)| s as u64).sum();
-    let total_out: u64 = metas.iter().map(|&(o, _)| o as u64).sum();
-    if (body.len() as u64) < codes_start as u64 + total_stream + total_out * 4 {
-        return Err(Error::corrupt("truncated payload"));
-    }
-    let outliers_start = codes_start + total_stream as usize;
-
-    let mut out = vec![0.0f32; dims.len()];
-    let ptr = crate::stream::SendPtr(out.as_mut_ptr());
-    let out_len = out.len();
-    let mut code_off = codes_start;
-    let mut out_off = 0usize;
-    let mut offsets = Vec::with_capacity(nblocks);
-    for &(n_out, s_len) in &metas {
-        offsets.push((code_off, out_off));
-        code_off += s_len;
-        out_off += n_out;
-    }
-    blocks
-        .par_iter()
-        .enumerate()
-        .try_for_each(|(bi, b)| -> Result<()> {
-            let (c_off, o_off) = offsets[bi];
-            let (n_out, s_len) = metas[bi];
-            let code_bytes = body
-                .get(c_off..c_off + s_len)
-                .ok_or_else(|| Error::corrupt("code stream out of range"))?;
-            let mut r = BitReader::new(code_bytes);
-            let mut codes = Vec::new();
-            book.decode_into(&mut r, b.cells(), &mut codes)?;
-            if codes.iter().filter(|&&c| c == 0).count() != n_out {
-                return Err(Error::corrupt("outlier count mismatch"));
-            }
-            let ostart = outliers_start + o_off * 4;
-            let outliers: Vec<f32> = body
-                .get(ostart..ostart + n_out * 4)
-                .ok_or_else(|| Error::corrupt("outliers out of range"))?
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                .collect();
-            let p = ptr;
-            // SAFETY: blocks partition the domain, so each task writes only its
-            // own block's disjoint cells (the racecheck sanitizer validates this
-            // exact claim through `gpu_exec`).
-            #[allow(unsafe_code)]
-            let slice = unsafe { std::slice::from_raw_parts_mut(p.0, out_len) };
-            decompress_block_dq(&codes, &outliers, b, eb, ext, slice);
-            Ok(())
-        })?;
-    Ok((out, dims))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::{compress_block, decompress_block, partition};
+    use crate::config::{Dims, PredictorKind};
 
     fn field(n: usize) -> Vec<f32> {
-        (0..n).map(|i| ((i as f32) * 0.013).sin() * 50.0 + (i as f32 * 0.0007).cos() * 500.0).collect()
+        (0..n)
+            .map(|i| ((i as f32) * 0.013).sin() * 50.0 + (i as f32 * 0.0007).cos() * 500.0)
+            .collect()
+    }
+
+    /// Every block of `dims` through both passes and back; returns the
+    /// reconstruction and the number of outliers.
+    fn roundtrip(
+        data: &[f32],
+        dims: Dims,
+        eb: f64,
+        bs: usize,
+        pred: PredictorKind,
+    ) -> (Vec<f32>, usize) {
+        let ext = dims.extents();
+        let mut rec = vec![0.0f32; data.len()];
+        let mut outliers = 0;
+        for b in &partition(dims, bs) {
+            let o = compress_block(data, ext, b, eb, 1 << 15, pred);
+            assert_eq!(o.codes.iter().filter(|&&c| c == 0).count(), o.outliers.len());
+            outliers += o.outliers.len();
+            decompress_block(&o.codes, &o.outliers, o.tag, o.coeffs, ext, b, eb, 1 << 15, &mut rec);
+        }
+        (rec, outliers)
     }
 
     fn check_bound(orig: &[f32], rec: &[f32], eb: f64) {
         for (a, b) in orig.iter().zip(rec) {
             if a.is_finite() {
-                assert!((*a as f64 - *b as f64).abs() <= eb + 1e-9, "{a} vs {b}");
+                assert!((*a as f64 - *b as f64).abs() <= eb, "{a} vs {b}");
             } else {
-                assert!(
-                    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
-                    "non-finite must survive verbatim"
-                );
+                assert_eq!(a.to_bits(), b.to_bits(), "non-finite must survive verbatim");
             }
         }
+    }
+
+    #[test]
+    fn round_half_away_is_bit_equal_to_round() {
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.5,
+            -1.5,
+            2.5,
+            -2.5,
+            0.49999999999999994,
+            -0.49999999999999994,
+            1e15 + 0.5,
+            -(1e15 + 0.5),
+            Q_MAX,
+            Q_MAX + 0.5,
+            -Q_MAX - 0.5,
+            ROUND_MAGIC - 0.5,
+            ROUND_MAGIC,
+            ROUND_MAGIC + 1.0,
+            1e300,
+            -1e300,
+            f64::MIN_POSITIVE,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let mut s = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..20_000 {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            let whole = (s >> 20) as f64 * if s & 1 == 0 { 1.0 } else { -1.0 };
+            cases.extend([f64::from_bits(s), whole + 0.5, whole / 1024.0, whole / 3.0]);
+        }
+        for x in cases {
+            if !x.is_nan() {
+                assert_eq!(round_half_away(x).to_bits(), x.round().to_bits(), "{x:e}");
+            }
+        }
+        assert!(round_half_away(f64::NAN).is_nan());
+        for q in [0.0, -0.0, 1.0, -1.0, 123_456_789.0, -Q_MAX, Q_MAX, 2.0 * Q_MAX, -2.0 * Q_MAX] {
+            assert_eq!(lattice_int(q), q as i64, "{q:e}");
+        }
+    }
+
+    #[test]
+    fn prequant_checks_the_expression_the_decoder_evaluates() {
+        for (v, eb) in [(1.0f32, 0.01f64), (-123.456, 0.5), (1e-40, 1e-42), (16_777_218.0, 0.3)] {
+            let (q, on_lattice) = prequant(v, eb);
+            assert!(on_lattice && ((q as f64 * (2.0 * eb)) as f32 as f64 - v as f64).abs() <= eb);
+            assert_eq!(q, (v as f64 / (2.0 * eb)).round() as i64);
+        }
+        assert_eq!(prequant(f32::NAN, 0.1), (0, false));
+        assert_eq!(prequant(f32::INFINITY, 0.1), (0, false));
+        assert_eq!(prequant(1e30, 1e-30), (0, false), "|q| past Q_MAX");
+        // The lattice point is within the bound as an f64 but its f32 cast
+        // (spacing 2 at 2^24) is not.
+        let (v, eb) = (16_777_218.0f32, 1.4f64);
+        let point = (v as f64 / (2.0 * eb)).round() * 2.0 * eb;
+        assert!((point - v as f64).abs() <= eb && (point as f32 as f64 - v as f64).abs() > eb);
+        assert_eq!(prequant(v, eb), (0, false));
     }
 
     #[test]
     fn roundtrip_1d_respects_bound() {
         let data = field(20_000);
         for eb in [0.5, 0.01] {
-            let s = compress_dualquant(&data, Dims::D1(20_000), eb, 32).unwrap();
-            let (rec, dims) = decompress_dualquant(&s).unwrap();
-            assert_eq!(dims, Dims::D1(20_000));
-            check_bound(&data, &rec, eb);
+            for pred in [PredictorKind::Lorenzo, PredictorKind::Regression, PredictorKind::Adaptive]
+            {
+                let (rec, _) = roundtrip(&data, Dims::D1(20_000), eb, 16, pred);
+                check_bound(&data, &rec, eb);
+            }
         }
     }
 
     #[test]
     fn roundtrip_3d_respects_bound() {
         let data = field(17 * 13 * 9);
-        let s = compress_dualquant(&data, Dims::D3(17, 13, 9), 0.1, 8).unwrap();
-        let (rec, _) = decompress_dualquant(&s).unwrap();
-        check_bound(&data, &rec, 0.1);
-    }
-
-    #[test]
-    fn compression_is_comparable_to_classic_sz() {
-        // Dual-quant trades a little ratio for parallel prediction; it
-        // must stay within ~1.5x of the classic Lorenzo bitrate.
-        let data = field(32 * 32 * 32);
-        let dims = Dims::D3(32, 32, 32);
-        let dq = compress_dualquant(&data, dims, 0.05, 32).unwrap();
-        let classic = crate::stream::compress(
-            &data,
-            dims,
-            &crate::config::SzConfig {
-                predictor: crate::config::PredictorKind::Lorenzo,
-                ..crate::config::SzConfig::abs(0.05)
-            },
-        )
-        .unwrap();
-        let ratio = dq.len() as f64 / classic.len() as f64;
-        assert!(ratio < 1.5, "dual-quant {} vs classic {} bytes", dq.len(), classic.len());
-        assert!(dq.len() * 2 < data.len() * 4, "should actually compress");
+        for pred in [PredictorKind::Lorenzo, PredictorKind::Regression, PredictorKind::Adaptive] {
+            let (rec, outliers) = roundtrip(&data, Dims::D3(17, 13, 9), 0.1, 8, pred);
+            check_bound(&data, &rec, 0.1);
+            assert!(outliers * 20 < data.len(), "{pred:?}: {outliers} outliers");
+        }
     }
 
     #[test]
@@ -446,28 +469,48 @@ mod tests {
         let mut data = field(256);
         data[7] = f32::NAN;
         data[100] = f32::INFINITY;
-        let s = compress_dualquant(&data, Dims::D1(256), 0.1, 16).unwrap();
-        let (rec, _) = decompress_dualquant(&s).unwrap();
-        assert!(rec[7].is_nan());
-        assert_eq!(rec[100], f32::INFINITY, "non-finite survives verbatim");
+        data[101] = f32::NEG_INFINITY;
+        let (rec, outliers) = roundtrip(&data, Dims::D1(256), 0.1, 4, PredictorKind::Lorenzo);
+        // The three non-finite cells, each block's first cell (far from the
+        // zero ghost) and the cell after each verbatim run.
+        assert!((3..16).contains(&outliers), "{outliers}");
         check_bound(&data, &rec, 0.1);
     }
 
     #[test]
-    fn corrupt_streams_error() {
-        let data = field(1000);
-        let s = compress_dualquant(&data, Dims::D1(1000), 0.1, 32).unwrap();
-        assert!(decompress_dualquant(&s[..20]).is_err());
-        let mut bad = s.clone();
-        let n = bad.len();
-        bad[n - 5] ^= 0xff;
-        assert!(decompress_dualquant(&bad).is_err());
-        assert!(decompress_dualquant(b"XXXX").is_err());
+    fn scratch_survives_a_change_of_block_shape() {
+        // The ghost border must be re-zeroed when a thread's next block has
+        // another shape: interleave two shapes on one thread.
+        let data = field(9 * 9 * 9);
+        let (full, _) = roundtrip(&data, Dims::D3(9, 9, 9), 0.05, 8, PredictorKind::Lorenzo);
+        check_bound(&data, &full, 0.05);
+        let (again, _) = roundtrip(&data, Dims::D3(9, 9, 9), 0.05, 8, PredictorKind::Lorenzo);
+        assert_eq!(full, again);
     }
 
     #[test]
-    fn invalid_args_rejected() {
-        assert!(compress_dualquant(&[1.0], Dims::D1(1), 0.0, 32).is_err());
-        assert!(compress_dualquant(&[1.0], Dims::D1(2), 0.1, 32).is_err());
+    fn hostile_codes_and_coefficients_decode_without_panic() {
+        let b = Block { origin: [0, 0, 0], size: [8, 4, 2] };
+        let codes = vec![u32::MAX; 64];
+        let mut out = vec![0.0f32; 64];
+        for (tag, coeffs) in [
+            (PredictorTag::Lorenzo, [0.0; 4]),
+            (PredictorTag::Regression, [f32::INFINITY, f32::NAN, -1e38, 1e38]),
+        ] {
+            decompress_block(&codes, &[], tag, coeffs, [8, 4, 2], &b, 1e-300, u32::MAX, &mut out);
+        }
+        // Zero codes with no outliers to draw from decode as 0.0.
+        decompress_block(
+            &[0; 64],
+            &[],
+            PredictorTag::Lorenzo,
+            [0.0; 4],
+            [8, 4, 2],
+            &b,
+            0.1,
+            2,
+            &mut out,
+        );
+        assert!(out.iter().all(|&v| v == 0.0));
     }
 }

@@ -4,15 +4,17 @@
 //! *Understanding GPU-Based Lossy Compression for Extreme-Scale Cosmological
 //! Simulations* (Jin et al., 2020). The pipeline follows SZ 2.x:
 //!
-//! 1. **Blocked prediction** — the array is cut into independent blocks
-//!    (GPU-style parallel decomposition); within a block each value is
-//!    predicted by either a first-order Lorenzo stencil over already
-//!    reconstructed neighbors or a per-block linear regression model,
-//!    chosen adaptively.
-//! 2. **Error-controlled quantization** — the prediction residual is
-//!    quantized to an integer code such that reconstruction differs from
-//!    the input by at most the user's error bound; values that don't fit
-//!    the code range (or are non-finite) are stored verbatim as outliers.
+//! 1. **Error-controlled prequantization** — the array is cut into
+//!    independent blocks (GPU-style parallel decomposition) and every
+//!    value is rounded to an integer lattice of spacing twice the user's
+//!    error bound, so reconstruction differs from the input by at most
+//!    that bound before any prediction happens (cuSZ's dual quantization).
+//! 2. **Blocked prediction on the lattice** — within a block each lattice
+//!    value is predicted by either a first-order Lorenzo stencil over its
+//!    neighbors' lattice values or a per-block linear regression plane,
+//!    chosen adaptively; the integer residual is the code. Values that
+//!    don't fit the lattice or the code range (or are non-finite) are
+//!    stored verbatim as outliers.
 //! 3. **Entropy coding** — a global canonical Huffman code over all
 //!    quantization integers, optionally followed by an LZSS pass standing
 //!    in for SZ's Zstd stage.
@@ -42,7 +44,7 @@
 pub mod block;
 pub mod config;
 pub mod gpu_exec;
-pub mod gpu_kernel;
+mod gpu_kernel;
 pub mod huffman;
 pub mod lossless;
 pub mod pwrel;
@@ -51,7 +53,6 @@ pub mod temporal;
 
 pub use config::{Dims, EntropyBackend, ErrorBound, PredictorKind, SzConfig};
 pub use stream::{compress, decompress, info, StreamInfo, MAGIC};
-pub use gpu_kernel::{compress_dualquant, decompress_dualquant};
 pub use temporal::{compress_temporal, decompress_temporal};
 
 /// Compression ratio of `stream` relative to `n_values` single-precision

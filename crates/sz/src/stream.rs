@@ -28,8 +28,10 @@ use rayon::prelude::*;
 /// Stream magic tag identifying an SZ stream; exported so containers
 /// and auto-detecting decoders match streams without private knowledge.
 pub const MAGIC: &[u8; 4] = b"SZRS";
-/// Version 2 added the trailing header CRC.
-const VERSION: u8 = 2;
+/// Version 2 added the trailing header CRC; version 3 is the same container
+/// carrying integer-lattice (dual-quantization) codes, which a version-2
+/// decoder would dequantize wrongly — so older streams are refused.
+const VERSION: u8 = 3;
 const META_BYTES: usize = 1 + 4 + 4 + 16;
 /// Header bytes covered by the header CRC (everything before it).
 const HDR_CRC_AT: usize = 4 + 1 + 1 + 1 + 1 + 24 + 4 + 4 + 8 + 8 + 8 + 8 + 4;
@@ -105,7 +107,7 @@ fn compress_inner(data: &[f32], dims: Dims, cfg: &SzConfig, plan: &ModePlan) -> 
     drop(quantize);
 
     let histogram = telemetry::span("sz.histogram");
-    let book = global_codebook(&outputs, cfg.radius)?;
+    let book = global_codebook(&outputs)?;
     drop(histogram);
 
     // Pass 2: entropy-encode each block.
@@ -123,49 +125,37 @@ fn compress_inner(data: &[f32], dims: Dims, cfg: &SzConfig, plan: &ModePlan) -> 
 
 /// Builds the global Huffman codebook over all block outputs.
 ///
-/// Fold/reduce over per-chunk dense tables: quantization emits symbols in
-/// `[0, 2*radius)` (0 = outlier), so a flat count array replaces hashing
-/// on the hot path; anything outside that range (impossible today, cheap
-/// to tolerate) spills to a sparse overflow map.
-pub(crate) fn global_codebook(outputs: &[BlockOutput], radius: u32) -> Result<Codebook> {
-    let hist = {
-        // The overflow map must be a BTreeMap: its iteration order feeds
-        // the histogram (and therefore the serialized codebook) directly.
-        type Acc = (Vec<u64>, std::collections::BTreeMap<u32, u64>);
-        let dense_len = 2 * radius as usize;
-        let new_acc = || (vec![0u64; dense_len], std::collections::BTreeMap::new());
-        let (dense, sparse) = outputs
-            .par_iter()
-            .fold(new_acc, |mut acc: Acc, o| {
-                for &c in &o.codes {
-                    if (c as usize) < dense_len {
-                        acc.0[c as usize] += 1;
-                    } else {
-                        *acc.1.entry(c).or_insert(0) += 1;
-                    }
-                }
-                acc
-            })
-            .reduce(new_acc, |mut a: Acc, b: Acc| {
-                for (d, s) in a.0.iter_mut().zip(&b.0) {
-                    *d += s;
-                }
-                for (k, v) in b.1 {
-                    *a.1.entry(k).or_insert(0) += v;
-                }
-                a
-            });
-        let mut v: Vec<(u32, u64)> = dense
-            .iter()
-            .enumerate()
-            .filter(|&(_, &f)| f > 0)
-            .map(|(s, &f)| (s as u32, f))
-            .collect();
-        // Overflow symbols are all >= dense_len and BTreeMap iterates in
-        // key order, so appending keeps the histogram sorted by symbol.
-        v.extend(sparse);
-        v
-    };
+/// Fold/reduce over per-chunk dense tables sized to the span of non-zero
+/// symbols the kernel reported — a few hundred entries on real fields,
+/// where `[0, 2*radius)` is 64 Ki. Symbol 0 is never counted: a block has
+/// one per outlier.
+pub(crate) fn global_codebook(outputs: &[BlockOutput]) -> Result<Codebook> {
+    let (lo, hi) = outputs
+        .iter()
+        .filter_map(|o| o.code_range)
+        .fold((u32::MAX, 0), |(lo, hi), (a, b)| (lo.min(a), hi.max(b)));
+    let span = if lo <= hi { (hi - lo) as usize + 1 } else { 0 };
+    let new_acc = || vec![0u64; span];
+    let dense = outputs
+        .par_iter()
+        .fold(new_acc, |mut acc: Vec<u64>, o| {
+            for &c in o.codes.iter().filter(|&&c| c != 0) {
+                acc[(c - lo) as usize] += 1;
+            }
+            acc
+        })
+        .reduce(new_acc, |mut a: Vec<u64>, b: Vec<u64>| {
+            for (d, s) in a.iter_mut().zip(&b) {
+                *d += s;
+            }
+            a
+        });
+    let outliers: u64 = outputs.iter().map(|o| o.outliers.len() as u64).sum();
+    // Sorted by symbol: 0 first, then the dense span in order.
+    let hist: Vec<(u32, u64)> = std::iter::once((0, outliers))
+        .chain((lo..=hi).zip(dense))
+        .filter(|&(_, f)| f > 0)
+        .collect();
     Codebook::from_frequencies(&hist)
 }
 

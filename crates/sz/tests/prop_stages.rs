@@ -1,8 +1,9 @@
-//! Property tests for the SZ pipeline's individual stages: Huffman
-//! coding, the LZSS backend, and the dual-quantization kernel.
+//! Property tests for the SZ pipeline's entropy stages: Huffman coding
+//! and the LZSS backend. (The block kernel's error-bound properties are
+//! in `prop_bound.rs`.)
 
 use lossy_sz::huffman::{histogram, Codebook};
-use lossy_sz::{compress_dualquant, decompress_dualquant, lossless, Dims};
+use lossy_sz::lossless;
 use foresight_util::bits::{BitReader, BitWriter};
 use proptest::prelude::*;
 
@@ -100,19 +101,5 @@ proptest! {
     fn lzss_expansion_bound(data in prop::collection::vec(any::<u8>(), 1..2000)) {
         let c = lossless::compress(&data);
         prop_assert!(c.len() <= 8 + data.len() + data.len() / 8 + 2);
-    }
-
-    /// Dual-quantization honors the ABS bound for arbitrary finite data.
-    #[test]
-    fn dualquant_bound(
-        data in prop::collection::vec(-1e7f32..1e7, 1..2000),
-        eb_exp in -4i32..3,
-    ) {
-        let eb = 10f64.powi(eb_exp);
-        let s = compress_dualquant(&data, Dims::D1(data.len()), eb, 16).unwrap();
-        let (rec, _) = decompress_dualquant(&s).unwrap();
-        for (a, b) in data.iter().zip(&rec) {
-            prop_assert!((*a as f64 - *b as f64).abs() <= eb + 1e-9, "{} vs {}", a, b);
-        }
     }
 }

@@ -3,7 +3,7 @@
 //! file with noise-aware tolerances.
 //!
 //! ```text
-//! cargo run --release --bin perf-gate [-- --dir <d>]
+//! cargo run --release --bin perf-gate [-- --dir <d>] [--rebaseline "<reason>"]
 //! ```
 //!
 //! Three scenarios cover the perf-critical paths:
@@ -33,6 +33,12 @@
 //! directory), starting at 8 — the PR that introduced the gate. The
 //! newest existing file is the comparison baseline; with none, the run
 //! only records.
+//!
+//! An intentional byte change (a stream VERSION bump, say) moves `exact`
+//! metrics on purpose. `--rebaseline "<reason>"` is the only path that
+//! accepts that: the new file records the reason and every `exact` metric
+//! that moved, and becomes the baseline once committed. `model`
+//! regressions still fail under it.
 //!
 //! Exit codes: 0 ok (or first baseline), 1 `exact`/`model` regression,
 //! 2 usage/IO error.
@@ -66,6 +72,7 @@ struct Scenario {
 
 fn main() {
     let mut dir = PathBuf::from(".");
+    let mut rebaseline: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -73,6 +80,10 @@ fn main() {
                 let Some(d) = args.next() else { usage_exit() };
                 dir = PathBuf::from(d);
             }
+            "--rebaseline" => match args.next() {
+                Some(reason) if !reason.trim().is_empty() => rebaseline = Some(reason),
+                _ => usage_exit(),
+            },
             _ => usage_exit(),
         }
     }
@@ -85,7 +96,24 @@ fn main() {
     };
     let previous = newest_bench(&dir);
     let seq = previous.as_ref().map(|(s, _)| s + 1).unwrap_or(BASE_SEQ);
-    let doc = to_doc(seq, &scenarios);
+    let moved = previous.as_ref().map(|(_, doc)| compare(doc, &scenarios)).unwrap_or_default();
+    let of_class = |class: &str| -> Vec<&str> {
+        moved.iter().filter(|m| m.class == class).map(|m| m.line.as_str()).collect()
+    };
+    let mut doc = to_doc(seq, &scenarios);
+    if let (Some(reason), Some((prev_seq, _)), Value::Object(fields)) =
+        (&rebaseline, &previous, &mut doc)
+    {
+        let exact = of_class("exact").into_iter().map(|l| Value::String(l.into())).collect();
+        fields.push((
+            "rebaseline".into(),
+            Value::Object(vec![
+                ("reason".into(), Value::String(reason.clone())),
+                ("against".into(), Value::String(format!("BENCH_{prev_seq}.json"))),
+                ("exact_moved".into(), Value::Array(exact)),
+            ]),
+        ));
+    }
     let out = dir.join(format!("BENCH_{seq}.json"));
     if let Err(e) = std::fs::write(&out, doc.to_json()) {
         eprintln!("perf-gate: cannot write '{}': {e}", out.display());
@@ -97,13 +125,22 @@ fn main() {
             println!("  {}.{} = {} [{}]", s.name, m.name, m.value, m.class);
         }
     }
-    let Some((prev_seq, prev_doc)) = previous else {
+    let Some((prev_seq, _)) = previous else {
         println!("perf-gate: no previous BENCH_*.json — baseline recorded, nothing to compare");
         std::process::exit(0);
     };
-    let (regressions, warnings) = compare(&prev_doc, &scenarios);
-    for w in &warnings {
+    for w in of_class("wall") {
         eprintln!("perf-gate: warning (wall-clock, advisory): {w}");
+    }
+    let mut regressions = of_class("model");
+    match &rebaseline {
+        Some(reason) => {
+            println!("perf-gate: rebaselined against BENCH_{prev_seq}.json — {reason}");
+            for line in of_class("exact") {
+                println!("  accepted: {line}");
+            }
+        }
+        None => regressions.extend(of_class("exact")),
     }
     if regressions.is_empty() {
         println!("perf-gate: OK against BENCH_{prev_seq}.json (no exact/model regressions)");
@@ -113,11 +150,14 @@ fn main() {
     for r in &regressions {
         eprintln!("  {r}");
     }
+    if rebaseline.is_none() && !of_class("exact").is_empty() {
+        eprintln!("perf-gate: an intended `exact` change goes through --rebaseline \"<reason>\"");
+    }
     std::process::exit(1);
 }
 
 fn usage_exit() -> ! {
-    eprintln!("usage: perf-gate [--dir <d>]");
+    eprintln!("usage: perf-gate [--dir <d>] [--rebaseline \"<reason>\"]");
     std::process::exit(2);
 }
 
@@ -315,16 +355,24 @@ fn to_doc(seq: u64, scenarios: &[Scenario]) -> Value {
     ])
 }
 
-/// Compares current metrics against a previous document; returns one
-/// line per `exact`/`model` regression (these fail the gate) and one per
-/// `wall` collapse (these only warn). Metrics absent on either side are
-/// skipped (the schema is allowed to grow).
-fn compare(prev: &Value, scenarios: &[Scenario]) -> (Vec<String>, Vec<String>) {
-    let (mut regressions, mut warnings) = (Vec::new(), Vec::new());
+/// A metric that compares worse than (`model`, `wall`) or differently
+/// from (`exact`) the previous document.
+struct Moved {
+    /// "exact" | "model" | "wall"
+    class: &'static str,
+    line: String,
+}
+
+/// Compares current metrics against a previous document; returns one entry
+/// per `exact` difference and `model` regression (these fail the gate) and
+/// one per `wall` collapse (these only warn). Metrics absent on either
+/// side are skipped (the schema is allowed to grow).
+fn compare(prev: &Value, scenarios: &[Scenario]) -> Vec<Moved> {
+    let mut moved = Vec::new();
     if prev.get("schema").and_then(Value::as_u64) != Some(SCHEMA) {
         // An unknown schema can't be compared meaningfully; treat as a
         // fresh baseline rather than failing CI on the format change.
-        return (regressions, warnings);
+        return moved;
     }
     for s in scenarios {
         for m in &s.metrics {
@@ -339,33 +387,25 @@ fn compare(prev: &Value, scenarios: &[Scenario]) -> (Vec<String>, Vec<String>) {
                 continue;
             };
             let worse = m.better == "lower";
-            let regressed = match m.class {
-                "exact" => m.value != old,
+            let (regressed, verdict) = match m.class {
+                "exact" => (m.value != old, "changed"),
                 // Deterministic sim-clock values: >2% in the worse
                 // direction means the model got slower, not noisier.
                 "model" => {
-                    if worse {
-                        m.value > old * 1.02
-                    } else {
-                        m.value < old * 0.98
-                    }
+                    (if worse { m.value > old * 1.02 } else { m.value < old * 0.98 }, "worse")
                 }
                 // Wall-clock throughput: machine- and load-dependent, so
                 // only a collapse (3x) is reported, and as a warning.
-                _ => {
-                    if worse {
-                        m.value > old * 3.0
-                    } else {
-                        m.value < old / 3.0
-                    }
-                }
+                _ => (if worse { m.value > old * 3.0 } else { m.value < old / 3.0 }, "worse"),
             };
             if regressed {
-                let line =
-                    format!("{}.{} [{}]: {} -> {} (worse)", s.name, m.name, m.class, old, m.value);
-                if m.class == "wall" { &mut warnings } else { &mut regressions }.push(line);
+                let line = format!(
+                    "{}.{} [{}]: {} -> {} ({verdict})",
+                    s.name, m.name, m.class, old, m.value
+                );
+                moved.push(Moved { class: m.class, line });
             }
         }
     }
-    (regressions, warnings)
+    moved
 }

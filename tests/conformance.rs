@@ -16,6 +16,12 @@
 //! so the container format, the chunk addressing, and store-backed
 //! serving are pinned by the same bless workflow as the codec streams.
 //!
+//! `tests/golden/v2/` keeps the SZ fixtures of the previous stream VERSION
+//! (classic in-loop Lorenzo codes). This build cannot dequantize them, so
+//! the policy is fail closed: every entry point must refuse them with the
+//! typed `Corrupt("unsupported version 2")` error — never a panic, never
+//! values. They are not regenerated by a bless run.
+//!
 //! To re-bless after an *intentional* format change:
 //!
 //! ```text
@@ -436,6 +442,47 @@ fn perturbed_stream_fails_loudly() {
     }
     // Identical streams produce no report.
     assert!(diff_report(name, &committed, &committed).is_none());
+}
+
+/// One golden stream per prior header VERSION: a v2 SZ stream, raw or
+/// inside an archive chunk, is refused with the typed version error
+/// through every decoding entry point.
+#[test]
+fn prior_version_fixtures_fail_closed() {
+    use foresight_util::Error;
+    if bless_requested() {
+        return; // the manifest is being rewritten by the main test
+    }
+    let v2 = golden_dir().join("v2");
+    let refused = |what: &str, err: Error| match err {
+        Error::Corrupt(msg) => {
+            assert!(msg.contains("unsupported version 2"), "{what}: wrong reason: {msg}")
+        }
+        other => panic!("{what}: expected Error::Corrupt, got {other:?}"),
+    };
+    for file in ["sz_abs_1e-3.stream", "sz_abs_1e-2.stream"] {
+        let stream = std::fs::read(v2.join(file)).expect("v2 fixture readable");
+        assert_eq!(stream[..5], *b"SZRS\x02", "{file} is a version-2 SZRS stream");
+        refused(file, lossy_sz::decompress(&stream).expect_err("lossy_sz::decompress"));
+        refused(file, lossy_sz::info(&stream).expect_err("lossy_sz::info"));
+        refused(file, codec::decompress(&stream).expect_err("codec::decompress"));
+    }
+    // The archive container did not change: it opens and every CRC and
+    // digest verifies. Its cuZFP field still reads to the blessed bytes;
+    // its SZ chunks are v2 streams and are refused, whole or by region.
+    let reader = StoreReader::open(&v2.join(ARCHIVE_FILE)).expect("v2 archive opens");
+    assert_eq!(reader.verify().unwrap().fields_ok, store_vectors().len());
+    refused("read_region", reader.read_region(0, "sz_abs_1e-3", store_region()).expect_err("sz"));
+    refused("extract", reader.extract(0, "sz_abs_1e-3").expect_err("sz"));
+    let manifest = load_manifest(&golden_dir());
+    let (sub, _) = reader.read_region(0, "zfp_rate_8", store_region()).unwrap();
+    assert_eq!(
+        sha256_hex(&f32le_bytes(&sub)),
+        store_field_entry(store_section(&manifest), "zfp_rate_8")
+            .get("region_sha256")
+            .and_then(Value::as_str)
+            .unwrap(),
+    );
 }
 
 fn store_section(manifest: &Value) -> &Value {
