@@ -168,6 +168,20 @@ mod tests {
     }
 
     #[test]
+    fn zfp_refuses_non_finite_input_in_every_mode() {
+        for cfg in [ZfpConfig::rate(8.0), ZfpConfig::precision(16), ZfpConfig::accuracy(1e-3)] {
+            for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                let mut data = field();
+                data[1234] = bad;
+                let err =
+                    compress(&data, Shape::D3(16, 16, 16), &CodecConfig::Zfp(cfg)).unwrap_err();
+                assert!(matches!(err, Error::InvalidArgument(_)), "{err}");
+                assert!(err.to_string().contains("value 1234 "), "{err}");
+            }
+        }
+    }
+
+    #[test]
     fn unknown_magic_rejected() {
         assert!(decompress(b"WHAT is this").is_err());
         assert!(decompress(b"").is_err());

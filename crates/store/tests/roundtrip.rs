@@ -144,3 +144,28 @@ proptest! {
         prop_assert_eq!(stats.bytes_returned, (expected.len() as u64) * 4);
     }
 }
+
+/// A ZFP field holding a NaN or an infinity is refused with a typed error
+/// (ZFP has no representation for them); the writer drops that field only
+/// and still seals what it already holds.
+#[test]
+fn zfp_field_with_non_finite_values_is_refused_and_the_writer_survives() {
+    use foresight_util::Error;
+    use lossy_zfp::ZfpConfig;
+    let shape = FieldShape::d3(12, 10, 9);
+    let good = synth(shape.len(), 7);
+    let mut w = StoreWriter::new();
+    w.add_field(0, "good", &good, shape, [8, 8, 8], &ChunkCodec::zfp_rate(8.0)).unwrap();
+    for cfg in [ZfpConfig::rate(8.0), ZfpConfig::precision(16), ZfpConfig::accuracy(1e-3)] {
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut data = good.clone();
+            data[500] = bad;
+            let err =
+                w.add_field(0, "bad", &data, shape, [8, 8, 8], &ChunkCodec::Zfp(cfg)).unwrap_err();
+            assert!(matches!(err, Error::InvalidArgument(_)), "{err}");
+        }
+    }
+    let reader = StoreReader::from_bytes(w.finish().unwrap()).unwrap();
+    assert_eq!(reader.fields().len(), 1);
+    assert_eq!(reader.extract(0, "good").unwrap().0.len(), good.len());
+}

@@ -53,7 +53,44 @@ impl BitWriter {
     /// Appends a single bit.
     #[inline]
     pub fn write_bit(&mut self, bit: bool) {
-        self.write_bits(bit as u64, 1);
+        self.acc |= (bit as u64) << self.nbits;
+        self.nbits += 1;
+        if self.nbits == 64 {
+            self.buf.extend_from_slice(&self.acc.to_le_bytes());
+            self.acc = 0;
+            self.nbits = 0;
+        }
+    }
+
+    /// Appends the first `nbits` bits of `bytes`, laid out as
+    /// [`BitWriter::into_bytes`] returns them, so separately written runs
+    /// join into one stream. A byte-aligned writer takes the whole bytes
+    /// as one copy; otherwise they move a 64-bit word at a time.
+    ///
+    /// # Panics
+    /// If `bytes` holds fewer than `nbits` bits.
+    pub fn append(&mut self, bytes: &[u8], nbits: u64) {
+        let whole = (nbits / 8) as usize;
+        if self.nbits.is_multiple_of(8) {
+            let held = (self.nbits / 8) as usize;
+            self.buf.extend_from_slice(&self.acc.to_le_bytes()[..held]);
+            self.acc = 0;
+            self.nbits = 0;
+            self.buf.extend_from_slice(&bytes[..whole]);
+        } else {
+            let mut words = bytes[..whole].chunks_exact(8);
+            for w in &mut words {
+                self.write_bits(u64::from_le_bytes(w.try_into().expect("8-byte chunk")), 64);
+            }
+            let rest = words.remainder();
+            let mut tail = [0u8; 8];
+            tail[..rest.len()].copy_from_slice(rest);
+            self.write_bits(u64::from_le_bytes(tail), 8 * rest.len() as u32);
+        }
+        let rem = (nbits % 8) as u32;
+        if rem > 0 {
+            self.write_bits(bytes[whole] as u64, rem);
+        }
     }
 
     /// Number of bits written so far.
@@ -137,7 +174,16 @@ impl<'a> BitReader<'a> {
     /// Reads a single bit.
     #[inline]
     pub fn read_bit(&mut self) -> Result<bool> {
-        Ok(self.read_bits(1)? != 0)
+        if self.nbits == 0 {
+            self.refill();
+            if self.nbits == 0 {
+                return Err(Error::corrupt("bit stream exhausted"));
+            }
+        }
+        let bit = self.acc & 1 != 0;
+        self.acc >>= 1;
+        self.nbits -= 1;
+        Ok(bit)
     }
 
     /// Returns the next `n` bits (`n <= 56`) without consuming them.
@@ -245,6 +291,30 @@ mod tests {
         let mut r = BitReader::new(&bytes);
         for &b in &pattern {
             assert_eq!(r.read_bit().unwrap(), b);
+        }
+    }
+
+    #[test]
+    fn append_matches_bit_by_bit_at_every_length_and_phase() {
+        let src: Vec<u8> = (0..17u32).map(|i| (i.wrapping_mul(2654435761) >> 13) as u8).collect();
+        for phase in 0..64u32 {
+            for len in 0..=130u64 {
+                let mut bulk = BitWriter::new();
+                let mut slow = BitWriter::new();
+                for w in [&mut bulk, &mut slow] {
+                    w.write_bits(0x5A5A_A5A5_C3C3_3C3C, phase);
+                }
+                bulk.append(&src, len);
+                for i in 0..len as usize {
+                    slow.write_bit(src[i / 8] >> (i % 8) & 1 != 0);
+                }
+                // A trailing marker checks the writer is left in a usable state.
+                for w in [&mut bulk, &mut slow] {
+                    w.write_bits(0b1011, 4);
+                }
+                assert_eq!(bulk.bit_len(), slow.bit_len(), "phase {phase} len {len}");
+                assert_eq!(bulk.into_bytes(), slow.into_bytes(), "phase {phase} len {len}");
+            }
         }
     }
 

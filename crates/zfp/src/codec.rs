@@ -19,9 +19,10 @@
 //! The header spends 1 bit on an all-zero flag plus 8 bits of biased
 //! exponent; both count against the budget, exactly as in cuZFP.
 
+use crate::config::ZfpMode;
 use crate::lift;
 use foresight_util::bits::{BitReader, BitWriter};
-use foresight_util::Result;
+use foresight_util::{Error, Result};
 use std::sync::OnceLock;
 
 /// Bit planes in an `i32` coefficient.
@@ -33,6 +34,57 @@ pub const HEADER_BITS: u32 = 9;
 #[inline]
 pub fn block_cells(d: u8) -> usize {
     4usize.pow(d as u32)
+}
+
+/// How many bit planes a block keeps.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Planes {
+    /// The same count for every block.
+    Count(u32),
+    /// Per block, enough that the absolute error stays below the
+    /// tolerance; derived from the block's exponent on both sides.
+    Tolerance(f64),
+}
+
+/// The coding parameters of one stream; one value serves every block.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BlockCoding {
+    /// Block dimensionality (1, 2 or 3).
+    pub d: u8,
+    /// Bit budget of one block: its exact size in fixed-rate mode, the
+    /// encoder's hard cap — and so the staging slot a GPU encoder
+    /// allocates per block before compaction — otherwise.
+    pub maxbits: u32,
+    /// Every block is padded to exactly `maxbits`, so block `i` starts at
+    /// bit `i * maxbits`.
+    pub fixed_rate: bool,
+    /// Bit planes kept per block.
+    pub planes: Planes,
+}
+
+impl BlockCoding {
+    /// The coding `mode` prescribes for blocks of dimensionality `d`.
+    pub fn new(mode: &ZfpMode, d: u8) -> Self {
+        let cells = block_cells(d) as u32;
+        let cap = HEADER_BITS + INTPREC * (cells + 2);
+        let (maxbits, fixed_rate, planes) = match *mode {
+            ZfpMode::FixedRate(rate) => {
+                let bits = ((rate * cells as f64).round() as u32).max(HEADER_BITS + 1);
+                (bits, true, Planes::Count(INTPREC))
+            }
+            ZfpMode::FixedPrecision(p) => (cap, false, Planes::Count(p.min(INTPREC))),
+            ZfpMode::FixedAccuracy(tol) => (cap, false, Planes::Tolerance(tol)),
+        };
+        Self { d, maxbits, fixed_rate, planes }
+    }
+
+    /// Planes kept by a block whose exponent is `emax`.
+    fn maxprec(&self, emax: i32) -> u32 {
+        match self.planes {
+            Planes::Count(p) => p,
+            Planes::Tolerance(tol) => maxprec_from_emax(emax, tol, self.d),
+        }
+    }
 }
 
 /// Sequency permutation: `perm[d][rank] = block-local index`.
@@ -58,29 +110,26 @@ fn perm(d: u8) -> &'static [u16] {
     }
 }
 
-/// Exponent `e` with `|x| < 2^e` (frexp-style); `i32::MIN` for zero input.
+/// Exponent `e` with `2^(e-1) <= |x| < 2^e` (frexp-style) for finite
+/// `x`; `i32::MIN` for zero input.
 #[inline]
 fn exponent(x: f32) -> i32 {
     if x == 0.0 {
         i32::MIN
     } else {
-        // frexp: x = m * 2^e with 0.5 <= |m| < 1. Computed in f64 so the
-        // power-of-two guards never overflow for extreme f32 inputs.
-        let a = x.abs() as f64;
-        let e = (a.log2().floor() as i32) + 1;
-        if a >= f64_pow2(e) {
-            e + 1
-        } else if a < f64_pow2(e - 1) {
-            e - 1
-        } else {
-            e
-        }
+        // Every non-zero f32, subnormals included, is a normal f64
+        // `1.m * 2^(E-1023)`, so the exponent field answers directly.
+        let bits = (x.abs() as f64).to_bits();
+        (bits >> 52) as i32 - 1022
     }
 }
 
-/// `2^e` in f64 (exact for |e| < 1023; the codec clamps far inside that).
+/// `2^e` in f64, exact for the normal range; the codec stays within
+/// `|e| <= 158`.
+#[inline]
 fn f64_pow2(e: i32) -> f64 {
-    f64::powi(2.0, e)
+    debug_assert!((-1022..=1023).contains(&e));
+    f64::from_bits(((e + 1023) as u64) << 52)
 }
 
 /// Number of bit planes to keep so truncation error stays below `tol`.
@@ -98,63 +147,60 @@ fn maxprec_from_emax(emax: i32, tol: f64, d: u8) -> u32 {
     (INTPREC as i32 - kmin) as u32
 }
 
-/// Encoder-side precision for fixed-accuracy mode, from the block max.
-pub fn maxprec_for_tolerance(vmax: f32, tol: f64, d: u8) -> u32 {
-    if vmax == 0.0 {
-        return INTPREC; // all-zero block: precision is irrelevant
-    }
-    let emax = exponent(vmax).clamp(-127, 128);
-    maxprec_from_emax(emax, tol, d)
+/// Largest magnitude in `values`, or `None` when any of them is NaN or
+/// infinite. Magnitude order is the order of the sign-cleared bit
+/// patterns, and every non-finite pattern sorts above every finite one.
+#[inline]
+fn finite_max(values: &[f32]) -> Option<f32> {
+    const INF: u32 = 0x7f80_0000;
+    let top = values.iter().fold(0u32, |m, v| m.max(v.to_bits() & 0x7fff_ffff));
+    (top < INF).then(|| f32::from_bits(top))
 }
 
-/// Decoder-side precision for fixed-accuracy mode: peeks the block header
-/// (`skip` bits into `bytes`) to recover `emax` without consuming the
-/// caller's reader.
-pub fn peek_maxprec_for_accuracy(bytes: &[u8], skip: u32, tol: f64, d: u8) -> Result<u32> {
-    let mut r = BitReader::new(bytes);
-    r.read_bits(skip)?;
-    if !r.read_bit()? {
-        return Ok(INTPREC); // zero block
+/// Appends `n` zero bits.
+fn write_zeros(w: &mut BitWriter, mut n: u32) {
+    while n > 0 {
+        let chunk = n.min(64);
+        w.write_bits(0, chunk);
+        n -= chunk;
     }
-    let emax = r.read_bits(8)? as i32 - 127;
-    Ok(maxprec_from_emax(emax, tol, d))
 }
 
-/// Encodes one block of `4^d` f32 values into `w` under a bit budget.
+/// Skips `n` bits.
+fn skip_bits(r: &mut BitReader<'_>, mut n: u32) -> Result<()> {
+    while n > 0 {
+        let chunk = n.min(56);
+        r.consume(chunk)?;
+        n -= chunk;
+    }
+    Ok(())
+}
+
+/// Encodes one block of `4^d` f32 values into `w`.
 ///
-/// Returns the number of bits written (always exactly `maxbits` when
-/// `pad_to_maxbits` is set, as fixed-rate mode requires).
-pub fn encode_block(
-    values: &[f32],
-    d: u8,
-    maxbits: u32,
-    maxprec: u32,
-    pad_to_maxbits: bool,
-    w: &mut BitWriter,
-) -> u32 {
-    let n = block_cells(d);
+/// Returns the number of bits written (always exactly `c.maxbits` at a
+/// fixed rate), or `None` — with `w` untouched — when the block holds a
+/// NaN or an infinity: the cast to a common exponent has no defined
+/// result for them, so the caller turns that into a typed error.
+pub fn encode_block(values: &[f32], c: &BlockCoding, w: &mut BitWriter) -> Option<u32> {
+    let n = block_cells(c.d);
     debug_assert_eq!(values.len(), n);
-    debug_assert!(maxbits >= HEADER_BITS);
+    debug_assert!(c.maxbits >= HEADER_BITS);
     let start = w.bit_len();
+    let pad = |w: &mut BitWriter| {
+        let used = (w.bit_len() - start) as u32;
+        if c.fixed_rate {
+            write_zeros(w, c.maxbits - used);
+            c.maxbits
+        } else {
+            used
+        }
+    };
 
-    // Largest finite magnitude; non-finite inputs are clamped to the f32
-    // max so the cast stays defined (ZFP has the same caveat).
-    let mut vmax = 0.0f32;
-    for &v in values {
-        let a = if v.is_finite() { v.abs() } else { f32::MAX };
-        vmax = vmax.max(a);
-    }
+    let vmax = finite_max(values)?;
     if vmax == 0.0 {
         w.write_bit(false); // all-zero block
-        let mut used = 1;
-        if pad_to_maxbits {
-            while used < maxbits {
-                let chunk = (maxbits - used).min(64);
-                w.write_bits(0, chunk);
-                used += chunk;
-            }
-        }
-        return (w.bit_len() - start) as u32;
+        return Some(pad(w));
     }
     // emax in [-127, 128] stored with bias 127 -> [0, 255] in 8 bits.
     let emax = exponent(vmax).clamp(-127, 128);
@@ -166,24 +212,31 @@ pub fn encode_block(
     let scale = f64_pow2(30 - emax);
     let mut q = [0i32; 64];
     for (qi, &v) in q[..n].iter_mut().zip(values) {
-        let x = if v.is_finite() { v } else { v.signum() * f32::MAX };
-        *qi = (x as f64 * scale).clamp(-(1i64 << 30) as f64 + 1.0, (1i64 << 30) as f64 - 1.0)
-            as i32;
+        *qi =
+            (v as f64 * scale).clamp(-(1i64 << 30) as f64 + 1.0, (1i64 << 30) as f64 - 1.0) as i32;
     }
-    lift::fwd_xform(&mut q[..n], d);
+    lift::fwd_xform(&mut q[..n], c.d);
 
     // Reorder + negabinary.
-    let p = perm(d);
+    let p = perm(c.d);
     let mut u = [0u32; 64];
+    let mut any = 0u32;
     for i in 0..n {
         u[i] = lift::int2uint(q[p[i] as usize]);
+        any |= u[i];
     }
 
     // Embedded coding.
-    let mut bits = maxbits - HEADER_BITS;
-    let kmin = INTPREC.saturating_sub(maxprec);
+    let mut bits = c.maxbits - HEADER_BITS;
+    let kmin = INTPREC.saturating_sub(c.maxprec(emax));
     let mut sig = 0usize; // number of coefficients known significant
     let mut k = INTPREC;
+    // A plane above every coefficient's top bit has nothing significant
+    // to send verbatim and fails its first group test: one zero bit.
+    let empty = any.leading_zeros().min(k - kmin).min(bits);
+    w.write_bits(0, empty);
+    bits -= empty;
+    k -= empty;
     while bits > 0 && k > kmin {
         k -= 1;
         // Gather plane k into an n-bit word.
@@ -218,51 +271,44 @@ pub fn encode_block(
             sig += 1;
         }
     }
-    let mut used = (w.bit_len() - start) as u32;
-    if pad_to_maxbits {
-        while used < maxbits {
-            let chunk = (maxbits - used).min(64);
-            w.write_bits(0, chunk);
-            used += chunk;
-        }
-    }
-    used
+    Some(pad(w))
 }
 
 /// Decodes one block; the mirror of [`encode_block`].
 ///
-/// Consumes exactly `maxbits` bits when `consume_maxbits` is set (fixed
-/// rate); otherwise consumes only what the encoder emitted for this block.
+/// `budget` is the block's bit span: `c.maxbits` at a fixed rate, where
+/// exactly that many bits are consumed, and the stored length otherwise,
+/// which the block may not exceed. Returns the bits consumed.
 pub fn decode_block(
     r: &mut BitReader<'_>,
-    d: u8,
-    maxbits: u32,
-    maxprec: u32,
-    consume_maxbits: bool,
+    c: &BlockCoding,
+    budget: u32,
     out: &mut [f32],
 ) -> Result<u32> {
-    let n = block_cells(d);
+    let n = block_cells(c.d);
     debug_assert_eq!(out.len(), n);
+    // A fixed-rate block always spans its whole budget.
+    let finish = |r: &mut BitReader<'_>, used: u32| -> Result<u32> {
+        if c.fixed_rate {
+            skip_bits(r, budget - used)?;
+            Ok(budget)
+        } else {
+            Ok(used)
+        }
+    };
     let mut used = 1u32;
     if !r.read_bit()? {
         out.fill(0.0);
-        if consume_maxbits {
-            let mut left = maxbits - used;
-            while left > 0 {
-                let chunk = left.min(64);
-                r.read_bits(chunk)?;
-                left -= chunk;
-            }
-            used = maxbits;
-        }
-        return Ok(used);
+        return finish(r, used);
     }
+    let mut bits = budget
+        .checked_sub(HEADER_BITS)
+        .ok_or_else(|| Error::corrupt("block shorter than its header"))?;
     let emax = r.read_bits(8)? as i32 - 127;
     used += 8;
 
     let mut u = [0u32; 64];
-    let mut bits = maxbits - HEADER_BITS;
-    let kmin = INTPREC.saturating_sub(maxprec);
+    let kmin = INTPREC.saturating_sub(c.maxprec(emax));
     let mut sig = 0usize;
     let mut k = INTPREC;
     while bits > 0 && k > kmin {
@@ -301,41 +347,41 @@ pub fn decode_block(
     }
 
     // Undo negabinary + reorder + transform + cast.
-    let p = perm(d);
+    let p = perm(c.d);
     let mut q = [0i32; 64];
     for i in 0..n {
         q[p[i] as usize] = lift::uint2int(u[i]);
     }
-    lift::inv_xform(&mut q[..n], d);
+    lift::inv_xform(&mut q[..n], c.d);
     let scale = f64_pow2(emax - 30);
     for (o, &qi) in out.iter_mut().zip(&q[..n]) {
         *o = (qi as f64 * scale) as f32;
     }
 
-    if consume_maxbits {
-        let mut left = maxbits - used;
-        while left > 0 {
-            let chunk = left.min(64);
-            r.read_bits(chunk)?;
-            left -= chunk;
-        }
-        used = maxbits;
-    }
-    Ok(used)
+    finish(r, used)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn rate_coding(d: u8, maxbits: u32) -> BlockCoding {
+        BlockCoding { d, maxbits, fixed_rate: true, planes: Planes::Count(INTPREC) }
+    }
+
+    fn planes_coding(d: u8, maxprec: u32) -> BlockCoding {
+        BlockCoding { d, maxbits: 1 << 16, fixed_rate: false, planes: Planes::Count(maxprec) }
+    }
+
     fn roundtrip(values: &[f32], d: u8, maxbits: u32) -> Vec<f32> {
+        let c = rate_coding(d, maxbits);
         let mut w = BitWriter::new();
-        let used = encode_block(values, d, maxbits, INTPREC, true, &mut w);
+        let used = encode_block(values, &c, &mut w).unwrap();
         assert_eq!(used, maxbits);
         let bytes = w.into_bytes();
         let mut r = BitReader::new(&bytes);
         let mut out = vec![0.0f32; values.len()];
-        let consumed = decode_block(&mut r, d, maxbits, INTPREC, true, &mut out).unwrap();
+        let consumed = decode_block(&mut r, &c, maxbits, &mut out).unwrap();
         assert_eq!(consumed, maxbits);
         out
     }
@@ -369,6 +415,44 @@ mod tests {
         assert_eq!(exponent(0.0), i32::MIN);
     }
 
+    /// The libm formulation the bit-level `exponent`/`f64_pow2` replaced.
+    fn exponent_libm(x: f32) -> i32 {
+        let a = x.abs() as f64;
+        let e = (a.log2().floor() as i32) + 1;
+        if a >= f64::powi(2.0, e) {
+            e + 1
+        } else if a < f64::powi(2.0, e - 1) {
+            e - 1
+        } else {
+            e
+        }
+    }
+
+    #[test]
+    fn exponent_and_pow2_equal_the_libm_formulas_for_every_f32_exponent() {
+        let mut x = 0x2545_F491u32;
+        for exp_field in 0..=254u32 {
+            let mut mantissas = vec![0u32, 1, 0x7f_ffff];
+            for _ in 0..8 {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                mantissas.push(x & 0x7f_ffff);
+            }
+            for m in mantissas {
+                let v = f32::from_bits(exp_field << 23 | m);
+                if v == 0.0 {
+                    continue;
+                }
+                assert_eq!(exponent(v), exponent_libm(v), "{v:e}");
+                assert_eq!(exponent(-v), exponent_libm(v), "-{v:e}");
+            }
+        }
+        for e in -160..=160 {
+            assert_eq!(f64_pow2(e).to_bits(), f64::powi(2.0, e).to_bits(), "2^{e}");
+        }
+    }
+
     #[test]
     fn zero_block_roundtrips() {
         let v = vec![0.0f32; 64];
@@ -398,8 +482,7 @@ mod tests {
         let mut prev_err = f64::INFINITY;
         for rate in [2u32, 4, 8, 16] {
             let out = roundtrip(&v, 3, rate * 64);
-            let err: f64 =
-                v.iter().zip(&out).map(|(a, b)| ((a - b) as f64).powi(2)).sum::<f64>();
+            let err: f64 = v.iter().zip(&out).map(|(a, b)| ((a - b) as f64).powi(2)).sum::<f64>();
             assert!(err <= prev_err * 1.5, "rate {rate}: err {err} vs prev {prev_err}");
             prev_err = err;
         }
@@ -435,14 +518,15 @@ mod tests {
     fn maxprec_truncates_planes() {
         let v: Vec<f32> = (0..64).map(|i| (i as f32).sqrt() * 10.0).collect();
         let mut w = BitWriter::new();
-        let used_full = encode_block(&v, 3, 1 << 16, INTPREC, false, &mut w);
+        let used_full = encode_block(&v, &planes_coding(3, INTPREC), &mut w).unwrap();
+        let low = planes_coding(3, 8);
         let mut w2 = BitWriter::new();
-        let used_low = encode_block(&v, 3, 1 << 16, 8, false, &mut w2);
+        let used_low = encode_block(&v, &low, &mut w2).unwrap();
         assert!(used_low < used_full);
         let bytes = w2.into_bytes();
         let mut r = BitReader::new(&bytes);
         let mut out = vec![0.0f32; 64];
-        decode_block(&mut r, 3, 1 << 16, 8, false, &mut out).unwrap();
+        decode_block(&mut r, &low, 1 << 16, &mut out).unwrap();
         // 8 planes on |v| < 2^7: quantization steps of 2^(7-8+1) = 1,
         // amplified by up to ~2^3 through the 3-D inverse transform.
         for (a, b) in v.iter().zip(&out) {
@@ -456,16 +540,17 @@ mod tests {
         let blocks: Vec<Vec<f32>> = (0..5)
             .map(|b| (0..64).map(|i| ((b * 64 + i) as f32 * 0.11).cos() * 50.0).collect())
             .collect();
+        let c = planes_coding(3, 16);
         let mut w = BitWriter::new();
         let mut lens = Vec::new();
         for b in &blocks {
-            lens.push(encode_block(b, 3, 1 << 16, 16, false, &mut w));
+            lens.push(encode_block(b, &c, &mut w).unwrap());
         }
         let bytes = w.into_bytes();
         let mut r = BitReader::new(&bytes);
         for (b, &len) in blocks.iter().zip(&lens) {
             let mut out = vec![0.0f32; 64];
-            let used = decode_block(&mut r, 3, 1 << 16, 16, false, &mut out).unwrap();
+            let used = decode_block(&mut r, &c, 1 << 16, &mut out).unwrap();
             assert_eq!(used, len);
             // 16 planes on |v| <= 64 leaves quantization steps of a few
             // times 2^(emax-16) ~ 0.004, amplified by the 3-D transform.
@@ -476,11 +561,32 @@ mod tests {
     }
 
     #[test]
-    fn non_finite_inputs_do_not_panic() {
-        let mut v = vec![1.0f32; 64];
-        v[0] = f32::NAN;
-        v[1] = f32::INFINITY;
-        let out = roundtrip(&v, 3, 64 * 8);
-        assert!(out.iter().all(|x| x.is_finite()));
+    fn non_finite_inputs_are_refused_and_write_nothing() {
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for at in [0usize, 17, 63] {
+                let mut v = vec![1.0f32; 64];
+                v[at] = bad;
+                let mut w = BitWriter::new();
+                w.write_bits(0b101, 3);
+                assert_eq!(encode_block(&v, &rate_coding(3, 64 * 8), &mut w), None);
+                assert_eq!(w.bit_len(), 3, "{bad} at {at}");
+            }
+        }
+        // The largest finite magnitudes are still data.
+        let v = vec![f32::MAX, f32::MIN, f32::MIN_POSITIVE, -0.0];
+        assert!(roundtrip(&v, 1, 9 + 4 * 33 + 16).iter().all(|x| x.is_finite()));
+    }
+
+    #[test]
+    fn a_stored_length_shorter_than_the_header_is_corrupt() {
+        let v = vec![3.0f32; 4];
+        let c = planes_coding(1, INTPREC);
+        let mut w = BitWriter::new();
+        encode_block(&v, &c, &mut w).unwrap();
+        let bytes = w.into_bytes();
+        let mut out = [0.0f32; 4];
+        for budget in 1..HEADER_BITS {
+            assert!(decode_block(&mut BitReader::new(&bytes), &c, budget, &mut out).is_err());
+        }
     }
 }

@@ -3,9 +3,11 @@
 //! Runs the same `4^d` block kernels as [`crate::stream`] through the
 //! gpu-sim block executor, declaring every tracked-buffer range each block
 //! touches so the sanitizer can bounds-check them (memcheck) and intersect
-//! them across blocks (racecheck). Stream bytes come from the shared
-//! [`crate::stream`] encode/assemble/decode-plan code, so traced output is
-//! byte-identical to the plain CPU path.
+//! them across blocks (racecheck). Blocks are coded, joined and decoded by
+//! the shared [`crate::stream`] encoder and decoder, so traced output is
+//! byte-identical to the plain CPU path. The executor's work item is a
+//! block, so here — and only here — a writer serves one block; decoded
+//! blocks go straight into the output slab that owns them.
 //!
 //! ZFP is the motivating case for the sanitizer's *bit*-granular access
 //! records: at rate 4, block `i` occupies payload bits `[4·16·i,
@@ -15,63 +17,54 @@
 //! [`crate::stream::compress`] does, so partial edge blocks re-read border
 //! samples (a benign read-read overlap the racecheck must not flag).
 
+use crate::codec;
 use crate::config::{Dims3, ZfpConfig, ZfpMode};
-use crate::stream::{self, BlockPos};
+use crate::stream::{Decoder, Encoder, Grid};
+use foresight_util::bits::BitWriter;
 use foresight_util::{Error, Result};
 use gpu_sim::{
     launch_grid_traced, BlockAccess, BlockGrid, BufferId, Device, GpuRunReport, KernelKind,
 };
+use std::sync::Mutex;
 
-/// Extent of a block per axis for dimensionality `d`.
-fn block_extent(d: u8) -> (usize, usize, usize) {
-    match d {
-        1 => (4, 1, 1),
-        2 => (4, 4, 1),
-        _ => (4, 4, 4),
+/// Rows of four x-samples in a block, as `(dy, dz)` offsets.
+fn block_rows(d: u8) -> impl Iterator<Item = (usize, usize)> {
+    (0..codec::block_cells(d) / 4).map(|i| (i % 4, i / 4))
+}
+
+/// Records the clamped row reads of one gathered block (mirrors the
+/// encoder's gather: edge blocks re-read the nearest interior sample).
+fn record_gather(acc: &mut BlockAccess, buf: BufferId, grid: &Grid, bi: usize) {
+    let [nx, ny, nz] = grid.ext;
+    let [ox, oy, oz] = grid.origin(bi);
+    for (dy, dz) in block_rows(grid.d) {
+        let row = nx * ((oy + dy).min(ny - 1) + ny * (oz + dz).min(nz - 1));
+        let x0 = ox.min(nx - 1);
+        let x1 = (ox + 3).min(nx - 1);
+        acc.read(buf, (row + x0) as u64 * 4, (row + x1 + 1) as u64 * 4);
     }
 }
 
-/// Records the clamped row reads of one gathered block (mirrors
-/// `stream::gather`: edge blocks re-read the nearest interior sample).
-fn record_gather(acc: &mut BlockAccess, buf: BufferId, pos: &BlockPos, dims: Dims3, d: u8) {
-    let [nx, ny, nz] = dims.extents();
-    let (ex, ey, ez) = block_extent(d);
-    for dz in 0..ez {
-        let z = (pos.origin[2] + dz).min(nz - 1);
-        for dy in 0..ey {
-            let y = (pos.origin[1] + dy).min(ny - 1);
-            let row = nx * (y + ny * z);
-            let x0 = pos.origin[0].min(nx - 1);
-            let x1 = (pos.origin[0] + ex - 1).min(nx - 1);
-            acc.read(buf, (row + x0) as u64 * 4, (row + x1 + 1) as u64 * 4);
-        }
-    }
-}
-
-/// Records the in-range row writes of one scattered block (mirrors
-/// `stream::scatter`: replicated padding is skipped, so blocks write
+/// Records the in-range row writes of one scattered block (mirrors the
+/// decoder's scatter: replicated padding is skipped, so blocks write
 /// disjoint cells).
-fn record_scatter(acc: &mut BlockAccess, buf: BufferId, pos: &BlockPos, dims: Dims3, d: u8) {
-    let [nx, ny, nz] = dims.extents();
-    let (ex, ey, ez) = block_extent(d);
-    for dz in 0..ez {
-        let z = pos.origin[2] + dz;
-        for dy in 0..ey {
-            let y = pos.origin[1] + dy;
-            if y >= ny || z >= nz || pos.origin[0] >= nx {
-                continue;
-            }
-            let row = nx * (y + ny * z);
-            let x0 = pos.origin[0];
-            let x1 = (x0 + ex).min(nx);
-            acc.write(buf, (row + x0) as u64 * 4, (row + x1) as u64 * 4);
+fn record_scatter(acc: &mut BlockAccess, buf: BufferId, grid: &Grid, bi: usize) {
+    let [nx, ny, nz] = grid.ext;
+    let [ox, oy, oz] = grid.origin(bi);
+    for (dy, dz) in block_rows(grid.d) {
+        let (y, z) = (oy + dy, oz + dz);
+        if y >= ny || z >= nz {
+            continue;
         }
+        let row = nx * (y + ny * z);
+        acc.write(buf, (row + ox) as u64 * 4, (row + (ox + 4).min(nx)) as u64 * 4);
     }
 }
 
 /// Compresses `data` on the simulated device with sanitizer tracing.
 ///
-/// Produces exactly the bytes of [`crate::compress`]; the report mirrors
+/// Produces exactly the bytes of [`crate::compress`] — and the same
+/// [`Error::InvalidArgument`] for a NaN or an infinity; the report mirrors
 /// [`gpu_sim::run_compression`] (only the compressed stream crosses PCIe).
 pub fn compress_on(
     device: &mut Device,
@@ -79,27 +72,16 @@ pub fn compress_on(
     dims: Dims3,
     cfg: &ZfpConfig,
 ) -> Result<(Vec<u8>, GpuRunReport)> {
-    cfg.validate()?;
-    if data.len() != dims.len() {
-        return Err(Error::invalid(format!(
-            "data length {} does not match dims {:?}",
-            data.len(),
-            dims
-        )));
-    }
+    let enc = Encoder::new(data, dims, cfg)?;
     device.reset_clock();
     let mut held = Vec::new();
-    let run = encode_launch(device, data, dims, cfg, &mut held);
-    let out = match run {
-        Ok(encoded) => {
-            let out = stream::assemble(dims, cfg, &encoded);
-            match device.d2h(out.len() as u64) {
-                Ok(()) => Ok(out),
-                Err(e) => Err(e),
-            }
-        }
-        Err(e) => Err(e),
-    };
+    let out = encode_launch(device, &enc, data.len(), &mut held).and_then(|encoded| {
+        let out = enc.assemble(
+            encoded.iter().map(|(bytes, used)| (&bytes[..], *used as u64)),
+            encoded.iter().map(|(_, used)| *used),
+        );
+        device.d2h(out.len() as u64).map(|()| out)
+    });
     let out = match out {
         Ok(out) => out,
         Err(e) => {
@@ -112,54 +94,53 @@ pub fn compress_on(
     for id in held.into_iter().rev() {
         device.free(id)?;
     }
-    let rep = GpuRunReport::from_breakdown(
-        device.breakdown(),
-        (data.len() * 4) as u64,
-        out.len() as u64,
-    );
+    let rep =
+        GpuRunReport::from_breakdown(device.breakdown(), (data.len() * 4) as u64, out.len() as u64);
     Ok((out, rep))
 }
 
 fn encode_launch(
     device: &mut Device,
-    data: &[f32],
-    dims: Dims3,
-    cfg: &ZfpConfig,
+    enc: &Encoder<'_>,
+    n_values: usize,
     held: &mut Vec<BufferId>,
 ) -> Result<Vec<(Vec<u8>, u32)>> {
-    let (blocks, d) = stream::block_grid(dims);
+    let nblocks = enc.grid.nblocks();
     // lint: allow(alloc-arith) — sized from an in-memory slice, not header data
-    let in_buf = device.malloc((data.len() * 4) as u64, "zfp.in")?;
+    let in_buf = device.malloc((n_values * 4) as u64, "zfp.in")?;
     held.push(in_buf);
     device.mark_resident(in_buf)?;
 
     // Fixed-size staging slot per block — exact in fixed-rate mode, the
     // encoder's hard budget otherwise — matching cuZFP's pre-compaction
     // layout where block `i` starts at bit `i * maxbits`.
-    let cap_bits = stream::block_bit_cap(&cfg.mode, d) as u64;
+    let cap_bits = enc.coding.maxbits as u64;
     let stage_bytes = cap_bits
-        .checked_mul(blocks.len() as u64)
+        .checked_mul(nblocks as u64)
         .map(|b| b.div_ceil(8))
         .ok_or_else(|| Error::invalid("encode staging size overflows"))?;
     let stage = device.malloc(stage_bytes, "zfp.stage")?;
     held.push(stage);
 
-    let vpb = (data.len() as u64).div_ceil(blocks.len().max(1) as u64);
-    let bits = match cfg.mode {
+    let vpb = (n_values as u64).div_ceil(nblocks.max(1) as u64);
+    let bits = match enc.mode {
         ZfpMode::FixedRate(rate) => rate,
         _ => 32.0,
     };
-    let grid = BlockGrid { blocks: blocks.len(), values_per_block: vpb, bits_per_value: bits };
+    let grid = BlockGrid { blocks: nblocks, values_per_block: vpb, bits_per_value: bits };
+    // One allocation covers a fixed-rate block exactly; a variable-length
+    // one rarely comes near its cap, so its writer grows on demand.
+    let slot_bytes = if enc.coding.fixed_rate { cap_bits.div_ceil(8) as usize } else { 0 };
     let (encoded, _) =
         launch_grid_traced(device, KernelKind::ZfpCompress, grid, "zfp.encode", |bi, acc| {
-            let pos = &blocks[bi];
-            record_gather(acc, in_buf, pos, dims, d);
-            let (bytes, used) = stream::encode_one(data, dims, pos, d, cfg);
+            record_gather(acc, in_buf, &enc.grid, bi);
+            let mut w = BitWriter::with_capacity(slot_bytes);
+            let used = enc.encode_block(bi, &mut w)?;
             let start = bi as u64 * cap_bits;
             acc.write_bits(stage, start, start + used as u64);
-            (bytes, used)
+            Ok((w.into_bytes(), used))
         })?;
-    Ok(encoded)
+    encoded.into_iter().collect()
 }
 
 /// Decompresses a stream on the simulated device with sanitizer tracing.
@@ -169,15 +150,11 @@ pub fn decompress_on(
     device: &mut Device,
     stream_bytes: &[u8],
 ) -> Result<(Vec<f32>, Dims3, GpuRunReport)> {
-    let inf = stream::info(stream_bytes)?;
+    let dec = Decoder::new(stream_bytes)?;
     device.reset_clock();
-    let plan = stream::prepare_decode(&inf, stream_bytes)?;
-    let payload = stream_bytes
-        .get(plan.payload_start..)
-        .ok_or_else(|| Error::corrupt("truncated payload"))?;
 
     let mut held = Vec::new();
-    let run = decode_launch(device, &inf, &plan, payload, &mut held);
+    let run = decode_launch(device, &dec, &mut held);
     let out = match run {
         Ok(out) => out,
         Err(e) => {
@@ -190,51 +167,52 @@ pub fn decompress_on(
     for id in held.into_iter().rev() {
         device.free(id)?;
     }
-    let unc = (plan.n_values * 4) as u64;
-    let rep =
-        GpuRunReport::from_breakdown(device.breakdown(), unc, stream_bytes.len() as u64);
-    Ok((out, inf.dims, rep))
+    let unc = (out.len() * 4) as u64;
+    let rep = GpuRunReport::from_breakdown(device.breakdown(), unc, stream_bytes.len() as u64);
+    Ok((out, dec.dims, rep))
 }
 
 fn decode_launch(
     device: &mut Device,
-    inf: &stream::StreamInfo,
-    plan: &stream::DecodePlan,
-    payload: &[u8],
+    dec: &Decoder<'_>,
     held: &mut Vec<BufferId>,
 ) -> Result<Vec<f32>> {
-    let payload_buf = device.malloc(payload.len() as u64, "zfp.payload")?;
+    let payload_len = dec.payload_len();
+    let payload_buf = device.malloc(payload_len as u64, "zfp.payload")?;
     held.push(payload_buf);
     device.h2d_buf(payload_buf)?;
-    let out_bytes = (plan.n_values as u64)
+    let out_bytes = (dec.n_values as u64)
         .checked_mul(4)
         .ok_or_else(|| Error::corrupt("zfp output byte size overflows"))?;
     let out_buf = device.malloc(out_bytes, "zfp.out")?;
     held.push(out_buf);
 
-    let dims = inf.dims;
-    let nblocks = plan.blocks.len();
-    let vpb = (plan.n_values as u64).div_ceil(nblocks.max(1) as u64);
-    let bits = if plan.n_values == 0 {
-        0.0
-    } else {
-        payload.len() as f64 * 8.0 / plan.n_values as f64
-    };
+    let nblocks = dec.nblocks;
+    let vpb = (dec.n_values as u64).div_ceil(nblocks.max(1) as u64);
+    let bits = if dec.n_values == 0 { 0.0 } else { payload_len as f64 * 8.0 / dec.n_values as f64 };
     let grid = BlockGrid { blocks: nblocks, values_per_block: vpb, bits_per_value: bits };
+    let mut out = vec![0.0f32; dec.n_values];
+    // Each slab belongs to one run of blocks, as on the host; the lock
+    // only hands it to whichever executor thread holds one of them.
+    let slabs: Vec<Mutex<&mut [f32]>> = out.chunks_mut(dec.item_values).map(Mutex::new).collect();
+    let offsets = dec.offsets(1);
     let (decoded, _) =
         launch_grid_traced(device, KernelKind::ZfpDecompress, grid, "zfp.decode", |bi, acc| {
             // Bit-exact payload span of this block; fractional rates make
             // neighbors share boundary bytes, which bit records keep apart.
-            let start = plan.bit_offsets[bi];
-            acc.read_bits(payload_buf, start, start + plan.bit_lens[bi] as u64);
-            record_scatter(acc, out_buf, &plan.blocks[bi], dims, plan.d);
-            stream::decode_one(inf, plan, payload, bi)
+            let start = offsets.get(bi);
+            acc.read_bits(payload_buf, start, start + dec.block_bits(bi) as u64);
+            record_scatter(acc, out_buf, &dec.grid, bi);
+            let mut vals = [0.0f32; 64];
+            let vals = &mut vals[..codec::block_cells(dec.grid.d)];
+            dec.decode_block(&mut dec.reader_at(start)?, bi, vals)?;
+            // lint: allow(decode-panic) — poisoned only if another block already panicked
+            let mut slab = slabs[bi / dec.item_blocks].lock().expect("slab lock poisoned");
+            dec.scatter(bi, vals, &mut slab);
+            Ok(())
         })?;
-
-    let mut out = vec![0.0f32; plan.n_values];
-    for (bi, dec) in decoded.into_iter().enumerate() {
-        stream::scatter(&dec?, dims, &plan.blocks[bi], plan.d, &mut out);
-    }
+    decoded.into_iter().collect::<Result<()>>()?;
+    drop(slabs);
     device.d2h_buf(out_buf, "zfp.out")?;
     Ok(out)
 }
@@ -263,9 +241,7 @@ mod tests {
     fn traced_stream_is_byte_identical_for_every_mode() {
         let data = smooth_3d(16);
         let dims = Dims3::D3(16, 16, 16);
-        for cfg in
-            [ZfpConfig::rate(4.0), ZfpConfig::precision(20), ZfpConfig::accuracy(0.01)]
-        {
+        for cfg in [ZfpConfig::rate(4.0), ZfpConfig::precision(20), ZfpConfig::accuracy(0.01)] {
             let plain = crate::compress(&data, dims, &cfg).unwrap();
             let mut dev = traced_device();
             let (traced, rep) = compress_on(&mut dev, &data, dims, &cfg).unwrap();
@@ -289,8 +265,7 @@ mod tests {
         // offsets, and 13x7x5 leaves partial blocks on every axis whose
         // clamped gathers re-read border samples: both must be race-free.
         for dims in [Dims3::D3(13, 7, 5), Dims3::D2(17, 9), Dims3::D1(101)] {
-            let data: Vec<f32> =
-                (0..dims.len()).map(|i| (i as f32 * 0.31).sin() * 42.0).collect();
+            let data: Vec<f32> = (0..dims.len()).map(|i| (i as f32 * 0.31).sin() * 42.0).collect();
             let cfg = ZfpConfig::rate(3.5);
             let mut dev = traced_device();
             let (stream, _) = compress_on(&mut dev, &data, dims, &cfg).unwrap();
@@ -308,22 +283,18 @@ mod tests {
         // of the serial path (relocated from the gpu-sim crate, which can
         // no longer dev-depend on this one).
         let data = smooth_3d(8);
-        let dims = Dims3::D3(8, 8, 8);
-        let cfg = ZfpConfig::rate(8.0);
-        let (blocks, d) = stream::block_grid(dims);
-        let serial: Vec<(Vec<u8>, u32)> =
-            blocks.iter().map(|p| stream::encode_one(&data, dims, p, d, &cfg)).collect();
-        let mut dev = Device::new(GpuSpec::tesla_v100());
-        let grid = BlockGrid {
-            blocks: blocks.len(),
-            values_per_block: 64,
-            bits_per_value: 8.0,
+        let enc = Encoder::new(&data, Dims3::D3(8, 8, 8), &ZfpConfig::rate(8.0)).unwrap();
+        let encode_one = |bi: usize| {
+            let mut w = BitWriter::new();
+            let used = enc.encode_block(bi, &mut w).unwrap();
+            (w.into_bytes(), used)
         };
+        let blocks = enc.grid.nblocks();
+        let serial: Vec<(Vec<u8>, u32)> = (0..blocks).map(encode_one).collect();
+        let mut dev = Device::new(GpuSpec::tesla_v100());
+        let grid = BlockGrid { blocks, values_per_block: 64, bits_per_value: 8.0 };
         let (parallel, report) =
-            launch_grid(&mut dev, KernelKind::ZfpCompress, grid, "zfp.encode", |bi| {
-                stream::encode_one(&data, dims, &blocks[bi], d, &cfg)
-            })
-            .unwrap();
+            launch_grid(&mut dev, KernelKind::ZfpCompress, grid, "zfp.encode", encode_one).unwrap();
         assert_eq!(serial, parallel);
         assert!(report.simulated_seconds > 0.0);
     }

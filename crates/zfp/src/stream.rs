@@ -7,15 +7,26 @@
 //! variable-length blocks; their per-block bit lengths are stored in the
 //! header so decoding stays parallel.
 //!
+//! A work item is a *run of blocks*, never a block. The encoder cuts the
+//! block sequence into runs of [`G`], gathers each block into a stack
+//! buffer and codes the run back-to-back into one writer; the runs are
+//! then joined by [`BitWriter::append`]. The decoder hands each work item
+//! the slab of the output that a whole run of blocks owns — four z-planes
+//! in 3-D, four rows in 2-D, merged until the item holds at least `G`
+//! blocks — so items scatter into disjoint `&mut` slices and nothing is
+//! shared. A call of at most `G` blocks is a single item, which the rayon
+//! shim runs inline on the calling thread.
+//!
 //! Partial edge blocks are padded by replicating the nearest interior
 //! sample, which avoids injecting artificial discontinuities.
 
-use crate::codec::{self, HEADER_BITS, INTPREC};
+use crate::codec::{self, BlockCoding};
 use crate::config::{Dims3, ZfpConfig, ZfpMode};
 use foresight_util::bits::{BitReader, BitWriter};
 use foresight_util::crc::crc32;
 use foresight_util::{telemetry, ByteReader, Error, Result};
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Stream magic tag identifying a ZFP stream; exported so containers
 /// and auto-detecting decoders match streams without private knowledge.
@@ -27,214 +38,236 @@ const HDR: usize = HDR_CRC_AT + 4;
 /// Upper bound on any single extent read from an untrusted header.
 const MAX_EXTENT: u64 = 1 << 40;
 
-/// A block's position in the (up to) 3-D block grid.
+/// Blocks per work item. A multiple of 8, so a fixed-rate run of `G`
+/// blocks ends on a byte boundary whatever `maxbits` is and the runs
+/// join by plain copies.
+const G: usize = 1024;
+
+/// The block grid of an array: blocks are numbered x fastest.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct BlockPos {
-    pub origin: [usize; 3],
+pub(crate) struct Grid {
+    /// Array extents `[nx, ny, nz]`.
+    pub ext: [usize; 3],
+    /// Blocks along each axis.
+    nb: [usize; 3],
+    /// Dimensionality (1, 2 or 3).
+    pub d: u8,
 }
 
-pub(crate) fn block_grid(dims: Dims3) -> (Vec<BlockPos>, u8) {
-    let d = dims.ndim();
-    let [nx, ny, nz] = dims.extents();
-    let mut blocks = Vec::new();
-    let step = |n: usize| n.div_ceil(4);
-    for bz in 0..step(nz) {
-        for by in 0..step(ny) {
-            for bx in 0..step(nx) {
-                blocks.push(BlockPos { origin: [bx * 4, by * 4, bz * 4] });
-            }
-        }
+impl Grid {
+    fn new(dims: Dims3) -> Self {
+        let ext = dims.extents();
+        Self { ext, nb: ext.map(|n| n.div_ceil(4)), d: dims.ndim() }
     }
-    (blocks, d)
-}
 
-/// Gathers a `4^d` block, replicating edge samples for partial blocks.
-fn gather(data: &[f32], dims: Dims3, pos: &BlockPos, d: u8, out: &mut [f32]) {
-    let [nx, ny, nz] = dims.extents();
-    let (ex, ey, ez) = match d {
-        1 => (4usize, 1usize, 1usize),
-        2 => (4, 4, 1),
-        _ => (4, 4, 4),
-    };
-    let mut i = 0;
-    for dz in 0..ez {
-        let z = (pos.origin[2] + dz).min(nz - 1);
-        for dy in 0..ey {
-            let y = (pos.origin[1] + dy).min(ny - 1);
-            let row = nx * (y + ny * z);
-            for dx in 0..ex {
-                let x = (pos.origin[0] + dx).min(nx - 1);
-                out[i] = data[row + x];
-                i += 1;
-            }
-        }
+    /// Number of blocks.
+    pub fn nblocks(&self) -> usize {
+        self.nb.iter().product()
+    }
+
+    /// Array coordinates of block `bi`'s first sample.
+    pub fn origin(&self, bi: usize) -> [usize; 3] {
+        let [bx, by, _] = self.nb;
+        [bi % bx * 4, bi / bx % by * 4, bi / (bx * by) * 4]
     }
 }
 
-/// Scatters decoded samples back, skipping replicated padding.
-pub(crate) fn scatter(block: &[f32], dims: Dims3, pos: &BlockPos, d: u8, out: &mut [f32]) {
-    let [nx, ny, nz] = dims.extents();
-    let (ex, ey, ez) = match d {
-        1 => (4usize, 1usize, 1usize),
-        2 => (4, 4, 1),
-        _ => (4, 4, 4),
-    };
-    let mut i = 0;
-    for dz in 0..ez {
-        let z = pos.origin[2] + dz;
-        for dy in 0..ey {
-            let y = pos.origin[1] + dy;
-            for dx in 0..ex {
-                let x = pos.origin[0] + dx;
-                if x < nx && y < ny && z < nz {
-                    out[x + nx * (y + ny * z)] = block[i];
-                }
-                i += 1;
-            }
+/// Gathers the `4^d` block at `origin` into `out`, replicating edge
+/// samples for partial blocks. `out` is walked as rows of four x-samples;
+/// row `i` is `(dy, dz) = (i % 4, i / 4)` in every dimensionality.
+fn gather(data: &[f32], ext: [usize; 3], origin: [usize; 3], out: &mut [f32]) {
+    let [nx, ny, nz] = ext;
+    let [ox, oy, oz] = origin;
+    let w = (nx - ox).min(4);
+    for (i, row) in out.chunks_exact_mut(4).enumerate() {
+        let y = (oy + i % 4).min(ny - 1);
+        let z = (oz + i / 4).min(nz - 1);
+        let at = ox + nx * (y + ny * z);
+        if w == 4 {
+            row.copy_from_slice(&data[at..at + 4]);
+        } else {
+            row[..w].copy_from_slice(&data[at..at + w]);
+            row[w..].fill(data[at + w - 1]);
         }
     }
 }
 
-/// Per-mode worst-case bits any single block may occupy — the staging
-/// slot size a GPU encoder allocates per block before compaction. Exact
-/// (not just an upper bound) in fixed-rate mode.
-pub(crate) fn block_bit_cap(mode: &ZfpMode, d: u8) -> u32 {
-    let cells = codec::block_cells(d) as u32;
-    match mode {
-        ZfpMode::FixedRate(rate) => rate_maxbits(*rate, cells as usize),
-        _ => HEADER_BITS + INTPREC * (cells + 2),
+/// Scatters a decoded block into `slab`, the part of the array starting
+/// at linear index `base`, skipping replicated padding.
+pub(crate) fn scatter(
+    block: &[f32],
+    ext: [usize; 3],
+    origin: [usize; 3],
+    base: usize,
+    slab: &mut [f32],
+) {
+    let [nx, ny, nz] = ext;
+    let [ox, oy, oz] = origin;
+    let w = (nx - ox).min(4);
+    for (i, row) in block.chunks_exact(4).enumerate() {
+        let (y, z) = (oy + i % 4, oz + i / 4);
+        if y < ny && z < nz {
+            let at = ox + nx * (y + ny * z) - base;
+            slab[at..at + w].copy_from_slice(&row[..w]);
+        }
     }
 }
 
-/// Per-mode encoding parameters for one block.
-fn block_params(cfg: &ZfpConfig, d: u8, values: &[f32]) -> (u32, u32, bool) {
-    let cells = codec::block_cells(d) as u32;
-    match cfg.mode {
-        ZfpMode::FixedRate(rate) => {
-            let maxbits = ((rate * cells as f64).round() as u32).max(HEADER_BITS + 1);
-            (maxbits, INTPREC, true)
+/// One encoded run of blocks.
+struct Run {
+    bytes: Vec<u8>,
+    nbits: u64,
+    /// Bit length of each block; empty at a fixed rate.
+    lens: Vec<u32>,
+}
+
+/// A validated compression call: the input, its block grid and coding.
+/// Shared by the CPU driver and the traced device path so both produce
+/// bit-identical streams.
+pub(crate) struct Encoder<'a> {
+    data: &'a [f32],
+    pub mode: ZfpMode,
+    pub grid: Grid,
+    pub coding: BlockCoding,
+}
+
+impl<'a> Encoder<'a> {
+    pub(crate) fn new(data: &'a [f32], dims: Dims3, cfg: &ZfpConfig) -> Result<Self> {
+        cfg.validate()?;
+        if data.len() != dims.len() {
+            return Err(Error::invalid(format!(
+                "data length {} does not match dims {:?}",
+                data.len(),
+                dims
+            )));
         }
-        ZfpMode::FixedPrecision(p) => {
-            (HEADER_BITS + INTPREC * (cells + 2), p.min(INTPREC), false)
+        let grid = Grid::new(dims);
+        Ok(Self { data, mode: cfg.mode, grid, coding: BlockCoding::new(&cfg.mode, grid.d) })
+    }
+
+    /// Gathers block `bi` and appends its code to `w`, returning the bits
+    /// written.
+    pub(crate) fn encode_block(&self, bi: usize, w: &mut BitWriter) -> Result<u32> {
+        let mut vals = [0.0f32; 64];
+        let vals = &mut vals[..codec::block_cells(self.grid.d)];
+        gather(self.data, self.grid.ext, self.grid.origin(bi), vals);
+        codec::encode_block(vals, &self.coding, w).ok_or_else(|| self.non_finite())
+    }
+
+    /// The typed error for an input the block scan refused. The scan only
+    /// flags the block, so the index named is found here, off the hot
+    /// path, and is the same whichever block tripped first.
+    fn non_finite(&self) -> Error {
+        match self.data.iter().position(|v| !v.is_finite()) {
+            Some(i) => Error::invalid(format!(
+                "value {i} is {}: ZFP cannot code NaN or infinities",
+                self.data[i]
+            )),
+            None => Error::invalid("non-finite value in input"),
         }
-        ZfpMode::FixedAccuracy(tol) => {
-            let mut vmax = 0.0f32;
-            for &v in values {
-                if v.is_finite() {
-                    vmax = vmax.max(v.abs());
-                }
+    }
+
+    /// Codes the run `blocks` back-to-back into one writer, presized when
+    /// the rate fixes the size.
+    fn encode_run(&self, blocks: Range<usize>) -> Result<Run> {
+        let c = &self.coding;
+        let exact = if c.fixed_rate { (blocks.len() * c.maxbits as usize).div_ceil(8) } else { 0 };
+        let mut w = BitWriter::with_capacity(exact);
+        let mut lens = Vec::new();
+        for bi in blocks {
+            let used = self.encode_block(bi, &mut w)?;
+            if !c.fixed_rate {
+                lens.push(used);
             }
-            let maxprec = codec::maxprec_for_tolerance(vmax, tol, d);
-            (HEADER_BITS + INTPREC * (cells + 2), maxprec, false)
         }
+        let nbits = w.bit_len();
+        Ok(Run { bytes: w.into_bytes(), nbits, lens })
+    }
+
+    /// Joins encoded pieces, in block order, into the container: header,
+    /// length table (variable-length modes), payload.
+    pub(crate) fn assemble<'p>(
+        &self,
+        pieces: impl Iterator<Item = (&'p [u8], u64)> + Clone,
+        lens: impl Iterator<Item = u32>,
+    ) -> Vec<u8> {
+        let total_bits: u64 = pieces.clone().map(|(_, nbits)| nbits).sum();
+        let mut payload = BitWriter::with_capacity(total_bits.div_ceil(8) as usize);
+        for (bytes, nbits) in pieces {
+            payload.append(bytes, nbits);
+        }
+        let payload = payload.into_bytes();
+        let nblocks = self.grid.nblocks();
+        let table = if self.coding.fixed_rate { 0 } else { nblocks * 4 };
+
+        // lint: allow(alloc-arith) — encoder-side size of an already-materialized payload
+        let mut out = Vec::with_capacity(HDR + table + payload.len());
+        out.extend_from_slice(MAGIC);
+        out.push(VERSION);
+        out.push(self.mode.tag());
+        out.push(self.grid.d);
+        out.push(0); // reserved
+        for e in self.grid.ext {
+            out.extend_from_slice(&(e as u64).to_le_bytes());
+        }
+        out.extend_from_slice(&self.mode.param().to_le_bytes());
+        out.extend_from_slice(&(nblocks as u64).to_le_bytes());
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(&crc32(&payload).to_le_bytes());
+        let hcrc = crc32(&out);
+        out.extend_from_slice(&hcrc.to_le_bytes());
+        if !self.coding.fixed_rate {
+            for l in lens {
+                out.extend_from_slice(&l.to_le_bytes());
+            }
+        }
+        out.extend_from_slice(&payload);
+        out
     }
 }
 
 /// Compresses `data` (layout per [`Dims3`]) with `cfg`.
+///
+/// A NaN or an infinity anywhere in `data` is an [`Error::InvalidArgument`]
+/// naming the first such index: the block transform has no
+/// representation for them and the stream has no side channel.
 pub fn compress(data: &[f32], dims: Dims3, cfg: &ZfpConfig) -> Result<Vec<u8>> {
-    cfg.validate()?;
-    if data.len() != dims.len() {
-        return Err(Error::invalid(format!(
-            "data length {} does not match dims {:?}",
-            data.len(),
-            dims
-        )));
-    }
-    let (blocks, d) = block_grid(dims);
-
-    // Encode every block independently (parallel), then splice bit-exactly.
+    let enc = Encoder::new(data, dims, cfg)?;
+    let n = enc.grid.nblocks();
     let encode = telemetry::span("zfp.encode");
-    let encoded: Vec<(Vec<u8>, u32)> =
-        blocks.par_iter().map(|pos| encode_one(data, dims, pos, d, cfg)).collect();
+    let runs = (0..n.div_ceil(G))
+        .into_par_iter()
+        .map(|g| enc.encode_run(g * G..(g * G + G).min(n)))
+        .collect::<Result<Vec<Run>>>()?;
     drop(encode);
-
-    Ok(assemble(dims, cfg, &encoded))
+    Ok(enc.assemble(
+        runs.iter().map(|r| (&r.bytes[..], r.nbits)),
+        runs.iter().flat_map(|r| r.lens.iter().copied()),
+    ))
 }
 
-/// Gathers and encodes one block, returning its bytes and exact bit count.
-/// Shared by the CPU driver and the traced device path.
-pub(crate) fn encode_one(
-    data: &[f32],
-    dims: Dims3,
-    pos: &BlockPos,
-    d: u8,
-    cfg: &ZfpConfig,
-) -> (Vec<u8>, u32) {
-    let cells = codec::block_cells(d);
-    let mut vals = vec![0.0f32; cells];
-    gather(data, dims, pos, d, &mut vals);
-    let (maxbits, maxprec, pad) = block_params(cfg, d, &vals);
-    let mut w = BitWriter::new();
-    let used = codec::encode_block(&vals, d, maxbits, maxprec, pad, &mut w);
-    (w.into_bytes(), used)
-}
-
-/// Splices encoded blocks into the container (payload, header, length
-/// table). Shared verbatim by the CPU driver and the traced device path
-/// so both produce bit-identical streams.
-pub(crate) fn assemble(dims: Dims3, cfg: &ZfpConfig, encoded: &[(Vec<u8>, u32)]) -> Vec<u8> {
-    let mut payload = BitWriter::with_capacity(encoded.iter().map(|(b, _)| b.len()).sum());
-    for (bytes, nbits) in encoded {
-        append_bits(&mut payload, bytes, *nbits as u64);
-    }
-    let payload = payload.into_bytes();
-    let crc = crc32(&payload);
-
-    // lint: allow(alloc-arith) — encoder-side capacity hint on an already-materialized payload
-    let mut out = Vec::with_capacity(payload.len() + 64 + encoded.len() * 4);
-    out.extend_from_slice(MAGIC);
-    out.push(VERSION);
-    out.push(cfg.mode.tag());
-    out.push(dims.ndim());
-    out.push(0); // reserved
-    for e in dims.extents() {
-        out.extend_from_slice(&(e as u64).to_le_bytes());
-    }
-    out.extend_from_slice(&cfg.mode.param().to_le_bytes());
-    out.extend_from_slice(&(encoded.len() as u64).to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crc.to_le_bytes());
-    let hcrc = crc32(&out);
-    out.extend_from_slice(&hcrc.to_le_bytes());
-    if !matches!(cfg.mode, ZfpMode::FixedRate(_)) {
-        for (_, nbits) in encoded {
-            out.extend_from_slice(&nbits.to_le_bytes());
-        }
-    }
-    out.extend_from_slice(&payload);
-    out
-}
-
-/// Appends the first `nbits` bits of `bytes` to `w`.
-fn append_bits(w: &mut BitWriter, bytes: &[u8], nbits: u64) {
-    let full = (nbits / 8) as usize;
-    for &b in &bytes[..full] {
-        w.write_bits(b as u64, 8);
-    }
-    let rem = (nbits % 8) as u32;
-    if rem > 0 {
-        w.write_bits(bytes[full] as u64, rem);
-    }
-}
-
-/// Parsed stream header.
+/// Parsed and validated stream header.
 #[derive(Debug, Clone)]
 pub struct StreamInfo {
     /// Logical dimensions.
     pub dims: Dims3,
     /// Mode with its parameter.
     pub mode: ZfpMode,
-    nblocks: u64,
-    payload_len: u64,
+    coding: BlockCoding,
+    nblocks: usize,
+    /// Where the payload starts: after the header and the length table.
+    payload_start: usize,
     crc: u32,
-    lens_offset: usize,
 }
 
-/// Parses a stream header.
+/// Parses a stream header and checks it against the stream it heads.
 ///
 /// Every read is bounds-checked ([`ByteReader`]) and the whole header is
 /// protected by a trailing CRC, so a truncated or bit-flipped header
 /// surfaces as [`Error::Corrupt`] instead of a panic or a huge allocation.
+/// The block count must be the one the extents imply and the header,
+/// length table and payload must add up to exactly `stream.len()`, which
+/// bounds every size a decoder derives by the bytes actually held.
 pub fn info(stream: &[u8]) -> Result<StreamInfo> {
     let mut r = ByteReader::new(stream);
     r.expect_magic(MAGIC, "ZFPR stream")?;
@@ -272,166 +305,203 @@ pub fn info(stream: &[u8]) -> Result<StreamInfo> {
     if crc32(hdr) != hcrc {
         return Err(Error::corrupt("header CRC mismatch"));
     }
-    Ok(StreamInfo { dims, mode, nblocks, payload_len, crc, lens_offset: HDR })
-}
 
-/// Bits per block at a fixed rate; must match `block_params`.
-fn rate_maxbits(rate: f64, cells: usize) -> u32 {
-    ((rate * cells as f64).round() as u32).max(HEADER_BITS + 1)
-}
-
-/// Everything needed to decode blocks independently: the block grid,
-/// per-block bit spans, and where the payload starts in the stream.
-pub(crate) struct DecodePlan {
-    pub blocks: Vec<BlockPos>,
-    pub d: u8,
-    pub fixed_rate: bool,
-    pub bit_offsets: Vec<u64>,
-    pub bit_lens: Vec<u32>,
-    pub payload_start: usize,
-    pub n_values: usize,
-}
-
-/// Validates the header against the stream and builds the decode plan,
-/// cross-checking every size before any dims-driven allocation.
-pub(crate) fn prepare_decode(inf: &StreamInfo, stream: &[u8]) -> Result<DecodePlan> {
-    let dims = inf.dims;
-    let d = dims.ndim();
-    let cells = codec::block_cells(d);
-
-    // Check the claimed block count arithmetically BEFORE materializing the
-    // block grid or the length table, so a forged header cannot force a
-    // huge allocation. The formula mirrors `block_grid`'s nesting.
-    let expected_blocks: u128 =
-        dims.extents().iter().map(|&n| (n as u128).div_ceil(4)).product();
-    if expected_blocks != inf.nblocks as u128 {
+    // The block count is checked arithmetically, in a width no capped
+    // extent can overflow, before anything is sized from it.
+    let expected: u128 = dims.extents().iter().map(|&n| (n as u128).div_ceil(4)).product();
+    if expected != nblocks as u128 {
         return Err(Error::corrupt("block count mismatch"));
     }
-    // Resolving the mode here (rather than re-matching later) keeps the
-    // fixed-rate bit math in one place with no unreachable arm.
-    let rate_bits = match inf.mode {
-        ZfpMode::FixedRate(rate) => Some(rate_maxbits(rate, cells)),
-        _ => None,
-    };
-    let fixed_rate = rate_bits.is_some();
-    // Total stream length must match header + length table + payload
-    // exactly; this bounds nblocks by the bytes we actually hold.
-    let lens_bytes: u128 = if fixed_rate { 0 } else { inf.nblocks as u128 * 4 };
-    let payload_start_wide = inf.lens_offset as u128 + lens_bytes;
-    if payload_start_wide + inf.payload_len as u128 != stream.len() as u128 {
+    let coding = BlockCoding::new(&mode, dims.ndim());
+    let table: u128 = if coding.fixed_rate { 0 } else { expected * 4 };
+    if HDR as u128 + table + payload_len as u128 != stream.len() as u128 {
         return Err(Error::corrupt("payload length mismatch"));
     }
-    let payload_start = payload_start_wide as usize;
-
-    let (blocks, _) = block_grid(dims);
-    debug_assert_eq!(blocks.len() as u128, expected_blocks);
-
-    // Per-block bit offsets.
-    let (bit_offsets, bit_lens): (Vec<u64>, Vec<u32>) = if let Some(maxbits) = rate_bits {
-        let offs = (0..blocks.len() as u64).map(|i| i * maxbits as u64).collect();
-        (offs, vec![maxbits; blocks.len()])
-    } else {
-        let table = stream
-            .get(inf.lens_offset..payload_start)
-            .ok_or_else(|| Error::corrupt("truncated length table"))?;
-        let mut lr = ByteReader::new(table);
-        let mut lens = Vec::with_capacity(blocks.len());
-        for _ in 0..blocks.len() {
-            lens.push(lr.u32_le()?);
-        }
-        let mut offs = Vec::with_capacity(blocks.len());
-        let mut acc = 0u64;
-        for &l in &lens {
-            offs.push(acc);
-            acc += l as u64;
-        }
-        (offs, lens)
-    };
-
-    let payload =
-        stream.get(payload_start..).ok_or_else(|| Error::corrupt("truncated payload"))?;
-    if crc32(payload) != inf.crc {
-        return Err(Error::corrupt("payload CRC mismatch"));
+    if coding.fixed_rate && (expected * coding.maxbits as u128).div_ceil(8) != payload_len as u128 {
+        return Err(Error::corrupt("payload length disagrees with block bits"));
     }
-    let total_bits: u64 = bit_lens.iter().map(|&l| l as u64).sum();
-    if total_bits.div_ceil(8) > inf.payload_len {
-        return Err(Error::corrupt("payload shorter than block bits"));
-    }
-
-    let n_values =
-        dims.checked_len().ok_or_else(|| Error::corrupt("dims product overflows"))?;
-    Ok(DecodePlan {
-        blocks,
-        d,
-        fixed_rate,
-        bit_offsets,
-        bit_lens,
-        payload_start,
-        n_values,
+    // Both now fit: they are bounded by `stream.len()`.
+    Ok(StreamInfo {
+        dims,
+        mode,
+        coding,
+        nblocks: expected as usize,
+        payload_start: HDR + table as usize,
+        crc,
     })
 }
 
-/// Decodes one block's `4^d` values from the payload. Shared by the CPU
-/// driver and the traced device path.
-pub(crate) fn decode_one(
-    inf: &StreamInfo,
-    plan: &DecodePlan,
-    payload: &[u8],
-    bi: usize,
-) -> Result<Vec<f32>> {
-    let d = plan.d;
-    let bit_off = plan.bit_offsets[bi];
-    let byte = (bit_off / 8) as usize;
-    let skip = (bit_off % 8) as u32;
-    let tail = payload.get(byte..).ok_or_else(|| Error::corrupt("block bits out of range"))?;
-    let mut r = BitReader::new(tail);
-    r.read_bits(skip)?;
-    let mut vals = vec![0.0f32; codec::block_cells(d)];
-    let (maxbits, maxprec) = match inf.mode {
-        ZfpMode::FixedRate(_) => (plan.bit_lens[bi], INTPREC),
-        ZfpMode::FixedPrecision(p) => (plan.bit_lens[bi], p.min(INTPREC)),
-        // Accuracy mode derives per-block precision from emax; the
-        // encoder stored the exact bit length, so cap by it and let
-        // the codec recompute maxprec from the stream's emax.
-        ZfpMode::FixedAccuracy(tol) => {
-            let used = codec::peek_maxprec_for_accuracy(tail, skip, tol, d)?;
-            (plan.bit_lens[bi], used)
+/// Where each work item's first block starts in the payload.
+pub(crate) enum Offsets {
+    /// Item `i` starts at bit `i * step` (fixed rate).
+    Step(u64),
+    /// Prefix sums of the stored block lengths.
+    Table(Vec<u64>),
+}
+
+impl Offsets {
+    pub(crate) fn get(&self, i: usize) -> u64 {
+        match self {
+            Offsets::Step(step) => i as u64 * step,
+            Offsets::Table(starts) => starts[i],
         }
-    };
-    let consumed = codec::decode_block(&mut r, d, maxbits, maxprec, plan.fixed_rate, &mut vals)?;
-    if !plan.fixed_rate && consumed != plan.bit_lens[bi] {
-        return Err(Error::corrupt(format!(
-            "block {bi} consumed {consumed} bits, expected {}",
-            plan.bit_lens[bi]
-        )));
     }
-    Ok(vals)
+}
+
+/// A validated stream, ready to decode runs of blocks independently.
+pub(crate) struct Decoder<'a> {
+    pub dims: Dims3,
+    pub grid: Grid,
+    coding: BlockCoding,
+    payload: &'a [u8],
+    /// Little-endian `u32` bit length per block; empty at a fixed rate.
+    table: &'a [u8],
+    pub nblocks: usize,
+    /// Values in the decoded array.
+    pub n_values: usize,
+    /// Blocks one work item decodes, and the values of the output slab
+    /// those blocks own: whole rows of blocks along the slowest axis.
+    pub item_blocks: usize,
+    pub item_values: usize,
+}
+
+impl<'a> Decoder<'a> {
+    /// Validates `stream` — header, sizes, payload CRC, and the length
+    /// table against the payload — before any dims-driven allocation.
+    pub(crate) fn new(stream: &'a [u8]) -> Result<Self> {
+        let inf = info(stream)?;
+        let grid = Grid::new(inf.dims);
+        let coding = inf.coding;
+        let table = stream
+            .get(HDR..inf.payload_start)
+            .ok_or_else(|| Error::corrupt("truncated length table"))?;
+        let payload =
+            stream.get(inf.payload_start..).ok_or_else(|| Error::corrupt("truncated payload"))?;
+        if crc32(payload) != inf.crc {
+            return Err(Error::corrupt("payload CRC mismatch"));
+        }
+
+        let [nx, ny, _] = grid.ext;
+        let (slab_blocks, slab_values) = match grid.d {
+            1 => (1, 4),
+            2 => (grid.nb[0], nx.saturating_mul(4)),
+            _ => (grid.nb[0].saturating_mul(grid.nb[1]), nx.saturating_mul(ny).saturating_mul(4)),
+        };
+        let slabs = G.div_ceil(slab_blocks.max(1));
+        let n_values =
+            inf.dims.checked_len().ok_or_else(|| Error::corrupt("dims product overflows"))?;
+        let dec = Self {
+            dims: inf.dims,
+            grid,
+            coding,
+            payload,
+            table,
+            nblocks: inf.nblocks,
+            n_values,
+            // An empty array has no slab; `max(1)` keeps the chunking defined.
+            item_blocks: slab_blocks.saturating_mul(slabs).max(1),
+            item_values: slab_values.saturating_mul(slabs).max(1),
+        };
+        if !coding.fixed_rate {
+            let total: u64 = (0..dec.nblocks).map(|bi| dec.block_bits(bi) as u64).sum();
+            if total.div_ceil(8) != payload.len() as u64 {
+                return Err(Error::corrupt("length table disagrees with payload length"));
+            }
+        }
+        Ok(dec)
+    }
+
+    /// Bytes of payload.
+    pub(crate) fn payload_len(&self) -> usize {
+        self.payload.len()
+    }
+
+    /// Bit span of block `bi`.
+    pub(crate) fn block_bits(&self, bi: usize) -> u32 {
+        match self.table.get(bi * 4..bi * 4 + 4) {
+            Some(b) => u32::from_le_bytes([b[0], b[1], b[2], b[3]]),
+            None => self.coding.maxbits,
+        }
+    }
+
+    /// Payload bit offset of block `i * stride`, for every such block.
+    pub(crate) fn offsets(&self, stride: usize) -> Offsets {
+        if self.coding.fixed_rate {
+            return Offsets::Step(stride as u64 * self.coding.maxbits as u64);
+        }
+        let mut starts = Vec::with_capacity(self.nblocks.div_ceil(stride));
+        let mut at = 0u64;
+        for bi in 0..self.nblocks {
+            if bi % stride == 0 {
+                starts.push(at);
+            }
+            at += self.block_bits(bi) as u64;
+        }
+        Offsets::Table(starts)
+    }
+
+    /// A reader positioned at payload bit `bit`.
+    pub(crate) fn reader_at(&self, bit: u64) -> Result<BitReader<'a>> {
+        let tail = self
+            .payload
+            .get((bit / 8) as usize..)
+            .ok_or_else(|| Error::corrupt("block bits out of range"))?;
+        let mut r = BitReader::new(tail);
+        r.consume((bit % 8) as u32)?;
+        Ok(r)
+    }
+
+    /// Decodes block `bi` from `r`, which must stand at its first bit,
+    /// and leaves `r` at the next block.
+    pub(crate) fn decode_block(
+        &self,
+        r: &mut BitReader<'_>,
+        bi: usize,
+        vals: &mut [f32],
+    ) -> Result<()> {
+        let span = self.block_bits(bi);
+        let used = codec::decode_block(r, &self.coding, span, vals)?;
+        if used != span {
+            return Err(Error::corrupt(format!(
+                "block {bi} consumed {used} bits, expected {span}"
+            )));
+        }
+        Ok(())
+    }
+
+    /// Scatters block `bi` into the slab of the work item that owns it.
+    pub(crate) fn scatter(&self, bi: usize, vals: &[f32], slab: &mut [f32]) {
+        let base = bi / self.item_blocks * self.item_values;
+        scatter(vals, self.grid.ext, self.grid.origin(bi), base, slab);
+    }
+
+    /// Decodes work item `item` — a run of blocks starting at payload bit
+    /// `start` — into the output slab those blocks own.
+    fn decode_item(&self, item: usize, start: u64, slab: &mut [f32]) -> Result<()> {
+        let first = item * self.item_blocks;
+        let last = (first + self.item_blocks).min(self.nblocks);
+        let mut r = self.reader_at(start)?;
+        let mut vals = [0.0f32; 64];
+        let vals = &mut vals[..codec::block_cells(self.grid.d)];
+        for bi in first..last {
+            self.decode_block(&mut r, bi, vals)?;
+            self.scatter(bi, vals, slab);
+        }
+        Ok(())
+    }
 }
 
 /// Decompresses a stream produced by [`compress`].
 pub fn decompress(stream: &[u8]) -> Result<(Vec<f32>, Dims3)> {
-    let inf = info(stream)?;
-    let dims = inf.dims;
-    let plan = prepare_decode(&inf, stream)?;
-    let payload = stream
-        .get(plan.payload_start..)
-        .ok_or_else(|| Error::corrupt("truncated payload"))?;
-
-    let mut out = vec![0.0f32; plan.n_values];
-    // Decode blocks in parallel into local buffers, then scatter serially
-    // (scatter touches interleaved rows, so keep it simple and safe).
+    let dec = Decoder::new(stream)?;
+    let mut out = vec![0.0f32; dec.n_values];
+    let offsets = dec.offsets(dec.item_blocks);
     let decode = telemetry::span("zfp.decode");
-    let decoded: Vec<Result<Vec<f32>>> = plan
-        .blocks
-        .par_iter()
+    out.par_chunks_mut(dec.item_values)
         .enumerate()
-        .map(|(bi, _)| decode_one(&inf, &plan, payload, bi))
-        .collect();
-    for (bi, dec) in decoded.into_iter().enumerate() {
-        scatter(&dec?, dims, &plan.blocks[bi], plan.d, &mut out);
-    }
+        .try_for_each(|(item, slab)| dec.decode_item(item, offsets.get(item), slab))?;
     drop(decode);
-    Ok((out, dims))
+    Ok((out, dec.dims))
 }
 
 #[cfg(test)]
@@ -459,11 +529,7 @@ mod tests {
             }
             (hi - lo) as f64
         };
-        let mse: f64 = orig
-            .iter()
-            .zip(rec)
-            .map(|(a, b)| ((a - b) as f64).powi(2))
-            .sum::<f64>()
+        let mse: f64 = orig.iter().zip(rec).map(|(a, b)| ((a - b) as f64).powi(2)).sum::<f64>()
             / orig.len() as f64;
         20.0 * range.log10() - 10.0 * mse.log10()
     }
@@ -476,7 +542,7 @@ mod tests {
             let blocks = 64usize; // (16/4)^3
             let expected_payload = (blocks as u64 * (rate * 64.0) as u64).div_ceil(8);
             let inf = info(&stream).unwrap();
-            assert_eq!(inf.payload_len, expected_payload, "rate {rate}");
+            assert_eq!((stream.len() - inf.payload_start) as u64, expected_payload, "rate {rate}");
             let (rec, dims) = decompress(&stream).unwrap();
             assert_eq!(dims, Dims3::D3(16, 16, 16));
             assert_eq!(rec.len(), data.len());
@@ -512,8 +578,7 @@ mod tests {
     #[test]
     fn fixed_precision_roundtrip() {
         let data = smooth_3d(8);
-        let stream =
-            compress(&data, Dims3::D3(8, 8, 8), &ZfpConfig::precision(24)).unwrap();
+        let stream = compress(&data, Dims3::D3(8, 8, 8), &ZfpConfig::precision(24)).unwrap();
         let (rec, _) = decompress(&stream).unwrap();
         assert!(psnr(&data, &rec) > 90.0);
     }
@@ -522,8 +587,7 @@ mod tests {
     fn fixed_accuracy_bounds_error() {
         let data = smooth_3d(8);
         for tol in [1.0f64, 0.1, 0.01] {
-            let stream =
-                compress(&data, Dims3::D3(8, 8, 8), &ZfpConfig::accuracy(tol)).unwrap();
+            let stream = compress(&data, Dims3::D3(8, 8, 8), &ZfpConfig::accuracy(tol)).unwrap();
             let (rec, _) = decompress(&stream).unwrap();
             for (a, b) in data.iter().zip(&rec) {
                 assert!(
