@@ -822,10 +822,11 @@ fn store_extract_main(mut args: impl Iterator<Item = String>) -> ! {
         }
     };
     println!(
-        "{} value(s) | {}/{} chunk(s) decoded | {} compressed byte(s) read | amplification {:.4}",
+        "{} value(s) | {}/{} chunk(s) decoded, {} cache hit(s) | {} compressed byte(s) read | amplification {:.4}",
         values.len(),
         stats.chunks_decoded,
         stats.chunks_in_field,
+        stats.cache_hits(),
         stats.compressed_bytes_read,
         stats.amplification()
     );
@@ -924,7 +925,15 @@ fn store_serve_main(mut args: impl Iterator<Item = String>) -> ! {
         let batched = foresight::serve(&node, &opts, &reqs)?;
         Ok((serial, batched))
     };
-    let (serial, batched) = match run() {
+    // The reports' `store.*` counters are the model's (every read priced
+    // cacheless); what the host really decoded comes from the reader's
+    // own telemetry, over both passes against the one shared reader.
+    telemetry::reset();
+    telemetry::enable();
+    let result = run();
+    let host = telemetry::snapshot().metrics;
+    telemetry::disable();
+    let (serial, batched) = match result {
         Ok(r) => r,
         Err(e) => {
             eprintln!("store serve failed: {e}");
@@ -946,8 +955,10 @@ fn store_serve_main(mut args: impl Iterator<Item = String>) -> ! {
     let touched = batched.metrics.counter("store.bytes_touched");
     let returned = batched.metrics.counter("store.bytes_returned");
     println!(
-        "store: {} chunk(s) decoded | {touched} byte(s) touched / {returned} returned ({:.4}x amplification)",
+        "store: {} chunk(s) decoded per pass in the model; host decoded {}, {} cache hit(s) over both | {touched} byte(s) touched / {returned} returned ({:.4}x amplification)",
         batched.metrics.counter("store.chunks_decoded"),
+        host.counter("store.chunks_decoded"),
+        host.counter("store.cache.hits"),
         if returned > 0 { touched as f64 / returned as f64 } else { 0.0 }
     );
     let mut diverged = 0usize;

@@ -531,7 +531,11 @@ fn run_unit(req: &ServeRequest, slice: &(usize, usize, Shape)) -> Result<Unit> {
             })
         }
         ServePayload::StoreRead { store, snapshot, field, region } => {
-            let (values, stats) = store.read_region(*snapshot, field, *region)?;
+            // The model reads the cacheless plan, never the work this
+            // call did: which reads hit the reader's chunk cache depends
+            // on the host schedule, and the simulated clock must not.
+            let plan = store.plan_region(*snapshot, field, *region)?;
+            let (values, _) = store.read_region(*snapshot, field, *region)?;
             let mut out = Vec::with_capacity(values.len() * 4);
             for v in &values {
                 out.extend_from_slice(&v.to_le_bytes());
@@ -540,20 +544,20 @@ fn run_unit(req: &ServeRequest, slice: &(usize, usize, Shape)) -> Result<Unit> {
                 Some(StoreCodec::Zfp) => KernelKind::ZfpDecompress,
                 _ => KernelKind::SzDecompress,
             };
-            // The simulated kernel pays for every value the decoder
-            // materialized (whole chunks), not just the region returned
-            // — chunk misalignment costs real work.
-            let n = (stats.bytes_touched / 4).max(1);
+            // The simulated kernel pays for every value of every
+            // intersecting chunk, not just the region returned — chunk
+            // misalignment costs real work.
+            let n = (plan.bytes_touched / 4).max(1);
             Ok(Unit {
                 out,
                 n_values: n,
-                in_bytes: stats.compressed_bytes_read,
-                out_bytes: stats.bytes_returned,
-                bits_per_value: stats.compressed_bytes_read as f64 * 8.0 / n as f64,
+                in_bytes: plan.compressed_bytes_read,
+                out_bytes: plan.bytes_returned,
+                bits_per_value: plan.compressed_bytes_read as f64 * 8.0 / n as f64,
                 kind,
-                store_chunks: stats.chunks_decoded,
-                store_touched: stats.bytes_touched,
-                store_returned: stats.bytes_returned,
+                store_chunks: plan.chunks_intersected,
+                store_touched: plan.bytes_touched,
+                store_returned: plan.bytes_returned,
             })
         }
     }

@@ -171,3 +171,84 @@ fn h2d_of_next_unit_overlaps_kernel_of_previous() {
     });
     assert!(overlaps, "no h2d/kernel overlap found in the device timeline");
 }
+
+/// The simulated clock prices a `StoreRead` from the reader's cacheless
+/// plan, never from the work the host did: the same requests served
+/// against one shared reader cold, then warm (every chunk a cache hit),
+/// and against a fresh reader give the same bytes, makespan, completion
+/// times and `store.*` accounting.
+#[test]
+fn store_reads_cost_the_same_on_cold_warm_and_fresh_readers() {
+    use foresight::{ChunkCodec, FieldShape, Region, StoreReader, StoreWriter};
+    use std::sync::Arc;
+
+    let shape = FieldShape::d3(24, 24, 24);
+    let data: Vec<f32> = (0..shape.len()).map(|i| (i as f32 * 0.011).sin() * 9.0).collect();
+    let mut w = StoreWriter::new();
+    w.add_field(0, "sz", &data, shape, [8, 8, 8], &ChunkCodec::sz_abs(1e-3)).unwrap();
+    w.add_field(0, "zfp", &data, shape, [8, 8, 8], &ChunkCodec::zfp_rate(8.0)).unwrap();
+    let archive = w.finish().unwrap();
+
+    // Overlapping and repeated regions: unaligned cubes, a plane, a
+    // single chunk and a full field, over both codecs.
+    let regions = [
+        Region::new([3, 3, 3], [13, 13, 13]).unwrap(),
+        Region::new([0, 0, 11], [24, 24, 12]).unwrap(),
+        Region::new([8, 8, 8], [16, 16, 16]).unwrap(),
+        Region::new([5, 0, 2], [20, 9, 10]).unwrap(),
+        Region::full(shape),
+    ];
+    let requests = |store: &Arc<StoreReader>| -> Vec<ServeRequest> {
+        (0..20u64)
+            .map(|id| ServeRequest {
+                id,
+                arrival_s: id as f64 * 2e-4,
+                deadline_s: None,
+                payload: ServePayload::StoreRead {
+                    store: Arc::clone(store),
+                    snapshot: 0,
+                    field: if id % 2 == 0 { "sz".into() } else { "zfp".into() },
+                    region: regions[(id as usize / 2) % regions.len()],
+                },
+            })
+            .collect()
+    };
+    let node = ServeNode::v100_pcie(2);
+    let opts = ServeOptions { queue_depth: 64, ..Default::default() };
+
+    let shared = Arc::new(StoreReader::from_bytes(archive.clone()).unwrap());
+    let cold = serve(&node, &opts, &requests(&shared)).unwrap();
+    let warm = serve(&node, &opts, &requests(&shared)).unwrap();
+    let (_, stats) = shared.read_region(0, "zfp", regions[0]).unwrap();
+    assert_eq!(stats.chunks_decoded, 0, "the second pass ran against a warm cache");
+    let fresh_reader = Arc::new(StoreReader::from_bytes(archive).unwrap());
+    let fresh = serve(&node, &opts, &requests(&fresh_reader)).unwrap();
+    let serial_warm = serve_serial(&node, &opts, &requests(&shared)).unwrap();
+    let serial_fresh = serve_serial(&node, &opts, &requests(&fresh_reader)).unwrap();
+    assert_eq!(serial_warm.makespan_s.to_bits(), serial_fresh.makespan_s.to_bits());
+
+    let store_metrics = |r: &foresight::ServeReport| {
+        let counters: Vec<_> =
+            r.metrics.counters.iter().filter(|(k, _)| k.starts_with("store.")).cloned().collect();
+        let gauges: Vec<_> = r
+            .metrics
+            .gauges
+            .iter()
+            .filter(|(k, _)| k.starts_with("store."))
+            .map(|(k, v)| (k.clone(), v.to_bits()))
+            .collect();
+        (counters, gauges)
+    };
+    assert_eq!(cold.rejected, 0);
+    assert!(cold.metrics.counter("store.chunks_decoded") > 0);
+    for (label, other) in [("warm", &warm), ("fresh", &fresh)] {
+        assert_eq!(cold.makespan_s.to_bits(), other.makespan_s.to_bits(), "{label} makespan");
+        assert_eq!(store_metrics(&cold), store_metrics(other), "{label} store.* accounting");
+        assert_eq!(cold.responses.len(), other.responses.len());
+        for (a, b) in cold.responses.iter().zip(&other.responses) {
+            assert_eq!((a.id, &a.output, &a.status), (b.id, &b.output, &b.status), "{label}");
+            assert!(a.output.is_some(), "request {} not served", a.id);
+            assert_eq!(a.completed_s.to_bits(), b.completed_s.to_bits(), "{label} request {}", a.id);
+        }
+    }
+}

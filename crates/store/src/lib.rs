@@ -7,7 +7,8 @@
 //! file, each field cut into fixed-shape chunks compressed independently
 //! through the existing GPU-SZ / cuZFP stream codecs, addressed by a
 //! compact directory so any subvolume decompresses without touching the
-//! rest of the archive.
+//! rest of the archive, and a reader that keeps the chunks it decoded
+//! so a region read again costs a copy.
 //!
 //! Layout (see `format` for the byte-level contract):
 //!
@@ -33,8 +34,15 @@
 //! let region = Region::new([2, 2, 2], [8, 8, 8]).unwrap();
 //! let (values, stats) = store.read_region(0, "rho", region).unwrap();
 //! assert_eq!(values.len(), 216);
-//! assert_eq!(stats.chunks_decoded, 1);
+//! assert_eq!((stats.chunks_intersected, stats.chunks_decoded), (1, 1));
 //! assert_eq!(stats.chunks_in_field, 8);
+//! // The reader keeps decoded chunks (an LRU under `CACHE_BUDGET_BYTES`):
+//! // the same read again decodes nothing and returns the same values.
+//! let (again, warm) = store.read_region(0, "rho", region).unwrap();
+//! assert_eq!((warm.chunks_decoded, warm.cache_hits()), (0, 1));
+//! assert_eq!(again, values);
+//! // What a cacheless read costs is a pure function of the directory.
+//! assert_eq!(store.plan_region(0, "rho", region).unwrap(), stats);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -46,5 +54,5 @@ pub mod writer;
 
 pub use format::{BoundSpec, ChunkRef, CodecKind, Directory, FieldEntry, Superblock};
 pub use grid::{ChunkGrid, FieldShape, Region};
-pub use reader::{ReadStats, StoreCheck, StoreReader};
+pub use reader::{ReadStats, StoreCheck, StoreReader, CACHE_BUDGET_BYTES};
 pub use writer::{ChunkCodec, StoreWriter};

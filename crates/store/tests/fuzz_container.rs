@@ -11,8 +11,8 @@
 //! `Err` from opening or from reading — never as silently wrong data.
 
 use foresight_store::{
-    ChunkCodec, ChunkGrid, ChunkRef, CodecKind, Directory, FieldEntry, FieldShape, StoreReader,
-    StoreWriter, Superblock,
+    ChunkCodec, ChunkGrid, ChunkRef, CodecKind, Directory, FieldEntry, FieldShape, Region,
+    StoreReader, StoreWriter, Superblock,
 };
 use foresight_store::format::{BoundSpec, SUPERBLOCK_LEN, VERSION};
 use foresight_util::sha256::sha256;
@@ -159,6 +159,88 @@ fn forged_chunk_crc_fails_at_read_not_open() {
     let err = reader.extract(1, "forged").unwrap_err();
     assert!(err.to_string().contains("CRC"), "{err}");
     assert!(reader.verify().is_err());
+}
+
+/// A 12x8x8 field in 4^3 chunks (12 of them) whose chunks `corrupt`
+/// each had one payload byte flipped: the directory, its CRC and the
+/// manifest digest are all still valid, only those chunks' CRCs are not.
+fn archive_with_corrupt_chunks(codec: &ChunkCodec, corrupt: &[usize]) -> (Vec<u8>, Vec<u8>) {
+    let data: Vec<f32> = (0..768).map(|i| (i as f32 * 0.05).cos() * 12.0).collect();
+    let mut w = StoreWriter::new();
+    w.add_field(0, "f", &data, FieldShape::d3(12, 8, 8), [4, 4, 4], codec).unwrap();
+    let clean = w.finish().unwrap();
+    let mut bad = clean.clone();
+    let reader = StoreReader::from_bytes(clean.clone()).unwrap();
+    for &id in corrupt {
+        let c = reader.find(0, "f").unwrap().chunks[id];
+        bad[(c.offset + c.len / 2) as usize] ^= 0x10;
+    }
+    (clean, bad)
+}
+
+/// The 4^3 box of chunk `id` in the 3x2x2 grid.
+fn chunk_region(id: usize) -> Region {
+    let lo = [id % 3 * 4, id / 3 % 2 * 4, id / 6 * 4];
+    Region::new(lo, lo.map(|v| v + 4)).unwrap()
+}
+
+#[test]
+fn corrupt_chunk_fails_every_read_that_touches_it_and_is_never_cached() {
+    for codec in [ChunkCodec::sz_abs(1e-2), ChunkCodec::zfp_rate(8.0)] {
+        let (clean, bad) = archive_with_corrupt_chunks(&codec, &[4]);
+        let path = std::env::temp_dir().join(format!("fstr-corrupt-{}.fstr", std::process::id()));
+        std::fs::write(&path, &bad).unwrap();
+        let from_file = StoreReader::open(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let clean = StoreReader::from_bytes(clean).unwrap();
+
+        for reader in [StoreReader::from_bytes(bad).unwrap(), from_file] {
+            // Neighbours first, so the failing reads below run against a
+            // cache that already holds every other chunk they touch.
+            for id in [3, 5, 1, 7] {
+                let (got, cold) = reader.read_region(0, "f", chunk_region(id)).unwrap();
+                assert_eq!(got, clean.read_region(0, "f", chunk_region(id)).unwrap().0);
+                assert_eq!(cold.chunks_decoded, 1);
+                let (_, warm) = reader.read_region(0, "f", chunk_region(id)).unwrap();
+                assert_eq!((warm.chunks_decoded, warm.cache_hits()), (0, 1), "neighbour is cacheable");
+            }
+            let touching = [
+                chunk_region(4),
+                Region::new([3, 3, 1], [9, 5, 3]).unwrap(),
+                Region::full(FieldShape::d3(12, 8, 8)),
+            ];
+            for round in 0..3 {
+                for region in touching {
+                    let err = reader.read_region(0, "f", region).unwrap_err();
+                    assert!(
+                        matches!(err, foresight_util::Error::Corrupt(_))
+                            && err.to_string().contains("chunk 4 "),
+                        "round {round} {region:?}: {err}"
+                    );
+                }
+            }
+            assert!(reader.read_region(0, "f", chunk_region(3)).is_ok());
+            assert!(reader.verify().is_err());
+        }
+    }
+}
+
+#[test]
+fn two_corrupt_chunks_report_the_lower_id_under_any_thread_count() {
+    let (_, bad) = archive_with_corrupt_chunks(&ChunkCodec::sz_abs(1e-2), &[9, 2]);
+    for threads in [1, 2, 4, 7] {
+        let reader = StoreReader::from_bytes(bad.clone()).unwrap();
+        foresight_util::parallel::with_threads(threads, || {
+            for _ in 0..2 {
+                let err = reader.extract(0, "f").unwrap_err();
+                assert!(err.to_string().contains("chunk 2 "), "{threads} threads: {err}");
+            }
+            // With chunk 2 out of the region, chunk 9 is the one reported.
+            let upper = Region::new([0, 0, 4], [12, 8, 8]).unwrap();
+            let err = reader.read_region(0, "f", upper).unwrap_err();
+            assert!(err.to_string().contains("chunk 9 "), "{threads} threads: {err}");
+        });
+    }
 }
 
 #[test]

@@ -9,8 +9,13 @@
 //!    container adds integrity metadata, never distortion of its own.
 //! 2. A random subregion read equals the same slice of the full-field
 //!    decode — chunk-granular access must be invisible to the caller.
+//! 3. Any sequence of reads on one reader returns what a fresh reader
+//!    returns for each — the decoded-chunk cache must be invisible too —
+//!    and `ReadStats` counts only the work each call did.
 
-use foresight_store::{ChunkCodec, ChunkGrid, FieldShape, Region, StoreReader, StoreWriter};
+use foresight_store::{
+    ChunkCodec, ChunkGrid, FieldShape, ReadStats, Region, StoreReader, StoreWriter,
+};
 use proptest::prelude::*;
 
 fn synth(n: usize, seed: u32) -> Vec<f32> {
@@ -139,9 +144,79 @@ proptest! {
             }
         }
         prop_assert_eq!(bits(&sub), bits(&expected));
-        prop_assert!(stats.chunks_decoded <= stats.chunks_in_field);
-        prop_assert!(stats.bytes_touched >= stats.bytes_returned);
+        // The extract above left every chunk resident, so this read did
+        // no decode; the plan carries the cacheless accounting.
+        let planned = reader.plan_region(0, "f", region).unwrap();
+        prop_assert_eq!((stats.chunks_decoded, stats.bytes_touched), (0, 0));
+        prop_assert_eq!(stats.chunks_intersected, planned.chunks_decoded);
+        prop_assert!(planned.chunks_decoded <= planned.chunks_in_field);
+        prop_assert!(planned.bytes_touched >= planned.bytes_returned);
         prop_assert_eq!(stats.bytes_returned, (expected.len() as u64) * 4);
+    }
+
+    /// Invariant 3: any read sequence (repeats, overlaps, full extracts;
+    /// an SZ and a ZFP field of one 1-D/2-D/3-D shape with clamped edge
+    /// chunks) on one reader equals a fresh reader per read, under 1 and
+    /// 4 threads, and the stats tell hits from decodes.
+    #[test]
+    fn cached_reads_match_fresh_readers_for_any_read_order(
+        sel in any::<u8>(),
+        a in any::<usize>(), b in any::<usize>(), c in any::<usize>(),
+        seed in any::<u32>(),
+        ops in prop::collection::vec(prop::collection::vec(any::<u32>(), 8), 1..10),
+    ) {
+        let (shape, chunk) = shape_for(sel, a, b, c);
+        let data = synth(shape.len(), seed);
+        let mut w = StoreWriter::new();
+        w.add_field(0, "sz", &data, shape, chunk, &ChunkCodec::sz_abs(1e-2)).unwrap();
+        w.add_field(0, "zfp", &data, shape, chunk, &ChunkCodec::zfp_rate(8.0)).unwrap();
+        let archive = w.finish().unwrap();
+
+        let ext = shape.extents();
+        for threads in [1, 4] {
+            let reader = StoreReader::from_bytes(archive.clone()).unwrap();
+            foresight_util::parallel::with_threads(threads, || {
+                for op in &ops {
+                    let name = if op[0] % 2 == 0 { "sz" } else { "zfp" };
+                    let region = if op[1] % 4 == 0 {
+                        Region::full(shape)
+                    } else {
+                        let (mut lo, mut hi) = ([0usize; 3], [1usize; 3]);
+                        for axis in 0..3 {
+                            let x0 = op[2 + axis] as usize % ext[axis];
+                            let x1 = op[5 + axis] as usize % ext[axis];
+                            lo[axis] = x0.min(x1);
+                            hi[axis] = x0.max(x1) + 1;
+                        }
+                        Region::new(lo, hi).unwrap()
+                    };
+                    let planned = reader.plan_region(0, name, region).unwrap();
+                    let fresh = StoreReader::from_bytes(archive.clone()).unwrap();
+                    let (want, cold) = fresh.read_region(0, name, region).unwrap();
+                    prop_assert_eq!(cold, planned, "a cold read does exactly the planned work");
+
+                    let (got, stats) = reader.read_region(0, name, region).unwrap();
+                    prop_assert_eq!(bits(&got), bits(&want));
+                    prop_assert!(stats.chunks_decoded <= stats.chunks_intersected);
+                    prop_assert!(stats.bytes_touched <= planned.bytes_touched);
+                    prop_assert_eq!(stats.cache_hits(), planned.chunks_decoded - stats.chunks_decoded);
+                    prop_assert_eq!(
+                        ReadStats { chunks_decoded: 0, compressed_bytes_read: 0, bytes_touched: 0, ..stats },
+                        ReadStats { chunks_decoded: 0, compressed_bytes_read: 0, bytes_touched: 0, ..planned }
+                    );
+
+                    // The field is far smaller than the budget, so a
+                    // repeat is fully warm: no decode, nothing touched.
+                    let (again, warm) = reader.read_region(0, name, region).unwrap();
+                    prop_assert_eq!(bits(&again), bits(&want));
+                    prop_assert_eq!(
+                        (warm.chunks_decoded, warm.compressed_bytes_read, warm.bytes_touched),
+                        (0, 0, 0)
+                    );
+                    prop_assert_eq!(warm.cache_hits(), planned.chunks_decoded);
+                }
+            });
+        }
     }
 }
 

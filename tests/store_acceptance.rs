@@ -85,11 +85,17 @@ fn unaligned_region_read_touches_under_two_percent() {
     // The same numbers must flow through the telemetry counters.
     assert_eq!(snap.metrics.counter("store.bytes_touched"), stats.bytes_touched);
     assert_eq!(snap.metrics.counter("store.chunks_decoded"), stats.chunks_decoded);
+    assert_eq!(snap.metrics.counter("store.chunks_read"), stats.chunks_intersected);
+    assert_eq!(snap.metrics.counter("store.cache.misses"), 8, "the reader was cold");
+    assert_eq!(snap.metrics.counter("store.cache.hits"), 0);
     assert_eq!(snap.metrics.counter("store.bytes_returned"), stats.bytes_returned);
 
-    // Correctness: byte-identical to slicing the full decode.
+    // Correctness: byte-identical to slicing the full decode. The
+    // extract is larger than the cache budget, so it inserts nothing,
+    // but the region read's 8 chunks are resident and served as hits.
     let (full, full_stats) = reader.extract(0, "rho").unwrap();
-    assert_eq!(full_stats.chunks_decoded, full_stats.chunks_in_field);
+    assert_eq!(full_stats.chunks_intersected, full_stats.chunks_in_field);
+    assert_eq!(full_stats.cache_hits(), 8);
     let mut expected = Vec::with_capacity(sub.len());
     for z in lo..lo + CHUNK {
         for y in lo..lo + CHUNK {
