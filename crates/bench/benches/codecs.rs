@@ -6,7 +6,8 @@ use foresight::codec::{compress, decompress, CodecConfig, Shape};
 use foresight_util::bits::{BitReader, BitWriter};
 use lossy_sz::huffman::{histogram, Codebook};
 use lossy_sz::{Dims, EntropyBackend, PredictorKind, SzConfig};
-use lossy_zfp::ZfpConfig;
+use lossy_zfp::{Dims3, ZfpConfig};
+use std::time::Instant;
 
 fn nyx_like_field(n: usize) -> Vec<f32> {
     (0..n * n * n)
@@ -140,8 +141,55 @@ fn bench_huffman_entropy(c: &mut Criterion) {
     g.finish();
 }
 
+/// The ZFP block kernel without whole-field wall noise: inputs that stay
+/// in cache (1 MiB each), one thread, both directions. Next to criterion's
+/// mean, each case prints the *minimum* iteration as ns per block and
+/// MB/s of uncompressed data — the figure to iterate on, since this VM's
+/// clock swings for seconds at a time.
+fn bench_zfp_block(c: &mut Criterion) {
+    let line: Vec<f32> = (0..1usize << 18)
+        .map(|i| (i as f32 * 0.003).sin() * 250.0 + (i as f32 * 0.61).sin() * 0.3)
+        .collect();
+    let cube = nyx_like_field(64);
+    let cases = [
+        ("1d_rate_8", &line, Dims3::D1(line.len()), 8.0),
+        ("3d_rate_4", &cube, Dims3::D3(64, 64, 64), 4.0),
+        ("3d_rate_8", &cube, Dims3::D3(64, 64, 64), 8.0),
+    ];
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+    let mut g = c.benchmark_group("zfp_block");
+    for (name, data, dims, rate) in cases {
+        let cfg = ZfpConfig::rate(rate);
+        let blocks = dims.extents().iter().map(|n| n.div_ceil(4)).product::<usize>();
+        let stream = lossy_zfp::compress(data, dims, &cfg).unwrap();
+        g.throughput(Throughput::Elements(blocks as u64));
+        let mut run = |dir: &str, f: &(dyn Fn() -> usize + Sync)| {
+            let mut best = f64::INFINITY;
+            g.bench_function(format!("{dir}/{name}"), |b| {
+                b.iter(|| {
+                    let t = Instant::now();
+                    let n = pool.install(f);
+                    best = best.min(t.elapsed().as_secs_f64());
+                    n
+                })
+            });
+            if best.is_finite() {
+                println!(
+                    "zfp_block/{dir}/{name:<28} min: {:.1} ns/block, {:.0} MB/s",
+                    best * 1e9 / blocks as f64,
+                    (data.len() * 4) as f64 / best / 1e6
+                );
+            }
+        };
+        run("encode", &|| lossy_zfp::compress(data, dims, &cfg).unwrap().len());
+        run("decode", &|| lossy_zfp::decompress(&stream).unwrap().0.len());
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
+    bench_zfp_block,
     bench_compress,
     bench_decompress,
     bench_entropy_backends,

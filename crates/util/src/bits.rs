@@ -5,6 +5,14 @@
 //! significance bits. [`BitWriter`] and [`BitReader`] provide an LSB-first
 //! bit stream over a byte buffer: the first bit written is the lowest bit of
 //! the first byte. Up to 64 bits can be moved per call.
+//!
+//! A codec that moves a few bits per call through `&mut BitWriter` /
+//! `&mut BitReader` pays a load and a store of the tail word each time. Both
+//! types can be worked *by value* instead, so the tail word and its fill
+//! count stay in registers across a whole block: [`BitWriter::tail`] lends a
+//! [`WriterTail`], and a [`BitReader`] is cloned into a local, read with the
+//! zero-padding [`BitReader::take_bits`] / [`BitReader::peek_bits`] /
+//! [`BitReader::skip_bits`], and stored back.
 
 use crate::error::{Error, Result};
 
@@ -93,6 +101,18 @@ impl BitWriter {
         }
     }
 
+    /// A writer that continues after the whole bytes of `bytes`, for
+    /// payloads that follow a header in one buffer.
+    pub fn from_bytes(bytes: Vec<u8>) -> Self {
+        Self { buf: bytes, acc: 0, nbits: 0 }
+    }
+
+    /// Lends the tail word by value; see [`WriterTail`].
+    #[inline]
+    pub fn tail(&mut self) -> WriterTail<'_> {
+        WriterTail { acc: self.acc, nbits: self.nbits, w: self }
+    }
+
     /// Number of bits written so far.
     pub fn bit_len(&self) -> u64 {
         (self.buf.len() as u64) * 8 + self.nbits as u64
@@ -104,6 +124,59 @@ impl BitWriter {
         let tail = self.acc.to_le_bytes();
         self.buf.extend_from_slice(&tail[..nbytes]);
         self.buf
+    }
+}
+
+/// A [`BitWriter`]'s tail word held by value.
+///
+/// Writes go to the copy, which a caller keeps in a local and the compiler
+/// in registers; the writer's buffer is touched only when the word fills.
+/// Dropping the tail stores it back, so the writer is whole again whenever
+/// it can be observed.
+#[derive(Debug)]
+pub struct WriterTail<'a> {
+    w: &'a mut BitWriter,
+    acc: u64,
+    nbits: u32,
+}
+
+impl WriterTail<'_> {
+    /// Appends the low `n` bits of `value` (`n <= 64`), exactly as
+    /// [`BitWriter::write_bits`] does.
+    #[inline]
+    pub fn write_bits(&mut self, value: u64, n: u32) {
+        debug_assert!(n <= 64);
+        if n == 0 {
+            return;
+        }
+        let value = if n == 64 { value } else { value & ((1u64 << n) - 1) };
+        self.acc |= value << self.nbits;
+        let free = 64 - self.nbits;
+        if n < free {
+            self.nbits += n;
+        } else {
+            self.w.buf.extend_from_slice(&self.acc.to_le_bytes());
+            self.acc = if free == 64 { 0 } else { value >> free };
+            self.nbits = n - free;
+        }
+    }
+
+    /// Appends `n` zero bits, for any `n`.
+    #[inline]
+    pub fn write_zeros(&mut self, mut n: u32) {
+        while n > 64 {
+            self.write_bits(0, 64);
+            n -= 64;
+        }
+        self.write_bits(0, n);
+    }
+}
+
+impl Drop for WriterTail<'_> {
+    #[inline]
+    fn drop(&mut self) {
+        self.w.acc = self.acc;
+        self.w.nbits = self.nbits;
     }
 }
 
@@ -218,6 +291,58 @@ impl<'a> BitReader<'a> {
         Ok(())
     }
 
+    /// Reads the next `n` bits (`n <= 64`) and never fails: bits past the
+    /// end of the stream read as zero and the reader stops at the end. A
+    /// caller that must not run past the end compares what it consumed
+    /// with [`BitReader::remaining_bits`] taken beforehand.
+    #[inline(always)]
+    pub fn take_bits(&mut self, n: u32) -> u64 {
+        debug_assert!(n <= 64);
+        if n > 56 {
+            // Split large reads: low 32 bits then the rest.
+            let lo = self.take_window(32);
+            return lo | self.take_window(n - 32) << 32;
+        }
+        self.take_window(n)
+    }
+
+    /// [`BitReader::take_bits`] within the peek window (`n <= 56`).
+    #[inline(always)]
+    fn take_window(&mut self, n: u32) -> u64 {
+        let v = self.peek_bits(n);
+        self.acc >>= n;
+        self.nbits = self.nbits.saturating_sub(n);
+        v
+    }
+
+    /// Discards `n` bits, for any `n`, stopping at the end of the stream.
+    #[inline(always)]
+    pub fn skip_bits(&mut self, n: u64) {
+        if n <= 56 {
+            self.take_window(n as u32);
+        } else {
+            self.skip_far(n);
+        }
+    }
+
+    /// [`BitReader::skip_bits`] beyond the peek window.
+    #[cold]
+    fn skip_far(&mut self, n: u64) {
+        let held = self.nbits as u64;
+        if n < held {
+            self.acc >>= n;
+            self.nbits -= n as u32;
+            return;
+        }
+        // Drop the held bits, then whole bytes by position, then the rest.
+        let n = n - held;
+        self.acc = 0;
+        self.nbits = 0;
+        let left = self.data.len() - self.pos;
+        self.pos += left.min(usize::try_from(n / 8).unwrap_or(usize::MAX));
+        self.take_window((n % 8) as u32);
+    }
+
     /// Number of bits still available.
     pub fn remaining_bits(&self) -> u64 {
         self.nbits as u64 + 8 * (self.data.len() - self.pos) as u64
@@ -316,6 +441,135 @@ mod tests {
                 assert_eq!(bulk.into_bytes(), slow.into_bytes(), "phase {phase} len {len}");
             }
         }
+    }
+
+    fn xorshift(s: &mut u64) -> u64 {
+        *s ^= *s << 13;
+        *s ^= *s >> 7;
+        *s ^= *s << 17;
+        *s
+    }
+
+    /// Every length at every tail phase, then a pseudo-random interleaving
+    /// of plain and by-value calls: the views must be indistinguishable
+    /// from the methods they stand in for, bit for bit and position for
+    /// position.
+    #[test]
+    fn by_value_views_equal_the_plain_calls_at_every_length_and_phase() {
+        let mut seed = 0x2545_F491_4F6C_DD1Du64;
+        for phase in 0..64u32 {
+            for len in 0..=64u32 {
+                // A script of (value, nbits, through the view?) calls.
+                let mut script = vec![(0x5A5A_A5A5_C3C3_3C3Cu64, phase, false)];
+                script.push((xorshift(&mut seed), len, true));
+                for _ in 0..6 {
+                    let v = xorshift(&mut seed);
+                    script.push((v, (v >> 58) as u32 + (v & 1) as u32, v & 2 != 0));
+                }
+                script.push((0b1011, 4, false));
+
+                let mut plain = BitWriter::new();
+                let mut mixed = BitWriter::new();
+                for &(v, n, _) in &script {
+                    plain.write_bits(v, n);
+                }
+                let mut i = 0;
+                while i < script.len() {
+                    if script[i].2 {
+                        // One tail serves a run of consecutive view calls.
+                        let mut t = mixed.tail();
+                        while i < script.len() && script[i].2 {
+                            t.write_bits(script[i].0, script[i].1);
+                            i += 1;
+                        }
+                    } else {
+                        mixed.write_bits(script[i].0, script[i].1);
+                        i += 1;
+                    }
+                    let so_far: u64 = script[..i].iter().map(|c| c.1 as u64).sum();
+                    assert_eq!(mixed.bit_len(), so_far, "phase {phase} len {len}");
+                }
+                let bytes = plain.into_bytes();
+                assert_eq!(mixed.into_bytes(), bytes, "phase {phase} len {len}");
+
+                let mut plain = BitReader::new(&bytes);
+                let mut mixed = BitReader::new(&bytes);
+                for &(v, n, view) in &script {
+                    let want = plain.read_bits(n).unwrap();
+                    assert_eq!(want, if n == 64 { v } else { v & ((1 << n) - 1) });
+                    let got = if view {
+                        let mut head = mixed.clone();
+                        if n <= 56 {
+                            assert_eq!(head.peek_bits(n), want);
+                        }
+                        let got = head.take_bits(n);
+                        mixed = head;
+                        got
+                    } else {
+                        mixed.read_bits(n).unwrap()
+                    };
+                    assert_eq!(got, want, "phase {phase} len {len}");
+                    assert_eq!(mixed.remaining_bits(), plain.remaining_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn write_zeros_and_skip_bits_match_chunked_calls() {
+        let src: Vec<u8> = (0..40u32).map(|i| (i.wrapping_mul(2654435761) >> 11) as u8).collect();
+        for phase in 0..64u32 {
+            for n in [0u32, 1, 7, 8, 55, 56, 57, 63, 64, 65, 127, 128, 200] {
+                let mut plain = BitWriter::new();
+                let mut viewed = BitWriter::new();
+                for w in [&mut plain, &mut viewed] {
+                    w.write_bits(u64::MAX, phase);
+                }
+                (0..n).for_each(|_| plain.write_bit(false));
+                viewed.tail().write_zeros(n);
+                for w in [&mut plain, &mut viewed] {
+                    w.write_bits(0b1101, 4);
+                }
+                assert_eq!(viewed.into_bytes(), plain.into_bytes(), "phase {phase} n {n}");
+
+                let mut plain = BitReader::new(&src);
+                let mut viewed = BitReader::new(&src);
+                plain.read_bits(phase).unwrap();
+                viewed.take_bits(phase);
+                for _ in 0..n {
+                    plain.read_bit().unwrap();
+                }
+                viewed.skip_bits(n as u64);
+                assert_eq!(viewed.remaining_bits(), plain.remaining_bits(), "phase {phase} n {n}");
+                assert_eq!(viewed.take_bits(13), plain.read_bits(13).unwrap());
+            }
+        }
+    }
+
+    #[test]
+    fn infallible_reads_zero_pad_and_stop_at_the_end() {
+        let bytes = [0xffu8, 0x01];
+        let mut r = BitReader::new(&bytes);
+        assert_eq!(r.take_bits(4), 0xf);
+        // 12 real bits are left: the rest of the 64 read as zero.
+        assert_eq!(r.take_bits(64), 0x1f);
+        assert_eq!(r.remaining_bits(), 0);
+        assert_eq!(r.take_bits(9), 0);
+        r.skip_bits(1000);
+        assert_eq!(r.remaining_bits(), 0);
+        assert!(r.read_bit().is_err());
+        let mut r = BitReader::new(&bytes);
+        r.skip_bits(u64::MAX);
+        assert_eq!(r.remaining_bits(), 0);
+    }
+
+    #[test]
+    fn from_bytes_continues_after_the_prefix() {
+        let mut w = BitWriter::from_bytes(vec![0xAA, 0xBB]);
+        assert_eq!(w.bit_len(), 16);
+        w.write_bits(0b101, 3);
+        w.append(&[0xff], 8);
+        assert_eq!(w.into_bytes(), vec![0xAA, 0xBB, 0b1111_1101, 0b0000_0111]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Per-block ZFP codec: fixed-point cast, sequency reorder, and the
 //! embedded bit-plane coder.
 //!
-//! A block is `4^d` values (d = 1, 2, 3). Encoding steps:
+//! A block is `N = 4^d` values (d = 1, 2, 3). Encoding steps:
 //!
 //! 1. **Common-exponent cast** — find the block's largest magnitude, derive
 //!    exponent `emax` with `max < 2^emax`, and scale every value by
@@ -18,12 +18,17 @@
 //!
 //! The header spends 1 bit on an all-zero flag plus 8 bits of biased
 //! exponent; both count against the budget, exactly as in cuZFP.
+//!
+//! One kernel serves the three block sizes, monomorphised over `N`. It
+//! works a word at a time (DESIGN.md §17.6): a plane is an `N`-bit word
+//! taken from an 8×8 bit-matrix transpose of the coefficients' bytes, a
+//! group test and the unary run behind it are one write — or one peek and
+//! one `trailing_zeros` — and the bit stream's tail word is held by value.
 
 use crate::config::ZfpMode;
 use crate::lift;
-use foresight_util::bits::{BitReader, BitWriter};
+use foresight_util::bits::{BitReader, BitWriter, WriterTail};
 use foresight_util::{Error, Result};
-use std::sync::OnceLock;
 
 /// Bit planes in an `i32` coefficient.
 pub const INTPREC: u32 = 32;
@@ -41,9 +46,22 @@ pub fn block_cells(d: u8) -> usize {
 pub enum Planes {
     /// The same count for every block.
     Count(u32),
-    /// Per block, enough that the absolute error stays below the
-    /// tolerance; derived from the block's exponent on both sides.
-    Tolerance(f64),
+    /// Per block, enough that the absolute error stays below a tolerance;
+    /// derived from the block's exponent on both sides. Holds
+    /// `floor(log2(tolerance))`, see [`Planes::tolerance`].
+    Tolerance(i32),
+}
+
+impl Planes {
+    /// The planes that keep the absolute error below `tol`. A tolerance
+    /// that bounds nothing — zero, negative, NaN, infinite — keeps them all.
+    pub fn tolerance(tol: f64) -> Self {
+        if tol > 0.0 && tol.is_finite() {
+            Planes::Tolerance(tol.log2().floor() as i32)
+        } else {
+            Planes::Count(INTPREC)
+        }
+    }
 }
 
 /// The coding parameters of one stream; one value serves every block.
@@ -73,41 +91,52 @@ impl BlockCoding {
                 (bits, true, Planes::Count(INTPREC))
             }
             ZfpMode::FixedPrecision(p) => (cap, false, Planes::Count(p.min(INTPREC))),
-            ZfpMode::FixedAccuracy(tol) => (cap, false, Planes::Tolerance(tol)),
+            ZfpMode::FixedAccuracy(tol) => (cap, false, Planes::tolerance(tol)),
         };
         Self { d, maxbits, fixed_rate, planes }
     }
 
     /// Planes kept by a block whose exponent is `emax`.
+    ///
+    /// Truncating negabinary planes below `kmin` perturbs a coefficient by
+    /// at most `2^(kmin+1)` integer units; the inverse transform amplifies
+    /// by at most `2^d`, and an integer unit is worth `2^(emax-30)`. Solving
+    /// `2^(kmin+1+d+emax-30) <= tol` for `kmin` gives the plane cut-off.
+    #[inline]
     fn maxprec(&self, emax: i32) -> u32 {
         match self.planes {
             Planes::Count(p) => p,
-            Planes::Tolerance(tol) => maxprec_from_emax(emax, tol, self.d),
+            Planes::Tolerance(log2_tol) => {
+                let kmin = log2_tol - emax + 30 - (self.d as i32 + 1);
+                (INTPREC as i32 - kmin.clamp(0, INTPREC as i32)) as u32
+            }
         }
     }
 }
 
-/// Sequency permutation: `perm[d][rank] = block-local index`.
-fn perm(d: u8) -> &'static [u16] {
-    static P1: OnceLock<Vec<u16>> = OnceLock::new();
-    static P2: OnceLock<Vec<u16>> = OnceLock::new();
-    static P3: OnceLock<Vec<u16>> = OnceLock::new();
-    let build = |d: u8| -> Vec<u16> {
-        let n = block_cells(d);
-        let mut idx: Vec<u16> = (0..n as u16).collect();
-        let degree = |i: u16| -> (u16, u16) {
-            let i = i as usize;
-            let (x, y, z) = (i % 4, (i / 4) % 4, i / 16);
-            ((x + y + z) as u16, i as u16)
-        };
-        idx.sort_by_key(|&i| degree(i));
-        idx
+/// Sequency permutation of an `N`-value block: `PERM[rank]` is the
+/// block-local index of the coefficient with that rank, by total degree
+/// `x + y + z` and then by index.
+struct Sequency<const N: usize>;
+
+impl<const N: usize> Sequency<N> {
+    const PERM: [u8; N] = {
+        let mut perm = [0u8; N];
+        let mut rank = 0;
+        let mut degree = 0;
+        while rank < N {
+            let mut i = 0;
+            while i < N {
+                if i % 4 + i / 4 % 4 + i / 16 == degree {
+                    perm[rank] = i as u8;
+                    rank += 1;
+                }
+                i += 1;
+            }
+            degree += 1;
+        }
+        perm
     };
-    match d {
-        1 => P1.get_or_init(|| build(1)),
-        2 => P2.get_or_init(|| build(2)),
-        _ => P3.get_or_init(|| build(3)),
-    }
 }
 
 /// Exponent `e` with `2^(e-1) <= |x| < 2^e` (frexp-style) for finite
@@ -132,21 +161,6 @@ fn f64_pow2(e: i32) -> f64 {
     f64::from_bits(((e + 1023) as u64) << 52)
 }
 
-/// Number of bit planes to keep so truncation error stays below `tol`.
-///
-/// Truncating negabinary planes below `kmin` perturbs a coefficient by at
-/// most `2^(kmin+1)` integer units; the inverse transform amplifies by at
-/// most `2^d`, and an integer unit is worth `2^(emax-30)`. Solving
-/// `2^(kmin+1+d+emax-30) <= tol` for `kmin` gives the plane cut-off.
-fn maxprec_from_emax(emax: i32, tol: f64, d: u8) -> u32 {
-    if tol <= 0.0 || tol.is_nan() || tol.is_infinite() {
-        return INTPREC;
-    }
-    let kmin = (tol.log2().floor() as i32) - emax + 30 - (d as i32 + 1);
-    let kmin = kmin.clamp(0, INTPREC as i32);
-    (INTPREC as i32 - kmin) as u32
-}
-
 /// Largest magnitude in `values`, or `None` when any of them is NaN or
 /// infinite. Magnitude order is the order of the sign-cleared bit
 /// patterns, and every non-finite pattern sorts above every finite one.
@@ -157,79 +171,229 @@ fn finite_max(values: &[f32]) -> Option<f32> {
     (top < INF).then(|| f32::from_bits(top))
 }
 
-/// Appends `n` zero bits.
-fn write_zeros(w: &mut BitWriter, mut n: u32) {
-    while n > 0 {
-        let chunk = n.min(64);
-        w.write_bits(0, chunk);
-        n -= chunk;
+/// The low `n` bits set (`n <= 64`).
+#[inline]
+fn low_mask(n: u32) -> u64 {
+    if n >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << n) - 1
     }
 }
 
-/// Skips `n` bits.
-fn skip_bits(r: &mut BitReader<'_>, mut n: u32) -> Result<()> {
-    while n > 0 {
-        let chunk = n.min(56);
-        r.consume(chunk)?;
-        n -= chunk;
+/// `x >> n` for `n <= 64`.
+#[inline]
+fn shr(x: u64, n: u32) -> u64 {
+    if n >= 64 {
+        0
+    } else {
+        x >> n
     }
-    Ok(())
 }
 
-/// Encodes one block of `4^d` f32 values into `w`.
+/// Transposes an 8×8 bit matrix held row by row in the bytes of `x`: bit
+/// `c` of byte `r` moves to bit `r` of byte `c`. Three delta-swaps
+/// exchange the off-diagonal 1×1, 2×2 and 4×4 sub-blocks.
+#[inline]
+fn transpose8(mut x: u64) -> u64 {
+    let mut t = (x ^ (x >> 7)) & 0x00AA_00AA_00AA_00AA;
+    x ^= t ^ (t << 7);
+    t = (x ^ (x >> 14)) & 0x0000_CCCC_0000_CCCC;
+    x ^= t ^ (t << 14);
+    t = (x ^ (x >> 28)) & 0x0000_0000_F0F0_F0F0;
+    x ^ t ^ (t << 28)
+}
+
+/// Transposes an 8×8 byte matrix held row by row in `m`: byte `c` of
+/// `m[r]` moves to byte `r` of `m[c]`. A `dense` matrix goes through the
+/// same three delta-swaps, between words: 1×1, 2×2 and 4×4 sub-blocks of
+/// bytes. One whose caller knows most rows to be zero, or wants only a
+/// few rows of the result, is moved byte by byte, so that the compiler
+/// drops the bytes that are zero or unused.
+#[inline]
+fn transpose_bytes(mut m: [u64; 8], dense: bool) -> [u64; 8] {
+    if !dense {
+        return std::array::from_fn(|r| {
+            (0..8).fold(0, |row, c| row | (m[c] >> (8 * r) & 0xff) << (8 * c))
+        });
+    }
+    const MASKS: [u64; 3] = [0x00FF_00FF_00FF_00FF, 0x0000_FFFF_0000_FFFF, 0x0000_0000_FFFF_FFFF];
+    for (stage, mask) in MASKS.into_iter().enumerate() {
+        let step = 1 << stage;
+        for lo in (0..8).filter(|lo| lo & step == 0) {
+            let t = (m[lo] >> (8 * step) ^ m[lo + step]) & mask;
+            m[lo] ^= t << (8 * step);
+            m[lo + step] ^= t;
+        }
+    }
+    m
+}
+
+/// The negabinary coefficients of a block, in sequency order, stored as
+/// four rows of bytes — `bytes[g][i]` is byte `g` of coefficient `i` — so
+/// that the eight bit planes `8g..8g+8` of all `N` coefficients are one
+/// pass of [`transpose8`] over row `g`, eight coefficients at a time.
+struct Coefficients<const N: usize> {
+    bytes: [[u8; N]; 4],
+}
+
+impl<const N: usize> Coefficients<N> {
+    /// Words of eight coefficients in a row.
+    const WORDS: usize = N.div_ceil(8);
+
+    /// Eight coefficients of row `g` starting at `8 * j`, as one word.
+    #[inline]
+    fn word(&self, g: usize, j: usize) -> u64 {
+        let mut w = [0u8; 8];
+        let len = N.min(8);
+        w[..len].copy_from_slice(&self.bytes[g & 3][8 * j..8 * j + len]);
+        u64::from_le_bytes(w)
+    }
+
+    /// Planes `8g..8g+8`: bit `i` of `planes[p]` is bit `8g + p` of
+    /// coefficient `i`.
+    #[inline]
+    fn planes(&self, g: usize) -> [u64; 8] {
+        // Byte `p` of `m[j]` holds plane `8g + p` of coefficients
+        // `8j..8j+8`; a transpose of bytes lines the planes up.
+        let word = |j| if j < Self::WORDS { transpose8(self.word(g, j)) } else { 0 };
+        transpose_bytes(std::array::from_fn(word), Self::WORDS == 8)
+    }
+
+    /// Stores planes `8g..8g+8`, the inverse of [`Coefficients::planes`].
+    #[inline]
+    fn set_planes(&mut self, g: usize, planes: &[u64; 8]) {
+        let m = transpose_bytes(*planes, Self::WORDS == 8);
+        let len = N.min(8);
+        for (j, &t) in m.iter().enumerate().take(Self::WORDS) {
+            let w = transpose8(t).to_le_bytes();
+            self.bytes[g & 3][8 * j..8 * j + len].copy_from_slice(&w[..len]);
+        }
+    }
+}
+
+/// A block's coefficients with one byte row of them held as planes, for
+/// a coder that walks the planes from the top down. The encoder reads:
+/// a row is transposed only when the coder first asks for one of its
+/// planes. The decoder writes: the planes it puts are collected and the
+/// row is deposited when the coder moves on to the next.
+struct PlaneRows<const N: usize> {
+    coeffs: Coefficients<N>,
+    /// Planes of row `row`; when writing, zero where none was put.
+    group: [u64; 8],
+    /// Which row `group` holds; 4, which is none, to begin with.
+    row: usize,
+}
+
+impl<const N: usize> PlaneRows<N> {
+    #[inline]
+    fn new() -> Self {
+        Self { coeffs: Coefficients { bytes: [[0u8; N]; 4] }, group: [0; 8], row: 4 }
+    }
+
+    /// Plane `k` of the coefficients.
+    #[inline]
+    fn plane(&mut self, k: u32) -> u64 {
+        let g = (k / 8) as usize;
+        if g != self.row {
+            self.group = self.coeffs.planes(g);
+            self.row = g;
+        }
+        self.group[(k % 8) as usize]
+    }
+
+    /// Sets plane `k`; the coefficients have it once its row is flushed.
+    #[inline]
+    fn put(&mut self, k: u32, x: u64) {
+        let g = (k / 8) as usize;
+        if g != self.row {
+            self.flush();
+            self.row = g;
+        }
+        self.group[(k % 8) as usize] = x;
+    }
+
+    /// Deposits the row being written, if any.
+    #[inline]
+    fn flush(&mut self) {
+        if self.row < 4 {
+            self.coeffs.set_planes(self.row, &self.group);
+            self.group = [0; 8];
+        }
+    }
+}
+
+/// Encodes one block of `N = 4^d` f32 values into `w`.
 ///
 /// Returns the number of bits written (always exactly `c.maxbits` at a
 /// fixed rate), or `None` — with `w` untouched — when the block holds a
 /// NaN or an infinity: the cast to a common exponent has no defined
 /// result for them, so the caller turns that into a typed error.
-pub fn encode_block(values: &[f32], c: &BlockCoding, w: &mut BitWriter) -> Option<u32> {
-    let n = block_cells(c.d);
-    debug_assert_eq!(values.len(), n);
+#[inline]
+pub fn encode_block<const N: usize>(
+    values: &[f32; N],
+    c: &BlockCoding,
+    w: &mut BitWriter,
+) -> Option<u32> {
+    debug_assert_eq!(block_cells(c.d), N);
     debug_assert!(c.maxbits >= HEADER_BITS);
-    let start = w.bit_len();
-    let pad = |w: &mut BitWriter| {
-        let used = (w.bit_len() - start) as u32;
-        if c.fixed_rate {
-            write_zeros(w, c.maxbits - used);
-            c.maxbits
-        } else {
-            used
-        }
-    };
-
     let vmax = finite_max(values)?;
-    if vmax == 0.0 {
-        w.write_bit(false); // all-zero block
-        return Some(pad(w));
+    let mut w = w.tail();
+    let used = encode_finite(values, vmax, c, &mut w);
+    if c.fixed_rate {
+        w.write_zeros(c.maxbits - used);
+        Some(c.maxbits)
+    } else {
+        Some(used)
     }
-    // emax in [-127, 128] stored with bias 127 -> [0, 255] in 8 bits.
+}
+
+/// Codes a block whose largest magnitude is the finite `vmax`, without
+/// padding; returns the bits written.
+#[inline]
+fn encode_finite<const N: usize>(
+    values: &[f32; N],
+    vmax: f32,
+    c: &BlockCoding,
+    w: &mut WriterTail<'_>,
+) -> u32 {
+    if vmax == 0.0 {
+        w.write_bits(0, 1); // all-zero block
+        return 1;
+    }
+    // emax in [-127, 128] stored with bias 127 -> [0, 255] in 8 bits,
+    // behind the non-zero flag.
     let emax = exponent(vmax).clamp(-127, 128);
-    w.write_bit(true);
-    w.write_bits((emax + 127) as u64, 8);
+    w.write_bits(1 | ((emax + 127) as u64) << 1, HEADER_BITS);
 
     // Fixed-point cast with |q| < 2^30, in f64 so the scale never
-    // overflows even for denormal-dominated blocks.
+    // overflows even for denormal-dominated blocks. The bound needs no
+    // clamp: |v| <= vmax < 2^emax, the product with a power of two is
+    // exact, and the cast truncates toward zero.
     let scale = f64_pow2(30 - emax);
-    let mut q = [0i32; 64];
-    for (qi, &v) in q[..n].iter_mut().zip(values) {
-        *qi =
-            (v as f64 * scale).clamp(-(1i64 << 30) as f64 + 1.0, (1i64 << 30) as f64 - 1.0) as i32;
+    let mut q = [0i32; N];
+    for (qi, &v) in q.iter_mut().zip(values) {
+        *qi = (v as f64 * scale) as i32;
     }
-    lift::fwd_xform(&mut q[..n], c.d);
+    lift::fwd_xform(&mut q);
 
-    // Reorder + negabinary.
-    let p = perm(c.d);
-    let mut u = [0u32; 64];
+    // Reorder + negabinary, stored by byte row.
+    let mut fetch = PlaneRows::<N>::new();
     let mut any = 0u32;
-    for i in 0..n {
-        u[i] = lift::int2uint(q[p[i] as usize]);
-        any |= u[i];
+    for (i, &p) in Sequency::<N>::PERM.iter().enumerate() {
+        let u = lift::int2uint(q[p as usize % N]);
+        any |= u;
+        for (row, b) in fetch.coeffs.bytes.iter_mut().zip(u.to_le_bytes()) {
+            row[i] = b;
+        }
     }
 
     // Embedded coding.
-    let mut bits = c.maxbits - HEADER_BITS;
+    let budget = c.maxbits - HEADER_BITS;
+    let mut bits = budget;
     let kmin = INTPREC.saturating_sub(c.maxprec(emax));
-    let mut sig = 0usize; // number of coefficients known significant
+    let n = N as u32;
+    let mut sig = 0u32; // number of coefficients known significant
     let mut k = INTPREC;
     // A plane above every coefficient's top bit has nothing significant
     // to send verbatim and fails its first group test: one zero bit.
@@ -237,128 +401,193 @@ pub fn encode_block(values: &[f32], c: &BlockCoding, w: &mut BitWriter) -> Optio
     w.write_bits(0, empty);
     bits -= empty;
     k -= empty;
-    while bits > 0 && k > kmin {
+    while sig < n && bits > 0 && k > kmin {
         k -= 1;
-        // Gather plane k into an n-bit word.
-        let mut x = 0u64;
-        for (i, &ui) in u[..n].iter().enumerate() {
-            x |= (((ui >> k) & 1) as u64) << i;
-        }
+        let mut x = fetch.plane(k);
         // Verbatim bits for known-significant coefficients.
-        let m = (sig as u32).min(bits);
+        let m = sig.min(bits);
         bits -= m;
         w.write_bits(x, m);
-        x = if m >= 64 { 0 } else { x >> m };
-        // Unary group tests for the rest.
+        x = shr(x, m);
+        // Group tests for the rest, each with the unary run behind it.
         while sig < n && bits > 0 {
-            bits -= 1;
-            let any = x != 0;
-            w.write_bit(any);
-            if !any {
+            if x == 0 {
+                w.write_bits(0, 1);
+                bits -= 1;
                 break;
             }
-            while sig < n - 1 && bits > 0 {
-                bits -= 1;
-                let b = x & 1 != 0;
-                w.write_bit(b);
-                if b {
-                    break;
-                }
-                x >>= 1;
-                sig += 1;
-            }
-            x >>= 1;
-            sig += 1;
+            // The test passes; then one zero per insignificant coefficient
+            // and a one for the next significant one — unless that is the
+            // last coefficient, where the one is implied, or the budget
+            // ends first.
+            let zeros = x.trailing_zeros();
+            let run = (zeros + 1).min(n - 1 - sig).min(bits - 1);
+            w.write_bits(1 | 2 << zeros, 1 + run);
+            bits -= 1 + run;
+            x = shr(x, zeros + 1);
+            sig += zeros + 1;
         }
     }
-    Some(pad(w))
+    // Every coefficient is significant: what is left of the budget is
+    // whole planes, as many to a word as fit.
+    while bits > 0 && k > kmin {
+        let take = (64 / n).min(k - kmin);
+        let mut word = 0u64;
+        for j in 0..take {
+            k -= 1;
+            word |= fetch.plane(k) << (n * j % 64);
+        }
+        let m = (take * n).min(bits);
+        w.write_bits(word, m);
+        bits -= m;
+    }
+    HEADER_BITS + budget - bits
 }
 
 /// Decodes one block; the mirror of [`encode_block`].
 ///
 /// `budget` is the block's bit span: `c.maxbits` at a fixed rate, where
 /// exactly that many bits are consumed, and the stored length otherwise,
-/// which the block may not exceed. Returns the bits consumed.
-pub fn decode_block(
+/// which the block may not exceed. Returns the bits consumed and leaves
+/// `r` behind them.
+///
+/// Reads inside the block cannot fail — bits past the end of the stream
+/// read as zero — so the bits consumed are checked once against the bits
+/// `r` held: a block the stream ends inside of is [`Error::Corrupt`],
+/// with `out` untouched and `r` where it was.
+#[inline]
+pub fn decode_block<const N: usize>(
     r: &mut BitReader<'_>,
     c: &BlockCoding,
     budget: u32,
-    out: &mut [f32],
+    out: &mut [f32; N],
 ) -> Result<u32> {
-    let n = block_cells(c.d);
-    debug_assert_eq!(out.len(), n);
+    debug_assert_eq!(block_cells(c.d), N);
+    let held = r.remaining_bits();
+    let mut head = r.clone();
+    let (used, coded) = read_planes::<N>(&mut head, c, budget)?;
     // A fixed-rate block always spans its whole budget.
-    let finish = |r: &mut BitReader<'_>, used: u32| -> Result<u32> {
-        if c.fixed_rate {
-            skip_bits(r, budget - used)?;
-            Ok(budget)
-        } else {
-            Ok(used)
-        }
-    };
-    let mut used = 1u32;
-    if !r.read_bit()? {
-        out.fill(0.0);
-        return finish(r, used);
+    let span = if c.fixed_rate { budget.max(used) } else { used };
+    if span as u64 > held {
+        return Err(Error::corrupt("bit stream exhausted"));
     }
-    let mut bits = budget
+    head.skip_bits((span - used) as u64);
+    *r = head;
+    match coded {
+        Some((emax, coeffs)) => reconstruct(emax, &coeffs, out),
+        None => *out = [0.0; N],
+    }
+    Ok(span)
+}
+
+/// Reads the code of one block: the bits read, padding not included, and
+/// the exponent and coefficients of a block that is not all zero.
+#[inline]
+fn read_planes<const N: usize>(
+    r: &mut BitReader<'_>,
+    c: &BlockCoding,
+    budget: u32,
+) -> Result<(u32, Option<(i32, Coefficients<N>)>)> {
+    let header = r.peek_bits(HEADER_BITS);
+    if header & 1 == 0 {
+        r.skip_bits(1);
+        return Ok((1, None));
+    }
+    let budget = budget
         .checked_sub(HEADER_BITS)
         .ok_or_else(|| Error::corrupt("block shorter than its header"))?;
-    let emax = r.read_bits(8)? as i32 - 127;
-    used += 8;
+    r.skip_bits(HEADER_BITS as u64);
+    let emax = (header >> 1) as i32 - 127;
 
-    let mut u = [0u32; 64];
+    let mut bits = budget;
     let kmin = INTPREC.saturating_sub(c.maxprec(emax));
-    let mut sig = 0usize;
+    let n = N as u32;
+    let mut sink = PlaneRows::<N>::new();
+    let mut sig = 0u32;
     let mut k = INTPREC;
-    while bits > 0 && k > kmin {
+    // Planes above every coefficient's top bit: one failed test each.
+    let empty = (r.peek_bits(INTPREC) | 1 << INTPREC).trailing_zeros().min(k - kmin).min(bits);
+    r.skip_bits(empty as u64);
+    bits -= empty;
+    k -= empty;
+    while sig < n && bits > 0 && k > kmin {
         k -= 1;
-        let m = (sig as u32).min(bits);
+        let m = sig.min(bits);
         bits -= m;
-        let mut x = r.read_bits(m)?;
-        used += m;
+        let mut x = r.take_bits(m);
         let mut pos = sig; // next untested coefficient
         while pos < n && bits > 0 {
-            bits -= 1;
-            used += 1;
-            if !r.read_bit()? {
+            // One window holds the test and up to 55 bits of the run
+            // behind it.
+            let window = r.peek_bits(56);
+            if window & 1 == 0 {
+                r.skip_bits(1);
+                bits -= 1;
                 break;
             }
-            while pos < n - 1 && bits > 0 {
-                bits -= 1;
-                used += 1;
-                if r.read_bit()? {
-                    break;
-                }
-                pos += 1;
+            // The run ends behind a one, at the last coefficient (whose
+            // one is implied) or with the budget.
+            let limit = (n - 1 - pos).min(bits - 1);
+            let seen = limit.min(55);
+            let run = window >> 1 & low_mask(seen);
+            let (read, zeros) = scan_run(run, seen);
+            r.skip_bits(1 + read as u64);
+            bits -= 1 + read;
+            pos += zeros;
+            if run == 0 && limit > seen {
+                // Only a 64-value block has runs longer than the window.
+                let (read, zeros) = scan_run(r.peek_bits(limit - seen), limit - seen);
+                r.skip_bits(read as u64);
+                bits -= read;
+                pos += zeros;
             }
-            x |= 1u64 << pos;
+            x |= 1u64 << (pos % 64);
             pos += 1;
         }
         sig = sig.max(pos);
-        // Deposit the plane.
-        let mut i = 0;
-        let mut xx = x;
-        while xx != 0 {
-            u[i] |= ((xx & 1) as u32) << k;
-            xx >>= 1;
-            i += 1;
+        sink.put(k, x);
+    }
+    // Every coefficient is significant: whole planes, as many to a read
+    // as fit in a word.
+    while bits > 0 && k > kmin {
+        let take = (64 / n).min(k - kmin);
+        let m = (take * n).min(bits);
+        let word = r.take_bits(m);
+        bits -= m;
+        for j in 0..take {
+            k -= 1;
+            sink.put(k, shr(word, n * j) & low_mask(n));
         }
     }
+    sink.flush();
+    Ok((HEADER_BITS + budget - bits, Some((emax, sink.coeffs))))
+}
 
-    // Undo negabinary + reorder + transform + cast.
-    let p = perm(c.d);
-    let mut q = [0i32; 64];
-    for i in 0..n {
-        q[p[i] as usize] = lift::uint2int(u[i]);
+/// A unary run of at most `limit` bits held in `run`: the bits it spans —
+/// through its terminating one, if it has one — and the zeros in it.
+#[inline]
+fn scan_run(run: u64, limit: u32) -> (u32, u32) {
+    if run != 0 {
+        let zeros = run.trailing_zeros();
+        (zeros + 1, zeros)
+    } else {
+        (limit, limit)
     }
-    lift::inv_xform(&mut q[..n], c.d);
+}
+
+/// Undoes negabinary, reorder, transform and cast.
+#[inline]
+fn reconstruct<const N: usize>(emax: i32, coeffs: &Coefficients<N>, out: &mut [f32; N]) {
+    let [b0, b1, b2, b3] = &coeffs.bytes;
+    let mut q = [0i32; N];
+    for (i, &p) in Sequency::<N>::PERM.iter().enumerate() {
+        q[p as usize % N] = lift::uint2int(u32::from_le_bytes([b0[i], b1[i], b2[i], b3[i]]));
+    }
+    lift::inv_xform(&mut q);
     let scale = f64_pow2(emax - 30);
-    for (o, &qi) in out.iter_mut().zip(&q[..n]) {
+    for (o, &qi) in out.iter_mut().zip(&q) {
         *o = (qi as f64 * scale) as f32;
     }
-
-    finish(r, used)
 }
 
 #[cfg(test)]
@@ -373,14 +602,14 @@ mod tests {
         BlockCoding { d, maxbits: 1 << 16, fixed_rate: false, planes: Planes::Count(maxprec) }
     }
 
-    fn roundtrip(values: &[f32], d: u8, maxbits: u32) -> Vec<f32> {
-        let c = rate_coding(d, maxbits);
+    fn roundtrip<const N: usize>(values: &[f32; N], maxbits: u32) -> [f32; N] {
+        let c = rate_coding(N.ilog(4) as u8, maxbits);
         let mut w = BitWriter::new();
         let used = encode_block(values, &c, &mut w).unwrap();
         assert_eq!(used, maxbits);
         let bytes = w.into_bytes();
         let mut r = BitReader::new(&bytes);
-        let mut out = vec![0.0f32; values.len()];
+        let mut out = [0.0f32; N];
         let consumed = decode_block(&mut r, &c, maxbits, &mut out).unwrap();
         assert_eq!(consumed, maxbits);
         out
@@ -388,19 +617,115 @@ mod tests {
 
     #[test]
     fn perm_is_a_permutation_sorted_by_degree() {
-        for d in 1..=3u8 {
-            let p = perm(d);
-            let n = block_cells(d);
-            assert_eq!(p.len(), n);
-            let mut seen = vec![false; n];
-            let mut last_deg = 0;
-            for &i in p {
-                assert!(!seen[i as usize]);
-                seen[i as usize] = true;
-                let i = i as usize;
-                let deg = i % 4 + (i / 4) % 4 + i / 16;
-                assert!(deg >= last_deg, "degree must be non-decreasing");
-                last_deg = deg;
+        fn check<const N: usize>() {
+            let degree = |i: &u8| (i % 4 + i / 4 % 4 + i / 16, *i);
+            let mut want: Vec<u8> = (0..N as u8).collect();
+            want.sort_by_key(degree);
+            assert_eq!(Sequency::<N>::PERM.to_vec(), want);
+        }
+        check::<4>();
+        check::<16>();
+        check::<64>();
+    }
+
+    fn plane_naive(u: &[u32], k: u32) -> u64 {
+        u.iter().enumerate().fold(0, |x, (i, &ui)| x | (((ui >> k) & 1) as u64) << i)
+    }
+
+    fn noise(seed: &mut u64) -> u64 {
+        *seed ^= *seed << 13;
+        *seed ^= *seed >> 7;
+        *seed ^= *seed << 17;
+        *seed
+    }
+
+    #[test]
+    fn transpose8_moves_bit_c_of_byte_r_to_bit_r_of_byte_c() {
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let cases = [0, u64::MAX, 1, 1 << 63, 0x8040_2010_0804_0201, 0x0102_0408_1020_4080];
+        for x in cases.into_iter().chain((0..200).map(|_| noise(&mut seed))) {
+            let mut want = 0u64;
+            for r in 0..8 {
+                for c in 0..8 {
+                    want |= (x >> (8 * r + c) & 1) << (8 * c + r);
+                }
+            }
+            assert_eq!(transpose8(x), want, "{x:#x}");
+            assert_eq!(transpose8(transpose8(x)), x);
+        }
+    }
+
+    #[test]
+    fn transpose_bytes_moves_byte_c_of_word_r_to_byte_r_of_word_c_either_way() {
+        let mut seed = 0xD1B5_4A32_D192_ED03u64;
+        for _ in 0..100 {
+            let m: [u64; 8] = std::array::from_fn(|_| noise(&mut seed));
+            let want: [u64; 8] = std::array::from_fn(|r| {
+                u64::from_le_bytes(std::array::from_fn(|c| m[c].to_le_bytes()[r]))
+            });
+            assert_eq!(transpose_bytes(m, true), want);
+            assert_eq!(transpose_bytes(m, false), want);
+        }
+    }
+
+    /// Fetch and deposit by byte row against the shift-and-or loop per
+    /// plane they replaced, for every plane of every block size.
+    #[test]
+    fn plane_fetch_and_deposit_equal_the_naive_loops() {
+        fn check<const N: usize>(seed: &mut u64) {
+            for round in 0..50 {
+                // Sparse, dense and full-range coefficients.
+                let u: [u32; N] = std::array::from_fn(|_| match round % 3 {
+                    0 => noise(seed) as u32,
+                    1 => (noise(seed) & noise(seed) & noise(seed)) as u32,
+                    _ => (noise(seed) as u32) >> (noise(seed) % 32),
+                });
+                let mut fetch = PlaneRows::<N>::new();
+                for (i, ui) in u.iter().enumerate() {
+                    for (row, b) in fetch.coeffs.bytes.iter_mut().zip(ui.to_le_bytes()) {
+                        row[i] = b;
+                    }
+                }
+                let mut sink = PlaneRows::<N>::new();
+                for k in (0..INTPREC).rev() {
+                    let x = fetch.plane(k);
+                    assert_eq!(x, plane_naive(&u, k), "plane {k} of {N}");
+                    sink.put(k, x);
+                }
+                sink.flush();
+                assert_eq!(sink.coeffs.bytes, fetch.coeffs.bytes);
+            }
+        }
+        let mut seed = 0x2545_F491_4F6C_DD1Du64;
+        check::<4>(&mut seed);
+        check::<16>(&mut seed);
+        check::<64>(&mut seed);
+    }
+
+    /// The tolerance's exponent, taken once per stream, against the libm
+    /// call per block it replaced.
+    #[test]
+    fn maxprec_equals_the_per_block_log2_formula() {
+        fn per_block(emax: i32, tol: f64, d: u8) -> u32 {
+            if tol <= 0.0 || tol.is_nan() || tol.is_infinite() {
+                return INTPREC;
+            }
+            let kmin = (tol.log2().floor() as i32) - emax + 30 - (d as i32 + 1);
+            (INTPREC as i32 - kmin.clamp(0, INTPREC as i32)) as u32
+        }
+        let mut tols = vec![0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 5e-324];
+        for e in -40..=25 {
+            for m in [1.0, 1.0000001, 1.9999999, 2.0, 3.3, 5.0, 9.99] {
+                tols.push(m * 10f64.powi(e));
+            }
+        }
+        tols.extend((-135..=85).map(|e| 2f64.powi(e)));
+        for tol in tols {
+            for d in 1..=3u8 {
+                let c = BlockCoding::new(&ZfpMode::FixedAccuracy(tol), d);
+                for emax in -127..=128 {
+                    assert_eq!(c.maxprec(emax), per_block(emax, tol, d), "tol {tol:e} emax {emax}");
+                }
             }
         }
     }
@@ -455,16 +780,15 @@ mod tests {
 
     #[test]
     fn zero_block_roundtrips() {
-        let v = vec![0.0f32; 64];
-        let out = roundtrip(&v, 3, 64);
-        assert_eq!(out, v);
+        let v = [0.0f32; 64];
+        assert_eq!(roundtrip(&v, 64), v);
     }
 
     #[test]
     fn generous_budget_is_near_lossless() {
-        let v: Vec<f32> = (0..64).map(|i| ((i as f32) * 0.37).sin() * 100.0).collect();
+        let v: [f32; 64] = std::array::from_fn(|i| ((i as f32) * 0.37).sin() * 100.0);
         // 32 planes * 64 values + header is a loose upper bound.
-        let out = roundtrip(&v, 3, 9 + 64 * 33 + 64);
+        let out = roundtrip(&v, 9 + 64 * 33 + 64);
         for (a, b) in v.iter().zip(&out) {
             let tol = a.abs().max(1.0) * 1e-6;
             assert!((a - b).abs() < tol, "{a} vs {b}");
@@ -473,15 +797,13 @@ mod tests {
 
     #[test]
     fn error_decreases_with_rate() {
-        let v: Vec<f32> = (0..64)
-            .map(|i| {
-                let (x, y, z) = ((i % 4) as f32, ((i / 4) % 4) as f32, (i / 16) as f32);
-                (x * 0.5 + y * 0.3 + z * 0.2).sin() * 1000.0
-            })
-            .collect();
+        let v: [f32; 64] = std::array::from_fn(|i| {
+            let (x, y, z) = ((i % 4) as f32, ((i / 4) % 4) as f32, (i / 16) as f32);
+            (x * 0.5 + y * 0.3 + z * 0.2).sin() * 1000.0
+        });
         let mut prev_err = f64::INFINITY;
         for rate in [2u32, 4, 8, 16] {
-            let out = roundtrip(&v, 3, rate * 64);
+            let out = roundtrip(&v, rate * 64);
             let err: f64 = v.iter().zip(&out).map(|(a, b)| ((a - b) as f64).powi(2)).sum::<f64>();
             assert!(err <= prev_err * 1.5, "rate {rate}: err {err} vs prev {prev_err}");
             prev_err = err;
@@ -491,13 +813,13 @@ mod tests {
 
     #[test]
     fn d1_and_d2_blocks() {
-        let v4: Vec<f32> = vec![1.0, -2.0, 3.5, 10.0];
-        let out = roundtrip(&v4, 1, 9 + 4 * 33 + 16);
+        let v4 = [1.0f32, -2.0, 3.5, 10.0];
+        let out = roundtrip(&v4, 9 + 4 * 33 + 16);
         for (a, b) in v4.iter().zip(&out) {
             assert!((a - b).abs() < 1e-4, "{a} vs {b}");
         }
-        let v16: Vec<f32> = (0..16).map(|i| i as f32 * 2.0 - 16.0).collect();
-        let out = roundtrip(&v16, 2, 9 + 16 * 33 + 32);
+        let v16: [f32; 16] = std::array::from_fn(|i| i as f32 * 2.0 - 16.0);
+        let out = roundtrip(&v16, 9 + 16 * 33 + 32);
         for (a, b) in v16.iter().zip(&out) {
             assert!((a - b).abs() < 1e-4, "{a} vs {b}");
         }
@@ -507,8 +829,8 @@ mod tests {
     fn tiny_budget_still_produces_plausible_block() {
         // 16 bits for 64 values: only the DC scale survives, but decode
         // must not error and magnitudes must stay in the data's ballpark.
-        let v = vec![100.0f32; 64];
-        let out = roundtrip(&v, 3, 16);
+        let v = [100.0f32; 64];
+        let out = roundtrip(&v, 16);
         for &b in &out {
             assert!(b.abs() <= 256.0, "decoded {b} from constant-100 block");
         }
@@ -516,7 +838,7 @@ mod tests {
 
     #[test]
     fn maxprec_truncates_planes() {
-        let v: Vec<f32> = (0..64).map(|i| (i as f32).sqrt() * 10.0).collect();
+        let v: [f32; 64] = std::array::from_fn(|i| (i as f32).sqrt() * 10.0);
         let mut w = BitWriter::new();
         let used_full = encode_block(&v, &planes_coding(3, INTPREC), &mut w).unwrap();
         let low = planes_coding(3, 8);
@@ -525,7 +847,7 @@ mod tests {
         assert!(used_low < used_full);
         let bytes = w2.into_bytes();
         let mut r = BitReader::new(&bytes);
-        let mut out = vec![0.0f32; 64];
+        let mut out = [0.0f32; 64];
         decode_block(&mut r, &low, 1 << 16, &mut out).unwrap();
         // 8 planes on |v| < 2^7: quantization steps of 2^(7-8+1) = 1,
         // amplified by up to ~2^3 through the 3-D inverse transform.
@@ -537,8 +859,8 @@ mod tests {
     #[test]
     fn variable_length_blocks_chain() {
         // Without padding, consecutive blocks must decode back-to-back.
-        let blocks: Vec<Vec<f32>> = (0..5)
-            .map(|b| (0..64).map(|i| ((b * 64 + i) as f32 * 0.11).cos() * 50.0).collect())
+        let blocks: Vec<[f32; 64]> = (0..5)
+            .map(|b| std::array::from_fn(|i| ((b * 64 + i) as f32 * 0.11).cos() * 50.0))
             .collect();
         let c = planes_coding(3, 16);
         let mut w = BitWriter::new();
@@ -549,7 +871,7 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = BitReader::new(&bytes);
         for (b, &len) in blocks.iter().zip(&lens) {
-            let mut out = vec![0.0f32; 64];
+            let mut out = [0.0f32; 64];
             let used = decode_block(&mut r, &c, 1 << 16, &mut out).unwrap();
             assert_eq!(used, len);
             // 16 planes on |v| <= 64 leaves quantization steps of a few
@@ -564,7 +886,7 @@ mod tests {
     fn non_finite_inputs_are_refused_and_write_nothing() {
         for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
             for at in [0usize, 17, 63] {
-                let mut v = vec![1.0f32; 64];
+                let mut v = [1.0f32; 64];
                 v[at] = bad;
                 let mut w = BitWriter::new();
                 w.write_bits(0b101, 3);
@@ -573,13 +895,13 @@ mod tests {
             }
         }
         // The largest finite magnitudes are still data.
-        let v = vec![f32::MAX, f32::MIN, f32::MIN_POSITIVE, -0.0];
-        assert!(roundtrip(&v, 1, 9 + 4 * 33 + 16).iter().all(|x| x.is_finite()));
+        let v = [f32::MAX, f32::MIN, f32::MIN_POSITIVE, -0.0];
+        assert!(roundtrip(&v, 9 + 4 * 33 + 16).iter().all(|x| x.is_finite()));
     }
 
     #[test]
     fn a_stored_length_shorter_than_the_header_is_corrupt() {
-        let v = vec![3.0f32; 4];
+        let v = [3.0f32; 4];
         let c = planes_coding(1, INTPREC);
         let mut w = BitWriter::new();
         encode_block(&v, &c, &mut w).unwrap();

@@ -203,13 +203,12 @@ fn decode_launch(
             let start = offsets.get(bi);
             acc.read_bits(payload_buf, start, start + dec.block_bits(bi) as u64);
             record_scatter(acc, out_buf, &dec.grid, bi);
-            let mut vals = [0.0f32; 64];
-            let vals = &mut vals[..codec::block_cells(dec.grid.d)];
-            dec.decode_block(&mut dec.reader_at(start)?, bi, vals)?;
-            // lint: allow(decode-panic) — poisoned only if another block already panicked
-            let mut slab = slabs[bi / dec.item_blocks].lock().expect("slab lock poisoned");
-            dec.scatter(bi, vals, &mut slab);
-            Ok(())
+            let item = bi / dec.item_blocks;
+            dec.decode_blocks(bi..bi + 1, &mut dec.reader_at(start)?, |origin, vals| {
+                // lint: allow(decode-panic) — poisoned only if another block already panicked
+                let mut slab = slabs[item].lock().expect("slab lock poisoned");
+                dec.scatter(item, origin, vals, &mut slab);
+            })
         })?;
     decoded.into_iter().collect::<Result<()>>()?;
     drop(slabs);

@@ -71,7 +71,9 @@ pub fn uint2int(x: u32) -> i32 {
 /// Applies the lift along one axis of a `4^d` block stored x-fastest.
 ///
 /// `n` is the total number of values (4, 16, or 64); `stride` selects the
-/// axis (1 = x, 4 = y, 16 = z).
+/// axis (1 = x, 4 = y, 16 = z). Inlined into the transforms below, where
+/// both are constants and the line loop unrolls without bounds checks.
+#[inline(always)]
 pub fn lift_axis(data: &mut [i32], stride: usize, forward: bool) {
     let n = data.len();
     debug_assert!(matches!(n, 4 | 16 | 64));
@@ -103,23 +105,26 @@ pub fn lift_axis(data: &mut [i32], stride: usize, forward: bool) {
     }
 }
 
-/// Full forward transform of a block of dimensionality `d` (1, 2, or 3).
-pub fn fwd_xform(data: &mut [i32], d: u8) {
+/// Full forward transform of a block of `N = 4^d` values: one lift per
+/// axis the block has.
+#[inline]
+pub fn fwd_xform<const N: usize>(data: &mut [i32; N]) {
     lift_axis(data, 1, true);
-    if d >= 2 {
+    if N >= 16 {
         lift_axis(data, 4, true);
     }
-    if d >= 3 {
+    if N >= 64 {
         lift_axis(data, 16, true);
     }
 }
 
 /// Full inverse transform (axes in reverse order).
-pub fn inv_xform(data: &mut [i32], d: u8) {
-    if d >= 3 {
+#[inline]
+pub fn inv_xform<const N: usize>(data: &mut [i32; N]) {
+    if N >= 64 {
         lift_axis(data, 16, false);
     }
-    if d >= 2 {
+    if N >= 16 {
         lift_axis(data, 4, false);
     }
     lift_axis(data, 1, false);
@@ -215,11 +220,12 @@ mod tests {
 
     #[test]
     fn xform_roundtrip_3d() {
-        let orig: Vec<i32> = (0..64).map(|i| ((i * 2654435761u64 as usize) as i32) >> 8).collect();
-        for d in 1..=3u8 {
-            let mut v: Vec<i32> = orig.clone();
-            fwd_xform(&mut v, d);
-            inv_xform(&mut v, d);
+        fn roundtrip<const N: usize>(d: u32) {
+            let orig: [i32; N] =
+                std::array::from_fn(|i| ((i * 2654435761u64 as usize) as i32) >> 8);
+            let mut v = orig;
+            fwd_xform(&mut v);
+            inv_xform(&mut v);
             // Rounding error compounds per axis but stays tiny relative to
             // the 2^30 fixed-point scale.
             let tol = LIFT_TOL * (1 << d);
@@ -227,6 +233,9 @@ mod tests {
                 assert!((a - b).abs() <= tol, "dimension {d}: {a} vs {b}");
             }
         }
+        roundtrip::<4>(1);
+        roundtrip::<16>(2);
+        roundtrip::<64>(3);
     }
 
     #[test]
@@ -241,7 +250,7 @@ mod tests {
                 }
             }
         }
-        fwd_xform(&mut v, 3);
+        fwd_xform(&mut v);
         let total: i64 = v.iter().map(|&c| (c as i64).abs()).sum();
         assert!((v[0] as i64).abs() * 2 > total, "DC should dominate: {v:?}");
     }

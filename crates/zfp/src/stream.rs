@@ -10,7 +10,10 @@
 //! A work item is a *run of blocks*, never a block. The encoder cuts the
 //! block sequence into runs of [`G`], gathers each block into a stack
 //! buffer and codes the run back-to-back into one writer; the runs are
-//! then joined by [`BitWriter::append`]. The decoder hands each work item
+//! then joined by [`BitWriter::append`] right behind the header. Within a
+//! run the block kernel is picked once — [`codec`]'s one kernel at the
+//! run's block size — and the block origin is stepped, not recomputed.
+//! The decoder hands each work item
 //! the slab of the output that a whole run of blocks owns — four z-planes
 //! in 3-D, four rows in 2-D, merged until the item holds at least `G`
 //! blocks — so items scatter into disjoint `&mut` slices and nothing is
@@ -35,6 +38,10 @@ const VERSION: u8 = 2;
 /// Byte offset of the trailing header CRC; the CRC covers `[0, HDR_CRC_AT)`.
 const HDR_CRC_AT: usize = 4 + 1 + 1 + 1 + 1 + 24 + 8 + 8 + 8 + 4;
 const HDR: usize = HDR_CRC_AT + 4;
+/// Byte offsets of the payload length and payload CRC, the two fields
+/// [`Encoder::assemble`] fills in once the payload is joined.
+const PAYLOAD_LEN_AT: usize = HDR_CRC_AT - 12;
+const PAYLOAD_CRC_AT: usize = HDR_CRC_AT - 4;
 /// Upper bound on any single extent read from an untrusted header.
 const MAX_EXTENT: u64 = 1 << 40;
 
@@ -70,11 +77,27 @@ impl Grid {
         let [bx, by, _] = self.nb;
         [bi % bx * 4, bi / bx % by * 4, bi / (bx * by) * 4]
     }
+
+    /// Moves `origin` from one block to the next in block order.
+    #[inline]
+    fn step(&self, origin: &mut [usize; 3]) {
+        let [nx, ny, _] = self.ext;
+        origin[0] += 4;
+        if origin[0] >= nx {
+            origin[0] = 0;
+            origin[1] += 4;
+            if origin[1] >= ny {
+                origin[1] = 0;
+                origin[2] += 4;
+            }
+        }
+    }
 }
 
 /// Gathers the `4^d` block at `origin` into `out`, replicating edge
 /// samples for partial blocks. `out` is walked as rows of four x-samples;
 /// row `i` is `(dy, dz) = (i % 4, i / 4)` in every dimensionality.
+#[inline]
 fn gather(data: &[f32], ext: [usize; 3], origin: [usize; 3], out: &mut [f32]) {
     let [nx, ny, nz] = ext;
     let [ox, oy, oz] = origin;
@@ -94,13 +117,8 @@ fn gather(data: &[f32], ext: [usize; 3], origin: [usize; 3], out: &mut [f32]) {
 
 /// Scatters a decoded block into `slab`, the part of the array starting
 /// at linear index `base`, skipping replicated padding.
-pub(crate) fn scatter(
-    block: &[f32],
-    ext: [usize; 3],
-    origin: [usize; 3],
-    base: usize,
-    slab: &mut [f32],
-) {
+#[inline]
+fn scatter(block: &[f32], ext: [usize; 3], origin: [usize; 3], base: usize, slab: &mut [f32]) {
     let [nx, ny, nz] = ext;
     let [ox, oy, oz] = origin;
     let w = (nx - ox).min(4);
@@ -148,10 +166,45 @@ impl<'a> Encoder<'a> {
     /// Gathers block `bi` and appends its code to `w`, returning the bits
     /// written.
     pub(crate) fn encode_block(&self, bi: usize, w: &mut BitWriter) -> Result<u32> {
-        let mut vals = [0.0f32; 64];
-        let vals = &mut vals[..codec::block_cells(self.grid.d)];
-        gather(self.data, self.grid.ext, self.grid.origin(bi), vals);
-        codec::encode_block(vals, &self.coding, w).ok_or_else(|| self.non_finite())
+        let mut used = 0;
+        self.encode_blocks(bi..bi + 1, w, |bits| used = bits)?;
+        Ok(used)
+    }
+
+    /// Codes `blocks` back-to-back into `w` and reports each block's bit
+    /// length to `coded`. The kernel is chosen here, once for the run.
+    fn encode_blocks(
+        &self,
+        blocks: Range<usize>,
+        w: &mut BitWriter,
+        coded: impl FnMut(u32),
+    ) -> Result<()> {
+        match self.grid.d {
+            1 => self.encode_typed::<4>(blocks, w, coded),
+            2 => self.encode_typed::<16>(blocks, w, coded),
+            _ => self.encode_typed::<64>(blocks, w, coded),
+        }
+    }
+
+    fn encode_typed<const N: usize>(
+        &self,
+        blocks: Range<usize>,
+        w: &mut BitWriter,
+        mut coded: impl FnMut(u32),
+    ) -> Result<()> {
+        if blocks.is_empty() {
+            return Ok(());
+        }
+        let mut origin = self.grid.origin(blocks.start);
+        let mut vals = [0.0f32; N];
+        for _ in blocks {
+            gather(self.data, self.grid.ext, origin, &mut vals);
+            let used =
+                codec::encode_block(&vals, &self.coding, w).ok_or_else(|| self.non_finite())?;
+            coded(used);
+            self.grid.step(&mut origin);
+        }
+        Ok(())
     }
 
     /// The typed error for an input the block scan refused. The scan only
@@ -174,34 +227,31 @@ impl<'a> Encoder<'a> {
         let exact = if c.fixed_rate { (blocks.len() * c.maxbits as usize).div_ceil(8) } else { 0 };
         let mut w = BitWriter::with_capacity(exact);
         let mut lens = Vec::new();
-        for bi in blocks {
-            let used = self.encode_block(bi, &mut w)?;
+        self.encode_blocks(blocks, &mut w, |used| {
             if !c.fixed_rate {
                 lens.push(used);
             }
-        }
+        })?;
         let nbits = w.bit_len();
         Ok(Run { bytes: w.into_bytes(), nbits, lens })
     }
 
     /// Joins encoded pieces, in block order, into the container: header,
-    /// length table (variable-length modes), payload.
+    /// length table (variable-length modes), payload. The pieces are
+    /// joined in place behind the header — a plain copy each at a fixed
+    /// rate, where runs end on byte boundaries — and the header fields
+    /// that depend on the payload are filled in afterwards.
     pub(crate) fn assemble<'p>(
         &self,
         pieces: impl Iterator<Item = (&'p [u8], u64)> + Clone,
         lens: impl Iterator<Item = u32>,
     ) -> Vec<u8> {
         let total_bits: u64 = pieces.clone().map(|(_, nbits)| nbits).sum();
-        let mut payload = BitWriter::with_capacity(total_bits.div_ceil(8) as usize);
-        for (bytes, nbits) in pieces {
-            payload.append(bytes, nbits);
-        }
-        let payload = payload.into_bytes();
         let nblocks = self.grid.nblocks();
         let table = if self.coding.fixed_rate { 0 } else { nblocks * 4 };
 
         // lint: allow(alloc-arith) — encoder-side size of an already-materialized payload
-        let mut out = Vec::with_capacity(HDR + table + payload.len());
+        let mut out = Vec::with_capacity(HDR + table + total_bits.div_ceil(8) as usize);
         out.extend_from_slice(MAGIC);
         out.push(VERSION);
         out.push(self.mode.tag());
@@ -212,16 +262,23 @@ impl<'a> Encoder<'a> {
         }
         out.extend_from_slice(&self.mode.param().to_le_bytes());
         out.extend_from_slice(&(nblocks as u64).to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&crc32(&payload).to_le_bytes());
-        let hcrc = crc32(&out);
-        out.extend_from_slice(&hcrc.to_le_bytes());
+        out.resize(HDR, 0); // payload length, payload CRC, header CRC
         if !self.coding.fixed_rate {
             for l in lens {
                 out.extend_from_slice(&l.to_le_bytes());
             }
         }
-        out.extend_from_slice(&payload);
+        let mut payload = BitWriter::from_bytes(out);
+        for (bytes, nbits) in pieces {
+            payload.append(bytes, nbits);
+        }
+        let mut out = payload.into_bytes();
+
+        let (head, payload) = out.split_at_mut(HDR + table);
+        head[PAYLOAD_LEN_AT..PAYLOAD_CRC_AT].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+        head[PAYLOAD_CRC_AT..HDR_CRC_AT].copy_from_slice(&crc32(payload).to_le_bytes());
+        let hcrc = crc32(&head[..HDR_CRC_AT]);
+        head[HDR_CRC_AT..HDR].copy_from_slice(&hcrc.to_le_bytes());
         out
     }
 }
@@ -403,7 +460,7 @@ impl<'a> Decoder<'a> {
             item_values: slab_values.saturating_mul(slabs).max(1),
         };
         if !coding.fixed_rate {
-            let total: u64 = (0..dec.nblocks).map(|bi| dec.block_bits(bi) as u64).sum();
+            let total: u64 = dec.spans(0..dec.nblocks).map(u64::from).sum();
             if total.div_ceil(8) != payload.len() as u64 {
                 return Err(Error::corrupt("length table disagrees with payload length"));
             }
@@ -418,10 +475,14 @@ impl<'a> Decoder<'a> {
 
     /// Bit span of block `bi`.
     pub(crate) fn block_bits(&self, bi: usize) -> u32 {
-        match self.table.get(bi * 4..bi * 4 + 4) {
-            Some(b) => u32::from_le_bytes([b[0], b[1], b[2], b[3]]),
-            None => self.coding.maxbits,
-        }
+        self.spans(bi..bi + 1).next().unwrap_or(self.coding.maxbits)
+    }
+
+    /// Stored bit spans of `blocks`; none at a fixed rate, where the table
+    /// is empty and every span is `coding.maxbits`.
+    fn spans(&self, blocks: Range<usize>) -> impl Iterator<Item = u32> + 'a {
+        let stored = self.table.get(blocks.start * 4..blocks.end * 4).unwrap_or(&[]);
+        stored.chunks_exact(4).map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     /// Payload bit offset of block `i * stride`, for every such block.
@@ -431,11 +492,11 @@ impl<'a> Decoder<'a> {
         }
         let mut starts = Vec::with_capacity(self.nblocks.div_ceil(stride));
         let mut at = 0u64;
-        for bi in 0..self.nblocks {
+        for (bi, span) in self.spans(0..self.nblocks).enumerate() {
             if bi % stride == 0 {
                 starts.push(at);
             }
-            at += self.block_bits(bi) as u64;
+            at += span as u64;
         }
         Offsets::Table(starts)
     }
@@ -451,28 +512,54 @@ impl<'a> Decoder<'a> {
         Ok(r)
     }
 
-    /// Decodes block `bi` from `r`, which must stand at its first bit,
-    /// and leaves `r` at the next block.
-    pub(crate) fn decode_block(
+    /// Decodes `blocks` from `r`, which must stand at the first bit of
+    /// the first one, and hands each block's origin and values to `place`;
+    /// leaves `r` behind the last. The kernel is chosen here, once for
+    /// the run.
+    pub(crate) fn decode_blocks(
         &self,
+        blocks: Range<usize>,
         r: &mut BitReader<'_>,
-        bi: usize,
-        vals: &mut [f32],
+        place: impl FnMut([usize; 3], &[f32]),
     ) -> Result<()> {
-        let span = self.block_bits(bi);
-        let used = codec::decode_block(r, &self.coding, span, vals)?;
-        if used != span {
-            return Err(Error::corrupt(format!(
-                "block {bi} consumed {used} bits, expected {span}"
-            )));
+        match self.grid.d {
+            1 => self.decode_typed::<4>(blocks, r, place),
+            2 => self.decode_typed::<16>(blocks, r, place),
+            _ => self.decode_typed::<64>(blocks, r, place),
+        }
+    }
+
+    fn decode_typed<const N: usize>(
+        &self,
+        blocks: Range<usize>,
+        r: &mut BitReader<'_>,
+        mut place: impl FnMut([usize; 3], &[f32]),
+    ) -> Result<()> {
+        if blocks.is_empty() {
+            return Ok(());
+        }
+        let mut origin = self.grid.origin(blocks.start);
+        let mut spans = self.spans(blocks.clone());
+        let mut vals = [0.0f32; N];
+        for bi in blocks {
+            let span = spans.next().unwrap_or(self.coding.maxbits);
+            let used = codec::decode_block(r, &self.coding, span, &mut vals)?;
+            if used != span {
+                return Err(Error::corrupt(format!(
+                    "block {bi} consumed {used} bits, expected {span}"
+                )));
+            }
+            place(origin, &vals);
+            self.grid.step(&mut origin);
         }
         Ok(())
     }
 
-    /// Scatters block `bi` into the slab of the work item that owns it.
-    pub(crate) fn scatter(&self, bi: usize, vals: &[f32], slab: &mut [f32]) {
-        let base = bi / self.item_blocks * self.item_values;
-        scatter(vals, self.grid.ext, self.grid.origin(bi), base, slab);
+    /// Scatters a block at `origin` into the slab of work item `item`,
+    /// which must be the one that owns it.
+    #[inline]
+    pub(crate) fn scatter(&self, item: usize, origin: [usize; 3], vals: &[f32], slab: &mut [f32]) {
+        scatter(vals, self.grid.ext, origin, item * self.item_values, slab);
     }
 
     /// Decodes work item `item` — a run of blocks starting at payload bit
@@ -481,13 +568,9 @@ impl<'a> Decoder<'a> {
         let first = item * self.item_blocks;
         let last = (first + self.item_blocks).min(self.nblocks);
         let mut r = self.reader_at(start)?;
-        let mut vals = [0.0f32; 64];
-        let vals = &mut vals[..codec::block_cells(self.grid.d)];
-        for bi in first..last {
-            self.decode_block(&mut r, bi, vals)?;
-            self.scatter(bi, vals, slab);
-        }
-        Ok(())
+        self.decode_blocks(first..last, &mut r, |origin, vals| {
+            self.scatter(item, origin, vals, slab)
+        })
     }
 }
 

@@ -1,9 +1,15 @@
-//! Equivalence and metamorphic tests of the run-of-blocks ZFP driver.
+//! Equivalence and metamorphic tests of the ZFP block kernel and the
+//! run-of-blocks driver.
 //!
-//! The oracle below is the driver this crate used to have, kept as test
-//! code: one `BitWriter` per block spliced into the payload bit by bit, a
-//! clamp per gathered sample, one reader per decoded block and a bounds
-//! test per scattered sample. It also writes the container by hand, so the
+//! Two oracles, both code this crate used to ship, kept as test code. The
+//! *coder* oracle ([`reference`]) is the bit-at-a-time embedded coder; the
+//! kernel under test must produce its bytes, its bit counts, its decoded
+//! values and its reader position for every block size, value class, bit
+//! budget and plane count, and must agree with it on arbitrary bits. The
+//! *driver* oracle is the per-block driver: one `BitWriter` per block
+//! spliced into the payload bit by bit, a clamp per gathered sample, one
+//! reader per decoded block and a bounds test per scattered sample, over
+//! the reference coder. It also writes the container by hand, so the
 //! `ZFPR` layout is pinned twice. The driver under test must produce the
 //! same bytes and the same values for every mode, dimensionality, ragged
 //! extent and run-boundary block count, on any number of threads, and the
@@ -13,10 +19,371 @@ use foresight_util::bits::{BitReader, BitWriter};
 use foresight_util::crc::crc32;
 use foresight_util::Error;
 use gpu_sim::{Device, GpuSpec};
-use lossy_zfp::codec::{block_cells, decode_block, encode_block, BlockCoding};
+use lossy_zfp::codec::{self, block_cells, BlockCoding};
 use lossy_zfp::gpu_exec::{compress_on, decompress_on};
 use lossy_zfp::{compress, decompress, Dims3, ZfpConfig};
 use rayon::ThreadPoolBuilder;
+use reference::{decode_block, encode_block, Coding};
+
+/// The block coder this crate had before the word-at-a-time kernel, kept
+/// verbatim as the reference: one `write_bit` / fallible `read_bit` per
+/// group test, a shift-and-or loop over all coefficients per plane, libm
+/// per block for the tolerance. Only the names of its parameter types
+/// changed. It knows nothing of `lossy_zfp::codec` beyond `block_cells`
+/// and the lifting steps.
+mod reference {
+    use foresight_util::bits::{BitReader, BitWriter};
+    use foresight_util::{Error, Result};
+    use lossy_zfp::codec::{block_cells, HEADER_BITS, INTPREC};
+    use lossy_zfp::{lift, ZfpMode};
+    use std::sync::OnceLock;
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub enum Planes {
+        Count(u32),
+        Tolerance(f64),
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct Coding {
+        pub d: u8,
+        pub maxbits: u32,
+        pub fixed_rate: bool,
+        pub planes: Planes,
+    }
+
+    impl Coding {
+        pub fn new(mode: &ZfpMode, d: u8) -> Self {
+            let cells = block_cells(d) as u32;
+            let cap = HEADER_BITS + INTPREC * (cells + 2);
+            let (maxbits, fixed_rate, planes) = match *mode {
+                ZfpMode::FixedRate(rate) => {
+                    let bits = ((rate * cells as f64).round() as u32).max(HEADER_BITS + 1);
+                    (bits, true, Planes::Count(INTPREC))
+                }
+                ZfpMode::FixedPrecision(p) => (cap, false, Planes::Count(p.min(INTPREC))),
+                ZfpMode::FixedAccuracy(tol) => (cap, false, Planes::Tolerance(tol)),
+            };
+            Self { d, maxbits, fixed_rate, planes }
+        }
+
+        fn maxprec(&self, emax: i32) -> u32 {
+            match self.planes {
+                Planes::Count(p) => p,
+                Planes::Tolerance(tol) => maxprec_from_emax(emax, tol, self.d),
+            }
+        }
+
+        /// The same coding for the kernel under test.
+        pub fn kernel(&self) -> lossy_zfp::codec::BlockCoding {
+            use lossy_zfp::codec::Planes as P;
+            let planes = match self.planes {
+                Planes::Count(p) => P::Count(p),
+                Planes::Tolerance(tol) => P::tolerance(tol),
+            };
+            let Coding { d, maxbits, fixed_rate, .. } = *self;
+            lossy_zfp::codec::BlockCoding { d, maxbits, fixed_rate, planes }
+        }
+    }
+
+    mod old_lift {
+        use super::lift::lift_axis;
+
+        pub fn fwd_xform(data: &mut [i32], d: u8) {
+            lift_axis(data, 1, true);
+            if d >= 2 {
+                lift_axis(data, 4, true);
+            }
+            if d >= 3 {
+                lift_axis(data, 16, true);
+            }
+        }
+
+        pub fn inv_xform(data: &mut [i32], d: u8) {
+            if d >= 3 {
+                lift_axis(data, 16, false);
+            }
+            if d >= 2 {
+                lift_axis(data, 4, false);
+            }
+            lift_axis(data, 1, false);
+        }
+    }
+
+    /// Sequency permutation: `perm[d][rank] = block-local index`.
+    fn perm(d: u8) -> &'static [u16] {
+        static P1: OnceLock<Vec<u16>> = OnceLock::new();
+        static P2: OnceLock<Vec<u16>> = OnceLock::new();
+        static P3: OnceLock<Vec<u16>> = OnceLock::new();
+        let build = |d: u8| -> Vec<u16> {
+            let n = block_cells(d);
+            let mut idx: Vec<u16> = (0..n as u16).collect();
+            let degree = |i: u16| -> (u16, u16) {
+                let i = i as usize;
+                let (x, y, z) = (i % 4, (i / 4) % 4, i / 16);
+                ((x + y + z) as u16, i as u16)
+            };
+            idx.sort_by_key(|&i| degree(i));
+            idx
+        };
+        match d {
+            1 => P1.get_or_init(|| build(1)),
+            2 => P2.get_or_init(|| build(2)),
+            _ => P3.get_or_init(|| build(3)),
+        }
+    }
+
+    /// Exponent `e` with `2^(e-1) <= |x| < 2^e` (frexp-style) for finite
+    /// `x`; `i32::MIN` for zero input.
+    #[inline]
+    fn exponent(x: f32) -> i32 {
+        if x == 0.0 {
+            i32::MIN
+        } else {
+            // Every non-zero f32, subnormals included, is a normal f64
+            // `1.m * 2^(E-1023)`, so the exponent field answers directly.
+            let bits = (x.abs() as f64).to_bits();
+            (bits >> 52) as i32 - 1022
+        }
+    }
+
+    /// `2^e` in f64, exact for the normal range; the codec stays within
+    /// `|e| <= 158`.
+    #[inline]
+    fn f64_pow2(e: i32) -> f64 {
+        debug_assert!((-1022..=1023).contains(&e));
+        f64::from_bits(((e + 1023) as u64) << 52)
+    }
+
+    /// Number of bit planes to keep so truncation error stays below `tol`.
+    ///
+    /// Truncating negabinary planes below `kmin` perturbs a coefficient by at
+    /// most `2^(kmin+1)` integer units; the inverse transform amplifies by at
+    /// most `2^d`, and an integer unit is worth `2^(emax-30)`. Solving
+    /// `2^(kmin+1+d+emax-30) <= tol` for `kmin` gives the plane cut-off.
+    fn maxprec_from_emax(emax: i32, tol: f64, d: u8) -> u32 {
+        if tol <= 0.0 || tol.is_nan() || tol.is_infinite() {
+            return INTPREC;
+        }
+        let kmin = (tol.log2().floor() as i32) - emax + 30 - (d as i32 + 1);
+        let kmin = kmin.clamp(0, INTPREC as i32);
+        (INTPREC as i32 - kmin) as u32
+    }
+
+    /// Largest magnitude in `values`, or `None` when any of them is NaN or
+    /// infinite. Magnitude order is the order of the sign-cleared bit
+    /// patterns, and every non-finite pattern sorts above every finite one.
+    #[inline]
+    fn finite_max(values: &[f32]) -> Option<f32> {
+        const INF: u32 = 0x7f80_0000;
+        let top = values.iter().fold(0u32, |m, v| m.max(v.to_bits() & 0x7fff_ffff));
+        (top < INF).then(|| f32::from_bits(top))
+    }
+
+    /// Appends `n` zero bits.
+    fn write_zeros(w: &mut BitWriter, mut n: u32) {
+        while n > 0 {
+            let chunk = n.min(64);
+            w.write_bits(0, chunk);
+            n -= chunk;
+        }
+    }
+
+    /// Skips `n` bits.
+    fn skip_bits(r: &mut BitReader<'_>, mut n: u32) -> Result<()> {
+        while n > 0 {
+            let chunk = n.min(56);
+            r.consume(chunk)?;
+            n -= chunk;
+        }
+        Ok(())
+    }
+
+    /// Encodes one block of `4^d` f32 values into `w`, a bit at a time.
+    ///
+    /// Returns the number of bits written (always exactly `c.maxbits` at a
+    /// fixed rate), or `None` — with `w` untouched — when the block holds a
+    /// NaN or an infinity: the cast to a common exponent has no defined
+    /// result for them, so the caller turns that into a typed error.
+    pub fn encode_block(values: &[f32], c: &Coding, w: &mut BitWriter) -> Option<u32> {
+        let n = block_cells(c.d);
+        debug_assert_eq!(values.len(), n);
+        debug_assert!(c.maxbits >= HEADER_BITS);
+        let start = w.bit_len();
+        let pad = |w: &mut BitWriter| {
+            let used = (w.bit_len() - start) as u32;
+            if c.fixed_rate {
+                write_zeros(w, c.maxbits - used);
+                c.maxbits
+            } else {
+                used
+            }
+        };
+
+        let vmax = finite_max(values)?;
+        if vmax == 0.0 {
+            w.write_bit(false); // all-zero block
+            return Some(pad(w));
+        }
+        // emax in [-127, 128] stored with bias 127 -> [0, 255] in 8 bits.
+        let emax = exponent(vmax).clamp(-127, 128);
+        w.write_bit(true);
+        w.write_bits((emax + 127) as u64, 8);
+
+        // Fixed-point cast with |q| < 2^30, in f64 so the scale never
+        // overflows even for denormal-dominated blocks.
+        let scale = f64_pow2(30 - emax);
+        let mut q = [0i32; 64];
+        for (qi, &v) in q[..n].iter_mut().zip(values) {
+            *qi = (v as f64 * scale).clamp(-(1i64 << 30) as f64 + 1.0, (1i64 << 30) as f64 - 1.0)
+                as i32;
+        }
+        old_lift::fwd_xform(&mut q[..n], c.d);
+
+        // Reorder + negabinary.
+        let p = perm(c.d);
+        let mut u = [0u32; 64];
+        let mut any = 0u32;
+        for i in 0..n {
+            u[i] = lift::int2uint(q[p[i] as usize]);
+            any |= u[i];
+        }
+
+        // Embedded coding.
+        let mut bits = c.maxbits - HEADER_BITS;
+        let kmin = INTPREC.saturating_sub(c.maxprec(emax));
+        let mut sig = 0usize; // number of coefficients known significant
+        let mut k = INTPREC;
+        // A plane above every coefficient's top bit has nothing significant
+        // to send verbatim and fails its first group test: one zero bit.
+        let empty = any.leading_zeros().min(k - kmin).min(bits);
+        w.write_bits(0, empty);
+        bits -= empty;
+        k -= empty;
+        while bits > 0 && k > kmin {
+            k -= 1;
+            // Gather plane k into an n-bit word.
+            let mut x = 0u64;
+            for (i, &ui) in u[..n].iter().enumerate() {
+                x |= (((ui >> k) & 1) as u64) << i;
+            }
+            // Verbatim bits for known-significant coefficients.
+            let m = (sig as u32).min(bits);
+            bits -= m;
+            w.write_bits(x, m);
+            x = if m >= 64 { 0 } else { x >> m };
+            // Unary group tests for the rest.
+            while sig < n && bits > 0 {
+                bits -= 1;
+                let any = x != 0;
+                w.write_bit(any);
+                if !any {
+                    break;
+                }
+                while sig < n - 1 && bits > 0 {
+                    bits -= 1;
+                    let b = x & 1 != 0;
+                    w.write_bit(b);
+                    if b {
+                        break;
+                    }
+                    x >>= 1;
+                    sig += 1;
+                }
+                x >>= 1;
+                sig += 1;
+            }
+        }
+        Some(pad(w))
+    }
+
+    /// Decodes one block a bit at a time; the mirror of [`encode_block`].
+    ///
+    /// `budget` is the block's bit span: `c.maxbits` at a fixed rate, where
+    /// exactly that many bits are consumed, and the stored length otherwise,
+    /// which the block may not exceed. Returns the bits consumed.
+    pub fn decode_block(
+        r: &mut BitReader<'_>,
+        c: &Coding,
+        budget: u32,
+        out: &mut [f32],
+    ) -> Result<u32> {
+        let n = block_cells(c.d);
+        debug_assert_eq!(out.len(), n);
+        // A fixed-rate block always spans its whole budget.
+        let finish = |r: &mut BitReader<'_>, used: u32| -> Result<u32> {
+            if c.fixed_rate {
+                skip_bits(r, budget - used)?;
+                Ok(budget)
+            } else {
+                Ok(used)
+            }
+        };
+        let mut used = 1u32;
+        if !r.read_bit()? {
+            out.fill(0.0);
+            return finish(r, used);
+        }
+        let mut bits = budget
+            .checked_sub(HEADER_BITS)
+            .ok_or_else(|| Error::corrupt("block shorter than its header"))?;
+        let emax = r.read_bits(8)? as i32 - 127;
+        used += 8;
+
+        let mut u = [0u32; 64];
+        let kmin = INTPREC.saturating_sub(c.maxprec(emax));
+        let mut sig = 0usize;
+        let mut k = INTPREC;
+        while bits > 0 && k > kmin {
+            k -= 1;
+            let m = (sig as u32).min(bits);
+            bits -= m;
+            let mut x = r.read_bits(m)?;
+            used += m;
+            let mut pos = sig; // next untested coefficient
+            while pos < n && bits > 0 {
+                bits -= 1;
+                used += 1;
+                if !r.read_bit()? {
+                    break;
+                }
+                while pos < n - 1 && bits > 0 {
+                    bits -= 1;
+                    used += 1;
+                    if r.read_bit()? {
+                        break;
+                    }
+                    pos += 1;
+                }
+                x |= 1u64 << pos;
+                pos += 1;
+            }
+            sig = sig.max(pos);
+            // Deposit the plane.
+            let mut i = 0;
+            let mut xx = x;
+            while xx != 0 {
+                u[i] |= ((xx & 1) as u32) << k;
+                xx >>= 1;
+                i += 1;
+            }
+        }
+
+        // Undo negabinary + reorder + transform + cast.
+        let p = perm(c.d);
+        let mut q = [0i32; 64];
+        for i in 0..n {
+            q[p[i] as usize] = lift::uint2int(u[i]);
+        }
+        old_lift::inv_xform(&mut q[..n], c.d);
+        let scale = f64_pow2(emax - 30);
+        for (o, &qi) in out.iter_mut().zip(&q[..n]) {
+            *o = (qi as f64 * scale) as f32;
+        }
+
+        finish(r, used)
+    }
+}
 
 /// Blocks per work item in `lossy_zfp::stream`; the block counts below
 /// sit on either side of it.
@@ -43,7 +410,7 @@ fn cells(d: u8) -> impl Iterator<Item = (usize, usize, usize)> {
 fn oracle_compress(data: &[f32], dims: Dims3, cfg: &ZfpConfig) -> Vec<u8> {
     let d = dims.ndim();
     let [nx, ny, nz] = dims.extents();
-    let coding = BlockCoding::new(&cfg.mode, d);
+    let coding = Coding::new(&cfg.mode, d);
     let origins = block_origins(dims);
     let mut payload = BitWriter::new();
     let mut lens = Vec::new();
@@ -92,7 +459,7 @@ fn oracle_compress(data: &[f32], dims: Dims3, cfg: &ZfpConfig) -> Vec<u8> {
 fn oracle_decompress(stream: &[u8], dims: Dims3, cfg: &ZfpConfig) -> Vec<f32> {
     let d = dims.ndim();
     let [nx, ny, nz] = dims.extents();
-    let coding = BlockCoding::new(&cfg.mode, d);
+    let coding = Coding::new(&cfg.mode, d);
     let origins = block_origins(dims);
     let table = if coding.fixed_rate { 0 } else { origins.len() * 4 };
     let payload = &stream[64 + table..];
@@ -176,6 +543,230 @@ fn configs(d: u8) -> Vec<ZfpConfig> {
         _ => v.push(ZfpConfig::rate(0.7)),
     }
     v
+}
+
+fn xorshift(s: &mut u64) -> u64 {
+    *s ^= *s << 13;
+    *s ^= *s >> 7;
+    *s ^= *s << 17;
+    *s
+}
+
+/// Blocks of every value class the coder treats differently.
+fn value_classes<const N: usize>(seed: &mut u64) -> Vec<(&'static str, [f32; N])> {
+    let unit = |s: &mut u64| (xorshift(s) >> 40) as f32 / (1 << 24) as f32 - 0.5;
+    let mut delta = [0.0f32; N];
+    delta[N / 3] = -7.25;
+    let mut last = [0.0f32; N];
+    last[N - 1] = 1e-3;
+    vec![
+        (
+            "smooth",
+            std::array::from_fn(|i| {
+                let (x, y, z) = ((i % 4) as f32, (i / 4 % 4) as f32, (i / 16) as f32);
+                900.0 + (x * 0.4 + y * 0.3 - z * 0.2).sin() * 35.0
+            }),
+        ),
+        ("noise", std::array::from_fn(|_| unit(seed) * 2e4)),
+        ("noise, second draw", std::array::from_fn(|_| unit(seed) * 3e-6)),
+        ("constant", [-123.456; N]),
+        ("all zero", [0.0; N]),
+        ("negative zeros", [-0.0; N]),
+        ("one non-zero value", delta),
+        ("only the last value", last),
+        ("subnormals", std::array::from_fn(|i| f32::from_bits(1 + 977 * i as u32))),
+        ("largest finite", std::array::from_fn(|i| if i % 3 == 0 { f32::MAX } else { f32::MIN })),
+        (
+            "mixed signs",
+            std::array::from_fn(|i| (i as f32 - 1.5) * if i % 2 == 0 { 1.0 } else { -1e-3 }),
+        ),
+        ("wide range", std::array::from_fn(|i| unit(seed) * 10f32.powi(i as i32 % 30 - 15))),
+    ]
+}
+
+/// Codes `values` with both coders behind a `phase`-bit prefix, decodes
+/// the result with both, and requires them to agree on everything a
+/// caller can observe.
+fn assert_block_equivalent<const N: usize>(what: &str, values: &[f32; N], c: &Coding, phase: u32) {
+    let kernel = c.kernel();
+    let ctx = || format!("{what}, N = {N}, {c:?}, phase {phase}");
+    let mut want = BitWriter::new();
+    let mut got = BitWriter::new();
+    for w in [&mut want, &mut got] {
+        w.write_bits(0x2D5A_96B4_C3E1_F078, phase);
+    }
+    let want_used = encode_block(values, c, &mut want).expect("finite block");
+    let got_used = codec::encode_block(values, &kernel, &mut got).expect("finite block");
+    assert_eq!(got_used, want_used, "bits written: {}", ctx());
+    assert_eq!(got.bit_len(), want.bit_len(), "writer position: {}", ctx());
+    // A marker behind the block shows the writer is left usable.
+    for w in [&mut want, &mut got] {
+        w.write_bits(0b1_0110_1001, 9);
+    }
+    let bytes = want.into_bytes();
+    assert!(got.into_bytes() == bytes, "bytes: {}", ctx());
+
+    // The stored length, and the cap a caller without a table passes.
+    for budget in [want_used, c.maxbits] {
+        assert_decodes_equivalent::<N>(&bytes, phase, c, budget, &ctx);
+    }
+}
+
+/// Decodes the block at bit `phase` of `bytes` with both coders: the same
+/// values, bits consumed and reader position, or an error from both.
+fn assert_decodes_equivalent<const N: usize>(
+    bytes: &[u8],
+    phase: u32,
+    c: &Coding,
+    budget: u32,
+    ctx: &dyn Fn() -> String,
+) {
+    let mut want_r = BitReader::new(bytes);
+    let mut got_r = BitReader::new(bytes);
+    want_r.read_bits(phase).unwrap();
+    got_r.read_bits(phase).unwrap();
+    let mut want = [f32::NAN; N];
+    let mut got = [f32::NAN; N];
+    let want_used = decode_block(&mut want_r, c, budget, &mut want);
+    let got_used = codec::decode_block(&mut got_r, &c.kernel(), budget, &mut got);
+    match (want_used, got_used) {
+        (Ok(w), Ok(g)) => {
+            assert_eq!(g, w, "bits consumed at budget {budget}: {}", ctx());
+            assert!(bits(&got) == bits(&want), "values at budget {budget}: {}", ctx());
+            assert_eq!(
+                got_r.remaining_bits(),
+                want_r.remaining_bits(),
+                "reader position at budget {budget}: {}",
+                ctx()
+            );
+            assert_eq!(got_r.read_bits(7).ok(), want_r.read_bits(7).ok(), "next bits: {}", ctx());
+        }
+        (Err(Error::Corrupt(_)), Err(Error::Corrupt(_))) => {
+            assert!(got.iter().all(|v| v.is_nan()), "values from a failed block: {}", ctx());
+        }
+        (w, g) => panic!("reference {w:?}, kernel {g:?} at budget {budget}: {}", ctx()),
+    }
+}
+
+/// Every plane setting: each count, and tolerances on either side of the
+/// data's scale, including the ones that bound nothing.
+fn plane_settings() -> Vec<reference::Planes> {
+    use reference::Planes::{Count, Tolerance};
+    let mut v: Vec<_> = (1..=32).map(Count).collect();
+    v.extend([1e-30, 1e-6, 0.37, 1.0, 4096.0, 1e30, 0.0, f64::NAN].map(Tolerance));
+    v
+}
+
+fn coder_oracle<const N: usize>(budgets: impl Iterator<Item = u32> + Clone) {
+    let d = N.ilog(4) as u8;
+    let mut seed = 0x9E37_79B9_7F4A_7C15 ^ N as u64;
+    let classes = value_classes::<N>(&mut seed);
+    let cap = BlockCoding::new(&lossy_zfp::ZfpMode::FixedPrecision(32), d).maxbits;
+    let mut phase = 0;
+    for maxbits in budgets {
+        assert!((10..=cap).contains(&maxbits));
+        // Fixed rate: all planes, padded. Variable length: every plane
+        // setting under this budget as the cap.
+        let fixed = Coding { d, maxbits, fixed_rate: true, planes: reference::Planes::Count(32) };
+        let variable = plane_settings().into_iter().map(|planes| Coding {
+            fixed_rate: false,
+            planes,
+            ..fixed
+        });
+        for c in std::iter::once(fixed).chain(variable) {
+            for (what, values) in &classes {
+                assert_block_equivalent(what, values, &c, phase % 64);
+                phase += 1;
+            }
+        }
+    }
+}
+
+#[test]
+fn kernel_matches_the_bit_at_a_time_coder_on_4_value_blocks_at_every_budget() {
+    coder_oracle::<4>(10..=9 + 32 * 6);
+}
+
+#[test]
+fn kernel_matches_the_bit_at_a_time_coder_on_16_value_blocks_at_every_budget() {
+    coder_oracle::<16>(10..=9 + 32 * 18);
+}
+
+/// Every budget through the first planes — where budgets end inside a
+/// unary run, right behind a passed test, and exactly at the last
+/// coefficient — then a stride that is coprime to the block and word
+/// sizes, up to the cap.
+#[test]
+fn kernel_matches_the_bit_at_a_time_coder_on_64_value_blocks_at_a_dense_sample_of_budgets() {
+    let cap = 9 + 32 * 66;
+    coder_oracle::<64>((10..=330).chain((331..cap).step_by(37)).chain([cap - 1, cap]));
+}
+
+/// Arbitrary bits are a stream too: whatever they hold, both decoders
+/// must read the same block from them or both refuse — including when the
+/// bits run out inside the block.
+#[test]
+fn kernel_and_reference_agree_on_arbitrary_bits() {
+    fn check<const N: usize>(seed: &mut u64) {
+        let d = N.ilog(4) as u8;
+        for round in 0..1500u32 {
+            // Dense noise, and sparse noise that makes long runs.
+            let len = 1 + (xorshift(seed) % 300) as usize;
+            let mut bytes: Vec<u8> = (0..len)
+                .map(|_| match round % 3 {
+                    0 => xorshift(seed) as u8,
+                    1 => (xorshift(seed) & xorshift(seed) & xorshift(seed)) as u8,
+                    _ => {
+                        (xorshift(seed) & xorshift(seed) & xorshift(seed) & xorshift(seed) >> 3)
+                            as u8
+                    }
+                })
+                .collect();
+            bytes[0] |= 1; // mostly non-zero blocks
+            let maxbits = 10 + (xorshift(seed) % 700) as u32;
+            let planes = plane_settings()[(xorshift(seed) % 40) as usize];
+            let c = Coding { d, maxbits, fixed_rate: round % 2 == 0, planes };
+            let phase = (xorshift(seed) % 8) as u32 * (round % 5 == 0) as u32;
+            let ctx = || format!("round {round}, N = {N}, {c:?}, {len} bytes");
+            assert_decodes_equivalent::<N>(&bytes, phase, &c, maxbits, &ctx);
+        }
+    }
+    let mut seed = 0x0123_4567_89AB_CDEF;
+    check::<4>(&mut seed);
+    check::<16>(&mut seed);
+    check::<64>(&mut seed);
+}
+
+/// A 64-value block whose first coded plane is one unary run of every
+/// length, behind every reader phase: the run's one sits at each place
+/// inside and outside the decoder's 56-bit window, is implied at the last
+/// coefficient, or is cut off by each budget.
+#[test]
+fn kernel_and_reference_agree_on_runs_around_the_peek_window() {
+    let mut seed = 0xD1B5_4A32_D192_ED03u64;
+    for zeros in 0..=63u32 {
+        for phase in [0, 1, 7, 8, 9, 13, 55, 56, 57, 63] {
+            let mut w = BitWriter::new();
+            w.write_bits(xorshift(&mut seed), phase);
+            w.write_bits(1 | (127 + 4) << 1, 9); // non-zero block, emax = 4
+            w.write_bits(1, 1); // the first plane's group test passes
+            w.write_bits(0, zeros);
+            w.write_bits(u64::MAX, 1 + zeros % 2); // the one, then whatever follows
+            for _ in 0..12 {
+                w.write_bits(xorshift(&mut seed) & xorshift(&mut seed), 64);
+            }
+            let bytes = w.into_bytes();
+            let budgets = (10..=80).chain([200, 512, 9 + 32 * 66]);
+            for maxbits in budgets {
+                for fixed_rate in [false, true] {
+                    let planes = reference::Planes::Count(32);
+                    let c = Coding { d: 3, maxbits, fixed_rate, planes };
+                    let ctx = || format!("{zeros} zeros, phase {phase}, {c:?}");
+                    assert_decodes_equivalent::<64>(&bytes, phase, &c, maxbits, &ctx);
+                }
+            }
+        }
+    }
 }
 
 #[test]

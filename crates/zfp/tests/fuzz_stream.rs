@@ -11,10 +11,18 @@
 //! at the end aim at its accounting — a payload cut inside the last run
 //! (plainly, and with both CRCs re-sealed), a length table that disagrees
 //! with the payload, a block that does not consume its stored length — and
-//! at the order in which items report errors.
+//! at the order in which items report errors. The last group aims at the
+//! block kernel, whose reads cannot fail one by one: hand-written blocks
+//! whose unary runs straddle the cut — one of them longer than the
+//! decoder's 56-bit peek window — must be refused by every entry point,
+//! and by the kernel itself when it is handed the short bytes directly.
 
+use foresight_util::bits::{BitReader, BitWriter};
 use foresight_util::crc::crc32;
 use foresight_util::Error;
+use gpu_sim::{Device, GpuSpec};
+use lossy_zfp::codec::{self, BlockCoding};
+use lossy_zfp::gpu_exec::decompress_on;
 use lossy_zfp::{compress, decompress, Dims3, ZfpConfig};
 use proptest::prelude::*;
 use rayon::ThreadPoolBuilder;
@@ -158,6 +166,10 @@ fn assert_corrupt(stream: &[u8], what: &str) -> String {
             other => panic!("{what} on {threads} threads: {:?}", other.map(|(v, d)| (v.len(), d))),
         }
     }
+    match decompress_on(&mut Device::new(GpuSpec::tesla_v100()), stream) {
+        Err(Error::Corrupt(_)) => {}
+        other => panic!("{what} on the device path: {:?}", other.map(|(v, d, _)| (v.len(), d))),
+    }
     decompress(stream).unwrap_err().to_string()
 }
 
@@ -208,4 +220,124 @@ fn a_block_that_misses_its_stored_length_fails_first_in_block_order() {
         let msg = assert_corrupt(&bad, "shifted lengths");
         assert!(msg.contains("block 1500 consumed"), "{msg}");
     }
+}
+
+/// The code of one 64-value block, written by hand: a non-zero header,
+/// then a first plane whose group test passes and whose run is
+/// `zeros` zeros long — 63 of them reach the last coefficient, whose one
+/// is implied, and pass the decoder's 56-bit peek window on the way —
+/// then alternating bits up to `nbits`.
+fn run_then_filler(zeros: u32, nbits: u32) -> Vec<u8> {
+    let mut w = BitWriter::new();
+    w.write_bits(1 | (127 + 3) << 1, 9);
+    w.write_bits(1, 1);
+    w.write_bits(0, zeros);
+    w.write_bits(1, (zeros < 63) as u32);
+    while w.bit_len() < nbits as u64 {
+        w.write_bits(0x5555_5555_5555_5555, (nbits as u64 - w.bit_len()).min(64) as u32);
+    }
+    w.into_bytes()
+}
+
+/// [`run_then_filler`] as one whole block under `c`, with its length in
+/// bits: the rate's at a fixed rate, else as many as the coder reads.
+fn block_with_a_run(zeros: u32, c: &BlockCoding) -> (Vec<u8>, u32) {
+    let ample = run_then_filler(zeros, c.maxbits);
+    let mut out = [0.0f32; 64];
+    let nbits = codec::decode_block(&mut BitReader::new(&ample), c, c.maxbits, &mut out).unwrap();
+    let mut w = BitWriter::new();
+    w.append(&ample, nbits as u64);
+    (w.into_bytes(), nbits)
+}
+
+/// A one-block 4x4x4 stream in `cfg`'s mode around a hand-written
+/// `payload` of `nbits` bits: the header of a real stream with the length
+/// table and payload swapped and both CRCs re-sealed.
+fn one_block_stream(cfg: &ZfpConfig, payload: &[u8], nbits: u32) -> Vec<u8> {
+    let real = compress(&[1.0; 64], Dims3::D3(4, 4, 4), cfg).unwrap();
+    let mut stream = real[..HDR].to_vec();
+    if !matches!(cfg.mode, lossy_zfp::ZfpMode::FixedRate(_)) {
+        stream.extend_from_slice(&nbits.to_le_bytes());
+    }
+    let table = stream.len() - HDR;
+    stream.extend_from_slice(payload);
+    forge_shorter_payload(&stream, table, 0)
+}
+
+#[test]
+fn cuts_inside_unary_runs_are_corrupt_on_every_path() {
+    for (cfg, table) in [(ZfpConfig::rate(8.0), 0), (ZfpConfig::precision(32), 4)] {
+        for zeros in [5, 40, 63] {
+            let (payload, nbits) = block_with_a_run(zeros, &BlockCoding::new(&cfg.mode, 3));
+            let stream = one_block_stream(&cfg, &payload, nbits);
+            let (values, _) = decompress(&stream).expect("the hand-written block is valid");
+            assert!(values.iter().all(|v| v.is_finite()));
+            // Cuts that leave the payload ending inside the run — short of
+            // the peek window, at its edge, past it — then behind the run,
+            // and one byte before the block ends.
+            for keep in [2, 5, 8, 9, 10, 30, payload.len() - 1] {
+                let drop = payload.len() - keep;
+                let what = format!("{:?}, run of {zeros}, {keep} payload bytes", cfg.mode);
+                assert_corrupt(&stream[..stream.len() - drop], &format!("plain cut: {what}"));
+                assert_corrupt(
+                    &forge_shorter_payload(&stream, table, drop),
+                    &format!("re-sealed cut: {what}"),
+                );
+            }
+        }
+    }
+}
+
+/// The stream layer checks sizes before any block is read, so the kernel
+/// is also handed short bytes directly: wherever the bits end inside the
+/// block — in a run, in the long run, one bit before the padding ends —
+/// it must refuse, leave the reader where it was and write no values.
+#[test]
+fn kernel_refuses_a_block_the_bits_end_inside_of() {
+    let fixed = BlockCoding::new(&lossy_zfp::ZfpMode::FixedRate(8.0), 3);
+    let variable = BlockCoding::new(&lossy_zfp::ZfpMode::FixedPrecision(32), 3);
+    for c in [fixed, variable] {
+        for zeros in [5, 40, 63] {
+            let (block, nbits) = block_with_a_run(zeros, &c);
+            for phase in [0u32, 1, 5] {
+                let mut w = BitWriter::new();
+                w.write_bits(0b10110, phase);
+                w.append(&block, nbits as u64);
+                let bytes = w.into_bytes();
+                let decode = |held: &[u8], budget: u32| {
+                    let mut r = BitReader::new(held);
+                    r.read_bits(phase).unwrap();
+                    let before = r.remaining_bits();
+                    let mut out = [f32::NAN; 64];
+                    let res = codec::decode_block(&mut r, &c, budget, &mut out);
+                    (res, r.remaining_bits() == before, out.iter().all(|v| v.is_nan()))
+                };
+                let (whole, ..) = decode(&bytes, nbits);
+                assert_eq!(whole.unwrap(), nbits);
+                // With `phase` bits in front, dropping the last byte leaves
+                // the block between one and eight bits short.
+                let full = (phase + nbits).div_ceil(8) as usize;
+                for keep in [2, 5, 8, 9, 10, 30, full - 1] {
+                    // The stored length, and a budget far beyond the bytes.
+                    for budget in [nbits, c.maxbits, 1 << 16] {
+                        let (res, reader_unmoved, no_values) = decode(&bytes[..keep], budget);
+                        let what = format!("{c:?}, run of {zeros}, phase {phase}, {keep} bytes");
+                        assert!(matches!(res, Err(Error::Corrupt(_))), "{what}: {res:?}");
+                        assert!(reader_unmoved && no_values, "{what}");
+                    }
+                }
+            }
+        }
+    }
+    // One bit short exactly: 511 bits behind a one-bit phase fill 64 bytes.
+    let mut w = BitWriter::new();
+    w.write_bits(1, 1);
+    w.append(&run_then_filler(63, 512), 511);
+    let bytes = w.into_bytes();
+    assert_eq!(bytes.len(), 64);
+    let mut r = BitReader::new(&bytes);
+    r.read_bits(1).unwrap();
+    let mut out = [f32::NAN; 64];
+    assert!(matches!(codec::decode_block(&mut r, &fixed, 512, &mut out), Err(Error::Corrupt(_))));
+    assert!(codec::decode_block(&mut r, &fixed, 511, &mut out).is_ok());
 }

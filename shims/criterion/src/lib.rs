@@ -9,7 +9,9 @@
 //! per-iteration time (plus derived throughput) is printed.
 //!
 //! Environment knobs: `CRITERION_MEASURE_MS` (default 300) bounds the
-//! per-benchmark measurement window.
+//! per-benchmark measurement window. As with criterion, the first
+//! positional argument (`cargo bench --bench codecs -- zfp_block`) keeps
+//! only the benchmarks whose `group/id` contains it.
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};
@@ -152,7 +154,7 @@ fn report(group: &str, id: &str, throughput: Option<Throughput>, total: Duration
 pub struct BenchmarkGroup<'a> {
     name: String,
     throughput: Option<Throughput>,
-    _criterion: &'a mut Criterion,
+    criterion: &'a mut Criterion,
 }
 
 impl<'a> BenchmarkGroup<'a> {
@@ -184,6 +186,9 @@ impl<'a> BenchmarkGroup<'a> {
     }
 
     fn run(&mut self, id: BenchmarkId, mut f: impl FnMut(&mut Bencher)) {
+        if !self.criterion.selects(&format!("{}/{}", self.name, id.id)) {
+            return;
+        }
         let mut b = Bencher { measure: measure_window(), result: None };
         f(&mut b);
         if let Some((total, iters)) = b.result {
@@ -196,13 +201,26 @@ impl<'a> BenchmarkGroup<'a> {
 }
 
 /// Benchmark registry entry point, mirroring `criterion::Criterion`.
-#[derive(Default)]
-pub struct Criterion {}
+pub struct Criterion {
+    filter: Option<String>,
+}
+
+impl Default for Criterion {
+    /// Takes the name filter from the command line, skipping the flags
+    /// cargo passes (`--bench`).
+    fn default() -> Self {
+        Self { filter: std::env::args().skip(1).find(|a| !a.starts_with('-')) }
+    }
+}
 
 impl Criterion {
+    fn selects(&self, name: &str) -> bool {
+        self.filter.as_deref().is_none_or(|f| name.contains(f))
+    }
+
     /// Opens a named group.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
-        BenchmarkGroup { name: name.into(), throughput: None, _criterion: self }
+        BenchmarkGroup { name: name.into(), throughput: None, criterion: self }
     }
 
     /// Runs one ungrouped benchmark.
@@ -212,6 +230,9 @@ impl Criterion {
         mut f: impl FnMut(&mut Bencher),
     ) -> &mut Self {
         let id = id.into();
+        if !self.selects(&id.id) {
+            return self;
+        }
         let mut b = Bencher { measure: measure_window(), result: None };
         f(&mut b);
         if let Some((total, iters)) = b.result {
@@ -259,12 +280,29 @@ mod tests {
     #[test]
     fn group_api_compiles_and_runs() {
         std::env::set_var("CRITERION_MEASURE_MS", "2");
-        let mut c = Criterion::default();
+        let mut c = Criterion { filter: None };
         let mut g = c.benchmark_group("g");
         g.throughput(Throughput::Bytes(1024));
         g.bench_function("f", |b| b.iter(|| 1 + 1));
         g.bench_with_input(BenchmarkId::new("p", 3), &3, |b, &x| b.iter(|| x * 2));
         g.finish();
+    }
+
+    #[test]
+    fn filter_keeps_only_matching_names() {
+        std::env::set_var("CRITERION_MEASURE_MS", "2");
+        let mut c = Criterion { filter: Some("g/keep".into()) };
+        let mut ran = Vec::new();
+        let mut g = c.benchmark_group("g");
+        g.bench_function("keep_me", |b| {
+            ran.push("keep_me");
+            b.iter(|| 1 + 1)
+        });
+        g.bench_function("skip_me", |b| {
+            ran.push("skip_me");
+            b.iter(|| 1 + 1)
+        });
+        assert_eq!(ran, ["keep_me"]);
     }
 
     #[test]

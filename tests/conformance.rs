@@ -2,7 +2,10 @@
 //!
 //! `tests/golden/` holds a committed 32^3 input field plus the exact
 //! compressed streams GPU-SZ and cuZFP produce for it at two error-bound
-//! configurations each, with SHA-256 digests in `manifest.json`. These
+//! configurations each — and, for cuZFP, for the same values as a 1-D
+//! and a 2-D array and in its two variable-length modes, so every block
+//! size and every coder path is pinned — with SHA-256 digests in
+//! `manifest.json`. These
 //! tests recompress the committed input and compare byte-for-byte, so
 //! any change to predictor, quantizer, transform, or entropy stage that
 //! alters the wire format fails loudly — with the digest pair, lengths,
@@ -56,13 +59,21 @@ fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
 
-/// The conformance vectors: both codecs at two bounds each.
-fn vectors() -> Vec<(&'static str, CodecConfig)> {
+/// The conformance vectors: both codecs at two bounds each on the 32^3
+/// field, then the ZFP coder paths those leave out — the same 32 768
+/// values as a 1-D array (the HACC case) and as a 256 x 128 plane, and
+/// the two variable-length modes.
+fn vectors() -> Vec<(&'static str, Shape, CodecConfig)> {
+    let cube = Shape::D3(N_SIDE, N_SIDE, N_SIDE);
     vec![
-        ("sz_abs_1e-3", CodecConfig::Sz(SzConfig::abs(1e-3))),
-        ("sz_abs_1e-2", CodecConfig::Sz(SzConfig::abs(1e-2))),
-        ("zfp_rate_4", CodecConfig::Zfp(ZfpConfig::rate(4.0))),
-        ("zfp_rate_8", CodecConfig::Zfp(ZfpConfig::rate(8.0))),
+        ("sz_abs_1e-3", cube, CodecConfig::Sz(SzConfig::abs(1e-3))),
+        ("sz_abs_1e-2", cube, CodecConfig::Sz(SzConfig::abs(1e-2))),
+        ("zfp_rate_4", cube, CodecConfig::Zfp(ZfpConfig::rate(4.0))),
+        ("zfp_rate_8", cube, CodecConfig::Zfp(ZfpConfig::rate(8.0))),
+        ("zfp_1d_rate_8", Shape::D1(cube.len()), CodecConfig::Zfp(ZfpConfig::rate(8.0))),
+        ("zfp_2d_rate_6", Shape::D2(256, 128), CodecConfig::Zfp(ZfpConfig::rate(6.0))),
+        ("zfp_accuracy_1e-3", cube, CodecConfig::Zfp(ZfpConfig::accuracy(1e-3))),
+        ("zfp_precision_12", cube, CodecConfig::Zfp(ZfpConfig::precision(12))),
     ]
 }
 
@@ -179,9 +190,8 @@ fn bless(dir: &Path) {
     let field = golden_field();
     let input_bytes = f32le_bytes(&field);
     std::fs::write(dir.join(INPUT_FILE), &input_bytes).unwrap();
-    let shape = Shape::D3(N_SIDE, N_SIDE, N_SIDE);
     let mut entries = Vec::new();
-    for (name, cfg) in vectors() {
+    for (name, shape, cfg) in vectors() {
         let stream = codec::compress(&field, shape, &cfg).unwrap();
         let (decoded, _) = codec::decompress(&stream).unwrap();
         let file = format!("{name}.stream");
@@ -265,12 +275,11 @@ fn conformance_golden_vectors() {
     }
     let manifest = load_manifest(&dir);
     let field = load_input(&dir, &manifest);
-    let shape = Shape::D3(N_SIDE, N_SIDE, N_SIDE);
-    assert_eq!(field.len(), shape.len());
     let listed = manifest.get("vectors").and_then(Value::as_array).unwrap();
     assert_eq!(listed.len(), vectors().len(), "manifest covers every vector");
     let mut failures = Vec::new();
-    for (name, cfg) in vectors() {
+    for (name, shape, cfg) in vectors() {
+        assert_eq!(field.len(), shape.len());
         let entry = listed
             .iter()
             .find(|v| v.get("name").and_then(Value::as_str) == Some(name))
@@ -290,7 +299,7 @@ fn conformance_golden_vectors() {
         }
         // The committed stream must still decode, to the committed bytes.
         let (decoded, dshape) = codec::decompress(&committed).unwrap();
-        assert_eq!(dshape.len(), shape.len());
+        assert_eq!(dshape, shape);
         assert_eq!(
             sha256_hex(&f32le_bytes(&decoded)),
             entry.get("decoded_sha256").and_then(Value::as_str).unwrap(),
@@ -316,7 +325,6 @@ fn scheduler_output_matches_golden_vectors() {
     }
     let manifest = load_manifest(&dir);
     let field = load_input(&dir, &manifest);
-    let shape = Shape::D3(N_SIDE, N_SIDE, N_SIDE);
     let node = ServeNode::v100_pcie(2);
     // Field is 128 KiB; keep shard_bytes above that so the scheduler
     // emits a raw codec stream rather than a shard container.
@@ -324,7 +332,7 @@ fn scheduler_output_matches_golden_vectors() {
     let requests: Vec<ServeRequest> = vectors()
         .into_iter()
         .enumerate()
-        .map(|(i, (_, cfg))| ServeRequest {
+        .map(|(i, (_, shape, cfg))| ServeRequest {
             id: i as u64,
             arrival_s: i as f64 * 1e-4,
             deadline_s: None,
@@ -333,7 +341,7 @@ fn scheduler_output_matches_golden_vectors() {
         .collect();
     let report = serve(&node, &opts, &requests).unwrap();
     let listed = manifest.get("vectors").and_then(Value::as_array).unwrap();
-    for (i, (name, _)) in vectors().into_iter().enumerate() {
+    for (i, (name, ..)) in vectors().into_iter().enumerate() {
         let entry = listed
             .iter()
             .find(|v| v.get("name").and_then(Value::as_str) == Some(name))
@@ -364,12 +372,11 @@ fn cluster_output_matches_golden_vectors_even_under_node_kill() {
     }
     let manifest = load_manifest(&dir);
     let field = load_input(&dir, &manifest);
-    let shape = Shape::D3(N_SIDE, N_SIDE, N_SIDE);
     let spec = ServeCluster::new(4, 2, ServeNode::v100_pcie(2));
     let requests: Vec<ClusterRequest> = vectors()
         .into_iter()
         .enumerate()
-        .map(|(i, (name, cfg))| ClusterRequest {
+        .map(|(i, (name, shape, cfg))| ClusterRequest {
             key: name.to_string(),
             priority: 1,
             req: ServeRequest {
@@ -396,7 +403,7 @@ fn cluster_output_matches_golden_vectors_even_under_node_kill() {
             ..Default::default()
         };
         let report = serve_cluster(&spec, &opts, &requests).unwrap();
-        for (i, (name, _)) in vectors().into_iter().enumerate() {
+        for (i, (name, ..)) in vectors().into_iter().enumerate() {
             let entry = listed
                 .iter()
                 .find(|v| v.get("name").and_then(Value::as_str) == Some(name))
