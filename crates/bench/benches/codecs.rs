@@ -89,9 +89,10 @@ fn entropy_inputs(n: usize) -> (Codebook, Vec<u32>, Vec<u8>) {
         codes.extend(o.codes);
     }
     let book = Codebook::from_frequencies(&histogram(&codes)).unwrap();
+    let encoder = book.encoder();
     let mut w = BitWriter::with_capacity(codes.len());
     for &c in &codes {
-        book.encode(c, &mut w).unwrap();
+        encoder.encode(c, &mut w).unwrap();
     }
     let bytes = w.into_bytes();
     (book, codes, bytes)
@@ -103,9 +104,10 @@ fn bench_huffman_entropy(c: &mut Criterion) {
     g.throughput(Throughput::Elements(codes.len() as u64));
     g.bench_function("encode_packed", |b| {
         b.iter(|| {
+            let encoder = book.encoder();
             let mut w = BitWriter::with_capacity(codes.len());
             for &s in &codes {
-                book.encode(s, &mut w).unwrap();
+                encoder.encode(s, &mut w).unwrap();
             }
             w.into_bytes()
         });
@@ -124,7 +126,7 @@ fn bench_huffman_entropy(c: &mut Criterion) {
         b.iter(|| {
             out.clear();
             let mut r = BitReader::new(&bytes);
-            book.decode_into(&mut r, codes.len(), &mut out).unwrap();
+            book.decoder().decode_into(&mut r, codes.len(), &mut out).unwrap();
             out.last().copied()
         });
     });
@@ -187,9 +189,57 @@ fn bench_zfp_block(c: &mut Criterion) {
     g.finish();
 }
 
+/// One chunk-sized SZ call (16^3, in cache, one thread) and the two table
+/// builds inside it — what a `.fstr` chunk or a serve shard pays per call.
+/// Prints the minimum iteration as ns per call, like `zfp_block`. The
+/// bound is loose because 16 samples a side make this field rough: 0.5
+/// gives a ~90-symbol book, the size real 16^3 cuts of smooth fields have.
+fn bench_sz_chunk16(c: &mut Criterion) {
+    let field = nyx_like_field(16);
+    let dims = Dims::D3(16, 16, 16);
+    let cfg = SzConfig::abs(0.5);
+    let stream = lossy_sz::compress(&field, dims, &cfg).unwrap();
+    let block = lossy_sz::block::partition(dims, cfg.block_size)[0];
+    let codes = lossy_sz::block::compress_block(
+        &field,
+        dims.extents(),
+        &block,
+        cfg.mode.value(),
+        cfg.radius,
+        cfg.predictor,
+    )
+    .codes;
+    let freqs = histogram(&codes);
+    let mut table = Vec::new();
+    Codebook::from_frequencies(&freqs).unwrap().serialize(&mut table);
+
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+    let mut g = c.benchmark_group("sz_chunk16");
+    let mut run = |name: &str, f: &(dyn Fn() -> usize + Sync)| {
+        let mut best = f64::INFINITY;
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let t = Instant::now();
+                let n = pool.install(f);
+                best = best.min(t.elapsed().as_secs_f64());
+                n
+            })
+        });
+        if best.is_finite() {
+            println!("sz_chunk16/{name:<28} min: {:.0} ns/call", best * 1e9);
+        }
+    };
+    run("compress", &|| lossy_sz::compress(&field, dims, &cfg).unwrap().len());
+    run("decompress", &|| lossy_sz::decompress(&stream).unwrap().0.len());
+    run("from_frequencies", &|| Codebook::from_frequencies(&freqs).unwrap().len());
+    run("deserialize", &|| Codebook::deserialize(&table).unwrap().1);
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_zfp_block,
+    bench_sz_chunk16,
     bench_compress,
     bench_decompress,
     bench_entropy_backends,

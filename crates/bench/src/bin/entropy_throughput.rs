@@ -82,20 +82,18 @@ fn main() {
         }
         w.into_bytes()
     });
-    let enc_after = best_secs(|| {
+    let encoder = book.encoder();
+    let encode_all = || {
         let mut w = BitWriter::with_capacity(codes.len());
         for &c in &codes {
-            book.encode(c, &mut w).unwrap();
+            encoder.encode(c, &mut w).unwrap();
         }
         w.into_bytes()
-    });
+    };
+    let enc_after = best_secs(encode_all);
 
     // The two encoders are bit-identical; decode the shared stream.
-    let mut w = BitWriter::with_capacity(codes.len());
-    for &c in &codes {
-        book.encode(c, &mut w).unwrap();
-    }
-    let bytes = w.into_bytes();
+    let bytes = encode_all();
 
     // Decode: before (per-bit table walk) vs after (12-bit LUT).
     let dec_before = best_secs(|| {
@@ -110,7 +108,7 @@ fn main() {
     let dec_after = best_secs(|| {
         decoded.clear();
         let mut r = BitReader::new(&bytes);
-        book.decode_into(&mut r, codes.len(), &mut decoded).unwrap();
+        book.decoder().decode_into(&mut r, codes.len(), &mut decoded).unwrap();
         decoded.last().copied()
     });
     assert_eq!(decoded, codes, "bulk decode must reproduce the symbol stream");

@@ -112,9 +112,10 @@ pub fn fpz_compress(data: &[f32], dims: FpzDims) -> Result<Vec<u8>> {
     // Entropy-code the class, then raw low bits (class-1 bits; the top
     // significant bit is implied by the class).
     let book = Codebook::from_frequencies(&histogram(&classes))?;
+    let encoder = book.encoder();
     let mut w = BitWriter::with_capacity(data.len() * 2);
     for i in 0..data.len() {
-        book.encode(classes[i], &mut w)?;
+        encoder.encode(classes[i], &mut w)?;
         let c = classes[i];
         if c > 1 {
             w.write_bits(resid[i], c - 1);
@@ -142,6 +143,7 @@ pub fn fpz_decompress(stream: &[u8]) -> Result<(Vec<f32>, FpzDims)> {
         return Err(Error::corrupt("implausible dimensions"));
     }
     let (book, used) = Codebook::deserialize(&stream[28..])?;
+    let decoder = book.decoder_for(dims.len());
     let mut r = BitReader::new(&stream[28 + used..]);
     let mut ordered = vec![0i64; dims.len()];
     let mut out = Vec::with_capacity(dims.len());
@@ -149,7 +151,7 @@ pub fn fpz_decompress(stream: &[u8]) -> Result<(Vec<f32>, FpzDims)> {
     for z in 0..dims.nz {
         for y in 0..dims.ny {
             for x in 0..dims.nx {
-                let c = book.decode(&mut r)?;
+                let c = decoder.decode(&mut r)?;
                 if c > 64 {
                     return Err(Error::corrupt("fpz class out of range"));
                 }

@@ -56,3 +56,32 @@ pub use format::{BoundSpec, ChunkRef, CodecKind, Directory, FieldEntry, Superblo
 pub use grid::{ChunkGrid, FieldShape, Region};
 pub use reader::{ReadStats, StoreCheck, StoreReader, CACHE_BUDGET_BYTES};
 pub use writer::{ChunkCodec, StoreWriter};
+
+use rayon::prelude::*;
+
+/// Runs `work(i)` for every field `i` across the rayon workers and
+/// returns the results in field order. SHA-256 is sequential within a
+/// field, so the field is the unit of work; fields differ in payload
+/// (`bytes[i]`) by 2x and more, so they are dealt largest first to the
+/// least-loaded worker rather than split by count.
+pub(crate) fn par_fields<T: Send>(bytes: &[u64], work: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let workers = rayon::current_num_threads().clamp(1, bytes.len().max(1));
+    let mut by_size: Vec<usize> = (0..bytes.len()).collect();
+    by_size.sort_by_key(|&i| std::cmp::Reverse(bytes[i]));
+    let mut bins = vec![(0u64, Vec::new()); workers];
+    for i in by_size {
+        if let Some(bin) = bins.iter_mut().min_by_key(|bin| bin.0) {
+            bin.0 += bytes[i];
+            bin.1.push(i);
+        }
+    }
+    let mut done: Vec<(usize, T)> = bins
+        .par_iter()
+        .map(|(_, fields)| fields.iter().map(|&i| (i, work(i))).collect::<Vec<_>>())
+        .collect::<Vec<_>>()
+        .into_iter()
+        .flatten()
+        .collect();
+    done.sort_unstable_by_key(|d| d.0);
+    done.into_iter().map(|d| d.1).collect()
+}

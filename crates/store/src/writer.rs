@@ -4,9 +4,11 @@
 //!
 //! The writer is write-once: fields accumulate in memory and
 //! [`StoreWriter::finish`] produces the final byte image in one pass.
-//! Chunks compress in parallel (rayon) because chunking makes each
-//! stream independent — exactly the property the reader exploits for
-//! chunk-granular random access.
+//! Chunks compress (and are CRC'd) in parallel (rayon) because chunking
+//! makes each stream independent — exactly the property the reader
+//! exploits for chunk-granular random access. Sealing hashes the fields'
+//! payloads in parallel across fields; the image is sized once and every
+//! stream copied into it once.
 
 use crate::format::{
     BoundSpec, ChunkRef, CodecKind, Directory, FieldEntry, Superblock, MAX_CHUNK_COUNT,
@@ -14,7 +16,7 @@ use crate::format::{
 };
 use crate::grid::{ChunkGrid, FieldShape, Region};
 use foresight_util::crc::crc32;
-use foresight_util::sha256::sha256;
+use foresight_util::sha256::{sha256, Sha256};
 use foresight_util::{telemetry, Error, Result};
 use lossy_sz::SzConfig;
 use lossy_zfp::ZfpConfig;
@@ -90,7 +92,8 @@ struct PendingField {
     grid: ChunkGrid,
     codec: CodecKind,
     bound: BoundSpec,
-    streams: Vec<Vec<u8>>,
+    /// Each chunk's compressed stream and its CRC32, in chunk-id order.
+    streams: Vec<(Vec<u8>, u32)>,
 }
 
 /// Accumulates compressed fields and seals them into one archive image.
@@ -159,8 +162,13 @@ impl StoreWriter {
         let ids = grid.intersecting(&Region::full(shape));
         let streams = ids
             .par_iter()
-            .map(|&idx| codec.compress_chunk(&grid.gather(data, idx), grid.chunk_shape_at(idx)))
-            .collect::<Result<Vec<Vec<u8>>>>()?;
+            .map(|&idx| {
+                let stream =
+                    codec.compress_chunk(&grid.gather(data, idx), grid.chunk_shape_at(idx))?;
+                let crc = crc32(&stream);
+                Ok((stream, crc))
+            })
+            .collect::<Result<Vec<(Vec<u8>, u32)>>>()?;
         telemetry::counter("store.chunks_packed", streams.len() as u64);
         self.fields.push(PendingField {
             snapshot,
@@ -175,33 +183,49 @@ impl StoreWriter {
 
     /// Seals the archive: lays fragments out after the superblock,
     /// builds the directory with per-chunk CRCs and per-field payload
-    /// digests, and pins it with the superblock's manifest SHA-256.
+    /// digests (hashed across fields in parallel), and pins it with the
+    /// superblock's manifest SHA-256.
     pub fn finish(self) -> Result<Vec<u8>> {
         if self.fields.is_empty() {
             return Err(Error::invalid("an archive must hold at least one field"));
         }
-        let mut payload: Vec<u8> = Vec::new();
-        let mut entries = Vec::new();
-        for f in self.fields {
-            let field_start = payload.len();
-            let mut chunks = Vec::with_capacity(f.streams.len());
-            for s in &f.streams {
-                let offset = (SUPERBLOCK_LEN + payload.len()) as u64;
-                chunks.push(ChunkRef { offset, len: s.len() as u64, crc32: crc32(s) });
-                payload.extend_from_slice(s);
+        let field_bytes: Vec<u64> = self
+            .fields
+            .iter()
+            .map(|f| f.streams.iter().map(|(s, _)| s.len() as u64).sum())
+            .collect();
+        let digests = crate::par_fields(&field_bytes, |i| {
+            let mut digest = Sha256::new();
+            for (s, _) in &self.fields[i].streams {
+                digest.update(s);
             }
-            entries.push(FieldEntry {
+            digest.finalize()
+        });
+        let mut offset = SUPERBLOCK_LEN as u64;
+        let entries = self
+            .fields
+            .iter()
+            .zip(digests)
+            .map(|(f, payload_sha256)| FieldEntry {
                 snapshot: f.snapshot,
-                name: f.name,
+                name: f.name.clone(),
                 grid: f.grid,
                 codec: f.codec,
                 bound: f.bound,
-                payload_sha256: sha256(&payload[field_start..]),
-                chunks,
-            });
-        }
+                payload_sha256,
+                chunks: f
+                    .streams
+                    .iter()
+                    .map(|&(ref s, crc32)| {
+                        let chunk = ChunkRef { offset, len: s.len() as u64, crc32 };
+                        offset += chunk.len;
+                        chunk
+                    })
+                    .collect(),
+            })
+            .collect();
         let dir = Directory { fields: entries }.encode();
-        let dir_offset = SUPERBLOCK_LEN + payload.len();
+        let dir_offset = offset as usize;
         let archive_len = dir_offset + dir.len();
         let sb = Superblock {
             version: VERSION,
@@ -212,7 +236,10 @@ impl StoreWriter {
         };
         let mut out = Vec::with_capacity(archive_len);
         out.extend_from_slice(&sb.encode());
-        out.extend_from_slice(&payload);
+        for (s, _) in self.fields.iter().flat_map(|f| &f.streams) {
+            out.extend_from_slice(s);
+        }
+        debug_assert_eq!(out.len(), dir_offset);
         out.extend_from_slice(&dir);
         telemetry::counter("store.archives_packed", 1);
         telemetry::counter("store.packed_bytes", out.len() as u64);

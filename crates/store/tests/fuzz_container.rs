@@ -241,6 +241,41 @@ fn two_corrupt_chunks_report_the_lower_id_under_any_thread_count() {
             assert!(err.to_string().contains("chunk 9 "), "{threads} threads: {err}");
         });
     }
+
+    // `verify` fans out per field: with the corruptions in two different
+    // fields (chunk 5 of "b", chunk 1 of "c"), the verdict is the one of
+    // the lower field in directory order, whichever worker finishes first.
+    let data: Vec<f32> = (0..1536).map(|i| (i as f32 * 0.05).sin() * 25.0).collect();
+    let mut w = StoreWriter::new();
+    let fields = [
+        ("a", 256, ChunkCodec::zfp_rate(8.0)),
+        ("b", 768, ChunkCodec::sz_abs(1e-2)),
+        ("c", 1536, ChunkCodec::zfp_rate(12.0)),
+    ];
+    for (name, len, codec) in &fields {
+        let shape = FieldShape::d3(8, 8, len / 64);
+        w.add_field(0, name, &data[..*len], shape, [4, 4, 4], codec).unwrap();
+    }
+    let clean = w.finish().unwrap();
+    let mut bad = clean.clone();
+    let reader = StoreReader::from_bytes(clean).unwrap();
+    for (name, id) in [("c", 1), ("b", 5)] {
+        let c = reader.find(0, name).unwrap().chunks[id];
+        bad[(c.offset + c.len / 2) as usize] ^= 0x10;
+    }
+    let bad = StoreReader::from_bytes(bad).unwrap();
+    for threads in [1, 2, 4] {
+        foresight_util::parallel::with_threads(threads, || {
+            let check = reader.verify().unwrap();
+            assert_eq!((check.fields_ok, check.chunks_ok), (3, 4 + 12 + 24), "{threads} threads");
+            let err = bad.verify().unwrap_err();
+            assert!(
+                matches!(err, foresight_util::Error::Corrupt(_))
+                    && err.to_string().contains("chunk 5 of field \"b\""),
+                "{threads} threads: {err}"
+            );
+        });
+    }
 }
 
 #[test]

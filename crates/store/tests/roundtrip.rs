@@ -244,3 +244,29 @@ fn zfp_field_with_non_finite_values_is_refused_and_the_writer_survives() {
     assert_eq!(reader.fields().len(), 1);
     assert_eq!(reader.extract(0, "good").unwrap().0.len(), good.len());
 }
+
+/// Sealing fans out (chunk CRCs per chunk, payload digests per field,
+/// dealt to workers by payload size): five fields of unequal size must
+/// seal to the same bytes, and verify to the same tally, on any worker
+/// count — fewer workers than fields, as many, and more.
+#[test]
+fn sealed_bytes_and_verify_tally_do_not_depend_on_the_thread_count() {
+    let seal = || {
+        let mut w = StoreWriter::new();
+        for (i, planes) in [2usize, 12, 1, 6, 12].into_iter().enumerate() {
+            let shape = FieldShape::d3(8, 8, planes);
+            let data = synth(shape.len(), 77 + i as u32);
+            let (name, codec) = (format!("f{i}"), codec_for(i as u8));
+            w.add_field(i as u32 / 2, &name, &data, shape, [4, 4, 4], &codec).unwrap();
+        }
+        w.finish().unwrap()
+    };
+    let reference = foresight_util::parallel::with_threads(1, seal);
+    for threads in [2, 4, 5, 9] {
+        foresight_util::parallel::with_threads(threads, || {
+            assert!(seal() == reference, "archive bytes differ on {threads} threads");
+            let check = StoreReader::from_bytes(reference.clone()).unwrap().verify().unwrap();
+            assert_eq!((check.fields_ok, check.chunks_ok), (5, 4 * (1 + 3 + 1 + 2 + 3)));
+        });
+    }
+}

@@ -24,6 +24,7 @@ use foresight_util::crc::crc32;
 use foresight_util::stats::summarize;
 use foresight_util::{telemetry, ByteReader, Error, Result};
 use rayon::prelude::*;
+use std::cell::RefCell;
 
 /// Stream magic tag identifying an SZ stream; exported so containers
 /// and auto-detecting decoders match streams without private knowledge.
@@ -35,6 +36,9 @@ const VERSION: u8 = 3;
 const META_BYTES: usize = 1 + 4 + 4 + 16;
 /// Header bytes covered by the header CRC (everything before it).
 const HDR_CRC_AT: usize = 4 + 1 + 1 + 1 + 1 + 24 + 4 + 4 + 8 + 8 + 8 + 8 + 4;
+/// The last two fields the header CRC covers: raw body length, body CRC.
+const BODY_CRC_AT: usize = HDR_CRC_AT - 4;
+const RAW_LEN_AT: usize = BODY_CRC_AT - 8;
 const HDR: usize = HDR_CRC_AT + 4;
 /// Largest per-axis extent accepted from a header (2^40 values).
 const MAX_EXTENT: u64 = 1 << 40;
@@ -112,11 +116,9 @@ fn compress_inner(data: &[f32], dims: Dims, cfg: &SzConfig, plan: &ModePlan) -> 
 
     // Pass 2: entropy-encode each block.
     let encode = telemetry::span("sz.huffman_encode");
-    let code_streams: Vec<Vec<u8>> = outputs
+    let code_streams = outputs
         .par_iter()
         .map(|o| encode_block_codes(&o.codes, &book))
-        .collect::<Vec<Result<Vec<u8>>>>()
-        .into_iter()
         .collect::<Result<Vec<Vec<u8>>>>()?;
     drop(encode);
 
@@ -161,17 +163,19 @@ pub(crate) fn global_codebook(outputs: &[BlockOutput]) -> Result<Codebook> {
 
 /// Entropy-encodes one block's quantization codes against the global book.
 pub(crate) fn encode_block_codes(codes: &[u32], book: &Codebook) -> Result<Vec<u8>> {
+    let encoder = book.encoder();
     let mut w = BitWriter::with_capacity(codes.len() / 2);
     for &c in codes {
-        book.encode(c, &mut w)?;
+        encoder.encode(c, &mut w)?;
     }
     Ok(w.into_bytes())
 }
 
-/// Assembles the container: body (per-block meta, Huffman table, code
-/// streams, outliers, PW_REL epilogue), optional LZSS, and the header.
-/// Shared verbatim by the CPU driver and the traced device path so both
-/// produce bit-identical streams.
+/// Assembles the container: header, then the body (per-block meta,
+/// Huffman table, code streams, outliers, PW_REL epilogue) appended in
+/// place behind it, LZSS-packed when the backend asks. Shared verbatim by
+/// the CPU driver and the traced device path so both produce bit-identical
+/// streams.
 pub(crate) fn assemble(
     dims: Dims,
     cfg: &SzConfig,
@@ -180,46 +184,20 @@ pub(crate) fn assemble(
     code_streams: &[Vec<u8>],
     book: &Codebook,
 ) -> Vec<u8> {
-    let ext = dims.extents();
-    let mut body = Vec::new();
-    for (o, cs) in outputs.iter().zip(code_streams) {
-        body.push(o.tag.to_u8());
-        body.extend_from_slice(&(o.outliers.len() as u32).to_le_bytes());
-        body.extend_from_slice(&(cs.len() as u32).to_le_bytes());
-        for c in o.coeffs {
-            body.extend_from_slice(&c.to_le_bytes());
-        }
-    }
-    book.serialize(&mut body);
-    for cs in code_streams {
-        body.extend_from_slice(cs);
-    }
-    for o in outputs {
-        for &v in &o.outliers {
-            body.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-    if let Some(t) = &plan.pw {
-        body.extend_from_slice(&t.sign_bitmap);
-        body.extend_from_slice(&t.special_bitmap);
-        body.extend_from_slice(&(t.specials.len() as u32).to_le_bytes());
-        for &v in &t.specials {
-            body.extend_from_slice(&v.to_le_bytes());
-        }
-    }
+    let code_bytes: usize = code_streams.iter().map(Vec::len).sum();
+    let n_outliers: usize = outputs.iter().map(|o| o.outliers.len()).sum();
+    let pw_bytes = plan.pw.as_ref().map_or(0, |t| {
+        t.sign_bitmap.len() + t.special_bitmap.len() + 4 + 4 * t.specials.len()
+    });
+    let body_len = outputs.len() * META_BYTES
+        + book.serialized_len()
+        + code_bytes
+        + 4 * n_outliers
+        + pw_bytes;
+    let mut out = Vec::with_capacity(HDR + body_len); // lint: allow(alloc-arith) — encoder-side: the exact size of data already in memory
 
-    let raw_len = body.len() as u64;
-    let crc = crc32(&body);
-    let body = match cfg.entropy {
-        EntropyBackend::Huffman => body,
-        EntropyBackend::HuffmanLzss => {
-            let _lzss = telemetry::span("sz.lzss");
-            lossless::compress(&body)
-        }
-    };
-
-    // Header.
-    let mut out = Vec::with_capacity(body.len() + 96); // lint: allow(alloc-arith) — encoder-side capacity hint on an already-materialized body
+    // Header; the body's length and CRC and the header's own CRC are
+    // patched in once the body is in place.
     out.extend_from_slice(MAGIC);
     out.push(VERSION);
     out.push(plan.tag);
@@ -228,7 +206,7 @@ pub(crate) fn assemble(
         EntropyBackend::HuffmanLzss => 1,
     });
     out.push(dims.ndim());
-    for e in ext {
+    for e in dims.extents() {
         out.extend_from_slice(&(e as u64).to_le_bytes());
     }
     out.extend_from_slice(&(cfg.block_size as u32).to_le_bytes());
@@ -236,14 +214,51 @@ pub(crate) fn assemble(
     out.extend_from_slice(&plan.eb_abs.to_le_bytes());
     out.extend_from_slice(&plan.eb_param.to_le_bytes());
     out.extend_from_slice(&(outputs.len() as u64).to_le_bytes());
-    out.extend_from_slice(&raw_len.to_le_bytes());
-    out.extend_from_slice(&crc.to_le_bytes());
+    debug_assert_eq!(out.len(), RAW_LEN_AT);
+    out.resize(HDR, 0);
+
+    for (o, cs) in outputs.iter().zip(code_streams) {
+        out.push(o.tag.to_u8());
+        out.extend_from_slice(&(o.outliers.len() as u32).to_le_bytes());
+        out.extend_from_slice(&(cs.len() as u32).to_le_bytes());
+        for c in o.coeffs {
+            out.extend_from_slice(&c.to_le_bytes());
+        }
+    }
+    book.serialize(&mut out);
+    for cs in code_streams {
+        out.extend_from_slice(cs);
+    }
+    for o in outputs {
+        for &v in &o.outliers {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+    if let Some(t) = &plan.pw {
+        out.extend_from_slice(&t.sign_bitmap);
+        out.extend_from_slice(&t.special_bitmap);
+        out.extend_from_slice(&(t.specials.len() as u32).to_le_bytes());
+        for &v in &t.specials {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+    debug_assert_eq!(out.len(), HDR + body_len);
+
+    let raw_len = (out.len() - HDR) as u64;
+    let crc = crc32(&out[HDR..]);
+    if cfg.entropy == EntropyBackend::HuffmanLzss {
+        let _lzss = telemetry::span("sz.lzss");
+        let packed = lossless::compress(&out[HDR..]);
+        out.truncate(HDR);
+        out.extend_from_slice(&packed);
+    }
+    out[RAW_LEN_AT..BODY_CRC_AT].copy_from_slice(&raw_len.to_le_bytes());
+    out[BODY_CRC_AT..HDR_CRC_AT].copy_from_slice(&crc.to_le_bytes());
     // Header CRC: without it a bit flip in, say, the error bound would
     // decode to plausible-but-wrong data; with it any header mutation is
     // a hard `Corrupt` error.
-    let hcrc = crc32(&out);
-    out.extend_from_slice(&hcrc.to_le_bytes());
-    out.extend_from_slice(&body);
+    let hcrc = crc32(&out[..HDR_CRC_AT]);
+    out[HDR_CRC_AT..HDR].copy_from_slice(&hcrc.to_le_bytes());
     out
 }
 
@@ -509,8 +524,16 @@ pub(crate) fn prepare_decode(inf: &StreamInfo, body: &[u8]) -> Result<DecodePlan
     })
 }
 
+thread_local! {
+    /// Per-thread symbol and outlier scratch, reused across the blocks a
+    /// worker decodes (as `block`'s lattice scratch is).
+    static DECODE_SCRATCH: RefCell<(Vec<u32>, Vec<f32>)> =
+        const { RefCell::new((Vec::new(), Vec::new())) };
+}
+
 /// Entropy-decodes and dequantizes one block into `out` (the full array;
-/// only the block's own cells are written).
+/// only the block's own cells are written). The decode window is sized to
+/// the whole stream's value count, by whichever block gets there first.
 pub(crate) fn decode_block_into(
     inf: &StreamInfo,
     plan: &DecodePlan,
@@ -522,32 +545,34 @@ pub(crate) fn decode_block_into(
     let b = &plan.blocks[bi];
     let (cs_start, cs_end) = plan.code_range(bi);
     let cs = body.get(cs_start..cs_end).ok_or_else(|| Error::corrupt("truncated codes"))?;
-    let mut r = BitReader::new(cs);
-    let mut codes = Vec::new();
-    plan.book.decode_into(&mut r, b.cells(), &mut codes)?;
-    let n_zero = codes.iter().filter(|&&c| c == 0).count();
-    if n_zero != m.n_out {
-        return Err(Error::corrupt("outlier count mismatch"));
-    }
-    let (o_start, o_end) = plan.outlier_range(bi);
-    let outlier_bytes =
-        body.get(o_start..o_end).ok_or_else(|| Error::corrupt("truncated outliers"))?;
-    let outliers: Vec<f32> = outlier_bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect();
-    block::decompress_block(
-        &codes,
-        &outliers,
-        m.tag,
-        m.coeffs,
-        inf.dims.extents(),
-        b,
-        inf.eb_abs,
-        inf.radius,
-        out,
-    );
-    Ok(())
+    let decoder = plan.book.decoder_for(plan.n_values);
+    DECODE_SCRATCH.with_borrow_mut(|(codes, outliers)| {
+        codes.clear();
+        decoder.decode_into(&mut BitReader::new(cs), b.cells(), codes)?;
+        let n_zero = codes.iter().filter(|&&c| c == 0).count();
+        if n_zero != m.n_out {
+            return Err(Error::corrupt("outlier count mismatch"));
+        }
+        let (o_start, o_end) = plan.outlier_range(bi);
+        let outlier_bytes =
+            body.get(o_start..o_end).ok_or_else(|| Error::corrupt("truncated outliers"))?;
+        outliers.clear();
+        outliers.extend(
+            outlier_bytes.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
+        );
+        block::decompress_block(
+            codes,
+            outliers,
+            m.tag,
+            m.coeffs,
+            inf.dims.extents(),
+            b,
+            inf.eb_abs,
+            inf.radius,
+            out,
+        );
+        Ok(())
+    })
 }
 
 /// Undoes the PW_REL log transform when active (bounds-checked reads).
@@ -759,5 +784,41 @@ mod tests {
         assert!(ratio > 200.0, "lzss ratio {ratio}");
         let (rec, _) = decompress(&stream).unwrap();
         check_bound(&data, &rec, 1e-3);
+    }
+
+    #[test]
+    fn forged_code_streams_fail_alike_on_1_2_4_threads_and_the_device() {
+        // Overwrite two blocks' code streams with all-ones (the longest
+        // code over and over: the stream runs dry) and re-seal both CRCs,
+        // so the failure is the block decoder's own, not the container's.
+        let data = sample_field(4096);
+        let cfg = SzConfig { block_size: 8, ..SzConfig::abs(0.5) };
+        let stream = compress(&data, Dims::D1(4096), &cfg).unwrap();
+        let plan = prepare_decode(&info(&stream).unwrap(), &stream[HDR..]).unwrap();
+        assert_eq!(plan.blocks.len(), 8);
+        let mut bad = stream.clone();
+        for bi in [5, 2] {
+            let (lo, hi) = plan.code_range(bi);
+            bad[HDR + lo..HDR + hi].fill(0xff);
+        }
+        let body_crc = crc32(&bad[HDR..]);
+        bad[BODY_CRC_AT..HDR_CRC_AT].copy_from_slice(&body_crc.to_le_bytes());
+        let hcrc = crc32(&bad[..HDR_CRC_AT]);
+        bad[HDR_CRC_AT..HDR].copy_from_slice(&hcrc.to_le_bytes());
+
+        let good = decompress(&stream).unwrap();
+        for threads in [1, 2, 4] {
+            foresight_util::parallel::with_threads(threads, || {
+                assert_eq!(compress(&data, Dims::D1(4096), &cfg).unwrap(), stream);
+                assert_eq!(decompress(&stream).unwrap(), good);
+                let err = decompress(&bad).unwrap_err();
+                assert!(matches!(err, Error::Corrupt(_)), "{threads} threads: {err}");
+                assert_eq!(err.to_string(), "corrupt stream: bit stream exhausted");
+            });
+        }
+        let mut device = gpu_sim::Device::new(gpu_sim::GpuSpec::tesla_v100());
+        let err = crate::gpu_exec::decompress_on(&mut device, &bad).unwrap_err();
+        assert_eq!(err.to_string(), "corrupt stream: bit stream exhausted");
+        assert_eq!(device.allocated_bytes(), 0);
     }
 }

@@ -95,12 +95,14 @@ fn pool(threads: usize) -> rayon::ThreadPool {
     rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap()
 }
 
-/// Compresses on 1 thread, 4 threads and the traced device, requires the
-/// three streams to be identical, and returns the stream.
+/// Compresses on 1, 2 and 4 threads and the traced device, requires the
+/// four streams to be identical, and returns the stream.
 fn compress_everywhere(data: &[f32], dims: Dims, cfg: &SzConfig, what: &str) -> Vec<u8> {
     let one = pool(1).install(|| compress(data, dims, cfg)).unwrap();
-    let four = pool(4).install(|| compress(data, dims, cfg)).unwrap();
-    assert_eq!(one, four, "{what}: bytes differ between 1 and 4 threads");
+    for threads in [2, 4] {
+        let many = pool(threads).install(|| compress(data, dims, cfg)).unwrap();
+        assert_eq!(one, many, "{what}: bytes differ between 1 and {threads} threads");
+    }
     let mut device = Device::new(GpuSpec::tesla_v100()).with_sanitizer(SanitizerConfig::full());
     let (traced, _) = gpu_exec::compress_on(&mut device, data, dims, cfg).unwrap();
     assert_eq!(one, traced, "{what}: bytes differ between host and gpu_exec");

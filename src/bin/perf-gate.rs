@@ -10,7 +10,9 @@
 //!
 //! - **entropy** — canonical-Huffman encode/decode wall throughput of a
 //!   full SZ roundtrip on a synthetic Nyx-like field, plus the exact
-//!   compressed byte count;
+//!   compressed byte count; and the same for a 16^3 cut of that field
+//!   (µs per call: what a `.fstr` chunk or a serve shard pays, where the
+//!   per-call Huffman tables are the fixed cost);
 //! - **serve** — the batched multi-device scheduler on the default
 //!   synthetic workload (sim-clock makespan, p50/p95/p99, sustained
 //!   GB/s, exact executed bytes);
@@ -226,6 +228,27 @@ fn entropy_scenario() -> foresight_util::Result<Scenario> {
     let volume_mb = (data.len() * 4) as f64 / 1e6;
     let enc_s = best_secs(|| lossy_sz::compress(&data, dims, &cfg).expect("compress"));
     let dec_s = best_secs(|| lossy_sz::decompress(&stream).expect("decompress"));
+
+    // One chunk-sized call: the field's 16^3 corner, 100 calls a pass so
+    // the clock's resolution does not show.
+    const C: usize = 16;
+    const CALLS: usize = 100;
+    let chunk: Vec<f32> = (0..C * C * C)
+        .map(|i| data[i % C + N * ((i / C) % C) + N * N * (i / (C * C))])
+        .collect();
+    let chunk_dims = Dims::D3(C, C, C);
+    let chunk_stream = lossy_sz::compress(&chunk, chunk_dims, &cfg)?;
+    let per_call_us = |pass_s: f64| pass_s * 1e6 / CALLS as f64;
+    let chunk_enc_s = best_secs(|| {
+        for _ in 0..CALLS {
+            std::hint::black_box(lossy_sz::compress(&chunk, chunk_dims, &cfg).expect("compress"));
+        }
+    });
+    let chunk_dec_s = best_secs(|| {
+        for _ in 0..CALLS {
+            std::hint::black_box(lossy_sz::decompress(&chunk_stream).expect("decompress"));
+        }
+    });
     Ok(Scenario {
         name: "entropy",
         metrics: vec![
@@ -244,6 +267,24 @@ fn entropy_scenario() -> foresight_util::Result<Scenario> {
             Metric {
                 name: "compressed_bytes",
                 value: stream.len() as f64,
+                class: "exact",
+                better: "lower",
+            },
+            Metric {
+                name: "chunk16_compress_us",
+                value: per_call_us(chunk_enc_s),
+                class: "wall",
+                better: "lower",
+            },
+            Metric {
+                name: "chunk16_decompress_us",
+                value: per_call_us(chunk_dec_s),
+                class: "wall",
+                better: "lower",
+            },
+            Metric {
+                name: "chunk16_compressed_bytes",
+                value: chunk_stream.len() as f64,
                 class: "exact",
                 better: "lower",
             },

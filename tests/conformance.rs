@@ -579,6 +579,47 @@ fn store_archive_matches_golden() {
     }
 }
 
+/// The committed bytes do not depend on the worker count: every golden
+/// stream, the SZ ones through the traced device too, and the sealed
+/// archive (parallel chunk CRCs, per-field digests hashed across
+/// fields) come out identical on 1, 2 and 4 threads, and `verify`
+/// returns the same tally.
+#[test]
+fn golden_bytes_identical_on_1_2_4_threads() {
+    let dir = golden_dir();
+    if bless_requested() {
+        return; // fixtures are being regenerated by the main test
+    }
+    let manifest = load_manifest(&dir);
+    let field = load_input(&dir, &manifest);
+    let committed = |file: &str| std::fs::read(dir.join(file)).expect("golden file readable");
+    let archive = committed(ARCHIVE_FILE);
+    for threads in [1, 2, 4] {
+        foresight_util::parallel::with_threads(threads, || {
+            for (name, shape, cfg) in vectors() {
+                let golden = committed(&format!("{name}.stream"));
+                let fresh = codec::compress(&field, shape, &cfg).unwrap();
+                assert!(fresh == golden, "{name}: bytes differ on {threads} threads");
+                let (decoded, _) = codec::decompress(&golden).unwrap();
+                if let (CodecConfig::Sz(sz), Shape::D3(x, y, z)) = (&cfg, shape) {
+                    let mut device = gpu_sim::Device::new(gpu_sim::GpuSpec::tesla_v100());
+                    let dims = lossy_sz::Dims::D3(x, y, z);
+                    let (traced, _) =
+                        lossy_sz::gpu_exec::compress_on(&mut device, &field, dims, sz).unwrap();
+                    assert!(traced == golden, "{name}: device bytes differ on {threads} threads");
+                    let (on_device, _, _) =
+                        lossy_sz::gpu_exec::decompress_on(&mut device, &golden).unwrap();
+                    assert!(on_device == decoded, "{name}: device decode differs");
+                }
+            }
+            let sealed = build_archive(&field);
+            assert!(sealed == archive, "archive bytes differ on {threads} threads");
+            let check = StoreReader::from_bytes(sealed).unwrap().verify().unwrap();
+            assert_eq!((check.fields_ok, check.chunks_ok), (store_vectors().len(), 16));
+        });
+    }
+}
+
 /// Store-backed serving is part of the conformance surface: a
 /// `StoreRead` request routed through the batched scheduler must emit
 /// exactly the blessed region bytes.
