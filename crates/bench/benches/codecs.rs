@@ -1,6 +1,7 @@
 //! Criterion benchmarks for the two codecs across configurations
 //! (throughput backing for paper Figs. 7, 8, 10).
 
+use cosmo_data::{generate_hacc, SynthOptions};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use foresight::codec::{compress, decompress, CodecConfig, Shape};
 use foresight_util::bits::{BitReader, BitWriter};
@@ -147,20 +148,29 @@ fn bench_huffman_entropy(c: &mut Criterion) {
 /// in cache (1 MiB each), one thread, both directions. Next to criterion's
 /// mean, each case prints the *minimum* iteration as ns per block and
 /// MB/s of uncompressed data — the figure to iterate on, since this VM's
-/// clock swings for seconds at a time.
+/// clock swings for seconds at a time. `zfp_run_1d` is one work item of
+/// the 1-D driver — a single run of 1 024 blocks of HACC positions or
+/// velocities, rate 8 — so what a call pays around its blocks (header,
+/// allocation, CRC) shows beside the kernel's share.
 fn bench_zfp_block(c: &mut Criterion) {
     let line: Vec<f32> = (0..1usize << 18)
         .map(|i| (i as f32 * 0.003).sin() * 250.0 + (i as f32 * 0.61).sin() * 0.3)
         .collect();
     let cube = nyx_like_field(64);
+    let opts = SynthOptions { n_side: 16, seed: 13, steps: 1, ..SynthOptions::default() };
+    let hacc = generate_hacc(&opts).unwrap();
+    let run = Dims3::D1(4096);
+    assert_eq!(hacc.x.len(), 4096);
     let cases = [
-        ("1d_rate_8", &line, Dims3::D1(line.len()), 8.0),
-        ("3d_rate_4", &cube, Dims3::D3(64, 64, 64), 4.0),
-        ("3d_rate_8", &cube, Dims3::D3(64, 64, 64), 8.0),
+        ("zfp_block", "1d_rate_8", &line, Dims3::D1(line.len()), 8.0),
+        ("zfp_block", "3d_rate_4", &cube, Dims3::D3(64, 64, 64), 4.0),
+        ("zfp_block", "3d_rate_8", &cube, Dims3::D3(64, 64, 64), 8.0),
+        ("zfp_run_1d", "hacc_x", &hacc.x, run, 8.0),
+        ("zfp_run_1d", "hacc_vx", &hacc.vx, run, 8.0),
     ];
     let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-    let mut g = c.benchmark_group("zfp_block");
-    for (name, data, dims, rate) in cases {
+    for (group, name, data, dims, rate) in cases {
+        let mut g = c.benchmark_group(group);
         let cfg = ZfpConfig::rate(rate);
         let blocks = dims.extents().iter().map(|n| n.div_ceil(4)).product::<usize>();
         let stream = lossy_zfp::compress(data, dims, &cfg).unwrap();
@@ -177,7 +187,7 @@ fn bench_zfp_block(c: &mut Criterion) {
             });
             if best.is_finite() {
                 println!(
-                    "zfp_block/{dir}/{name:<28} min: {:.1} ns/block, {:.0} MB/s",
+                    "{group}/{dir}/{name:<28} min: {:.1} ns/block, {:.0} MB/s",
                     best * 1e9 / blocks as f64,
                     (data.len() * 4) as f64 / best / 1e6
                 );
@@ -185,8 +195,8 @@ fn bench_zfp_block(c: &mut Criterion) {
         };
         run("encode", &|| lossy_zfp::compress(data, dims, &cfg).unwrap().len());
         run("decode", &|| lossy_zfp::decompress(&stream).unwrap().0.len());
+        g.finish();
     }
-    g.finish();
 }
 
 /// One chunk-sized SZ call (16^3, in cache, one thread) and the two table

@@ -7,6 +7,7 @@
 //! eight derived tables consume one 64-bit word per step, and the bytes
 //! left over go through table 0 one at a time.
 
+use rayon::prelude::*;
 use std::sync::OnceLock;
 
 const POLY: u32 = 0xEDB8_8320;
@@ -88,6 +89,79 @@ pub fn crc32(data: &[u8]) -> u32 {
     h.finish()
 }
 
+/// `vec` times the GF(2) matrix whose row `i` is `mat[i]`.
+const fn gf2_times(mat: &[u32; 32], mut vec: u32) -> u32 {
+    let mut sum = 0;
+    let mut i = 0;
+    while vec != 0 {
+        if vec & 1 != 0 {
+            sum ^= mat[i];
+        }
+        vec >>= 1;
+        i += 1;
+    }
+    sum
+}
+
+const fn gf2_square(mat: &[u32; 32]) -> [u32; 32] {
+    let mut square = [0u32; 32];
+    let mut i = 0;
+    while i < 32 {
+        square[i] = gf2_times(mat, mat[i]);
+        i += 1;
+    }
+    square
+}
+
+/// `ZEROS[k]` advances a CRC register over `2^k` zero bytes: the one-bit
+/// shift operator squared `k + 3` times.
+static ZEROS: [[u32; 32]; 64] = {
+    let mut bit = [0u32; 32];
+    bit[0] = POLY;
+    let mut i = 1;
+    while i < 32 {
+        bit[i] = 1 << (i - 1);
+        i += 1;
+    }
+    let mut ops = [gf2_square(&gf2_square(&gf2_square(&bit))); 64];
+    let mut k = 1;
+    while k < 64 {
+        ops[k] = gf2_square(&ops[k - 1]);
+        k += 1;
+    }
+    ops
+};
+
+/// CRC32 of `a ‖ b` from `crc32(a)`, `crc32(b)` and the length of `b`, so
+/// pieces checksummed where they are produced — on any thread — join into
+/// the checksum of the whole. Appending `b` to `a` is, for the register,
+/// appending `len_b` zero bytes (a linear map, applied here one set bit of
+/// `len_b` at a time) and then adding `b`'s own checksum.
+pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+    let mut crc = crc_a;
+    let mut rest = len_b;
+    while rest != 0 {
+        crc = gf2_times(&ZEROS[rest.trailing_zeros() as usize], crc);
+        rest &= rest - 1;
+    }
+    crc ^ crc_b
+}
+
+/// [`crc32`] with the work spread over the worker threads: `data` is
+/// checksummed in pieces and the pieces combined, so the checksum of a
+/// large payload is not a serial pass behind parallel ones. A payload of
+/// one piece — anything a chunk-sized call produces — stays on the
+/// calling thread.
+pub fn crc32_parallel(data: &[u8]) -> u32 {
+    const PIECE: usize = 1 << 18;
+    if data.len() <= PIECE {
+        return crc32(data);
+    }
+    let crcs: Vec<u32> = data.par_chunks(PIECE).map(crc32).collect();
+    let lens = data.chunks(PIECE).map(|piece| piece.len() as u64);
+    crcs.into_iter().zip(lens).fold(0, |crc, (piece, len)| crc32_combine(crc, piece, len))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,6 +211,49 @@ mod tests {
                 h.update(&buf[a..b]);
                 h.update(&buf[b..]);
                 assert_eq!(h.finish(), want, "split {a}/{b}");
+            }
+        }
+    }
+
+    #[test]
+    fn combine_equals_the_crc_of_the_concatenation_at_every_split() {
+        let buf = noise(67);
+        for len in 0..=buf.len() {
+            for cut in 0..=len {
+                let (a, b) = buf[..len].split_at(cut);
+                let got = crc32_combine(crc32(a), crc32(b), b.len() as u64);
+                assert_eq!(got, crc32(&buf[..len]), "len {len} cut {cut}");
+            }
+        }
+        // Lengths with many set bits, across the slice-by-8 word size.
+        let big = noise(300_000);
+        for cut in [0, 1, 4095, 4096, 65_537, 262_143, 299_999, 300_000] {
+            let (a, b) = big.split_at(cut);
+            assert_eq!(crc32_combine(crc32(a), crc32(b), b.len() as u64), crc32(&big), "{cut}");
+        }
+    }
+
+    #[test]
+    fn combine_is_associative_over_three_pieces() {
+        let buf = noise(1000);
+        for (i, j) in [(0, 0), (0, 1000), (1, 2), (13, 700), (500, 500), (999, 1000)] {
+            let (a, b, c) = (&buf[..i], &buf[i..j], &buf[j..]);
+            let (ca, cb, cc) = (crc32(a), crc32(b), crc32(c));
+            let (lb, lc) = (b.len() as u64, c.len() as u64);
+            let left = crc32_combine(crc32_combine(ca, cb, lb), cc, lc);
+            let right = crc32_combine(ca, crc32_combine(cb, cc, lc), lb + lc);
+            assert_eq!(left, crc32(&buf), "({i}, {j})");
+            assert_eq!(right, crc32(&buf), "({i}, {j})");
+        }
+    }
+
+    #[test]
+    fn parallel_crc_equals_the_serial_one_on_any_thread_count() {
+        let big = noise(3 * (1 << 18) + 12_345);
+        for len in [0, 1, (1 << 18) - 1, 1 << 18, (1 << 18) + 1, big.len()] {
+            for threads in [1, 2, 3] {
+                let got = crate::parallel::with_threads(threads, || crc32_parallel(&big[..len]));
+                assert_eq!(got, crc32(&big[..len]), "len {len} on {threads} threads");
             }
         }
     }

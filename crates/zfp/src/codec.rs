@@ -19,11 +19,13 @@
 //! The header spends 1 bit on an all-zero flag plus 8 bits of biased
 //! exponent; both count against the budget, exactly as in cuZFP.
 //!
-//! One kernel serves the three block sizes, monomorphised over `N`. It
+//! One kernel serves 16- and 64-value blocks, monomorphised over `N`. It
 //! works a word at a time (DESIGN.md §17.6): a plane is an `N`-bit word
 //! taken from an 8×8 bit-matrix transpose of the coefficients' bytes, a
 //! group test and the unary run behind it are one write — or one peek and
 //! one `trailing_zeros` — and the bit stream's tail word is held by value.
+//! A 4-value block has too few bits to a plane for that to pay: its plane
+//! step is a table lookup (§17.7).
 
 use crate::config::ZfpMode;
 use crate::lift;
@@ -238,15 +240,14 @@ struct Coefficients<const N: usize> {
 }
 
 impl<const N: usize> Coefficients<N> {
-    /// Words of eight coefficients in a row.
-    const WORDS: usize = N.div_ceil(8);
+    /// Words of eight coefficients in a row (`N` is 16 or 64).
+    const WORDS: usize = N / 8;
 
     /// Eight coefficients of row `g` starting at `8 * j`, as one word.
     #[inline]
     fn word(&self, g: usize, j: usize) -> u64 {
         let mut w = [0u8; 8];
-        let len = N.min(8);
-        w[..len].copy_from_slice(&self.bytes[g & 3][8 * j..8 * j + len]);
+        w.copy_from_slice(&self.bytes[g & 3][8 * j..8 * j + 8]);
         u64::from_le_bytes(w)
     }
 
@@ -264,10 +265,8 @@ impl<const N: usize> Coefficients<N> {
     #[inline]
     fn set_planes(&mut self, g: usize, planes: &[u64; 8]) {
         let m = transpose_bytes(*planes, Self::WORDS == 8);
-        let len = N.min(8);
         for (j, &t) in m.iter().enumerate().take(Self::WORDS) {
-            let w = transpose8(t).to_le_bytes();
-            self.bytes[g & 3][8 * j..8 * j + len].copy_from_slice(&w[..len]);
+            self.bytes[g & 3][8 * j..8 * j + 8].copy_from_slice(&transpose8(t).to_le_bytes());
         }
     }
 }
@@ -323,6 +322,279 @@ impl<const N: usize> PlaneRows<N> {
     }
 }
 
+/// Reads one bit plane of a 4-value block from the low `bits` bits of `x`
+/// — all the budget has left — with `sig` coefficients significant, by the
+/// rules of [`read_planes`] a bit at a time: the plane, the bits it spans
+/// and the coefficients significant behind it. The two tables below are
+/// this function, tabulated.
+const fn read_plane4(mut x: u32, sig: u32, bits: u32) -> (u32, u32, u32) {
+    let m = if sig < bits { sig } else { bits };
+    let mut nibble = x & ((1 << m) - 1);
+    x >>= m;
+    let (mut left, mut pos) = (bits - m, sig);
+    while pos < 4 && left > 0 {
+        let passed = x & 1 != 0;
+        (x, left) = (x >> 1, left - 1);
+        if !passed {
+            break;
+        }
+        // The run ends behind a one, at the last coefficient (whose one
+        // is implied) or with the budget, and deposits its one there.
+        while pos < 3 && left > 0 {
+            let one = x & 1 != 0;
+            (x, left) = (x >> 1, left - 1);
+            if one {
+                break;
+            }
+            pos += 1;
+        }
+        nibble |= 1 << pos;
+        pos += 1;
+    }
+    (nibble, bits - left, pos)
+}
+
+/// `PLANE4_STEP[sig][1 << r | x]`: the plane read from the `r <= 7` bits
+/// `x` — bits spanned in bits 0..6, the plane in 6..10, `sig` behind it
+/// from 10. Seven bits hold the longest code (four passed tests, a one
+/// behind three of them), so `r = 7` serves any larger budget; entry 1
+/// (`r = 0`) reads nothing.
+pub static PLANE4_STEP: [[u16; 256]; 5] = PLANE4.0;
+/// `PLANE4_ENCODE[sig][nibble]`: the plane's code in bits 0..7, its length
+/// in 8..11, `sig` behind it from 12. A block coded with no budget and cut
+/// after `bits` bits *is* the budgeted code, so nothing else decides it.
+pub static PLANE4_ENCODE: [[u16; 16]; 5] = PLANE4.1;
+
+const PLANE4: ([[u16; 256]; 5], [[u16; 16]; 5]) = {
+    let (mut step, mut code) = ([[0u16; 256]; 5], [[0u16; 16]; 5]);
+    let mut i = 0;
+    while i < 5 * 256 {
+        let (row, key) = (i / 256, i as u32 % 256);
+        i += 1;
+        if key == 0 {
+            continue; // every key carries its `1 << r`
+        }
+        let r = 31 - key.leading_zeros();
+        let x = key ^ (1 << r);
+        let (nibble, len, sig) = read_plane4(x, row as u32, r);
+        step[row][key as usize] = (len | nibble << 6 | sig << 10) as u16;
+        if r == 7 {
+            let bits = x & ((1 << len) - 1);
+            code[row][nibble as usize] = (bits | len << 8 | sig << 12) as u16;
+        }
+    }
+    (step, code)
+};
+
+/// Blocks of a line whose cast, lift and negabinary run in one plain loop
+/// ahead of the bit coding, clear of the coder's data-dependent exits.
+const LINE_GROUP: usize = 16;
+
+/// [`encode_block`] for a run of 1-D blocks: codes `values` four at a time
+/// into `w`, a short last block padded with its last value, and reports
+/// each block's bit length to `coded`. `None` when a block holds a NaN or
+/// an infinity; its group of [`LINE_GROUP`] blocks is then not written.
+#[inline]
+pub fn encode_line(
+    values: &[f32],
+    c: &BlockCoding,
+    w: &mut BitWriter,
+    mut coded: impl FnMut(u32),
+) -> Option<()> {
+    debug_assert!(c.d == 1 && c.maxbits >= HEADER_BITS);
+    let (whole, rest) = values.split_at(values.len() / 4 * 4);
+    let mut tail = w.tail();
+    for group in whole.chunks(4 * LINE_GROUP) {
+        let mut staged = [(None, [0u32; 4]); LINE_GROUP];
+        for (slot, block) in staged.iter_mut().zip(group.chunks_exact(4)) {
+            let vmax = finite_max(block)?;
+            let emax = (vmax != 0.0).then(|| exponent(vmax).clamp(-127, 128));
+            let scale = f64_pow2(30 - emax.unwrap_or(0));
+            let mut q: [i32; 4] = std::array::from_fn(|i| (block[i] as f64 * scale) as i32);
+            lift::fwd_lift(&mut q);
+            *slot = (emax, q.map(lift::int2uint));
+        }
+        for (emax, u) in &staged[..group.len() / 4] {
+            coded(encode_planes4(u, *emax, c, &mut tail));
+        }
+    }
+    drop(tail);
+    let Some(&last) = rest.last() else { return Some(()) };
+    let mut block = [last; 4];
+    block[..rest.len()].copy_from_slice(rest);
+    encode_line(&block, c, w, coded)
+}
+
+/// Codes a 4-value block (`emax` is `None` when it is all zero) from its
+/// negabinary coefficients: a table step per plane into a local word that
+/// is written when it fills, so a fixed-rate block of at most 64 bits,
+/// padding included, is one write. Returns the bits written.
+#[inline]
+fn encode_planes4(u: &[u32; 4], emax: Option<i32>, c: &BlockCoding, w: &mut WriterTail<'_>) -> u32 {
+    // The word, its fill, and the budget still open at its first bit.
+    let (mut acc, mut len, mut left) = (0u64, 1, c.maxbits);
+    if let Some(emax) = emax {
+        (acc, len) = (1 | ((emax + 127) as u64) << 1, HEADER_BITS);
+        let kmin = INTPREC.saturating_sub(c.maxprec(emax));
+        // A plane above every coefficient's top bit: one failed test.
+        let empty = (u[0] | u[1] | u[2] | u[3]).leading_zeros();
+        let empty = empty.min(INTPREC - kmin).min(left - len);
+        len += empty;
+        let (mut k, mut sig) = (INTPREC - empty, 0);
+        while k > kmin && len < left {
+            if len > 64 - 7 {
+                w.write_bits(acc, len);
+                left -= len;
+                (acc, len) = (0, 0);
+            }
+            k -= 1;
+            let bit = |i: usize| (u[i] >> k & 1) << i;
+            let e = PLANE4_ENCODE[sig][(bit(0) | bit(1) | bit(2) | bit(3)) as usize] as u64;
+            acc |= (e & 0x7f) << len;
+            len += (e >> 8 & 7) as u32;
+            sig = (e >> 12) as usize;
+        }
+    }
+    // The budget cuts the last plane; at a fixed rate the padding rides
+    // in the same write while it fits the word.
+    let code = len.min(left);
+    let span = if c.fixed_rate { left } else { code };
+    if span <= 64 {
+        w.write_bits(acc, span);
+    } else {
+        w.write_bits(acc, code);
+        w.write_zeros(span - code);
+    }
+    c.maxbits - left + span
+}
+
+/// A 4-value block being decoded, between two planes.
+struct Planes4 {
+    emax: i32,
+    /// Unread bits of the code, from bit 0, and bits read of `budget`.
+    win: u64,
+    used: u32,
+    budget: u32,
+    /// The plane last read, the last one coded, significant coefficients.
+    k: u32,
+    kmin: u32,
+    sig: usize,
+    /// Coefficients 0 and 1 in the halves of `lo`, 2 and 3 in `hi`'s.
+    lo: u64,
+    hi: u64,
+}
+
+impl Planes4 {
+    /// Reads the header and the empty planes from `win`, the block's
+    /// first 41 bits or more.
+    #[inline]
+    fn open(win: u64, c: &BlockCoding, budget: u32) -> Self {
+        let (k, kmin) = (INTPREC, INTPREC);
+        let mut st = Self { emax: 0, win: 0, used: 1, budget, k, kmin, sig: 0, lo: 0, hi: 0 };
+        if win & 1 != 0 {
+            st.emax = (win >> 1 & 0xff) as i32 - 127;
+            st.kmin = INTPREC.saturating_sub(c.maxprec(st.emax));
+            // Planes above every coefficient's top bit: a failed test each.
+            let empty = (win >> HEADER_BITS | 1 << INTPREC).trailing_zeros();
+            let empty = empty.min(INTPREC - st.kmin).min(budget.saturating_sub(HEADER_BITS));
+            st.k -= empty;
+            st.used = HEADER_BITS + empty;
+            st.win = win >> st.used;
+        }
+        st // of an all-zero block no plane is coded
+    }
+
+    #[inline]
+    fn live(&self) -> bool {
+        self.k > self.kmin && self.used < self.budget
+    }
+
+    /// Reads the next plane from `win`, whose low seven bits — or all the
+    /// budget has left — must be the code's. Nothing once no plane is
+    /// left, and no branch either way: two blocks step side by side.
+    #[inline(always)]
+    fn step(&mut self) {
+        let live = self.live();
+        let r = if live { (self.budget - self.used).min(7) } else { 0 };
+        let e = PLANE4_STEP[self.sig][self.win as usize & ((1 << r) - 1) | 1 << r] as u64;
+        self.win >>= e & 63;
+        self.used += (e & 63) as u32;
+        self.k -= live as u32;
+        let x = e >> 6 & 15;
+        self.lo |= (x & 1 | (x & 2) << 31) << self.k;
+        self.hi |= (x >> 2 & 1 | (x & 8) << 29) << self.k;
+        self.sig = (e >> 10) as usize;
+    }
+
+    /// Undoes negabinary, lift and cast into `out`, cutting a last block.
+    #[inline]
+    fn rebuild(&self, out: &mut [f32]) {
+        let u = [self.lo as u32, (self.lo >> 32) as u32, self.hi as u32, (self.hi >> 32) as u32];
+        let mut q = u.map(lift::uint2int);
+        lift::inv_lift(&mut q);
+        let scale = f64_pow2(self.emax - 30);
+        for (o, qi) in out.iter_mut().zip(q) {
+            *o = (qi as f64 * scale) as f32;
+        }
+    }
+}
+
+/// Reads the code of one 4-value block under `budget`, as [`decode_block`]
+/// does: its bit span and its planes. On error `r` stays where it was.
+#[inline]
+fn read_block4(r: &mut BitReader<'_>, c: &BlockCoding, budget: u32) -> Result<(u32, Planes4)> {
+    let held = r.remaining_bits();
+    let mut head = r.clone();
+    let first = head.peek_bits(HEADER_BITS + INTPREC);
+    if first & 1 != 0 && budget < HEADER_BITS {
+        return Err(Error::corrupt("block shorter than its header"));
+    }
+    let mut st = Planes4::open(first, c, budget);
+    head.skip_bits(st.used as u64);
+    while st.live() {
+        let before = st.used;
+        st.win = head.peek_bits(7);
+        st.step();
+        head.skip_bits((st.used - before) as u64);
+    }
+    // A fixed-rate block always spans its whole budget.
+    let span = if c.fixed_rate { budget.max(st.used) } else { st.used };
+    if span as u64 > held {
+        return Err(Error::corrupt("bit stream exhausted"));
+    }
+    r.skip_bits(span as u64);
+    Ok((span, st))
+}
+
+/// [`decode_block`] for a run of fixed-rate 1-D blocks of at most 64 bits
+/// that holds `out`, whose length may cut the last block. Block `i` is
+/// the `maxbits` bits at `i * maxbits`: blocks are taken a word each and
+/// stepped two at a time, because the steps of one block are a chain of
+/// dependent loads. Leaves `r` behind the last block.
+#[inline]
+pub fn decode_line(r: &mut BitReader<'_>, c: &BlockCoding, out: &mut [f32]) -> Result<()> {
+    debug_assert!(c.d == 1 && c.fixed_rate && c.maxbits <= 64);
+    if r.remaining_bits() < out.len().div_ceil(4) as u64 * c.maxbits as u64 {
+        return Err(Error::corrupt("bit stream exhausted"));
+    }
+    let mut blocks = out.chunks_mut(4);
+    while let Some(block) = blocks.next() {
+        let pair = blocks.next();
+        let mut a = Planes4::open(r.take_bits(c.maxbits), c, c.maxbits);
+        let word = if pair.is_some() { r.take_bits(c.maxbits) } else { 0 };
+        let mut b = Planes4::open(word, c, c.maxbits);
+        while a.live() | b.live() {
+            a.step();
+            b.step();
+        }
+        a.rebuild(block);
+        if let Some(block) = pair {
+            b.rebuild(block);
+        }
+    }
+    Ok(())
+}
+
 /// Encodes one block of `N = 4^d` f32 values into `w`.
 ///
 /// Returns the number of bits written (always exactly `c.maxbits` at a
@@ -337,6 +609,11 @@ pub fn encode_block<const N: usize>(
 ) -> Option<u32> {
     debug_assert_eq!(block_cells(c.d), N);
     debug_assert!(c.maxbits >= HEADER_BITS);
+    if N == 4 {
+        let mut used = 0;
+        encode_line(values, c, w, |bits| used = bits)?;
+        return Some(used);
+    }
     let vmax = finite_max(values)?;
     let mut w = w.tail();
     let used = encode_finite(values, vmax, c, &mut w);
@@ -463,6 +740,11 @@ pub fn decode_block<const N: usize>(
     out: &mut [f32; N],
 ) -> Result<u32> {
     debug_assert_eq!(block_cells(c.d), N);
+    if N == 4 {
+        let (span, st) = read_block4(r, c, budget)?;
+        st.rebuild(out);
+        return Ok(span);
+    }
     let held = r.remaining_bits();
     let mut head = r.clone();
     let (used, coded) = read_planes::<N>(&mut head, c, budget)?;
@@ -669,7 +951,7 @@ mod tests {
     }
 
     /// Fetch and deposit by byte row against the shift-and-or loop per
-    /// plane they replaced, for every plane of every block size.
+    /// plane they replaced, for every plane of the block sizes they serve.
     #[test]
     fn plane_fetch_and_deposit_equal_the_naive_loops() {
         fn check<const N: usize>(seed: &mut u64) {
@@ -697,7 +979,6 @@ mod tests {
             }
         }
         let mut seed = 0x2545_F491_4F6C_DD1Du64;
-        check::<4>(&mut seed);
         check::<16>(&mut seed);
         check::<64>(&mut seed);
     }

@@ -11,9 +11,11 @@
 //! block sequence into runs of [`G`], gathers each block into a stack
 //! buffer and codes the run back-to-back into one writer; the runs are
 //! then joined by [`BitWriter::append`] right behind the header. Within a
-//! run the block kernel is picked once — [`codec`]'s one kernel at the
-//! run's block size — and the block origin is stepped, not recomputed.
-//! The decoder hands each work item
+//! run the block kernel is picked once — [`codec`]'s kernel at the run's
+//! block size — and the block origin is stepped, not recomputed. A 1-D
+//! run has no origin to step: it is a slice of the array, which the line
+//! kernel walks four values at a time, in and out ([`codec::encode_line`],
+//! [`codec::decode_line`]). The decoder hands each work item
 //! the slab of the output that a whole run of blocks owns — four z-planes
 //! in 3-D, four rows in 2-D, merged until the item holds at least `G`
 //! blocks — so items scatter into disjoint `&mut` slices and nothing is
@@ -26,7 +28,7 @@
 use crate::codec::{self, BlockCoding};
 use crate::config::{Dims3, ZfpConfig, ZfpMode};
 use foresight_util::bits::{BitReader, BitWriter};
-use foresight_util::crc::crc32;
+use foresight_util::crc::{crc32, crc32_parallel};
 use foresight_util::{telemetry, ByteReader, Error, Result};
 use rayon::prelude::*;
 use std::ops::Range;
@@ -180,7 +182,12 @@ impl<'a> Encoder<'a> {
         coded: impl FnMut(u32),
     ) -> Result<()> {
         match self.grid.d {
-            1 => self.encode_typed::<4>(blocks, w, coded),
+            // The 1-D run is a slice: the kernel walks it, and pads the
+            // array's last block the way `gather` would.
+            1 => {
+                let line = &self.data[4 * blocks.start..self.data.len().min(4 * blocks.end)];
+                codec::encode_line(line, &self.coding, w, coded).ok_or_else(|| self.non_finite())
+            }
             2 => self.encode_typed::<16>(blocks, w, coded),
             _ => self.encode_typed::<64>(blocks, w, coded),
         }
@@ -276,7 +283,7 @@ impl<'a> Encoder<'a> {
 
         let (head, payload) = out.split_at_mut(HDR + table);
         head[PAYLOAD_LEN_AT..PAYLOAD_CRC_AT].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-        head[PAYLOAD_CRC_AT..HDR_CRC_AT].copy_from_slice(&crc32(payload).to_le_bytes());
+        head[PAYLOAD_CRC_AT..HDR_CRC_AT].copy_from_slice(&crc32_parallel(payload).to_le_bytes());
         let hcrc = crc32(&head[..HDR_CRC_AT]);
         head[HDR_CRC_AT..HDR].copy_from_slice(&hcrc.to_le_bytes());
         out
@@ -434,7 +441,7 @@ impl<'a> Decoder<'a> {
             .ok_or_else(|| Error::corrupt("truncated length table"))?;
         let payload =
             stream.get(inf.payload_start..).ok_or_else(|| Error::corrupt("truncated payload"))?;
-        if crc32(payload) != inf.crc {
+        if crc32_parallel(payload) != inf.crc {
             return Err(Error::corrupt("payload CRC mismatch"));
         }
 
@@ -568,6 +575,10 @@ impl<'a> Decoder<'a> {
         let first = item * self.item_blocks;
         let last = (first + self.item_blocks).min(self.nblocks);
         let mut r = self.reader_at(start)?;
+        if self.grid.d == 1 && self.coding.fixed_rate && self.coding.maxbits <= 64 {
+            // The slab is the values of the run, a word a block: no scatter.
+            return codec::decode_line(&mut r, &self.coding, slab);
+        }
         self.decode_blocks(first..last, &mut r, |origin, vals| {
             self.scatter(item, origin, vals, slab)
         })

@@ -19,371 +19,13 @@ use foresight_util::bits::{BitReader, BitWriter};
 use foresight_util::crc::crc32;
 use foresight_util::Error;
 use gpu_sim::{Device, GpuSpec};
-use lossy_zfp::codec::{self, block_cells, BlockCoding};
+use lossy_zfp::codec::{self, block_cells, BlockCoding, HEADER_BITS};
 use lossy_zfp::gpu_exec::{compress_on, decompress_on};
 use lossy_zfp::{compress, decompress, Dims3, ZfpConfig};
 use rayon::ThreadPoolBuilder;
 use reference::{decode_block, encode_block, Coding};
 
-/// The block coder this crate had before the word-at-a-time kernel, kept
-/// verbatim as the reference: one `write_bit` / fallible `read_bit` per
-/// group test, a shift-and-or loop over all coefficients per plane, libm
-/// per block for the tolerance. Only the names of its parameter types
-/// changed. It knows nothing of `lossy_zfp::codec` beyond `block_cells`
-/// and the lifting steps.
-mod reference {
-    use foresight_util::bits::{BitReader, BitWriter};
-    use foresight_util::{Error, Result};
-    use lossy_zfp::codec::{block_cells, HEADER_BITS, INTPREC};
-    use lossy_zfp::{lift, ZfpMode};
-    use std::sync::OnceLock;
-
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    pub enum Planes {
-        Count(u32),
-        Tolerance(f64),
-    }
-
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    pub struct Coding {
-        pub d: u8,
-        pub maxbits: u32,
-        pub fixed_rate: bool,
-        pub planes: Planes,
-    }
-
-    impl Coding {
-        pub fn new(mode: &ZfpMode, d: u8) -> Self {
-            let cells = block_cells(d) as u32;
-            let cap = HEADER_BITS + INTPREC * (cells + 2);
-            let (maxbits, fixed_rate, planes) = match *mode {
-                ZfpMode::FixedRate(rate) => {
-                    let bits = ((rate * cells as f64).round() as u32).max(HEADER_BITS + 1);
-                    (bits, true, Planes::Count(INTPREC))
-                }
-                ZfpMode::FixedPrecision(p) => (cap, false, Planes::Count(p.min(INTPREC))),
-                ZfpMode::FixedAccuracy(tol) => (cap, false, Planes::Tolerance(tol)),
-            };
-            Self { d, maxbits, fixed_rate, planes }
-        }
-
-        fn maxprec(&self, emax: i32) -> u32 {
-            match self.planes {
-                Planes::Count(p) => p,
-                Planes::Tolerance(tol) => maxprec_from_emax(emax, tol, self.d),
-            }
-        }
-
-        /// The same coding for the kernel under test.
-        pub fn kernel(&self) -> lossy_zfp::codec::BlockCoding {
-            use lossy_zfp::codec::Planes as P;
-            let planes = match self.planes {
-                Planes::Count(p) => P::Count(p),
-                Planes::Tolerance(tol) => P::tolerance(tol),
-            };
-            let Coding { d, maxbits, fixed_rate, .. } = *self;
-            lossy_zfp::codec::BlockCoding { d, maxbits, fixed_rate, planes }
-        }
-    }
-
-    mod old_lift {
-        use super::lift::lift_axis;
-
-        pub fn fwd_xform(data: &mut [i32], d: u8) {
-            lift_axis(data, 1, true);
-            if d >= 2 {
-                lift_axis(data, 4, true);
-            }
-            if d >= 3 {
-                lift_axis(data, 16, true);
-            }
-        }
-
-        pub fn inv_xform(data: &mut [i32], d: u8) {
-            if d >= 3 {
-                lift_axis(data, 16, false);
-            }
-            if d >= 2 {
-                lift_axis(data, 4, false);
-            }
-            lift_axis(data, 1, false);
-        }
-    }
-
-    /// Sequency permutation: `perm[d][rank] = block-local index`.
-    fn perm(d: u8) -> &'static [u16] {
-        static P1: OnceLock<Vec<u16>> = OnceLock::new();
-        static P2: OnceLock<Vec<u16>> = OnceLock::new();
-        static P3: OnceLock<Vec<u16>> = OnceLock::new();
-        let build = |d: u8| -> Vec<u16> {
-            let n = block_cells(d);
-            let mut idx: Vec<u16> = (0..n as u16).collect();
-            let degree = |i: u16| -> (u16, u16) {
-                let i = i as usize;
-                let (x, y, z) = (i % 4, (i / 4) % 4, i / 16);
-                ((x + y + z) as u16, i as u16)
-            };
-            idx.sort_by_key(|&i| degree(i));
-            idx
-        };
-        match d {
-            1 => P1.get_or_init(|| build(1)),
-            2 => P2.get_or_init(|| build(2)),
-            _ => P3.get_or_init(|| build(3)),
-        }
-    }
-
-    /// Exponent `e` with `2^(e-1) <= |x| < 2^e` (frexp-style) for finite
-    /// `x`; `i32::MIN` for zero input.
-    #[inline]
-    fn exponent(x: f32) -> i32 {
-        if x == 0.0 {
-            i32::MIN
-        } else {
-            // Every non-zero f32, subnormals included, is a normal f64
-            // `1.m * 2^(E-1023)`, so the exponent field answers directly.
-            let bits = (x.abs() as f64).to_bits();
-            (bits >> 52) as i32 - 1022
-        }
-    }
-
-    /// `2^e` in f64, exact for the normal range; the codec stays within
-    /// `|e| <= 158`.
-    #[inline]
-    fn f64_pow2(e: i32) -> f64 {
-        debug_assert!((-1022..=1023).contains(&e));
-        f64::from_bits(((e + 1023) as u64) << 52)
-    }
-
-    /// Number of bit planes to keep so truncation error stays below `tol`.
-    ///
-    /// Truncating negabinary planes below `kmin` perturbs a coefficient by at
-    /// most `2^(kmin+1)` integer units; the inverse transform amplifies by at
-    /// most `2^d`, and an integer unit is worth `2^(emax-30)`. Solving
-    /// `2^(kmin+1+d+emax-30) <= tol` for `kmin` gives the plane cut-off.
-    fn maxprec_from_emax(emax: i32, tol: f64, d: u8) -> u32 {
-        if tol <= 0.0 || tol.is_nan() || tol.is_infinite() {
-            return INTPREC;
-        }
-        let kmin = (tol.log2().floor() as i32) - emax + 30 - (d as i32 + 1);
-        let kmin = kmin.clamp(0, INTPREC as i32);
-        (INTPREC as i32 - kmin) as u32
-    }
-
-    /// Largest magnitude in `values`, or `None` when any of them is NaN or
-    /// infinite. Magnitude order is the order of the sign-cleared bit
-    /// patterns, and every non-finite pattern sorts above every finite one.
-    #[inline]
-    fn finite_max(values: &[f32]) -> Option<f32> {
-        const INF: u32 = 0x7f80_0000;
-        let top = values.iter().fold(0u32, |m, v| m.max(v.to_bits() & 0x7fff_ffff));
-        (top < INF).then(|| f32::from_bits(top))
-    }
-
-    /// Appends `n` zero bits.
-    fn write_zeros(w: &mut BitWriter, mut n: u32) {
-        while n > 0 {
-            let chunk = n.min(64);
-            w.write_bits(0, chunk);
-            n -= chunk;
-        }
-    }
-
-    /// Skips `n` bits.
-    fn skip_bits(r: &mut BitReader<'_>, mut n: u32) -> Result<()> {
-        while n > 0 {
-            let chunk = n.min(56);
-            r.consume(chunk)?;
-            n -= chunk;
-        }
-        Ok(())
-    }
-
-    /// Encodes one block of `4^d` f32 values into `w`, a bit at a time.
-    ///
-    /// Returns the number of bits written (always exactly `c.maxbits` at a
-    /// fixed rate), or `None` — with `w` untouched — when the block holds a
-    /// NaN or an infinity: the cast to a common exponent has no defined
-    /// result for them, so the caller turns that into a typed error.
-    pub fn encode_block(values: &[f32], c: &Coding, w: &mut BitWriter) -> Option<u32> {
-        let n = block_cells(c.d);
-        debug_assert_eq!(values.len(), n);
-        debug_assert!(c.maxbits >= HEADER_BITS);
-        let start = w.bit_len();
-        let pad = |w: &mut BitWriter| {
-            let used = (w.bit_len() - start) as u32;
-            if c.fixed_rate {
-                write_zeros(w, c.maxbits - used);
-                c.maxbits
-            } else {
-                used
-            }
-        };
-
-        let vmax = finite_max(values)?;
-        if vmax == 0.0 {
-            w.write_bit(false); // all-zero block
-            return Some(pad(w));
-        }
-        // emax in [-127, 128] stored with bias 127 -> [0, 255] in 8 bits.
-        let emax = exponent(vmax).clamp(-127, 128);
-        w.write_bit(true);
-        w.write_bits((emax + 127) as u64, 8);
-
-        // Fixed-point cast with |q| < 2^30, in f64 so the scale never
-        // overflows even for denormal-dominated blocks.
-        let scale = f64_pow2(30 - emax);
-        let mut q = [0i32; 64];
-        for (qi, &v) in q[..n].iter_mut().zip(values) {
-            *qi = (v as f64 * scale).clamp(-(1i64 << 30) as f64 + 1.0, (1i64 << 30) as f64 - 1.0)
-                as i32;
-        }
-        old_lift::fwd_xform(&mut q[..n], c.d);
-
-        // Reorder + negabinary.
-        let p = perm(c.d);
-        let mut u = [0u32; 64];
-        let mut any = 0u32;
-        for i in 0..n {
-            u[i] = lift::int2uint(q[p[i] as usize]);
-            any |= u[i];
-        }
-
-        // Embedded coding.
-        let mut bits = c.maxbits - HEADER_BITS;
-        let kmin = INTPREC.saturating_sub(c.maxprec(emax));
-        let mut sig = 0usize; // number of coefficients known significant
-        let mut k = INTPREC;
-        // A plane above every coefficient's top bit has nothing significant
-        // to send verbatim and fails its first group test: one zero bit.
-        let empty = any.leading_zeros().min(k - kmin).min(bits);
-        w.write_bits(0, empty);
-        bits -= empty;
-        k -= empty;
-        while bits > 0 && k > kmin {
-            k -= 1;
-            // Gather plane k into an n-bit word.
-            let mut x = 0u64;
-            for (i, &ui) in u[..n].iter().enumerate() {
-                x |= (((ui >> k) & 1) as u64) << i;
-            }
-            // Verbatim bits for known-significant coefficients.
-            let m = (sig as u32).min(bits);
-            bits -= m;
-            w.write_bits(x, m);
-            x = if m >= 64 { 0 } else { x >> m };
-            // Unary group tests for the rest.
-            while sig < n && bits > 0 {
-                bits -= 1;
-                let any = x != 0;
-                w.write_bit(any);
-                if !any {
-                    break;
-                }
-                while sig < n - 1 && bits > 0 {
-                    bits -= 1;
-                    let b = x & 1 != 0;
-                    w.write_bit(b);
-                    if b {
-                        break;
-                    }
-                    x >>= 1;
-                    sig += 1;
-                }
-                x >>= 1;
-                sig += 1;
-            }
-        }
-        Some(pad(w))
-    }
-
-    /// Decodes one block a bit at a time; the mirror of [`encode_block`].
-    ///
-    /// `budget` is the block's bit span: `c.maxbits` at a fixed rate, where
-    /// exactly that many bits are consumed, and the stored length otherwise,
-    /// which the block may not exceed. Returns the bits consumed.
-    pub fn decode_block(
-        r: &mut BitReader<'_>,
-        c: &Coding,
-        budget: u32,
-        out: &mut [f32],
-    ) -> Result<u32> {
-        let n = block_cells(c.d);
-        debug_assert_eq!(out.len(), n);
-        // A fixed-rate block always spans its whole budget.
-        let finish = |r: &mut BitReader<'_>, used: u32| -> Result<u32> {
-            if c.fixed_rate {
-                skip_bits(r, budget - used)?;
-                Ok(budget)
-            } else {
-                Ok(used)
-            }
-        };
-        let mut used = 1u32;
-        if !r.read_bit()? {
-            out.fill(0.0);
-            return finish(r, used);
-        }
-        let mut bits = budget
-            .checked_sub(HEADER_BITS)
-            .ok_or_else(|| Error::corrupt("block shorter than its header"))?;
-        let emax = r.read_bits(8)? as i32 - 127;
-        used += 8;
-
-        let mut u = [0u32; 64];
-        let kmin = INTPREC.saturating_sub(c.maxprec(emax));
-        let mut sig = 0usize;
-        let mut k = INTPREC;
-        while bits > 0 && k > kmin {
-            k -= 1;
-            let m = (sig as u32).min(bits);
-            bits -= m;
-            let mut x = r.read_bits(m)?;
-            used += m;
-            let mut pos = sig; // next untested coefficient
-            while pos < n && bits > 0 {
-                bits -= 1;
-                used += 1;
-                if !r.read_bit()? {
-                    break;
-                }
-                while pos < n - 1 && bits > 0 {
-                    bits -= 1;
-                    used += 1;
-                    if r.read_bit()? {
-                        break;
-                    }
-                    pos += 1;
-                }
-                x |= 1u64 << pos;
-                pos += 1;
-            }
-            sig = sig.max(pos);
-            // Deposit the plane.
-            let mut i = 0;
-            let mut xx = x;
-            while xx != 0 {
-                u[i] |= ((xx & 1) as u32) << k;
-                xx >>= 1;
-                i += 1;
-            }
-        }
-
-        // Undo negabinary + reorder + transform + cast.
-        let p = perm(c.d);
-        let mut q = [0i32; 64];
-        for i in 0..n {
-            q[p[i] as usize] = lift::uint2int(u[i]);
-        }
-        old_lift::inv_xform(&mut q[..n], c.d);
-        let scale = f64_pow2(emax - 30);
-        for (o, &qi) in out.iter_mut().zip(&q[..n]) {
-            *o = (qi as f64 * scale) as f32;
-        }
-
-        finish(r, used)
-    }
-}
+mod reference;
 
 /// Blocks per work item in `lossy_zfp::stream`; the block counts below
 /// sit on either side of it.
@@ -661,10 +303,9 @@ fn coder_oracle<const N: usize>(budgets: impl Iterator<Item = u32> + Clone) {
     let d = N.ilog(4) as u8;
     let mut seed = 0x9E37_79B9_7F4A_7C15 ^ N as u64;
     let classes = value_classes::<N>(&mut seed);
-    let cap = BlockCoding::new(&lossy_zfp::ZfpMode::FixedPrecision(32), d).maxbits;
     let mut phase = 0;
     for maxbits in budgets {
-        assert!((10..=cap).contains(&maxbits));
+        assert!(maxbits >= 10);
         // Fixed rate: all planes, padded. Variable length: every plane
         // setting under this budget as the cap.
         let fixed = Coding { d, maxbits, fixed_rate: true, planes: reference::Planes::Count(32) };
@@ -682,9 +323,91 @@ fn coder_oracle<const N: usize>(budgets: impl Iterator<Item = u32> + Clone) {
     }
 }
 
+/// Every budget from the smallest block to the cap — one word, two words,
+/// more than the longest code — and under each, fixed rate and every
+/// plane count and tolerance of the variable-length modes.
 #[test]
 fn kernel_matches_the_bit_at_a_time_coder_on_4_value_blocks_at_every_budget() {
     coder_oracle::<4>(10..=9 + 32 * 6);
+    // A fixed rate may ask for more than the cap: the rest is padding.
+    coder_oracle::<4>([9 + 32 * 6 + 1, 256].into_iter());
+}
+
+/// The two tables of the 4-value plane step, entry by entry, against the
+/// reference's plane loop: what it writes for each (significant count,
+/// plane), and what it reads from each (significant count, bits) under
+/// every budget a table entry stands for — seven bits, the longest code,
+/// and each shorter one, where the budget cuts the plane.
+#[test]
+fn four_value_tables_equal_the_reference_plane_coder_entry_by_entry() {
+    for sig in 0..=4usize {
+        for nibble in 0..16u64 {
+            let mut w = BitWriter::new();
+            let (mut after, mut bits) = (sig, 64);
+            reference::code_plane(&mut w, nibble, 4, &mut after, &mut bits);
+            let len = 64 - bits;
+            let code = w.into_bytes()[0] as u16;
+            let entry = codec::PLANE4_ENCODE[sig][nibble as usize];
+            let want = code | (len as u16) << 8 | (after as u16) << 12;
+            assert_eq!(entry, want, "encode entry ({sig}, {nibble:#06b})");
+            assert!((1..=7).contains(&len));
+        }
+        for r in 0..=7u32 {
+            for x in 0..1u8 << r {
+                let bytes = [x, 0];
+                let mut reader = BitReader::new(&bytes);
+                let (mut after, mut bits) = (sig, r);
+                let plane = reference::read_plane(&mut reader, 4, &mut after, &mut bits).unwrap();
+                let len = r - bits;
+                let entry = codec::PLANE4_STEP[sig][1 << r | x as usize];
+                let want = len as u16 | (plane as u16) << 6 | (after as u16) << 10;
+                assert_eq!(entry, want, "step entry ({sig}, {x:#09b} of {r} bits)");
+            }
+        }
+    }
+}
+
+/// The prefix property the tables rest on: a block coded with no budget
+/// and cut after `bits` bits is the budgeted code, because verbatim bits,
+/// group tests and unary runs each stop exactly where the budget does.
+/// Held by the reference coder and by the kernel, for every value class
+/// and every budget up to the cap.
+#[test]
+fn budgeted_code_is_the_unbudgeted_code_cut_at_the_budget() {
+    fn check<const N: usize>() {
+        let d = N.ilog(4) as u8;
+        let mut seed = 0x2545_F491_4F6C_DD1D ^ N as u64;
+        let cap = BlockCoding::new(&lossy_zfp::ZfpMode::FixedPrecision(32), d).maxbits;
+        let coding = |maxbits| Coding {
+            d,
+            maxbits,
+            fixed_rate: false,
+            planes: reference::Planes::Count(32),
+        };
+        for (what, values) in value_classes::<N>(&mut seed) {
+            let free = coding(1 << 16);
+            let mut whole = BitWriter::new();
+            let full = encode_block(&values, &free, &mut whole).unwrap();
+            let whole = whole.into_bytes();
+            for budget in HEADER_BITS + 1..=cap {
+                let mut want = BitWriter::new();
+                want.append(&whole, full.min(budget) as u64);
+                let want = want.into_bytes();
+                let c = coding(budget);
+                let mut by_reference = BitWriter::new();
+                let used = encode_block(&values, &c, &mut by_reference).unwrap();
+                assert_eq!(used, full.min(budget), "{what}, N = {N}, budget {budget}");
+                assert!(by_reference.into_bytes() == want, "{what}, N = {N}, budget {budget}");
+                let mut by_kernel = BitWriter::new();
+                let used = codec::encode_block(&values, &c.kernel(), &mut by_kernel).unwrap();
+                assert_eq!(used, full.min(budget), "kernel: {what}, N = {N}, budget {budget}");
+                assert!(by_kernel.into_bytes() == want, "kernel: {what}, N = {N}, budget {budget}");
+            }
+        }
+    }
+    check::<4>();
+    check::<16>();
+    check::<64>();
 }
 
 #[test]
@@ -735,6 +458,37 @@ fn kernel_and_reference_agree_on_arbitrary_bits() {
     check::<4>(&mut seed);
     check::<16>(&mut seed);
     check::<64>(&mut seed);
+}
+
+/// Any word is a 4-value block under any budget a word can hold: both
+/// decoders must read the same values from it or both refuse — budgets
+/// short of the header, budgets that cut every plane of every code, and
+/// the whole word. The table step sees each of them here.
+#[test]
+fn kernel_and_reference_agree_on_arbitrary_words_as_4_value_blocks_at_every_budget() {
+    let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+    for round in 0..400u32 {
+        // Dense words, sparse words (long runs, empty planes), and words
+        // that announce a block with a small exponent field.
+        let word = match round % 3 {
+            0 => xorshift(&mut seed),
+            1 => xorshift(&mut seed) & xorshift(&mut seed) & xorshift(&mut seed),
+            _ => xorshift(&mut seed) << 20 | xorshift(&mut seed) & 0x1ff,
+        } | (round % 7 != 0) as u64;
+        let mut bytes = word.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&xorshift(&mut seed).to_le_bytes());
+        let phase = (round % 4) * 3;
+        for budget in 1..=64 {
+            for fixed_rate in [false, true] {
+                for planes in [reference::Planes::Count(32), plane_settings()[round as usize % 40]]
+                {
+                    let c = Coding { d: 1, maxbits: budget, fixed_rate, planes };
+                    let ctx = || format!("word {word:#018x}, phase {phase}, {c:?}");
+                    assert_decodes_equivalent::<4>(&bytes, phase, &c, budget, &ctx);
+                }
+            }
+        }
+    }
 }
 
 /// A 64-value block whose first coded plane is one unary run of every
@@ -793,6 +547,35 @@ fn driver_matches_the_per_block_oracle_byte_for_byte() {
                 "{dims:?} {:?}: decoded values differ",
                 cfg.mode
             );
+        }
+    }
+    // The 1-D run driver walks the slice: every length around a block and
+    // around a run of `G` blocks, where the last block is whole, partial
+    // or alone; 10-bit blocks that straddle bytes and words (rates 1 and
+    // 2.5), one-word blocks, two-word blocks, blocks wider than the
+    // longest code (rate 64), and both variable-length modes; on every
+    // thread count and on the device path.
+    let configs = [1.0, 2.5, 8.0, 16.0, 20.0, 64.0]
+        .map(ZfpConfig::rate)
+        .into_iter()
+        .chain([ZfpConfig::precision(14), ZfpConfig::accuracy(0.5)]);
+    for cfg in configs {
+        for len in (0..=17).chain([4 * G - 1, 4 * G, 4 * G + 1]) {
+            let dims = Dims3::D1(len);
+            let data = field(len, 0x51ED_270B);
+            let want = oracle_compress(&data, dims, &cfg);
+            let values = bits(&oracle_decompress(&want, dims, &cfg));
+            for threads in [1, 2, 4] {
+                let got = on_threads(threads, || compress(&data, dims, &cfg).unwrap());
+                assert!(got == want, "{len} values, {:?}, {threads} threads: bytes", cfg.mode);
+                let rec = on_threads(threads, || decompress(&got).unwrap().0);
+                assert!(bits(&rec) == values, "{len} values, {:?}, {threads} threads", cfg.mode);
+            }
+            let mut dev = Device::new(GpuSpec::tesla_v100());
+            let (traced, _) = compress_on(&mut dev, &data, dims, &cfg).unwrap();
+            assert!(traced == want, "{len} values, {:?}, device: bytes", cfg.mode);
+            let (rec, ..) = decompress_on(&mut dev, &traced).unwrap();
+            assert!(bits(&rec) == values, "{len} values, {:?}, device: values", cfg.mode);
         }
     }
 }

@@ -16,6 +16,11 @@
 //! whose unary runs straddle the cut — one of them longer than the
 //! decoder's 56-bit peek window — must be refused by every entry point,
 //! and by the kernel itself when it is handed the short bytes directly.
+//! The 1-D run driver takes fixed-rate blocks a word each straight from
+//! the payload, so a 1-D stream is also cut at every byte of its last
+//! blocks, and one block's header is flipped bit by bit behind re-sealed
+//! CRCs: what still decodes must be what the bit-at-a-time reference
+//! (`reference/mod.rs`) reads from the same bytes.
 
 use foresight_util::bits::{BitReader, BitWriter};
 use foresight_util::crc::crc32;
@@ -26,6 +31,8 @@ use lossy_zfp::gpu_exec::decompress_on;
 use lossy_zfp::{compress, decompress, Dims3, ZfpConfig};
 use proptest::prelude::*;
 use rayon::ThreadPoolBuilder;
+
+mod reference;
 
 fn make_stream(variant: u8, seed: u32) -> (Vec<u8>, usize) {
     let dims = match variant % 3 {
@@ -340,4 +347,79 @@ fn kernel_refuses_a_block_the_bits_end_inside_of() {
     let mut out = [f32::NAN; 64];
     assert!(matches!(codec::decode_block(&mut r, &fixed, 512, &mut out), Err(Error::Corrupt(_))));
     assert!(codec::decode_block(&mut r, &fixed, 511, &mut out).is_ok());
+}
+
+/// A 1-D fixed-rate stream whose blocks are 10 bits (straddling bytes and
+/// words), one word, or two words, over a run boundary and with a partial
+/// last block: cut at every byte inside its last three blocks, plainly
+/// and re-sealed, it is refused on every path.
+#[test]
+fn one_d_fixed_rate_stream_cut_inside_its_last_blocks_is_corrupt() {
+    for rate in [2.5, 8.0, 20.0] {
+        let cfg = ZfpConfig::rate(rate);
+        let n = 4 * 1024 + 7;
+        let data: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37).sin() * 90.0 + 100.0).collect();
+        let stream = compress(&data, Dims3::D1(n), &cfg).unwrap();
+        let block_bits = BlockCoding::new(&cfg.mode, 1).maxbits as usize;
+        for drop in 1..=(3 * block_bits).div_ceil(8) {
+            assert_corrupt(&stream[..stream.len() - drop], &format!("rate {rate}: plain cut"));
+            let resealed = forge_shorter_payload(&stream, 0, drop);
+            assert_corrupt(&resealed, &format!("rate {rate}: re-sealed cut of {drop} bytes"));
+        }
+    }
+}
+
+/// Every bit of one block's zero flag and exponent flipped behind
+/// re-sealed CRCs leaves a stream that is valid to look at. Each must be
+/// a typed error or decode — on every thread count and on the device
+/// path — to exactly the values the bit-at-a-time reference reads from
+/// the same payload, with nothing written outside the array.
+#[test]
+fn one_d_block_header_flips_decode_like_the_reference_or_are_refused() {
+    for rate in [2.5, 8.0, 20.0] {
+        let cfg = ZfpConfig::rate(rate);
+        let n = 4 * 1024 + 7;
+        let data: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37).sin() * 90.0 + 100.0).collect();
+        let stream = compress(&data, Dims3::D1(n), &cfg).unwrap();
+        let coding = reference::Coding::new(&cfg.mode, 1);
+        // A block inside the first run, the first of the second run, and
+        // the partial last one.
+        for block in [517, 1024, n.div_ceil(4) - 1] {
+            for bit in 0..9 {
+                let at = HDR * 8 + block * coding.maxbits as usize + bit;
+                let mut bad = stream.clone();
+                bad[at / 8] ^= 1 << (at % 8);
+                let bad = forge_shorter_payload(&bad, 0, 0);
+
+                let mut want = vec![0.0f32; n];
+                let mut r = BitReader::new(&bad[HDR..]);
+                for vals in want.chunks_mut(4) {
+                    let mut out = [0.0f32; 4];
+                    let used = reference::decode_block(&mut r, &coding, coding.maxbits, &mut out);
+                    assert_eq!(used.unwrap(), coding.maxbits);
+                    vals.copy_from_slice(&out[..vals.len()]);
+                }
+                let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+                let what = format!("rate {rate}, block {block}, header bit {bit}");
+                for threads in [1, 2, 4] {
+                    let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+                    match pool.install(|| decompress(&bad)) {
+                        Ok((got, dims)) => {
+                            assert_eq!(dims, Dims3::D1(n));
+                            let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+                            assert!(got == want, "{what}, {threads} threads");
+                        }
+                        Err(e) => assert!(matches!(e, Error::Corrupt(_)), "{what}: {e}"),
+                    }
+                }
+                match decompress_on(&mut Device::new(GpuSpec::tesla_v100()), &bad) {
+                    Ok((got, ..)) => {
+                        let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+                        assert!(got == want, "{what}, device path");
+                    }
+                    Err(e) => assert!(matches!(e, Error::Corrupt(_)), "{what}: {e}"),
+                }
+            }
+        }
+    }
 }

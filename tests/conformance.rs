@@ -452,21 +452,36 @@ fn perturbed_stream_fails_loudly() {
 }
 
 /// One golden stream per prior header VERSION: a v2 SZ stream, raw or
-/// inside an archive chunk, is refused with the typed version error
-/// through every decoding entry point.
+/// inside an archive chunk, and a v1 ZFP stream are refused with the
+/// typed version error through every decoding entry point.
 #[test]
 fn prior_version_fixtures_fail_closed() {
     use foresight_util::Error;
     if bless_requested() {
         return; // the manifest is being rewritten by the main test
     }
-    let v2 = golden_dir().join("v2");
-    let refused = |what: &str, err: Error| match err {
-        Error::Corrupt(msg) => {
-            assert!(msg.contains("unsupported version 2"), "{what}: wrong reason: {msg}")
-        }
+    let refused_as = |version: u8, what: &str, err: Error| match err {
+        Error::Corrupt(msg) => assert!(
+            msg.contains(&format!("unsupported version {version}")),
+            "{what}: wrong reason: {msg}"
+        ),
         other => panic!("{what}: expected Error::Corrupt, got {other:?}"),
     };
+    // `ZFPR` is at VERSION 2. The v1 fixture is the rate-8 golden stream
+    // with the version byte set back and the header CRC re-sealed, so the
+    // version check — not a checksum — is what refuses it.
+    let file = "zfp_rate_8.stream";
+    let stream = std::fs::read(golden_dir().join("v1").join(file)).expect("v1 fixture readable");
+    assert_eq!(stream[..5], *b"ZFPR\x01", "{file} is a version-1 ZFPR stream");
+    let current = std::fs::read(golden_dir().join(file)).expect("current fixture readable");
+    assert_eq!(stream[5..60], current[5..60], "{file} differs only in version and header CRC");
+    assert_eq!(stream[64..], current[64..]);
+    refused_as(1, file, lossy_zfp::decompress(&stream).expect_err("lossy_zfp::decompress"));
+    refused_as(1, file, lossy_zfp::info(&stream).expect_err("lossy_zfp::info"));
+    refused_as(1, file, codec::decompress(&stream).expect_err("codec::decompress"));
+
+    let v2 = golden_dir().join("v2");
+    let refused = |what: &str, err: Error| refused_as(2, what, err);
     for file in ["sz_abs_1e-3.stream", "sz_abs_1e-2.stream"] {
         let stream = std::fs::read(v2.join(file)).expect("v2 fixture readable");
         assert_eq!(stream[..5], *b"SZRS\x02", "{file} is a version-2 SZRS stream");
