@@ -1,11 +1,11 @@
 //! Criterion benchmarks for the two codecs across configurations
 //! (throughput backing for paper Figs. 7, 8, 10).
 
-use cosmo_data::{generate_hacc, SynthOptions};
+use cosmo_data::{generate_hacc, generate_nyx, SynthOptions};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use foresight::codec::{compress, decompress, CodecConfig, Shape};
 use foresight_util::bits::{BitReader, BitWriter};
-use lossy_sz::huffman::{histogram, Codebook};
+use lossy_sz::huffman::{histogram, Codebook, LANES};
 use lossy_sz::{Dims, EntropyBackend, PredictorKind, SzConfig};
 use lossy_zfp::{Dims3, ZfpConfig};
 use std::time::Instant;
@@ -246,10 +246,114 @@ fn bench_sz_chunk16(c: &mut Criterion) {
     g.finish();
 }
 
+/// The two halves of an SZ read without the container around them, one
+/// thread, minimum iteration like `zfp_block`. `huffman/*`: ns per symbol
+/// over four blocks of a peaked book (Nyx `baryon_density`, under 2 bits a
+/// symbol) and of a wide one (HACC `x`, over 10), decoded one after the
+/// other (`decode_into`) and side by side (`decode_lanes`, what
+/// `decompress` does). `reconstruct/*`: ns per value of one 32^3 block
+/// through `block::decompress_block` — Lorenzo rows with no outlier, with
+/// 16 of them, and a Regression block.
+fn bench_sz_decode(c: &mut Criterion) {
+    let opts = SynthOptions { n_side: 64, seed: 13, steps: 1, ..SynthOptions::default() };
+    let nyx = generate_nyx(&opts).unwrap();
+    let hacc = generate_hacc(&opts).unwrap();
+    let range = |v: &[f32]| {
+        let (lo, hi) = v.iter().fold((f32::MAX, f32::MIN), |(lo, hi), &x| (lo.min(x), hi.max(x)));
+        (hi - lo) as f64
+    };
+    let cfg = SzConfig::abs(0.0);
+    let block_codes = |data: &[f32], dims: Dims, eb: f64, pred: PredictorKind| {
+        lossy_sz::block::partition(dims, cfg.block_size)
+            .iter()
+            .take(LANES)
+            .map(|b| lossy_sz::block::compress_block(data, dims.extents(), b, eb, cfg.radius, pred))
+            .collect::<Vec<_>>()
+    };
+    let cube = Dims::D3(64, 64, 64);
+    let density_eb = 1e-3 * range(&nyx.baryon_density);
+    let peaked = block_codes(&nyx.baryon_density, cube, density_eb, cfg.predictor);
+    let wide = block_codes(&hacc.x, Dims::D1(hacc.x.len()), 0.005, cfg.predictor);
+
+    let mut g = c.benchmark_group("sz_decode");
+    let mut run = |name: &str, per: usize, unit: &str, f: &mut dyn FnMut() -> usize| {
+        let mut best = f64::INFINITY;
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let t = Instant::now();
+                let n = f();
+                best = best.min(t.elapsed().as_secs_f64());
+                n
+            })
+        });
+        if best.is_finite() {
+            println!("sz_decode/{name:<34} min: {:.2} ns/{unit}", best * 1e9 / per as f64);
+        }
+    };
+    for (name, blocks) in [("peaked", &peaked), ("wide", &wide)] {
+        let all: Vec<u32> = blocks.iter().flat_map(|o| o.codes.iter().copied()).collect();
+        let book = Codebook::from_frequencies(&histogram(&all)).unwrap();
+        let streams: Vec<Vec<u8>> = blocks
+            .iter()
+            .map(|o| {
+                let (encoder, mut w) = (book.encoder(), BitWriter::new());
+                o.codes.iter().for_each(|&c| encoder.encode(c, &mut w).unwrap());
+                w.into_bytes()
+            })
+            .collect();
+        let decoder = book.decoder();
+        let counts: [usize; LANES] = std::array::from_fn(|l| blocks[l].codes.len());
+        let mut outs: [Vec<u32>; LANES] = Default::default();
+        run(&format!("huffman/{name}/one_lane"), all.len(), "symbol", &mut || {
+            for (out, (bytes, n)) in outs.iter_mut().zip(streams.iter().zip(counts)) {
+                out.clear();
+                decoder.decode_into(&mut BitReader::new(bytes), n, out).unwrap();
+            }
+            outs[LANES - 1].len()
+        });
+        run(&format!("huffman/{name}/four_lanes"), all.len(), "symbol", &mut || {
+            let lanes = std::array::from_fn(|l| &streams[l][..]);
+            decoder.decode_lanes(lanes, counts, &mut outs).unwrap();
+            outs[LANES - 1].len()
+        });
+        assert_eq!(outs.concat(), all);
+    }
+
+    let mut holed = nyx.baryon_density.clone();
+    for cell in 0..16 {
+        holed[cell * 2053 % 32 + 64 * (cell * 977 % 32) + 4096 * (cell * 31 % 32)] = f32::NAN;
+    }
+    let block = lossy_sz::block::partition(cube, cfg.block_size)[0];
+    let mut out = vec![0.0f32; cube.len()];
+    for (name, data, pred) in [
+        ("lorenzo_0_outliers", &nyx.baryon_density, PredictorKind::Lorenzo),
+        ("lorenzo_16_outliers", &holed, PredictorKind::Lorenzo),
+        ("regression", &nyx.baryon_density, PredictorKind::Regression),
+    ] {
+        let o = &block_codes(data, cube, density_eb, pred)[0];
+        println!("sz_decode/reconstruct/{name}: {} outliers", o.outliers.len());
+        run(&format!("reconstruct/{name}"), block.cells(), "value", &mut || {
+            lossy_sz::block::decompress_block(
+                &o.codes,
+                &o.outliers,
+                o.tag,
+                o.coeffs,
+                cube.extents(),
+                &block,
+                density_eb,
+                cfg.radius,
+                &mut out,
+            )
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_zfp_block,
     bench_sz_chunk16,
+    bench_sz_decode,
     bench_compress,
     bench_decompress,
     bench_entropy_backends,

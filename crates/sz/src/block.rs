@@ -210,10 +210,12 @@ pub fn compress_block(
     BlockOutput { codes, outliers, tag, coeffs, code_range: stats.range }
 }
 
-/// Decompresses one block into `out` (the full destination array).
+/// Decompresses one block into `out` (the full destination array) and
+/// returns the number of zero symbols it met.
 ///
 /// `codes` must hold exactly `block.cells()` symbols and `outliers` one
-/// value per zero symbol; both are validated by the caller (stream layer).
+/// value per zero symbol; the caller (stream layer) validates the first
+/// beforehand and the second against the returned count.
 #[allow(clippy::too_many_arguments)] // mirrors the codec stage parameters
 pub fn decompress_block(
     codes: &[u32],
@@ -225,14 +227,14 @@ pub fn decompress_block(
     eb: f64,
     radius: u32,
     out: &mut [f32],
-) {
+) -> usize {
     debug_assert_eq!(codes.len(), block.cells());
     if block.cells() == 0 {
-        return;
+        return 0;
     }
     LATTICE.with_borrow_mut(|lattice| {
         lattice.reconstruct(codes, outliers, tag, &coeffs, ext, block, eb, radius, out)
-    });
+    })
 }
 
 #[cfg(test)]
@@ -287,6 +289,9 @@ mod tests {
             }
             assert!(seen.iter().all(|&s| s));
         }
+        // A 1-D segment is `bs^3` values long, as a cube holds.
+        let segments = partition(Dims::D1(100_000), 32);
+        assert_eq!(segments.iter().map(|b| b.size[0]).collect::<Vec<_>>(), [32_768, 32_768, 32_768, 1696]);
     }
 
     #[test]

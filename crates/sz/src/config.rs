@@ -123,7 +123,8 @@ pub struct SzConfig {
     /// Prediction scheme.
     pub predictor: PredictorKind,
     /// Cubic block edge (3-D), tile edge (2-D), or segment length scale
-    /// (1-D uses `block_size^2` long segments to amortize per-block cost).
+    /// (1-D uses `block_size^3` long segments — 32 768 values by default —
+    /// so a block holds as many cells in every dimensionality).
     pub block_size: usize,
     /// Entropy/lossless backend.
     pub entropy: EntropyBackend,

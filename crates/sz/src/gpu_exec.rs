@@ -216,7 +216,8 @@ fn decode_launch(
             // the ranges recorded just above.
             #[allow(unsafe_code)]
             let slice = unsafe { std::slice::from_raw_parts_mut(p.0, out_len) };
-            stream::decode_block_into(inf, plan, body, bi, slice)
+            // A group of one: the same table and loop as the host path.
+            stream::decode_group_into(inf, plan, body, bi..bi + 1, slice)
         },
     )?;
     results.into_iter().collect::<Result<()>>()?;

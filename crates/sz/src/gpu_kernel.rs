@@ -275,8 +275,15 @@ impl Lattice {
     }
 
     /// The inverse of both passes: rebuilds the lattice from `codes` and
-    /// writes the block's cells of `out`. Arithmetic wraps, since codes
-    /// from a hostile stream can drive the recurrence anywhere.
+    /// writes the block's cells of `out`, a row at a time. Arithmetic
+    /// wraps, since codes from a hostile stream can drive the recurrence
+    /// anywhere — which is also why the Lorenzo sum may be reassociated:
+    /// the terms that do not involve the row itself (the stencil and the
+    /// code) go into the lattice row in one pass with no dependence along
+    /// it, the recurrence that is left is a running sum, and the scale to
+    /// `f32` is a third pass. A zero code ends a run: its cell takes the
+    /// verbatim value, and the lattice value the encoder used for it
+    /// starts the next run. Returns the number of zero codes.
     #[allow(clippy::too_many_arguments)] // mirrors `block::decompress_block`
     pub fn reconstruct(
         &mut self,
@@ -289,10 +296,96 @@ impl Lattice {
         eb: f64,
         radius: u32,
         out: &mut [f32],
-    ) {
+    ) -> usize {
         self.layout(b.size);
         let [sx, sy, sz] = b.size;
         let (px, pxy) = self.strides();
+        let r = radius as i64;
+        let two_eb = 2.0 * eb;
+        let mut outliers = outliers.iter();
+        let mut rows = codes.chunks_exact(sx);
+        let mut all_zeros = 0;
+        for k in 0..sz {
+            for j in 0..sy {
+                let dst = b.row_start(ext, j, k);
+                let out = &mut out[dst..dst + sx];
+                let base = self.row_base(j, k);
+                let (before, cur) = self.q.split_at_mut(base);
+                let cur = &mut cur[..px];
+                let row = rows.next().unwrap_or_default();
+                let cells = cur[1..].iter_mut().zip(row).enumerate();
+                let mut zeros = 0;
+                match tag {
+                    PredictorTag::Lorenzo => {
+                        let stencil = stencil_rows(before, base, px, pxy);
+                        for (i, (q, &sym)) in cells {
+                            *q = lorenzo(sym as i64 - r, stencil, i);
+                            zeros += (sym == 0) as usize;
+                        }
+                    }
+                    PredictorTag::Regression => {
+                        for (i, (q, &sym)) in cells {
+                            *q = plane_lattice(coeffs, i, j, k, eb).wrapping_add(sym as i64 - r);
+                            zeros += (sym == 0) as usize;
+                        }
+                    }
+                }
+                all_zeros += zeros;
+                let mut start = 0;
+                while start < sx {
+                    let run = match zeros {
+                        0 => sx - start,
+                        _ => row[start..].iter().position(|&sym| sym == 0).unwrap_or(sx - start),
+                    };
+                    let end = start + run;
+                    if tag == PredictorTag::Lorenzo {
+                        let mut left = cur[start];
+                        for q in &mut cur[start + 1..=end] {
+                            left = left.wrapping_add(*q);
+                            *q = left;
+                        }
+                    }
+                    for (o, &q) in out[start..end].iter_mut().zip(&cur[start + 1..=end]) {
+                        *o = (q as f64 * two_eb) as f32;
+                    }
+                    if end < sx {
+                        // A verbatim cell predicts its neighbors from the
+                        // lattice value the encoder used for it.
+                        let v = outliers.next().copied().unwrap_or(0.0);
+                        (cur[end + 1], out[end]) = (prequant(v, eb).0, v);
+                    }
+                    start = end + 1;
+                }
+            }
+        }
+        all_zeros
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::block::{compress_block, decompress_block, partition};
+    use crate::config::{Dims, PredictorKind};
+
+    /// The per-cell loop [`Lattice::reconstruct`] replaced, kept as its
+    /// bit-for-bit reference.
+    #[allow(clippy::too_many_arguments)]
+    fn reconstruct_reference(
+        lattice: &mut Lattice,
+        codes: &[u32],
+        outliers: &[f32],
+        tag: PredictorTag,
+        coeffs: &[f32; 4],
+        ext: [usize; 3],
+        b: &Block,
+        eb: f64,
+        radius: u32,
+        out: &mut [f32],
+    ) {
+        lattice.layout(b.size);
+        let [sx, sy, sz] = b.size;
+        let (px, pxy) = lattice.strides();
         let r = radius as i64;
         let two_eb = 2.0 * eb;
         let mut outliers = outliers.iter();
@@ -312,8 +405,8 @@ impl Lattice {
         for k in 0..sz {
             for j in 0..sy {
                 let dst = b.row_start(ext, j, k);
-                let base = self.row_base(j, k);
-                let (before, cur) = self.q.split_at_mut(base);
+                let base = lattice.row_base(j, k);
+                let (before, cur) = lattice.q.split_at_mut(base);
                 let cur = &mut cur[..px];
                 let row = rows.next().unwrap_or_default();
                 let cells = out[dst..dst + sx].iter_mut().zip(row).enumerate();
@@ -333,13 +426,6 @@ impl Lattice {
             }
         }
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::block::{compress_block, decompress_block, partition};
-    use crate::config::{Dims, PredictorKind};
 
     fn field(n: usize) -> Vec<f32> {
         (0..n)
@@ -486,6 +572,83 @@ mod tests {
         check_bound(&data, &full, 0.05);
         let (again, _) = roundtrip(&data, Dims::D3(9, 9, 9), 0.05, 8, PredictorKind::Lorenzo);
         assert_eq!(full, again);
+    }
+
+    #[test]
+    fn row_passes_rebuild_what_the_per_cell_loop_rebuilds() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let outlier_values = [3.25f32, f32::NAN, -7.5, f32::INFINITY, 1e30, 0.0, f32::NEG_INFINITY];
+        let planes = [
+            [1.5f32, 0.25, -0.5, 0.125],
+            [f32::NAN, 1.0, 1.0, 1.0],
+            [f32::INFINITY, f32::NEG_INFINITY, 0.0, 1e38],
+            [1e38, 1e38, -1e38, 1e38],
+        ];
+        // Which cells are coded 0: (cell, cells) -> bool.
+        type Pattern = fn(usize, usize) -> bool;
+        let patterns: [(&str, Pattern); 6] = [
+            ("nowhere", |_, _| false),
+            ("first cell", |c, _| c == 0),
+            ("last cell", |c, n| c + 1 == n),
+            ("adjacent pairs", |c, _| c % 7 < 2),
+            ("every cell", |_, _| true),
+            ("every 255th", |c, _| c % 255 == 254),
+        ];
+        let mut s = 0x9e37_79b9_7f4a_7c15u64;
+        for size in [[1, 1, 1], [2, 2, 3], [33, 1, 1], [32_768, 1, 1], [17, 5, 1], [8, 4, 2], [9, 9, 9]] {
+            let b = Block { origin: [1, 0, 0], size };
+            let ext = [size[0] + 2, size[1], size[2]];
+            let n = b.cells();
+            for (what, is_zero) in patterns {
+                let codes: Vec<u32> = (0..n)
+                    .map(|c| {
+                        s ^= s << 13;
+                        s ^= s >> 7;
+                        s ^= s << 17;
+                        if is_zero(c, n) { 0 } else { 32_768 - 40 + (s % 81) as u32 }
+                    })
+                    .collect();
+                let zeros = codes.iter().filter(|&&c| c == 0).count();
+                // One verbatim value per zero code, or one too few.
+                for short in [0, 1] {
+                    let outliers: Vec<f32> =
+                        outlier_values.iter().cycle().take(zeros.saturating_sub(short)).copied().collect();
+                    let lorenzo = std::iter::once((PredictorTag::Lorenzo, [0.0; 4]));
+                    let cases = lorenzo.chain(planes.map(|p| (PredictorTag::Regression, p)));
+                    for (tag, coeffs) in cases {
+                        for (eb, radius) in [(0.01, 1 << 15), (1e-300, 1 << 15)] {
+                            let (mut fast, mut slow) = (Lattice::new(), Lattice::new());
+                            let (mut got, mut want) = (vec![-1.0f32; n + 2 * n / size[0]], vec![]);
+                            want.clone_from(&got);
+                            let counted = fast
+                                .reconstruct(&codes, &outliers, tag, &coeffs, ext, &b, eb, radius, &mut got);
+                            assert_eq!(counted, zeros);
+                            reconstruct_reference(
+                                &mut slow, &codes, &outliers, tag, &coeffs, ext, &b, eb, radius, &mut want,
+                            );
+                            let ctx = format!("{size:?} zeros {what} -{short} {tag:?} {coeffs:?} eb={eb}");
+                            assert_eq!(fast.q, slow.q, "{ctx}: lattice");
+                            assert_eq!(bits(&got), bits(&want), "{ctx}: output");
+                        }
+                    }
+                }
+            }
+        }
+        // Hostile codes wrap the recurrence; neither loop panics and both
+        // wrap alike.
+        let b = Block { origin: [0, 0, 0], size: [8, 4, 2] };
+        for tag in [PredictorTag::Lorenzo, PredictorTag::Regression] {
+            let codes: Vec<u32> = (0..64).map(|c| if c % 9 == 4 { 0 } else { u32::MAX - c }).collect();
+            let (mut fast, mut slow) = (Lattice::new(), Lattice::new());
+            let (mut got, mut want) = (vec![0.0f32; 64], vec![0.0f32; 64]);
+            let coeffs = [f32::INFINITY, f32::NAN, -1e38, 1e38];
+            fast.reconstruct(&codes, &[1.0], tag, &coeffs, [8, 4, 2], &b, 1e-300, u32::MAX, &mut got);
+            reconstruct_reference(
+                &mut slow, &codes, &[1.0], tag, &coeffs, [8, 4, 2], &b, 1e-300, u32::MAX, &mut want,
+            );
+            assert_eq!(fast.q, slow.q, "{tag:?}");
+            assert_eq!(bits(&got), bits(&want), "{tag:?}");
+        }
     }
 
     #[test]

@@ -18,15 +18,19 @@
 //! - the [`Encoder`] keeps each code in bit-reversed form so a whole
 //!   symbol goes out in one [`BitWriter::write_bits`] call, in a dense
 //!   table that spans only the non-zero symbols present;
-//! - the [`Decoder`] resolves most symbols with a single window-table
-//!   lookup (the coarse-grained codebook scheme GPU Huffman
-//!   implementations use), escaping to a walk of the per-length tables
-//!   only for rare codes longer than the window. The window is
-//!   [`window_bits`] wide: 8 bits for a few hundred values, the full 12
-//!   above 16 Ki, because a table of `2^12` packed entries costs more to
-//!   build than a 16 KiB call spends probing it.
+//! - the [`Decoder`] is a two-level table of `u32` entries: a root indexed
+//!   by the next [`window_bits`] stream bits (8 for a few hundred values,
+//!   the full 12 above 16 Ki, which is 16 KiB) whose entries hold a
+//!   symbol and its length, two short codes at once, or a link to a
+//!   sub-table indexed by up to [`SUB_BITS`] further bits. What the tables
+//!   do not hold — a code more than `SUB_BITS` past the root, a symbol
+//!   that does not fit an entry, a sub-table past [`SUB_BUDGET`] — escapes
+//!   to a walk of the per-length tables. Block streams are independent
+//!   and byte-aligned, so [`Decoder::decode_lanes`] steps [`LANES`] of
+//!   them side by side, two probes per 64-bit load each, and the chains
+//!   of dependent loads overlap.
 //!
-//! Compression never builds a decode window and decompression never
+//! Compression never builds a decode table and decompression never
 //! builds an encoder table.
 
 use foresight_util::bits::{BitReader, BitWriter};
@@ -37,11 +41,38 @@ use std::sync::OnceLock;
 /// Maximum supported code length (paranoia guard; real tables are shorter).
 const MAX_LEN: u8 = 58;
 
-/// Narrowest and widest decode window. Codes at most the window long (the
-/// common case by construction — high-frequency symbols get short codes)
-/// decode with one table access.
+/// Narrowest and widest root of the decode table. Codes at most the root
+/// long (the common case by construction — high-frequency symbols get short
+/// codes) decode with one table access.
 const MIN_WINDOW_BITS: u32 = 8;
 const MAX_WINDOW_BITS: u32 = 12;
+
+/// Block streams [`Decoder::decode_lanes`] decodes side by side.
+pub const LANES: usize = 4;
+
+/// Most bits past the root a sub-table indexes: root + 10 = 22 bits holds
+/// every code of a field-sized histogram but a handful, and two such codes
+/// still fit the 57 bits a byte-aligned 64-bit load guarantees.
+const SUB_BITS: u32 = 10;
+
+/// Most sub-table entries of one view (256 KiB): room for every book the
+/// default radius allows (65 535 symbols) and a cap on what a table of many
+/// long codes — five stream bytes buy one — can make a decoder allocate.
+/// Root prefixes past the budget escape instead.
+const SUB_BUDGET: usize = 1 << 16;
+
+/// Decode-table entry: 0 escapes; `symbol << 8 | length` is one code;
+/// `offset << 8 | LINK | sub_bits` sends a root prefix to its sub-table at
+/// `offset`; `rel_b << 22 | rel_a << 12 | len_a << 8 | PAIR | length` is
+/// two codes `length` bits long in all, the first `len_a` of them, their
+/// symbols `rel` above the view's pair base.
+const LEN_MASK: u32 = 0x3f;
+const PAIR: u32 = 0x40;
+const LINK: u32 = 0x80;
+/// Symbols an entry's 24 symbol bits can hold.
+const LEAF_SYMBOLS: u32 = 1 << 24;
+/// Symbols a pair entry's 10-bit fields can hold.
+const PAIR_SPAN: u32 = 1 << 10;
 
 /// Non-zero symbols closer than this to the smallest one get a
 /// direct-indexed encoder slot; symbol 0 (SZ's outlier marker, far below
@@ -49,31 +80,13 @@ const MAX_WINDOW_BITS: u32 = 12;
 /// to binary search so a single huge symbol cannot blow up the table.
 const ENC_DENSE_LIMIT: u32 = 1 << 16;
 
-/// Maximum symbols resolved per decode-table probe.
-const LUT_PACK: usize = 8;
-
-/// Decode window width for a stream of `n_values` symbols:
+/// Decode-table root width for a stream of `n_values` symbols:
 /// `clamp(⌈log₂ n⌉ − 3, 8, 12)`. A 16³ chunk makes ~1 400 probes, so it
 /// gets 512 entries (9 bits) rather than 4 096; above 16 Ki values the
 /// table is the full 12 bits.
 pub fn window_bits(n_values: usize) -> u32 {
     let log2_ceil = usize::BITS - n_values.saturating_sub(1).leading_zeros();
     log2_ceil.saturating_sub(3).clamp(MIN_WINDOW_BITS, MAX_WINDOW_BITS)
-}
-
-/// One decode-window table slot: up to [`LUT_PACK`] complete codes
-/// resolved from the next window of stream bits.
-#[derive(Debug, Clone, Copy, Default)]
-struct LutEntry {
-    /// Decoded symbols; slots past `nsyms` are zero.
-    syms: [u32; LUT_PACK],
-    /// Complete codes in the window prefix: 0 escapes to the long-code
-    /// walk, 1..=LUT_PACK decode directly.
-    nsyms: u8,
-    /// Total bits consumed by all `nsyms` symbols.
-    bits: u8,
-    /// Bits consumed by the first symbol alone.
-    len1: u8,
 }
 
 /// The encoder's table: symbol -> (bit-reversed code, length).
@@ -112,55 +125,86 @@ impl EncodeTable {
     }
 }
 
-/// The decoder's window table, indexed by the next `bits` stream bits and
-/// resolving up to [`LUT_PACK`] symbols per probe.
+/// The decoder's table: a root indexed by the next `bits` stream bits, then
+/// the sub-tables its link entries point to.
 #[derive(Debug, Clone)]
 struct DecodeTable {
     bits: u32,
-    lut: Vec<LutEntry>,
+    /// Symbol the `rel` fields of pair entries count from.
+    pair_base: u32,
+    /// Whether the root has pair entries at all.
+    pairs: bool,
+    entries: Vec<u32>,
 }
 
 impl DecodeTable {
     fn build(book: &Codebook, bits: u32) -> Self {
-        // `with_window!` has a loop for these widths and no other.
         let bits = bits.clamp(MIN_WINDOW_BITS, MAX_WINDOW_BITS);
-        let mut singles = vec![(0u32, 0u8); 1usize << bits];
+        let root = 1usize << bits;
+        let mut t = vec![0u32; root];
+        // Leaves for the codes the root holds; for longer ones the widest
+        // sub-index their root prefix needs (a prefix cannot have both).
         for (sym, rev, len) in book.codes() {
-            if len as u32 > bits {
+            let len = len as u32;
+            if len > bits + SUB_BITS {
                 break; // canonical order: every later code is as long
             }
-            // Every window whose low `len` bits equal this (reversed)
-            // code decodes to this symbol.
-            let step = 1usize << len;
-            let mut idx = rev as usize;
-            while idx < singles.len() {
-                singles[idx] = (sym, len);
-                idx += step;
-            }
-        }
-        // Pack as many complete codes as fit into each window slot — short
-        // codes dominate skewed quantization histograms, so most probes
-        // then resolve several symbols at once.
-        let mut lut = vec![LutEntry::default(); singles.len()];
-        for w in 0..singles.len() {
-            if singles[w].1 == 0 {
-                continue; // escape: code longer than the window
-            }
-            let mut e = LutEntry { len1: singles[w].1, ..LutEntry::default() };
-            let mut cur = w;
-            while (e.nsyms as usize) < LUT_PACK {
-                let (s, l) = singles[cur];
-                if l == 0 || (e.bits + l) as u32 > bits {
-                    break;
+            if len > bits {
+                let link = &mut t[rev as usize & (root - 1)];
+                *link = (*link).max(LINK | (len - bits));
+            } else if sym < LEAF_SYMBOLS {
+                // Every index whose low `len` bits are this (reversed) code.
+                for idx in (rev as usize..root).step_by(1 << len) {
+                    t[idx] = sym << 8 | len;
                 }
-                e.syms[e.nsyms as usize] = s;
-                e.nsyms += 1;
-                e.bits += l;
-                cur >>= l;
             }
-            lut[w] = e;
         }
-        Self { bits, lut }
+        for prefix in 0..root {
+            if t[prefix] & LINK != 0 {
+                let size = 1usize << (t[prefix] & LEN_MASK);
+                if t.len() - root + size > SUB_BUDGET {
+                    t[prefix] = 0;
+                    continue;
+                }
+                t[prefix] |= ((t.len() - root) as u32) << 8;
+                t.resize(t.len() + size, 0);
+            }
+        }
+        for (sym, rev, len) in book.codes().skip_while(|c| c.2 as u32 <= bits) {
+            let len = len as u32;
+            if len > bits + SUB_BITS {
+                break;
+            }
+            let link = t[rev as usize & (root - 1)];
+            if link & LINK != 0 && sym < LEAF_SYMBOLS {
+                let (at, size) = (root + (link >> 8) as usize, 1usize << (link & LEN_MASK));
+                for idx in ((rev >> bits) as usize..size).step_by(1 << (len - bits)) {
+                    t[at + idx] = sym << 8 | len;
+                }
+            }
+        }
+        // Two short codes per root entry where both fit the root and both
+        // symbols lie within `PAIR_SPAN` of the base — the peaked
+        // histograms whose codes are two or three bits long. Downwards, so
+        // the entry of the second code (a lower index) is still single.
+        let pair_base = book.entries.first().map_or(0, |e| e.0.saturating_sub(PAIR_SPAN / 2));
+        let mut pairs = false;
+        for w in (0..root).rev() {
+            let (a, b) = (t[w], t[w >> (t[w] & LEN_MASK)]);
+            let (len_a, len_b) = (a & LEN_MASK, b & LEN_MASK);
+            let (rel_a, rel_b) = ((a >> 8).wrapping_sub(pair_base), (b >> 8).wrapping_sub(pair_base));
+            let leaves = (a | b) & LINK == 0 && len_a != 0 && len_b != 0;
+            if leaves && len_a + len_b <= bits && rel_a < PAIR_SPAN && rel_b < PAIR_SPAN {
+                t[w] = rel_b << 22 | rel_a << 12 | len_a << 8 | PAIR | (len_a + len_b);
+                pairs = true;
+            }
+        }
+        Self { bits, pair_base, pairs, entries: t }
+    }
+
+    fn view<'a>(&'a self, book: &'a Codebook) -> Decoder<'a> {
+        let (root, subs) = self.entries.split_at(1 << self.bits);
+        Decoder { book, bits: self.bits, pair_base: self.pair_base, pairs: self.pairs, root, subs }
     }
 }
 
@@ -262,24 +306,24 @@ impl Codebook {
     }
 
     /// The decoder view for a stream of `n_values` symbols in all. The
-    /// first call builds the window, [`window_bits`]`(n_values)` wide;
-    /// later calls return that same view whatever they pass, since every
-    /// width decodes every stream alike.
+    /// first call builds the table, its root [`window_bits`]`(n_values)`
+    /// wide; later calls return that same view whatever they pass, since
+    /// every width decodes every stream alike.
     pub fn decoder_for(&self, n_values: usize) -> Decoder<'_> {
         let table = self.dec.get_or_init(|| DecodeTable::build(self, window_bits(n_values)));
-        Decoder { book: self, table }
+        table.view(self)
     }
 
-    /// The decoder view with the full-width window unless one exists.
+    /// The decoder view with the full-width root unless one exists.
     pub fn decoder(&self) -> Decoder<'_> {
         self.decoder_for(usize::MAX)
     }
 
-    /// Dense encoder slots and decode-window entries, `None` for a view
-    /// nothing has asked for yet.
+    /// Dense encoder slots and decode-table entries (root and sub-tables),
+    /// `None` for a view nothing has asked for yet.
     #[cfg(test)]
     fn view_sizes(&self) -> (Option<usize>, Option<usize>) {
-        (self.enc.get().map(|t| t.dense.len()), self.dec.get().map(|t| t.lut.len()))
+        (self.enc.get().map(|t| t.dense.len()), self.dec.get().map(|t| t.entries.len()))
     }
 
     /// Encodes one symbol with a single multi-bit write;
@@ -403,132 +447,286 @@ impl Encoder<'_> {
     }
 }
 
-/// The decoder view of a [`Codebook`]: a `Copy` handle on its window
-/// table and on the per-length tables the escape path walks.
+/// The decoder view of a [`Codebook`]: a `Copy` handle holding its table by
+/// value and the book whose per-length tables the escape path walks.
 #[derive(Debug, Clone, Copy)]
 pub struct Decoder<'a> {
     book: &'a Codebook,
-    table: &'a DecodeTable,
+    bits: u32,
+    pair_base: u32,
+    pairs: bool,
+    root: &'a [u32],
+    subs: &'a [u32],
 }
 
-/// Runs `$self.$method::<W>($args)` with `W` the view's window width, so
-/// the width is a constant inside the loop it selects.
-macro_rules! with_window {
+/// Why the word loop left off.
+#[derive(Debug, Clone, Copy)]
+enum Stop {
+    /// A lane has fewer than 8 readable bytes or four symbols to go.
+    Short,
+    /// The code at a lane's cursor is not in the tables.
+    Escape,
+}
+
+/// One lane of a decode run: where its next code starts in its stream and
+/// how many symbols of its output are decoded.
+#[derive(Debug, Clone, Copy, Default)]
+struct Cursor {
+    bit: usize,
+    done: usize,
+}
+
+/// A reader over `data` from bit `bit` on.
+fn reader_at(data: &[u8], bit: usize) -> BitReader<'_> {
+    let mut r = BitReader::new(data.get(bit / 8..).unwrap_or_default());
+    r.skip_bits((bit % 8) as u64);
+    r
+}
+
+/// Escapes are counted per run: the collector takes a lock per call.
+fn count_escapes(escapes: u64) {
+    if escapes != 0 {
+        foresight_util::telemetry::counter("huffman.escape_hits", escapes);
+    }
+}
+
+/// Runs `$self.$method::<PAIRS>($args)` with `PAIRS` whether the view's
+/// root has pair entries: a wide book has none, and its loop then carries
+/// no pair arithmetic.
+macro_rules! with_pairs {
     ($self:ident . $method:ident ( $($arg:expr),* )) => {
-        match $self.table.bits {
-            8 => $self.$method::<8>($($arg),*),
-            9 => $self.$method::<9>($($arg),*),
-            10 => $self.$method::<10>($($arg),*),
-            11 => $self.$method::<11>($($arg),*),
-            _ => $self.$method::<12>($($arg),*),
-        }
+        if $self.pairs { $self.$method::<true>($($arg),*) } else { $self.$method::<false>($($arg),*) }
     };
 }
 
 impl Decoder<'_> {
-    /// Decodes one symbol, resolving codes up to the window long (the
-    /// overwhelming majority) with a single table lookup. Longer codes are
-    /// resolved from the same peeked window by walking the per-length
-    /// tables in registers — still a single `consume` per symbol, never a
-    /// per-bit stream read.
+    /// Decodes one symbol: one or two table accesses for all but the codes
+    /// the tables do not hold, which walk the per-length tables.
     #[inline]
     pub fn decode(&self, r: &mut BitReader<'_>) -> Result<u32> {
-        with_window!(self.decode_one(r))
+        let mut escapes = 0;
+        let sym = self.decode_one(r, &mut escapes);
+        count_escapes(escapes);
+        sym
     }
 
-    /// Decodes exactly `n` symbols into `out`, resolving up to
-    /// [`LUT_PACK`] symbols per table probe. This is the bulk path
-    /// `decompress` uses; equivalent to calling [`Decoder::decode`] `n`
-    /// times.
+    /// Decodes exactly `n` symbols onto the end of `out`; equivalent to
+    /// calling [`Decoder::decode`] `n` times. On an error `out` ends with
+    /// the symbols decoded before it and `r` stands at the failing code.
     pub fn decode_into(&self, r: &mut BitReader<'_>, n: usize, out: &mut Vec<u32>) -> Result<()> {
-        with_window!(self.decode_run(r, n, out))
+        let start = out.len();
+        out.resize(start + n, 0);
+        let (data, bit) = r.position();
+        let (mut cur, mut escapes) = (Cursor { bit, done: 0 }, 0);
+        let res = with_pairs!(self.finish(data, &mut out[start..], &mut cur, &mut escapes));
+        r.skip_bits((cur.bit - bit) as u64);
+        out.truncate(start + cur.done);
+        count_escapes(escapes);
+        res
+    }
+
+    /// Decodes `counts[l]` symbols of stream `l` into `outs[l]` (replacing
+    /// its contents) for [`LANES`] independent streams side by side. The
+    /// result is that of [`Decoder::decode_into`] on each stream in turn:
+    /// on an error, that of the lowest failing lane, whose output — and
+    /// possibly those of the lanes after it — is left short.
+    pub fn decode_lanes(
+        &self,
+        streams: [&[u8]; LANES],
+        counts: [usize; LANES],
+        outs: &mut [Vec<u32>; LANES],
+    ) -> Result<()> {
+        with_pairs!(self.lanes(streams, counts, outs))
+    }
+
+    fn lanes<const PAIRS: bool>(
+        &self,
+        streams: [&[u8]; LANES],
+        counts: [usize; LANES],
+        outs: &mut [Vec<u32>; LANES],
+    ) -> Result<()> {
+        // No clear: every slot kept is overwritten, so a scratch vector of
+        // the right length is not zeroed again for each group.
+        for (out, n) in outs.iter_mut().zip(counts) {
+            out.resize(n, 0);
+        }
+        let mut tails = outs.each_mut().map(|out| &mut out[..]);
+        let (mut cur, mut escapes) = ([Cursor::default(); LANES], 0);
+        // An escape in one lane is resolved on the spot. If that fails the
+        // lanes finish in order below, so the lowest failing lane reports.
+        while let (l, Stop::Escape) = self.run::<PAIRS>(streams, &mut tails, &mut cur) {
+            let mut tried = 0;
+            if self.checked(streams[l], tails[l], &mut cur[l], 1, &mut tried).is_err() {
+                break;
+            }
+            escapes += tried;
+        }
+        let mut res = Ok(());
+        for l in 0..LANES {
+            if res.is_ok() {
+                res = self.finish::<PAIRS>(streams[l], tails[l], &mut cur[l], &mut escapes);
+            }
+        }
+        for (out, c) in outs.iter_mut().zip(cur) {
+            out.truncate(c.done);
+        }
+        count_escapes(escapes);
+        res
+    }
+
+    /// The entry for the code at the low end of `word`: the root's, or its
+    /// sub-table's when the root links to one.
+    #[inline(always)]
+    fn lookup(&self, word: u64) -> u32 {
+        let mut e = self.root[word as usize & (self.root.len() - 1)];
+        if e & LINK != 0 {
+            let sub = (word >> self.bits) as usize & ((1 << (e & LEN_MASK)) - 1);
+            e = self.subs.get((e >> 8) as usize + sub).copied().unwrap_or(0);
+        }
+        e
+    }
+
+    /// One step of the one block-decode loop: loads the word at the cursor
+    /// and resolves two entries from it — at most 2 × 22 of the 57 bits a
+    /// load at any bit offset holds, all inside the lane's own slice, so
+    /// exhaustion cannot be missed here. Stops, the cursor before the code
+    /// in question, short of 8 readable bytes or four symbols to go, or at
+    /// an escape.
+    #[inline(always)]
+    fn step<const PAIRS: bool>(
+        &self,
+        data: &[u8],
+        out: &mut [u32],
+        cur: &mut Cursor,
+    ) -> Option<Stop> {
+        let slots = out.get_mut(cur.done..).and_then(|s| s.first_chunk_mut::<4>());
+        let bytes = data.get(cur.bit / 8..).and_then(|s| s.first_chunk::<8>());
+        let (Some(slots), Some(bytes)) = (slots, bytes) else { return Some(Stop::Short) };
+        let mut word = u64::from_le_bytes(*bytes) >> (cur.bit % 8);
+        let mut at = 0;
+        for _ in 0..2 {
+            let e = self.lookup(word);
+            let (len, pair) = (e & LEN_MASK, PAIRS && e & PAIR != 0);
+            if len == 0 {
+                cur.done += at;
+                return Some(Stop::Escape);
+            }
+            slots[at] = if pair { self.pair_base.wrapping_add((e >> 12) % PAIR_SPAN) } else { e >> 8 };
+            if PAIRS {
+                // A second symbol only a pair has; the next probe, or the
+                // tail, overwrites it otherwise.
+                slots[at + 1] = self.pair_base.wrapping_add(e >> 22);
+            }
+            at += 1 + pair as usize;
+            cur.bit += len as usize;
+            word >>= len;
+        }
+        cur.done += at;
+        None
+    }
+
+    /// Steps every lane in turn until one stops; which, and why.
+    fn run<const PAIRS: bool>(
+        &self,
+        streams: [&[u8]; LANES],
+        outs: &mut [&mut [u32]; LANES],
+        cursors: &mut [Cursor; LANES],
+    ) -> (usize, Stop) {
+        // Lanes by name, not by index: the cursors must live in registers.
+        let [mut a, mut b, mut c, mut d] = *cursors;
+        let [out_a, out_b, out_c, out_d] = outs;
+        let stop = loop {
+            if let Some(stop) = self.step::<PAIRS>(streams[0], out_a, &mut a) {
+                break (0, stop);
+            }
+            if let Some(stop) = self.step::<PAIRS>(streams[1], out_b, &mut b) {
+                break (1, stop);
+            }
+            if let Some(stop) = self.step::<PAIRS>(streams[2], out_c, &mut c) {
+                break (2, stop);
+            }
+            if let Some(stop) = self.step::<PAIRS>(streams[3], out_d, &mut d) {
+                break (3, stop);
+            }
+        };
+        *cursors = [a, b, c, d];
+        stop
+    }
+
+    /// Decodes the next `n` symbols of `out`, or as many as it has left,
+    /// through a checked reader.
+    fn checked(
+        &self,
+        data: &[u8],
+        out: &mut [u32],
+        cur: &mut Cursor,
+        n: usize,
+        escapes: &mut u64,
+    ) -> Result<()> {
+        let mut r = reader_at(data, cur.bit);
+        let rest = out.get_mut(cur.done..).unwrap_or_default();
+        let res = rest.iter_mut().take(n).try_for_each(|slot| {
+            *slot = self.decode_one(&mut r, escapes)?;
+            cur.done += 1;
+            Ok(())
+        });
+        cur.bit = 8 * data.len() - r.remaining_bits() as usize;
+        res
+    }
+
+    /// Runs one lane to the end of `out`: the word loop with its escapes
+    /// resolved one by one, then the last few symbols checked.
+    fn finish<const PAIRS: bool>(
+        &self,
+        data: &[u8],
+        out: &mut [u32],
+        cur: &mut Cursor,
+        escapes: &mut u64,
+    ) -> Result<()> {
+        loop {
+            let mut lane = *cur;
+            let stop = loop {
+                if let Some(stop) = self.step::<PAIRS>(data, out, &mut lane) {
+                    break stop;
+                }
+            };
+            *cur = lane;
+            match stop {
+                Stop::Escape => self.checked(data, out, cur, 1, escapes)?,
+                Stop::Short => return self.checked(data, out, cur, usize::MAX, escapes),
+            }
+        }
     }
 
     #[inline]
-    fn decode_one<const W: u32>(&self, r: &mut BitReader<'_>) -> Result<u32> {
-        let e = &self.table.lut[r.peek_bits(W) as usize];
-        if e.nsyms != 0 {
-            // Zero-padded peek bits past the end of the stream cannot
-            // fabricate a symbol: consume() still errors if fewer than
-            // `len1` real bits remain.
-            r.consume(e.len1 as u32)?;
-            return Ok(e.syms[0]);
-        }
-        self.decode_escape::<W>(r)
-    }
-
-    fn decode_run<const W: u32>(
-        &self,
-        r: &mut BitReader<'_>,
-        n: usize,
-        out: &mut Vec<u32>,
-    ) -> Result<()> {
-        let lut = &self.table.lut[..];
-        // Scratch tail: every probe stores all LUT_PACK slots
-        // unconditionally and advances the cursor by the real count, so
-        // over-stored slots are rewritten by the next probe or truncated.
-        let start = out.len();
-        out.resize(start + n + (LUT_PACK - 1), 0);
-        // Work on a local copy of the reader so its accumulator state stays
-        // in registers across the loop (the caller's &mut would pin it in
-        // memory); written back on every exit path.
-        let mut lr = r.clone();
-        let s = &mut out[start..];
-        let mut i = 0usize;
-        let res = loop {
-            if i + LUT_PACK > n {
-                break Ok(());
-            }
-            let e = &lut[lr.peek_bits(W) as usize];
-            if e.nsyms == 0 {
-                match self.decode_escape::<W>(&mut lr) {
-                    Ok(sym) => s[i] = sym,
-                    Err(err) => break Err(err),
-                }
-                i += 1;
-                continue;
-            }
-            if let Err(err) = lr.consume(e.bits as u32) {
-                break Err(err);
-            }
-            s[i..i + LUT_PACK].copy_from_slice(&e.syms);
-            i += e.nsyms as usize;
+    fn decode_one(&self, r: &mut BitReader<'_>, escapes: &mut u64) -> Result<u32> {
+        let e = self.lookup(r.peek_bits(MAX_WINDOW_BITS + SUB_BITS));
+        let (sym, len) = if e & PAIR != 0 {
+            (self.pair_base.wrapping_add((e >> 12) % PAIR_SPAN), (e >> 8) & 0xf)
+        } else {
+            (e >> 8, e & LEN_MASK)
         };
-        if let Err(err) = res {
-            *r = lr;
-            out.truncate(start + i.min(n));
-            return Err(err);
+        if len == 0 {
+            *escapes += 1;
+            return self.decode_escape(r);
         }
-        // Tail: fewer than LUT_PACK symbols remain; decode one at a time so
-        // a multi-symbol probe cannot consume bits past the n-th code.
-        while i < n {
-            match self.decode_one::<W>(&mut lr) {
-                Ok(sym) => s[i] = sym,
-                Err(err) => {
-                    *r = lr;
-                    out.truncate(start + i);
-                    return Err(err);
-                }
-            }
-            i += 1;
-        }
-        *r = lr;
-        out.truncate(start + n);
-        Ok(())
+        // Zero-padded peek bits past the end of the stream cannot
+        // fabricate a symbol: consume() still errors if fewer than `len`
+        // real bits remain.
+        r.consume(len)?;
+        Ok(sym)
     }
 
-    /// Resolves a code longer than the window: peeks a full-width word,
-    /// rebuilds the MSB-first code value for its first `W` bits, then
-    /// extends one bit at a time in registers — still a single `consume`,
-    /// never a per-bit stream read.
+    /// Resolves a code the tables do not hold: peeks a full-width word and
+    /// walks the per-length tables over it in registers — a single
+    /// `consume`, never a per-bit stream read.
     #[cold]
-    fn decode_escape<const W: u32>(&self, r: &mut BitReader<'_>) -> Result<u32> {
-        foresight_util::telemetry::counter("huffman.escape_hits", 1);
+    fn decode_escape(&self, r: &mut BitReader<'_>) -> Result<u32> {
         const PEEK: u32 = 56;
         let book = self.book;
         let window = r.peek_bits(PEEK);
-        let mut code = (window & ((1 << W) - 1)).reverse_bits() >> (64 - W);
-        for len in (W + 1)..=PEEK.min(MAX_LEN as u32) {
+        let mut code = 0u64;
+        for len in 1..=PEEK.min(MAX_LEN as u32) {
             code = (code << 1) | ((window >> (len - 1)) & 1);
             let c = book.count[len as usize];
             if c != 0 {
@@ -865,8 +1063,9 @@ mod tests {
         assert!(avg <= entropy + 1.0, "avg {avg} vs entropy {entropy}");
     }
 
-    /// The two views against the bit-at-a-time oracles: every window
-    /// width, every book shape, every count around the `LUT_PACK` seam.
+    /// The two views against the bit-at-a-time oracles: every root width,
+    /// every book shape, every count around the word loop's four-symbol
+    /// seam, one lane and four.
     mod views {
         use super::*;
 
@@ -883,22 +1082,32 @@ mod tests {
         fn books() -> Vec<(&'static str, Codebook)> {
             let geometric: Vec<(u32, u64)> =
                 (0..=30u32).map(|i| (i + 5, 1u64 << (30 - i))).collect();
+            // 11- and 12-bit codes only: past every root but the widest.
+            let uniform: Vec<(u32, u64)> = (0..3000u32).map(|i| (31_000 + i, 50 + i as u64 % 7)).collect();
+            // Short codes on symbols no entry can hold, long ones on some
+            // it can.
+            let huge: Vec<(u32, u64)> = (0..40u32)
+                .map(|i| (if i % 3 == 0 { LEAF_SYMBOLS + i } else { 32_768 + i }, 1 + (1u64 << (i / 2))))
+                .collect();
             [
                 ("one symbol", vec![(32_768, 10)]),
                 ("two symbols", vec![(32_767, 3), (32_768, 9)]),
                 ("sz 47", sz_shaped(47)),
                 ("sz 120", sz_shaped(120)),
                 ("geometric", geometric),
+                ("uniform 3000", uniform),
+                ("symbols past 2^24", huge),
             ]
             .into_iter()
             .map(|(name, freqs)| (name, Codebook::from_frequencies(&freqs).unwrap()))
             .collect()
         }
 
-        /// `n` symbols cycling through the whole book, long codes included.
-        fn sample(book: &Codebook, n: usize) -> Vec<u32> {
+        /// `n` symbols cycling through the whole book from `salt` on, long
+        /// codes included.
+        fn sample(book: &Codebook, n: usize, salt: usize) -> Vec<u32> {
             let syms = book.entries();
-            (0..n).map(|i| syms[(i * 2_654_435_761) % syms.len()].0).collect()
+            (salt..salt + n).map(|i| syms[(i * 2_654_435_761) % syms.len()].0).collect()
         }
 
         /// The canonical code of `sym` from the per-length tables alone.
@@ -920,13 +1129,24 @@ mod tests {
             w
         }
 
+        /// Four lanes of `counts` symbols, each stream followed by `pads`
+        /// bytes that are not code.
+        fn lanes(book: &Codebook, counts: [usize; LANES], pads: [usize; LANES]) -> [(Vec<u32>, Vec<u8>); LANES] {
+            std::array::from_fn(|l| {
+                let syms = sample(book, counts[l], 7 * l);
+                let mut bytes = oracle_encode(book, &syms).into_bytes();
+                bytes.resize(bytes.len() + pads[l], 0xa5);
+                (syms, bytes)
+            })
+        }
+
         #[test]
         fn every_width_decodes_what_the_oracle_decodes() {
             for (name, book) in books() {
                 let max_len = book.entries().iter().map(|e| e.1).max().unwrap();
                 assert_eq!(name == "geometric", max_len == 30, "{name}: max len {max_len}");
-                for n in [0usize, 1, 7, 8, 9, 4096] {
-                    let syms = sample(&book, n);
+                for n in [0usize, 1, 2, 3, 7, 8, 9, 4096] {
+                    let syms = sample(&book, n, 0);
                     let bytes = oracle_encode(&book, &syms).into_bytes();
                     let mut slow = BitReader::new(&bytes);
                     for &s in &syms {
@@ -934,8 +1154,8 @@ mod tests {
                     }
                     for bits in MIN_WINDOW_BITS..=MAX_WINDOW_BITS {
                         let table = DecodeTable::build(&book, bits);
-                        assert_eq!(table.lut.len(), 1 << bits);
-                        let view = Decoder { book: &book, table: &table };
+                        assert_eq!(table.bits, bits);
+                        let view = table.view(&book);
                         let mut r = BitReader::new(&bytes);
                         let mut out = vec![77];
                         view.decode_into(&mut r, n, &mut out).unwrap();
@@ -950,6 +1170,22 @@ mod tests {
                         for &s in &syms[..n.min(64)] {
                             assert_eq!(view.decode(&mut r).unwrap(), s, "{name} w={bits}");
                         }
+                        // One to four live lanes of unequal counts, an empty
+                        // one among them, 0..=9 bytes behind the last code.
+                        for live in 1..=LANES {
+                            let counts = std::array::from_fn(|l| {
+                                if (l + n) % LANES < live { (n + 5 * l) / (1 + l % 2) } else { 0 }
+                            });
+                            let pads = std::array::from_fn(|l| (3 * l + n + live) % 10);
+                            let want = lanes(&book, counts, pads);
+                            let mut outs: [Vec<u32>; LANES] = Default::default();
+                            outs[live - 1] = vec![9; 3];
+                            view.decode_lanes(want.each_ref().map(|w| &w.1[..]), counts, &mut outs)
+                                .unwrap();
+                            for (l, (out, (syms, _))) in outs.iter().zip(&want).enumerate() {
+                                assert_eq!(out, syms, "{name} n={n} w={bits}: lane {l} of {counts:?}");
+                            }
+                        }
                     }
                 }
             }
@@ -958,17 +1194,40 @@ mod tests {
         #[test]
         fn a_cut_stream_is_an_error_at_every_width() {
             for (name, book) in books() {
-                let syms = sample(&book, 257);
+                let syms = sample(&book, 257, 0);
                 let bytes = oracle_encode(&book, &syms).into_bytes();
+                let counts = [257, 64, 300, 9];
+                let whole = lanes(&book, counts, [0, 5, 1, 9]);
                 for bits in MIN_WINDOW_BITS..=MAX_WINDOW_BITS {
                     let table = DecodeTable::build(&book, bits);
-                    let view = Decoder { book: &book, table: &table };
+                    let view = table.view(&book);
                     for cut in 0..bytes.len() {
                         let mut out = Vec::new();
                         let mut r = BitReader::new(&bytes[..cut]);
                         let res = view.decode_into(&mut r, 257, &mut out);
                         assert!(res.is_err(), "{name} w={bits}: cut at {cut} decoded");
                         assert!(out.len() < 257 && out[..] == syms[..out.len()], "{name} w={bits}");
+                    }
+                    // Any one lane cut anywhere fails the four with the
+                    // error that stream gives alone, wherever the other
+                    // lanes stand; the lanes before it are whole.
+                    for (l, (syms, bytes)) in whole.iter().enumerate() {
+                        let coded = oracle_encode(&book, syms).into_bytes().len();
+                        for cut in 0..coded {
+                            let alone = view
+                                .decode_into(&mut BitReader::new(&bytes[..cut]), counts[l], &mut Vec::new())
+                                .unwrap_err();
+                            let mut streams = whole.each_ref().map(|w| &w.1[..]);
+                            streams[l] = &bytes[..cut];
+                            let mut outs: [Vec<u32>; LANES] = Default::default();
+                            let err = view.decode_lanes(streams, counts, &mut outs).unwrap_err();
+                            let ctx = format!("{name} w={bits}: lane {l} cut at {cut}");
+                            assert_eq!(err.to_string(), alone.to_string(), "{ctx}");
+                            assert!(outs[l].len() < counts[l] && outs[l][..] == syms[..outs[l].len()], "{ctx}");
+                            for (before, (syms, _)) in outs.iter().zip(&whole).take(l) {
+                                assert_eq!(before, syms, "{ctx}");
+                            }
+                        }
                     }
                 }
             }
@@ -1017,19 +1276,28 @@ mod tests {
             let freqs = sz_shaped(47);
             let book = Codebook::from_frequencies(&freqs).unwrap();
             assert_eq!(book.view_sizes(), (None, None));
-            let syms = sample(&book, 4096);
+            let syms = sample(&book, 4096, 0);
             let mut w = BitWriter::new();
             let encoder = book.encoder();
             syms.iter().for_each(|&s| encoder.encode(s, &mut w).unwrap());
             // 46 non-zero symbols: max - min + 1 slots, not max + 1; still
-            // no decode window on the compress side.
+            // no decode table on the compress side.
             assert_eq!(book.view_sizes(), (Some(46), None));
 
             let mut table = Vec::new();
             book.serialize(&mut table);
             assert_eq!(table.len(), book.serialized_len());
             let bytes = w.into_bytes();
-            for (n_values, entries) in [(512, 256), (4096, 512), (32_768, 4096)] {
+            // The root, then one sub-table per root prefix with longer codes
+            // (up to 14 bits here), as wide as its longest: at 8 bits two
+            // prefixes of two 9-bit codes, one of four 10-bit ones and one
+            // that runs to 14 bits; and so on.
+            let sized = [
+                (512, 256 + 2 + 2 + 4 + 64),
+                (4096, 512 + 2 + 2 + 4 + 32),
+                (32_768, 4096 + 2 + 4),
+            ];
+            for (n_values, entries) in sized {
                 let (parsed, _) = Codebook::deserialize(&table).unwrap();
                 assert_eq!(parsed.view_sizes(), (None, None));
                 let view = parsed.decoder_for(n_values);
@@ -1039,13 +1307,22 @@ mod tests {
                 // No encoder table on the decompress side; the first call
                 // fixed the width.
                 assert_eq!(parsed.view_sizes(), (None, Some(entries)));
-                assert_eq!(parsed.decoder().table.bits, window_bits(n_values));
+                assert_eq!(parsed.decoder().bits, window_bits(n_values));
             }
-            // The signature-compatible wrappers default to the full window.
+            // The signature-compatible wrappers default to the full root.
             let (parsed, _) = Codebook::deserialize(&table).unwrap();
             let mut out = Vec::new();
             parsed.decode_into(&mut BitReader::new(&bytes), syms.len(), &mut out).unwrap();
-            assert_eq!((out, parsed.view_sizes()), (syms, (None, Some(4096))));
+            assert_eq!((out, parsed.view_sizes()), (syms, (None, Some(4096 + 2 + 4))));
+            // This book's short codes pair up; a book whose shortest code is
+            // 11 bits long has no pair to make and takes the lean loop.
+            assert!(parsed.decoder().pairs);
+            let books = books();
+            assert!(!books.iter().find(|b| b.0 == "uniform 3000").unwrap().1.decoder().pairs);
+            // A symbol past 2^24 gets no entry, however short its code.
+            let (_, huge) = books.iter().find(|b| b.0 == "symbols past 2^24").unwrap();
+            let (sym, rev, len) = huge.codes().find(|c| c.0 >= LEAF_SYMBOLS).unwrap();
+            assert!(len < 8 && huge.decoder().root[rev as usize] == 0, "{sym}: {len} bits");
         }
 
         #[test]
@@ -1068,14 +1345,27 @@ mod tests {
             let err = Codebook::deserialize(&table(&crowded)).unwrap_err();
             assert!(err.to_string().contains("Kraft"), "{err}");
             // A valid one parses with no table on either side; decoding
-            // builds a window sized by the stream, never an encoder table.
+            // builds a table sized by the stream — an 8-bit root and a
+            // 64-entry sub-table under each of the 204 prefixes the 14-bit
+            // codes fill — never an encoder table.
             let (book, used) = Codebook::deserialize(&bytes).unwrap();
             assert_eq!((used, book.len(), book.view_sizes()), (bytes.len(), 13_000, (None, None)));
-            let syms = sample(&book, 300);
+            let syms = sample(&book, 300, 0);
             let stream = oracle_encode(&book, &syms).into_bytes();
             let mut out = Vec::new();
             book.decoder_for(300).decode_into(&mut BitReader::new(&stream), 300, &mut out).unwrap();
-            assert_eq!((out, book.view_sizes()), (syms, (None, Some(256))));
+            assert_eq!((out, book.view_sizes()), (syms, (None, Some(256 + 204 * 64))));
+            // 70 000 22-bit codes ask for 69 sub-tables of 1 024 entries:
+            // the budget grants 64 and the last five prefixes escape, which
+            // decodes like the oracle all the same.
+            let long: Vec<(u32, u8)> = (0..70_000u32).map(|i| (i + 1, 22)).collect();
+            let (book, _) = Codebook::deserialize(&table(&long)).unwrap();
+            let syms = sample(&book, 3000, 0);
+            assert!(syms.iter().any(|&s| s > 69_000));
+            let stream = oracle_encode(&book, &syms).into_bytes();
+            let mut out = Vec::new();
+            book.decoder().decode_into(&mut BitReader::new(&stream), 3000, &mut out).unwrap();
+            assert_eq!((out, book.view_sizes()), (syms, (None, Some(4096 + SUB_BUDGET))));
 
             // A 65 536-wide symbol span: the last symbol inside the dense
             // limit makes the encoder's largest table, one step farther

@@ -13,13 +13,16 @@
 //! ```
 //!
 //! Blocks compress and decompress in parallel (rayon); the Huffman table is
-//! global (one histogram over all blocks), matching the reference SZ.
+//! global (one histogram over all blocks), matching the reference SZ. The
+//! per-block code streams are independent and byte-aligned with their
+//! lengths in the metas, so a decode worker takes them four at a time
+//! ([`huffman::LANES`](crate::huffman::LANES)) and steps them side by side.
 
 use crate::block::{self, BlockOutput, PredictorTag};
 use crate::config::{Dims, EntropyBackend, ErrorBound, SzConfig};
-use crate::huffman::Codebook;
+use crate::huffman::{Codebook, LANES};
 use crate::{lossless, pwrel};
-use foresight_util::bits::{BitReader, BitWriter};
+use foresight_util::bits::BitWriter;
 use foresight_util::crc::crc32;
 use foresight_util::stats::summarize;
 use foresight_util::{telemetry, ByteReader, Error, Result};
@@ -525,53 +528,65 @@ pub(crate) fn prepare_decode(inf: &StreamInfo, body: &[u8]) -> Result<DecodePlan
 }
 
 thread_local! {
-    /// Per-thread symbol and outlier scratch, reused across the blocks a
-    /// worker decodes (as `block`'s lattice scratch is).
-    static DECODE_SCRATCH: RefCell<(Vec<u32>, Vec<f32>)> =
-        const { RefCell::new((Vec::new(), Vec::new())) };
+    /// Per-thread symbol (one vector per decode lane) and outlier scratch,
+    /// reused across the groups a worker decodes (as `block`'s lattice
+    /// scratch is).
+    static DECODE_SCRATCH: RefCell<([Vec<u32>; LANES], Vec<f32>)> =
+        const { RefCell::new(([const { Vec::new() }; LANES], Vec::new())) };
 }
 
-/// Entropy-decodes and dequantizes one block into `out` (the full array;
-/// only the block's own cells are written). The decode window is sized to
-/// the whole stream's value count, by whichever block gets there first.
-pub(crate) fn decode_block_into(
+/// Entropy-decodes the blocks `group` (at most [`LANES`] of them, side by
+/// side) and dequantizes each into `out` (the full array; only the blocks'
+/// own cells are written). Fails with the error of its lowest failing
+/// block. The decode table is sized to the whole stream's value count, by
+/// whichever group gets there first.
+pub(crate) fn decode_group_into(
     inf: &StreamInfo,
     plan: &DecodePlan,
     body: &[u8],
-    bi: usize,
+    group: std::ops::Range<usize>,
     out: &mut [f32],
 ) -> Result<()> {
-    let m = &plan.metas[bi];
-    let b = &plan.blocks[bi];
-    let (cs_start, cs_end) = plan.code_range(bi);
-    let cs = body.get(cs_start..cs_end).ok_or_else(|| Error::corrupt("truncated codes"))?;
+    let (mut lanes, mut cells) = ([&[][..]; LANES], [0; LANES]);
+    for (l, bi) in group.clone().enumerate().take(LANES) {
+        let (cs_start, cs_end) = plan.code_range(bi);
+        lanes[l] = body.get(cs_start..cs_end).ok_or_else(|| Error::corrupt("truncated codes"))?;
+        cells[l] = plan.blocks[bi].cells();
+    }
     let decoder = plan.book.decoder_for(plan.n_values);
     DECODE_SCRATCH.with_borrow_mut(|(codes, outliers)| {
-        codes.clear();
-        decoder.decode_into(&mut BitReader::new(cs), b.cells(), codes)?;
-        let n_zero = codes.iter().filter(|&&c| c == 0).count();
-        if n_zero != m.n_out {
-            return Err(Error::corrupt("outlier count mismatch"));
+        let decoded = decoder.decode_lanes(lanes, cells, codes);
+        for (codes, bi) in codes.iter().zip(group) {
+            let (m, b) = (&plan.metas[bi], &plan.blocks[bi]);
+            if codes.len() != b.cells() {
+                // The lowest lane left short is the one that failed.
+                return decoded.and(Err(Error::corrupt("truncated codes")));
+            }
+            let (o_start, o_end) = plan.outlier_range(bi);
+            let outlier_bytes =
+                body.get(o_start..o_end).ok_or_else(|| Error::corrupt("truncated outliers"))?;
+            outliers.clear();
+            outliers.extend(
+                outlier_bytes.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
+            );
+            // The rebuild counts the zero codes as it goes; a block whose
+            // count is off fails here, whatever it wrote.
+            let n_zero = block::decompress_block(
+                codes,
+                outliers,
+                m.tag,
+                m.coeffs,
+                inf.dims.extents(),
+                b,
+                inf.eb_abs,
+                inf.radius,
+                out,
+            );
+            if n_zero != m.n_out {
+                return Err(Error::corrupt("outlier count mismatch"));
+            }
         }
-        let (o_start, o_end) = plan.outlier_range(bi);
-        let outlier_bytes =
-            body.get(o_start..o_end).ok_or_else(|| Error::corrupt("truncated outliers"))?;
-        outliers.clear();
-        outliers.extend(
-            outlier_bytes.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
-        );
-        block::decompress_block(
-            codes,
-            outliers,
-            m.tag,
-            m.coeffs,
-            inf.dims.extents(),
-            b,
-            inf.eb_abs,
-            inf.radius,
-            out,
-        );
-        Ok(())
+        decoded
     })
 }
 
@@ -615,16 +630,22 @@ pub fn decompress(stream: &[u8]) -> Result<(Vec<f32>, Dims)> {
     // One span covers entropy decode + dequantize: the two are fused in
     // the per-block loop, matching the reference SZ decoder's structure.
     let decode = telemetry::span("sz.huffman_decode");
+    // A worker takes the blocks a lane group at a time once there is a
+    // whole group for every worker; fewer blocks than that go one by one,
+    // as wide as the pool.
+    let full_groups = plan.blocks.len() >= LANES * rayon::current_num_threads();
+    let width = if full_groups { LANES } else { 1 };
     plan.blocks
-        .par_iter()
+        .par_chunks(width)
         .enumerate()
-        .try_for_each(|(bi, _)| -> Result<()> {
+        .try_for_each(|(gi, group)| -> Result<()> {
             let p = ptr;
             // SAFETY: blocks are disjoint (see SendPtr) and the slice spans
             // the whole array.
             #[allow(unsafe_code)]
             let slice = unsafe { std::slice::from_raw_parts_mut(p.0, out_len) };
-            decode_block_into(&inf, &plan, body, bi, slice)
+            let first = gi * width;
+            decode_group_into(&inf, &plan, body, first..first + group.len(), slice)
         })?;
     drop(decode);
 
@@ -786,39 +807,85 @@ mod tests {
         check_bound(&data, &rec, 1e-3);
     }
 
+    /// Re-seals a doctored (Huffman-only) stream: body length, body CRC,
+    /// header CRC — so what fails is the block decoder, not the container.
+    fn reseal(stream: &mut [u8]) {
+        let raw_len = (stream.len() - HDR) as u64;
+        stream[RAW_LEN_AT..BODY_CRC_AT].copy_from_slice(&raw_len.to_le_bytes());
+        let body_crc = crc32(&stream[HDR..]);
+        stream[BODY_CRC_AT..HDR_CRC_AT].copy_from_slice(&body_crc.to_le_bytes());
+        let hcrc = crc32(&stream[..HDR_CRC_AT]);
+        stream[HDR_CRC_AT..HDR].copy_from_slice(&hcrc.to_le_bytes());
+    }
+
     #[test]
     fn forged_code_streams_fail_alike_on_1_2_4_threads_and_the_device() {
-        // Overwrite two blocks' code streams with all-ones (the longest
-        // code over and over: the stream runs dry) and re-seal both CRCs,
-        // so the failure is the block decoder's own, not the container's.
-        let data = sample_field(4096);
+        // Overwrite some blocks' code streams with all-ones (the longest
+        // code over and over: the stream runs dry) and re-seal the stream.
+        // Blocks decode four to a group: forged blocks in two groups, two
+        // in one group, and the last block of a three-block tail group.
         let cfg = SzConfig { block_size: 8, ..SzConfig::abs(0.5) };
-        let stream = compress(&data, Dims::D1(4096), &cfg).unwrap();
-        let plan = prepare_decode(&info(&stream).unwrap(), &stream[HDR..]).unwrap();
-        assert_eq!(plan.blocks.len(), 8);
-        let mut bad = stream.clone();
-        for bi in [5, 2] {
-            let (lo, hi) = plan.code_range(bi);
-            bad[HDR + lo..HDR + hi].fill(0xff);
-        }
-        let body_crc = crc32(&bad[HDR..]);
-        bad[BODY_CRC_AT..HDR_CRC_AT].copy_from_slice(&body_crc.to_le_bytes());
-        let hcrc = crc32(&bad[..HDR_CRC_AT]);
-        bad[HDR_CRC_AT..HDR].copy_from_slice(&hcrc.to_le_bytes());
+        for (n, nblocks, forged) in [(4096, 8, [5, 2]), (4096, 8, [3, 1]), (3584, 7, [6, 6])] {
+            let data = sample_field(n);
+            let stream = compress(&data, Dims::D1(n), &cfg).unwrap();
+            let plan = prepare_decode(&info(&stream).unwrap(), &stream[HDR..]).unwrap();
+            assert_eq!(plan.blocks.len(), nblocks);
+            let mut bad = stream.clone();
+            for bi in forged {
+                let (lo, hi) = plan.code_range(bi);
+                bad[HDR + lo..HDR + hi].fill(0xff);
+            }
+            reseal(&mut bad);
 
-        let good = decompress(&stream).unwrap();
+            let good = decompress(&stream).unwrap();
+            for threads in [1, 2, 4] {
+                foresight_util::parallel::with_threads(threads, || {
+                    assert_eq!(compress(&data, Dims::D1(n), &cfg).unwrap(), stream);
+                    assert_eq!(decompress(&stream).unwrap(), good);
+                    let err = decompress(&bad).unwrap_err();
+                    assert!(matches!(err, Error::Corrupt(_)), "{threads} threads: {err}");
+                    assert_eq!(err.to_string(), "corrupt stream: bit stream exhausted");
+                });
+            }
+            let mut device = gpu_sim::Device::new(gpu_sim::GpuSpec::tesla_v100());
+            let (on_device, ..) = crate::gpu_exec::decompress_on(&mut device, &stream).unwrap();
+            assert_eq!(on_device, good.0, "{forged:?}");
+            let err = crate::gpu_exec::decompress_on(&mut device, &bad).unwrap_err();
+            assert_eq!(err.to_string(), "corrupt stream: bit stream exhausted");
+            assert_eq!(device.allocated_bytes(), 0);
+        }
+    }
+
+    #[test]
+    fn a_group_fails_with_the_error_of_its_lowest_failing_block() {
+        // Block 1 loses an outlier from its meta (its codes still decode);
+        // block 2's code stream runs dry. One group holds both: block 1's
+        // error is the verdict, as it is when blocks decode one by one.
+        let mut data = sample_field(2048);
+        data[600] = f32::NAN;
+        let cfg = SzConfig { block_size: 8, ..SzConfig::abs(0.5) };
+        let stream = compress(&data, Dims::D1(2048), &cfg).unwrap();
+        let plan = prepare_decode(&info(&stream).unwrap(), &stream[HDR..]).unwrap();
+        assert!(plan.blocks.len() == 4 && plan.metas[1].n_out > 0);
+        let mut bad = stream.clone();
+        // n_outliers is the u32 behind the tag byte of block 1's meta; take
+        // the same count off the payload's end so the sizes still add up.
+        let at = HDR + META_BYTES + 1;
+        let fewer = (plan.metas[1].n_out as u32 - 1).to_le_bytes();
+        bad[at..at + 4].copy_from_slice(&fewer);
+        bad.truncate(bad.len() - 4);
+        let (lo, hi) = plan.code_range(2);
+        bad[HDR + lo..HDR + hi].fill(0xff);
+        reseal(&mut bad);
         for threads in [1, 2, 4] {
             foresight_util::parallel::with_threads(threads, || {
-                assert_eq!(compress(&data, Dims::D1(4096), &cfg).unwrap(), stream);
-                assert_eq!(decompress(&stream).unwrap(), good);
                 let err = decompress(&bad).unwrap_err();
-                assert!(matches!(err, Error::Corrupt(_)), "{threads} threads: {err}");
-                assert_eq!(err.to_string(), "corrupt stream: bit stream exhausted");
+                assert_eq!(err.to_string(), "corrupt stream: outlier count mismatch", "{threads}");
             });
         }
         let mut device = gpu_sim::Device::new(gpu_sim::GpuSpec::tesla_v100());
         let err = crate::gpu_exec::decompress_on(&mut device, &bad).unwrap_err();
-        assert_eq!(err.to_string(), "corrupt stream: bit stream exhausted");
+        assert_eq!(err.to_string(), "corrupt stream: outlier count mismatch");
         assert_eq!(device.allocated_bytes(), 0);
     }
 }

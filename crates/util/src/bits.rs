@@ -347,6 +347,13 @@ impl<'a> BitReader<'a> {
     pub fn remaining_bits(&self) -> u64 {
         self.nbits as u64 + 8 * (self.data.len() - self.pos) as u64
     }
+
+    /// The bytes under the reader and the index of its next unread bit in
+    /// them, for a caller that loads words from the slice itself and then
+    /// brings the reader along with [`BitReader::skip_bits`].
+    pub fn position(&self) -> (&'a [u8], usize) {
+        (self.data, 8 * self.pos - self.nbits as usize)
+    }
 }
 
 #[cfg(test)]

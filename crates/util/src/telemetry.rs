@@ -509,22 +509,37 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// Adds `delta` to counter `name` (created at 0 on first use).
+    /// Adds `delta` to counter `name` (created at 0 on first use). Like
+    /// `gauge` and `observe`, looks the name up first: only its first use
+    /// allocates a key under the lock.
     pub fn counter(&self, name: &str, delta: u64) {
         let mut s = self.state.lock().unwrap();
-        *s.counters.entry(name.to_string()).or_insert(0) += delta;
+        match s.counters.get_mut(name) {
+            Some(total) => *total += delta,
+            None => {
+                s.counters.insert(name.to_string(), delta);
+            }
+        }
     }
 
     /// Sets gauge `name` (last write wins — idempotent under job retry).
     pub fn gauge(&self, name: &str, value: f64) {
         let mut s = self.state.lock().unwrap();
-        s.gauges.insert(name.to_string(), value);
+        match s.gauges.get_mut(name) {
+            Some(gauge) => *gauge = value,
+            None => {
+                s.gauges.insert(name.to_string(), value);
+            }
+        }
     }
 
     /// Records a sample into histogram `name`.
     pub fn observe(&self, name: &str, value: f64) {
         let mut s = self.state.lock().unwrap();
-        s.histograms.entry(name.to_string()).or_default().observe(value);
+        match s.histograms.get_mut(name) {
+            Some(histogram) => histogram.observe(value),
+            None => s.histograms.entry(name.to_string()).or_default().observe(value),
+        }
     }
 
     /// Reads a counter (0 if absent).

@@ -10,7 +10,10 @@
 //!
 //! - **entropy** — canonical-Huffman encode/decode wall throughput of a
 //!   full SZ roundtrip on a synthetic Nyx-like field, plus the exact
-//!   compressed byte count; and the same for a 16^3 cut of that field
+//!   compressed byte count; decode throughput of the same field under
+//!   noise, whose codes run to ten bits and more (the wide histograms of
+//!   HACC positions, where a decoder that is fast on peaked ones can fall
+//!   off a cliff); and the roundtrip of a 16^3 cut of the field
 //!   (µs per call: what a `.fstr` chunk or a serve shard pays, where the
 //!   per-call Huffman tables are the fixed cost);
 //! - **serve** — the batched multi-device scheduler on the default
@@ -229,6 +232,19 @@ fn entropy_scenario() -> foresight_util::Result<Scenario> {
     let enc_s = best_secs(|| lossy_sz::compress(&data, dims, &cfg).expect("compress"));
     let dec_s = best_secs(|| lossy_sz::decompress(&stream).expect("decompress"));
 
+    // The same field under uniform noise a thousand bounds wide: a wide,
+    // flat code histogram.
+    let mut lcg = SEED;
+    let noisy: Vec<f32> = data
+        .iter()
+        .map(|v| {
+            lcg = lcg.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            v + ((lcg >> 40) as f32 / (1u64 << 24) as f32 - 0.5)
+        })
+        .collect();
+    let wide_stream = lossy_sz::compress(&noisy, dims, &cfg)?;
+    let wide_dec_s = best_secs(|| lossy_sz::decompress(&wide_stream).expect("decompress"));
+
     // One chunk-sized call: the field's 16^3 corner, 100 calls a pass so
     // the clock's resolution does not show.
     const C: usize = 16;
@@ -261,6 +277,12 @@ fn entropy_scenario() -> foresight_util::Result<Scenario> {
             Metric {
                 name: "decode_mbs",
                 value: volume_mb / dec_s,
+                class: "wall",
+                better: "higher",
+            },
+            Metric {
+                name: "decode_wide_mbs",
+                value: volume_mb / wide_dec_s,
                 class: "wall",
                 better: "higher",
             },

@@ -597,8 +597,9 @@ fn store_archive_matches_golden() {
 /// The committed bytes do not depend on the worker count: every golden
 /// stream, the SZ ones through the traced device too, and the sealed
 /// archive (parallel chunk CRCs, per-field digests hashed across
-/// fields) come out identical on 1, 2 and 4 threads, and `verify`
-/// returns the same tally.
+/// fields) come out identical on 1, 2 and 4 threads, every stream
+/// decodes to the blessed values on each (the SZ ones on the device as
+/// well), and `verify` returns the same tally.
 #[test]
 fn golden_bytes_identical_on_1_2_4_threads() {
     let dir = golden_dir();
@@ -609,6 +610,11 @@ fn golden_bytes_identical_on_1_2_4_threads() {
     let field = load_input(&dir, &manifest);
     let committed = |file: &str| std::fs::read(dir.join(file)).expect("golden file readable");
     let archive = committed(ARCHIVE_FILE);
+    let listed = manifest.get("vectors").and_then(Value::as_array).unwrap();
+    let blessed_decode = |name: &str| {
+        let entry = listed.iter().find(|v| v.get("name").and_then(Value::as_str) == Some(name));
+        entry.and_then(|e| e.get("decoded_sha256")).and_then(Value::as_str).unwrap().to_string()
+    };
     for threads in [1, 2, 4] {
         foresight_util::parallel::with_threads(threads, || {
             for (name, shape, cfg) in vectors() {
@@ -616,6 +622,12 @@ fn golden_bytes_identical_on_1_2_4_threads() {
                 let fresh = codec::compress(&field, shape, &cfg).unwrap();
                 assert!(fresh == golden, "{name}: bytes differ on {threads} threads");
                 let (decoded, _) = codec::decompress(&golden).unwrap();
+                // Every value, bit for bit, whatever the thread count.
+                assert_eq!(
+                    sha256_hex(&f32le_bytes(&decoded)),
+                    blessed_decode(name),
+                    "{name}: decode differs on {threads} threads"
+                );
                 if let (CodecConfig::Sz(sz), Shape::D3(x, y, z)) = (&cfg, shape) {
                     let mut device = gpu_sim::Device::new(gpu_sim::GpuSpec::tesla_v100());
                     let dims = lossy_sz::Dims::D3(x, y, z);
