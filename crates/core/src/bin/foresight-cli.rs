@@ -86,7 +86,7 @@ use foresight::trace;
 use foresight::{ForesightConfig, SlurmSim};
 use foresight_util::json::Value;
 use foresight_util::table::{fmt_f64, Table};
-use foresight_util::telemetry::{self, ChromeTraceOptions};
+use foresight_util::telemetry::{self, chrome_trace, flamegraph, ChromeTraceOptions};
 use std::path::{Path, PathBuf};
 
 const USAGE: &str = "usage: foresight-cli [--trace <path>] [--metrics-out <path>] [--memcheck] [--racecheck] [--quiet] <config.json>\n       foresight-cli report <telemetry.json>\n       foresight-cli obs-report <telemetry.json>\n       foresight-cli serve-bench [--out <dir>] [--requests <n>] [--seed <s>] [<config.json>]\n       foresight-cli cluster-bench [--out <dir>] [--requests <n>] [--seed <s>] [--healthy-only] [<config.json>]\n       foresight-cli analyze [workspace-root] [--deny-new] [--bless] [--baseline <path>] [--sarif <path>] [--hops <n>]\n       foresight-cli store pack <config.json> <archive> [--chunk <n>] [--snapshot <s>]\n       foresight-cli store ls <archive>\n       foresight-cli store verify <archive>\n       foresight-cli store extract <archive> <snapshot> <field> [--region x0:x1,y0:y1,z0:z1] [--out <file>]\n       foresight-cli store serve <archive> [--requests <n>] [--seed <s>] [--out <dir>]";
@@ -307,7 +307,7 @@ fn serve_bench_main(mut args: impl Iterator<Item = String>) -> ! {
         let cpath = dir.join("serve_trace.json");
         let snap = telemetry::snapshot();
         write_or_die(&cpath, "serve chrome trace", || {
-            trace::write_chrome_trace(&cpath, &snap, ChromeTraceOptions::default())
+            trace::write_file(&cpath, &chrome_trace(&snap, ChromeTraceOptions::default()).to_json())
         });
     }
     if diverged > 0 {
@@ -543,17 +543,12 @@ fn cluster_bench_main(mut args: impl Iterator<Item = String>) -> ! {
         });
         if let Some(c) = &chaos {
             let cpath = dir.join("cluster_trace.json");
-            let snap = telemetry::snapshot();
             // Device lanes plus one track per request, with flow arrows
             // linking each request's spans across node processes.
-            let trace_doc =
-                obs::chrome_trace_with_requests(&snap, ChromeTraceOptions::default(), &c.obs);
+            let mut snap = telemetry::snapshot();
+            snap.spans.extend(c.obs.spans.iter().cloned());
             write_or_die(&cpath, "cluster chrome trace", || {
-                if let Some(parent) = cpath.parent() {
-                    std::fs::create_dir_all(parent)?;
-                }
-                std::fs::write(&cpath, trace_doc.to_json())?;
-                Ok(())
+                trace::write_file(&cpath, &chrome_trace(&snap, ChromeTraceOptions::default()).to_json())
             });
         }
     }
@@ -1182,11 +1177,11 @@ fn main() {
                 let snap = telemetry::snapshot();
                 if let Some(path) = &cli.trace_out {
                     write_or_die(path, "chrome trace", || {
-                        trace::write_chrome_trace(path, &snap, ChromeTraceOptions::default())
+                        trace::write_file(path, &chrome_trace(&snap, ChromeTraceOptions::default()).to_json())
                     });
                     let folded = path.with_extension("folded");
                     write_or_die(&folded, "flamegraph", || {
-                        trace::write_flamegraph(&folded, &snap)
+                        trace::write_file(&folded, &flamegraph(&snap))
                     });
                 }
                 if let Some(path) = &cli.metrics_out {

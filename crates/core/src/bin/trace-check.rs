@@ -10,9 +10,10 @@
 //! numeric `pid`/`tid`/`ts`/`dur`, or `ph:"s"`/`ph:"f"` flow edges with
 //! numeric `id`/`pid`/`tid`/`ts` (`bp:"e"` on the finish). Every
 //! (pid, tid) carrying slices must have a `process_name`/`thread_name`
-//! pair, every flow id must pair a start with a finish, and a flow's
-//! `args.span` must reference a span id some `X` event defined via
-//! `args.span_id` — dangling causal arrows fail the check. CI runs this
+//! pair, every flow id must pair a start with a finish, every
+//! `args.span_id` must be defined by one `X` event only (one id space per
+//! file), and a flow's `args.span` must reference a defined span id —
+//! dangling or ambiguous causal arrows fail the check. CI runs this
 //! against a real pipeline trace so exporter regressions fail the build;
 //! `--require-flows` additionally fails traces with no flow edges at all
 //! (the cluster job uses it so request causality can't silently vanish).
@@ -162,7 +163,9 @@ fn check(doc: &Value, require_flows: bool) -> Result<String, Vec<String>> {
                     }
                 }
                 if let Some(id) = arg_span(ev, "span_id") {
-                    defined_spans.insert(id);
+                    if !defined_spans.insert(id) {
+                        errors.push(format!("event {i}: span id {id} defined twice"));
+                    }
                 }
             }
             "s" | "f" => {
@@ -221,5 +224,58 @@ fn check(doc: &Value, require_flows: bool) -> Result<String, Vec<String>> {
         ))
     } else {
         Err(errors)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A one-process trace: two slices defining `ids`, and one flow
+    /// pair from the first id to `flow_to`.
+    fn fixture(ids: [u64; 2], flow_to: u64) -> Value {
+        let slices = ids.map(|id| {
+            format!(
+                r#"{{"ph":"X","name":"s{id}","pid":1,"tid":1,"ts":0,"dur":1,"args":{{"span_id":"{id}"}}}}"#
+            )
+        });
+        let flow = |ph: &str, span: u64| {
+            format!(
+                r#"{{"ph":"{ph}","id":9,"name":"r","pid":1,"tid":1,"ts":0,"bp":"e","args":{{"span":"{span}"}}}}"#
+            )
+        };
+        Value::parse(&format!(
+            r#"[{{"ph":"M","name":"process_name","pid":1,"args":{{"name":"p"}}}},
+               {{"ph":"M","name":"thread_name","pid":1,"tid":1,"args":{{"name":"t"}}}},
+               {},{},{},{}]"#,
+            slices[0],
+            slices[1],
+            flow("s", ids[0]),
+            flow("f", flow_to)
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn well_formed_flow_passes() {
+        assert!(check(&fixture([1, 2], 2), true).is_ok());
+    }
+
+    #[test]
+    fn span_id_defined_twice_is_rejected() {
+        let errors = check(&fixture([1, 1], 1), true).unwrap_err();
+        assert!(
+            errors.iter().any(|e| e.contains("span id 1 defined twice")),
+            "{errors:?}"
+        );
+    }
+
+    #[test]
+    fn dangling_flow_is_rejected() {
+        let errors = check(&fixture([1, 2], 7), true).unwrap_err();
+        assert!(
+            errors.iter().any(|e| e.contains("unknown span id 7")),
+            "{errors:?}"
+        );
     }
 }

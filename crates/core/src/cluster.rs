@@ -49,7 +49,7 @@ use crate::serve::{
     ServeStatus, TraceEvent,
 };
 use foresight_util::telemetry::{
-    self, HistogramSummary, MetricsRegistry, MetricsSnapshot, WindowSeries,
+    self, HistogramSummary, Metrics, MetricsRegistry, WindowSeries,
 };
 use foresight_util::{Error, Result};
 use gpu_sim::{NodeChaosPlan, NodeFaultKind, UnitTiming};
@@ -234,7 +234,7 @@ pub struct ClusterReport {
     /// Circuit-breaker state changes, in decision order.
     pub breaker_transitions: Vec<BreakerTransition>,
     /// Gauges, counters, latency histogram.
-    pub metrics: MetricsSnapshot,
+    pub metrics: Metrics,
     /// Deterministic slice timeline: node device lanes, node CPU lanes,
     /// router events (lost work, CPU lane), chaos windows, breaker flips.
     pub trace: Vec<TraceEvent>,
@@ -250,12 +250,8 @@ pub struct ClusterReport {
 
 impl ClusterReport {
     /// The request-latency histogram (p50/p95/p99), if any completed.
-    pub fn latency(&self) -> Option<&HistogramSummary> {
-        self.metrics
-            .histograms
-            .iter()
-            .find(|(k, _)| k == "cluster.latency_s")
-            .map(|(_, h)| h)
+    pub fn latency(&self) -> Option<HistogramSummary> {
+        self.metrics.histogram("cluster.latency_s").map(|h| h.summary())
     }
 
     /// Response by request id.

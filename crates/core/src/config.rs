@@ -827,8 +827,9 @@ section! {
         /// means built-in defaults).
         pub cluster: Option<ClusterSettings> = None;
         /// Optional service-level objectives evaluated over the windowed
-        /// telemetry series (absent means no SLO report).
-        pub slo: Option<Vec<SloSetting>> = None;
+        /// telemetry series (absent means no SLO report; present means at
+        /// least one, since the series width derives from them).
+        pub slo: Option<Vec<SloSetting>> = None, each in NonEmpty;
         /// Optional archive-packing settings (absent means no archive
         /// stage).
         pub store: Option<StoreSettings> = None;
@@ -1213,6 +1214,10 @@ mod tests {
     #[test]
     fn slo_section_rejects_bad_values() {
         assert!(with_slo(r#"{ "metric": "x" }"#).is_err(), "must be an array");
+        match with_slo("[]") {
+            Err(Error::Config(msg)) => assert!(msg.starts_with("slo must be non-empty"), "{msg}"),
+            other => panic!("empty slo list must be a config error, got {other:?}"),
+        }
         assert!(with_slo(r#"[ { "threshold_ms": 1, "window": 0.1 } ]"#).is_err(), "no metric");
         assert!(
             with_slo(r#"[ { "metric": "m", "threshold_ms": 0, "window": 0.1 } ]"#).is_err(),

@@ -69,7 +69,7 @@ pub use config::{
     ForesightConfig, SanitizeSettings, ServeSettings, SloSetting, StoreSettings,
 };
 pub use obs::{
-    evaluate_slo, evaluate_slos, ObsOptions, ObsRecorder, ObsSpan, ObsTrace, SloLevel, SloSpec,
+    evaluate_slo, evaluate_slos, ObsOptions, ObsRecorder, ObsTrace, SloLevel, SloSpec,
     SloVerdict, SpanNode, TraceContext,
 };
 pub use optimizer::{best_fit_per_field, overall_best_ratio, Acceptance, BestFit, Candidate};

@@ -19,7 +19,7 @@ use cosmo_analysis::{
 };
 use cosmo_fft::Grid3;
 use foresight_util::table::{fmt_f64, Table};
-use foresight_util::telemetry::{self, MetricsRegistry, MetricsSnapshot};
+use foresight_util::telemetry::{self, Metrics, MetricsRegistry, TelemetrySnapshot, WindowSeries};
 use foresight_util::{Error, Result};
 use gpu_sim::{Device, FaultPlan, FaultRates, GpuSpec};
 use parking_lot::Mutex;
@@ -46,7 +46,7 @@ pub struct PipelineReport {
     /// Per-run metrics registry snapshot (always collected, even with the
     /// global telemetry collector off): resilience gauges, plus anything
     /// stages recorded.
-    pub metrics: MetricsSnapshot,
+    pub metrics: Metrics,
     /// Pairs quarantined by the chaos sweep, structurally (not as
     /// pre-rendered strings); empty on quiet runs.
     pub quarantined: Vec<QuarantinedPair>,
@@ -61,7 +61,7 @@ pub struct PipelineReport {
     pub slo: Vec<crate::obs::SloVerdict>,
     /// The windowed series the SLOs were evaluated against (None when no
     /// `slo` section was configured or telemetry was off).
-    pub series: Option<foresight_util::telemetry::WindowSeries>,
+    pub series: Option<WindowSeries>,
 }
 
 /// Runs the configured pipeline on the (simulated) cluster.
@@ -540,14 +540,29 @@ pub fn run_pipeline(cfg: &ForesightConfig, cluster: &SlurmSim) -> Result<Pipelin
             let specs: Vec<_> = slo_cfg.iter().map(|s| s.to_spec()).collect();
             let width =
                 specs.iter().map(|s| s.window_s).fold(f64::INFINITY, f64::min) / 4.0;
-            let series = crate::obs::series_from_slices(&snap, width, 4096);
+            let series = slice_series(&snap, width);
             report.slo = crate::obs::evaluate_slos(&series, &specs);
             report.series = Some(series);
         }
         let path = cfg.output.dir.join("telemetry").join("telemetry.json");
-        crate::trace::write_telemetry_json(&path, &report, &snap)?;
+        crate::trace::write_file(&path, &crate::trace::telemetry_json(&report, &snap).to_json())?;
     }
     Ok(report)
+}
+
+/// A windowed series of a snapshot's device slices, in recording order:
+/// per-window busy-duration histograms per track (`<track>.dur_s`) and
+/// slice counters per process (`slices.<process>`). This is how pipeline
+/// runs, which have no request stream, get SLOs: e.g. `kernel.dur_s.p99`
+/// watches kernel-time regressions per window.
+fn slice_series(snap: &TelemetrySnapshot, width_s: f64) -> WindowSeries {
+    let layout = snap.sim_layout();
+    let mut series = WindowSeries::new(width_s, 4096);
+    for &(p, _, s) in &layout.slices {
+        series.incr(s.start_s, &format!("slices.{}", layout.processes[p].0), 1);
+        series.observe(s.start_s, &format!("{}.dur_s", s.track), s.dur_s);
+    }
+    series
 }
 
 #[cfg(test)]
@@ -741,5 +756,23 @@ mod tests {
         cfg.output.cinema = false;
         let report = run_pipeline(&cfg, &SlurmSim::default()).unwrap();
         assert!(report.best_fit_lines.iter().any(|l| l.contains("GB/s")));
+    }
+
+    #[test]
+    fn slice_series_windows_by_start_time() {
+        use foresight_util::telemetry::SpanRecord;
+        let snap = TelemetrySnapshot {
+            spans: vec![
+                SpanRecord::slice("gpu0", "kernel", "k", 0.2e-3, 1e-4),
+                SpanRecord::slice("gpu0", "kernel", "k", 3.2e-3, 2e-4),
+            ],
+            ..TelemetrySnapshot::default()
+        };
+        let s = slice_series(&snap, 1e-3);
+        assert_eq!(s.window_at(0).unwrap().metrics.counter("slices.gpu0"), 1);
+        assert_eq!(s.window_at(3).unwrap().metrics.counter("slices.gpu0"), 1);
+        assert!(s.window_at(1).is_none());
+        let h = s.window_at(3).unwrap().metrics.histogram("kernel.dur_s").unwrap().summary();
+        assert_eq!(h.count, 1);
     }
 }

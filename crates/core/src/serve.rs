@@ -45,7 +45,7 @@ use crate::cbench::ExecPath;
 use crate::codec::{self, CodecConfig, Shape};
 use crate::obs::{self, ObsOptions, ObsRecorder, ObsTrace, TraceContext};
 use foresight_util::telemetry::{
-    self, HistogramSummary, MetricsRegistry, MetricsSnapshot, WindowSeries,
+    self, HistogramSummary, Metrics, MetricsRegistry, WindowSeries,
 };
 use foresight_util::{Error, Result};
 use gpu_sim::{
@@ -298,7 +298,7 @@ pub struct ServeReport {
     /// Per-device compute-lane utilization over the makespan.
     pub device_util: Vec<(String, f64)>,
     /// Queue-depth gauges, batch-size and latency histograms.
-    pub metrics: MetricsSnapshot,
+    pub metrics: Metrics,
     /// Deterministic slice timeline (device order, then enqueue order).
     pub trace: Vec<TraceEvent>,
     /// Request-scoped spans (empty unless [`ServeOptions::obs`] is set).
@@ -310,12 +310,8 @@ pub struct ServeReport {
 impl ServeReport {
     /// The request-latency histogram (p50/p95/p99), if any request
     /// completed.
-    pub fn latency(&self) -> Option<&HistogramSummary> {
-        self.metrics
-            .histograms
-            .iter()
-            .find(|(k, _)| k == "serve.latency_s")
-            .map(|(_, h)| h)
+    pub fn latency(&self) -> Option<HistogramSummary> {
+        self.metrics.histogram("serve.latency_s").map(|h| h.summary())
     }
 
     /// Response by request id.

@@ -1,15 +1,13 @@
-//! Pipeline-level telemetry reporting: the `telemetry.json` run report,
-//! Chrome-trace/flamegraph file writers, and the text renderings the CLI
-//! `report` subcommand prints (the paper's Fig. 7 bars as ASCII).
-//!
-//! The collection layer lives in [`foresight_util::telemetry`]; this
-//! module turns a [`TelemetrySnapshot`] plus a [`PipelineReport`] into
-//! artifacts. Two invariants matter:
+//! Pipeline-level views of the [`foresight_util::telemetry`] model: the
+//! `telemetry.json` run report, the artifact writer, and the text
+//! renderings the CLI `report` subcommand prints (the paper's Fig. 7 bars
+//! as ASCII). Two invariants matter:
 //!
 //! - **Phase totals are exact.** [`device_phase_totals`] replays each
-//!   simulated device's slices in recording order, performing the same
-//!   `f64` additions `Device::phase_totals()` performed, so the JSON
-//!   report and the device agree bit-for-bit (guarded by a test in
+//!   simulated device's slices in recording order through
+//!   [`TelemetrySnapshot::sim_layout`], performing the same `f64`
+//!   additions `Device::phase_totals()` performed, so the JSON report and
+//!   the device agree bit-for-bit (guarded by a test in
 //!   `tests/telemetry_pipeline.rs`).
 //! - **One source of truth for resilience.** [`resilience_lines`] renders
 //!   the chaos summary from the run's metrics registry; the CLI text and
@@ -19,11 +17,10 @@ use crate::cbench::QuarantinedPair;
 use crate::runner::PipelineReport;
 use foresight_util::json::Value;
 use foresight_util::table::Table;
-use foresight_util::telemetry::{
-    chrome_trace, flamegraph, ChromeTraceOptions, MetricsSnapshot, TelemetrySnapshot,
-};
+use foresight_util::telemetry::{Clock, Metrics, TelemetrySnapshot};
 use foresight_util::Result;
 use gpu_sim::PhaseTotals;
+use std::collections::BTreeMap;
 use std::path::Path;
 
 /// Renders the resilience summary from the run's metrics registry.
@@ -32,7 +29,7 @@ use std::path::Path;
 /// them (rather than accumulating strings inside retry-prone job
 /// closures) makes the CLI text and `telemetry.json` share one source.
 pub fn resilience_lines(
-    metrics: &MetricsSnapshot,
+    metrics: &Metrics,
     quarantined: &[QuarantinedPair],
 ) -> Vec<String> {
     let g = |name: &str| metrics.gauge(name).unwrap_or(0.0).round() as u64;
@@ -77,40 +74,15 @@ fn add_track(totals: &mut PhaseTotals, track: &str, seconds: f64) {
 }
 
 /// Per-device phase totals reconstructed from sim slices, sorted by
-/// process name.
-///
-/// Within one process the slices appear in the global buffer in recording
-/// order, so summing them performs the identical `f64` additions the
-/// device's own accumulator performed — the result equals that device's
-/// `phase_totals()` exactly, not approximately.
+/// process name: each device's slices in recording order, so the sums
+/// equal that device's `phase_totals()` exactly, not approximately.
 pub fn device_phase_totals(snap: &TelemetrySnapshot) -> Vec<(String, PhaseTotals)> {
-    let mut names: Vec<&str> = snap.slices.iter().map(|s| s.process.as_str()).collect();
-    names.sort_unstable();
-    names.dedup();
-    names
-        .into_iter()
-        .map(|name| {
-            let mut t = PhaseTotals::default();
-            for s in snap.slices.iter().filter(|s| s.process == name) {
-                add_track(&mut t, &s.track, s.sim_dur_s);
-            }
-            (name.to_string(), t)
-        })
-        .collect()
-}
-
-/// Sum of [`device_phase_totals`] across devices (sorted process order,
-/// so the reduction is deterministic).
-pub fn overall_phase_totals(snap: &TelemetrySnapshot) -> PhaseTotals {
-    let mut all = PhaseTotals::default();
-    for (_, t) in device_phase_totals(snap) {
-        all.init += t.init;
-        all.kernel += t.kernel;
-        all.memcpy += t.memcpy;
-        all.free += t.free;
-        all.fault += t.fault;
+    let layout = snap.sim_layout();
+    let mut totals = vec![PhaseTotals::default(); layout.processes.len()];
+    for &(p, _, s) in &layout.slices {
+        add_track(&mut totals[p], &s.track, s.dur_s);
     }
-    all
+    layout.processes.iter().map(|(name, _)| name.to_string()).zip(totals).collect()
 }
 
 fn phase_totals_json(t: &PhaseTotals) -> Value {
@@ -123,44 +95,37 @@ fn phase_totals_json(t: &PhaseTotals) -> Value {
     )
 }
 
-/// Wall-clock span statistics aggregated by span name, sorted by name:
-/// `(name, count, total_seconds)`.
-pub fn stage_stats(snap: &TelemetrySnapshot) -> Vec<(String, u64, f64)> {
-    let mut by_name: std::collections::BTreeMap<&str, (u64, f64)> = Default::default();
-    for s in &snap.spans {
-        let e = by_name.entry(s.name.as_str()).or_insert((0, 0.0));
-        e.0 += 1;
-        e.1 += s.wall_dur_us / 1e6;
-    }
-    by_name
-        .into_iter()
-        .map(|(name, (count, total))| (name.to_string(), count, total))
-        .collect()
-}
-
 /// Builds the machine-readable `telemetry.json` document for a finished
 /// pipeline run.
 pub fn telemetry_json(report: &PipelineReport, snap: &TelemetrySnapshot) -> Value {
+    let per_device = device_phase_totals(snap);
+    // Devices summed in sorted process order, so the reduction is
+    // deterministic.
+    let mut overall = PhaseTotals::default();
+    for (_, t) in &per_device {
+        overall.init += t.init;
+        overall.kernel += t.kernel;
+        overall.memcpy += t.memcpy;
+        overall.free += t.free;
+        overall.fault += t.fault;
+    }
     let per_process = Value::Object(
-        device_phase_totals(snap)
-            .iter()
-            .map(|(name, t)| (name.clone(), phase_totals_json(t)))
-            .collect(),
+        per_device.iter().map(|(name, t)| (name.clone(), phase_totals_json(t))).collect(),
     );
-    let stages = Value::Object(
-        stage_stats(snap)
-            .into_iter()
-            .map(|(name, count, total)| {
-                (
-                    name,
-                    Value::Object(vec![
-                        ("count".into(), Value::Number(count as f64)),
-                        ("wall_seconds".into(), Value::Number(total)),
-                    ]),
-                )
-            })
-            .collect(),
-    );
+    // Wall spans by name: how many, and their summed seconds.
+    let mut stages: BTreeMap<&str, (u64, f64)> = BTreeMap::new();
+    for s in snap.spans.iter().filter(|s| s.clock == Clock::Wall) {
+        let e = stages.entry(s.name.as_str()).or_insert((0, 0.0));
+        e.0 += 1;
+        e.1 += s.dur_s;
+    }
+    let stage = |(count, total): (u64, f64)| {
+        let stats = [("count", count as f64), ("wall_seconds", total)];
+        Value::Object(stats.map(|(k, v)| (k.to_string(), Value::Number(v))).to_vec())
+    };
+    let stages =
+        Value::Object(stages.into_iter().map(|(name, st)| (name.to_string(), stage(st))).collect());
+    let resilience = resilience_lines(&report.metrics, &report.quarantined);
     let jobs = Value::Array(
         report
             .workflow
@@ -200,24 +165,13 @@ pub fn telemetry_json(report: &PipelineReport, snap: &TelemetrySnapshot) -> Valu
             .collect(),
     );
     let mut fields = vec![
-        ("phase_totals".into(), phase_totals_json(&overall_phase_totals(snap))),
+        ("phase_totals".into(), phase_totals_json(&overall)),
         ("phase_totals_per_process".into(), per_process),
         ("stages".into(), stages),
         ("metrics".into(), snap.metrics.to_json()),
         ("run_metrics".into(), report.metrics.to_json()),
-        (
-            "resilience".into(),
-            Value::Array(
-                resilience_lines(&report.metrics, &report.quarantined)
-                    .into_iter()
-                    .map(Value::String)
-                    .collect(),
-            ),
-        ),
-        (
-            "sanitizer".into(),
-            Value::Array(report.sanitizer.iter().cloned().map(Value::String).collect()),
-        ),
+        ("resilience".into(), Value::Array(resilience.into_iter().map(Value::String).collect())),
+        ("sanitizer".into(), Value::Array(report.sanitizer.iter().cloned().map(Value::String).collect())),
         ("jobs".into(), jobs),
         ("records".into(), records),
     ];
@@ -231,35 +185,14 @@ pub fn telemetry_json(report: &PipelineReport, snap: &TelemetrySnapshot) -> Valu
     Value::Object(fields)
 }
 
-fn write_file(path: &Path, contents: &str) -> Result<()> {
+/// Writes one artifact (a Chrome trace, flamegraph text, or
+/// `telemetry.json`), creating its directory.
+pub fn write_file(path: &Path, contents: &str) -> Result<()> {
     if let Some(dir) = path.parent() {
         std::fs::create_dir_all(dir)?;
     }
     std::fs::write(path, contents)?;
     Ok(())
-}
-
-/// Writes a snapshot as Chrome trace-event JSON (Perfetto-loadable).
-pub fn write_chrome_trace(
-    path: &Path,
-    snap: &TelemetrySnapshot,
-    opts: ChromeTraceOptions,
-) -> Result<()> {
-    write_file(path, &chrome_trace(snap, opts).to_json())
-}
-
-/// Writes a snapshot as collapsed-stack flamegraph text.
-pub fn write_flamegraph(path: &Path, snap: &TelemetrySnapshot) -> Result<()> {
-    write_file(path, &flamegraph(snap))
-}
-
-/// Writes the `telemetry.json` run report.
-pub fn write_telemetry_json(
-    path: &Path,
-    report: &PipelineReport,
-    snap: &TelemetrySnapshot,
-) -> Result<()> {
-    write_file(path, &telemetry_json(report, snap).to_json())
 }
 
 fn bar(fraction: f64, width: usize) -> String {
@@ -328,11 +261,8 @@ pub fn render_stage_table(doc: &Value) -> String {
     for (name, s) in stages {
         table.push_row([
             name.clone(),
-            format!("{}", s.get("count").and_then(Value::as_f64).unwrap_or(0.0) as u64),
-            format!(
-                "{:.6}",
-                s.get("wall_seconds").and_then(Value::as_f64).unwrap_or(0.0)
-            ),
+            (s.get("count").and_then(Value::as_f64).unwrap_or(0.0) as u64).to_string(),
+            format!("{:.6}", s.get("wall_seconds").and_then(Value::as_f64).unwrap_or(0.0)),
         ]);
     }
     format!("== wall-clock stages ==\n{}", table.to_ascii())

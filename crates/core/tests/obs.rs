@@ -1,6 +1,6 @@
 //! Acceptance tests for the request-observability layer (`foresight::obs`).
 //!
-//! Pins the layer's three headline claims end to end:
+//! Pins the layer's headline claims end to end:
 //! - a node-kill chaos run at R=2 yields a reconstructable span tree for
 //!   a failed-over request via `trace_of(request_id)` — admission →
 //!   failed hop(s) → committed dispatch → device-lane units — and the
@@ -9,7 +9,9 @@
 //! - same-seed reruns are byte-identical in the windowed series and the
 //!   SLO verdicts derived from it;
 //! - with obs off, every pre-existing report field is identical: the
-//!   layer observes scheduling, it never steers it.
+//!   layer observes scheduling, it never steers it;
+//! - the node-kill run's host-excluded Chrome trace (device lanes, the
+//!   `requests` process, its flows) and its series are pinned by digest.
 
 use foresight::obs::{self, SloLevel};
 use foresight::{
@@ -17,13 +19,22 @@ use foresight::{
     ServeNode, ServeOptions, SloSpec,
 };
 use foresight_util::json::Value;
-use foresight_util::telemetry::{self, ChromeTraceOptions};
+use foresight_util::sha256::sha256_hex;
+use foresight_util::telemetry::{self, ChromeTraceOptions, TelemetrySnapshot};
 use gpu_sim::{NodeChaosPlan, NodeFaultEvent, NodeFaultKind};
 use std::collections::BTreeSet;
+use std::sync::Mutex;
 
 const NODES: usize = 4;
 const REPLICATION: usize = 2;
 const VICTIM: usize = 1;
+
+/// The pin test enables the process-global collector; every test here
+/// takes this lock so no other run's slices land in its snapshot.
+fn lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn spec() -> ServeCluster {
     ServeCluster::new(NODES, REPLICATION, ServeNode::v100_pcie(2))
@@ -71,6 +82,7 @@ fn span_count(node: &foresight::SpanNode) -> usize {
 
 #[test]
 fn node_kill_span_tree_reconstructs_failover_with_flows() {
+    let _g = lock();
     let report = serve_cluster(&spec(), &options(kill_plan(), true), &workload()).unwrap();
     assert!(report.failovers > 0, "node kill produced no failovers");
     assert!(!report.obs.is_empty(), "obs-on chaos run recorded no spans");
@@ -113,16 +125,13 @@ fn node_kill_span_tree_reconstructs_failover_with_flows() {
         "no device kernel lane under the committed dispatch"
     );
     // trace_of is a partition: the tree holds exactly this request's spans.
-    let flat = report.obs.spans.iter().filter(|s| s.request_id == id).count();
+    let flat = report.obs.spans.iter().filter(|s| s.request == Some(id)).count();
     assert_eq!(span_count(&tree), flat, "trace_of dropped or duplicated spans");
 
     // The Chrome export links the hops with paired flow events whose
     // span references all resolve to exported slices.
-    let doc = obs::chrome_trace_with_requests(
-        &telemetry::snapshot(),
-        ChromeTraceOptions::default(),
-        &report.obs,
-    );
+    let snap = TelemetrySnapshot { spans: report.obs.spans.clone(), ..Default::default() };
+    let doc = telemetry::chrome_trace(&snap, ChromeTraceOptions::default());
     let Value::Array(events) = &doc else { panic!("chrome trace is not a bare event array") };
     let mut defined: BTreeSet<String> = BTreeSet::new();
     let mut refs: Vec<String> = Vec::new();
@@ -158,6 +167,7 @@ fn node_kill_span_tree_reconstructs_failover_with_flows() {
 
 #[test]
 fn obs_layer_never_changes_scheduling_or_bytes() {
+    let _g = lock();
     let chaos = kill_plan();
     let base = serve_cluster(&spec(), &options(chaos.clone(), false), &workload()).unwrap();
     let with_obs = serve_cluster(&spec(), &options(chaos, true), &workload()).unwrap();
@@ -186,6 +196,7 @@ fn obs_layer_never_changes_scheduling_or_bytes() {
 
 #[test]
 fn same_seed_rerun_is_byte_identical_in_series_and_slo() {
+    let _g = lock();
     let chaos = kill_plan();
     let a = serve_cluster(&spec(), &options(chaos.clone(), true), &workload()).unwrap();
     let b = serve_cluster(&spec(), &options(chaos, true), &workload()).unwrap();
@@ -210,4 +221,46 @@ fn same_seed_rerun_is_byte_identical_in_series_and_slo() {
     assert_eq!(obs::slo_to_value(&va).to_json(), obs::slo_to_value(&vb).to_json());
     assert_eq!(va[0].level, SloLevel::Ok, "50 ms p99 objective should hold: {:?}", va[0]);
     assert_eq!(va[1].level, SloLevel::Page, "1 ns p99 objective should burn: {:?}", va[1]);
+}
+
+/// SHA-256 of the host-excluded Chrome trace of the node-kill run: the
+/// device lanes, the `requests` process and its flow edges.
+const CLUSTER_TRACE_SHA256: &str = "1e0e07cb2d9e652a7f4120000a3e39d767c59ba17bf4aeb47c5139233470d0e7";
+/// SHA-256 of the same run's `WindowSeries::to_value` JSON.
+const CLUSTER_SERIES_SHA256: &str = "691b43507d5550d83c694c1dc7ee9f015e4eae5e7730bfb4f0e072a4a2734149";
+
+#[test]
+fn node_kill_trace_and_series_bytes_are_pinned() {
+    let _g = lock();
+    let chaos = kill_plan();
+    telemetry::reset();
+    telemetry::enable();
+    let report = serve_cluster(&spec(), &options(chaos, true), &workload()).unwrap();
+    let mut snap = telemetry::snapshot();
+    telemetry::reset();
+    snap.spans.extend(report.obs.spans.iter().cloned());
+    let doc = telemetry::chrome_trace(&snap, ChromeTraceOptions { include_host: false }).to_json();
+    assert!(doc.contains("\"requests\""), "no requests process");
+    assert!(doc.contains("\"ph\":\"s\""), "no flow edges");
+    let series = report.series.expect("obs run records a series").to_value().to_json();
+    // The one documented shape change (DESIGN §8.3): series histogram
+    // summaries carry the zeros / infs / nans counts that top-level ones
+    // always had. Everything else is the pinned bytes.
+    assert!(series.contains("\"zeros\":"), "series summaries lost the shared shape");
+    let series = without_nonfinite_counts(&series);
+    assert_eq!(sha256_hex(doc.as_bytes()), CLUSTER_TRACE_SHA256, "cluster trace bytes moved");
+    assert_eq!(sha256_hex(series.as_bytes()), CLUSTER_SERIES_SHA256, "series bytes moved");
+}
+
+/// Drops every `"zeros":…,"infs":…,"nans":…,` run from a JSON text.
+fn without_nonfinite_counts(json: &str) -> String {
+    let mut out = String::new();
+    let mut rest = json;
+    while let Some(at) = rest.find("\"zeros\":") {
+        out.push_str(&rest[..at]);
+        let nans = &rest[at..][rest[at..].find("\"nans\":").expect("nans follows zeros")..];
+        rest = &nans[nans.find(',').expect("summary continues past nans") + 1..];
+    }
+    out.push_str(rest);
+    out
 }

@@ -229,7 +229,7 @@ fn store_reads_cost_the_same_on_cold_warm_and_fresh_readers() {
 
     let store_metrics = |r: &foresight::ServeReport| {
         let counters: Vec<_> =
-            r.metrics.counters.iter().filter(|(k, _)| k.starts_with("store.")).cloned().collect();
+            r.metrics.counters.iter().filter(|(k, _)| k.starts_with("store.")).map(|(k, v)| (k.clone(), *v)).collect();
         let gauges: Vec<_> = r
             .metrics
             .gauges

@@ -12,6 +12,7 @@ use foresight::pat::SlurmSim;
 use foresight::runner::run_pipeline;
 use foresight::trace;
 use foresight_util::json::Value;
+use foresight_util::sha256::sha256_hex;
 use foresight_util::telemetry::{self, ChromeTraceOptions};
 use gpu_sim::GpuSpec;
 use std::sync::Mutex;
@@ -97,8 +98,14 @@ fn chrome_trace_export_is_deterministic_for_fixed_seed() {
     // Sanity: the export is non-trivial and names the pair processes.
     assert!(exports[0].contains("rho/GPU-SZ abs=0.01"), "pair label process missing");
     assert!(exports[0].contains("\"ph\":\"X\""), "no complete events");
+    // Pinned bytes: a change to the record model or the writer must
+    // leave the sim-only export exactly as it was.
+    assert_eq!(sha256_hex(exports[0].as_bytes()), PIPELINE_TRACE_SHA256, "sim trace bytes moved");
     telemetry::reset();
 }
+
+/// SHA-256 of the host-excluded Chrome trace of the seeded chaos sweep.
+const PIPELINE_TRACE_SHA256: &str = "43cead51d9fc7133c2a20d278b4387158127a349eb2f0b0c169c44f28aba8c33";
 
 #[test]
 fn sweep_spans_nest_under_sweep_parent_across_rayon() {

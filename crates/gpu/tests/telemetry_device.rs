@@ -37,17 +37,17 @@ fn slices_mirror_the_timeline_across_resets() {
     telemetry::reset();
 
     let dev_slices: Vec<_> =
-        snap.slices.iter().filter(|s| s.process == "nyx/v100").collect();
+        snap.spans.iter().filter(|s| s.process == "nyx/v100").collect();
     // malloc, h2d, compress, d2h, decompress, d2h, free.
     assert_eq!(dev_slices.len(), 7);
 
     // Slice starts are monotone on the lifetime clock even though
     // reset_clock() zeroed the windowed clock mid-script.
-    let starts: Vec<f64> = dev_slices.iter().map(|s| s.sim_start_s).collect();
+    let starts: Vec<f64> = dev_slices.iter().map(|s| s.start_s).collect();
     assert!(starts.windows(2).all(|w| w[0] <= w[1]), "{starts:?}");
     let last = dev_slices.last().unwrap();
     assert!(
-        (last.sim_start_s + last.sim_dur_s - d.total_elapsed()).abs() < 1e-12,
+        (last.start_s + last.dur_s - d.total_elapsed()).abs() < 1e-12,
         "slices tile the lifetime clock"
     );
 
@@ -60,11 +60,12 @@ fn slices_mirror_the_timeline_across_resets() {
     assert_eq!(track_of("compress").as_deref(), Some("kernel"));
     assert_eq!(track_of("free").as_deref(), Some("free"));
 
-    // Snapshot aggregation equals the device's lifetime phase totals.
+    // Per-track sums over the sim layout equal the device's lifetime
+    // phase totals.
     let totals = d.phase_totals();
-    let by_track = snap.phase_totals();
+    let layout = snap.sim_layout();
     let get = |t: &str| {
-        by_track.iter().find(|(k, _)| k == t).map(|(_, v)| *v).unwrap_or(0.0)
+        layout.slices.iter().filter(|(_, _, s)| s.track == t).map(|(_, _, s)| s.dur_s).sum::<f64>()
     };
     assert!((get("kernel") - totals.kernel).abs() < 1e-12);
     assert!((get("h2d") + get("d2h") - totals.memcpy).abs() < 1e-12);
@@ -74,13 +75,8 @@ fn slices_mirror_the_timeline_across_resets() {
     // PCIe byte counters saw both directions.
     assert_eq!(snap.metrics.counter("pcie.h2d.bytes"), 1 << 20);
     assert_eq!(snap.metrics.counter("pcie.d2h.bytes"), (1 << 18) + (1 << 20));
-    let (_, hist) = snap
-        .metrics
-        .histograms
-        .iter()
-        .find(|(k, _)| k == "pcie.transfer.sim_seconds")
-        .expect("transfer histogram");
-    assert_eq!(hist.count, 3);
+    let hist = snap.metrics.histogram("pcie.transfer.sim_seconds").expect("transfer histogram");
+    assert_eq!(hist.count(), 3);
 }
 
 #[test]
@@ -94,7 +90,7 @@ fn disabled_telemetry_leaves_device_behavior_identical() {
     telemetry::reset();
     assert_eq!(with_off.phase_totals(), with_on.phase_totals());
     assert_eq!(with_off.total_elapsed(), with_on.total_elapsed());
-    assert!(!snap.slices.is_empty(), "enabled run collected slices");
+    assert!(!snap.sim_layout().slices.is_empty(), "enabled run collected slices");
 }
 
 #[test]
@@ -111,7 +107,7 @@ fn fault_retries_bump_counters() {
     assert_eq!(snap.metrics.counter("gpu.fault.retries"), 3, "initial + 2 retries");
     assert_eq!(snap.metrics.counter("gpu.fault.transfer"), 3);
     assert!(snap
-        .slices
+        .spans
         .iter()
         .any(|s| s.track == "fault" && s.name == "h2d!transfer"));
 }

@@ -1,23 +1,26 @@
-//! Foresight telemetry: structured spans, a metrics registry, and
-//! standard trace exports.
+//! Foresight telemetry: one span record, one metrics map, and the views
+//! built on them.
 //!
 //! The paper's core deliverable is a *measurement* (Fig. 7 kernel-vs-PCIe
 //! breakdowns, rate-distortion sweeps); this module is the measurement
-//! substrate the whole workspace shares. It records three kinds of data:
+//! substrate the whole workspace shares. Its data model is two types:
 //!
-//! - **Spans** — RAII guards ([`span`], [`timed`]) that capture nested
-//!   begin/end intervals on the *wall clock*. Nesting is tracked through a
-//!   thread-local stack; work fanned out across rayon workers keeps its
-//!   logical parent via [`current_span`] + [`span_with_parent`].
-//! - **Sim slices** ([`sim_slice`]) — intervals on a *simulated clock*
-//!   (the `gpu-sim` device model), keyed by a process (one per simulated
-//!   device) and a track (one per phase: kernel, h2d, d2h, init, free,
-//!   fault). Sim slices are deterministic for a fixed seed, which makes
-//!   the Chrome-trace export golden-testable.
-//! - **Metrics** — counters, gauges, and log-bucketed histograms with
-//!   p50/p95/p99 summaries ([`MetricsRegistry`]). A global registry backs
-//!   [`counter`]/[`gauge`]/[`observe`]; standalone registries serve
-//!   always-on bookkeeping (e.g. the pipeline resilience summary).
+//! - [`SpanRecord`] — one interval on one of two [`Clock`]s. *Wall*
+//!   spans come from RAII guards ([`span`], [`timed`]) that nest through
+//!   a thread-local stack; work fanned out across rayon workers keeps its
+//!   logical parent via [`current_span`] + [`span_with_parent`]. *Sim*
+//!   records ([`sim_slice`]) sit on the simulated clock of the `gpu-sim`
+//!   device model, placed on a process (one per simulated device) and a
+//!   track (one per phase: kernel, h2d, d2h, init, free, fault); they are
+//!   deterministic for a fixed seed, which makes the Chrome-trace export
+//!   golden-testable. Request spans (`foresight::obs`) are sim records
+//!   that also name their request.
+//! - [`Metrics`] — counters, gauges, and log-bucketed histograms with
+//!   p50/p95/p99 summaries. The global registry behind
+//!   [`counter`]/[`gauge`]/[`observe`], every standalone
+//!   [`MetricsRegistry`] (always-on bookkeeping such as the pipeline
+//!   resilience summary), every snapshot, and every [`WindowSeries`]
+//!   window hold one, and all of them render through [`Metrics::to_json`].
 //!
 //! # Zero cost when off
 //!
@@ -29,17 +32,19 @@
 //! produce byte-identical outputs to their un-instrumented form; a test
 //! in `crates/core/tests/telemetry_pipeline.rs` guards this.
 //!
-//! # Exports
+//! # Views
 //!
-//! [`TelemetrySnapshot`] clones the collected state; [`chrome_trace`]
-//! renders it as Chrome trace-event JSON (loadable in Perfetto; sim
-//! processes are deterministic, the host process can be excluded for
-//! golden tests) and [`flamegraph`] as collapsed-stack text for
-//! `inferno`/`flamegraph.pl`.
+//! [`snapshot`] clones the collected records and metrics.
+//! [`TelemetrySnapshot::sim_layout`] groups the sim records by process and
+//! track in recording order — the one pass behind Chrome pids and tids,
+//! `telemetry.json` phase totals, and slice series. [`chrome_trace`]
+//! renders a snapshot as Chrome trace-event JSON (loadable in Perfetto;
+//! the host process can be excluded for golden tests) and [`flamegraph`]
+//! as collapsed-stack text for `inferno`/`flamegraph.pl`.
 
 use crate::json::Value;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -52,7 +57,12 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 
 fn collector() -> &'static Collector {
     static COLLECTOR: OnceLock<Collector> = OnceLock::new();
-    COLLECTOR.get_or_init(Collector::new)
+    COLLECTOR.get_or_init(|| Collector {
+        epoch: Instant::now(),
+        next_id: AtomicU64::new(1),
+        records: Mutex::new(Vec::new()),
+        metrics: MetricsRegistry::new(),
+    })
 }
 
 /// Turns collection on. Until this is called every telemetry entry point
@@ -74,42 +84,79 @@ pub fn is_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Disables collection and clears everything collected so far (spans,
-/// slices, metrics). Intended for tests; runs start clean by default.
+/// Disables collection and clears everything collected so far (records
+/// and metrics). Intended for tests; runs start clean by default.
 pub fn reset() {
     disable();
     let c = collector();
-    c.spans.lock().unwrap().clear();
-    c.slices.lock().unwrap().clear();
+    c.records.lock().unwrap().clear();
     c.metrics.clear();
 }
 
 struct Collector {
     epoch: Instant,
     next_id: AtomicU64,
-    spans: Mutex<Vec<SpanRecord>>,
-    slices: Mutex<Vec<SimSlice>>,
+    /// Wall spans and sim slices, in recording order.
+    records: Mutex<Vec<SpanRecord>>,
     metrics: MetricsRegistry,
 }
 
 impl Collector {
-    fn new() -> Self {
-        Self {
-            epoch: Instant::now(),
-            next_id: AtomicU64::new(1),
-            spans: Mutex::new(Vec::new()),
-            slices: Mutex::new(Vec::new()),
-            metrics: MetricsRegistry::new(),
-        }
+    fn now_s(&self) -> f64 {
+        self.epoch.elapsed().as_secs_f64()
     }
 
-    fn now_us(&self) -> f64 {
-        self.epoch.elapsed().as_secs_f64() * 1e6
+    fn push(&self, record: SpanRecord) {
+        self.records.lock().unwrap().push(record);
     }
 }
 
 // ---------------------------------------------------------------------------
-// Spans (wall clock)
+// The record
+// ---------------------------------------------------------------------------
+
+/// Which clock a [`SpanRecord`] was measured on.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Clock {
+    /// Host wall time, seconds since the collector epoch.
+    #[default]
+    Wall,
+    /// A simulated clock, seconds since device (or run) start.
+    Sim,
+}
+
+/// One finished interval: a wall span, a device's sim slice, or a
+/// request span. `Default` is an unplaced root wall span at 0.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SpanRecord {
+    /// Id within the record's id space: wall spans are process-unique
+    /// (never 0), request spans are numbered from 1 per run, and device
+    /// slices, which are never parents, carry 0.
+    pub id: u64,
+    /// Parent id in the same space (0 for roots).
+    pub parent: u64,
+    /// What happened, e.g. `"sz.quantize"`, `"h2d"`, `"dispatch"`.
+    pub name: String,
+    /// Key/value attributes; shown under `args` in the Chrome trace.
+    pub attrs: Vec<(String, String)>,
+    /// The clock `start_s` and `dur_s` are on.
+    pub clock: Clock,
+    /// Sim placement: the Chrome-trace process (simulated device or node)
+    /// and its track (phase or lane). Empty for wall spans and for
+    /// request spans that ran on no device lane.
+    pub process: String,
+    /// See `process`.
+    pub track: String,
+    /// The request a request span belongs to; `None` otherwise.
+    pub request: Option<u64>,
+    /// Start, seconds on `clock`.
+    pub start_s: f64,
+    /// Duration, seconds.
+    pub dur_s: f64,
+}
+
+// ---------------------------------------------------------------------------
+// Wall spans
 // ---------------------------------------------------------------------------
 
 /// Identifier of a live or finished span (`0` means "no span").
@@ -119,23 +166,6 @@ pub struct SpanId(pub u64);
 impl SpanId {
     /// The "no parent" sentinel.
     pub const NONE: SpanId = SpanId(0);
-}
-
-/// One finished span as stored by the collector.
-#[derive(Debug, Clone)]
-pub struct SpanRecord {
-    /// Unique id (never 0).
-    pub id: u64,
-    /// Parent span id (0 for roots).
-    pub parent: u64,
-    /// Span name, e.g. `"sz.quantize"`.
-    pub name: String,
-    /// Key/value attributes attached before the guard dropped.
-    pub attrs: Vec<(String, String)>,
-    /// Begin time in microseconds since the collector epoch.
-    pub wall_start_us: f64,
-    /// Duration in microseconds.
-    pub wall_dur_us: f64,
 }
 
 thread_local! {
@@ -152,8 +182,8 @@ pub fn current_span() -> SpanId {
     SPAN_STACK.with(|s| SpanId(s.borrow().last().copied().unwrap_or(0)))
 }
 
-/// RAII span guard: records a [`SpanRecord`] when dropped. Inert (and
-/// free) when telemetry is disabled.
+/// RAII span guard: records a wall [`SpanRecord`] when dropped. Inert
+/// (and free) when telemetry is disabled.
 #[must_use = "a span measures the scope it lives in"]
 pub struct Span {
     /// 0 for inert guards.
@@ -161,17 +191,13 @@ pub struct Span {
     parent: u64,
     name: String,
     attrs: Vec<(String, String)>,
-    start_us: f64,
+    start_s: f64,
 }
 
 /// Opens a span named `name`, parented to the innermost live span on
 /// this thread.
 pub fn span(name: impl AsRef<str>) -> Span {
-    if !is_enabled() {
-        return Span::inert();
-    }
-    let parent = SPAN_STACK.with(|s| s.borrow().last().copied().unwrap_or(0));
-    Span::open(name.as_ref(), parent)
+    span_with_parent(name, current_span())
 }
 
 /// Opens a span with an explicit parent — the cross-thread form used
@@ -180,29 +206,21 @@ pub fn span(name: impl AsRef<str>) -> Span {
 /// so nested [`span`] calls chain correctly.
 pub fn span_with_parent(name: impl AsRef<str>, parent: SpanId) -> Span {
     if !is_enabled() {
-        return Span::inert();
+        return Span { id: 0, parent: 0, name: String::new(), attrs: Vec::new(), start_s: 0.0 };
     }
-    Span::open(name.as_ref(), parent.0)
+    let c = collector();
+    let id = c.next_id.fetch_add(1, Ordering::Relaxed);
+    SPAN_STACK.with(|s| s.borrow_mut().push(id));
+    Span {
+        id,
+        parent: parent.0,
+        name: name.as_ref().to_string(),
+        attrs: Vec::new(),
+        start_s: c.now_s(),
+    }
 }
 
 impl Span {
-    fn inert() -> Self {
-        Self { id: 0, parent: 0, name: String::new(), attrs: Vec::new(), start_us: 0.0 }
-    }
-
-    fn open(name: &str, parent: u64) -> Self {
-        let c = collector();
-        let id = c.next_id.fetch_add(1, Ordering::Relaxed);
-        SPAN_STACK.with(|s| s.borrow_mut().push(id));
-        Self {
-            id,
-            parent,
-            name: name.to_string(),
-            attrs: Vec::new(),
-            start_us: c.now_us(),
-        }
-    }
-
     /// This span's id (NONE when telemetry is disabled).
     pub fn id(&self) -> SpanId {
         SpanId(self.id)
@@ -222,7 +240,7 @@ impl Drop for Span {
             return;
         }
         let c = collector();
-        let end = c.now_us();
+        let end = c.now_s();
         SPAN_STACK.with(|s| {
             let mut s = s.borrow_mut();
             if s.last() == Some(&self.id) {
@@ -233,13 +251,14 @@ impl Drop for Span {
                 s.retain(|&x| x != self.id);
             }
         });
-        c.spans.lock().unwrap().push(SpanRecord {
+        c.push(SpanRecord {
             id: self.id,
             parent: self.parent,
             name: std::mem::take(&mut self.name),
             attrs: std::mem::take(&mut self.attrs),
-            wall_start_us: self.start_us,
-            wall_dur_us: (end - self.start_us).max(0.0),
+            start_s: self.start_s,
+            dur_s: (end - self.start_s).max(0.0),
+            ..SpanRecord::default()
         });
     }
 }
@@ -251,44 +270,63 @@ impl Drop for Span {
 /// paths: callers keep the wall measurement they always had, and the
 /// exporters see the same interval as a span.
 pub fn timed<R>(name: &str, f: impl FnOnce() -> R) -> (R, f64) {
-    let _span = if is_enabled() { Some(span(name)) } else { None };
+    let _span = span(name);
     let t = Instant::now();
     let r = f();
     (r, t.elapsed().as_secs_f64())
 }
 
-// ---------------------------------------------------------------------------
-// Sim slices (simulated clock)
-// ---------------------------------------------------------------------------
-
-/// One interval on a simulated clock.
-#[derive(Debug, Clone)]
-pub struct SimSlice {
-    /// Simulated device/node this happened on (a Chrome-trace process).
-    pub process: String,
-    /// Phase lane within the process (a Chrome-trace track): `kernel`,
-    /// `h2d`, `d2h`, `init`, `free`, `fault`.
-    pub track: String,
-    /// Event label, e.g. `"cuzfp"` or `"h2d!transfer"`.
-    pub name: String,
-    /// Start in simulated seconds since device creation.
-    pub sim_start_s: f64,
-    /// Duration in simulated seconds.
-    pub sim_dur_s: f64,
+/// Debug assertion that every recorded span named `name` is parented on
+/// `parent`. Spans opened with plain [`span`] inside a rayon/crossbeam
+/// closure silently re-root (the worker thread has an empty span stack);
+/// call this after the fan-out joins to catch that class of bug in debug
+/// builds. No-op in release builds or while collection is disabled.
+pub fn assert_span_parent(name: &str, parent: SpanId) {
+    if !cfg!(debug_assertions) || !is_enabled() {
+        return;
+    }
+    let records = collector().records.lock().unwrap();
+    // Only spans recorded under *this* parent (ids are allocated in
+    // record order, so an earlier fan-out's children — which correctly
+    // parent to their own batch — are out of scope).
+    for s in records.iter().filter(|s| s.clock == Clock::Wall && s.name == name && s.id > parent.0) {
+        debug_assert!(
+            s.parent == parent.0,
+            "span '{name}' (id {}) re-rooted: parent {} != expected {} — \
+             use telemetry::span_with_parent inside parallel closures",
+            s.id,
+            s.parent,
+            parent.0
+        );
+    }
 }
+
+// ---------------------------------------------------------------------------
+// Sim slices
+// ---------------------------------------------------------------------------
 
 /// Records an interval on a simulated clock. No-op when disabled.
 pub fn sim_slice(process: &str, track: &str, name: &str, sim_start_s: f64, sim_dur_s: f64) {
     if !is_enabled() {
         return;
     }
-    collector().slices.lock().unwrap().push(SimSlice {
-        process: process.to_string(),
-        track: track.to_string(),
-        name: name.to_string(),
-        sim_start_s,
-        sim_dur_s,
-    });
+    collector().push(SpanRecord::slice(process, track, name, sim_start_s, sim_dur_s));
+}
+
+impl SpanRecord {
+    /// A device slice: a sim record on `process`/`track` with no id, no
+    /// parent, and no request.
+    pub fn slice(process: &str, track: &str, name: &str, start_s: f64, dur_s: f64) -> Self {
+        SpanRecord {
+            name: name.to_string(),
+            clock: Clock::Sim,
+            process: process.to_string(),
+            track: track.to_string(),
+            start_s,
+            dur_s,
+            ..SpanRecord::default()
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -390,21 +428,6 @@ impl Histogram {
         self.count
     }
 
-    /// NaN samples seen (kept out of every other statistic).
-    pub fn nan_count(&self) -> u64 {
-        self.nans
-    }
-
-    /// Zero-or-negative samples seen.
-    pub fn zero_count(&self) -> u64 {
-        self.zeros
-    }
-
-    /// `+inf` samples seen.
-    pub fn inf_count(&self) -> u64 {
-        self.infs
-    }
-
     /// Approximate quantile `q` in `[0, 1]`. Returns 0 for an empty
     /// histogram. Zeros sort below every bucket; `+inf` above.
     pub fn quantile(&self, q: f64) -> f64 {
@@ -427,18 +450,10 @@ impl Histogram {
         f64::INFINITY
     }
 
-    /// Mean of the finite samples (0 when empty).
-    pub fn mean(&self) -> f64 {
-        let finite = self.count - self.infs;
-        if finite == 0 {
-            0.0
-        } else {
-            self.sum / finite as f64
-        }
-    }
-
-    /// Point-in-time summary (count, min/max/mean, p50/p95/p99).
+    /// Point-in-time summary (counts, min/max, mean of the finite
+    /// samples, p50/p95/p99).
     pub fn summary(&self) -> HistogramSummary {
+        let finite = self.count - self.infs;
         HistogramSummary {
             count: self.count,
             zeros: self.zeros,
@@ -446,7 +461,7 @@ impl Histogram {
             nans: self.nans,
             min: if self.count == 0 { 0.0 } else { self.min },
             max: if self.count == 0 { 0.0 } else { self.max },
-            mean: self.mean(),
+            mean: if finite == 0 { 0.0 } else { self.sum / finite as f64 },
             p50: self.quantile(0.50),
             p95: self.quantile(0.95),
             p99: self.quantile(0.99),
@@ -485,14 +500,117 @@ pub struct HistogramSummary {
     pub p99: f64,
 }
 
-#[derive(Default)]
-struct MetricsState {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
+impl HistogramSummary {
+    fn to_json(self) -> Value {
+        object([
+            ("count", Value::Number(self.count as f64)),
+            ("zeros", Value::Number(self.zeros as f64)),
+            ("infs", Value::Number(self.infs as f64)),
+            ("nans", Value::Number(self.nans as f64)),
+            ("min", Value::Number(self.min)),
+            ("max", Value::Number(self.max)),
+            ("mean", Value::Number(self.mean)),
+            ("p50", Value::Number(self.p50)),
+            ("p95", Value::Number(self.p95)),
+            ("p99", Value::Number(self.p99)),
+        ])
+    }
 }
 
-/// A thread-safe registry of counters, gauges, and histograms.
+fn object<'a>(fields: impl IntoIterator<Item = (&'a str, Value)>) -> Value {
+    Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+}
+
+/// Counters, last-write gauges, and histograms by name: the one metrics
+/// map behind a [`MetricsRegistry`], its snapshots, and every
+/// [`SeriesWindow`].
+#[derive(Debug, Clone, Default)]
+pub struct Metrics {
+    /// Monotonic counters.
+    pub counters: BTreeMap<String, u64>,
+    /// Last-write gauges.
+    pub gauges: BTreeMap<String, f64>,
+    /// Sample histograms.
+    pub histograms: BTreeMap<String, Histogram>,
+}
+
+impl Metrics {
+    /// Adds `delta` to counter `name` (created at 0 on first use). Like
+    /// `set_gauge` and `observe`, looks the name up first: only its first
+    /// use allocates a key.
+    pub fn incr(&mut self, name: &str, delta: u64) {
+        match self.counters.get_mut(name) {
+            Some(total) => *total += delta,
+            None => {
+                self.counters.insert(name.to_string(), delta);
+            }
+        }
+    }
+
+    /// Sets gauge `name` (last write wins — idempotent under job retry).
+    pub fn set_gauge(&mut self, name: &str, value: f64) {
+        match self.gauges.get_mut(name) {
+            Some(gauge) => *gauge = value,
+            None => {
+                self.gauges.insert(name.to_string(), value);
+            }
+        }
+    }
+
+    /// Records a sample into histogram `name`.
+    pub fn observe(&mut self, name: &str, value: f64) {
+        match self.histograms.get_mut(name) {
+            Some(histogram) => histogram.observe(value),
+            None => self.histograms.entry(name.to_string()).or_default().observe(value),
+        }
+    }
+
+    /// Reads a counter (0 if absent).
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters.get(name).copied().unwrap_or(0)
+    }
+
+    /// Reads a gauge.
+    pub fn gauge(&self, name: &str) -> Option<f64> {
+        self.gauges.get(name).copied()
+    }
+
+    /// Borrows a histogram, if any sample was recorded into it.
+    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
+        self.histograms.get(name)
+    }
+
+    /// True when nothing was recorded.
+    pub fn is_empty(&self) -> bool {
+        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+    }
+
+    /// Renders as a JSON object `{counters, gauges, histograms}`, each
+    /// map name-sorted and each histogram as its [`HistogramSummary`].
+    pub fn to_json(&self) -> Value {
+        Value::Object(self.json_fields())
+    }
+
+    fn json_fields(&self) -> Vec<(String, Value)> {
+        let map = |entries: Vec<(String, Value)>| Value::Object(entries);
+        vec![
+            (
+                "counters".into(),
+                map(self.counters.iter().map(|(k, v)| (k.clone(), Value::Number(*v as f64))).collect()),
+            ),
+            (
+                "gauges".into(),
+                map(self.gauges.iter().map(|(k, v)| (k.clone(), Value::Number(*v))).collect()),
+            ),
+            (
+                "histograms".into(),
+                map(self.histograms.iter().map(|(k, h)| (k.clone(), h.summary().to_json())).collect()),
+            ),
+        ]
+    }
+}
+
+/// A thread-safe [`Metrics`] map.
 ///
 /// The global telemetry registry is an instance of this; standalone
 /// instances serve always-on accounting that must work with telemetry
@@ -500,7 +618,7 @@ struct MetricsState {
 /// `telemetry.json` both read so they cannot disagree).
 #[derive(Default)]
 pub struct MetricsRegistry {
-    state: Mutex<MetricsState>,
+    state: Mutex<Metrics>,
 }
 
 impl MetricsRegistry {
@@ -509,180 +627,103 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// Adds `delta` to counter `name` (created at 0 on first use). Like
-    /// `gauge` and `observe`, looks the name up first: only its first use
-    /// allocates a key under the lock.
+    /// Adds `delta` to counter `name`.
     pub fn counter(&self, name: &str, delta: u64) {
-        let mut s = self.state.lock().unwrap();
-        match s.counters.get_mut(name) {
-            Some(total) => *total += delta,
-            None => {
-                s.counters.insert(name.to_string(), delta);
-            }
-        }
+        self.state.lock().unwrap().incr(name, delta);
     }
 
-    /// Sets gauge `name` (last write wins — idempotent under job retry).
+    /// Sets gauge `name` (last write wins).
     pub fn gauge(&self, name: &str, value: f64) {
-        let mut s = self.state.lock().unwrap();
-        match s.gauges.get_mut(name) {
-            Some(gauge) => *gauge = value,
-            None => {
-                s.gauges.insert(name.to_string(), value);
-            }
-        }
+        self.state.lock().unwrap().set_gauge(name, value);
     }
 
     /// Records a sample into histogram `name`.
     pub fn observe(&self, name: &str, value: f64) {
-        let mut s = self.state.lock().unwrap();
-        match s.histograms.get_mut(name) {
-            Some(histogram) => histogram.observe(value),
-            None => s.histograms.entry(name.to_string()).or_default().observe(value),
-        }
+        self.state.lock().unwrap().observe(name, value);
     }
 
     /// Reads a counter (0 if absent).
     pub fn counter_value(&self, name: &str) -> u64 {
-        self.state.lock().unwrap().counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Reads a gauge.
-    pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        self.state.lock().unwrap().gauges.get(name).copied()
+        self.state.lock().unwrap().counter(name)
     }
 
     /// Clears every metric.
     pub fn clear(&self) {
-        *self.state.lock().unwrap() = MetricsState::default();
+        *self.state.lock().unwrap() = Metrics::default();
     }
 
-    /// Clones the current values, sorted by name.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let s = self.state.lock().unwrap();
-        MetricsSnapshot {
-            counters: s.counters.iter().map(|(k, v)| (k.clone(), *v)).collect(),
-            gauges: s.gauges.iter().map(|(k, v)| (k.clone(), *v)).collect(),
-            histograms: s
-                .histograms
-                .iter()
-                .map(|(k, h)| (k.clone(), h.summary()))
-                .collect(),
-        }
-    }
-}
-
-/// Frozen, name-sorted copy of a [`MetricsRegistry`].
-#[derive(Debug, Clone, Default)]
-pub struct MetricsSnapshot {
-    /// `(name, value)` counters.
-    pub counters: Vec<(String, u64)>,
-    /// `(name, value)` gauges.
-    pub gauges: Vec<(String, f64)>,
-    /// `(name, summary)` histograms.
-    pub histograms: Vec<(String, HistogramSummary)>,
-}
-
-impl MetricsSnapshot {
-    /// Reads a counter (0 if absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
-    }
-
-    /// Reads a gauge.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.iter().find(|(k, _)| k == name).map(|(_, v)| *v)
-    }
-
-    /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
-
-    /// Renders as a JSON object `{counters, gauges, histograms}`.
-    pub fn to_json(&self) -> Value {
-        let counters = Value::Object(
-            self.counters
-                .iter()
-                .map(|(k, v)| (k.clone(), Value::Number(*v as f64)))
-                .collect(),
-        );
-        let gauges = Value::Object(
-            self.gauges
-                .iter()
-                .map(|(k, v)| (k.clone(), Value::Number(*v)))
-                .collect(),
-        );
-        let hists = Value::Object(
-            self.histograms
-                .iter()
-                .map(|(k, h)| {
-                    (
-                        k.clone(),
-                        Value::Object(vec![
-                            ("count".into(), Value::Number(h.count as f64)),
-                            ("zeros".into(), Value::Number(h.zeros as f64)),
-                            ("infs".into(), Value::Number(h.infs as f64)),
-                            ("nans".into(), Value::Number(h.nans as f64)),
-                            ("min".into(), Value::Number(h.min)),
-                            ("max".into(), Value::Number(h.max)),
-                            ("mean".into(), Value::Number(h.mean)),
-                            ("p50".into(), Value::Number(h.p50)),
-                            ("p95".into(), Value::Number(h.p95)),
-                            ("p99".into(), Value::Number(h.p99)),
-                        ]),
-                    )
-                })
-                .collect(),
-        );
-        Value::Object(vec![
-            ("counters".into(), counters),
-            ("gauges".into(), gauges),
-            ("histograms".into(), hists),
-        ])
+    /// Clones the current values.
+    pub fn snapshot(&self) -> Metrics {
+        self.state.lock().unwrap().clone()
     }
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot + exporters
+// Snapshot and its views
 // ---------------------------------------------------------------------------
 
-/// Everything collected so far, cloned out of the global collector.
+/// Collected records and metrics, cloned out of the global collector —
+/// or assembled by a caller, e.g. with a run's request spans appended.
 #[derive(Debug, Clone, Default)]
 pub struct TelemetrySnapshot {
-    /// Finished wall-clock spans.
+    /// Every record, in recording order.
     pub spans: Vec<SpanRecord>,
-    /// Simulated-clock slices.
-    pub slices: Vec<SimSlice>,
     /// Global metrics.
-    pub metrics: MetricsSnapshot,
-}
-
-impl TelemetrySnapshot {
-    /// Total simulated seconds per track, summed across every process,
-    /// sorted by track name. This is the exporters' view of
-    /// `Device::phase_totals()` — the two must agree exactly.
-    pub fn phase_totals(&self) -> Vec<(String, f64)> {
-        let mut totals: BTreeMap<&str, f64> = BTreeMap::new();
-        for s in &self.slices {
-            *totals.entry(s.track.as_str()).or_insert(0.0) += s.sim_dur_s;
-        }
-        totals.into_iter().map(|(k, v)| (k.to_string(), v)).collect()
-    }
+    pub metrics: Metrics,
 }
 
 /// Clones the collected state (works whether or not collection is
 /// currently enabled).
 pub fn snapshot() -> TelemetrySnapshot {
     let c = collector();
-    TelemetrySnapshot {
-        spans: c.spans.lock().unwrap().clone(),
-        slices: c.slices.lock().unwrap().clone(),
-        metrics: c.metrics.snapshot(),
+    TelemetrySnapshot { spans: c.records.lock().unwrap().clone(), metrics: c.metrics.snapshot() }
+}
+
+/// The device slices of a snapshot — sim records that belong to no
+/// request — grouped by process and track.
+#[derive(Debug)]
+pub struct SimLayout<'a> {
+    /// `(process, tracks)`, processes and each one's tracks sorted by
+    /// name. Chrome pids and tids are these indexes plus one.
+    pub processes: Vec<(&'a str, Vec<&'a str>)>,
+    /// `(process index, track index, slice)` in recording order.
+    pub slices: Vec<(usize, usize, &'a SpanRecord)>,
+}
+
+impl SimLayout<'_> {
+    /// `(process index, track index)` of a placement, if any slice used it.
+    pub fn place(&self, process: &str, track: &str) -> Option<(usize, usize)> {
+        let p = self.processes.binary_search_by_key(&process, |(name, _)| *name).ok()?;
+        Some((p, self.processes[p].1.binary_search(&track).ok()?))
+    }
+}
+
+impl TelemetrySnapshot {
+    /// Groups the device slices by process and track, keeping recording
+    /// order. Every sim-clock view walks this one layout, and replaying
+    /// a process's slices in recording order performs the same `f64`
+    /// additions the device did, so totals built on it equal
+    /// `Device::phase_totals()` exactly.
+    pub fn sim_layout(&self) -> SimLayout<'_> {
+        let device = |s: &&SpanRecord| s.clock == Clock::Sim && s.request.is_none();
+        let mut tracks: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+        for s in self.spans.iter().filter(device) {
+            tracks.entry(s.process.as_str()).or_default().insert(s.track.as_str());
+        }
+        let mut layout = SimLayout {
+            processes: tracks.into_iter().map(|(p, t)| (p, t.into_iter().collect())).collect(),
+            slices: Vec::new(),
+        };
+        layout.slices = self
+            .spans
+            .iter()
+            .filter(device)
+            .map(|s| {
+                let (p, t) = layout.place(&s.process, &s.track).expect("slice placed");
+                (p, t, s)
+            })
+            .collect();
+        layout
     }
 }
 
@@ -704,181 +745,173 @@ impl Default for ChromeTraceOptions {
 /// Renders a snapshot as Chrome trace-event JSON (the "JSON Array
 /// Format" Perfetto and `chrome://tracing` load directly).
 ///
-/// Layout: one process per simulated device/node, one thread ("track")
-/// per phase within it; sim timestamps are microseconds on that device's
-/// clock. The host process (when included) carries every wall-clock span
-/// on one track per recording thread... collapsed to a single track here
-/// because span nesting already encodes concurrency structure.
-/// Event order is deterministic: metadata first, then complete events
-/// sorted by `(pid, tid, ts, dur, name)`.
+/// Processes, in pid order:
+/// - one per simulated device/node, one track per phase or lane, from
+///   [`TelemetrySnapshot::sim_layout`]; its slices are sorted by
+///   `(pid, tid, ts, dur)`;
+/// - `requests`, when the snapshot holds request spans: one track per
+///   request, spans in recording order, then one flow pair (`ph: "s"` /
+///   `"f"`, flow id = child span id) per parent→child edge. A flow end
+///   sits on the device lane its span names, so a failed-over request
+///   reads as arrows hopping across node processes;
+/// - `host`, when included: every wall span on one track (span nesting
+///   already encodes the concurrency structure), sorted by `(ts, dur)`.
+///
+/// Span ids share one space per file: request spans keep theirs and wall
+/// spans are shifted past the largest, so every `args.span_id` is
+/// defined once. Sim timestamps are microseconds on that device's clock.
 pub fn chrome_trace(snap: &TelemetrySnapshot, opts: ChromeTraceOptions) -> Value {
-    let mut events: Vec<Value> = Vec::new();
-
-    // Deterministic pid assignment: sorted process names.
-    let mut processes: Vec<&str> = snap.slices.iter().map(|s| s.process.as_str()).collect();
-    processes.sort_unstable();
-    processes.dedup();
-    let pid_of = |p: &str| processes.iter().position(|&x| x == p).unwrap() as f64 + 1.0;
-
-    // Deterministic tid assignment per process: sorted track names.
-    let mut tracks: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
-    for s in &snap.slices {
-        let t = tracks.entry(s.process.as_str()).or_default();
-        if !t.contains(&s.track.as_str()) {
-            t.push(s.track.as_str());
+    let layout = snap.sim_layout();
+    let mut events = Vec::new();
+    for (p, (process, tracks)) in layout.processes.iter().enumerate() {
+        events.push(meta_event("process_name", p + 1, None, process));
+        for (t, track) in tracks.iter().enumerate() {
+            events.push(meta_event("thread_name", p + 1, Some(t + 1), track));
         }
     }
-    for t in tracks.values_mut() {
-        t.sort_unstable();
-    }
+    let slices = layout.slices.iter().map(|&(p, t, s)| (p + 1, t + 1, s, "sim", Vec::new()));
+    push_sorted(&mut events, slices);
+    let mut next_pid = layout.processes.len() + 1;
 
-    for &p in &processes {
-        events.push(meta_event("process_name", pid_of(p), None, p));
-        for (i, &tr) in tracks[p].iter().enumerate() {
-            events.push(meta_event("thread_name", pid_of(p), Some(i as f64 + 1.0), tr));
+    let requests: Vec<&SpanRecord> = snap.spans.iter().filter(|s| s.request.is_some()).collect();
+    let id_base = requests.iter().map(|s| s.id).max().unwrap_or(0);
+    if !requests.is_empty() {
+        let pid = next_pid;
+        next_pid += 1;
+        let ids: BTreeSet<u64> = requests.iter().filter_map(|s| s.request).collect();
+        let ids: Vec<u64> = ids.into_iter().collect();
+        let track = |s: &SpanRecord| ids.binary_search(&s.request.unwrap_or(0)).map_or(0, |i| i + 1);
+        events.push(meta_event("process_name", pid, None, "requests"));
+        for (i, id) in ids.iter().enumerate() {
+            events.push(meta_event("thread_name", pid, Some(i + 1), &format!("r{id}")));
         }
-    }
-
-    let mut complete: Vec<(f64, f64, f64, f64, Value)> = Vec::new();
-    for s in &snap.slices {
-        let pid = pid_of(&s.process);
-        let tid = tracks[s.process.as_str()]
-            .iter()
-            .position(|&t| t == s.track)
-            .unwrap() as f64
-            + 1.0;
-        let ts = s.sim_start_s * 1e6;
-        let dur = s.sim_dur_s * 1e6;
-        complete.push((
-            pid,
-            tid,
-            ts,
-            dur,
-            complete_event(&s.name, "sim", pid, tid, ts, dur, &[]),
-        ));
-    }
-
-    if opts.include_host && !snap.spans.is_empty() {
-        let host_pid = processes.len() as f64 + 1.0;
-        events.push(meta_event("process_name", host_pid, None, "host"));
-        events.push(meta_event("thread_name", host_pid, Some(1.0), "spans"));
-        for sp in &snap.spans {
-            let mut attrs = sp.attrs.clone();
-            if sp.parent != 0 {
-                attrs.push(("parent".into(), sp.parent.to_string()));
-            }
-            attrs.push(("span_id".into(), sp.id.to_string()));
-            complete.push((
-                host_pid,
-                1.0,
-                sp.wall_start_us,
-                sp.wall_dur_us,
-                complete_event(
-                    &sp.name,
-                    "wall",
-                    host_pid,
-                    1.0,
-                    sp.wall_start_us,
-                    sp.wall_dur_us,
-                    &attrs,
-                ),
-            ));
+        for &s in &requests {
+            events.push(complete_event(s, "obs", pid, track(s), &span_args(s, 0)));
+        }
+        let anchor = |s: &SpanRecord| match layout.place(&s.process, &s.track) {
+            Some((p, t)) => (p + 1, t + 1),
+            None => (pid, track(s)),
+        };
+        let by_id: BTreeMap<u64, &SpanRecord> = requests.iter().map(|s| (s.id, *s)).collect();
+        for &s in &requests {
+            let Some(&parent) = by_id.get(&s.parent) else { continue };
+            let name = format!("r{}", s.request.unwrap_or(0));
+            let ts = s.start_s * 1e6;
+            events.push(flow_event("s", s.id, anchor(parent), ts, &name, parent.id));
+            events.push(flow_event("f", s.id, anchor(s), ts, &name, s.id));
         }
     }
 
-    complete.sort_by(|a, b| {
-        (a.0, a.1, a.2, a.3)
-            .partial_cmp(&(b.0, b.1, b.2, b.3))
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    events.extend(complete.into_iter().map(|(_, _, _, _, e)| e));
+    let wall = snap.spans.iter().filter(|s| s.clock == Clock::Wall);
+    if opts.include_host && wall.clone().next().is_some() {
+        events.push(meta_event("process_name", next_pid, None, "host"));
+        events.push(meta_event("thread_name", next_pid, Some(1), "spans"));
+        push_sorted(&mut events, wall.map(|s| (next_pid, 1, s, "wall", span_args(s, id_base))));
+    }
     Value::Array(events)
 }
 
-fn meta_event(kind: &str, pid: f64, tid: Option<f64>, name: &str) -> Value {
-    let mut fields = vec![
-        ("ph".into(), Value::String("M".into())),
-        ("name".into(), Value::String(kind.into())),
-        ("pid".into(), Value::Number(pid)),
-    ];
-    if let Some(tid) = tid {
-        fields.push(("tid".into(), Value::Number(tid)));
+/// `span_id`, `parent`, then the record's own attributes, with ids
+/// shifted by `id_base`.
+fn span_args(s: &SpanRecord, id_base: u64) -> Vec<(String, String)> {
+    let mut args = vec![("span_id".to_string(), (s.id + id_base).to_string())];
+    if s.parent != 0 {
+        args.push(("parent".into(), (s.parent + id_base).to_string()));
     }
-    fields.push((
-        "args".into(),
-        Value::Object(vec![("name".into(), Value::String(name.into()))]),
-    ));
-    Value::Object(fields)
+    args.extend(s.attrs.iter().cloned());
+    args
 }
 
-fn complete_event(
-    name: &str,
-    cat: &str,
-    pid: f64,
-    tid: f64,
-    ts: f64,
-    dur: f64,
-    attrs: &[(String, String)],
-) -> Value {
-    let mut fields = vec![
-        ("ph".into(), Value::String("X".into())),
-        ("name".into(), Value::String(name.into())),
-        ("cat".into(), Value::String(cat.into())),
-        ("pid".into(), Value::Number(pid)),
-        ("tid".into(), Value::Number(tid)),
-        ("ts".into(), Value::Number(ts)),
-        ("dur".into(), Value::Number(dur)),
-    ];
-    if !attrs.is_empty() {
-        fields.push((
-            "args".into(),
-            Value::Object(
-                attrs
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Value::String(v.clone())))
-                    .collect(),
-            ),
-        ));
+/// Appends complete events sorted by `(pid, tid, ts, dur)`; ties keep
+/// recording order.
+fn push_sorted<'a>(
+    events: &mut Vec<Value>,
+    records: impl Iterator<Item = (usize, usize, &'a SpanRecord, &'static str, Vec<(String, String)>)>,
+) {
+    let mut keyed: Vec<_> = records.collect();
+    keyed.sort_by(|a, b| {
+        let key = |e: &(usize, usize, &SpanRecord, &str, _)| (e.0, e.1, e.2.start_s * 1e6, e.2.dur_s * 1e6);
+        key(a).partial_cmp(&key(b)).unwrap_or(std::cmp::Ordering::Equal)
+    });
+    events.extend(keyed.iter().map(|(pid, tid, s, cat, args)| complete_event(s, cat, *pid, *tid, args)));
+}
+
+fn meta_event(kind: &str, pid: usize, tid: Option<usize>, name: &str) -> Value {
+    let head = [("ph", text("M")), ("name", text(kind)), ("pid", num(pid))];
+    let args = ("args", object([("name", text(name))]));
+    object(head.into_iter().chain(tid.map(|t| ("tid", num(t)))).chain([args]))
+}
+
+fn complete_event(s: &SpanRecord, cat: &str, pid: usize, tid: usize, args: &[(String, String)]) -> Value {
+    let fields = [("ph", text("X")), ("name", text(&s.name)), ("cat", text(cat))];
+    let place = [("pid", num(pid)), ("tid", num(tid))];
+    let time = [("ts", Value::Number(s.start_s * 1e6)), ("dur", Value::Number(s.dur_s * 1e6))];
+    let args = (!args.is_empty())
+        .then(|| ("args", object(args.iter().map(|(k, v)| (k.as_str(), text(v))))));
+    object(fields.into_iter().chain(place).chain(time).chain(args))
+}
+
+/// A flow-start (`ph: "s"`) or flow-finish (`ph: "f"`, bound to the
+/// enclosing slice's end with `bp: "e"`, which Perfetto renders as an
+/// arrow into the destination slice) event at `(pid, tid)`. `args.span`
+/// names the span the edge leaves or enters; `trace-check` rejects flows
+/// whose span no exported slice defined.
+fn flow_event(ph: &str, flow_id: u64, (pid, tid): (usize, usize), ts_us: f64, name: &str, span_id: u64) -> Value {
+    let head = [("ph", text(ph)), ("id", Value::Number(flow_id as f64)), ("name", text(name))];
+    let place = [("cat", text("flow")), ("pid", num(pid)), ("tid", num(tid)), ("ts", Value::Number(ts_us))];
+    let bind = (ph == "f").then(|| ("bp", text("e")));
+    let args = ("args", object([("span", text(&span_id.to_string()))]));
+    object(head.into_iter().chain(place).chain(bind).chain([args]))
+}
+
+fn text(s: &str) -> Value {
+    Value::String(s.to_string())
+}
+
+fn num(n: usize) -> Value {
+    Value::Number(n as f64)
+}
+
+/// Renders the wall-clock spans as collapsed-stack flamegraph text
+/// (`root;child;leaf count` per line, count in integer microseconds of
+/// *self* time), sorted for determinism. Feed to `inferno-flamegraph` or
+/// `flamegraph.pl`.
+pub fn flamegraph(snap: &TelemetrySnapshot) -> String {
+    let wall: Vec<&SpanRecord> = snap.spans.iter().filter(|s| s.clock == Clock::Wall).collect();
+    let by_id: BTreeMap<u64, &SpanRecord> = wall.iter().map(|s| (s.id, *s)).collect();
+    // Self time = duration minus direct children's duration.
+    let mut child_time: BTreeMap<u64, f64> = BTreeMap::new();
+    for s in wall.iter().filter(|s| s.parent != 0) {
+        *child_time.entry(s.parent).or_insert(0.0) += s.dur_s;
     }
-    Value::Object(fields)
+    let mut lines: BTreeMap<String, u64> = BTreeMap::new();
+    for s in &wall {
+        let mut stack = vec![s.name.as_str()];
+        let mut cur = s.parent;
+        // A parent still live at snapshot time ends the walk.
+        while let Some(p) = by_id.get(&cur).filter(|_| stack.len() <= 128) {
+            stack.push(p.name.as_str());
+            cur = p.parent;
+        }
+        stack.reverse();
+        let self_s = (s.dur_s - child_time.get(&s.id).copied().unwrap_or(0.0)).max(0.0);
+        *lines.entry(stack.join(";")).or_insert(0) += (self_s * 1e6).round() as u64;
+    }
+    lines.into_iter().map(|(stack, us)| format!("{stack} {us}\n")).collect()
 }
 
 // ---------------------------------------------------------------------------
 // Windowed time-series (ring-buffer windows over the simulated clock)
 // ---------------------------------------------------------------------------
 
-/// One fixed-width window of a [`WindowSeries`]: counters, last-write
-/// gauges, and histograms scoped to `[index * width_s, (index+1) * width_s)`
-/// on the simulated clock.
+/// One fixed-width window of a [`WindowSeries`]: the metrics recorded
+/// in `[index * width_s, (index+1) * width_s)` on the simulated clock.
 #[derive(Debug, Clone, Default)]
 pub struct SeriesWindow {
     /// Window index (`floor(t / width_s)`).
     pub index: u64,
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-impl SeriesWindow {
-    /// Reads a counter (0 if absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Reads a gauge.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
-    /// Borrows a histogram, if any sample landed in this window.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// True when nothing was recorded in the window.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
+    /// What landed in the window.
+    pub metrics: Metrics,
 }
 
 /// Fixed-width ring-buffer windows over the simulated clock.
@@ -915,16 +948,6 @@ impl WindowSeries {
         self.width_s
     }
 
-    /// Max windows retained.
-    pub fn retention(&self) -> usize {
-        self.retention
-    }
-
-    /// Samples that arrived for an already-evicted window.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// The window index covering simulated time `t_s` (clamped at 0).
     pub fn window_index(&self, t_s: f64) -> u64 {
         (t_s.max(0.0) / self.width_s).floor() as u64
@@ -945,7 +968,9 @@ impl WindowSeries {
         self.windows.last().map(|w| w.index)
     }
 
-    fn window_mut(&mut self, t_s: f64) -> Option<&mut SeriesWindow> {
+    /// The metrics of the window covering `t_s`, materialized on first
+    /// touch; `None` (counted in `dropped`) when that window was evicted.
+    fn at(&mut self, t_s: f64) -> Option<&mut Metrics> {
         let index = self.window_index(t_s);
         let pos = match self.windows.binary_search_by_key(&index, |w| w.index) {
             Ok(pos) => pos,
@@ -967,196 +992,49 @@ impl WindowSeries {
                 }
             }
         };
-        Some(&mut self.windows[pos])
+        Some(&mut self.windows[pos].metrics)
     }
 
     /// Adds `delta` to counter `name` in the window covering `t_s`.
     pub fn incr(&mut self, t_s: f64, name: &str, delta: u64) {
-        if let Some(w) = self.window_mut(t_s) {
-            *w.counters.entry(name.to_string()).or_insert(0) += delta;
+        if let Some(m) = self.at(t_s) {
+            m.incr(name, delta);
         }
     }
 
     /// Sets gauge `name` in the window covering `t_s` (last write wins).
     pub fn gauge(&mut self, t_s: f64, name: &str, value: f64) {
-        if let Some(w) = self.window_mut(t_s) {
-            w.gauges.insert(name.to_string(), value);
+        if let Some(m) = self.at(t_s) {
+            m.set_gauge(name, value);
         }
     }
 
     /// Records a histogram sample into the window covering `t_s`.
     pub fn observe(&mut self, t_s: f64, name: &str, value: f64) {
-        if let Some(w) = self.window_mut(t_s) {
-            w.histograms.entry(name.to_string()).or_default().observe(value);
+        if let Some(m) = self.at(t_s) {
+            m.observe(name, value);
         }
     }
 
     /// Renders the series as a deterministic JSON object (the
-    /// `telemetry.json` `series` key): window metadata plus per-window
-    /// counters, gauges, and histogram summaries, all name-sorted.
+    /// `telemetry.json` `series` key): window metadata plus each window's
+    /// [`Metrics::to_json`] fields.
     pub fn to_value(&self) -> Value {
-        let windows = self
-            .windows
-            .iter()
-            .map(|w| {
-                let counters = Value::Object(
-                    w.counters
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Value::Number(*v as f64)))
-                        .collect(),
-                );
-                let gauges = Value::Object(
-                    w.gauges.iter().map(|(k, v)| (k.clone(), Value::Number(*v))).collect(),
-                );
-                let hists = Value::Object(
-                    w.histograms
-                        .iter()
-                        .map(|(k, h)| (k.clone(), hist_summary_value(&h.summary())))
-                        .collect(),
-                );
-                Value::Object(vec![
-                    ("index".into(), Value::Number(w.index as f64)),
-                    ("start_s".into(), Value::Number(w.index as f64 * self.width_s)),
-                    ("counters".into(), counters),
-                    ("gauges".into(), gauges),
-                    ("histograms".into(), hists),
-                ])
-            })
-            .collect();
-        Value::Object(vec![
-            ("width_s".into(), Value::Number(self.width_s)),
-            ("retention".into(), Value::Number(self.retention as f64)),
-            ("dropped".into(), Value::Number(self.dropped as f64)),
-            ("windows".into(), Value::Array(windows)),
+        let windows = self.windows.iter().map(|w| {
+            let mut fields = vec![
+                ("index".to_string(), Value::Number(w.index as f64)),
+                ("start_s".to_string(), Value::Number(w.index as f64 * self.width_s)),
+            ];
+            fields.extend(w.metrics.json_fields());
+            Value::Object(fields)
+        });
+        object([
+            ("width_s", Value::Number(self.width_s)),
+            ("retention", Value::Number(self.retention as f64)),
+            ("dropped", Value::Number(self.dropped as f64)),
+            ("windows", Value::Array(windows.collect())),
         ])
     }
-}
-
-fn hist_summary_value(h: &HistogramSummary) -> Value {
-    Value::Object(vec![
-        ("count".into(), Value::Number(h.count as f64)),
-        ("min".into(), Value::Number(h.min)),
-        ("max".into(), Value::Number(h.max)),
-        ("mean".into(), Value::Number(h.mean)),
-        ("p50".into(), Value::Number(h.p50)),
-        ("p95".into(), Value::Number(h.p95)),
-        ("p99".into(), Value::Number(h.p99)),
-    ])
-}
-
-// ---------------------------------------------------------------------------
-// Flow events (request causality across trace processes)
-// ---------------------------------------------------------------------------
-
-/// Builds a Chrome flow-start event (`ph: "s"`): the outgoing edge of a
-/// causal link, anchored at (`pid`, `tid`, `ts_us`). `flow_id` pairs it
-/// with its [`flow_finish_event`]; `span_id` names the span the edge
-/// leaves, and `trace-check` rejects flows whose `span` attribute does
-/// not match any exported span id.
-pub fn flow_start_event(flow_id: u64, pid: f64, tid: f64, ts_us: f64, name: &str, span_id: u64) -> Value {
-    flow_event("s", flow_id, pid, tid, ts_us, name, span_id)
-}
-
-/// Builds a Chrome flow-finish event (`ph: "f"`, `bp: "e"`): the
-/// incoming edge of the causal link opened by [`flow_start_event`] with
-/// the same `flow_id`.
-pub fn flow_finish_event(flow_id: u64, pid: f64, tid: f64, ts_us: f64, name: &str, span_id: u64) -> Value {
-    flow_event("f", flow_id, pid, tid, ts_us, name, span_id)
-}
-
-fn flow_event(ph: &str, flow_id: u64, pid: f64, tid: f64, ts_us: f64, name: &str, span_id: u64) -> Value {
-    let mut fields = vec![
-        ("ph".into(), Value::String(ph.into())),
-        ("id".into(), Value::Number(flow_id as f64)),
-        ("name".into(), Value::String(name.into())),
-        ("cat".into(), Value::String("flow".into())),
-        ("pid".into(), Value::Number(pid)),
-        ("tid".into(), Value::Number(tid)),
-        ("ts".into(), Value::Number(ts_us)),
-    ];
-    if ph == "f" {
-        // Bind to the enclosing slice's end, the convention Perfetto
-        // renders as an arrow into the destination slice.
-        fields.push(("bp".into(), Value::String("e".into())));
-    }
-    fields.push((
-        "args".into(),
-        Value::Object(vec![("span".into(), Value::String(span_id.to_string()))]),
-    ));
-    Value::Object(fields)
-}
-
-// ---------------------------------------------------------------------------
-// Span-parentage guard (rayon/crossbeam fan-outs)
-// ---------------------------------------------------------------------------
-
-/// Debug assertion that every recorded span named `name` is parented on
-/// `parent`. Spans opened with plain [`span`] inside a rayon/crossbeam
-/// closure silently re-root (the worker thread has an empty span stack);
-/// call this after the fan-out joins to catch that class of bug in debug
-/// builds. No-op in release builds or while collection is disabled.
-pub fn assert_span_parent(name: &str, parent: SpanId) {
-    if !cfg!(debug_assertions) || !is_enabled() {
-        return;
-    }
-    let spans = collector().spans.lock().unwrap();
-    // Only spans recorded under *this* parent (ids are allocated in
-    // record order, so an earlier fan-out's children — which correctly
-    // parent to their own batch — are out of scope).
-    for s in spans.iter().filter(|s| s.name == name && s.id > parent.0) {
-        debug_assert!(
-            s.parent == parent.0,
-            "span '{name}' (id {}) re-rooted: parent {} != expected {} — \
-             use telemetry::span_with_parent inside parallel closures",
-            s.id,
-            s.parent,
-            parent.0
-        );
-    }
-}
-
-/// Renders the wall-clock spans as collapsed-stack flamegraph text
-/// (`root;child;leaf count` per line, count in integer microseconds of
-/// *self* time), sorted for determinism. Feed to `inferno-flamegraph` or
-/// `flamegraph.pl`.
-pub fn flamegraph(snap: &TelemetrySnapshot) -> String {
-    let by_id: BTreeMap<u64, &SpanRecord> =
-        snap.spans.iter().map(|s| (s.id, s)).collect();
-    // Self time = duration minus direct children's duration.
-    let mut child_time: BTreeMap<u64, f64> = BTreeMap::new();
-    for s in &snap.spans {
-        if s.parent != 0 {
-            *child_time.entry(s.parent).or_insert(0.0) += s.wall_dur_us;
-        }
-    }
-    let mut lines: BTreeMap<String, u64> = BTreeMap::new();
-    for s in &snap.spans {
-        let mut stack = vec![s.name.as_str()];
-        let mut cur = s.parent;
-        let mut hops = 0;
-        while cur != 0 && hops < 128 {
-            match by_id.get(&cur) {
-                Some(p) => {
-                    stack.push(p.name.as_str());
-                    cur = p.parent;
-                }
-                None => break, // parent still live at snapshot time
-            }
-            hops += 1;
-        }
-        stack.reverse();
-        let self_us =
-            (s.wall_dur_us - child_time.get(&s.id).copied().unwrap_or(0.0)).max(0.0);
-        *lines.entry(stack.join(";")).or_insert(0) += self_us.round() as u64;
-    }
-    let mut out = String::new();
-    for (stack, us) in lines {
-        out.push_str(&stack);
-        out.push(' ');
-        out.push_str(&us.to_string());
-        out.push('\n');
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1189,7 +1067,6 @@ mod tests {
         assert!(secs >= 0.0);
         let snap = snapshot();
         assert!(snap.spans.is_empty());
-        assert!(snap.slices.is_empty());
         assert!(snap.metrics.is_empty());
         assert_eq!(current_span(), SpanId::NONE);
     }
@@ -1220,7 +1097,8 @@ mod tests {
         assert_eq!(outer.id, outer_id.0);
         assert_eq!(outer.parent, 0);
         assert_eq!(inner.attrs, vec![("k".to_string(), "v".to_string())]);
-        assert!(outer.wall_dur_us >= inner.wall_dur_us);
+        assert!(outer.dur_s >= inner.dur_s);
+        assert!(snap.spans.iter().all(|s| s.clock == Clock::Wall && s.request.is_none()));
     }
 
     #[test]
@@ -1265,9 +1143,8 @@ mod tests {
         h.observe(f64::NAN);
         h.observe(1.0);
         assert_eq!(h.count(), 5, "NaN excluded from count");
-        assert_eq!(h.nan_count(), 1);
-        assert_eq!(h.zero_count(), 2, "zero and negative pool together");
-        assert_eq!(h.inf_count(), 1);
+        let sum = h.summary();
+        assert_eq!((sum.nans, sum.zeros, sum.infs), (1, 2, 1), "zero and negative pool together");
         assert_eq!(h.summary().max, f64::INFINITY);
         assert_eq!(h.summary().min, -1.0);
         // Subnormal clamps into the lowest bucket instead of panicking.
@@ -1302,7 +1179,7 @@ mod tests {
         let p99 = h.quantile(0.99);
         assert!(p50 > 0.4e-3 && p50 < 2.5e-3, "p50 {p50}");
         assert!(p99 > 0.5 && p99 < 3.0, "p99 {p99}");
-        assert!((h.mean() - (100.0 * 1.1e-3 + 5.0 * 1.3) / 105.0).abs() < 1e-12);
+        assert!((h.summary().mean - (100.0 * 1.1e-3 + 5.0 * 1.3) / 105.0).abs() < 1e-12);
     }
 
     #[test]
@@ -1315,11 +1192,12 @@ mod tests {
         r.gauge("g", 5.0); // last write wins
         r.observe("h", 2.0);
         let snap = r.snapshot();
-        assert_eq!(snap.counters, vec![("a.first".into(), 2), ("z.last".into(), 2)]);
+        let counters: Vec<(&str, u64)> = snap.counters.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+        assert_eq!(counters, [("a.first", 2), ("z.last", 2)]);
         assert_eq!(snap.gauge("g"), Some(5.0));
         assert_eq!(snap.counter("a.first"), 2);
         assert_eq!(snap.counter("missing"), 0);
-        assert_eq!(snap.histograms[0].1.count, 1);
+        assert_eq!(snap.histogram("h").unwrap().count(), 1);
         let json = snap.to_json().to_json();
         assert!(json.contains("\"a.first\":2"), "{json}");
         assert!(json.contains("\"p99\""), "{json}");
@@ -1366,21 +1244,67 @@ mod tests {
     }
 
     #[test]
-    fn phase_totals_aggregate_across_processes() {
+    fn chrome_trace_lays_out_requests_then_host_on_one_id_space() {
+        let record = |id, parent, clock, place: (&str, &str), request| SpanRecord {
+            id,
+            parent,
+            name: format!("s{id}"),
+            attrs: Vec::new(),
+            clock,
+            process: place.0.into(),
+            track: place.1.into(),
+            request,
+            start_s: 1e-3,
+            dur_s: 1e-3,
+        };
+        let snap = TelemetrySnapshot {
+            spans: vec![
+                record(1, 0, Clock::Wall, ("", ""), None),
+                record(0, 0, Clock::Sim, ("dev", "kernel"), None),
+                record(2, 1, Clock::Wall, ("", ""), None),
+                record(1, 0, Clock::Sim, ("", ""), Some(5)),
+                record(2, 1, Clock::Sim, ("dev", "kernel"), Some(5)),
+            ],
+            ..TelemetrySnapshot::default()
+        };
+        let doc = chrome_trace(&snap, ChromeTraceOptions::default());
+        let events = doc.as_array().unwrap();
+        let processes: Vec<(f64, &str)> = events
+            .iter()
+            .filter(|e| e.get("name").and_then(Value::as_str) == Some("process_name"))
+            .map(|e| (e.get("pid").unwrap().as_f64().unwrap(), e.get("args").unwrap().get("name").unwrap().as_str().unwrap()))
+            .collect();
+        assert_eq!(processes, [(1.0, "dev"), (2.0, "requests"), (3.0, "host")]);
+        let arg = |e: &Value, key: &str| e.get("args").and_then(|a| a.get(key)).and_then(Value::as_str).map(str::to_string);
+        let ids: Vec<String> = events.iter().filter_map(|e| arg(e, "span_id")).collect();
+        assert_eq!(ids, ["1", "2", "3", "4"], "request ids kept, host ids shifted past them");
+        let host_child = events.iter().find(|e| arg(e, "span_id").as_deref() == Some("4")).unwrap();
+        assert_eq!(arg(host_child, "parent").as_deref(), Some("3"));
+        // The child's flow finish lands on the device lane it names.
+        let finish = events.iter().find(|e| e.get("ph").and_then(Value::as_str) == Some("f")).unwrap();
+        assert_eq!((finish.get("pid").unwrap().as_f64(), arg(finish, "span").as_deref()), (Some(1.0), Some("2")));
+    }
+
+    #[test]
+    fn sim_layout_groups_by_process_and_track_in_recording_order() {
         let _g = lock();
         reset();
         enable();
-        sim_slice("d1", "kernel", "a", 0.0, 1.0);
         sim_slice("d2", "kernel", "b", 0.0, 2.0);
+        sim_slice("d1", "kernel", "a", 0.0, 1.0);
+        {
+            let _s = span("host_work");
+        }
         sim_slice("d1", "h2d", "c", 1.0, 0.5);
         let snap = snapshot();
         reset();
-        let totals = snap.phase_totals();
-        assert_eq!(totals.len(), 2);
-        assert_eq!(totals[0].0, "h2d");
-        assert!((totals[0].1 - 0.5).abs() < 1e-12);
-        assert_eq!(totals[1].0, "kernel");
-        assert!((totals[1].1 - 3.0).abs() < 1e-12);
+        let layout = snap.sim_layout();
+        assert_eq!(layout.processes, [("d1", vec!["h2d", "kernel"]), ("d2", vec!["kernel"])]);
+        let placed: Vec<(usize, usize, &str)> =
+            layout.slices.iter().map(|&(p, t, s)| (p, t, s.name.as_str())).collect();
+        assert_eq!(placed, [(1, 0, "b"), (0, 1, "a"), (0, 0, "c")], "wall span left out");
+        assert_eq!(layout.place("d1", "kernel"), Some((0, 1)));
+        assert_eq!(layout.place("d2", "h2d"), None);
     }
 
     #[test]
@@ -1419,6 +1343,44 @@ mod tests {
     }
 
     #[test]
+    fn flamegraph_of_a_fixed_snapshot_is_pinned() {
+        // (id, parent, name, start µs, duration µs); parent 99 was still
+        // live at snapshot time, so "lost" roots itself.
+        let rows = [
+            (1, 0, "root", 0.0, 1000.0),
+            (2, 1, "a", 10.0, 600.4),
+            (3, 1, "b", 700.0, 250.6),
+            (4, 2, "c", 20.0, 100.0),
+            (5, 0, "root", 2000.0, 50.0),
+            (6, 99, "lost", 3000.0, 7.2),
+        ];
+        let mut snap = TelemetrySnapshot {
+            spans: rows
+                .iter()
+                .map(|&(id, parent, name, start, dur)| SpanRecord {
+                    id,
+                    parent,
+                    name: name.into(),
+                    attrs: Vec::new(),
+                    clock: Clock::Wall,
+                    process: String::new(),
+                    track: String::new(),
+                    request: None,
+                    start_s: start * 1e-6,
+                    dur_s: dur * 1e-6,
+                })
+                .collect(),
+            ..TelemetrySnapshot::default()
+        };
+        // Sim records never reach the flamegraph.
+        let mut slice = snap.spans[0].clone();
+        slice.clock = Clock::Sim;
+        slice.id = 0;
+        snap.spans.push(slice);
+        assert_eq!(flamegraph(&snap), "lost 7\nroot 199\nroot;a 500\nroot;a;c 100\nroot;b 251\n");
+    }
+
+    #[test]
     fn timed_records_a_span_when_enabled() {
         let _g = lock();
         reset();
@@ -1443,11 +1405,11 @@ mod tests {
         assert_eq!(s.newest_index(), None);
         s.incr(5.5e-3, "hits", 1);
         assert_eq!(s.windows().len(), 1);
-        assert_eq!(s.window_at(5).unwrap().counter("hits"), 1);
+        assert_eq!(s.window_at(5).unwrap().metrics.counter("hits"), 1);
         assert!(s.window_at(4).is_none(), "idle windows stay gaps");
         // A counter-only window reports no histogram: readers must treat
         // that as "no data", not as an empty distribution.
-        assert!(s.window_at(5).unwrap().histogram("lat").is_none());
+        assert!(s.window_at(5).unwrap().metrics.histogram("lat").is_none());
     }
 
     #[test]
@@ -1455,7 +1417,7 @@ mod tests {
         let mut s = WindowSeries::new(1e-3, 8);
         s.observe(2.1e-3, "lat", 0.25);
         let w = s.window_at(2).unwrap();
-        let h = w.histogram("lat").unwrap().summary();
+        let h = w.metrics.histogram("lat").unwrap().summary();
         assert_eq!(h.count, 1);
         assert_eq!(h.min, 0.25);
         assert_eq!(h.max, 0.25);
@@ -1474,7 +1436,7 @@ mod tests {
         s.incr(0.5, "w", 1);
         let idx: Vec<u64> = s.windows().iter().map(|w| w.index).collect();
         assert_eq!(idx, [2, 3, 4]);
-        assert_eq!(s.dropped(), 1);
+        assert_eq!(s.dropped, 1);
     }
 
     #[test]
@@ -1513,8 +1475,8 @@ mod tests {
 
     #[test]
     fn flow_events_pair_and_reference_spans() {
-        let s = flow_start_event(7, 1.0, 2.0, 10.0, "r7", 42);
-        let f = flow_finish_event(7, 3.0, 1.0, 20.0, "r7", 43);
+        let s = flow_event("s", 7, (1, 2), 10.0, "r7", 42);
+        let f = flow_event("f", 7, (3, 1), 20.0, "r7", 43);
         assert_eq!(s.get("ph").unwrap().as_str().unwrap(), "s");
         assert_eq!(f.get("ph").unwrap().as_str().unwrap(), "f");
         assert_eq!(s.get("id").unwrap().as_f64().unwrap(), 7.0);

@@ -315,11 +315,11 @@ fn entropy_scenario() -> foresight_util::Result<Scenario> {
 }
 
 fn latency_metrics(
-    summary: Option<&foresight_util::telemetry::HistogramSummary>,
+    summary: Option<foresight_util::telemetry::HistogramSummary>,
     out: &mut Vec<Metric>,
 ) {
     let s = |f: fn(&foresight_util::telemetry::HistogramSummary) -> f64| {
-        summary.map(f).unwrap_or(0.0) * 1e3
+        summary.as_ref().map(f).unwrap_or(0.0) * 1e3
     };
     out.push(Metric { name: "p50_ms", value: s(|l| l.p50), class: "model", better: "lower" });
     out.push(Metric { name: "p95_ms", value: s(|l| l.p95), class: "model", better: "lower" });
