@@ -400,7 +400,8 @@ fn cluster_bench_main(mut args: impl Iterator<Item = String>) -> ! {
     };
     let run = || -> foresight_util::Result<Runs> {
         let reqs = foresight::cluster_workload(&wl)?;
-        let serial = foresight::cluster_serial(&spec, &healthy_opts, &reqs)?;
+        let inner: Vec<foresight::ServeRequest> = reqs.iter().map(|r| r.req.clone()).collect();
+        let serial = foresight::serve_serial(&spec.node, &healthy_opts.serve, &inner)?;
         let healthy = foresight::serve_cluster(&spec, &healthy_opts, &reqs)?;
         if healthy_only {
             return Ok((serial, healthy, None));

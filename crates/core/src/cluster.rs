@@ -41,23 +41,17 @@
 //! responses, metrics, and slice-for-slice identical traces.
 
 use crate::cbench::ExecPath;
-use crate::codec::{self, CodecConfig, Shape};
-use crate::obs::{self, ObsRecorder, ObsTrace, TraceContext};
+use crate::codec::{CodecConfig, Shape};
+use crate::obs::{ObsTrace, TraceContext};
 use crate::serve::{
-    self, assemble_output, execute_units, fold_units, jitter01, record_units, shard_plan,
-    synth_field, wrap_shards, ExecState, ServeNode, ServeOptions, ServeReport, ServeRequest,
-    ServeStatus, TraceEvent,
+    self, jitter01, record_units, served_stream, synth_field, workload_configs, ExecState, Run,
+    Scope, ServeNode, ServeOptions, ServeRequest, ServeResponse, ServeStatus, ShedNote, TraceEvent,
+    UnitExec, WORKLOAD_SHAPES,
 };
-use foresight_util::telemetry::{
-    self, HistogramSummary, Metrics, MetricsRegistry, WindowSeries,
-};
+use foresight_util::telemetry::{self, HistogramSummary, Metrics, WindowSeries};
 use foresight_util::{Error, Result};
-use gpu_sim::{NodeChaosPlan, NodeFaultKind, UnitTiming};
+use gpu_sim::{NodeChaosPlan, NodeFaultKind};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-
-/// One executed unit as `ExecState::exec_unit` reports it:
-/// (completion time, path taken, device label).
-type UnitExec = (f64, ExecPath, String);
 
 // ---------------------------------------------------------------------------
 // Cluster topology / options / requests
@@ -319,38 +313,31 @@ impl Ring {
 /// Has the router's heartbeat loop marked `node` down by time `t_s`?
 /// Probes fire at `k * heartbeat_s`; the outage is detected once
 /// `probe_misses` consecutive probes inside it have passed.
-fn detected_down(
-    chaos: &NodeChaosPlan,
-    node: usize,
-    t_s: f64,
-    heartbeat_s: f64,
-    probe_misses: u32,
-) -> bool {
-    match chaos.outage_start(node, t_s) {
-        None => false,
-        Some(start) => {
-            let first_missed = (start / heartbeat_s).floor() + 1.0;
-            let detect_at = (first_missed + (probe_misses.max(1) - 1) as f64) * heartbeat_s;
-            t_s >= detect_at
-        }
-    }
+fn detected_down(opts: &ClusterOptions, node: usize, t_s: f64) -> bool {
+    let hb = opts.heartbeat_s;
+    opts.chaos.outage_start(node, t_s).is_some_and(|start| {
+        let first_missed = (start / hb).floor() + 1.0;
+        t_s >= (first_missed + (opts.probe_misses.max(1) - 1) as f64) * hb
+    })
 }
 
+/// One node's circuit breaker; its flips go to a shared log.
 #[derive(Debug, Clone)]
 struct Breaker {
+    node: usize,
     state: BreakerState,
     fails: u32,
     opened_at_s: f64,
 }
 
 impl Breaker {
-    fn new() -> Self {
-        Self { state: BreakerState::Closed, fails: 0, opened_at_s: 0.0 }
+    fn new(node: usize) -> Self {
+        Self { node, state: BreakerState::Closed, fails: 0, opened_at_s: 0.0 }
     }
 
-    fn flip(&mut self, node: usize, at_s: f64, to: BreakerState, log: &mut Vec<BreakerTransition>) {
+    fn flip(&mut self, at_s: f64, to: BreakerState, log: &mut Vec<BreakerTransition>) {
         if self.state != to {
-            log.push(BreakerTransition { node, at_s, from: self.state, to });
+            log.push(BreakerTransition { node: self.node, at_s, from: self.state, to });
             self.state = to;
         }
     }
@@ -358,18 +345,12 @@ impl Breaker {
     /// May a request be dispatched to this node at `t_s`? An open
     /// breaker whose window has elapsed flips to half-open and lets one
     /// trial through.
-    fn admits(
-        &mut self,
-        node: usize,
-        t_s: f64,
-        open_s: f64,
-        log: &mut Vec<BreakerTransition>,
-    ) -> bool {
+    fn admits(&mut self, t_s: f64, open_s: f64, log: &mut Vec<BreakerTransition>) -> bool {
         match self.state {
             BreakerState::Closed | BreakerState::HalfOpen => true,
             BreakerState::Open => {
                 if t_s >= self.opened_at_s + open_s {
-                    self.flip(node, t_s, BreakerState::HalfOpen, log);
+                    self.flip(t_s, BreakerState::HalfOpen, log);
                     true
                 } else {
                     false
@@ -378,25 +359,19 @@ impl Breaker {
         }
     }
 
-    fn on_failure(
-        &mut self,
-        node: usize,
-        t_s: f64,
-        threshold: u32,
-        log: &mut Vec<BreakerTransition>,
-    ) {
+    fn on_failure(&mut self, t_s: f64, threshold: u32, log: &mut Vec<BreakerTransition>) {
         self.fails += 1;
         let reopen = self.state == BreakerState::HalfOpen
             || (self.state == BreakerState::Closed && self.fails >= threshold);
         if reopen {
             self.opened_at_s = t_s;
-            self.flip(node, t_s, BreakerState::Open, log);
+            self.flip(t_s, BreakerState::Open, log);
         }
     }
 
-    fn on_success(&mut self, node: usize, t_s: f64, log: &mut Vec<BreakerTransition>) {
+    fn on_success(&mut self, t_s: f64, log: &mut Vec<BreakerTransition>) {
         self.fails = 0;
-        self.flip(node, t_s, BreakerState::Closed, log);
+        self.flip(t_s, BreakerState::Closed, log);
     }
 }
 
@@ -469,651 +444,383 @@ pub fn serve_cluster(
 ) -> Result<ClusterReport> {
     let inner: Vec<ServeRequest> = requests.iter().map(|r| r.req.clone()).collect();
     validate_cluster(spec, opts, requests, &inner)?;
-    // Phase A: host codecs compute every byte before any routing — this
-    // is what makes output placement/failover-independent.
-    let units = execute_units(&inner, opts.serve.shard_bytes)?;
-    let reg = MetricsRegistry::new();
-    reg.gauge("cluster.nodes", spec.nodes as f64);
-    reg.gauge("cluster.replication", spec.replication as f64);
-    reg.gauge("cluster.queue_depth.limit", opts.serve.queue_depth as f64);
-    reg.counter("cluster.requests", requests.len() as u64);
-
-    let ring = Ring::new(spec.nodes, spec.vnodes);
-    let mut states: Vec<ExecState> = (0..spec.nodes)
-        .map(|i| ExecState::new(&spec.node, &opts.serve, &format!("n{i}"), true))
-        .collect();
-    let mut breakers: Vec<Breaker> = (0..spec.nodes).map(|_| Breaker::new()).collect();
-    let mut transitions: Vec<BreakerTransition> = Vec::new();
-    let mut router_events: Vec<TraceEvent> = Vec::new();
-    let mut router_cpu_free_s = 0.0f64;
-    // Obs layer: inert when `opts.serve.obs` is None. The dispatch loop
-    // below is serial, so everything recorded here is deterministic.
-    let obs = opts.serve.obs;
-    let mut rec = ObsRecorder::new(obs.is_some());
-    let mut series = obs.map(|o| WindowSeries::new(o.series_width_s, o.series_retention));
-
-    let mut order: Vec<usize> = (0..requests.len()).collect();
-    order.sort_by(|&a, &b| {
-        inner[a]
-            .arrival_s
-            .total_cmp(&inner[b].arrival_s)
-            .then(inner[a].id.cmp(&inner[b].id))
-    });
-    let mut responses: Vec<Option<ClusterResponse>> = requests.iter().map(|_| None).collect();
-    let mut completions: Vec<f64> = Vec::new();
-    let (mut rejected, mut missed) = (0usize, 0usize);
-    let (mut failovers, mut redirects, mut timeouts) = (0u64, 0u64, 0u64);
-    let (mut interrupted, mut cpu_fallbacks, mut shed_brownout) = (0u64, 0u64, 0u64);
-    let mut executed_bytes = 0u64;
-    let w = opts.serve.window_s;
-
-    let mut at = 0usize;
-    while at < order.len() {
-        let window = (inner[order[at]].arrival_s / w).floor();
-        let dispatch_s = (window + 1.0) * w;
-        let mut members: Vec<usize> = Vec::new();
-        while at < order.len() && (inner[order[at]].arrival_s / w).floor() == window {
-            members.push(order[at]);
-            at += 1;
-        }
-        // Brown-out admission: capacity shrinks with the detected-up
-        // node count, and the window's lowest-priority arrivals shed
-        // first. Shedding happens at admission, before dispatch — work
-        // that *was* admitted is never dropped.
-        let detected_up = (0..spec.nodes)
-            .filter(|&n| !detected_down(&opts.chaos, n, dispatch_s, opts.heartbeat_s, opts.probe_misses))
-            .count();
-        let capacity = opts.serve.queue_depth * detected_up;
-        let degraded = detected_up < spec.nodes;
-        let mut by_priority = members.clone();
-        by_priority.sort_by(|&a, &b| {
-            requests[b]
-                .priority
-                .cmp(&requests[a].priority)
-                .then(inner[a].arrival_s.total_cmp(&inner[b].arrival_s))
-                .then(inner[a].id.cmp(&inner[b].id))
-        });
-        let mut admitted: Vec<bool> = vec![false; requests.len()];
-        let mut queued_units = 0usize;
-        for &ri in &by_priority {
-            let req = &inner[ri];
-            let n_units = units[ri].len();
-            let outstanding =
-                completions.iter().filter(|&&c| c > req.arrival_s).count() + queued_units;
-            reg.observe("cluster.queue_depth", outstanding as f64);
-            if let Some(s) = series.as_mut() {
-                s.observe(req.arrival_s, "cluster.queue_depth", outstanding as f64);
-            }
-            if outstanding + n_units > capacity {
-                let retry_after_s = completions
-                    .iter()
-                    .filter(|&&c| c > req.arrival_s)
-                    .fold(f64::INFINITY, |m, &c| m.min(c))
-                    .min(dispatch_s + w)
-                    - req.arrival_s
-                    + jitter01(opts.serve.seed, req.id, 0) * w;
-                rejected += 1;
-                reg.counter("cluster.rejected", 1);
-                if degraded {
-                    shed_brownout += 1;
-                    reg.counter("cluster.shed_brownout", 1);
-                    telemetry::counter("cluster.shed_brownout", 1);
-                }
-                if let Some(s) = series.as_mut() {
-                    s.incr(req.arrival_s, "cluster.shed", 1);
-                    if degraded {
-                        s.incr(req.arrival_s, "cluster.shed_brownout", 1);
-                    }
-                }
-                if rec.enabled() {
-                    let root = rec.mint(
-                        req.id,
-                        "admission",
-                        req.arrival_s,
-                        (dispatch_s - req.arrival_s).max(0.0),
-                        vec![
-                            ("key".into(), requests[ri].key.clone()),
-                            ("priority".into(), requests[ri].priority.to_string()),
-                            ("outstanding".into(), outstanding.to_string()),
-                        ],
-                    );
-                    rec.child(
-                        root,
-                        "shed",
-                        req.arrival_s,
-                        0.0,
-                        vec![
-                            ("retry_after_s".into(), format!("{retry_after_s:.9}")),
-                            ("degraded".into(), degraded.to_string()),
-                        ],
-                    );
-                }
-                responses[ri] = Some(ClusterResponse {
-                    id: req.id,
-                    status: ServeStatus::Rejected { retry_after_s },
-                    output: None,
-                    exec: ExecPath::Gpu,
-                    node: None,
-                    devices: String::new(),
-                    redirects: 0,
-                    completed_s: req.arrival_s,
-                    latency_s: 0.0,
-                });
-                continue;
-            }
-            queued_units += n_units;
-            admitted[ri] = true;
-        }
-        // Dispatch admitted requests in (arrival, id) order.
-        for &ri in &members {
-            if !admitted[ri] {
-                continue;
-            }
-            let pref = ring.preference(&requests[ri].key, spec.replication);
-            let primary = pref[0];
-            let mut candidates = pref;
-            for n in 0..spec.nodes {
-                if !candidates.contains(&n) {
-                    candidates.push(n);
-                }
-            }
-            let mut t = dispatch_s;
-            let mut attempt = 0u32;
-            let mut redirects_here = 0u32;
-            let mut committed: Option<(Vec<UnitExec>, usize)> = None;
-            // Root of this request's span tree: admission covers the
-            // wait from arrival to the window's dispatch tick.
-            let root = if rec.enabled() {
-                rec.mint(
-                    inner[ri].id,
-                    "admission",
-                    inner[ri].arrival_s,
-                    (dispatch_s - inner[ri].arrival_s).max(0.0),
-                    vec![
-                        ("key".into(), requests[ri].key.clone()),
-                        ("priority".into(), requests[ri].priority.to_string()),
-                        ("primary".into(), format!("n{primary}")),
-                    ],
-                )
-            } else {
-                TraceContext::NONE
-            };
-            for &ni in &candidates {
-                if !breakers[ni].admits(ni, t, opts.breaker_open_s, &mut transitions) {
-                    redirects_here += 1;
-                    if rec.enabled() {
-                        rec.child(
-                            root,
-                            "breaker.reject",
-                            t,
-                            0.0,
-                            vec![("node".into(), format!("n{ni}")), ("state".into(), "open".into())],
-                        );
-                    }
-                    continue;
-                }
-                if detected_down(&opts.chaos, ni, t, opts.heartbeat_s, opts.probe_misses) {
-                    // Health table already marks it down: skip for free,
-                    // and let the breaker learn from the probe.
-                    redirects_here += 1;
-                    breakers[ni].on_failure(ni, t, opts.breaker_threshold, &mut transitions);
-                    if rec.enabled() {
-                        rec.child(
-                            root,
-                            "skip.down",
-                            t,
-                            0.0,
-                            vec![("node".into(), format!("n{ni}"))],
-                        );
-                    }
-                    continue;
-                }
-                if !opts.chaos.reachable(ni, t) {
-                    // Down but not yet detected: the dispatch times out
-                    // after one heartbeat, then backs off to the next
-                    // replica.
-                    timeouts += 1;
-                    reg.counter("cluster.timeout", 1);
-                    telemetry::counter("cluster.timeout", 1);
-                    breakers[ni].on_failure(
-                        ni,
-                        t + opts.heartbeat_s,
-                        opts.breaker_threshold,
-                        &mut transitions,
-                    );
-                    if let Some(s) = series.as_mut() {
-                        s.incr(t, "cluster.timeout", 1);
-                    }
-                    if rec.enabled() {
-                        rec.child(
-                            root,
-                            "timeout",
-                            t,
-                            opts.heartbeat_s,
-                            vec![
-                                ("node".into(), format!("n{ni}")),
-                                ("attempt".into(), attempt.to_string()),
-                                (
-                                    "backoff_s".into(),
-                                    format!("{:.9}", backoff_s(opts, inner[ri].id, attempt)),
-                                ),
-                            ],
-                        );
-                    }
-                    t += opts.heartbeat_s + backoff_s(opts, inner[ri].id, attempt);
-                    attempt += 1;
-                    redirects_here += 1;
-                    continue;
-                }
-                // Tentative dispatch: run on a clone, commit only if the
-                // node survives to the completion time.
-                let slow = opts.chaos.slow_factor(ni, t);
-                let mut trial = states[ni].clone();
-                for q in trial.queues.iter_mut() {
-                    q.set_slowdown(slow);
-                }
-                let start = trial.least_loaded();
-                let lanes = trial.queues.len().min(units[ri].len());
-                let involved: Vec<usize> =
-                    (0..lanes).map(|k| (start + k) % trial.queues.len()).collect();
-                let mut outcomes: Vec<(f64, ExecPath, String)> =
-                    Vec::with_capacity(units[ri].len());
-                let mut timings: Vec<Option<UnitTiming>> = Vec::with_capacity(units[ri].len());
-                for (k, u) in units[ri].iter().enumerate() {
-                    let d = involved[k % involved.len()];
-                    let label = format!("r{}.{k}", inner[ri].id);
-                    outcomes.push(trial.exec_unit(d, t, u, &label));
-                    timings.push(trial.last_timing);
-                }
-                let done = outcomes.iter().fold(0.0f64, |m, o| m.max(o.0));
-                let cut = opts.chaos.next_outage(ni, t).filter(|&c| c < done);
-                if let Some(cut_s) = cut {
-                    // The node dies mid-flight: the trial state is
-                    // discarded (in-flight work lost) and the request
-                    // fails over to the next replica.
-                    interrupted += 1;
-                    reg.counter("cluster.interrupted", 1);
-                    telemetry::counter("cluster.interrupted", 1);
-                    router_events.push(TraceEvent {
-                        process: "cluster".into(),
-                        track: format!("lost.n{ni}"),
-                        name: format!("r{}", inner[ri].id),
-                        start_s: t,
-                        dur_s: (cut_s - t).max(0.0),
-                    });
-                    breakers[ni].on_failure(ni, cut_s, opts.breaker_threshold, &mut transitions);
-                    if let Some(s) = series.as_mut() {
-                        s.incr(cut_s, "cluster.interrupted", 1);
-                    }
-                    if rec.enabled() {
-                        rec.child(
-                            root,
-                            "dispatch",
-                            t,
-                            (cut_s - t).max(0.0),
-                            vec![
-                                ("node".into(), format!("n{ni}")),
-                                ("attempt".into(), attempt.to_string()),
-                                ("outcome".into(), "interrupted".into()),
-                                ("cut_s".into(), format!("{cut_s:.9}")),
-                            ],
-                        );
-                    }
-                    t = cut_s + backoff_s(opts, inner[ri].id, attempt);
-                    attempt += 1;
-                    redirects_here += 1;
-                    continue;
-                }
-                breakers[ni].on_success(ni, done, &mut transitions);
-                states[ni] = trial;
-                if rec.enabled() {
-                    let dispatch = rec.child(
-                        root,
-                        "dispatch",
-                        t,
-                        (done - t).max(0.0),
-                        vec![
-                            ("node".into(), format!("n{ni}")),
-                            ("attempt".into(), attempt.to_string()),
-                            ("outcome".into(), "ok".into()),
-                        ],
-                    );
-                    record_units(&mut rec, dispatch, &outcomes, &timings, &format!("n{ni}-cpu"));
-                }
-                committed = Some((outcomes, ni));
-                break;
-            }
-            let (outcomes, node) = match committed {
-                Some((outcomes, ni)) => (outcomes, Some(ni)),
-                None => {
-                    // Every candidate exhausted: the router's CPU lane
-                    // answers. The bytes already exist (Phase A); only
-                    // the clock is charged. Admitted work is never lost.
-                    cpu_fallbacks += 1;
-                    reg.counter("cluster.cpu_fallback", 1);
-                    telemetry::counter("cluster.cpu_fallback", 1);
-                    if let Some(s) = series.as_mut() {
-                        s.incr(t, "cluster.cpu_fallback", 1);
-                    }
-                    let mut outs = Vec::with_capacity(units[ri].len());
-                    let mut cpu_slices: Vec<(f64, f64)> = Vec::new();
-                    for (k, u) in units[ri].iter().enumerate() {
-                        let start = t.max(router_cpu_free_s);
-                        let dur =
-                            u.n_values as f64 * 4.0 / (opts.serve.cpu_fallback_gbs * 1e9);
-                        router_cpu_free_s = start + dur;
-                        router_events.push(TraceEvent {
-                            process: "cluster-cpu".into(),
-                            track: "cpu".into(),
-                            name: format!("r{}.{k}", inner[ri].id),
-                            start_s: start,
-                            dur_s: dur,
-                        });
-                        if rec.enabled() {
-                            cpu_slices.push((start, dur));
-                        }
-                        outs.push((
-                            router_cpu_free_s,
-                            ExecPath::CpuFallback,
-                            "cluster-cpu".to_string(),
-                        ));
-                    }
-                    if rec.enabled() {
-                        let dispatch = rec.child(
-                            root,
-                            "dispatch",
-                            t,
-                            (router_cpu_free_s - t).max(0.0),
-                            vec![
-                                ("node".into(), "router".into()),
-                                ("attempt".into(), attempt.to_string()),
-                                ("outcome".into(), "cpu".into()),
-                            ],
-                        );
-                        for (k, &(start, dur)) in cpu_slices.iter().enumerate() {
-                            rec.child(
-                                dispatch,
-                                "unit",
-                                start,
-                                dur,
-                                vec![
-                                    ("unit".into(), k.to_string()),
-                                    ("device".into(), "cluster-cpu".into()),
-                                    ("path".into(), "cpu".into()),
-                                ],
-                            );
-                            rec.anchor_last("cluster-cpu", "cpu");
-                        }
-                    }
-                    (outs, None)
-                }
-            };
-            if node != Some(primary) {
-                failovers += 1;
-                reg.counter("cluster.failover", 1);
-                telemetry::counter("cluster.failover", 1);
-            }
-            redirects += u64::from(redirects_here);
-            reg.counter("cluster.redirect", u64::from(redirects_here));
-            completions.extend(outcomes.iter().map(|o| o.0));
-            let (done, path, devices) = fold_units(&outcomes);
-            let req = &inner[ri];
-            let latency = done - req.arrival_s;
-            reg.observe("cluster.latency_s", latency);
-            telemetry::observe("cluster.latency_s", latency);
-            executed_bytes += units[ri].iter().map(|u| u.n_values * 4).sum::<u64>();
-            let in_time = req.deadline_s.is_none_or(|d| done <= d);
-            let status = if in_time {
-                ServeStatus::Done
-            } else {
-                missed += 1;
-                reg.counter("cluster.deadline_missed", 1);
-                ServeStatus::DeadlineMissed
-            };
-            if let Some(s) = series.as_mut() {
-                s.observe(done, "cluster.latency_s", latency);
-                s.incr(done, "cluster.completed", 1);
-                if node != Some(primary) {
-                    s.incr(done, "cluster.failover", 1);
-                }
-                if redirects_here > 0 {
-                    s.incr(done, "cluster.redirect", u64::from(redirects_here));
-                }
-                let faults: u32 = outcomes
-                    .iter()
-                    .map(|o| match o.1 {
-                        ExecPath::GpuRetried(n) => n,
-                        _ => 0,
-                    })
-                    .sum();
-                if faults > 0 {
-                    s.incr(done, "cluster.fault", u64::from(faults));
-                }
-                if !in_time {
-                    s.incr(done, "cluster.deadline_missed", 1);
-                }
-            }
-            responses[ri] = Some(ClusterResponse {
-                id: req.id,
-                status,
-                output: in_time.then(|| assemble_output(req, &units[ri])),
-                exec: path,
-                node,
-                devices,
-                redirects: redirects_here,
-                completed_s: done,
-                latency_s: latency,
-            });
+    let mut run = Run::new(Scope::Cluster, &opts.serve, &inner)?;
+    run.reg.gauge("cluster.nodes", spec.nodes as f64);
+    run.reg.gauge("cluster.replication", spec.replication as f64);
+    run.reg.gauge("cluster.queue_depth.limit", opts.serve.queue_depth as f64);
+    let mut router = Router::new(spec, opts);
+    for (dispatch_s, members) in run.windows() {
+        for ri in router.admit_window(&mut run, requests, dispatch_s, &members) {
+            router.route(&mut run, &requests[ri], ri, dispatch_s);
         }
     }
-
-    Ok(finish_cluster(FinishInputs {
-        spec,
-        opts,
-        reg,
-        states,
-        responses,
-        order,
-        router_events,
-        router_cpu_free_s,
-        transitions,
-        rec,
-        series,
-        counts: ClusterCounts {
-            rejected,
-            missed,
-            failovers,
-            redirects,
-            timeouts,
-            interrupted,
-            cpu_fallbacks,
-            shed_brownout,
-            executed_bytes,
-        },
-    }))
+    Ok(router.finish(run))
 }
 
-struct ClusterCounts {
-    rejected: usize,
-    missed: usize,
+/// The node-independent part of a cluster answer; routing fills in
+/// `node` and `redirects`.
+impl From<ServeResponse> for ClusterResponse {
+    fn from(r: ServeResponse) -> Self {
+        Self {
+            id: r.id,
+            status: r.status,
+            output: r.output,
+            exec: r.exec,
+            node: None,
+            devices: r.device,
+            redirects: 0,
+            completed_s: r.completed_s,
+            latency_s: r.latency_s,
+        }
+    }
+}
+
+/// A slice on the router's own `cluster` trace process.
+fn router_slice(track: String, name: String, start_s: f64, dur_s: f64) -> TraceEvent {
+    TraceEvent { process: "cluster".into(), track, name, start_s, dur_s }
+}
+
+/// Where one request's routing stands: its clock, its backoff attempt,
+/// and the candidates it has passed over.
+struct Hop {
+    t: f64,
+    attempt: u32,
+    redirects: u32,
+}
+
+impl Hop {
+    /// Moves on to the next candidate at `t` after a failed attempt.
+    fn retry_at(&mut self, t: f64) {
+        self.t = t;
+        self.attempt += 1;
+        self.redirects += 1;
+    }
+}
+
+/// What the routing policy keeps across one run: placement, per-node
+/// execution state and breakers, the router's own trace and CPU lane,
+/// and its counts.
+struct Router<'a> {
+    spec: &'a ServeCluster,
+    opts: &'a ClusterOptions,
+    ring: Ring,
+    states: Vec<ExecState>,
+    breakers: Vec<Breaker>,
+    transitions: Vec<BreakerTransition>,
+    /// Lost work and the CPU lane, in decision order.
+    events: Vec<TraceEvent>,
+    cpu_free_s: f64,
     failovers: u64,
     redirects: u64,
     timeouts: u64,
     interrupted: u64,
     cpu_fallbacks: u64,
-    shed_brownout: u64,
-    executed_bytes: u64,
 }
 
-struct FinishInputs<'a> {
-    spec: &'a ServeCluster,
-    opts: &'a ClusterOptions,
-    reg: MetricsRegistry,
-    states: Vec<ExecState>,
-    responses: Vec<Option<ClusterResponse>>,
-    order: Vec<usize>,
-    router_events: Vec<TraceEvent>,
-    router_cpu_free_s: f64,
-    transitions: Vec<BreakerTransition>,
-    rec: ObsRecorder,
-    series: Option<WindowSeries>,
-    counts: ClusterCounts,
-}
+impl<'a> Router<'a> {
+    fn new(spec: &'a ServeCluster, opts: &'a ClusterOptions) -> Self {
+        Self {
+            spec,
+            opts,
+            ring: Ring::new(spec.nodes, spec.vnodes),
+            states: (0..spec.nodes)
+                .map(|i| ExecState::new(&spec.node, &opts.serve, &format!("n{i}"), true))
+                .collect(),
+            breakers: (0..spec.nodes).map(Breaker::new).collect(),
+            transitions: Vec::new(),
+            events: Vec::new(),
+            cpu_free_s: 0.0,
+            failovers: 0,
+            redirects: 0,
+            timeouts: 0,
+            interrupted: 0,
+            cpu_fallbacks: 0,
+        }
+    }
 
-fn finish_cluster(inp: FinishInputs<'_>) -> ClusterReport {
-    let FinishInputs {
-        spec,
-        opts,
-        reg,
-        mut states,
-        responses,
-        order,
-        mut router_events,
-        router_cpu_free_s,
-        transitions,
-        rec,
-        mut series,
-        counts,
-    } = inp;
-    // Warm-pool shutdown on every node that served.
-    for st in states.iter_mut() {
-        for d in 0..st.queues.len() {
-            if st.inited[d] {
-                st.queues[d].charge_free("shutdown");
-            }
+    /// Brown-out admission of one window: capacity shrinks with the
+    /// detected-up node count, and the window's lowest-priority arrivals
+    /// shed first. Shedding happens at admission, before dispatch — work
+    /// that *was* admitted is never dropped. Returns the admitted
+    /// members in (arrival, id) order.
+    fn admit_window(
+        &self,
+        run: &mut Run<'_, ClusterResponse>,
+        requests: &[ClusterRequest],
+        dispatch_s: f64,
+        members: &[usize],
+    ) -> Vec<usize> {
+        let opts = self.opts;
+        let detected_up = (0..self.spec.nodes)
+            .filter(|&n| !detected_down(opts, n, dispatch_s))
+            .count();
+        let capacity = opts.serve.queue_depth * detected_up;
+        let degraded = detected_up < self.spec.nodes;
+        let mut by_priority: Vec<usize> = (0..members.len()).collect();
+        by_priority.sort_by(|&a, &b| {
+            let (x, y) = (&requests[members[a]], &requests[members[b]]);
+            y.priority
+                .cmp(&x.priority)
+                .then(x.req.arrival_s.total_cmp(&y.req.arrival_s))
+                .then(x.req.id.cmp(&y.req.id))
+        });
+        let mut admitted = vec![false; members.len()];
+        let mut queued = 0usize;
+        for p in by_priority {
+            let r = &requests[members[p]];
+            let note = ShedNote {
+                attrs: vec![("key".into(), r.key.clone()), ("priority".into(), r.priority.to_string())],
+                shed_attrs: vec![("degraded".into(), degraded.to_string())],
+                counters: if degraded { &["cluster.shed_brownout"] } else { &[] },
+            };
+            admitted[p] = run.admit(members[p], dispatch_s, capacity, &mut queued, note);
         }
+        members.iter().zip(admitted).filter_map(|(&ri, ok)| ok.then_some(ri)).collect()
     }
-    // Mirrors `serve::finish_report`: the dispatch loop leaves every slot
-    // Some, and report assembly must not panic in release builds.
-    let responses: Vec<ClusterResponse> =
-        order.iter().filter_map(|&i| responses[i].clone()).collect();
-    debug_assert_eq!(responses.len(), order.len(), "every request resolved");
-    let makespan_s = responses
-        .iter()
-        .fold(0.0f64, |m, r| m.max(r.completed_s))
-        .max(router_cpu_free_s)
-        .max(states.iter().fold(0.0f64, |m, s| m.max(s.cpu_free_s)));
-    let sustained_gbs = if makespan_s > 0.0 {
-        counts.executed_bytes as f64 / 1e9 / makespan_s
-    } else {
-        0.0
-    };
-    let mut node_util = Vec::new();
-    for st in &states {
-        for q in &st.queues {
-            let u = q.utilization(makespan_s);
-            reg.gauge(&format!("cluster.util.{}", q.label()), u);
-            node_util.push((q.label().to_string(), u));
-        }
-    }
-    if let Some(s) = series.as_mut() {
-        // Per-node windowed utilization: compute-lane busy time across
-        // the node's devices, per series window.
-        for (i, st) in states.iter().enumerate() {
-            let busy: Vec<(f64, f64)> = st
-                .queues
-                .iter()
-                .flat_map(|q| q.timeline())
-                .filter(|t| t.track == "kernel")
-                .map(|t| (t.start_s, t.dur_s))
-                .collect();
-            obs::utilization_windows(
-                s,
-                &format!("cluster.util.n{i}"),
-                &busy,
-                st.queues.len() as f64,
-            );
-        }
-    }
-    // Chaos windows and breaker flips become router-process trace
-    // slices (a crash window runs to the makespan).
-    for e in opts.chaos.events() {
-        if e.node >= spec.nodes || e.at_s > makespan_s {
-            continue;
-        }
-        let dur = match e.kind {
-            NodeFaultKind::Crash => (makespan_s - e.at_s).max(0.0),
-            _ => e.duration_s,
+
+    /// Routes one admitted request: its ring replicas first, then every
+    /// other node, until one commits; with every candidate exhausted the
+    /// router's CPU lane answers. Then completes it in the core, adding
+    /// the fail-over and redirect accounting.
+    fn route(&mut self, run: &mut Run<'_, ClusterResponse>, creq: &ClusterRequest, ri: usize, dispatch_s: f64) {
+        let req = &creq.req;
+        let pref = self.ring.preference(&creq.key, self.spec.replication);
+        let primary = pref[0];
+        let others = (0..self.spec.nodes).filter(|n| !pref.contains(n));
+        let candidates: Vec<usize> = pref.iter().copied().chain(others).collect();
+        // Root of this request's span tree: admission covers the wait
+        // from arrival to the window's dispatch tick.
+        let root = if run.rec.enabled() {
+            run.rec.mint(
+                req.id,
+                "admission",
+                req.arrival_s,
+                (dispatch_s - req.arrival_s).max(0.0),
+                vec![
+                    ("key".into(), creq.key.clone()),
+                    ("priority".into(), creq.priority.to_string()),
+                    ("primary".into(), format!("n{primary}")),
+                ],
+            )
+        } else {
+            TraceContext::NONE
         };
-        router_events.push(TraceEvent {
-            process: "cluster".into(),
-            track: format!("chaos.n{}", e.node),
-            name: e.kind.name().to_string(),
-            start_s: e.at_s,
-            dur_s: dur,
-        });
-    }
-    for tr in &transitions {
-        router_events.push(TraceEvent {
-            process: "cluster".into(),
-            track: format!("breaker.n{}", tr.node),
-            name: format!("{}->{}", tr.from.label(), tr.to.label()),
-            start_s: tr.at_s,
-            dur_s: 0.0,
-        });
-    }
-    reg.gauge("cluster.makespan_s", makespan_s);
-    reg.gauge("cluster.sustained_gbs", sustained_gbs);
-    reg.counter("cluster.breaker.opened", transitions.iter().filter(|t| t.to == BreakerState::Open).count() as u64);
-    reg.counter("cluster.breaker.half_open", transitions.iter().filter(|t| t.to == BreakerState::HalfOpen).count() as u64);
-    reg.counter("cluster.breaker.closed", transitions.iter().filter(|t| t.to == BreakerState::Closed).count() as u64);
-    if telemetry::is_enabled() {
-        for st in &states {
-            for q in &st.queues {
-                q.emit_telemetry(0.0);
+        let mut hop = Hop { t: dispatch_s, attempt: 0, redirects: 0 };
+        let committed = candidates
+            .iter()
+            .find_map(|&ni| self.try_node(run, ri, ni, root, &mut hop).map(|o| (o, ni)));
+        let (outcomes, node) = match committed {
+            Some((outcomes, ni)) => (outcomes, Some(ni)),
+            None => (self.cpu_lane(run, ri, root, &hop), None),
+        };
+        let failover = node != Some(primary);
+        if failover {
+            self.failovers += 1;
+            run.reg.counter("cluster.failover", 1);
+            telemetry::counter("cluster.failover", 1);
+        }
+        self.redirects += u64::from(hop.redirects);
+        run.reg.counter("cluster.redirect", u64::from(hop.redirects));
+        let resp = run.complete(ri, &outcomes);
+        if let Some(s) = run.series.as_mut() {
+            if failover {
+                s.incr(resp.completed_s, "cluster.failover", 1);
             }
-            for e in &st.cpu_trace {
-                telemetry::sim_slice(&e.process, &e.track, &e.name, e.start_s, e.dur_s);
+            if hop.redirects > 0 {
+                s.incr(resp.completed_s, "cluster.redirect", u64::from(hop.redirects));
             }
         }
-        for e in &router_events {
-            telemetry::sim_slice(&e.process, &e.track, &e.name, e.start_s, e.dur_s);
-        }
+        run.responses[ri] = Some(ClusterResponse { node, redirects: hop.redirects, ..resp.into() });
     }
-    let mut trace: Vec<TraceEvent> = Vec::new();
-    for st in &states {
-        trace.extend(st.collect_trace());
-    }
-    trace.extend(router_events);
-    let completed = responses
-        .iter()
-        .filter(|r| !matches!(r.status, ServeStatus::Rejected { .. }))
-        .count();
-    ClusterReport {
-        submitted: responses.len(),
-        completed,
-        responses,
-        rejected: counts.rejected,
-        missed: counts.missed,
-        makespan_s,
-        sustained_gbs,
-        executed_bytes: counts.executed_bytes,
-        failovers: counts.failovers,
-        redirects: counts.redirects,
-        timeouts: counts.timeouts,
-        interrupted: counts.interrupted,
-        cpu_fallbacks: counts.cpu_fallbacks,
-        shed_brownout: counts.shed_brownout,
-        node_util,
-        breaker_transitions: transitions,
-        metrics: reg.snapshot(),
-        trace,
-        obs: rec.into_trace(),
-        series,
-    }
-}
 
-/// The byte-identity reference: the same requests through the strict
-/// single-device serial scheduler (no cluster, no chaos, no batching).
-/// `serve_cluster`'s Done outputs must match this bit-for-bit under any
-/// node-failure schedule.
-pub fn cluster_serial(
-    spec: &ServeCluster,
-    opts: &ClusterOptions,
-    requests: &[ClusterRequest],
-) -> Result<ServeReport> {
-    let inner: Vec<ServeRequest> = requests.iter().map(|r| r.req.clone()).collect();
-    serve::serve_serial(&spec.node, &opts.serve, &inner)
+    /// Tries candidate `ni` at `hop.t`, returning the unit outcomes when
+    /// the request commits there. Otherwise the hop moves on: past an
+    /// open breaker or a node the health table marks down for free, past
+    /// an undetected-down node after a heartbeat timeout and a backoff,
+    /// and past a node that dies before the work finishes after the
+    /// outage and a backoff.
+    fn try_node(
+        &mut self,
+        run: &mut Run<'_, ClusterResponse>,
+        ri: usize,
+        ni: usize,
+        root: TraceContext,
+        hop: &mut Hop,
+    ) -> Option<Vec<UnitExec>> {
+        let opts = self.opts;
+        let (t, id) = (hop.t, run.requests[ri].id);
+        let node = || ("node".to_string(), format!("n{ni}"));
+        if !self.breakers[ni].admits(t, opts.breaker_open_s, &mut self.transitions) {
+            hop.redirects += 1;
+            let state = ("state".to_string(), "open".to_string());
+            run.rec.child(root, "breaker.reject", t, 0.0, vec![node(), state]);
+            return None;
+        }
+        if detected_down(opts, ni, t) {
+            // Health table already marks it down: skip for free, and let
+            // the breaker learn from the probe.
+            hop.redirects += 1;
+            self.breakers[ni].on_failure(t, opts.breaker_threshold, &mut self.transitions);
+            run.rec.child(root, "skip.down", t, 0.0, vec![node()]);
+            return None;
+        }
+        let tries = hop.attempt;
+        let attempt = || ("attempt".to_string(), tries.to_string());
+        let backoff = backoff_s(opts, id, tries);
+        if !opts.chaos.reachable(ni, t) {
+            // Down but not yet detected: the dispatch times out after one
+            // heartbeat, then backs off to the next replica.
+            self.timeouts += 1;
+            run.reg.counter("cluster.timeout", 1);
+            telemetry::counter("cluster.timeout", 1);
+            self.breakers[ni].on_failure(t + opts.heartbeat_s, opts.breaker_threshold, &mut self.transitions);
+            if let Some(s) = run.series.as_mut() {
+                s.incr(t, "cluster.timeout", 1);
+            }
+            let attrs = vec![node(), attempt(), ("backoff_s".into(), format!("{backoff:.9}"))];
+            run.rec.child(root, "timeout", t, opts.heartbeat_s, attrs);
+            hop.retry_at(t + (opts.heartbeat_s + backoff));
+            return None;
+        }
+        // Tentative dispatch: run on a clone, commit only if the node
+        // survives to the completion time.
+        let mut trial = self.states[ni].clone();
+        let slow = opts.chaos.slow_factor(ni, t);
+        for q in trial.queues.iter_mut() {
+            q.set_slowdown(slow);
+        }
+        let start = trial.least_loaded();
+        let outcomes = run.run_units(&mut trial, ri, start, t);
+        let done = outcomes.iter().fold(0.0f64, |m, o| m.max(o.0));
+        if let Some(cut_s) = opts.chaos.next_outage(ni, t).filter(|&c| c < done) {
+            // The node dies mid-flight: the trial state is discarded
+            // (in-flight work lost) and the request fails over to the
+            // next replica.
+            self.interrupted += 1;
+            run.reg.counter("cluster.interrupted", 1);
+            telemetry::counter("cluster.interrupted", 1);
+            let lost = router_slice(format!("lost.n{ni}"), format!("r{id}"), t, (cut_s - t).max(0.0));
+            self.events.push(lost);
+            self.breakers[ni].on_failure(cut_s, opts.breaker_threshold, &mut self.transitions);
+            if let Some(s) = run.series.as_mut() {
+                s.incr(cut_s, "cluster.interrupted", 1);
+            }
+            let attrs = vec![
+                node(),
+                attempt(),
+                ("outcome".into(), "interrupted".into()),
+                ("cut_s".into(), format!("{cut_s:.9}")),
+            ];
+            run.rec.child(root, "dispatch", t, (cut_s - t).max(0.0), attrs);
+            hop.retry_at(cut_s + backoff);
+            return None;
+        }
+        self.breakers[ni].on_success(done, &mut self.transitions);
+        self.states[ni] = trial;
+        if run.rec.enabled() {
+            let attrs = vec![node(), attempt(), ("outcome".into(), "ok".into())];
+            let dispatch = run.rec.child(root, "dispatch", t, (done - t).max(0.0), attrs);
+            record_units(&mut run.rec, dispatch, &outcomes, &format!("n{ni}-cpu"));
+        }
+        Some(outcomes)
+    }
+
+    /// Every candidate exhausted: the router's CPU lane answers. The
+    /// bytes already exist (Phase A); only the clock is charged.
+    /// Admitted work is never lost.
+    fn cpu_lane(&mut self, run: &mut Run<'_, ClusterResponse>, ri: usize, root: TraceContext, hop: &Hop) -> Vec<UnitExec> {
+        self.cpu_fallbacks += 1;
+        run.reg.counter("cluster.cpu_fallback", 1);
+        telemetry::counter("cluster.cpu_fallback", 1);
+        if let Some(s) = run.series.as_mut() {
+            s.incr(hop.t, "cluster.cpu_fallback", 1);
+        }
+        let mut outcomes = Vec::with_capacity(run.units[ri].len());
+        let first = self.events.len();
+        for (k, u) in run.units[ri].iter().enumerate() {
+            let start = hop.t.max(self.cpu_free_s);
+            let dur = u.n_values as f64 * 4.0 / (self.opts.serve.cpu_fallback_gbs * 1e9);
+            self.cpu_free_s = start + dur;
+            self.events.push(TraceEvent {
+                process: "cluster-cpu".into(),
+                track: "cpu".into(),
+                name: format!("r{}.{k}", run.requests[ri].id),
+                start_s: start,
+                dur_s: dur,
+            });
+            outcomes.push((self.cpu_free_s, ExecPath::CpuFallback, "cluster-cpu".to_string(), None));
+        }
+        if run.rec.enabled() {
+            let attrs = vec![
+                ("node".into(), "router".into()),
+                ("attempt".into(), hop.attempt.to_string()),
+                ("outcome".into(), "cpu".into()),
+            ];
+            let dispatch = run.rec.child(root, "dispatch", hop.t, (self.cpu_free_s - hop.t).max(0.0), attrs);
+            for (k, e) in self.events[first..].iter().enumerate() {
+                let attrs = vec![
+                    ("unit".into(), k.to_string()),
+                    ("device".into(), "cluster-cpu".into()),
+                    ("path".into(), "cpu".into()),
+                ];
+                run.rec.child(dispatch, "unit", e.start_s, e.dur_s, attrs);
+                run.rec.anchor_last("cluster-cpu", "cpu");
+            }
+        }
+        outcomes
+    }
+
+    /// The report: the core's finish over every node, then the router's
+    /// own slices after the nodes' — lost work and its CPU lane, chaos
+    /// windows (a crash runs to the makespan) and breaker flips.
+    fn finish(mut self, run: Run<'_, ClusterResponse>) -> ClusterReport {
+        let flips = |to: BreakerState| self.transitions.iter().filter(|t| t.to == to).count() as u64;
+        run.reg.counter("cluster.breaker.opened", flips(BreakerState::Open));
+        run.reg.counter("cluster.breaker.half_open", flips(BreakerState::HalfOpen));
+        run.reg.counter("cluster.breaker.closed", flips(BreakerState::Closed));
+        let (responses, f) = run.finish(&mut self.states);
+        for e in self.opts.chaos.events() {
+            if e.node >= self.spec.nodes || e.at_s > f.makespan_s {
+                continue;
+            }
+            let dur = match e.kind {
+                NodeFaultKind::Crash => (f.makespan_s - e.at_s).max(0.0),
+                _ => e.duration_s,
+            };
+            let name = e.kind.name().to_string();
+            self.events.push(router_slice(format!("chaos.n{}", e.node), name, e.at_s, dur));
+        }
+        for tr in &self.transitions {
+            let name = format!("{}->{}", tr.from.label(), tr.to.label());
+            self.events.push(router_slice(format!("breaker.n{}", tr.node), name, tr.at_s, 0.0));
+        }
+        serve::replay(&self.events);
+        let mut trace = f.trace;
+        trace.extend(self.events);
+        ClusterReport {
+            submitted: responses.len(),
+            // Conservation: every request not shed was executed.
+            completed: responses.len() - f.rejected,
+            responses,
+            rejected: f.rejected,
+            missed: f.missed,
+            makespan_s: f.makespan_s,
+            sustained_gbs: f.sustained_gbs,
+            executed_bytes: f.executed_bytes,
+            failovers: self.failovers,
+            redirects: self.redirects,
+            timeouts: self.timeouts,
+            interrupted: self.interrupted,
+            cpu_fallbacks: self.cpu_fallbacks,
+            shed_brownout: f.metrics.counter("cluster.shed_brownout"),
+            node_util: f.device_util,
+            breaker_transitions: self.transitions,
+            metrics: f.metrics,
+            trace,
+            obs: f.obs,
+            series: f.series,
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1177,18 +884,7 @@ pub fn cluster_workload(spec: &ClusterWorkloadSpec) -> Result<Vec<ClusterRequest
         return Err(Error::invalid("priorities must be >= 1"));
     }
     let mut rng = StdRng::seed_from_u64(spec.seed);
-    let shapes = [
-        Shape::D3(16, 16, 16),
-        Shape::D3(32, 32, 16),
-        Shape::D3(32, 32, 32),
-        Shape::D1(8192),
-    ];
-    let configs = [
-        CodecConfig::Sz(lossy_sz::SzConfig::abs(1e-3)),
-        CodecConfig::Sz(lossy_sz::SzConfig::abs(1e-2)),
-        CodecConfig::Zfp(lossy_zfp::ZfpConfig::rate(4.0)),
-        CodecConfig::Zfp(lossy_zfp::ZfpConfig::rate(8.0)),
-    ];
+    let (shapes, configs) = (WORKLOAD_SHAPES, workload_configs());
     // Build the field catalog up front (deterministic draw order), each
     // field with its canonical compressed stream for decompress draws.
     struct Field {
@@ -1204,15 +900,7 @@ pub fn cluster_workload(spec: &ClusterWorkloadSpec) -> Result<Vec<ClusterRequest
         let config = configs[f % configs.len()].clone();
         let phase = rng.gen::<f64>() * std::f64::consts::TAU;
         let data = synth_field(shape.len(), phase, &mut rng);
-        let shards: Vec<Vec<u8>> = shard_plan(shape, ServeOptions::default().shard_bytes)
-            .into_iter()
-            .map(|(off, sub)| codec::compress(&data[off..off + sub.len()], sub, &config))
-            .collect::<Result<_>>()?;
-        let stream = if shards.len() == 1 {
-            shards.into_iter().next().unwrap()
-        } else {
-            wrap_shards(&shards)
-        };
+        let stream = served_stream(&data, shape, &config)?;
         catalog.push(Field { key: format!("field{f}"), data, shape, config, stream });
     }
     // Zipf CDF over catalog ranks.
@@ -1319,20 +1007,20 @@ mod tests {
 
     #[test]
     fn breaker_walks_closed_open_half_open_closed() {
-        let mut b = Breaker::new();
+        let mut b = Breaker::new(0);
         let mut log = Vec::new();
-        assert!(b.admits(0, 0.0, 0.02, &mut log));
-        b.on_failure(0, 0.001, 2, &mut log);
+        assert!(b.admits(0.0, 0.02, &mut log));
+        b.on_failure(0.001, 2, &mut log);
         assert_eq!(b.state, BreakerState::Closed, "below threshold");
-        b.on_failure(0, 0.002, 2, &mut log);
+        b.on_failure(0.002, 2, &mut log);
         assert_eq!(b.state, BreakerState::Open);
-        assert!(!b.admits(0, 0.01, 0.02, &mut log), "still cooling");
-        assert!(b.admits(0, 0.03, 0.02, &mut log), "window elapsed: trial allowed");
+        assert!(!b.admits(0.01, 0.02, &mut log), "still cooling");
+        assert!(b.admits(0.03, 0.02, &mut log), "window elapsed: trial allowed");
         assert_eq!(b.state, BreakerState::HalfOpen);
-        b.on_failure(0, 0.031, 2, &mut log);
+        b.on_failure(0.031, 2, &mut log);
         assert_eq!(b.state, BreakerState::Open, "failed trial reopens immediately");
-        assert!(b.admits(0, 0.06, 0.02, &mut log));
-        b.on_success(0, 0.061, &mut log);
+        assert!(b.admits(0.06, 0.02, &mut log));
+        b.on_success(0.061, &mut log);
         assert_eq!(b.state, BreakerState::Closed);
         let states: Vec<BreakerState> = log.iter().map(|t| t.to).collect();
         assert_eq!(
@@ -1349,26 +1037,28 @@ mod tests {
 
     #[test]
     fn heartbeat_detection_needs_consecutive_misses() {
-        let plan = kill(1, 0.0105);
-        let hb = 2e-3;
+        let with = |chaos| ClusterOptions { chaos, heartbeat_s: 2e-3, probe_misses: 2, ..Default::default() };
+        let plan = with(kill(1, 0.0105));
         // Outage starts at 10.5 ms; probes at 12 and 14 ms miss; with
         // probe_misses = 2 detection lands at 14 ms.
-        assert!(!detected_down(&plan, 1, 0.012, hb, 2));
-        assert!(!detected_down(&plan, 1, 0.0139, hb, 2));
-        assert!(detected_down(&plan, 1, 0.014, hb, 2));
-        assert!(detected_down(&plan, 1, 1.0, hb, 2));
-        assert!(!detected_down(&plan, 0, 1.0, hb, 2), "healthy node never detected down");
+        assert!(!detected_down(&plan, 1, 0.012));
+        assert!(!detected_down(&plan, 1, 0.0139));
+        assert!(detected_down(&plan, 1, 0.014));
+        assert!(detected_down(&plan, 1, 1.0));
+        assert!(!detected_down(&plan, 0, 1.0), "healthy node never detected down");
         // A recovered partition is no longer "down".
-        let part = NodeChaosPlan::new(vec![NodeFaultEvent {
-            node: 0,
-            kind: NodeFaultKind::Partition,
-            at_s: 0.0,
-            duration_s: 0.01,
-            slow_factor: 1.0,
-        }])
-        .unwrap();
-        assert!(detected_down(&part, 0, 0.008, hb, 2));
-        assert!(!detected_down(&part, 0, 0.011, hb, 2));
+        let part = with(
+            NodeChaosPlan::new(vec![NodeFaultEvent {
+                node: 0,
+                kind: NodeFaultKind::Partition,
+                at_s: 0.0,
+                duration_s: 0.01,
+                slow_factor: 1.0,
+            }])
+            .unwrap(),
+        );
+        assert!(detected_down(&part, 0, 0.008));
+        assert!(!detected_down(&part, 0, 0.011));
     }
 
     #[test]
@@ -1382,7 +1072,8 @@ mod tests {
         assert_eq!(r.completed + r.rejected, r.submitted);
         assert_eq!(r.rejected, 0);
         assert_eq!((r.failovers, r.timeouts, r.interrupted, r.cpu_fallbacks), (0, 0, 0, 0));
-        let serial = cluster_serial(&spec, &opts, &reqs).unwrap();
+        let inner: Vec<ServeRequest> = reqs.iter().map(|r| r.req.clone()).collect();
+        let serial = serve::serve_serial(&spec.node, &opts.serve, &inner).unwrap();
         for resp in &r.responses {
             let reference = serial.response(resp.id).unwrap();
             assert_eq!(resp.output, reference.output, "request {}", resp.id);

@@ -59,7 +59,7 @@ pub use cbench::{
 };
 pub use cinema::{ascii_chart, CinemaDb};
 pub use cluster::{
-    cluster_serial, cluster_workload, serve_cluster, BreakerState, BreakerTransition,
+    cluster_workload, serve_cluster, BreakerState, BreakerTransition,
     ClusterOptions, ClusterReport, ClusterRequest, ClusterResponse, ClusterWorkloadSpec,
     ServeCluster,
 };

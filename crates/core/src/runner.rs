@@ -550,13 +550,16 @@ pub fn run_pipeline(cfg: &ForesightConfig, cluster: &SlurmSim) -> Result<Pipelin
     Ok(report)
 }
 
-/// A windowed series of a snapshot's device slices, in recording order:
-/// per-window busy-duration histograms per track (`<track>.dur_s`) and
-/// slice counters per process (`slices.<process>`). This is how pipeline
-/// runs, which have no request stream, get SLOs: e.g. `kernel.dur_s.p99`
-/// watches kernel-time regressions per window.
+/// A windowed series of a snapshot's device slices: per-window
+/// busy-duration histograms per track (`<track>.dur_s`) and slice
+/// counters per process (`slices.<process>`). This is how pipeline runs,
+/// which have no request stream, get SLOs: e.g. `kernel.dur_s.p99`
+/// watches kernel-time regressions per window. Slices are windowed
+/// process by process, each in its recording order, so how the sweep's
+/// threads interleaved devices never changes an `f64` sum.
 fn slice_series(snap: &TelemetrySnapshot, width_s: f64) -> WindowSeries {
-    let layout = snap.sim_layout();
+    let mut layout = snap.sim_layout();
+    layout.slices.sort_by_key(|&(p, _, _)| p);
     let mut series = WindowSeries::new(width_s, 4096);
     for &(p, _, s) in &layout.slices {
         series.incr(s.start_s, &format!("slices.{}", layout.processes[p].0), 1);
@@ -587,6 +590,22 @@ mod tests {
             dir.display()
         ))
         .unwrap()
+    }
+
+    #[test]
+    fn slice_series_does_not_depend_on_device_interleaving() {
+        use foresight_util::telemetry::SpanRecord;
+        let kernel = |process: &str, dur_s: f64| SpanRecord::slice(process, "kernel", "k", 0.0, dur_s);
+        // Two sweep threads recording gpu0 = [0.1] and gpu1 = [0.2, 0.3]
+        // in either order: summed in recording order, one window's kernel
+        // total is 0.6000000000000001 one way and 0.6 the other.
+        let snap = |spans| TelemetrySnapshot { spans, ..Default::default() };
+        let a = snap(vec![kernel("gpu0", 0.1), kernel("gpu1", 0.2), kernel("gpu1", 0.3)]);
+        let b = snap(vec![kernel("gpu1", 0.2), kernel("gpu1", 0.3), kernel("gpu0", 0.1)]);
+        assert_eq!(
+            slice_series(&a, 1.0).to_value().to_json(),
+            slice_series(&b, 1.0).to_value().to_json()
+        );
     }
 
     #[test]

@@ -428,10 +428,6 @@ pub(crate) struct Unit {
     pub(crate) store_returned: u64,
 }
 
-fn batch_key(cfg: &CodecConfig) -> String {
-    format!("{} {}", cfg.id().display(), cfg.param_label())
-}
-
 /// Validates a request and lists its unit slices (compress: value
 /// ranges; decompress: byte ranges).
 fn unit_slices(req: &ServeRequest, shard_bytes: u64) -> Result<Vec<(usize, usize, Shape)>> {
@@ -561,7 +557,7 @@ fn run_unit(req: &ServeRequest, slice: &(usize, usize, Shape)) -> Result<Unit> {
 
 /// Host-executes every unit of every request (rayon over units; result
 /// order is deterministic regardless of thread scheduling).
-pub(crate) fn execute_units(
+fn execute_units(
     requests: &[ServeRequest],
     shard_bytes: u64,
 ) -> Result<Vec<Vec<Unit>>> {
@@ -595,7 +591,7 @@ pub(crate) fn execute_units(
 }
 
 /// Assembles a request's response bytes from its unit outputs.
-pub(crate) fn assemble_output(req: &ServeRequest, units: &[Unit]) -> Vec<u8> {
+fn assemble_output(req: &ServeRequest, units: &[Unit]) -> Vec<u8> {
     match &req.payload {
         ServePayload::Compress { .. } => {
             if units.len() == 1 {
@@ -619,32 +615,32 @@ pub(crate) fn assemble_output(req: &ServeRequest, units: &[Unit]) -> Vec<u8> {
 // Phase B: simulated-clock scheduling
 // ---------------------------------------------------------------------------
 
+/// One executed unit as [`ExecState::exec_unit`] reports it:
+/// (completion time, path taken, device label, lane timing — `None`
+/// when no device ran it).
+pub(crate) type UnitExec = (f64, ExecPath, String, Option<UnitTiming>);
+
 /// Per-node execution state: device queues, fault plans, CPU lane.
 /// `Clone` lets the cluster router dispatch tentatively and commit only
 /// when the target node survives to the completion time.
 #[derive(Clone)]
 pub(crate) struct ExecState {
     pub(crate) queues: Vec<GpuQueueSim>,
-    pub(crate) plans: Vec<FaultPlan>,
+    plans: Vec<FaultPlan>,
     /// Warm-pool accounting on (batched scheduler) or off (serial
     /// reference, which pays init/free per request instead).
     warm_pool: bool,
     /// Devices whose buffer pool has been initialized (warm-pool model:
     /// the batched scheduler pays init once per device, at first use).
-    pub(crate) inited: Vec<bool>,
+    inited: Vec<bool>,
     /// Trace-process prefix (`"serve"`, `"serial"`, or a cluster node
     /// label like `"n2"`).
     prefix: String,
-    pub(crate) cpu_free_s: f64,
+    cpu_free_s: f64,
     cpu_gbs: f64,
-    pub(crate) cpu_trace: Vec<TraceEvent>,
-    pub(crate) failovers: u64,
-    pub(crate) cpu_fallbacks: u64,
-    /// Lane placement of the most recent [`ExecState::exec_unit`] call
-    /// (`None` when it fell back to the CPU path) — read by the obs
-    /// layer to attach device-lane child spans without widening the
-    /// `exec_unit` signature.
-    pub(crate) last_timing: Option<UnitTiming>,
+    cpu_trace: Vec<TraceEvent>,
+    failovers: u64,
+    cpu_fallbacks: u64,
 }
 
 impl ExecState {
@@ -667,7 +663,6 @@ impl ExecState {
             cpu_trace: Vec::new(),
             failovers: 0,
             cpu_fallbacks: 0,
-            last_timing: None,
         }
     }
 
@@ -675,7 +670,7 @@ impl ExecState {
     /// A long-running server allocates device memory once and reuses it
     /// across batches — per-batch `cudaMalloc` would dominate small
     /// batches and no serving system does that.
-    pub(crate) fn ensure_warm(&mut self, d: usize, ready_s: f64) {
+    fn ensure_warm(&mut self, d: usize, ready_s: f64) {
         if self.warm_pool && !self.inited[d] {
             self.inited[d] = true;
             self.queues[d].charge_init(ready_s, "warmup");
@@ -694,10 +689,8 @@ impl ExecState {
     }
 
     /// Runs one unit with fail-over: try `start_dev`, then every other
-    /// device in ring order, then the CPU path. Returns (done time, path
-    /// taken, device label).
-    pub(crate) fn exec_unit(&mut self, start_dev: usize, ready_s: f64, u: &Unit, label: &str)
-        -> (f64, ExecPath, String) {
+    /// device in ring order, then the CPU path.
+    fn exec_unit(&mut self, start_dev: usize, ready_s: f64, u: &Unit, label: &str) -> UnitExec {
         let n = self.queues.len();
         let mut ready = ready_s;
         for attempt in 0..n {
@@ -726,8 +719,7 @@ impl ExecState {
                 label,
             );
             let path = if attempt == 0 { ExecPath::Gpu } else { ExecPath::GpuRetried(attempt as u32) };
-            self.last_timing = Some(t);
-            return (t.done_s, path, q.label().to_string());
+            return (t.done_s, path, q.label().to_string(), Some(t));
         }
         // Every device faulted this unit: host codec path. The bytes
         // already exist (host-computed), only the clock is charged.
@@ -743,45 +735,36 @@ impl ExecState {
             start_s: start,
             dur_s: dur,
         });
-        self.last_timing = None;
-        (self.cpu_free_s, ExecPath::CpuFallback, "cpu".into())
+        (self.cpu_free_s, ExecPath::CpuFallback, "cpu".into(), None)
     }
 
-    pub(crate) fn collect_trace(&self) -> Vec<TraceEvent> {
-        let mut out = Vec::new();
-        for q in &self.queues {
-            for s in q.timeline() {
-                out.push(TraceEvent {
-                    process: q.label().to_string(),
-                    track: s.track.clone(),
-                    name: s.name.clone(),
-                    start_s: s.start_s,
-                    dur_s: s.dur_s,
-                });
-            }
-        }
-        out.extend(self.cpu_trace.iter().cloned());
-        out
+    /// Every device lane's slices in device then enqueue order, then the
+    /// CPU lane's.
+    fn collect_trace(&self) -> Vec<TraceEvent> {
+        let lanes = self.queues.iter().flat_map(|q| {
+            q.timeline().iter().map(|s| TraceEvent {
+                process: q.label().to_string(),
+                track: s.track.clone(),
+                name: s.name.clone(),
+                start_s: s.start_s,
+                dur_s: s.dur_s,
+            })
+        });
+        lanes.chain(self.cpu_trace.iter().cloned()).collect()
     }
 }
 
 /// Merges unit outcomes into a request-level (completion, path, device)
 /// triple: the slowest unit completes the request, the worst path wins.
-pub(crate) fn fold_units(outcomes: &[(f64, ExecPath, String)]) -> (f64, ExecPath, String) {
+fn fold_units(outcomes: &[UnitExec]) -> (f64, ExecPath, String) {
     let done = outcomes.iter().fold(0.0f64, |m, o| m.max(o.0));
-    let retried: u32 = outcomes
-        .iter()
-        .map(|o| match o.1 {
-            ExecPath::GpuRetried(k) => k,
-            _ => 0,
-        })
-        .sum();
     let path = if outcomes.iter().any(|o| matches!(o.1, ExecPath::CpuFallback)) {
         ExecPath::CpuFallback
-    } else if retried > 0 {
-        ExecPath::GpuRetried(retried)
     } else {
-        ExecPath::Gpu
+        match device_retries(outcomes) {
+            0 => ExecPath::Gpu,
+            k => ExecPath::GpuRetried(k),
+        }
     };
     let mut devices: Vec<&str> = Vec::new();
     for o in outcomes {
@@ -792,6 +775,17 @@ pub(crate) fn fold_units(outcomes: &[(f64, ExecPath, String)]) -> (f64, ExecPath
     (done, path, devices.join("+"))
 }
 
+/// Device fail-overs across a request's units.
+fn device_retries(outcomes: &[UnitExec]) -> u32 {
+    outcomes
+        .iter()
+        .map(|o| match o.1 {
+            ExecPath::GpuRetried(k) => k,
+            _ => 0,
+        })
+        .sum()
+}
+
 /// Records the per-unit child spans of a dispatch: one `unit` span per
 /// outcome, with `h2d`/`kernel`/`d2h` lane children anchored on the
 /// device process when the unit ran on a GPU (so Chrome-trace flow
@@ -800,20 +794,19 @@ pub(crate) fn fold_units(outcomes: &[(f64, ExecPath, String)]) -> (f64, ExecPath
 pub(crate) fn record_units(
     rec: &mut ObsRecorder,
     parent: TraceContext,
-    outcomes: &[(f64, ExecPath, String)],
-    timings: &[Option<UnitTiming>],
+    outcomes: &[UnitExec],
     cpu_process: &str,
 ) {
     if !rec.enabled() {
         return;
     }
-    for (k, (o, tm)) in outcomes.iter().zip(timings).enumerate() {
+    for (k, o) in outcomes.iter().enumerate() {
         let path = match o.1 {
             ExecPath::Cpu | ExecPath::CpuFallback => "cpu".to_string(),
             ExecPath::Gpu => "gpu".to_string(),
             ExecPath::GpuRetried(n) => format!("gpu+retry{n}"),
         };
-        let start = tm.map_or(o.0, |t| t.h2d_start_s);
+        let start = o.3.map_or(o.0, |t| t.h2d_start_s);
         let unit = rec.child(
             parent,
             "unit",
@@ -825,7 +818,7 @@ pub(crate) fn record_units(
                 ("path".into(), path),
             ],
         );
-        match tm {
+        match o.3 {
             Some(t) => {
                 rec.child(unit, "h2d", t.h2d_start_s, (t.kernel_start_s - t.h2d_start_s).max(0.0), vec![]);
                 rec.anchor_last(&o.2, "h2d");
@@ -873,396 +866,466 @@ pub(crate) fn validate(
     Ok(())
 }
 
-/// Shared response skeleton filled by both schedulers.
-struct Pending {
-    order: Vec<usize>,
-    responses: Vec<Option<ServeResponse>>,
+// ---------------------------------------------------------------------------
+// The scheduler core
+// ---------------------------------------------------------------------------
+
+/// Whose report a [`Run`] assembles.
+#[derive(Clone, Copy, PartialEq)]
+pub(crate) enum Scope {
+    /// One node (`serve`, `serve_serial`): metrics under `serve.*`;
+    /// queue depth is mirrored process-wide, store reads, device
+    /// fail-overs and CPU fallbacks are counted, and utilization is
+    /// windowed per device.
+    Node,
+    /// The cluster router: metrics under `cluster.*`; the router counts
+    /// fail-overs per request itself, and utilization is windowed per
+    /// node.
+    Cluster,
 }
 
-impl Pending {
-    fn new(requests: &[ServeRequest]) -> Self {
-        let mut order: Vec<usize> = (0..requests.len()).collect();
-        order.sort_by(|&a, &b| {
-            requests[a]
-                .arrival_s
-                .total_cmp(&requests[b].arrival_s)
-                .then(requests[a].id.cmp(&requests[b].id))
-        });
-        Self { order, responses: requests.iter().map(|_| None).collect() }
-    }
-}
-
-/// Finishes a request: deadline check, metrics, response row.
-#[allow(clippy::too_many_arguments)] // response assembly genuinely has this many facts
-fn complete_request(
-    req: &ServeRequest,
-    units: &[Unit],
-    outcomes: &[(f64, ExecPath, String)],
-    batch: usize,
-    reg: &MetricsRegistry,
-    missed: &mut usize,
-    executed_bytes: &mut u64,
-) -> ServeResponse {
-    let (done, path, device) = fold_units(outcomes);
-    let latency = done - req.arrival_s;
-    reg.observe("serve.latency_s", latency);
-    telemetry::observe("serve.latency_s", latency);
-    *executed_bytes += units.iter().map(|u| u.n_values * 4).sum::<u64>();
-    let store_chunks: u64 = units.iter().map(|u| u.store_chunks).sum();
-    if store_chunks > 0 {
-        reg.counter("store.chunks_decoded", store_chunks);
-        reg.counter("store.bytes_touched", units.iter().map(|u| u.store_touched).sum());
-        reg.counter("store.bytes_returned", units.iter().map(|u| u.store_returned).sum());
-    }
-    let in_time = req.deadline_s.is_none_or(|d| done <= d);
-    let status = if in_time {
-        ServeStatus::Done
-    } else {
-        *missed += 1;
-        reg.counter("serve.deadline_missed", 1);
-        ServeStatus::DeadlineMissed
-    };
-    ServeResponse {
-        id: req.id,
-        status,
-        output: in_time.then(|| assemble_output(req, units)),
-        exec: path,
-        device,
-        batch: Some(batch),
-        completed_s: done,
-        latency_s: latency,
-    }
-}
-
-/// Obs hook for one completed request: the admission → dispatch → unit
-/// span chain plus the completion-side series samples. No-op when obs
-/// is off.
-#[allow(clippy::too_many_arguments)] // mirrors complete_request's facts
-fn observe_response(
-    rec: &mut ObsRecorder,
-    series: &mut Option<WindowSeries>,
-    id: u64,
-    dispatch_s: f64,
-    batch: usize,
-    outcomes: &[(f64, ExecPath, String)],
-    timings: &[Option<UnitTiming>],
-    resp: &ServeResponse,
-) {
-    if let Some(s) = series.as_mut() {
-        s.observe(resp.completed_s, "serve.latency_s", resp.latency_s);
-        s.incr(resp.completed_s, "serve.completed", 1);
-        let faults: u32 = outcomes
-            .iter()
-            .map(|o| match o.1 {
-                ExecPath::GpuRetried(n) => n,
-                _ => 0,
-            })
-            .sum();
-        if faults > 0 {
-            s.incr(resp.completed_s, "serve.fault", u64::from(faults));
-        }
-        let cpu = outcomes.iter().filter(|o| matches!(o.1, ExecPath::CpuFallback)).count();
-        if cpu > 0 {
-            s.incr(resp.completed_s, "serve.cpu_fallback", cpu as u64);
-        }
-        if matches!(resp.status, ServeStatus::DeadlineMissed) {
-            s.incr(resp.completed_s, "serve.deadline_missed", 1);
+impl ServeResponse {
+    /// A request shed at admission: never executed, answered with a hint.
+    fn shed(req: &ServeRequest, retry_after_s: f64) -> Self {
+        Self {
+            id: req.id,
+            status: ServeStatus::Rejected { retry_after_s },
+            output: None,
+            exec: ExecPath::Gpu,
+            device: String::new(),
+            batch: None,
+            completed_s: req.arrival_s,
+            latency_s: 0.0,
         }
     }
-    if rec.enabled() {
-        let arrival = resp.completed_s - resp.latency_s;
-        let root = rec.mint(id, "admission", arrival, (dispatch_s - arrival).max(0.0), vec![]);
-        let dispatch = rec.child(
-            root,
-            "dispatch",
-            dispatch_s,
-            (resp.completed_s - dispatch_s).max(0.0),
-            vec![
-                ("batch".into(), batch.to_string()),
-                ("units".into(), outcomes.len().to_string()),
-            ],
-        );
-        record_units(rec, dispatch, outcomes, timings, "serve-cpu");
-    }
 }
 
-#[allow(clippy::too_many_arguments)] // report assembly genuinely has this many facts
-fn finish_report(
-    mut state: ExecState,
-    reg: MetricsRegistry,
-    pending: Pending,
-    batches: usize,
+/// What a policy adds when [`Run::admit`] sheds a request.
+#[derive(Default)]
+pub(crate) struct ShedNote<'s> {
+    /// Admission-span attributes, ahead of the outstanding count.
+    pub(crate) attrs: Vec<(String, String)>,
+    /// Shed-span attributes, after the retry hint.
+    pub(crate) shed_attrs: Vec<(String, String)>,
+    /// Counters bumped once per shed: in the run's registry, the
+    /// process-wide collector and the series.
+    pub(crate) counters: &'s [&'s str],
+}
+
+/// One scheduler run, from Phase A to its report. It owns what every
+/// entry point carries — the units, metrics, spans and series, the
+/// dispatched units' completion times, one response slot per request,
+/// and the counts — and its methods are the mechanics they share:
+/// [`Run::windows`], [`Run::admit`], [`Run::run_units`],
+/// [`Run::complete`] and [`Run::finish`]. What stays in `serve`,
+/// `serve_serial` and `serve_cluster` is policy.
+pub(crate) struct Run<'a, R> {
+    pub(crate) requests: &'a [ServeRequest],
+    /// Phase-A units, per request.
+    pub(crate) units: Vec<Vec<Unit>>,
+    pub(crate) reg: MetricsRegistry,
+    pub(crate) rec: ObsRecorder,
+    pub(crate) series: Option<WindowSeries>,
+    /// Every slot is `Some` once the windows drain.
+    pub(crate) responses: Vec<Option<R>>,
+    /// Completion time of every dispatched unit.
+    completions: Vec<f64>,
+    scope: Scope,
+    prefix: &'static str,
+    window_s: f64,
+    seed: u64,
     rejected: usize,
     missed: usize,
     executed_bytes: u64,
-    rec: ObsRecorder,
-    mut series: Option<WindowSeries>,
-) -> ServeReport {
-    // Warm-pool shutdown: release each used device's buffer pool once.
-    for d in 0..state.queues.len() {
-        if state.inited[d] {
-            state.queues[d].charge_free("shutdown");
+    depth_max: usize,
+    /// Latest completion or shed arrival.
+    last_s: f64,
+}
+
+impl<'a, R: From<ServeResponse>> Run<'a, R> {
+    /// Runs Phase A — the host codecs compute every byte before any
+    /// scheduling, which is what keeps outputs independent of batching,
+    /// placement and fail-over — and opens an empty ledger.
+    pub(crate) fn new(scope: Scope, opts: &ServeOptions, requests: &'a [ServeRequest]) -> Result<Self> {
+        let units = execute_units(requests, opts.shard_bytes)?;
+        let prefix = if scope == Scope::Node { "serve" } else { "cluster" };
+        let reg = MetricsRegistry::new();
+        reg.counter(&format!("{prefix}.requests"), requests.len() as u64);
+        Ok(Self {
+            requests,
+            units,
+            reg,
+            rec: ObsRecorder::new(opts.obs.is_some()),
+            series: opts.obs.map(|o| WindowSeries::new(o.series_width_s, o.series_retention)),
+            responses: requests.iter().map(|_| None).collect(),
+            completions: Vec::new(),
+            scope,
+            prefix,
+            window_s: opts.window_s,
+            seed: opts.seed,
+            rejected: 0,
+            missed: 0,
+            executed_bytes: 0,
+            depth_max: 0,
+            last_s: 0.0,
+        })
+    }
+
+    /// Request indexes in (arrival, id) order.
+    fn order(&self) -> Vec<usize> {
+        let r = self.requests;
+        let mut order: Vec<usize> = (0..r.len()).collect();
+        order.sort_by(|&a, &b| r[a].arrival_s.total_cmp(&r[b].arrival_s).then(r[a].id.cmp(&r[b].id)));
+        order
+    }
+
+    /// The (arrival, id) order cut into batching windows: each window's
+    /// dispatch tick (its end) and its members.
+    pub(crate) fn windows(&self) -> Vec<(f64, Vec<usize>)> {
+        let w = self.window_s;
+        let window = |ri: &usize| (self.requests[*ri].arrival_s / w).floor();
+        let order = self.order();
+        let cut = order.chunk_by(|a, b| window(a) == window(b));
+        cut.map(|members| ((window(&members[0]) + 1.0) * w, members.to_vec())).collect()
+    }
+
+    /// Admits request `ri` at its window's `dispatch_s` when its units
+    /// fit in `capacity` beside the outstanding ones — dispatched units
+    /// unfinished at its arrival, plus the `queued` units admitted
+    /// earlier in the window, which an admission grows. The queue depth
+    /// is sampled either way. A request that does not fit is shed: a
+    /// retry hint, a rejected response, an admission → shed span pair
+    /// and a series sample, plus what `note` adds.
+    pub(crate) fn admit(
+        &mut self,
+        ri: usize,
+        dispatch_s: f64,
+        capacity: usize,
+        queued: &mut usize,
+        note: ShedNote<'_>,
+    ) -> bool {
+        let requests = self.requests;
+        let req = &requests[ri];
+        let n_units = self.units[ri].len();
+        let outstanding = self.completions.iter().filter(|&&c| c > req.arrival_s).count() + *queued;
+        let depth = format!("{}.queue_depth", self.prefix);
+        self.depth_max = self.depth_max.max(outstanding);
+        self.reg.observe(&depth, outstanding as f64);
+        if self.scope == Scope::Node {
+            telemetry::observe(&depth, outstanding as f64);
+        }
+        if let Some(s) = self.series.as_mut() {
+            s.observe(req.arrival_s, &depth, outstanding as f64);
+        }
+        if outstanding + n_units <= capacity {
+            *queued += n_units;
+            return true;
+        }
+        // Backpressure: reject with a hint, never drop. The hint is when
+        // the earliest outstanding unit drains (or the next window if the
+        // pressure is all queued work), plus up to one window of
+        // per-request deterministic jitter — identical hints would
+        // re-synchronize every rejected client into a thundering herd at
+        // the same instant.
+        let retry_after_s = self
+            .completions
+            .iter()
+            .filter(|&&c| c > req.arrival_s)
+            .fold(f64::INFINITY, |m, &c| m.min(c))
+            .min(dispatch_s + self.window_s)
+            - req.arrival_s
+            + jitter01(self.seed, req.id, 0) * self.window_s;
+        self.rejected += 1;
+        self.last_s = self.last_s.max(req.arrival_s);
+        self.reg.counter(&format!("{}.rejected", self.prefix), 1);
+        for &c in note.counters {
+            self.reg.counter(c, 1);
+            telemetry::counter(c, 1);
+        }
+        if let Some(s) = self.series.as_mut() {
+            s.incr(req.arrival_s, &format!("{}.shed", self.prefix), 1);
+            for &c in note.counters {
+                s.incr(req.arrival_s, c, 1);
+            }
+        }
+        if self.rec.enabled() {
+            let mut attrs = note.attrs;
+            attrs.push(("outstanding".into(), outstanding.to_string()));
+            let wait = (dispatch_s - req.arrival_s).max(0.0);
+            let root = self.rec.mint(req.id, "admission", req.arrival_s, wait, attrs);
+            let mut attrs = vec![("retry_after_s".into(), format!("{retry_after_s:.9}"))];
+            attrs.extend(note.shed_attrs);
+            self.rec.child(root, "shed", req.arrival_s, 0.0, attrs);
+        }
+        self.responses[ri] = Some(ServeResponse::shed(req, retry_after_s).into());
+        false
+    }
+
+    /// Runs request `ri`'s units on `state` from time `t` with fail-over:
+    /// unit `k` starts on the `k mod lanes`-th device after `start_dev`,
+    /// one lane per unit up to every device.
+    pub(crate) fn run_units(
+        &self,
+        state: &mut ExecState,
+        ri: usize,
+        start_dev: usize,
+        t: f64,
+    ) -> Vec<UnitExec> {
+        let units = &self.units[ri];
+        let devices = state.queues.len();
+        let lanes = devices.min(units.len()).max(1);
+        let mut outcomes = Vec::with_capacity(units.len());
+        for (k, u) in units.iter().enumerate() {
+            let label = format!("r{}.{k}", self.requests[ri].id);
+            outcomes.push(state.exec_unit((start_dev + k % lanes) % devices, t, u, &label));
+        }
+        outcomes
+    }
+
+    /// Completes executed request `ri` from its unit outcomes: the
+    /// slowest unit finishes it and the worst path wins. Its units count
+    /// as outstanding until they finish; latency and executed bytes are
+    /// recorded, the deadline decides `Done` or `DeadlineMissed`, and
+    /// the series samples the completion. Returns the response, `batch`
+    /// unset, for the caller to store.
+    pub(crate) fn complete(&mut self, ri: usize, outcomes: &[UnitExec]) -> ServeResponse {
+        let requests = self.requests;
+        let req = &requests[ri];
+        let units = &self.units[ri];
+        let (done, exec, device) = fold_units(outcomes);
+        self.completions.extend(outcomes.iter().map(|o| o.0));
+        self.last_s = self.last_s.max(done);
+        let latency_s = done - req.arrival_s;
+        let latency = format!("{}.latency_s", self.prefix);
+        self.reg.observe(&latency, latency_s);
+        telemetry::observe(&latency, latency_s);
+        self.executed_bytes += units.iter().map(|u| u.n_values * 4).sum::<u64>();
+        let store_chunks: u64 = units.iter().map(|u| u.store_chunks).sum();
+        if self.scope == Scope::Node && store_chunks > 0 {
+            self.reg.counter("store.chunks_decoded", store_chunks);
+            self.reg.counter("store.bytes_touched", units.iter().map(|u| u.store_touched).sum());
+            self.reg.counter("store.bytes_returned", units.iter().map(|u| u.store_returned).sum());
+        }
+        let in_time = req.deadline_s.is_none_or(|d| done <= d);
+        if !in_time {
+            self.missed += 1;
+            self.reg.counter(&format!("{}.deadline_missed", self.prefix), 1);
+        }
+        if let Some(s) = self.series.as_mut() {
+            s.observe(done, &latency, latency_s);
+            s.incr(done, &format!("{}.completed", self.prefix), 1);
+            let faults = device_retries(outcomes);
+            if faults > 0 {
+                s.incr(done, &format!("{}.fault", self.prefix), u64::from(faults));
+            }
+            let cpu = outcomes.iter().filter(|o| matches!(o.1, ExecPath::CpuFallback)).count();
+            if self.scope == Scope::Node && cpu > 0 {
+                s.incr(done, "serve.cpu_fallback", cpu as u64);
+            }
+            if !in_time {
+                s.incr(done, &format!("{}.deadline_missed", self.prefix), 1);
+            }
+        }
+        ServeResponse {
+            id: req.id,
+            status: if in_time { ServeStatus::Done } else { ServeStatus::DeadlineMissed },
+            output: in_time.then(|| assemble_output(req, units)),
+            exec,
+            device,
+            batch: None,
+            completed_s: done,
+            latency_s,
         }
     }
-    // Every slot is Some by construction once the dispatch loop drains;
-    // release builds must not panic while assembling a report, so the
-    // invariant is checked in debug builds only.
-    let responses: Vec<ServeResponse> =
-        pending.order.iter().filter_map(|&i| pending.responses[i].clone()).collect();
-    debug_assert_eq!(responses.len(), pending.order.len(), "every request resolved");
-    let makespan_s =
-        responses.iter().fold(0.0f64, |m, r| m.max(r.completed_s)).max(state.cpu_free_s);
-    let sustained_gbs = if makespan_s > 0.0 {
-        executed_bytes as f64 / 1e9 / makespan_s
-    } else {
-        0.0
-    };
-    let mut device_util = Vec::new();
-    for q in &state.queues {
-        let u = q.utilization(makespan_s);
-        reg.gauge(&format!("serve.util.{}", q.label()), u);
-        device_util.push((q.label().to_string(), u));
-    }
-    if let Some(s) = series.as_mut() {
-        for q in &state.queues {
-            let busy: Vec<(f64, f64)> = q
-                .timeline()
-                .iter()
-                .filter(|t| t.track == "kernel")
-                .map(|t| (t.start_s, t.dur_s))
-                .collect();
-            obs::utilization_windows(s, &format!("serve.util.{}", q.label()), &busy, 1.0);
+
+    /// Closes the run over the node states that served it: warm-pool
+    /// shutdown, makespan, utilization gauges and windows, the trace
+    /// (every state's device lanes, then its CPU lane) and its
+    /// process-wide replay. Returns the responses in (arrival, id) order
+    /// and the node-level report around them — `responses` empty and
+    /// `batches` 0 — for the entry point to fill in or re-label.
+    pub(crate) fn finish(mut self, states: &mut [ExecState]) -> (Vec<R>, ServeReport) {
+        // Warm-pool shutdown: release each used device's buffer pool once.
+        for st in states.iter_mut() {
+            for (q, &inited) in st.queues.iter_mut().zip(&st.inited) {
+                if inited {
+                    q.charge_free("shutdown");
+                }
+            }
         }
+        let makespan_s = states.iter().fold(self.last_s, |m, s| m.max(s.cpu_free_s));
+        let sustained_gbs =
+            if makespan_s > 0.0 { self.executed_bytes as f64 / 1e9 / makespan_s } else { 0.0 };
+        let mut device_util = Vec::new();
+        for q in states.iter().flat_map(|s| &s.queues) {
+            let u = q.utilization(makespan_s);
+            self.reg.gauge(&format!("{}.util.{}", self.prefix, q.label()), u);
+            device_util.push((q.label().to_string(), u));
+        }
+        if let Some(s) = self.series.as_mut() {
+            for st in states.iter() {
+                match self.scope {
+                    Scope::Node => {
+                        for q in &st.queues {
+                            let name = format!("serve.util.{}", q.label());
+                            busy_windows(s, &name, std::slice::from_ref(q));
+                        }
+                    }
+                    Scope::Cluster => {
+                        busy_windows(s, &format!("cluster.util.{}", st.prefix), &st.queues)
+                    }
+                }
+            }
+        }
+        self.reg.gauge(&format!("{}.makespan_s", self.prefix), makespan_s);
+        self.reg.gauge(&format!("{}.sustained_gbs", self.prefix), sustained_gbs);
+        // Store-backed reads: bytes the chunk decoders materialized per
+        // byte actually returned (1.0 = perfectly chunk-aligned regions).
+        let store_returned = self.reg.counter_value("store.bytes_returned");
+        if store_returned > 0 {
+            let touched = self.reg.counter_value("store.bytes_touched");
+            self.reg.gauge("store.read_amplification", touched as f64 / store_returned as f64);
+        }
+        let failovers = states.iter().map(|s| s.failovers).sum();
+        let cpu_fallbacks = states.iter().map(|s| s.cpu_fallbacks).sum();
+        if self.scope == Scope::Node {
+            self.reg.counter("serve.failover", failovers);
+            self.reg.counter("serve.cpu_fallback", cpu_fallbacks);
+        }
+        let trace: Vec<TraceEvent> = states.iter().flat_map(|s| s.collect_trace()).collect();
+        replay(&trace);
+        // Release builds must not panic while assembling a report, so the
+        // every-slot-filled invariant is checked in debug builds only.
+        let order = self.order();
+        let responses: Vec<R> = order.iter().filter_map(|&i| self.responses[i].take()).collect();
+        debug_assert_eq!(responses.len(), order.len(), "every request resolved");
+        let report = ServeReport {
+            responses: Vec::new(),
+            batches: 0,
+            makespan_s,
+            sustained_gbs,
+            executed_bytes: self.executed_bytes,
+            rejected: self.rejected,
+            missed: self.missed,
+            failovers,
+            cpu_fallbacks,
+            device_util,
+            metrics: self.reg.snapshot(),
+            trace,
+            obs: self.rec.into_trace(),
+            series: self.series,
+        };
+        (responses, report)
     }
-    reg.gauge("serve.makespan_s", makespan_s);
-    reg.gauge("serve.sustained_gbs", sustained_gbs);
-    // Store-backed reads: bytes the chunk decoders materialized per
-    // byte actually returned (1.0 = perfectly chunk-aligned regions).
-    let store_returned = reg.counter_value("store.bytes_returned");
-    if store_returned > 0 {
-        reg.gauge(
-            "store.read_amplification",
-            reg.counter_value("store.bytes_touched") as f64 / store_returned as f64,
-        );
-    }
-    reg.counter("serve.failover", state.failovers);
-    reg.counter("serve.cpu_fallback", state.cpu_fallbacks);
+}
+
+/// Replays trace slices into the process-wide collector, in order.
+pub(crate) fn replay(trace: &[TraceEvent]) {
     if telemetry::is_enabled() {
-        for q in &state.queues {
-            q.emit_telemetry(0.0);
-        }
-        for e in &state.cpu_trace {
+        for e in trace {
             telemetry::sim_slice(&e.process, &e.track, &e.name, e.start_s, e.dur_s);
         }
     }
-    let trace = state.collect_trace();
-    ServeReport {
-        responses,
-        batches,
-        makespan_s,
-        sustained_gbs,
-        executed_bytes,
-        rejected,
-        missed,
-        failovers: state.failovers,
-        cpu_fallbacks: state.cpu_fallbacks,
-        device_util,
-        metrics: reg.snapshot(),
-        trace,
-        obs: rec.into_trace(),
-        series,
-    }
 }
+
+/// Windows the kernel-lane busy time of `queues` into gauge `name`, as a
+/// share of their combined capacity.
+fn busy_windows(series: &mut WindowSeries, name: &str, queues: &[GpuQueueSim]) {
+    let busy: Vec<(f64, f64)> = queues
+        .iter()
+        .flat_map(|q| q.timeline())
+        .filter(|t| t.track == "kernel")
+        .map(|t| (t.start_s, t.dur_s))
+        .collect();
+    obs::utilization_windows(series, name, &busy, queues.len() as f64);
+}
+
+// ---------------------------------------------------------------------------
+// The node schedulers
+// ---------------------------------------------------------------------------
 
 /// Serves `requests` on the node with batching, sharding, backpressure,
 /// deadlines, and fault fail-over. See the module docs for the model.
 pub fn serve(node: &ServeNode, opts: &ServeOptions, requests: &[ServeRequest]) -> Result<ServeReport> {
     validate(node, opts, requests)?;
-    let units = execute_units(requests, opts.shard_bytes)?;
-    let reg = MetricsRegistry::new();
-    reg.gauge("serve.devices", node.devices as f64);
-    reg.gauge("serve.queue_depth.limit", opts.queue_depth as f64);
-    reg.counter("serve.requests", requests.len() as u64);
+    let mut run = Run::new(Scope::Node, opts, requests)?;
+    run.reg.gauge("serve.devices", node.devices as f64);
+    run.reg.gauge("serve.queue_depth.limit", opts.queue_depth as f64);
     let mut state = ExecState::new(node, opts, "serve", true);
-    let mut pending = Pending::new(requests);
-    let order = pending.order.clone();
-    let mut rec = ObsRecorder::new(opts.obs.is_some());
-    let mut series = opts.obs.map(|o| WindowSeries::new(o.series_width_s, o.series_retention));
-
-    let mut completions: Vec<f64> = Vec::new(); // dispatched units
-    let mut rejected = 0usize;
-    let mut missed = 0usize;
     let mut batches = 0usize;
-    let mut executed_bytes = 0u64;
-    let mut depth_max = 0usize;
-
-    let mut at = 0usize;
-    while at < order.len() {
-        // One batching window: all requests in the same window index.
-        let window = (requests[order[at]].arrival_s / opts.window_s).floor();
-        let dispatch_s = (window + 1.0) * opts.window_s;
+    for (dispatch_s, members) in run.windows() {
+        // Admitted requests grouped by (codec, error bound).
         let mut round: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-        let mut queued_units = 0usize;
-        while at < order.len()
-            && (requests[order[at]].arrival_s / opts.window_s).floor() == window
-        {
-            let ri = order[at];
-            at += 1;
-            let req = &requests[ri];
-            let n_units = units[ri].len();
-            let outstanding =
-                completions.iter().filter(|&&c| c > req.arrival_s).count() + queued_units;
-            depth_max = depth_max.max(outstanding);
-            reg.observe("serve.queue_depth", outstanding as f64);
-            telemetry::observe("serve.queue_depth", outstanding as f64);
-            if let Some(s) = series.as_mut() {
-                s.observe(req.arrival_s, "serve.queue_depth", outstanding as f64);
+        let mut queued = 0usize;
+        for ri in members {
+            if run.admit(ri, dispatch_s, opts.queue_depth, &mut queued, ShedNote::default()) {
+                round.entry(batch_key(&requests[ri])).or_default().push(ri);
             }
-            if outstanding + n_units > opts.queue_depth {
-                // Backpressure: reject with a hint, never drop. The hint
-                // is when the earliest outstanding unit drains (or the
-                // next window if the pressure is all queued work), plus
-                // up to one window of per-request deterministic jitter —
-                // identical hints would re-synchronize every rejected
-                // client into a thundering herd at the same instant.
-                let retry_after_s = completions
-                    .iter()
-                    .filter(|&&c| c > req.arrival_s)
-                    .fold(f64::INFINITY, |m, &c| m.min(c))
-                    .min(dispatch_s + opts.window_s)
-                    - req.arrival_s
-                    + jitter01(opts.seed, req.id, 0) * opts.window_s;
-                rejected += 1;
-                reg.counter("serve.rejected", 1);
-                if let Some(s) = series.as_mut() {
-                    s.incr(req.arrival_s, "serve.shed", 1);
-                }
-                if rec.enabled() {
-                    let root = rec.mint(
-                        req.id,
-                        "admission",
-                        req.arrival_s,
-                        (dispatch_s - req.arrival_s).max(0.0),
-                        vec![("outstanding".into(), outstanding.to_string())],
-                    );
-                    rec.child(
-                        root,
-                        "shed",
-                        req.arrival_s,
-                        0.0,
-                        vec![("retry_after_s".into(), format!("{retry_after_s:.9}"))],
-                    );
-                }
-                pending.responses[ri] = Some(ServeResponse {
-                    id: req.id,
-                    status: ServeStatus::Rejected { retry_after_s },
-                    output: None,
-                    exec: ExecPath::Gpu,
-                    device: String::new(),
-                    batch: None,
-                    completed_s: req.arrival_s,
-                    latency_s: 0.0,
-                });
-                continue;
-            }
-            queued_units += n_units;
-            round
-                .entry(batch_key_of(req))
-                .or_default()
-                .push(ri);
         }
-        // Dispatch the window: per key, oversized requests shard across
-        // every device; the rest batch up to max_batch per device queue.
-        for (_key, members) in round {
-            let mut singles: Vec<usize> = Vec::new();
-            for ri in members {
-                if units[ri].len() > 1 {
-                    batches += 1;
-                    reg.observe("serve.batch_units", units[ri].len() as f64);
-                    let start = state.least_loaded();
-                    let involved: Vec<usize> =
-                        (0..state.queues.len().min(units[ri].len()))
-                            .map(|k| (start + k) % state.queues.len())
-                            .collect();
-                    let mut outcomes: Vec<(f64, ExecPath, String)> =
-                        Vec::with_capacity(units[ri].len());
-                    let mut timings: Vec<Option<UnitTiming>> =
-                        Vec::with_capacity(units[ri].len());
-                    for (k, u) in units[ri].iter().enumerate() {
-                        let d = involved[k % involved.len()];
-                        let label = format!("r{}.{}", requests[ri].id, k);
-                        outcomes.push(state.exec_unit(d, dispatch_s, u, &label));
-                        timings.push(state.last_timing);
-                    }
-                    completions.extend(outcomes.iter().map(|o| o.0));
-                    let resp = complete_request(
-                        &requests[ri],
-                        &units[ri],
-                        &outcomes,
-                        batches - 1,
-                        &reg,
-                        &mut missed,
-                        &mut executed_bytes,
-                    );
-                    observe_response(
-                        &mut rec,
-                        &mut series,
-                        requests[ri].id,
-                        dispatch_s,
-                        batches - 1,
-                        &outcomes,
-                        &timings,
-                        &resp,
-                    );
-                    pending.responses[ri] = Some(resp);
-                } else {
-                    singles.push(ri);
-                }
-            }
-            for chunk in singles.chunks(opts.max_batch) {
+        // Per key, oversized requests shard across every device; the
+        // rest batch up to max_batch on the least-loaded device.
+        for members in round.into_values() {
+            let (sharded, singles): (Vec<usize>, Vec<usize>) =
+                members.into_iter().partition(|&ri| run.units[ri].len() > 1);
+            let batches_of = sharded.chunks(1).chain(singles.chunks(opts.max_batch));
+            for batch in batches_of {
+                let start = state.least_loaded();
+                dispatch_batch(&mut run, &mut state, batch, start, dispatch_s, batches);
                 batches += 1;
-                reg.observe("serve.batch_units", chunk.len() as f64);
-                let d = state.least_loaded();
-                for &ri in chunk {
-                    let label = format!("r{}.0", requests[ri].id);
-                    let outcome = state.exec_unit(d, dispatch_s, &units[ri][0], &label);
-                    let timing = state.last_timing;
-                    completions.push(outcome.0);
-                    let resp = complete_request(
-                        &requests[ri],
-                        &units[ri],
-                        std::slice::from_ref(&outcome),
-                        batches - 1,
-                        &reg,
-                        &mut missed,
-                        &mut executed_bytes,
-                    );
-                    observe_response(
-                        &mut rec,
-                        &mut series,
-                        requests[ri].id,
-                        dispatch_s,
-                        batches - 1,
-                        &[outcome],
-                        &[timing],
-                        &resp,
-                    );
-                    pending.responses[ri] = Some(resp);
-                }
             }
         }
     }
-    reg.gauge("serve.queue_depth.max", depth_max as f64);
-    reg.counter("serve.batches", batches as u64);
-    Ok(finish_report(state, reg, pending, batches, rejected, missed, executed_bytes, rec, series))
+    run.reg.gauge("serve.queue_depth.max", run.depth_max as f64);
+    run.reg.counter("serve.batches", batches as u64);
+    let (responses, report) = run.finish(std::slice::from_mut(&mut state));
+    Ok(ServeReport { responses, batches, ..report })
 }
 
-fn batch_key_of(req: &ServeRequest) -> String {
+/// Runs batch number `batch` — `members` from device `start_dev` at
+/// `dispatch_s` — and completes each member with its admission →
+/// dispatch → unit spans.
+fn dispatch_batch(
+    run: &mut Run<'_, ServeResponse>,
+    state: &mut ExecState,
+    members: &[usize],
+    start_dev: usize,
+    dispatch_s: f64,
+    batch: usize,
+) {
+    let units: usize = members.iter().map(|&ri| run.units[ri].len()).sum();
+    run.reg.observe("serve.batch_units", units as f64);
+    for &ri in members {
+        let outcomes = run.run_units(state, ri, start_dev, dispatch_s);
+        let resp = ServeResponse { batch: Some(batch), ..run.complete(ri, &outcomes) };
+        if run.rec.enabled() {
+            let arrival = resp.completed_s - resp.latency_s;
+            let wait = (dispatch_s - arrival).max(0.0);
+            let root = run.rec.mint(resp.id, "admission", arrival, wait, vec![]);
+            let dispatch = run.rec.child(
+                root,
+                "dispatch",
+                dispatch_s,
+                (resp.completed_s - dispatch_s).max(0.0),
+                vec![
+                    ("batch".into(), batch.to_string()),
+                    ("units".into(), outcomes.len().to_string()),
+                ],
+            );
+            record_units(&mut run.rec, dispatch, &outcomes, "serve-cpu");
+        }
+        run.responses[ri] = Some(resp);
+    }
+}
+
+/// Requests batch together when they run the same codec at the same
+/// error bound; decompressions and store reads batch by codec family
+/// (the stream knows its own bound).
+fn batch_key(req: &ServeRequest) -> String {
     match &req.payload {
-        ServePayload::Compress { config, .. } => batch_key(config),
+        ServePayload::Compress { config, .. } => {
+            format!("{} {}", config.id().display(), config.param_label())
+        }
         ServePayload::Decompress { stream } => {
-            // Decompression batches by codec family (the stream knows
-            // its own bound).
             let magic = stream.get(..4).unwrap_or(b"????");
             if magic == b"SZRS" {
                 "decompress GPU-SZ".into()
@@ -1273,7 +1336,6 @@ fn batch_key_of(req: &ServeRequest) -> String {
             }
         }
         ServePayload::StoreRead { store, snapshot, field, .. } => {
-            // Store reads batch by codec family, like decompressions.
             match store.find(*snapshot, field).map(|e| e.codec) {
                 Some(StoreCodec::Zfp) => "store-read cuZFP".into(),
                 _ => "store-read GPU-SZ".into(),
@@ -1284,60 +1346,36 @@ fn batch_key_of(req: &ServeRequest) -> String {
 
 /// The reference scheduler: one device, strict FIFO, one request at a
 /// time, per-request init/free, a lane barrier after every unit (no
-/// transfer/kernel overlap), no fault injection. Its outputs define
-/// bit-identity for [`serve`]; its makespan defines the speedup
+/// transfer/kernel overlap), no fault injection and no obs recording.
+/// Its outputs define bit-identity for [`serve`] and
+/// [`crate::cluster::serve_cluster`]; its makespan defines the speedup
 /// denominator for `serve-bench`.
 pub fn serve_serial(node: &ServeNode, opts: &ServeOptions, requests: &[ServeRequest]) -> Result<ServeReport> {
     validate(node, opts, requests)?;
-    let units = execute_units(requests, opts.shard_bytes)?;
-    let reg = MetricsRegistry::new();
-    reg.gauge("serve.devices", 1.0);
-    reg.counter("serve.requests", requests.len() as u64);
+    let quiet = ServeOptions { rates: FaultRates::default(), obs: None, ..opts.clone() };
+    let mut run = Run::new(Scope::Node, &quiet, requests)?;
+    run.reg.gauge("serve.devices", 1.0);
     let serial_node = ServeNode { devices: 1, gpu: node.gpu.clone(), link: node.link };
-    let quiet = ServeOptions { rates: FaultRates::default(), ..opts.clone() };
     let mut state = ExecState::new(&serial_node, &quiet, "serial", false);
-    let mut pending = Pending::new(requests);
-    let order = pending.order.clone();
-    let mut missed = 0usize;
-    let mut executed_bytes = 0u64;
+    let order = run.order();
     for (bi, &ri) in order.iter().enumerate() {
-        let req = &requests[ri];
         let blabel = format!("b{bi}");
-        let ready = req.arrival_s.max(state.queues[0].ready_s());
+        let ready = requests[ri].arrival_s.max(state.queues[0].ready_s());
         state.queues[0].charge_init(ready, &blabel);
-        let mut outcomes = Vec::with_capacity(units[ri].len());
-        for (k, u) in units[ri].iter().enumerate() {
-            let label = format!("r{}.{k}", req.id);
+        let mut outcomes = Vec::with_capacity(run.units[ri].len());
+        for (k, u) in run.units[ri].iter().enumerate() {
+            let label = format!("r{}.{k}", requests[ri].id);
             outcomes.push(state.exec_unit(0, state.queues[0].ready_s(), u, &label));
             state.queues[0].barrier();
         }
         state.queues[0].charge_free(&blabel);
-        reg.observe("serve.batch_units", units[ri].len() as f64);
-        pending.responses[ri] = Some(complete_request(
-            req,
-            &units[ri],
-            &outcomes,
-            bi,
-            &reg,
-            &mut missed,
-            &mut executed_bytes,
-        ));
+        run.reg.observe("serve.batch_units", run.units[ri].len() as f64);
+        run.responses[ri] = Some(ServeResponse { batch: Some(bi), ..run.complete(ri, &outcomes) });
     }
-    reg.gauge("serve.queue_depth.max", 1.0);
-    reg.counter("serve.batches", order.len() as u64);
-    // The serial reference never records obs data — it is the
-    // byte-identity baseline, not an observed scheduler.
-    Ok(finish_report(
-        state,
-        reg,
-        pending,
-        order.len(),
-        0,
-        missed,
-        executed_bytes,
-        ObsRecorder::new(false),
-        None,
-    ))
+    run.reg.gauge("serve.queue_depth.max", 1.0);
+    run.reg.counter("serve.batches", order.len() as u64);
+    let (responses, report) = run.finish(std::slice::from_mut(&mut state));
+    Ok(ServeReport { responses, batches: order.len(), ..report })
 }
 
 // ---------------------------------------------------------------------------
@@ -1388,6 +1426,30 @@ pub(crate) fn synth_field(n: usize, seed_phase: f64, rng: &mut StdRng) -> Vec<f3
         .collect()
 }
 
+/// Field shapes both synthetic workloads draw from.
+pub(crate) const WORKLOAD_SHAPES: [Shape; 4] =
+    [Shape::D3(16, 16, 16), Shape::D3(32, 32, 16), Shape::D3(32, 32, 32), Shape::D1(8192)];
+
+/// Codec configurations both synthetic workloads draw from.
+pub(crate) fn workload_configs() -> [CodecConfig; 4] {
+    [
+        CodecConfig::Sz(lossy_sz::SzConfig::abs(1e-3)),
+        CodecConfig::Sz(lossy_sz::SzConfig::abs(1e-2)),
+        CodecConfig::Zfp(lossy_zfp::ZfpConfig::rate(4.0)),
+        CodecConfig::Zfp(lossy_zfp::ZfpConfig::rate(8.0)),
+    ]
+}
+
+/// The stream [`serve`] answers a compression of `data` with under
+/// default options: one raw codec stream, or its shards in a container.
+pub(crate) fn served_stream(data: &[f32], shape: Shape, config: &CodecConfig) -> Result<Vec<u8>> {
+    let mut shards = shard_plan(shape, ServeOptions::default().shard_bytes)
+        .into_iter()
+        .map(|(off, sub)| codec::compress(&data[off..off + sub.len()], sub, config))
+        .collect::<Result<Vec<_>>>()?;
+    Ok(if shards.len() == 1 { shards.swap_remove(0) } else { wrap_shards(&shards) })
+}
+
 /// Generates a deterministic open-loop request stream.
 pub fn synth_workload(spec: &WorkloadSpec) -> Result<Vec<ServeRequest>> {
     if !(spec.arrival_hz > 0.0 && spec.arrival_hz.is_finite()) {
@@ -1397,19 +1459,8 @@ pub fn synth_workload(spec: &WorkloadSpec) -> Result<Vec<ServeRequest>> {
         return Err(Error::invalid("decompress_fraction must be in [0, 1]"));
     }
     let mut rng = StdRng::seed_from_u64(spec.seed);
-    let shapes = [
-        Shape::D3(16, 16, 16),
-        Shape::D3(32, 32, 16),
-        Shape::D3(32, 32, 32),
-        Shape::D1(8192),
-    ];
+    let (shapes, configs) = (WORKLOAD_SHAPES, workload_configs());
     let big = Shape::D3(64, 64, 64);
-    let configs = [
-        CodecConfig::Sz(lossy_sz::SzConfig::abs(1e-3)),
-        CodecConfig::Sz(lossy_sz::SzConfig::abs(1e-2)),
-        CodecConfig::Zfp(lossy_zfp::ZfpConfig::rate(4.0)),
-        CodecConfig::Zfp(lossy_zfp::ZfpConfig::rate(8.0)),
-    ];
     let mut t = 0.0f64;
     let mut out = Vec::with_capacity(spec.requests);
     for id in 0..spec.requests {
@@ -1425,15 +1476,8 @@ pub fn synth_workload(spec: &WorkloadSpec) -> Result<Vec<ServeRequest>> {
         let data = synth_field(shape.len(), phase, &mut rng);
         let payload = if rng.gen::<f64>() < spec.decompress_fraction {
             // Decompress request: the stream a previous compression of
-            // this field would have produced (shard-planned the same
-            // way the server would).
-            let shards: Vec<Vec<u8>> = shard_plan(shape, ServeOptions::default().shard_bytes)
-                .into_iter()
-                .map(|(off, sub)| codec::compress(&data[off..off + sub.len()], sub, &config))
-                .collect::<Result<_>>()?;
-            let stream =
-                if shards.len() == 1 { shards.into_iter().next().unwrap() } else { wrap_shards(&shards) };
-            ServePayload::Decompress { stream }
+            // this field would have produced.
+            ServePayload::Decompress { stream: served_stream(&data, shape, &config)? }
         } else {
             ServePayload::Compress { data, shape, config }
         };

@@ -15,7 +15,7 @@
 
 use foresight::codec::{CodecConfig, Shape};
 use foresight::{
-    cluster_serial, serve_cluster, ClusterOptions, ClusterRequest, ServeCluster, ServeNode,
+    serve_cluster, serve_serial, ClusterOptions, ClusterRequest, ServeCluster, ServeNode,
     ServeOptions, ServePayload, ServeRequest, ServeStatus,
 };
 use gpu_sim::{NodeChaosPlan, NodeFaultEvent, NodeFaultKind};
@@ -133,7 +133,8 @@ proptest! {
             report.submitted,
             "requests lost under chaos"
         );
-        let serial = cluster_serial(&spec, &opts, &requests).unwrap();
+        let inner: Vec<ServeRequest> = requests.iter().map(|r| r.req.clone()).collect();
+        let serial = serve_serial(&spec.node, &opts.serve, &inner).unwrap();
         for resp in &report.responses {
             if let Some(bytes) = &resp.output {
                 let reference = serial.response(resp.id).expect("serial resolved all");

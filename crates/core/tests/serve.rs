@@ -14,12 +14,19 @@
 //! deterministic, so serving W and then W plus ΔW and dividing Δbytes by
 //! Δmakespan cancels the one-time warm-up and batching-window costs
 //! exactly, leaving the steady-state sustained rate.
+//!
+//! The scheduler pins at the end hash the whole `Debug` rendering of a
+//! report (every map in it is a `BTreeMap`, and `f64` `Debug` round-trips),
+//! so any change to a response, metric, span, series sample or trace
+//! slice moves them.
 
 use foresight::codec::{CodecConfig, Shape};
 use foresight::{
-    serve, serve_serial, synth_workload, ServeNode, ServeOptions, ServePayload, ServeRequest,
-    WorkloadSpec,
+    serve, serve_serial, synth_workload, ObsOptions, ServeNode, ServeOptions, ServePayload,
+    ServeRequest, WorkloadSpec,
 };
+use foresight_util::sha256::sha256_hex;
+use gpu_sim::FaultRates;
 use lossy_zfp::ZfpConfig;
 
 /// Paper §V-A scale: a 2.5 TB snapshot split over 1024 Summit nodes
@@ -251,4 +258,44 @@ fn store_reads_cost_the_same_on_cold_warm_and_fresh_readers() {
             assert_eq!(a.completed_s.to_bits(), b.completed_s.to_bits(), "{label} request {}", a.id);
         }
     }
+}
+
+/// SHA-256 of `format!("{report:?}")` for [`serve`] on [`pinned_workload`].
+const SERVE_REPORT_SHA256: &str = "074d6cd9c3a853ffd72acc76183fcda0d5158f12edea5d5db827f0b92e79dc7d";
+/// SHA-256 of `format!("{report:?}")` for [`serve_serial`] on the same requests.
+const SERIAL_REPORT_SHA256: &str = "0fe9d60b6e080b545629b29fcfdf586105cf24fd25d212a8b9382e31a630ca7d";
+
+/// A Summit node under device faults with obs on: a queue shallow enough
+/// to reject, deadlines tight enough to miss, and a 64^3 field every
+/// eighth request that shards across the node.
+fn pinned_workload() -> (ServeNode, ServeOptions, Vec<ServeRequest>) {
+    let opts = ServeOptions {
+        queue_depth: 12,
+        seed: 5,
+        rates: FaultRates { kernel: 0.3, transfer: 0.1, ..Default::default() },
+        obs: Some(ObsOptions::default()),
+        ..Default::default()
+    };
+    let spec = WorkloadSpec { requests: 32, seed: 23, deadline_s: Some(3e-3), ..Default::default() };
+    (ServeNode::summit(), opts, synth_workload(&spec).unwrap())
+}
+
+#[test]
+fn serve_report_is_pinned() {
+    let (node, opts, requests) = pinned_workload();
+    let r = serve(&node, &opts, &requests).unwrap();
+    assert!(r.rejected > 0, "no backpressure rejection");
+    assert!(r.failovers > 0, "no device fail-over");
+    assert!(r.missed > 0, "no missed deadline");
+    assert!(r.responses.iter().any(|x| x.device.contains('+')), "no sharded request");
+    assert!(!r.obs.is_empty() && r.series.is_some(), "obs recorded nothing");
+    assert_eq!(sha256_hex(format!("{r:?}").as_bytes()), SERVE_REPORT_SHA256, "serve report moved");
+}
+
+#[test]
+fn serial_report_is_pinned() {
+    let (node, opts, requests) = pinned_workload();
+    let r = serve_serial(&node, &opts, &requests).unwrap();
+    assert_eq!(r.responses.len(), requests.len());
+    assert_eq!(sha256_hex(format!("{r:?}").as_bytes()), SERIAL_REPORT_SHA256, "serial report moved");
 }

@@ -63,12 +63,14 @@ pub const BYTE_PRODUCING: &[&str] = &[
 ];
 
 /// Request-admission entry points the panic-reachability pass roots at:
-/// `(file suffix, function name)`.
+/// `(file suffix, function name)`. `execute_units` (Phase A, the host
+/// codecs) runs inside the scheduler core's constructor, one hop deeper
+/// than the schedulers call it, so it is a root of its own.
 pub const ENTRY_POINTS: &[(&str, &str)] = &[
     ("crates/core/src/serve.rs", "serve"),
     ("crates/core/src/serve.rs", "serve_serial"),
+    ("crates/core/src/serve.rs", "execute_units"),
     ("crates/core/src/cluster.rs", "serve_cluster"),
-    ("crates/core/src/cluster.rs", "cluster_serial"),
 ];
 
 /// Default hop budget for panic-reachability.
