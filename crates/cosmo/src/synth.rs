@@ -9,8 +9,9 @@
 
 use crate::field::{HaccSnapshot, NyxSnapshot};
 use cosmo_fft::Grid3;
+use foresight_util::parallel::par_ranges_mut;
 use foresight_util::Result;
-use nbody_sim::{cic_deposit, simulate_universe, Particles};
+use nbody_sim::{cic_deposit, cic_scatter, simulate_universe, Particles};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -84,6 +85,9 @@ pub fn generate_nyx(opts: &SynthOptions) -> Result<NyxSnapshot> {
     let delta = cic_deposit(&p, grid, opts.box_size);
     let n = grid.len();
     let mut rng = StdRng::seed_from_u64(opts.seed ^ 0x4E59);
+    // The two scatter uniforms of every cell, drawn in cell order; the
+    // physics below runs in parallel.
+    let draws: Vec<[f64; 2]> = (0..n).map(|_| [rng.gen(), rng.gen()]).collect();
 
     let dm_scale = 40.0f64;
     let b_scale = 35.0f64;
@@ -92,62 +96,50 @@ pub fn generate_nyx(opts: &SynthOptions) -> Result<NyxSnapshot> {
     let mut snap = NyxSnapshot {
         n_side: opts.n_side,
         box_size: opts.box_size,
-        baryon_density: Vec::with_capacity(n),
-        dark_matter_density: Vec::with_capacity(n),
-        temperature: Vec::with_capacity(n),
+        baryon_density: vec![0.0; n],
+        dark_matter_density: vec![0.0; n],
+        temperature: vec![0.0; n],
         velocity_x: vec![0.0; n],
         velocity_y: vec![0.0; n],
         velocity_z: vec![0.0; n],
     };
-    for &d in &delta {
-        let one_plus = (1.0 + d).max(1e-4);
-        let rho_dm = (dm_scale * one_plus).clamp(1e-3, 9.9e3);
-        let scatter: f64 = 1.0 + (rng.gen::<f64>() - 0.5) * 0.2;
-        let rho_b = (b_scale * one_plus.powf(1.8) * scatter).clamp(1e-3, 9.9e4);
-        let t_scatter: f64 = 1.0 + (rng.gen::<f64>() - 0.5) * 0.3;
-        let temp = (t0 * (rho_b / b_scale).powf(2.0 / 3.0) * t_scatter).clamp(1.1e2, 9.9e6);
-        snap.dark_matter_density.push(rho_dm as f32);
-        snap.baryon_density.push(rho_b as f32);
-        snap.temperature.push(temp as f32);
-    }
+    let gas = [&mut snap.dark_matter_density, &mut snap.baryon_density, &mut snap.temperature];
+    par_ranges_mut(gas.map(|f| &mut f[..]), 1, |start, [dm, b, t]| {
+        for (i, ((dm, b), t)) in dm.iter_mut().zip(b).zip(t).enumerate() {
+            let [u_b, u_t] = draws[start + i];
+            let one_plus = (1.0 + delta[start + i]).max(1e-4);
+            let rho_dm = (dm_scale * one_plus).clamp(1e-3, 9.9e3);
+            let scatter: f64 = 1.0 + (u_b - 0.5) * 0.2;
+            let rho_b = (b_scale * one_plus.powf(1.8) * scatter).clamp(1e-3, 9.9e4);
+            let t_scatter: f64 = 1.0 + (u_t - 0.5) * 0.3;
+            let temp = (t0 * (rho_b / b_scale).powf(2.0 / 3.0) * t_scatter).clamp(1.1e2, 9.9e6);
+            *dm = rho_dm as f32;
+            *b = rho_b as f32;
+            *t = temp as f32;
+        }
+    });
+    drop((delta, draws));
 
     // Mass-weighted CIC velocity grids, then convert km/s -> cm/s-ish
     // range by scaling into (-1e8, 1e8).
-    let mut mass = vec![0.0f64; n];
-    let mut mom = [vec![0.0f64; n], vec![0.0f64; n], vec![0.0f64; n]];
     let inv = 1.0 / opts.box_size;
-    let side = opts.n_side;
-    let split = |g: f64| -> (usize, f64) {
-        let fl = g.floor();
-        ((fl as i64).rem_euclid(side as i64) as usize, g - fl)
-    };
-    for i in 0..p.len() {
-        let gx = (p.x[i] as f64 * inv).rem_euclid(1.0) * side as f64 - 0.5;
-        let gy = (p.y[i] as f64 * inv).rem_euclid(1.0) * side as f64 - 0.5;
-        let gz = (p.z[i] as f64 * inv).rem_euclid(1.0) * side as f64 - 0.5;
-        let (ix, fx) = split(gx);
-        let (iy, fy) = split(gy);
-        let (iz, fz) = split(gz);
-        for (dz, wz) in [(0usize, 1.0 - fz), (1, fz)] {
-            for (dy, wy) in [(0usize, 1.0 - fy), (1, fy)] {
-                for (dx, wx) in [(0usize, 1.0 - fx), (1, fx)] {
-                    let c = grid.index((ix + dx) % side, (iy + dy) % side, (iz + dz) % side);
-                    let w = wx * wy * wz;
-                    mass[c] += w;
-                    mom[0][c] += w * p.vx[i] as f64;
-                    mom[1][c] += w * p.vy[i] as f64;
-                    mom[2][c] += w * p.vz[i] as f64;
-                }
-            }
-        }
-    }
+    let side = opts.n_side as f64;
+    let locate =
+        |i: usize| [p.x[i], p.y[i], p.z[i]].map(|c| (c as f64 * inv).rem_euclid(1.0) * side - 0.5);
+    let [mass, mx, my, mz] = cic_scatter(grid, p.len(), locate, |i, w| {
+        [w, w * p.vx[i] as f64, w * p.vy[i] as f64, w * p.vz[i] as f64]
+    });
     let vel_scale = 1e4; // km/s-ish -> cm/s-ish magnitude
-    for c in 0..n {
-        let m = mass[c].max(1e-9);
-        snap.velocity_x[c] = ((mom[0][c] / m) * vel_scale).clamp(-9.9e7, 9.9e7) as f32;
-        snap.velocity_y[c] = ((mom[1][c] / m) * vel_scale).clamp(-9.9e7, 9.9e7) as f32;
-        snap.velocity_z[c] = ((mom[2][c] / m) * vel_scale).clamp(-9.9e7, 9.9e7) as f32;
-    }
+    let vel = [&mut snap.velocity_x, &mut snap.velocity_y, &mut snap.velocity_z];
+    par_ranges_mut(vel.map(|f| &mut f[..]), 1, |start, [vx, vy, vz]| {
+        for (i, ((vx, vy), vz)) in vx.iter_mut().zip(vy).zip(vz).enumerate() {
+            let c = start + i;
+            let m = mass[c].max(1e-9);
+            *vx = ((mx[c] / m) * vel_scale).clamp(-9.9e7, 9.9e7) as f32;
+            *vy = ((my[c] / m) * vel_scale).clamp(-9.9e7, 9.9e7) as f32;
+            *vz = ((mz[c] / m) * vel_scale).clamp(-9.9e7, 9.9e7) as f32;
+        }
+    });
     Ok(snap)
 }
 
@@ -177,6 +169,21 @@ mod tests {
         for (name, data) in snap.fields() {
             assert!(in_expected_range(name, data), "{name} out of Table II range");
             assert!(data.iter().all(|v| v.is_finite()));
+        }
+    }
+
+    #[test]
+    fn bad_options_are_typed_errors() {
+        use foresight_util::Error;
+        let bad = [
+            SynthOptions { n_side: 0, ..small_opts() },
+            SynthOptions { n_side: 12, ..small_opts() },
+            SynthOptions { box_size: 0.0, ..small_opts() },
+            SynthOptions { box_size: f64::NAN, ..small_opts() },
+        ];
+        for opts in bad {
+            assert!(matches!(generate_nyx(&opts), Err(Error::InvalidArgument(_))), "{opts:?}");
+            assert!(matches!(generate_hacc(&opts), Err(Error::InvalidArgument(_))), "{opts:?}");
         }
     }
 

@@ -25,8 +25,10 @@ pub struct Fft {
     /// Bit-reversal permutation indices.
     rev: Vec<u32>,
     /// Forward twiddles for each butterfly stage, flattened stage-major:
-    /// stage `s` (half-size `m = 2^s`) stores `m` twiddles.
+    /// stage `s` (half-size `m = 2^s`) stores `m` twiddles, from `m - 1`.
     twiddles: Vec<Complex>,
+    /// The same table conjugated, for the inverse direction.
+    conj_twiddles: Vec<Complex>,
 }
 
 impl Fft {
@@ -52,7 +54,8 @@ impl Fft {
             }
             m *= 2;
         }
-        Ok(Self { n, rev, twiddles })
+        let conj_twiddles = twiddles.iter().map(|w| w.conj()).collect();
+        Ok(Self { n, rev, twiddles, conj_twiddles })
     }
 
     /// Transform length.
@@ -74,47 +77,56 @@ impl Fft {
                 self.n
             )));
         }
+        self.process_rows::<1>(data, dir);
+        Ok(())
+    }
+
+    /// Transforms `W` interleaved lines in place: element `j` of line `b`
+    /// sits at `rows[j * W + b]`, so `rows.len()` is `W` times the plan
+    /// length. Each line sees the butterflies [`Fft::process`] applies, in
+    /// the same order, so its bits do not depend on `W`.
+    pub(crate) fn process_rows<const W: usize>(&self, rows: &mut [Complex], dir: Direction) {
         let n = self.n;
+        assert_eq!(rows.len(), n * W, "rows must hold W lines of the plan length");
         if n <= 1 {
-            return Ok(());
+            return;
         }
-        // Bit-reversal permutation.
+        // Bit-reversal permutation, one row of W values at a time.
         for i in 0..n {
             let j = self.rev[i] as usize;
             if i < j {
-                data.swap(i, j);
+                let (head, tail) = rows.split_at_mut(j * W);
+                head[i * W..(i + 1) * W].swap_with_slice(&mut tail[..W]);
             }
         }
-        // Butterfly stages with cached twiddles.
+        let table = match dir {
+            Direction::Forward => &self.twiddles,
+            Direction::Inverse => &self.conj_twiddles,
+        };
+        // Butterfly stages: the half-blocks of every 2m-row block pair up.
         let mut m = 1;
-        let mut toff = 0;
         while m < n {
-            let tw = &self.twiddles[toff..toff + m];
-            let step = 2 * m;
-            let mut k = 0;
-            while k < n {
-                for j in 0..m {
-                    let w = match dir {
-                        Direction::Forward => tw[j],
-                        Direction::Inverse => tw[j].conj(),
-                    };
-                    let t = w * data[k + j + m];
-                    let u = data[k + j];
-                    data[k + j] = u + t;
-                    data[k + j + m] = u - t;
+            let tw = &table[m - 1..2 * m - 1];
+            for block in rows.chunks_exact_mut(2 * m * W) {
+                let (lo, hi) = block.split_at_mut(m * W);
+                let pairs = lo.chunks_exact_mut(W).zip(hi.chunks_exact_mut(W));
+                for ((lo, hi), &w) in pairs.zip(tw) {
+                    for (u, v) in lo.iter_mut().zip(hi.iter_mut()) {
+                        let t = w * *v;
+                        let a = *u;
+                        *u = a + t;
+                        *v = a - t;
+                    }
                 }
-                k += step;
             }
-            toff += m;
-            m = step;
+            m *= 2;
         }
         if dir == Direction::Inverse {
             let inv_n = 1.0 / n as f64;
-            for v in data.iter_mut() {
+            for v in rows.iter_mut() {
                 *v = v.scale(inv_n);
             }
         }
-        Ok(())
     }
 }
 

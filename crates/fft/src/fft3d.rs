@@ -1,8 +1,10 @@
 //! 3-D transforms built from 1-D line transforms.
 //!
 //! Lines along x are contiguous and transform via `par_chunks_mut`. Lines
-//! along y and z are strided; they are processed in parallel through a raw
-//! pointer wrapper — distinct lines never alias, which makes the unsafe
+//! along y and z are strided; they are copied out in batches of adjacent
+//! lines (adjacent in x, so every fetched cache line is used whole),
+//! transformed side by side, and copied back in parallel through a raw
+//! pointer wrapper — distinct batches never alias, which makes the unsafe
 //! parallel scatter sound (see the SAFETY comments).
 
 // The crate denies unsafe_code; this module is the audited exception
@@ -12,68 +14,96 @@
 use crate::complex::Complex;
 use crate::fft1d::{Direction, Fft};
 use crate::grid::Grid3;
+use foresight_util::parallel::par_ranges_mut;
 use foresight_util::{Error, Result};
 use rayon::prelude::*;
+
+/// Lines per batch on the strided axes: 8 complex values are two 64-byte
+/// cache lines.
+const BATCH: usize = 8;
 
 /// Pointer wrapper that lets rayon workers write disjoint strided lines.
 #[derive(Clone, Copy)]
 struct SendPtr(*mut Complex);
 // SAFETY: every parallel task derived from a `SendPtr` touches a disjoint
-// set of indices (one grid line), so concurrent access never aliases.
+// set of indices (one batch of grid lines), so concurrent access never
+// aliases.
 unsafe impl Send for SendPtr {}
 unsafe impl Sync for SendPtr {}
 
 /// Transforms every line along one axis.
 fn transform_axis(data: &mut [Complex], grid: Grid3, axis: usize, dir: Direction) -> Result<()> {
-    let (n, stride, lines): (usize, usize, Vec<usize>) = match axis {
+    // (line length, stride between its elements, where each line at x = 0
+    // starts)
+    let (n, stride, x0_starts) = match axis {
         0 => {
-            // Contiguous: handled with safe chunking below.
+            // Contiguous: handled with safe chunking.
             let plan = Fft::new(grid.nx)?;
-            data.par_chunks_mut(grid.nx)
-                .try_for_each(|line| plan.process(line, dir))?;
+            data.par_chunks_mut(grid.nx * grid.ny).for_each(|plane| {
+                for line in plane.chunks_exact_mut(grid.nx) {
+                    plan.process_rows::<1>(line, dir);
+                }
+            });
             return Ok(());
         }
-        1 => {
-            let mut starts = Vec::with_capacity(grid.nx * grid.nz);
-            for z in 0..grid.nz {
-                for x in 0..grid.nx {
-                    starts.push(grid.index(x, 0, z));
-                }
-            }
-            (grid.ny, grid.nx, starts)
-        }
-        2 => {
-            let mut starts = Vec::with_capacity(grid.nx * grid.ny);
-            for y in 0..grid.ny {
-                for x in 0..grid.nx {
-                    starts.push(grid.index(x, y, 0));
-                }
-            }
-            (grid.nz, grid.nx * grid.ny, starts)
-        }
+        1 => (grid.ny, grid.nx, (0..grid.nz).map(|z| grid.index(0, 0, z)).collect::<Vec<_>>()),
+        2 => (grid.nz, grid.nx * grid.ny, (0..grid.ny).map(|y| grid.index(0, y, 0)).collect()),
         _ => return Err(Error::invalid("axis must be 0, 1, or 2")),
     };
     let plan = Fft::new(n)?;
+    // Every batch start: `BATCH` lines at adjacent x (or one line when the
+    // grid is narrower than a batch).
+    let width = if grid.nx.is_multiple_of(BATCH) { BATCH } else { 1 };
+    let starts: Vec<usize> =
+        x0_starts.iter().flat_map(|&s| (0..grid.nx).step_by(width).map(move |x| s + x)).collect();
     let ptr = SendPtr(data.as_mut_ptr());
-    lines.par_iter().try_for_each_init(
-        || vec![Complex::ZERO; n],
-        |scratch, &start| -> Result<()> {
-            let p = ptr;
-            // SAFETY: lines with distinct `start` values index disjoint cells
-            // (start enumerates all (x,z) or (x,y) combinations once; the
-            // line then varies only the remaining coordinate).
+    let per_worker = starts.len().div_ceil(rayon::current_num_threads()).max(1);
+    starts.par_chunks(per_worker).for_each(|starts| {
+        let mut scratch = vec![Complex::ZERO; n * width];
+        for &start in starts {
+            // SAFETY: each batch start appears once in `starts`, and a batch
+            // touches only `x` in `start..start + width` of its one row, so
+            // no two tasks touch the same cell. `width` divides `nx`, so the
+            // batch stays inside its row; the axis has `n` cells `stride`
+            // apart, and `data` holds the whole grid (`check` ran first).
             unsafe {
-                for (j, s) in scratch.iter_mut().enumerate() {
-                    *s = *p.0.add(start + j * stride);
-                }
-                plan.process(scratch, dir)?;
-                for (j, s) in scratch.iter().enumerate() {
-                    *p.0.add(start + j * stride) = *s;
+                if width == BATCH {
+                    strided_batch::<BATCH>(ptr, start, stride, &mut scratch, &plan, dir);
+                } else {
+                    strided_batch::<1>(ptr, start, stride, &mut scratch, &plan, dir);
                 }
             }
-            Ok(())
-        },
-    )
+        }
+    });
+    Ok(())
+}
+
+/// Copies the `W` lines at `start..start + W` (element `j` at
+/// `+ j * stride`) into `scratch`, transforms them, and copies them back.
+///
+/// # Safety
+///
+/// For every `j < plan.len()`, the `W` cells from `start + j * stride` must
+/// lie inside the allocation behind `ptr`, and no other thread may touch
+/// them during the call. `scratch` must hold `W * plan.len()` values.
+unsafe fn strided_batch<const W: usize>(
+    ptr: SendPtr,
+    start: usize,
+    stride: usize,
+    scratch: &mut [Complex],
+    plan: &Fft,
+    dir: Direction,
+) {
+    let p = ptr;
+    for (j, row) in scratch.chunks_exact_mut(W).enumerate() {
+        // SAFETY: in bounds and unshared, by the caller's contract.
+        unsafe { std::ptr::copy_nonoverlapping(p.0.add(start + j * stride), row.as_mut_ptr(), W) };
+    }
+    plan.process_rows::<W>(scratch, dir);
+    for (j, row) in scratch.chunks_exact(W).enumerate() {
+        // SAFETY: as above.
+        unsafe { std::ptr::copy_nonoverlapping(row.as_ptr(), p.0.add(start + j * stride), W) };
+    }
 }
 
 /// Validates that `grid` matches `len` and is FFT-compatible.
@@ -118,7 +148,20 @@ pub fn fft3_inverse(spectrum: &[Complex], grid: Grid3) -> Result<Vec<Complex>> {
 /// Inverse 3-D FFT of a spectrum known to come from a real field; returns
 /// the real parts (imaginary residue is numerical noise).
 pub fn fft3_inverse_real(spectrum: &[Complex], grid: Grid3) -> Result<Vec<f64>> {
-    Ok(fft3_inverse(spectrum, grid)?.into_iter().map(|c| c.re).collect())
+    fft3_inverse_real_in_place(&mut spectrum.to_vec(), grid)
+}
+
+/// [`fft3_inverse_real`] that transforms `data` in place (leaving the
+/// complex result there) instead of copying the spectrum first.
+pub fn fft3_inverse_real_in_place(data: &mut [Complex], grid: Grid3) -> Result<Vec<f64>> {
+    fft3_in_place(data, grid, Direction::Inverse)?;
+    let mut out = vec![0.0; data.len()];
+    par_ranges_mut([&mut out[..]], 1, |start, [out]| {
+        for (v, c) in out.iter_mut().zip(&data[start..]) {
+            *v = c.re;
+        }
+    });
+    Ok(out)
 }
 
 #[cfg(test)]

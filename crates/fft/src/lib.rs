@@ -22,5 +22,5 @@ pub mod grid;
 
 pub use complex::Complex;
 pub use fft1d::{fft_in_place, Direction, Fft};
-pub use fft3d::{fft3_forward, fft3_inverse, fft3_inverse_real};
+pub use fft3d::{fft3_forward, fft3_inverse, fft3_inverse_real, fft3_inverse_real_in_place};
 pub use grid::Grid3;

@@ -10,10 +10,13 @@
 //! proportional to the displacement.
 
 use crate::cosmology::Cosmology;
-use cosmo_fft::{fft3_forward, fft3_inverse_real, Complex, Grid3};
+use cosmo_fft::fft3d::fft3_in_place;
+use cosmo_fft::{fft3_forward, fft3_inverse_real_in_place, Complex, Direction, Grid3};
+use foresight_util::parallel::par_ranges_mut;
 use foresight_util::{Error, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rayon::prelude::*;
 
 /// A periodic box of particles (structure-of-arrays, HACC-style).
 #[derive(Debug, Clone, Default)]
@@ -50,14 +53,63 @@ impl Particles {
         let l = self.box_size as f32;
         for arr in [&mut self.x, &mut self.y, &mut self.z] {
             for v in arr.iter_mut() {
-                *v = v.rem_euclid(l);
-                // rem_euclid can return exactly l for tiny negatives.
-                if *v >= l {
-                    *v = 0.0;
-                }
+                *v = wrap_coord(*v, l);
             }
         }
     }
+}
+
+/// Wraps one coordinate into `[0, l)`.
+#[inline]
+pub(crate) fn wrap_coord(v: f32, l: f32) -> f32 {
+    let w = v.rem_euclid(l);
+    // rem_euclid can return exactly l for tiny negatives.
+    if w >= l {
+        0.0
+    } else {
+        w
+    }
+}
+
+/// Rewrites every Fourier mode of `spec` as `f([kx, ky, kz], mode)`, one
+/// z-plane per task; each mode's value depends only on its own inputs.
+pub(crate) fn map_modes(
+    spec: &mut [Complex],
+    grid: Grid3,
+    box_size: f64,
+    f: impl Fn([f64; 3], Complex) -> Complex + Sync,
+) {
+    spec.par_chunks_mut(grid.nx * grid.ny).enumerate().for_each(|(iz, plane)| {
+        for (iy, row) in plane.chunks_exact_mut(grid.nx).enumerate() {
+            for (ix, mode) in row.iter_mut().enumerate() {
+                let (kx, ky, kz) = grid.wavenumber(ix, iy, iz, box_size);
+                *mode = f([kx, ky, kz], *mode);
+            }
+        }
+    });
+}
+
+/// Hands `take(axis, modes)` the three components `f(k, axis, mode)` of a
+/// vector field built from `spec`, one at a time: one copy of the spectrum
+/// lives beside it, and the last component reuses the spectrum's buffer.
+pub(crate) fn vector_components(
+    mut spec: Vec<Complex>,
+    grid: Grid3,
+    box_size: f64,
+    f: impl Fn([f64; 3], usize, Complex) -> Complex + Sync,
+    mut take: impl FnMut(usize, &mut [Complex]) -> Result<()>,
+) -> Result<()> {
+    let mut modes = spec.clone();
+    for axis in 0..3 {
+        match axis {
+            0 => {}
+            1 => modes.copy_from_slice(&spec),
+            _ => modes = std::mem::take(&mut spec),
+        }
+        map_modes(&mut modes, grid, box_size, |k, mode| f(k, axis, mode));
+        take(axis, &mut modes)?;
+    }
+    Ok(())
 }
 
 /// Generates a Gaussian random overdensity field with spectrum `P(k)`.
@@ -75,37 +127,48 @@ pub fn gaussian_field(
     }
     let n = grid.len();
     let mut rng = StdRng::seed_from_u64(seed);
-    // Unit white noise: after FFT each mode has expected |W(k)|^2 = n.
-    let noise: Vec<f64> = (0..n).map(|_| standard_normal(&mut rng)).collect();
-    let mut spec = fft3_forward(&noise, grid)?;
+    // Unit white noise: after FFT each mode has expected |W(k)|^2 = n. The
+    // uniform pairs are drawn in stream order (held as re = u1, im = u2);
+    // only the Box-Muller transform runs in parallel.
+    let mut spec: Vec<Complex> = (0..n)
+        .map(|_| {
+            let (u1, u2) = uniform_pair(&mut rng);
+            Complex::new(u1, u2)
+        })
+        .collect();
+    spec.par_chunks_mut(grid.nx * grid.ny).for_each(|plane| {
+        for v in plane {
+            *v = Complex::real(box_muller(v.re, v.im));
+        }
+    });
+    fft3_in_place(&mut spec, grid, Direction::Forward)?;
     // Scale each mode by sqrt(P(k)) with the discretization factor
     // sqrt(n / V): then <|delta_k|^2> / n^2 * V = P(k) as analysis expects.
     let vol = box_size.powi(3);
     let norm = (n as f64 / vol).sqrt();
-    for iz in 0..grid.nz {
-        for iy in 0..grid.ny {
-            for ix in 0..grid.nx {
-                let (kx, ky, kz) = grid.wavenumber(ix, iy, iz, box_size);
-                let k = (kx * kx + ky * ky + kz * kz).sqrt();
-                let amp = cosmo.power(k).sqrt() * norm;
-                let idx = grid.index(ix, iy, iz);
-                spec[idx] = spec[idx].scale(amp);
-            }
-        }
-    }
+    map_modes(&mut spec, grid, box_size, |[kx, ky, kz], mode| {
+        let k = (kx * kx + ky * ky + kz * kz).sqrt();
+        mode.scale(cosmo.power(k).sqrt() * norm)
+    });
     spec[0] = Complex::ZERO; // zero mean
-    fft3_inverse_real(&spec, grid)
+    fft3_inverse_real_in_place(&mut spec, grid)
 }
 
-/// Box-Muller standard normal (keeps `rand` usage version-agnostic).
-fn standard_normal(rng: &mut StdRng) -> f64 {
+/// Draws the next `(u1, u2)` uniform pair whose `u1` Box-Muller accepts.
+fn uniform_pair(rng: &mut StdRng) -> (f64, f64) {
     loop {
         let u1: f64 = rng.gen::<f64>();
         let u2: f64 = rng.gen::<f64>();
         if u1 > f64::MIN_POSITIVE {
-            return (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+            return (u1, u2);
         }
     }
+}
+
+/// Box-Muller standard normal from an accepted uniform pair (keeps `rand`
+/// usage version-agnostic).
+fn box_muller(u1: f64, u2: f64) -> f64 {
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 /// Options for [`zeldovich`].
@@ -140,64 +203,48 @@ pub fn zeldovich(
         return Err(Error::invalid("delta grid does not match dims"));
     }
     let spec = fft3_forward(delta, grid)?;
-    // psi(k) = i k / k^2 delta(k), component-wise.
-    let mut psi = [spec.clone(), spec.clone(), spec];
-    for iz in 0..grid.nz {
-        for iy in 0..grid.ny {
-            for ix in 0..grid.nx {
-                let (kx, ky, kz) = grid.wavenumber(ix, iy, iz, box_size);
-                let k2 = kx * kx + ky * ky + kz * kz;
-                let idx = grid.index(ix, iy, iz);
-                if k2 == 0.0 {
-                    for p in psi.iter_mut() {
-                        p[idx] = Complex::ZERO;
-                    }
-                } else {
-                    let d = psi[0][idx];
-                    // i * d = (-d.im, d.re)
-                    let id = Complex::new(-d.im, d.re);
-                    psi[0][idx] = id.scale(kx / k2);
-                    psi[1][idx] = id.scale(ky / k2);
-                    psi[2][idx] = id.scale(kz / k2);
-                }
-            }
-        }
-    }
-    let disp: Vec<Vec<f64>> = psi
-        .into_iter()
-        .map(|s| fft3_inverse_real(&s, grid))
-        .collect::<Result<_>>()?;
-
     let n = grid.len();
     let mut p = Particles {
-        x: Vec::with_capacity(n),
-        y: Vec::with_capacity(n),
-        z: Vec::with_capacity(n),
-        vx: Vec::with_capacity(n),
-        vy: Vec::with_capacity(n),
-        vz: Vec::with_capacity(n),
+        x: vec![0.0; n],
+        y: vec![0.0; n],
+        z: vec![0.0; n],
+        vx: vec![0.0; n],
+        vy: vec![0.0; n],
+        vz: vec![0.0; n],
         box_size,
     };
     let cell = box_size / grid.nx as f64;
-    for iz in 0..grid.nz {
-        for iy in 0..grid.ny {
-            for ix in 0..grid.nx {
-                let idx = grid.index(ix, iy, iz);
-                let (dx, dy, dz) = (
-                    opts.growth * disp[0][idx],
-                    opts.growth * disp[1][idx],
-                    opts.growth * disp[2][idx],
-                );
-                p.x.push(((ix as f64 + 0.5) * cell + dx) as f32);
-                p.y.push(((iy as f64 + 0.5) * cell + dy) as f32);
-                p.z.push(((iz as f64 + 0.5) * cell + dz) as f32);
-                p.vx.push((opts.velocity_scale * dx) as f32);
-                p.vy.push((opts.velocity_scale * dy) as f32);
-                p.vz.push((opts.velocity_scale * dz) as f32);
-            }
+    let l = box_size as f32;
+    let Particles { x, y, z, vx, vy, vz, .. } = &mut p;
+    let mut axes = [(x, vx), (y, vy), (z, vz)];
+    // psi(k) = i k / k^2 delta(k), component-wise.
+    let psi = |k: [f64; 3], axis: usize, d: Complex| {
+        let k2 = k[0] * k[0] + k[1] * k[1] + k[2] * k[2];
+        if k2 == 0.0 {
+            Complex::ZERO
+        } else {
+            // i * d = (-d.im, d.re)
+            Complex::new(-d.im, d.re).scale(k[axis] / k2)
         }
-    }
-    p.wrap();
+    };
+    vector_components(spec, grid, box_size, psi, |axis, psi| {
+        fft3_in_place(psi, grid, Direction::Inverse)?;
+        let (pos, vel) = &mut axes[axis];
+        par_ranges_mut([&mut pos[..], &mut vel[..]], grid.nx, |start, [pos, vel]| {
+            let rows = pos.chunks_exact_mut(grid.nx).zip(vel.chunks_exact_mut(grid.nx));
+            for (r, (pos, vel)) in rows.enumerate() {
+                let row = start / grid.nx + r;
+                let (iy, iz) = (row % grid.ny, row / grid.ny);
+                for (ix, (pos, vel)) in pos.iter_mut().zip(vel).enumerate() {
+                    let lattice = [ix, iy, iz][axis];
+                    let d = opts.growth * psi[row * grid.nx + ix].re;
+                    *pos = wrap_coord(((lattice as f64 + 0.5) * cell + d) as f32, l);
+                    *vel = (opts.velocity_scale * d) as f32;
+                }
+            }
+        });
+        Ok(())
+    })?;
     Ok(p)
 }
 

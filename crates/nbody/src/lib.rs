@@ -22,15 +22,16 @@ pub mod pm;
 
 pub use cosmology::Cosmology;
 pub use icgen::{gaussian_field, zeldovich, Particles, ZeldovichOptions};
-pub use pm::{cic_deposit, solve_forces, step, PmOptions};
+pub use pm::{cic_deposit, cic_scatter, solve_forces, step, PmOptions};
 
 use cosmo_fft::Grid3;
-use foresight_util::Result;
+use foresight_util::{Error, Result};
 
 /// Convenience driver: ICs + a few PM steps, returning a clustered box.
 ///
 /// `n_side` sets both the particle lattice and the PM mesh (one particle
-/// per cell). `steps` PM iterations sharpen Zel'dovich's mild clustering
+/// per cell) and must be a power of two; `box_size` must be finite and
+/// positive. `steps` PM iterations sharpen Zel'dovich's mild clustering
 /// into FoF-detectable halos; ~10 steps gives a rich halo population.
 pub fn simulate_universe(
     n_side: usize,
@@ -38,6 +39,12 @@ pub fn simulate_universe(
     seed: u64,
     steps: usize,
 ) -> Result<Particles> {
+    if !n_side.is_power_of_two() {
+        return Err(Error::invalid(format!("n_side {n_side} is not a power of two")));
+    }
+    if !(box_size.is_finite() && box_size > 0.0) {
+        return Err(Error::invalid(format!("box_size {box_size} is not finite and positive")));
+    }
     let grid = Grid3::cube(n_side);
     let cosmo = Cosmology::default();
     let delta = gaussian_field(&cosmo, grid, box_size, seed)?;
@@ -65,5 +72,17 @@ mod tests {
         // Velocities should have developed a spread.
         let s = foresight_util::stats::summarize(&p.vx);
         assert!(s.range() > 1.0, "velocity range {}", s.range());
+    }
+
+    #[test]
+    fn simulate_universe_rejects_bad_options() {
+        for n_side in [0, 3, 12] {
+            let r = simulate_universe(n_side, 256.0, 1, 1);
+            assert!(matches!(r, Err(Error::InvalidArgument(_))), "n_side {n_side}");
+        }
+        for box_size in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let r = simulate_universe(8, box_size, 1, 1);
+            assert!(matches!(r, Err(Error::InvalidArgument(_))), "box_size {box_size}");
+        }
     }
 }

@@ -8,50 +8,94 @@
 //! here: a few PM steps on Zel'dovich ICs produce the gravitationally bound
 //! clumps the FoF halo analysis needs.
 
-use crate::icgen::Particles;
-use cosmo_fft::{fft3_forward, fft3_inverse_real, Complex, Grid3};
+use crate::icgen::{vector_components, wrap_coord, Particles};
+use cosmo_fft::{fft3_forward, fft3_inverse_real_in_place, Complex, Grid3};
+use foresight_util::parallel::par_ranges_mut;
 use foresight_util::Result;
-use rayon::prelude::*;
 
 /// CIC-deposits unit-mass particles onto `grid`, returning the overdensity
 /// field `rho/rho_mean - 1`.
 pub fn cic_deposit(p: &Particles, grid: Grid3, box_size: f64) -> Vec<f64> {
-    let mut rho = vec![0.0f64; grid.len()];
-    let (nx, ny, nz) = (grid.nx, grid.ny, grid.nz);
-    let inv_cell = nx as f64 / box_size;
-    for i in 0..p.len() {
-        let gx = p.x[i] as f64 * inv_cell - 0.5;
-        let gy = p.y[i] as f64 * inv_cell * (ny as f64 / nx as f64) - 0.5;
-        let gz = p.z[i] as f64 * inv_cell * (nz as f64 / nx as f64) - 0.5;
-        let (ix, fx) = split(gx, nx);
-        let (iy, fy) = split(gy, ny);
-        let (iz, fz) = split(gz, nz);
-        for (dz, wz) in [(0usize, 1.0 - fz), (1, fz)] {
-            for (dy, wy) in [(0usize, 1.0 - fy), (1, fy)] {
-                for (dx, wx) in [(0usize, 1.0 - fx), (1, fx)] {
-                    let c = grid.index((ix + dx) % nx, (iy + dy) % ny, (iz + dz) % nz);
-                    rho[c] += wx * wy * wz;
-                }
-            }
-        }
-    }
+    let inv_cell = grid.nx as f64 / box_size;
+    let locate = |i: usize| mesh_coords(grid, inv_cell, [p.x[i], p.y[i], p.z[i]]);
+    let [mut rho] = cic_scatter(grid, p.len(), locate, |_, w| [w]);
     let mean = p.len() as f64 / grid.len() as f64;
     if mean > 0.0 {
-        for v in rho.iter_mut() {
-            *v = *v / mean - 1.0;
-        }
+        par_ranges_mut([&mut rho[..]], 1, |_, [rho]| {
+            for v in rho {
+                *v = *v / mean - 1.0;
+            }
+        });
     }
     rho
 }
 
-/// Splits a (possibly negative) grid coordinate into a wrapped base cell
-/// index and the CIC fraction toward the next cell.
+/// Mesh coordinates `(g - 0.5)` of a position, in cells, for CIC.
 #[inline]
-fn split(g: f64, n: usize) -> (usize, f64) {
+fn mesh_coords(grid: Grid3, inv_cell: f64, [x, y, z]: [f32; 3]) -> [f64; 3] {
+    let (nx, ny, nz) = (grid.nx as f64, grid.ny as f64, grid.nz as f64);
+    [
+        x as f64 * inv_cell - 0.5,
+        y as f64 * inv_cell * (ny / nx) - 0.5,
+        z as f64 * inv_cell * (nz / nx) - 0.5,
+    ]
+}
+
+/// Cloud-in-cell scatter of `n` particles onto `K` grids at once.
+///
+/// `locate(i)` gives particle `i`'s mesh coordinates (cell centres at
+/// integers); `values(i, w)` gives what it adds to each grid at a corner of
+/// CIC weight `w = wx * wy * wz`. Each worker owns a contiguous slab of
+/// z-planes, walks every particle in index order and adds only to its own
+/// cells, so every cell sums its contributions in the order of the serial
+/// loop and the grids are the same on any thread count.
+pub fn cic_scatter<const K: usize>(
+    grid: Grid3,
+    n: usize,
+    locate: impl Fn(usize) -> [f64; 3] + Sync,
+    values: impl Fn(usize, f64) -> [f64; K] + Sync,
+) -> [Vec<f64>; K] {
+    let (nx, ny, nz) = (grid.nx, grid.ny, grid.nz);
+    let plane = nx * ny;
+    let mut grids: [Vec<f64>; K] = std::array::from_fn(|_| vec![0.0; grid.len()]);
+    par_ranges_mut(grids.each_mut().map(|g| &mut g[..]), plane, |start, mut slab| {
+        let planes = slab.first().map_or(0, |s| s.len()) / plane;
+        let z0 = start / plane;
+        let owns = |z: usize| z >= z0 && z < z0 + planes;
+        for i in 0..n {
+            let [gx, gy, gz] = locate(i);
+            let zs = corners(gz, nz);
+            if !zs.iter().any(|&(z, _)| owns(z)) {
+                continue;
+            }
+            let (xs, ys) = (corners(gx, nx), corners(gy, ny));
+            for (z, wz) in zs {
+                if !owns(z) {
+                    continue;
+                }
+                for (y, wy) in ys {
+                    let row = (z - z0) * plane + y * nx;
+                    for (x, wx) in xs {
+                        for (g, v) in slab.iter_mut().zip(values(i, wx * wy * wz)) {
+                            g[row + x] += v;
+                        }
+                    }
+                }
+            }
+        }
+    });
+    grids
+}
+
+/// The two CIC cells of a (possibly negative) mesh coordinate on an axis
+/// of `n` cells, wrapped, with their weights `1 - frac` and `frac`.
+#[inline]
+fn corners(g: f64, n: usize) -> [(usize, f64); 2] {
     let fl = g.floor();
     let frac = g - fl;
     let idx = (fl as i64).rem_euclid(n as i64) as usize;
-    (idx, frac)
+    let next = if idx + 1 == n { 0 } else { idx + 1 };
+    [(idx, 1.0 - frac), (next, frac)]
 }
 
 /// Spectral force field: three grids holding the acceleration components.
@@ -69,53 +113,37 @@ pub struct ForceField {
 /// `g_const` folds 4*pi*G*rho_mean into one coupling constant.
 pub fn solve_forces(delta: &[f64], grid: Grid3, box_size: f64, g_const: f64) -> Result<ForceField> {
     let spec = fft3_forward(delta, grid)?;
-    let mut fx = spec.clone();
-    let mut fy = spec.clone();
-    let mut fz = spec;
-    for iz in 0..grid.nz {
-        for iy in 0..grid.ny {
-            for ix in 0..grid.nx {
-                let idx = grid.index(ix, iy, iz);
-                let (kx, ky, kz) = grid.wavenumber(ix, iy, iz, box_size);
-                let k2 = kx * kx + ky * ky + kz * kz;
-                if k2 == 0.0 {
-                    fx[idx] = Complex::ZERO;
-                    fy[idx] = Complex::ZERO;
-                    fz[idx] = Complex::ZERO;
-                    continue;
-                }
-                // phi(k) = -g delta(k) / k^2; a = -ik phi = ik g delta / k^2.
-                let d = fx[idx];
-                let id = Complex::new(-d.im, d.re).scale(g_const / k2);
-                fx[idx] = id.scale(kx);
-                fy[idx] = id.scale(ky);
-                fz[idx] = id.scale(kz);
-            }
+    // phi(k) = -g delta(k) / k^2; a = -ik phi = ik g delta / k^2.
+    let accel = |k: [f64; 3], axis: usize, d: Complex| {
+        let k2 = k[0] * k[0] + k[1] * k[1] + k[2] * k[2];
+        if k2 == 0.0 {
+            return Complex::ZERO;
         }
-    }
-    Ok(ForceField {
-        ax: fft3_inverse_real(&fx, grid)?,
-        ay: fft3_inverse_real(&fy, grid)?,
-        az: fft3_inverse_real(&fz, grid)?,
-    })
+        Complex::new(-d.im, d.re).scale(g_const / k2).scale(k[axis])
+    };
+    let mut mesh: [Vec<f64>; 3] = Default::default();
+    vector_components(spec, grid, box_size, accel, |axis, modes| {
+        mesh[axis] = fft3_inverse_real_in_place(modes, grid)?;
+        Ok(())
+    })?;
+    let [ax, ay, az] = mesh;
+    Ok(ForceField { ax, ay, az })
 }
 
-/// CIC-interpolates the force field to one particle position.
-fn interp(f: &[f64], grid: Grid3, box_size: f64, x: f64, y: f64, z: f64) -> f64 {
-    let (nx, ny, nz) = (grid.nx, grid.ny, grid.nz);
-    let inv_cell = nx as f64 / box_size;
-    let gx = x * inv_cell - 0.5;
-    let gy = y * inv_cell * (ny as f64 / nx as f64) - 0.5;
-    let gz = z * inv_cell * (nz as f64 / nx as f64) - 0.5;
-    let (ix, fx) = split(gx, nx);
-    let (iy, fy) = split(gy, ny);
-    let (iz, fz) = split(gz, nz);
-    let mut acc = 0.0;
-    for (dz, wz) in [(0usize, 1.0 - fz), (1, fz)] {
-        for (dy, wy) in [(0usize, 1.0 - fy), (1, fy)] {
-            for (dx, wx) in [(0usize, 1.0 - fx), (1, fx)] {
-                let c = grid.index((ix + dx) % nx, (iy + dy) % ny, (iz + dz) % nz);
-                acc += f[c] * wx * wy * wz;
+/// CIC-interpolates all three force components at one particle's mesh
+/// coordinates: cells and weights once, each component summed in corner
+/// order as `f[c] * wx * wy * wz`.
+#[inline]
+fn gather(f: &ForceField, grid: Grid3, [gx, gy, gz]: [f64; 3]) -> [f64; 3] {
+    let (xs, ys) = (corners(gx, grid.nx), corners(gy, grid.ny));
+    let mut acc = [0.0; 3];
+    for (z, wz) in corners(gz, grid.nz) {
+        for (y, wy) in ys {
+            for (x, wx) in xs {
+                let c = grid.index(x, y, z);
+                for (a, comp) in acc.iter_mut().zip([&f.ax, &f.ay, &f.az]) {
+                    *a += comp[c] * wx * wy * wz;
+                }
             }
         }
     }
@@ -144,41 +172,30 @@ pub fn step(p: &mut Particles, grid: Grid3, opts: &PmOptions) -> Result<()> {
     let box_size = p.box_size;
     let delta = cic_deposit(p, grid, box_size);
     let forces = solve_forces(&delta, grid, box_size, opts.g_const)?;
+    drop(delta);
     let half = 0.5 * opts.dt;
     let drift = opts.dt * opts.velocity_to_drift;
     let l = box_size as f32;
+    let inv_cell = grid.nx as f64 / box_size;
 
-    // Gather accelerations in parallel, then apply kick+drift. The second
-    // half-kick is folded into the next step's first half-kick, which is
-    // the standard KDK simplification for snapshot generation.
-    let n = p.len();
-    let acc: Vec<(f64, f64, f64)> = (0..n)
-        .into_par_iter()
-        .map(|i| {
-            let (px, py, pz) = (p.x[i] as f64, p.y[i] as f64, p.z[i] as f64);
-            (
-                interp(&forces.ax, grid, box_size, px, py, pz),
-                interp(&forces.ay, grid, box_size, px, py, pz),
-                interp(&forces.az, grid, box_size, px, py, pz),
-            )
-        })
-        .collect();
-    #[allow(clippy::needless_range_loop)] // indexes six parallel arrays
-    for i in 0..n {
-        let (ax, ay, az) = acc[i];
-        p.vx[i] += (ax * half) as f32;
-        p.vy[i] += (ay * half) as f32;
-        p.vz[i] += (az * half) as f32;
-        p.x[i] += p.vx[i] * drift as f32;
-        p.y[i] += p.vy[i] * drift as f32;
-        p.z[i] += p.vz[i] * drift as f32;
-        for c in [&mut p.x[i], &mut p.y[i], &mut p.z[i]] {
-            *c = c.rem_euclid(l);
-            if *c >= l {
-                *c = 0.0;
-            }
+    // Gather, kick and drift each particle in one pass: it reads only its
+    // own position and the force mesh. The second half-kick is folded into
+    // the next step's first half-kick, which is the standard KDK
+    // simplification for snapshot generation.
+    let Particles { x, y, z, vx, vy, vz, .. } = p;
+    let arrays = [x, y, z, vx, vy, vz].map(|a| &mut a[..]);
+    par_ranges_mut(arrays, 1, |_, [x, y, z, vx, vy, vz]| {
+        for i in 0..x.len() {
+            let [ax, ay, az] =
+                gather(&forces, grid, mesh_coords(grid, inv_cell, [x[i], y[i], z[i]]));
+            vx[i] += (ax * half) as f32;
+            vy[i] += (ay * half) as f32;
+            vz[i] += (az * half) as f32;
+            x[i] = wrap_coord(x[i] + vx[i] * drift as f32, l);
+            y[i] = wrap_coord(y[i] + vy[i] * drift as f32, l);
+            z[i] = wrap_coord(z[i] + vz[i] * drift as f32, l);
         }
-    }
+    });
     Ok(())
 }
 

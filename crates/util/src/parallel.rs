@@ -55,9 +55,60 @@ pub fn split_ranges(len: usize, parts: usize) -> Vec<(usize, usize)> {
     out
 }
 
+/// Runs `f(start, views)` once per worker range, in parallel.
+///
+/// The slices must have equal lengths, a multiple of `unit`. The ranges
+/// tile `0..len` in whole units, near-equal and in order, one per worker
+/// thread; `views` holds range `start..start + views[k].len()` of each
+/// slice `k`. Work that writes element `i` only through `views` and reads
+/// anything else gives the same result on any thread count.
+pub fn par_ranges_mut<T: Send, const K: usize>(
+    slices: [&mut [T]; K],
+    unit: usize,
+    f: impl Fn(usize, [&mut [T]; K]) + Sync,
+) {
+    assert!(unit > 0, "unit must be positive");
+    let len = slices.first().map_or(0, |s| s.len());
+    assert!(slices.iter().all(|s| s.len() == len), "slices must have equal lengths");
+    assert!(len.is_multiple_of(unit), "slice length must be a multiple of unit");
+    let mut rest = slices;
+    let parts: Vec<(usize, [&mut [T]; K])> = split_ranges(len / unit, rayon::current_num_threads())
+        .into_iter()
+        .map(|(a, b)| {
+            let views = std::array::from_fn(|k| {
+                let (head, tail) = std::mem::take(&mut rest[k]).split_at_mut((b - a) * unit);
+                rest[k] = tail;
+                head
+            });
+            (a * unit, views)
+        })
+        .collect();
+    parts.into_par_iter().for_each(|(start, views)| f(start, views));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn par_ranges_mut_tiles_every_slice_on_any_thread_count() {
+        for threads in [1, 2, 3, 4] {
+            let (mut a, mut b) = (vec![0usize; 48], vec![0usize; 48]);
+            with_threads(threads, || {
+                par_ranges_mut([&mut a[..], &mut b[..]], 4, |start, [a, b]| {
+                    assert_eq!(start % 4, 0);
+                    assert_eq!(a.len() % 4, 0);
+                    for (i, (x, y)) in a.iter_mut().zip(b.iter_mut()).enumerate() {
+                        *x = start + i;
+                        *y = 2 * (start + i);
+                    }
+                })
+            });
+            assert_eq!(a, (0..48).collect::<Vec<_>>(), "{threads} threads");
+            assert_eq!(b, (0..48).map(|i| 2 * i).collect::<Vec<_>>(), "{threads} threads");
+        }
+        par_ranges_mut::<u8, 1>([&mut []], 3, |_, _| panic!("no range for an empty slice"));
+    }
 
     #[test]
     fn par_map_chunks_preserves_order() {

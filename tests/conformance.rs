@@ -507,6 +507,51 @@ fn prior_version_fixtures_fail_closed() {
     );
 }
 
+/// An archive from a future writer fails closed on its version, before any
+/// fragment is read. `future/store_version_2.fstr` is a valid 8^3 archive
+/// (eight 4^3 cuZFP rate-8 chunks) with the superblock version set to 2
+/// and the superblock CRC re-sealed, so the version check — not a
+/// checksum — is what refuses it.
+#[test]
+fn future_archive_version_fails_closed() {
+    use foresight_util::crc::crc32;
+    use foresight_util::Error;
+    let path = golden_dir().join("future").join("store_version_2.fstr");
+    let bytes = std::fs::read(&path).expect("future-version fixture readable");
+    assert_eq!(bytes[..8], *b"FSTR\x02\x00\x00\x00", "a version-2 archive");
+    let reseal = |mut b: Vec<u8>, version: u32| {
+        b[4..8].copy_from_slice(&version.to_le_bytes());
+        let crc = crc32(&b[..64]);
+        b[64..68].copy_from_slice(&crc.to_le_bytes());
+        b
+    };
+    // Valid in every other respect: set back to version 1, it opens and
+    // every CRC and digest verifies.
+    let current = StoreReader::from_bytes(reseal(bytes.clone(), 1)).expect("opens as version 1");
+    assert_eq!(current.verify().unwrap().fields_ok, 1);
+
+    let refused = |what: &str, r: foresight_util::Result<StoreReader>| match r {
+        Err(Error::Corrupt(msg)) => {
+            assert!(msg.contains("unsupported archive version 2"), "{what}: wrong reason: {msg}")
+        }
+        Err(other) => panic!("{what}: expected Error::Corrupt, got {other:?}"),
+        Ok(_) => panic!("{what}: a version-2 archive opened"),
+    };
+    refused("from_bytes", StoreReader::from_bytes(bytes.clone()));
+    refused("open", StoreReader::open(&path));
+    // Every fragment byte flipped: a reader that looked at one would fail
+    // on a chunk CRC; the version is refused first.
+    let dir_offset = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
+    let mut hostile = bytes.clone();
+    hostile[68..dir_offset].iter_mut().for_each(|b| *b = !*b);
+    refused("from_bytes, fragments flipped", StoreReader::from_bytes(hostile.clone()));
+    let tmp = std::env::temp_dir().join(format!("fstr-future-{}.fstr", std::process::id()));
+    std::fs::write(&tmp, &hostile).unwrap();
+    let opened = StoreReader::open(&tmp);
+    std::fs::remove_file(&tmp).unwrap();
+    refused("open, fragments flipped", opened);
+}
+
 fn store_section(manifest: &Value) -> &Value {
     manifest.get("store").unwrap_or_else(|| {
         panic!(
