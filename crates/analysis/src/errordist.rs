@@ -161,7 +161,7 @@ mod tests {
         let (sz_rec, _) = lossy_sz::decompress(&sz_stream).unwrap();
         let zfp_stream = lossy_zfp::compress(
             &base,
-            lossy_zfp::Dims3::D3(n, n, n),
+            lossy_zfp::Dims::D3(n, n, n),
             &lossy_zfp::ZfpConfig::rate(8.0),
         )
         .unwrap();

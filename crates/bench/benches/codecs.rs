@@ -7,7 +7,7 @@ use foresight::codec::{compress, decompress, CodecConfig, Shape};
 use foresight_util::bits::{BitReader, BitWriter};
 use lossy_sz::huffman::{histogram, Codebook, LANES};
 use lossy_sz::{Dims, EntropyBackend, PredictorKind, SzConfig};
-use lossy_zfp::{Dims3, ZfpConfig};
+use lossy_zfp::ZfpConfig;
 use std::time::Instant;
 
 fn nyx_like_field(n: usize) -> Vec<f32> {
@@ -159,12 +159,12 @@ fn bench_zfp_block(c: &mut Criterion) {
     let cube = nyx_like_field(64);
     let opts = SynthOptions { n_side: 16, seed: 13, steps: 1, ..SynthOptions::default() };
     let hacc = generate_hacc(&opts).unwrap();
-    let run = Dims3::D1(4096);
+    let run = Dims::D1(4096);
     assert_eq!(hacc.x.len(), 4096);
     let cases = [
-        ("zfp_block", "1d_rate_8", &line, Dims3::D1(line.len()), 8.0),
-        ("zfp_block", "3d_rate_4", &cube, Dims3::D3(64, 64, 64), 4.0),
-        ("zfp_block", "3d_rate_8", &cube, Dims3::D3(64, 64, 64), 8.0),
+        ("zfp_block", "1d_rate_8", &line, Dims::D1(line.len()), 8.0),
+        ("zfp_block", "3d_rate_4", &cube, Dims::D3(64, 64, 64), 4.0),
+        ("zfp_block", "3d_rate_8", &cube, Dims::D3(64, 64, 64), 8.0),
         ("zfp_run_1d", "hacc_x", &hacc.x, run, 8.0),
         ("zfp_run_1d", "hacc_vx", &hacc.vx, run, 8.0),
     ];

@@ -12,7 +12,7 @@ use foresight::codec::CodecConfig;
 use foresight::CinemaDb;
 use foresight_bench::{hacc_snapshot, nyx_fields, Cli};
 use foresight_util::table::{fmt_f64, Table};
-use lossless_fp::fpz::FpzDims;
+use foresight_util::Dims;
 use lossless_fp::{fpc_compress, fpc_decompress, fpz_compress, fpz_decompress, ratio_f32};
 use lossy_sz::SzConfig;
 
@@ -23,7 +23,7 @@ fn verify_fpc(data: &[f32]) -> f64 {
     ratio_f32(data.len(), c.len())
 }
 
-fn verify_fpz(data: &[f32], dims: FpzDims) -> f64 {
+fn verify_fpz(data: &[f32], dims: Dims) -> f64 {
     let c = fpz_compress(data, dims).expect("fpz compress");
     let (d, _) = fpz_decompress(&c).expect("fpz roundtrip");
     assert!(data.iter().zip(&d).all(|(a, b)| a.to_bits() == b.to_bits()));
@@ -58,7 +58,7 @@ fn main() {
             "Nyx".to_string(),
             f.name.clone(),
             fmt_f64(verify_fpc(&f.data)),
-            fmt_f64(verify_fpz(&f.data, FpzDims::d3(n, n, n))),
+            fmt_f64(verify_fpz(&f.data, Dims::d3(n, n, n))),
             fmt_f64(lzss_ratio(&f.data)),
             fmt_f64(lossy),
         ]);
@@ -77,7 +77,7 @@ fn main() {
             "HACC".to_string(),
             name.to_string(),
             fmt_f64(verify_fpc(data)),
-            fmt_f64(verify_fpz(data, FpzDims::d1(data.len()))),
+            fmt_f64(verify_fpz(data, Dims::d1(data.len()))),
             fmt_f64(lzss_ratio(data)),
             fmt_f64(lossy),
         ]);

@@ -13,7 +13,7 @@ use cosmo_fft::Grid3;
 use foresight::cbench::run_sweep;
 use foresight::codec::CodecConfig;
 use foresight::{
-    best_fit_per_field, overall_best_ratio, Acceptance, Candidate, CinemaDb, CompressorId, Job,
+    best_fit_per_field, overall_best_ratio, Acceptance, Candidate, CinemaDb, CodecKind, Job,
     SlurmSim, Workflow,
 };
 use foresight_bench::{nyx_fields, Cli};
@@ -99,7 +99,7 @@ fn main() {
                 let mut table =
                     Table::new(["compressor", "field", "chosen", "ratio", "acceptable/total"]);
                 let mut lines = Vec::new();
-                for comp in [CompressorId::GpuSz, CompressorId::CuZfp] {
+                for comp in [CodecKind::Sz, CodecKind::Zfp] {
                     let fits = best_fit_per_field(&cands, comp, &acc)?;
                     let overall = overall_best_ratio(&fits, &cands);
                     for f in &fits {

@@ -662,13 +662,9 @@ fn store_pack_main(mut args: impl Iterator<Item = String>) -> ! {
     let st = cfg.store.clone().unwrap_or_default();
     let chunk = chunk_override.unwrap_or(st.chunk);
     let snapshot = snapshot_override.unwrap_or(st.snapshot);
-    let codec = match cfg.codec_configs().into_iter().next() {
-        Some(foresight::CodecConfig::Sz(c)) => foresight::ChunkCodec::Sz(c),
-        Some(foresight::CodecConfig::Zfp(c)) => foresight::ChunkCodec::Zfp(c),
-        None => {
-            eprintln!("error: config has no compressor to pack with");
-            std::process::exit(1);
-        }
+    let Some(codec) = cfg.codec_configs().into_iter().next() else {
+        eprintln!("error: config has no compressor to pack with");
+        std::process::exit(1);
     };
     let pack = || -> foresight_util::Result<usize> {
         let opts = cosmo_data::SynthOptions {

@@ -5,7 +5,7 @@
 //! wall-clock (de)compression times — the exact outputs the paper's
 //! CBench produces for the downstream analysis and visualization stages.
 
-use crate::codec::{compress, decompress, CodecConfig, CompressorId, Shape};
+use crate::codec::{compress, decompress, CodecConfig, CodecKind, Shape};
 use crate::gpu_backend::{gpu_compress, gpu_decompress};
 use cosmo_analysis::metrics::{distortion, Distortion};
 use foresight_util::timer::timed;
@@ -69,7 +69,7 @@ pub struct CBenchRecord {
     /// Field name.
     pub field: String,
     /// Compressor used.
-    pub compressor: CompressorId,
+    pub compressor: CodecKind,
     /// Parameter label ("abs=0.2", "rate=4").
     pub param: String,
     /// Compressed bytes.
@@ -257,7 +257,7 @@ pub fn run_sweep(
             // stack; parent each pair explicitly.
             let mut s = telemetry::span_with_parent("cbench.pair", sweep_id);
             s.set_attr("field", f.name.clone());
-            s.set_attr("config", format!("{} {}", c.id().display(), c.param_label()));
+            s.set_attr("config", c.label());
             run_one(f, c, keep_recon)
         })
         .collect();
@@ -269,12 +269,7 @@ pub fn run_sweep(
     for ((f, c), r) in pairs.iter().zip(results) {
         match r {
             Ok(rec) => out.push(rec),
-            Err(e) => failures.push(format!(
-                "{} x {} {}: {e}",
-                f.name,
-                c.id().display(),
-                c.param_label()
-            )),
+            Err(e) => failures.push(format!("{} x {}: {e}", f.name, c.label())),
         }
     }
     if !failures.is_empty() {
@@ -335,7 +330,7 @@ pub struct QuarantinedPair {
     /// Field name.
     pub field: String,
     /// Compressor of the failing config.
-    pub compressor: CompressorId,
+    pub compressor: CodecKind,
     /// Parameter label of the failing config.
     pub param: String,
     /// The terminal error.
@@ -386,7 +381,7 @@ pub fn run_sweep_chaos(
     let results: Vec<(Result<CBenchRecord>, Vec<String>)> = pairs
         .par_iter()
         .map(|(f, c)| {
-            let label = format!("{}/{} {}", f.name, c.id().display(), c.param_label());
+            let label = format!("{}/{}", f.name, c.label());
             let mut s = telemetry::span_with_parent("cbench.pair", sweep_id);
             s.set_attr("pair", label.clone());
             // The pair label doubles as the telemetry process name, so

@@ -3,27 +3,20 @@
 //!
 //! The compression work is genuine (the actual `lossy-sz`/`lossy-zfp`
 //! codecs produce real streams and real reconstructions); only the clock
-//! is simulated, per the substitution documented in DESIGN.md.
+//! is simulated, per the substitution documented in DESIGN.md. The host
+//! work goes through the one codec seam ([`crate::codec`]); this module
+//! adds the device side of it: which kernels a codec launches, and the
+//! codecs' traced launch-grid paths when a sanitizer is attached.
 
-use crate::codec::{compress, decompress, CodecConfig, CompressorId, Shape};
-use foresight_util::Result;
+use crate::codec::{compress, CodecConfig, CodecKind, Shape};
+use foresight_util::{Error, Result};
 use gpu_sim::{run_compression, run_decompression, Device, GpuRunReport, KernelKind};
 
-fn kinds(id: CompressorId) -> (KernelKind, KernelKind) {
-    match id {
-        CompressorId::GpuSz => (KernelKind::SzCompress, KernelKind::SzDecompress),
-        CompressorId::CuZfp => (KernelKind::ZfpCompress, KernelKind::ZfpDecompress),
-    }
-}
-
-/// Bits/value the cost model should assume before compression runs.
-fn planned_bits(cfg: &CodecConfig) -> Option<f64> {
-    match cfg {
-        CodecConfig::Zfp(z) => match z.mode {
-            lossy_zfp::ZfpMode::FixedRate(r) => Some(r),
-            _ => None,
-        },
-        CodecConfig::Sz(_) => None,
+/// The simulated kernels a codec launches: `(compress, decompress)`.
+pub(crate) fn kernels(kind: CodecKind) -> (KernelKind, KernelKind) {
+    match kind {
+        CodecKind::Sz => (KernelKind::SzCompress, KernelKind::SzDecompress),
+        CodecKind::Zfp => (KernelKind::ZfpCompress, KernelKind::ZfpDecompress),
     }
 }
 
@@ -44,80 +37,69 @@ pub fn gpu_compress(
     // plain path (both assemble from the same per-block outputs).
     if device.sanitizer_active() {
         let (mut stream, report) = match cfg {
-            CodecConfig::Sz(c) => lossy_sz::gpu_exec::compress_on(device, data, shape.to_sz(), c)?,
-            CodecConfig::Zfp(z) => {
-                lossy_zfp::gpu_exec::compress_on(device, data, shape.to_zfp(), z)?
-            }
+            CodecConfig::Sz(c) => lossy_sz::gpu_exec::compress_on(device, data, shape, c)?,
+            CodecConfig::Zfp(z) => lossy_zfp::gpu_exec::compress_on(device, data, shape, z)?,
         };
         device.inject_ecc(&mut stream);
         return Ok((stream, report));
     }
-    let (ck, _) = kinds(cfg.id());
+    let (ck, _) = kernels(cfg.id());
+    let label = cfg.id().display();
     let n = data.len() as u64;
     // For error-bounded codecs the achieved rate is only known after the
     // fact; run the codec first, then charge the model with actual bits.
-    let (mut stream, report) = match planned_bits(cfg) {
+    let (mut stream, report) = match cfg.fixed_rate() {
         Some(bits) => {
-            let (stream, report) =
-                run_compression(device, ck, n, bits, cfg.id().display(), || {
-                    let s = compress(data, shape, cfg);
-                    let len = s.as_ref().map(|v| v.len() as u64).unwrap_or(0);
-                    (s, len)
-                })?;
+            let (stream, report) = run_compression(device, ck, n, bits, label, || {
+                let s = compress(data, shape, cfg);
+                let len = s.as_ref().map(|v| v.len() as u64).unwrap_or(0);
+                (s, len)
+            })?;
             (stream?, report)
         }
         None => {
             let stream = compress(data, shape, cfg)?;
             let bits = stream.len() as f64 * 8.0 / n.max(1) as f64;
             let slen = stream.len() as u64;
-            run_compression(device, ck, n, bits, cfg.id().display(), move || {
-                (stream, slen)
-            })?
+            run_compression(device, ck, n, bits, label, move || (stream, slen))?
         }
     };
     device.inject_ecc(&mut stream);
     Ok((stream, report))
 }
 
-/// Decompresses on the simulated GPU; returns data and timing report.
+/// Decompresses a stream of codec `id` on the simulated GPU; returns
+/// data and timing report. Both device paths decode with `id`'s codec and
+/// refuse a reconstruction that is not `n_values` long.
 ///
 /// The upload leg may silently corrupt the stream in chaos mode; the
 /// codec's CRC check then surfaces it as [`Error::Corrupt`], which
 /// resilient callers treat like a transient device fault.
 pub fn gpu_decompress(
     device: &mut Device,
-    id: CompressorId,
+    id: CodecKind,
     stream: &[u8],
     n_values: u64,
 ) -> Result<(Vec<f32>, GpuRunReport)> {
-    let (_, dk) = kinds(id);
     let mut uploaded = stream.to_vec();
     device.inject_ecc(&mut uploaded);
-    if device.sanitizer_active() {
-        let (data, report) = match id {
-            CompressorId::GpuSz => {
-                let (data, _, report) = lossy_sz::gpu_exec::decompress_on(device, &uploaded)?;
-                (data, report)
-            }
-            CompressorId::CuZfp => {
-                let (data, _, report) = lossy_zfp::gpu_exec::decompress_on(device, &uploaded)?;
-                (data, report)
-            }
+    let (data, report) = if device.sanitizer_active() {
+        let (data, _, report) = match id {
+            CodecKind::Sz => lossy_sz::gpu_exec::decompress_on(device, &uploaded)?,
+            CodecKind::Zfp => lossy_zfp::gpu_exec::decompress_on(device, &uploaded)?,
         };
-        if data.len() as u64 != n_values {
-            return Err(foresight_util::Error::corrupt("reconstructed length mismatch"));
-        }
-        return Ok((data, report));
+        (data, report)
+    } else {
+        let (_, dk) = kernels(id);
+        let bytes = uploaded.len() as u64;
+        let (out, report) = run_decompression(device, dk, n_values, bytes, id.display(), || {
+            id.decompress(&uploaded)
+        })?;
+        (out?.0, report)
+    };
+    if data.len() as u64 != n_values {
+        return Err(Error::corrupt("reconstructed length mismatch"));
     }
-    let (out, report) = run_decompression(
-        device,
-        dk,
-        n_values,
-        uploaded.len() as u64,
-        id.display(),
-        || decompress(&uploaded),
-    )?;
-    let (data, _) = out?;
     Ok((data, report))
 }
 
@@ -141,7 +123,7 @@ mod tests {
         assert!(crep.breakdown.kernel > 0.0 && crep.breakdown.memcpy > 0.0);
         assert!((crep.ratio() - 8.0).abs() < 0.5);
         let (rec, drep) =
-            gpu_decompress(&mut dev, CompressorId::CuZfp, &stream, data.len() as u64).unwrap();
+            gpu_decompress(&mut dev, CodecKind::Zfp, &stream, data.len() as u64).unwrap();
         assert_eq!(rec.len(), data.len());
         assert!(drep.breakdown.kernel > 0.0);
         // Kernel throughput beats overall (transfers dominate on PCIe).
@@ -180,5 +162,28 @@ mod tests {
         )
         .unwrap();
         assert!(zfp.kernel_throughput_gbs > sz.kernel_throughput_gbs * 3.0);
+    }
+
+    /// The plain and sanitized paths decode with the named codec and
+    /// check the length alike: a stream of the other codec, or a wrong
+    /// value count, is `Corrupt` on both.
+    #[test]
+    fn both_device_paths_refuse_a_wrong_codec_or_length() {
+        let data = field();
+        let n = data.len() as u64;
+        let cfg = CodecConfig::Zfp(ZfpConfig::rate(8.0));
+        let stream = compress(&data, Shape::D3(32, 32, 32), &cfg).unwrap();
+        for sanitized in [false, true] {
+            let mut dev = Device::new(GpuSpec::tesla_v100());
+            if sanitized {
+                dev = dev.with_sanitizer(gpu_sim::SanitizerConfig::full());
+            }
+            for (id, want) in [(CodecKind::Sz, n), (CodecKind::Zfp, n + 1)] {
+                let err = gpu_decompress(&mut dev, id, &stream, want).unwrap_err();
+                assert!(matches!(err, Error::Corrupt(_)), "sanitized {sanitized}: {err}");
+            }
+            let (decoded, _) = gpu_decompress(&mut dev, CodecKind::Zfp, &stream, n).unwrap();
+            assert_eq!(decoded.len(), data.len());
+        }
     }
 }

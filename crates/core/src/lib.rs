@@ -63,7 +63,7 @@ pub use cluster::{
     ClusterOptions, ClusterReport, ClusterRequest, ClusterResponse, ClusterWorkloadSpec,
     ServeCluster,
 };
-pub use codec::{CodecConfig, CompressorId, Shape};
+pub use codec::{CodecConfig, CodecKind, Shape};
 pub use config::{
     AnalysisKind, ChaosSettings, ClusterFaultSetting, ClusterSettings, DatasetKind,
     ForesightConfig, SanitizeSettings, ServeSettings, SloSetting, StoreSettings,

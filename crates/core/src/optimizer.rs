@@ -7,7 +7,7 @@
 //! move) and minimizes storage.
 
 use crate::cbench::CBenchRecord;
-use crate::codec::CompressorId;
+use crate::codec::CodecKind;
 use foresight_util::{Error, Result};
 
 /// Acceptance thresholds for post-analysis quality.
@@ -54,7 +54,7 @@ pub struct BestFit {
     /// Chosen parameter label.
     pub param: String,
     /// Compressor of the chosen config.
-    pub compressor: CompressorId,
+    pub compressor: CodecKind,
     /// Its compression ratio.
     pub ratio: f64,
     /// How many candidates were acceptable.
@@ -69,7 +69,7 @@ pub struct BestFit {
 /// guideline then asks for tighter bounds to be swept.
 pub fn best_fit_per_field(
     candidates: &[Candidate],
-    compressor: CompressorId,
+    compressor: CodecKind,
     acc: &Acceptance,
 ) -> Result<Vec<BestFit>> {
     let mut fields: Vec<String> = Vec::new();
@@ -163,7 +163,7 @@ mod tests {
             candidate("f", 0.9, 0.05),
         ];
         let fits =
-            best_fit_per_field(&cands, CompressorId::GpuSz, &Acceptance::default()).unwrap();
+            best_fit_per_field(&cands, CodecKind::Sz, &Acceptance::default()).unwrap();
         assert_eq!(fits.len(), 1);
         assert_eq!(fits[0].param, "param".replace("param", "abs=0.5"));
         assert_eq!(fits[0].acceptable_count, 2);
@@ -175,7 +175,7 @@ mod tests {
     #[test]
     fn no_acceptable_config_is_an_error() {
         let cands = vec![candidate("f", 0.1, 0.5)];
-        let err = best_fit_per_field(&cands, CompressorId::GpuSz, &Acceptance::default())
+        let err = best_fit_per_field(&cands, CodecKind::Sz, &Acceptance::default())
             .unwrap_err();
         assert!(err.to_string().contains("acceptance"));
     }
@@ -196,7 +196,7 @@ mod tests {
             candidate("b", 0.5, 0.001),
         ];
         let fits =
-            best_fit_per_field(&cands, CompressorId::GpuSz, &Acceptance::default()).unwrap();
+            best_fit_per_field(&cands, CodecKind::Sz, &Acceptance::default()).unwrap();
         assert_eq!(fits.len(), 2);
         let a = fits.iter().find(|f| f.field == "a").unwrap();
         let b = fits.iter().find(|f| f.field == "b").unwrap();

@@ -13,7 +13,7 @@ use crate::config::{AnalysisKind, DatasetKind, ForesightConfig};
 use crate::gpu_backend::gpu_compress;
 use crate::optimizer::{best_fit_per_field, overall_best_ratio, Acceptance, Candidate};
 use crate::pat::{Job, RetryPolicy, SlurmSim, Workflow, WorkflowReport};
-use crate::CompressorId;
+use crate::CodecKind;
 use cosmo_analysis::{
     friends_of_friends, halo_count_ratio, linking_length_for, pk_ratio, power_spectrum_f32,
 };
@@ -173,36 +173,29 @@ pub fn run_pipeline(cfg: &ForesightConfig, cluster: &SlurmSim) -> Result<Pipelin
         let store_cfg = store_cfg.clone();
         let outdir = outdir.clone();
         let run_metrics = run_metrics.clone();
-        let pack_codec = match configs.first() {
-            Some(crate::codec::CodecConfig::Sz(c)) => foresight_store::ChunkCodec::Sz(c.clone()),
-            Some(crate::codec::CodecConfig::Zfp(c)) => {
-                foresight_store::ChunkCodec::Zfp(*c)
-            }
-            // validate() requires at least one compressor sweep.
-            None => return Err(Error::invalid("store stage needs a codec configuration")),
-        };
+        // validate() requires at least one compressor sweep.
+        let pack_codec = configs
+            .first()
+            .cloned()
+            .ok_or_else(|| Error::invalid("store stage needs a codec configuration"))?;
         wf.add(
             Job::new("archive", 2, move || {
                 let f = fields.lock();
                 let mut writer = foresight_store::StoreWriter::new();
                 let c = store_cfg.chunk;
                 for field in f.iter() {
-                    let (shape, chunk) = match field.shape {
-                        Shape::D1(n) => {
-                            // 1-D fields chunk along their only axis with a
-                            // volume matching the 3-D chunk's value count.
-                            (foresight_store::FieldShape::d1(n), [c * c * c, 1, 1])
-                        }
-                        Shape::D2(a, b) => (foresight_store::FieldShape::d2(a, b), [c, c, 1]),
-                        Shape::D3(a, b, z) => {
-                            (foresight_store::FieldShape::d3(a, b, z), [c, c, c])
-                        }
+                    let chunk = match field.shape {
+                        // 1-D fields chunk along their only axis with a
+                        // volume matching the 3-D chunk's value count.
+                        Shape::D1(_) => [c * c * c, 1, 1],
+                        Shape::D2(..) => [c, c, 1],
+                        Shape::D3(..) => [c, c, c],
                     };
                     writer.add_field(
                         store_cfg.snapshot,
                         &field.name,
                         &field.data,
-                        shape,
+                        field.shape,
                         chunk,
                         &pack_codec,
                     )?;
@@ -393,8 +386,7 @@ pub fn run_pipeline(cfg: &ForesightConfig, cluster: &SlurmSim) -> Result<Pipelin
                 let out = configs
                     .par_iter()
                     .map(|cfg| -> Result<(String, Vec<String>)> {
-                        let tag =
-                            format!("throughput/{} {}", cfg.id().display(), cfg.param_label());
+                        let tag = format!("throughput/{}", cfg.label());
                         let mut dev =
                             Device::new(GpuSpec::tesla_v100()).with_label(tag.clone());
                         if let Some(s) = sanitizer_cfg {
@@ -409,9 +401,8 @@ pub fn run_pipeline(cfg: &ForesightConfig, cluster: &SlurmSim) -> Result<Pipelin
                             .unwrap_or_default();
                         Ok((
                             format!(
-                                "{} {}: V100 kernel {:.1} GB/s, overall {:.1} GB/s",
-                                cfg.id().display(),
-                                cfg.param_label(),
+                                "{}: V100 kernel {:.1} GB/s, overall {:.1} GB/s",
+                                cfg.label(),
                                 rep.kernel_throughput_gbs,
                                 rep.overall_throughput_gbs
                             ),
@@ -467,7 +458,7 @@ pub fn run_pipeline(cfg: &ForesightConfig, cluster: &SlurmSim) -> Result<Pipelin
                     ]);
                 }
                 let mut out_lines = Vec::new();
-                for comp in [CompressorId::GpuSz, CompressorId::CuZfp] {
+                for comp in [CodecKind::Sz, CodecKind::Zfp] {
                     if let Ok(fits) = best_fit_per_field(&cands, comp, &acc) {
                         let overall = overall_best_ratio(&fits, &cands);
                         out_lines.push(format!(

@@ -42,7 +42,8 @@
 //! traces (see `tests/prop_serve.rs`).
 
 use crate::cbench::ExecPath;
-use crate::codec::{self, CodecConfig, Shape};
+use crate::codec::{self, CodecConfig, CodecKind, Shape};
+use crate::gpu_backend::kernels;
 use crate::obs::{self, ObsOptions, ObsRecorder, ObsTrace, TraceContext};
 use foresight_util::telemetry::{
     self, HistogramSummary, Metrics, MetricsRegistry, WindowSeries,
@@ -52,7 +53,7 @@ use gpu_sim::{
     kernel_time, FaultKind, FaultPlan, FaultRates, GpuQueueSim, GpuSpec, KernelKind, NodeSpec,
     PcieLink, UnitTiming,
 };
-use foresight_store::{CodecKind as StoreCodec, Region, StoreReader};
+use foresight_store::{Region, StoreReader};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use rayon::prelude::*;
 use std::collections::BTreeMap;
@@ -335,26 +336,19 @@ pub fn shard_plan(shape: Shape, shard_bytes: u64) -> Vec<(usize, Shape)> {
         return vec![(0, shape)];
     }
     let want = total_bytes.div_ceil(shard_bytes.max(4)) as usize;
-    let (planes, plane_values, rebuild): (usize, usize, fn(Shape, usize) -> Shape) = match shape {
-        Shape::D1(n) => (n, 1, |_, k| Shape::D1(k)),
-        Shape::D2(a, b) => (b, a, |s, k| {
-            // analyze: allow(panic-path) variant pinned by the enclosing match arm
-            let Shape::D2(a, _) = s else { unreachable!() };
-            Shape::D2(a, k)
-        }),
-        Shape::D3(a, b, c) => (c, a * b, |s, k| {
-            // analyze: allow(panic-path) variant pinned by the enclosing match arm
-            let Shape::D3(a, b, _) = s else { unreachable!() };
-            Shape::D3(a, b, k)
-        }),
-    };
+    // Planes of the slowest used axis; a shard keeps the faster extents.
+    let mut ext = shape.extents();
+    let axis = shape.ndim() as usize - 1;
+    let planes = ext[axis];
+    let plane_values: usize = ext[..axis].iter().product();
     let shards = want.min(planes);
     let per = planes.div_ceil(shards);
     let mut out = Vec::new();
     let mut plane = 0usize;
     while plane < planes {
         let take = per.min(planes - plane);
-        out.push((plane * plane_values, rebuild(shape, take)));
+        ext[axis] = take;
+        out.push((plane * plane_values, shape.with_extents(ext)));
         plane += take;
     }
     out
@@ -488,10 +482,7 @@ fn run_unit(req: &ServeRequest, slice: &(usize, usize, Shape)) -> Result<Unit> {
                 in_bytes: n * 4,
                 out_bytes,
                 bits_per_value: out_bytes as f64 * 8.0 / n as f64,
-                kind: match config {
-                    CodecConfig::Sz(_) => KernelKind::SzCompress,
-                    CodecConfig::Zfp(_) => KernelKind::ZfpCompress,
-                },
+                kind: kernels(config.id()).0,
                 store_chunks: 0,
                 store_touched: 0,
                 store_returned: 0,
@@ -499,24 +490,20 @@ fn run_unit(req: &ServeRequest, slice: &(usize, usize, Shape)) -> Result<Unit> {
         }
         ServePayload::Decompress { stream } => {
             let shard = &stream[start..end];
-            let (values, _) = codec::decompress(shard)?;
+            let id = CodecKind::of_stream(shard)?;
+            let (values, _) = id.decompress(shard)?;
             let n = values.len() as u64;
             let mut out = Vec::with_capacity(values.len() * 4);
             for v in &values {
                 out.extend_from_slice(&v.to_le_bytes());
             }
-            let kind = if shard.starts_with(b"SZRS") {
-                KernelKind::SzDecompress
-            } else {
-                KernelKind::ZfpDecompress
-            };
             Ok(Unit {
                 out,
                 n_values: n,
                 in_bytes: shard.len() as u64,
                 out_bytes: n * 4,
                 bits_per_value: shard.len() as f64 * 8.0 / n as f64,
-                kind,
+                kind: kernels(id).1,
                 store_chunks: 0,
                 store_touched: 0,
                 store_returned: 0,
@@ -532,10 +519,7 @@ fn run_unit(req: &ServeRequest, slice: &(usize, usize, Shape)) -> Result<Unit> {
             for v in &values {
                 out.extend_from_slice(&v.to_le_bytes());
             }
-            let kind = match store.find(*snapshot, field).map(|e| e.codec) {
-                Some(StoreCodec::Zfp) => KernelKind::ZfpDecompress,
-                _ => KernelKind::SzDecompress,
-            };
+            let kind = kernels(store_codec(store, *snapshot, field)).1;
             // The simulated kernel pays for every value of every
             // intersecting chunk, not just the region returned — chunk
             // misalignment costs real work.
@@ -1317,29 +1301,27 @@ fn dispatch_batch(
     }
 }
 
+/// The codec of an archived field; requests were validated against the
+/// directory before they run, so the fallback is never taken.
+fn store_codec(store: &StoreReader, snapshot: u32, field: &str) -> CodecKind {
+    store.find(snapshot, field).map_or(CodecKind::Sz, |e| e.codec)
+}
+
 /// Requests batch together when they run the same codec at the same
 /// error bound; decompressions and store reads batch by codec family
 /// (the stream knows its own bound).
 fn batch_key(req: &ServeRequest) -> String {
     match &req.payload {
-        ServePayload::Compress { config, .. } => {
-            format!("{} {}", config.id().display(), config.param_label())
+        ServePayload::Compress { config, .. } => config.label(),
+        ServePayload::Decompress { stream } if stream.starts_with(CONTAINER_MAGIC) => {
+            "decompress sharded".into()
         }
         ServePayload::Decompress { stream } => {
-            let magic = stream.get(..4).unwrap_or(b"????");
-            if magic == b"SZRS" {
-                "decompress GPU-SZ".into()
-            } else if magic == CONTAINER_MAGIC {
-                "decompress sharded".into()
-            } else {
-                "decompress cuZFP".into()
-            }
+            let id = CodecKind::of_stream(stream).unwrap_or(CodecKind::Zfp);
+            format!("decompress {}", id.display())
         }
         ServePayload::StoreRead { store, snapshot, field, .. } => {
-            match store.find(*snapshot, field).map(|e| e.codec) {
-                Some(StoreCodec::Zfp) => "store-read cuZFP".into(),
-                _ => "store-read GPU-SZ".into(),
-            }
+            format!("store-read {}", store_codec(store, *snapshot, field).display())
         }
     }
 }

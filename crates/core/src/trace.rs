@@ -308,7 +308,7 @@ pub fn render_metrics_table(doc: &Value) -> String {
 mod tests {
     use super::*;
     use crate::cbench::QuarantinedPair;
-    use crate::codec::CompressorId;
+    use crate::codec::CodecKind;
     use foresight_util::telemetry::MetricsRegistry;
 
     #[test]
@@ -321,7 +321,7 @@ mod tests {
         reg.gauge("resilience.alive_nodes", 2.0);
         let q = vec![QuarantinedPair {
             field: "vx".into(),
-            compressor: CompressorId::GpuSz,
+            compressor: CodecKind::Sz,
             param: "abs=0.1".into(),
             error: "boom".into(),
         }];

@@ -9,7 +9,7 @@
 //! and the remaining significant bits are written raw. Exact roundtrip.
 
 use foresight_util::bits::{BitReader, BitWriter};
-use foresight_util::{Error, Result};
+use foresight_util::{Dims, Error, Result};
 use lossy_sz::huffman::{histogram, Codebook};
 
 /// Maps a float to an integer that preserves numeric order (the classic
@@ -42,40 +42,13 @@ fn unzigzag(x: u64) -> i64 {
     ((x >> 1) as i64) ^ -((x & 1) as i64)
 }
 
-/// Logical dimensions, x fastest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FpzDims {
-    /// Extent along x.
-    pub nx: usize,
-    /// Extent along y.
-    pub ny: usize,
-    /// Extent along z.
-    pub nz: usize,
-}
-
-impl FpzDims {
-    /// 1-D stream.
-    pub fn d1(n: usize) -> Self {
-        Self { nx: n, ny: 1, nz: 1 }
-    }
-
-    /// 3-D grid.
-    pub fn d3(nx: usize, ny: usize, nz: usize) -> Self {
-        Self { nx, ny, nz }
-    }
-
-    fn len(&self) -> usize {
-        self.nx * self.ny * self.nz
-    }
-}
-
 /// Lorenzo prediction over the ordered-integer domain.
-fn predict(vals: &[i64], d: FpzDims, x: usize, y: usize, z: usize) -> i64 {
+fn predict(vals: &[i64], [nx, ny, _]: [usize; 3], x: usize, y: usize, z: usize) -> i64 {
     let at = |dx: usize, dy: usize, dz: usize| -> i64 {
         if x < dx || y < dy || z < dz {
             0
         } else {
-            vals[(x - dx) + d.nx * ((y - dy) + d.ny * (z - dz))]
+            vals[(x - dx) + nx * ((y - dy) + ny * (z - dz))]
         }
     };
     at(1, 0, 0) + at(0, 1, 0) + at(0, 0, 1) - at(1, 1, 0) - at(1, 0, 1) - at(0, 1, 1)
@@ -83,24 +56,19 @@ fn predict(vals: &[i64], d: FpzDims, x: usize, y: usize, z: usize) -> i64 {
 }
 
 /// Compresses a float grid losslessly.
-pub fn fpz_compress(data: &[f32], dims: FpzDims) -> Result<Vec<u8>> {
-    if data.len() != dims.len() {
-        return Err(Error::invalid(format!(
-            "data length {} does not match dims {:?}",
-            data.len(),
-            dims
-        )));
-    }
+pub fn fpz_compress(data: &[f32], dims: Dims) -> Result<Vec<u8>> {
+    dims.check_len(data.len())?;
+    let ext = dims.extents();
     // Pass 1: residuals (as zig-zag magnitudes) and their bit-length class.
     let mut ordered = vec![0i64; data.len()];
     let mut resid = vec![0u64; data.len()];
     let mut classes = vec![0u32; data.len()];
     let mut idx = 0;
-    for z in 0..dims.nz {
-        for y in 0..dims.ny {
-            for x in 0..dims.nx {
+    for z in 0..ext[2] {
+        for y in 0..ext[1] {
+            for x in 0..ext[0] {
                 let v = f32_to_ordered(data[idx]);
-                let p = predict(&ordered, dims, x, y, z);
+                let p = predict(&ordered, ext, x, y, z);
                 ordered[idx] = v;
                 let r = zigzag(v - p);
                 resid[idx] = r;
@@ -124,7 +92,7 @@ pub fn fpz_compress(data: &[f32], dims: FpzDims) -> Result<Vec<u8>> {
     let payload = w.into_bytes();
     let mut out = Vec::with_capacity(payload.len() + 64);
     out.extend_from_slice(b"FPZL");
-    for e in [dims.nx, dims.ny, dims.nz] {
+    for e in ext {
         out.extend_from_slice(&(e as u64).to_le_bytes());
     }
     book.serialize(&mut out);
@@ -132,25 +100,29 @@ pub fn fpz_compress(data: &[f32], dims: FpzDims) -> Result<Vec<u8>> {
     Ok(out)
 }
 
-/// Decompresses a stream produced by [`fpz_compress`]; bit-exact.
-pub fn fpz_decompress(stream: &[u8]) -> Result<(Vec<f32>, FpzDims)> {
+/// Decompresses a stream produced by [`fpz_compress`]; bit-exact. The
+/// stream records three extents and no dimensionality, so the shape comes
+/// back as its 3-D form (`D1(n)` as `D3(n, 1, 1)`).
+pub fn fpz_decompress(stream: &[u8]) -> Result<(Vec<f32>, Dims)> {
     if stream.len() < 28 || &stream[..4] != b"FPZL" {
         return Err(Error::corrupt("not an FPZL stream"));
     }
     let rd = |o: usize| u64::from_le_bytes(stream[o..o + 8].try_into().unwrap()) as usize;
-    let dims = FpzDims { nx: rd(4), ny: rd(12), nz: rd(20) };
-    if dims.len() > (1 << 33) {
-        return Err(Error::corrupt("implausible dimensions"));
-    }
+    let ext = [rd(4), rd(12), rd(20)];
+    let dims = Dims::D3(ext[0], ext[1], ext[2]);
+    let n = dims
+        .checked_len()
+        .filter(|&n| n <= 1 << 33)
+        .ok_or_else(|| Error::corrupt("implausible dimensions"))?;
     let (book, used) = Codebook::deserialize(&stream[28..])?;
-    let decoder = book.decoder_for(dims.len());
+    let decoder = book.decoder_for(n);
     let mut r = BitReader::new(&stream[28 + used..]);
-    let mut ordered = vec![0i64; dims.len()];
-    let mut out = Vec::with_capacity(dims.len());
+    let mut ordered = vec![0i64; n];
+    let mut out = Vec::with_capacity(n);
     let mut idx = 0;
-    for z in 0..dims.nz {
-        for y in 0..dims.ny {
-            for x in 0..dims.nx {
+    for z in 0..ext[2] {
+        for y in 0..ext[1] {
+            for x in 0..ext[0] {
                 let c = decoder.decode(&mut r)?;
                 if c > 64 {
                     return Err(Error::corrupt("fpz class out of range"));
@@ -160,7 +132,7 @@ pub fn fpz_decompress(stream: &[u8]) -> Result<(Vec<f32>, FpzDims)> {
                     1 => 1,
                     _ => (1u64 << (c - 1)) | r.read_bits(c - 1)?,
                 };
-                let p = predict(&ordered, dims, x, y, z);
+                let p = predict(&ordered, ext, x, y, z);
                 let v = p + unzigzag(mag);
                 // Keys live in [0, 2^32); anything else is corruption.
                 if !(0..(1i64 << 32)).contains(&v) {
@@ -179,10 +151,10 @@ pub fn fpz_decompress(stream: &[u8]) -> Result<(Vec<f32>, FpzDims)> {
 mod tests {
     use super::*;
 
-    fn roundtrip(data: &[f32], dims: FpzDims) -> usize {
+    fn roundtrip(data: &[f32], dims: Dims) -> usize {
         let c = fpz_compress(data, dims).unwrap();
         let (d, rdims) = fpz_decompress(&c).unwrap();
-        assert_eq!(rdims, dims);
+        assert_eq!(rdims.extents(), dims.extents());
         assert_eq!(d.len(), data.len());
         for (a, b) in data.iter().zip(&d) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -223,7 +195,7 @@ mod tests {
                 x * 2.0 + y * 3.0 + z * 4.0
             })
             .collect();
-        let clen = roundtrip(&data, FpzDims::d3(n, n, n));
+        let clen = roundtrip(&data, Dims::d3(n, n, n));
         let ratio = (data.len() * 4) as f64 / clen as f64;
         assert!(ratio > 2.0, "linear field should compress well, got {ratio}");
     }
@@ -239,7 +211,7 @@ mod tests {
                 ((s >> 40) as f32 / 16777216.0).exp()
             })
             .collect();
-        let clen = roundtrip(&data, FpzDims::d3(32, 32, 32));
+        let clen = roundtrip(&data, Dims::d3(32, 32, 32));
         let ratio = (data.len() * 4) as f64 / clen as f64;
         assert!(ratio < 2.5, "paper's <2:1-ish claim, got {ratio}");
     }
@@ -247,22 +219,27 @@ mod tests {
     #[test]
     fn special_values_roundtrip() {
         let data = vec![1.0f32, f32::NAN, -0.0, f32::INFINITY, -1.5, f32::NEG_INFINITY, 0.0, 2.0];
-        roundtrip(&data, FpzDims::d1(8));
+        roundtrip(&data, Dims::d1(8));
     }
 
     #[test]
     fn corrupt_streams_error() {
         let data = vec![1.0f32; 64];
-        let c = fpz_compress(&data, FpzDims::d1(64)).unwrap();
+        let c = fpz_compress(&data, Dims::d1(64)).unwrap();
         assert!(fpz_decompress(&c[..10]).is_err());
         assert!(fpz_decompress(b"nope").is_err());
-        let mut bad = c;
+        let mut bad = c.clone();
         bad[0] = b'X';
         assert!(fpz_decompress(&bad).is_err());
+        // Extents whose product overflows are refused, not multiplied.
+        let mut huge = c;
+        huge[4..12].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
+        huge[12..20].copy_from_slice(&4u64.to_le_bytes());
+        assert!(matches!(fpz_decompress(&huge), Err(Error::Corrupt(_))));
     }
 
     #[test]
     fn dims_validation() {
-        assert!(fpz_compress(&[0.0; 10], FpzDims::d3(2, 2, 2)).is_err());
+        assert!(fpz_compress(&[0.0; 10], Dims::d3(2, 2, 2)).is_err());
     }
 }

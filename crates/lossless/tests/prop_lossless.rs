@@ -2,7 +2,7 @@
 //! floats, including NaN payloads and signed zeros.
 
 use lossless_fp::{fpc_compress, fpc_decompress, fpz_compress, fpz_decompress};
-use lossless_fp::fpz::FpzDims;
+use foresight_util::Dims;
 use proptest::prelude::*;
 
 fn any_f32_bits() -> impl Strategy<Value = f32> {
@@ -24,7 +24,7 @@ proptest! {
 
     #[test]
     fn fpz_bit_exact(data in prop::collection::vec(any_f32_bits(), 1..1500)) {
-        let dims = FpzDims::d1(data.len());
+        let dims = Dims::d1(data.len());
         let c = fpz_compress(&data, dims).unwrap();
         let (d, _) = fpz_decompress(&c).unwrap();
         for (a, b) in data.iter().zip(&d) {
@@ -38,7 +38,7 @@ proptest! {
         let data: Vec<f32> = (0..n)
             .map(|i| f32::from_bits((i as u32).wrapping_mul(seed | 1)))
             .collect();
-        let dims = FpzDims::d3(nx, ny, nz);
+        let dims = Dims::d3(nx, ny, nz);
         let c = fpz_compress(&data, dims).unwrap();
         let (d, rdims) = fpz_decompress(&c).unwrap();
         prop_assert_eq!(rdims, dims);
@@ -53,7 +53,7 @@ proptest! {
         let c = fpc_compress(&data);
         let cut = ((c.len() as f64) * cut_frac) as usize;
         prop_assert!(fpc_decompress(&c[..cut]).is_err());
-        let c = fpz_compress(&data, FpzDims::d1(300)).unwrap();
+        let c = fpz_compress(&data, Dims::d1(300)).unwrap();
         let cut = ((c.len() as f64) * cut_frac) as usize;
         // fpz may decode garbage-but-valid streams for some cuts of the
         // payload region; it must simply never panic.

@@ -26,6 +26,7 @@
 //! region and must not overlap, and both the superblock CRC and the
 //! directory CRC/SHA-256 must verify before any entry is returned.
 
+use crate::codec::CodecKind;
 use crate::grid::{ChunkGrid, FieldShape};
 use foresight_util::crc::crc32;
 use foresight_util::sha256::sha256;
@@ -50,42 +51,6 @@ pub const MAX_CHUNK_COUNT: usize = 1 << 24;
 pub const MAX_FIELD_COUNT: usize = 1 << 20;
 /// Largest accepted single compressed fragment.
 pub const MAX_FRAGMENT_LEN: u64 = 1 << 40;
-
-/// Which codec family a field's chunks were compressed with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CodecKind {
-    /// SZ-style prediction-based streams (`SZRS` magic).
-    Sz,
-    /// ZFP-style transform-based streams (`ZFPR` magic).
-    Zfp,
-}
-
-impl CodecKind {
-    /// Wire tag.
-    pub fn tag(self) -> u8 {
-        match self {
-            CodecKind::Sz => 0,
-            CodecKind::Zfp => 1,
-        }
-    }
-
-    /// Parses a wire tag.
-    pub fn from_tag(t: u8) -> Result<Self> {
-        match t {
-            0 => Ok(CodecKind::Sz),
-            1 => Ok(CodecKind::Zfp),
-            _ => Err(Error::corrupt(format!("unknown codec tag {t}"))),
-        }
-    }
-
-    /// Display name as the paper writes it.
-    pub fn display(self) -> &'static str {
-        match self {
-            CodecKind::Sz => "GPU-SZ",
-            CodecKind::Zfp => "cuZFP",
-        }
-    }
-}
 
 /// Error-bound metadata recorded per field (display / later per-region
 /// bound selection; decoding itself never needs it — the chunk streams

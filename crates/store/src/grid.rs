@@ -9,102 +9,13 @@
 //! a wrapped multiplication.
 
 use foresight_util::{Error, Result};
-use lossy_sz::Dims as SzDims;
-use lossy_zfp::Dims3 as ZfpDims;
 
-/// Logical shape of a stored field: dimensionality plus extents.
+/// Logical shape of a stored field: the workspace's one [`Dims`].
 ///
-/// Unused axes always hold extent 1, so 1-D/2-D fields embed in the same
-/// 3-D grid math while round-tripping to the exact codec `Dims` variant
-/// they were compressed with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FieldShape {
-    ndim: u8,
-    ext: [usize; 3],
-}
-
-impl FieldShape {
-    /// 1-D shape of `n` values.
-    pub fn d1(n: usize) -> Self {
-        Self { ndim: 1, ext: [n, 1, 1] }
-    }
-
-    /// 2-D shape, `nx` fastest.
-    pub fn d2(nx: usize, ny: usize) -> Self {
-        Self { ndim: 2, ext: [nx, ny, 1] }
-    }
-
-    /// 3-D shape, `nx` fastest.
-    pub fn d3(nx: usize, ny: usize, nz: usize) -> Self {
-        Self { ndim: 3, ext: [nx, ny, nz] }
-    }
-
-    /// Builds a shape from a dimensionality tag and raw extents,
-    /// rejecting zero extents, a bad tag, and non-1 extents on unused
-    /// axes. This is the untrusted-input constructor the directory
-    /// parser uses.
-    pub fn from_parts(ndim: u8, ext: [usize; 3]) -> Result<Self> {
-        if !(1..=3).contains(&ndim) {
-            return Err(Error::corrupt(format!("field ndim {ndim} not in 1..=3")));
-        }
-        for (i, &e) in ext.iter().enumerate() {
-            if e == 0 {
-                return Err(Error::corrupt(format!("field extent {i} is zero")));
-            }
-            if i >= ndim as usize && e != 1 {
-                return Err(Error::corrupt(format!(
-                    "extent {i} = {e} on an unused axis (ndim {ndim})"
-                )));
-            }
-        }
-        Ok(Self { ndim, ext })
-    }
-
-    /// Dimensionality (1, 2, or 3).
-    pub fn ndim(&self) -> u8 {
-        self.ndim
-    }
-
-    /// Extents as `[nx, ny, nz]` (unused axes are 1).
-    pub fn extents(&self) -> [usize; 3] {
-        self.ext
-    }
-
-    /// Total number of values, or `None` on overflow.
-    pub fn checked_len(&self) -> Option<usize> {
-        self.ext[0].checked_mul(self.ext[1])?.checked_mul(self.ext[2])
-    }
-
-    /// Total number of values. Callers hold shapes that already passed
-    /// [`FieldShape::checked_len`] validation at construction sites.
-    pub fn len(&self) -> usize {
-        self.checked_len().unwrap_or(usize::MAX)
-    }
-
-    /// True when any axis would be empty (impossible for validated
-    /// shapes, which reject zero extents).
-    pub fn is_empty(&self) -> bool {
-        self.ext.contains(&0)
-    }
-
-    /// The equivalent `lossy-sz` dims, preserving dimensionality.
-    pub fn sz_dims(&self) -> SzDims {
-        match self.ndim {
-            1 => SzDims::D1(self.ext[0]),
-            2 => SzDims::D2(self.ext[0], self.ext[1]),
-            _ => SzDims::D3(self.ext[0], self.ext[1], self.ext[2]),
-        }
-    }
-
-    /// The equivalent `lossy-zfp` dims, preserving dimensionality.
-    pub fn zfp_dims(&self) -> ZfpDims {
-        match self.ndim {
-            1 => ZfpDims::D1(self.ext[0]),
-            2 => ZfpDims::D2(self.ext[0], self.ext[1]),
-            _ => ZfpDims::D3(self.ext[0], self.ext[1], self.ext[2]),
-        }
-    }
-}
+/// Unused axes always report extent 1, so 1-D/2-D fields embed in the
+/// same 3-D grid math while keeping the exact dimensionality their chunks
+/// were compressed with.
+pub use foresight_util::Dims as FieldShape;
 
 /// Half-open axis-aligned box of values inside a field: `lo[i] <=
 /// coordinate < hi[i]` on each axis. Unused axes of lower-dimensional
@@ -241,11 +152,7 @@ impl ChunkGrid {
             self.chunk[1].min(ext[1] - o[1]),
             self.chunk[2].min(ext[2] - o[2]),
         ];
-        match self.shape.ndim() {
-            1 => FieldShape::d1(ce[0]),
-            2 => FieldShape::d2(ce[0], ce[1]),
-            _ => FieldShape::d3(ce[0], ce[1], ce[2]),
-        }
+        self.shape.with_extents(ce)
     }
 
     /// Grid coordinates of every chunk intersecting `region`, in linear
@@ -326,9 +233,10 @@ mod tests {
 
     #[test]
     fn shape_round_trips_dims() {
-        assert_eq!(FieldShape::d1(7).sz_dims(), SzDims::D1(7));
-        assert_eq!(FieldShape::d2(4, 5).sz_dims(), SzDims::D2(4, 5));
-        assert_eq!(FieldShape::d3(2, 3, 4).zfp_dims(), ZfpDims::D3(2, 3, 4));
+        // One type: a field shape is the codecs' dims, with no conversion.
+        assert_eq!(FieldShape::d1(7), lossy_sz::Dims::D1(7));
+        assert_eq!(FieldShape::d2(4, 5), lossy_sz::Dims::D2(4, 5));
+        assert_eq!(FieldShape::d3(2, 3, 4), lossy_zfp::Dims::D3(2, 3, 4));
         assert_eq!(FieldShape::d3(2, 3, 4).len(), 24);
     }
 

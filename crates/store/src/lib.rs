@@ -5,7 +5,8 @@
 //! snapshots) needs a durable format, not in-memory planes. This crate
 //! provides an MSFZ-style container: many fields × timesteps in one
 //! file, each field cut into fixed-shape chunks compressed independently
-//! through the existing GPU-SZ / cuZFP stream codecs, addressed by a
+//! through the existing GPU-SZ / cuZFP stream codecs (dispatched in
+//! [`codec`], the workspace's one codec seam), addressed by a
 //! compact directory so any subvolume decompresses without touching the
 //! rest of the archive, and a reader that keeps the chunks it decoded
 //! so a region read again costs a copy.
@@ -47,15 +48,20 @@
 
 #![forbid(unsafe_code)]
 
+pub mod codec;
 pub mod format;
 pub mod grid;
 pub mod reader;
 pub mod writer;
 
-pub use format::{BoundSpec, ChunkRef, CodecKind, Directory, FieldEntry, Superblock};
+pub use codec::{CodecConfig, CodecKind};
+pub use format::{BoundSpec, ChunkRef, Directory, FieldEntry, Superblock};
 pub use grid::{ChunkGrid, FieldShape, Region};
 pub use reader::{ReadStats, StoreCheck, StoreReader, CACHE_BUDGET_BYTES};
-pub use writer::{ChunkCodec, StoreWriter};
+pub use writer::StoreWriter;
+
+/// A field's codec: the store's name for [`CodecConfig`].
+pub use codec::CodecConfig as ChunkCodec;
 
 use rayon::prelude::*;
 

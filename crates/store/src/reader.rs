@@ -37,7 +37,8 @@
 //! host-side work: with concurrent readers on one `StoreReader` which of
 //! two racing reads takes the miss depends on the schedule.
 
-use crate::format::{self, ChunkRef, CodecKind, Directory, FieldEntry, Superblock, SUPERBLOCK_LEN};
+use crate::codec::CodecKind;
+use crate::format::{self, ChunkRef, Directory, FieldEntry, Superblock, SUPERBLOCK_LEN};
 use crate::grid::{FieldShape, Region};
 use foresight_util::crc::crc32;
 use foresight_util::sha256::{to_hex, Sha256};
@@ -506,19 +507,8 @@ impl StoreReader {
 /// Decodes one chunk payload and checks it against the shape the
 /// directory promised for that chunk.
 fn decode_chunk(codec: CodecKind, payload: &[u8], expect: FieldShape) -> Result<Vec<f32>> {
-    let (values, ok) = match codec {
-        CodecKind::Sz => {
-            let (values, dims) = lossy_sz::decompress(payload)?;
-            let ok = dims == expect.sz_dims();
-            (values, ok)
-        }
-        CodecKind::Zfp => {
-            let (values, dims) = lossy_zfp::decompress(payload)?;
-            let ok = dims == expect.zfp_dims();
-            (values, ok)
-        }
-    };
-    if !ok {
+    let (values, dims) = codec.decompress(payload)?;
+    if dims != expect {
         return Err(Error::corrupt("chunk stream dims disagree with the directory"));
     }
     let want = expect
@@ -536,7 +526,8 @@ fn decode_chunk(codec: CodecKind, payload: &[u8], expect: FieldShape) -> Result<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::writer::{ChunkCodec, StoreWriter};
+    use crate::writer::StoreWriter;
+    use crate::ChunkCodec;
 
     /// Three small fields: 3-D SZ and 2-D ZFP with clamped edge chunks,
     /// and a 1-D SZ array.

@@ -10,81 +10,17 @@
 //! payloads in parallel across fields; the image is sized once and every
 //! stream copied into it once.
 
+use crate::codec::{CodecConfig, CodecKind};
 use crate::format::{
-    BoundSpec, ChunkRef, CodecKind, Directory, FieldEntry, Superblock, MAX_CHUNK_COUNT,
-    MAX_FIELD_COUNT, MAX_NAME_LEN, SUPERBLOCK_LEN, VERSION,
+    BoundSpec, ChunkRef, Directory, FieldEntry, Superblock, MAX_CHUNK_COUNT, MAX_FIELD_COUNT,
+    MAX_NAME_LEN, SUPERBLOCK_LEN, VERSION,
 };
 use crate::grid::{ChunkGrid, FieldShape, Region};
 use foresight_util::crc::crc32;
 use foresight_util::sha256::{sha256, Sha256};
 use foresight_util::{telemetry, Error, Result};
-use lossy_sz::SzConfig;
-use lossy_zfp::ZfpConfig;
 use rayon::prelude::*;
 use std::path::Path;
-
-/// Codec + error-bound selection for one field's chunks.
-#[derive(Debug, Clone)]
-pub enum ChunkCodec {
-    /// GPU-SZ with the given configuration.
-    Sz(SzConfig),
-    /// cuZFP with the given configuration.
-    Zfp(ZfpConfig),
-}
-
-impl ChunkCodec {
-    /// SZ with an absolute error bound.
-    pub fn sz_abs(eb: f64) -> Self {
-        ChunkCodec::Sz(SzConfig::abs(eb))
-    }
-
-    /// SZ with a value-range-relative error bound.
-    pub fn sz_rel(rel: f64) -> Self {
-        ChunkCodec::Sz(SzConfig::rel(rel))
-    }
-
-    /// ZFP in fixed-rate mode.
-    pub fn zfp_rate(rate: f64) -> Self {
-        ChunkCodec::Zfp(ZfpConfig::rate(rate))
-    }
-
-    /// Which codec family this is.
-    pub fn kind(&self) -> CodecKind {
-        match self {
-            ChunkCodec::Sz(_) => CodecKind::Sz,
-            ChunkCodec::Zfp(_) => CodecKind::Zfp,
-        }
-    }
-
-    /// The bound metadata recorded in the directory.
-    pub fn bound(&self) -> BoundSpec {
-        match self {
-            ChunkCodec::Sz(cfg) => {
-                let tag = match cfg.mode {
-                    lossy_sz::ErrorBound::Abs(_) => 0,
-                    lossy_sz::ErrorBound::Rel(_) => 1,
-                    lossy_sz::ErrorBound::PwRel(_) => 2,
-                };
-                BoundSpec { tag, value: cfg.mode.value() }
-            }
-            ChunkCodec::Zfp(cfg) => BoundSpec { tag: cfg.mode.tag(), value: cfg.mode.param() },
-        }
-    }
-
-    /// Short human label, e.g. `GPU-SZ abs=0.001`.
-    pub fn label(&self) -> String {
-        let kind = self.kind();
-        format!("{} {}", kind.display(), self.bound().label(kind))
-    }
-
-    /// Compresses one dense chunk with this codec.
-    pub fn compress_chunk(&self, values: &[f32], shape: FieldShape) -> Result<Vec<u8>> {
-        match self {
-            ChunkCodec::Sz(cfg) => lossy_sz::compress(values, shape.sz_dims(), cfg),
-            ChunkCodec::Zfp(cfg) => lossy_zfp::compress(values, shape.zfp_dims(), cfg),
-        }
-    }
-}
 
 struct PendingField {
     snapshot: u32,
@@ -124,7 +60,7 @@ impl StoreWriter {
         data: &[f32],
         shape: FieldShape,
         chunk: [usize; 3],
-        codec: &ChunkCodec,
+        codec: &CodecConfig,
     ) -> Result<()> {
         if name.is_empty() || name.len() > MAX_NAME_LEN {
             return Err(Error::invalid(format!(
@@ -143,6 +79,14 @@ impl StoreWriter {
         let n = shape
             .checked_len()
             .ok_or_else(|| Error::invalid("field value count overflows"))?;
+        // The directory parser refuses zero extents; accepting one here
+        // would seal an archive that no reader can open.
+        if shape.is_empty() {
+            return Err(Error::invalid(format!(
+                "field {name:?} has a zero extent in shape {:?}",
+                shape.extents()
+            )));
+        }
         if data.len() != n {
             return Err(Error::invalid(format!(
                 "field {name:?} has {} values but shape {:?} needs {n}",
@@ -174,7 +118,7 @@ impl StoreWriter {
             snapshot,
             name: name.to_string(),
             grid,
-            codec: codec.kind(),
+            codec: codec.id(),
             bound: codec.bound(),
             streams,
         });

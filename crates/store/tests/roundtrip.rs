@@ -245,6 +245,29 @@ fn zfp_field_with_non_finite_values_is_refused_and_the_writer_survives() {
     assert_eq!(reader.extract(0, "good").unwrap().0.len(), good.len());
 }
 
+/// A field with a zero extent is refused at `add_field`, as the directory
+/// parser would refuse it on open; the writer still seals an archive that
+/// opens.
+#[test]
+fn zero_extent_field_is_refused_and_the_archive_still_opens() {
+    use foresight_util::Error;
+    let mut w = StoreWriter::new();
+    for shape in [FieldShape::d1(0), FieldShape::d2(4, 0), FieldShape::d3(0, 3, 3)] {
+        let chunk = match shape.ndim() {
+            1 => [4, 1, 1],
+            2 => [4, 4, 1],
+            _ => [4, 4, 4],
+        };
+        for codec in [ChunkCodec::sz_abs(1e-2), ChunkCodec::zfp_rate(8.0)] {
+            let err = w.add_field(0, "empty", &[], shape, chunk, &codec).unwrap_err();
+            assert!(matches!(err, Error::InvalidArgument(_)), "{shape:?}: {err}");
+        }
+    }
+    w.add_field(0, "one", &[1.5], FieldShape::d1(1), [4, 1, 1], &ChunkCodec::sz_abs(1e-2)).unwrap();
+    let reader = StoreReader::from_bytes(w.finish().unwrap()).unwrap();
+    assert_eq!(reader.fields().len(), 1);
+}
+
 /// Sealing fans out (chunk CRCs per chunk, payload digests per field,
 /// dealt to workers by payload size): five fields of unequal size must
 /// seal to the same bytes, and verify to the same tally, on any worker

@@ -2,65 +2,13 @@
 
 use foresight_util::{Error, Result};
 
-/// Logical dimensions of the input array.
+/// Logical dimensions of the input array: the workspace's one shape type.
 ///
 /// GPU-SZ in the paper only supports 3-D inputs; the HACC 1-D arrays are
 /// reshaped to 3-D before compression (paper §IV-B-4). This implementation
 /// supports 1-D/2-D/3-D natively, and the benchmark harness reproduces the
 /// paper's reshaping through `cosmo-data`'s dimension-conversion helpers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Dims {
-    /// 1-D array of `n` values.
-    D1(usize),
-    /// 2-D array, `nx` fastest.
-    D2(usize, usize),
-    /// 3-D array, `nx` fastest: `index = x + nx*(y + ny*z)`.
-    D3(usize, usize, usize),
-}
-
-impl Dims {
-    /// Total number of values.
-    pub fn len(&self) -> usize {
-        match *self {
-            Dims::D1(n) => n,
-            Dims::D2(nx, ny) => nx * ny,
-            Dims::D3(nx, ny, nz) => nx * ny * nz,
-        }
-    }
-
-    /// True when the array holds no values.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total number of values, or `None` on arithmetic overflow — for
-    /// dims that come from an untrusted stream header.
-    pub fn checked_len(&self) -> Option<usize> {
-        match *self {
-            Dims::D1(n) => Some(n),
-            Dims::D2(nx, ny) => nx.checked_mul(ny),
-            Dims::D3(nx, ny, nz) => nx.checked_mul(ny)?.checked_mul(nz),
-        }
-    }
-
-    /// Number of dimensions (1, 2, or 3).
-    pub fn ndim(&self) -> u8 {
-        match self {
-            Dims::D1(_) => 1,
-            Dims::D2(..) => 2,
-            Dims::D3(..) => 3,
-        }
-    }
-
-    /// Extents as a `[nx, ny, nz]` triple (unused axes are 1).
-    pub fn extents(&self) -> [usize; 3] {
-        match *self {
-            Dims::D1(n) => [n, 1, 1],
-            Dims::D2(nx, ny) => [nx, ny, 1],
-            Dims::D3(nx, ny, nz) => [nx, ny, nz],
-        }
-    }
-}
+pub use foresight_util::Dims;
 
 /// Error-bound mode (paper §II-A).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -75,6 +23,25 @@ pub enum ErrorBound {
 }
 
 impl ErrorBound {
+    /// Stream tag byte.
+    pub fn tag(&self) -> u8 {
+        match self {
+            ErrorBound::Abs(_) => 0,
+            ErrorBound::Rel(_) => 1,
+            ErrorBound::PwRel(_) => 2,
+        }
+    }
+
+    /// Reconstructs a mode from its tag and parameter.
+    pub fn from_tag(tag: u8, value: f64) -> Option<Self> {
+        match tag {
+            0 => Some(ErrorBound::Abs(value)),
+            1 => Some(ErrorBound::Rel(value)),
+            2 => Some(ErrorBound::PwRel(value)),
+            _ => None,
+        }
+    }
+
     /// The numeric bound parameter.
     pub fn value(&self) -> f64 {
         match *self {

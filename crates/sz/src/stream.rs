@@ -66,29 +66,23 @@ impl ModePlan {
 /// Validates configuration and data/dims agreement.
 pub(crate) fn validate_input(data: &[f32], dims: Dims, cfg: &SzConfig) -> Result<()> {
     cfg.validate()?;
-    if data.len() != dims.len() {
-        return Err(Error::invalid(format!(
-            "data length {} does not match dims {:?}",
-            data.len(),
-            dims
-        )));
-    }
-    Ok(())
+    dims.check_len(data.len())
 }
 
 /// Resolves the error-bound mode against the data.
 pub(crate) fn plan_mode(data: &[f32], cfg: &SzConfig) -> ModePlan {
+    let tag = cfg.mode.tag();
     match cfg.mode {
-        ErrorBound::Abs(eb) => ModePlan { eb_abs: eb, eb_param: eb, tag: 0, pw: None },
+        ErrorBound::Abs(eb) => ModePlan { eb_abs: eb, eb_param: eb, tag, pw: None },
         ErrorBound::Rel(rel) => {
             let range = summarize(data).range();
             let eb = if range > 0.0 && range.is_finite() { rel * range } else { rel };
-            ModePlan { eb_abs: eb, eb_param: rel, tag: 1, pw: None }
+            ModePlan { eb_abs: eb, eb_param: rel, tag, pw: None }
         }
         ErrorBound::PwRel(p) => ModePlan {
             eb_abs: pwrel::abs_bound_for(p),
             eb_param: p,
-            tag: 2,
+            tag,
             pw: Some(pwrel::forward(data)),
         },
     }
@@ -309,12 +303,8 @@ pub fn info(stream: &[u8]) -> Result<StreamInfo> {
     let nx = r.u64_le_capped(MAX_EXTENT, "x extent")?;
     let ny = r.u64_le_capped(MAX_EXTENT, "y extent")?;
     let nz = r.u64_le_capped(MAX_EXTENT, "z extent")?;
-    let dims = match ndim {
-        1 => Dims::D1(nx),
-        2 => Dims::D2(nx, ny),
-        3 => Dims::D3(nx, ny, nz),
-        v => return Err(Error::corrupt(format!("bad ndim {v}"))),
-    };
+    let dims = Dims::from_ndim(ndim, [nx, ny, nz])
+        .ok_or_else(|| Error::corrupt(format!("bad ndim {ndim}")))?;
     dims.checked_len().ok_or_else(|| Error::corrupt("dims product overflows"))?;
     let block_size = r.u32_le()? as usize;
     let radius = r.u32_le()?;
@@ -326,12 +316,8 @@ pub fn info(stream: &[u8]) -> Result<StreamInfo> {
     if !(eb_abs.is_finite() && eb_abs > 0.0) {
         return Err(Error::corrupt("bad error bound in header"));
     }
-    let mode = match mode_tag {
-        0 => ErrorBound::Abs(eb_param),
-        1 => ErrorBound::Rel(eb_param),
-        2 => ErrorBound::PwRel(eb_param),
-        v => return Err(Error::corrupt(format!("bad mode {v}"))),
-    };
+    let mode = ErrorBound::from_tag(mode_tag, eb_param)
+        .ok_or_else(|| Error::corrupt(format!("bad mode {mode_tag}")))?;
     let nblocks = r.u64_le()?;
     let raw_len = r.u64_le()?;
     let crc = r.u32_le()?;

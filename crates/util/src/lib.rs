@@ -5,14 +5,16 @@
 //! compressor crates), CRC32 checksums (used by the GIO-lite file format),
 //! chunked parallel helpers, wall-clock timers, running statistics, a
 //! tiny ASCII table/CSV formatter used by the benchmark binaries, SHA-256
-//! (golden-vector digests), and the telemetry layer (spans, metrics,
-//! Chrome-trace/flamegraph export).
+//! (golden-vector digests), the telemetry layer (spans, metrics,
+//! Chrome-trace/flamegraph export), and [`Dims`], the one array shape
+//! every codec, the store and the scheduler share.
 
 #![forbid(unsafe_code)]
 
 pub mod bits;
 pub mod bytes;
 pub mod crc;
+pub mod dims;
 pub mod error;
 pub mod json;
 pub mod parallel;
@@ -23,4 +25,5 @@ pub mod telemetry;
 pub mod timer;
 
 pub use bytes::ByteReader;
+pub use dims::Dims;
 pub use error::{Error, Result};

@@ -2,62 +2,9 @@
 
 use foresight_util::{Error, Result};
 
-/// Logical dimensions of the input array (x fastest, as everywhere in the
-/// workspace). Named `Dims3` to distinguish it from `lossy_sz::Dims` at
-/// call sites that use both codecs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Dims3 {
-    /// 1-D array.
-    D1(usize),
-    /// 2-D array, `nx` fastest.
-    D2(usize, usize),
-    /// 3-D array, `index = x + nx*(y + ny*z)`.
-    D3(usize, usize, usize),
-}
-
-impl Dims3 {
-    /// Total number of values.
-    pub fn len(&self) -> usize {
-        match *self {
-            Dims3::D1(n) => n,
-            Dims3::D2(nx, ny) => nx * ny,
-            Dims3::D3(nx, ny, nz) => nx * ny * nz,
-        }
-    }
-
-    /// True when the array is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total number of values, or `None` on arithmetic overflow — for
-    /// dims that come from an untrusted stream header.
-    pub fn checked_len(&self) -> Option<usize> {
-        match *self {
-            Dims3::D1(n) => Some(n),
-            Dims3::D2(nx, ny) => nx.checked_mul(ny),
-            Dims3::D3(nx, ny, nz) => nx.checked_mul(ny)?.checked_mul(nz),
-        }
-    }
-
-    /// Number of dimensions.
-    pub fn ndim(&self) -> u8 {
-        match self {
-            Dims3::D1(_) => 1,
-            Dims3::D2(..) => 2,
-            Dims3::D3(..) => 3,
-        }
-    }
-
-    /// Extents `[nx, ny, nz]` with unused axes set to 1.
-    pub fn extents(&self) -> [usize; 3] {
-        match *self {
-            Dims3::D1(n) => [n, 1, 1],
-            Dims3::D2(nx, ny) => [nx, ny, 1],
-            Dims3::D3(nx, ny, nz) => [nx, ny, nz],
-        }
-    }
-}
+/// Logical dimensions of the input array: the workspace's one shape
+/// type (x fastest).
+pub use foresight_util::Dims;
 
 /// Compression mode.
 ///
@@ -158,9 +105,9 @@ mod tests {
 
     #[test]
     fn dims_basics() {
-        assert_eq!(Dims3::D3(4, 5, 6).len(), 120);
-        assert_eq!(Dims3::D2(4, 5).extents(), [4, 5, 1]);
-        assert_eq!(Dims3::D1(9).ndim(), 1);
+        assert_eq!(Dims::D3(4, 5, 6).len(), 120);
+        assert_eq!(Dims::D2(4, 5).extents(), [4, 5, 1]);
+        assert_eq!(Dims::D1(9).ndim(), 1);
     }
 
     #[test]

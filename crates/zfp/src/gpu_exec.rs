@@ -18,7 +18,7 @@
 //! samples (a benign read-read overlap the racecheck must not flag).
 
 use crate::codec;
-use crate::config::{Dims3, ZfpConfig, ZfpMode};
+use crate::config::{Dims, ZfpConfig, ZfpMode};
 use crate::stream::{Decoder, Encoder, Grid};
 use foresight_util::bits::BitWriter;
 use foresight_util::{Error, Result};
@@ -69,7 +69,7 @@ fn record_scatter(acc: &mut BlockAccess, buf: BufferId, grid: &Grid, bi: usize) 
 pub fn compress_on(
     device: &mut Device,
     data: &[f32],
-    dims: Dims3,
+    dims: Dims,
     cfg: &ZfpConfig,
 ) -> Result<(Vec<u8>, GpuRunReport)> {
     let enc = Encoder::new(data, dims, cfg)?;
@@ -149,7 +149,7 @@ fn encode_launch(
 pub fn decompress_on(
     device: &mut Device,
     stream_bytes: &[u8],
-) -> Result<(Vec<f32>, Dims3, GpuRunReport)> {
+) -> Result<(Vec<f32>, Dims, GpuRunReport)> {
     let dec = Decoder::new(stream_bytes)?;
     device.reset_clock();
 
@@ -239,7 +239,7 @@ mod tests {
     #[test]
     fn traced_stream_is_byte_identical_for_every_mode() {
         let data = smooth_3d(16);
-        let dims = Dims3::D3(16, 16, 16);
+        let dims = Dims::D3(16, 16, 16);
         for cfg in [ZfpConfig::rate(4.0), ZfpConfig::precision(20), ZfpConfig::accuracy(0.01)] {
             let plain = crate::compress(&data, dims, &cfg).unwrap();
             let mut dev = traced_device();
@@ -263,7 +263,7 @@ mod tests {
         // Rate 3.5 puts consecutive blocks at non-byte-aligned payload
         // offsets, and 13x7x5 leaves partial blocks on every axis whose
         // clamped gathers re-read border samples: both must be race-free.
-        for dims in [Dims3::D3(13, 7, 5), Dims3::D2(17, 9), Dims3::D1(101)] {
+        for dims in [Dims::D3(13, 7, 5), Dims::D2(17, 9), Dims::D1(101)] {
             let data: Vec<f32> = (0..dims.len()).map(|i| (i as f32 * 0.31).sin() * 42.0).collect();
             let cfg = ZfpConfig::rate(3.5);
             let mut dev = traced_device();
@@ -282,7 +282,7 @@ mod tests {
         // of the serial path (relocated from the gpu-sim crate, which can
         // no longer dev-depend on this one).
         let data = smooth_3d(8);
-        let enc = Encoder::new(&data, Dims3::D3(8, 8, 8), &ZfpConfig::rate(8.0)).unwrap();
+        let enc = Encoder::new(&data, Dims::D3(8, 8, 8), &ZfpConfig::rate(8.0)).unwrap();
         let encode_one = |bi: usize| {
             let mut w = BitWriter::new();
             let used = enc.encode_block(bi, &mut w).unwrap();
@@ -302,7 +302,7 @@ mod tests {
     fn error_paths_release_all_device_buffers() {
         use gpu_sim::{FaultPlan, FaultRates};
         let data = smooth_3d(8);
-        let dims = Dims3::D3(8, 8, 8);
+        let dims = Dims::D3(8, 8, 8);
         let cfg = ZfpConfig::rate(8.0);
         let mut ok_dev = traced_device();
         let (stream, _) = compress_on(&mut ok_dev, &data, dims, &cfg).unwrap();

@@ -16,12 +16,12 @@
 //! # Example
 //!
 //! ```
-//! use lossy_zfp::{compress, decompress, Dims3, ZfpConfig};
+//! use lossy_zfp::{compress, decompress, Dims, ZfpConfig};
 //!
 //! let data: Vec<f32> = (0..64 * 64).map(|i| (i as f32 * 0.02).sin()).collect();
-//! let stream = compress(&data, Dims3::D2(64, 64), &ZfpConfig::rate(8.0)).unwrap();
+//! let stream = compress(&data, Dims::D2(64, 64), &ZfpConfig::rate(8.0)).unwrap();
 //! let (recon, dims) = decompress(&stream).unwrap();
-//! assert_eq!(dims, Dims3::D2(64, 64));
+//! assert_eq!(dims, Dims::D2(64, 64));
 //! assert_eq!(recon.len(), data.len());
 //! ```
 
@@ -33,5 +33,5 @@ pub mod gpu_exec;
 pub mod lift;
 pub mod stream;
 
-pub use config::{Dims3, ZfpConfig, ZfpMode};
+pub use config::{Dims, ZfpConfig, ZfpMode};
 pub use stream::{compress, decompress, info, StreamInfo, MAGIC};

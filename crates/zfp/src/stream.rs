@@ -26,7 +26,7 @@
 //! sample, which avoids injecting artificial discontinuities.
 
 use crate::codec::{self, BlockCoding};
-use crate::config::{Dims3, ZfpConfig, ZfpMode};
+use crate::config::{Dims, ZfpConfig, ZfpMode};
 use foresight_util::bits::{BitReader, BitWriter};
 use foresight_util::crc::{crc32, crc32_parallel};
 use foresight_util::{telemetry, ByteReader, Error, Result};
@@ -64,7 +64,7 @@ pub(crate) struct Grid {
 }
 
 impl Grid {
-    fn new(dims: Dims3) -> Self {
+    fn new(dims: Dims) -> Self {
         let ext = dims.extents();
         Self { ext, nb: ext.map(|n| n.div_ceil(4)), d: dims.ndim() }
     }
@@ -152,15 +152,9 @@ pub(crate) struct Encoder<'a> {
 }
 
 impl<'a> Encoder<'a> {
-    pub(crate) fn new(data: &'a [f32], dims: Dims3, cfg: &ZfpConfig) -> Result<Self> {
+    pub(crate) fn new(data: &'a [f32], dims: Dims, cfg: &ZfpConfig) -> Result<Self> {
         cfg.validate()?;
-        if data.len() != dims.len() {
-            return Err(Error::invalid(format!(
-                "data length {} does not match dims {:?}",
-                data.len(),
-                dims
-            )));
-        }
+        dims.check_len(data.len())?;
         let grid = Grid::new(dims);
         Ok(Self { data, mode: cfg.mode, grid, coding: BlockCoding::new(&cfg.mode, grid.d) })
     }
@@ -290,12 +284,12 @@ impl<'a> Encoder<'a> {
     }
 }
 
-/// Compresses `data` (layout per [`Dims3`]) with `cfg`.
+/// Compresses `data` (layout per [`Dims`]) with `cfg`.
 ///
 /// A NaN or an infinity anywhere in `data` is an [`Error::InvalidArgument`]
 /// naming the first such index: the block transform has no
 /// representation for them and the stream has no side channel.
-pub fn compress(data: &[f32], dims: Dims3, cfg: &ZfpConfig) -> Result<Vec<u8>> {
+pub fn compress(data: &[f32], dims: Dims, cfg: &ZfpConfig) -> Result<Vec<u8>> {
     let enc = Encoder::new(data, dims, cfg)?;
     let n = enc.grid.nblocks();
     let encode = telemetry::span("zfp.encode");
@@ -314,7 +308,7 @@ pub fn compress(data: &[f32], dims: Dims3, cfg: &ZfpConfig) -> Result<Vec<u8>> {
 #[derive(Debug, Clone)]
 pub struct StreamInfo {
     /// Logical dimensions.
-    pub dims: Dims3,
+    pub dims: Dims,
     /// Mode with its parameter.
     pub mode: ZfpMode,
     coding: BlockCoding,
@@ -345,12 +339,8 @@ pub fn info(stream: &[u8]) -> Result<StreamInfo> {
     let nx = r.u64_le_capped(MAX_EXTENT, "x extent")?;
     let ny = r.u64_le_capped(MAX_EXTENT, "y extent")?;
     let nz = r.u64_le_capped(MAX_EXTENT, "z extent")?;
-    let dims = match ndim {
-        1 => Dims3::D1(nx),
-        2 => Dims3::D2(nx, ny),
-        3 => Dims3::D3(nx, ny, nz),
-        v => return Err(Error::corrupt(format!("bad ndim {v}"))),
-    };
+    let dims = Dims::from_ndim(ndim, [nx, ny, nz])
+        .ok_or_else(|| Error::corrupt(format!("bad ndim {ndim}")))?;
     if dims.checked_len().is_none() {
         return Err(Error::corrupt("dims product overflows"));
     }
@@ -414,7 +404,7 @@ impl Offsets {
 
 /// A validated stream, ready to decode runs of blocks independently.
 pub(crate) struct Decoder<'a> {
-    pub dims: Dims3,
+    pub dims: Dims,
     pub grid: Grid,
     coding: BlockCoding,
     payload: &'a [u8],
@@ -586,7 +576,7 @@ impl<'a> Decoder<'a> {
 }
 
 /// Decompresses a stream produced by [`compress`].
-pub fn decompress(stream: &[u8]) -> Result<(Vec<f32>, Dims3)> {
+pub fn decompress(stream: &[u8]) -> Result<(Vec<f32>, Dims)> {
     let dec = Decoder::new(stream)?;
     let mut out = vec![0.0f32; dec.n_values];
     let offsets = dec.offsets(dec.item_blocks);
@@ -632,13 +622,13 @@ mod tests {
     fn fixed_rate_sizes_are_exact() {
         let data = smooth_3d(16);
         for rate in [1.0, 2.0, 4.0, 8.0] {
-            let stream = compress(&data, Dims3::D3(16, 16, 16), &ZfpConfig::rate(rate)).unwrap();
+            let stream = compress(&data, Dims::D3(16, 16, 16), &ZfpConfig::rate(rate)).unwrap();
             let blocks = 64usize; // (16/4)^3
             let expected_payload = (blocks as u64 * (rate * 64.0) as u64).div_ceil(8);
             let inf = info(&stream).unwrap();
             assert_eq!((stream.len() - inf.payload_start) as u64, expected_payload, "rate {rate}");
             let (rec, dims) = decompress(&stream).unwrap();
-            assert_eq!(dims, Dims3::D3(16, 16, 16));
+            assert_eq!(dims, Dims::D3(16, 16, 16));
             assert_eq!(rec.len(), data.len());
         }
     }
@@ -648,7 +638,7 @@ mod tests {
         let data = smooth_3d(16);
         let mut last_psnr = 0.0;
         for rate in [2.0, 4.0, 8.0, 16.0] {
-            let stream = compress(&data, Dims3::D3(16, 16, 16), &ZfpConfig::rate(rate)).unwrap();
+            let stream = compress(&data, Dims::D3(16, 16, 16), &ZfpConfig::rate(rate)).unwrap();
             let (rec, _) = decompress(&stream).unwrap();
             let p = psnr(&data, &rec);
             assert!(p > last_psnr, "rate {rate}: psnr {p} <= {last_psnr}");
@@ -659,7 +649,7 @@ mod tests {
 
     #[test]
     fn non_multiple_of_four_extents() {
-        for dims in [Dims3::D3(13, 7, 5), Dims3::D2(17, 9), Dims3::D1(101)] {
+        for dims in [Dims::D3(13, 7, 5), Dims::D2(17, 9), Dims::D1(101)] {
             let data: Vec<f32> = (0..dims.len()).map(|i| (i as f32 * 0.31).sin() * 42.0).collect();
             let stream = compress(&data, dims, &ZfpConfig::rate(16.0)).unwrap();
             let (rec, rdims) = decompress(&stream).unwrap();
@@ -672,7 +662,7 @@ mod tests {
     #[test]
     fn fixed_precision_roundtrip() {
         let data = smooth_3d(8);
-        let stream = compress(&data, Dims3::D3(8, 8, 8), &ZfpConfig::precision(24)).unwrap();
+        let stream = compress(&data, Dims::D3(8, 8, 8), &ZfpConfig::precision(24)).unwrap();
         let (rec, _) = decompress(&stream).unwrap();
         assert!(psnr(&data, &rec) > 90.0);
     }
@@ -681,7 +671,7 @@ mod tests {
     fn fixed_accuracy_bounds_error() {
         let data = smooth_3d(8);
         for tol in [1.0f64, 0.1, 0.01] {
-            let stream = compress(&data, Dims3::D3(8, 8, 8), &ZfpConfig::accuracy(tol)).unwrap();
+            let stream = compress(&data, Dims::D3(8, 8, 8), &ZfpConfig::accuracy(tol)).unwrap();
             let (rec, _) = decompress(&stream).unwrap();
             for (a, b) in data.iter().zip(&rec) {
                 assert!(
@@ -696,7 +686,7 @@ mod tests {
     #[test]
     fn zero_field_is_tiny_in_precision_mode() {
         let data = vec![0.0f32; 4096];
-        let stream = compress(&data, Dims3::D1(4096), &ZfpConfig::precision(32)).unwrap();
+        let stream = compress(&data, Dims::D1(4096), &ZfpConfig::precision(32)).unwrap();
         let (rec, _) = decompress(&stream).unwrap();
         assert_eq!(rec, data);
         // 1 bit per 4-value block plus headers.
@@ -706,7 +696,7 @@ mod tests {
     #[test]
     fn corrupt_and_truncated_streams_error() {
         let data = smooth_3d(8);
-        let stream = compress(&data, Dims3::D3(8, 8, 8), &ZfpConfig::rate(8.0)).unwrap();
+        let stream = compress(&data, Dims::D3(8, 8, 8), &ZfpConfig::rate(8.0)).unwrap();
         let mut bad = stream.clone();
         let n = bad.len();
         bad[n - 3] ^= 0x40;
@@ -721,14 +711,14 @@ mod tests {
 
     #[test]
     fn length_mismatch_rejected() {
-        assert!(compress(&[0.0; 5], Dims3::D1(6), &ZfpConfig::rate(8.0)).is_err());
+        assert!(compress(&[0.0; 5], Dims::D1(6), &ZfpConfig::rate(8.0)).is_err());
     }
 
     #[test]
     fn compression_ratio_matches_rate() {
         // Rate r on 32-bit data gives ratio ~ 32/r (plus constant header).
         let data = smooth_3d(32);
-        let stream = compress(&data, Dims3::D3(32, 32, 32), &ZfpConfig::rate(4.0)).unwrap();
+        let stream = compress(&data, Dims::D3(32, 32, 32), &ZfpConfig::rate(4.0)).unwrap();
         let ratio = (data.len() * 4) as f64 / stream.len() as f64;
         assert!((ratio - 8.0).abs() < 0.5, "ratio {ratio}");
     }

@@ -21,7 +21,7 @@ use foresight_util::Error;
 use gpu_sim::{Device, GpuSpec};
 use lossy_zfp::codec::{self, block_cells, BlockCoding, HEADER_BITS};
 use lossy_zfp::gpu_exec::{compress_on, decompress_on};
-use lossy_zfp::{compress, decompress, Dims3, ZfpConfig};
+use lossy_zfp::{compress, decompress, Dims, ZfpConfig};
 use rayon::ThreadPoolBuilder;
 use reference::{decode_block, encode_block, Coding};
 
@@ -31,7 +31,7 @@ mod reference;
 /// sit on either side of it.
 const G: usize = 1024;
 
-fn block_origins(dims: Dims3) -> Vec<[usize; 3]> {
+fn block_origins(dims: Dims) -> Vec<[usize; 3]> {
     let [nx, ny, nz] = dims.extents();
     let mut origins = Vec::new();
     for bz in 0..nz.div_ceil(4) {
@@ -49,7 +49,7 @@ fn cells(d: u8) -> impl Iterator<Item = (usize, usize, usize)> {
     (0..block_cells(d)).map(|i| (i % 4, i / 4 % 4, i / 16))
 }
 
-fn oracle_compress(data: &[f32], dims: Dims3, cfg: &ZfpConfig) -> Vec<u8> {
+fn oracle_compress(data: &[f32], dims: Dims, cfg: &ZfpConfig) -> Vec<u8> {
     let d = dims.ndim();
     let [nx, ny, nz] = dims.extents();
     let coding = Coding::new(&cfg.mode, d);
@@ -98,7 +98,7 @@ fn oracle_compress(data: &[f32], dims: Dims3, cfg: &ZfpConfig) -> Vec<u8> {
 
 /// Decodes a stream the oracle way. The header is trusted: the streams
 /// here come from the encoders above.
-fn oracle_decompress(stream: &[u8], dims: Dims3, cfg: &ZfpConfig) -> Vec<f32> {
+fn oracle_decompress(stream: &[u8], dims: Dims, cfg: &ZfpConfig) -> Vec<f32> {
     let d = dims.ndim();
     let [nx, ny, nz] = dims.extents();
     let coding = Coding::new(&cfg.mode, d);
@@ -153,21 +153,21 @@ fn on_threads<R: Send>(n: usize, f: impl FnOnce() -> R + Send) -> R {
 /// Every shape class the issue names: ragged extents in each
 /// dimensionality, 1×1×N, and block counts below, at and around `G` and
 /// around the merged-slab item sizes in 2-D and 3-D.
-fn shapes() -> Vec<Dims3> {
+fn shapes() -> Vec<Dims> {
     vec![
-        Dims3::D1(1),
-        Dims3::D1(101),
-        Dims3::D1(4 * G - 6),  // G - 1 blocks, the last one partial
-        Dims3::D1(4 * G),      // exactly G
-        Dims3::D1(4 * G + 1),  // G + 1: a one-block second run
-        Dims3::D1(12 * G + 3), // several runs
-        Dims3::D2(17, 9),
-        Dims3::D2(3, 2),
-        Dims3::D2(258, 70), // 65 x 18 blocks: two merged-slab items on decode
-        Dims3::D3(13, 7, 5),
-        Dims3::D3(1, 1, 50),
-        Dims3::D3(50, 1, 1),
-        Dims3::D3(64, 64, 21), // 256 blocks a slab: items of 4 slabs, ragged last
+        Dims::D1(1),
+        Dims::D1(101),
+        Dims::D1(4 * G - 6),  // G - 1 blocks, the last one partial
+        Dims::D1(4 * G),      // exactly G
+        Dims::D1(4 * G + 1),  // G + 1: a one-block second run
+        Dims::D1(12 * G + 3), // several runs
+        Dims::D2(17, 9),
+        Dims::D2(3, 2),
+        Dims::D2(258, 70), // 65 x 18 blocks: two merged-slab items on decode
+        Dims::D3(13, 7, 5),
+        Dims::D3(1, 1, 50),
+        Dims::D3(50, 1, 1),
+        Dims::D3(64, 64, 21), // 256 blocks a slab: items of 4 slabs, ragged last
     ]
 }
 
@@ -561,7 +561,7 @@ fn driver_matches_the_per_block_oracle_byte_for_byte() {
         .chain([ZfpConfig::precision(14), ZfpConfig::accuracy(0.5)]);
     for cfg in configs {
         for len in (0..=17).chain([4 * G - 1, 4 * G, 4 * G + 1]) {
-            let dims = Dims3::D1(len);
+            let dims = Dims::D1(len);
             let data = field(len, 0x51ED_270B);
             let want = oracle_compress(&data, dims, &cfg);
             let values = bits(&oracle_decompress(&want, dims, &cfg));
@@ -582,7 +582,7 @@ fn driver_matches_the_per_block_oracle_byte_for_byte() {
 
 #[test]
 fn bytes_and_values_do_not_depend_on_the_thread_count() {
-    for dims in [Dims3::D1(12 * G + 3), Dims3::D2(258, 70), Dims3::D3(64, 64, 21)] {
+    for dims in [Dims::D1(12 * G + 3), Dims::D2(258, 70), Dims::D3(64, 64, 21)] {
         let data = field(dims.len(), 77);
         for cfg in configs(dims.ndim()) {
             let base = on_threads(1, || compress(&data, dims, &cfg).unwrap());
@@ -599,7 +599,7 @@ fn bytes_and_values_do_not_depend_on_the_thread_count() {
 
 #[test]
 fn device_path_matches_the_host_path() {
-    for dims in [Dims3::D1(4 * G + 1), Dims3::D2(258, 70), Dims3::D3(13, 7, 5)] {
+    for dims in [Dims::D1(4 * G + 1), Dims::D2(258, 70), Dims::D3(13, 7, 5)] {
         let data = field(dims.len(), 5);
         for cfg in configs(dims.ndim()) {
             let host = compress(&data, dims, &cfg).unwrap();
@@ -615,7 +615,7 @@ fn device_path_matches_the_host_path() {
 
 #[test]
 fn empty_arrays_roundtrip() {
-    for dims in [Dims3::D1(0), Dims3::D2(0, 7), Dims3::D3(5, 0, 3), Dims3::D3(5, 3, 0)] {
+    for dims in [Dims::D1(0), Dims::D2(0, 7), Dims::D3(5, 0, 3), Dims::D3(5, 3, 0)] {
         for cfg in [ZfpConfig::rate(8.0), ZfpConfig::precision(10)] {
             let stream = compress(&[], dims, &cfg).unwrap();
             assert_eq!(stream.len(), 64);
@@ -631,7 +631,7 @@ fn empty_arrays_roundtrip() {
 /// the same one on every path and thread count.
 #[test]
 fn non_finite_input_is_a_typed_error_in_every_mode() {
-    let dims = Dims3::D3(20, 12, 9);
+    let dims = Dims::D3(20, 12, 9);
     for cfg in [ZfpConfig::rate(8.0), ZfpConfig::precision(16), ZfpConfig::accuracy(1e-3)] {
         for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
             // Two bad values: the later block order comes first in memory.
@@ -653,6 +653,6 @@ fn non_finite_input_is_a_typed_error_in_every_mode() {
     }
     // The extremes of the finite range are data, not errors.
     let edge = [f32::MAX, f32::MIN, f32::MIN_POSITIVE, -0.0, 1e-45, 0.0, 1.0, -1.0];
-    let stream = compress(&edge, Dims3::D1(8), &ZfpConfig::rate(32.0)).unwrap();
+    let stream = compress(&edge, Dims::D1(8), &ZfpConfig::rate(32.0)).unwrap();
     assert!(decompress(&stream).unwrap().0.iter().all(|v| v.is_finite()));
 }

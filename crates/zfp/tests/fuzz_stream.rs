@@ -28,7 +28,7 @@ use foresight_util::Error;
 use gpu_sim::{Device, GpuSpec};
 use lossy_zfp::codec::{self, BlockCoding};
 use lossy_zfp::gpu_exec::decompress_on;
-use lossy_zfp::{compress, decompress, Dims3, ZfpConfig};
+use lossy_zfp::{compress, decompress, Dims, ZfpConfig};
 use proptest::prelude::*;
 use rayon::ThreadPoolBuilder;
 
@@ -36,9 +36,9 @@ mod reference;
 
 fn make_stream(variant: u8, seed: u32) -> (Vec<u8>, usize) {
     let dims = match variant % 3 {
-        0 => Dims3::D1(300 + (seed as usize % 64)),
-        1 => Dims3::D2(13, 17),
-        _ => Dims3::D3(8, 8, 8),
+        0 => Dims::D1(300 + (seed as usize % 64)),
+        1 => Dims::D2(13, 17),
+        _ => Dims::D3(8, 8, 8),
     };
     let data: Vec<f32> = (0..dims.len())
         .map(|i| ((i as u32).wrapping_mul(seed | 1) as f32 * 1e-7).sin() * 40.0)
@@ -141,7 +141,7 @@ const N: usize = 4 * 1024 * 3 + 10;
 
 fn long_stream(cfg: &ZfpConfig) -> Vec<u8> {
     let data: Vec<f32> = (0..N).map(|i| (i as f32 * 0.37).sin() * 90.0 + 100.0).collect();
-    compress(&data, Dims3::D1(N), cfg).unwrap()
+    compress(&data, Dims::D1(N), cfg).unwrap()
 }
 
 /// Cuts `drop` bytes off the payload and re-seals both CRCs, so only the
@@ -261,7 +261,7 @@ fn block_with_a_run(zeros: u32, c: &BlockCoding) -> (Vec<u8>, u32) {
 /// `payload` of `nbits` bits: the header of a real stream with the length
 /// table and payload swapped and both CRCs re-sealed.
 fn one_block_stream(cfg: &ZfpConfig, payload: &[u8], nbits: u32) -> Vec<u8> {
-    let real = compress(&[1.0; 64], Dims3::D3(4, 4, 4), cfg).unwrap();
+    let real = compress(&[1.0; 64], Dims::D3(4, 4, 4), cfg).unwrap();
     let mut stream = real[..HDR].to_vec();
     if !matches!(cfg.mode, lossy_zfp::ZfpMode::FixedRate(_)) {
         stream.extend_from_slice(&nbits.to_le_bytes());
@@ -359,7 +359,7 @@ fn one_d_fixed_rate_stream_cut_inside_its_last_blocks_is_corrupt() {
         let cfg = ZfpConfig::rate(rate);
         let n = 4 * 1024 + 7;
         let data: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37).sin() * 90.0 + 100.0).collect();
-        let stream = compress(&data, Dims3::D1(n), &cfg).unwrap();
+        let stream = compress(&data, Dims::D1(n), &cfg).unwrap();
         let block_bits = BlockCoding::new(&cfg.mode, 1).maxbits as usize;
         for drop in 1..=(3 * block_bits).div_ceil(8) {
             assert_corrupt(&stream[..stream.len() - drop], &format!("rate {rate}: plain cut"));
@@ -380,7 +380,7 @@ fn one_d_block_header_flips_decode_like_the_reference_or_are_refused() {
         let cfg = ZfpConfig::rate(rate);
         let n = 4 * 1024 + 7;
         let data: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37).sin() * 90.0 + 100.0).collect();
-        let stream = compress(&data, Dims3::D1(n), &cfg).unwrap();
+        let stream = compress(&data, Dims::D1(n), &cfg).unwrap();
         let coding = reference::Coding::new(&cfg.mode, 1);
         // A block inside the first run, the first of the second run, and
         // the partial last one.
@@ -405,7 +405,7 @@ fn one_d_block_header_flips_decode_like_the_reference_or_are_refused() {
                     let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
                     match pool.install(|| decompress(&bad)) {
                         Ok((got, dims)) => {
-                            assert_eq!(dims, Dims3::D1(n));
+                            assert_eq!(dims, Dims::D1(n));
                             let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
                             assert!(got == want, "{what}, {threads} threads");
                         }

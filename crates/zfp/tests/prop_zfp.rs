@@ -1,6 +1,6 @@
 //! Property tests for the ZFP-style codec.
 
-use lossy_zfp::{compress, decompress, Dims3, ZfpConfig};
+use lossy_zfp::{compress, decompress, Dims, ZfpConfig};
 use proptest::prelude::*;
 
 proptest! {
@@ -15,7 +15,7 @@ proptest! {
         seed in any::<u32>(),
     ) {
         let rate = rate_q as f64;
-        let dims = Dims3::D3(nx, ny, nz);
+        let dims = Dims::D3(nx, ny, nz);
         let data: Vec<f32> = (0..dims.len())
             .map(|i| ((i as u32).wrapping_mul(seed | 1) as f32 * 1e-7).sin() * 1e3)
             .collect();
@@ -34,7 +34,7 @@ proptest! {
     /// High-rate reconstruction error is tiny relative to the data scale.
     #[test]
     fn high_rate_near_lossless(vals in prop::collection::vec(-1e6f32..1e6, 64..=64)) {
-        let dims = Dims3::D3(4, 4, 4);
+        let dims = Dims::D3(4, 4, 4);
         let stream = compress(&vals, dims, &ZfpConfig::rate(32.0)).unwrap();
         let (rec, _) = decompress(&stream).unwrap();
         let scale = vals.iter().fold(1.0f32, |m, v| m.max(v.abs())) as f64;
@@ -57,7 +57,7 @@ proptest! {
                 (t.sin() + (t * 3.1).cos()) * 50.0
             })
             .collect();
-        let stream = compress(&data, Dims3::D3(n, n, n), &ZfpConfig::accuracy(tol)).unwrap();
+        let stream = compress(&data, Dims::D3(n, n, n), &ZfpConfig::accuracy(tol)).unwrap();
         let (rec, _) = decompress(&stream).unwrap();
         for (a, b) in data.iter().zip(&rec) {
             prop_assert!(((a - b) as f64).abs() <= tol, "{} vs {} (tol {})", a, b, tol);
@@ -68,7 +68,7 @@ proptest! {
     #[test]
     fn corruption_never_panics(cut in 0usize..2000, flip in 0usize..2000) {
         let data: Vec<f32> = (0..512).map(|i| (i as f32 * 0.37).cos()).collect();
-        let stream = compress(&data, Dims3::D3(8, 8, 8), &ZfpConfig::rate(6.0)).unwrap();
+        let stream = compress(&data, Dims::D3(8, 8, 8), &ZfpConfig::rate(6.0)).unwrap();
         if cut < stream.len() {
             prop_assert!(decompress(&stream[..cut]).is_err());
         }
@@ -93,7 +93,7 @@ proptest! {
             })
             .collect();
         let mse = |rate: f64| -> f64 {
-            let s = compress(&data, Dims3::D3(n, n, n), &ZfpConfig::rate(rate)).unwrap();
+            let s = compress(&data, Dims::D3(n, n, n), &ZfpConfig::rate(rate)).unwrap();
             let (rec, _) = decompress(&s).unwrap();
             data.iter().zip(&rec).map(|(a, b)| ((a - b) as f64).powi(2)).sum::<f64>()
         };

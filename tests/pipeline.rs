@@ -7,7 +7,7 @@ use cosmo_data::{generate_hacc, generate_nyx, gio, h5lite, SynthOptions};
 use cosmo_fft::Grid3;
 use foresight::cbench::{run_sweep, FieldData};
 use foresight::codec::{CodecConfig, Shape};
-use foresight::{best_fit_per_field, Acceptance, Candidate, CompressorId};
+use foresight::{best_fit_per_field, Acceptance, Candidate, CodecKind};
 use lossy_sz::SzConfig;
 use lossy_zfp::ZfpConfig;
 
@@ -58,7 +58,7 @@ fn nyx_full_pipeline_files_compression_analysis_optimizer() {
         candidates.push(Candidate { record: rec, pk_deviation: Some(dev), halo_deviation: None });
     }
     let acc = Acceptance::default();
-    let sz = best_fit_per_field(&candidates, CompressorId::GpuSz, &acc).unwrap();
+    let sz = best_fit_per_field(&candidates, CodecKind::Sz, &acc).unwrap();
     assert_eq!(sz.len(), 6, "one best fit per field");
     for f in &sz {
         assert!(f.ratio > 1.0);
