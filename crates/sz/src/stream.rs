@@ -23,7 +23,7 @@ use crate::config::{Dims, EntropyBackend, ErrorBound, SzConfig};
 use crate::huffman::{Codebook, LANES};
 use crate::{lossless, pwrel};
 use foresight_util::bits::BitWriter;
-use foresight_util::crc::crc32;
+use foresight_util::crc::{crc32, crc32_parallel};
 use foresight_util::stats::summarize;
 use foresight_util::{telemetry, ByteReader, Error, Result};
 use rayon::prelude::*;
@@ -242,7 +242,7 @@ pub(crate) fn assemble(
     debug_assert_eq!(out.len(), HDR + body_len);
 
     let raw_len = (out.len() - HDR) as u64;
-    let crc = crc32(&out[HDR..]);
+    let crc = crc32_parallel(&out[HDR..]);
     if cfg.entropy == EntropyBackend::HuffmanLzss {
         let _lzss = telemetry::span("sz.lzss");
         let packed = lossless::compress(&out[HDR..]);
@@ -376,7 +376,7 @@ pub(crate) fn checked_body<'a>(
             inf.raw_len
         )));
     }
-    if crc32(body) != inf.crc {
+    if crc32_parallel(body) != inf.crc {
         return Err(Error::corrupt("body CRC mismatch"));
     }
     Ok(body)

@@ -1,26 +1,9 @@
-//! Chunked parallel helpers.
-//!
-//! The compressor crates parallelize over fixed-size blocks whose outputs
-//! have data-dependent sizes; the helpers here capture the common pattern of
-//! "map independent chunks in parallel, then concatenate in order", plus a
-//! scoped way to bound the number of worker threads so the benchmark harness
-//! can measure 1-core vs N-core throughput (paper Fig. 8).
+//! Parallel helpers over the rayon workers: a scoped way to bound the
+//! number of worker threads so the benchmark harness can measure 1-core vs
+//! N-core throughput (paper Fig. 8), and near-equal contiguous ranges for
+//! work that writes disjoint slices.
 
 use rayon::prelude::*;
-
-/// Maps each input chunk to an output `Vec` in parallel, preserving order.
-///
-/// This is the backbone of both multicore compressor backends: each block
-/// compresses independently and the variable-size outputs are concatenated
-/// deterministically.
-pub fn par_map_chunks<T, F>(data: &[T], chunk: usize, f: F) -> Vec<Vec<u8>>
-where
-    T: Sync,
-    F: Fn(usize, &[T]) -> Vec<u8> + Sync,
-{
-    assert!(chunk > 0, "chunk size must be positive");
-    data.par_chunks(chunk).enumerate().map(|(i, c)| f(i, c)).collect()
-}
 
 /// Runs `f` inside a rayon pool restricted to `threads` workers.
 ///
@@ -108,24 +91,6 @@ mod tests {
             assert_eq!(b, (0..48).map(|i| 2 * i).collect::<Vec<_>>(), "{threads} threads");
         }
         par_ranges_mut::<u8, 1>([&mut []], 3, |_, _| panic!("no range for an empty slice"));
-    }
-
-    #[test]
-    fn par_map_chunks_preserves_order() {
-        let data: Vec<u32> = (0..1000).collect();
-        let outs = par_map_chunks(&data, 37, |i, c| {
-            let mut v = vec![i as u8];
-            v.extend(c.iter().map(|&x| (x & 0xff) as u8));
-            v
-        });
-        assert_eq!(outs.len(), 1000usize.div_ceil(37));
-        for (i, o) in outs.iter().enumerate() {
-            assert_eq!(o[0], i as u8);
-        }
-        // Concatenated payloads must reproduce the input order.
-        let payload: Vec<u8> = outs.iter().flat_map(|o| o[1..].iter().copied()).collect();
-        let expect: Vec<u8> = data.iter().map(|&x| (x & 0xff) as u8).collect();
-        assert_eq!(payload, expect);
     }
 
     #[test]

@@ -2,12 +2,15 @@
 //!
 //! The build environment has no access to crates.io, so this workspace
 //! vendors the subset of rayon's API it actually uses. Parallelism is
-//! real: terminal operations split their input into per-worker chunks and
-//! run them on `std::thread::scope` threads, preserving input order.
+//! real: terminal operations run on one persistent work-sharing pool
+//! (`pool`), with the calling thread working too, preserving input order.
 //!
 //! Differences from real rayon, by design:
-//! - no work stealing: each terminal op splits statically into
-//!   `current_num_threads()` contiguous chunks;
+//! - no work stealing: map-like ops hand out contiguous grains of about
+//!   `len / (threads × 8)` items, in index order, to whichever thread
+//!   frees up first; `fold` and `try_for_each_init` keep one contiguous
+//!   chunk per thread, so each accumulator sees fixed items;
+//! - an op inside another op's closure runs inline on that thread;
 //! - adapters (`map`, `enumerate`, `fold`) evaluate stage-by-stage: the
 //!   closure of each stage runs in parallel, the (cheap) materialization
 //!   between stages is sequential;
@@ -18,6 +21,8 @@
 //! `try_for_each` error propagation, `fold`/`reduce` chunked
 //! accumulation — match rayon.
 
+mod pool;
+
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -25,8 +30,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 static DEFAULT_THREADS: AtomicUsize = AtomicUsize::new(0);
 
 std::thread_local! {
-    /// Per-thread override installed by [`ThreadPool::install`].
-    static THREAD_OVERRIDE: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Per-thread override installed by [`ThreadPool::install`], and by
+    /// the pool while a worker runs an op's job.
+    pub(crate) static THREAD_OVERRIDE: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Number of worker threads terminal operations will use.
@@ -128,37 +134,30 @@ fn split_vec<T>(mut v: Vec<T>, parts: usize) -> Vec<Vec<T>> {
 /// Applies `f` to every item in parallel, preserving order.
 fn pmap<I: Send, R: Send>(items: Vec<I>, f: &(impl Fn(I) -> R + Sync)) -> Vec<R> {
     let threads = current_num_threads();
-    if threads <= 1 || items.len() <= 1 {
+    if items.len() <= 1 || pool::inline(threads) {
         return items.into_iter().map(f).collect();
     }
-    let chunks = split_vec(items, threads);
-    let mut slots: Vec<Option<Vec<R>>> = chunks.iter().map(|_| None).collect();
-    std::thread::scope(|s| {
-        for (slot, chunk) in slots.iter_mut().zip(chunks) {
-            s.spawn(move || *slot = Some(chunk.into_iter().map(f).collect()));
-        }
-    });
-    slots.into_iter().flat_map(|v| v.expect("worker finished")).collect()
+    let grain = (items.len() / (threads * 8)).max(1);
+    let mut rest = items.into_iter();
+    let grains: Vec<Vec<I>> =
+        (0..rest.len().div_ceil(grain)).map(|_| rest.by_ref().take(grain).collect()).collect();
+    pool::run_parts(grains, threads, &|grain: Vec<I>| grain.into_iter().map(f).collect::<Vec<R>>())
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
-/// Folds each chunk with its own accumulator, in parallel.
+/// Folds each of `current_num_threads()` contiguous chunks with its own
+/// accumulator, in parallel.
 fn pfold<I: Send, A: Send>(
     items: Vec<I>,
     identity: &(impl Fn() -> A + Sync),
     fold: &(impl Fn(A, I) -> A + Sync),
 ) -> Vec<A> {
     let threads = current_num_threads();
-    if threads <= 1 || items.len() <= 1 {
-        return vec![items.into_iter().fold(identity(), fold)];
-    }
-    let chunks = split_vec(items, threads);
-    let mut slots: Vec<Option<A>> = chunks.iter().map(|_| None).collect();
-    std::thread::scope(|s| {
-        for (slot, chunk) in slots.iter_mut().zip(chunks) {
-            s.spawn(move || *slot = Some(chunk.into_iter().fold(identity(), fold)));
-        }
-    });
-    slots.into_iter().map(|v| v.expect("worker finished")).collect()
+    pool::run_parts(split_vec(items, threads), threads, &|chunk: Vec<I>| {
+        chunk.into_iter().fold(identity(), fold)
+    })
 }
 
 /// The parallel-iterator trait: adapters compose lazily, terminal
@@ -208,14 +207,17 @@ pub trait ParallelIterator: Sized + Send {
         INIT: Fn() -> T + Sync + Send,
         F: Fn(&mut T, Self::Item) -> Result<(), E> + Sync + Send,
     {
-        let outs = pfold(self.drive(), &|| (init(), Ok(())), &|(mut st, acc): (T, Result<(), E>),
-                                                              item| {
-            let acc = match acc {
-                Ok(()) => f(&mut st, item),
-                e => e,
-            };
-            (st, acc)
-        });
+        let outs = pfold(
+            self.drive(),
+            &|| (init(), Ok(())),
+            &|(mut st, acc): (T, Result<(), E>), item| {
+                let acc = match acc {
+                    Ok(()) => f(&mut st, item),
+                    e => e,
+                };
+                (st, acc)
+            },
+        );
         outs.into_iter().try_for_each(|(_, r)| r)
     }
 
@@ -450,86 +452,157 @@ pub mod prelude {
 mod tests {
     use super::prelude::*;
     use super::*;
+    use std::collections::HashSet;
+    use std::sync::{Barrier, Mutex};
+    use std::thread::{self, ThreadId};
 
-    #[test]
-    fn map_collect_preserves_order() {
-        let v: Vec<usize> = (0..1000).collect();
-        let out: Vec<usize> = v.par_iter().map(|&x| x * 2).collect();
-        assert_eq!(out, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
+    /// Every op here runs under `on(n)` with `n` at most this, so the pool
+    /// has at most `MAX_THREADS - 1` workers whatever the host's core count.
+    const MAX_THREADS: usize = 4;
+
+    fn on(threads: usize) -> ThreadPool {
+        assert!(threads <= MAX_THREADS);
+        ThreadPoolBuilder::new().num_threads(threads).build().unwrap()
     }
 
     #[test]
-    fn into_par_iter_over_ranges_and_vecs() {
-        let squares: Vec<usize> = (0..257usize).into_par_iter().map(|i| i * i).collect();
-        assert_eq!(squares[256], 65536);
-        let owned: Vec<String> =
-            vec!["a".to_string(), "b".to_string()].into_par_iter().map(|s| s + "!").collect();
-        assert_eq!(owned, vec!["a!", "b!"]);
-    }
-
-    #[test]
-    fn enumerate_matches_sequential() {
-        let v = vec![10, 20, 30];
-        let out: Vec<(usize, i32)> = v.par_iter().enumerate().map(|(i, &x)| (i, x)).collect();
-        assert_eq!(out, vec![(0, 10), (1, 20), (2, 30)]);
-    }
-
-    #[test]
-    fn try_for_each_propagates_first_error() {
-        let v: Vec<usize> = (0..100).collect();
-        let r: Result<(), usize> =
-            v.par_iter().try_for_each(|&x| if x >= 40 { Err(x) } else { Ok(()) });
-        assert_eq!(r, Err(40));
-        let ok: Result<(), usize> = v.par_iter().try_for_each(|_| Ok(()));
-        assert!(ok.is_ok());
-    }
-
-    #[test]
-    fn fold_reduce_sums() {
-        let v: Vec<u64> = (1..=1000).collect();
-        let total = v
-            .par_iter()
-            .fold(|| 0u64, |acc, &x| acc + x)
-            .reduce(|| 0, |a, b| a + b);
-        assert_eq!(total, 500_500);
-    }
-
-    #[test]
-    fn chunks_mut_writes_disjointly() {
-        let mut v = vec![0u32; 100];
-        v.par_chunks_mut(7).enumerate().for_each(|(i, c)| {
-            for x in c.iter_mut() {
-                *x = i as u32;
+    fn map_preserves_order_at_every_grain() {
+        for threads in 1..=MAX_THREADS {
+            for len in [0usize, 1, 2, 7, 31, 32, 33, 1000] {
+                let v: Vec<usize> = (0..len).collect();
+                let out: Vec<usize> =
+                    on(threads).install(|| v.par_iter().map(|&x| x * 2).collect());
+                assert_eq!(
+                    out,
+                    (0..len).map(|x| x * 2).collect::<Vec<_>>(),
+                    "{threads} threads, {len}"
+                );
             }
+        }
+    }
+
+    #[test]
+    fn adapters_match_sequential() {
+        on(MAX_THREADS).install(|| {
+            let squares: Vec<usize> = (0..257usize).into_par_iter().map(|i| i * i).collect();
+            assert_eq!(squares[256], 65536);
+            let owned: Vec<String> =
+                vec!["a".to_string(), "b".to_string()].into_par_iter().map(|s| s + "!").collect();
+            assert_eq!(owned, vec!["a!", "b!"]);
+            let v = vec![10, 20, 30];
+            let out: Vec<(usize, i32)> = v.par_iter().enumerate().map(|(i, &x)| (i, x)).collect();
+            assert_eq!(out, vec![(0, 10), (1, 20), (2, 30)]);
+            let mut w = vec![0u32; 100];
+            w.par_chunks_mut(7).enumerate().for_each(|(i, c)| c.fill(i as u32));
+            assert_eq!((w[0], w[99]), (0, (99 / 7) as u32));
         });
-        assert_eq!(v[0], 0);
-        assert_eq!(v[99], (99 / 7) as u32);
     }
 
     #[test]
-    fn try_for_each_init_runs_every_item() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let v: Vec<usize> = (0..500).collect();
+    fn try_for_each_runs_every_item_and_returns_the_lowest_error() {
+        for threads in 1..=MAX_THREADS {
+            let ran = AtomicUsize::new(0);
+            let r: Result<(), usize> = on(threads).install(|| {
+                (0..100usize).into_par_iter().try_for_each(|x| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    if x >= 40 && x % 3 == 1 {
+                        Err(x)
+                    } else {
+                        Ok(())
+                    }
+                })
+            });
+            assert_eq!((r, ran.into_inner()), (Err(40), 100), "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn fold_keeps_one_contiguous_chunk_per_thread() {
+        for threads in 1..=MAX_THREADS {
+            let v: Vec<u64> = (1..=1000).collect();
+            let chunks: Vec<Vec<u64>> = on(threads).install(|| {
+                v.par_iter()
+                    .fold(Vec::new, |mut acc, &x| {
+                        acc.push(x);
+                        acc
+                    })
+                    .collect()
+            });
+            assert_eq!(chunks, split_vec(v.clone(), threads), "{threads} threads");
+            let total = on(threads).install(|| {
+                v.par_iter().fold(|| 0u64, |acc, &x| acc + x).reduce(|| 0, |a, b| a + b)
+            });
+            assert_eq!(total, 500_500);
+        }
+    }
+
+    #[test]
+    fn try_for_each_init_makes_one_state_per_chunk() {
+        let inits = AtomicUsize::new(0);
         let count = AtomicUsize::new(0);
-        let r: Result<(), ()> = v.par_iter().try_for_each_init(
-            || 0usize,
-            |state, _| {
-                *state += 1;
-                count.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            },
-        );
+        let r: Result<(), ()> = on(3).install(|| {
+            (0..500usize).into_par_iter().try_for_each_init(
+                || inits.fetch_add(1, Ordering::Relaxed),
+                |_, _| {
+                    count.fetch_add(1, Ordering::Relaxed);
+                    Ok(())
+                },
+            )
+        });
         assert!(r.is_ok());
-        assert_eq!(count.load(Ordering::Relaxed), 500);
+        assert_eq!((inits.into_inner(), count.into_inner()), (3, 500));
     }
 
     #[test]
-    fn install_overrides_thread_count() {
-        let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
-        assert_eq!(pool.install(current_num_threads), 2);
-        let pool = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-        assert_eq!(pool.install(current_num_threads), 1);
+    fn install_overrides_thread_count_inside_every_item() {
+        assert_eq!(on(2).install(current_num_threads), 2);
+        assert_eq!(on(1).install(current_num_threads), 1);
         assert!(current_num_threads() >= 1);
+        let seen: Vec<usize> =
+            on(3).install(|| (0..6usize).into_par_iter().map(|_| current_num_threads()).collect());
+        assert_eq!(seen, vec![3; 6]);
+    }
+
+    #[test]
+    fn nested_ops_run_inline_on_the_item_thread() {
+        let outer: Vec<bool> = on(MAX_THREADS).install(|| {
+            (0..16usize)
+                .into_par_iter()
+                .map(|_| {
+                    let me = thread::current().id();
+                    let inner: Vec<ThreadId> =
+                        (0..64usize).into_par_iter().map(|_| thread::current().id()).collect();
+                    inner.iter().all(|&t| t == me)
+                })
+                .collect()
+        });
+        assert!(outer.iter().all(|&inline| inline));
+        assert!(pool::workers() < MAX_THREADS);
+    }
+
+    /// Serializes the tests that need workers to start their items: two of
+    /// them waiting on barriers at once could each hold half the pool.
+    static BARRIER_TESTS: Mutex<()> = Mutex::new(());
+
+    #[test]
+    fn worker_panic_reaches_the_caller_and_the_pool_survives() {
+        let _one = BARRIER_TESTS.lock().unwrap_or_else(|e| e.into_inner());
+        let caller = thread::current().id();
+        let both = Barrier::new(2);
+        let r = std::panic::catch_unwind(|| {
+            on(2).install(|| {
+                (0..2usize).into_par_iter().for_each(|_| {
+                    both.wait();
+                    if thread::current().id() != caller {
+                        panic!("worker item");
+                    }
+                })
+            })
+        });
+        let msg = r.expect_err("the worker's panic propagates");
+        assert_eq!(msg.downcast_ref::<&str>(), Some(&"worker item"));
+        let after: usize = on(2).install(|| (0..100usize).into_par_iter().map(|x| x).sum());
+        assert_eq!(after, 4950);
     }
 
     #[test]
@@ -547,5 +620,22 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn grains_are_spread_over_distinct_threads() {
+        let _one = BARRIER_TESTS.lock().unwrap_or_else(|e| e.into_inner());
+        let all = Barrier::new(MAX_THREADS);
+        let ids: HashSet<ThreadId> = on(MAX_THREADS).install(|| {
+            (0..MAX_THREADS)
+                .into_par_iter()
+                .map(|_| {
+                    all.wait();
+                    thread::current().id()
+                })
+                .collect()
+        });
+        assert_eq!(ids.len(), MAX_THREADS);
+        assert_eq!(pool::workers(), MAX_THREADS - 1);
     }
 }
