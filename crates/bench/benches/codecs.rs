@@ -342,6 +342,7 @@ fn bench_sz_decode(c: &mut Criterion) {
                 &block,
                 density_eb,
                 cfg.radius,
+                0,
                 &mut out,
             )
         });

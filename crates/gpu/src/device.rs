@@ -326,6 +326,23 @@ impl Device {
         }
     }
 
+    /// Runs `work`, which pushes every buffer it allocates onto `held`. On
+    /// success they are freed in reverse order; on error, [`Device::release`]d
+    /// (no simulated time), so a faulted run neither leaks nor moves the clock.
+    pub fn with_buffers<R>(
+        &mut self,
+        work: impl FnOnce(&mut Self, &mut Vec<BufferId>) -> Result<R>,
+    ) -> Result<R> {
+        let mut held = Vec::new();
+        let result = work(self, &mut held);
+        if result.is_err() {
+            held.into_iter().for_each(|id| self.release(id));
+            return result;
+        }
+        held.into_iter().rev().try_for_each(|id| self.free(id))?;
+        result
+    }
+
     /// Size of a live buffer.
     fn buffer_bytes(&self, id: BufferId) -> Result<u64> {
         self.buffers

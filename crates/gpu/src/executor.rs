@@ -78,6 +78,12 @@ impl BlockAccess {
         self.record(buf, start * 8, end * 8, true);
     }
 
+    /// Records one access per `(first element, length)` row of an `f32`
+    /// array buffer — a tile's rows, as `foresight_util::tiles` yields them.
+    pub fn f32_rows(&mut self, buf: BufferId, rows: impl Iterator<Item = (usize, usize)>, w: bool) {
+        rows.for_each(|(at, n)| self.record(buf, at as u64 * 32, (at + n) as u64 * 32, w));
+    }
+
     /// Records a read of bits `[start, end)` — for bit-packed payloads
     /// whose blocks legitimately share boundary bytes.
     pub fn read_bits(&mut self, buf: BufferId, start: u64, end: u64) {

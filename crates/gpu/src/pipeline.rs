@@ -28,9 +28,9 @@ pub struct GpuRunReport {
 }
 
 impl GpuRunReport {
-    /// Builds a report from a finished device clock — for custom traced
-    /// pipelines that drive the device directly instead of going through
-    /// [`run_compression`]/[`run_decompression`].
+    /// Builds a report from a finished device clock: the one report
+    /// arithmetic behind [`run_compression`], [`run_decompression`] and
+    /// the codecs' traced pipelines.
     pub fn from_breakdown(breakdown: Breakdown, uncompressed_bytes: u64, compressed_bytes: u64) -> Self {
         Self {
             breakdown,
@@ -66,35 +66,13 @@ pub fn run_compression<R>(
 ) -> Result<(R, GpuRunReport)> {
     device.reset_clock();
     let out_cap = (n_values as f64 * bits_per_value / 8.0).ceil() as u64 + 4096;
-    let buf = device.malloc(out_cap, label)?;
-    // Unwind via `release` (bookkeeping only, no simulated time) so a
-    // faulted launch or download neither leaks the buffer nor perturbs
-    // the fault-path timeline.
-    let run = (|| {
+    let (result, compressed_bytes) = device.with_buffers(|device, held| {
+        held.push(device.malloc(out_cap, label)?);
         let out = device.launch(kind, n_values, bits_per_value, label, work)?;
         device.d2h(out.1)?;
         Ok(out)
-    })();
-    let (result, compressed_bytes) = match run {
-        Ok(out) => out,
-        Err(e) => {
-            device.release(buf);
-            return Err(e);
-        }
-    };
-    device.free(buf)?;
-    let breakdown = device.breakdown();
-    let unc = n_values * 4;
-    Ok((
-        result,
-        GpuRunReport {
-            breakdown,
-            kernel_throughput_gbs: gbs(unc, breakdown.kernel),
-            overall_throughput_gbs: gbs(unc, breakdown.total()),
-            compressed_bytes,
-            uncompressed_bytes: unc,
-        },
-    ))
+    })?;
+    Ok((result, GpuRunReport::from_breakdown(device.breakdown(), n_values * 4, compressed_bytes)))
 }
 
 /// Simulates upload of a compressed stream and on-device decompression.
@@ -109,31 +87,12 @@ pub fn run_decompression<R>(
     device.reset_clock();
     let bits_per_value =
         if n_values == 0 { 0.0 } else { compressed_bytes as f64 * 8.0 / n_values as f64 };
-    let out_buf = device.malloc(n_values * 4, label)?;
-    let run = (|| {
+    let result = device.with_buffers(|device, held| {
+        held.push(device.malloc(n_values * 4, label)?);
         device.h2d(compressed_bytes)?;
         device.launch(kind, n_values, bits_per_value, label, work)
-    })();
-    let result = match run {
-        Ok(r) => r,
-        Err(e) => {
-            device.release(out_buf);
-            return Err(e);
-        }
-    };
-    device.free(out_buf)?;
-    let breakdown = device.breakdown();
-    let unc = n_values * 4;
-    Ok((
-        result,
-        GpuRunReport {
-            breakdown,
-            kernel_throughput_gbs: gbs(unc, breakdown.kernel),
-            overall_throughput_gbs: gbs(unc, breakdown.total()),
-            compressed_bytes,
-            uncompressed_bytes: unc,
-        },
-    ))
+    })?;
+    Ok((result, GpuRunReport::from_breakdown(device.breakdown(), n_values * 4, compressed_bytes)))
 }
 
 /// The paper's no-compression baseline: moving raw data over PCIe.

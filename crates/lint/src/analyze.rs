@@ -48,6 +48,7 @@ pub const DECODE_CRITICAL: &[&str] = &[
     "crates/zfp/src/lift.rs",
     "crates/store/src/format.rs",
     "crates/store/src/reader.rs",
+    "crates/util/src/tiles.rs",
 ];
 
 /// Byte-producing modules: every byte (or byte ordering) these emit must

@@ -272,10 +272,8 @@ fn parse_field(
         r.u64_le_capped(MAX_EXTENT, "chunk extent")?,
         r.u64_le_capped(MAX_EXTENT, "chunk extent")?,
     ];
-    let grid = ChunkGrid::new(shape, chunk)?;
-    let expect_chunks = grid
-        .checked_n_chunks()
-        .ok_or_else(|| Error::corrupt("chunk count overflows"))?;
+    let grid = ChunkGrid::new(shape, chunk).map_err(Error::into_corrupt)?;
+    let expect_chunks = grid.len();
     if expect_chunks > MAX_CHUNK_COUNT {
         return Err(Error::corrupt(format!(
             "field claims {expect_chunks} chunks (cap {MAX_CHUNK_COUNT})"

@@ -1,231 +1,16 @@
-//! Field shapes, regions, and the chunk grid.
-//!
-//! A field is an up-to-3-D array (x fastest: `index = x + nx*(y + ny*z)`)
-//! cut into fixed-shape chunks. Chunks at the high edge of an axis are
-//! clamped to the field boundary, so every value belongs to exactly one
-//! chunk. All grid math is checked: shapes and chunk shapes that would
-//! overflow a `usize` product surface as [`Error::InvalidArgument`] (or
-//! [`Error::Corrupt`] when they came from an archive directory), never as
-//! a wrapped multiplication.
+//! Field shapes, regions and the chunk grid: the workspace's one
+//! `Dims`, `Region` and `Tiles` under the store's names. A field is an
+//! up-to-3-D array (x fastest) cut into fixed-shape chunks, clamped at
+//! the high edge of each axis. A chunk shape that is zero on some axis,
+//! or not 1 on an axis the field does not use, is an `InvalidArgument`
+//! from [`ChunkGrid::new`]; the directory parser reports it as `Corrupt`.
 
-use foresight_util::{Error, Result};
-
-/// Logical shape of a stored field: the workspace's one [`Dims`].
-///
-/// Unused axes always report extent 1, so 1-D/2-D fields embed in the
-/// same 3-D grid math while keeping the exact dimensionality their chunks
-/// were compressed with.
+/// Logical shape of a stored field (unused axes report extent 1).
 pub use foresight_util::Dims as FieldShape;
-
-/// Half-open axis-aligned box of values inside a field: `lo[i] <=
-/// coordinate < hi[i]` on each axis. Unused axes of lower-dimensional
-/// fields use `lo = 0, hi = 1`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Region {
-    /// Inclusive lower corner.
-    pub lo: [usize; 3],
-    /// Exclusive upper corner.
-    pub hi: [usize; 3],
-}
-
-impl Region {
-    /// A region from corners, rejecting empty or inverted boxes.
-    pub fn new(lo: [usize; 3], hi: [usize; 3]) -> Result<Self> {
-        for i in 0..3 {
-            if hi[i] <= lo[i] {
-                return Err(Error::invalid(format!(
-                    "region axis {i} is empty or inverted ({}..{})",
-                    lo[i], hi[i]
-                )));
-            }
-        }
-        Ok(Self { lo, hi })
-    }
-
-    /// The region covering an entire field.
-    pub fn full(shape: FieldShape) -> Self {
-        Self { lo: [0, 0, 0], hi: shape.extents() }
-    }
-
-    /// Region extents per axis.
-    pub fn extents(&self) -> [usize; 3] {
-        [self.hi[0] - self.lo[0], self.hi[1] - self.lo[1], self.hi[2] - self.lo[2]]
-    }
-
-    /// Number of values in the region, or `None` on overflow.
-    pub fn checked_len(&self) -> Option<usize> {
-        let e = self.extents();
-        e[0].checked_mul(e[1])?.checked_mul(e[2])
-    }
-
-    /// Validates that the region lies inside `shape`.
-    pub fn validate_in(&self, shape: FieldShape) -> Result<()> {
-        let ext = shape.extents();
-        for (i, &e) in ext.iter().enumerate() {
-            if self.hi[i] > e {
-                return Err(Error::invalid(format!(
-                    "region axis {i} reaches {} but the field extent is {}",
-                    self.hi[i], e
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// True when `self` equals the whole of `shape`.
-    pub fn is_full(&self, shape: FieldShape) -> bool {
-        self.lo == [0, 0, 0] && self.hi == shape.extents()
-    }
-}
-
-/// The chunk decomposition of one field: a fixed chunk shape tiling the
-/// field, with boundary chunks clamped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChunkGrid {
-    shape: FieldShape,
-    chunk: [usize; 3],
-}
-
-impl ChunkGrid {
-    /// Builds the grid, rejecting zero chunk extents and chunk extents
-    /// on unused axes.
-    pub fn new(shape: FieldShape, chunk: [usize; 3]) -> Result<Self> {
-        for (i, &c) in chunk.iter().enumerate() {
-            if c == 0 {
-                return Err(Error::corrupt(format!("chunk extent {i} is zero")));
-            }
-            if i >= shape.ndim() as usize && c != 1 {
-                return Err(Error::corrupt(format!(
-                    "chunk extent {i} = {c} on an unused axis (ndim {})",
-                    shape.ndim()
-                )));
-            }
-        }
-        Ok(Self { shape, chunk })
-    }
-
-    /// The field shape this grid tiles.
-    pub fn shape(&self) -> FieldShape {
-        self.shape
-    }
-
-    /// The nominal (unclamped) chunk shape.
-    pub fn chunk(&self) -> [usize; 3] {
-        self.chunk
-    }
-
-    /// Chunks per axis.
-    pub fn counts(&self) -> [usize; 3] {
-        let ext = self.shape.extents();
-        [
-            ext[0].div_ceil(self.chunk[0]),
-            ext[1].div_ceil(self.chunk[1]),
-            ext[2].div_ceil(self.chunk[2]),
-        ]
-    }
-
-    /// Total number of chunks, or `None` on overflow.
-    pub fn checked_n_chunks(&self) -> Option<usize> {
-        let c = self.counts();
-        c[0].checked_mul(c[1])?.checked_mul(c[2])
-    }
-
-    /// Linear chunk id of grid coordinates (x fastest, mirroring value
-    /// order).
-    pub fn linear(&self, idx: [usize; 3]) -> usize {
-        let c = self.counts();
-        idx[0] + c[0] * (idx[1] + c[1] * idx[2])
-    }
-
-    /// Origin (lowest corner) of chunk `idx` in field coordinates.
-    pub fn origin(&self, idx: [usize; 3]) -> [usize; 3] {
-        [idx[0] * self.chunk[0], idx[1] * self.chunk[1], idx[2] * self.chunk[2]]
-    }
-
-    /// The (boundary-clamped) shape of chunk `idx`, preserving the
-    /// field's dimensionality.
-    pub fn chunk_shape_at(&self, idx: [usize; 3]) -> FieldShape {
-        let ext = self.shape.extents();
-        let o = self.origin(idx);
-        let ce = [
-            self.chunk[0].min(ext[0] - o[0]),
-            self.chunk[1].min(ext[1] - o[1]),
-            self.chunk[2].min(ext[2] - o[2]),
-        ];
-        self.shape.with_extents(ce)
-    }
-
-    /// Grid coordinates of every chunk intersecting `region`, in linear
-    /// (x-fastest) order.
-    pub fn intersecting(&self, region: &Region) -> Vec<[usize; 3]> {
-        let counts = self.counts();
-        let mut lo = [0usize; 3];
-        let mut hi = [0usize; 3];
-        for i in 0..3 {
-            lo[i] = region.lo[i] / self.chunk[i];
-            hi[i] = ((region.hi[i] - 1) / self.chunk[i]).min(counts[i] - 1);
-        }
-        let mut out = Vec::new();
-        for cz in lo[2]..=hi[2] {
-            for cy in lo[1]..=hi[1] {
-                for cx in lo[0]..=hi[0] {
-                    out.push([cx, cy, cz]);
-                }
-            }
-        }
-        out
-    }
-
-    /// Copies chunk `idx` out of the full field array into a dense
-    /// chunk-local buffer (x fastest within the chunk).
-    pub fn gather(&self, data: &[f32], idx: [usize; 3]) -> Vec<f32> {
-        let ext = self.shape.extents();
-        let o = self.origin(idx);
-        let ce = self.chunk_shape_at(idx).extents();
-        let mut out = Vec::with_capacity(ce[0] * ce[1] * ce[2]);
-        for z in 0..ce[2] {
-            for y in 0..ce[1] {
-                let row = o[0] + ext[0] * (o[1] + y + ext[1] * (o[2] + z));
-                out.extend_from_slice(&data[row..row + ce[0]]);
-            }
-        }
-        out
-    }
-
-    /// Copies the intersection of chunk `idx` and `region` from the
-    /// chunk-local buffer `chunk_values` into `out`, which is laid out
-    /// densely over `region` (x fastest within the region).
-    pub fn scatter_into(
-        &self,
-        chunk_values: &[f32],
-        idx: [usize; 3],
-        region: &Region,
-        out: &mut [f32],
-    ) {
-        let o = self.origin(idx);
-        let ce = self.chunk_shape_at(idx).extents();
-        let re = region.extents();
-        // Intersection of the chunk box and the region, in field coords.
-        let mut lo = [0usize; 3];
-        let mut hi = [0usize; 3];
-        for i in 0..3 {
-            lo[i] = region.lo[i].max(o[i]);
-            hi[i] = region.hi[i].min(o[i] + ce[i]);
-        }
-        if (0..3).any(|i| hi[i] <= lo[i]) {
-            return;
-        }
-        let run = hi[0] - lo[0];
-        for z in lo[2]..hi[2] {
-            for y in lo[1]..hi[1] {
-                let src = (lo[0] - o[0]) + ce[0] * ((y - o[1]) + ce[1] * (z - o[2]));
-                let dst = (lo[0] - region.lo[0])
-                    + re[0] * ((y - region.lo[1]) + re[1] * (z - region.lo[2]));
-                out[dst..dst + run].copy_from_slice(&chunk_values[src..src + run]);
-            }
-        }
-    }
-}
+/// Half-open box of values inside a field.
+pub use foresight_util::Region;
+/// The chunk decomposition of one field: field shape plus chunk shape.
+pub use foresight_util::Tiles as ChunkGrid;
 
 #[cfg(test)]
 mod tests {

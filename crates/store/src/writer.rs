@@ -95,9 +95,7 @@ impl StoreWriter {
             )));
         }
         let grid = ChunkGrid::new(shape, chunk)?;
-        let n_chunks = grid
-            .checked_n_chunks()
-            .ok_or_else(|| Error::invalid("chunk count overflows"))?;
+        let n_chunks = grid.len();
         if n_chunks > MAX_CHUNK_COUNT {
             return Err(Error::invalid(format!(
                 "field {name:?} would need {n_chunks} chunks (cap {MAX_CHUNK_COUNT})"

@@ -245,9 +245,9 @@ fn zfp_field_with_non_finite_values_is_refused_and_the_writer_survives() {
     assert_eq!(reader.extract(0, "good").unwrap().0.len(), good.len());
 }
 
-/// A field with a zero extent is refused at `add_field`, as the directory
-/// parser would refuse it on open; the writer still seals an archive that
-/// opens.
+/// A field with a zero extent, or a bad chunk shape, is refused at
+/// `add_field` as an invalid argument, as the directory parser would
+/// refuse it on open; the writer still seals an archive that opens.
 #[test]
 fn zero_extent_field_is_refused_and_the_archive_still_opens() {
     use foresight_util::Error;
@@ -261,6 +261,20 @@ fn zero_extent_field_is_refused_and_the_archive_still_opens() {
         for codec in [ChunkCodec::sz_abs(1e-2), ChunkCodec::zfp_rate(8.0)] {
             let err = w.add_field(0, "empty", &[], shape, chunk, &codec).unwrap_err();
             assert!(matches!(err, Error::InvalidArgument(_)), "{shape:?}: {err}");
+        }
+    }
+    // A chunk shape with a zero extent, or an extent other than 1 on an
+    // axis the field does not use, is the caller's mistake as well.
+    let data = [1.5f32; 16];
+    for (shape, chunk) in [
+        (FieldShape::d3(4, 2, 2), [0, 2, 2]),
+        (FieldShape::d2(4, 4), [4, 0, 1]),
+        (FieldShape::d1(16), [4, 2, 1]),
+        (FieldShape::d2(4, 4), [2, 2, 3]),
+    ] {
+        for codec in [ChunkCodec::sz_abs(1e-2), ChunkCodec::zfp_rate(8.0)] {
+            let err = w.add_field(0, "bad chunk", &data, shape, chunk, &codec).unwrap_err();
+            assert!(matches!(err, Error::InvalidArgument(_)), "{shape:?} {chunk:?}: {err}");
         }
     }
     w.add_field(0, "one", &[1.5], FieldShape::d1(1), [4, 1, 1], &ChunkCodec::sz_abs(1e-2)).unwrap();

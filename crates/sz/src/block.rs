@@ -1,4 +1,4 @@
-//! Block decomposition, per-block predictor choice, and the block
+//! The block tiling, per-block predictor choice, and the block
 //! compress / decompress entry points.
 //!
 //! GPU-SZ (and cuSZ after it) obtains parallelism by cutting the array into
@@ -15,62 +15,25 @@
 
 use crate::config::{Dims, PredictorKind};
 use crate::gpu_kernel::{plane_lattice, Lattice};
+use foresight_util::{Result, Tiles};
 use std::cell::RefCell;
 
-/// A rectangular tile of the input array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Block {
-    /// Global origin `(x, y, z)`.
-    pub origin: [usize; 3],
-    /// Extent per axis (at least 1).
-    pub size: [usize; 3],
+/// A rectangular tile of the input array: origin and clamped extent.
+pub use foresight_util::tiles::Tile as Block;
+
+/// The block tiling of `dims`: `bs^3` cubes in 3-D, `bs^2` tiles in 2-D,
+/// and segments of `bs^3` values in 1-D (so per-block overhead is
+/// comparable).
+pub fn tiles(dims: Dims, bs: usize) -> Result<Tiles> {
+    // Saturating: `bs` can come from a stream header, and a saturated
+    // segment is still exact for any array that fits in memory.
+    let segment = bs.saturating_mul(bs).saturating_mul(bs);
+    Tiles::cubes(dims, if dims.ndim() == 1 { segment } else { bs })
 }
 
-impl Block {
-    /// Number of cells in the block.
-    pub fn cells(&self) -> usize {
-        self.size[0] * self.size[1] * self.size[2]
-    }
-
-    /// Index into the full array (extents `ext`) of the block's first cell
-    /// in local row `(j, k)`; the row's cells are contiguous from there.
-    #[inline]
-    pub(crate) fn row_start(&self, ext: [usize; 3], j: usize, k: usize) -> usize {
-        self.origin[0] + ext[0] * ((self.origin[1] + j) + ext[1] * (self.origin[2] + k))
-    }
-}
-
-/// Tiles `dims` into blocks.
-///
-/// 3-D arrays use `bs^3` cubes, 2-D arrays `bs^2` tiles, and 1-D arrays
-/// segments of `bs^3` values (so per-block overhead is comparable).
+/// Every block of [`tiles`], in stream order (none for `bs == 0`).
 pub fn partition(dims: Dims, bs: usize) -> Vec<Block> {
-    let [nx, ny, nz] = dims.extents();
-    let (bx, by, bz) = match dims {
-        // Saturating: `bs` can come from a stream header, and a wrapped
-        // segment length of 0 would never advance the loop below.
-        Dims::D1(_) => (bs.saturating_mul(bs).saturating_mul(bs), 1, 1),
-        Dims::D2(..) => (bs, bs, 1),
-        Dims::D3(..) => (bs, bs, bs),
-    };
-    let mut blocks = Vec::new();
-    let mut z = 0;
-    while z < nz {
-        let sz = bz.min(nz - z);
-        let mut y = 0;
-        while y < ny {
-            let sy = by.min(ny - y);
-            let mut x = 0;
-            while x < nx {
-                let sx = bx.min(nx - x);
-                blocks.push(Block { origin: [x, y, z], size: [sx, sy, sz] });
-                x += bx;
-            }
-            y += by;
-        }
-        z += bz;
-    }
-    blocks
+    tiles(dims, bs).map(|t| t.iter().collect()).unwrap_or_default()
 }
 
 /// Which predictor a block ended up using (stored per block in the stream).
@@ -198,19 +161,16 @@ pub fn compress_block(
     });
     let mut outliers = Vec::with_capacity(stats.outliers);
     if stats.outliers > 0 {
-        let mut rows = codes.chunks_exact(block.size[0]);
-        for k in 0..block.size[2] {
-            for j in 0..block.size[1] {
-                let src = block.row_start(ext, j, k);
-                let cells = rows.next().unwrap_or_default().iter().zip(&data[src..]);
-                outliers.extend(cells.filter(|(&code, _)| code == 0).map(|(_, &v)| v));
-            }
+        for ((src, n), row) in block.rows(ext).zip(codes.chunks_exact(block.size[0])) {
+            let cells = row.iter().zip(&data[src..src + n]);
+            outliers.extend(cells.filter(|(&code, _)| code == 0).map(|(_, &v)| v));
         }
     }
     BlockOutput { codes, outliers, tag, coeffs, code_range: stats.range }
 }
 
-/// Decompresses one block into `out` (the full destination array) and
+/// Decompresses one block into `out`, the slab of the destination array
+/// that starts at array index `base` and holds the block's cells, and
 /// returns the number of zero symbols it met.
 ///
 /// `codes` must hold exactly `block.cells()` symbols and `outliers` one
@@ -226,6 +186,7 @@ pub fn decompress_block(
     block: &Block,
     eb: f64,
     radius: u32,
+    base: usize,
     out: &mut [f32],
 ) -> usize {
     debug_assert_eq!(codes.len(), block.cells());
@@ -233,7 +194,7 @@ pub fn decompress_block(
         return 0;
     }
     LATTICE.with_borrow_mut(|lattice| {
-        lattice.reconstruct(codes, outliers, tag, &coeffs, ext, block, eb, radius, out)
+        lattice.reconstruct(codes, outliers, tag, &coeffs, ext, block, eb, radius, base, out)
     })
 }
 
@@ -245,7 +206,7 @@ mod tests {
         let out = compress_block(data, ext, &block, eb, 32768, pred);
         let mut recon = vec![0.0f32; data.len()];
         decompress_block(
-            &out.codes, &out.outliers, out.tag, out.coeffs, ext, &block, eb, 32768, &mut recon,
+            &out.codes, &out.outliers, out.tag, out.coeffs, ext, &block, eb, 32768, 0, &mut recon,
         );
         let [sx, sy, sz] = block.size;
         for k in 0..sz {
@@ -407,6 +368,6 @@ mod tests {
         let block = Block { origin: [0, 0, 0], size: [0, 1, 1] };
         let out = compress_block(&[], [0, 1, 1], &block, 0.1, 32768, PredictorKind::Adaptive);
         assert!(out.codes.is_empty() && out.outliers.is_empty() && out.code_range.is_none());
-        decompress_block(&[], &[], out.tag, out.coeffs, [0, 1, 1], &block, 0.1, 32768, &mut []);
+        decompress_block(&[], &[], out.tag, out.coeffs, [0, 1, 1], &block, 0.1, 32768, 0, &mut []);
     }
 }

@@ -13,35 +13,17 @@
 //! worst-case slots of `sz.codes` (as real GPU entropy coders do before
 //! the compaction prefix-sum), and only the compressed stream crosses
 //! PCIe. Decompression mirrors it: the stream body uploads into
-//! `sz.body`, blocks scatter into `sz.out`, and the full array downloads
-//! at the end — which doubles as a whole-buffer initialization check.
+//! `sz.body`, blocks decode into the slab of `sz.out` their tile layer
+//! owns (as on the host), and the full array downloads at the end —
+//! which doubles as a whole-buffer initialization check.
 
 use crate::block::{self, Block, BlockOutput};
 use crate::config::{Dims, SzConfig};
 use crate::huffman::Codebook;
-use crate::stream::{self, ModePlan, SendPtr};
+use crate::stream::{self, ModePlan};
 use foresight_util::{Error, Result};
-use gpu_sim::{
-    launch_grid_traced, BlockAccess, BlockGrid, BufferId, Device, GpuRunReport, KernelKind,
-};
-
-/// Records one block's row-wise accesses to an `f32` array buffer: one
-/// contiguous byte range per `(y, z)` row of the block.
-fn record_rows(acc: &mut BlockAccess, buf: BufferId, b: &Block, ext: [usize; 3], write: bool) {
-    let [nx, ny, _] = ext;
-    for dz in 0..b.size[2] {
-        for dy in 0..b.size[1] {
-            let row = ((b.origin[2] + dz) * ny + (b.origin[1] + dy)) * nx + b.origin[0];
-            let start = row as u64 * 4;
-            let end = start + b.size[0] as u64 * 4;
-            if write {
-                acc.write(buf, start, end);
-            } else {
-                acc.read(buf, start, end);
-            }
-        }
-    }
-}
+use gpu_sim::{launch_grid_traced, BlockGrid, BufferId, Device, GpuRunReport, KernelKind};
+use std::sync::{Mutex, PoisonError};
 
 /// Compresses `data` on the simulated device with sanitizer tracing.
 ///
@@ -57,25 +39,13 @@ pub fn compress_on(
     stream::validate_input(data, dims, cfg)?;
     let plan = stream::plan_mode(data, cfg);
     device.reset_clock();
-    let mut held = Vec::new();
-    let run = compress_launches(device, plan.working_data(data), dims, cfg, &plan, &mut held)
-        .and_then(|(outputs, code_streams, book)| {
-            let out = stream::assemble(dims, cfg, &plan, &outputs, &code_streams, &book);
-            device.d2h(out.len() as u64)?;
-            Ok(out)
-        });
-    let out = match run {
-        Ok(out) => out,
-        Err(e) => {
-            for id in held {
-                device.release(id);
-            }
-            return Err(e);
-        }
-    };
-    for id in held.into_iter().rev() {
-        device.free(id)?;
-    }
+    let out = device.with_buffers(|device, held| {
+        let (outputs, code_streams, book) =
+            compress_launches(device, plan.working_data(data), dims, cfg, &plan, held)?;
+        let out = stream::assemble(dims, cfg, &plan, &outputs, &code_streams, &book);
+        device.d2h(out.len() as u64)?;
+        Ok(out)
+    })?;
     let clen = out.len() as u64;
     let rep = GpuRunReport::from_breakdown(device.breakdown(), (data.len() * 4) as u64, clen);
     Ok((out, rep))
@@ -90,7 +60,7 @@ fn compress_launches(
     held: &mut Vec<BufferId>,
 ) -> Result<(Vec<BlockOutput>, Vec<Vec<u8>>, Codebook)> {
     let ext = dims.extents();
-    let blocks = block::partition(dims, cfg.block_size);
+    let blocks: Vec<Block> = block::tiles(dims, cfg.block_size)?.iter().collect();
     let data_bytes = (data.len() as u64) * 4;
 
     let in_buf = device.malloc(data_bytes, "sz.in")?;
@@ -104,8 +74,8 @@ fn compress_launches(
     let (outputs, _) =
         launch_grid_traced(device, KernelKind::SzCompress, grid, "sz.quantize", |bi, acc| {
             let b = &blocks[bi];
-            record_rows(acc, in_buf, b, ext, false);
-            record_rows(acc, quant, b, ext, true);
+            acc.f32_rows(in_buf, b.rows(ext), false);
+            acc.f32_rows(quant, b.rows(ext), true);
             block::compress_block(data, ext, b, plan.eb_abs, cfg.radius, cfg.predictor)
         })?;
 
@@ -127,7 +97,7 @@ fn compress_launches(
 
     let (enc, _) =
         launch_grid_traced(device, KernelKind::SzCompress, grid, "sz.huffman_encode", |bi, acc| {
-            record_rows(acc, quant, &blocks[bi], ext, false);
+            acc.f32_rows(quant, blocks[bi].rows(ext), false);
             let cs = stream::encode_block_codes(&outputs[bi].codes, &book)?;
             let start = bi as u64 * stage_cap;
             acc.write(codes_buf, start, start + cs.len() as u64);
@@ -149,25 +119,10 @@ pub fn decompress_on(
     let mut scratch = Vec::new();
     let body = stream::checked_body(&inf, stream_bytes, &mut scratch)?;
     let plan = stream::prepare_decode(&inf, body)?;
-
-    let mut held = Vec::new();
-    let run = decode_launch(device, &inf, &plan, body, &mut held);
-    let out = match run {
-        Ok(out) => out,
-        Err(e) => {
-            for id in held {
-                device.release(id);
-            }
-            return Err(e);
-        }
-    };
-    for id in held.into_iter().rev() {
-        device.free(id)?;
-    }
+    let out = device.with_buffers(|device, held| decode_launch(device, &inf, &plan, body, held))?;
     let out = stream::finish_pwrel(&inf, &plan, body, out)?;
     let unc = (plan.n_values * 4) as u64;
-    let rep =
-        GpuRunReport::from_breakdown(device.breakdown(), unc, stream_bytes.len() as u64);
+    let rep = GpuRunReport::from_breakdown(device.breakdown(), unc, stream_bytes.len() as u64);
     Ok((out, inf.dims, rep))
 }
 
@@ -189,38 +144,30 @@ fn decode_launch(
 
     let ext = inf.dims.extents();
     let mut out = vec![0.0f32; plan.n_values];
-    let ptr = SendPtr(out.as_mut_ptr());
-    let out_len = out.len();
-    let nblocks = plan.blocks.len();
+    let nblocks = plan.tiles.len();
     let vpb = (plan.n_values as u64).div_ceil(nblocks.max(1) as u64);
-    let bits = if plan.n_values == 0 {
-        0.0
-    } else {
-        body.len() as f64 * 8.0 / plan.n_values as f64
-    };
+    let n = plan.n_values;
+    let bits = if n == 0 { 0.0 } else { body.len() as f64 * 8.0 / n as f64 };
     let grid = BlockGrid { blocks: nblocks, values_per_block: vpb, bits_per_value: bits };
-    let (results, _) = launch_grid_traced(
-        device,
-        KernelKind::SzDecompress,
-        grid,
-        "sz.huffman_decode",
-        |bi, acc| {
+    // Each slab belongs to one tile layer, as on the host; the lock only
+    // hands it to whichever executor thread holds one of its blocks.
+    let slabs: Vec<_> =
+        plan.tiles.split(&mut out, 1).into_iter().map(|(s, part)| (s, Mutex::new(part))).collect();
+    let (results, _) =
+        launch_grid_traced(device, KernelKind::SzDecompress, grid, "sz.huffman_decode", |bi, acc| {
             let (cs, ce) = plan.code_range(bi);
             acc.read(body_buf, cs as u64, ce as u64);
             let (os, oe) = plan.outlier_range(bi);
             acc.read(body_buf, os as u64, oe as u64);
-            record_rows(acc, out_buf, &plan.blocks[bi], ext, true);
-            let p = ptr;
-            // SAFETY: blocks partition the array without overlap (see
-            // `stream::SendPtr`); the racecheck verifies that claim over
-            // the ranges recorded just above.
-            #[allow(unsafe_code)]
-            let slice = unsafe { std::slice::from_raw_parts_mut(p.0, out_len) };
+            let b = plan.tiles.tile(bi);
+            acc.f32_rows(out_buf, b.rows(ext), true);
+            let (slab, part) = &slabs[slabs.partition_point(|(s, _)| s.tiles.end <= bi)];
+            let mut part = part.lock().unwrap_or_else(PoisonError::into_inner);
             // A group of one: the same table and loop as the host path.
-            stream::decode_group_into(inf, plan, body, bi..bi + 1, slice)
-        },
-    )?;
+            stream::decode_group_into(inf, plan, body, bi, &[b], slab.values.start, &mut part)
+        })?;
     results.into_iter().collect::<Result<()>>()?;
+    drop(slabs);
     device.d2h_buf(out_buf, "sz.out")?;
     Ok(out)
 }
@@ -288,29 +235,30 @@ mod tests {
         let data = field(4096);
         let dims = Dims::D1(4096);
         let ext = dims.extents();
-        let blocks = block::partition(dims, 8);
+        let tiles = block::tiles(dims, 8).unwrap();
         let (eb, radius) = (0.05, 1 << 15);
         let mut dev = traced_device();
         let out_buf = dev.malloc((data.len() * 4) as u64, "szdq.out").unwrap();
         let mut out = vec![0.0f32; data.len()];
-        let ptr = SendPtr(out.as_mut_ptr());
-        let out_len = out.len();
+        let slabs: Vec<_> =
+            tiles.split(&mut out, 1).into_iter().map(|(s, part)| (s, Mutex::new(part))).collect();
         let grid = BlockGrid {
-            blocks: blocks.len(),
-            values_per_block: (data.len() / blocks.len().max(1)) as u64,
+            blocks: tiles.len(),
+            values_per_block: (data.len() / tiles.len().max(1)) as u64,
             bits_per_value: 32.0,
         };
         launch_grid_traced(&mut dev, KernelKind::SzDecompress, grid, "szdq", |bi, acc| {
-            let b = &blocks[bi];
-            let o = block::compress_block(&data, ext, b, eb, radius, crate::PredictorKind::Lorenzo);
-            record_rows(acc, out_buf, b, ext, true);
-            let p = ptr;
-            // SAFETY: disjoint blocks, validated by the racecheck.
-            #[allow(unsafe_code)]
-            let slice = unsafe { std::slice::from_raw_parts_mut(p.0, out_len) };
-            block::decompress_block(&o.codes, &o.outliers, o.tag, o.coeffs, ext, b, eb, radius, slice);
+            let b = tiles.tile(bi);
+            let lorenzo = crate::PredictorKind::Lorenzo;
+            let o = block::compress_block(&data, ext, &b, eb, radius, lorenzo);
+            acc.f32_rows(out_buf, b.rows(ext), true);
+            let (slab, part) = &slabs[slabs.partition_point(|(s, _)| s.tiles.end <= bi)];
+            let (base, part) = (slab.values.start, &mut part.lock().unwrap()[..]);
+            let (codes, outliers, tag, coeffs) = (&o.codes, &o.outliers, o.tag, o.coeffs);
+            block::decompress_block(codes, outliers, tag, coeffs, ext, &b, eb, radius, base, part);
         })
         .unwrap();
+        drop(slabs);
         dev.free(out_buf).unwrap();
         let report = dev.sanitizer_report().unwrap();
         assert!(report.is_clean(), "{:?}", report.diagnostics);

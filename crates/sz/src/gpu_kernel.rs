@@ -275,7 +275,8 @@ impl Lattice {
     }
 
     /// The inverse of both passes: rebuilds the lattice from `codes` and
-    /// writes the block's cells of `out`, a row at a time. Arithmetic
+    /// writes the block's cells of `out` — the slab of the array that
+    /// starts at index `base` — a row at a time. Arithmetic
     /// wraps, since codes from a hostile stream can drive the recurrence
     /// anywhere — which is also why the Lorenzo sum may be reassociated:
     /// the terms that do not involve the row itself (the stencil and the
@@ -295,6 +296,7 @@ impl Lattice {
         b: &Block,
         eb: f64,
         radius: u32,
+        base: usize,
         out: &mut [f32],
     ) -> usize {
         self.layout(b.size);
@@ -307,7 +309,7 @@ impl Lattice {
         let mut all_zeros = 0;
         for k in 0..sz {
             for j in 0..sy {
-                let dst = b.row_start(ext, j, k);
+                let dst = b.row_start(ext, j, k) - base;
                 let out = &mut out[dst..dst + sx];
                 let base = self.row_base(j, k);
                 let (before, cur) = self.q.split_at_mut(base);
@@ -449,7 +451,8 @@ mod tests {
             let o = compress_block(data, ext, b, eb, 1 << 15, pred);
             assert_eq!(o.codes.iter().filter(|&&c| c == 0).count(), o.outliers.len());
             outliers += o.outliers.len();
-            decompress_block(&o.codes, &o.outliers, o.tag, o.coeffs, ext, b, eb, 1 << 15, &mut rec);
+            let (codes, outliers) = (&o.codes, &o.outliers);
+            decompress_block(codes, outliers, o.tag, o.coeffs, ext, b, eb, 1 << 15, 0, &mut rec);
         }
         (rec, outliers)
     }
@@ -620,8 +623,9 @@ mod tests {
                             let (mut fast, mut slow) = (Lattice::new(), Lattice::new());
                             let (mut got, mut want) = (vec![-1.0f32; n + 2 * n / size[0]], vec![]);
                             want.clone_from(&got);
-                            let counted = fast
-                                .reconstruct(&codes, &outliers, tag, &coeffs, ext, &b, eb, radius, &mut got);
+                            let counted = fast.reconstruct(
+                                &codes, &outliers, tag, &coeffs, ext, &b, eb, radius, 0, &mut got,
+                            );
                             assert_eq!(counted, zeros);
                             reconstruct_reference(
                                 &mut slow, &codes, &outliers, tag, &coeffs, ext, &b, eb, radius, &mut want,
@@ -642,7 +646,8 @@ mod tests {
             let (mut fast, mut slow) = (Lattice::new(), Lattice::new());
             let (mut got, mut want) = (vec![0.0f32; 64], vec![0.0f32; 64]);
             let coeffs = [f32::INFINITY, f32::NAN, -1e38, 1e38];
-            fast.reconstruct(&codes, &[1.0], tag, &coeffs, [8, 4, 2], &b, 1e-300, u32::MAX, &mut got);
+            let ext = [8, 4, 2];
+            fast.reconstruct(&codes, &[1.0], tag, &coeffs, ext, &b, 1e-300, u32::MAX, 0, &mut got);
             reconstruct_reference(
                 &mut slow, &codes, &[1.0], tag, &coeffs, [8, 4, 2], &b, 1e-300, u32::MAX, &mut want,
             );
@@ -660,7 +665,8 @@ mod tests {
             (PredictorTag::Lorenzo, [0.0; 4]),
             (PredictorTag::Regression, [f32::INFINITY, f32::NAN, -1e38, 1e38]),
         ] {
-            decompress_block(&codes, &[], tag, coeffs, [8, 4, 2], &b, 1e-300, u32::MAX, &mut out);
+            let ext = [8, 4, 2];
+            decompress_block(&codes, &[], tag, coeffs, ext, &b, 1e-300, u32::MAX, 0, &mut out);
         }
         // Zero codes with no outliers to draw from decode as 0.0.
         decompress_block(
@@ -672,6 +678,7 @@ mod tests {
             &b,
             0.1,
             2,
+            0,
             &mut out,
         );
         assert!(out.iter().all(|&v| v == 0.0));

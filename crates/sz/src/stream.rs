@@ -15,17 +15,18 @@
 //! Blocks compress and decompress in parallel (rayon); the Huffman table is
 //! global (one histogram over all blocks), matching the reference SZ. The
 //! per-block code streams are independent and byte-aligned with their
-//! lengths in the metas, so a decode worker takes them four at a time
-//! ([`huffman::LANES`](crate::huffman::LANES)) and steps them side by side.
+//! lengths in the metas. Blocks are the array's [`Tiles`]; a decode worker
+//! owns a slab of whole block layers ([`Tiles::par_slabs`]) and steps its
+//! blocks four at a time ([`huffman::LANES`](crate::huffman::LANES)).
 
-use crate::block::{self, BlockOutput, PredictorTag};
+use crate::block::{self, Block, BlockOutput, PredictorTag};
 use crate::config::{Dims, EntropyBackend, ErrorBound, SzConfig};
 use crate::huffman::{Codebook, LANES};
 use crate::{lossless, pwrel};
 use foresight_util::bits::BitWriter;
 use foresight_util::crc::{crc32, crc32_parallel};
 use foresight_util::stats::summarize;
-use foresight_util::{telemetry, ByteReader, Error, Result};
+use foresight_util::{telemetry, ByteReader, Error, Result, Tiles};
 use rayon::prelude::*;
 use std::cell::RefCell;
 
@@ -97,7 +98,7 @@ pub fn compress(data: &[f32], dims: Dims, cfg: &SzConfig) -> Result<Vec<u8>> {
 
 fn compress_inner(data: &[f32], dims: Dims, cfg: &SzConfig, plan: &ModePlan) -> Result<Vec<u8>> {
     let ext = dims.extents();
-    let blocks = block::partition(dims, cfg.block_size);
+    let blocks: Vec<Block> = block::tiles(dims, cfg.block_size)?.iter().collect();
 
     // Pass 1: predict + quantize every block in parallel.
     let quantize = telemetry::span("sz.quantize");
@@ -341,17 +342,6 @@ pub fn info(stream: &[u8]) -> Result<StreamInfo> {
     })
 }
 
-/// Pointer wrapper for parallel scatter into disjoint block regions.
-#[derive(Clone, Copy)]
-pub(crate) struct SendPtr(pub *mut f32);
-// SAFETY: each parallel task writes only the cells of its own block and
-// blocks partition the array without overlap — exactly the claim the
-// gpu-sim racecheck validates mechanically over the traced device path.
-#[allow(unsafe_code)] // lint: allow(decode-panic) — trait impls, not decode logic
-unsafe impl Send for SendPtr {}
-#[allow(unsafe_code)]
-unsafe impl Sync for SendPtr {}
-
 /// Validates the body against the header (LZSS-expanding if needed) and
 /// returns it; `scratch` owns the expanded bytes when LZSS was used.
 pub(crate) fn checked_body<'a>(
@@ -390,10 +380,10 @@ pub(crate) struct Meta {
     pub coeffs: [f32; 4],
 }
 
-/// Everything needed to decode blocks independently: the block list,
+/// Everything needed to decode blocks independently: the block tiling,
 /// per-block metas, the Huffman book, and byte offsets into the body.
 pub(crate) struct DecodePlan {
-    pub blocks: Vec<block::Block>,
+    pub tiles: Tiles,
     pub metas: Vec<Meta>,
     pub book: Codebook,
     pub code_offsets: Vec<usize>,
@@ -419,27 +409,14 @@ impl DecodePlan {
 /// Parses per-block metadata and the Huffman table, cross-checking every
 /// size against the body before any dims-driven allocation.
 pub(crate) fn prepare_decode(inf: &StreamInfo, body: &[u8]) -> Result<DecodePlan> {
-    let dims = inf.dims;
-    let ext = dims.extents();
     let n_values =
-        dims.checked_len().ok_or_else(|| Error::corrupt("dims product overflows"))?;
+        inf.dims.checked_len().ok_or_else(|| Error::corrupt("dims product overflows"))?;
     // Arithmetic cross-checks BEFORE any dims-driven allocation: the
-    // block count implied by dims must match the header's, and the meta
-    // region it implies must fit the body we actually hold. Only then is
-    // it safe to materialize the block list.
-    let (bx, by, bz): (u128, u128, u128) = match dims {
-        Dims::D1(_) => ((inf.block_size as u128).pow(3), 1, 1),
-        Dims::D2(..) => (inf.block_size as u128, inf.block_size as u128, 1),
-        Dims::D3(..) => (
-            inf.block_size as u128,
-            inf.block_size as u128,
-            inf.block_size as u128,
-        ),
-    };
-    let expected_blocks = (ext[0] as u128).div_ceil(bx)
-        * (ext[1] as u128).div_ceil(by)
-        * (ext[2] as u128).div_ceil(bz);
-    if expected_blocks != inf.nblocks as u128 {
+    // block count the tiling implies (checked as it is built) must match
+    // the header's, and the meta region it implies must fit the body we
+    // actually hold.
+    let tiles = block::tiles(inf.dims, inf.block_size).map_err(Error::into_corrupt)?;
+    if tiles.len() as u64 != inf.nblocks {
         return Err(Error::corrupt("block count mismatch"));
     }
     if inf
@@ -450,16 +427,14 @@ pub(crate) fn prepare_decode(inf: &StreamInfo, body: &[u8]) -> Result<DecodePlan
     {
         return Err(Error::corrupt("truncated block meta"));
     }
-    let blocks = block::partition(dims, inf.block_size);
-    debug_assert_eq!(blocks.len() as u128, expected_blocks);
 
     // Per-block meta.
-    let meta_len = blocks.len() * META_BYTES;
+    let meta_len = tiles.len() * META_BYTES;
     let meta_bytes =
         body.get(..meta_len).ok_or_else(|| Error::corrupt("truncated block meta"))?;
-    let mut metas = Vec::with_capacity(blocks.len());
+    let mut metas = Vec::with_capacity(tiles.len());
     let mut mr = ByteReader::new(meta_bytes);
-    for _ in 0..blocks.len() {
+    for _ in 0..tiles.len() {
         let tag = PredictorTag::from_u8(mr.u8()?)
             .ok_or_else(|| Error::corrupt("bad predictor tag"))?;
         let n_out = mr.u32_le()? as usize;
@@ -492,8 +467,8 @@ pub(crate) fn prepare_decode(inf: &StreamInfo, body: &[u8]) -> Result<DecodePlan
     if n_values as u64 > total_code_bytes.saturating_mul(8) && n_values > 0 {
         return Err(Error::corrupt("dims imply more values than the code streams hold"));
     }
-    let mut code_offsets = Vec::with_capacity(blocks.len());
-    let mut outlier_offsets = Vec::with_capacity(blocks.len());
+    let mut code_offsets = Vec::with_capacity(tiles.len());
+    let mut outlier_offsets = Vec::with_capacity(tiles.len());
     let (mut co, mut oo) = (codes_start, 0usize);
     for m in &metas {
         code_offsets.push(co);
@@ -502,7 +477,7 @@ pub(crate) fn prepare_decode(inf: &StreamInfo, body: &[u8]) -> Result<DecodePlan
         oo += m.n_out;
     }
     Ok(DecodePlan {
-        blocks,
+        tiles,
         metas,
         book,
         code_offsets,
@@ -521,29 +496,31 @@ thread_local! {
         const { RefCell::new(([const { Vec::new() }; LANES], Vec::new())) };
 }
 
-/// Entropy-decodes the blocks `group` (at most [`LANES`] of them, side by
-/// side) and dequantizes each into `out` (the full array; only the blocks'
-/// own cells are written). Fails with the error of its lowest failing
-/// block. The decode table is sized to the whole stream's value count, by
-/// whichever group gets there first.
+/// Entropy-decodes `group`, at most [`LANES`] blocks numbered from `first`
+/// on, side by side, and dequantizes each into `out`, the slab of the array
+/// from index `base` that holds their cells. Fails with the error of its
+/// lowest failing block. The decode table is sized to the whole stream's
+/// value count, by whichever group gets there first.
 pub(crate) fn decode_group_into(
     inf: &StreamInfo,
     plan: &DecodePlan,
     body: &[u8],
-    group: std::ops::Range<usize>,
+    first: usize,
+    group: &[Block],
+    base: usize,
     out: &mut [f32],
 ) -> Result<()> {
     let (mut lanes, mut cells) = ([&[][..]; LANES], [0; LANES]);
-    for (l, bi) in group.clone().enumerate().take(LANES) {
-        let (cs_start, cs_end) = plan.code_range(bi);
+    for (l, b) in group.iter().enumerate().take(LANES) {
+        let (cs_start, cs_end) = plan.code_range(first + l);
         lanes[l] = body.get(cs_start..cs_end).ok_or_else(|| Error::corrupt("truncated codes"))?;
-        cells[l] = plan.blocks[bi].cells();
+        cells[l] = b.cells();
     }
     let decoder = plan.book.decoder_for(plan.n_values);
     DECODE_SCRATCH.with_borrow_mut(|(codes, outliers)| {
         let decoded = decoder.decode_lanes(lanes, cells, codes);
-        for (codes, bi) in codes.iter().zip(group) {
-            let (m, b) = (&plan.metas[bi], &plan.blocks[bi]);
+        for (bi, (codes, b)) in (first..).zip(codes.iter().zip(group)) {
+            let m = &plan.metas[bi];
             if codes.len() != b.cells() {
                 // The lowest lane left short is the one that failed.
                 return decoded.and(Err(Error::corrupt("truncated codes")));
@@ -566,6 +543,7 @@ pub(crate) fn decode_group_into(
                 b,
                 inf.eb_abs,
                 inf.radius,
+                base,
                 out,
             );
             if n_zero != m.n_out {
@@ -611,28 +589,22 @@ pub fn decompress(stream: &[u8]) -> Result<(Vec<f32>, Dims)> {
     let plan = prepare_decode(&inf, body)?;
 
     let mut out = vec![0.0f32; plan.n_values];
-    let ptr = SendPtr(out.as_mut_ptr());
-    let out_len = out.len();
     // One span covers entropy decode + dequantize: the two are fused in
     // the per-block loop, matching the reference SZ decoder's structure.
     let decode = telemetry::span("sz.huffman_decode");
-    // A worker takes the blocks a lane group at a time once there is a
-    // whole group for every worker; fewer blocks than that go one by one,
-    // as wide as the pool.
-    let full_groups = plan.blocks.len() >= LANES * rayon::current_num_threads();
-    let width = if full_groups { LANES } else { 1 };
-    plan.blocks
-        .par_chunks(width)
-        .enumerate()
-        .try_for_each(|(gi, group)| -> Result<()> {
-            let p = ptr;
-            // SAFETY: blocks are disjoint (see SendPtr) and the slice spans
-            // the whole array.
-            #[allow(unsafe_code)]
-            let slice = unsafe { std::slice::from_raw_parts_mut(p.0, out_len) };
-            let first = gi * width;
-            decode_group_into(&inf, &plan, body, first..first + group.len(), slice)
-        })?;
+    // A worker takes a slab's blocks a lane group at a time once there is
+    // a whole group for every worker; fewer blocks than that go one by
+    // one, in slabs as thin as the tiling allows.
+    let tiles = &plan.tiles;
+    let width = if tiles.len() >= LANES * rayon::current_num_threads() { LANES } else { 1 };
+    tiles.par_slabs(&mut out, width, |slab, part| {
+        let blocks: Vec<Block> =
+            tiles.origins(slab.tiles.clone()).map(|o| tiles.tile_at(o)).collect();
+        let firsts = (slab.tiles.start..).step_by(width);
+        firsts.zip(blocks.chunks(width)).try_for_each(|(first, group)| {
+            decode_group_into(&inf, &plan, body, first, group, slab.values.start, part)
+        })
+    })?;
     drop(decode);
 
     let out = finish_pwrel(&inf, &plan, body, out)?;
@@ -809,13 +781,19 @@ mod tests {
         // Overwrite some blocks' code streams with all-ones (the longest
         // code over and over: the stream runs dry) and re-seal the stream.
         // Blocks decode four to a group: forged blocks in two groups, two
-        // in one group, and the last block of a three-block tail group.
+        // in one group, the last block of a three-block tail group, and
+        // (3-D) blocks in two different tile layers, so two slabs.
         let cfg = SzConfig { block_size: 8, ..SzConfig::abs(0.5) };
-        for (n, nblocks, forged) in [(4096, 8, [5, 2]), (4096, 8, [3, 1]), (3584, 7, [6, 6])] {
-            let data = sample_field(n);
-            let stream = compress(&data, Dims::D1(n), &cfg).unwrap();
+        for (dims, nblocks, forged) in [
+            (Dims::D1(4096), 8, [5, 2]),
+            (Dims::D1(4096), 8, [3, 1]),
+            (Dims::D1(3584), 7, [6, 6]),
+            (Dims::D3(16, 16, 16), 8, [6, 1]),
+        ] {
+            let data = sample_field(dims.len());
+            let stream = compress(&data, dims, &cfg).unwrap();
             let plan = prepare_decode(&info(&stream).unwrap(), &stream[HDR..]).unwrap();
-            assert_eq!(plan.blocks.len(), nblocks);
+            assert_eq!(plan.tiles.len(), nblocks);
             let mut bad = stream.clone();
             for bi in forged {
                 let (lo, hi) = plan.code_range(bi);
@@ -826,7 +804,7 @@ mod tests {
             let good = decompress(&stream).unwrap();
             for threads in [1, 2, 4] {
                 foresight_util::parallel::with_threads(threads, || {
-                    assert_eq!(compress(&data, Dims::D1(n), &cfg).unwrap(), stream);
+                    assert_eq!(compress(&data, dims, &cfg).unwrap(), stream);
                     assert_eq!(decompress(&stream).unwrap(), good);
                     let err = decompress(&bad).unwrap_err();
                     assert!(matches!(err, Error::Corrupt(_)), "{threads} threads: {err}");
@@ -852,7 +830,7 @@ mod tests {
         let cfg = SzConfig { block_size: 8, ..SzConfig::abs(0.5) };
         let stream = compress(&data, Dims::D1(2048), &cfg).unwrap();
         let plan = prepare_decode(&info(&stream).unwrap(), &stream[HDR..]).unwrap();
-        assert!(plan.blocks.len() == 4 && plan.metas[1].n_out > 0);
+        assert!(plan.tiles.len() == 4 && plan.metas[1].n_out > 0);
         let mut bad = stream.clone();
         // n_outliers is the u32 behind the tag byte of block 1's meta; take
         // the same count off the payload's end so the sizes still add up.

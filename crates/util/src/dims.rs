@@ -4,7 +4,8 @@
 //! One type, x fastest everywhere: `index = x + nx*(y + ny*z)`. The codec
 //! crates re-export it as `lossy_sz::Dims` / `lossy_zfp::Dims`, the store
 //! as `FieldShape`, the framework as `foresight::codec::Shape`; no layer
-//! converts between shape types.
+//! converts between shape types. [`Region`] is a box inside such an
+//! array, the unit of a store read.
 
 use crate::{Error, Result};
 
@@ -118,6 +119,66 @@ impl Dims {
             Dims::D2(..) => Dims::D2(ext[0], ext[1]),
             Dims::D3(..) => Dims::D3(ext[0], ext[1], ext[2]),
         }
+    }
+}
+
+/// Half-open axis-aligned box of values inside an array: `lo[i] <=
+/// coordinate < hi[i]` on each axis. Unused axes of lower-dimensional
+/// arrays use `lo = 0, hi = 1`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Region {
+    /// Inclusive lower corner.
+    pub lo: [usize; 3],
+    /// Exclusive upper corner.
+    pub hi: [usize; 3],
+}
+
+impl Region {
+    /// A region from corners, rejecting empty or inverted boxes.
+    pub fn new(lo: [usize; 3], hi: [usize; 3]) -> Result<Self> {
+        for i in 0..3 {
+            if hi[i] <= lo[i] {
+                return Err(Error::invalid(format!(
+                    "region axis {i} is empty or inverted ({}..{})",
+                    lo[i], hi[i]
+                )));
+            }
+        }
+        Ok(Self { lo, hi })
+    }
+
+    /// The region covering an entire array.
+    pub fn full(shape: Dims) -> Self {
+        Self { lo: [0, 0, 0], hi: shape.extents() }
+    }
+
+    /// Region extents per axis.
+    pub fn extents(&self) -> [usize; 3] {
+        [self.hi[0] - self.lo[0], self.hi[1] - self.lo[1], self.hi[2] - self.lo[2]]
+    }
+
+    /// Number of values in the region, or `None` on overflow.
+    pub fn checked_len(&self) -> Option<usize> {
+        let e = self.extents();
+        e[0].checked_mul(e[1])?.checked_mul(e[2])
+    }
+
+    /// Validates that the region lies inside `shape`.
+    pub fn validate_in(&self, shape: Dims) -> Result<()> {
+        for (i, &e) in shape.extents().iter().enumerate() {
+            if self.hi[i] > e {
+                return Err(Error::invalid(format!(
+                    "region axis {i} reaches {} but the field extent is {}",
+                    self.hi[i], e
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// True when `self` equals the whole of `shape`.
+    pub fn is_full(&self, shape: Dims) -> bool {
+        self.lo == [0, 0, 0] && self.hi == shape.extents()
     }
 }
 

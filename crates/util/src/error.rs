@@ -85,6 +85,15 @@ impl Error {
         Error::DeviceFault(msg.into())
     }
 
+    /// The same complaint as [`Error::Corrupt`], for a caller-input check
+    /// that also vets bytes read from a stream.
+    pub fn into_corrupt(self) -> Self {
+        match self {
+            Error::InvalidArgument(msg) => Error::Corrupt(msg),
+            e => e,
+        }
+    }
+
     /// True for transient device-level failures that a caller may retry
     /// or route to a CPU fallback path.
     pub fn is_device_fault(&self) -> bool {

@@ -6,8 +6,9 @@
 //! chunked parallel helpers, wall-clock timers, running statistics, a
 //! tiny ASCII table/CSV formatter used by the benchmark binaries, SHA-256
 //! (golden-vector digests), the telemetry layer (spans, metrics,
-//! Chrome-trace/flamegraph export), and [`Dims`], the one array shape
-//! every codec, the store and the scheduler share.
+//! Chrome-trace/flamegraph export), [`Dims`], the one array shape
+//! every codec, the store and the scheduler share, and [`Tiles`], the
+//! one way they cut that shape into blocks and chunks.
 
 #![forbid(unsafe_code)]
 
@@ -22,8 +23,10 @@ pub mod sha256;
 pub mod stats;
 pub mod table;
 pub mod telemetry;
+pub mod tiles;
 pub mod timer;
 
 pub use bytes::ByteReader;
-pub use dims::Dims;
+pub use dims::{Dims, Region};
 pub use error::{Error, Result};
+pub use tiles::Tiles;

@@ -13,53 +13,17 @@
 //! records: at rate 4, block `i` occupies payload bits `[4·16·i,
 //! 4·16·(i+1))`, so adjacent blocks legitimately share boundary *bytes* —
 //! byte-level tracking would flag every fractional-rate stream as one long
-//! write-write race. Gather reads clamp at the array edge exactly like
-//! [`crate::stream::compress`] does, so partial edge blocks re-read border
-//! samples (a benign read-read overlap the racecheck must not flag).
+//! write-write race. A gather reads the block's rows of the array (edge
+//! blocks replicate those samples into their padding, re-reading nothing
+//! else); a scatter writes the same rows and skips the padding, so blocks
+//! write disjoint cells.
 
-use crate::codec;
 use crate::config::{Dims, ZfpConfig, ZfpMode};
-use crate::stream::{Decoder, Encoder, Grid};
+use crate::stream::{self, Decoder, Encoder};
 use foresight_util::bits::BitWriter;
 use foresight_util::{Error, Result};
-use gpu_sim::{
-    launch_grid_traced, BlockAccess, BlockGrid, BufferId, Device, GpuRunReport, KernelKind,
-};
-use std::sync::Mutex;
-
-/// Rows of four x-samples in a block, as `(dy, dz)` offsets.
-fn block_rows(d: u8) -> impl Iterator<Item = (usize, usize)> {
-    (0..codec::block_cells(d) / 4).map(|i| (i % 4, i / 4))
-}
-
-/// Records the clamped row reads of one gathered block (mirrors the
-/// encoder's gather: edge blocks re-read the nearest interior sample).
-fn record_gather(acc: &mut BlockAccess, buf: BufferId, grid: &Grid, bi: usize) {
-    let [nx, ny, nz] = grid.ext;
-    let [ox, oy, oz] = grid.origin(bi);
-    for (dy, dz) in block_rows(grid.d) {
-        let row = nx * ((oy + dy).min(ny - 1) + ny * (oz + dz).min(nz - 1));
-        let x0 = ox.min(nx - 1);
-        let x1 = (ox + 3).min(nx - 1);
-        acc.read(buf, (row + x0) as u64 * 4, (row + x1 + 1) as u64 * 4);
-    }
-}
-
-/// Records the in-range row writes of one scattered block (mirrors the
-/// decoder's scatter: replicated padding is skipped, so blocks write
-/// disjoint cells).
-fn record_scatter(acc: &mut BlockAccess, buf: BufferId, grid: &Grid, bi: usize) {
-    let [nx, ny, nz] = grid.ext;
-    let [ox, oy, oz] = grid.origin(bi);
-    for (dy, dz) in block_rows(grid.d) {
-        let (y, z) = (oy + dy, oz + dz);
-        if y >= ny || z >= nz {
-            continue;
-        }
-        let row = nx * (y + ny * z);
-        acc.write(buf, (row + ox) as u64 * 4, (row + (ox + 4).min(nx)) as u64 * 4);
-    }
-}
+use gpu_sim::{launch_grid_traced, BlockGrid, BufferId, Device, GpuRunReport, KernelKind};
+use std::sync::{Mutex, PoisonError};
 
 /// Compresses `data` on the simulated device with sanitizer tracing.
 ///
@@ -74,26 +38,14 @@ pub fn compress_on(
 ) -> Result<(Vec<u8>, GpuRunReport)> {
     let enc = Encoder::new(data, dims, cfg)?;
     device.reset_clock();
-    let mut held = Vec::new();
-    let out = encode_launch(device, &enc, data.len(), &mut held).and_then(|encoded| {
+    let out = device.with_buffers(|device, held| {
+        let encoded = encode_launch(device, &enc, data.len(), held)?;
         let out = enc.assemble(
             encoded.iter().map(|(bytes, used)| (&bytes[..], *used as u64)),
             encoded.iter().map(|(_, used)| *used),
         );
         device.d2h(out.len() as u64).map(|()| out)
-    });
-    let out = match out {
-        Ok(out) => out,
-        Err(e) => {
-            for id in held {
-                device.release(id);
-            }
-            return Err(e);
-        }
-    };
-    for id in held.into_iter().rev() {
-        device.free(id)?;
-    }
+    })?;
     let rep =
         GpuRunReport::from_breakdown(device.breakdown(), (data.len() * 4) as u64, out.len() as u64);
     Ok((out, rep))
@@ -105,7 +57,7 @@ fn encode_launch(
     n_values: usize,
     held: &mut Vec<BufferId>,
 ) -> Result<Vec<(Vec<u8>, u32)>> {
-    let nblocks = enc.grid.nblocks();
+    let nblocks = enc.tiles.len();
     // lint: allow(alloc-arith) — sized from an in-memory slice, not header data
     let in_buf = device.malloc((n_values * 4) as u64, "zfp.in")?;
     held.push(in_buf);
@@ -133,7 +85,7 @@ fn encode_launch(
     let slot_bytes = if enc.coding.fixed_rate { cap_bits.div_ceil(8) as usize } else { 0 };
     let (encoded, _) =
         launch_grid_traced(device, KernelKind::ZfpCompress, grid, "zfp.encode", |bi, acc| {
-            record_gather(acc, in_buf, &enc.grid, bi);
+            acc.f32_rows(in_buf, enc.tiles.rows(bi), false);
             let mut w = BitWriter::with_capacity(slot_bytes);
             let used = enc.encode_block(bi, &mut w)?;
             let start = bi as u64 * cap_bits;
@@ -152,24 +104,10 @@ pub fn decompress_on(
 ) -> Result<(Vec<f32>, Dims, GpuRunReport)> {
     let dec = Decoder::new(stream_bytes)?;
     device.reset_clock();
-
-    let mut held = Vec::new();
-    let run = decode_launch(device, &dec, &mut held);
-    let out = match run {
-        Ok(out) => out,
-        Err(e) => {
-            for id in held {
-                device.release(id);
-            }
-            return Err(e);
-        }
-    };
-    for id in held.into_iter().rev() {
-        device.free(id)?;
-    }
+    let out = device.with_buffers(|device, held| decode_launch(device, &dec, held))?;
     let unc = (out.len() * 4) as u64;
     let rep = GpuRunReport::from_breakdown(device.breakdown(), unc, stream_bytes.len() as u64);
-    Ok((out, dec.dims, rep))
+    Ok((out, dec.tiles.shape(), rep))
 }
 
 fn decode_launch(
@@ -177,7 +115,7 @@ fn decode_launch(
     dec: &Decoder<'_>,
     held: &mut Vec<BufferId>,
 ) -> Result<Vec<f32>> {
-    let payload_len = dec.payload_len();
+    let payload_len = dec.payload.len();
     let payload_buf = device.malloc(payload_len as u64, "zfp.payload")?;
     held.push(payload_buf);
     device.h2d_buf(payload_buf)?;
@@ -187,14 +125,15 @@ fn decode_launch(
     let out_buf = device.malloc(out_bytes, "zfp.out")?;
     held.push(out_buf);
 
-    let nblocks = dec.nblocks;
+    let nblocks = dec.tiles.len();
     let vpb = (dec.n_values as u64).div_ceil(nblocks.max(1) as u64);
     let bits = if dec.n_values == 0 { 0.0 } else { payload_len as f64 * 8.0 / dec.n_values as f64 };
     let grid = BlockGrid { blocks: nblocks, values_per_block: vpb, bits_per_value: bits };
     let mut out = vec![0.0f32; dec.n_values];
-    // Each slab belongs to one run of blocks, as on the host; the lock
-    // only hands it to whichever executor thread holds one of them.
-    let slabs: Vec<Mutex<&mut [f32]>> = out.chunks_mut(dec.item_values).map(Mutex::new).collect();
+    // Each slab is one layer of blocks; the lock only hands it to
+    // whichever executor thread holds one of them.
+    let slabs: Vec<_> =
+        dec.tiles.split(&mut out, 1).into_iter().map(|(s, part)| (s, Mutex::new(part))).collect();
     let offsets = dec.offsets(1);
     let (decoded, _) =
         launch_grid_traced(device, KernelKind::ZfpDecompress, grid, "zfp.decode", |bi, acc| {
@@ -202,12 +141,12 @@ fn decode_launch(
             // neighbors share boundary bytes, which bit records keep apart.
             let start = offsets.get(bi);
             acc.read_bits(payload_buf, start, start + dec.block_bits(bi) as u64);
-            record_scatter(acc, out_buf, &dec.grid, bi);
-            let item = bi / dec.item_blocks;
+            acc.f32_rows(out_buf, dec.tiles.rows(bi), true);
+            let (slab, part) = &slabs[slabs.partition_point(|(s, _)| s.tiles.end <= bi)];
             dec.decode_blocks(bi..bi + 1, &mut dec.reader_at(start)?, |origin, vals| {
-                // lint: allow(decode-panic) — poisoned only if another block already panicked
-                let mut slab = slabs[item].lock().expect("slab lock poisoned");
-                dec.scatter(item, origin, vals, &mut slab);
+                let mut part = part.lock().unwrap_or_else(PoisonError::into_inner);
+                let ext = dec.tiles.shape().extents();
+                stream::scatter(vals, ext, origin, slab.values.start, &mut part);
             })
         })?;
     decoded.into_iter().collect::<Result<()>>()?;
@@ -288,7 +227,7 @@ mod tests {
             let used = enc.encode_block(bi, &mut w).unwrap();
             (w.into_bytes(), used)
         };
-        let blocks = enc.grid.nblocks();
+        let blocks = enc.tiles.len();
         let serial: Vec<(Vec<u8>, u32)> = (0..blocks).map(encode_one).collect();
         let mut dev = Device::new(GpuSpec::tesla_v100());
         let grid = BlockGrid { blocks, values_per_block: 64, bits_per_value: 8.0 };

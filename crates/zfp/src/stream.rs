@@ -15,12 +15,13 @@
 //! block size — and the block origin is stepped, not recomputed. A 1-D
 //! run has no origin to step: it is a slice of the array, which the line
 //! kernel walks four values at a time, in and out ([`codec::encode_line`],
-//! [`codec::decode_line`]). The decoder hands each work item
-//! the slab of the output that a whole run of blocks owns — four z-planes
-//! in 3-D, four rows in 2-D, merged until the item holds at least `G`
-//! blocks — so items scatter into disjoint `&mut` slices and nothing is
-//! shared. A call of at most `G` blocks is a single item, which the rayon
-//! shim runs inline on the calling thread.
+//! [`codec::decode_line`]). Blocks are the array's [`Tiles`] of edge 4.
+//! The decoder's work item is a slab ([`Tiles::par_slabs`]): the part of
+//! the output that whole layers of blocks own — four z-planes in 3-D,
+//! four rows in 2-D, merged until the item holds at least `G` blocks — so
+//! items scatter into disjoint `&mut` slices and nothing is shared. A
+//! call of at most `G` blocks is a single item, which the rayon shim runs
+//! inline on the calling thread.
 //!
 //! Partial edge blocks are padded by replicating the nearest interior
 //! sample, which avoids injecting artificial discontinuities.
@@ -29,7 +30,8 @@ use crate::codec::{self, BlockCoding};
 use crate::config::{Dims, ZfpConfig, ZfpMode};
 use foresight_util::bits::{BitReader, BitWriter};
 use foresight_util::crc::{crc32, crc32_parallel};
-use foresight_util::{telemetry, ByteReader, Error, Result};
+use foresight_util::tiles::Slab;
+use foresight_util::{telemetry, ByteReader, Error, Result, Tiles};
 use rayon::prelude::*;
 use std::ops::Range;
 
@@ -52,50 +54,6 @@ const MAX_EXTENT: u64 = 1 << 40;
 /// join by plain copies.
 const G: usize = 1024;
 
-/// The block grid of an array: blocks are numbered x fastest.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Grid {
-    /// Array extents `[nx, ny, nz]`.
-    pub ext: [usize; 3],
-    /// Blocks along each axis.
-    nb: [usize; 3],
-    /// Dimensionality (1, 2 or 3).
-    pub d: u8,
-}
-
-impl Grid {
-    fn new(dims: Dims) -> Self {
-        let ext = dims.extents();
-        Self { ext, nb: ext.map(|n| n.div_ceil(4)), d: dims.ndim() }
-    }
-
-    /// Number of blocks.
-    pub fn nblocks(&self) -> usize {
-        self.nb.iter().product()
-    }
-
-    /// Array coordinates of block `bi`'s first sample.
-    pub fn origin(&self, bi: usize) -> [usize; 3] {
-        let [bx, by, _] = self.nb;
-        [bi % bx * 4, bi / bx % by * 4, bi / (bx * by) * 4]
-    }
-
-    /// Moves `origin` from one block to the next in block order.
-    #[inline]
-    fn step(&self, origin: &mut [usize; 3]) {
-        let [nx, ny, _] = self.ext;
-        origin[0] += 4;
-        if origin[0] >= nx {
-            origin[0] = 0;
-            origin[1] += 4;
-            if origin[1] >= ny {
-                origin[1] = 0;
-                origin[2] += 4;
-            }
-        }
-    }
-}
-
 /// Gathers the `4^d` block at `origin` into `out`, replicating edge
 /// samples for partial blocks. `out` is walked as rows of four x-samples;
 /// row `i` is `(dy, dz) = (i % 4, i / 4)` in every dimensionality.
@@ -117,18 +75,18 @@ fn gather(data: &[f32], ext: [usize; 3], origin: [usize; 3], out: &mut [f32]) {
     }
 }
 
-/// Scatters a decoded block into `slab`, the part of the array starting
-/// at linear index `base`, skipping replicated padding.
+/// Scatters a decoded block at `o` into `out`, the part of the array
+/// starting at linear index `base`, skipping replicated padding.
 #[inline]
-fn scatter(block: &[f32], ext: [usize; 3], origin: [usize; 3], base: usize, slab: &mut [f32]) {
+pub(crate) fn scatter(vals: &[f32], ext: [usize; 3], o: [usize; 3], base: usize, out: &mut [f32]) {
     let [nx, ny, nz] = ext;
-    let [ox, oy, oz] = origin;
+    let [ox, oy, oz] = o;
     let w = (nx - ox).min(4);
-    for (i, row) in block.chunks_exact(4).enumerate() {
+    for (i, row) in vals.chunks_exact(4).enumerate() {
         let (y, z) = (oy + i % 4, oz + i / 4);
         if y < ny && z < nz {
             let at = ox + nx * (y + ny * z) - base;
-            slab[at..at + w].copy_from_slice(&row[..w]);
+            out[at..at + w].copy_from_slice(&row[..w]);
         }
     }
 }
@@ -147,7 +105,7 @@ struct Run {
 pub(crate) struct Encoder<'a> {
     data: &'a [f32],
     pub mode: ZfpMode,
-    pub grid: Grid,
+    pub tiles: Tiles,
     pub coding: BlockCoding,
 }
 
@@ -155,8 +113,8 @@ impl<'a> Encoder<'a> {
     pub(crate) fn new(data: &'a [f32], dims: Dims, cfg: &ZfpConfig) -> Result<Self> {
         cfg.validate()?;
         dims.check_len(data.len())?;
-        let grid = Grid::new(dims);
-        Ok(Self { data, mode: cfg.mode, grid, coding: BlockCoding::new(&cfg.mode, grid.d) })
+        let tiles = Tiles::cubes(dims, 4)?;
+        Ok(Self { data, mode: cfg.mode, tiles, coding: BlockCoding::new(&cfg.mode, dims.ndim()) })
     }
 
     /// Gathers block `bi` and appends its code to `w`, returning the bits
@@ -175,7 +133,7 @@ impl<'a> Encoder<'a> {
         w: &mut BitWriter,
         coded: impl FnMut(u32),
     ) -> Result<()> {
-        match self.grid.d {
+        match self.tiles.shape().ndim() {
             // The 1-D run is a slice: the kernel walks it, and pads the
             // array's last block the way `gather` would.
             1 => {
@@ -193,17 +151,13 @@ impl<'a> Encoder<'a> {
         w: &mut BitWriter,
         mut coded: impl FnMut(u32),
     ) -> Result<()> {
-        if blocks.is_empty() {
-            return Ok(());
-        }
-        let mut origin = self.grid.origin(blocks.start);
+        let ext = self.tiles.shape().extents();
         let mut vals = [0.0f32; N];
-        for _ in blocks {
-            gather(self.data, self.grid.ext, origin, &mut vals);
+        for origin in self.tiles.origins(blocks) {
+            gather(self.data, ext, origin, &mut vals);
             let used =
                 codec::encode_block(&vals, &self.coding, w).ok_or_else(|| self.non_finite())?;
             coded(used);
-            self.grid.step(&mut origin);
         }
         Ok(())
     }
@@ -248,7 +202,7 @@ impl<'a> Encoder<'a> {
         lens: impl Iterator<Item = u32>,
     ) -> Vec<u8> {
         let total_bits: u64 = pieces.clone().map(|(_, nbits)| nbits).sum();
-        let nblocks = self.grid.nblocks();
+        let nblocks = self.tiles.len();
         let table = if self.coding.fixed_rate { 0 } else { nblocks * 4 };
 
         // lint: allow(alloc-arith) — encoder-side size of an already-materialized payload
@@ -256,9 +210,9 @@ impl<'a> Encoder<'a> {
         out.extend_from_slice(MAGIC);
         out.push(VERSION);
         out.push(self.mode.tag());
-        out.push(self.grid.d);
+        out.push(self.tiles.shape().ndim());
         out.push(0); // reserved
-        for e in self.grid.ext {
+        for e in self.tiles.shape().extents() {
             out.extend_from_slice(&(e as u64).to_le_bytes());
         }
         out.extend_from_slice(&self.mode.param().to_le_bytes());
@@ -291,7 +245,7 @@ impl<'a> Encoder<'a> {
 /// representation for them and the stream has no side channel.
 pub fn compress(data: &[f32], dims: Dims, cfg: &ZfpConfig) -> Result<Vec<u8>> {
     let enc = Encoder::new(data, dims, cfg)?;
-    let n = enc.grid.nblocks();
+    let n = enc.tiles.len();
     let encode = telemetry::span("zfp.encode");
     let runs = (0..n.div_ceil(G))
         .into_par_iter()
@@ -312,7 +266,7 @@ pub struct StreamInfo {
     /// Mode with its parameter.
     pub mode: ZfpMode,
     coding: BlockCoding,
-    nblocks: usize,
+    tiles: Tiles,
     /// Where the payload starts: after the header and the length table.
     payload_start: usize,
     crc: u32,
@@ -360,12 +314,13 @@ pub fn info(stream: &[u8]) -> Result<StreamInfo> {
         return Err(Error::corrupt("header CRC mismatch"));
     }
 
-    // The block count is checked arithmetically, in a width no capped
-    // extent can overflow, before anything is sized from it.
-    let expected: u128 = dims.extents().iter().map(|&n| (n as u128).div_ceil(4)).product();
-    if expected != nblocks as u128 {
+    // The tiling checks the block count as it is built, before anything
+    // is sized from it.
+    let tiles = Tiles::cubes(dims, 4).map_err(Error::into_corrupt)?;
+    if tiles.len() as u64 != nblocks {
         return Err(Error::corrupt("block count mismatch"));
     }
+    let expected = tiles.len() as u128;
     let coding = BlockCoding::new(&mode, dims.ndim());
     let table: u128 = if coding.fixed_rate { 0 } else { expected * 4 };
     if HDR as u128 + table + payload_len as u128 != stream.len() as u128 {
@@ -379,7 +334,7 @@ pub fn info(stream: &[u8]) -> Result<StreamInfo> {
         dims,
         mode,
         coding,
-        nblocks: expected as usize,
+        tiles,
         payload_start: HDR + table as usize,
         crc,
     })
@@ -404,19 +359,13 @@ impl Offsets {
 
 /// A validated stream, ready to decode runs of blocks independently.
 pub(crate) struct Decoder<'a> {
-    pub dims: Dims,
-    pub grid: Grid,
+    pub tiles: Tiles,
     coding: BlockCoding,
-    payload: &'a [u8],
+    pub payload: &'a [u8],
     /// Little-endian `u32` bit length per block; empty at a fixed rate.
     table: &'a [u8],
-    pub nblocks: usize,
     /// Values in the decoded array.
     pub n_values: usize,
-    /// Blocks one work item decodes, and the values of the output slab
-    /// those blocks own: whole rows of blocks along the slowest axis.
-    pub item_blocks: usize,
-    pub item_values: usize,
 }
 
 impl<'a> Decoder<'a> {
@@ -424,7 +373,6 @@ impl<'a> Decoder<'a> {
     /// table against the payload — before any dims-driven allocation.
     pub(crate) fn new(stream: &'a [u8]) -> Result<Self> {
         let inf = info(stream)?;
-        let grid = Grid::new(inf.dims);
         let coding = inf.coding;
         let table = stream
             .get(HDR..inf.payload_start)
@@ -435,39 +383,16 @@ impl<'a> Decoder<'a> {
             return Err(Error::corrupt("payload CRC mismatch"));
         }
 
-        let [nx, ny, _] = grid.ext;
-        let (slab_blocks, slab_values) = match grid.d {
-            1 => (1, 4),
-            2 => (grid.nb[0], nx.saturating_mul(4)),
-            _ => (grid.nb[0].saturating_mul(grid.nb[1]), nx.saturating_mul(ny).saturating_mul(4)),
-        };
-        let slabs = G.div_ceil(slab_blocks.max(1));
         let n_values =
             inf.dims.checked_len().ok_or_else(|| Error::corrupt("dims product overflows"))?;
-        let dec = Self {
-            dims: inf.dims,
-            grid,
-            coding,
-            payload,
-            table,
-            nblocks: inf.nblocks,
-            n_values,
-            // An empty array has no slab; `max(1)` keeps the chunking defined.
-            item_blocks: slab_blocks.saturating_mul(slabs).max(1),
-            item_values: slab_values.saturating_mul(slabs).max(1),
-        };
+        let dec = Self { tiles: inf.tiles, coding, payload, table, n_values };
         if !coding.fixed_rate {
-            let total: u64 = dec.spans(0..dec.nblocks).map(u64::from).sum();
+            let total: u64 = dec.spans(0..dec.tiles.len()).map(u64::from).sum();
             if total.div_ceil(8) != payload.len() as u64 {
                 return Err(Error::corrupt("length table disagrees with payload length"));
             }
         }
         Ok(dec)
-    }
-
-    /// Bytes of payload.
-    pub(crate) fn payload_len(&self) -> usize {
-        self.payload.len()
     }
 
     /// Bit span of block `bi`.
@@ -487,9 +412,9 @@ impl<'a> Decoder<'a> {
         if self.coding.fixed_rate {
             return Offsets::Step(stride as u64 * self.coding.maxbits as u64);
         }
-        let mut starts = Vec::with_capacity(self.nblocks.div_ceil(stride));
+        let mut starts = Vec::with_capacity(self.tiles.len().div_ceil(stride));
         let mut at = 0u64;
-        for (bi, span) in self.spans(0..self.nblocks).enumerate() {
+        for (bi, span) in self.spans(0..self.tiles.len()).enumerate() {
             if bi % stride == 0 {
                 starts.push(at);
             }
@@ -519,7 +444,7 @@ impl<'a> Decoder<'a> {
         r: &mut BitReader<'_>,
         place: impl FnMut([usize; 3], &[f32]),
     ) -> Result<()> {
-        match self.grid.d {
+        match self.tiles.shape().ndim() {
             1 => self.decode_typed::<4>(blocks, r, place),
             2 => self.decode_typed::<16>(blocks, r, place),
             _ => self.decode_typed::<64>(blocks, r, place),
@@ -532,13 +457,9 @@ impl<'a> Decoder<'a> {
         r: &mut BitReader<'_>,
         mut place: impl FnMut([usize; 3], &[f32]),
     ) -> Result<()> {
-        if blocks.is_empty() {
-            return Ok(());
-        }
-        let mut origin = self.grid.origin(blocks.start);
         let mut spans = self.spans(blocks.clone());
         let mut vals = [0.0f32; N];
-        for bi in blocks {
+        for (bi, origin) in blocks.clone().zip(self.tiles.origins(blocks)) {
             let span = spans.next().unwrap_or(self.coding.maxbits);
             let used = codec::decode_block(r, &self.coding, span, &mut vals)?;
             if used != span {
@@ -547,30 +468,21 @@ impl<'a> Decoder<'a> {
                 )));
             }
             place(origin, &vals);
-            self.grid.step(&mut origin);
         }
         Ok(())
     }
 
-    /// Scatters a block at `origin` into the slab of work item `item`,
-    /// which must be the one that owns it.
-    #[inline]
-    pub(crate) fn scatter(&self, item: usize, origin: [usize; 3], vals: &[f32], slab: &mut [f32]) {
-        scatter(vals, self.grid.ext, origin, item * self.item_values, slab);
-    }
-
-    /// Decodes work item `item` — a run of blocks starting at payload bit
-    /// `start` — into the output slab those blocks own.
-    fn decode_item(&self, item: usize, start: u64, slab: &mut [f32]) -> Result<()> {
-        let first = item * self.item_blocks;
-        let last = (first + self.item_blocks).min(self.nblocks);
+    /// Decodes `slab` — a run of blocks starting at payload bit `start` —
+    /// into `part`, the output values those blocks own.
+    fn decode_slab(&self, slab: Slab, start: u64, part: &mut [f32]) -> Result<()> {
         let mut r = self.reader_at(start)?;
-        if self.grid.d == 1 && self.coding.fixed_rate && self.coding.maxbits <= 64 {
+        if self.tiles.shape().ndim() == 1 && self.coding.fixed_rate && self.coding.maxbits <= 64 {
             // The slab is the values of the run, a word a block: no scatter.
-            return codec::decode_line(&mut r, &self.coding, slab);
+            return codec::decode_line(&mut r, &self.coding, part);
         }
-        self.decode_blocks(first..last, &mut r, |origin, vals| {
-            self.scatter(item, origin, vals, slab)
+        let (ext, base) = (self.tiles.shape().extents(), slab.values.start);
+        self.decode_blocks(slab.tiles, &mut r, |origin, vals| {
+            scatter(vals, ext, origin, base, part)
         })
     }
 }
@@ -579,13 +491,16 @@ impl<'a> Decoder<'a> {
 pub fn decompress(stream: &[u8]) -> Result<(Vec<f32>, Dims)> {
     let dec = Decoder::new(stream)?;
     let mut out = vec![0.0f32; dec.n_values];
-    let offsets = dec.offsets(dec.item_blocks);
+    // Every slab but the last holds the same number of blocks.
+    let stride = dec.tiles.slabs(G).next().map_or(1, |s| s.tiles.len());
+    let offsets = dec.offsets(stride);
     let decode = telemetry::span("zfp.decode");
-    out.par_chunks_mut(dec.item_values)
-        .enumerate()
-        .try_for_each(|(item, slab)| dec.decode_item(item, offsets.get(item), slab))?;
+    dec.tiles.par_slabs(&mut out, G, |slab, part| {
+        let start = offsets.get(slab.tiles.start / stride);
+        dec.decode_slab(slab, start, part)
+    })?;
     drop(decode);
-    Ok((out, dec.dims))
+    Ok((out, dec.tiles.shape()))
 }
 
 #[cfg(test)]
