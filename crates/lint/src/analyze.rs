@@ -49,6 +49,9 @@ pub const DECODE_CRITICAL: &[&str] = &[
     "crates/store/src/format.rs",
     "crates/store/src/reader.rs",
     "crates/util/src/tiles.rs",
+    "crates/util/src/crc.rs",
+    "crates/util/src/sha256.rs",
+    "crates/util/src/cpu.rs",
 ];
 
 /// Byte-producing modules: every byte (or byte ordering) these emit must

@@ -2,15 +2,23 @@
 //!
 //! GenericIO — the HACC file format the paper's datasets ship in — protects
 //! every block with a CRC; our GIO-lite format keeps that property, and so
-//! do every SZ body, ZFP payload and `.fstr` fragment. The checksum runs
-//! serially over all of those bytes, so the update loop is slice-by-8:
-//! eight derived tables consume one 64-bit word per step, and the bytes
-//! left over go through table 0 one at a time.
+//! do every SZ body, ZFP payload and `.fstr` fragment. A span of
+//! `FOLD_MIN` (128) bytes or more runs on the CPU's carry-less multiply when it
+//! has one (`fold`, DESIGN §22): four 128-bit lanes folded 64 bytes
+//! ahead, then one lane, then a Barrett reduction to 32 bits. Shorter
+//! spans, the fold's last < 16 bytes and CPUs without the instruction go
+//! through slice-by-8 (`slice_by_8`): eight derived tables consume one
+//! 64-bit word per step, and the bytes left over go through table 0 one
+//! at a time. Both paths give the same register for the same bytes.
 
 use rayon::prelude::*;
 use std::sync::OnceLock;
 
 const POLY: u32 = 0xEDB8_8320;
+
+/// Shortest span worth folding: the four lanes load 64 bytes before the
+/// loop, and below two strides the table loop is as fast.
+pub(crate) const FOLD_MIN: usize = 128;
 
 /// `tables()[k][b]` is the CRC of byte `b` followed by `k` zero bytes;
 /// table 0 is the classic bytewise table.
@@ -35,6 +43,107 @@ fn tables() -> &'static [[u32; 256]; 8] {
     })
 }
 
+/// The portable update: the CRC register after `data`, from `state`.
+/// Fallback for short spans and other CPUs, and the fold's test oracle.
+fn slice_by_8(state: u32, data: &[u8]) -> u32 {
+    let t = tables();
+    let mut crc = state;
+    let (words, rest) = data.as_chunks::<8>();
+    for &[b0, b1, b2, b3, b4, b5, b6, b7] in words {
+        let lo = u32::from_le_bytes([b0, b1, b2, b3]) ^ crc;
+        let hi = u32::from_le_bytes([b4, b5, b6, b7]);
+        crc = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in rest {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xff) as usize];
+    }
+    crc
+}
+
+/// The CRC register after `data`, from `state`, by carry-less folding
+/// (Gopal et al., "Fast CRC Computation for Generic Polynomials Using
+/// PCLMULQDQ", Intel 2009, bit-reflected form). Every constant is
+/// `x^n mod P` for the fold distance `n`, bit-reflected; the bytes are
+/// read through slices only. Called through [`crate::cpu::crc32_fold`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "pclmulqdq")]
+pub(crate) fn fold(state: u32, data: &[u8]) -> u32 {
+    use std::arch::x86_64::*;
+    // (x^(4·128+32), x^(4·128−32)): four lanes forward by 64 bytes.
+    const K1_K2: (i64, i64) = (0x1_5444_2bd4, 0x1_c6e4_1596);
+    // (x^(128+32), x^(128−32)): one lane forward by 16 bytes.
+    const K3_K4: (i64, i64) = (0x1_7519_97d0, 0x0_ccaa_009e);
+    // x^64 mod P, for 96 → 64 bits.
+    const K5: i64 = 0x1_63cd_6124;
+    // P(x) and μ = ⌊x^64 / P(x)⌋ for the Barrett step.
+    const P_MU: (i64, i64) = (0x1_db71_0641, 0x1_f701_1641);
+
+    let (lanes, tail) = data.as_chunks::<16>();
+    let [l3, l2, l1, l0, rest @ ..] = lanes else {
+        return slice_by_8(state, data);
+    };
+    let k1k2 = _mm_set_epi64x(K1_K2.1, K1_K2.0);
+    let k3k4 = _mm_set_epi64x(K3_K4.1, K3_K4.0);
+    let mut x =
+        [_mm_xor_si128(lane(l3), _mm_cvtsi32_si128(state as i32)), lane(l2), lane(l1), lane(l0)];
+    let (quads, singles) = rest.as_chunks::<4>();
+    for quad in quads {
+        for (xi, l) in x.iter_mut().zip(quad) {
+            *xi = fold_into(*xi, lane(l), k1k2);
+        }
+    }
+    let [x3, x2, x1, x0] = x;
+    let mut acc = fold_into(fold_into(fold_into(x3, x2, k3k4), x1, k3k4), x0, k3k4);
+    for l in singles {
+        acc = fold_into(acc, lane(l), k3k4);
+    }
+
+    // 128 → 96 → 64 bits, then Barrett down to the 32-bit register,
+    // which the bit-reflected form leaves in bits 32..64.
+    let low32 = _mm_set_epi32(0, 0, 0, -1);
+    let x = _mm_xor_si128(_mm_clmulepi64_si128(acc, k3k4, 0x10), _mm_srli_si128(acc, 8));
+    let x = _mm_xor_si128(
+        _mm_clmulepi64_si128(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5), 0x00),
+        _mm_srli_si128(x, 4),
+    );
+    let p_mu = _mm_set_epi64x(P_MU.1, P_MU.0);
+    let t1 = _mm_clmulepi64_si128(_mm_and_si128(x, low32), p_mu, 0x10);
+    let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), p_mu, 0x00);
+    let crc = _mm_cvtsi128_si32(_mm_srli_si128(_mm_xor_si128(x, t2), 4)) as u32;
+    slice_by_8(crc, tail)
+}
+
+/// 16 bytes as one lane, little-endian as a vector load would read them.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse2")]
+#[inline]
+fn lane(bytes: &[u8; 16]) -> std::arch::x86_64::__m128i {
+    let v = u128::from_le_bytes(*bytes);
+    std::arch::x86_64::_mm_set_epi64x((v >> 64) as i64, v as i64)
+}
+
+/// `acc` carried forward over the distance `keys` encodes, plus `next`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "pclmulqdq")]
+#[inline]
+fn fold_into(
+    acc: std::arch::x86_64::__m128i,
+    next: std::arch::x86_64::__m128i,
+    keys: std::arch::x86_64::__m128i,
+) -> std::arch::x86_64::__m128i {
+    use std::arch::x86_64::*;
+    let lo = _mm_clmulepi64_si128(acc, keys, 0x00);
+    let hi = _mm_clmulepi64_si128(acc, keys, 0x11);
+    _mm_xor_si128(_mm_xor_si128(next, lo), hi)
+}
+
 /// Streaming CRC32 hasher.
 #[derive(Debug, Clone)]
 pub struct Crc32 {
@@ -55,25 +164,10 @@ impl Crc32 {
 
     /// Feeds `data` into the hasher.
     pub fn update(&mut self, data: &[u8]) {
-        let t = tables();
-        let mut crc = self.state;
-        let mut words = data.chunks_exact(8);
-        for w in &mut words {
-            let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
-            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-            crc = t[7][(lo & 0xff) as usize]
-                ^ t[6][((lo >> 8) & 0xff) as usize]
-                ^ t[5][((lo >> 16) & 0xff) as usize]
-                ^ t[4][(lo >> 24) as usize]
-                ^ t[3][(hi & 0xff) as usize]
-                ^ t[2][((hi >> 8) & 0xff) as usize]
-                ^ t[1][((hi >> 16) & 0xff) as usize]
-                ^ t[0][(hi >> 24) as usize];
-        }
-        for &b in words.remainder() {
-            crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xff) as usize];
-        }
-        self.state = crc;
+        self.state = match crate::cpu::crc32_fold(self.state, data) {
+            Some(crc) => crc,
+            None => slice_by_8(self.state, data),
+        };
     }
 
     /// Finalizes and returns the checksum.
@@ -184,6 +278,11 @@ mod tests {
             .collect()
     }
 
+    /// The portable checksum, bypassing the dispatch.
+    fn portable(data: &[u8]) -> u32 {
+        slice_by_8(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF
+    }
+
     #[test]
     fn slice_by_8_matches_bytewise_at_every_length_and_offset() {
         let buf = noise(80);
@@ -191,7 +290,7 @@ mod tests {
             for len in 0..=67 {
                 let data = &buf[start..start + len];
                 assert_eq!(
-                    crc32(data),
+                    portable(data),
                     bytewise(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF,
                     "start {start} len {len}"
                 );
@@ -200,11 +299,45 @@ mod tests {
     }
 
     #[test]
+    fn hardware_path_runs_where_the_cpu_has_it() {
+        let data = noise(FOLD_MIN);
+        let folded = crate::cpu::crc32_fold(0xFFFF_FFFF, &data);
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(folded.is_some(), std::arch::is_x86_feature_detected!("pclmulqdq"));
+        if let Some(register) = folded {
+            assert_eq!(register ^ 0xFFFF_FFFF, portable(&data));
+        }
+        assert_eq!(crate::cpu::crc32_fold(0xFFFF_FFFF, &data[1..]), None, "below FOLD_MIN");
+    }
+
+    #[test]
+    fn fold_matches_slice_by_8_at_every_length_and_offset() {
+        let buf = noise(1100 + 16);
+        for start in 0..16 {
+            for len in 0..=1100 {
+                let data = &buf[start..start + len];
+                assert_eq!(crc32(data), portable(data), "start {start} len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn fold_matches_slice_by_8_on_a_field_sized_buffer() {
+        let big = noise(9_400_000 + 7);
+        assert_eq!(crc32(&big), portable(&big));
+        assert_eq!(crc32(&big[3..]), portable(&big[3..]));
+    }
+
+    #[test]
     fn arbitrary_update_splits_match_bytewise() {
-        let buf = noise(300);
+        // Every first cut up to 300, second cuts around the word, lane,
+        // four-lane and FOLD_MIN thresholds.
+        const SECOND: [usize; 18] =
+            [0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129, 143, 144, 200, 257];
+        let buf = noise(700);
         let want = bytewise(0xFFFF_FFFF, &buf) ^ 0xFFFF_FFFF;
-        for a in 0..=40 {
-            for b in [0usize, 1, 7, 8, 9, 63, 64, 65, 200] {
+        for a in 0..=300 {
+            for b in SECOND {
                 let (a, b) = (a.min(buf.len()), (a + b).min(buf.len()));
                 let mut h = Crc32::new();
                 h.update(&buf[..a]);
