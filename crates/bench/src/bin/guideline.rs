@@ -21,9 +21,10 @@ use foresight_util::table::{fmt_f64, Table};
 use lossy_sz::SzConfig;
 use lossy_zfp::ZfpConfig;
 use parking_lot::Mutex;
+use std::process::ExitCode;
 use std::sync::Arc;
 
-fn main() {
+fn main() -> ExitCode {
     let cli = Cli::parse();
     let dir = cli.exhibit_dir("guideline");
     let opts = cli.synth();
@@ -137,4 +138,8 @@ fn main() {
     }
     println!("\nsubmission script:\n{}", report.script);
     println!("wrote {}", dir.display());
+    if !report.all_ok() {
+        eprintln!("workflow failed:\n{}", report.failure_summary());
+    }
+    ExitCode::from(report.exit_code())
 }

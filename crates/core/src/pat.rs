@@ -222,6 +222,13 @@ impl WorkflowReport {
         self.jobs.iter().all(|j| j.status.succeeded())
     }
 
+    /// The exit status of a program that ran this workflow: 0 when every
+    /// job succeeded, 1 when any failed or was skipped. Such a program
+    /// prints [`Self::failure_summary`] to stderr before it exits with 1.
+    pub fn exit_code(&self) -> u8 {
+        u8::from(!self.all_ok())
+    }
+
     /// Jobs that failed outright.
     pub fn failed(&self) -> Vec<&JobResult> {
         self.jobs.iter().filter(|j| j.status == JobStatus::Failed).collect()
@@ -781,6 +788,33 @@ mod tests {
         assert!(summary.contains("skipped child"));
         assert!(report.script.contains("# status: bad = FAILED"));
         assert!(report.script.contains("# status: child = skipped"));
+    }
+
+    #[test]
+    fn a_failed_or_skipped_job_maps_to_exit_code_1() {
+        let ok = |name: &'static str| Job::new(name, 1, || Ok("".into()));
+        let mut wf = Workflow::new();
+        wf.add(ok("a")).unwrap();
+        wf.add(ok("b").after("a")).unwrap();
+        let report = wf.run(&SlurmSim::default()).unwrap();
+        assert_eq!((report.exit_code(), report.failure_summary()), (0, String::new()));
+
+        // The last job of a chain fails: the shape of `guideline`'s
+        // `optimize` finding no acceptable configuration.
+        let mut wf = Workflow::new();
+        wf.add(ok("sweep")).unwrap();
+        wf.add(Job::new("optimize", 1, || Err(Error::invalid("none of 3 configs"))).after("sweep"))
+            .unwrap();
+        let report = wf.run(&SlurmSim::default()).unwrap();
+        assert_eq!(report.exit_code(), 1);
+        assert!(report.failure_summary().contains("FAILED  optimize"));
+
+        // A skipped job alone fails the run too.
+        let mut wf = Workflow::new();
+        wf.add(Job::new("bad", 1, || Err(Error::invalid("boom")))).unwrap();
+        wf.add(ok("child").after("bad")).unwrap();
+        let report = wf.run(&SlurmSim::default()).unwrap();
+        assert_eq!(report.exit_code(), 1);
     }
 
     #[test]

@@ -12,10 +12,16 @@
 //! The arithmetic — dual quantization on an integer lattice — lives in
 //! `gpu_kernel`; this module decides *which* predictor codes the
 //! lattice and packages the result for the stream layer.
+//!
+//! A block's lattice passes run as one [`cpu::Kernel`] — [`Encode`] one
+//! way, [`Decode`] the other — at the widest vector width the CPU has
+//! (DESIGN §23). The thread's [`Lattice`] is borrowed *before* the
+//! dispatch and passed in: a thread-local access inside the body would be
+//! compiled at the baseline, and take the body's wide code with it.
 
 use crate::config::{Dims, PredictorKind};
-use crate::gpu_kernel::{plane_lattice, Lattice};
-use foresight_util::{Result, Tiles};
+use crate::gpu_kernel::{plane_lattice, CodeStats, Lattice};
+use foresight_util::{cpu, Result, Tiles};
 use std::cell::RefCell;
 
 /// A rectangular tile of the input array: origin and clamped extent.
@@ -91,6 +97,7 @@ thread_local! {
 /// The sample is a regular grid, so the coordinates are uncorrelated and
 /// each slope is `cov(coord, q) / var(coord)` independently, with the
 /// coordinate moments known in closed form.
+#[inline(always)]
 fn fit_plane(lattice: &Lattice, eb: f64) -> [f32; 4] {
     let grid = lattice.sample_grid();
     let n = grid.iter().map(|&(_, count)| count as f64).product::<f64>();
@@ -118,6 +125,7 @@ fn fit_plane(lattice: &Lattice, eb: f64) -> [f32; 4] {
 /// Whether the plane leaves smaller residuals than Lorenzo on the lattice
 /// sample (the SZ 2.x selection heuristic, scored on the very deltas pass 2
 /// would code; a delta past the radius costs an outlier either way).
+#[inline(always)]
 fn plane_wins(lattice: &Lattice, coeffs: &[f32; 4], eb: f64, radius: u32) -> bool {
     let cap = radius as u64;
     let (mut lorenzo_err, mut plane_err) = (0u64, 0u64);
@@ -126,6 +134,109 @@ fn plane_wins(lattice: &Lattice, coeffs: &[f32; 4], eb: f64, radius: u32) -> boo
         plane_err += q.abs_diff(plane_lattice(coeffs, i, j, k, eb)).min(cap);
     });
     plane_err < lorenzo_err
+}
+
+/// The predictor `predictor` picks for the prequantized lattice, and its
+/// coefficients (zeroed for Lorenzo).
+#[inline(always)]
+pub(crate) fn choose(
+    lattice: &Lattice,
+    predictor: PredictorKind,
+    eb: f64,
+    radius: u32,
+) -> (PredictorTag, [f32; 4]) {
+    match predictor {
+        PredictorKind::Lorenzo => (PredictorTag::Lorenzo, [0.0; 4]),
+        PredictorKind::Regression => (PredictorTag::Regression, fit_plane(lattice, eb)),
+        PredictorKind::Adaptive => {
+            let plane = fit_plane(lattice, eb);
+            if plane_wins(lattice, &plane, eb, radius) {
+                (PredictorTag::Regression, plane)
+            } else {
+                (PredictorTag::Lorenzo, [0.0; 4])
+            }
+        }
+    }
+}
+
+/// A block's encoder passes — prequantize, choose, postquantize — as one
+/// body for [`cpu::widest`].
+pub(crate) struct Encode<'a> {
+    pub(crate) lattice: &'a mut Lattice,
+    pub(crate) data: &'a [f32],
+    pub(crate) ext: [usize; 3],
+    pub(crate) block: &'a Block,
+    pub(crate) eb: f64,
+    pub(crate) radius: u32,
+    pub(crate) predictor: PredictorKind,
+    pub(crate) codes: &'a mut [u32],
+}
+
+impl cpu::Kernel for Encode<'_> {
+    type Output = (PredictorTag, [f32; 4], CodeStats);
+
+    #[inline(always)]
+    fn run(self) -> Self::Output {
+        let Encode { lattice, data, ext, block, eb, radius, predictor, codes } = self;
+        lattice.prequantize(data, ext, block, eb, codes);
+        let (tag, coeffs) = choose(lattice, predictor, eb, radius);
+        (tag, coeffs, lattice.postquantize(tag, &coeffs, eb, radius, codes))
+    }
+}
+
+/// A block's decoder pass, [`Lattice::reconstruct`], as one body for
+/// [`cpu::widest`].
+pub(crate) struct Decode<'a> {
+    pub(crate) lattice: &'a mut Lattice,
+    pub(crate) codes: &'a [u32],
+    pub(crate) outliers: &'a [f32],
+    pub(crate) tag: PredictorTag,
+    pub(crate) coeffs: [f32; 4],
+    pub(crate) ext: [usize; 3],
+    pub(crate) block: &'a Block,
+    pub(crate) eb: f64,
+    pub(crate) radius: u32,
+    pub(crate) base: usize,
+    pub(crate) out: &'a mut [f32],
+}
+
+impl cpu::Kernel for Decode<'_> {
+    type Output = usize;
+
+    #[inline(always)]
+    fn run(self) -> usize {
+        let Decode { lattice, codes, outliers, tag, coeffs, ext, block, eb, radius, base, out } =
+            self;
+        lattice.reconstruct(codes, outliers, tag, &coeffs, ext, block, eb, radius, base, out)
+    }
+}
+
+/// Runs a block's passes at the widest vector width the CPU has (or, in
+/// tests, the width one forced).
+fn dispatch<K: cpu::Kernel>(pass: K) -> K::Output {
+    #[cfg(test)]
+    if let Some(level) = forced::level() {
+        return cpu::at(level, pass).expect("a forced level is one the host runs");
+    }
+    cpu::widest(pass)
+}
+
+/// The values of the cells `codes` marks 0, in cell order.
+pub(crate) fn gather_outliers(
+    data: &[f32],
+    ext: [usize; 3],
+    block: &Block,
+    codes: &[u32],
+    count: usize,
+) -> Vec<f32> {
+    let mut outliers = Vec::with_capacity(count);
+    if count > 0 {
+        for ((src, n), row) in block.rows(ext).zip(codes.chunks_exact(block.size[0])) {
+            let cells = row.iter().zip(&data[src..src + n]);
+            outliers.extend(cells.filter(|(&code, _)| code == 0).map(|(_, &v)| v));
+        }
+    }
+    outliers
 }
 
 /// Compresses one block: prequantizes it to the integer lattice, picks the
@@ -144,28 +255,10 @@ pub fn compress_block(
         return BlockOutput { codes, code_range: None, outliers: Vec::new(), tag, coeffs };
     }
     let (tag, coeffs, stats) = LATTICE.with_borrow_mut(|lattice| {
-        lattice.prequantize(data, ext, block, eb, &mut codes);
-        let (tag, coeffs) = match predictor {
-            PredictorKind::Lorenzo => (PredictorTag::Lorenzo, [0.0; 4]),
-            PredictorKind::Regression => (PredictorTag::Regression, fit_plane(lattice, eb)),
-            PredictorKind::Adaptive => {
-                let plane = fit_plane(lattice, eb);
-                if plane_wins(lattice, &plane, eb, radius) {
-                    (PredictorTag::Regression, plane)
-                } else {
-                    (PredictorTag::Lorenzo, [0.0; 4])
-                }
-            }
-        };
-        (tag, coeffs, lattice.postquantize(tag, &coeffs, eb, radius, &mut codes))
+        let codes = &mut codes;
+        dispatch(Encode { lattice, data, ext, block, eb, radius, predictor, codes })
     });
-    let mut outliers = Vec::with_capacity(stats.outliers);
-    if stats.outliers > 0 {
-        for ((src, n), row) in block.rows(ext).zip(codes.chunks_exact(block.size[0])) {
-            let cells = row.iter().zip(&data[src..src + n]);
-            outliers.extend(cells.filter(|(&code, _)| code == 0).map(|(_, &v)| v));
-        }
-    }
+    let outliers = gather_outliers(data, ext, block, &codes, stats.outliers);
     BlockOutput { codes, outliers, tag, coeffs, code_range: stats.range }
 }
 
@@ -194,8 +287,59 @@ pub fn decompress_block(
         return 0;
     }
     LATTICE.with_borrow_mut(|lattice| {
-        lattice.reconstruct(codes, outliers, tag, &coeffs, ext, block, eb, radius, base, out)
+        dispatch(Decode {
+            lattice,
+            codes,
+            outliers,
+            tag,
+            coeffs,
+            ext,
+            block,
+            eb,
+            radius,
+            base,
+            out,
+        })
     })
+}
+
+/// A vector width forced on every block pass of the test process, so the
+/// stream, the thread pool and the device path can be run at each width.
+/// Forcing tests take turns; other tests running meanwhile run at the
+/// forced width too, which changes none of their results — that is the
+/// property the forcing tests check.
+#[cfg(test)]
+pub(crate) mod forced {
+    use foresight_util::cpu::{self, Level};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Mutex, PoisonError};
+
+    /// 0 for none, else the index in [`Level::ALL`] plus one.
+    static LEVEL: AtomicUsize = AtomicUsize::new(0);
+    /// One forcing test at a time.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
+    pub(crate) fn level() -> Option<Level> {
+        LEVEL.load(Ordering::SeqCst).checked_sub(1).map(|i| Level::ALL[i])
+    }
+
+    /// Runs `f` with every block pass at `level`; `None` when the host
+    /// does not run `level`.
+    pub(crate) fn at<R>(level: Level, f: impl FnOnce() -> R) -> Option<R> {
+        if level > cpu::level() {
+            return None;
+        }
+        struct Reset;
+        impl Drop for Reset {
+            fn drop(&mut self) {
+                LEVEL.store(0, Ordering::SeqCst);
+            }
+        }
+        let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+        let _reset = Reset;
+        LEVEL.store(level as usize + 1, Ordering::SeqCst);
+        Some(f())
+    }
 }
 
 #[cfg(test)]

@@ -23,7 +23,17 @@
 //!
 //! [`Lattice`] is the per-thread scratch both directions work in: the
 //! block's lattice values inside a one-cell ghost border of zeros, so the
-//! seven-point stencil needs no bounds or sign branches.
+//! seven-point stencil needs no bounds or sign branches, and a row strip
+//! the postquantize passes hand their predictions through.
+//!
+//! Every pass here is data-parallel along a row, so every pass is written
+//! as a row loop the compiler can vectorize, and every function down to
+//! the leaves is `#[inline(always)]`: `block` runs a block's passes as one
+//! [`foresight_util::cpu::Kernel`], which `cpu::widest` compiles once per
+//! vector width (baseline, AVX2, AVX-512) and picks at run time. Integer
+//! arithmetic is exact, no multiply and add is ever fused, and division
+//! and conversions round correctly at any width, so every width gives the
+//! same bits (DESIGN §23).
 
 use crate::block::{Block, PredictorTag};
 
@@ -36,12 +46,17 @@ const Q_MAX: f64 = (1u64 << 50) as f64;
 /// an integer (ties to even) in two SSE2 instructions.
 const ROUND_MAGIC: f64 = (1u64 << 52) as f64;
 
+/// Cells of a row the two postquantize passes take at a time: the
+/// predictions between them stay in L1 however long the row (a 1-D
+/// segment is 32 768 cells).
+const STRIP: usize = 512;
+
 /// `f64::round` (ties away from zero) without the libm call baseline
 /// x86-64 needs for it: ties-to-even through [`ROUND_MAGIC`], then the one
 /// case that differs (a tie rounded down) fixed up. `a - y` is exact, so
 /// the result is bit-equal to `round` for every input. Written with
-/// selects, not branches, so the pass-1 loop vectorizes.
-#[inline]
+/// selects, not branches, so the row loops vectorize.
+#[inline(always)]
 fn round_half_away(x: f64) -> f64 {
     let a = x.abs();
     let y = (a + ROUND_MAGIC) - ROUND_MAGIC;
@@ -53,8 +68,8 @@ fn round_half_away(x: f64) -> f64 {
 /// An integer-valued f64 with `|q| <= 2^51` as an `i64`: the low mantissa
 /// bits of `q + 1.5 * 2^52` hold it in two's complement. `q as i64` is the
 /// same number, but its saturation fix-up is scalar-only before AVX-512 and
-/// keeps the pass-1 loop from vectorizing.
-#[inline]
+/// keeps the row loops from vectorizing.
+#[inline(always)]
 fn lattice_int(q: f64) -> i64 {
     const BIAS: f64 = (3u64 << 51) as f64;
     ((q + BIAS).to_bits() as i64).wrapping_sub(BIAS.to_bits() as i64)
@@ -68,7 +83,7 @@ fn lattice_int(q: f64) -> i64 {
 /// NaN and ±inf fail the range comparison. The reconstruction is checked
 /// after its cast to `f32`, which can push a borderline value past the
 /// bound or overflow to infinity; both fail the second comparison.
-#[inline]
+#[inline(always)]
 fn prequant(v: f32, eb: f64) -> (i64, bool) {
     let v = v as f64;
     let two_eb = 2.0 * eb;
@@ -81,7 +96,7 @@ fn prequant(v: f32, eb: f64) -> (i64, bool) {
 /// The regression plane `b0 + b1 i + b2 j + b3 k` rounded to the lattice.
 /// Encoder and decoder both evaluate exactly this expression on the stored
 /// `f32` coefficients; a plane the lattice cannot carry predicts 0.
-#[inline]
+#[inline(always)]
 pub(crate) fn plane_lattice(coeffs: &[f32; 4], i: usize, j: usize, k: usize, eb: f64) -> i64 {
     let p = coeffs[0] as f64
         + coeffs[1] as f64 * i as f64
@@ -113,19 +128,22 @@ pub(crate) struct CodeStats {
 pub(crate) struct Lattice {
     q: Vec<i64>,
     size: [usize; 3],
+    /// One strip of a row's predictions, between the two postquantize
+    /// passes.
+    strip: [i64; STRIP],
 }
 
 /// The rows the Lorenzo stencil of the row starting at padded index `base`
 /// reads — `(j-1, k)`, `(j, k-1)`, `(j-1, k-1)` — each `px` long and
 /// aligned with that row. `q` needs to hold only the cells ahead of `base`.
-#[inline]
+#[inline(always)]
 fn stencil_rows(q: &[i64], base: usize, px: usize, pxy: usize) -> [&[i64]; 3] {
     [&q[base - px..base], &q[base - pxy..base - pxy + px], &q[base - pxy - px..base - pxy]]
 }
 
 /// First-order Lorenzo prediction of cell `i` of a row from the row itself
 /// (`left` is cell `i - 1`, the ghost for `i = 0`) and its stencil rows.
-#[inline]
+#[inline(always)]
 fn lorenzo(left: i64, [up, back, bu]: [&[i64]; 3], i: usize) -> i64 {
     left.wrapping_add(up[i + 1])
         .wrapping_sub(up[i])
@@ -137,9 +155,10 @@ fn lorenzo(left: i64, [up, back, bu]: [&[i64]; 3], i: usize) -> i64 {
 
 impl Lattice {
     pub const fn new() -> Self {
-        Self { q: Vec::new(), size: [0; 3] }
+        Self { q: Vec::new(), size: [0; 3], strip: [0; STRIP] }
     }
 
+    #[inline(always)]
     fn layout(&mut self, size: [usize; 3]) {
         if self.size != size {
             let n = (size[0] + 1) * (size[1] + 1) * (size[2] + 1);
@@ -150,7 +169,7 @@ impl Lattice {
     }
 
     /// Padded row length and plane size.
-    #[inline]
+    #[inline(always)]
     fn strides(&self) -> (usize, usize) {
         let px = self.size[0] + 1;
         (px, px * (self.size[1] + 1))
@@ -158,7 +177,7 @@ impl Lattice {
 
     /// Padded index of the ghost cell that starts row `(j, k)`; the row's
     /// cells follow at `+1..=sx`.
-    #[inline]
+    #[inline(always)]
     fn row_base(&self, j: usize, k: usize) -> usize {
         let (px, pxy) = self.strides();
         px * (j + 1) + pxy * (k + 1)
@@ -166,6 +185,7 @@ impl Lattice {
 
     /// Pass 1: prequantizes the block into the lattice. `fast[c]` becomes 1
     /// where cell `c` is on the lattice and 0 where it must go out verbatim.
+    #[inline(always)]
     pub fn prequantize(
         &mut self,
         data: &[f32],
@@ -196,6 +216,7 @@ impl Lattice {
     /// at: every `stride`-th cell from the block's origin, with the smallest
     /// power-of-two stride that leaves at most [`SAMPLE_BUDGET`] cells, so
     /// choosing costs the same for every block.
+    #[inline(always)]
     pub fn sample_grid(&self) -> [(usize, usize); 3] {
         let mut stride = 1;
         loop {
@@ -209,6 +230,7 @@ impl Lattice {
 
     /// Calls `f(i, j, k, q, lorenzo prediction of q)` on every cell of
     /// [`Self::sample_grid`].
+    #[inline(always)]
     pub fn for_each_sample(&self, mut f: impl FnMut(usize, usize, usize, i64, i64)) {
         let (px, pxy) = self.strides();
         let [xs, ys, zs] =
@@ -229,8 +251,14 @@ impl Lattice {
     /// `q - pred + radius` when that lies in `[1, 2*radius)` and 0 (an
     /// outlier) otherwise. The encoder's lattice stays within `Q_MAX`, so
     /// neither the stencil nor the delta can overflow.
+    ///
+    /// Two passes per [`STRIP`] of a row: the predictions (the Lorenzo
+    /// stencil, which reads only rows and cells already in the lattice, or
+    /// the plane) go into the strip, then one branch-free pass emits the
+    /// codes and folds the code range and the outlier count.
+    #[inline(always)]
     pub fn postquantize(
-        &self,
+        &mut self,
         tag: PredictorTag,
         coeffs: &[f32; 4],
         eb: f64,
@@ -241,14 +269,6 @@ impl Lattice {
         let (px, pxy) = self.strides();
         let r = radius as i64;
         let (mut lo, mut hi, mut outliers) = (u32::MAX, 0u32, 0usize);
-        let mut emit = |code: &mut u32, delta: i64| {
-            let sym = delta + r;
-            let ok = *code != 0 && ((sym - 1) as u64) < (2 * r - 1) as u64;
-            *code = if ok { sym as u32 } else { 0 };
-            lo = lo.min(if ok { sym as u32 } else { u32::MAX });
-            hi = hi.max(*code);
-            outliers += !ok as usize;
-        };
         let mut rows = codes.chunks_exact_mut(sx);
         for k in 0..sz {
             for j in 0..sy {
@@ -256,17 +276,33 @@ impl Lattice {
                 let (before, cur) = self.q.split_at(base);
                 let cur = &cur[..px];
                 let row = rows.next().unwrap_or_default();
-                match tag {
-                    PredictorTag::Lorenzo => {
-                        let stencil = stencil_rows(before, base, px, pxy);
-                        for (i, code) in row.iter_mut().enumerate() {
-                            emit(code, cur[i + 1] - lorenzo(cur[i], stencil, i));
+                for (s, codes) in row.chunks_mut(STRIP).enumerate() {
+                    let (start, n) = (s * STRIP, codes.len());
+                    let pred = &mut self.strip[..n];
+                    // `left` is `cur[i]`, cell `i` is `cur[i + 1]`.
+                    let cur = &cur[start..=start + n];
+                    match tag {
+                        PredictorTag::Lorenzo => {
+                            let stencil =
+                                stencil_rows(before, base, px, pxy).map(|s| &s[start..=start + n]);
+                            for (i, p) in pred.iter_mut().enumerate() {
+                                *p = lorenzo(cur[i], stencil, i);
+                            }
+                        }
+                        PredictorTag::Regression => {
+                            for (i, p) in (start..).zip(pred.iter_mut()) {
+                                *p = plane_lattice(coeffs, i, j, k, eb);
+                            }
                         }
                     }
-                    PredictorTag::Regression => {
-                        for (i, code) in row.iter_mut().enumerate() {
-                            emit(code, cur[i + 1] - plane_lattice(coeffs, i, j, k, eb));
-                        }
+                    for ((code, &q), &pred) in codes.iter_mut().zip(&cur[1..]).zip(&*pred) {
+                        let delta = q - pred;
+                        let sym = delta + r;
+                        let ok = (*code != 0) & (((sym - 1) as u64) < (2 * r - 1) as u64);
+                        *code = if ok { sym as u32 } else { 0 };
+                        lo = lo.min(if ok { sym as u32 } else { u32::MAX });
+                        hi = hi.max(*code);
+                        outliers += !ok as usize;
                     }
                 }
             }
@@ -286,6 +322,7 @@ impl Lattice {
     /// verbatim value, and the lattice value the encoder used for it
     /// starts the next run. Returns the number of zero codes.
     #[allow(clippy::too_many_arguments)] // mirrors `block::decompress_block`
+    #[inline(always)]
     pub fn reconstruct(
         &mut self,
         codes: &[u32],
@@ -367,8 +404,12 @@ impl Lattice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::{compress_block, decompress_block, partition};
-    use crate::config::{Dims, PredictorKind};
+    use crate::block::{
+        choose, compress_block, decompress_block, forced, gather_outliers, partition, BlockOutput,
+        Decode, Encode,
+    };
+    use crate::config::{Dims, PredictorKind, SzConfig};
+    use foresight_util::cpu::{self, Level};
 
     /// The per-cell loop [`Lattice::reconstruct`] replaced, kept as its
     /// bit-for-bit reference.
@@ -427,6 +468,82 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The per-cell loop [`Lattice::postquantize`] replaced, kept as its
+    /// bit-for-bit reference.
+    fn postquantize_reference(
+        lattice: &Lattice,
+        tag: PredictorTag,
+        coeffs: &[f32; 4],
+        eb: f64,
+        radius: u32,
+        codes: &mut [u32],
+    ) -> CodeStats {
+        let [sx, sy, sz] = lattice.size;
+        let (px, pxy) = lattice.strides();
+        let r = radius as i64;
+        let (mut lo, mut hi, mut outliers) = (u32::MAX, 0u32, 0usize);
+        let mut emit = |code: &mut u32, delta: i64| {
+            let sym = delta + r;
+            let ok = *code != 0 && ((sym - 1) as u64) < (2 * r - 1) as u64;
+            *code = if ok { sym as u32 } else { 0 };
+            lo = lo.min(if ok { sym as u32 } else { u32::MAX });
+            hi = hi.max(*code);
+            outliers += !ok as usize;
+        };
+        let mut rows = codes.chunks_exact_mut(sx);
+        for k in 0..sz {
+            for j in 0..sy {
+                let base = lattice.row_base(j, k);
+                let (before, cur) = lattice.q.split_at(base);
+                let cur = &cur[..px];
+                let row = rows.next().unwrap_or_default();
+                match tag {
+                    PredictorTag::Lorenzo => {
+                        let stencil = stencil_rows(before, base, px, pxy);
+                        for (i, code) in row.iter_mut().enumerate() {
+                            emit(code, cur[i + 1] - lorenzo(cur[i], stencil, i));
+                        }
+                    }
+                    PredictorTag::Regression => {
+                        for (i, code) in row.iter_mut().enumerate() {
+                            emit(code, cur[i + 1] - plane_lattice(coeffs, i, j, k, eb));
+                        }
+                    }
+                }
+            }
+        }
+        CodeStats { range: (lo <= hi).then_some((lo, hi)), outliers }
+    }
+
+    /// [`compress_block`] with [`postquantize_reference`] for pass 2, on a
+    /// fresh lattice: the block output and the lattice it left.
+    fn compress_reference(
+        data: &[f32],
+        ext: [usize; 3],
+        b: &Block,
+        eb: f64,
+        radius: u32,
+        pred: PredictorKind,
+    ) -> (BlockOutput, Vec<i64>) {
+        let mut lattice = Lattice::new();
+        let mut codes = vec![0u32; b.cells()];
+        lattice.prequantize(data, ext, b, eb, &mut codes);
+        let (tag, coeffs) = choose(&lattice, pred, eb, radius);
+        let stats = postquantize_reference(&lattice, tag, &coeffs, eb, radius, &mut codes);
+        let outliers = gather_outliers(data, ext, b, &codes, stats.outliers);
+        (BlockOutput { codes, code_range: stats.range, outliers, tag, coeffs }, lattice.q)
+    }
+
+    /// Everything a block output holds — codes, code range, outliers, tag
+    /// and coefficients — with floats as bits (NaN outliers compare equal
+    /// to themselves).
+    type OutputBits = (Vec<u32>, Option<(u32, u32)>, Vec<u32>, PredictorTag, [u32; 4]);
+
+    fn output_bits(o: &BlockOutput) -> OutputBits {
+        let bits = o.outliers.iter().map(|v| v.to_bits()).collect();
+        (o.codes.clone(), o.code_range, bits, o.tag, o.coeffs.map(f32::to_bits))
     }
 
     fn field(n: usize) -> Vec<f32> {
@@ -682,5 +799,277 @@ mod tests {
             &mut out,
         );
         assert!(out.iter().all(|&v| v == 0.0));
+    }
+
+    /// A smooth field with every value class the lattice treats apart
+    /// sprinkled in: NaN, ±inf, ±1e38, subnormals, values either side of
+    /// the `Q_MAX` edge at `eb`, and exact ties of the rounding.
+    fn hostile_field(n: usize, eb: f64) -> Vec<f32> {
+        let edge = (Q_MAX * 2.0 * eb) as f32;
+        let specials = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1e38,
+            -1e38,
+            1e-40,
+            -1e-42,
+            f32::MIN_POSITIVE,
+            edge,
+            -edge,
+            edge.next_up(),
+            edge.next_down(),
+            (Q_MAX * 2.0 * eb * 1.5) as f32,
+            (2.5 * 2.0 * eb) as f32,
+            (-0.5 * 2.0 * eb) as f32,
+        ];
+        let mut data = field(n);
+        for (c, v) in data.iter_mut().enumerate() {
+            if c % 23 == 11 {
+                *v = specials[(c / 23) % specials.len()];
+            }
+        }
+        data
+    }
+
+    /// Levels this host runs, and the ones it skips (reported).
+    fn host_levels(what: &str) -> Vec<Level> {
+        let (ran, skipped): (Vec<Level>, Vec<Level>) =
+            Level::ALL.into_iter().partition(|&l| l <= cpu::level());
+        if !skipped.is_empty() {
+            eprintln!("{what}: this CPU does not run {skipped:?}; those levels are skipped");
+        }
+        ran
+    }
+
+    #[test]
+    fn every_level_codes_and_rebuilds_like_the_baseline_and_the_per_cell_loops() {
+        let levels = host_levels("lattice passes");
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // Rows longer than a strip come from 1-D segments, a 2-D tile of
+        // 1024 and a 3-D cube of 1024 (one block, clamped to the array).
+        let shapes =
+            [Dims::D1(70_001), Dims::D2(1300, 7), Dims::D3(37, 21, 19), Dims::D3(600, 5, 3)];
+        let preds = [PredictorKind::Lorenzo, PredictorKind::Regression, PredictorKind::Adaptive];
+        let mut blocks_checked = 0;
+        for dims in shapes {
+            let ext = dims.extents();
+            for bs in [2, 3, 8, 16, 32, 1024] {
+                let tiles = partition(dims, bs);
+                // The first block, the last (an edge block on every axis)
+                // and one from the middle.
+                let mut picks = vec![0, tiles.len() / 2, tiles.len() - 1];
+                picks.dedup();
+                // Plain values (where a fitted plane is a real slope) and
+                // every special class; a radius of 4 makes outliers common.
+                let cases = [
+                    (1e-3, 1 << 15, false),
+                    (1e-3, 1 << 15, true),
+                    (0.5, 4, false),
+                    (0.5, 4, true),
+                ];
+                for (eb, radius, hostile) in cases {
+                    let data =
+                        if hostile { hostile_field(dims.len(), eb) } else { field(dims.len()) };
+                    for pred in preds {
+                        for b in picks.iter().map(|&i| &tiles[i]) {
+                            let ctx =
+                                format!("{dims:?} bs {bs} {b:?} eb {eb} radius {radius} hostile {hostile} {pred:?}");
+                            let (want, want_q) =
+                                compress_reference(&data, ext, b, eb, radius, pred);
+                            let mut want_out = vec![-1.0f32; data.len()];
+                            let mut reference = Lattice::new();
+                            reconstruct_reference(
+                                &mut reference,
+                                &want.codes,
+                                &want.outliers,
+                                want.tag,
+                                &want.coeffs,
+                                ext,
+                                b,
+                                eb,
+                                radius,
+                                &mut want_out,
+                            );
+                            for &level in &levels {
+                                let ctx = format!("{ctx} at {level:?}");
+                                // The kernels on a lattice of their own.
+                                let mut lattice = Lattice::new();
+                                let mut codes = vec![0u32; b.cells()];
+                                let encode = Encode {
+                                    lattice: &mut lattice,
+                                    data: &data,
+                                    ext,
+                                    block: b,
+                                    eb,
+                                    radius,
+                                    predictor: pred,
+                                    codes: &mut codes,
+                                };
+                                let (tag, coeffs, stats) = cpu::at(level, encode).unwrap();
+                                let outliers =
+                                    gather_outliers(&data, ext, b, &codes, stats.outliers);
+                                let got = BlockOutput {
+                                    codes,
+                                    code_range: stats.range,
+                                    outliers,
+                                    tag,
+                                    coeffs,
+                                };
+                                assert_eq!(output_bits(&got), output_bits(&want), "{ctx}: encode");
+                                assert_eq!(
+                                    stats.outliers,
+                                    want.outliers.len(),
+                                    "{ctx}: outlier count"
+                                );
+                                assert_eq!(lattice.q, want_q, "{ctx}: encoder lattice");
+                                let mut out = vec![-1.0f32; data.len()];
+                                let decode = Decode {
+                                    lattice: &mut lattice,
+                                    codes: &got.codes,
+                                    outliers: &got.outliers,
+                                    tag,
+                                    coeffs,
+                                    ext,
+                                    block: b,
+                                    eb,
+                                    radius,
+                                    base: 0,
+                                    out: &mut out,
+                                };
+                                assert_eq!(
+                                    cpu::at(level, decode),
+                                    Some(want.outliers.len()),
+                                    "{ctx}"
+                                );
+                                assert_eq!(lattice.q, reference.q, "{ctx}: decoder lattice");
+                                assert_eq!(bits(&out), bits(&want_out), "{ctx}: output");
+                                // The public entries, forced to this level.
+                                let got = forced::at(level, || {
+                                    compress_block(&data, ext, b, eb, radius, pred)
+                                });
+                                assert_eq!(
+                                    output_bits(&got.unwrap()),
+                                    output_bits(&want),
+                                    "{ctx}: compress_block"
+                                );
+                                let mut out = vec![-1.0f32; data.len()];
+                                let zeros = forced::at(level, || {
+                                    let (codes, outliers) = (&want.codes, &want.outliers);
+                                    decompress_block(
+                                        codes, outliers, tag, coeffs, ext, b, eb, radius, 0,
+                                        &mut out,
+                                    )
+                                });
+                                assert_eq!(zeros, Some(want.outliers.len()), "{ctx}");
+                                assert_eq!(bits(&out), bits(&want_out), "{ctx}: decompress_block");
+                            }
+                            blocks_checked += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(blocks_checked > 500, "{blocks_checked}");
+        // Hostile codes and coefficients wrap alike at every level.
+        let b = Block { origin: [0, 0, 0], size: [37, 4, 2] };
+        let codes: Vec<u32> =
+            (0..b.cells() as u32).map(|c| if c % 9 == 4 { 0 } else { u32::MAX - c }).collect();
+        for (tag, coeffs) in [
+            (PredictorTag::Lorenzo, [0.0; 4]),
+            (PredictorTag::Regression, [f32::INFINITY, f32::NAN, -1e38, 1e38]),
+            (PredictorTag::Regression, [1e30, -3.5, 1e-30, 7.0]),
+        ] {
+            let mut reference = Lattice::new();
+            let mut want = vec![0.0f32; b.cells()];
+            let outliers = [1.0, f32::NAN, -1e38];
+            let ext = b.size;
+            reconstruct_reference(
+                &mut reference,
+                &codes,
+                &outliers,
+                tag,
+                &coeffs,
+                ext,
+                &b,
+                1e-300,
+                u32::MAX,
+                &mut want,
+            );
+            for &level in &levels {
+                let mut lattice = Lattice::new();
+                let mut out = vec![0.0f32; b.cells()];
+                let decode = Decode {
+                    lattice: &mut lattice,
+                    codes: &codes,
+                    outliers: &outliers,
+                    tag,
+                    coeffs,
+                    ext,
+                    block: &b,
+                    eb: 1e-300,
+                    radius: u32::MAX,
+                    base: 0,
+                    out: &mut out,
+                };
+                cpu::at(level, decode).unwrap();
+                assert_eq!(lattice.q, reference.q, "{tag:?} {coeffs:?} at {level:?}");
+                assert_eq!(bits(&out), bits(&want), "{tag:?} {coeffs:?} at {level:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn streams_are_identical_at_every_level_on_1_2_4_threads_and_the_device() {
+        let levels = host_levels("streams");
+        let cases = [
+            (Dims::D1(70_001), SzConfig::abs(1e-3)),
+            (Dims::D3(40, 33, 17), SzConfig { block_size: 16, ..SzConfig::abs(0.05) }),
+            (
+                Dims::D3(40, 33, 17),
+                SzConfig {
+                    block_size: 8,
+                    predictor: PredictorKind::Regression,
+                    ..SzConfig::abs(0.5)
+                },
+            ),
+            (
+                Dims::D2(130, 70),
+                SzConfig { predictor: PredictorKind::Lorenzo, ..SzConfig::rel(1e-4) },
+            ),
+        ];
+        for (dims, cfg) in cases {
+            let data = hostile_field(dims.len(), 1e-3);
+            let baseline =
+                forced::at(Level::Baseline, || crate::compress(&data, dims, &cfg).unwrap())
+                    .unwrap();
+            let decoded =
+                forced::at(Level::Baseline, || crate::decompress(&baseline).unwrap().0).unwrap();
+            let decoded_bits: Vec<u32> = decoded.iter().map(|v| v.to_bits()).collect();
+            for &level in &levels {
+                let ctx = format!("{dims:?} {:?} {:?} at {level:?}", cfg.mode, cfg.predictor);
+                forced::at(level, || {
+                    for threads in [1, 2, 4] {
+                        foresight_util::parallel::with_threads(threads, || {
+                            assert!(
+                                crate::compress(&data, dims, &cfg).unwrap() == baseline,
+                                "{ctx}, {threads} threads"
+                            );
+                            let (values, _) = crate::decompress(&baseline).unwrap();
+                            let got: Vec<u32> = values.iter().map(|v| v.to_bits()).collect();
+                            assert!(got == decoded_bits, "{ctx}, {threads} threads: values");
+                        });
+                    }
+                    let mut device = gpu_sim::Device::new(gpu_sim::GpuSpec::tesla_v100());
+                    let (on_device, _) =
+                        crate::gpu_exec::compress_on(&mut device, &data, dims, &cfg).unwrap();
+                    assert!(on_device == baseline, "{ctx}: device stream");
+                    let (values, ..) =
+                        crate::gpu_exec::decompress_on(&mut device, &baseline).unwrap();
+                    let got: Vec<u32> = values.iter().map(|v| v.to_bits()).collect();
+                    assert!(got == decoded_bits, "{ctx}: device values");
+                });
+            }
+        }
     }
 }

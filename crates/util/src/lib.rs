@@ -11,16 +11,18 @@
 //! one way they cut that shape into blocks and chunks.
 //!
 //! CRC32 and SHA-256 run on the CPU's checksum instructions when it has
-//! them. The one `unsafe` in the crate is the pair of calls that enter
-//! those kernels after the runtime check, in the audited `cpu` module
-//! (DESIGN §22); everything else is safe code.
+//! them, and [`cpu::widest`] runs a caller's kernel body compiled for the
+//! widest vector level the CPU has. The only `unsafe` in the crate is the
+//! calls into those target-feature functions after the runtime check, in
+//! the audited [`cpu`] module (DESIGN §22, §23); everything else is safe
+//! code.
 
-// `deny` rather than `forbid`: `cpu` opts back in for those two calls.
+// `deny` rather than `forbid`: `cpu` opts back in for those calls.
 #![deny(unsafe_code)]
 
 pub mod bits;
 pub mod bytes;
-mod cpu;
+pub mod cpu;
 pub mod crc;
 pub mod dims;
 pub mod error;

@@ -11,6 +11,7 @@ use foresight::codec::Shape;
 use foresight::{CinemaDb, DatasetKind, ForesightConfig, Job, SlurmSim, Workflow};
 use foresight_util::table::{fmt_f64, Table};
 use parking_lot::Mutex;
+use std::process::ExitCode;
 use std::sync::Arc;
 
 const CONFIG: &str = r#"{
@@ -21,7 +22,7 @@ const CONFIG: &str = r#"{
   "output":      { "dir": "results/pipeline_example", "cinema": true }
 }"#;
 
-fn main() {
+fn main() -> ExitCode {
     let cfg = ForesightConfig::from_json(CONFIG).expect("config");
     println!("parsed config: dataset={:?}, {} codec configs", cfg.input.dataset, cfg.codec_configs().len());
 
@@ -121,4 +122,8 @@ fn main() {
     for j in &report.jobs {
         println!("wave {} | {:<10} | {:>7.2}s | {}", j.wave, j.name, j.wall_seconds, j.output);
     }
+    if !report.all_ok() {
+        eprintln!("workflow failed:\n{}", report.failure_summary());
+    }
+    ExitCode::from(report.exit_code())
 }
