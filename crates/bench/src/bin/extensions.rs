@@ -3,10 +3,7 @@
 //! 1. **Decimation vs lossy** — the introduction's motivating claim:
 //!    decimation at the same storage budget loses far more information
 //!    than error-bounded lossy compression.
-//! 2. **Temporal compression** — the related-work direction (Li et al.):
-//!    compressing against the previous snapshot's reconstruction beats
-//!    spatial-only compression for small time steps.
-//! 3. **Correlation function** — ξ(r), the real-space twin of the power
+//! 2. **Correlation function** — ξ(r), the real-space twin of the power
 //!    spectrum (§III), as an extra post-analysis acceptance metric.
 
 use cosmo_analysis::{correlation_function_f32, distortion};
@@ -17,8 +14,7 @@ use foresight::codec::{CodecConfig, Shape};
 use foresight::CinemaDb;
 use foresight_bench::Cli;
 use foresight_util::table::{fmt_f64, Table};
-use lossy_sz::{compress_temporal, decompress_temporal, Dims, SzConfig};
-use nbody_sim::{cic_deposit, simulate_universe, step, PmOptions};
+use lossy_sz::SzConfig;
 
 fn main() {
     let cli = Cli::parse();
@@ -66,45 +62,10 @@ fn main() {
     }
     println!("\n== decimation vs error-bounded lossy (intro motivation) ==\n{}", t1.to_ascii());
 
-    // --- 2. Temporal compression across PM steps. ---
-    println!("evolving two adjacent snapshots for the temporal experiment...");
+    // --- 2. Correlation-function preservation. ---
     let grid = Grid3::cube(n);
-    let mut p = simulate_universe(n, opts.box_size, opts.seed, opts.steps).expect("sim");
-    let frame = |p: &nbody_sim::Particles| -> Vec<f32> {
-        cic_deposit(p, grid, opts.box_size).iter().map(|&v| v as f32).collect()
-    };
-    let f0 = frame(&p);
-    // Frequent-snapshot regime (the case temporal compression targets):
-    // a small fraction of a dynamical step between outputs. At finer
-    // grids the CIC density decorrelates faster per unit drift, so the
-    // inter-snapshot interval shrinks with resolution, as it would in a
-    // production run with fixed comoving output cadence.
-    let dt = 0.1 * (32.0 / n as f64).min(1.0);
-    step(&mut p, grid, &PmOptions { dt, g_const: 100.0, velocity_to_drift: 2e-3 })
-        .expect("step");
-    let f1 = frame(&p);
-    let cfg = SzConfig::abs(1e-3);
-    let dims = Dims::D3(n, n, n);
-    let spatial = lossy_sz::compress(&f1, dims, &cfg).unwrap();
-    let prev_stream = lossy_sz::compress(&f0, dims, &cfg).unwrap();
-    let (prev_recon, _) = lossy_sz::decompress(&prev_stream).unwrap();
-    let temporal = compress_temporal(&f1, &prev_recon, dims, &cfg).unwrap();
-    let (trec, _) = decompress_temporal(&temporal, &prev_recon).unwrap();
-    let tdist = distortion(&f1, &trec);
-    let mut t2 = Table::new(["method", "bytes", "bits/value", "max_abs_err"]);
-    for (name, len) in [("spatial SZ", spatial.len()), ("temporal SZ", temporal.len())] {
-        t2.push_row([
-            name.to_string(),
-            len.to_string(),
-            fmt_f64(len as f64 * 8.0 / f1.len() as f64),
-            if name == "temporal SZ" { fmt_f64(tdist.max_abs_err) } else { "<= 1e-3".into() },
-        ]);
-    }
-    println!("== temporal vs spatial compression (adjacent snapshots) ==\n{}", t2.to_ascii());
-
-    // --- 3. Correlation-function preservation. ---
     let orig_xi = correlation_function_f32(&field.data, grid, opts.box_size, 8).unwrap();
-    let mut t3 = Table::new(["config", "ratio", "worst_xi_rel_dev"]);
+    let mut t2 = Table::new(["config", "ratio", "worst_xi_rel_dev"]);
     for rel in [1e-3f64, 1e-2, 3e-2] {
         let rec = run_one(&field, &CodecConfig::Sz(SzConfig::rel(rel)), true).unwrap();
         let xi = correlation_function_f32(
@@ -119,14 +80,13 @@ fn main() {
             .zip(&xi)
             .map(|(a, b)| if a.xi.abs() > 1e-12 { ((b.xi - a.xi) / a.xi).abs() } else { 0.0 })
             .fold(0.0f64, f64::max);
-        t3.push_row([format!("rel={rel}"), fmt_f64(rec.ratio), fmt_f64(dev)]);
+        t2.push_row([format!("rel={rel}"), fmt_f64(rec.ratio), fmt_f64(dev)]);
     }
-    println!("== xi(r) two-point correlation preservation ==\n{}", t3.to_ascii());
+    println!("== xi(r) two-point correlation preservation ==\n{}", t2.to_ascii());
 
     db.add_table("decimation_vs_lossy.csv", &t1, &[("experiment", "decimation".into())])
         .unwrap();
-    db.add_table("temporal_vs_spatial.csv", &t2, &[("experiment", "temporal".into())]).unwrap();
-    db.add_table("correlation_preservation.csv", &t3, &[("experiment", "xi".into())]).unwrap();
+    db.add_table("correlation_preservation.csv", &t2, &[("experiment", "xi".into())]).unwrap();
     db.finalize().unwrap();
     println!("wrote {}", dir.display());
 }

@@ -41,7 +41,6 @@ pub const DECODE_CRITICAL: &[&str] = &[
     "crates/sz/src/gpu_exec.rs",
     "crates/sz/src/huffman.rs",
     "crates/sz/src/lossless.rs",
-    "crates/sz/src/temporal.rs",
     "crates/zfp/src/stream.rs",
     "crates/zfp/src/codec.rs",
     "crates/zfp/src/gpu_exec.rs",

@@ -50,11 +50,9 @@ pub mod huffman;
 pub mod lossless;
 pub mod pwrel;
 pub mod stream;
-pub mod temporal;
 
 pub use config::{Dims, EntropyBackend, ErrorBound, PredictorKind, SzConfig};
 pub use stream::{compress, decompress, info, StreamInfo, MAGIC};
-pub use temporal::{compress_temporal, decompress_temporal};
 
 /// Compression ratio of `stream` relative to `n_values` single-precision
 /// inputs.

@@ -26,11 +26,23 @@
 //! one `trailing_zeros` — and the bit stream's tail word is held by value.
 //! A 4-value block has too few bits to a plane for that to pay: its plane
 //! step is a table lookup (§17.7).
+//!
+//! Two parts run as [`cpu::Kernel`]s, at the widest vector width the CPU
+//! has (§24). A fixed-rate 4-value block of at most 64 bits starts at
+//! `i * maxbits` and is one word, so [`encode_line`] / [`decode_line`]
+//! code such blocks [`LANES`] at a time — [`EncodeLanes`] and
+//! [`DecodeLanes`] step every lane's planes together through the same
+//! tables — and the array's last group runs padded. The cast, transform,
+//! reorder and negabinary of a 16- or 64-value block are [`Stage`], once
+//! per block, and [`Unstage`] their mirror. Everything else is scalar: the
+//! variable-length modes and blocks over 64 bits, whose blocks do not sit
+//! at fixed offsets or fit a word, the device path's one block per call,
+//! and the bit-plane coder of 16- and 64-value blocks.
 
 use crate::config::ZfpMode;
 use crate::lift;
 use foresight_util::bits::{BitReader, BitWriter, WriterTail};
-use foresight_util::{Error, Result};
+use foresight_util::{cpu, Error, Result};
 
 /// Bit planes in an `i32` coefficient.
 pub const INTPREC: u32 = 32;
@@ -161,6 +173,27 @@ fn exponent(x: f32) -> i32 {
 fn f64_pow2(e: i32) -> f64 {
     debug_assert!((-1022..=1023).contains(&e));
     f64::from_bits(((e + 1023) as u64) << 52)
+}
+
+/// `v` in fixed point, `v * 2^(30 - emax)` truncated toward zero, for a
+/// finite `v` with `|v| < 2^emax`, as the f64 product would give it: the
+/// product with a power of two is exact and `|q| < 2^30`, so the cast
+/// needs no clamp. Worked in integers — the mantissa shifted by the
+/// exponents' difference, at most 8 places left — because a saturating
+/// float-to-int cast does not widen to vector lanes.
+#[inline(always)]
+fn fixed_point(v: f32, emax: i32) -> i32 {
+    let bits = v.to_bits();
+    let field = (bits >> 23 & 0xff) as i32;
+    // `v` is `mantissa * 2^(field - 150)`; a subnormal has field 0, no
+    // implied one and the scale of field 1. The product is the mantissa
+    // moved `field - 120 - emax <= 8` places left: 8 left, then the rest
+    // right, all of it once the rest is a word.
+    let mantissa = bits & 0x7f_ffff | ((field != 0) as u32) << 23;
+    let right = (emax + 128 - field.max(1)) as u32;
+    let magnitude = (mantissa << 8).checked_shr(right).unwrap_or(0) as i32;
+    let sign = bits as i32 >> 31;
+    (magnitude ^ sign) - sign
 }
 
 /// Largest magnitude in `values`, or `None` when any of them is NaN or
@@ -354,46 +387,66 @@ const fn read_plane4(mut x: u32, sig: u32, bits: u32) -> (u32, u32, u32) {
     (nibble, bits - left, pos)
 }
 
-/// `PLANE4_STEP[sig][1 << r | x]`: the plane read from the `r <= 7` bits
-/// `x` — bits spanned in bits 0..6, the plane in 6..10, `sig` behind it
-/// from 10. Seven bits hold the longest code (four passed tests, a one
-/// behind three of them), so `r = 7` serves any larger budget; entry 1
-/// (`r = 0`) reads nothing.
-pub static PLANE4_STEP: [[u16; 256]; 5] = PLANE4.0;
-/// `PLANE4_ENCODE[sig][nibble]`: the plane's code in bits 0..7, its length
-/// in 8..11, `sig` behind it from 12. A block coded with no budget and cut
-/// after `bits` bits *is* the budgeted code, so nothing else decides it.
-pub static PLANE4_ENCODE: [[u16; 16]; 5] = PLANE4.1;
+/// `PLANE4_STEP[sig << 8 | 1 << r | x]`: the plane read from the `r <= 7`
+/// bits `x` — bits spanned in bits 0..6, the plane in 6..10, `sig` behind
+/// it from 10. Seven bits hold the longest code (four passed tests, a one
+/// behind three of them), so `r = 7` serves any larger budget; key 1
+/// (`r = 0`) reads nothing. Rows 5‥7 are for lanes that are done: they
+/// read nothing from any key and lead back to their own row. They also
+/// pad the table to a power of two, so a key masked to its length is in
+/// bounds and a lane's gather needs no check.
+pub static PLANE4_STEP: [u32; 8 << 8] = PLANE4.0;
+/// `PLANE4_ENCODE[sig << 4 | nibble]`: the plane's code in bits 0..7, its
+/// length in 8..11, `sig` behind it from 12. A block coded with no budget
+/// and cut after `bits` bits *is* the budgeted code, so nothing else
+/// decides it. Rows 5‥7 code nothing, as in [`PLANE4_STEP`].
+pub static PLANE4_ENCODE: [u32; 8 << 4] = PLANE4.1;
 
-const PLANE4: ([[u16; 256]; 5], [[u16; 16]; 5]) = {
-    let (mut step, mut code) = ([[0u16; 256]; 5], [[0u16; 16]; 5]);
+/// ORed into the row of a lane that is done, so that its steps through
+/// either table move nothing: `sig | DONE` is 5 or 7 for every `sig`.
+const DONE: u32 = 5;
+
+const PLANE4: ([u32; 8 << 8], [u32; 8 << 4]) = {
+    let (mut step, mut code) = ([0u32; 8 << 8], [0u32; 8 << 4]);
+    let mut i = 5 << 8;
+    while i < 8 << 8 {
+        step[i] = (i as u32 >> 8) << 10;
+        code[i >> 4] = (i as u32 >> 8) << 12;
+        i += 1;
+    }
     let mut i = 0;
-    while i < 5 * 256 {
-        let (row, key) = (i / 256, i as u32 % 256);
+    while i < 5 << 8 {
+        let (sig, key) = (i >> 8, i as u32 & 0xff);
         i += 1;
         if key == 0 {
             continue; // every key carries its `1 << r`
         }
         let r = 31 - key.leading_zeros();
         let x = key ^ (1 << r);
-        let (nibble, len, sig) = read_plane4(x, row as u32, r);
-        step[row][key as usize] = (len | nibble << 6 | sig << 10) as u16;
+        let (nibble, len, after) = read_plane4(x, sig as u32, r);
+        step[sig << 8 | key as usize] = len | nibble << 6 | after << 10;
         if r == 7 {
             let bits = x & ((1 << len) - 1);
-            code[row][nibble as usize] = (bits | len << 8 | sig << 12) as u16;
+            code[sig << 4 | nibble as usize] = bits | len << 8 | after << 12;
         }
     }
     (step, code)
 };
 
-/// Blocks of a line whose cast, lift and negabinary run in one plain loop
-/// ahead of the bit coding, clear of the coder's data-dependent exits.
-const LINE_GROUP: usize = 16;
+/// Fixed-rate 4-value blocks a group codes side by side: [`EncodeLanes`]
+/// and [`DecodeLanes`] run one block per lane.
+pub const LANES: usize = 16;
 
-/// [`encode_block`] for a run of 1-D blocks: codes `values` four at a time
-/// into `w`, a short last block padded with its last value, and reports
-/// each block's bit length to `coded`. `None` when a block holds a NaN or
-/// an infinity; its group of [`LINE_GROUP`] blocks is then not written.
+/// Codes the 4-value blocks of `values` into `w`, a short last block
+/// padded with its last value, and reports each block's bit length to
+/// `coded`. `None` when a block holds a NaN or an infinity; blocks are
+/// written up to the one (or, at a fixed rate of at most 64 bits, the
+/// group of [`LANES`] blocks) that holds it.
+///
+/// A fixed-rate block of at most 64 bits is one word, so such blocks run
+/// as [`LANES`]-wide groups through [`EncodeLanes`] — the array's last
+/// group padded, only its real blocks written. Any other coding runs a
+/// block at a time through the scalar coder.
 #[inline]
 pub fn encode_line(
     values: &[f32],
@@ -402,33 +455,61 @@ pub fn encode_line(
     mut coded: impl FnMut(u32),
 ) -> Option<()> {
     debug_assert!(c.d == 1 && c.maxbits >= HEADER_BITS);
-    let (whole, rest) = values.split_at(values.len() / 4 * 4);
     let mut tail = w.tail();
-    for group in whole.chunks(4 * LINE_GROUP) {
-        let mut staged = [(None, [0u32; 4]); LINE_GROUP];
-        for (slot, block) in staged.iter_mut().zip(group.chunks_exact(4)) {
-            let vmax = finite_max(block)?;
-            let emax = (vmax != 0.0).then(|| exponent(vmax).clamp(-127, 128));
-            let scale = f64_pow2(30 - emax.unwrap_or(0));
-            let mut q: [i32; 4] = std::array::from_fn(|i| (block[i] as f64 * scale) as i32);
-            lift::fwd_lift(&mut q);
-            *slot = (emax, q.map(lift::int2uint));
+    if !(c.fixed_rate && c.maxbits <= 64) {
+        for block in values.chunks(4) {
+            let (emax, u) = stage4(&pad4(block))?;
+            coded(encode_planes4(&u, emax, c, &mut tail));
         }
-        for (emax, u) in &staged[..group.len() / 4] {
-            coded(encode_planes4(u, *emax, c, &mut tail));
-        }
+        return Some(());
     }
-    drop(tail);
-    let Some(&last) = rest.last() else { return Some(()) };
-    let mut block = [last; 4];
-    block[..rest.len()].copy_from_slice(rest);
-    encode_line(&block, c, w, coded)
+    let mut words = [0u64; LANES];
+    let mut group = |values: &[f32; 4 * LANES], blocks: usize| {
+        dispatch(EncodeLanes { values, maxbits: c.maxbits, words: &mut words })?;
+        for &word in &words[..blocks] {
+            tail.write_bits(word, c.maxbits);
+            coded(c.maxbits);
+        }
+        Some(())
+    };
+    let (whole, rest) = values.as_chunks::<{ 4 * LANES }>();
+    for values in whole {
+        group(values, LANES)?;
+    }
+    if !rest.is_empty() {
+        let mut padded = [0.0f32; 4 * LANES];
+        for (to, block) in padded.chunks_exact_mut(4).zip(rest.chunks(4)) {
+            to.copy_from_slice(&pad4(block));
+        }
+        group(&padded, rest.len().div_ceil(4))?;
+    }
+    Some(())
+}
+
+/// A block of one to four values, padded with its last.
+#[inline]
+fn pad4(block: &[f32]) -> [f32; 4] {
+    let mut out = [block.last().copied().unwrap_or(0.0); 4];
+    out[..block.len()].copy_from_slice(block);
+    out
+}
+
+/// A 4-value block's exponent (`None` when it is all zero) and its
+/// negabinary coefficients; `None` when it holds a NaN or an infinity.
+#[inline]
+fn stage4(block: &[f32; 4]) -> Option<(Option<i32>, [u32; 4])> {
+    let vmax = finite_max(block)?;
+    let emax = (vmax != 0.0).then(|| exponent(vmax).clamp(-127, 128));
+    let mut q = block.map(|v| fixed_point(v, emax.unwrap_or(0)));
+    lift::fwd_lift(&mut q);
+    Some((emax, q.map(lift::int2uint)))
 }
 
 /// Codes a 4-value block (`emax` is `None` when it is all zero) from its
-/// negabinary coefficients: a table step per plane into a local word that
-/// is written when it fills, so a fixed-rate block of at most 64 bits,
-/// padding included, is one write. Returns the bits written.
+/// negabinary coefficients, a block at a time: a table step per plane
+/// into a local word that is written when it fills. Serves the codings
+/// [`EncodeLanes`] does not — variable length, blocks over 64 bits — and
+/// the device path's one-block calls. Returns the bits written.
 #[inline]
 fn encode_planes4(u: &[u32; 4], emax: Option<i32>, c: &BlockCoding, w: &mut WriterTail<'_>) -> u32 {
     // The word, its fill, and the budget still open at its first bit.
@@ -449,9 +530,9 @@ fn encode_planes4(u: &[u32; 4], emax: Option<i32>, c: &BlockCoding, w: &mut Writ
             }
             k -= 1;
             let bit = |i: usize| (u[i] >> k & 1) << i;
-            let e = PLANE4_ENCODE[sig][(bit(0) | bit(1) | bit(2) | bit(3)) as usize] as u64;
-            acc |= (e & 0x7f) << len;
-            len += (e >> 8 & 7) as u32;
+            let e = PLANE4_ENCODE[sig << 4 | (bit(0) | bit(1) | bit(2) | bit(3)) as usize];
+            acc |= (e as u64 & 0x7f) << len;
+            len += e >> 8 & 7;
             sig = (e >> 12) as usize;
         }
     }
@@ -466,6 +547,101 @@ fn encode_planes4(u: &[u32; 4], emax: Option<i32>, c: &BlockCoding, w: &mut Writ
         w.write_zeros(span - code);
     }
     c.maxbits - left + span
+}
+
+/// A group of [`LANES`] fixed-rate 4-value blocks of `maxbits <= 64` bits
+/// each, coded side by side — one body for [`cpu::widest`]. Lane `l` is
+/// the block `values[4l..4l + 4]`; its code, padding included, is left
+/// in the low `maxbits` bits of `words[l]`. `None`, with `words`
+/// untouched, when any lane holds a NaN or an infinity.
+///
+/// Each lane runs the steps of the scalar coder (`stage4`, then
+/// `encode_planes4`) in the same order, on arrays of lanes: every lane
+/// steps a plane at once until none is live, a lane that is done (no
+/// plane left, or the budget spent) stepping through a done row of the
+/// table, which codes nothing. Nothing in a step branches on a lane.
+pub struct EncodeLanes<'a> {
+    /// The group's blocks, one after the other.
+    pub values: &'a [f32; 4 * LANES],
+    /// Bits a block: more than [`HEADER_BITS`], at most 64.
+    pub maxbits: u32,
+    /// Each block's code.
+    pub words: &'a mut [u64; LANES],
+}
+
+impl cpu::Kernel for EncodeLanes<'_> {
+    type Output = Option<()>;
+
+    #[inline(always)]
+    fn run(self) -> Option<()> {
+        const INF: u32 = 0x7f80_0000;
+        let EncodeLanes { values, maxbits, words } = self;
+        debug_assert!((HEADER_BITS + 1..=64).contains(&maxbits));
+        // Value `i` of every lane.
+        let mut v = [[0.0f32; LANES]; 4];
+        for (l, block) in values.chunks_exact(4).enumerate() {
+            for (vi, &x) in v.iter_mut().zip(block) {
+                vi[l] = x;
+            }
+        }
+        let mut top = [0u32; LANES];
+        for (l, t) in top.iter_mut().enumerate() {
+            *t = v.iter().fold(0, |m, vi| m.max(vi[l].to_bits() & 0x7fff_ffff));
+        }
+        if top.iter().fold(0, |m, &t| m.max(t)) >= INF {
+            return None;
+        }
+        // Each lane's coefficients 0 and 1 in the halves of `lo`, 2 and 3
+        // in `hi`'s; its word, its fill, the planes it has left and its
+        // significant coefficients, times 16.
+        let (mut lo, mut hi) = ([0u64; LANES], [0u64; LANES]);
+        let (mut acc, mut len) = ([0u64; LANES], [0u32; LANES]);
+        let (mut k, mut sig16) = ([0u32; LANES], [0u32; LANES]);
+        for l in 0..LANES {
+            let nonzero = top[l] != 0;
+            let emax = if nonzero { exponent(f32::from_bits(top[l])).clamp(-127, 128) } else { 0 };
+            let mut q = [0i32; 4];
+            for (qi, vi) in q.iter_mut().zip(&v) {
+                *qi = fixed_point(vi[l], emax);
+            }
+            lift::fwd_lift(&mut q);
+            let u = q.map(lift::int2uint);
+            lo[l] = u[0] as u64 | (u[1] as u64) << 32;
+            hi[l] = u[2] as u64 | (u[3] as u64) << 32;
+            // A plane above every coefficient's top bit: one failed test.
+            let any = u[0] | u[1] | u[2] | u[3];
+            let empty = any.leading_zeros().min(maxbits - HEADER_BITS);
+            acc[l] = if nonzero { 1 | ((emax + 127) as u64) << 1 } else { 0 };
+            len[l] = if nonzero { HEADER_BITS + empty } else { 1 };
+            k[l] = if nonzero { INTPREC - empty } else { 0 };
+        }
+        loop {
+            let mut any = 0;
+            for l in 0..LANES {
+                let live = lane_live(k[l], len[l], maxbits);
+                let kk = k[l] - live;
+                // Plane `kk` of two coefficients lands on bits 0 and 32.
+                let pair = |x: u64| {
+                    let x = x >> kk & 0x1_0000_0001;
+                    (x | x >> 31) as u32 & 3
+                };
+                let row16 = sig16[l] | ((live ^ 1) * DONE) << 4;
+                let e = PLANE4_ENCODE[(row16 | pair(lo[l]) | pair(hi[l]) << 2) as usize & 0x7f];
+                acc[l] |= ((e & 0x7f) as u64).wrapping_shl(len[l]);
+                len[l] += e >> 8 & 7;
+                sig16[l] = e >> 8 & 0x70;
+                k[l] = kk;
+                any |= live;
+            }
+            if any == 0 {
+                break;
+            }
+        }
+        // A code the budget cut may run past it.
+        let budget = u64::MAX >> (64 - maxbits);
+        *words = acc.map(|a| a & budget);
+        Some(())
+    }
 }
 
 /// A 4-value block being decoded, between two planes.
@@ -511,12 +687,12 @@ impl Planes4 {
 
     /// Reads the next plane from `win`, whose low seven bits — or all the
     /// budget has left — must be the code's. Nothing once no plane is
-    /// left, and no branch either way: two blocks step side by side.
+    /// left.
     #[inline(always)]
     fn step(&mut self) {
         let live = self.live();
         let r = if live { (self.budget - self.used).min(7) } else { 0 };
-        let e = PLANE4_STEP[self.sig][self.win as usize & ((1 << r) - 1) | 1 << r] as u64;
+        let e = PLANE4_STEP[self.sig << 8 | self.win as usize & ((1 << r) - 1) | 1 << r] as u64;
         self.win >>= e & 63;
         self.used += (e & 63) as u32;
         self.k -= live as u32;
@@ -569,30 +745,132 @@ fn read_block4(r: &mut BitReader<'_>, c: &BlockCoding, budget: u32) -> Result<(u
 /// [`decode_block`] for a run of fixed-rate 1-D blocks of at most 64 bits
 /// that holds `out`, whose length may cut the last block. Block `i` is
 /// the `maxbits` bits at `i * maxbits`: blocks are taken a word each and
-/// stepped two at a time, because the steps of one block are a chain of
-/// dependent loads. Leaves `r` behind the last block.
+/// decoded [`LANES`] at a time by [`DecodeLanes`], the last group padded
+/// with all-zero blocks. Leaves `r` behind the last block.
 #[inline]
 pub fn decode_line(r: &mut BitReader<'_>, c: &BlockCoding, out: &mut [f32]) -> Result<()> {
     debug_assert!(c.d == 1 && c.fixed_rate && c.maxbits <= 64);
     if r.remaining_bits() < out.len().div_ceil(4) as u64 * c.maxbits as u64 {
         return Err(Error::corrupt("bit stream exhausted"));
     }
-    let mut blocks = out.chunks_mut(4);
-    while let Some(block) = blocks.next() {
-        let pair = blocks.next();
-        let mut a = Planes4::open(r.take_bits(c.maxbits), c, c.maxbits);
-        let word = if pair.is_some() { r.take_bits(c.maxbits) } else { 0 };
-        let mut b = Planes4::open(word, c, c.maxbits);
-        while a.live() | b.live() {
-            a.step();
-            b.step();
+    let mut group = |out: &mut [f32; 4 * LANES], blocks: usize| {
+        let mut words = [0u64; LANES];
+        for word in &mut words[..blocks] {
+            *word = r.take_bits(c.maxbits);
         }
-        a.rebuild(block);
-        if let Some(block) = pair {
-            b.rebuild(block);
-        }
+        dispatch(DecodeLanes { words: &words, maxbits: c.maxbits, out });
+    };
+    let (whole, rest) = out.as_chunks_mut::<{ 4 * LANES }>();
+    for out in whole {
+        group(out, LANES);
+    }
+    if !rest.is_empty() {
+        let mut padded = [0.0f32; 4 * LANES];
+        group(&mut padded, rest.len().div_ceil(4));
+        rest.copy_from_slice(&padded[..rest.len()]);
     }
     Ok(())
+}
+
+/// The scalar reader's steps (`Planes4::open`, `step` and `rebuild`) for a
+/// group of [`LANES`] fixed-rate 4-value blocks of `maxbits <= 64` bits,
+/// side by side — one body for [`cpu::widest`]. `words[l]` is block `l`'s
+/// code (zero above `maxbits`); its values go to `out[4l..4l + 4]`.
+///
+/// Every lane steps a plane at once until none is live, a lane that is
+/// done stepping through a done row of the table, which reads nothing.
+/// Nothing in a step branches on a lane.
+pub struct DecodeLanes<'a> {
+    /// Each block's code.
+    pub words: &'a [u64; LANES],
+    /// Bits a block: more than [`HEADER_BITS`], at most 64.
+    pub maxbits: u32,
+    /// The group's blocks, one after the other.
+    pub out: &'a mut [f32; 4 * LANES],
+}
+
+impl cpu::Kernel for DecodeLanes<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let DecodeLanes { words, maxbits, out } = self;
+        debug_assert!((HEADER_BITS + 1..=64).contains(&maxbits));
+        debug_assert!(maxbits == 64 || words.iter().all(|w| w >> maxbits == 0));
+        // Each lane's unread bits, the bits it has read, its exponent, the
+        // planes it has left and its significant coefficients.
+        let (mut win, mut used, mut emax) = ([0u64; LANES], [0u32; LANES], [0i32; LANES]);
+        let (mut k, mut sig) = ([0u32; LANES], [0u32; LANES]);
+        for l in 0..LANES {
+            let nonzero = words[l] & 1 != 0;
+            // Planes above every coefficient's top bit: a failed test each.
+            let empty = (words[l] >> HEADER_BITS | 1 << INTPREC).trailing_zeros();
+            let empty = empty.min(maxbits - HEADER_BITS);
+            emax[l] = if nonzero { (words[l] >> 1 & 0xff) as i32 - 127 } else { 0 };
+            used[l] = if nonzero { HEADER_BITS + empty } else { 1 };
+            k[l] = if nonzero { INTPREC - empty } else { 0 };
+            win[l] = words[l] >> used[l];
+        }
+        // Coefficients 0 and 1 in the halves of `lo`, 2 and 3 in `hi`'s.
+        let (mut lo, mut hi) = ([0u64; LANES], [0u64; LANES]);
+        loop {
+            let mut any = 0;
+            for l in 0..LANES {
+                let live = lane_live(k[l], used[l], maxbits);
+                // Bits of `win` past the budget are zero, so only the
+                // marker `1 << r` tells the table where the budget ends.
+                let r = maxbits.wrapping_sub(used[l]).min(7);
+                let row = sig[l] | ((live ^ 1) * DONE);
+                let e = PLANE4_STEP[(row << 8 | win[l] as u32 & 0x7f | 1 << r) as usize & 0x7ff];
+                let kk = k[l] - live;
+                let x = (e >> 6 & 15) as u64;
+                lo[l] |= (x & 1 | (x & 2) << 31) << kk;
+                hi[l] |= (x >> 2 & 1 | (x & 8) << 29) << kk;
+                win[l] >>= e & 63;
+                used[l] += e & 63;
+                sig[l] = e >> 10;
+                k[l] = kk;
+                any |= live;
+            }
+            if any == 0 {
+                break;
+            }
+        }
+        let mut v = [[0.0f32; LANES]; 4];
+        for l in 0..LANES {
+            let u = [lo[l] as u32, (lo[l] >> 32) as u32, hi[l] as u32, (hi[l] >> 32) as u32];
+            let mut q = u.map(lift::uint2int);
+            lift::inv_lift(&mut q);
+            let scale = f64_pow2(emax[l] - 30);
+            for (vi, qi) in v.iter_mut().zip(q) {
+                vi[l] = (qi as f64 * scale) as f32;
+            }
+        }
+        for (l, block) in out.chunks_exact_mut(4).enumerate() {
+            for (o, vi) in block.iter_mut().zip(&v) {
+                *o = vi[l];
+            }
+        }
+    }
+}
+
+/// 1 while a lane has a plane left (`k > 0`) and budget to code it in
+/// (`used < maxbits`), else 0 — from the sign bits, not by comparing, so
+/// that nothing downstream becomes a branch.
+#[inline(always)]
+fn lane_live(k: u32, used: u32, maxbits: u32) -> u32 {
+    (k.wrapping_neg() & used.wrapping_sub(maxbits)) >> 31
+}
+
+/// Runs a kernel at the widest vector width the CPU has (or, in tests,
+/// the width one forced).
+#[inline]
+fn dispatch<K: cpu::Kernel>(body: K) -> K::Output {
+    #[cfg(test)]
+    if let Some(level) = forced::level() {
+        return cpu::at(level, body).expect("a forced level is one the host runs");
+    }
+    cpu::widest(body)
 }
 
 /// Encodes one block of `N = 4^d` f32 values into `w`.
@@ -610,9 +888,8 @@ pub fn encode_block<const N: usize>(
     debug_assert_eq!(block_cells(c.d), N);
     debug_assert!(c.maxbits >= HEADER_BITS);
     if N == 4 {
-        let mut used = 0;
-        encode_line(values, c, w, |bits| used = bits)?;
-        return Some(used);
+        let (emax, u) = stage4(&pad4(values))?;
+        return Some(encode_planes4(&u, emax, c, &mut w.tail()));
     }
     let vmax = finite_max(values)?;
     let mut w = w.tail();
@@ -643,27 +920,8 @@ fn encode_finite<const N: usize>(
     let emax = exponent(vmax).clamp(-127, 128);
     w.write_bits(1 | ((emax + 127) as u64) << 1, HEADER_BITS);
 
-    // Fixed-point cast with |q| < 2^30, in f64 so the scale never
-    // overflows even for denormal-dominated blocks. The bound needs no
-    // clamp: |v| <= vmax < 2^emax, the product with a power of two is
-    // exact, and the cast truncates toward zero.
-    let scale = f64_pow2(30 - emax);
-    let mut q = [0i32; N];
-    for (qi, &v) in q.iter_mut().zip(values) {
-        *qi = (v as f64 * scale) as i32;
-    }
-    lift::fwd_xform(&mut q);
-
-    // Reorder + negabinary, stored by byte row.
     let mut fetch = PlaneRows::<N>::new();
-    let mut any = 0u32;
-    for (i, &p) in Sequency::<N>::PERM.iter().enumerate() {
-        let u = lift::int2uint(q[p as usize % N]);
-        any |= u;
-        for (row, b) in fetch.coeffs.bytes.iter_mut().zip(u.to_le_bytes()) {
-            row[i] = b;
-        }
-    }
+    let any = dispatch(Stage { values, emax, rows: &mut fetch.coeffs.bytes });
 
     // Embedded coding.
     let budget = c.maxbits - HEADER_BITS;
@@ -756,7 +1014,7 @@ pub fn decode_block<const N: usize>(
     head.skip_bits((span - used) as u64);
     *r = head;
     match coded {
-        Some((emax, coeffs)) => reconstruct(emax, &coeffs, out),
+        Some((emax, coeffs)) => dispatch(Unstage { emax, rows: &coeffs.bytes, out }),
         None => *out = [0.0; N],
     }
     Ok(span)
@@ -857,18 +1115,112 @@ fn scan_run(run: u64, limit: u32) -> (u32, u32) {
     }
 }
 
-/// Undoes negabinary, reorder, transform and cast.
-#[inline]
-fn reconstruct<const N: usize>(emax: i32, coeffs: &Coefficients<N>, out: &mut [f32; N]) {
-    let [b0, b1, b2, b3] = &coeffs.bytes;
-    let mut q = [0i32; N];
-    for (i, &p) in Sequency::<N>::PERM.iter().enumerate() {
-        q[p as usize % N] = lift::uint2int(u32::from_le_bytes([b0[i], b1[i], b2[i], b3[i]]));
+/// A block's fixed-point cast, transform, sequency reorder and
+/// negabinary into byte rows — one body for [`cpu::widest`], run once per
+/// 16- or 64-value block. Returns the OR of the coefficients.
+pub struct Stage<'a, const N: usize> {
+    /// The block, x fastest.
+    pub values: &'a [f32; N],
+    /// Its exponent: every `|v| < 2^emax`.
+    pub emax: i32,
+    /// Byte `g` of the coefficient of sequency rank `i` goes to
+    /// `rows[g][i]`.
+    pub rows: &'a mut [[u8; N]; 4],
+}
+
+impl<const N: usize> cpu::Kernel for Stage<'_, N> {
+    type Output = u32;
+
+    #[inline(always)]
+    fn run(self) -> u32 {
+        let mut q = [0i32; N];
+        for (qi, &v) in q.iter_mut().zip(self.values) {
+            *qi = fixed_point(v, self.emax);
+        }
+        lift::fwd_xform(&mut q);
+        let mut u = [0u32; N];
+        for (ui, &p) in u.iter_mut().zip(&Sequency::<N>::PERM) {
+            *ui = lift::int2uint(q[p as usize % N]);
+        }
+        for (g, row) in self.rows.iter_mut().enumerate() {
+            for (b, &ui) in row.iter_mut().zip(&u) {
+                *b = (ui >> (8 * g)) as u8;
+            }
+        }
+        u.iter().fold(0, |any, &ui| any | ui)
     }
-    lift::inv_xform(&mut q);
-    let scale = f64_pow2(emax - 30);
-    for (o, &qi) in out.iter_mut().zip(&q) {
-        *o = (qi as f64 * scale) as f32;
+}
+
+/// The mirror of [`Stage`]: negabinary, reorder, inverse transform and
+/// cast from a block's byte rows into `out` — one body for
+/// [`cpu::widest`].
+pub struct Unstage<'a, const N: usize> {
+    /// The block's exponent.
+    pub emax: i32,
+    /// Its coefficients by byte row, as [`Stage`] leaves them.
+    pub rows: &'a [[u8; N]; 4],
+    /// The block, x fastest.
+    pub out: &'a mut [f32; N],
+}
+
+impl<const N: usize> cpu::Kernel for Unstage<'_, N> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let [b0, b1, b2, b3] = self.rows;
+        let mut u = [0u32; N];
+        for (i, ui) in u.iter_mut().enumerate() {
+            *ui = u32::from_le_bytes([b0[i], b1[i], b2[i], b3[i]]);
+        }
+        let mut q = [0i32; N];
+        for (&ui, &p) in u.iter().zip(&Sequency::<N>::PERM) {
+            q[p as usize % N] = lift::uint2int(ui);
+        }
+        lift::inv_xform(&mut q);
+        let scale = f64_pow2(self.emax - 30);
+        for (o, &qi) in self.out.iter_mut().zip(&q) {
+            *o = (qi as f64 * scale) as f32;
+        }
+    }
+}
+
+/// A vector width forced on every kernel of the test process, so that
+/// streams, thread counts and the device path can be run at each width.
+/// Forcing tests take turns; other tests running meanwhile run at the
+/// forced width too, which changes none of their results — that is the
+/// property the forcing tests check.
+#[cfg(test)]
+pub(crate) mod forced {
+    use foresight_util::cpu::{self, Level};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Mutex, PoisonError};
+
+    /// 0 for none, else the index in [`Level::ALL`] plus one.
+    static LEVEL: AtomicUsize = AtomicUsize::new(0);
+    /// One forcing test at a time.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
+    pub(crate) fn level() -> Option<Level> {
+        LEVEL.load(Ordering::SeqCst).checked_sub(1).map(|i| Level::ALL[i])
+    }
+
+    /// Runs `f` with every kernel at `level`; `None` when the host does
+    /// not run `level`.
+    pub(crate) fn at<R>(level: Level, f: impl FnOnce() -> R) -> Option<R> {
+        if level > cpu::level() {
+            return None;
+        }
+        struct Reset;
+        impl Drop for Reset {
+            fn drop(&mut self) {
+                LEVEL.store(0, Ordering::SeqCst);
+            }
+        }
+        let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+        let _reset = Reset;
+        LEVEL.store(level as usize + 1, Ordering::SeqCst);
+        Some(f())
     }
 }
 
@@ -1056,6 +1408,50 @@ mod tests {
         }
         for e in -160..=160 {
             assert_eq!(f64_pow2(e).to_bits(), f64::powi(2.0, e).to_bits(), "2^{e}");
+        }
+    }
+
+    /// The integer cast against the f64 product it replaced, for every
+    /// f32 exponent, both signs, and every block exponent the coder can
+    /// pair with the value: its own, the clamp's, and up to 128.
+    #[test]
+    fn fixed_point_equals_the_f64_product_for_every_exponent() {
+        let mut x = 0x9E37_79B9u32;
+        for field in 0..=254u32 {
+            let mut mantissas = vec![0u32, 1, 2, 0x40_0000, 0x7f_fffe, 0x7f_ffff];
+            for _ in 0..6 {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                mantissas.push(x & 0x7f_ffff);
+            }
+            for m in mantissas {
+                for sign in [0, 1u32 << 31] {
+                    let v = f32::from_bits(sign | field << 23 | m);
+                    let own = if v == 0.0 { -127 } else { exponent(v).clamp(-127, 128) };
+                    for emax in own..=128 {
+                        let want = (v as f64 * f64_pow2(30 - emax)) as i32;
+                        assert_eq!(fixed_point(v, emax), want, "{v:e} at emax {emax}");
+                        assert!(want.unsigned_abs() < 1 << 30, "{v:e} at emax {emax}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A lane that is done steps through a `DONE` row: nothing coded or
+    /// read, whatever the nibble or key, and the row stays done.
+    #[test]
+    fn done_rows_code_and_read_nothing() {
+        for sig in 0..=4u32 {
+            let row = sig | DONE;
+            assert!(row >= 5, "{sig}");
+            for nibble in 0..16 {
+                assert_eq!(PLANE4_ENCODE[(row << 4 | nibble) as usize], row << 12);
+            }
+            for key in 0..256 {
+                assert_eq!(PLANE4_STEP[(row << 8 | key) as usize], row << 10);
+            }
         }
     }
 

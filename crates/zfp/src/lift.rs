@@ -9,9 +9,17 @@
 //!
 //! Negabinary maps signed coefficients to unsigned so that magnitude-order
 //! bit planes can be emitted MSB-first without a separate sign pass.
+//!
+//! Every function here is `#[inline(always)]`: they are the leaves of the
+//! codec's [`foresight_util::cpu::Kernel`]s, and a leaf left out of line
+//! would be compiled at the baseline whatever width calls it (DESIGN.md
+//! §23.3). [`lift_axis`] lifts all the lines of a block along one axis as
+//! lanes, side by side, and the fixed-rate 1-D lanes call [`fwd_lift`] /
+//! [`inv_lift`] once per lane the same way; there is one copy of each
+//! lift (§24).
 
 /// Forward lift on one 4-vector (stride-gathered by the caller).
-#[inline]
+#[inline(always)]
 pub fn fwd_lift(p: &mut [i32; 4]) {
     let [mut x, mut y, mut z, mut w] = *p;
     // Non-overflowing for |v| < 2^30 as guaranteed by the cast stage;
@@ -34,7 +42,7 @@ pub fn fwd_lift(p: &mut [i32; 4]) {
 }
 
 /// Inverse lift; exactly undoes [`fwd_lift`] on in-range inputs.
-#[inline]
+#[inline(always)]
 pub fn inv_lift(p: &mut [i32; 4]) {
     let [mut x, mut y, mut z, mut w] = *p;
     y = y.wrapping_add(w >> 1);
@@ -57,57 +65,63 @@ pub fn inv_lift(p: &mut [i32; 4]) {
 const NBMASK: u32 = 0xAAAA_AAAA;
 
 /// Signed -> negabinary.
-#[inline]
+#[inline(always)]
 pub fn int2uint(x: i32) -> u32 {
     (x as u32).wrapping_add(NBMASK) ^ NBMASK
 }
 
 /// Negabinary -> signed.
-#[inline]
+#[inline(always)]
 pub fn uint2int(x: u32) -> i32 {
     (x ^ NBMASK).wrapping_sub(NBMASK) as i32
 }
 
-/// Applies the lift along one axis of a `4^d` block stored x-fastest.
+/// Lifts every line of a block of `N = 4^d` values, stored x-fastest,
+/// along one axis: `stride` 1 for x, 4 for y, 16 for z.
 ///
-/// `n` is the total number of values (4, 16, or 64); `stride` selects the
-/// axis (1 = x, 4 = y, 16 = z). Inlined into the transforms below, where
-/// both are constants and the line loop unrolls without bounds checks.
+/// The lines are the lanes. They are taken apart into four rows — row
+/// `j` holds value `j` of every line — so the lift runs once across all
+/// of them as one plain loop, which the compiler widens to the vector
+/// width of the [`foresight_util::cpu::Kernel`] it is inlined into, and
+/// the rows are put back. `N` and `stride` are constants wherever this is
+/// inlined, so both shuffles are fixed permutations.
 #[inline(always)]
-pub fn lift_axis(data: &mut [i32], stride: usize, forward: bool) {
-    let n = data.len();
-    debug_assert!(matches!(n, 4 | 16 | 64));
-    let lines = n / 4;
+pub fn lift_axis<const N: usize>(data: &mut [i32; N], stride: usize, forward: bool) {
+    debug_assert!(matches!(N, 4 | 16 | 64) && matches!(stride, 1 | 4 | 16) && stride * 4 <= N);
+    let lines = N / 4;
+    // The first value of each line.
+    let base = |line: usize| match stride {
+        1 => line * 4,
+        4 => line / 4 * 16 + line % 4,
+        _ => line,
+    };
+    let mut rows = [[0i32; 16]; 4];
     for line in 0..lines {
-        // Map line id to the base offset for this stride.
-        let base = match stride {
-            1 => line * 4,
-            4 => (line / 4) * 16 + (line % 4),
-            16 => line,
-            // lint: allow(decode-panic) — internal invariant: callers pass only 1/4/16
-            _ => unreachable!("stride must be 1, 4, or 16"),
-        };
-        let mut g = [
-            data[base],
-            data[base + stride],
-            data[base + 2 * stride],
-            data[base + 3 * stride],
-        ];
-        if forward {
-            fwd_lift(&mut g);
-        } else {
-            inv_lift(&mut g);
+        for (j, row) in rows.iter_mut().enumerate() {
+            row[line] = data[base(line) + j * stride];
         }
-        data[base] = g[0];
-        data[base + stride] = g[1];
-        data[base + 2 * stride] = g[2];
-        data[base + 3 * stride] = g[3];
+    }
+    for line in 0..lines {
+        let mut p = [rows[0][line], rows[1][line], rows[2][line], rows[3][line]];
+        if forward {
+            fwd_lift(&mut p);
+        } else {
+            inv_lift(&mut p);
+        }
+        for (row, v) in rows.iter_mut().zip(p) {
+            row[line] = v;
+        }
+    }
+    for line in 0..lines {
+        for (j, row) in rows.iter().enumerate() {
+            data[base(line) + j * stride] = row[line];
+        }
     }
 }
 
 /// Full forward transform of a block of `N = 4^d` values: one lift per
-/// axis the block has.
-#[inline]
+/// axis the block has, x first.
+#[inline(always)]
 pub fn fwd_xform<const N: usize>(data: &mut [i32; N]) {
     lift_axis(data, 1, true);
     if N >= 16 {
@@ -119,7 +133,7 @@ pub fn fwd_xform<const N: usize>(data: &mut [i32; N]) {
 }
 
 /// Full inverse transform (axes in reverse order).
-#[inline]
+#[inline(always)]
 pub fn inv_xform<const N: usize>(data: &mut [i32; N]) {
     if N >= 64 {
         lift_axis(data, 16, false);

@@ -14,8 +14,10 @@
 //! run the block kernel is picked once — [`codec`]'s kernel at the run's
 //! block size — and the block origin is stepped, not recomputed. A 1-D
 //! run has no origin to step: it is a slice of the array, which the line
-//! kernel walks four values at a time, in and out ([`codec::encode_line`],
-//! [`codec::decode_line`]). Blocks are the array's [`Tiles`] of edge 4.
+//! kernel walks in and out ([`codec::encode_line`], [`codec::decode_line`])
+//! sixteen blocks at a time at a fixed rate of at most 64 bits a block,
+//! and a block at a time otherwise. Blocks are the array's [`Tiles`] of
+//! edge 4.
 //! The decoder's work item is a slab ([`Tiles::par_slabs`]): the part of
 //! the output that whole layers of blocks own — four z-planes in 3-D,
 //! four rows in 2-D, merged until the item holds at least `G` blocks — so
@@ -118,10 +120,16 @@ impl<'a> Encoder<'a> {
     }
 
     /// Gathers block `bi` and appends its code to `w`, returning the bits
-    /// written.
+    /// written. One block is not worth a group of lanes: it runs through
+    /// the per-block kernel at every dimensionality.
     pub(crate) fn encode_block(&self, bi: usize, w: &mut BitWriter) -> Result<u32> {
         let mut used = 0;
-        self.encode_blocks(bi..bi + 1, w, |bits| used = bits)?;
+        let coded = |bits| used = bits;
+        match self.tiles.shape().ndim() {
+            1 => self.encode_typed::<4>(bi..bi + 1, w, coded),
+            2 => self.encode_typed::<16>(bi..bi + 1, w, coded),
+            _ => self.encode_typed::<64>(bi..bi + 1, w, coded),
+        }?;
         Ok(used)
     }
 
@@ -627,6 +635,62 @@ mod tests {
     #[test]
     fn length_mismatch_rejected() {
         assert!(compress(&[0.0; 5], Dims::D1(6), &ZfpConfig::rate(8.0)).is_err());
+    }
+
+    /// Every vector width codes the same streams and reads the same
+    /// values as the baseline, on 1, 2 and 4 threads and on the device
+    /// path, whose 1-D blocks run one at a time through the scalar coder:
+    /// fixed-rate 1-D lengths through a group of lanes and a block past
+    /// it and around a run, budgets of 10 to 64 bits and one past a word,
+    /// and the 2-D and 3-D staging.
+    #[test]
+    fn streams_are_identical_at_every_level_thread_count_and_on_the_device() {
+        use crate::codec::{forced, LANES};
+        use foresight_util::cpu::Level;
+        use gpu_sim::{Device, GpuSpec};
+        let on = |threads: usize, f: &(dyn Fn() -> (Vec<u8>, Vec<u32>) + Sync)| {
+            rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap().install(f)
+        };
+        let mut cases: Vec<(Dims, ZfpConfig)> = Vec::new();
+        for len in (0..=4 * LANES + 3).chain([4 * G - 1, 4 * G, 4 * G + 1]) {
+            for rate in [2.5, 4.0, 8.0, 11.0, 16.0, 20.0] {
+                cases.push((Dims::D1(len), ZfpConfig::rate(rate)));
+            }
+        }
+        for dims in [Dims::D2(17, 9), Dims::D2(70, 66), Dims::D3(13, 7, 5), Dims::D3(24, 20, 9)] {
+            cases.push((dims, ZfpConfig::rate(4.0)));
+            cases.push((dims, ZfpConfig::accuracy(0.01)));
+        }
+        let values = |v: Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        for (dims, cfg) in cases {
+            let data: Vec<f32> =
+                (0..dims.len()).map(|i| ((i as f32 * 0.37).sin() * 300.0).powi(3) * 1e-4).collect();
+            let roundtrip = || {
+                let stream = compress(&data, dims, &cfg).unwrap();
+                let decoded = values(decompress(&stream).unwrap().0);
+                (stream, decoded)
+            };
+            let base = forced::at(Level::Baseline, || on(1, &roundtrip)).unwrap();
+            for level in Level::ALL {
+                let ran = forced::at(level, || {
+                    for threads in [1, 2, 4] {
+                        assert!(
+                            on(threads, &roundtrip) == base,
+                            "{dims:?} {cfg:?} {level:?} {threads}"
+                        );
+                    }
+                    let mut dev = Device::new(GpuSpec::tesla_v100());
+                    let (stream, _) =
+                        crate::gpu_exec::compress_on(&mut dev, &data, dims, &cfg).unwrap();
+                    assert!(stream == base.0, "{dims:?} {cfg:?} {level:?}: device bytes");
+                    let (decoded, ..) = crate::gpu_exec::decompress_on(&mut dev, &stream).unwrap();
+                    assert!(values(decoded) == base.1, "{dims:?} {cfg:?} {level:?}: device values");
+                });
+                if ran.is_none() {
+                    eprintln!("skipped, this CPU does not run {level:?}");
+                }
+            }
+        }
     }
 
     #[test]

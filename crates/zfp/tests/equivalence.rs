@@ -14,12 +14,20 @@
 //! same bytes and the same values for every mode, dimensionality, ragged
 //! extent and run-boundary block count, on any number of threads, and the
 //! traced device path must agree with both.
+//!
+//! The vector kernels — fixed-rate 1-D blocks coded [`LANES`] at a time,
+//! and the cast + lift of 2-D and 3-D blocks — run here at every
+//! [`Level`] this CPU has, through `cpu::at`, against the scalar coder
+//! and the per-axis lift they stand in for. Only a release build widens
+//! them; a debug build runs the same scalar code at every level.
 
 use foresight_util::bits::{BitReader, BitWriter};
+use foresight_util::cpu::{self, Level};
 use foresight_util::crc::crc32;
 use foresight_util::Error;
 use gpu_sim::{Device, GpuSpec};
 use lossy_zfp::codec::{self, block_cells, BlockCoding, HEADER_BITS};
+use lossy_zfp::codec::{DecodeLanes, EncodeLanes, Stage, Unstage, LANES};
 use lossy_zfp::gpu_exec::{compress_on, decompress_on};
 use lossy_zfp::{compress, decompress, Dims, ZfpConfig};
 use rayon::ThreadPoolBuilder;
@@ -347,8 +355,8 @@ fn four_value_tables_equal_the_reference_plane_coder_entry_by_entry() {
             reference::code_plane(&mut w, nibble, 4, &mut after, &mut bits);
             let len = 64 - bits;
             let code = w.into_bytes()[0] as u16;
-            let entry = codec::PLANE4_ENCODE[sig][nibble as usize];
-            let want = code | (len as u16) << 8 | (after as u16) << 12;
+            let entry = codec::PLANE4_ENCODE[sig << 4 | nibble as usize];
+            let want = code as u32 | len << 8 | (after as u32) << 12;
             assert_eq!(entry, want, "encode entry ({sig}, {nibble:#06b})");
             assert!((1..=7).contains(&len));
         }
@@ -359,8 +367,8 @@ fn four_value_tables_equal_the_reference_plane_coder_entry_by_entry() {
                 let (mut after, mut bits) = (sig, r);
                 let plane = reference::read_plane(&mut reader, 4, &mut after, &mut bits).unwrap();
                 let len = r - bits;
-                let entry = codec::PLANE4_STEP[sig][1 << r | x as usize];
-                let want = len as u16 | (plane as u16) << 6 | (after as u16) << 10;
+                let entry = codec::PLANE4_STEP[sig << 8 | 1 << r | x as usize];
+                let want = len | (plane as u32) << 6 | (after as u32) << 10;
                 assert_eq!(entry, want, "step entry ({sig}, {x:#09b} of {r} bits)");
             }
         }
@@ -549,9 +557,10 @@ fn driver_matches_the_per_block_oracle_byte_for_byte() {
             );
         }
     }
-    // The 1-D run driver walks the slice: every length around a block and
-    // around a run of `G` blocks, where the last block is whole, partial
-    // or alone; 10-bit blocks that straddle bytes and words (rates 1 and
+    // The 1-D run driver walks the slice: every length up to a group of
+    // lanes and a block past it, and around a run of `G` blocks, where
+    // the last block and the last group are whole, partial or alone;
+    // 10-bit blocks that straddle bytes and words (rates 1 and
     // 2.5), one-word blocks, two-word blocks, blocks wider than the
     // longest code (rate 64), and both variable-length modes; on every
     // thread count and on the device path.
@@ -560,7 +569,7 @@ fn driver_matches_the_per_block_oracle_byte_for_byte() {
         .into_iter()
         .chain([ZfpConfig::precision(14), ZfpConfig::accuracy(0.5)]);
     for cfg in configs {
-        for len in (0..=17).chain([4 * G - 1, 4 * G, 4 * G + 1]) {
+        for len in (0..=4 * LANES + 3).chain([4 * G - 1, 4 * G, 4 * G + 1]) {
             let dims = Dims::D1(len);
             let data = field(len, 0x51ED_270B);
             let want = oracle_compress(&data, dims, &cfg);
@@ -655,4 +664,237 @@ fn non_finite_input_is_a_typed_error_in_every_mode() {
     let edge = [f32::MAX, f32::MIN, f32::MIN_POSITIVE, -0.0, 1e-45, 0.0, 1.0, -1.0];
     let stream = compress(&edge, Dims::D1(8), &ZfpConfig::rate(32.0)).unwrap();
     assert!(decompress(&stream).unwrap().0.iter().all(|v| v.is_finite()));
+}
+
+/// The levels this CPU runs, narrowest first; the others are reported as
+/// skipped.
+fn levels() -> Vec<Level> {
+    let (run, skipped): (Vec<Level>, Vec<Level>) =
+        Level::ALL.into_iter().partition(|&l| l <= cpu::level());
+    if !skipped.is_empty() {
+        eprintln!("skipped, this CPU does not run them: {skipped:?}");
+    }
+    run
+}
+
+/// Groups of [`LANES`] 4-value blocks of every class the lanes treat
+/// differently: all zero, subnormal, near the top of the range, mixed
+/// exponents within a block and across the lanes, ties in magnitude and
+/// values on powers of two, smooth and noisy, and groups whose lanes
+/// alternate with all-zero blocks.
+fn lane_groups(seed: &mut u64) -> Vec<(&'static str, [f32; 4 * LANES])> {
+    let unit = |s: &mut u64| (xorshift(s) >> 40) as f32 / (1 << 24) as f32 - 0.5;
+    let mut walk = 37.25f32;
+    let mut groups: Vec<(&'static str, [f32; 4 * LANES])> = vec![
+        ("all zero", [0.0; 4 * LANES]),
+        ("negative zeros", [-0.0; 4 * LANES]),
+        (
+            "subnormals",
+            std::array::from_fn(|_| f32::from_bits((xorshift(seed) & 0x807f_ffff) as u32)),
+        ),
+        ("the smallest subnormals", std::array::from_fn(|i| f32::from_bits(i as u32 % 5))),
+        ("near 1e38", std::array::from_fn(|_| unit(seed) * 2e38)),
+        ("the finite extremes", std::array::from_fn(|i| [f32::MAX, f32::MIN, 1e38, -0.0][i % 4])),
+        (
+            "mixed exponents in a block",
+            std::array::from_fn(|i| unit(seed) * 10f32.powi([-30, 30, -3, 8][i % 4])),
+        ),
+        ("one exponent a lane", std::array::from_fn(|i| unit(seed) * 10f32.powi(i as i32 / 4 - 8))),
+        ("ties in magnitude", std::array::from_fn(|i| if i % 2 == 0 { 3.75 } else { -3.75 })),
+        ("powers of two", std::array::from_fn(|i| 2f32.powi(i as i32 % 17 - 8))),
+        (
+            "just below powers of two",
+            std::array::from_fn(|i| f32::from_bits((i as u32 % 30 + 100) << 23) - 1e-30),
+        ),
+        (
+            "smooth",
+            std::array::from_fn(|_| {
+                walk += unit(seed) * 0.01;
+                walk
+            }),
+        ),
+        ("noise", std::array::from_fn(|_| unit(seed) * 2e4)),
+        ("one-hot", std::array::from_fn(|i| if i == 37 { -1e-3 } else { 0.0 })),
+    ];
+    let alternating = std::array::from_fn(|i| if i / 4 % 2 == 0 { unit(seed) * 9.0 } else { 0.0 });
+    groups.push(("lanes alternating with all-zero blocks", alternating));
+    groups
+}
+
+fn rate_coding(maxbits: u32) -> Coding {
+    Coding { d: 1, maxbits, fixed_rate: true, planes: reference::Planes::Count(32) }
+}
+
+/// Block `l` of `values`, coded by the scalar kernel and by the reference
+/// coder — they must agree — as the word the lanes leave for it.
+fn scalar_word(values: &[f32; 4 * LANES], l: usize, c: &Coding) -> u64 {
+    let block: [f32; 4] = values[4 * l..4 * l + 4].try_into().unwrap();
+    let mut by_kernel = BitWriter::new();
+    assert_eq!(codec::encode_block(&block, &c.kernel(), &mut by_kernel), Some(c.maxbits));
+    let mut by_reference = BitWriter::new();
+    assert_eq!(encode_block(&block, c, &mut by_reference), Some(c.maxbits));
+    let bytes = by_kernel.into_bytes();
+    assert!(bytes == by_reference.into_bytes(), "lane {l}, {c:?}");
+    BitReader::new(&bytes).take_bits(c.maxbits)
+}
+
+/// Block `l` of `words` read by the scalar kernel.
+fn scalar_values(words: &[u64; LANES], l: usize, c: &Coding) -> [f32; 4] {
+    let bytes = words[l].to_le_bytes();
+    let mut out = [f32::NAN; 4];
+    let used = codec::decode_block(&mut BitReader::new(&bytes), &c.kernel(), c.maxbits, &mut out);
+    assert_eq!(used.unwrap(), c.maxbits, "lane {l}, word {:#x}", words[l]);
+    out
+}
+
+/// The lanes code every group as the scalar coder codes its blocks one
+/// by one, at every fixed-rate budget a word holds and at every level,
+/// and read those words back to the scalar decoder's values.
+#[test]
+fn lanes_code_and_read_like_the_scalar_coder_at_every_level_and_budget() {
+    let mut seed = 0x5851_F42D_4C95_7F2Du64;
+    let groups = lane_groups(&mut seed);
+    for maxbits in HEADER_BITS + 1..=64 {
+        let c = rate_coding(maxbits);
+        for (what, values) in &groups {
+            let want: [u64; LANES] = std::array::from_fn(|l| scalar_word(values, l, &c));
+            let want_values: Vec<u32> =
+                (0..LANES).flat_map(|l| bits(&scalar_values(&want, l, &c))).collect();
+            for level in levels() {
+                let mut words = [0u64; LANES];
+                let coded = cpu::at(level, EncodeLanes { values, maxbits, words: &mut words });
+                assert_eq!(coded, Some(Some(())), "{what}, {maxbits} bits, {level:?}");
+                assert_eq!(words, want, "{what}, {maxbits} bits, {level:?}: words");
+                let mut out = [f32::NAN; 4 * LANES];
+                cpu::at(level, DecodeLanes { words: &words, maxbits, out: &mut out }).unwrap();
+                assert!(bits(&out) == want_values, "{what}, {maxbits} bits, {level:?}: values");
+            }
+        }
+    }
+}
+
+/// Any word is a fixed-rate block: random, sparse and dense words, and
+/// hostile headers — the smallest and largest exponents, runs of empty
+/// planes up to and past the budget — decode in the lanes, at every
+/// level, to exactly what the scalar reader makes of each word.
+#[test]
+fn lanes_read_arbitrary_words_like_the_scalar_reader_at_every_level() {
+    let mut seed = 0x2545_F491_4F6C_DD1Du64;
+    for maxbits in HEADER_BITS + 1..=64 {
+        let c = rate_coding(maxbits);
+        let budget = if maxbits == 64 { u64::MAX } else { (1 << maxbits) - 1 };
+        for round in 0..24 {
+            let words: [u64; LANES] = std::array::from_fn(|l| {
+                let w = match (round + l) % 6 {
+                    0 => xorshift(&mut seed),
+                    1 => xorshift(&mut seed) & xorshift(&mut seed) & xorshift(&mut seed),
+                    2 => !(xorshift(&mut seed) & xorshift(&mut seed)),
+                    3 => 1 | ((xorshift(&mut seed) & 1) * 0x1fe) | xorshift(&mut seed) << 40,
+                    4 => 1 | (xorshift(&mut seed) % 256) << 1,
+                    _ => xorshift(&mut seed) & !1,
+                };
+                w & budget
+            });
+            let want: Vec<u32> =
+                (0..LANES).flat_map(|l| bits(&scalar_values(&words, l, &c))).collect();
+            for level in levels() {
+                let mut out = [f32::NAN; 4 * LANES];
+                cpu::at(level, DecodeLanes { words: &words, maxbits, out: &mut out }).unwrap();
+                assert!(
+                    bits(&out) == want,
+                    "{maxbits} bits, round {round}, {level:?}: {words:#x?}"
+                );
+            }
+        }
+    }
+}
+
+/// A NaN or an infinity anywhere in a group refuses the whole group: the
+/// kernel leaves every word as it was, and the line coder writes nothing
+/// of that group — at every level.
+#[test]
+fn a_non_finite_value_in_any_lane_refuses_its_group_and_writes_nothing() {
+    let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+    let c = BlockCoding::new(&lossy_zfp::ZfpMode::FixedRate(8.0), 1);
+    for level in levels() {
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for at in 0..4 * LANES {
+                let mut values: [f32; 4 * LANES] = std::array::from_fn(|_| {
+                    (xorshift(&mut seed) >> 40) as f32 / (1 << 24) as f32 - 0.5
+                });
+                values[at] = bad;
+                let mut words = [0x5A5A_A5A5_C3C3_3C3C; LANES];
+                let coded =
+                    cpu::at(level, EncodeLanes { values: &values, maxbits: 32, words: &mut words });
+                assert_eq!(coded, Some(None), "{bad} at {at}, {level:?}");
+                assert_eq!(words, [0x5A5A_A5A5_C3C3_3C3C; LANES], "{bad} at {at}, {level:?}");
+            }
+        }
+    }
+    // Through the line coder: the groups before the bad one are written,
+    // nothing of it or after it.
+    for bad_group in 0..3 {
+        let mut line = field(3 * 4 * LANES + 5, 9);
+        line[bad_group * 4 * LANES + 17] = f32::NAN;
+        let mut w = BitWriter::new();
+        let mut coded = 0;
+        assert_eq!(codec::encode_line(&line, &c, &mut w, |_| coded += 1), None);
+        assert_eq!(coded, bad_group * LANES, "group {bad_group}");
+        assert_eq!(w.bit_len(), (bad_group * LANES) as u64 * 32, "group {bad_group}");
+    }
+}
+
+/// The cast, transform, reorder and negabinary of a 2-D or 3-D block,
+/// one kernel at every level, against the f64 cast, the per-axis lift
+/// that ran a line at a time, and the reference's reorder — and the
+/// mirror of each on decode, from arbitrary coefficient bytes.
+#[test]
+fn staging_equals_the_per_axis_lift_at_every_level() {
+    fn check<const N: usize>(seed: &mut u64) {
+        let d = N.ilog(4) as u8;
+        let perm = reference::perm(d);
+        for (what, values) in value_classes::<N>(seed) {
+            let top = values.iter().fold(0.0f32, |m, v| m.max(v.abs()));
+            let emax = if top == 0.0 { 0 } else { reference::exponent(top).clamp(-127, 128) };
+            let mut q: Vec<i32> = values
+                .iter()
+                .map(|&v| (v as f64 * reference::f64_pow2(30 - emax)) as i32)
+                .collect();
+            reference::old_lift::fwd_xform(&mut q, d);
+            let u: Vec<u32> =
+                perm.iter().map(|&p| lossy_zfp::lift::int2uint(q[p as usize])).collect();
+            let want: [[u8; N]; 4] =
+                std::array::from_fn(|g| std::array::from_fn(|i| (u[i] >> (8 * g)) as u8));
+            let any = u.iter().fold(0, |a, &x| a | x);
+            for level in levels() {
+                let mut rows = [[0u8; N]; 4];
+                let got = cpu::at(level, Stage { values: &values, emax, rows: &mut rows }).unwrap();
+                assert_eq!(got, any, "{what}, N = {N}, {level:?}");
+                assert!(rows == want, "{what}, N = {N}, {level:?}: rows");
+            }
+        }
+        for round in 0..200 {
+            let rows: [[u8; N]; 4] =
+                std::array::from_fn(|_| std::array::from_fn(|_| xorshift(seed) as u8));
+            let emax = (xorshift(seed) % 256) as i32 - 127;
+            let mut q = vec![0i32; N];
+            for (i, &p) in perm.iter().enumerate() {
+                let u = u32::from_le_bytes([rows[0][i], rows[1][i], rows[2][i], rows[3][i]]);
+                q[p as usize] = lossy_zfp::lift::uint2int(u);
+            }
+            reference::old_lift::inv_xform(&mut q, d);
+            let want: Vec<u32> = q
+                .iter()
+                .map(|&qi| ((qi as f64 * reference::f64_pow2(emax - 30)) as f32).to_bits())
+                .collect();
+            for level in levels() {
+                let mut out = [f32::NAN; N];
+                cpu::at(level, Unstage { emax, rows: &rows, out: &mut out }).unwrap();
+                assert!(bits(&out) == want, "round {round}, N = {N}, {level:?}");
+            }
+        }
+    }
+    let mut seed = 0xD1B5_4A32_D192_ED03u64;
+    check::<16>(&mut seed);
+    check::<64>(&mut seed);
 }

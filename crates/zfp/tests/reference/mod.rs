@@ -63,8 +63,37 @@ impl Coding {
     }
 }
 
-mod old_lift {
-    use super::lift::lift_axis;
+pub mod old_lift {
+    use super::lift::{fwd_lift, inv_lift};
+
+    /// The per-line lift the crate had before its lanes: one line of a
+    /// `4^d` block stored x-fastest at a time, along the axis `stride`
+    /// selects (1 = x, 4 = y, 16 = z).
+    pub fn lift_axis(data: &mut [i32], stride: usize, forward: bool) {
+        let n = data.len();
+        debug_assert!(matches!(n, 4 | 16 | 64));
+        let lines = n / 4;
+        for line in 0..lines {
+            // Map line id to the base offset for this stride.
+            let base = match stride {
+                1 => line * 4,
+                4 => (line / 4) * 16 + (line % 4),
+                16 => line,
+                _ => unreachable!("stride must be 1, 4, or 16"),
+            };
+            let mut g =
+                [data[base], data[base + stride], data[base + 2 * stride], data[base + 3 * stride]];
+            if forward {
+                fwd_lift(&mut g);
+            } else {
+                inv_lift(&mut g);
+            }
+            data[base] = g[0];
+            data[base + stride] = g[1];
+            data[base + 2 * stride] = g[2];
+            data[base + 3 * stride] = g[3];
+        }
+    }
 
     pub fn fwd_xform(data: &mut [i32], d: u8) {
         lift_axis(data, 1, true);
@@ -88,7 +117,7 @@ mod old_lift {
 }
 
 /// Sequency permutation: `perm[d][rank] = block-local index`.
-fn perm(d: u8) -> &'static [u16] {
+pub fn perm(d: u8) -> &'static [u16] {
     static P1: OnceLock<Vec<u16>> = OnceLock::new();
     static P2: OnceLock<Vec<u16>> = OnceLock::new();
     static P3: OnceLock<Vec<u16>> = OnceLock::new();
@@ -113,7 +142,7 @@ fn perm(d: u8) -> &'static [u16] {
 /// Exponent `e` with `2^(e-1) <= |x| < 2^e` (frexp-style) for finite
 /// `x`; `i32::MIN` for zero input.
 #[inline]
-fn exponent(x: f32) -> i32 {
+pub fn exponent(x: f32) -> i32 {
     if x == 0.0 {
         i32::MIN
     } else {
@@ -127,7 +156,7 @@ fn exponent(x: f32) -> i32 {
 /// `2^e` in f64, exact for the normal range; the codec stays within
 /// `|e| <= 158`.
 #[inline]
-fn f64_pow2(e: i32) -> f64 {
+pub fn f64_pow2(e: i32) -> f64 {
     debug_assert!((-1022..=1023).contains(&e));
     f64::from_bits(((e + 1023) as u64) << 52)
 }

@@ -6,16 +6,21 @@
 //! cargo run --release --bin perf-gate [-- --dir <d>] [--rebaseline "<reason>"]
 //! ```
 //!
-//! Three scenarios cover the perf-critical paths:
+//! Four scenarios cover the perf-critical paths:
 //!
-//! - **entropy** — canonical-Huffman encode/decode wall throughput of a
-//!   full SZ roundtrip on a synthetic Nyx-like field, plus the exact
+//! - **sz** — encode/decode wall throughput of a full SZ roundtrip
+//!   (prediction, quantization, Huffman) on a synthetic Nyx-like field,
+//!   plus the exact
 //!   compressed byte count; decode throughput of the same field under
 //!   noise, whose codes run to ten bits and more (the wide histograms of
 //!   HACC positions, where a decoder that is fast on peaked ones can fall
 //!   off a cliff); and the roundtrip of a 16^3 cut of the field
 //!   (µs per call: what a `.fstr` chunk or a serve shard pays, where the
 //!   per-call Huffman tables are the fixed cost);
+//! - **zfp** — fixed-rate ZFP encode/decode wall throughput of a HACC
+//!   1-D array at rate 8 (4-value blocks, coded sixteen at a time) and a
+//!   Nyx 3-D field at rate 4, the µs per call of a 16^3 cut of the field,
+//!   and the exact compressed byte counts;
 //! - **serve** — the batched multi-device scheduler on the default
 //!   synthetic workload (sim-clock makespan, p50/p95/p99, sustained
 //!   GB/s, exact executed bytes);
@@ -49,9 +54,11 @@
 //! 2 usage/IO error.
 
 use foresight::config::{ClusterSettings, ServeSettings};
+use cosmo_data::{generate_hacc, generate_nyx, SynthOptions};
 use foresight_util::json::Value;
 use foresight_util::timer::time;
 use lossy_sz::{Dims, SzConfig};
+use lossy_zfp::ZfpConfig;
 use std::path::{Path, PathBuf};
 
 /// First sequence number; `BENCH_8.json` belongs to the PR that
@@ -199,7 +206,7 @@ fn git_rev() -> String {
 }
 
 fn run_scenarios() -> foresight_util::Result<Vec<Scenario>> {
-    Ok(vec![entropy_scenario()?, serve_scenario()?, cluster_scenario()?])
+    Ok(vec![sz_scenario()?, zfp_scenario()?, serve_scenario()?, cluster_scenario()?])
 }
 
 /// Best-of-3 wall seconds (first run also warms caches).
@@ -213,9 +220,8 @@ fn best_secs<R>(mut f: impl FnMut() -> R) -> f64 {
 }
 
 /// Full SZ roundtrip (Lorenzo + canonical Huffman) on a deterministic
-/// smooth field — the entropy stage dominates, which is what the
-/// fused-kernel roadmap work targets.
-fn entropy_scenario() -> foresight_util::Result<Scenario> {
+/// smooth field.
+fn sz_scenario() -> foresight_util::Result<Scenario> {
     const N: usize = 64;
     let data: Vec<f32> = (0..N * N * N)
         .map(|i| {
@@ -266,7 +272,7 @@ fn entropy_scenario() -> foresight_util::Result<Scenario> {
         }
     });
     Ok(Scenario {
-        name: "entropy",
+        name: "sz",
         metrics: vec![
             Metric {
                 name: "encode_mbs",
@@ -312,6 +318,83 @@ fn entropy_scenario() -> foresight_util::Result<Scenario> {
             },
         ],
     })
+}
+
+/// Fixed-rate ZFP, the paper's cuZFP mode, on the synthetic universe at
+/// 64^3: a HACC position array as 1-D blocks at rate 8 and a Nyx density
+/// field as 3-D blocks at rate 4, each way, and a 16^3 cut of the field
+/// as one chunk-sized call.
+fn zfp_scenario() -> foresight_util::Result<Scenario> {
+    const N: usize = 64;
+    let opts = SynthOptions { n_side: N, seed: SEED, steps: 1, ..SynthOptions::default() };
+    let hacc = generate_hacc(&opts)?.x;
+    let nyx = generate_nyx(&opts)?.baryon_density;
+    let mut metrics = Vec::new();
+    for (data, dims, rate, [encode, decode, bytes]) in [
+        (
+            &hacc,
+            lossy_zfp::Dims::D1(hacc.len()),
+            8.0,
+            ["hacc1d_encode_mbs", "hacc1d_decode_mbs", "hacc1d_compressed_bytes"],
+        ),
+        (
+            &nyx,
+            lossy_zfp::Dims::D3(N, N, N),
+            4.0,
+            ["nyx3d_encode_mbs", "nyx3d_decode_mbs", "nyx3d_compressed_bytes"],
+        ),
+    ] {
+        let cfg = ZfpConfig::rate(rate);
+        let stream = lossy_zfp::compress(data, dims, &cfg)?;
+        let volume_mb = (data.len() * 4) as f64 / 1e6;
+        let enc_s = best_secs(|| lossy_zfp::compress(data, dims, &cfg).expect("compress"));
+        let dec_s = best_secs(|| lossy_zfp::decompress(&stream).expect("decompress"));
+        metrics.extend([
+            Metric { name: encode, value: volume_mb / enc_s, class: "wall", better: "higher" },
+            Metric { name: decode, value: volume_mb / dec_s, class: "wall", better: "higher" },
+            Metric { name: bytes, value: stream.len() as f64, class: "exact", better: "lower" },
+        ]);
+    }
+
+    const C: usize = 16;
+    const CALLS: usize = 100;
+    let chunk: Vec<f32> = (0..C * C * C)
+        .map(|i| nyx[i % C + N * ((i / C) % C) + N * N * (i / (C * C))])
+        .collect();
+    let (chunk_dims, cfg) = (lossy_zfp::Dims::D3(C, C, C), ZfpConfig::rate(4.0));
+    let chunk_stream = lossy_zfp::compress(&chunk, chunk_dims, &cfg)?;
+    let per_call_us = |pass_s: f64| pass_s * 1e6 / CALLS as f64;
+    let chunk_enc_s = best_secs(|| {
+        for _ in 0..CALLS {
+            std::hint::black_box(lossy_zfp::compress(&chunk, chunk_dims, &cfg).expect("compress"));
+        }
+    });
+    let chunk_dec_s = best_secs(|| {
+        for _ in 0..CALLS {
+            std::hint::black_box(lossy_zfp::decompress(&chunk_stream).expect("decompress"));
+        }
+    });
+    metrics.extend([
+        Metric {
+            name: "chunk16_compress_us",
+            value: per_call_us(chunk_enc_s),
+            class: "wall",
+            better: "lower",
+        },
+        Metric {
+            name: "chunk16_decompress_us",
+            value: per_call_us(chunk_dec_s),
+            class: "wall",
+            better: "lower",
+        },
+        Metric {
+            name: "chunk16_compressed_bytes",
+            value: chunk_stream.len() as f64,
+            class: "exact",
+            better: "lower",
+        },
+    ]);
+    Ok(Scenario { name: "zfp", metrics })
 }
 
 fn latency_metrics(
