@@ -9,7 +9,44 @@
 use foresight::CinemaDb;
 use foresight_bench::Cli;
 use foresight_util::table::{fmt_f64, Table};
-use gpu_sim::{ClusterSim, KernelKind, SnapshotScenario};
+use gpu_sim::{kernel_time, GpuSpec, KernelKind, PcieLink};
+
+/// The introduction's trillion-particle HACC campaign: bytes per
+/// snapshot and snapshots per campaign.
+const SNAPSHOT_BYTES: u64 = 220_000_000_000_000;
+const SNAPSHOTS: u64 = 100;
+/// §V-C's machine: 1024 Summit nodes of six V100s each.
+const NODES: usize = 1024;
+const GPUS_PER_NODE: usize = 6;
+
+/// Campaign I/O hours for `total_bytes` at `bw_gbs`, divided by a
+/// compression ratio.
+fn io_hours(total_bytes: u64, bw_gbs: f64, compression_ratio: f64) -> f64 {
+    total_bytes as f64 / compression_ratio / 1e9 / bw_gbs / 3600.0
+}
+
+/// Aggregate compression throughput of `gpus` V100s (GB/s of
+/// uncompressed data): per GPU, the kernel time for a representative
+/// 512 MB buffer plus shipping the compressed bytes over the GPU's own
+/// PCIe gen3 x16 link.
+fn gpu_aggregate_gbs(gpus: usize, kind: KernelKind, bits_per_value: f64) -> f64 {
+    let n: u64 = 128 * 1024 * 1024; // 512 MB of f32 per kernel call
+    let kernel = kernel_time(&GpuSpec::tesla_v100(), kind, n, bits_per_value);
+    let comp_bytes = (n as f64 * bits_per_value / 8.0) as u64;
+    let transfer = PcieLink::gen3_x16().transfer_time(comp_bytes);
+    let per_gpu = (n as f64 * 4.0) / 1e9 / (kernel + transfer);
+    per_gpu * gpus as f64
+}
+
+/// Seconds to compress one snapshot at the given aggregate throughput.
+fn compression_seconds(snapshot_bytes: u64, aggregate_gbs: f64) -> f64 {
+    snapshot_bytes as f64 / 1e9 / aggregate_gbs
+}
+
+/// Fraction of a timestep spent compressing.
+fn overhead_fraction(snapshot_bytes: u64, aggregate_gbs: f64, timestep_seconds: f64) -> f64 {
+    compression_seconds(snapshot_bytes, aggregate_gbs) / timestep_seconds
+}
 
 fn main() {
     let cli = Cli::parse();
@@ -17,34 +54,34 @@ fn main() {
     let mut db = CinemaDb::create(&dir).expect("cinema db");
 
     // --- Intro storage math. ---
-    let sc = SnapshotScenario::hacc_trillion();
+    let total = SNAPSHOT_BYTES * SNAPSHOTS;
     let mut t1 = Table::new(["quantity", "value", "paper"]);
     t1.push_row([
         "snapshot size".into(),
-        foresight_util::timer::format_bytes(sc.snapshot_bytes),
+        foresight_util::timer::format_bytes(SNAPSHOT_BYTES),
         "220 TB".to_string(),
     ]);
     t1.push_row([
         "campaign total (100 snapshots)".into(),
-        foresight_util::timer::format_bytes(sc.total_bytes()),
+        foresight_util::timer::format_bytes(total),
         "22 PB".into(),
     ]);
     t1.push_row([
         "I/O hours at 500 GB/s, uncompressed".into(),
-        fmt_f64(sc.io_hours(500.0, 1.0)),
+        fmt_f64(io_hours(total, 500.0, 1.0)),
         ">10 hours".into(),
     ]);
     for ratio in [5.0, 10.0, 15.0] {
         t1.push_row([
             format!("I/O hours at 500 GB/s, {ratio}x lossy"),
-            fmt_f64(sc.io_hours(500.0, ratio)),
+            fmt_f64(io_hours(total, 500.0, ratio)),
             "-".into(),
         ]);
     }
     println!("== introduction storage scenario ==\n{}", t1.to_ascii());
 
     // --- §V-C in-situ overhead. ---
-    let cluster = ClusterSim::summit_1024();
+    let gpus = GPUS_PER_NODE * NODES;
     let snapshot = 2_500_000_000_000u64; // 2.5 TB per snapshot
     let timestep = 10.0; // seconds
     let mut t2 = Table::new([
@@ -54,32 +91,29 @@ fn main() {
         "overhead of 10 s step",
         "paper",
     ]);
-    let cpu_agg = cluster.cpu_compression_throughput_gbs(2.0);
+    let cpu_agg = 2.0 * NODES as f64; // ~2 GB/s per node
     t2.push_row([
         "SZ on CPUs (64 cores/node x 1024 nodes)".into(),
         fmt_f64(cpu_agg / 1000.0),
-        fmt_f64(cluster.compression_seconds(snapshot, cpu_agg)),
-        format!("{:.1}%", cluster.overhead_fraction(snapshot, cpu_agg, timestep) * 100.0),
+        fmt_f64(compression_seconds(snapshot, cpu_agg)),
+        format!("{:.1}%", overhead_fraction(snapshot, cpu_agg, timestep) * 100.0),
         "~2 TB/s, >10%".into(),
     ]);
     for rate in [2.0, 4.0] {
-        let gpu_agg = cluster.gpu_compression_throughput_gbs(KernelKind::ZfpCompress, rate);
+        let gpu_agg = gpu_aggregate_gbs(gpus, KernelKind::ZfpCompress, rate);
         t2.push_row([
             format!("cuZFP on 6 x V100 x 1024 nodes (rate {rate})"),
             fmt_f64(gpu_agg / 1000.0),
-            fmt_f64(cluster.compression_seconds(snapshot, gpu_agg)),
-            format!(
-                "{:.3}%",
-                cluster.overhead_fraction(snapshot, gpu_agg, timestep) * 100.0
-            ),
+            fmt_f64(compression_seconds(snapshot, gpu_agg)),
+            format!("{:.3}%", overhead_fraction(snapshot, gpu_agg, timestep) * 100.0),
             "<0.3%".into(),
         ]);
     }
     println!("== §V-C in-situ compression overhead (1024 Summit nodes) ==\n{}", t2.to_ascii());
-    let factor = cluster.overhead_fraction(snapshot, cpu_agg, timestep)
-        / cluster.overhead_fraction(
+    let factor = overhead_fraction(snapshot, cpu_agg, timestep)
+        / overhead_fraction(
             snapshot,
-            cluster.gpu_compression_throughput_gbs(KernelKind::ZfpCompress, 4.0),
+            gpu_aggregate_gbs(gpus, KernelKind::ZfpCompress, 4.0),
             timestep,
         );
     println!("overhead reduction factor: {factor:.0}x (paper: ~40x)");
@@ -88,4 +122,46 @@ fn main() {
     db.add_table("summit_overhead.csv", &t2, &[("scenario", "v-c".into())]).unwrap();
     db.finalize().unwrap();
     println!("wrote {}", dir.display());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn intro_io_math_reproduces() {
+        // 22 PB at 500 GB/s: the paper says "would exceed 10 hours".
+        let total = SNAPSHOT_BYTES * SNAPSHOTS;
+        assert_eq!(total, 22_000_000_000_000_000);
+        let hours = io_hours(total, 500.0, 1.0);
+        assert!(hours > 10.0, "paper: >10 hours, got {hours:.1}");
+        // A 10x lossy ratio brings it close to one hour.
+        let compressed = io_hours(total, 500.0, 10.0);
+        assert!(compressed < 1.5, "got {compressed:.2}");
+    }
+
+    #[test]
+    fn summit_overhead_claim_reproduces() {
+        // 2.5 TB snapshot every 10 s on 1024 nodes. CPU SZ at ~2 TB/s
+        // aggregate -> >10% overhead; six V100s/node with cuZFP -> <0.3%.
+        let snapshot = 2_500_000_000_000u64;
+        let cpu_aggregate = 2.0 * NODES as f64; // ~2 GB/s/node
+        let cpu_overhead = overhead_fraction(snapshot, cpu_aggregate, 10.0);
+        assert!(cpu_overhead > 0.10, "paper: >10%, got {:.1}%", cpu_overhead * 100.0);
+        let gpu_aggregate = gpu_aggregate_gbs(GPUS_PER_NODE * NODES, KernelKind::ZfpCompress, 4.0);
+        let gpu_overhead = overhead_fraction(snapshot, gpu_aggregate, 10.0);
+        assert!(gpu_overhead < 0.003, "paper: <0.3%, got {:.3}%", gpu_overhead * 100.0);
+        // And the improvement factor is in the paper's "1/40" ballpark.
+        let factor = cpu_overhead / gpu_overhead;
+        assert!(factor > 20.0, "improvement factor {factor:.0}");
+    }
+
+    #[test]
+    fn throughput_scales_with_nodes_and_gpus() {
+        let base = gpu_aggregate_gbs(GPUS_PER_NODE * NODES, KernelKind::ZfpCompress, 4.0);
+        let doubled = gpu_aggregate_gbs(GPUS_PER_NODE * 2048, KernelKind::ZfpCompress, 4.0);
+        assert!((doubled / base - 2.0).abs() < 1e-9);
+        let halved = gpu_aggregate_gbs(3 * NODES, KernelKind::ZfpCompress, 4.0);
+        assert!((halved / base - 0.5).abs() < 1e-9);
+    }
 }

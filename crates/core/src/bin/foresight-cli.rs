@@ -89,7 +89,7 @@ use foresight_util::table::{fmt_f64, Table};
 use foresight_util::telemetry::{self, chrome_trace, flamegraph, ChromeTraceOptions};
 use std::path::{Path, PathBuf};
 
-const USAGE: &str = "usage: foresight-cli [--trace <path>] [--metrics-out <path>] [--memcheck] [--racecheck] [--quiet] <config.json>\n       foresight-cli report <telemetry.json>\n       foresight-cli obs-report <telemetry.json>\n       foresight-cli serve-bench [--out <dir>] [--requests <n>] [--seed <s>] [<config.json>]\n       foresight-cli cluster-bench [--out <dir>] [--requests <n>] [--seed <s>] [--healthy-only] [<config.json>]\n       foresight-cli analyze [workspace-root] [--deny-new] [--bless] [--baseline <path>] [--sarif <path>] [--hops <n>]\n       foresight-cli store pack <config.json> <archive> [--chunk <n>] [--snapshot <s>]\n       foresight-cli store ls <archive>\n       foresight-cli store verify <archive>\n       foresight-cli store extract <archive> <snapshot> <field> [--region x0:x1,y0:y1,z0:z1] [--out <file>]\n       foresight-cli store serve <archive> [--requests <n>] [--seed <s>] [--out <dir>]";
+const USAGE: &str = "usage: foresight-cli [--trace <path>] [--metrics-out <path>] [--memcheck] [--racecheck] [--quiet] <config.json>\n       foresight-cli report <telemetry.json>\n       foresight-cli obs-report <telemetry.json>\n       foresight-cli serve-bench [--out <dir>] [--requests <n>] [--seed <s>] [<config.json>]\n       foresight-cli cluster-bench [--out <dir>] [--requests <n>] [--seed <s>] [--healthy-only] [<config.json>]\n       foresight-cli store pack <config.json> <archive> [--chunk <n>] [--snapshot <s>]\n       foresight-cli store ls <archive>\n       foresight-cli store verify <archive>\n       foresight-cli store extract <archive> <snapshot> <field> [--region x0:x1,y0:y1,z0:z1] [--out <file>]\n       foresight-cli store serve <archive> [--requests <n>] [--seed <s>] [--out <dir>]";
 
 fn usage_exit() -> ! {
     eprintln!("{USAGE}");
@@ -1029,10 +1029,6 @@ fn parse_args() -> Cli {
             }
             "cluster-bench" if config.is_none() => {
                 cluster_bench_main(args);
-            }
-            "analyze" if config.is_none() => {
-                let rest: Vec<String> = args.collect();
-                std::process::exit(foresight_lint::analyze::run_cli(&rest));
             }
             "store" if config.is_none() => {
                 store_main(args);

@@ -519,10 +519,11 @@ impl Workflow {
                     deferred.push(j);
                 }
             }
-            // Run the batch concurrently (crossbeam scoped threads); each
-            // thread owns its job's full retry loop.
+            // Run the batch concurrently (scoped threads); each thread
+            // owns its job's full retry loop. Every handle is joined
+            // below, so a panicking job never reaches the scope itself.
             let results: Vec<(String, Result<String>, f64, u32, f64)> =
-                crossbeam::thread::scope(|scope| {
+                std::thread::scope(|scope| {
                     let handles: Vec<_> = batch
                         .into_iter()
                         .map(|j| {
@@ -531,7 +532,7 @@ impl Workflow {
                             let name = j.name.clone();
                             // Job threads don't inherit the workflow span
                             // via thread-locals; parent explicitly.
-                            let handle = scope.spawn(move |_| {
+                            let handle = scope.spawn(move || {
                                 let mut jspan = telemetry::span_with_parent(
                                     format!("pat.job.{}", j.name),
                                     wf_id,
@@ -599,8 +600,7 @@ impl Workflow {
                             }
                         })
                         .collect()
-                })
-                .expect("scope panicked");
+                });
             for (name, out, secs, attempts, backoff) in results {
                 let (status, output) = match out {
                     Ok(v) if attempts == 1 => (JobStatus::Ok, v),

@@ -2,11 +2,12 @@
 //!
 //! The paper's §V-C projection (six V100s per Summit node push snapshot
 //! compression under 0.3% of a timestep) is a closed-form formula in
-//! [`gpu_sim::ClusterSim`]. This module earns the same number the hard
-//! way: it *serves* a stream of concurrent compression/decompression
-//! requests through per-device queues, so throughput comes from
-//! scheduling decisions — batching, sharding, and transfer/kernel
-//! overlap — rather than from multiplying one GPU's figure by six.
+//! the `summit_projection` bench bin. This module earns the same number
+//! the hard way: it *serves* a stream of concurrent
+//! compression/decompression requests through per-device queues, so
+//! throughput comes from scheduling decisions — batching, sharding, and
+//! transfer/kernel overlap — rather than from multiplying one GPU's
+//! figure by six.
 //!
 //! The flow:
 //!
@@ -50,8 +51,8 @@ use foresight_util::telemetry::{
 };
 use foresight_util::{Error, Result};
 use gpu_sim::{
-    kernel_time, FaultKind, FaultPlan, FaultRates, GpuQueueSim, GpuSpec, KernelKind, NodeSpec,
-    PcieLink, UnitTiming,
+    kernel_time, FaultKind, FaultPlan, FaultRates, GpuQueueSim, GpuSpec, KernelKind, PcieLink,
+    UnitTiming,
 };
 use foresight_store::{Region, StoreReader};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -96,8 +97,9 @@ pub struct ServeNode {
 
 impl ServeNode {
     /// A Summit-like serving node: six NVLink-attached Tesla V100s. Note
-    /// the link: `ClusterSim`'s closed form only ships the *compressed*
-    /// stream across the host link (in-situ data is born on the device),
+    /// the link: `summit_projection`'s closed form only ships the
+    /// *compressed* stream across the host link (in-situ data is born on
+    /// the device),
     /// while serving uploads the full uncompressed field — over plain
     /// PCIe that upload alone would exceed the paper's 0.3% budget, so
     /// the worked §V-C reproduction uses the interconnect Summit actually
@@ -109,11 +111,6 @@ impl ServeNode {
     /// `devices` PCIe-attached V100s (the conservative default).
     pub fn v100_pcie(devices: usize) -> Self {
         Self { devices, gpu: GpuSpec::tesla_v100(), link: PcieLink::gen3_x16() }
-    }
-
-    /// Borrows the GPUs of a [`NodeSpec`] as a serving group.
-    pub fn from_node_spec(spec: &NodeSpec) -> Self {
-        Self { devices: spec.gpus_per_node, gpu: spec.gpu.clone(), link: spec.link }
     }
 }
 

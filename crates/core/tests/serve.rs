@@ -8,7 +8,7 @@
 //! 2. The paper's §V-C headline — compressing a node's share of a 20480^3
 //!    snapshot costs well under 0.3% of a 10 s timestep — reproduces
 //!    *through the scheduler* (DESIGN.md §10 walks the same numbers),
-//!    not just through `ClusterSim`'s closed form.
+//!    not just through the `summit_projection` bin's closed form.
 //!
 //! The overhead test uses marginal differencing: the sim is
 //! deterministic, so serving W and then W plus ΔW and dividing Δbytes by
@@ -30,7 +30,7 @@ use gpu_sim::FaultRates;
 use lossy_zfp::ZfpConfig;
 
 /// Paper §V-A scale: a 2.5 TB snapshot split over 1024 Summit nodes
-/// (the same scenario `ClusterSim::summit_1024` prices in closed form).
+/// (the same scenario the `summit_projection` bin prices in closed form).
 const PER_NODE_BYTES: f64 = 2.5e12 / 1024.0;
 /// Nyx timestep wall time the paper budgets against.
 const TIMESTEP_S: f64 = 10.0;

@@ -35,7 +35,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod cluster;
 pub mod cost;
 pub mod device;
 pub mod executor;
@@ -45,7 +44,6 @@ pub mod queue;
 pub mod sanitizer;
 pub mod specs;
 
-pub use cluster::{ClusterSim, NodeSpec, SnapshotScenario};
 pub use cost::{kernel_throughput_gbs, kernel_time, FixedCosts, KernelKind};
 pub use executor::{launch_grid, launch_grid_traced, BlockAccess, BlockGrid, LaunchReport};
 pub use fault::{

@@ -1,7 +1,22 @@
-//! `foresight-analyze`: dataflow-aware workspace static analysis.
+//! `foresight-lint`: the workspace analyzer.
 //!
-//! Three passes over the shared lexer ([`crate::scan`]) and call graph
-//! ([`crate::graph`]):
+//! Clippy catches generic Rust smells; this tool enforces the project's
+//! *domain* invariants, the ones a general linter cannot know about. One
+//! walk of the workspace feeds four passes over the shared lexer
+//! ([`crate::scan`]) and call graph ([`crate::graph`]):
+//!
+//! * **token rules** — line-level invariants:
+//!
+//!   | rule               | what it enforces                                              |
+//!   |--------------------|---------------------------------------------------------------|
+//!   | `decode-panic`     | decode-critical files never panic on untrusted input          |
+//!   | `decode-index`     | no direct indexing into untrusted stream slices               |
+//!   | `header-bytereader`| headers are parsed via `ByteReader`, not ad-hoc byte plucking |
+//!   | `alloc-arith`      | allocation sizes from headers use checked arithmetic          |
+//!   | `instant`          | wall-clock timing goes through `foresight_util::timer`        |
+//!   | `kernel-label`     | kernel launches carry distinct, non-empty string labels       |
+//!   | `unsafe-policy`    | crate roots forbid/deny `unsafe_code`; exceptions are audited |
+//!   | `span-orphan`      | spans inside rayon/scoped-thread fan-outs use `span_with_parent` |
 //!
 //! * **taint** — header-derived values (direct `ByteReader` reads in the
 //!   decode-critical files) flowing into allocation sizes, unchecked
@@ -19,21 +34,28 @@
 //!   reachable within a hop budget from the serve/cluster
 //!   request-admission entry points.
 //!
-//! Findings carry stable fingerprints (rule + file + function +
-//! whitespace-normalized snippet + occurrence index — line numbers are
-//! deliberately excluded so unrelated edits do not churn the baseline),
-//! can be suppressed per line with `// analyze: allow(<rule>)`, or
-//! accepted wholesale into a committed baseline file. The SARIF export
-//! follows the 2.1.0 result/location/partialFingerprints shape.
+//! Every finding names its enclosing function and carries a stable
+//! fingerprint (rule + file + function + whitespace-normalized snippet +
+//! occurrence index — line numbers are deliberately excluded so
+//! unrelated edits do not churn the baseline). Any rule can be
+//! suppressed per line with `// lint: allow(<rule>)` on the line or the
+//! line directly above (the escape is the audit trail; `unsafe-policy`
+//! is file-level and has none), or accepted wholesale into a committed
+//! baseline file. The SARIF export follows the 2.1.0
+//! result/location/partialFingerprints shape.
+//!
+//! The patterns of the rules that scan this file too (`instant`,
+//! `kernel-label`, `unsafe-policy`) are built with `concat` at runtime
+//! so the analyzer never flags its own source.
 
 use crate::graph::{CallGraph, CallSite, FnInfo};
-use crate::scan::{collect_rs_files, lex, mentions_word, Source, Token};
+use crate::scan::{collect_rs_files, contains_keyword, first_string_literal, lex, mentions_word, Source, Token};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// Files that parse untrusted compressed streams; the taint pass roots
-/// here. Shared understanding with `foresight-lint`'s decode rules.
+/// Files that parse untrusted compressed streams: the decode token rules
+/// apply here and the taint pass roots here.
 pub const DECODE_CRITICAL: &[&str] = &[
     "crates/sz/src/stream.rs",
     "crates/sz/src/block.rs",
@@ -45,6 +67,8 @@ pub const DECODE_CRITICAL: &[&str] = &[
     "crates/zfp/src/codec.rs",
     "crates/zfp/src/gpu_exec.rs",
     "crates/zfp/src/lift.rs",
+    "crates/lossless/src/fpz.rs",
+    "crates/lossless/src/fpc.rs",
     "crates/store/src/format.rs",
     "crates/store/src/reader.rs",
     "crates/util/src/tiles.rs",
@@ -64,6 +88,17 @@ pub const BYTE_PRODUCING: &[&str] = &[
     "crates/core/src/serve.rs",
     "crates/core/src/cluster.rs",
 ];
+
+/// Files allowed to touch `std::time` directly (they implement the
+/// timing layer everything else is supposed to use).
+const TIMING_LAYER: &[&str] = &["crates/util/src/timer.rs", "crates/util/src/telemetry.rs"];
+
+/// Files that fan work out across rayon or scoped-thread workers. The
+/// `span-orphan` rule applies only here; matched by path suffix. A span
+/// opened inside a stolen-work closure parents onto whatever span that
+/// worker ran last, so fan-out bodies must capture the parent id up
+/// front and use `span_with_parent`.
+const SPAN_FANOUT_FILES: &[&str] = &["crates/core/src/cbench.rs", "crates/core/src/serve.rs"];
 
 /// Request-admission entry points the panic-reachability pass roots at:
 /// `(file suffix, function name)`. `execute_units` (Phase A, the host
@@ -89,6 +124,14 @@ pub const BASELINE_HEADER: &str = "# foresight-analyze baseline v1";
 /// Every rule the analyzer can emit, with its one-line description
 /// (reused for the SARIF rule table and `--list-rules`).
 pub const RULES: &[(&str, &str)] = &[
+    ("decode-panic", "panicking construct in a decode-critical file"),
+    ("decode-index", "direct indexing into an untrusted stream slice"),
+    ("header-bytereader", "header field decoded by hand instead of through ByteReader"),
+    ("alloc-arith", "allocation size computed with unchecked arithmetic in a decode-critical file"),
+    ("instant", "raw wall-clock timing outside foresight_util::timer"),
+    ("kernel-label", "kernel launch with an empty or duplicate string label"),
+    ("unsafe-policy", "crate root without an unsafe_code policy, or an unaudited use"),
+    ("span-orphan", "ambient-parent span inside a fan-out closure"),
     ("taint-alloc", "header-derived value reaches an allocation size without a sanitizer"),
     ("taint-arith", "header-derived value in unchecked arithmetic feeding a length/size"),
     ("taint-index", "header-derived value used as a slice index without a sanitizer"),
@@ -135,12 +178,36 @@ impl Default for AnalyzeOptions {
     }
 }
 
-/// Patterns assembled at runtime where `foresight-lint`'s workspace-wide
-/// rules would otherwise match this file's own source.
+/// Panicking constructs: the first four are `decode-panic`'s, all six
+/// are panic reachability's.
+const PANIC_TOKENS: &[(&str, &str)] = &[
+    (".unwrap()", "unwrap"),
+    (".expect(", "expect"),
+    ("panic!(", "panic!"),
+    ("unreachable!(", "unreachable!"),
+    ("todo!(", "todo!"),
+    ("unimplemented!(", "unimplemented!"),
+];
+
+/// Untrusted stream slices `decode-index` forbids indexing directly.
+const STREAM_INDEX: &[&str] = &["stream[", "stream_bytes[", "body[", "payload["];
+
+/// Tokens that open a fan-out region for `span-orphan`, and the
+/// ambient-parent span it flags inside one.
+const FANOUT: &[&str] = &[".par_iter", "rayon::scope", "thread::scope", ".spawn("];
+const NAKED_SPAN: &str = "telemetry::span(";
+
+/// Patterns assembled at runtime so this file never matches its own
+/// rules.
 struct Pats {
     instant_now: String,
     std_instant: String,
-    escape_prefix: String,
+    launch: Vec<String>,
+    unsafe_tok: String,
+    forbid_unsafe: String,
+    deny_unsafe: String,
+    allow_unsafe: String,
+    safety: String,
 }
 
 impl Pats {
@@ -148,16 +215,19 @@ impl Pats {
         Self {
             instant_now: ["Ins", "tant::now"].concat(),
             std_instant: ["std::time::", "Ins", "tant"].concat(),
-            escape_prefix: ["// analyze: ", "allow("].concat(),
+            launch: vec![
+                [".lau", "nch("].concat(),
+                ["launch_", "grid("].concat(),
+                [".enqueue_", "unit("].concat(),
+                [".exec_", "unit("].concat(),
+            ],
+            unsafe_tok: ["uns", "afe"].concat(),
+            forbid_unsafe: ["#![forbid(", "uns", "afe_code)]"].concat(),
+            deny_unsafe: ["#![deny(", "uns", "afe_code)]"].concat(),
+            allow_unsafe: ["allow(", "uns", "afe_code)"].concat(),
+            safety: ["SAF", "ETY:"].concat(),
         }
     }
-}
-
-/// One prepared file: path, the raw + code line views, and tokens.
-struct Prepared {
-    path: String,
-    raw: Vec<String>,
-    code: Vec<String>,
 }
 
 fn is_decode_critical(path: &str) -> bool {
@@ -170,18 +240,16 @@ fn is_byte_producing(path: &str) -> bool {
         .any(|s| if s.ends_with(".rs") { path.ends_with(s) } else { path.contains(s) })
 }
 
-/// `// analyze: allow(<rule>)` on the finding line or the line above.
-fn escaped(raw: &[String], line: usize, rule: &str, pats: &Pats) -> bool {
-    let marker = format!("{}{})", pats.escape_prefix, rule);
-    let i = line.saturating_sub(1);
-    if raw.get(i).map(|l| l.contains(&marker)).unwrap_or(false) {
-        return true;
-    }
-    i > 0
-        && raw
-            .get(i - 1)
-            .map(|l| l.trim_start().starts_with("//") && l.contains(&marker))
-            .unwrap_or(false)
+fn is_timing_layer(path: &str) -> bool {
+    TIMING_LAYER.iter().any(|s| path.ends_with(s))
+}
+
+fn is_span_fanout_file(path: &str) -> bool {
+    SPAN_FANOUT_FILES.iter().any(|s| path.ends_with(s))
+}
+
+fn is_crate_root(path: &str) -> bool {
+    path.ends_with("src/lib.rs")
 }
 
 // ---------------------------------------------------------------------
@@ -261,26 +329,42 @@ struct RunResult {
     seed_hit_return: bool,
 }
 
-/// Extracts the balanced-paren argument of the first occurrence of `pat`
-/// (which must end in `(`) in `line`.
-fn call_arg<'a>(line: &'a str, pat: &str) -> Option<&'a str> {
-    let at = line.find(pat)?;
-    let open = at + pat.len() - 1;
-    let b = line.as_bytes();
+/// The text inside the bracket that opens at byte `open` of `line`, up
+/// to its balancing close (`(` and `[` nest alike), or to the end of the
+/// line when it does not close there.
+fn bracketed(line: &str, open: usize) -> &str {
     let mut depth = 0i64;
-    for (i, &c) in b.iter().enumerate().skip(open) {
+    for (i, &c) in line.as_bytes().iter().enumerate().skip(open) {
         match c {
             b'(' | b'[' => depth += 1,
             b')' | b']' => {
                 depth -= 1;
                 if depth == 0 {
-                    return Some(&line[open + 1..i]);
+                    return &line[open + 1..i];
                 }
             }
             _ => {}
         }
     }
-    Some(&line[open + 1..])
+    &line[open + 1..]
+}
+
+/// The argument of the first call matching `pat` (which must end in `(`)
+/// in `line`.
+fn call_arg<'a>(line: &'a str, pat: &str) -> Option<&'a str> {
+    let at = line.find(pat)?;
+    Some(bracketed(line, at + pat.len() - 1))
+}
+
+/// The bracketed expression of every `ident[..]` / `call()[..]` index on
+/// `line`, in order.
+fn index_exprs(line: &str) -> impl Iterator<Item = &str> {
+    let b = line.as_bytes();
+    (1..b.len())
+        .filter(move |&i| {
+            b[i] == b'[' && (b[i - 1].is_ascii_alphanumeric() || b[i - 1] == b'_' || b[i - 1] == b')')
+        })
+        .map(move |i| bracketed(line, i))
 }
 
 /// Let-binding targets: identifiers of the pattern between `let` and the
@@ -503,30 +587,7 @@ fn scan_fn_taint(
                     }
                 }
                 // Slice indexing `ident[expr]` (not ranges).
-                let b = line.as_bytes();
-                for (i, &c) in b.iter().enumerate() {
-                    if c != b'['
-                        || i == 0
-                        || !(b[i - 1].is_ascii_alphanumeric() || b[i - 1] == b'_' || b[i - 1] == b')')
-                    {
-                        continue;
-                    }
-                    let mut depth = 0i64;
-                    let mut end = line.len();
-                    for (j, &d) in b.iter().enumerate().skip(i) {
-                        match d {
-                            b'[' | b'(' => depth += 1,
-                            b']' | b')' => {
-                                depth -= 1;
-                                if depth == 0 {
-                                    end = j;
-                                    break;
-                                }
-                            }
-                            _ => {}
-                        }
-                    }
-                    let inner = &line[i + 1..end.min(line.len())];
+                for inner in index_exprs(line) {
                     if inner.contains("..") || inner.contains('%') {
                         continue;
                     }
@@ -601,7 +662,7 @@ fn scan_fn_taint(
 }
 
 /// Computes per-function taint summaries to fixpoint.
-fn compute_summaries(g: &CallGraph, prepared: &[Prepared]) -> Vec<Summary> {
+fn compute_summaries(g: &CallGraph, sources: &[Source]) -> Vec<Summary> {
     let mut summaries: Vec<Summary> = g
         .fns
         .iter()
@@ -617,7 +678,7 @@ fn compute_summaries(g: &CallGraph, prepared: &[Prepared]) -> Vec<Summary> {
             if f.body.is_none() {
                 continue;
             }
-            let code = &prepared[f.file].code;
+            let code = &sources[f.file].code;
             let base = scan_fn_taint(f, code, &g.calls[fi], &g.fns, &summaries, None, false);
             if base.returns_taint && !summaries[fi].returns_taint {
                 summaries[fi].returns_taint = true;
@@ -645,24 +706,277 @@ fn compute_summaries(g: &CallGraph, prepared: &[Prepared]) -> Vec<Summary> {
 }
 
 // ---------------------------------------------------------------------
-// Passes
+// Token rules
 // ---------------------------------------------------------------------
 
-fn taint_pass(g: &CallGraph, prepared: &[Prepared], pats: &Pats, out: &mut Vec<Finding>) {
-    let summaries = compute_summaries(g, prepared);
-    for (fi, f) in g.fns.iter().enumerate() {
-        let file = &prepared[f.file];
-        if !is_decode_critical(&file.path) || f.body.is_none() {
+fn push(findings: &mut Vec<Finding>, src: &Source, i: usize, rule: &'static str, msg: String) {
+    findings.push(Finding {
+        rule,
+        file: src.path.to_string(),
+        line: i + 1,
+        func: String::new(),
+        message: msg,
+        fingerprint: String::new(),
+    });
+}
+
+/// Rules 1–4: decode-path hygiene (decode-critical files only).
+fn check_decode_rules(src: &Source, findings: &mut Vec<Finding>) {
+    if !is_decode_critical(src.path) {
+        return;
+    }
+    for (i, code) in src.code.iter().enumerate() {
+        if code.is_empty() {
             continue;
         }
-        let r = scan_fn_taint(f, &file.code, &g.calls[fi], &g.fns, &summaries, None, true);
+        // decode-panic: panicking constructs on the untrusted-input path.
+        for (pat, what) in &PANIC_TOKENS[..4] {
+            if code.contains(pat) && !src.escaped(i, "decode-panic") {
+                push(
+                    findings,
+                    src,
+                    i,
+                    "decode-panic",
+                    format!("`{what}` in a decode-critical file; return Err(Error::corrupt(..)) instead"),
+                );
+            }
+        }
+        // decode-index: direct indexing into the untrusted stream slice.
+        if STREAM_INDEX.iter().any(|p| code.contains(p)) && !src.escaped(i, "decode-index") {
+            push(
+                findings,
+                src,
+                i,
+                "decode-index",
+                "direct slice indexing into an untrusted stream; use ByteReader::take".into(),
+            );
+        }
+        // header-bytereader: ad-hoc header plucking.
+        if code.contains("from_le_bytes") && code.contains("stream") && !src.escaped(i, "header-bytereader")
+        {
+            push(
+                findings,
+                src,
+                i,
+                "header-bytereader",
+                "header field decoded by hand; use foresight_util::ByteReader".into(),
+            );
+        }
+        // alloc-arith: allocation sizes computed with unchecked arithmetic.
+        let allocates = code.contains("with_capacity(") || code.contains(".malloc(");
+        if allocates
+            && (code.contains('*') || code.contains(" + "))
+            && !code.contains("checked_")
+            && !code.contains("saturating_")
+            && !src.escaped(i, "alloc-arith")
+        {
+            push(
+                findings,
+                src,
+                i,
+                "alloc-arith",
+                "allocation size uses unchecked arithmetic; use checked_mul/checked_add or escape with a justification".into(),
+            );
+        }
+    }
+}
+
+/// Rule 5: direct `std::time::Instant` use outside the timing layer.
+fn check_instant(src: &Source, pats: &Pats, findings: &mut Vec<Finding>) {
+    if is_timing_layer(src.path) {
+        return;
+    }
+    for (i, code) in src.code.iter().enumerate() {
+        if code.is_empty() {
+            continue;
+        }
+        if (code.contains(pats.instant_now.as_str()) || code.contains(pats.std_instant.as_str()))
+            && !src.escaped(i, "instant")
+        {
+            push(
+                findings,
+                src,
+                i,
+                "instant",
+                "raw Instant timing; use foresight_util::timer (time/timed) so spans reach telemetry".into(),
+            );
+        }
+    }
+}
+
+/// Rule 6: kernel launches must carry distinct non-empty literal labels.
+/// Sites whose label is a runtime expression (no string literal within the
+/// call head) are skipped — the label was validated where it was built.
+fn check_kernel_labels(src: &Source, pats: &Pats, findings: &mut Vec<Finding>) {
+    let mut seen: Vec<(String, usize)> = Vec::new();
+    for (i, code) in src.code.iter().enumerate() {
+        if code.is_empty() || !pats.launch.iter().any(|p| code.contains(p.as_str())) {
+            continue;
+        }
+        if src.escaped(i, "kernel-label") {
+            continue;
+        }
+        // The label literal may sit on the launch line or, for multi-line
+        // call sites, a few lines below.
+        let mut label: Option<&str> = None;
+        for j in i..(i + 5).min(src.code.len()) {
+            if let Some(lit) = first_string_literal(&src.code[j]) {
+                label = Some(lit);
+                break;
+            }
+        }
+        let Some(label) = label else { continue };
+        if label.is_empty() {
+            push(findings, src, i, "kernel-label", "kernel launch with an empty label".into());
+            continue;
+        }
+        if let Some((_, prev)) = seen.iter().find(|(l, _)| l == label) {
+            push(
+                findings,
+                src,
+                i,
+                "kernel-label",
+                format!("duplicate kernel label '{label}' (first used at line {})", prev + 1),
+            );
+        } else {
+            seen.push((label.to_string(), i));
+        }
+    }
+}
+
+/// Rule 7: crate roots must pin down the unsafe policy, and any file that
+/// actually uses the keyword must opt back in visibly and carry a SAFETY
+/// comment. File-level rule; no line escapes.
+fn check_unsafe_policy(src: &Source, pats: &Pats, findings: &mut Vec<Finding>) {
+    let raw_text = src.raw.join("\n");
+    if is_crate_root(src.path)
+        && !raw_text.contains(pats.forbid_unsafe.as_str())
+        && !raw_text.contains(pats.deny_unsafe.as_str())
+    {
+        push(
+            findings,
+            src,
+            0,
+            "unsafe-policy",
+            format!(
+                "crate root lacks {} (or {} with audited exceptions)",
+                pats.forbid_unsafe, pats.deny_unsafe
+            ),
+        );
+    }
+    let uses_unsafe = src
+        .code
+        .iter()
+        .any(|c| !c.is_empty() && contains_keyword(c, pats.unsafe_tok.as_str()));
+    if uses_unsafe {
+        if !raw_text.contains(pats.allow_unsafe.as_str()) {
+            push(
+                findings,
+                src,
+                0,
+                "unsafe-policy",
+                format!("file uses the keyword but has no {} opt-in", pats.allow_unsafe),
+            );
+        }
+        if !raw_text.contains(pats.safety.as_str()) {
+            push(
+                findings,
+                src,
+                0,
+                "unsafe-policy",
+                format!("file uses the keyword but has no {} comment", pats.safety),
+            );
+        }
+    }
+}
+
+/// Rule 8: ambient-parent spans inside rayon/scoped-thread fan-out
+/// closures (span-fanout files only). Under work stealing, a span opened
+/// inside a worker closure parents onto whichever span that worker
+/// happened to record last — an orphaned root in the Chrome trace. The
+/// sanctioned shape captures the parent id before the fan-out and passes
+/// it through `span_with_parent`. The tracker is a brace-depth heuristic:
+/// a line containing a fan-out token opens a region at the current depth,
+/// and the region closes once depth returns to (or below) that mark on a
+/// `;`-terminated line — multi-line iterator chains stay open until
+/// their `.collect();` lands.
+fn check_span_orphan(src: &Source, findings: &mut Vec<Finding>) {
+    if !is_span_fanout_file(src.path) {
+        return;
+    }
+    let mut depth: i64 = 0;
+    // Brace depth at which each currently-open fan-out statement began.
+    let mut regions: Vec<i64> = Vec::new();
+    for (i, code) in src.code.iter().enumerate() {
+        if code.is_empty() {
+            continue;
+        }
+        if FANOUT.iter().any(|p| code.contains(p)) {
+            regions.push(depth);
+        }
+        if !regions.is_empty() && code.contains(NAKED_SPAN) && !src.escaped(i, "span-orphan") {
+            push(
+                findings,
+                src,
+                i,
+                "span-orphan",
+                "ambient-parent span inside a fan-out closure; capture the parent id before the fan-out and use span_with_parent".into(),
+            );
+        }
+        for b in code.bytes() {
+            match b {
+                b'{' => depth += 1,
+                b'}' => depth -= 1,
+                _ => {}
+            }
+        }
+        let ends_stmt = code.trim_end().ends_with(';');
+        while let Some(&start) = regions.last() {
+            if depth < start || (depth <= start && ends_stmt) {
+                regions.pop();
+            } else {
+                break;
+            }
+        }
+    }
+}
+
+/// The eight token rules over every file, each finding attributed to its
+/// enclosing function like the dataflow ones.
+fn token_pass(g: &CallGraph, sources: &[Source], pats: &Pats, out: &mut Vec<Finding>) {
+    for (fidx, src) in sources.iter().enumerate() {
+        let mut found = Vec::new();
+        check_decode_rules(src, &mut found);
+        check_instant(src, pats, &mut found);
+        check_kernel_labels(src, pats, &mut found);
+        check_unsafe_policy(src, pats, &mut found);
+        check_span_orphan(src, &mut found);
+        for mut f in found {
+            f.func = enclosing_fn(g, fidx, f.line);
+            out.push(f);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Dataflow passes
+// ---------------------------------------------------------------------
+
+fn taint_pass(g: &CallGraph, sources: &[Source], out: &mut Vec<Finding>) {
+    let summaries = compute_summaries(g, sources);
+    for (fi, f) in g.fns.iter().enumerate() {
+        let src = &sources[f.file];
+        if !is_decode_critical(src.path) || f.body.is_none() {
+            continue;
+        }
+        let r = scan_fn_taint(f, &src.code, &g.calls[fi], &g.fns, &summaries, None, true);
         for (line, rule, message) in r.sinks {
-            if escaped(&file.raw, line, rule, pats) {
+            if src.escaped(line - 1, rule) {
                 continue;
             }
             out.push(Finding {
                 rule,
-                file: file.path.clone(),
+                file: src.path.to_string(),
                 line,
                 func: f.name.clone(),
                 message,
@@ -672,25 +986,24 @@ fn taint_pass(g: &CallGraph, prepared: &[Prepared], pats: &Pats, out: &mut Vec<F
     }
 }
 
-fn determinism_pass(prepared: &[Prepared], pats: &Pats, out: &mut Vec<Finding>, g: &CallGraph) {
-    for file in prepared {
-        if !is_byte_producing(&file.path) {
+fn determinism_pass(g: &CallGraph, sources: &[Source], pats: &Pats, out: &mut Vec<Finding>) {
+    for (fidx, src) in sources.iter().enumerate() {
+        if !is_byte_producing(src.path) {
             continue;
         }
         let mut hash_vars: BTreeSet<String> = BTreeSet::new();
-        for (i, line) in file.code.iter().enumerate() {
+        for (i, line) in src.code.iter().enumerate() {
             if line.is_empty() {
                 continue;
             }
             let li = i + 1;
-            let func = enclosing_fn(g, prepared, file, li);
             let mut push = |rule: &'static str, message: String| {
-                if !escaped(&file.raw, li, rule, pats) {
+                if !src.escaped(i, rule) {
                     out.push(Finding {
                         rule,
-                        file: file.path.clone(),
+                        file: src.path.to_string(),
                         line: li,
-                        func: func.clone(),
+                        func: enclosing_fn(g, fidx, li),
                         message,
                         fingerprint: String::new(),
                     });
@@ -744,31 +1057,20 @@ fn determinism_pass(prepared: &[Prepared], pats: &Pats, out: &mut Vec<Finding>, 
     }
 }
 
-/// Name of the function whose span contains `line` in `file`, or `-`.
-fn enclosing_fn(g: &CallGraph, prepared: &[Prepared], file: &Prepared, line: usize) -> String {
-    let fidx = prepared.iter().position(|p| std::ptr::eq(p, file));
+/// Name of the function whose span contains `line` in file `fidx`, or `-`.
+fn enclosing_fn(g: &CallGraph, fidx: usize, line: usize) -> String {
     g.fns
         .iter()
-        .filter(|f| Some(f.file) == fidx && f.line <= line && line <= f.end_line)
+        .filter(|f| f.file == fidx && f.line <= line && line <= f.end_line)
         .min_by_key(|f| f.end_line - f.line)
         .map(|f| f.name.clone())
         .unwrap_or_else(|| "-".to_string())
 }
 
-const PANIC_TOKENS: &[(&str, &str)] = &[
-    (".unwrap()", "unwrap"),
-    (".expect(", "expect"),
-    ("panic!(", "panic!"),
-    ("unreachable!(", "unreachable!"),
-    ("todo!(", "todo!"),
-    ("unimplemented!(", "unimplemented!"),
-];
-
 fn panic_pass(
     g: &CallGraph,
     tokfiles: &[(String, Vec<Token>)],
-    prepared: &[Prepared],
-    pats: &Pats,
+    sources: &[Source],
     hops: usize,
     out: &mut Vec<Finding>,
 ) {
@@ -784,10 +1086,10 @@ fn panic_pass(
             }
         }
     }
-    let mut seen: BTreeSet<(String, usize, &'static str)> = BTreeSet::new();
+    let mut seen: BTreeSet<(&str, usize, &'static str)> = BTreeSet::new();
     for (&fi, (h, path)) in &reach {
         let f = &g.fns[fi];
-        let file = &prepared[f.file];
+        let src = &sources[f.file];
         if f.body.is_none() {
             continue;
         }
@@ -796,19 +1098,19 @@ fn panic_pass(
         } else {
             format!("{} ({} hop(s))", path.join(" -> "), h)
         };
-        for li in f.line..=f.end_line.min(file.code.len()) {
-            let line = &file.code[li - 1];
+        for li in f.line..=f.end_line.min(src.code.len()) {
+            let line = &src.code[li - 1];
             if line.is_empty() {
                 continue;
             }
             for (pat, what) in PANIC_TOKENS {
                 if line.contains(pat)
-                    && !escaped(&file.raw, li, "panic-path", pats)
-                    && seen.insert((file.path.clone(), li, "panic-path"))
+                    && !src.escaped(li - 1, "panic-path")
+                    && seen.insert((src.path, li, "panic-path"))
                 {
                     out.push(Finding {
                         rule: "panic-path",
-                        file: file.path.clone(),
+                        file: src.path.to_string(),
                         line: li,
                         func: f.name.clone(),
                         message: format!("`{what}` reachable from {via}"),
@@ -817,46 +1119,23 @@ fn panic_pass(
                 }
             }
             // Arithmetic slice indexing (`buf[a + b]`); ranges excluded.
-            let b = line.as_bytes();
-            for (i, &c) in b.iter().enumerate() {
-                if c != b'['
-                    || i == 0
-                    || !(b[i - 1].is_ascii_alphanumeric() || b[i - 1] == b'_' || b[i - 1] == b')')
-                {
-                    continue;
-                }
-                let mut depth = 0i64;
-                let mut end = line.len();
-                for (j, &d) in b.iter().enumerate().skip(i) {
-                    match d {
-                        b'[' | b'(' => depth += 1,
-                        b']' | b')' => {
-                            depth -= 1;
-                            if depth == 0 {
-                                end = j;
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                }
+            for inner in index_exprs(line) {
                 // Leading `*`/`&` are deref/borrow sigils, not operators,
                 // and `%` bounds the result; neither makes an index
                 // "arithmetic".
-                let inner =
-                    line[i + 1..end.min(line.len())].trim_start_matches(['*', '&', ' ']);
+                let inner = inner.trim_start_matches(['*', '&', ' ']);
                 if inner.contains("..")
                     || inner.contains('%')
                     || !(inner.contains('+') || inner.contains('*'))
                 {
                     continue;
                 }
-                if !escaped(&file.raw, li, "panic-index", pats)
-                    && seen.insert((file.path.clone(), li, "panic-index"))
+                if !src.escaped(li - 1, "panic-index")
+                    && seen.insert((src.path, li, "panic-index"))
                 {
                     out.push(Finding {
                         rule: "panic-index",
-                        file: file.path.clone(),
+                        file: src.path.to_string(),
                         line: li,
                         func: f.name.clone(),
                         message: format!("arithmetic slice index `[{}]` reachable from {via}", inner.trim()),
@@ -876,40 +1155,32 @@ fn panic_pass(
 /// returning fingerprinted findings in deterministic order.
 pub fn analyze_files(files: &[(String, String)], opts: &AnalyzeOptions) -> Vec<Finding> {
     let pats = Pats::new();
-    let mut prepared = Vec::with_capacity(files.len());
-    let mut tokfiles = Vec::with_capacity(files.len());
-    for (path, text) in files {
-        let src = Source::new(path, text);
-        let toks = lex(&src);
-        prepared.push(Prepared {
-            path: path.clone(),
-            raw: src.raw.iter().map(|s| s.to_string()).collect(),
-            code: src.code.clone(),
-        });
-        tokfiles.push((path.clone(), toks));
-    }
+    let sources: Vec<Source> = files.iter().map(|(path, text)| Source::new(path, text)).collect();
+    let tokfiles: Vec<(String, Vec<Token>)> =
+        sources.iter().map(|src| (src.path.to_string(), lex(src))).collect();
     let g = CallGraph::build(&tokfiles);
     let mut findings = Vec::new();
-    taint_pass(&g, &prepared, &pats, &mut findings);
-    determinism_pass(&prepared, &pats, &mut findings, &g);
-    panic_pass(&g, &tokfiles, &prepared, &pats, opts.hops, &mut findings);
+    token_pass(&g, &sources, &pats, &mut findings);
+    taint_pass(&g, &sources, &mut findings);
+    determinism_pass(&g, &sources, &pats, &mut findings);
+    panic_pass(&g, &tokfiles, &sources, opts.hops, &mut findings);
     findings.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule))
     });
-    let by_path: BTreeMap<String, usize> =
-        prepared.iter().enumerate().map(|(i, p)| (p.path.clone(), i)).collect();
+    let by_path: BTreeMap<&str, &Source> = sources.iter().map(|src| (src.path, src)).collect();
     fingerprint_all(&mut findings, |f| {
         by_path
-            .get(&f.file)
-            .and_then(|&i| prepared[i].code.get(f.line.saturating_sub(1)))
+            .get(f.file.as_str())
+            .and_then(|src| src.code.get(f.line.saturating_sub(1)))
             .cloned()
             .unwrap_or_default()
     });
     findings
 }
 
-/// Walks `root` and analyzes every workspace source file.
-pub fn analyze_root(root: &Path, opts: &AnalyzeOptions) -> std::io::Result<Vec<Finding>> {
+/// Walks `root` and analyzes every workspace source file; returns the
+/// number of files scanned and the findings.
+pub fn analyze_root(root: &Path, opts: &AnalyzeOptions) -> std::io::Result<(usize, Vec<Finding>)> {
     let mut paths = Vec::new();
     collect_rs_files(root, &mut paths)?;
     paths.sort();
@@ -919,7 +1190,7 @@ pub fn analyze_root(root: &Path, opts: &AnalyzeOptions) -> std::io::Result<Vec<F
         let rel = p.strip_prefix(root).unwrap_or(p).to_string_lossy().replace('\\', "/");
         files.push((rel, text));
     }
-    Ok(analyze_files(&files, opts))
+    Ok((files.len(), analyze_files(&files, opts)))
 }
 
 // ---------------------------------------------------------------------
@@ -1009,16 +1280,16 @@ pub fn sarif(findings: &[Finding]) -> String {
     format!(
         "{{\"version\":\"{SARIF_VERSION}\",\
          \"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",\
-         \"runs\":[{{\"tool\":{{\"driver\":{{\"name\":\"foresight-analyze\",\
+         \"runs\":[{{\"tool\":{{\"driver\":{{\"name\":\"foresight-lint\",\
          \"version\":\"1\",\"rules\":[{rules}]}}}},\"results\":[{results}]}}]}}"
     )
 }
 
 // ---------------------------------------------------------------------
-// CLI driver (shared by the bin and `foresight-cli analyze`)
+// CLI driver
 // ---------------------------------------------------------------------
 
-const USAGE: &str = "usage: foresight-analyze [workspace-root] [--deny-new] [--bless] \
+const USAGE: &str = "usage: foresight-lint [workspace-root] [--deny-new] [--bless] \
 [--baseline PATH] [--sarif PATH] [--hops N] [--quiet] [--list-rules]\n\
 exit codes: 0 clean (no unbaselined findings), 1 new findings, 2 usage/IO error";
 
@@ -1047,7 +1318,7 @@ fn parse_cli(args: &[String]) -> Result<Option<CliArgs>, String> {
             "--quiet" | "-q" => quiet = true,
             "--list-rules" => {
                 for (id, desc) in RULES {
-                    println!("{id:<14} {desc}");
+                    println!("{id:<17} {desc}");
                 }
                 return Ok(None);
             }
@@ -1081,9 +1352,7 @@ fn parse_cli(args: &[String]) -> Result<Option<CliArgs>, String> {
     }))
 }
 
-/// Runs the analyzer CLI; returns the process exit code. Shared verbatim
-/// by `foresight-analyze` and `foresight-cli analyze` so the two always
-/// agree.
+/// Runs the `foresight-lint` CLI; returns the process exit code.
 pub fn run_cli(args: &[String]) -> i32 {
     let parsed = match parse_cli(args) {
         Ok(Some(p)) => p,
@@ -1094,7 +1363,7 @@ pub fn run_cli(args: &[String]) -> i32 {
         }
     };
     let opts = AnalyzeOptions { hops: parsed.hops };
-    let findings = match analyze_root(&parsed.root, &opts) {
+    let (scanned, findings) = match analyze_root(&parsed.root, &opts) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("error: cannot analyze '{}': {e}", parsed.root.display());
@@ -1109,7 +1378,7 @@ pub fn run_cli(args: &[String]) -> i32 {
             return 2;
         }
         println!(
-            "foresight-analyze: blessed {} finding(s) into {}",
+            "foresight-lint: blessed {} finding(s) into {}",
             findings.len(),
             baseline_path.display()
         );
@@ -1155,7 +1424,8 @@ pub fn run_cli(args: &[String]) -> i32 {
         }
     }
     println!(
-        "foresight-analyze: {} finding(s) ({} new, {} baselined, {} stale baseline entr{})",
+        "foresight-lint: {} file(s) scanned, {} finding(s) ({} new, {} baselined, {} stale baseline entr{})",
+        scanned,
         findings.len(),
         new.len(),
         old.len(),
@@ -1230,7 +1500,7 @@ mod tests {
 
     #[test]
     fn escapes_suppress_findings() {
-        let src = "fn d(stream: &[u8]) -> Result<()> {\nlet mut r = ByteReader::new(stream);\nlet n = r.u32_le()? as usize;\n// analyze: allow(taint-alloc) bounded by the caller\nlet v: Vec<u8> = Vec::with_capacity(n);\nOk(())\n}";
+        let src = "fn d(stream: &[u8]) -> Result<()> {\nlet mut r = ByteReader::new(stream);\nlet n = r.u32_le()? as usize;\n// lint: allow(taint-alloc) bounded by the caller\nlet v: Vec<u8> = Vec::with_capacity(n);\nOk(())\n}";
         let f = run(&[("crates/sz/src/stream.rs", src)]);
         assert!(!f.iter().any(|f| f.rule == "taint-alloc"), "{f:?}");
     }
@@ -1263,7 +1533,7 @@ mod tests {
         let f = run(&[("crates/sz/src/stream.rs", src)]);
         let doc = sarif(&f);
         assert!(doc.contains("\"version\":\"2.1.0\""));
-        assert!(doc.contains("foresight-analyze"));
+        assert!(doc.contains("foresight-lint"));
         assert!(doc.contains(FINGERPRINT_KEY));
         assert!(doc.contains(&f[0].fingerprint));
         assert!(doc.contains("taint-alloc"));

@@ -1,13 +1,10 @@
-//! Shared static-analysis library behind the workspace's two analysis
-//! bins:
+//! The workspace analyzer behind the `foresight-lint` bin: eight token
+//! rules and three dataflow passes (taint, determinism,
+//! panic-reachability) in one walk, one finding type, one escape
+//! comment, one baseline and one rule table; see [`analyze`].
 //!
-//! * `foresight-lint` — the single-file token scanner (7+1 domain rules,
-//!   see `src/main.rs`),
-//! * `foresight-analyze` — the dataflow-aware workspace analyzer (taint,
-//!   determinism, panic-reachability; see [`analyze`]).
-//!
-//! Both bins lex files through [`scan`], so they agree on comment
-//! stripping, `#[cfg(test)]` exclusion, escape comments, and which
+//! Every pass reads files through [`scan`], so they agree on comment
+//! stripping, `#[cfg(test)]` exclusion, the escape comment, and which
 //! directories are never scanned. [`graph`] builds the per-file function
 //! tables and the intra-crate call graph the dataflow passes walk.
 

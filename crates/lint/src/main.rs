@@ -1,585 +1,179 @@
-//! `foresight-lint`: the workspace's custom static-analysis pass.
+//! `foresight-lint`: the workspace analyzer's command line.
 //!
-//! Clippy catches generic Rust smells; this tool enforces the project's
-//! *domain* invariants, the ones a general linter cannot know about:
+//! Runs every pass of [`foresight_lint::analyze`] — the eight token
+//! rules and the taint, determinism and panic-reachability passes — over
+//! the workspace in one walk, and gates on fingerprints absent from the
+//! committed baseline.
 //!
-//! | rule               | what it enforces                                              |
-//! |--------------------|---------------------------------------------------------------|
-//! | `decode-panic`     | decode-critical files never panic on untrusted input          |
-//! | `decode-index`     | no direct indexing into untrusted stream slices               |
-//! | `header-bytereader`| headers are parsed via `ByteReader`, not ad-hoc byte plucking |
-//! | `alloc-arith`      | allocation sizes from headers use checked arithmetic          |
-//! | `instant`          | wall-clock timing goes through `foresight_util::timer`        |
-//! | `kernel-label`     | kernel launches carry distinct, non-empty string labels       |
-//! | `unsafe-policy`    | crate roots forbid/deny `unsafe_code`; exceptions are audited |
-//! | `span-orphan`      | spans inside rayon/crossbeam fan-outs use `span_with_parent`  |
-//!
-//! A finding can be suppressed with a `// lint: allow(<rule>)` comment on
-//! the offending line or the line directly above it; the escape is the
-//! audit trail. Test modules (`#[cfg(test)]` to end of file), comment
-//! lines, `target/`, and the vendored `shims/` are not scanned.
-//!
-//! Usage: `foresight-lint [workspace-root]` (defaults to `.`). Exit codes:
-//! 0 clean, 1 findings, 2 usage/IO error.
-//!
-//! Several pattern strings below are built with `concat` at runtime so the
-//! linter's own source never contains the tokens it hunts for.
+//! Usage: `foresight-lint [workspace-root] [--deny-new] [--bless]
+//! [--baseline PATH] [--sarif PATH] [--hops N] [--quiet] [--list-rules]`
+//! (root defaults to `.`). Exit codes: 0 clean (no unbaselined
+//! findings), 1 new findings, 2 usage/IO error.
 
 #![forbid(unsafe_code)]
 
-use foresight_lint::analyze::DECODE_CRITICAL;
-use foresight_lint::scan::{collect_rs_files, contains_keyword, first_string_literal, Source};
-use std::fmt;
-use std::path::Path;
-
-/// Files allowed to touch `std::time` directly (they implement the
-/// timing layer everything else is supposed to use).
-const TIMING_LAYER: &[&str] = &["crates/util/src/timer.rs", "crates/util/src/telemetry.rs"];
-
-/// Files that fan work out across rayon/crossbeam workers. The
-/// `span-orphan` rule applies only here; matched by path suffix. A span
-/// opened inside a stolen-work closure parents onto whatever span that
-/// worker ran last, so fan-out bodies must capture the parent id up
-/// front and use `span_with_parent`.
-const SPAN_FANOUT_FILES: &[&str] = &["crates/core/src/cbench.rs", "crates/core/src/serve.rs"];
-
-#[derive(Debug)]
-struct Finding {
-    file: String,
-    line: usize,
-    rule: &'static str,
-    message: String,
-}
-
-impl fmt::Display for Finding {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:{}: [{}] {}", self.file, self.line, self.rule, self.message)
-    }
-}
-
-/// Patterns assembled at runtime so this file never matches its own rules.
-struct Patterns {
-    unwrap: String,
-    expect: String,
-    panic: String,
-    unreachable: String,
-    stream_idx: Vec<String>,
-    from_le: String,
-    stream_word: String,
-    with_capacity: String,
-    malloc: String,
-    instant_now: String,
-    std_instant: String,
-    launch: Vec<String>,
-    unsafe_tok: String,
-    forbid_unsafe: String,
-    deny_unsafe: String,
-    allow_unsafe: String,
-    safety: String,
-    fanout: Vec<String>,
-    naked_span: String,
-    escape_prefix: String,
-}
-
-impl Patterns {
-    fn new() -> Self {
-        Self {
-            unwrap: [".unw", "rap()"].concat(),
-            expect: [".exp", "ect("].concat(),
-            panic: ["pan", "ic!("].concat(),
-            unreachable: ["unreach", "able!("].concat(),
-            stream_idx: ["stream[", "stream_bytes[", "body[", "payload["]
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-            from_le: ["from_le", "_bytes"].concat(),
-            stream_word: "stream".to_string(),
-            with_capacity: ["with_cap", "acity("].concat(),
-            malloc: [".mal", "loc("].concat(),
-            instant_now: ["Ins", "tant::now"].concat(),
-            std_instant: ["std::time::", "Ins", "tant"].concat(),
-            launch: vec![
-                [".lau", "nch("].concat(),
-                ["launch_", "grid("].concat(),
-                [".enqueue_", "unit("].concat(),
-                [".exec_", "unit("].concat(),
-            ],
-            unsafe_tok: ["uns", "afe"].concat(),
-            forbid_unsafe: ["#![forbid(", "uns", "afe_code)]"].concat(),
-            deny_unsafe: ["#![deny(", "uns", "afe_code)]"].concat(),
-            allow_unsafe: ["allow(", "uns", "afe_code)"].concat(),
-            safety: ["SAF", "ETY:"].concat(),
-            fanout: vec![
-                [".par_", "iter"].concat(),
-                ["rayon::", "scope"].concat(),
-                ["crossbeam::", "scope"].concat(),
-                [".spa", "wn("].concat(),
-            ],
-            naked_span: ["telemetry::", "span("].concat(),
-            escape_prefix: ["// lint: ", "allow("].concat(),
-        }
-    }
-}
-
-fn is_decode_critical(path: &str) -> bool {
-    DECODE_CRITICAL.iter().any(|s| path.ends_with(s))
-}
-
-fn is_timing_layer(path: &str) -> bool {
-    TIMING_LAYER.iter().any(|s| path.ends_with(s))
-}
-
-fn is_span_fanout_file(path: &str) -> bool {
-    SPAN_FANOUT_FILES.iter().any(|s| path.ends_with(s))
-}
-
-fn is_crate_root(path: &str) -> bool {
-    path.ends_with("src/lib.rs")
-}
-
-fn push(findings: &mut Vec<Finding>, src: &Source, i: usize, rule: &'static str, msg: String) {
-    findings.push(Finding { file: src.path.to_string(), line: i + 1, rule, message: msg });
-}
-
-/// Rules 1–4: decode-path hygiene (decode-critical files only).
-fn check_decode_rules(src: &Source, pats: &Patterns, findings: &mut Vec<Finding>) {
-    if !is_decode_critical(src.path) {
-        return;
-    }
-    for (i, code) in src.code.iter().enumerate() {
-        if code.is_empty() {
-            continue;
-        }
-        // decode-panic: panicking constructs on the untrusted-input path.
-        for (pat, what) in [
-            (&pats.unwrap, "unwrap"),
-            (&pats.expect, "expect"),
-            (&pats.panic, "panic!"),
-            (&pats.unreachable, "unreachable!"),
-        ] {
-            if code.contains(pat.as_str()) && !src.escaped(i, "decode-panic", &pats.escape_prefix) {
-                push(
-                    findings,
-                    src,
-                    i,
-                    "decode-panic",
-                    format!("`{what}` in a decode-critical file; return Err(Error::corrupt(..)) instead"),
-                );
-            }
-        }
-        // decode-index: direct indexing into the untrusted stream slice.
-        if pats.stream_idx.iter().any(|p| code.contains(p.as_str()))
-            && !src.escaped(i, "decode-index", &pats.escape_prefix)
-        {
-            push(
-                findings,
-                src,
-                i,
-                "decode-index",
-                "direct slice indexing into an untrusted stream; use ByteReader::take".into(),
-            );
-        }
-        // header-bytereader: ad-hoc header plucking.
-        if code.contains(pats.from_le.as_str())
-            && code.contains(pats.stream_word.as_str())
-            && !src.escaped(i, "header-bytereader", &pats.escape_prefix)
-        {
-            push(
-                findings,
-                src,
-                i,
-                "header-bytereader",
-                "header field decoded by hand; use foresight_util::ByteReader".into(),
-            );
-        }
-        // alloc-arith: allocation sizes computed with unchecked arithmetic.
-        let allocates =
-            code.contains(pats.with_capacity.as_str()) || code.contains(pats.malloc.as_str());
-        if allocates
-            && (code.contains('*') || code.contains(" + "))
-            && !code.contains("checked_")
-            && !code.contains("saturating_")
-            && !src.escaped(i, "alloc-arith", &pats.escape_prefix)
-        {
-            push(
-                findings,
-                src,
-                i,
-                "alloc-arith",
-                "allocation size uses unchecked arithmetic; use checked_mul/checked_add or escape with a justification".into(),
-            );
-        }
-    }
-}
-
-/// Rule 5: direct `std::time::Instant` use outside the timing layer.
-fn check_instant(src: &Source, pats: &Patterns, findings: &mut Vec<Finding>) {
-    if is_timing_layer(src.path) {
-        return;
-    }
-    for (i, code) in src.code.iter().enumerate() {
-        if code.is_empty() {
-            continue;
-        }
-        if (code.contains(pats.instant_now.as_str()) || code.contains(pats.std_instant.as_str()))
-            && !src.escaped(i, "instant", &pats.escape_prefix)
-        {
-            push(
-                findings,
-                src,
-                i,
-                "instant",
-                "raw Instant timing; use foresight_util::timer (time/timed) so spans reach telemetry".into(),
-            );
-        }
-    }
-}
-
-/// Rule 6: kernel launches must carry distinct non-empty literal labels.
-/// Sites whose label is a runtime expression (no string literal within the
-/// call head) are skipped — the label was validated where it was built.
-fn check_kernel_labels(src: &Source, pats: &Patterns, findings: &mut Vec<Finding>) {
-    let mut seen: Vec<(String, usize)> = Vec::new();
-    for (i, code) in src.code.iter().enumerate() {
-        if code.is_empty() || !pats.launch.iter().any(|p| code.contains(p.as_str())) {
-            continue;
-        }
-        if src.escaped(i, "kernel-label", &pats.escape_prefix) {
-            continue;
-        }
-        // The label literal may sit on the launch line or, for multi-line
-        // call sites, a few lines below.
-        let mut label: Option<&str> = None;
-        for j in i..(i + 5).min(src.code.len()) {
-            if let Some(lit) = first_string_literal(&src.code[j]) {
-                label = Some(lit);
-                break;
-            }
-        }
-        let Some(label) = label else { continue };
-        if label.is_empty() {
-            push(findings, src, i, "kernel-label", "kernel launch with an empty label".into());
-            continue;
-        }
-        if let Some((_, prev)) = seen.iter().find(|(l, _)| l == label) {
-            push(
-                findings,
-                src,
-                i,
-                "kernel-label",
-                format!("duplicate kernel label '{label}' (first used at line {})", prev + 1),
-            );
-        } else {
-            seen.push((label.to_string(), i));
-        }
-    }
-}
-
-/// Rule 7: crate roots must pin down the unsafe policy, and any file that
-/// actually uses the keyword must opt back in visibly and carry a SAFETY
-/// comment. File-level rule; no line escapes.
-fn check_unsafe_policy(src: &Source, pats: &Patterns, findings: &mut Vec<Finding>) {
-    let raw_text = src.raw.join("\n");
-    if is_crate_root(src.path)
-        && !raw_text.contains(pats.forbid_unsafe.as_str())
-        && !raw_text.contains(pats.deny_unsafe.as_str())
-    {
-        findings.push(Finding {
-            file: src.path.to_string(),
-            line: 1,
-            rule: "unsafe-policy",
-            message: format!(
-                "crate root lacks {} (or {} with audited exceptions)",
-                pats.forbid_unsafe, pats.deny_unsafe
-            ),
-        });
-    }
-    let uses_unsafe = src
-        .code
-        .iter()
-        .any(|c| !c.is_empty() && contains_keyword(c, pats.unsafe_tok.as_str()));
-    if uses_unsafe {
-        if !raw_text.contains(pats.allow_unsafe.as_str()) {
-            push(
-                findings,
-                src,
-                0,
-                "unsafe-policy",
-                format!("file uses the keyword but has no {} opt-in", pats.allow_unsafe),
-            );
-        }
-        if !raw_text.contains(pats.safety.as_str()) {
-            push(
-                findings,
-                src,
-                0,
-                "unsafe-policy",
-                format!("file uses the keyword but has no {} comment", pats.safety),
-            );
-        }
-    }
-}
-
-/// Rule 8: ambient-parent spans inside rayon/crossbeam fan-out closures
-/// (span-fanout files only). Under work stealing, a span opened inside a
-/// worker closure parents onto whichever span that worker happened to
-/// record last — an orphaned root in the Chrome trace. The sanctioned
-/// shape captures the parent id before the fan-out and passes it through
-/// `span_with_parent`. The tracker is a brace-depth heuristic: a line
-/// containing a fan-out token opens a region at the current depth, and
-/// the region closes once depth returns to (or below) that mark on a
-/// `;`-terminated line — multi-line iterator chains stay open until
-/// their `.collect();` lands.
-fn check_span_orphan(src: &Source, pats: &Patterns, findings: &mut Vec<Finding>) {
-    if !is_span_fanout_file(src.path) {
-        return;
-    }
-    let mut depth: i64 = 0;
-    // Brace depth at which each currently-open fan-out statement began.
-    let mut regions: Vec<i64> = Vec::new();
-    for (i, code) in src.code.iter().enumerate() {
-        if code.is_empty() {
-            continue;
-        }
-        if pats.fanout.iter().any(|p| code.contains(p.as_str())) {
-            regions.push(depth);
-        }
-        if !regions.is_empty()
-            && code.contains(pats.naked_span.as_str())
-            && !src.escaped(i, "span-orphan", &pats.escape_prefix)
-        {
-            push(
-                findings,
-                src,
-                i,
-                "span-orphan",
-                "ambient-parent span inside a fan-out closure; capture the parent id before the fan-out and use span_with_parent".into(),
-            );
-        }
-        for b in code.bytes() {
-            match b {
-                b'{' => depth += 1,
-                b'}' => depth -= 1,
-                _ => {}
-            }
-        }
-        let ends_stmt = code.trim_end().ends_with(';');
-        while let Some(&start) = regions.last() {
-            if depth < start || (depth <= start && ends_stmt) {
-                regions.pop();
-            } else {
-                break;
-            }
-        }
-    }
-}
-
-fn scan_file(path: &str, text: &str, pats: &Patterns) -> Vec<Finding> {
-    let src = Source::new(path, text);
-    let mut findings = Vec::new();
-    check_decode_rules(&src, pats, &mut findings);
-    check_instant(&src, pats, &mut findings);
-    check_kernel_labels(&src, pats, &mut findings);
-    check_unsafe_policy(&src, pats, &mut findings);
-    check_span_orphan(&src, pats, &mut findings);
-    findings
-}
-
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let root = args.next().unwrap_or_else(|| ".".to_string());
-    if args.next().is_some() {
-        eprintln!("usage: foresight-lint [workspace-root]");
-        std::process::exit(2);
-    }
-    let root_path = Path::new(&root);
-    let mut files = Vec::new();
-    if let Err(e) = collect_rs_files(root_path, &mut files) {
-        eprintln!("error: cannot walk '{root}': {e}");
-        std::process::exit(2);
-    }
-    files.sort();
-    let pats = Patterns::new();
-    let mut findings = Vec::new();
-    for file in &files {
-        let text = match std::fs::read_to_string(file) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: cannot read '{}': {e}", file.display());
-                std::process::exit(2);
-            }
-        };
-        let rel = file
-            .strip_prefix(root_path)
-            .unwrap_or(file)
-            .to_string_lossy()
-            .replace('\\', "/");
-        findings.extend(scan_file(&rel, &text, &pats));
-    }
-    for f in &findings {
-        println!("{f}");
-    }
-    println!(
-        "foresight-lint: {} file(s) scanned, {} finding(s)",
-        files.len(),
-        findings.len()
-    );
-    if !findings.is_empty() {
-        std::process::exit(1);
-    }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    std::process::exit(foresight_lint::analyze::run_cli(&args));
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use foresight_lint::analyze::{analyze_files, AnalyzeOptions, Finding};
+    use foresight_lint::scan::ESCAPE_PREFIX;
 
     const DECODE_PATH: &str = "crates/sz/src/stream.rs";
+
+    /// Every pass over one file at a workspace path.
+    fn scan_file(path: &str, text: &str) -> Vec<Finding> {
+        analyze_files(&[(path.to_string(), text.to_string())], &AnalyzeOptions::default())
+    }
 
     fn rules(findings: &[Finding]) -> Vec<&'static str> {
         findings.iter().map(|f| f.rule).collect()
     }
 
+    /// The tokens the unsafe-policy rule looks for, assembled at runtime.
+    fn unsafe_tok() -> String {
+        ["uns", "afe"].concat()
+    }
+    fn forbid_unsafe() -> String {
+        ["#![forbid(", "uns", "afe_code)]"].concat()
+    }
+    fn allow_unsafe() -> String {
+        ["allow(", "uns", "afe_code)"].concat()
+    }
+    fn safety() -> String {
+        ["SAF", "ETY:"].concat()
+    }
+
     #[test]
     fn flags_unwrap_in_decode_file() {
-        let pats = Patterns::new();
         let src = "fn f(d: &[u8]) { let x = d.first().unwrap(); }";
-        let found = scan_file(DECODE_PATH, src, &pats);
+        let found = scan_file(DECODE_PATH, src);
         assert_eq!(rules(&found), ["decode-panic"]);
     }
 
     #[test]
     fn same_code_ok_outside_decode_files() {
-        let pats = Patterns::new();
         let src = "fn f(d: &[u8]) { let x = d.first().unwrap(); }";
-        assert!(scan_file("crates/cosmo/src/nyx.rs", src, &pats).is_empty());
+        assert!(scan_file("crates/cosmo/src/nyx.rs", src).is_empty());
     }
 
     #[test]
     fn escape_on_same_or_previous_line_suppresses() {
-        let pats = Patterns::new();
         // Full escape marker, e.g. `// lint: allow(decode-panic)`.
-        let marker = [pats.escape_prefix.as_str(), "decode-panic)"].concat();
+        let marker = [ESCAPE_PREFIX, "decode-panic)"].concat();
         let src = format!("fn f(d: &[u8]) {{\nlet x = d.first().unwrap(); {marker}\n}}");
-        assert!(scan_file(DECODE_PATH, &src, &pats).is_empty(), "same-line escape");
+        assert!(scan_file(DECODE_PATH, &src).is_empty(), "same-line escape");
         let src = format!("fn f(d: &[u8]) {{\n{marker} justification\nlet x = d.first().unwrap();\n}}");
-        assert!(scan_file(DECODE_PATH, &src, &pats).is_empty(), "previous-line escape");
+        assert!(scan_file(DECODE_PATH, &src).is_empty(), "previous-line escape");
     }
 
     #[test]
     fn comment_and_test_lines_are_skipped() {
-        let pats = Patterns::new();
         let src = "//! docs mention .unwrap() freely\nfn ok() {}\n#[cfg(test)]\nmod tests {\n fn t() { Some(1).unwrap(); }\n}";
-        assert!(scan_file(DECODE_PATH, src, &pats).is_empty());
+        assert!(scan_file(DECODE_PATH, src).is_empty());
     }
 
     #[test]
     fn flags_stream_indexing_and_manual_headers() {
-        let pats = Patterns::new();
         let src = "fn d(stream: &[u8]) -> u32 {\nlet n = u32::from_le_bytes(stream[..4].try_into().ok().into());\nn\n}";
-        let found = scan_file(DECODE_PATH, src, &pats);
+        let found = scan_file(DECODE_PATH, src);
         assert!(rules(&found).contains(&"decode-index"), "{found:?}");
         assert!(rules(&found).contains(&"header-bytereader"), "{found:?}");
     }
 
     #[test]
     fn flags_unchecked_alloc_arith() {
-        let pats = Patterns::new();
         let src = "fn a(n: usize) { let v: Vec<u8> = Vec::with_capacity(n * 4); drop(v); }";
-        assert_eq!(rules(&scan_file(DECODE_PATH, src, &pats)), ["alloc-arith"]);
+        assert_eq!(rules(&scan_file(DECODE_PATH, src)), ["alloc-arith"]);
         let src = "fn a(n: usize) { let v: Vec<u8> = Vec::with_capacity(n.checked_mul(4).unwrap_or(0)); drop(v); }";
-        assert!(scan_file(DECODE_PATH, src, &pats).is_empty());
+        assert!(scan_file(DECODE_PATH, src).is_empty());
     }
 
     #[test]
     fn flags_raw_instant_everywhere_but_timing_layer() {
-        let pats = Patterns::new();
         let line = ["let t = std::time::", "Ins", "tant::now();"].concat();
         let src = format!("fn f() {{ {line} }}");
-        assert_eq!(rules(&scan_file("crates/bench/src/report.rs", &src, &pats)), ["instant"]);
-        assert!(scan_file("crates/util/src/timer.rs", &src, &pats).is_empty());
+        assert_eq!(rules(&scan_file("crates/bench/src/report.rs", &src)), ["instant"]);
+        assert!(scan_file("crates/util/src/timer.rs", &src).is_empty());
     }
 
     #[test]
     fn kernel_labels_must_be_distinct_and_non_empty() {
-        let pats = Patterns::new();
         let call = ["launch_", "grid(dev, kind, grid, "].concat();
         let src = format!("fn f() {{\n{call}\"a\", w);\n{call}\"a\", w);\n}}");
-        assert_eq!(rules(&scan_file("crates/gpu/src/x.rs", &src, &pats)), ["kernel-label"]);
+        assert_eq!(rules(&scan_file("crates/gpu/src/x.rs", &src)), ["kernel-label"]);
         let src = format!("fn f() {{\n{call}\"\", w);\n}}");
-        assert_eq!(rules(&scan_file("crates/gpu/src/x.rs", &src, &pats)), ["kernel-label"]);
+        assert_eq!(rules(&scan_file("crates/gpu/src/x.rs", &src)), ["kernel-label"]);
         let src = format!("fn f() {{\n{call}\"a\", w);\n{call}\"b\", w);\n}}");
-        assert!(scan_file("crates/gpu/src/x.rs", &src, &pats).is_empty());
+        assert!(scan_file("crates/gpu/src/x.rs", &src).is_empty());
         // Non-literal label sites are skipped.
         let src = format!("fn f(l: &str) {{\n{call}l, w);\n}}");
-        assert!(scan_file("crates/gpu/src/x.rs", &src, &pats).is_empty());
+        assert!(scan_file("crates/gpu/src/x.rs", &src).is_empty());
     }
 
     #[test]
     fn serve_queue_enqueue_sites_are_launch_sites() {
-        let pats = Patterns::new();
         let call = ["q.enqueue_", "unit(t, kind, n, b, inb, outb, "].concat();
         let src = format!("fn f() {{\n{call}\"u\");\n{call}\"u\");\n}}");
-        assert_eq!(rules(&scan_file("crates/gpu/src/x.rs", &src, &pats)), ["kernel-label"]);
+        assert_eq!(rules(&scan_file("crates/gpu/src/x.rs", &src)), ["kernel-label"]);
         let src = format!("fn f() {{\n{call}\"\");\n}}");
-        assert_eq!(rules(&scan_file("crates/gpu/src/x.rs", &src, &pats)), ["kernel-label"]);
+        assert_eq!(rules(&scan_file("crates/gpu/src/x.rs", &src)), ["kernel-label"]);
         let src = format!("fn f() {{\n{call}\"u0\");\n{call}\"u1\");\n}}");
-        assert!(scan_file("crates/gpu/src/x.rs", &src, &pats).is_empty());
+        assert!(scan_file("crates/gpu/src/x.rs", &src).is_empty());
     }
 
     #[test]
     fn cluster_exec_sites_are_launch_sites() {
-        let pats = Patterns::new();
         let call = ["state.exec_", "unit(d, t, u, "].concat();
         let src = format!("fn f() {{\n{call}\"r0\");\n{call}\"r0\");\n}}");
-        assert_eq!(rules(&scan_file("crates/core/src/cluster.rs", &src, &pats)), ["kernel-label"]);
+        assert_eq!(rules(&scan_file("crates/core/src/cluster.rs", &src)), ["kernel-label"]);
         let src = format!("fn f() {{\n{call}\"\");\n}}");
-        assert_eq!(rules(&scan_file("crates/core/src/cluster.rs", &src, &pats)), ["kernel-label"]);
+        assert_eq!(rules(&scan_file("crates/core/src/cluster.rs", &src)), ["kernel-label"]);
         let src = format!("fn f() {{\n{call}\"r0\");\n{call}\"r1\");\n}}");
-        assert!(scan_file("crates/core/src/cluster.rs", &src, &pats).is_empty());
+        assert!(scan_file("crates/core/src/cluster.rs", &src).is_empty());
         // Runtime-label dispatch sites (the router's) are skipped.
         let src = format!("fn f(l: &str) {{\n{call}l);\n}}");
-        assert!(scan_file("crates/core/src/cluster.rs", &src, &pats).is_empty());
+        assert!(scan_file("crates/core/src/cluster.rs", &src).is_empty());
     }
 
     #[test]
     fn crate_roots_need_an_unsafe_policy() {
-        let pats = Patterns::new();
-        let found = scan_file("crates/foo/src/lib.rs", "pub mod x;", &pats);
+        let found = scan_file("crates/foo/src/lib.rs", "pub mod x;");
         assert_eq!(rules(&found), ["unsafe-policy"]);
-        let ok = format!("{}\npub mod x;", pats.forbid_unsafe);
-        assert!(scan_file("crates/foo/src/lib.rs", &ok, &pats).is_empty());
+        let ok = format!("{}\npub mod x;", forbid_unsafe());
+        assert!(scan_file("crates/foo/src/lib.rs", &ok).is_empty());
     }
 
     #[test]
     fn unsafe_usage_needs_opt_in_and_safety_comment() {
-        let pats = Patterns::new();
-        let body = [pats.unsafe_tok.as_str(), " { core::hint::spin_loop(); }"].concat();
+        let body = [unsafe_tok().as_str(), " { core::hint::spin_loop(); }"].concat();
         let src = format!("fn f() {{ {body} }}");
-        let found = scan_file("crates/fft/src/fft3d.rs", &src, &pats);
+        let found = scan_file("crates/fft/src/fft3d.rs", &src);
         assert_eq!(rules(&found), ["unsafe-policy", "unsafe-policy"]);
         let src = format!(
             "#![{}]\n// {}: sound because it is a no-op\nfn f() {{ {body} }}",
-            pats.allow_unsafe, pats.safety
+            allow_unsafe(), safety()
         );
-        assert!(scan_file("crates/fft/src/fft3d.rs", &src, &pats).is_empty());
+        assert!(scan_file("crates/fft/src/fft3d.rs", &src).is_empty());
     }
 
     #[test]
     fn flags_ambient_span_inside_fanout() {
-        let pats = Patterns::new();
         let span = ["telemetry::", "span("].concat();
         let par = [".par_", "iter()"].concat();
         let src = format!(
             "fn f(xs: &[u32]) {{\nlet v: Vec<_> = xs{par}.map(|x| {{\nlet _s = {span}\"pair\");\nx + 1\n}}).collect();\ndrop(v);\n}}"
         );
-        assert_eq!(rules(&scan_file("crates/core/src/cbench.rs", &src, &pats)), ["span-orphan"]);
+        assert_eq!(rules(&scan_file("crates/core/src/cbench.rs", &src)), ["span-orphan"]);
         // Same code outside the fan-out file list is not checked.
-        assert!(scan_file("crates/core/src/runner.rs", &src, &pats).is_empty());
+        assert!(scan_file("crates/core/src/runner.rs", &src).is_empty());
     }
 
     #[test]
     fn span_with_parent_and_spans_outside_fanouts_are_fine() {
-        let pats = Patterns::new();
         let span = ["telemetry::", "span("].concat();
         let swp = ["telemetry::", "span_with_parent("].concat();
         let par = [".par_", "iter()"].concat();
@@ -588,23 +182,22 @@ mod tests {
         let src = format!(
             "fn f(xs: &[u32]) {{\nlet s = {span}\"sweep\");\nlet id = s.id();\nlet v: Vec<_> = xs{par}.map(|x| {{\nlet _c = {swp}\"pair\", id);\nx\n}}).collect();\ndrop(v);\n}}"
         );
-        assert!(scan_file("crates/core/src/cbench.rs", &src, &pats).is_empty());
+        assert!(scan_file("crates/core/src/cbench.rs", &src).is_empty());
         // A span after the fan-out statement closes is ambient again.
         let src = format!(
             "fn f(xs: &[u32]) {{\nlet v: Vec<_> = xs{par}.map(|x| x).collect();\nlet _s = {span}\"after\");\ndrop(v);\n}}"
         );
-        assert!(scan_file("crates/core/src/cbench.rs", &src, &pats).is_empty());
+        assert!(scan_file("crates/core/src/cbench.rs", &src).is_empty());
     }
 
     #[test]
     fn span_orphan_escape_suppresses() {
-        let pats = Patterns::new();
         let span = ["telemetry::", "span("].concat();
         let par = [".par_", "iter()"].concat();
-        let marker = [pats.escape_prefix.as_str(), "span-orphan)"].concat();
+        let marker = [ESCAPE_PREFIX, "span-orphan)"].concat();
         let src = format!(
             "fn f(xs: &[u32]) {{\nlet v: Vec<_> = xs{par}.map(|x| {{\n{marker} root-per-item is intended\nlet _s = {span}\"pair\");\nx\n}}).collect();\ndrop(v);\n}}"
         );
-        assert!(scan_file("crates/core/src/cbench.rs", &src, &pats).is_empty());
+        assert!(scan_file("crates/core/src/cbench.rs", &src).is_empty());
     }
 }

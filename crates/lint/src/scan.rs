@@ -1,13 +1,11 @@
-//! Shared source scanning: the line view both bins agree on (comment
-//! stripping, `#[cfg(test)]` truncation, escape comments, skip dirs) and
-//! the token lexer the dataflow passes are built on.
+//! Shared source scanning: the line view every analyzer pass agrees on
+//! (comment stripping, `#[cfg(test)]` truncation, the escape comment,
+//! skip dirs) and the token lexer the dataflow passes are built on.
 //!
-//! `foresight-lint` predates this module; its behavior is pinned by its
-//! unit tests and by before/after output parity on the tree that hosted
-//! the refactor, so everything here keeps the exact semantics the linter
-//! always had. `foresight-analyze` layers a token stream on top of the
-//! same line view, which is what makes the two bins agree about what is
-//! code and what is comment/test scaffolding.
+//! The line view keeps the exact semantics the token rules always had;
+//! they are pinned by the rule tests in `src/main.rs`. The lexer layers
+//! a token stream on top of the same view, which is what makes every
+//! pass agree about what is code and what is comment/test scaffolding.
 
 use std::path::{Path, PathBuf};
 
@@ -36,23 +34,19 @@ pub fn strip_comment(line: &str) -> &str {
     line
 }
 
-/// True when `hay` uses `kw` as a keyword: not part of a longer
-/// identifier, and followed by whitespace, `{`, or end of line (the only
-/// shapes Rust's `unsafe` keyword takes), so `"<kw>-policy"` string
-/// literals and `<kw>_code` attribute names do not match.
-pub fn contains_keyword(hay: &str, kw: &str) -> bool {
+fn is_ident_char(c: char) -> bool {
+    c.is_alphanumeric() || c == '_'
+}
+
+/// True when `hay` contains `word` with no identifier character right
+/// before it and a next character `after` accepts (`None` at the end).
+fn has_word(hay: &str, word: &str, after: impl Fn(Option<char>) -> bool) -> bool {
     let mut from = 0;
-    while let Some(rel) = hay[from..].find(kw) {
+    while let Some(rel) = hay[from..].find(word) {
         let at = from + rel;
-        let before_ok = at == 0
-            || !hay[..at]
-                .chars()
-                .next_back()
-                .map(|c| c.is_alphanumeric() || c == '_')
-                .unwrap_or(false);
-        let end = at + kw.len();
-        let after_ok = matches!(hay[end..].chars().next(), None | Some(' ') | Some('\t') | Some('{'));
-        if before_ok && after_ok {
+        let end = at + word.len();
+        if !hay[..at].chars().next_back().is_some_and(is_ident_char) && after(hay[end..].chars().next())
+        {
             return true;
         }
         from = end;
@@ -60,33 +54,18 @@ pub fn contains_keyword(hay: &str, kw: &str) -> bool {
     false
 }
 
+/// True when `hay` uses `kw` as a keyword: not part of a longer
+/// identifier, and followed by whitespace, `{`, or end of line (the only
+/// shapes Rust's `unsafe` keyword takes), so `"<kw>-policy"` string
+/// literals and `<kw>_code` attribute names do not match.
+pub fn contains_keyword(hay: &str, kw: &str) -> bool {
+    has_word(hay, kw, |c| matches!(c, None | Some(' ') | Some('\t') | Some('{')))
+}
+
 /// True when `hay` mentions `word` with identifier boundaries on both
 /// sides (unlike [`contains_keyword`], any non-ident char may follow).
 pub fn mentions_word(hay: &str, word: &str) -> bool {
-    if word.is_empty() {
-        return false;
-    }
-    let mut from = 0;
-    while let Some(rel) = hay[from..].find(word) {
-        let at = from + rel;
-        let before_ok = at == 0
-            || !hay[..at]
-                .chars()
-                .next_back()
-                .map(|c| c.is_alphanumeric() || c == '_')
-                .unwrap_or(false);
-        let end = at + word.len();
-        let after_ok = !hay[end..]
-            .chars()
-            .next()
-            .map(|c| c.is_alphanumeric() || c == '_')
-            .unwrap_or(false);
-        if before_ok && after_ok {
-            return true;
-        }
-        from = end;
-    }
-    false
+    !word.is_empty() && has_word(hay, word, |c| !c.is_some_and(is_ident_char))
 }
 
 /// Extracts the first `"..."` literal from a line, if any.
@@ -96,6 +75,10 @@ pub fn first_string_literal(line: &str) -> Option<&str> {
     let end = rest.find('"')?;
     Some(&rest[..end])
 }
+
+/// The escape comment's prefix, assembled so this file does not carry
+/// the marker itself.
+pub const ESCAPE_PREFIX: &str = concat!("// lint", ": allow(");
 
 /// One source file pre-processed for scanning: raw lines plus the
 /// comment-stripped "code" view, truncated at `#[cfg(test)]`.
@@ -125,13 +108,11 @@ impl<'a> Source<'a> {
         Self { path, raw, code }
     }
 
-    /// True when line `i` (0-based) carries an escape comment of the form
-    /// `<prefix><rule>)`, either on the line itself or the line directly
-    /// above. The linter's prefix is `// lint: allow(`, the analyzer's is
-    /// `// analyze: allow(`; both are assembled at runtime by the caller
-    /// so neither bin's source matches its own escapes.
-    pub fn escaped(&self, i: usize, rule: &str, prefix: &str) -> bool {
-        let marker = format!("{prefix}{rule})");
+    /// True when line `i` (0-based) carries the escape comment
+    /// `// lint: allow(<rule>)`, either on the line itself or the line
+    /// directly above. The one escape for every rule.
+    pub fn escaped(&self, i: usize, rule: &str) -> bool {
+        let marker = format!("{ESCAPE_PREFIX}{rule})");
         if self.raw[i].contains(&marker) {
             return true;
         }

@@ -1,4 +1,4 @@
-//! Fixture-corpus conformance suite for `foresight-analyze`.
+//! Fixture-corpus conformance suite for the `foresight-lint` analyzer.
 //!
 //! Each true-positive fixture tags its seeded findings with
 //! `// EXPECT: <rule>[, <rule>...]` on the offending line; the suite
@@ -7,12 +7,13 @@
 //! sanitizers applied and must produce zero findings. On top of the
 //! corpus: fingerprint stability, the baseline bless → rerun → zero-new
 //! round trip, and the sanitizer-deletion gate (removing a documented
-//! `checked_mul` must surface a NEW finding).
+//! `checked_mul` must surface a NEW finding), and the rule table: every
+//! rule emitted is tabled, and every tabled rule has a true positive.
 
 use foresight_lint::analyze::{
-    analyze_files, parse_baseline, render_baseline, sarif, AnalyzeOptions, Finding,
+    analyze_files, parse_baseline, render_baseline, sarif, AnalyzeOptions, Finding, RULES,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 fn fixture(name: &str) -> String {
@@ -170,5 +171,68 @@ fn sarif_covers_every_fixture_finding() {
     for f in &findings {
         assert!(doc.contains(&f.fingerprint), "SARIF must carry {}", f.fingerprint);
         assert!(doc.contains(f.rule));
+    }
+}
+
+/// The six fixtures at their virtual paths.
+const FIXTURES: &[(&str, &str)] = &[
+    ("taint_tp.rs", "crates/sz/src/stream.rs"),
+    ("taint_clean.rs", "crates/sz/src/stream.rs"),
+    ("det_tp.rs", "crates/sz/src/huffman.rs"),
+    ("det_clean.rs", "crates/sz/src/huffman.rs"),
+    ("panic_tp.rs", "crates/core/src/serve.rs"),
+    ("panic_clean.rs", "crates/core/src/serve.rs"),
+];
+
+/// One true positive per token rule (the dataflow rules' live in the
+/// fixtures): `(rule, virtual path, source)`.
+const TOKEN_TRUE_POSITIVES: &[(&str, &str, &str)] = &[
+    ("decode-panic", "crates/sz/src/stream.rs", "fn f(d: &[u8]) { let x = d.first().unwrap(); }"),
+    (
+        "decode-index",
+        "crates/sz/src/stream.rs",
+        "fn d(stream: &[u8]) -> u8 {\nstream[0]\n}",
+    ),
+    (
+        "header-bytereader",
+        "crates/sz/src/stream.rs",
+        "fn d(stream: &[u8]) -> u32 {\nlet n = u32::from_le_bytes(stream.get(..4).unwrap_or_default());\nn\n}",
+    ),
+    (
+        "alloc-arith",
+        "crates/sz/src/stream.rs",
+        "fn a(n: usize) { let v: Vec<u8> = Vec::with_capacity(n * 4); drop(v); }",
+    ),
+    ("instant", "crates/bench/src/report.rs", "fn f() { let t = std::time::Instant::now(); }"),
+    (
+        "kernel-label",
+        "crates/gpu/src/x.rs",
+        "fn f() {\nlaunch_grid(dev, kind, grid, \"a\", w);\nlaunch_grid(dev, kind, grid, \"a\", w);\n}",
+    ),
+    ("unsafe-policy", "crates/foo/src/lib.rs", "pub mod x;"),
+    (
+        "span-orphan",
+        "crates/core/src/cbench.rs",
+        "fn f(xs: &[u32]) {\nlet v: Vec<_> = xs.par_iter().map(|x| {\nlet _s = telemetry::span(\"pair\");\nx + 1\n}).collect();\ndrop(v);\n}",
+    ),
+];
+
+#[test]
+fn every_rule_is_tabled_and_has_a_true_positive() {
+    let mut emitted: BTreeSet<&str> = BTreeSet::new();
+    for (name, path) in FIXTURES {
+        emitted.extend(run(&[(path, &fixture(name))]).iter().map(|f| f.rule));
+    }
+    for (rule, path, text) in TOKEN_TRUE_POSITIVES {
+        let found = run(&[(path, text)]);
+        assert!(found.iter().any(|f| f.rule == *rule), "{rule} true positive missed: {found:?}");
+        emitted.extend(found.iter().map(|f| f.rule));
+    }
+    let tabled: BTreeSet<&str> = RULES.iter().map(|(id, _)| *id).collect();
+    assert_eq!(tabled.len(), RULES.len(), "rule ids are unique");
+    assert_eq!(emitted, tabled, "emitted rules (left) must be exactly the rule table (right)");
+    let doc = sarif(&[]);
+    for id in &tabled {
+        assert!(doc.contains(&format!("{{\"id\":\"{id}\"")), "SARIF rule table lacks {id}");
     }
 }

@@ -2,7 +2,7 @@
 // taint_tp.rs (allocation, read length, indexing), but every
 // header-derived value is sanitized first — capped read, comparison
 // guard rejecting with Err, checked arithmetic, explicit .min cap.
-// Scanned under crates/sz/src/stream.rs; must produce zero findings.
+// Scanned under crates/sz/src/stream.rs; no dataflow findings (decode-index is tagged).
 fn decode(stream: &[u8]) -> Result<(), Error> {
     let mut r = ByteReader::new(stream);
     let n = r.u64_le_capped(MAX_COUNT, "count")? as usize;
@@ -15,7 +15,7 @@ fn decode(stream: &[u8]) -> Result<(), Error> {
     let spec = r.take(raw.checked_mul(4).ok_or_else(|| Error::corrupt("overflow"))?)?;
     let clamped = r.u32_le()? as usize;
     let idx = clamped.min(stream.len());
-    let first = stream[idx];
+    let first = stream[idx]; // EXPECT: decode-index
     for _b in 0..blocks {
         let _ = first;
     }

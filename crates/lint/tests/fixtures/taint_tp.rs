@@ -12,7 +12,7 @@ fn decode(stream: &[u8]) -> Result<(), Error> {
     let raw = r.u64_le()? as usize;
     let buf: Vec<u8> = Vec::with_capacity(n); // EXPECT: taint-alloc
     let spec = r.take(raw * 4)?; // EXPECT: taint-arith
-    let first = stream[n]; // EXPECT: taint-index
+    let first = stream[n]; // EXPECT: taint-index, decode-index
     for _i in 0..raw { // EXPECT: taint-loop
         let _ = first;
     }

@@ -13,7 +13,7 @@
 //! zero-byte count (0..=4; 4 means the prediction was exact and no tail
 //! bytes follow).
 
-use foresight_util::{Error, Result};
+use foresight_util::{ByteReader, Error, Result};
 
 const TABLE_BITS: u32 = 16;
 const TABLE_SIZE: usize = 1 << TABLE_BITS;
@@ -69,6 +69,7 @@ fn leading_zero_bytes(x: u32) -> u32 {
 pub fn fpc_compress(data: &[f32]) -> Vec<u8> {
     let mut p = Predictors::new();
     let mut headers = Vec::with_capacity(data.len().div_ceil(2));
+    // lint: allow(alloc-arith) — encoder-side: a size hint from an in-memory slice, not header data
     let mut tails: Vec<u8> = Vec::with_capacity(data.len() * 3);
     let mut half = 0u8;
     for (i, &v) in data.iter().enumerate() {
@@ -99,6 +100,7 @@ pub fn fpc_compress(data: &[f32]) -> Vec<u8> {
     if data.len() % 2 == 1 {
         headers.push(half << 4);
     }
+    // lint: allow(alloc-arith) — encoder-side: the exact size of buffers already in memory
     let mut out = Vec::with_capacity(8 + headers.len() + tails.len());
     out.extend_from_slice(&(data.len() as u64).to_le_bytes());
     out.extend_from_slice(&headers);
@@ -108,16 +110,12 @@ pub fn fpc_compress(data: &[f32]) -> Vec<u8> {
 
 /// Decompresses a stream produced by [`fpc_compress`]; bit-exact.
 pub fn fpc_decompress(stream: &[u8]) -> Result<Vec<f32>> {
-    if stream.len() < 8 {
-        return Err(Error::corrupt("fpc stream shorter than header"));
-    }
-    let n = u64::from_le_bytes(stream[..8].try_into().unwrap()) as usize;
-    let header_len = n.div_ceil(2);
-    if stream.len() < 8 + header_len {
-        return Err(Error::corrupt("fpc header table truncated"));
-    }
-    let headers = &stream[8..8 + header_len];
-    let mut tail_pos = 8 + header_len;
+    let mut r = ByteReader::new(stream);
+    // Two 4-bit header codes per byte: the header table bounds the value
+    // count by the stream's own length.
+    let max_values = (stream.len() as u64).saturating_sub(8).saturating_mul(2);
+    let n = r.u64_le_capped(max_values, "fpc value count")?;
+    let headers = r.take(n.div_ceil(2))?;
     let mut p = Predictors::new();
     let mut out = Vec::with_capacity(n);
     for i in 0..n {
@@ -129,12 +127,8 @@ pub fn fpc_decompress(stream: &[u8]) -> Result<Vec<f32>> {
             return Err(Error::corrupt("fpc header code out of range"));
         }
         let nbytes = 4 - lzb;
-        if stream.len() < tail_pos + nbytes {
-            return Err(Error::corrupt("fpc residual tail truncated"));
-        }
         let mut le = [0u8; 4];
-        le[..nbytes].copy_from_slice(&stream[tail_pos..tail_pos + nbytes]);
-        tail_pos += nbytes;
+        le[..nbytes].copy_from_slice(r.take(nbytes)?);
         let resid = u32::from_le_bytes(le);
         let (f, d) = p.predict();
         let bits = resid ^ if sel == 0 { f } else { d };

@@ -9,7 +9,7 @@
 //! and the remaining significant bits are written raw. Exact roundtrip.
 
 use foresight_util::bits::{BitReader, BitWriter};
-use foresight_util::{Dims, Error, Result};
+use foresight_util::{ByteReader, Dims, Error, Result};
 use lossy_sz::huffman::{histogram, Codebook};
 
 /// Maps a float to an integer that preserves numeric order (the classic
@@ -81,6 +81,7 @@ pub fn fpz_compress(data: &[f32], dims: Dims) -> Result<Vec<u8>> {
     // significant bit is implied by the class).
     let book = Codebook::from_frequencies(&histogram(&classes))?;
     let encoder = book.encoder();
+    // lint: allow(alloc-arith) — encoder-side: a size hint from an in-memory slice, not header data
     let mut w = BitWriter::with_capacity(data.len() * 2);
     for i in 0..data.len() {
         encoder.encode(classes[i], &mut w)?;
@@ -90,6 +91,7 @@ pub fn fpz_compress(data: &[f32], dims: Dims) -> Result<Vec<u8>> {
         }
     }
     let payload = w.into_bytes();
+    // lint: allow(alloc-arith) — encoder-side: the size of a payload already in memory
     let mut out = Vec::with_capacity(payload.len() + 64);
     out.extend_from_slice(b"FPZL");
     for e in ext {
@@ -104,19 +106,33 @@ pub fn fpz_compress(data: &[f32], dims: Dims) -> Result<Vec<u8>> {
 /// stream records three extents and no dimensionality, so the shape comes
 /// back as its 3-D form (`D1(n)` as `D3(n, 1, 1)`).
 pub fn fpz_decompress(stream: &[u8]) -> Result<(Vec<f32>, Dims)> {
-    if stream.len() < 28 || &stream[..4] != b"FPZL" {
-        return Err(Error::corrupt("not an FPZL stream"));
-    }
-    let rd = |o: usize| u64::from_le_bytes(stream[o..o + 8].try_into().unwrap()) as usize;
-    let ext = [rd(4), rd(12), rd(20)];
+    let mut r = ByteReader::new(stream);
+    r.expect_magic(b"FPZL", "an FPZL stream")?;
+    let mut extent = || -> Result<usize> {
+        usize::try_from(r.u64_le()?).map_err(|_| Error::corrupt("fpz extent overflows usize"))
+    };
+    let ext = [extent()?, extent()?, extent()?];
     let dims = Dims::D3(ext[0], ext[1], ext[2]);
     let n = dims
         .checked_len()
         .filter(|&n| n <= 1 << 33)
         .ok_or_else(|| Error::corrupt("implausible dimensions"))?;
-    let (book, used) = Codebook::deserialize(&stream[28..])?;
+    let tail = r.take(r.remaining())?;
+    let (book, used) = Codebook::deserialize(tail)?;
+    let payload = tail.get(used..).ok_or_else(|| Error::corrupt("fpz codebook overruns the stream"))?;
+    // Huffman spends at least one bit per value (a single-symbol book
+    // codes 1 bit), so the payload holds at most 8 values per byte:
+    // refuse extents that claim more before allocating for them.
+    if n as u64 > (payload.len() as u64).saturating_mul(8) {
+        return Err(Error::corrupt("fpz extents imply more values than the payload holds"));
+    }
+    if n == 0 {
+        // A zero extent: nothing to decode, and the other extents may be
+        // anything, so they must not bound a loop.
+        return Ok((Vec::new(), dims));
+    }
     let decoder = book.decoder_for(n);
-    let mut r = BitReader::new(&stream[28 + used..]);
+    let mut r = BitReader::new(payload);
     let mut ordered = vec![0i64; n];
     let mut out = Vec::with_capacity(n);
     let mut idx = 0;
@@ -231,11 +247,37 @@ mod tests {
         let mut bad = c.clone();
         bad[0] = b'X';
         assert!(fpz_decompress(&bad).is_err());
+        // Extents the payload cannot hold are refused before anything is
+        // allocated for them: 2^33 values claimed by a 64-value stream.
+        let mut forged = c.clone();
+        forged[4..12].copy_from_slice(&(1u64 << 33).to_le_bytes());
+        assert!(matches!(fpz_decompress(&forged), Err(Error::Corrupt(_))));
+        // A zero extent decodes to nothing, whatever the others claim;
+        // they never bound a loop.
+        let mut empty = fpz_compress(&[], Dims::d1(0)).unwrap();
+        empty[12..28].fill(0xff);
+        let (d, rdims) = fpz_decompress(&empty).unwrap();
+        assert!(d.is_empty());
+        assert_eq!(rdims.extents(), [0, usize::MAX, usize::MAX]);
         // Extents whose product overflows are refused, not multiplied.
         let mut huge = c;
         huge[4..12].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
         huge[12..20].copy_from_slice(&4u64.to_le_bytes());
         assert!(matches!(fpz_decompress(&huge), Err(Error::Corrupt(_))));
+    }
+
+    #[test]
+    fn a_single_class_stream_still_spends_a_bit_per_value() {
+        // Every key and every prediction is 0, so every residual falls in
+        // class 0 and the class book has one symbol: the floor the
+        // decoder's payload check relies on is still one bit per value.
+        let n = 4096;
+        let data = vec![f32::from_bits(u32::MAX); n];
+        let c = fpz_compress(&data, Dims::d1(n)).unwrap();
+        let (book, used) = Codebook::deserialize(&c[28..]).unwrap();
+        assert_eq!(book.len(), 1);
+        assert_eq!(c.len() - 28 - used, n / 8, "one bit per value");
+        roundtrip(&data, Dims::d1(n));
     }
 
     #[test]

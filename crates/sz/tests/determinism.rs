@@ -1,5 +1,5 @@
 //! Regression tests for the determinism fixes flagged by
-//! `foresight-analyze` (det-hash-iter): `histogram` and the overflow map
+//! `foresight-lint`'s det-hash-iter rule: `histogram` and the overflow map
 //! inside `global_codebook` used to accumulate into a HashMap and rely on
 //! a post-hoc sort for stable output. Both now use BTreeMap so iteration
 //! order is sorted by construction. These tests pin the observable

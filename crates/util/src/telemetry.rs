@@ -201,9 +201,9 @@ pub fn span(name: impl AsRef<str>) -> Span {
 }
 
 /// Opens a span with an explicit parent — the cross-thread form used
-/// under rayon/crossbeam where the thread-local stack does not carry
-/// over. The new span still becomes the innermost span *on this thread*,
-/// so nested [`span`] calls chain correctly.
+/// under rayon / scoped threads where the thread-local stack does not
+/// carry over. The new span still becomes the innermost span *on this
+/// thread*, so nested [`span`] calls chain correctly.
 pub fn span_with_parent(name: impl AsRef<str>, parent: SpanId) -> Span {
     if !is_enabled() {
         return Span { id: 0, parent: 0, name: String::new(), attrs: Vec::new(), start_s: 0.0 };
@@ -277,8 +277,9 @@ pub fn timed<R>(name: &str, f: impl FnOnce() -> R) -> (R, f64) {
 }
 
 /// Debug assertion that every recorded span named `name` is parented on
-/// `parent`. Spans opened with plain [`span`] inside a rayon/crossbeam
-/// closure silently re-root (the worker thread has an empty span stack);
+/// `parent`. Spans opened with plain [`span`] inside a rayon or
+/// scoped-thread closure silently re-root (the worker thread has an
+/// empty span stack);
 /// call this after the fan-out joins to catch that class of bug in debug
 /// builds. No-op in release builds or while collection is disabled.
 pub fn assert_span_parent(name: &str, parent: SpanId) {
