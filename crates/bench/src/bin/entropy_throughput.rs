@@ -12,7 +12,7 @@
 //! Paper-scale run: `entropy_throughput --n-side 256`.
 
 use foresight::CinemaDb;
-use foresight_bench::{nyx_fields, Cli};
+use foresight_bench::{nyx_fields, Cli, FLAGS};
 use foresight_util::bits::{BitReader, BitWriter};
 use foresight_util::table::{fmt_f64, Table};
 use lossy_sz::huffman::{histogram, Codebook};
@@ -35,8 +35,12 @@ fn best_secs<R>(mut f: impl FnMut() -> R) -> f64 {
 }
 
 fn main() {
-    let cli = Cli::parse();
-    let dir = cli.exhibit_dir("entropy_throughput");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let cli = Cli::parse(&args).unwrap_or_else(|e| {
+        eprintln!("{e}\nusage: entropy_throughput {FLAGS}");
+        std::process::exit(2);
+    });
+    let dir = cli.out.join("entropy_throughput");
     let opts = cli.synth();
     let mut db = CinemaDb::create(&dir).expect("cinema db");
 

@@ -1,19 +1,40 @@
-//! Shared machinery for the figure/table regenerator binaries.
+//! The paper's exhibits as one table.
 //!
-//! Every exhibit of the paper has a binary in `src/bin/` (table1, table2,
-//! fig1, fig4..fig10, guideline). They share dataset preparation — the
-//! paper's exact per-field compression policies — plus a tiny CLI parser
-//! and an output-directory convention (`results/<exhibit>/`).
+//! Every exhibit (Tables I–II, Figs. 1 and 4–10, the §V-D guideline, the
+//! §II-A lossless baseline, the extension experiments and the Summit
+//! projection) is a function `fn(&Ctx) -> Result<Exhibit>` registered in
+//! [`EXHIBITS`] under its directory name in `results/`. The `exhibit`
+//! binary runs one of them or all; [`Ctx`] synthesizes the Nyx and HACC
+//! snapshots once, on first use, and every exhibit shares them.
 
 #![forbid(unsafe_code)]
 
+use cosmo_analysis::{pk_ratio, power_spectrum_f32, PkBin};
 use cosmo_data::{generate_hacc, generate_nyx, HaccSnapshot, NyxSnapshot, SynthOptions};
-use foresight::cbench::FieldData;
-use foresight::codec::Shape;
-use foresight_util::Result;
-use std::path::PathBuf;
+use cosmo_fft::Grid3;
+use foresight::cbench::{run_one, FieldData};
+use foresight::codec::{compress, CodecConfig, Shape};
+use foresight::{ascii_chart, CBenchRecord, CinemaDb};
+use foresight_util::table::Table;
+use foresight_util::{Error, Result};
+use gpu_sim::{run_compression, run_decompression, Breakdown, Device, GpuSpec, KernelKind};
+use std::cell::OnceCell;
+use std::path::{Path, PathBuf};
 
-/// Common CLI options for all regenerators.
+/// The vocabulary every exhibit module shares.
+mod prelude {
+    pub(crate) use crate::{chart, cubed, mean_bitrate, pk_deviation, roundtrip, simulate};
+    pub(crate) use crate::{velocity_magnitude, Ctx, Exhibit, ZFP_KERNELS};
+    pub(crate) use cosmo_analysis::power_spectrum_f32;
+    pub(crate) use cosmo_fft::Grid3;
+    pub(crate) use foresight::{ascii_chart, cbench::run_one, codec::CodecConfig};
+    pub(crate) use foresight_util::table::{fmt_f64, Table};
+    pub(crate) use foresight_util::{Error, Result};
+    pub(crate) use lossy_sz::SzConfig;
+    pub(crate) use lossy_zfp::ZfpConfig;
+}
+
+/// Common CLI options for all exhibits.
 #[derive(Debug, Clone)]
 pub struct Cli {
     /// Grid / particle-lattice side (scale knob; the paper used 512/1024^3).
@@ -37,66 +58,194 @@ impl Default for Cli {
     }
 }
 
+/// The flags every exhibit binary takes, with their defaults.
+pub const FLAGS: &str = "[--n-side N] [--seed S] [--steps K] [--sim-side M] [--out DIR]\n\
+     defaults: --n-side 64 --seed 24301 --steps 10 --sim-side 512 --out results";
+
 impl Cli {
-    /// Parses `--n-side N --seed S --steps K --out DIR` style arguments.
-    pub fn parse() -> Self {
+    /// Parses `--n-side N --seed S --steps K --sim-side M --out DIR`. A bad
+    /// number, a missing value, an unknown flag or an `--n-side` that is
+    /// not a power of two >= 8 is a usage error, never a panic.
+    pub fn parse(args: &[String]) -> std::result::Result<Self, String> {
         let mut cli = Self::default();
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            let (key, val) = (args[i].as_str(), args.get(i + 1));
-            match (key, val) {
-                ("--n-side", Some(v)) => {
-                    cli.n_side = v.parse().unwrap_or_else(|_| panic!("bad --n-side {v}"));
-                    i += 2;
-                }
-                ("--seed", Some(v)) => {
-                    cli.seed = v.parse().unwrap_or_else(|_| panic!("bad --seed {v}"));
-                    i += 2;
-                }
-                ("--steps", Some(v)) => {
-                    cli.steps = v.parse().unwrap_or_else(|_| panic!("bad --steps {v}"));
-                    i += 2;
-                }
-                ("--sim-side", Some(v)) => {
-                    cli.sim_side = v.parse().unwrap_or_else(|_| panic!("bad --sim-side {v}"));
-                    i += 2;
-                }
-                ("--out", Some(v)) => {
-                    cli.out = PathBuf::from(v);
-                    i += 2;
-                }
-                ("--help", _) | ("-h", _) => {
-                    eprintln!(
-                        "usage: <bin> [--n-side N] [--seed S] [--steps K] [--sim-side M] [--out DIR]\n\
-                         defaults: --n-side 64 --seed 24301 --steps 10 --sim-side 512 --out results"
-                    );
-                    std::process::exit(0);
-                }
-                _ => {
-                    eprintln!("unknown argument '{key}' (try --help)");
-                    std::process::exit(2);
-                }
+        let mut it = args.iter();
+        while let Some(key) = it.next() {
+            let mut value = || it.next().ok_or_else(|| format!("{key} needs a value"));
+            match key.as_str() {
+                "--n-side" => cli.n_side = number(key, value()?)?,
+                "--seed" => cli.seed = number(key, value()?)?,
+                "--steps" => cli.steps = number(key, value()?)?,
+                "--sim-side" => cli.sim_side = number(key, value()?)?,
+                "--out" => cli.out = PathBuf::from(value()?),
+                _ => return Err(format!("unknown argument '{key}'")),
             }
         }
-        assert!(
-            cli.n_side.is_power_of_two() && cli.n_side >= 8,
-            "--n-side must be a power of two >= 8"
-        );
-        cli
+        if !cli.n_side.is_power_of_two() || cli.n_side < 8 {
+            return Err(format!("--n-side must be a power of two >= 8, got {}", cli.n_side));
+        }
+        Ok(cli)
     }
 
     /// Synthesis options derived from the CLI.
     pub fn synth(&self) -> SynthOptions {
         SynthOptions { n_side: self.n_side, box_size: 256.0, seed: self.seed, steps: self.steps }
     }
+}
 
-    /// Output directory for one exhibit, created on demand.
-    pub fn exhibit_dir(&self, name: &str) -> PathBuf {
-        let d = self.out.join(name);
-        std::fs::create_dir_all(&d).expect("cannot create output directory");
-        d
+fn number<T: std::str::FromStr>(key: &str, v: &str) -> std::result::Result<T, String> {
+    v.parse().map_err(|_| format!("bad {key} '{v}'"))
+}
+
+/// Everything an exhibit reads: the CLI and the synthetic snapshots,
+/// each generated on first use and shared by every exhibit after it.
+pub struct Ctx {
+    /// The parsed command line.
+    pub cli: Cli,
+    nyx: OnceCell<(NyxSnapshot, Vec<FieldData>)>,
+    hacc: OnceCell<HaccSnapshot>,
+}
+
+impl Ctx {
+    /// A context whose snapshots are not generated yet.
+    pub fn new(cli: Cli) -> Self {
+        Self { cli, nyx: OnceCell::new(), hacc: OnceCell::new() }
     }
+
+    /// The Nyx snapshot and its six fields wrapped for CBench.
+    pub fn nyx(&self) -> Result<(&NyxSnapshot, &[FieldData])> {
+        let (snap, fields) = cached(&self.nyx, || nyx_fields(&self.cli.synth()))?;
+        Ok((snap, fields))
+    }
+
+    /// The HACC snapshot.
+    pub fn hacc(&self) -> Result<&HaccSnapshot> {
+        cached(&self.hacc, || generate_hacc(&self.cli.synth()))
+    }
+}
+
+/// The value in `cell`, made by `make` on first use.
+fn cached<T>(cell: &OnceCell<T>, make: impl FnOnce() -> Result<T>) -> Result<&T> {
+    if let Some(v) = cell.get() {
+        return Ok(v);
+    }
+    let v = make()?;
+    Ok(cell.get_or_init(|| v))
+}
+
+/// What one exhibit produced: the files of `results/<id>/`.
+#[derive(Default)]
+pub struct Exhibit {
+    artifacts: Vec<(String, Body, Index)>,
+}
+
+enum Body {
+    Table(Table),
+    Text(String),
+    /// Written but not indexed in `data.csv` (images).
+    Bytes(Vec<u8>),
+}
+
+/// File-name suffix of a wall-clock table: rows measured on this host,
+/// or derived from such measurements. Everything else an exhibit writes
+/// is a function of the CLI alone; the pin and the CI diff skip these.
+pub const WALL_CLOCK: &str = ".wall.csv";
+
+/// An artifact's parameter columns in the Cinema index.
+type Index = Vec<(&'static str, String)>;
+
+fn params(p: &[(&'static str, &str)]) -> Index {
+    p.iter().map(|&(k, v)| (k, v.to_string())).collect()
+}
+
+impl Exhibit {
+    /// A deterministic table, written as `<name>.csv`.
+    pub fn table(&mut self, name: &str, table: Table, index: &[(&'static str, &str)]) {
+        self.artifacts.push((format!("{name}.csv"), Body::Table(table), params(index)));
+    }
+
+    /// A wall-clock table, written as `<name>.wall.csv`.
+    pub fn wall_table(&mut self, name: &str, table: Table, index: &[(&'static str, &str)]) {
+        self.artifacts.push((format!("{name}{WALL_CLOCK}"), Body::Table(table), params(index)));
+    }
+
+    /// A text artifact (an ASCII chart or a summary).
+    pub fn text(&mut self, file: &str, text: String, index: &[(&'static str, &str)]) {
+        self.artifacts.push((file.to_string(), Body::Text(text), params(index)));
+    }
+
+    /// A binary file (an image), written but not indexed.
+    pub fn file(&mut self, file: &str, bytes: Vec<u8>) {
+        self.artifacts.push((file.to_string(), Body::Bytes(bytes), Vec::new()));
+    }
+
+    /// Prints every table's ASCII form and every text.
+    pub fn print(&self) {
+        for (file, body, _) in &self.artifacts {
+            match body {
+                Body::Table(t) => println!("{file}:\n{}", t.to_ascii()),
+                Body::Text(s) => println!("{file}:\n{s}"),
+                Body::Bytes(_) => {}
+            }
+        }
+    }
+
+    /// Writes every file into `dir` and indexes them in a Cinema DB.
+    pub fn write(&self, dir: &Path) -> Result<()> {
+        let mut db = CinemaDb::create(dir)?;
+        for (file, body, index) in &self.artifacts {
+            match body {
+                Body::Table(t) => db.add_table(file, t, index)?,
+                Body::Text(s) => db.add_text(file, s, index)?,
+                Body::Bytes(b) => std::fs::write(dir.join(file), b)?,
+            }
+        }
+        db.finalize()?;
+        Ok(())
+    }
+}
+
+/// One registered exhibit.
+pub struct Entry {
+    /// Its directory under the output root, and its name on the command line.
+    pub id: &'static str,
+    /// Computes it.
+    pub build: fn(&Ctx) -> Result<Exhibit>,
+}
+
+/// Declares one module per exhibit and registers its `build` under the
+/// module's name, so an id and its code cannot drift apart.
+macro_rules! registry {
+    ($($id:ident),*) => {
+        $(mod $id;)*
+        /// Every exhibit, in DESIGN §4 order.
+        pub const EXHIBITS: &[Entry] = &[$(Entry { id: stringify!($id), build: $id::build }),*];
+    };
+}
+
+registry! {
+    table1, table2, fig1, fig4, fig5, fig6, fig7, fig8, fig9, fig10, guideline, baseline_lossless,
+    extensions, summit_projection
+}
+
+/// Splits `exhibit <id>|all [flags]` into the exhibits to run and the CLI.
+pub fn select(args: &[String]) -> std::result::Result<(Vec<&'static Entry>, Cli), String> {
+    let (id, flags) = args.split_first().ok_or("missing exhibit id")?;
+    let cli = Cli::parse(flags)?;
+    let entries: Vec<_> = EXHIBITS.iter().filter(|e| id == "all" || e.id == id).collect();
+    if entries.is_empty() {
+        return Err(format!("unknown exhibit '{id}'"));
+    }
+    Ok((entries, cli))
+}
+
+/// Builds one exhibit, prints it and writes it to `<out>/<id>/`.
+pub fn run(ctx: &Ctx, entry: &Entry) -> Result<PathBuf> {
+    let exhibit = (entry.build)(ctx)?;
+    println!("== {} ==\n", entry.id);
+    exhibit.print();
+    let dir = ctx.cli.out.join(entry.id);
+    exhibit.write(&dir)?;
+    Ok(dir)
 }
 
 /// Generates the Nyx snapshot and wraps its fields for CBench.
@@ -111,46 +260,86 @@ pub fn nyx_fields(opts: &SynthOptions) -> Result<(NyxSnapshot, Vec<FieldData>)> 
     Ok((snap, fields))
 }
 
-/// The paper's per-field HACC compression layout (§IV-B-4):
-/// every 1-D array is reshaped to a 3-D cube before compression.
+/// The paper's per-field HACC compression layout (§IV-B-4): a 1-D array
+/// reshaped to a 3-D cube, zero-padded to whole cubes.
 ///
 /// Position fields use ABS mode directly; velocity fields use PW_REL
 /// (realized in `lossy-sz` by the log transform), so callers pick the
 /// error-bound mode — this helper only handles the reshape.
-pub fn hacc_fields_cubed(snap: &HaccSnapshot) -> Result<Vec<FieldData>> {
-    let mut out = Vec::with_capacity(6);
-    for (name, data) in snap.fields() {
-        let shape = cosmo_data::convert::cube_shape_for(data.len());
-        let parts = cosmo_data::convert::to_3d(data, shape)?;
-        // At bench scales one partition always suffices (n^3 values fit in
-        // one cube); keep the general path honest anyway by concatenating
-        // partitions along z.
-        let nz_total = shape.2 * parts.parts.len();
-        let mut joined = Vec::with_capacity(shape.0 * shape.1 * nz_total);
-        for p in &parts.parts {
-            joined.extend_from_slice(p);
-        }
-        out.push(FieldData::new(name, joined, Shape::D3(shape.0, shape.1, nz_total))?);
-    }
-    Ok(out)
+pub fn cubed(name: &str, data: &[f32]) -> Result<FieldData> {
+    let shape = cosmo_data::convert::cube_shape_for(data.len());
+    let parts = cosmo_data::convert::to_3d(data, shape)?.parts;
+    // Up to 512^3 values one partition suffices (n^3 values fit in one
+    // cube); past that the partitions are stacked along z.
+    let nz_total = shape.2 * parts.len();
+    FieldData::new(name, parts.concat(), Shape::D3(shape.0, shape.1, nz_total))
 }
 
-/// Generates the HACC snapshot used by the HACC exhibits.
-pub fn hacc_snapshot(opts: &SynthOptions) -> Result<HaccSnapshot> {
-    generate_hacc(opts)
-}
-
-/// Velocity-magnitude derived field of a Nyx snapshot (paper Fig. 5's
-/// `|v|` power spectrum input).
-pub fn velocity_magnitude(snap: &NyxSnapshot) -> Vec<f32> {
-    snap.velocity_x
-        .iter()
-        .zip(&snap.velocity_y)
-        .zip(&snap.velocity_z)
+/// Velocity magnitude `|v|` from three component arrays (paper Fig. 5's
+/// power spectrum input).
+pub fn velocity_magnitude(vx: &[f32], vy: &[f32], vz: &[f32]) -> Vec<f32> {
+    vx.iter()
+        .zip(vy)
+        .zip(vz)
         .map(|((&x, &y), &z)| {
             ((x as f64).powi(2) + (y as f64).powi(2) + (z as f64).powi(2)).sqrt() as f32
         })
         .collect()
+}
+
+/// [`ascii_chart`] over named, owned series.
+pub fn chart(series: &[(String, Vec<(f64, f64)>)], width: usize, height: usize) -> String {
+    let refs: Vec<(&str, &[(f64, f64)])> =
+        series.iter().map(|(n, s)| (n.as_str(), s.as_slice())).collect();
+    ascii_chart(&refs, width, height)
+}
+
+/// Runs `cfg` over `field` and returns the record and the reconstruction.
+pub fn roundtrip(field: &FieldData, cfg: &CodecConfig) -> Result<(CBenchRecord, Vec<f32>)> {
+    let mut rec = run_one(field, cfg, true)?;
+    let recon = rec.reconstructed.take().ok_or_else(|| Error::invalid("no reconstruction"))?;
+    Ok((rec, recon))
+}
+
+/// The pk ratio curve of `recon` against `orig` (binned in `bins` shells)
+/// and its worst |ratio − 1|: the paper's power-spectrum acceptance test.
+pub fn pk_deviation(
+    orig: &[PkBin],
+    recon: &[f32],
+    grid: Grid3,
+    box_size: f64,
+    bins: usize,
+) -> Result<(Vec<(f64, f64)>, f64)> {
+    let ratios = pk_ratio(orig, &power_spectrum_f32(recon, grid, box_size, bins)?)?;
+    let worst = ratios.iter().map(|&(_, r)| (r - 1.0).abs()).fold(0.0f64, f64::max);
+    Ok((ratios, worst))
+}
+
+/// The V100 model's cuZFP kernels: (compress, decompress).
+pub const ZFP_KERNELS: (KernelKind, KernelKind) =
+    (KernelKind::ZfpCompress, KernelKind::ZfpDecompress);
+
+/// Mean achieved bits per value of `cfg` over `fields`.
+pub fn mean_bitrate(fields: &[FieldData], cfg: &CodecConfig) -> Result<f64> {
+    let mut bits = 0.0;
+    for f in fields {
+        bits += compress(&f.data, f.shape, cfg)?.len() as f64 * 8.0 / f.data.len() as f64;
+    }
+    Ok(bits / fields.len() as f64)
+}
+
+/// The V100 model's compression and decompression of `n_values` at
+/// `bits` per value: the two time breakdowns.
+pub fn simulate(
+    kinds: (KernelKind, KernelKind),
+    n_values: u64,
+    bits: f64,
+) -> Result<(Breakdown, Breakdown)> {
+    let dev = &mut Device::new(GpuSpec::tesla_v100());
+    let comp_bytes = (bits * n_values as f64 / 8.0) as u64;
+    let ((), c) = run_compression(dev, kinds.0, n_values, bits, "exhibit", || ((), comp_bytes))?;
+    let ((), d) = run_decompression(dev, kinds.1, n_values, comp_bytes, "exhibit", || ())?;
+    Ok((c.breakdown, d.breakdown))
 }
 
 #[cfg(test)]
@@ -163,14 +352,15 @@ mod tests {
         let (snap, fields) = nyx_fields(&opts).unwrap();
         assert_eq!(fields.len(), 6);
         assert!(fields.iter().all(|f| f.shape == Shape::D3(16, 16, 16)));
-        assert_eq!(velocity_magnitude(&snap).len(), 4096);
+        let v = velocity_magnitude(&snap.velocity_x, &snap.velocity_y, &snap.velocity_z);
+        assert_eq!(v.len(), 4096);
     }
 
     #[test]
     fn hacc_cubed_fields_cover_all_particles() {
         let opts = SynthOptions { n_side: 16, box_size: 256.0, seed: 1, steps: 2 };
-        let snap = hacc_snapshot(&opts).unwrap();
-        let fields = hacc_fields_cubed(&snap).unwrap();
+        let snap = generate_hacc(&opts).unwrap();
+        let fields: Vec<_> = snap.fields().iter().map(|(n, d)| cubed(n, d).unwrap()).collect();
         assert_eq!(fields.len(), 6);
         for f in &fields {
             assert!(f.data.len() >= snap.len(), "{}: padded length", f.name);
@@ -181,6 +371,30 @@ mod tests {
     fn velocity_magnitude_is_nonnegative() {
         let opts = SynthOptions { n_side: 8, box_size: 256.0, seed: 3, steps: 1 };
         let (snap, _) = nyx_fields(&opts).unwrap();
-        assert!(velocity_magnitude(&snap).iter().all(|&v| v >= 0.0));
+        let v = velocity_magnitude(&snap.velocity_x, &snap.velocity_y, &snap.velocity_z);
+        assert!(v.iter().all(|&v| v >= 0.0));
+    }
+
+    fn argv(s: &str) -> Vec<String> {
+        s.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn bad_arguments_are_usage_errors_not_panics() {
+        for bad in [
+            "fig4 --seed x",
+            "fig4 --n-side 12",
+            "fig4 --n-side 4",
+            "fig4 --steps",
+            "fig4 --bogus 1",
+            "fig11",
+            "",
+        ] {
+            let got = std::panic::catch_unwind(|| select(&argv(bad)).map(|_| ()));
+            assert!(matches!(got, Ok(Err(_))), "'{bad}' must be a usage error: {got:?}");
+        }
+        let (entries, cli) = select(&argv("fig6 --n-side 16 --seed 7 --out o")).unwrap();
+        assert_eq!((entries[0].id, cli.n_side, cli.seed), ("fig6", 16, 7));
+        assert_eq!(select(&argv("all")).unwrap().0.len(), EXHIBITS.len());
     }
 }

@@ -6,9 +6,8 @@
 //! in-situ overhead comparison: multicore-CPU SZ costs >10% of each 10 s
 //! timestep on 1024 nodes, six V100s running cuZFP cost <0.3%.
 
-use foresight::CinemaDb;
-use foresight_bench::Cli;
-use foresight_util::table::{fmt_f64, Table};
+use crate::prelude::*;
+use foresight_util::timer::format_bytes;
 use gpu_sim::{kernel_time, GpuSpec, KernelKind, PcieLink};
 
 /// The introduction's trillion-particle HACC campaign: bytes per
@@ -48,37 +47,19 @@ fn overhead_fraction(snapshot_bytes: u64, aggregate_gbs: f64, timestep_seconds: 
     compression_seconds(snapshot_bytes, aggregate_gbs) / timestep_seconds
 }
 
-fn main() {
-    let cli = Cli::parse();
-    let dir = cli.exhibit_dir("summit_projection");
-    let mut db = CinemaDb::create(&dir).expect("cinema db");
-
+pub(crate) fn build(_: &Ctx) -> Result<Exhibit> {
     // --- Intro storage math. ---
     let total = SNAPSHOT_BYTES * SNAPSHOTS;
     let mut t1 = Table::new(["quantity", "value", "paper"]);
-    t1.push_row([
-        "snapshot size".into(),
-        foresight_util::timer::format_bytes(SNAPSHOT_BYTES),
-        "220 TB".to_string(),
-    ]);
-    t1.push_row([
-        "campaign total (100 snapshots)".into(),
-        foresight_util::timer::format_bytes(total),
-        "22 PB".into(),
-    ]);
-    t1.push_row([
-        "I/O hours at 500 GB/s, uncompressed".into(),
-        fmt_f64(io_hours(total, 500.0, 1.0)),
-        ">10 hours".into(),
-    ]);
-    for ratio in [5.0, 10.0, 15.0] {
-        t1.push_row([
-            format!("I/O hours at 500 GB/s, {ratio}x lossy"),
-            fmt_f64(io_hours(total, 500.0, ratio)),
-            "-".into(),
-        ]);
+    t1.push_row(["snapshot size".into(), format_bytes(SNAPSHOT_BYTES), "220 TB".to_string()]);
+    t1.push_row(["campaign total (100 snapshots)".into(), format_bytes(total), "22 PB".into()]);
+    let lossy = [5.0, 10.0, 15.0].map(|r| (format!("{r}x lossy"), r, "-"));
+    for (what, ratio, paper) in
+        [("uncompressed".to_string(), 1.0, ">10 hours")].into_iter().chain(lossy)
+    {
+        let hours = fmt_f64(io_hours(total, 500.0, ratio));
+        t1.push_row([format!("I/O hours at 500 GB/s, {what}"), hours, paper.into()]);
     }
-    println!("== introduction storage scenario ==\n{}", t1.to_ascii());
 
     // --- §V-C in-situ overhead. ---
     let gpus = GPUS_PER_NODE * NODES;
@@ -92,36 +73,26 @@ fn main() {
         "paper",
     ]);
     let cpu_agg = 2.0 * NODES as f64; // ~2 GB/s per node
-    t2.push_row([
-        "SZ on CPUs (64 cores/node x 1024 nodes)".into(),
-        fmt_f64(cpu_agg / 1000.0),
-        fmt_f64(compression_seconds(snapshot, cpu_agg)),
-        format!("{:.1}%", overhead_fraction(snapshot, cpu_agg, timestep) * 100.0),
-        "~2 TB/s, >10%".into(),
-    ]);
-    for rate in [2.0, 4.0] {
-        let gpu_agg = gpu_aggregate_gbs(gpus, KernelKind::ZfpCompress, rate);
+    let cpu = ("SZ on CPUs (64 cores/node x 1024 nodes)".to_string(), cpu_agg, 1, "~2 TB/s, >10%");
+    let gpu = [2.0, 4.0].map(|rate| {
+        let name = format!("cuZFP on 6 x V100 x 1024 nodes (rate {rate})");
+        (name, gpu_aggregate_gbs(gpus, KernelKind::ZfpCompress, rate), 3, "<0.3%")
+    });
+    for (name, agg, digits, paper) in [cpu].into_iter().chain(gpu) {
+        let overhead = overhead_fraction(snapshot, agg, timestep) * 100.0;
+        let secs = fmt_f64(compression_seconds(snapshot, agg));
         t2.push_row([
-            format!("cuZFP on 6 x V100 x 1024 nodes (rate {rate})"),
-            fmt_f64(gpu_agg / 1000.0),
-            fmt_f64(compression_seconds(snapshot, gpu_agg)),
-            format!("{:.3}%", overhead_fraction(snapshot, gpu_agg, timestep) * 100.0),
-            "<0.3%".into(),
+            name,
+            fmt_f64(agg / 1000.0),
+            secs,
+            format!("{overhead:.digits$}%"),
+            paper.into(),
         ]);
     }
-    println!("== §V-C in-situ compression overhead (1024 Summit nodes) ==\n{}", t2.to_ascii());
-    let factor = overhead_fraction(snapshot, cpu_agg, timestep)
-        / overhead_fraction(
-            snapshot,
-            gpu_aggregate_gbs(gpus, KernelKind::ZfpCompress, 4.0),
-            timestep,
-        );
-    println!("overhead reduction factor: {factor:.0}x (paper: ~40x)");
-
-    db.add_table("intro_storage.csv", &t1, &[("scenario", "intro".into())]).unwrap();
-    db.add_table("summit_overhead.csv", &t2, &[("scenario", "v-c".into())]).unwrap();
-    db.finalize().unwrap();
-    println!("wrote {}", dir.display());
+    let mut ex = Exhibit::default();
+    ex.table("intro_storage", t1, &[("scenario", "intro")]);
+    ex.table("summit_overhead", t2, &[("scenario", "v-c")]);
+    Ok(ex)
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@ pub enum Value {
 impl Value {
     /// Parses a JSON document; trailing non-whitespace is an error.
     pub fn parse(text: &str) -> Result<Value> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         let v = p.value()?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
@@ -258,9 +258,17 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest nesting of arrays and objects a document may have. The
+/// deepest document the workspace writes (a `BENCH_<n>.json`) nests 5
+/// levels; past this cap parsing fails instead of recursing on (10 000
+/// `[` would overflow a 2 MiB thread stack).
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -303,8 +311,15 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Value> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Value::String(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -543,5 +558,25 @@ mod tests {
         let keys: Vec<_> =
             v.as_object().unwrap().iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, ["z", "a"]);
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error_not_a_stack_overflow() {
+        let n = 10_000;
+        let arrays = format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let objects = format!("{}1{}", r#"{"a":"#.repeat(n), "}".repeat(n));
+        let verdicts = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || [Value::parse(&arrays), Value::parse(&objects)].map(|r| r.err()))
+            .unwrap()
+            .join()
+            .expect("the parser must not overflow a 2 MiB stack");
+        for err in verdicts {
+            assert!(matches!(&err, Some(Error::Config(m)) if m.contains("nesting")), "{err:?}");
+        }
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Value::parse(&at_cap).is_ok());
+        let past = format!("[{at_cap}]");
+        assert!(Value::parse(&past).is_err());
     }
 }

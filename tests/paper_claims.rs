@@ -187,3 +187,75 @@ fn lower_bitrate_gives_higher_overall_throughput() {
         last = rep.overall_throughput_gbs;
     }
 }
+
+// Claims re-judged on the committed reproduction: `results/` at the
+// defaults (64^3), which `exhibit all` writes byte for byte and CI
+// regenerates and diffs. Computing these at 64^3 here would take minutes
+// in a debug build (Fig. 6 runs the halo finder seven times).
+
+/// Rows of a committed exhibit CSV (no quoted cells), header first.
+fn committed_csv(path: &str) -> Vec<Vec<String>> {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results").join(path);
+    let text =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    text.lines().map(|l| l.split(',').map(str::to_string).collect()).collect()
+}
+
+/// §V-A / Fig. 4: the three velocity components' rate-distortion curves
+/// nearly coincide for GPU-SZ on Nyx and for both codecs on HACC, but not
+/// for cuZFP on Nyx, whose `velocity_x` sits ~3 dB above the other two at
+/// every rate (EXPERIMENTS.md, Fig. 4: Partial).
+#[test]
+fn fig4_velocity_components_agree_except_cuzfp_on_nyx() {
+    let rows = committed_csv("fig4/fig4.csv");
+    let psnr = |dataset: &str, field: &str, comp: &str, param: &str| -> f64 {
+        let row = rows.iter().find(|r| r[..4] == [dataset, field, comp, param]).unwrap();
+        row[5].parse().unwrap()
+    };
+    for rate in ["rate=1", "rate=2", "rate=4", "rate=8", "rate=12", "rate=16"] {
+        let x = psnr("nyx", "velocity_x", "cuZFP", rate);
+        for other in ["velocity_y", "velocity_z"] {
+            let gap = x - psnr("nyx", other, "cuZFP", rate);
+            assert!(gap > 2.0, "cuZFP {rate}: velocity_x only {gap:.2} dB above {other}");
+        }
+        let hacc = ["vx", "vy", "vz"].map(|f| psnr("hacc", f, "cuZFP", rate));
+        let spread = hacc.iter().copied().fold(f64::MIN, f64::max)
+            - hacc.iter().copied().fold(f64::MAX, f64::min);
+        assert!(spread < 1.5, "HACC cuZFP {rate}: components {spread:.2} dB apart");
+    }
+    for rel in ["rel=0.03", "rel=0.01", "rel=0.003", "rel=0.001", "rel=0.0001"] {
+        let v = ["velocity_x", "velocity_y", "velocity_z"].map(|f| psnr("nyx", f, "GPU-SZ", rel));
+        let spread = v.iter().copied().fold(f64::MIN, f64::max)
+            - v.iter().copied().fold(f64::MAX, f64::min);
+        assert!(spread < 0.1, "Nyx GPU-SZ {rel}: components {spread:.2} dB apart");
+    }
+}
+
+/// §V-B / Fig. 6: cuZFP's halo acceptance boundary is the paper's (rate 8
+/// accepted, rate 4 rejected) and so is its 4x best fit; GPU-SZ accepts
+/// every bound up to abs 0.1 (the paper stops at 0.025), and its best fit
+/// (3.51x) falls below cuZFP's, reversing the paper's 4.25x vs 4x
+/// (EXPERIMENTS.md, Fig. 6: Partial).
+#[test]
+fn fig6_acceptance_boundary_and_best_fits() {
+    let rows = committed_csv("fig6/fig6_summary.csv");
+    let accepted = |comp: &str, param: &str| -> bool {
+        let row = rows.iter().find(|r| r[0] == comp && r[1] == param).unwrap();
+        row[4].parse().unwrap()
+    };
+    assert!(!accepted("cuZFP", "rate=4"));
+    assert!(accepted("cuZFP", "rate=8") && accepted("cuZFP", "rate=12"));
+    assert!(["abs=0.005", "abs=0.025", "abs=0.1"].iter().all(|p| accepted("GPU-SZ", p)));
+
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let overall = std::fs::read_to_string(root.join("results/fig6/fig6_overall.txt")).unwrap();
+    let best = |comp: &str| -> (String, f64) {
+        let line = overall.lines().find(|l| l.starts_with(&format!("{comp}:"))).unwrap();
+        let config = line.split("config ").nth(1).unwrap().split(' ').next().unwrap();
+        let ratio = line.split("ratio ").nth(1).unwrap().split('x').next().unwrap();
+        (config.to_string(), ratio.parse().unwrap())
+    };
+    let (sz, zfp) = (best("GPU-SZ"), best("cuZFP"));
+    assert_eq!((sz.0.as_str(), zfp.0.as_str()), ("abs=0.1", "rate=8"));
+    assert!(zfp.1 > sz.1, "cuZFP {:.2}x must beat GPU-SZ {:.2}x overall", zfp.1, sz.1);
+}
