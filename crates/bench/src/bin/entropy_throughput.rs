@@ -12,12 +12,17 @@
 //! Paper-scale run: `entropy_throughput --n-side 256`.
 
 use foresight::CinemaDb;
-use foresight_bench::{nyx_fields, Cli, FLAGS};
+use foresight_bench::{nyx_fields, Cli};
 use foresight_util::bits::{BitReader, BitWriter};
+use foresight_util::cli::{self, Context, Failure};
+use foresight_util::flags;
+use foresight_util::rule::PowerOfTwo;
 use foresight_util::table::{fmt_f64, Table};
 use lossy_sz::huffman::{histogram, Codebook};
 use foresight_util::timer::time;
 use lossy_sz::{block, Dims, PredictorKind};
+use std::path::PathBuf;
+use std::process::ExitCode;
 
 const REPS: usize = 3;
 /// Value-range-relative error bound, the paper's cuSZ operating point
@@ -34,18 +39,36 @@ fn best_secs<R>(mut f: impl FnMut() -> R) -> f64 {
     best
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = Cli::parse(&args).unwrap_or_else(|e| {
-        eprintln!("{e}\nusage: entropy_throughput {FLAGS}");
-        std::process::exit(2);
-    });
+flags! {
+    /// Entropy-stage throughput on one Nyx field; exhibit's flags.
+    pub struct Args = "entropy_throughput" {
+        /// grid side
+        pub n_side: usize as "--n-side" "<n>" = 64, in PowerOfTwo(8);
+        /// seed of the synthetic universe
+        pub seed: u64 as "--seed" "<s>" = 0x5EED;
+        /// particle-mesh steps
+        pub steps: usize as "--steps" "<k>" = 10;
+        /// accepted as exhibit accepts it; unused here
+        pub sim_side: usize as "--sim-side" "<m>" = 512;
+        /// output root; writes <dir>/entropy_throughput/
+        pub out: PathBuf as "--out" "<dir>" = PathBuf::from("results");
+    }
+}
+
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    cli::exit(run(&argv), || Args::command().usage())
+}
+
+fn run(argv: &[String]) -> Result<(), Failure> {
+    let Args { n_side, seed, steps, sim_side, out } = Args::parse(argv, &[])?;
+    let cli = Cli { n_side, seed, steps, sim_side, out };
     let dir = cli.out.join("entropy_throughput");
     let opts = cli.synth();
-    let mut db = CinemaDb::create(&dir).expect("cinema db");
+    let mut db = CinemaDb::create(&dir)?;
 
     println!("generating Nyx snapshot (n_side={})...", cli.n_side);
-    let (_, fields) = nyx_fields(&opts).expect("nyx");
+    let (_, fields) = nyx_fields(&opts)?;
     let field = &fields[0];
     let n_values = field.data.len();
     let volume_mb = (n_values * 4) as f64 / 1e6;
@@ -63,7 +86,7 @@ fn main() {
         let o = block::compress_block(&field.data, ext, b, eb, 32768, PredictorKind::Lorenzo);
         codes.extend(o.codes);
     }
-    let book = Codebook::from_frequencies(&histogram(&codes)).expect("codebook");
+    let book = Codebook::from_frequencies(&histogram(&codes))?;
     let total_bits: u64 = {
         let hist = histogram(&codes);
         let lens: std::collections::HashMap<u32, u8> = book.entries().iter().copied().collect();
@@ -144,7 +167,8 @@ fn main() {
         "\nEntropy-stage throughput (MB/s of uncompressed f32 volume, best of {REPS}):\n{}",
         table.to_ascii()
     );
-    db.add_table("entropy_throughput.csv", &table, &[("panel", "throughput".into())]).unwrap();
-    db.finalize().unwrap();
+    db.add_table("entropy_throughput.csv", &table, &[("panel", "throughput".into())])?;
+    db.finalize().context("cinema db")?;
     println!("wrote {}", dir.display());
+    Ok(())
 }

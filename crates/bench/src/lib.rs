@@ -15,6 +15,9 @@ use cosmo_fft::Grid3;
 use foresight::cbench::{run_one, FieldData};
 use foresight::codec::{compress, CodecConfig, Shape};
 use foresight::{ascii_chart, CBenchRecord, CinemaDb};
+use foresight_util::cli::Failure;
+use foresight_util::flags;
+use foresight_util::rule::PowerOfTwo;
 use foresight_util::table::Table;
 use foresight_util::{Error, Result};
 use gpu_sim::{run_compression, run_decompression, Breakdown, Device, GpuSpec, KernelKind};
@@ -34,66 +37,31 @@ mod prelude {
     pub(crate) use lossy_zfp::ZfpConfig;
 }
 
-/// Common CLI options for all exhibits.
-#[derive(Debug, Clone)]
-pub struct Cli {
-    /// Grid / particle-lattice side (scale knob; the paper used 512/1024^3).
-    pub n_side: usize,
-    /// RNG seed for the synthetic universe.
-    pub seed: u64,
-    /// PM steps.
-    pub steps: usize,
-    /// Grid side assumed by the GPU *timing* extrapolation (figs. 7/10).
-    /// The codecs always run on the real `n_side` data; the device model,
-    /// being linear in volume, is evaluated at `sim_side^3` values per
-    /// field so the breakdown matches the paper's 512^3 scale.
-    pub sim_side: usize,
-    /// Output directory root.
-    pub out: PathBuf,
-}
-
-impl Default for Cli {
-    fn default() -> Self {
-        Self { n_side: 64, seed: 0x5EED, steps: 10, sim_side: 512, out: PathBuf::from("results") }
+flags! {
+    /// The options every exhibit reads.
+    #[derive(Debug, Clone)]
+    pub struct Cli: Default = "exhibit <id>|all" {
+        /// grid / particle-lattice side (the paper used 512 / 1024)
+        pub n_side: usize as "--n-side" "<n>" = 64, in PowerOfTwo(8);
+        /// seed of the synthetic universe
+        pub seed: u64 as "--seed" "<s>" = 0x5EED;
+        /// particle-mesh steps
+        pub steps: usize as "--steps" "<k>" = 10;
+        // The codecs always run on the real n-side data; the device model,
+        // linear in volume, is evaluated at sim-side^3 values a field so the
+        // breakdown matches the paper's 512^3 scale.
+        /// grid side the V100 timing model assumes (Figs. 7, 8, 10); the codecs run at n-side
+        pub sim_side: usize as "--sim-side" "<m>" = 512;
+        /// output root; each exhibit writes <dir>/<id>/
+        pub out: PathBuf as "--out" "<dir>" = PathBuf::from("results");
     }
 }
-
-/// The flags every exhibit binary takes, with their defaults.
-pub const FLAGS: &str = "[--n-side N] [--seed S] [--steps K] [--sim-side M] [--out DIR]\n\
-     defaults: --n-side 64 --seed 24301 --steps 10 --sim-side 512 --out results";
 
 impl Cli {
-    /// Parses `--n-side N --seed S --steps K --sim-side M --out DIR`. A bad
-    /// number, a missing value, an unknown flag or an `--n-side` that is
-    /// not a power of two >= 8 is a usage error, never a panic.
-    pub fn parse(args: &[String]) -> std::result::Result<Self, String> {
-        let mut cli = Self::default();
-        let mut it = args.iter();
-        while let Some(key) = it.next() {
-            let mut value = || it.next().ok_or_else(|| format!("{key} needs a value"));
-            match key.as_str() {
-                "--n-side" => cli.n_side = number(key, value()?)?,
-                "--seed" => cli.seed = number(key, value()?)?,
-                "--steps" => cli.steps = number(key, value()?)?,
-                "--sim-side" => cli.sim_side = number(key, value()?)?,
-                "--out" => cli.out = PathBuf::from(value()?),
-                _ => return Err(format!("unknown argument '{key}'")),
-            }
-        }
-        if !cli.n_side.is_power_of_two() || cli.n_side < 8 {
-            return Err(format!("--n-side must be a power of two >= 8, got {}", cli.n_side));
-        }
-        Ok(cli)
-    }
-
     /// Synthesis options derived from the CLI.
     pub fn synth(&self) -> SynthOptions {
         SynthOptions { n_side: self.n_side, box_size: 256.0, seed: self.seed, steps: self.steps }
     }
-}
-
-fn number<T: std::str::FromStr>(key: &str, v: &str) -> std::result::Result<T, String> {
-    v.parse().map_err(|_| format!("bad {key} '{v}'"))
 }
 
 /// Everything an exhibit reads: the CLI and the synthetic snapshots,
@@ -228,14 +196,13 @@ registry! {
 }
 
 /// Splits `exhibit <id>|all [flags]` into the exhibits to run and the CLI.
-pub fn select(args: &[String]) -> std::result::Result<(Vec<&'static Entry>, Cli), String> {
-    let (id, flags) = args.split_first().ok_or("missing exhibit id")?;
-    let cli = Cli::parse(flags)?;
+pub fn select(args: &[String]) -> std::result::Result<(Vec<&'static Entry>, Cli), Failure> {
+    let (id, flags) = args.split_first().ok_or(Failure::usage("exhibit: missing exhibit id"))?;
     let entries: Vec<_> = EXHIBITS.iter().filter(|e| id == "all" || e.id == id).collect();
     if entries.is_empty() {
-        return Err(format!("unknown exhibit '{id}'"));
+        return Err(Failure::usage(format!("exhibit: unknown exhibit '{id}'")));
     }
-    Ok((entries, cli))
+    Ok((entries, Cli::parse(flags, &[])?))
 }
 
 /// Builds one exhibit, prints it and writes it to `<out>/<id>/`.

@@ -1,13 +1,7 @@
 //! Foresight command-line interface: run a full pipeline from a JSON
-//! configuration file, as the original tool does.
-//!
-//! ```text
-//! foresight-cli [--trace <path>] [--metrics-out <path>] [--memcheck] [--racecheck] [--quiet] <config.json>
-//! foresight-cli report <telemetry.json>
-//! foresight-cli obs-report <telemetry.json>
-//! foresight-cli serve-bench [--out <dir>] [--requests <n>] [--seed <s>] [<config.json>]
-//! foresight-cli cluster-bench [--out <dir>] [--requests <n>] [--seed <s>] [--healthy-only] [<config.json>]
-//! ```
+//! configuration file, as the original tool does. Every command is one
+//! `flags!` declaration below; README "Command line" is their generated
+//! usage text and has the exit-code table.
 //!
 //! `--trace` enables the telemetry collector and writes a Chrome
 //! trace-event file (load it in Perfetto / `chrome://tracing`) plus a
@@ -66,56 +60,230 @@
 //! written `telemetry.json` — the windowed-series summary and the
 //! `== slo ==` verdict table — and exits 5 if any objective is at
 //! page-level burn, making it usable as a CI gate.
-//!
-//! Exit codes:
-//! - 0 — success;
-//! - 1 — config/telemetry file could not be loaded, the pipeline aborted
-//!   with an error, an output file could not be written, `serve-bench`
-//!   found a batched/serial output divergence, or `cluster-bench` found
-//!   a divergence or a lost request;
-//! - 2 — usage error (missing/unknown argument);
-//! - 3 — the pipeline ran to completion but one or more jobs failed or
-//!   were skipped (per-job summary on stderr);
-//! - 4 — all jobs succeeded but the device sanitizer reported findings;
-//! - 5 — the run (or the report under `obs-report`) has an SLO at
-//!   page-level burn rate.
 
 use foresight::obs;
 use foresight::runner::run_pipeline;
 use foresight::trace;
-use foresight::{ForesightConfig, SlurmSim};
+use foresight::{FieldShape, ForesightConfig, Region, ServeReport, SlurmSim, StoreReader};
+use foresight_util::cli::{self, Context, Entry, Failure};
+use foresight_util::flags;
 use foresight_util::json::Value;
 use foresight_util::table::{fmt_f64, Table};
 use foresight_util::telemetry::{self, chrome_trace, flamegraph, ChromeTraceOptions};
+use foresight_util::telemetry::{HistogramSummary, TelemetrySnapshot};
 use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 
-const USAGE: &str = "usage: foresight-cli [--trace <path>] [--metrics-out <path>] [--memcheck] [--racecheck] [--quiet] <config.json>\n       foresight-cli report <telemetry.json>\n       foresight-cli obs-report <telemetry.json>\n       foresight-cli serve-bench [--out <dir>] [--requests <n>] [--seed <s>] [<config.json>]\n       foresight-cli cluster-bench [--out <dir>] [--requests <n>] [--seed <s>] [--healthy-only] [<config.json>]\n       foresight-cli store pack <config.json> <archive> [--chunk <n>] [--snapshot <s>]\n       foresight-cli store ls <archive>\n       foresight-cli store verify <archive>\n       foresight-cli store extract <archive> <snapshot> <field> [--region x0:x1,y0:y1,z0:z1] [--out <file>]\n       foresight-cli store serve <archive> [--requests <n>] [--seed <s>] [--out <dir>]";
-
-fn usage_exit() -> ! {
-    eprintln!("{USAGE}");
-    eprintln!("see README.md for the configuration schema");
-    std::process::exit(2);
-}
-
-fn load_json_or_die(path: &str) -> Value {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: cannot read '{path}': {e}");
-            std::process::exit(1);
-        }
-    };
-    match Value::parse(&text) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("error: '{path}' is not valid JSON: {e}");
-            std::process::exit(1);
-        }
+flags! {
+    /// One pipeline run.
+    pub struct Run = "foresight-cli" {
+        /// write a Chrome trace there, and a flamegraph beside it (.folded)
+        pub trace: Option<PathBuf> as "--trace" "<path>";
+        /// write the metrics registries there as JSON
+        pub metrics_out: Option<PathBuf> as "--metrics-out" "<path>";
+        /// attach the device memcheck to every simulated-GPU run
+        pub memcheck: bool as "--memcheck";
+        /// attach the device racecheck to every simulated-GPU run
+        pub racecheck: bool as "--racecheck";
+        /// leave out the per-record table
+        pub quiet: bool as "--quiet" | "-q";
+        /// the pipeline's JSON config (README "Configuration")
+        pub config: String as "<config.json>";
     }
 }
 
-fn report_main(path: &str) -> ! {
-    let doc = load_json_or_die(path);
+flags! {
+    /// Per-phase and per-stage tables of a written `telemetry.json`.
+    pub struct Report = "foresight-cli report" {
+        /// a telemetry.json the pipeline wrote
+        pub telemetry: String as "<telemetry.json>";
+    }
+}
+
+flags! {
+    /// The observability slice of a written `telemetry.json`.
+    pub struct ObsReport = "foresight-cli obs-report" {
+        /// a telemetry.json with series and slo keys
+        pub telemetry: String as "<telemetry.json>";
+    }
+}
+
+flags! {
+    /// Serial-vs-batched scheduler comparison on one synthetic workload.
+    pub struct ServeBench = "foresight-cli serve-bench" {
+        /// write telemetry.json and serve_trace.json into <dir>
+        pub out: Option<PathBuf> as "--out" "<dir>";
+        /// requests in the workload (default: the config's)
+        pub requests: Option<usize> as "--requests" "<n>";
+        /// workload seed (default: the config's)
+        pub seed: Option<u64> as "--seed" "<s>";
+        /// a config whose serve and chaos sections set the run
+        pub config: Option<String> as "<config.json>";
+    }
+}
+
+flags! {
+    /// Healthy-vs-chaos comparison of the multi-node router.
+    pub struct ClusterBench = "foresight-cli cluster-bench" {
+        /// write telemetry.json and cluster_trace.json into <dir>
+        pub out: Option<PathBuf> as "--out" "<dir>";
+        /// requests in the workload (default: the config's)
+        pub requests: Option<usize> as "--requests" "<n>";
+        /// workload seed (default: the config's)
+        pub seed: Option<u64> as "--seed" "<s>";
+        /// skip the chaos run
+        pub healthy_only: bool as "--healthy-only";
+        /// a config whose cluster and slo sections set the run
+        pub config: Option<String> as "<config.json>";
+    }
+}
+
+flags! {
+    /// Generates the configured dataset and seals it into an archive.
+    pub struct StorePack = "foresight-cli store pack" {
+        /// its input and first codec set the archive's contents
+        pub config: String as "<config.json>";
+        /// the archive to write
+        pub archive: String as "<archive>";
+        /// chunk side (default: the config's store.chunk)
+        pub chunk: Option<usize> as "--chunk" "<n>";
+        /// snapshot id (default: the config's store.snapshot)
+        pub snapshot: Option<u32> as "--snapshot" "<s>";
+    }
+}
+
+flags! {
+    /// The archive's directory as a table.
+    pub struct StoreLs = "foresight-cli store ls" {
+        /// an .fstr archive
+        pub archive: String as "<archive>";
+    }
+}
+
+flags! {
+    /// Every chunk CRC and field digest, without decoding.
+    pub struct StoreVerify = "foresight-cli store verify" {
+        /// an .fstr archive
+        pub archive: String as "<archive>";
+    }
+}
+
+flags! {
+    /// One field, or a region of it, as little-endian f32 bytes.
+    pub struct StoreExtract = "foresight-cli store extract" {
+        /// an .fstr archive
+        pub archive: String as "<archive>";
+        /// snapshot id
+        pub snapshot: u32 as "<snapshot>";
+        /// field name
+        pub field: String as "<field>";
+        /// read only this half-open box, decoding only the chunks it meets
+        pub region: Option<Region> as "--region" "x0:x1,y0:y1,z0:z1";
+        /// write the values there
+        pub out: Option<PathBuf> as "--out" "<file>";
+    }
+}
+
+flags! {
+    /// A synthetic region-read workload served out of an archive.
+    pub struct StoreServe = "foresight-cli store serve" {
+        /// an .fstr archive
+        pub archive: String as "<archive>";
+        /// requests in the workload
+        pub requests: usize as "--requests" "<n>" = 24;
+        /// workload seed
+        pub seed: u64 as "--seed" "<s>" = 7;
+        /// write telemetry.json into <dir>
+        pub out: Option<PathBuf> as "--out" "<dir>";
+    }
+}
+
+/// Every command; `dispatch` picks one by the words of its name.
+const COMMANDS: &[Entry] = &[
+    Entry { command: Run::command, run: |a, s| pipeline(Run::parse(a, s)?) },
+    Entry { command: Report::command, run: |a, s| report(Report::parse(a, s)?) },
+    Entry { command: ObsReport::command, run: |a, s| obs_report(ObsReport::parse(a, s)?) },
+    Entry { command: ServeBench::command, run: |a, s| serve_bench(ServeBench::parse(a, s)?) },
+    Entry { command: ClusterBench::command, run: |a, s| cluster_bench(ClusterBench::parse(a, s)?) },
+    Entry { command: StorePack::command, run: |a, s| store_pack(StorePack::parse(a, s)?) },
+    Entry { command: StoreLs::command, run: |a, s| store_ls(StoreLs::parse(a, s)?) },
+    Entry { command: StoreVerify::command, run: |a, s| store_verify(StoreVerify::parse(a, s)?) },
+    Entry { command: StoreExtract::command, run: |a, s| store_extract(StoreExtract::parse(a, s)?) },
+    Entry { command: StoreServe::command, run: |a, s| store_serve(StoreServe::parse(a, s)?) },
+];
+
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    cli::exit(cli::dispatch(&argv, COMMANDS), || cli::usage(COMMANDS))
+}
+
+fn load_config(path: &str) -> Result<ForesightConfig, Failure> {
+    ForesightConfig::from_file(path).context(format_args!("error: cannot load '{path}'"))
+}
+
+fn open_store(path: &str) -> Result<StoreReader, Failure> {
+    StoreReader::open(Path::new(path)).context(format_args!("error: cannot open archive '{path}'"))
+}
+
+/// Writes `contents` to `path`, creating its directory, and names the
+/// file on stdout as `what`.
+fn write(path: &Path, what: &str, contents: &[u8]) -> Result<(), Failure> {
+    path.parent()
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(path, contents))
+        .context(format_args!("error: cannot write {what} '{}'", path.display()))?;
+    println!("{what}: {}", path.display());
+    Ok(())
+}
+
+/// `--out` of a serving command: `doc` as `telemetry.json`, and with
+/// `trace` the Chrome trace of a snapshot, each named `what …` on stdout.
+fn write_out(
+    dir: &Path,
+    what: &str,
+    doc: Value,
+    trace: Option<(&str, TelemetrySnapshot)>,
+) -> Result<(), Failure> {
+    write(&dir.join("telemetry.json"), &format!("{what} metrics"), doc.to_json().as_bytes())?;
+    if let Some((file, snap)) = trace {
+        let json = chrome_trace(&snap, ChromeTraceOptions::default()).to_json();
+        write(&dir.join(file), &format!("{what} chrome trace"), json.as_bytes())?;
+    }
+    Ok(())
+}
+
+/// p50 / p95 / p99 latency in ms, zeros for a run with none.
+fn latency_ms(latency: Option<HistogramSummary>) -> [String; 3] {
+    let ms = |q: fn(&HistogramSummary) -> f64| fmt_f64(latency.as_ref().map_or(0.0, q) * 1e3);
+    [ms(|l| l.p50), ms(|l| l.p95), ms(|l| l.p99)]
+}
+
+/// Counts the `(id, output)` responses of `run` whose bytes differ from
+/// the serial reference's, naming each on stderr: scheduling must never
+/// change results.
+fn divergences<'a>(
+    serial: &ServeReport,
+    run: &str,
+    outputs: impl IntoIterator<Item = (u64, &'a Option<Vec<u8>>)>,
+) -> usize {
+    let mut diverged = 0;
+    for (id, output) in outputs {
+        if let (Some(bytes), Some(reference)) = (output, serial.response(id)) {
+            if reference.output.as_ref() != Some(bytes) {
+                eprintln!("DIVERGENCE ({run}): request {id} bytes differ from the serial reference");
+                diverged += 1;
+            }
+        }
+    }
+    diverged
+}
+
+fn slo_page() -> Failure {
+    Failure::new(cli::SLO_PAGE, "SLO PAGE: at least one objective is at page-level burn")
+}
+
+fn report(args: Report) -> Result<(), Failure> {
+    let doc = cli::load_json(&args.telemetry)?;
     for section in [
         trace::render_phase_table(&doc),
         trace::render_stage_table(&doc),
@@ -141,7 +309,7 @@ fn report_main(path: &str) -> ! {
     if !slo.is_empty() {
         println!("{slo}");
     }
-    std::process::exit(0);
+    Ok(())
 }
 
 /// Renders a one-line summary of a `telemetry.json` `series` value.
@@ -168,8 +336,8 @@ fn series_summary(doc: &Value) -> Option<String> {
 /// `obs-report`: the observability slice of a `telemetry.json` — series
 /// summary plus SLO verdicts — with exit 5 on page-level burn so CI can
 /// gate on it.
-fn obs_report_main(path: &str) -> ! {
-    let doc = load_json_or_die(path);
+fn obs_report(args: ObsReport) -> Result<(), Failure> {
+    let doc = cli::load_json(&args.telemetry)?;
     match series_summary(&doc) {
         Some(line) => println!("{line}"),
         None => println!("series: none recorded (run with an `slo` config section or obs on)"),
@@ -177,69 +345,35 @@ fn obs_report_main(path: &str) -> ! {
     let slo = obs::render_slo_section(&doc);
     if slo.is_empty() {
         println!("slo: no verdicts in this report");
-        std::process::exit(0);
+        return Ok(());
     }
     print!("{slo}");
     if obs::any_page(&doc) {
-        eprintln!("SLO PAGE: at least one objective is at page-level burn");
-        std::process::exit(5);
+        return Err(slo_page());
     }
-    std::process::exit(0);
+    Ok(())
 }
 
 /// `serve-bench`: serial-vs-batched scheduler comparison on one
 /// synthetic workload, with bit-identity verification.
-fn serve_bench_main(mut args: impl Iterator<Item = String>) -> ! {
-    let mut out_dir: Option<PathBuf> = None;
-    let mut requests: Option<usize> = None;
-    let mut seed: Option<u64> = None;
-    let mut config_path: Option<String> = None;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => {
-                let Some(p) = args.next() else { usage_exit() };
-                out_dir = Some(PathBuf::from(p));
-            }
-            "--requests" => {
-                let Some(n) = args.next().and_then(|s| s.parse().ok()) else { usage_exit() };
-                requests = Some(n);
-            }
-            "--seed" => {
-                let Some(s) = args.next().and_then(|s| s.parse().ok()) else { usage_exit() };
-                seed = Some(s);
-            }
-            s if s.starts_with('-') => usage_exit(),
-            _ if config_path.is_some() => usage_exit(),
-            _ => config_path = Some(arg),
-        }
-    }
-    let (settings, rates) = match &config_path {
+fn serve_bench(args: ServeBench) -> Result<(), Failure> {
+    let (settings, rates) = match &args.config {
         None => (foresight::ServeSettings::default(), gpu_sim::FaultRates::default()),
-        Some(path) => match ForesightConfig::from_file(path) {
-            Ok(cfg) => (
-                cfg.serve.unwrap_or_default(),
-                cfg.chaos.map(|c| c.fault_rates()).unwrap_or_default(),
-            ),
-            Err(e) => {
-                eprintln!("error: cannot load '{path}': {e}");
-                std::process::exit(1);
-            }
-        },
+        Some(path) => {
+            let cfg = load_config(path)?;
+            (cfg.serve.unwrap_or_default(), cfg.chaos.map(|c| c.fault_rates()).unwrap_or_default())
+        }
     };
     let node = settings.to_node();
     let opts = settings.to_serve_options(rates);
     let mut wl = settings.to_workload_spec();
-    if let Some(n) = requests {
-        wl.requests = n;
-    }
-    if let Some(s) = seed {
-        wl.seed = s;
-    }
+    wl.requests = args.requests.unwrap_or(wl.requests);
+    wl.seed = args.seed.unwrap_or(wl.seed);
     println!(
         "serve-bench: {} device(s), link {} GB/s, {} requests @ {:.0}/s, seed {}",
         node.devices, node.link.bandwidth_gbs, wl.requests, wl.arrival_hz, wl.seed
     );
-    let run = || -> foresight_util::Result<(foresight::ServeReport, foresight::ServeReport)> {
+    let run = || -> foresight_util::Result<(ServeReport, ServeReport)> {
         let reqs = foresight::synth_workload(&wl)?;
         let serial = foresight::serve_serial(&node, &opts, &reqs)?;
         // reset() also disables, so enable after it: the Chrome trace
@@ -249,25 +383,12 @@ fn serve_bench_main(mut args: impl Iterator<Item = String>) -> ! {
         let batched = foresight::serve(&node, &opts, &reqs)?;
         Ok((serial, batched))
     };
-    let (serial, batched) = match run() {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("serve-bench failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    let (serial, batched) = run().context("serve-bench failed")?;
     let mut table = Table::new(["scheduler", "makespan_s", "GB/s", "batches", "p50_ms", "p95_ms", "p99_ms"]);
     for (name, r) in [("serial x1", &serial), (&format!("batched x{}", node.devices), &batched)] {
-        let lat = r.latency();
-        table.push_row([
-            name.to_string(),
-            fmt_f64(r.makespan_s),
-            fmt_f64(r.sustained_gbs),
-            r.batches.to_string(),
-            fmt_f64(lat.map_or(0.0, |l| l.p50 * 1e3)),
-            fmt_f64(lat.map_or(0.0, |l| l.p95 * 1e3)),
-            fmt_f64(lat.map_or(0.0, |l| l.p99 * 1e3)),
-        ]);
+        let [p50, p95, p99] = latency_ms(r.latency());
+        let (makespan, gbs) = (fmt_f64(r.makespan_s), fmt_f64(r.sustained_gbs));
+        table.push_row([name.to_string(), makespan, gbs, r.batches.to_string(), p50, p95, p99]);
     }
     print!("{}", table.to_ascii());
     let speedup = serial.makespan_s / batched.makespan_s.max(1e-12);
@@ -278,83 +399,32 @@ fn serve_bench_main(mut args: impl Iterator<Item = String>) -> ! {
     for (dev, util) in &batched.device_util {
         println!("  {dev}: {:.1}% busy", util * 100.0);
     }
-    // Bit-identity: every request served by both schedulers must have
-    // produced the same bytes — scheduling must never change results.
-    let mut diverged = 0usize;
-    for b in &batched.responses {
-        if let (Some(bo), Some(s)) = (&b.output, serial.response(b.id)) {
-            if s.output.as_ref() != Some(bo) {
-                eprintln!("DIVERGENCE: request {} bytes differ between schedulers", b.id);
-                diverged += 1;
-            }
-        }
-    }
-    if let Some(dir) = &out_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("error: cannot create '{}': {e}", dir.display());
-            std::process::exit(1);
-        }
-        let tpath = dir.join("telemetry.json");
+    let diverged = divergences(&serial, "batched", batched.responses.iter().map(|r| (r.id, &r.output)));
+    if let Some(dir) = &args.out {
         let doc = Value::Object(vec![
             ("serial".into(), serial.metrics.to_json()),
             ("batched".into(), batched.metrics.to_json()),
             ("speedup".into(), Value::Number(speedup)),
         ]);
-        write_or_die(&tpath, "serve metrics", || {
-            std::fs::write(&tpath, doc.to_json())?;
-            Ok(())
-        });
-        let cpath = dir.join("serve_trace.json");
-        let snap = telemetry::snapshot();
-        write_or_die(&cpath, "serve chrome trace", || {
-            trace::write_file(&cpath, &chrome_trace(&snap, ChromeTraceOptions::default()).to_json())
-        });
+        write_out(dir, "serve", doc, Some(("serve_trace.json", telemetry::snapshot())))?;
     }
     if diverged > 0 {
-        eprintln!("{diverged} request(s) diverged; batched output is NOT bit-identical");
-        std::process::exit(1);
+        let msg = format!("{diverged} request(s) diverged; batched output is NOT bit-identical");
+        return Err(Failure::new(cli::FAILURE, msg));
     }
     println!("outputs bit-identical across schedulers");
-    std::process::exit(0);
+    Ok(())
 }
 
 /// `cluster-bench`: healthy-vs-chaos comparison of the multi-node
 /// router, with lost-request and byte-identity verification.
-fn cluster_bench_main(mut args: impl Iterator<Item = String>) -> ! {
-    let mut out_dir: Option<PathBuf> = None;
-    let mut requests: Option<usize> = None;
-    let mut seed: Option<u64> = None;
-    let mut healthy_only = false;
-    let mut config_path: Option<String> = None;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => {
-                let Some(p) = args.next() else { usage_exit() };
-                out_dir = Some(PathBuf::from(p));
-            }
-            "--requests" => {
-                let Some(n) = args.next().and_then(|s| s.parse().ok()) else { usage_exit() };
-                requests = Some(n);
-            }
-            "--seed" => {
-                let Some(s) = args.next().and_then(|s| s.parse().ok()) else { usage_exit() };
-                seed = Some(s);
-            }
-            "--healthy-only" => healthy_only = true,
-            s if s.starts_with('-') => usage_exit(),
-            _ if config_path.is_some() => usage_exit(),
-            _ => config_path = Some(arg),
-        }
-    }
-    let (settings, slo_cfg) = match &config_path {
+fn cluster_bench(args: ClusterBench) -> Result<(), Failure> {
+    let (settings, slo_cfg) = match &args.config {
         None => (foresight::ClusterSettings::default(), None),
-        Some(path) => match ForesightConfig::from_file(path) {
-            Ok(cfg) => (cfg.cluster.unwrap_or_default(), cfg.slo),
-            Err(e) => {
-                eprintln!("error: cannot load '{path}': {e}");
-                std::process::exit(1);
-            }
-        },
+        Some(path) => {
+            let cfg = load_config(path)?;
+            (cfg.cluster.unwrap_or_default(), cfg.slo)
+        }
     };
     // SLOs come from the config's `slo` section; with none configured the
     // chaos run is still judged against a generous default latency
@@ -364,20 +434,10 @@ fn cluster_bench_main(mut args: impl Iterator<Item = String>) -> ! {
         None => vec![foresight::SloSpec::new("cluster.latency.p99", 50.0, 0.004)],
     };
     let spec = settings.to_cluster();
-    let base_opts = match settings.to_cluster_options() {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: bad cluster settings: {e}");
-            std::process::exit(1);
-        }
-    };
+    let base_opts = settings.to_cluster_options().context("error: bad cluster settings")?;
     let mut wl = settings.to_workload_spec();
-    if let Some(n) = requests {
-        wl.requests = n;
-    }
-    if let Some(s) = seed {
-        wl.seed = s;
-    }
+    wl.requests = args.requests.unwrap_or(wl.requests);
+    wl.seed = args.seed.unwrap_or(wl.seed);
     println!(
         "cluster-bench: {} node(s) x {} device(s), R={}, {} requests @ {:.0}/s over {} fields (zipf {}), seed {}",
         spec.nodes,
@@ -389,11 +449,7 @@ fn cluster_bench_main(mut args: impl Iterator<Item = String>) -> ! {
         wl.zipf_s,
         wl.seed
     );
-    type Runs = (
-        foresight::ServeReport,
-        foresight::ClusterReport,
-        Option<foresight::ClusterReport>,
-    );
+    type Runs = (ServeReport, foresight::ClusterReport, Option<foresight::ClusterReport>);
     let healthy_opts = foresight::ClusterOptions {
         chaos: gpu_sim::NodeChaosPlan::quiet(),
         ..base_opts.clone()
@@ -403,7 +459,7 @@ fn cluster_bench_main(mut args: impl Iterator<Item = String>) -> ! {
         let inner: Vec<foresight::ServeRequest> = reqs.iter().map(|r| r.req.clone()).collect();
         let serial = foresight::serve_serial(&spec.node, &healthy_opts.serve, &inner)?;
         let healthy = foresight::serve_cluster(&spec, &healthy_opts, &reqs)?;
-        if healthy_only {
+        if args.healthy_only {
             return Ok((serial, healthy, None));
         }
         let mut chaos_opts = if base_opts.chaos.is_quiet() {
@@ -436,13 +492,7 @@ fn cluster_bench_main(mut args: impl Iterator<Item = String>) -> ! {
         let chaos = foresight::serve_cluster(&spec, &chaos_opts, &reqs)?;
         Ok((serial, healthy, Some(chaos)))
     };
-    let (serial, healthy, chaos) = match run() {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("cluster-bench failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    let (serial, healthy, chaos) = run().context("cluster-bench failed")?;
     let mut table = Table::new([
         "run", "makespan_s", "GB/s", "done", "rej", "p50_ms", "p95_ms", "p99_ms",
     ]);
@@ -451,17 +501,10 @@ fn cluster_bench_main(mut args: impl Iterator<Item = String>) -> ! {
         rows.push(("chaos", c));
     }
     for (name, r) in &rows {
-        let lat = r.latency();
-        table.push_row([
-            name.to_string(),
-            fmt_f64(r.makespan_s),
-            fmt_f64(r.sustained_gbs),
-            r.completed.to_string(),
-            r.rejected.to_string(),
-            fmt_f64(lat.map_or(0.0, |l| l.p50 * 1e3)),
-            fmt_f64(lat.map_or(0.0, |l| l.p95 * 1e3)),
-            fmt_f64(lat.map_or(0.0, |l| l.p99 * 1e3)),
-        ]);
+        let [p50, p95, p99] = latency_ms(r.latency());
+        let (makespan, gbs) = (fmt_f64(r.makespan_s), fmt_f64(r.sustained_gbs));
+        let (done, rej) = (r.completed.to_string(), r.rejected.to_string());
+        table.push_row([name.to_string(), makespan, gbs, done, rej, p50, p95, p99]);
     }
     print!("{}", table.to_ascii());
     for (name, r) in &rows {
@@ -477,8 +520,10 @@ fn cluster_bench_main(mut args: impl Iterator<Item = String>) -> ! {
         );
     }
     // Conservation: nothing submitted may vanish — every request is
-    // either executed or rejected-with-hint.
-    let mut lost = 0usize;
+    // either executed or rejected-with-hint. Byte identity: every
+    // executed request must match the single-node serial reference
+    // bit-for-bit, chaos or not.
+    let (mut lost, mut diverged) = (0usize, 0usize);
     for (name, r) in &rows {
         if r.completed + r.rejected != r.submitted {
             eprintln!(
@@ -487,22 +532,7 @@ fn cluster_bench_main(mut args: impl Iterator<Item = String>) -> ! {
             );
             lost += r.submitted - (r.completed + r.rejected).min(r.submitted);
         }
-    }
-    // Byte identity: every executed request must match the single-node
-    // serial reference bit-for-bit, chaos or not.
-    let mut diverged = 0usize;
-    for (name, r) in &rows {
-        for resp in &r.responses {
-            if let (Some(bytes), Some(reference)) = (&resp.output, serial.response(resp.id)) {
-                if reference.output.as_ref() != Some(bytes) {
-                    eprintln!(
-                        "DIVERGENCE ({name}): request {} bytes differ from serial reference",
-                        resp.id
-                    );
-                    diverged += 1;
-                }
-            }
-        }
+        diverged += divergences(&serial, name, r.responses.iter().map(|r| (r.id, &r.output)));
     }
     // The chaos run carries the observability payload: SLO verdicts over
     // its windowed series, and a request-span summary. Printed before the
@@ -523,12 +553,7 @@ fn cluster_bench_main(mut args: impl Iterator<Item = String>) -> ! {
         let doc = Value::Object(vec![("slo".into(), obs::slo_to_value(&verdicts))]);
         print!("{}", obs::render_slo_section(&doc));
     }
-    if let Some(dir) = &out_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("error: cannot create '{}': {e}", dir.display());
-            std::process::exit(1);
-        }
-        let tpath = dir.join("telemetry.json");
+    if let Some(dir) = &args.out {
         let mut doc = vec![("healthy".into(), healthy.metrics.to_json())];
         if let Some(c) = &chaos {
             doc.push(("chaos".into(), c.metrics.to_json()));
@@ -537,34 +562,26 @@ fn cluster_bench_main(mut args: impl Iterator<Item = String>) -> ! {
                 doc.push(("slo".into(), obs::slo_to_value(&verdicts)));
             }
         }
-        let doc = Value::Object(doc);
-        write_or_die(&tpath, "cluster metrics", || {
-            std::fs::write(&tpath, doc.to_json())?;
-            Ok(())
-        });
-        if let Some(c) = &chaos {
-            let cpath = dir.join("cluster_trace.json");
-            // Device lanes plus one track per request, with flow arrows
-            // linking each request's spans across node processes.
+        // Device lanes plus one track per request, with flow arrows
+        // linking each request's spans across node processes.
+        let trace = chaos.as_ref().map(|c| {
             let mut snap = telemetry::snapshot();
             snap.spans.extend(c.obs.spans.iter().cloned());
-            write_or_die(&cpath, "cluster chrome trace", || {
-                trace::write_file(&cpath, &chrome_trace(&snap, ChromeTraceOptions::default()).to_json())
-            });
-        }
+            ("cluster_trace.json", snap)
+        });
+        write_out(dir, "cluster", Value::Object(doc), trace)?;
     }
     if lost > 0 || diverged > 0 {
-        eprintln!(
+        let msg = format!(
             "{lost} lost request(s), {diverged} divergent request(s); cluster run is NOT sound"
         );
-        std::process::exit(1);
+        return Err(Failure::new(cli::FAILURE, msg));
     }
     println!("zero lost requests; outputs bit-identical to the serial reference");
     if verdicts.iter().any(|v| v.level == foresight::SloLevel::Page) {
-        eprintln!("SLO PAGE: at least one objective is at page-level burn");
-        std::process::exit(5);
+        return Err(slo_page());
     }
-    std::process::exit(0);
+    Ok(())
 }
 
 /// Deterministic xorshift64* for synthetic store workloads.
@@ -577,34 +594,7 @@ fn xorshift(state: &mut u64) -> u64 {
     x.wrapping_mul(0x2545_F491_4F6C_DD1D)
 }
 
-fn open_store_or_die(path: &str) -> foresight::StoreReader {
-    match foresight::StoreReader::open(Path::new(path)) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: cannot open archive '{path}': {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Parses `x0:x1,y0:y1,z0:z1` (1-3 comma-separated `lo:hi` spans,
-/// half-open) into a region; missing trailing axes default to `0:1`.
-fn parse_region(spec: &str) -> Option<foresight::Region> {
-    let mut lo = [0usize; 3];
-    let mut hi = [1usize; 3];
-    let parts: Vec<&str> = spec.split(',').collect();
-    if parts.is_empty() || parts.len() > 3 {
-        return None;
-    }
-    for (i, part) in parts.iter().enumerate() {
-        let (a, b) = part.split_once(':')?;
-        lo[i] = a.trim().parse().ok()?;
-        hi[i] = b.trim().parse().ok()?;
-    }
-    foresight::Region::new(lo, hi).ok()
-}
-
-fn fields_table(reader: &foresight::StoreReader) -> Table {
+fn fields_table(reader: &StoreReader) -> Table {
     let mut table = Table::new([
         "snap", "field", "shape", "chunk", "codec", "bound", "chunks", "bytes", "ratio",
     ]);
@@ -633,38 +623,13 @@ fn fields_table(reader: &foresight::StoreReader) -> Table {
 
 /// `store pack`: generate the configured dataset and seal it into a
 /// chunked archive with the sweep's first codec configuration.
-fn store_pack_main(mut args: impl Iterator<Item = String>) -> ! {
-    let mut chunk_override: Option<usize> = None;
-    let mut snapshot_override: Option<u32> = None;
-    let mut positional: Vec<String> = Vec::new();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--chunk" => {
-                let Some(n) = args.next().and_then(|s| s.parse().ok()) else { usage_exit() };
-                chunk_override = Some(n);
-            }
-            "--snapshot" => {
-                let Some(s) = args.next().and_then(|s| s.parse().ok()) else { usage_exit() };
-                snapshot_override = Some(s);
-            }
-            s if s.starts_with('-') => usage_exit(),
-            _ => positional.push(arg),
-        }
-    }
-    let [config_path, archive_path] = positional.as_slice() else { usage_exit() };
-    let cfg = match ForesightConfig::from_file(config_path) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: cannot load '{config_path}': {e}");
-            std::process::exit(1);
-        }
-    };
+fn store_pack(args: StorePack) -> Result<(), Failure> {
+    let cfg = load_config(&args.config)?;
     let st = cfg.store.clone().unwrap_or_default();
-    let chunk = chunk_override.unwrap_or(st.chunk);
-    let snapshot = snapshot_override.unwrap_or(st.snapshot);
+    let chunk = args.chunk.unwrap_or(st.chunk);
+    let snapshot = args.snapshot.unwrap_or(st.snapshot);
     let Some(codec) = cfg.codec_configs().into_iter().next() else {
-        eprintln!("error: config has no compressor to pack with");
-        std::process::exit(1);
+        return Err(Failure::new(cli::FAILURE, "error: config has no compressor to pack with"));
     };
     let pack = || -> foresight_util::Result<usize> {
         let opts = cosmo_data::SynthOptions {
@@ -674,145 +639,82 @@ fn store_pack_main(mut args: impl Iterator<Item = String>) -> ! {
             steps: cfg.input.steps,
         };
         let mut writer = foresight::StoreWriter::new();
+        let mut add = |name, data: &[f32], shape, chunks| {
+            writer.add_field(snapshot, name, data, shape, chunks, &codec)
+        };
         match cfg.input.dataset {
             foresight::DatasetKind::Nyx => {
                 let snap = cosmo_data::generate_nyx(&opts)?;
                 let n = snap.n_side;
                 for (name, data) in snap.fields() {
-                    writer.add_field(
-                        snapshot,
-                        name,
-                        data,
-                        foresight::FieldShape::d3(n, n, n),
-                        [chunk, chunk, chunk],
-                        &codec,
-                    )?;
+                    add(name, data, FieldShape::d3(n, n, n), [chunk, chunk, chunk])?;
                 }
             }
             foresight::DatasetKind::Hacc => {
                 let snap = cosmo_data::generate_hacc(&opts)?;
                 for (name, data) in snap.fields() {
-                    writer.add_field(
-                        snapshot,
-                        name,
-                        data,
-                        foresight::FieldShape::d1(data.len()),
-                        [chunk * chunk * chunk, 1, 1],
-                        &codec,
-                    )?;
+                    add(name, data, FieldShape::d1(data.len()), [chunk * chunk * chunk, 1, 1])?;
                 }
             }
         }
         let n_fields = writer.field_count();
-        writer.write_file(Path::new(archive_path))?;
+        writer.write_file(Path::new(&args.archive))?;
         Ok(n_fields)
     };
-    let n_fields = match pack() {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("store pack failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    let n_fields = pack().context("store pack failed")?;
     // Reopen through the reader so pack only reports archives it has
     // verified end to end (superblock, manifest, directory, chunk CRCs).
-    let reader = open_store_or_die(archive_path);
-    let check = match reader.verify() {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("store pack verification failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    let reader = open_store(&args.archive)?;
+    let check = reader.verify().context("store pack verification failed")?;
     println!(
-        "packed {n_fields} field(s) / {} chunk(s) with {} into {archive_path} ({} bytes)",
+        "packed {n_fields} field(s) / {} chunk(s) with {} into {} ({} bytes)",
         check.chunks_ok,
         codec.label(),
+        args.archive,
         reader.superblock().archive_len
     );
     println!("manifest sha256 {}", reader.manifest_hex());
-    std::process::exit(0);
+    Ok(())
 }
 
 /// `store ls`: the archive's directory as a table.
-fn store_ls_main(mut args: impl Iterator<Item = String>) -> ! {
-    let Some(archive_path) = args.next() else { usage_exit() };
-    if args.next().is_some() {
-        usage_exit();
-    }
-    let reader = open_store_or_die(&archive_path);
+fn store_ls(args: StoreLs) -> Result<(), Failure> {
+    let reader = open_store(&args.archive)?;
     let sb = reader.superblock();
     println!(
-        "{archive_path}: v{} | {} field(s) | {} bytes | manifest sha256 {}",
+        "{}: v{} | {} field(s) | {} bytes | manifest sha256 {}",
+        args.archive,
         sb.version,
         reader.fields().len(),
         sb.archive_len,
         reader.manifest_hex()
     );
     print!("{}", fields_table(&reader).to_ascii());
-    std::process::exit(0);
+    Ok(())
 }
 
 /// `store verify`: every chunk CRC and field payload digest, no decode.
-fn store_verify_main(mut args: impl Iterator<Item = String>) -> ! {
-    let Some(archive_path) = args.next() else { usage_exit() };
-    if args.next().is_some() {
-        usage_exit();
-    }
-    let reader = open_store_or_die(&archive_path);
-    match reader.verify() {
-        Ok(check) => {
-            println!(
-                "{archive_path}: OK — {} field digest(s), {} chunk CRC(s)",
-                check.fields_ok, check.chunks_ok
-            );
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("{archive_path}: CORRUPT — {e}");
-            std::process::exit(1);
-        }
-    }
+fn store_verify(args: StoreVerify) -> Result<(), Failure> {
+    let reader = open_store(&args.archive)?;
+    let check = reader
+        .verify()
+        .map_err(|e| Failure::new(cli::FAILURE, format!("{}: CORRUPT — {e}", args.archive)))?;
+    println!(
+        "{}: OK — {} field digest(s), {} chunk CRC(s)",
+        args.archive, check.fields_ok, check.chunks_ok
+    );
+    Ok(())
 }
 
 /// `store extract`: one field (or a subregion) as little-endian f32
 /// bytes, decoding only intersecting chunks.
-fn store_extract_main(mut args: impl Iterator<Item = String>) -> ! {
-    let mut region: Option<foresight::Region> = None;
-    let mut out: Option<PathBuf> = None;
-    let mut positional: Vec<String> = Vec::new();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--region" => {
-                let Some(spec) = args.next() else { usage_exit() };
-                let Some(r) = parse_region(&spec) else {
-                    eprintln!("error: bad region '{spec}' (want x0:x1,y0:y1,z0:z1)");
-                    std::process::exit(2);
-                };
-                region = Some(r);
-            }
-            "--out" => {
-                let Some(p) = args.next() else { usage_exit() };
-                out = Some(PathBuf::from(p));
-            }
-            s if s.starts_with('-') => usage_exit(),
-            _ => positional.push(arg),
-        }
+fn store_extract(args: StoreExtract) -> Result<(), Failure> {
+    let reader = open_store(&args.archive)?;
+    let (values, stats) = match args.region {
+        Some(r) => reader.read_region(args.snapshot, &args.field, r),
+        None => reader.extract(args.snapshot, &args.field),
     }
-    let [archive_path, snapshot_s, field] = positional.as_slice() else { usage_exit() };
-    let Ok(snapshot) = snapshot_s.parse::<u32>() else { usage_exit() };
-    let reader = open_store_or_die(archive_path);
-    let result = match region {
-        Some(r) => reader.read_region(snapshot, field, r),
-        None => reader.extract(snapshot, field),
-    };
-    let (values, stats) = match result {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("store extract failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    .context("store extract failed")?;
     println!(
         "{} value(s) | {}/{} chunk(s) decoded, {} cache hit(s) | {} compressed byte(s) read | amplification {:.4}",
         values.len(),
@@ -822,61 +724,25 @@ fn store_extract_main(mut args: impl Iterator<Item = String>) -> ! {
         stats.compressed_bytes_read,
         stats.amplification()
     );
-    if let Some(path) = &out {
-        let mut bytes = Vec::with_capacity(values.len() * 4);
-        for v in &values {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        write_or_die(path, "extracted f32le values", || {
-            if let Some(dir) = path.parent() {
-                if !dir.as_os_str().is_empty() {
-                    std::fs::create_dir_all(dir)?;
-                }
-            }
-            std::fs::write(path, &bytes)?;
-            Ok(())
-        });
+    if let Some(path) = &args.out {
+        let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+        write(path, "extracted f32le values", &bytes)?;
     }
-    std::process::exit(0);
+    Ok(())
 }
 
 /// `store serve`: a synthetic region-read workload served straight out
 /// of the archive through both schedulers, with bit-identity
 /// verification and store read-amplification counters.
-fn store_serve_main(mut args: impl Iterator<Item = String>) -> ! {
-    let mut out_dir: Option<PathBuf> = None;
-    let mut requests: usize = 24;
-    let mut seed: u64 = 7;
-    let mut archive_path: Option<String> = None;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => {
-                let Some(p) = args.next() else { usage_exit() };
-                out_dir = Some(PathBuf::from(p));
-            }
-            "--requests" => {
-                let Some(n) = args.next().and_then(|s| s.parse().ok()) else { usage_exit() };
-                requests = n;
-            }
-            "--seed" => {
-                let Some(s) = args.next().and_then(|s| s.parse().ok()) else { usage_exit() };
-                seed = s;
-            }
-            s if s.starts_with('-') => usage_exit(),
-            _ if archive_path.is_some() => usage_exit(),
-            _ => archive_path = Some(arg),
-        }
-    }
-    let Some(archive_path) = archive_path else { usage_exit() };
-    let store = std::sync::Arc::new(open_store_or_die(&archive_path));
+fn store_serve(args: StoreServe) -> Result<(), Failure> {
+    let store = std::sync::Arc::new(open_store(&args.archive)?);
     if store.fields().is_empty() {
-        eprintln!("error: archive holds no fields");
-        std::process::exit(1);
+        return Err(Failure::new(cli::FAILURE, "error: archive holds no fields"));
     }
     // Deterministic open-loop workload: each request reads a random
     // subregion (~quarter extent per axis) of a random field.
-    let mut rng = seed.max(1);
-    let reqs: Vec<foresight::ServeRequest> = (0..requests)
+    let mut rng = args.seed.max(1);
+    let reqs: Vec<foresight::ServeRequest> = (0..args.requests)
         .map(|i| {
             let entry = &store.fields()[(xorshift(&mut rng) as usize) % store.fields().len()];
             let ext = entry.shape().extents();
@@ -898,8 +764,7 @@ fn store_serve_main(mut args: impl Iterator<Item = String>) -> ! {
                     store: store.clone(),
                     snapshot: entry.snapshot,
                     field: entry.name.clone(),
-                    region: foresight::Region::new(lo, hi)
-                        .expect("non-empty spans by construction"),
+                    region: Region::new(lo, hi).expect("non-empty spans by construction"),
                 },
             }
         })
@@ -907,12 +772,13 @@ fn store_serve_main(mut args: impl Iterator<Item = String>) -> ! {
     let node = foresight::ServeNode::summit();
     let opts = foresight::ServeOptions::default();
     println!(
-        "store serve: {} request(s) over {} field(s), seed {seed}, {} device(s)",
+        "store serve: {} request(s) over {} field(s), seed {}, {} device(s)",
         reqs.len(),
         store.fields().len(),
+        args.seed,
         node.devices
     );
-    let run = || -> foresight_util::Result<(foresight::ServeReport, foresight::ServeReport)> {
+    let run = || -> foresight_util::Result<(ServeReport, ServeReport)> {
         let serial = foresight::serve_serial(&node, &opts, &reqs)?;
         let batched = foresight::serve(&node, &opts, &reqs)?;
         Ok((serial, batched))
@@ -925,23 +791,12 @@ fn store_serve_main(mut args: impl Iterator<Item = String>) -> ! {
     let result = run();
     let host = telemetry::snapshot().metrics;
     telemetry::disable();
-    let (serial, batched) = match result {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("store serve failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    let (serial, batched) = result.context("store serve failed")?;
     let mut table = Table::new(["scheduler", "makespan_s", "GB/s", "batches", "p99_ms"]);
-    for (name, r) in [("serial x1", &serial), (&format!("batched x{}", node.devices), &batched)]
-    {
-        table.push_row([
-            name.to_string(),
-            fmt_f64(r.makespan_s),
-            fmt_f64(r.sustained_gbs),
-            r.batches.to_string(),
-            fmt_f64(r.latency().map_or(0.0, |l| l.p99 * 1e3)),
-        ]);
+    for (name, r) in [("serial x1", &serial), (&format!("batched x{}", node.devices), &batched)] {
+        let [_, _, p99] = latency_ms(r.latency());
+        let (makespan, gbs) = (fmt_f64(r.makespan_s), fmt_f64(r.sustained_gbs));
+        table.push_row([name.to_string(), makespan, gbs, r.batches.to_string(), p99]);
     }
     print!("{}", table.to_ascii());
     let touched = batched.metrics.counter("store.bytes_touched");
@@ -953,127 +808,29 @@ fn store_serve_main(mut args: impl Iterator<Item = String>) -> ! {
         host.counter("store.cache.hits"),
         if returned > 0 { touched as f64 / returned as f64 } else { 0.0 }
     );
-    let mut diverged = 0usize;
-    for b in &batched.responses {
-        if let (Some(bo), Some(s)) = (&b.output, serial.response(b.id)) {
-            if s.output.as_ref() != Some(bo) {
-                eprintln!("DIVERGENCE: request {} bytes differ between schedulers", b.id);
-                diverged += 1;
-            }
-        }
-    }
-    if let Some(dir) = &out_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("error: cannot create '{}': {e}", dir.display());
-            std::process::exit(1);
-        }
-        let tpath = dir.join("telemetry.json");
+    let diverged = divergences(&serial, "batched", batched.responses.iter().map(|r| (r.id, &r.output)));
+    if let Some(dir) = &args.out {
         let doc = Value::Object(vec![
             ("serial".into(), serial.metrics.to_json()),
             ("batched".into(), batched.metrics.to_json()),
         ]);
-        write_or_die(&tpath, "store serve metrics", || {
-            std::fs::write(&tpath, doc.to_json())?;
-            Ok(())
-        });
+        write_out(dir, "store serve", doc, None)?;
     }
     if diverged > 0 {
-        eprintln!("{diverged} request(s) diverged; store-backed serve is NOT bit-identical");
-        std::process::exit(1);
+        let msg = format!("{diverged} request(s) diverged; store-backed serve is NOT bit-identical");
+        return Err(Failure::new(cli::FAILURE, msg));
     }
     println!("outputs bit-identical across schedulers");
-    std::process::exit(0);
+    Ok(())
 }
 
-/// `store`: seekable-archive subcommand family.
-fn store_main(mut args: impl Iterator<Item = String>) -> ! {
-    match args.next().as_deref() {
-        Some("pack") => store_pack_main(args),
-        Some("ls") => store_ls_main(args),
-        Some("verify") => store_verify_main(args),
-        Some("extract") => store_extract_main(args),
-        Some("serve") => store_serve_main(args),
-        _ => usage_exit(),
-    }
-}
-
-struct Cli {
-    config: String,
-    trace_out: Option<PathBuf>,
-    metrics_out: Option<PathBuf>,
-    quiet: bool,
-    memcheck: bool,
-    racecheck: bool,
-}
-
-fn parse_args() -> Cli {
-    let mut args = std::env::args().skip(1);
-    let mut config = None;
-    let mut trace_out = None;
-    let mut metrics_out = None;
-    let mut quiet = false;
-    let mut memcheck = false;
-    let mut racecheck = false;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "report" if config.is_none() => {
-                let Some(path) = args.next() else { usage_exit() };
-                report_main(&path);
-            }
-            "obs-report" if config.is_none() => {
-                let Some(path) = args.next() else { usage_exit() };
-                obs_report_main(&path);
-            }
-            "serve-bench" if config.is_none() => {
-                serve_bench_main(args);
-            }
-            "cluster-bench" if config.is_none() => {
-                cluster_bench_main(args);
-            }
-            "store" if config.is_none() => {
-                store_main(args);
-            }
-            "--trace" => {
-                let Some(p) = args.next() else { usage_exit() };
-                trace_out = Some(PathBuf::from(p));
-            }
-            "--metrics-out" => {
-                let Some(p) = args.next() else { usage_exit() };
-                metrics_out = Some(PathBuf::from(p));
-            }
-            "--memcheck" => memcheck = true,
-            "--racecheck" => racecheck = true,
-            "--quiet" | "-q" => quiet = true,
-            s if s.starts_with('-') => usage_exit(),
-            _ if config.is_some() => usage_exit(),
-            _ => config = Some(arg),
-        }
-    }
-    let Some(config) = config else { usage_exit() };
-    Cli { config, trace_out, metrics_out, quiet, memcheck, racecheck }
-}
-
-fn write_or_die(path: &Path, what: &str, write: impl FnOnce() -> foresight_util::Result<()>) {
-    if let Err(e) = write() {
-        eprintln!("error: cannot write {what} '{}': {e}", path.display());
-        std::process::exit(1);
-    }
-    println!("{what}: {}", path.display());
-}
-
-fn main() {
-    let cli = parse_args();
-    let want_telemetry = cli.trace_out.is_some() || cli.metrics_out.is_some();
+/// The default command: one pipeline run from a JSON config.
+fn pipeline(cli: Run) -> Result<(), Failure> {
+    let want_telemetry = cli.trace.is_some() || cli.metrics_out.is_some();
     if want_telemetry {
         telemetry::enable();
     }
-    let mut cfg = match ForesightConfig::from_file(&cli.config) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: cannot load '{}': {e}", cli.config);
-            std::process::exit(1);
-        }
-    };
+    let mut cfg = load_config(&cli.config)?;
     if cli.memcheck || cli.racecheck {
         // Flags merge with the config's sanitize section by OR, so
         // `--racecheck` can widen a memcheck-only config and vice versa.
@@ -1107,114 +864,90 @@ fn main() {
             None => String::new(),
         }
     );
-    match run_pipeline(&cfg, &SlurmSim::default()) {
-        Ok(report) => {
-            println!("\n== PAT workflow ==");
-            for j in &report.workflow.jobs {
-                println!(
-                    "wave {} | {:<12} | {:<16} | {:>7.2}s | {}",
-                    j.wave,
-                    j.name,
-                    j.status.label(),
-                    j.wall_seconds,
-                    j.output
-                );
-            }
-            if !cli.quiet && !report.records.is_empty() {
-                let mut table =
-                    Table::new(["field", "compressor", "param", "ratio", "bitrate", "psnr_db"]);
-                for r in &report.records {
-                    table.push_row([
-                        r.field.clone(),
-                        r.compressor.display().to_string(),
-                        r.param.clone(),
-                        fmt_f64(r.ratio),
-                        fmt_f64(r.bitrate),
-                        fmt_f64(r.distortion.psnr),
-                    ]);
-                }
-                println!("\n== records ==");
-                print!("{}", table.to_ascii());
-            }
-            if !report.resilience.is_empty() {
-                println!("\n== resilience ==");
-                for line in &report.resilience {
-                    println!("{line}");
-                }
-            }
-            if cfg.sanitize.is_some() {
-                println!("\n== sanitizer ==");
-                if report.sanitizer.is_empty() {
-                    println!("clean: no memcheck or racecheck findings");
-                } else {
-                    for line in &report.sanitizer {
-                        println!("{line}");
-                    }
-                }
-            }
-            if !report.slo.is_empty() {
-                let doc = Value::Object(vec![("slo".into(), obs::slo_to_value(&report.slo))]);
-                println!("\n{}", obs::render_slo_section(&doc));
-            }
-            for line in &report.best_fit_lines {
-                println!("{line}");
-            }
-            if report.artifacts > 0 {
-                println!(
-                    "{} artifacts in {}",
-                    report.artifacts,
-                    cfg.output.dir.display()
-                );
-            }
-            if want_telemetry {
-                let snap = telemetry::snapshot();
-                if let Some(path) = &cli.trace_out {
-                    write_or_die(path, "chrome trace", || {
-                        trace::write_file(path, &chrome_trace(&snap, ChromeTraceOptions::default()).to_json())
-                    });
-                    let folded = path.with_extension("folded");
-                    write_or_die(&folded, "flamegraph", || {
-                        trace::write_file(&folded, &flamegraph(&snap))
-                    });
-                }
-                if let Some(path) = &cli.metrics_out {
-                    let doc = Value::Object(vec![
-                        ("global".into(), snap.metrics.to_json()),
-                        ("run".into(), report.metrics.to_json()),
-                    ]);
-                    write_or_die(path, "metrics", || {
-                        if let Some(dir) = path.parent() {
-                            std::fs::create_dir_all(dir)?;
-                        }
-                        std::fs::write(path, doc.to_json())?;
-                        Ok(())
-                    });
-                }
-                println!(
-                    "telemetry report: {}",
-                    cfg.output.dir.join("telemetry").join("telemetry.json").display()
-                );
-            }
-            if !report.workflow.all_ok() {
-                eprintln!("\n== job failures ==");
-                eprint!("{}", report.workflow.failure_summary());
-                std::process::exit(3);
-            }
-            if !report.sanitizer.is_empty() {
-                eprintln!(
-                    "\n{} sanitizer finding(s); see the == sanitizer == section",
-                    report.sanitizer.len()
-                );
-                std::process::exit(4);
-            }
-            if report.slo.iter().any(|v| v.level == foresight::SloLevel::Page) {
-                eprintln!("\nSLO PAGE: at least one objective is at page-level burn");
-                std::process::exit(5);
-            }
+    let report = run_pipeline(&cfg, &SlurmSim::default()).context("pipeline failed")?;
+    println!("\n== PAT workflow ==");
+    for j in &report.workflow.jobs {
+        println!(
+            "wave {} | {:<12} | {:<16} | {:>7.2}s | {}",
+            j.wave,
+            j.name,
+            j.status.label(),
+            j.wall_seconds,
+            j.output
+        );
+    }
+    if !cli.quiet && !report.records.is_empty() {
+        let mut table = Table::new(["field", "compressor", "param", "ratio", "bitrate", "psnr_db"]);
+        for r in &report.records {
+            table.push_row([
+                r.field.clone(),
+                r.compressor.display().to_string(),
+                r.param.clone(),
+                fmt_f64(r.ratio),
+                fmt_f64(r.bitrate),
+                fmt_f64(r.distortion.psnr),
+            ]);
         }
-        Err(e) => {
-            eprintln!("pipeline failed: {e}");
-            std::process::exit(1);
+        println!("\n== records ==");
+        print!("{}", table.to_ascii());
+    }
+    if !report.resilience.is_empty() {
+        println!("\n== resilience ==");
+        for line in &report.resilience {
+            println!("{line}");
         }
     }
+    if cfg.sanitize.is_some() {
+        println!("\n== sanitizer ==");
+        if report.sanitizer.is_empty() {
+            println!("clean: no memcheck or racecheck findings");
+        } else {
+            for line in &report.sanitizer {
+                println!("{line}");
+            }
+        }
+    }
+    if !report.slo.is_empty() {
+        let doc = Value::Object(vec![("slo".into(), obs::slo_to_value(&report.slo))]);
+        println!("\n{}", obs::render_slo_section(&doc));
+    }
+    for line in &report.best_fit_lines {
+        println!("{line}");
+    }
+    if report.artifacts > 0 {
+        println!("{} artifacts in {}", report.artifacts, cfg.output.dir.display());
+    }
+    if want_telemetry {
+        let snap = telemetry::snapshot();
+        if let Some(path) = &cli.trace {
+            let json = chrome_trace(&snap, ChromeTraceOptions::default()).to_json();
+            write(path, "chrome trace", json.as_bytes())?;
+            write(&path.with_extension("folded"), "flamegraph", flamegraph(&snap).as_bytes())?;
+        }
+        if let Some(path) = &cli.metrics_out {
+            let doc = Value::Object(vec![
+                ("global".into(), snap.metrics.to_json()),
+                ("run".into(), report.metrics.to_json()),
+            ]);
+            write(path, "metrics", doc.to_json().as_bytes())?;
+        }
+        println!(
+            "telemetry report: {}",
+            cfg.output.dir.join("telemetry").join("telemetry.json").display()
+        );
+    }
+    if !report.workflow.all_ok() {
+        let summary = report.workflow.failure_summary();
+        let summary = summary.strip_suffix('\n').unwrap_or(&summary);
+        return Err(Failure::new(cli::JOBS_FAILED, format!("\n== job failures ==\n{summary}")));
+    }
+    if !report.sanitizer.is_empty() {
+        let n = report.sanitizer.len();
+        let msg = format!("\n{n} sanitizer finding(s); see the == sanitizer == section");
+        return Err(Failure::new(cli::SANITIZER, msg));
+    }
+    if report.slo.iter().any(|v| v.level == foresight::SloLevel::Page) {
+        return Err(slo_page());
+    }
+    Ok(())
 }

@@ -18,53 +18,41 @@
 //! `--require-flows` additionally fails traces with no flow edges at all
 //! (the cluster job uses it so request causality can't silently vanish).
 //!
-//! Exit codes: 0 valid, 1 invalid or unreadable, 2 usage.
+//! Exit codes: the table in README "Command line".
 
+use foresight_util::cli::{self, Failure};
+use foresight_util::flags;
 use foresight_util::json::Value;
 use std::collections::{BTreeMap, BTreeSet};
+use std::process::ExitCode;
 
-fn main() {
-    let mut require_flows = false;
-    let mut path: Option<String> = None;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--require-flows" => require_flows = true,
-            _ if path.is_some() => usage_exit(),
-            _ => path = Some(arg),
-        }
-    }
-    let Some(path) = path else { usage_exit() };
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: cannot read '{path}': {e}");
-            std::process::exit(1);
-        }
-    };
-    let doc = match Value::parse(&text) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("error: '{path}' is not valid JSON: {e}");
-            std::process::exit(1);
-        }
-    };
-    match check(&doc, require_flows) {
-        Ok(summary) => println!("{path}: OK — {summary}"),
-        Err(errors) => {
-            for e in errors.iter().take(10) {
-                eprintln!("error: {e}");
-            }
-            if errors.len() > 10 {
-                eprintln!("... and {} more", errors.len() - 10);
-            }
-            std::process::exit(1);
-        }
+flags! {
+    /// Validates one Chrome trace-event file.
+    pub struct TraceCheck = "trace-check" {
+        /// also fail a trace with no flow events
+        pub require_flows: bool as "--require-flows";
+        /// a trace written by --trace or --out
+        pub trace: String as "<trace.json>";
     }
 }
 
-fn usage_exit() -> ! {
-    eprintln!("usage: trace-check [--require-flows] <trace.json>");
-    std::process::exit(2);
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    cli::exit(run(&argv), || TraceCheck::command().usage())
+}
+
+fn run(argv: &[String]) -> Result<(), Failure> {
+    let args = TraceCheck::parse(argv, &[])?;
+    let doc = cli::load_json(&args.trace)?;
+    let summary = check(&doc, args.require_flows).map_err(|errors| {
+        let mut lines: Vec<String> = errors.iter().take(10).map(|e| format!("error: {e}")).collect();
+        if errors.len() > 10 {
+            lines.push(format!("... and {} more", errors.len() - 10));
+        }
+        Failure::new(cli::FAILURE, lines.join("\n"))
+    })?;
+    println!("{}: OK — {summary}", args.trace);
+    Ok(())
 }
 
 fn num(ev: &Value, key: &str) -> Option<f64> {

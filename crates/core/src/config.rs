@@ -38,11 +38,10 @@
 use crate::cbench::ChaosConfig;
 use crate::codec::CodecConfig;
 use foresight_util::json::{must_be, Json, Value};
+use foresight_util::rule::{Allowed, NonEmpty, OneOf};
 use foresight_util::{Error, Result};
 use gpu_sim::{FaultRates, SanitizerConfig};
-use std::fmt::Display;
 use std::ops::Bound::{self, Excluded, Included, Unbounded};
-use std::ops::RangeBounds;
 use std::path::PathBuf;
 
 /// The dotted path of `key` inside the section at `at` (`""` is the top
@@ -76,65 +75,8 @@ fn object<const N: usize>(fields: [(&str, Value); N]) -> Value {
     Value::Object(kept.map(|(k, v)| (k.to_string(), v)).collect())
 }
 
-/// The values an option accepts beyond what its type can hold.
-trait Allowed<T> {
-    fn allows(&self, value: &T) -> bool;
-    /// Completes "`section.key` must be …".
-    fn describe(&self) -> String;
-}
-
-/// A std range allows the values inside it: `1..`, `0.0..=1.0`, or a
-/// `(Bound, Bound)` pair where an end is excluded.
-impl<T: PartialOrd + Display, R: RangeBounds<T>> Allowed<T> for R {
-    fn allows(&self, value: &T) -> bool {
-        self.contains(value)
-    }
-    fn describe(&self) -> String {
-        let end = |bound: Bound<&T>, sign: &str| match bound {
-            Included(x) => Some(format!("{sign}= {x}")),
-            Excluded(x) => Some(format!("{sign} {x}")),
-            Unbounded => None,
-        };
-        let ends = [end(self.start_bound(), ">"), end(self.end_bound(), "<")];
-        ends.into_iter().flatten().collect::<Vec<_>>().join(" and ")
-    }
-}
-
 /// Above zero.
 const POSITIVE: (Bound<f64>, Bound<f64>) = (Excluded(0.0), Unbounded);
-
-/// One of a fixed set of strings.
-struct OneOf(&'static [&'static str]);
-
-impl Allowed<String> for OneOf {
-    fn allows(&self, value: &String) -> bool {
-        self.0.contains(&value.as_str())
-    }
-    fn describe(&self) -> String {
-        format!("one of {}", self.0.join("|"))
-    }
-}
-
-/// Any string but `""`, any list but `[]`.
-struct NonEmpty;
-
-impl Allowed<String> for NonEmpty {
-    fn allows(&self, value: &String) -> bool {
-        !value.is_empty()
-    }
-    fn describe(&self) -> String {
-        "non-empty".into()
-    }
-}
-
-impl<T> Allowed<Vec<T>> for NonEmpty {
-    fn allows(&self, value: &Vec<T>) -> bool {
-        !value.is_empty()
-    }
-    fn describe(&self) -> String {
-        "non-empty".into()
-    }
-}
 
 /// Fails with "`at` must be …" unless `rule` allows `value`.
 fn allowed<T: Json>(rule: &impl Allowed<T>, value: &T, at: &str) -> Result<()> {

@@ -12,7 +12,7 @@
 //! ```
 
 use foresight_util::crc::crc32;
-use foresight_util::{Error, Result};
+use foresight_util::{ByteReader, Error, Result};
 use std::io::{Read, Write};
 use std::path::Path;
 
@@ -83,42 +83,42 @@ impl GioFile {
         out
     }
 
-    /// Parses a document from bytes, verifying every CRC.
+    /// Parses a document from bytes, verifying every CRC. A header the
+    /// bytes cannot hold is an [`Error::Format`], never a panic.
     pub fn from_bytes(data: &[u8]) -> Result<Self> {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8]> {
-            if data.len() < *pos + n {
-                return Err(Error::format("GIO-lite file truncated"));
-            }
-            let s = &data[*pos..*pos + n];
-            *pos += n;
-            Ok(s)
-        };
-        if take(&mut pos, 4)? != MAGIC {
+        Self::parse(&mut ByteReader::new(data)).map_err(|e| match e {
+            Error::Corrupt(msg) => Error::format(format!("GIO-lite file truncated: {msg}")),
+            e => e,
+        })
+    }
+
+    fn parse(r: &mut ByteReader) -> Result<Self> {
+        if r.take(4)? != MAGIC {
             return Err(Error::format("not a GIO-lite file (bad magic)"));
         }
-        let version = take(&mut pos, 1)?[0];
+        let version = r.u8()?;
         if version != VERSION {
             return Err(Error::format(format!("unsupported GIO-lite version {version}")));
         }
-        take(&mut pos, 3)?;
-        let rows = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap()) as usize;
-        let nfields = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
+        r.take(3)?;
+        let rows = r.u64_le()?;
+        let nfields = r.u32_le()?;
         if nfields > 4096 {
             return Err(Error::format("implausible field count"));
         }
-        let mut meta = Vec::with_capacity(nfields);
+        // A field header is at least 14 bytes: name_len, payload_len, crc32.
+        let mut meta = Vec::with_capacity(r.count(nfields.into(), 14, "field")?);
         for _ in 0..nfields {
-            let nlen = u16::from_le_bytes(take(&mut pos, 2)?.try_into().unwrap()) as usize;
-            let name = String::from_utf8(take(&mut pos, nlen)?.to_vec())
+            let nlen = r.u16_le()?.into();
+            let name = String::from_utf8(r.take(nlen)?.to_vec())
                 .map_err(|_| Error::format("field name is not UTF-8"))?;
-            let plen = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap()) as usize;
-            let crc = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
+            let plen = r.u64_le()?;
+            let crc = r.u32_le()?;
             meta.push((name, plen, crc));
         }
-        let mut fields = Vec::with_capacity(nfields);
+        let mut fields = Vec::with_capacity(meta.len());
         for (name, plen, crc) in meta {
-            let payload = take(&mut pos, plen)?;
+            let payload = r.take(r.count(plen, 1, "payload byte")?)?;
             if crc32(payload) != crc {
                 return Err(Error::format(format!("CRC mismatch in field '{name}'")));
             }
@@ -256,5 +256,15 @@ mod tests {
         let g = GioFile::from_bytes(&f.to_bytes()).unwrap();
         assert_eq!(g.rows(), 0);
         assert!(g.fields.is_empty());
+    }
+
+    #[test]
+    fn huge_payload_length_is_a_format_error() {
+        // The first field's payload_len sits after the 20-byte file
+        // header, its 2-byte name length and its 1-byte name "x".
+        let mut bytes = sample().to_bytes();
+        bytes[23..31].copy_from_slice(&u64::MAX.to_le_bytes());
+        let err = GioFile::from_bytes(&bytes).unwrap_err();
+        assert!(matches!(err, Error::Format(_)), "{err}");
     }
 }

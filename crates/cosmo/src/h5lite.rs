@@ -14,7 +14,7 @@
 //! ```
 
 use foresight_util::crc::crc32;
-use foresight_util::{Error, Result};
+use foresight_util::{ByteReader, Error, Result};
 use std::io::{Read, Write};
 use std::path::Path;
 
@@ -111,25 +111,25 @@ impl H5File {
         self.to_bytes_chunked(DEFAULT_CHUNK)
     }
 
-    /// Parses a document, verifying every chunk CRC.
+    /// Parses a document, verifying every chunk CRC. A header the bytes
+    /// cannot hold is an [`Error::Format`], never a panic, and nothing is
+    /// allocated for entries the bytes do not hold.
     pub fn from_bytes(data: &[u8]) -> Result<Self> {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8]> {
-            if data.len() < *pos + n {
-                return Err(Error::format("H5-lite file truncated"));
-            }
-            let s = &data[*pos..*pos + n];
-            *pos += n;
-            Ok(s)
-        };
-        if take(&mut pos, 4)? != MAGIC {
+        Self::parse(&mut ByteReader::new(data)).map_err(|e| match e {
+            Error::Corrupt(msg) => Error::format(format!("H5-lite file truncated: {msg}")),
+            e => e,
+        })
+    }
+
+    fn parse(r: &mut ByteReader) -> Result<Self> {
+        if r.take(4)? != MAGIC {
             return Err(Error::format("not an H5-lite file (bad magic)"));
         }
-        if take(&mut pos, 1)?[0] != VERSION {
+        if r.u8()? != VERSION {
             return Err(Error::format("unsupported H5-lite version"));
         }
-        take(&mut pos, 3)?;
-        let nds = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
+        r.take(3)?;
+        let nds = r.u32_le()?;
         if nds > 65536 {
             return Err(Error::format("implausible dataset count"));
         }
@@ -138,28 +138,27 @@ impl H5File {
             dims: Vec<u64>,
             chunk_lens: Vec<(usize, u32)>,
         }
-        let mut metas = Vec::with_capacity(nds);
+        // A dataset header is at least 11 bytes: name_len, ndim,
+        // chunk_values, num_chunks; a chunk entry is 8.
+        let mut metas = Vec::with_capacity(r.count(nds.into(), 11, "dataset")?);
         for _ in 0..nds {
-            let nlen = u16::from_le_bytes(take(&mut pos, 2)?.try_into().unwrap()) as usize;
-            let name = String::from_utf8(take(&mut pos, nlen)?.to_vec())
+            let nlen = r.u16_le()?.into();
+            let name = String::from_utf8(r.take(nlen)?.to_vec())
                 .map_err(|_| Error::format("dataset name is not UTF-8"))?;
-            let ndim = take(&mut pos, 1)?[0] as usize;
+            let ndim = r.u8()?;
             if ndim > 8 {
                 return Err(Error::format("implausible rank"));
             }
-            let mut dims = Vec::with_capacity(ndim);
-            for _ in 0..ndim {
-                dims.push(u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap()));
-            }
-            let _chunk_values = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
-            let nchunks = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
+            let dims = (0..ndim).map(|_| r.u64_le()).collect::<Result<Vec<u64>>>()?;
+            let _chunk_values = r.u32_le()?;
+            let nchunks = r.u32_le()?;
             if nchunks > (1 << 24) {
                 return Err(Error::format("implausible chunk count"));
             }
-            let mut chunk_lens = Vec::with_capacity(nchunks);
+            let mut chunk_lens = Vec::with_capacity(r.count(nchunks.into(), 8, "chunk")?);
             for _ in 0..nchunks {
-                let plen = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-                let crc = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
+                let plen = r.u32_le()? as usize;
+                let crc = r.u32_le()?;
                 chunk_lens.push((plen, crc));
             }
             metas.push(Meta { name, dims, chunk_lens });
@@ -168,7 +167,7 @@ impl H5File {
         for m in metas {
             let mut values: Vec<f32> = Vec::new();
             for (i, (plen, crc)) in m.chunk_lens.iter().enumerate() {
-                let payload = take(&mut pos, *plen)?;
+                let payload = r.take(*plen)?;
                 if crc32(payload) != *crc {
                     return Err(Error::format(format!(
                         "CRC mismatch in '{}' chunk {i}",
@@ -182,8 +181,8 @@ impl H5File {
                     payload.chunks(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())),
                 );
             }
-            let prod: u64 = m.dims.iter().product();
-            if prod != values.len() as u64 {
+            let prod = m.dims.iter().try_fold(1u64, |p, &d| p.checked_mul(d));
+            if prod != Some(values.len() as u64) {
                 return Err(Error::format(format!(
                     "dataset '{}' dims {:?} do not match {} values",
                     m.name,
@@ -308,5 +307,34 @@ mod tests {
         f.push("/empty", vec![0], vec![]).unwrap();
         let g = H5File::from_bytes(&f.to_bytes()).unwrap();
         assert_eq!(g.get("/empty").unwrap().data.len(), 0);
+    }
+
+    /// A one-dataset header: no name, `dims`, then `nchunks` chunk
+    /// entries announced and none present.
+    fn header(dims: &[u64], nchunks: u32) -> Vec<u8> {
+        let mut b = b"H5L1\x01\0\0\0".to_vec();
+        b.extend_from_slice(&1u32.to_le_bytes());
+        b.extend_from_slice(&0u16.to_le_bytes());
+        b.push(dims.len() as u8);
+        dims.iter().for_each(|d| b.extend_from_slice(&d.to_le_bytes()));
+        b.extend_from_slice(&1u32.to_le_bytes());
+        b.extend_from_slice(&nchunks.to_le_bytes());
+        b
+    }
+
+    #[test]
+    fn chunk_count_beyond_the_file_is_a_format_error() {
+        let mut bytes = header(&[], 1 << 24);
+        bytes.push(0);
+        assert_eq!(bytes.len(), 24);
+        // Refused by its count, before any entry is reserved or read.
+        let err = H5File::from_bytes(&bytes).unwrap_err();
+        assert!(matches!(err, Error::Format(_)) && err.to_string().contains("chunk count"), "{err}");
+    }
+
+    #[test]
+    fn overflowing_dims_are_a_format_error() {
+        let err = H5File::from_bytes(&header(&[1 << 32, 1 << 32, 2], 0)).unwrap_err();
+        assert!(matches!(err, Error::Format(_)), "{err}");
     }
 }

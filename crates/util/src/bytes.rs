@@ -57,6 +57,11 @@ impl<'a> ByteReader<'a> {
         Ok(self.array::<1>()?[0])
     }
 
+    /// Reads a little-endian u16.
+    pub fn u16_le(&mut self) -> Result<u16> {
+        Ok(u16::from_le_bytes(self.array()?))
+    }
+
     /// Reads a little-endian u32.
     pub fn u32_le(&mut self) -> Result<u32> {
         Ok(u32::from_le_bytes(self.array()?))
@@ -86,6 +91,19 @@ impl<'a> ByteReader<'a> {
         Ok(())
     }
 
+    /// A header's count of `n` entries of at least `size` bytes each,
+    /// refused unless the unread bytes can hold them: a bound to
+    /// allocate by that grows with the input, not with the header.
+    pub fn count(&self, n: u64, size: usize, what: &str) -> Result<usize> {
+        match usize::try_from(n) {
+            Ok(n) if n <= self.remaining() / size.max(1) => Ok(n),
+            _ => Err(Error::corrupt(format!(
+                "{what} count {n} exceeds the {} bytes left",
+                self.remaining()
+            ))),
+        }
+    }
+
     /// Reads a little-endian u64 and converts it to usize, rejecting
     /// values that do not fit (32-bit hosts) or exceed `cap`.
     pub fn u64_le_capped(&mut self, cap: u64, what: &str) -> Result<usize> {
@@ -109,12 +127,16 @@ mod tests {
         buf.extend_from_slice(&0x0123_4567_89AB_CDEFu64.to_le_bytes());
         buf.extend_from_slice(&1.5f32.to_le_bytes());
         buf.extend_from_slice(&(-2.25f64).to_le_bytes());
+        buf.extend_from_slice(&0xBEEFu16.to_le_bytes());
         let mut r = ByteReader::new(&buf);
         assert_eq!(r.u8().unwrap(), 7);
         assert_eq!(r.u32_le().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.u64_le().unwrap(), 0x0123_4567_89AB_CDEF);
         assert_eq!(r.f32_le().unwrap(), 1.5);
         assert_eq!(r.f64_le().unwrap(), -2.25);
+        assert_eq!(r.count(1, 2, "u16").unwrap(), 1);
+        assert!(r.count(2, 2, "u16").is_err() && r.count(u64::MAX, 1, "byte").is_err());
+        assert_eq!(r.u16_le().unwrap(), 0xBEEF);
         assert_eq!(r.remaining(), 0);
     }
 

@@ -182,9 +182,49 @@ impl Region {
     }
 }
 
+/// `x0:x1,y0:y1,z0:z1`: one to three half-open `lo:hi` spans; missing
+/// trailing axes are `0:1`.
+impl std::str::FromStr for Region {
+    type Err = Error;
+
+    fn from_str(spec: &str) -> Result<Self> {
+        let bad = || Error::invalid(format!("bad region '{spec}' (want x0:x1,y0:y1,z0:z1)"));
+        let (mut lo, mut hi) = ([0usize; 3], [1usize; 3]);
+        let parts: Vec<&str> = spec.split(',').collect();
+        if parts.len() > 3 {
+            return Err(bad());
+        }
+        for (i, part) in parts.iter().enumerate() {
+            let (a, b) = part.split_once(':').ok_or_else(bad)?;
+            lo[i] = a.trim().parse().map_err(|_| bad())?;
+            hi[i] = b.trim().parse().map_err(|_| bad())?;
+        }
+        Region::new(lo, hi)
+    }
+}
+
+impl std::fmt::Display for Region {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (lo, hi) = (self.lo, self.hi);
+        write!(f, "{}:{},{}:{},{}:{}", lo[0], hi[0], lo[1], hi[1], lo[2], hi[2])
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn regions_parse_from_spans() {
+        let r: Region = "8:24,8:24,8:24".parse().unwrap();
+        assert_eq!((r.lo, r.hi), ([8, 8, 8], [24, 24, 24]));
+        assert_eq!(r.to_string().parse::<Region>().unwrap(), r);
+        let r: Region = "2:5".parse().unwrap();
+        assert_eq!((r.lo, r.hi), ([2, 0, 0], [5, 1, 1]));
+        for bad in ["", "1", "1:x", "4:2", "0:1,0:1,0:1,0:1"] {
+            assert!(bad.parse::<Region>().is_err(), "{bad}");
+        }
+    }
 
     #[test]
     fn constructors_and_with_extents() {

@@ -7,8 +7,9 @@
 //! tiny ASCII table/CSV formatter used by the benchmark binaries, SHA-256
 //! (golden-vector digests), the telemetry layer (spans, metrics,
 //! Chrome-trace/flamegraph export), [`Dims`], the one array shape
-//! every codec, the store and the scheduler share, and [`Tiles`], the
-//! one way they cut that shape into blocks and chunks.
+//! every codec, the store and the scheduler share, [`Tiles`], the
+//! one way they cut that shape into blocks and chunks, and [`cli`], the
+//! one command grammar every binary parses its arguments with.
 //!
 //! CRC32 and SHA-256 run on the CPU's checksum instructions when it has
 //! them, and [`cpu::widest`] runs a caller's kernel body compiled for the
@@ -22,12 +23,14 @@
 
 pub mod bits;
 pub mod bytes;
+pub mod cli;
 pub mod cpu;
 pub mod crc;
 pub mod dims;
 pub mod error;
 pub mod json;
 pub mod parallel;
+pub mod rule;
 pub mod sha256;
 pub mod stats;
 pub mod table;

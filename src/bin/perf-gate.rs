@@ -50,16 +50,20 @@
 //! that moved, and becomes the baseline once committed. `model`
 //! regressions still fail under it.
 //!
-//! Exit codes: 0 ok (or first baseline), 1 `exact`/`model` regression,
-//! 2 usage/IO error.
+//! Exit codes: the table in README "Command line" (1 is an `exact` /
+//! `model` regression).
 
 use foresight::config::{ClusterSettings, ServeSettings};
 use cosmo_data::{generate_hacc, generate_nyx, SynthOptions};
+use foresight_util::cli::{self, Failure};
+use foresight_util::flags;
 use foresight_util::json::Value;
+use foresight_util::rule::NonBlank;
 use foresight_util::timer::time;
 use lossy_sz::{Dims, SzConfig};
 use lossy_zfp::ZfpConfig;
 use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 
 /// First sequence number; `BENCH_8.json` belongs to the PR that
 /// introduced the gate.
@@ -82,30 +86,25 @@ struct Scenario {
     metrics: Vec<Metric>,
 }
 
-fn main() {
-    let mut dir = PathBuf::from(".");
-    let mut rebaseline: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--dir" => {
-                let Some(d) = args.next() else { usage_exit() };
-                dir = PathBuf::from(d);
-            }
-            "--rebaseline" => match args.next() {
-                Some(reason) if !reason.trim().is_empty() => rebaseline = Some(reason),
-                _ => usage_exit(),
-            },
-            _ => usage_exit(),
-        }
+flags! {
+    /// Runs the scenarios, writes the next `BENCH_<n>.json` and compares.
+    pub struct PerfGate = "perf-gate" {
+        /// where the BENCH_<n>.json files are
+        pub dir: PathBuf as "--dir" "<d>" = PathBuf::from(".");
+        /// accept moved exact metrics, recording why
+        pub rebaseline: Option<String> as "--rebaseline" "\"<reason>\"", each in NonBlank;
     }
-    let scenarios = match run_scenarios() {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("perf-gate: scenario failed: {e}");
-            std::process::exit(2);
-        }
-    };
+}
+
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    cli::exit(run(&argv), || PerfGate::command().usage())
+}
+
+fn run(argv: &[String]) -> Result<(), Failure> {
+    let PerfGate { dir, rebaseline } = PerfGate::parse(argv, &[])?;
+    let scenarios = run_scenarios()
+        .map_err(|e| Failure::new(cli::USAGE, format!("perf-gate: scenario failed: {e}")))?;
     let previous = newest_bench(&dir);
     let seq = previous.as_ref().map(|(s, _)| s + 1).unwrap_or(BASE_SEQ);
     let moved = previous.as_ref().map(|(_, doc)| compare(doc, &scenarios)).unwrap_or_default();
@@ -127,10 +126,9 @@ fn main() {
         ));
     }
     let out = dir.join(format!("BENCH_{seq}.json"));
-    if let Err(e) = std::fs::write(&out, doc.to_json()) {
-        eprintln!("perf-gate: cannot write '{}': {e}", out.display());
-        std::process::exit(2);
-    }
+    std::fs::write(&out, doc.to_json()).map_err(|e| {
+        Failure::new(cli::USAGE, format!("perf-gate: cannot write '{}': {e}", out.display()))
+    })?;
     println!("perf-gate: wrote {}", out.display());
     for s in &scenarios {
         for m in &s.metrics {
@@ -139,7 +137,7 @@ fn main() {
     }
     let Some((prev_seq, _)) = previous else {
         println!("perf-gate: no previous BENCH_*.json — baseline recorded, nothing to compare");
-        std::process::exit(0);
+        return Ok(());
     };
     for w in of_class("wall") {
         eprintln!("perf-gate: warning (wall-clock, advisory): {w}");
@@ -156,21 +154,17 @@ fn main() {
     }
     if regressions.is_empty() {
         println!("perf-gate: OK against BENCH_{prev_seq}.json (no exact/model regressions)");
-        std::process::exit(0);
+        return Ok(());
     }
-    eprintln!("perf-gate: {} regression(s) against BENCH_{prev_seq}.json:", regressions.len());
+    let mut msg =
+        format!("perf-gate: {} regression(s) against BENCH_{prev_seq}.json:", regressions.len());
     for r in &regressions {
-        eprintln!("  {r}");
+        msg += &format!("\n  {r}");
     }
     if rebaseline.is_none() && !of_class("exact").is_empty() {
-        eprintln!("perf-gate: an intended `exact` change goes through --rebaseline \"<reason>\"");
+        msg += "\nperf-gate: an intended `exact` change goes through --rebaseline \"<reason>\"";
     }
-    std::process::exit(1);
-}
-
-fn usage_exit() -> ! {
-    eprintln!("usage: perf-gate [--dir <d>] [--rebaseline \"<reason>\"]");
-    std::process::exit(2);
+    Err(Failure::new(cli::FAILURE, msg))
 }
 
 /// The newest `BENCH_<n>.json` in `dir`, if any parses.
