@@ -612,7 +612,7 @@ fn fields_table(reader: &StoreReader) -> Table {
             shape_s,
             format!("{}x{}x{}", ch[0], ch[1], ch[2]),
             entry.codec.display().to_string(),
-            entry.bound.label(entry.codec),
+            entry.bound_label(),
             entry.chunks.len().to_string(),
             entry.compressed_len().to_string(),
             fmt_f64(entry.ratio()),
@@ -784,8 +784,10 @@ fn store_serve(args: StoreServe) -> Result<(), Failure> {
         Ok((serial, batched))
     };
     // The reports' `store.*` counters are the model's (every read priced
-    // cacheless); what the host really decoded comes from the reader's
-    // own telemetry, over both passes against the one shared reader.
+    // cacheless); the host's chunk reads come from the reader's own
+    // telemetry, over both passes against the one shared reader. How
+    // they split into decodes and cache hits depends on which worker
+    // wins a race, so only their sum is printed.
     telemetry::reset();
     telemetry::enable();
     let result = run();
@@ -802,10 +804,9 @@ fn store_serve(args: StoreServe) -> Result<(), Failure> {
     let touched = batched.metrics.counter("store.bytes_touched");
     let returned = batched.metrics.counter("store.bytes_returned");
     println!(
-        "store: {} chunk(s) decoded per pass in the model; host decoded {}, {} cache hit(s) over both | {touched} byte(s) touched / {returned} returned ({:.4}x amplification)",
+        "store: {} chunk(s) decoded per pass in the model; {} host chunk read(s) over both | {touched} byte(s) touched / {returned} returned ({:.4}x amplification)",
         batched.metrics.counter("store.chunks_decoded"),
-        host.counter("store.chunks_decoded"),
-        host.counter("store.cache.hits"),
+        host.counter("store.chunks_read"),
         if returned > 0 { touched as f64 / returned as f64 } else { 0.0 }
     );
     let diverged = divergences(&serial, "batched", batched.responses.iter().map(|r| (r.id, &r.output)));

@@ -58,6 +58,7 @@ use std::path::{Path, PathBuf};
 /// apply here and the taint pass roots here.
 pub const DECODE_CRITICAL: &[&str] = &[
     "crates/sz/src/stream.rs",
+    "crates/sz/src/fragment.rs",
     "crates/sz/src/block.rs",
     "crates/sz/src/gpu_kernel.rs",
     "crates/sz/src/gpu_exec.rs",

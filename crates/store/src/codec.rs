@@ -5,11 +5,42 @@
 //! writer and reader, `foresight::codec` (which re-exports this module),
 //! the serve scheduler and the simulated-GPU backend. The store is the
 //! lowest crate that sees both codecs, which is why the seam lives in it.
+//!
+//! [`decompress`] also takes a bare SZ fragment carved out of an archive.
+//! A fragment names its field's codebook by key, the way a zstd frame
+//! names its dictionary; the seam resolves the key against the codebooks
+//! of the archives a [`crate::StoreReader`] holds open in this process,
+//! and refuses a fragment whose archive is not open.
 
 use crate::format::BoundSpec;
 use foresight_util::{Dims, Error, Result};
-use lossy_sz::SzConfig;
+use lossy_sz::{FieldCodebook, SzConfig};
 use lossy_zfp::{ZfpConfig, ZfpMode};
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, PoisonError, Weak};
+
+/// The SZ field codebooks of the open readers, by key. Weak: a codebook
+/// lives exactly as long as a reader that holds it.
+static OPEN_CODEBOOKS: Mutex<BTreeMap<u64, Weak<FieldCodebook>>> = Mutex::new(BTreeMap::new());
+
+/// Makes `book`'s fragments decodable through [`decompress`] for as long
+/// as the caller holds it.
+pub(crate) fn register_codebook(book: &Arc<FieldCodebook>) {
+    let mut open = OPEN_CODEBOOKS.lock().unwrap_or_else(PoisonError::into_inner);
+    open.retain(|_, b| b.strong_count() > 0);
+    open.insert(book.key(), Arc::downgrade(book));
+}
+
+/// The open codebook a bare fragment names.
+fn open_codebook(fragment: &[u8]) -> Result<Arc<FieldCodebook>> {
+    let key = FieldCodebook::key_of(fragment)?;
+    let open = OPEN_CODEBOOKS.lock().unwrap_or_else(PoisonError::into_inner);
+    open.get(&key).and_then(Weak::upgrade).ok_or_else(|| {
+        Error::corrupt(format!(
+            "SZ fragment names codebook {key:016x}, which no open archive holds"
+        ))
+    })
+}
 
 /// Which codec family: the paper's GPU-SZ or cuZFP.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,10 +77,10 @@ impl CodecKind {
         }
     }
 
-    /// The codec that wrote `stream`, by its magic tag; a stream with
-    /// neither tag is [`Error::Corrupt`].
+    /// The codec that wrote `stream` (or an SZ fragment), by its magic
+    /// tag; a stream with no known tag is [`Error::Corrupt`].
     pub fn of_stream(stream: &[u8]) -> Result<Self> {
-        if stream.starts_with(lossy_sz::MAGIC) {
+        if stream.starts_with(lossy_sz::MAGIC) || stream.starts_with(lossy_sz::FRAGMENT_MAGIC) {
             Ok(CodecKind::Sz)
         } else if stream.starts_with(lossy_zfp::MAGIC) {
             Ok(CodecKind::Zfp)
@@ -58,10 +89,14 @@ impl CodecKind {
         }
     }
 
-    /// Decodes a stream with this codec; a stream of the other codec
-    /// fails its magic check.
+    /// Decodes a stream with this codec, or an SZ fragment against the
+    /// open codebook it names; a stream of the other codec fails its
+    /// magic check.
     pub fn decompress(self, stream: &[u8]) -> Result<(Vec<f32>, Dims)> {
         match self {
+            CodecKind::Sz if stream.starts_with(lossy_sz::FRAGMENT_MAGIC) => {
+                open_codebook(stream)?.decode(stream)
+            }
             CodecKind::Sz => lossy_sz::decompress(stream),
             CodecKind::Zfp => lossy_zfp::decompress(stream),
         }
@@ -143,8 +178,8 @@ pub fn compress(data: &[f32], dims: Dims, cfg: &CodecConfig) -> Result<Vec<u8>> 
     }
 }
 
-/// Decompresses a stream produced by [`compress`], picking the codec by
-/// the stream's magic tag.
+/// Decompresses a stream produced by [`compress`], or a fragment of an
+/// open archive, picking the codec by the magic tag.
 pub fn decompress(stream: &[u8]) -> Result<(Vec<f32>, Dims)> {
     CodecKind::of_stream(stream)?.decompress(stream)
 }

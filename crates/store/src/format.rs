@@ -6,16 +6,21 @@
 //! | superblock (68 B)  |  magic "FSTR" | version | dir_offset | dir_len
 //! |                    |  | archive_len | dir_sha256 | crc32(first 64 B)
 //! +--------------------+ offset 68
-//! | fragments          |  chunk payloads, each a complete SZ/ZFP stream
+//! | fragments          |  chunk payloads: an SZ fragment (block metas,
+//! |                    |  codes, outliers; no header, no Huffman table)
+//! |                    |  or a complete ZFP stream
 //! +--------------------+ offset dir_offset
 //! | directory          |  magic "FDIR" | field entries | crc32
 //! +--------------------+ offset archive_len
 //! ```
 //!
 //! The directory is the archive's manifest: per field it records the
-//! snapshot id, name, shape, chunk shape, codec, error-bound metadata, a
-//! SHA-256 over the field's concatenated chunk payloads, and one
-//! `(offset, length, crc32)` fragment reference per chunk. The
+//! snapshot id, name, shape, chunk shape, codec, error-bound metadata,
+//! for an SZ field its [`FieldCodebook`] (the header parameters its
+//! fragments share, the absolute bound a REL bound resolved to over the
+//! whole field, and the one Huffman codebook every fragment is coded
+//! against), a SHA-256 over the field's concatenated chunk payloads, and
+//! one `(offset, length, crc32)` fragment reference per chunk. The
 //! superblock pins the directory with a SHA-256 so a reader can trust
 //! the manifest after two small reads (superblock + directory tail) and
 //! then touch only the fragments a request intersects.
@@ -31,14 +36,18 @@ use crate::grid::{ChunkGrid, FieldShape};
 use foresight_util::crc::crc32;
 use foresight_util::sha256::sha256;
 use foresight_util::{ByteReader, Error, Result};
+use lossy_sz::{ErrorBound, FieldCodebook};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Archive magic at offset 0.
 pub const ARCHIVE_MAGIC: &[u8; 4] = b"FSTR";
 /// Directory magic at `dir_offset`.
 pub const DIR_MAGIC: &[u8; 4] = b"FDIR";
-/// The only format version this crate reads or writes.
-pub const VERSION: u32 = 1;
+/// The only format version this crate reads or writes. Version 2 codes
+/// an SZ field's chunks against one codebook in the directory; a
+/// version-1 archive (every chunk a whole `SZRS` stream) is refused.
+pub const VERSION: u32 = 2;
 /// Fixed superblock size in bytes.
 pub const SUPERBLOCK_LEN: usize = 68;
 /// Longest accepted field name.
@@ -52,9 +61,9 @@ pub const MAX_FIELD_COUNT: usize = 1 << 20;
 /// Largest accepted single compressed fragment.
 pub const MAX_FRAGMENT_LEN: u64 = 1 << 40;
 
-/// Error-bound metadata recorded per field (display / later per-region
-/// bound selection; decoding itself never needs it — the chunk streams
-/// are self-describing).
+/// The error bound a field was packed with, as the user gave it (display
+/// and per-region bound selection; decoding never needs it — an SZ
+/// field's [`FieldCodebook`] and a ZFP stream carry what they decode by).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundSpec {
     /// Mode tag: SZ 0=abs, 1=rel, 2=pw_rel; ZFP 0=rate, 1=precision,
@@ -114,6 +123,9 @@ pub struct FieldEntry {
     pub codec: CodecKind,
     /// Error-bound metadata.
     pub bound: BoundSpec,
+    /// An SZ field's shared part: what its fragments decode against.
+    /// `None` for ZFP, whose chunks are complete streams.
+    pub codebook: Option<Arc<FieldCodebook>>,
     /// SHA-256 over the field's concatenated chunk payloads.
     pub payload_sha256: [u8; 32],
     /// Fragment references in linear chunk order.
@@ -126,9 +138,23 @@ impl FieldEntry {
         self.grid.shape()
     }
 
-    /// Total compressed payload bytes across all chunks.
+    /// Compressed bytes of the field: its chunk payloads and, for SZ,
+    /// the codebook its directory entry carries.
     pub fn compressed_len(&self) -> u64 {
-        self.chunks.iter().fold(0u64, |a, c| a.saturating_add(c.len))
+        let shared = self.codebook.as_ref().map_or(0, |b| b.serialized_len() as u64);
+        self.chunks.iter().fold(shared, |a, c| a.saturating_add(c.len))
+    }
+
+    /// The bound as packed, e.g. `abs=0.001`, with the absolute bound a
+    /// REL bound resolved to over the whole field: `rel=0.001 abs=0.025400`.
+    pub fn bound_label(&self) -> String {
+        let label = self.bound.label(self.codec);
+        match &self.codebook {
+            Some(b) if matches!(b.mode(), ErrorBound::Rel(_)) => {
+                format!("{label} abs={:.6}", b.eb_abs())
+            }
+            _ => label,
+        }
     }
 
     /// Compression ratio relative to `len * 4` uncompressed bytes.
@@ -154,6 +180,11 @@ impl FieldEntry {
         out.push(self.codec.tag());
         out.push(self.bound.tag);
         out.extend_from_slice(&self.bound.value.to_le_bytes());
+        let shared = self.codebook.as_ref().map_or(0, |b| b.serialized_len());
+        out.extend_from_slice(&(shared as u32).to_le_bytes());
+        if let Some(b) = &self.codebook {
+            b.serialize(out);
+        }
         out.extend_from_slice(&(self.chunks.len() as u32).to_le_bytes());
         for c in &self.chunks {
             out.extend_from_slice(&c.offset.to_le_bytes());
@@ -282,6 +313,9 @@ fn parse_field(
     let codec = CodecKind::from_tag(r.u8()?)?;
     let bound = BoundSpec { tag: r.u8()?, value: r.f64_le()? };
     bound.validate()?;
+    let shared_len = r.u32_le()?;
+    let shared_len = r.count(shared_len.into(), 1, "field codebook byte")?;
+    let codebook = parse_codebook(codec, bound, shape, r.take(shared_len)?)?;
     let n_chunks = r.u32_le()? as usize;
     if n_chunks != expect_chunks {
         return Err(Error::corrupt(format!(
@@ -311,7 +345,35 @@ fn parse_field(
         .take(32)?
         .try_into()
         .map_err(|_| Error::corrupt("short payload digest"))?;
-    Ok(FieldEntry { snapshot, name, grid, codec, bound, payload_sha256: sha, chunks })
+    Ok(FieldEntry { snapshot, name, grid, codec, bound, codebook, payload_sha256: sha, chunks })
+}
+
+/// An SZ field's codebook, which must agree with the entry's bound and
+/// shape; a ZFP field carries none.
+fn parse_codebook(
+    codec: CodecKind,
+    bound: BoundSpec,
+    shape: FieldShape,
+    bytes: &[u8],
+) -> Result<Option<Arc<FieldCodebook>>> {
+    match codec {
+        CodecKind::Zfp if bytes.is_empty() => Ok(None),
+        CodecKind::Zfp => Err(Error::corrupt("a cuZFP field entry carries a codebook")),
+        CodecKind::Sz if bytes.is_empty() => {
+            Err(Error::corrupt("GPU-SZ field entry has no codebook"))
+        }
+        CodecKind::Sz => {
+            let book = FieldCodebook::deserialize(bytes)?;
+            let mode = book.mode();
+            if mode.tag() != bound.tag || mode.value().to_bits() != bound.value.to_bits() {
+                return Err(Error::corrupt("field codebook disagrees with the entry's bound"));
+            }
+            if book.ndim() != shape.ndim() {
+                return Err(Error::corrupt("field codebook disagrees with the field's shape"));
+            }
+            Ok(Some(Arc::new(book)))
+        }
+    }
 }
 
 /// The fixed-size archive header.
@@ -443,8 +505,9 @@ mod tests {
             snapshot: 3,
             name: "rho".into(),
             grid,
-            codec: CodecKind::Sz,
-            bound: BoundSpec { tag: 0, value: 1e-3 },
+            codec: CodecKind::Zfp,
+            bound: BoundSpec { tag: 1, value: 8.0 },
+            codebook: None,
             payload_sha256: [7u8; 32],
             chunks: (0..4)
                 .map(|i| ChunkRef { offset: 68 + i * 100, len: 100, crc32: i as u32 })
@@ -528,8 +591,9 @@ mod tests {
         let mut bad = bytes.clone();
         bad[10] ^= 1;
         assert!(Superblock::parse(&bad).is_err());
-        let mut wrong_ver = sb;
-        wrong_ver.version = 2;
-        assert!(Superblock::parse(&wrong_ver.encode()).is_err());
+        for version in [1, 3] {
+            let wrong_ver = Superblock { version, ..sb };
+            assert!(Superblock::parse(&wrong_ver.encode()).is_err());
+        }
     }
 }

@@ -2,7 +2,9 @@
 //!
 //! [`StoreReader`] opens an archive (in memory or file-backed), verifies
 //! the superblock, the directory CRC, and the manifest SHA-256 up front,
-//! and then serves `(snapshot, field, region)` reads in three steps:
+//! parses every SZ field's codebook once (its decode table, full width,
+//! is built by the field's first decode and kept with it), and then
+//! serves `(snapshot, field, region)` reads in three steps:
 //! look the intersecting chunks up in the decoded-chunk cache, decode
 //! the misses in parallel, scatter. Every chunk payload is CRC-checked
 //! before it reaches a decoder, and every decoded chunk must match the
@@ -37,7 +39,6 @@
 //! host-side work: with concurrent readers on one `StoreReader` which of
 //! two racing reads takes the miss depends on the schedule.
 
-use crate::codec::CodecKind;
 use crate::format::{self, ChunkRef, Directory, FieldEntry, Superblock, SUPERBLOCK_LEN};
 use crate::grid::{FieldShape, Region};
 use foresight_util::crc::crc32;
@@ -222,6 +223,9 @@ impl std::fmt::Debug for StoreReader {
 
 impl StoreReader {
     fn new(backing: Backing, superblock: Superblock, directory: Directory) -> Self {
+        for book in directory.fields.iter().filter_map(|f| f.codebook.as_ref()) {
+            crate::codec::register_codebook(book);
+        }
         Self { backing, superblock, directory, cache: Mutex::default(), budget: CACHE_BUDGET_BYTES }
     }
 
@@ -414,7 +418,7 @@ impl StoreReader {
                 chunk.id, entry.name
             )));
         }
-        decode_chunk(entry.codec, &payload, chunk.shape)
+        decode_chunk(entry, &payload, chunk.shape)
     }
 
     /// Verifies every chunk CRC and every field payload digest without
@@ -504,10 +508,14 @@ impl StoreReader {
     }
 }
 
-/// Decodes one chunk payload and checks it against the shape the
-/// directory promised for that chunk.
-fn decode_chunk(codec: CodecKind, payload: &[u8], expect: FieldShape) -> Result<Vec<f32>> {
-    let (values, dims) = codec.decompress(payload)?;
+/// Decodes one chunk payload — an SZ fragment against its field's
+/// codebook, a ZFP stream on its own — and checks it against the shape
+/// the directory promised for that chunk.
+fn decode_chunk(entry: &FieldEntry, payload: &[u8], expect: FieldShape) -> Result<Vec<f32>> {
+    let (values, dims) = match &entry.codebook {
+        Some(book) => book.decode(payload)?,
+        None => entry.codec.decompress(payload)?,
+    };
     if dims != expect {
         return Err(Error::corrupt("chunk stream dims disagree with the directory"));
     }

@@ -1,14 +1,18 @@
-//! Archive packing: chunk a field, compress every chunk independently,
-//! lay fragments out contiguously, and seal the archive with its
-//! directory and superblock.
+//! Archive packing: chunk a field, compress every chunk, lay fragments
+//! out contiguously, and seal the archive with its directory and
+//! superblock.
 //!
 //! The writer is write-once: fields accumulate in memory and
 //! [`StoreWriter::finish`] produces the final byte image in one pass.
-//! Chunks compress (and are CRC'd) in parallel (rayon) because chunking
-//! makes each stream independent — exactly the property the reader
-//! exploits for chunk-granular random access. Sealing hashes the fields'
-//! payloads in parallel across fields; the image is sized once and every
-//! stream copied into it once.
+//! Chunks compress (and are CRC'd) in parallel (rayon). An SZ field is
+//! coded against one codebook ([`lossy_sz::compress_fragments`]): every
+//! chunk is quantized at the bound resolved once over the whole field,
+//! one histogram folds all their codes, and each fragment is encoded
+//! against the codebook the directory entry carries — still one
+//! independently decodable fragment per chunk, the property the reader
+//! exploits for chunk-granular random access. A ZFP chunk is a whole
+//! stream. Sealing hashes the fields' payloads in parallel across
+//! fields; the image is sized once and every stream copied into it once.
 
 use crate::codec::{CodecConfig, CodecKind};
 use crate::format::{
@@ -19,8 +23,10 @@ use crate::grid::{ChunkGrid, FieldShape, Region};
 use foresight_util::crc::crc32;
 use foresight_util::sha256::{sha256, Sha256};
 use foresight_util::{telemetry, Error, Result};
+use lossy_sz::FieldCodebook;
 use rayon::prelude::*;
 use std::path::Path;
+use std::sync::Arc;
 
 struct PendingField {
     snapshot: u32,
@@ -28,6 +34,7 @@ struct PendingField {
     grid: ChunkGrid,
     codec: CodecKind,
     bound: BoundSpec,
+    codebook: Option<Arc<FieldCodebook>>,
     /// Each chunk's compressed stream and its CRC32, in chunk-id order.
     streams: Vec<(Vec<u8>, u32)>,
 }
@@ -52,7 +59,9 @@ impl StoreWriter {
     /// Chunks and compresses `data` as field `(snapshot, name)`.
     ///
     /// `data` must hold exactly `shape.len()` values in x-fastest order;
-    /// `chunk` is the nominal chunk shape (boundary chunks clamp).
+    /// `chunk` is the nominal chunk shape (boundary chunks clamp). An SZ
+    /// REL bound means REL of the whole field's value range, as for one
+    /// stream over the field: every chunk is packed at that ABS bound.
     pub fn add_field(
         &mut self,
         snapshot: u32,
@@ -102,15 +111,31 @@ impl StoreWriter {
             )));
         }
         let ids = grid.intersecting(&Region::full(shape));
-        let streams = ids
-            .par_iter()
-            .map(|&idx| {
-                let stream =
-                    codec.compress_chunk(&grid.gather(data, idx), grid.chunk_shape_at(idx))?;
-                let crc = crc32(&stream);
-                Ok((stream, crc))
+        let (codebook, streams) = match codec {
+            CodecConfig::Sz(cfg) => {
+                let eb_abs = lossy_sz::abs_bound(data, cfg.mode);
+                let gather = |i: usize| (grid.gather(data, ids[i]), grid.chunk_shape_at(ids[i]));
+                let (book, fragments) =
+                    lossy_sz::compress_fragments(ids.len(), gather, cfg, eb_abs)?;
+                (Some(Arc::new(book)), fragments)
+            }
+            CodecConfig::Zfp(_) => {
+                let streams = ids
+                    .par_iter()
+                    .map(|&idx| {
+                        codec.compress_chunk(&grid.gather(data, idx), grid.chunk_shape_at(idx))
+                    })
+                    .collect::<Result<Vec<Vec<u8>>>>()?;
+                (None, streams)
+            }
+        };
+        let streams: Vec<(Vec<u8>, u32)> = streams
+            .into_par_iter()
+            .map(|s| {
+                let crc = crc32(&s);
+                (s, crc)
             })
-            .collect::<Result<Vec<(Vec<u8>, u32)>>>()?;
+            .collect();
         telemetry::counter("store.chunks_packed", streams.len() as u64);
         self.fields.push(PendingField {
             snapshot,
@@ -118,6 +143,7 @@ impl StoreWriter {
             grid,
             codec: codec.id(),
             bound: codec.bound(),
+            codebook,
             streams,
         });
         Ok(())
@@ -154,6 +180,7 @@ impl StoreWriter {
                 grid: f.grid,
                 codec: f.codec,
                 bound: f.bound,
+                codebook: f.codebook.clone(),
                 payload_sha256,
                 chunks: f
                     .streams

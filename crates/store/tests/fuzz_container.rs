@@ -15,7 +15,9 @@ use foresight_store::{
     StoreReader, StoreWriter, Superblock,
 };
 use foresight_store::format::{BoundSpec, SUPERBLOCK_LEN, VERSION};
-use foresight_util::sha256::sha256;
+use foresight_util::crc::crc32;
+use foresight_util::sha256::{sha256, Sha256};
+use foresight_util::Error;
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -87,12 +89,20 @@ fn forge_archive(fields: Vec<FieldEntry>, frag_bytes: usize) -> Vec<u8> {
 }
 
 fn forged_entry(chunks: Vec<ChunkRef>) -> FieldEntry {
+    // A real codebook of the same shape and bound, so only the forged
+    // chunk table is wrong.
+    let data: Vec<f32> = (0..512).map(|i| (i as f32 * 0.1).sin()).collect();
+    let (shape, chunk) = (FieldShape::d3(8, 8, 8), [4, 4, 8]);
+    let mut w = StoreWriter::new();
+    w.add_field(1, "forged", &data, shape, chunk, &ChunkCodec::sz_abs(1e-3)).unwrap();
+    let real = StoreReader::from_bytes(w.finish().unwrap()).unwrap();
     FieldEntry {
         snapshot: 1,
         name: "forged".into(),
-        grid: ChunkGrid::new(FieldShape::d3(8, 8, 8), [4, 4, 8]).unwrap(),
+        grid: ChunkGrid::new(shape, chunk).unwrap(),
         codec: CodecKind::Sz,
         bound: BoundSpec { tag: 0, value: 1e-3 },
+        codebook: real.fields()[0].codebook.clone(),
         payload_sha256: [0u8; 32],
         chunks,
     }
@@ -275,6 +285,146 @@ fn two_corrupt_chunks_report_the_lower_id_under_any_thread_count() {
                 "{threads} threads: {err}"
             );
         });
+    }
+}
+
+/// A one-field SZ archive whose 4^3 chunks all hold outliers (a NaN
+/// each) behind their codes.
+fn sz_archive() -> Vec<u8> {
+    let mut data: Vec<f32> = (0..512).map(|i| (i as f32 * 0.11).sin() * 20.0).collect();
+    for chunk in 0..8 {
+        data[chunk % 2 * 4 + chunk / 2 % 2 * 32 + chunk / 4 * 256 + 9] = f32::NAN;
+    }
+    let mut w = StoreWriter::new();
+    w.add_field(0, "f", &data, FieldShape::d3(8, 8, 8), [4, 4, 4], &ChunkCodec::sz_abs(1e-2))
+        .unwrap();
+    w.finish().unwrap()
+}
+
+/// `archive` with its directory replaced by `dir` (CRC re-sealed) and the
+/// superblock re-sealed over it: only what `dir` says can be wrong.
+fn with_directory(archive: &[u8], mut dir: Vec<u8>) -> Vec<u8> {
+    let body = dir.len() - 4;
+    let crc = crc32(&dir[..body]);
+    dir[body..].copy_from_slice(&crc.to_le_bytes());
+    let dir_offset = Superblock::parse(archive).unwrap().dir_offset;
+    let sb = Superblock {
+        version: VERSION,
+        dir_offset,
+        dir_len: dir.len() as u64,
+        archive_len: dir_offset + dir.len() as u64,
+        dir_sha256: sha256(&dir),
+    };
+    let mut out = sb.encode();
+    out.extend_from_slice(&archive[SUPERBLOCK_LEN..dir_offset as usize]);
+    out.extend_from_slice(&dir);
+    out
+}
+
+/// The directory bytes of `archive` and where its field's serialized
+/// codebook starts in them.
+fn directory_and_codebook(archive: &[u8]) -> (Vec<u8>, usize, Vec<u8>) {
+    let reader = StoreReader::from_bytes(archive.to_vec()).unwrap();
+    let mut book = Vec::new();
+    reader.fields()[0].codebook.as_ref().unwrap().serialize(&mut book);
+    let dir = archive[Superblock::parse(archive).unwrap().dir_offset as usize..].to_vec();
+    let at = dir.windows(book.len()).position(|w| w == book).unwrap();
+    (dir, at, book)
+}
+
+/// Offset of the symbol count inside a serialized field codebook: mode,
+/// two bounds, entropy, ndim, block size, radius.
+const BOOK_COUNT_AT: usize = 1 + 8 + 8 + 1 + 1 + 4 + 4;
+
+fn refused_on_open(what: &str, bytes: Vec<u8>, reason: &str) {
+    match StoreReader::from_bytes(bytes) {
+        Err(Error::Corrupt(msg)) => assert!(msg.contains(reason), "{what}: {msg}"),
+        Err(other) => panic!("{what}: expected Error::Corrupt, got {other:?}"),
+        Ok(_) => panic!("{what}: opened"),
+    }
+}
+
+#[test]
+fn forged_shared_codebooks_are_refused_on_open() {
+    let archive = sz_archive();
+    let (dir, at, book) = directory_and_codebook(&archive);
+    let n = u32::from_le_bytes(book[BOOK_COUNT_AT..BOOK_COUNT_AT + 4].try_into().unwrap());
+    let length_at = |i: usize| at + BOOK_COUNT_AT + 4 + 5 * i + 4;
+    // A code length out of range, and lengths no prefix code can have.
+    for (len, reason) in [(0u8, "out of range"), (59, "out of range"), (1, "Kraft")] {
+        let mut bad = dir.clone();
+        for i in 0..n as usize {
+            if len == 1 || i == 0 {
+                bad[length_at(i)] = len;
+            }
+        }
+        refused_on_open(&format!("code length {len}"), with_directory(&archive, bad), reason);
+    }
+    // Counts the directory bytes cannot hold: the codebook's symbols and
+    // the codebook's own length. Refused before anything is sized by them.
+    let mut bad = dir.clone();
+    bad[at + BOOK_COUNT_AT..at + BOOK_COUNT_AT + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    refused_on_open("symbol count", with_directory(&archive, bad), "huffman symbol count");
+    let mut bad = dir.clone();
+    bad[at - 4..at].copy_from_slice(&u32::MAX.to_le_bytes());
+    refused_on_open("codebook length", with_directory(&archive, bad), "field codebook byte count");
+    // A codebook for another bound than the entry's.
+    let mut bad = dir.clone();
+    bad[at + 1..at + 9].copy_from_slice(&2e-2f64.to_le_bytes());
+    refused_on_open("bound", with_directory(&archive, bad), "disagrees with the entry's bound");
+}
+
+#[test]
+fn a_codebook_missing_a_symbol_the_fragments_use_fails_every_read() {
+    let archive = sz_archive();
+    let (dir, at, book) = directory_and_codebook(&archive);
+    // Drop the first canonical entry — the shortest code, the commonest
+    // symbol — and shrink the counts around it: a valid prefix code.
+    let first = at + BOOK_COUNT_AT + 4;
+    let n = u32::from_le_bytes(book[BOOK_COUNT_AT..BOOK_COUNT_AT + 4].try_into().unwrap());
+    let mut bad = dir[..first].to_vec();
+    bad.extend_from_slice(&dir[first + 5..]);
+    bad[at + BOOK_COUNT_AT..first].copy_from_slice(&(n - 1).to_le_bytes());
+    bad[at - 4..at].copy_from_slice(&(book.len() as u32 - 5).to_le_bytes());
+    let reader = StoreReader::from_bytes(with_directory(&archive, bad)).unwrap();
+    assert_eq!(reader.verify().unwrap().chunks_ok, 8, "fragments and digests are intact");
+    for region in [Region::full(FieldShape::d3(8, 8, 8)), chunk_region(1)] {
+        let err = reader.read_region(0, "f", region).unwrap_err();
+        assert!(matches!(err, Error::Corrupt(_)) && err.to_string().contains("codebook"), "{err}");
+    }
+}
+
+#[test]
+fn fragments_cut_inside_their_codes_or_outliers_are_typed_errors() {
+    let archive = sz_archive();
+    let dir_offset = Superblock::parse(&archive).unwrap().dir_offset;
+    let dir = &archive[dir_offset as usize..];
+    let clean = Directory::parse(dir, SUPERBLOCK_LEN as u64, dir_offset).unwrap();
+    let fragment = |c: &ChunkRef| &archive[c.offset as usize..(c.offset + c.len) as usize];
+    // Prefix: magic, key, three one-byte extents; then one block's meta.
+    let codes_at = 4 + 8 + 3 + 25;
+    for id in [0, 5] {
+        let len = clean.fields[0].chunks[id].len;
+        for cut in [codes_at as u64 + 1, len / 2, len - 5, len - 1] {
+            let mut forged = clean.clone();
+            let entry = &mut forged.fields[0];
+            entry.chunks[id].len = cut;
+            entry.chunks[id].crc32 = crc32(fragment(&entry.chunks[id]));
+            let mut digest = Sha256::new();
+            for c in &entry.chunks {
+                digest.update(fragment(c));
+            }
+            entry.payload_sha256 = digest.finalize();
+            let bad = with_directory(&archive, forged.encode());
+            let reader = StoreReader::from_bytes(bad).unwrap();
+            assert_eq!(reader.verify().unwrap().chunks_ok, 8);
+            let err = reader.extract(0, "f").unwrap_err();
+            assert!(
+                matches!(err, Error::Corrupt(_)) && err.to_string().contains("truncated"),
+                "chunk {id} cut at {cut} of {len}: {err}"
+            );
+            assert!(reader.read_region(0, "f", chunk_region(id ^ 1)).is_ok());
+        }
     }
 }
 

@@ -16,6 +16,7 @@
 use foresight_store::{
     ChunkCodec, ChunkGrid, FieldShape, ReadStats, Region, StoreReader, StoreWriter,
 };
+use lossy_sz::{ErrorBound, SzConfig};
 use proptest::prelude::*;
 
 fn synth(n: usize, seed: u32) -> Vec<f32> {
@@ -46,13 +47,22 @@ fn shape_for(sel: u8, a: usize, b: usize, c: usize) -> (FieldShape, [usize; 3]) 
 }
 
 /// The expected full-field decode, built with the codec APIs directly:
-/// per chunk, gather → compress → decompress → scatter.
+/// per chunk, gather → compress → decompress → scatter. An SZ bound is
+/// the one the field resolves to (REL of the whole field's range), as the
+/// writer applies it to every chunk.
 fn direct_decode(
     data: &[f32],
     shape: FieldShape,
     chunk: [usize; 3],
     codec: &ChunkCodec,
 ) -> Vec<f32> {
+    let codec = &match codec {
+        ChunkCodec::Sz(cfg) if matches!(cfg.mode, ErrorBound::Rel(_)) => ChunkCodec::Sz(SzConfig {
+            mode: ErrorBound::Abs(lossy_sz::abs_bound(data, cfg.mode)),
+            ..cfg.clone()
+        }),
+        other => other.clone(),
+    };
     let grid = ChunkGrid::new(shape, chunk).unwrap();
     let full = Region::full(shape);
     let mut out = vec![0f32; shape.len()];

@@ -118,7 +118,7 @@ pub fn decompress_on(
     device.reset_clock();
     let mut scratch = Vec::new();
     let body = stream::checked_body(&inf, stream_bytes, &mut scratch)?;
-    let plan = stream::prepare_decode(&inf, body)?;
+    let plan = stream::prepare_decode(&inf, body, None)?;
     let out = device.with_buffers(|device, held| decode_launch(device, &inf, &plan, body, held))?;
     let out = stream::finish_pwrel(&inf, &plan, body, out)?;
     let unc = (plan.n_values * 4) as u64;
@@ -129,7 +129,7 @@ pub fn decompress_on(
 fn decode_launch(
     device: &mut Device,
     inf: &stream::StreamInfo,
-    plan: &stream::DecodePlan,
+    plan: &stream::DecodePlan<'_>,
     body: &[u8],
     held: &mut Vec<BufferId>,
 ) -> Result<Vec<f32>> {

@@ -397,10 +397,8 @@ impl Codebook {
     /// returns the codebook and the number of bytes consumed.
     pub fn deserialize(stream: &[u8]) -> Result<(Self, usize)> {
         let mut rd = ByteReader::new(stream);
-        let n = rd.u32_le()? as usize;
-        if n > rd.remaining() / 5 {
-            return Err(Error::corrupt("huffman table truncated"));
-        }
+        let n = rd.u32_le()?;
+        let n = rd.count(n.into(), 5, "huffman symbol")?;
         let mut entries = Vec::with_capacity(n);
         for _ in 0..n {
             let sym = rd.u32_le()?;
@@ -1340,7 +1338,7 @@ mod tests {
             let wide: Vec<(u32, u8)> = (0..13_000u32).map(|i| (i * 5 + 1, 14)).collect();
             let bytes = table(&wide);
             let err = Codebook::deserialize(&bytes[..bytes.len() - 1]).unwrap_err();
-            assert!(err.to_string().contains("huffman table truncated"), "{err}");
+            assert!(err.to_string().contains("huffman symbol count 13000 exceeds"), "{err}");
             let crowded: Vec<(u32, u8)> = wide.iter().map(|&(s, _)| (s, 13)).collect();
             let err = Codebook::deserialize(&table(&crowded)).unwrap_err();
             assert!(err.to_string().contains("Kraft"), "{err}");

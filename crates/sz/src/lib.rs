@@ -17,7 +17,8 @@
 //!    stored verbatim as outliers.
 //! 3. **Entropy coding** — a global canonical Huffman code over all
 //!    quantization integers, optionally followed by an LZSS pass standing
-//!    in for SZ's Zstd stage.
+//!    in for SZ's Zstd stage. A chunked field can share one code across
+//!    all its chunks ([`fragment`]).
 //!
 //! Error-bound modes: absolute ([`ErrorBound::Abs`]), value-range relative
 //! ([`ErrorBound::Rel`]), and point-wise relative ([`ErrorBound::PwRel`],
@@ -44,6 +45,7 @@
 
 pub mod block;
 pub mod config;
+pub mod fragment;
 pub mod gpu_exec;
 mod gpu_kernel;
 pub mod huffman;
@@ -52,7 +54,8 @@ pub mod pwrel;
 pub mod stream;
 
 pub use config::{Dims, EntropyBackend, ErrorBound, PredictorKind, SzConfig};
-pub use stream::{compress, decompress, info, StreamInfo, MAGIC};
+pub use fragment::{compress_fragments, FieldCodebook, FRAGMENT_MAGIC};
+pub use stream::{abs_bound, compress, decompress, info, StreamInfo, MAGIC};
 
 /// Compression ratio of `stream` relative to `n_values` single-precision
 /// inputs.

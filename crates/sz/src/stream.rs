@@ -12,6 +12,10 @@
 //!   [PW_REL only] sign bitmap | special bitmap | n_specials u32 | specials
 //! ```
 //!
+//! The body is written by `write_body` and decoded by `decode_body`,
+//! which [`crate::fragment`] frames too: a `.fstr` fragment is the same
+//! body without the Huffman table, decoded against its field's one book.
+//!
 //! Blocks compress and decompress in parallel (rayon); the Huffman table is
 //! global (one histogram over all blocks), matching the reference SZ. The
 //! per-block code streams are independent and byte-aligned with their
@@ -22,12 +26,14 @@
 use crate::block::{self, Block, BlockOutput, PredictorTag};
 use crate::config::{Dims, EntropyBackend, ErrorBound, SzConfig};
 use crate::huffman::{Codebook, LANES};
+use crate::pwrel::PwRelTransformed;
 use crate::{lossless, pwrel};
 use foresight_util::bits::BitWriter;
 use foresight_util::crc::{crc32, crc32_parallel};
 use foresight_util::stats::summarize;
 use foresight_util::{telemetry, ByteReader, Error, Result, Tiles};
 use rayon::prelude::*;
+use std::borrow::{Borrow, Cow};
 use std::cell::RefCell;
 
 /// Stream magic tag identifying an SZ stream; exported so containers
@@ -70,23 +76,34 @@ pub(crate) fn validate_input(data: &[f32], dims: Dims, cfg: &SzConfig) -> Result
     dims.check_len(data.len())
 }
 
-/// Resolves the error-bound mode against the data.
-pub(crate) fn plan_mode(data: &[f32], cfg: &SzConfig) -> ModePlan {
-    let tag = cfg.mode.tag();
-    match cfg.mode {
-        ErrorBound::Abs(eb) => ModePlan { eb_abs: eb, eb_param: eb, tag, pw: None },
+/// The absolute bound `mode` applies to `data`: ABS as given, REL times
+/// the value range of `data` (the bound itself when the range is zero or
+/// not finite), PW_REL its bound on `ln|x|`.
+pub fn abs_bound(data: &[f32], mode: ErrorBound) -> f64 {
+    match mode {
+        ErrorBound::Abs(eb) => eb,
         ErrorBound::Rel(rel) => {
             let range = summarize(data).range();
-            let eb = if range > 0.0 && range.is_finite() { rel * range } else { rel };
-            ModePlan { eb_abs: eb, eb_param: rel, tag, pw: None }
+            if range > 0.0 && range.is_finite() {
+                rel * range
+            } else {
+                rel
+            }
         }
-        ErrorBound::PwRel(p) => ModePlan {
-            eb_abs: pwrel::abs_bound_for(p),
-            eb_param: p,
-            tag,
-            pw: Some(pwrel::forward(data)),
-        },
+        ErrorBound::PwRel(p) => pwrel::abs_bound_for(p),
     }
+}
+
+/// Resolves the error-bound mode against the data.
+pub(crate) fn plan_mode(data: &[f32], cfg: &SzConfig) -> ModePlan {
+    plan_with(data, cfg.mode, abs_bound(data, cfg.mode))
+}
+
+/// The plan for `data` under `mode` with its absolute bound already
+/// resolved (per field, for the fragments of a `.fstr` field).
+pub(crate) fn plan_with(data: &[f32], mode: ErrorBound, eb_abs: f64) -> ModePlan {
+    let pw = matches!(mode, ErrorBound::PwRel(_)).then(|| pwrel::forward(data));
+    ModePlan { eb_abs, eb_param: mode.value(), tag: mode.tag(), pw }
 }
 
 /// Compresses `data` with the given configuration.
@@ -129,17 +146,17 @@ fn compress_inner(data: &[f32], dims: Dims, cfg: &SzConfig, plan: &ModePlan) -> 
 /// symbols the kernel reported — a few hundred entries on real fields,
 /// where `[0, 2*radius)` is 64 Ki. Symbol 0 is never counted: a block has
 /// one per outlier.
-pub(crate) fn global_codebook(outputs: &[BlockOutput]) -> Result<Codebook> {
+pub(crate) fn global_codebook<B: Borrow<BlockOutput> + Sync>(outputs: &[B]) -> Result<Codebook> {
     let (lo, hi) = outputs
         .iter()
-        .filter_map(|o| o.code_range)
+        .filter_map(|o| o.borrow().code_range)
         .fold((u32::MAX, 0), |(lo, hi), (a, b)| (lo.min(a), hi.max(b)));
     let span = if lo <= hi { (hi - lo) as usize + 1 } else { 0 };
     let new_acc = || vec![0u64; span];
     let dense = outputs
         .par_iter()
         .fold(new_acc, |mut acc: Vec<u64>, o| {
-            for &c in o.codes.iter().filter(|&&c| c != 0) {
+            for &c in o.borrow().codes.iter().filter(|&&c| c != 0) {
                 acc[(c - lo) as usize] += 1;
             }
             acc
@@ -150,7 +167,7 @@ pub(crate) fn global_codebook(outputs: &[BlockOutput]) -> Result<Codebook> {
             }
             a
         });
-    let outliers: u64 = outputs.iter().map(|o| o.outliers.len() as u64).sum();
+    let outliers: u64 = outputs.iter().map(|o| o.borrow().outliers.len() as u64).sum();
     // Sorted by symbol: 0 first, then the dense span in order.
     let hist: Vec<(u32, u64)> = std::iter::once((0, outliers))
         .chain((lo..=hi).zip(dense))
@@ -169,6 +186,63 @@ pub(crate) fn encode_block_codes(codes: &[u32], book: &Codebook) -> Result<Vec<u
     Ok(w.into_bytes())
 }
 
+/// Bytes [`write_body`] appends for these blocks.
+pub(crate) fn body_len(
+    outputs: &[BlockOutput],
+    code_streams: &[Vec<u8>],
+    book: Option<&Codebook>,
+    pw: Option<&PwRelTransformed>,
+) -> usize {
+    let code_bytes: usize = code_streams.iter().map(Vec::len).sum();
+    let n_outliers: usize = outputs.iter().map(|o| o.outliers.len()).sum();
+    let pw_bytes =
+        pw.map_or(0, |t| t.sign_bitmap.len() + t.special_bitmap.len() + 4 + 4 * t.specials.len());
+    outputs.len() * META_BYTES
+        + book.map_or(0, Codebook::serialized_len)
+        + code_bytes
+        + 4 * n_outliers
+        + pw_bytes
+}
+
+/// Appends the body: per-block meta, the Huffman table when the body
+/// carries its own (`book`), code streams, outliers, PW_REL epilogue. An
+/// `SZRS` stream and a `.fstr` fragment both frame this one writer.
+pub(crate) fn write_body(
+    out: &mut Vec<u8>,
+    outputs: &[BlockOutput],
+    code_streams: &[Vec<u8>],
+    book: Option<&Codebook>,
+    pw: Option<&PwRelTransformed>,
+) {
+    for (o, cs) in outputs.iter().zip(code_streams) {
+        out.push(o.tag.to_u8());
+        out.extend_from_slice(&(o.outliers.len() as u32).to_le_bytes());
+        out.extend_from_slice(&(cs.len() as u32).to_le_bytes());
+        for c in o.coeffs {
+            out.extend_from_slice(&c.to_le_bytes());
+        }
+    }
+    if let Some(book) = book {
+        book.serialize(out);
+    }
+    for cs in code_streams {
+        out.extend_from_slice(cs);
+    }
+    for o in outputs {
+        for &v in &o.outliers {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+    if let Some(t) = pw {
+        out.extend_from_slice(&t.sign_bitmap);
+        out.extend_from_slice(&t.special_bitmap);
+        out.extend_from_slice(&(t.specials.len() as u32).to_le_bytes());
+        for &v in &t.specials {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+}
+
 /// Assembles the container: header, then the body (per-block meta,
 /// Huffman table, code streams, outliers, PW_REL epilogue) appended in
 /// place behind it, LZSS-packed when the backend asks. Shared verbatim by
@@ -182,16 +256,7 @@ pub(crate) fn assemble(
     code_streams: &[Vec<u8>],
     book: &Codebook,
 ) -> Vec<u8> {
-    let code_bytes: usize = code_streams.iter().map(Vec::len).sum();
-    let n_outliers: usize = outputs.iter().map(|o| o.outliers.len()).sum();
-    let pw_bytes = plan.pw.as_ref().map_or(0, |t| {
-        t.sign_bitmap.len() + t.special_bitmap.len() + 4 + 4 * t.specials.len()
-    });
-    let body_len = outputs.len() * META_BYTES
-        + book.serialized_len()
-        + code_bytes
-        + 4 * n_outliers
-        + pw_bytes;
+    let body_len = body_len(outputs, code_streams, Some(book), plan.pw.as_ref());
     let mut out = Vec::with_capacity(HDR + body_len); // lint: allow(alloc-arith) — encoder-side: the exact size of data already in memory
 
     // Header; the body's length and CRC and the header's own CRC are
@@ -199,10 +264,7 @@ pub(crate) fn assemble(
     out.extend_from_slice(MAGIC);
     out.push(VERSION);
     out.push(plan.tag);
-    out.push(match cfg.entropy {
-        EntropyBackend::Huffman => 0,
-        EntropyBackend::HuffmanLzss => 1,
-    });
+    out.push(entropy_tag(cfg.entropy));
     out.push(dims.ndim());
     for e in dims.extents() {
         out.extend_from_slice(&(e as u64).to_le_bytes());
@@ -214,32 +276,7 @@ pub(crate) fn assemble(
     out.extend_from_slice(&(outputs.len() as u64).to_le_bytes());
     debug_assert_eq!(out.len(), RAW_LEN_AT);
     out.resize(HDR, 0);
-
-    for (o, cs) in outputs.iter().zip(code_streams) {
-        out.push(o.tag.to_u8());
-        out.extend_from_slice(&(o.outliers.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(cs.len() as u32).to_le_bytes());
-        for c in o.coeffs {
-            out.extend_from_slice(&c.to_le_bytes());
-        }
-    }
-    book.serialize(&mut out);
-    for cs in code_streams {
-        out.extend_from_slice(cs);
-    }
-    for o in outputs {
-        for &v in &o.outliers {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-    if let Some(t) = &plan.pw {
-        out.extend_from_slice(&t.sign_bitmap);
-        out.extend_from_slice(&t.special_bitmap);
-        out.extend_from_slice(&(t.specials.len() as u32).to_le_bytes());
-        for &v in &t.specials {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
+    write_body(&mut out, outputs, code_streams, Some(book), plan.pw.as_ref());
     debug_assert_eq!(out.len(), HDR + body_len);
 
     let raw_len = (out.len() - HDR) as u64;
@@ -258,6 +295,23 @@ pub(crate) fn assemble(
     let hcrc = crc32(&out[..HDR_CRC_AT]);
     out[HDR_CRC_AT..HDR].copy_from_slice(&hcrc.to_le_bytes());
     out
+}
+
+/// The wire byte of an entropy backend.
+pub(crate) fn entropy_tag(entropy: EntropyBackend) -> u8 {
+    match entropy {
+        EntropyBackend::Huffman => 0,
+        EntropyBackend::HuffmanLzss => 1,
+    }
+}
+
+/// The entropy backend of a wire byte.
+pub(crate) fn entropy_from_tag(tag: u8) -> Result<EntropyBackend> {
+    match tag {
+        0 => Ok(EntropyBackend::Huffman),
+        1 => Ok(EntropyBackend::HuffmanLzss),
+        v => Err(Error::corrupt(format!("unknown entropy backend {v}"))),
+    }
 }
 
 /// Header fields parsed from a compressed stream.
@@ -295,11 +349,7 @@ pub fn info(stream: &[u8]) -> Result<StreamInfo> {
         return Err(Error::corrupt(format!("unsupported version {version}")));
     }
     let mode_tag = r.u8()?;
-    let entropy = match r.u8()? {
-        0 => EntropyBackend::Huffman,
-        1 => EntropyBackend::HuffmanLzss,
-        v => return Err(Error::corrupt(format!("unknown entropy backend {v}"))),
-    };
+    let entropy = entropy_from_tag(r.u8()?)?;
     let ndim = r.u8()?;
     let nx = r.u64_le_capped(MAX_EXTENT, "x extent")?;
     let ny = r.u64_le_capped(MAX_EXTENT, "y extent")?;
@@ -342,6 +392,34 @@ pub fn info(stream: &[u8]) -> Result<StreamInfo> {
     })
 }
 
+impl StreamInfo {
+    /// The header a fragment's body decodes under: its own `dims`, the
+    /// rest shared by every fragment of its field.
+    pub(crate) fn of_fragment(
+        dims: Dims,
+        mode: ErrorBound,
+        eb_abs: f64,
+        block_size: usize,
+        radius: u32,
+        entropy: EntropyBackend,
+    ) -> Result<Self> {
+        let nblocks = block::tiles(dims, block_size).map_err(Error::into_corrupt)?.len() as u64;
+        let (raw_len, crc, body_offset) = (0, 0, 0);
+        Ok(Self {
+            dims,
+            mode,
+            eb_abs,
+            block_size,
+            radius,
+            entropy,
+            nblocks,
+            raw_len,
+            crc,
+            body_offset,
+        })
+    }
+}
+
 /// Validates the body against the header (LZSS-expanding if needed) and
 /// returns it; `scratch` owns the expanded bytes when LZSS was used.
 pub(crate) fn checked_body<'a>(
@@ -381,11 +459,15 @@ pub(crate) struct Meta {
 }
 
 /// Everything needed to decode blocks independently: the block tiling,
-/// per-block metas, the Huffman book, and byte offsets into the body.
-pub(crate) struct DecodePlan {
+/// per-block metas, the Huffman book (the stream's own, or the one its
+/// field shares), and byte offsets into the body.
+pub(crate) struct DecodePlan<'a> {
     pub tiles: Tiles,
     pub metas: Vec<Meta>,
-    pub book: Codebook,
+    pub book: Cow<'a, Codebook>,
+    /// Symbols the book's decode table is sized for when this plan builds
+    /// it: the stream's own count, or all of them for a shared book.
+    pub table_values: usize,
     pub code_offsets: Vec<usize>,
     pub outlier_offsets: Vec<usize>,
     pub outliers_start: usize,
@@ -393,7 +475,7 @@ pub(crate) struct DecodePlan {
     pub n_values: usize,
 }
 
-impl DecodePlan {
+impl DecodePlan<'_> {
     /// Body byte range of block `bi`'s Huffman code stream.
     pub fn code_range(&self, bi: usize) -> (usize, usize) {
         (self.code_offsets[bi], self.code_offsets[bi] + self.metas[bi].code_bytes)
@@ -406,9 +488,14 @@ impl DecodePlan {
     }
 }
 
-/// Parses per-block metadata and the Huffman table, cross-checking every
-/// size against the body before any dims-driven allocation.
-pub(crate) fn prepare_decode(inf: &StreamInfo, body: &[u8]) -> Result<DecodePlan> {
+/// Parses per-block metadata and, unless the body decodes against a
+/// `shared` book, the Huffman table behind them, cross-checking every size
+/// against the body before any dims-driven allocation.
+pub(crate) fn prepare_decode<'a>(
+    inf: &StreamInfo,
+    body: &[u8],
+    shared: Option<&'a Codebook>,
+) -> Result<DecodePlan<'a>> {
     let n_values =
         inf.dims.checked_len().ok_or_else(|| Error::corrupt("dims product overflows"))?;
     // Arithmetic cross-checks BEFORE any dims-driven allocation: the
@@ -446,10 +533,16 @@ pub(crate) fn prepare_decode(inf: &StreamInfo, body: &[u8]) -> Result<DecodePlan
         metas.push(Meta { tag, n_out, code_bytes, coeffs });
     }
 
-    // Huffman table.
-    let table_bytes =
-        body.get(meta_len..).ok_or_else(|| Error::corrupt("truncated Huffman table"))?;
-    let (book, table_len) = Codebook::deserialize(table_bytes)?;
+    // Huffman table: the stream's own, right behind the metas.
+    let (book, table_len, table_values) = match shared {
+        Some(book) => (Cow::Borrowed(book), 0, usize::MAX),
+        None => {
+            let table_bytes =
+                body.get(meta_len..).ok_or_else(|| Error::corrupt("truncated Huffman table"))?;
+            let (book, table_len) = Codebook::deserialize(table_bytes)?;
+            (Cow::Owned(book), table_len, n_values)
+        }
+    };
     let codes_start = meta_len + table_len;
 
     // Slice boundaries for code streams and outliers; sum in u64 so a
@@ -480,6 +573,7 @@ pub(crate) fn prepare_decode(inf: &StreamInfo, body: &[u8]) -> Result<DecodePlan
         tiles,
         metas,
         book,
+        table_values,
         code_offsets,
         outlier_offsets,
         outliers_start: outliers_start_64 as usize,
@@ -499,11 +593,11 @@ thread_local! {
 /// Entropy-decodes `group`, at most [`LANES`] blocks numbered from `first`
 /// on, side by side, and dequantizes each into `out`, the slab of the array
 /// from index `base` that holds their cells. Fails with the error of its
-/// lowest failing block. The decode table is sized to the whole stream's
-/// value count, by whichever group gets there first.
+/// lowest failing block. The decode table is sized to the plan's
+/// `table_values`, by whichever group gets there first.
 pub(crate) fn decode_group_into(
     inf: &StreamInfo,
-    plan: &DecodePlan,
+    plan: &DecodePlan<'_>,
     body: &[u8],
     first: usize,
     group: &[Block],
@@ -516,7 +610,7 @@ pub(crate) fn decode_group_into(
         lanes[l] = body.get(cs_start..cs_end).ok_or_else(|| Error::corrupt("truncated codes"))?;
         cells[l] = b.cells();
     }
-    let decoder = plan.book.decoder_for(plan.n_values);
+    let decoder = plan.book.decoder_for(plan.table_values);
     DECODE_SCRATCH.with_borrow_mut(|(codes, outliers)| {
         let decoded = decoder.decode_lanes(lanes, cells, codes);
         for (bi, (codes, b)) in (first..).zip(codes.iter().zip(group)) {
@@ -557,7 +651,7 @@ pub(crate) fn decode_group_into(
 /// Undoes the PW_REL log transform when active (bounds-checked reads).
 pub(crate) fn finish_pwrel(
     inf: &StreamInfo,
-    plan: &DecodePlan,
+    plan: &DecodePlan<'_>,
     body: &[u8],
     out: Vec<f32>,
 ) -> Result<Vec<f32>> {
@@ -586,7 +680,17 @@ pub fn decompress(stream: &[u8]) -> Result<(Vec<f32>, Dims)> {
     let inf = info(stream)?;
     let mut scratch = Vec::new();
     let body = checked_body(&inf, stream, &mut scratch)?;
-    let plan = prepare_decode(&inf, body)?;
+    Ok((decode_body(&inf, body, None)?, inf.dims))
+}
+
+/// Decodes a body laid out by [`write_body`]: against its own table, or
+/// against the `shared` book of its field when it has none.
+pub(crate) fn decode_body(
+    inf: &StreamInfo,
+    body: &[u8],
+    shared: Option<&Codebook>,
+) -> Result<Vec<f32>> {
+    let plan = prepare_decode(inf, body, shared)?;
 
     let mut out = vec![0.0f32; plan.n_values];
     // One span covers entropy decode + dequantize: the two are fused in
@@ -602,13 +706,12 @@ pub fn decompress(stream: &[u8]) -> Result<(Vec<f32>, Dims)> {
             tiles.origins(slab.tiles.clone()).map(|o| tiles.tile_at(o)).collect();
         let firsts = (slab.tiles.start..).step_by(width);
         firsts.zip(blocks.chunks(width)).try_for_each(|(first, group)| {
-            decode_group_into(&inf, &plan, body, first, group, slab.values.start, part)
+            decode_group_into(inf, &plan, body, first, group, slab.values.start, part)
         })
     })?;
     drop(decode);
 
-    let out = finish_pwrel(&inf, &plan, body, out)?;
-    Ok((out, inf.dims))
+    finish_pwrel(inf, &plan, body, out)
 }
 
 #[cfg(test)]
@@ -792,7 +895,7 @@ mod tests {
         ] {
             let data = sample_field(dims.len());
             let stream = compress(&data, dims, &cfg).unwrap();
-            let plan = prepare_decode(&info(&stream).unwrap(), &stream[HDR..]).unwrap();
+            let plan = prepare_decode(&info(&stream).unwrap(), &stream[HDR..], None).unwrap();
             assert_eq!(plan.tiles.len(), nblocks);
             let mut bad = stream.clone();
             for bi in forged {
@@ -829,7 +932,7 @@ mod tests {
         data[600] = f32::NAN;
         let cfg = SzConfig { block_size: 8, ..SzConfig::abs(0.5) };
         let stream = compress(&data, Dims::D1(2048), &cfg).unwrap();
-        let plan = prepare_decode(&info(&stream).unwrap(), &stream[HDR..]).unwrap();
+        let plan = prepare_decode(&info(&stream).unwrap(), &stream[HDR..], None).unwrap();
         assert!(plan.tiles.len() == 4 && plan.metas[1].n_out > 0);
         let mut bad = stream.clone();
         // n_outliers is the u32 behind the tag byte of block 1's meta; take

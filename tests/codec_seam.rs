@@ -14,7 +14,9 @@
 //!
 //! The digests were blessed before the layers shared one `Dims`, one
 //! codec enum and one dispatch; they must never move without a stream
-//! VERSION bump.
+//! or archive VERSION bump. The store and serve digests were re-blessed
+//! at `.fstr` VERSION 2 (one codebook per SZ field, REL resolved over the
+//! whole field); the codec API and GPU backend digests did not move.
 
 use foresight::codec::{self, CodecConfig, Shape};
 use foresight::gpu_backend::{gpu_compress, gpu_decompress};
@@ -30,8 +32,8 @@ use std::sync::Arc;
 
 const CODEC_API_SHA256: &str = "ee246d1bbcc4b8c775f763749b407bf9fa4769c4f3b309c5999d54661380852f";
 const GPU_BACKEND_SHA256: &str = "bac05f2d2a0081330812a003b9faa130db3a4a51a995e94c068e6fbe88e3ce97";
-const STORE_SHA256: &str = "e74548c7e0c93b6f0a68526753e1581103e1078f2ce6410207e65f1b7bd17f78";
-const SERVE_SHA256: &str = "77cc34bd759dd7a0383ce12695702d4b73e08f05f4e62e42877f1ea5612a8b82";
+const STORE_SHA256: &str = "72f2d1307b402fa467c8f9d07422d0649003499e16dbefe8d816abd1a3ab1915";
+const SERVE_SHA256: &str = "27c9ed5e6d687830ae996dd78c455c699d64cf2db74740f5cc0462393722a8b0";
 
 /// Smooth ramps plus integer-PRNG noise (no libm: the same bytes on
 /// every platform), offset so no value is zero.

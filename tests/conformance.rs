@@ -23,7 +23,9 @@
 //! (classic in-loop Lorenzo codes). This build cannot dequantize them, so
 //! the policy is fail closed: every entry point must refuse them with the
 //! typed `Corrupt("unsupported version 2")` error — never a panic, never
-//! values. They are not regenerated by a bless run.
+//! values. `tests/golden/v1/` keeps the previous archive VERSION (every
+//! chunk a whole stream), refused on open. They are not regenerated by a
+//! bless run.
 //!
 //! To re-bless after an *intentional* format change:
 //!
@@ -451,9 +453,9 @@ fn perturbed_stream_fails_loudly() {
     assert!(diff_report(name, &committed, &committed).is_none());
 }
 
-/// One golden stream per prior header VERSION: a v2 SZ stream, raw or
-/// inside an archive chunk, and a v1 ZFP stream are refused with the
-/// typed version error through every decoding entry point.
+/// One golden stream per prior header VERSION: a v2 SZ stream and a v1
+/// ZFP stream are refused with the typed version error through every
+/// decoding entry point, and both version-1 archives on open.
 #[test]
 fn prior_version_fixtures_fail_closed() {
     use foresight_util::Error;
@@ -489,53 +491,66 @@ fn prior_version_fixtures_fail_closed() {
         refused(file, lossy_sz::info(&stream).expect_err("lossy_sz::info"));
         refused(file, codec::decompress(&stream).expect_err("codec::decompress"));
     }
-    // The archive container did not change: it opens and every CRC and
-    // digest verifies. Its cuZFP field still reads to the blessed bytes;
-    // its SZ chunks are v2 streams and are refused, whole or by region.
-    let reader = StoreReader::open(&v2.join(ARCHIVE_FILE)).expect("v2 archive opens");
-    assert_eq!(reader.verify().unwrap().fields_ok, store_vectors().len());
-    refused("read_region", reader.read_region(0, "sz_abs_1e-3", store_region()).expect_err("sz"));
-    refused("extract", reader.extract(0, "sz_abs_1e-3").expect_err("sz"));
-    let manifest = load_manifest(&golden_dir());
-    let (sub, _) = reader.read_region(0, "zfp_rate_8", store_region()).unwrap();
-    assert_eq!(
-        sha256_hex(&f32le_bytes(&sub)),
-        store_field_entry(store_section(&manifest), "zfp_rate_8")
-            .get("region_sha256")
-            .and_then(Value::as_str)
-            .unwrap(),
-    );
+    // Both prior archives are version-1 containers — `v2/` with v2 SZ
+    // chunks, `v1/` with v3 SZ chunks, each chunk a whole stream — and
+    // are refused on the superblock version before any fragment is read.
+    for dir in [v2, golden_dir().join("v1")] {
+        let path = dir.join(ARCHIVE_FILE);
+        let bytes = std::fs::read(&path).expect("prior archive readable");
+        assert_eq!(
+            bytes[..8],
+            *b"FSTR\x01\x00\x00\x00",
+            "{} is a version-1 archive",
+            path.display()
+        );
+        for (what, opened) in
+            [("open", StoreReader::open(&path)), ("from_bytes", StoreReader::from_bytes(bytes))]
+        {
+            match opened {
+                Err(Error::Corrupt(msg)) => assert!(
+                    msg.contains("unsupported archive version 1"),
+                    "{} {what}: wrong reason: {msg}",
+                    path.display()
+                ),
+                Err(other) => {
+                    panic!("{} {what}: expected Error::Corrupt, got {other:?}", path.display())
+                }
+                Ok(_) => panic!("{} {what}: a version-1 archive opened", path.display()),
+            }
+        }
+    }
 }
 
 /// An archive from a future writer fails closed on its version, before any
-/// fragment is read. `future/store_version_2.fstr` is a valid 8^3 archive
-/// (eight 4^3 cuZFP rate-8 chunks) with the superblock version set to 2
-/// and the superblock CRC re-sealed, so the version check — not a
-/// checksum — is what refuses it.
+/// fragment is read. `future/store_version_3.fstr` is a valid 8^3 archive
+/// (eight 4^3 GPU-SZ abs 1e-2 fragments and their codebook) with the
+/// superblock version set to 3 and the superblock CRC re-sealed, so the
+/// version check — not a checksum — is what refuses it.
 #[test]
 fn future_archive_version_fails_closed() {
     use foresight_util::crc::crc32;
     use foresight_util::Error;
-    let path = golden_dir().join("future").join("store_version_2.fstr");
+    let path = golden_dir().join("future").join("store_version_3.fstr");
     let bytes = std::fs::read(&path).expect("future-version fixture readable");
-    assert_eq!(bytes[..8], *b"FSTR\x02\x00\x00\x00", "a version-2 archive");
+    assert_eq!(bytes[..8], *b"FSTR\x03\x00\x00\x00", "a version-3 archive");
     let reseal = |mut b: Vec<u8>, version: u32| {
         b[4..8].copy_from_slice(&version.to_le_bytes());
         let crc = crc32(&b[..64]);
         b[64..68].copy_from_slice(&crc.to_le_bytes());
         b
     };
-    // Valid in every other respect: set back to version 1, it opens and
-    // every CRC and digest verifies.
-    let current = StoreReader::from_bytes(reseal(bytes.clone(), 1)).expect("opens as version 1");
+    // Valid in every other respect: set back to version 2, it opens,
+    // every CRC and digest verifies, and its field decodes.
+    let current = StoreReader::from_bytes(reseal(bytes.clone(), 2)).expect("opens as version 2");
     assert_eq!(current.verify().unwrap().fields_ok, 1);
+    assert_eq!(current.extract(0, "rho").unwrap().0.len(), 512);
 
     let refused = |what: &str, r: foresight_util::Result<StoreReader>| match r {
         Err(Error::Corrupt(msg)) => {
-            assert!(msg.contains("unsupported archive version 2"), "{what}: wrong reason: {msg}")
+            assert!(msg.contains("unsupported archive version 3"), "{what}: wrong reason: {msg}")
         }
         Err(other) => panic!("{what}: expected Error::Corrupt, got {other:?}"),
-        Ok(_) => panic!("{what}: a version-2 archive opened"),
+        Ok(_) => panic!("{what}: a version-3 archive opened"),
     };
     refused("from_bytes", StoreReader::from_bytes(bytes.clone()));
     refused("open", StoreReader::open(&path));

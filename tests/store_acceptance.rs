@@ -14,7 +14,9 @@
 //! unoptimized codecs.
 
 use foresight::{ChunkCodec, FieldShape, Region, StoreReader, StoreWriter};
+use foresight_store::ChunkGrid;
 use foresight_util::telemetry;
+use lossy_sz::{ErrorBound, SzConfig};
 
 #[cfg(not(debug_assertions))]
 const N_SIDE: usize = 512;
@@ -108,4 +110,133 @@ fn unaligned_region_read_touches_under_two_percent() {
         sub.iter().zip(&expected).all(|(a, b)| a.to_bits() == b.to_bits()),
         "region read diverged from the full-decode slice"
     );
+}
+
+/// What a version-1 archive returned for a field: every chunk its own
+/// whole `SZRS` stream at the bound the field resolves to, decoded alone.
+fn whole_stream_decode(data: &[f32], shape: FieldShape, cfg: &SzConfig) -> Vec<f32> {
+    let grid = ChunkGrid::new(shape, [16; 3]).unwrap();
+    let mode = match cfg.mode {
+        ErrorBound::Rel(_) => ErrorBound::Abs(lossy_sz::abs_bound(data, cfg.mode)),
+        other => other,
+    };
+    let cfg = SzConfig { mode, ..cfg.clone() };
+    let full = Region::full(shape);
+    let mut out = vec![0f32; shape.len()];
+    for idx in grid.intersecting(&full) {
+        let stream =
+            lossy_sz::compress(&grid.gather(data, idx), grid.chunk_shape_at(idx), &cfg).unwrap();
+        grid.scatter_into(&lossy_sz::decompress(&stream).unwrap().0, idx, &full, &mut out);
+    }
+    out
+}
+
+/// A version-2 archive codes an SZ field's chunks against one codebook;
+/// only the framing of the entropy stage moved, so every value read back
+/// is bit for bit what whole per-chunk streams decode to — through
+/// `extract`, every region class of the benchmark (32^3 cube, plane,
+/// chunk, pencil), `serve` and `serve_cluster`, on 1, 2 and 4 threads.
+#[test]
+fn shared_codebook_reads_equal_whole_stream_chunks_everywhere() {
+    use foresight::{serve, serve_cluster, ClusterOptions, ClusterRequest, ServeCluster};
+    use foresight::{ServeNode, ServeOptions, ServePayload, ServeRequest};
+    use lossy_sz::EntropyBackend;
+
+    let (nx, ny, nz) = (48, 40, 36);
+    let shape = FieldShape::d3(nx, ny, nz);
+    let mut data: Vec<f32> = (0..shape.len())
+        .map(|i| {
+            ((i % nx) as f32 * 0.2).sin() * 30.0 + (i / (nx * ny)) as f32 - 0.01 * (i % 97) as f32
+        })
+        .collect();
+    data[4321] = f32::NAN;
+    data[999] = 0.0;
+    let configs = [
+        ("abs", SzConfig::abs(0.05)),
+        ("rel", SzConfig::rel(1e-3)),
+        ("pw_rel", SzConfig::pw_rel(1e-2)),
+        ("lzss", SzConfig { entropy: EntropyBackend::HuffmanLzss, ..SzConfig::abs(0.2) }),
+    ];
+    let mut w = StoreWriter::new();
+    for (name, cfg) in &configs {
+        w.add_field(0, name, &data, shape, [16; 3], &ChunkCodec::Sz(cfg.clone())).unwrap();
+    }
+    let archive = w.finish().unwrap();
+    let reader = std::sync::Arc::new(StoreReader::from_bytes(archive.clone()).unwrap());
+    let regions = [
+        Region::new([5, 3, 2], [37, 35, 34]).unwrap(),
+        Region::new([0, 0, 17], [nx, ny, 18]).unwrap(),
+        Region::new([16, 16, 16], [32, 32, 32]).unwrap(),
+        Region::new([0, 21, 30], [nx, 22, 31]).unwrap(),
+    ];
+    let slice = |full: &[f32], r: &Region| -> Vec<u32> {
+        let mut out = Vec::new();
+        for z in r.lo[2]..r.hi[2] {
+            for y in r.lo[1]..r.hi[1] {
+                out.extend(
+                    full[r.lo[0] + nx * (y + ny * z)..r.hi[0] + nx * (y + ny * z)]
+                        .iter()
+                        .map(|v| v.to_bits()),
+                );
+            }
+        }
+        out
+    };
+    let le_bits = |bytes: &[u8]| -> Vec<u32> {
+        bytes.chunks_exact(4).map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect()
+    };
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let requests: Vec<ServeRequest> = configs
+        .iter()
+        .flat_map(|(name, _)| regions.iter().map(move |r| (*name, *r)))
+        .enumerate()
+        .map(|(i, (name, region))| ServeRequest {
+            id: i as u64,
+            arrival_s: i as f64 * 1e-4,
+            deadline_s: None,
+            payload: ServePayload::StoreRead {
+                store: reader.clone(),
+                snapshot: 0,
+                field: name.to_string(),
+                region,
+            },
+        })
+        .collect();
+    let cluster_requests: Vec<ClusterRequest> = requests
+        .iter()
+        .map(|r| ClusterRequest { key: format!("r{}", r.id), priority: 1, req: r.clone() })
+        .collect();
+    let expected: Vec<Vec<f32>> =
+        configs.iter().map(|(_, cfg)| whole_stream_decode(&data, shape, cfg)).collect();
+
+    for threads in [1, 2, 4] {
+        foresight_util::parallel::with_threads(threads, || {
+            let fresh = StoreReader::from_bytes(archive.clone()).unwrap();
+            for ((name, _), want) in configs.iter().zip(&expected) {
+                let (full, _) = fresh.extract(0, name).unwrap();
+                assert_eq!(bits(&full), bits(want), "{name} extract, {threads} threads");
+                for r in &regions {
+                    let (got, _) = fresh.read_region(0, name, *r).unwrap();
+                    assert_eq!(bits(&got), slice(want, r), "{name} {r:?}, {threads} threads");
+                }
+            }
+            let served =
+                serve(&ServeNode::v100_pcie(2), &ServeOptions::default(), &requests).unwrap();
+            let spec = ServeCluster::new(3, 2, ServeNode::v100_pcie(2));
+            let clustered =
+                serve_cluster(&spec, &ClusterOptions::default(), &cluster_requests).unwrap();
+            for (i, (ci, r)) in
+                (0..configs.len()).flat_map(|c| regions.iter().map(move |r| (c, r))).enumerate()
+            {
+                let want = slice(&expected[ci], r);
+                for (how, out) in [
+                    ("serve", served.response(i as u64).unwrap().output.as_ref()),
+                    ("serve_cluster", clustered.response(i as u64).unwrap().output.as_ref()),
+                ] {
+                    let out = out.unwrap_or_else(|| panic!("{how}: request {i} not served"));
+                    assert_eq!(le_bits(out), want, "{how} request {i}, {threads} threads");
+                }
+            }
+        });
+    }
 }
