@@ -519,17 +519,19 @@ fn run_unit(req: &ServeRequest, slice: &(usize, usize, Shape)) -> Result<Unit> {
             let kind = kernels(store_codec(store, *snapshot, field)).1;
             // The simulated kernel pays for every value of every
             // intersecting chunk, not just the region returned — chunk
-            // misalignment costs real work.
-            let n = (plan.bytes_touched / 4).max(1);
+            // misalignment costs real work, and the device decoders run
+            // whole streams — while the copy carries only the compressed
+            // bytes of the blocks the read decodes (DESIGN §14.7).
+            let n = (plan.chunk_bytes / 4).max(1);
             Ok(Unit {
                 out,
                 n_values: n,
-                in_bytes: plan.compressed_bytes_read,
+                in_bytes: plan.compressed_bytes_decoded,
                 out_bytes: plan.bytes_returned,
-                bits_per_value: plan.compressed_bytes_read as f64 * 8.0 / n as f64,
+                bits_per_value: plan.compressed_bytes_decoded as f64 * 8.0 / n as f64,
                 kind,
                 store_chunks: plan.chunks_intersected,
-                store_touched: plan.bytes_touched,
+                store_touched: plan.chunk_bytes,
                 store_returned: plan.bytes_returned,
             })
         }

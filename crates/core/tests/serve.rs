@@ -183,7 +183,10 @@ fn h2d_of_next_unit_overlaps_kernel_of_previous() {
 /// plan, never from the work the host did: the same requests served
 /// against one shared reader cold, then warm (every chunk a cache hit),
 /// and against a fresh reader give the same bytes, makespan, completion
-/// times and `store.*` accounting.
+/// times and `store.*` accounting. That holds for thin ZFP reads too —
+/// a plane, a pencil and a cube's edge decode one of a chunk's two block
+/// layers — whose modelled copy moves only the blocks decoded, so each
+/// costs less than a read of the whole chunks it crosses.
 #[test]
 fn store_reads_cost_the_same_on_cold_warm_and_fresh_readers() {
     use foresight::{ChunkCodec, FieldShape, Region, StoreReader, StoreWriter};
@@ -204,6 +207,7 @@ fn store_reads_cost_the_same_on_cold_warm_and_fresh_readers() {
         Region::new([8, 8, 8], [16, 16, 16]).unwrap(),
         Region::new([5, 0, 2], [20, 9, 10]).unwrap(),
         Region::full(shape),
+        Region::new([0, 17, 20], [24, 18, 21]).unwrap(),
     ];
     let requests = |store: &Arc<StoreReader>| -> Vec<ServeRequest> {
         (0..20u64)
@@ -248,6 +252,36 @@ fn store_reads_cost_the_same_on_cold_warm_and_fresh_readers() {
     };
     assert_eq!(cold.rejected, 0);
     assert!(cold.metrics.counter("store.chunks_decoded") > 0);
+
+    let alone = |region: Region| {
+        let payload = ServePayload::StoreRead {
+            store: Arc::clone(&fresh_reader),
+            snapshot: 0,
+            field: "zfp".into(),
+            region,
+        };
+        let request = ServeRequest { id: 0, arrival_s: 0.0, deadline_s: None, payload };
+        serve_serial(&node, &opts, &[request]).unwrap().makespan_s
+    };
+    for (thin, whole) in [
+        (regions[1], Region::new([0, 0, 8], [24, 24, 16]).unwrap()),
+        (regions[3], Region::new([0, 0, 0], [24, 16, 16]).unwrap()),
+        (regions[5], Region::new([0, 16, 16], [24, 24, 24]).unwrap()),
+    ] {
+        let plan = fresh_reader.plan_region(0, "zfp", thin).unwrap();
+        let all = fresh_reader.plan_region(0, "zfp", whole).unwrap();
+        assert_eq!(
+            (plan.chunks_intersected, plan.chunk_bytes),
+            (all.chunks_intersected, all.chunk_bytes)
+        );
+        assert!(plan.blocks_decoded < all.blocks_decoded, "{thin:?}: {plan:?}");
+        assert!(plan.compressed_bytes_decoded < all.compressed_bytes_decoded, "{thin:?}");
+        assert_eq!(
+            plan.compressed_bytes_read, all.compressed_bytes_read,
+            "whole fragments fetched"
+        );
+        assert!(alone(thin) < alone(whole), "{thin:?} costs less than {whole:?}");
+    }
     for (label, other) in [("warm", &warm), ("fresh", &fresh)] {
         assert_eq!(cold.makespan_s.to_bits(), other.makespan_s.to_bits(), "{label} makespan");
         assert_eq!(store_metrics(&cold), store_metrics(other), "{label} store.* accounting");

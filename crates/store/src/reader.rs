@@ -1,22 +1,33 @@
-//! Chunk-granular archive reads.
+//! Chunk-granular archive reads that decode only the blocks they return.
 //!
 //! [`StoreReader`] opens an archive (in memory or file-backed), verifies
 //! the superblock, the directory CRC, and the manifest SHA-256 up front,
 //! parses every SZ field's codebook once (its decode table, full width,
 //! is built by the field's first decode and kept with it), and then
-//! serves `(snapshot, field, region)` reads in three steps:
-//! look the intersecting chunks up in the decoded-chunk cache, decode
-//! the misses in parallel, scatter. Every chunk payload is CRC-checked
-//! before it reaches a decoder, and every decoded chunk must match the
-//! shape and value count the directory promised; only a chunk that
-//! passed both is ever cached, so a corrupt chunk fails every read that
-//! touches it. A cached decode is not verified again: bytes that change
-//! in the file after a chunk's first decode are not seen on a hit.
+//! serves `(snapshot, field, region)` reads in three steps: look the
+//! parts of the intersecting chunks the region needs up in the decode
+//! cache, decode the rest in parallel, scatter.
 //!
-//! The cache is an LRU over `(directory entry, chunk id)` under the fixed
-//! byte budget [`CACHE_BUDGET_BYTES`]. A read whose intersecting chunks
-//! decode to more than the whole budget (a full extract of a large
-//! field) inserts nothing, so it cannot flush the hot set.
+//! A chunk decodes in *layers* (DESIGN §14.7): a ZFP chunk in whole
+//! layers of its `4^d` blocks along its slowest used axis, which a
+//! fixed-rate stream reaches by seeking ([`lossy_zfp::decompress_layers`]),
+//! an SZ fragment as one layer, the chunk (its block is the chunk). A
+//! read decodes only the layers its region meets, so a one-value plane
+//! through 16³ ZFP chunks decodes a quarter of their blocks, and a read
+//! that needs a whole chunk decodes it in one pass. Every chunk payload
+//! is CRC-checked whole before any block of it is decoded, and every
+//! decode must match the shape and value count the directory promised;
+//! only a decode that passed both is ever cached, so a corrupt chunk
+//! fails every read that decodes it. A cached decode is not verified
+//! again: bytes that change in the file after a decode are not seen on
+//! a hit.
+//!
+//! The cache is an LRU of *units*, each a run of whole layers of one
+//! chunk, keyed `(directory entry, chunk id, first layer)` under the
+//! fixed byte budget [`CACHE_BUDGET_BYTES`]; a chunk's units are found
+//! by one ordered range lookup. A read whose decodes would materialize
+//! more than the whole budget (a full extract of a large field) inserts
+//! nothing, so it cannot flush the hot set.
 //!
 //! [`StoreReader::plan_region`] is the accounting a cacheless read would
 //! report, a pure function of directory and region. Anything that must
@@ -26,21 +37,20 @@
 //!
 //! Telemetry (zero-cost when disabled):
 //! - `store.region_reads`, `store.chunks_read` (chunks intersected),
-//!   `store.chunks_decoded` (chunks really decoded)
+//!   `store.chunks_decoded` (chunks decoded from), `store.blocks_decoded`
 //! - `store.cache.hits`, `store.cache.misses`, `store.cache.evictions`,
 //!   gauge `store.cache.bytes` (resident decoded bytes)
 //! - `store.compressed_bytes_read`, `store.bytes_touched`,
 //!   `store.bytes_returned`
 //! - gauge `store.read_amplification` = bytes touched / bytes returned
-//!   for the most recent read (1.0 is perfect chunk alignment, 0 a read
-//!   served from the cache alone).
+//!   for the most recent read (0 for a read served from the cache alone).
 //!
 //! Everything but `region_reads`, `chunks_read` and `bytes_returned` is
 //! host-side work: with concurrent readers on one `StoreReader` which of
 //! two racing reads takes the miss depends on the schedule.
 
 use crate::format::{self, ChunkRef, Directory, FieldEntry, Superblock, SUPERBLOCK_LEN};
-use crate::grid::{FieldShape, Region};
+use crate::grid::{ChunkGrid, FieldShape, Region};
 use foresight_util::crc::crc32;
 use foresight_util::sha256::{to_hex, Sha256};
 use foresight_util::{telemetry, Error, Result};
@@ -48,11 +58,12 @@ use rayon::prelude::*;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom};
+use std::ops::Range;
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-/// Byte budget of a reader's decoded-chunk cache. The benchmark's
+/// Byte budget of a reader's decode cache. The benchmark's
 /// `store-chunks` round revisits 1 940 distinct 16 KiB chunks (31.8 MB):
 /// 8 / 16 / 32 / 64 MiB measured 52 / 65 / 69 / 69 % hits, so 32 MiB is
 /// the smallest budget that holds that working set (EXPERIMENTS.md).
@@ -65,20 +76,30 @@ pub struct ReadStats {
     pub chunks_in_field: u64,
     /// Chunks the region intersects.
     pub chunks_intersected: u64,
-    /// Chunks this read fetched, CRC-checked and decoded; the rest of
-    /// the intersecting chunks were cache hits.
+    /// Uncompressed bytes of the chunks the region intersects: what
+    /// decoding each of them whole would materialize.
+    pub chunk_bytes: u64,
+    /// Chunks this read fetched, CRC-checked and decoded layers of; the
+    /// cache held all the rest of the intersecting chunks needed.
     pub chunks_decoded: u64,
-    /// Compressed fragment bytes this read fetched from the archive.
+    /// Codec blocks this read decoded: the `4^d` blocks of the ZFP
+    /// layers it needed, every block of an SZ fragment.
+    pub blocks_decoded: u64,
+    /// Compressed fragment bytes this read fetched from the archive:
+    /// whole fragments, since a chunk's CRC covers all of it.
     pub compressed_bytes_read: u64,
-    /// Uncompressed bytes this read's chunk decodes materialized.
+    /// The compressed bytes of the blocks decoded: a whole SZ fragment,
+    /// a ZFP fragment pro rata to its blocks decoded (a fixed rate gives
+    /// every block the same bits). What the serve model transfers.
+    pub compressed_bytes_decoded: u64,
+    /// Uncompressed bytes this read's decodes materialized.
     pub bytes_touched: u64,
     /// Uncompressed bytes the caller asked for (region size × 4).
     pub bytes_returned: u64,
 }
 
 impl ReadStats {
-    /// Bytes touched per byte returned; 1.0 means the region aligned
-    /// perfectly with chunk boundaries, 0 that the cache served it all.
+    /// Bytes touched per byte returned; 0 when the cache served it all.
     pub fn amplification(&self) -> f64 {
         if self.bytes_returned == 0 {
             return 0.0;
@@ -86,7 +107,7 @@ impl ReadStats {
         self.bytes_touched as f64 / self.bytes_returned as f64
     }
 
-    /// Intersecting chunks served from the cache.
+    /// Intersecting chunks served from the cache alone.
     pub fn cache_hits(&self) -> u64 {
         self.chunks_intersected - self.chunks_decoded
     }
@@ -101,75 +122,158 @@ pub struct StoreCheck {
     pub chunks_ok: usize,
 }
 
+/// Where fragments come from. A file is read with positional reads, so
+/// parallel misses fetch at once with no lock or shared cursor.
 enum Backing {
     Bytes(Vec<u8>),
-    File(Mutex<File>),
+    File(File),
 }
 
-/// Cache key: index of the field's directory entry, linear chunk id.
-type ChunkKey = (usize, usize);
+/// Cache key: index of the field's directory entry, linear chunk id,
+/// first layer of the unit.
+type UnitKey = (usize, usize, usize);
 
-/// Decoded chunks in least-recently-used order under a byte budget.
-/// Both maps are ordered, so nothing here depends on hash order, and a
-/// lookup, an insert and an eviction are each O(log n).
+/// One cached unit: a run of whole layers of one chunk.
+struct Unit {
+    /// Stamp of its last use; stamps are unique.
+    stamp: u64,
+    /// One past its last layer.
+    end: usize,
+    /// The decoded values of its layers, shared as decoded (an
+    /// `Arc<[f32]>` would copy them).
+    values: Arc<Vec<f32>>,
+}
+
+/// Decoded units in least-recently-used order under a byte budget.
+/// Both maps are ordered, so nothing here depends on hash order. A hit
+/// only restamps its unit, so a chunk's lookup is one range search;
+/// eviction files a unit used since it was filed again at its last use
+/// before it takes the next, so it still takes the least recently used.
 #[derive(Default)]
 struct ChunkCache {
     /// Decoded bytes resident; never above the budget between calls.
     bytes: usize,
-    /// Stamp of the most recent use; stamps are unique.
+    /// Stamp of the most recent use.
     clock: u64,
-    /// Key → (stamp of its last use, decoded values).
-    entries: BTreeMap<ChunkKey, (u64, Arc<[f32]>)>,
-    /// Stamp → key: the first entry is the least recently used.
-    by_age: BTreeMap<u64, ChunkKey>,
+    entries: BTreeMap<UnitKey, Unit>,
+    /// Stamp → key, one entry per unit, at its insert or at a use no
+    /// later than its last.
+    by_age: BTreeMap<u64, UnitKey>,
 }
 
 impl ChunkCache {
-    /// The cached decode of `key`, marked most recently used.
-    fn get(&mut self, key: ChunkKey) -> Option<Arc<[f32]>> {
-        let (stamp, values) = self.entries.get_mut(&key)?;
-        self.by_age.remove(stamp);
-        self.clock += 1;
-        *stamp = self.clock;
-        self.by_age.insert(self.clock, key);
-        Some(Arc::clone(values))
+    /// What the cache holds of layers `want` of chunk `(field, id)`:
+    /// hands `hit` each unit that covers a wanted layer no earlier unit
+    /// covered, marked most recently used, and pushes every run of
+    /// wanted layers no unit covers to `gaps`.
+    fn lookup(
+        &mut self,
+        (field, id): (usize, usize),
+        want: Range<usize>,
+        mut hit: impl FnMut(Range<usize>, Arc<Vec<f32>>),
+        gaps: &mut Vec<Range<usize>>,
+    ) {
+        let mut at = want.start;
+        for (&key, unit) in self.entries.range_mut((field, id, 0)..(field, id, want.end)) {
+            if unit.end <= at {
+                continue;
+            }
+            if key.2 > at {
+                gaps.push(at..key.2);
+            }
+            self.clock += 1;
+            unit.stamp = self.clock;
+            hit(key.2..unit.end, Arc::clone(&unit.values));
+            at = unit.end;
+        }
+        if at < want.end {
+            gaps.push(at..want.end);
+        }
     }
 
-    /// Caches a verified decode and evicts from the cold end until
-    /// `budget` holds again; returns the number of evictions. A key
-    /// already present (a racing reader decoded it too) keeps its entry.
-    fn insert(&mut self, key: ChunkKey, values: Arc<[f32]>, budget: usize) -> u64 {
+    /// Caches a verified decode of layers `key.2..end` and evicts from
+    /// the cold end until `budget` holds again; returns the number of
+    /// evictions. A key already present (a racing reader decoded it too)
+    /// keeps its entry.
+    fn insert(&mut self, key: UnitKey, end: usize, values: Arc<Vec<f32>>, budget: usize) -> u64 {
         let size = values.len() * 4;
         if size > budget || self.entries.contains_key(&key) {
             return 0;
         }
         self.clock += 1;
-        self.entries.insert(key, (self.clock, values));
+        self.entries.insert(key, Unit { stamp: self.clock, end, values });
         self.by_age.insert(self.clock, key);
         self.bytes += size;
         let mut evicted = 0;
         while self.bytes > budget {
-            let Some((_, coldest)) = self.by_age.pop_first() else { break };
-            if let Some((_, old)) = self.entries.remove(&coldest) {
-                self.bytes -= old.len() * 4;
-                evicted += 1;
+            let Some((filed, coldest)) = self.by_age.pop_first() else { break };
+            match self.entries.get(&coldest) {
+                Some(unit) if unit.stamp != filed => {
+                    self.by_age.insert(unit.stamp, coldest);
+                }
+                Some(unit) => {
+                    self.bytes -= unit.values.len() * 4;
+                    self.entries.remove(&coldest);
+                    evicted += 1;
+                }
+                None => {}
             }
         }
         evicted
     }
 }
 
-/// One chunk a read intersects.
+/// One chunk a read intersects, and the layers of it the read needs.
 struct PlannedChunk {
-    idx: [usize; 3],
     id: usize,
+    /// Where the chunk starts in the field.
+    origin: [usize; 3],
     fragment: ChunkRef,
     shape: FieldShape,
-    decoded_bytes: u64,
+    /// The chunk's decode tiles, numbered in layers: ZFP's `4^d` blocks,
+    /// or for SZ one tile, the whole chunk.
+    units: ChunkGrid,
+    /// Codec blocks in one of those tiles: 1 for ZFP, the fragment's
+    /// blocks for SZ.
+    blocks_per_tile: u64,
+    /// The layers of `units` the region meets.
+    layers: Range<usize>,
 }
 
-/// The chunks `region` intersects in ascending id order, and the
-/// accounting of reading them all with no cache.
+impl PlannedChunk {
+    /// Blocks, decoded bytes and compressed bytes (pro rata, see
+    /// [`ReadStats::compressed_bytes_decoded`]) of decoding `layers`.
+    fn cost(&self, layers: &Range<usize>) -> (u64, u64, u64) {
+        let slab = self.units.layers(layers.clone());
+        let (tiles, all) = (slab.tiles.len(), self.units.len());
+        let priced = match tiles == all {
+            true => self.fragment.len,
+            false => (self.fragment.len as u128 * tiles as u128 / all.max(1) as u128) as u64,
+        };
+        (tiles as u64 * self.blocks_per_tile, slab.values.len() as u64 * 4, priced)
+    }
+
+    /// Copies the part of the decoded `layers` inside `region` into `out`.
+    fn scatter(&self, layers: Range<usize>, values: &[f32], region: &Region, out: &mut [f32]) {
+        self.units.layer_box(layers, self.origin).scatter_into(values, region, out);
+    }
+}
+
+/// A chunk's decode tiles and the codec blocks in one of them (see
+/// [`PlannedChunk`]).
+fn decode_tiles(entry: &FieldEntry, shape: FieldShape) -> Result<(ChunkGrid, u64)> {
+    let (units, blocks) = match &entry.codebook {
+        Some(book) => (
+            ChunkGrid::new(shape, shape.extents()),
+            lossy_sz::block::tiles(shape, book.block_size()).map(|t| t.len() as u64),
+        ),
+        None => (ChunkGrid::cubes(shape, 4), Ok(1)),
+    };
+    Ok((units.map_err(Error::into_corrupt)?, blocks.map_err(Error::into_corrupt)?))
+}
+
+/// The chunks `region` intersects in ascending id order with the layers
+/// of each it needs, and the accounting of reading them with no cache.
 fn plan(entry: &FieldEntry, region: &Region) -> Result<(Vec<PlannedChunk>, ReadStats)> {
     let grid = entry.grid;
     region.validate_in(grid.shape())?;
@@ -181,22 +285,32 @@ fn plan(entry: &FieldEntry, region: &Region) -> Result<(Vec<PlannedChunk>, ReadS
         bytes_returned: (n as u64) * 4,
         ..ReadStats::default()
     };
-    let mut chunks = Vec::new();
-    for idx in grid.intersecting(region) {
+    let intersecting = grid.intersecting(region);
+    let mut chunks = Vec::with_capacity(intersecting.len());
+    let mut last = None;
+    for idx in intersecting {
         let id = grid.linear(idx);
         let fragment = *entry
             .chunks
             .get(id)
             .ok_or_else(|| Error::corrupt(format!("chunk id {id} outside the directory")))?;
-        let shape = grid.chunk_shape_at(idx);
-        let decoded_bytes = shape
-            .checked_len()
-            .and_then(|len| (len as u64).checked_mul(4))
-            .ok_or_else(|| Error::corrupt("chunk value count overflows"))?;
+        let (origin, shape) = (grid.origin(idx), grid.chunk_shape_at(idx));
+        shape.checked_len().ok_or_else(|| Error::corrupt("chunk value count overflows"))?;
+        // Chunks of one shape share their tiling: work it out once a run.
+        let (units, blocks_per_tile) = match last {
+            Some((s, tiles)) if s == shape => tiles,
+            _ => last.insert((shape, decode_tiles(entry, shape)?)).1,
+        };
+        let layers = units.layers_within(region, origin);
+        let c = PlannedChunk { id, origin, fragment, shape, units, blocks_per_tile, layers };
+        let (blocks, touched, priced) = c.cost(&c.layers);
         stats.chunks_intersected += 1;
+        stats.chunk_bytes += shape.len() as u64 * 4;
+        stats.blocks_decoded += blocks;
         stats.compressed_bytes_read += fragment.len;
-        stats.bytes_touched += decoded_bytes;
-        chunks.push(PlannedChunk { idx, id, fragment, shape, decoded_bytes });
+        stats.compressed_bytes_decoded += priced;
+        stats.bytes_touched += touched;
+        chunks.push(c);
     }
     stats.chunks_decoded = stats.chunks_intersected;
     Ok((chunks, stats))
@@ -239,10 +353,10 @@ impl StoreReader {
     /// Opens a file-backed archive, reading only the superblock and the
     /// directory tail; fragments stay on disk until a read needs them.
     pub fn open(path: &Path) -> Result<Self> {
-        let mut f = File::open(path)?;
+        let f = File::open(path)?;
         let actual_len = f.metadata()?.len();
         let mut head = [0u8; SUPERBLOCK_LEN];
-        f.read_exact(&mut head)?;
+        f.read_exact_at(&mut head, 0)?;
         let superblock = Superblock::parse(&head)?;
         let (dir_offset, dir_len) = superblock.layout(actual_len)?;
         // layout() proved dir_offset + dir_len == the real file length,
@@ -251,11 +365,10 @@ impl StoreReader {
             return Err(Error::corrupt("directory longer than the archive"));
         }
         let mut dir = vec![0u8; dir_len];
-        f.seek(SeekFrom::Start(dir_offset as u64))?;
-        f.read_exact(&mut dir)?;
+        f.read_exact_at(&mut dir, dir_offset as u64)?;
         format::verify_manifest_digest(&superblock, &dir)?;
         let directory = Directory::parse(&dir, SUPERBLOCK_LEN as u64, superblock.dir_offset)?;
-        Ok(Self::new(Backing::File(Mutex::new(f)), superblock, directory))
+        Ok(Self::new(Backing::File(f), superblock, directory))
     }
 
     /// The verified superblock.
@@ -291,15 +404,17 @@ impl StoreReader {
     }
 
     /// The accounting [`StoreReader::read_region`] would report with no
-    /// cache: every intersecting chunk fetched and decoded. A pure
-    /// function of the directory and the region; reads no fragment.
+    /// cache: every intersecting chunk fetched, and the layers of it the
+    /// region meets decoded. A pure function of the directory and the
+    /// region; reads no fragment.
     pub fn plan_region(&self, snapshot: u32, name: &str, region: Region) -> Result<ReadStats> {
         let (_, entry) = self.locate(snapshot, name)?;
         Ok(plan(entry, &region)?.1)
     }
 
     /// Reads the subvolume `region` of field `(snapshot, name)`,
-    /// decoding only intersecting chunks the cache does not hold.
+    /// decoding only the layers of intersecting chunks it needs that the
+    /// cache does not hold.
     /// Returns the region's values in x-fastest order plus the read's
     /// accounting; the values are the same for any read order, thread
     /// count and cache state.
@@ -326,26 +441,29 @@ impl StoreReader {
         region: Region,
     ) -> Result<(Vec<f32>, ReadStats)> {
         let (chunks, planned) = plan(entry, &region)?;
-        let grid = entry.grid;
         let mut out = vec![0f32; (planned.bytes_returned / 4) as usize];
 
-        // Look up. A poisoned lock means a reader panicked inside the
-        // cache, so this read goes round it: all misses, no insert.
-        let mut hits = Vec::new();
-        let mut misses = Vec::new();
+        // Look up: per chunk, the cached units that cover its layers and
+        // the runs of layers left to decode. A poisoned lock means a
+        // reader panicked inside the cache, so this read goes round it:
+        // everything decoded, nothing inserted.
+        let mut hits = Vec::with_capacity(chunks.len());
+        let mut misses: Vec<(&PlannedChunk, Vec<Range<usize>>)> = Vec::new();
         match self.cache.lock() {
             Ok(mut cache) => {
+                let mut gaps = Vec::new();
                 for c in &chunks {
-                    match cache.get((field, c.id)) {
-                        Some(values) => hits.push((c, values)),
-                        None => misses.push(c),
+                    let hit = |layers, values| hits.push((c, layers, values));
+                    cache.lookup((field, c.id), c.layers.clone(), hit, &mut gaps);
+                    if !gaps.is_empty() {
+                        misses.push((c, std::mem::take(&mut gaps)));
                     }
                 }
             }
-            Err(_) => misses.extend(&chunks),
+            Err(_) => misses.extend(chunks.iter().map(|c| (c, vec![c.layers.clone()]))),
         }
-        for (c, values) in &hits {
-            grid.scatter_into(values, c.idx, &region, &mut out);
+        for (c, layers, values) in hits {
+            c.scatter(layers, &values, &region, &mut out);
         }
 
         // Decode the misses outside the lock, in windows of at most one
@@ -356,16 +474,22 @@ impl StoreReader {
         // chunk runs inline in the rayon shim.
         let budget = self.budget as u64;
         let cacheable = planned.bytes_touched <= budget;
-        let mut stats =
-            ReadStats { chunks_decoded: 0, compressed_bytes_read: 0, bytes_touched: 0, ..planned };
+        let mut stats = ReadStats {
+            chunks_decoded: 0,
+            blocks_decoded: 0,
+            compressed_bytes_read: 0,
+            compressed_bytes_decoded: 0,
+            bytes_touched: 0,
+            ..planned
+        };
         let mut fresh = Vec::new();
         let mut rest = misses.as_slice();
         while !rest.is_empty() {
             let mut window_bytes = 0;
             let len = rest
                 .iter()
-                .take_while(|c| {
-                    window_bytes += c.decoded_bytes;
+                .take_while(|(c, runs)| {
+                    window_bytes += runs.iter().map(|r| c.cost(r).1).sum::<u64>();
                     window_bytes <= budget
                 })
                 .count()
@@ -374,15 +498,20 @@ impl StoreReader {
             rest = tail;
             let decoded = window
                 .par_iter()
-                .map(|c| self.decode(entry, c))
+                .map(|(c, runs)| self.decode(entry, c, runs))
                 .collect::<Result<Vec<_>>>()?;
-            for (c, values) in window.iter().zip(decoded) {
+            for ((c, runs), decodes) in window.iter().zip(decoded) {
                 stats.chunks_decoded += 1;
                 stats.compressed_bytes_read += c.fragment.len;
-                stats.bytes_touched += c.decoded_bytes;
-                grid.scatter_into(&values, c.idx, &region, &mut out);
-                if cacheable {
-                    fresh.push(((field, c.id), Arc::from(values)));
+                for (layers, values) in runs.iter().zip(decodes) {
+                    let (blocks, touched, priced) = c.cost(layers);
+                    stats.blocks_decoded += blocks;
+                    stats.bytes_touched += touched;
+                    stats.compressed_bytes_decoded += priced;
+                    c.scatter(layers.clone(), &values, &region, &mut out);
+                    if cacheable {
+                        fresh.push(((field, c.id, layers.start), layers.end, Arc::new(values)));
+                    }
                 }
             }
         }
@@ -390,8 +519,8 @@ impl StoreReader {
         let mut evictions = 0;
         if !fresh.is_empty() {
             if let Ok(mut cache) = self.cache.lock() {
-                for (key, values) in fresh {
-                    evictions += cache.insert(key, values, self.budget);
+                for (key, end, values) in fresh {
+                    evictions += cache.insert(key, end, values, self.budget);
                 }
                 telemetry::gauge("store.cache.bytes", cache.bytes as f64);
             }
@@ -399,6 +528,7 @@ impl StoreReader {
         telemetry::counter("store.region_reads", 1);
         telemetry::counter("store.chunks_read", stats.chunks_intersected);
         telemetry::counter("store.chunks_decoded", stats.chunks_decoded);
+        telemetry::counter("store.blocks_decoded", stats.blocks_decoded);
         telemetry::counter("store.cache.hits", stats.cache_hits());
         telemetry::counter("store.cache.misses", stats.chunks_decoded);
         telemetry::counter("store.cache.evictions", evictions);
@@ -409,8 +539,15 @@ impl StoreReader {
         Ok((out, stats))
     }
 
-    /// Fetches, CRC-checks and decodes one chunk.
-    fn decode(&self, entry: &FieldEntry, chunk: &PlannedChunk) -> Result<Vec<f32>> {
+    /// Fetches one chunk's fragment and checks its CRC — over all of it,
+    /// before any block of it is decoded — then decodes each run of
+    /// layers in `runs`.
+    fn decode(
+        &self,
+        entry: &FieldEntry,
+        chunk: &PlannedChunk,
+        runs: &[Range<usize>],
+    ) -> Result<Vec<Vec<f32>>> {
         let payload = self.fragment(&chunk.fragment)?;
         if crc32(&payload) != chunk.fragment.crc32 {
             return Err(Error::corrupt(format!(
@@ -418,7 +555,7 @@ impl StoreReader {
                 chunk.id, entry.name
             )));
         }
-        decode_chunk(entry, &payload, chunk.shape)
+        runs.iter().map(|layers| decode_layers(entry, &payload, chunk, layers.clone())).collect()
     }
 
     /// Verifies every chunk CRC and every field payload digest without
@@ -490,9 +627,6 @@ impl StoreReader {
                     .ok_or_else(|| Error::corrupt("fragment outside the archive image"))
             }
             Backing::File(file) => {
-                let mut f = file
-                    .lock()
-                    .map_err(|_| Error::corrupt("archive file handle poisoned"))?;
                 // Directory parsing bounded every fragment inside
                 // [SUPERBLOCK_LEN, dir_offset), which layout() proved is
                 // inside the file, so n is bounded by the file size.
@@ -500,28 +634,33 @@ impl StoreReader {
                     return Err(Error::corrupt("fragment longer than the archive"));
                 }
                 let mut buf = vec![0u8; n];
-                f.seek(SeekFrom::Start(cref.offset))?;
-                f.read_exact(&mut buf)?;
+                file.read_exact_at(&mut buf, cref.offset)?;
                 Ok(Cow::Owned(buf))
             }
         }
     }
 }
 
-/// Decodes one chunk payload — an SZ fragment against its field's
-/// codebook, a ZFP stream on its own — and checks it against the shape
-/// the directory promised for that chunk.
-fn decode_chunk(entry: &FieldEntry, payload: &[u8], expect: FieldShape) -> Result<Vec<f32>> {
+/// Decodes layers `layers` of one chunk payload — an SZ fragment (one
+/// layer, the chunk) against its field's codebook, a ZFP stream on its
+/// own, every layer of the run in one pass — and checks it against the
+/// shape and value count the directory promised.
+fn decode_layers(
+    entry: &FieldEntry,
+    payload: &[u8],
+    chunk: &PlannedChunk,
+    layers: Range<usize>,
+) -> Result<Vec<f32>> {
     let (values, dims) = match &entry.codebook {
         Some(book) => book.decode(payload)?,
-        None => entry.codec.decompress(payload)?,
+        None => {
+            lossy_zfp::decompress_layers(payload, layers.clone()).map_err(Error::into_corrupt)?
+        }
     };
-    if dims != expect {
+    if dims != chunk.shape {
         return Err(Error::corrupt("chunk stream dims disagree with the directory"));
     }
-    let want = expect
-        .checked_len()
-        .ok_or_else(|| Error::corrupt("chunk value count overflows"))?;
+    let want = chunk.units.layers(layers).values.len();
     if values.len() != want {
         return Err(Error::corrupt(format!(
             "chunk decoded {} values but the directory promised {want}",
@@ -560,34 +699,67 @@ mod tests {
         values.iter().map(|v| v.to_bits()).collect()
     }
 
-    fn resident(reader: &StoreReader) -> (usize, Vec<ChunkKey>) {
+    fn resident(reader: &StoreReader) -> (usize, Vec<UnitKey>) {
         let cache = reader.cache.lock().unwrap();
         assert_eq!(cache.entries.len(), cache.by_age.len());
-        let sum: usize = cache.entries.values().map(|(_, v)| v.len() * 4).sum();
+        let sum: usize = cache.entries.values().map(|u| u.values.len() * 4).sum();
         assert_eq!(sum, cache.bytes);
         (cache.bytes, cache.entries.keys().copied().collect())
     }
 
+    /// The units `lookup` hands out for layers `want` of chunk `(0, id)`,
+    /// and the gaps it leaves.
+    fn look(cache: &mut ChunkCache, id: usize, want: Range<usize>) -> [Vec<(usize, usize)>; 2] {
+        let (mut hits, mut gaps) = (Vec::new(), Vec::new());
+        cache.lookup((0, id), want, |layers, _| hits.push(layers), &mut gaps);
+        [hits, gaps].map(|runs| runs.iter().map(|r| (r.start, r.end)).collect())
+    }
+
     #[test]
     fn cache_evicts_the_least_recently_used_and_stays_inside_its_budget() {
-        let chunk = |n: usize| -> Arc<[f32]> { vec![0f32; n].into() };
+        let unit = |n: usize| Arc::new(vec![0f32; n]);
         let mut cache = ChunkCache::default();
         let budget = 100 * 4;
-        assert_eq!(cache.insert((0, 0), chunk(40), budget), 0);
-        assert_eq!(cache.insert((0, 1), chunk(40), budget), 0);
-        assert_eq!(cache.insert((0, 1), chunk(40), budget), 0, "a present key keeps its entry");
+        assert_eq!(cache.insert((0, 0, 0), 1, unit(40), budget), 0);
+        assert_eq!(cache.insert((0, 1, 0), 1, unit(40), budget), 0);
+        assert_eq!(cache.insert((0, 1, 0), 1, unit(40), budget), 0, "a present key stays");
         assert_eq!(cache.bytes, 320);
-        // Touch (0, 0): (0, 1) is now the coldest and goes first.
-        assert!(cache.get((0, 0)).is_some());
-        assert_eq!(cache.insert((1, 0), chunk(40), budget), 1);
-        assert!(cache.get((0, 1)).is_none());
-        assert!(cache.get((0, 0)).is_some() && cache.get((1, 0)).is_some());
+        // Touch chunk 0: chunk 1 is now the coldest and goes first.
+        assert_eq!(look(&mut cache, 0, 0..1), [vec![(0, 1)], vec![]]);
+        assert_eq!(cache.insert((1, 0, 0), 1, unit(40), budget), 1);
+        assert_eq!(look(&mut cache, 1, 0..1), [vec![], vec![(0, 1)]]);
+        assert_eq!(look(&mut cache, 0, 0..1)[0].len(), 1);
         // One large entry pushes out as many as it needs, coldest first.
-        assert_eq!(cache.insert((2, 0), chunk(100), budget), 2);
+        assert_eq!(cache.insert((2, 0, 0), 1, unit(100), budget), 2);
         assert_eq!((cache.bytes, cache.entries.len(), cache.by_age.len()), (400, 1, 1));
         // An entry larger than the whole budget is refused and evicts nothing.
-        assert_eq!(cache.insert((3, 0), chunk(101), budget), 0);
-        assert!(cache.get((3, 0)).is_none() && cache.get((2, 0)).is_some());
+        assert_eq!(cache.insert((3, 0, 0), 1, unit(101), budget), 0);
+        assert_eq!(cache.entries.keys().copied().collect::<Vec<_>>(), [(2, 0, 0)]);
+    }
+
+    /// Units are runs of layers: a lookup uses those that cover what it
+    /// wants, skips those a unit before them already covered, and names
+    /// every uncovered run; only the units it uses get younger.
+    #[test]
+    fn lookup_covers_wanted_layers_with_units_and_names_the_gaps() {
+        let unit = |n: usize| Arc::new(vec![0f32; n]);
+        let mut cache = ChunkCache::default();
+        for (first, end) in [(1, 2), (4, 7), (5, 6), (8, 9)] {
+            cache.insert((0, 0, first), end, unit(8), 1 << 20);
+        }
+        cache.insert((0, 1, 0), 9, unit(8), 1 << 20);
+        let all = look(&mut cache, 0, 0..9);
+        assert_eq!(all, [vec![(1, 2), (4, 7), (8, 9)], vec![(0, 1), (2, 4), (7, 8)]]);
+        assert_eq!(look(&mut cache, 0, 5..6), [vec![(4, 7)], vec![]]);
+        assert_eq!(look(&mut cache, 0, 2..4), [vec![], vec![(2, 4)]]);
+        assert_eq!(look(&mut cache, 0, 6..10), [vec![(4, 7), (8, 9)], vec![(7, 8), (9, 10)]]);
+        // (0, 0, 5) was never used, and chunk 1's unit is older than the
+        // rest, so each of two inserts at a full budget takes one of them.
+        for (id, coldest) in [(0, (0, 0, 5)), (1, (0, 1, 0))] {
+            assert_eq!(cache.insert((1, id, 0), 1, unit(8), 5 * 32), 1);
+            assert!(!cache.entries.contains_key(&coldest), "{coldest:?}");
+        }
+        assert_eq!((cache.entries.len(), cache.by_age.len(), cache.bytes), (5, 5, 5 * 32));
     }
 
     /// Any read sequence on one reader with an evicting budget returns

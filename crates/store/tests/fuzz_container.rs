@@ -525,3 +525,119 @@ proptest! {
         }
     }
 }
+
+/// A 16x16x32 ZFP field at rate 8 in two 16^3 chunks, clean and with one
+/// byte of chunk 0 flipped inside its last layer of blocks: 64 blocks of
+/// 64 bytes behind the 64-byte stream header, the last layer blocks
+/// 48..64, which a read of the chunk's first layer never decodes.
+fn zfp_archive_damaged_in_its_last_layer() -> (Vec<u8>, Vec<u8>) {
+    let data: Vec<f32> = (0..16 * 16 * 32).map(|i| (i as f32 * 0.05).cos() * 12.0).collect();
+    let mut w = StoreWriter::new();
+    w.add_field(0, "v", &data, FieldShape::d3(16, 16, 32), [16; 3], &ChunkCodec::zfp_rate(8.0))
+        .unwrap();
+    let clean = w.finish().unwrap();
+    let c = StoreReader::from_bytes(clean.clone()).unwrap().find(0, "v").unwrap().chunks[0];
+    let mut bad = clean.clone();
+    bad[(c.offset + 64 + 50 * 64 + 5) as usize] ^= 0x10;
+    (clean, bad)
+}
+
+/// A thin read decodes one layer of a ZFP chunk, but the chunk's CRC
+/// covers all of it and is checked before any block is decoded: damage
+/// in blocks the read skips still fails it, as `Corrupt` through the
+/// CRC, on every repeat and from memory and from a file, while the clean
+/// neighbouring chunk still reads.
+#[test]
+fn damage_in_blocks_a_thin_read_skips_still_fails_it() {
+    let (clean, bad) = zfp_archive_damaged_in_its_last_layer();
+    let path = std::env::temp_dir().join(format!("fstr-thin-{}.fstr", std::process::id()));
+    std::fs::write(&path, &bad).unwrap();
+    let from_file = StoreReader::open(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    let clean = StoreReader::from_bytes(clean).unwrap();
+    let plane = Region::new([0, 0, 1], [16, 16, 2]).unwrap();
+    let neighbour = Region::new([0, 0, 17], [16, 16, 18]).unwrap();
+
+    for reader in [StoreReader::from_bytes(bad).unwrap(), from_file] {
+        let plan = reader.plan_region(0, "v", plane).unwrap();
+        assert_eq!((plan.chunks_decoded, plan.blocks_decoded), (1, 16), "one layer of chunk 0");
+        for round in 0..2 {
+            let err = reader.read_region(0, "v", plane).unwrap_err();
+            assert!(
+                matches!(err, Error::Corrupt(_))
+                    && err.to_string().contains("chunk 0 ")
+                    && err.to_string().contains("CRC"),
+                "round {round}: {err}"
+            );
+        }
+        let (got, stats) = reader.read_region(0, "v", neighbour).unwrap();
+        assert_eq!(got, clean.read_region(0, "v", neighbour).unwrap().0);
+        assert_eq!(stats.blocks_decoded, 16);
+        assert!(reader.extract(0, "v").is_err());
+    }
+}
+
+/// Re-seals a ZFP stream's payload CRC and header CRC (the header is 64
+/// bytes: CRCs at 56 and 60) after a forgery; `table` is the length
+/// table's size.
+fn reseal_zfp(stream: &mut [u8], table: usize) {
+    let payload_crc = crc32(&stream[64 + table..]);
+    stream[56..60].copy_from_slice(&payload_crc.to_le_bytes());
+    let header_crc = crc32(&stream[..60]);
+    stream[60..64].copy_from_slice(&header_crc.to_le_bytes());
+}
+
+/// `lossy_zfp::decompress_layers`, the range decoder thin reads go
+/// through, fails closed as the whole-stream decoder does: every cut of
+/// a 16^3 chunk stream, a payload shortened with its length and both
+/// CRCs re-sealed, and a header re-sealed around a bigger extent are
+/// `Corrupt` for every layer range; a length table with bits moved
+/// between two blocks of the second layer (totals kept, so the payload
+/// still adds up) fails a run that decodes them, in block order, while
+/// the runs around it seek past and still read what they read before.
+#[test]
+fn range_decoder_refuses_cut_and_forged_streams() {
+    use lossy_zfp::{decompress_layers, Dims, ZfpConfig};
+    let data: Vec<f32> = (0..4096).map(|i| (i as f32 * 0.03).sin() * 9.0 + 1.0).collect();
+    let fixed = lossy_zfp::compress(&data, Dims::D3(16, 16, 16), &ZfpConfig::rate(8.0)).unwrap();
+    let corrupt = |stream: &[u8], what: &str| {
+        for layers in [0..1, 1..2, 3..4, 0..4] {
+            match decompress_layers(stream, layers.clone()) {
+                Err(Error::Corrupt(_)) => {}
+                other => panic!("{what}, layers {layers:?}: {:?}", other.map(|v| v.0.len())),
+            }
+        }
+    };
+    for cut in 0..fixed.len() {
+        corrupt(&fixed[..cut], &format!("cut at {cut}"));
+    }
+    let mut short = fixed[..fixed.len() - 64].to_vec();
+    let payload_len = short.len() as u64 - 64;
+    short[48..56].copy_from_slice(&payload_len.to_le_bytes());
+    reseal_zfp(&mut short, 0);
+    corrupt(&short, "payload a block short");
+    let mut taller = fixed.clone();
+    taller[24..32].copy_from_slice(&20u64.to_le_bytes());
+    reseal_zfp(&mut taller, 0);
+    corrupt(&taller, "z extent 20");
+
+    let precise =
+        lossy_zfp::compress(&data, Dims::D3(16, 16, 16), &ZfpConfig::precision(16)).unwrap();
+    let span =
+        |s: &[u8], b: usize| u32::from_le_bytes(s[64 + 4 * b..68 + 4 * b].try_into().unwrap());
+    let mut shifted = precise.clone();
+    let (s19, s20) = (span(&precise, 19), span(&precise, 20));
+    shifted[64 + 4 * 19..68 + 4 * 19].copy_from_slice(&(s19 + 8).to_le_bytes());
+    shifted[64 + 4 * 20..68 + 4 * 20].copy_from_slice(&(s20 - 8).to_le_bytes());
+    for layers in [1..2, 0..4, 1..3] {
+        let err = decompress_layers(&shifted, layers.clone()).unwrap_err();
+        assert!(
+            matches!(err, Error::Corrupt(_)) && err.to_string().contains("block 19 "),
+            "layers {layers:?}: {err}"
+        );
+    }
+    for layers in [0..1, 2..3, 2..4] {
+        let got = decompress_layers(&shifted, layers.clone()).unwrap();
+        assert_eq!(got, decompress_layers(&precise, layers.clone()).unwrap(), "layers {layers:?}");
+    }
+}

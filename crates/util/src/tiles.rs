@@ -42,6 +42,28 @@ impl Tile {
         let [sx, sy, sz] = self.size;
         (0..sz).flat_map(move |k| (0..sy).map(move |j| (self.row_start(ext, j, k), sx)))
     }
+
+    /// Copies the part of the tile inside `region` from `values` (the
+    /// tile's cells, x fastest) into `out`, which is laid out densely
+    /// over `region` (x fastest).
+    pub fn scatter_into(&self, values: &[f32], region: &Region, out: &mut [f32]) {
+        let Tile { origin: o, size } = *self;
+        let re = region.extents();
+        let lo = [0, 1, 2].map(|i| region.lo[i].max(o[i]));
+        let hi = [0, 1, 2].map(|i| region.hi[i].min(o[i] + size[i]));
+        if (0..3).any(|i| hi[i] <= lo[i]) {
+            return;
+        }
+        let run = hi[0] - lo[0];
+        for z in lo[2]..hi[2] {
+            for y in lo[1]..hi[1] {
+                let src = (lo[0] - o[0]) + size[0] * ((y - o[1]) + size[1] * (z - o[2]));
+                let dst = (lo[0] - region.lo[0])
+                    + re[0] * ((y - region.lo[1]) + re[1] * (z - region.lo[2]));
+                out[dst..dst + run].copy_from_slice(&values[src..src + run]);
+            }
+        }
+    }
 }
 
 /// A run of whole tile layers and the array values those tiles own.
@@ -60,6 +82,9 @@ pub struct Tiles {
     edge: [usize; 3],
     counts: [usize; 3],
     len: usize,
+    /// The slowest used axis, and the tiles and the array values of one
+    /// tile layer along it.
+    layering: (usize, usize, usize),
 }
 
 impl Tiles {
@@ -81,7 +106,10 @@ impl Tiles {
             .checked_mul(counts[2] as u128)
             .and_then(|n| usize::try_from(n).ok())
             .ok_or_else(|| Error::invalid(format!("{counts:?} tiles overflow a usize")))?;
-        Ok(Self { shape, edge, counts, len })
+        let axis = (0..3).rev().find(|&a| ext[a] > 1).unwrap_or(0);
+        let layer_values = ext[..axis].iter().product::<usize>().saturating_mul(edge[axis]);
+        let layering = (axis, counts[..axis].iter().product(), layer_values);
+        Ok(Self { shape, edge, counts, len, layering })
     }
 
     /// Tiles `shape` with cubes of `edge` on its used axes.
@@ -209,22 +237,48 @@ impl Tiles {
         region: &Region,
         out: &mut [f32],
     ) {
-        let Tile { origin: o, size } = self.tile_at(self.origin(idx));
-        let re = region.extents();
-        let lo = [0, 1, 2].map(|i| region.lo[i].max(o[i]));
-        let hi = [0, 1, 2].map(|i| region.hi[i].min(o[i] + size[i]));
-        if (0..3).any(|i| hi[i] <= lo[i]) {
-            return;
+        self.tile_at(self.origin(idx)).scatter_into(tile_values, region, out)
+    }
+
+    /// Number of tile layers along the slowest used axis.
+    pub fn layer_count(&self) -> usize {
+        if self.len == 0 {
+            return 0;
         }
-        let run = hi[0] - lo[0];
-        for z in lo[2]..hi[2] {
-            for y in lo[1]..hi[1] {
-                let src = (lo[0] - o[0]) + size[0] * ((y - o[1]) + size[1] * (z - o[2]));
-                let dst = (lo[0] - region.lo[0])
-                    + re[0] * ((y - region.lo[1]) + re[1] * (z - region.lo[2]));
-                out[dst..dst + run].copy_from_slice(&tile_values[src..src + run]);
-            }
+        self.counts[self.layering.0]
+    }
+
+    /// The tile layers `layers` as one slab, clamped to the array.
+    pub fn layers(&self, layers: Range<usize>) -> Slab {
+        let (_, tiles, values) = self.layering;
+        let (n_tiles, n_values) = (self.len, self.shape.len());
+        let (a, b) = (layers.start, layers.end);
+        Slab {
+            tiles: a.saturating_mul(tiles).min(n_tiles)..b.saturating_mul(tiles).min(n_tiles),
+            values: a.saturating_mul(values).min(n_values)..b.saturating_mul(values).min(n_values),
         }
+    }
+
+    /// The tile layers that `region` intersects, with this array placed
+    /// at `at` inside the region's (larger) array, which it must overlap.
+    pub fn layers_within(&self, region: &Region, at: [usize; 3]) -> Range<usize> {
+        let (axis, ..) = self.layering;
+        let e = self.edge[axis];
+        let (lo, hi) = (region.lo[axis].saturating_sub(at[axis]), region.hi[axis] - at[axis]);
+        lo / e..hi.div_ceil(e).min(self.counts[axis])
+    }
+
+    /// The box the tile layers `layers` cover, shifted by `at` (where
+    /// this array starts inside a larger one).
+    pub fn layer_box(&self, layers: Range<usize>, at: [usize; 3]) -> Tile {
+        let (axis, ..) = self.layering;
+        let ext = self.shape.extents();
+        let lo = layers.start.saturating_mul(self.edge[axis]).min(ext[axis]);
+        let hi = layers.end.saturating_mul(self.edge[axis]).min(ext[axis]);
+        let mut tile = Tile { origin: at, size: ext };
+        tile.origin[axis] += lo;
+        tile.size[axis] = hi - lo;
+        tile
     }
 
     /// The array cut into slabs of whole tile layers along the slowest
@@ -232,19 +286,10 @@ impl Tiles {
     /// tiles (the last slab may hold fewer), in tile order; none when the
     /// array is empty.
     pub fn slabs(&self, min_tiles: usize) -> impl Iterator<Item = Slab> {
-        let ext = self.shape.extents();
-        let axis = (0..3).rev().find(|&a| ext[a] > 1).unwrap_or(0);
-        let layer_tiles: usize = self.counts[..axis].iter().product();
-        let layer_values = ext[..axis].iter().product::<usize>().saturating_mul(self.edge[axis]);
-        let layers = min_tiles.div_ceil(layer_tiles.max(1)).max(1);
-        let (n_tiles, n_values) = (self.len, self.shape.len());
-        let (tiles, values) =
-            (layer_tiles.saturating_mul(layers), layer_values.saturating_mul(layers));
-        let n_slabs = if n_tiles == 0 { 0 } else { self.counts[axis].div_ceil(layers) };
-        (0..n_slabs).map(move |s| Slab {
-            tiles: s.saturating_mul(tiles)..(s + 1).saturating_mul(tiles).min(n_tiles),
-            values: s.saturating_mul(values)..(s + 1).saturating_mul(values).min(n_values),
-        })
+        let t = *self;
+        let per = min_tiles.div_ceil(t.layering.1.max(1)).max(1);
+        (0..t.layer_count().div_ceil(per))
+            .map(move |s| t.layers(s.saturating_mul(per)..(s + 1).saturating_mul(per)))
     }
 
     /// Splits `out` (one element per array value) into [`Tiles::slabs`].

@@ -34,4 +34,4 @@ pub mod lift;
 pub mod stream;
 
 pub use config::{Dims, ZfpConfig, ZfpMode};
-pub use stream::{compress, decompress, info, StreamInfo, MAGIC};
+pub use stream::{compress, decompress, decompress_layers, info, StreamInfo, MAGIC};

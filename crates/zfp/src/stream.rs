@@ -403,6 +403,15 @@ impl<'a> Decoder<'a> {
         Ok(dec)
     }
 
+    /// Payload bit offset of block `bi`: a product at a fixed rate, the
+    /// sum of the stored lengths before it otherwise.
+    fn bit_of(&self, bi: usize) -> u64 {
+        if self.coding.fixed_rate {
+            return bi as u64 * self.coding.maxbits as u64;
+        }
+        self.spans(0..bi).map(u64::from).sum()
+    }
+
     /// Bit span of block `bi`.
     pub(crate) fn block_bits(&self, bi: usize) -> u32 {
         self.spans(bi..bi + 1).next().unwrap_or(self.coding.maxbits)
@@ -507,6 +516,31 @@ pub fn decompress(stream: &[u8]) -> Result<(Vec<f32>, Dims)> {
         let start = offsets.get(slab.tiles.start / stride);
         dec.decode_slab(slab, start, part)
     })?;
+    drop(decode);
+    Ok((out, dec.tiles.shape()))
+}
+
+/// Decodes only the block layers `layers` of `stream`: whole layers of
+/// its `4^d` blocks along the slowest used axis, as [`Tiles::layers`]
+/// numbers them (one z-layer of blocks in 3-D), so the values they own
+/// are one contiguous run of the array. Returns those values — bit for
+/// bit the same run of a [`decompress`] — and the stream's dims. At a
+/// fixed rate the first block starts at bit `first * maxbits` and no
+/// block before it is read. Header, sizes and payload CRC are checked as
+/// [`decompress`] checks them; an empty range or one past the last
+/// layer is [`Error::InvalidArgument`].
+pub fn decompress_layers(stream: &[u8], layers: Range<usize>) -> Result<(Vec<f32>, Dims)> {
+    let dec = Decoder::new(stream)?;
+    if layers.is_empty() || layers.end > dec.tiles.layer_count() {
+        return Err(Error::invalid(format!(
+            "block layers {layers:?} outside the stream's {}",
+            dec.tiles.layer_count()
+        )));
+    }
+    let slab = dec.tiles.layers(layers);
+    let (mut out, start) = (vec![0.0f32; slab.values.len()], dec.bit_of(slab.tiles.start));
+    let decode = telemetry::span("zfp.decode");
+    dec.decode_slab(slab, start, &mut out)?;
     drop(decode);
     Ok((out, dec.tiles.shape()))
 }
@@ -688,6 +722,36 @@ mod tests {
                 });
                 if ran.is_none() {
                     eprintln!("skipped, this CPU does not run {level:?}");
+                }
+            }
+        }
+    }
+
+    /// Every run of whole block layers decodes to exactly the values a
+    /// whole-stream decode puts there — 1-D, 2-D and 3-D, with clamped
+    /// edge blocks, at fixed rates and with a length table — and a range
+    /// the stream does not have is refused.
+    #[test]
+    fn every_layer_range_equals_its_slice_of_the_whole_decode() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        for dims in [Dims::D1(37), Dims::D2(17, 9), Dims::D3(16, 16, 16), Dims::D3(13, 7, 6)] {
+            let data: Vec<f32> = (0..dims.len()).map(|i| (i as f32 * 0.37).sin() * 30.0).collect();
+            let tiles = Tiles::cubes(dims, 4).unwrap();
+            let n = tiles.layer_count();
+            for cfg in [ZfpConfig::rate(8.0), ZfpConfig::rate(5.5), ZfpConfig::accuracy(0.01)] {
+                let stream = compress(&data, dims, &cfg).unwrap();
+                let (whole, _) = decompress(&stream).unwrap();
+                for a in 0..n {
+                    for b in a + 1..=n {
+                        let (got, got_dims) = decompress_layers(&stream, a..b).unwrap();
+                        assert_eq!(got_dims, dims);
+                        let want = &whole[tiles.layers(a..b).values];
+                        assert_eq!(bits(&got), bits(want), "{dims:?} {cfg:?} layers {a}..{b}");
+                    }
+                }
+                for bad in [0..0, n..n + 1, 0..n + 1, Range { start: 2, end: 1 }] {
+                    let err = decompress_layers(&stream, bad.clone()).unwrap_err();
+                    assert!(matches!(err, Error::InvalidArgument(_)), "{dims:?} {bad:?}: {err}");
                 }
             }
         }

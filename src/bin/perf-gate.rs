@@ -21,6 +21,11 @@
 //!   1-D array at rate 8 (4-value blocks, coded sixteen at a time) and a
 //!   Nyx 3-D field at rate 4, the µs per call of a 16^3 cut of the field,
 //!   and the exact compressed byte counts;
+//! - **store** — cold region reads of a `.fstr` archive: the p50 of a
+//!   one-value plane and of a one-row pencil through a 128^3 ZFP field
+//!   at rate 8 in 16^3 chunks, each on a fresh reader (what a read costs
+//!   when it decodes every block layer it needs), and the exact blocks a
+//!   plane decodes;
 //! - **serve** — the batched multi-device scheduler on the default
 //!   synthetic workload (sim-clock makespan, p50/p95/p99, sustained
 //!   GB/s, exact executed bytes);
@@ -200,7 +205,13 @@ fn git_rev() -> String {
 }
 
 fn run_scenarios() -> foresight_util::Result<Vec<Scenario>> {
-    Ok(vec![sz_scenario()?, zfp_scenario()?, serve_scenario()?, cluster_scenario()?])
+    Ok(vec![
+        sz_scenario()?,
+        zfp_scenario()?,
+        store_scenario()?,
+        serve_scenario()?,
+        cluster_scenario()?,
+    ])
 }
 
 /// Best-of-3 wall seconds (first run also warms caches).
@@ -389,6 +400,64 @@ fn zfp_scenario() -> foresight_util::Result<Scenario> {
         },
     ]);
     Ok(Scenario { name: "zfp", metrics })
+}
+
+/// Cold plane and pencil reads of a fixed-rate ZFP field: sixteen of
+/// each at spread positions, each on a fresh reader opened outside the
+/// timed call, reported as the median milliseconds.
+fn store_scenario() -> foresight_util::Result<Scenario> {
+    use foresight_store::{ChunkCodec, FieldShape, Region, StoreReader, StoreWriter};
+    const N: usize = 128;
+    let data: Vec<f32> = (0..N * N * N)
+        .map(|i| {
+            let (x, y, z) = ((i % N) as f32, ((i / N) % N) as f32, (i / (N * N)) as f32);
+            (0.13 * x).sin() + (0.07 * y).cos() + (0.11 * z).sin()
+        })
+        .collect();
+    let mut w = StoreWriter::new();
+    let shape = FieldShape::d3(N, N, N);
+    w.add_field(0, "v", &data, shape, [16; 3], &ChunkCodec::zfp_rate(8.0))?;
+    let archive = w.finish()?;
+    let cold_p50_ms = |region: fn(usize) -> foresight_util::Result<Region>| {
+        let mut ms = Vec::new();
+        for k in 0..16 {
+            let reader = StoreReader::from_bytes(archive.clone())?;
+            let region = region(k)?;
+            let (read, secs) = time(|| reader.read_region(0, "v", region));
+            read?;
+            ms.push(secs * 1e3);
+        }
+        ms.sort_by(f64::total_cmp);
+        Ok::<f64, foresight_util::Error>((ms[7] + ms[8]) / 2.0)
+    };
+    let plane = |k: usize| Region::new([0, 0, 8 * k + 3], [N, N, 8 * k + 4]);
+    let pencil = |k: usize| Region::new([0, 8 * k + 5, 127 - 8 * k], [N, 8 * k + 6, 128 - 8 * k]);
+    let (plane_ms, pencil_ms) = (cold_p50_ms(plane)?, cold_p50_ms(pencil)?);
+    let reader = StoreReader::from_bytes(archive)?;
+    let blocks = reader.plan_region(0, "v", plane(0)?)?.blocks_decoded;
+    Ok(Scenario {
+        name: "store",
+        metrics: vec![
+            Metric {
+                name: "zfp128_plane_cold_p50_ms",
+                value: plane_ms,
+                class: "wall",
+                better: "lower",
+            },
+            Metric {
+                name: "zfp128_pencil_cold_p50_ms",
+                value: pencil_ms,
+                class: "wall",
+                better: "lower",
+            },
+            Metric {
+                name: "zfp128_plane_blocks_decoded",
+                value: blocks as f64,
+                class: "exact",
+                better: "lower",
+            },
+        ],
+    })
 }
 
 fn latency_metrics(

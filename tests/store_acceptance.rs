@@ -240,3 +240,107 @@ fn shared_codebook_reads_equal_whole_stream_chunks_everywhere() {
         });
     }
 }
+
+/// Every value of a field, decoded chunk by chunk from the archive's
+/// fragments as whole streams through the codec seam — no region read,
+/// no cache, no block layers.
+fn full_decode(reader: &StoreReader, archive: &[u8], name: &str) -> Vec<f32> {
+    let entry = reader.find(0, name).unwrap();
+    let full = Region::full(entry.shape());
+    let mut out = vec![f32::NAN; entry.shape().len()];
+    for idx in entry.grid.intersecting(&full) {
+        let c = entry.chunks[entry.grid.linear(idx)];
+        let fragment = &archive[c.offset as usize..(c.offset + c.len) as usize];
+        let (values, _) = foresight::codec::decompress(fragment).unwrap();
+        entry.grid.scatter_into(&values, idx, &full, &mut out);
+    }
+    out
+}
+
+/// Region reads are views of one full decode, whatever decodes them.
+/// Planes, pencils, single chunks (one clamped), off-grid 32^3 cubes and
+/// whole-field extracts of an SZ and a ZFP field — ZFP chunks decode in
+/// layers of 4^3 blocks, so these need one layer, a few, or all — on 1,
+/// 2 and 4 threads, cold (a fresh reader per read, doing exactly the
+/// planned work) and warm (one reader, the reads in shuffled order),
+/// return bit for bit the region's slice of `full_decode`; a read of a
+/// region just read decodes nothing.
+#[test]
+fn region_reads_are_slices_of_one_full_decode_in_any_order_and_thread_count() {
+    let (nx, ny, nz) = (48, 40, 36);
+    let shape = FieldShape::d3(nx, ny, nz);
+    let data: Vec<f32> = (0..shape.len())
+        .map(|i| ((i % nx) as f32 * 0.2).sin() * 30.0 + (i / (nx * ny)) as f32 * 0.7)
+        .collect();
+    let names = ["sz", "zfp"];
+    let mut w = StoreWriter::new();
+    w.add_field(0, names[0], &data, shape, [16; 3], &ChunkCodec::sz_abs(0.05)).unwrap();
+    w.add_field(0, names[1], &data, shape, [16; 3], &ChunkCodec::zfp_rate(8.0)).unwrap();
+    let archive = w.finish().unwrap();
+    let reader = StoreReader::from_bytes(archive.clone()).unwrap();
+    let full: Vec<Vec<f32>> = names.iter().map(|n| full_decode(&reader, &archive, n)).collect();
+
+    let mut regions = Vec::new();
+    for z in [0, 13, 16, 35] {
+        regions.push(Region::new([0, 0, z], [nx, ny, z + 1]).unwrap());
+    }
+    for (y, z) in [(0, 0), (21, 30), (39, 17)] {
+        regions.push(Region::new([0, y, z], [nx, y + 1, z + 1]).unwrap());
+    }
+    regions.push(Region::new([16, 16, 16], [32, 32, 32]).unwrap());
+    regions.push(Region::new([32, 32, 32], [nx, ny, nz]).unwrap());
+    regions.push(Region::new([5, 3, 2], [37, 35, 34]).unwrap());
+    regions.push(Region::new([13, 7, 3], [45, 39, 35]).unwrap());
+    regions.push(Region::full(shape));
+    let reads: Vec<(usize, Region)> =
+        (0..2).flat_map(|f| regions.iter().map(move |r| (f, *r))).collect();
+
+    let slice = |f: usize, r: &Region| -> Vec<u32> {
+        let mut out = Vec::new();
+        for z in r.lo[2]..r.hi[2] {
+            for y in r.lo[1]..r.hi[1] {
+                let row = nx * (y + ny * z);
+                out.extend(full[f][row + r.lo[0]..row + r.hi[0]].iter().map(|v| v.to_bits()));
+            }
+        }
+        out
+    };
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+    for threads in [1, 2, 4] {
+        foresight_util::parallel::with_threads(threads, || {
+            for (f, r) in &reads {
+                let cold = StoreReader::from_bytes(archive.clone()).unwrap();
+                let (got, stats) = cold.read_region(0, names[*f], *r).unwrap();
+                assert_eq!(bits(&got), slice(*f, r), "cold {} {r:?}, {threads} threads", names[*f]);
+                assert_eq!(stats, cold.plan_region(0, names[*f], *r).unwrap(), "{r:?}");
+            }
+            let warm = StoreReader::from_bytes(archive.clone()).unwrap();
+            let mut order: Vec<usize> = (0..reads.len()).collect();
+            for i in (1..order.len()).rev() {
+                rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                order.swap(i, (rng >> 33) as usize % (i + 1));
+            }
+            for i in order {
+                let (f, r) = reads[i];
+                for pass in ["first", "repeat"] {
+                    let (got, stats) = warm.read_region(0, names[f], r).unwrap();
+                    assert_eq!(bits(&got), slice(f, &r), "warm {pass} {} {r:?}", names[f]);
+                    if pass == "repeat" {
+                        let nothing =
+                            (stats.chunks_decoded, stats.blocks_decoded, stats.bytes_touched);
+                        assert_eq!(nothing, (0, 0, 0), "repeat of {} {r:?}", names[f]);
+                    }
+                }
+            }
+        });
+    }
+    // The ZFP layers are what make thin reads thin: a plane decodes one
+    // layer of each chunk it crosses (16 blocks, 8 where y is clamped to
+    // 8 rows), a pencil one layer of each of three.
+    let plan = |r: &Region| reader.plan_region(0, names[1], *r).unwrap();
+    let plane = plan(&regions[1]);
+    assert_eq!((plane.blocks_decoded, plane.chunks_decoded), (6 * 16 + 3 * 8, 9));
+    assert_eq!((plan(&regions[5]).blocks_decoded, plan(&regions[5]).chunks_decoded), (3 * 16, 3));
+    assert_eq!(plan(&regions[7]).blocks_decoded, 64, "a whole chunk is every block");
+}
