@@ -520,18 +520,19 @@ fn run_unit(req: &ServeRequest, slice: &(usize, usize, Shape)) -> Result<Unit> {
             // The simulated kernel pays for every value of every
             // intersecting chunk, not just the region returned — chunk
             // misalignment costs real work, and the device decoders run
-            // whole streams — while the copy carries only the compressed
-            // bytes of the blocks the read decodes (DESIGN §14.7).
-            let n = (plan.chunk_bytes / 4).max(1);
+            // whole streams — and the copy moves the whole fragments. So
+            // the model's bytes touched are the whole chunks, where the
+            // host reader's count only the layers it decoded (DESIGN §14.7).
+            let n = chunk_values(store, *snapshot, field, region).max(1);
             Ok(Unit {
                 out,
                 n_values: n,
-                in_bytes: plan.compressed_bytes_decoded,
+                in_bytes: plan.compressed_bytes_read,
                 out_bytes: plan.bytes_returned,
-                bits_per_value: plan.compressed_bytes_decoded as f64 * 8.0 / n as f64,
+                bits_per_value: plan.compressed_bytes_read as f64 * 8.0 / n as f64,
                 kind,
                 store_chunks: plan.chunks_intersected,
-                store_touched: plan.chunk_bytes,
+                store_touched: n * 4,
                 store_returned: plan.bytes_returned,
             })
         }
@@ -1304,6 +1305,14 @@ fn dispatch_batch(
 /// directory before they run, so the fallback is never taken.
 fn store_codec(store: &StoreReader, snapshot: u32, field: &str) -> CodecKind {
     store.find(snapshot, field).map_or(CodecKind::Sz, |e| e.codec)
+}
+
+/// Values in the chunks of `(snapshot, field)` that `region` intersects.
+fn chunk_values(store: &StoreReader, snapshot: u32, field: &str, region: &Region) -> u64 {
+    store.find(snapshot, field).map_or(0, |e| {
+        let grid = e.grid;
+        grid.intersecting(region).into_iter().map(|i| grid.chunk_shape_at(i).len() as u64).sum()
+    })
 }
 
 /// Requests batch together when they run the same codec at the same

@@ -185,8 +185,9 @@ fn h2d_of_next_unit_overlaps_kernel_of_previous() {
 /// and against a fresh reader give the same bytes, makespan, completion
 /// times and `store.*` accounting. That holds for thin ZFP reads too —
 /// a plane, a pencil and a cube's edge decode one of a chunk's two block
-/// layers — whose modelled copy moves only the blocks decoded, so each
-/// costs less than a read of the whole chunks it crosses.
+/// layers on the host — which the model prices like the whole chunks
+/// they cross (the device decodes whole streams), bar the smaller copy
+/// back.
 #[test]
 fn store_reads_cost_the_same_on_cold_warm_and_fresh_readers() {
     use foresight::{ChunkCodec, FieldShape, Region, StoreReader, StoreWriter};
@@ -270,17 +271,15 @@ fn store_reads_cost_the_same_on_cold_warm_and_fresh_readers() {
     ] {
         let plan = fresh_reader.plan_region(0, "zfp", thin).unwrap();
         let all = fresh_reader.plan_region(0, "zfp", whole).unwrap();
-        assert_eq!(
-            (plan.chunks_intersected, plan.chunk_bytes),
-            (all.chunks_intersected, all.chunk_bytes)
-        );
+        assert_eq!(plan.chunks_intersected, all.chunks_intersected);
         assert!(plan.blocks_decoded < all.blocks_decoded, "{thin:?}: {plan:?}");
-        assert!(plan.compressed_bytes_decoded < all.compressed_bytes_decoded, "{thin:?}");
+        assert!(plan.bytes_touched < all.bytes_touched, "{thin:?}: {plan:?}");
         assert_eq!(
             plan.compressed_bytes_read, all.compressed_bytes_read,
             "whole fragments fetched"
         );
-        assert!(alone(thin) < alone(whole), "{thin:?} costs less than {whole:?}");
+        let (t, w) = (alone(thin), alone(whole));
+        assert!(t < w && t > 0.8 * w, "{thin:?} {t} costs a little less than {whole:?} {w}");
     }
     for (label, other) in [("warm", &warm), ("fresh", &fresh)] {
         assert_eq!(cold.makespan_s.to_bits(), other.makespan_s.to_bits(), "{label} makespan");

@@ -53,6 +53,7 @@ use crate::format::{self, ChunkRef, Directory, FieldEntry, Superblock, SUPERBLOC
 use crate::grid::{ChunkGrid, FieldShape, Region};
 use foresight_util::crc::crc32;
 use foresight_util::sha256::{to_hex, Sha256};
+use foresight_util::tiles::Tile;
 use foresight_util::{telemetry, Error, Result};
 use rayon::prelude::*;
 use std::borrow::Cow;
@@ -76,22 +77,15 @@ pub struct ReadStats {
     pub chunks_in_field: u64,
     /// Chunks the region intersects.
     pub chunks_intersected: u64,
-    /// Uncompressed bytes of the chunks the region intersects: what
-    /// decoding each of them whole would materialize.
-    pub chunk_bytes: u64,
     /// Chunks this read fetched, CRC-checked and decoded layers of; the
     /// cache held all the rest of the intersecting chunks needed.
     pub chunks_decoded: u64,
     /// Codec blocks this read decoded: the `4^d` blocks of the ZFP
-    /// layers it needed, every block of an SZ fragment.
+    /// layers it needed, and one for each SZ fragment (decoded whole).
     pub blocks_decoded: u64,
     /// Compressed fragment bytes this read fetched from the archive:
     /// whole fragments, since a chunk's CRC covers all of it.
     pub compressed_bytes_read: u64,
-    /// The compressed bytes of the blocks decoded: a whole SZ fragment,
-    /// a ZFP fragment pro rata to its blocks decoded (a fixed rate gives
-    /// every block the same bits). What the serve model transfers.
-    pub compressed_bytes_decoded: u64,
     /// Uncompressed bytes this read's decodes materialized.
     pub bytes_touched: u64,
     /// Uncompressed bytes the caller asked for (region size × 4).
@@ -164,22 +158,25 @@ struct ChunkCache {
 impl ChunkCache {
     /// What the cache holds of layers `want` of chunk `(field, id)`:
     /// hands `hit` each unit that covers a wanted layer no earlier unit
-    /// covered, marked most recently used, and pushes every run of
-    /// wanted layers no unit covers to `gaps`.
+    /// covered, marked most recently used, and returns the layers left to
+    /// decode: from the first wanted layer no unit covers to one past the
+    /// last (empty when none is left), so a chunk decodes in one pass.
     fn lookup(
         &mut self,
         (field, id): (usize, usize),
         want: Range<usize>,
         mut hit: impl FnMut(Range<usize>, Arc<Vec<f32>>),
-        gaps: &mut Vec<Range<usize>>,
-    ) {
-        let mut at = want.start;
+    ) -> Range<usize> {
+        let (mut at, mut gap) = (want.start, want.end..want.end);
+        let mut uncovered = |run: Range<usize>| {
+            gap = if gap.is_empty() { run } else { gap.start..run.end };
+        };
         for (&key, unit) in self.entries.range_mut((field, id, 0)..(field, id, want.end)) {
             if unit.end <= at {
                 continue;
             }
             if key.2 > at {
-                gaps.push(at..key.2);
+                uncovered(at..key.2);
             }
             self.clock += 1;
             unit.stamp = self.clock;
@@ -187,8 +184,9 @@ impl ChunkCache {
             at = unit.end;
         }
         if at < want.end {
-            gaps.push(at..want.end);
+            uncovered(at..want.end);
         }
+        gap
     }
 
     /// Caches a verified decode of layers `key.2..end` and evicts from
@@ -224,57 +222,49 @@ impl ChunkCache {
 }
 
 /// One chunk a read intersects, and the layers of it the read needs.
-struct PlannedChunk {
+struct PlannedChunk<'r> {
     id: usize,
     /// Where the chunk starts in the field.
     origin: [usize; 3],
     fragment: ChunkRef,
     shape: FieldShape,
-    /// The chunk's decode tiles, numbered in layers: ZFP's `4^d` blocks,
-    /// or for SZ one tile, the whole chunk.
-    units: ChunkGrid,
-    /// Codec blocks in one of those tiles: 1 for ZFP, the fragment's
-    /// blocks for SZ.
-    blocks_per_tile: u64,
-    /// The layers of `units` the region meets.
+    /// A ZFP chunk's `4^d` blocks, numbered in layers; `None` for an SZ
+    /// fragment, which is one layer (0), the whole chunk.
+    blocks: Option<&'r ChunkGrid>,
+    /// The layers the region meets.
     layers: Range<usize>,
 }
 
-impl PlannedChunk {
-    /// Blocks, decoded bytes and compressed bytes (pro rata, see
-    /// [`ReadStats::compressed_bytes_decoded`]) of decoding `layers`.
-    fn cost(&self, layers: &Range<usize>) -> (u64, u64, u64) {
-        let slab = self.units.layers(layers.clone());
-        let (tiles, all) = (slab.tiles.len(), self.units.len());
-        let priced = match tiles == all {
-            true => self.fragment.len,
-            false => (self.fragment.len as u128 * tiles as u128 / all.max(1) as u128) as u64,
-        };
-        (tiles as u64 * self.blocks_per_tile, slab.values.len() as u64 * 4, priced)
+impl PlannedChunk<'_> {
+    /// Codec blocks and values of decoding `layers`.
+    fn cost(&self, layers: &Range<usize>) -> (u64, usize) {
+        match self.blocks {
+            Some(blocks) => {
+                let slab = blocks.layers(layers.clone());
+                (slab.tiles.len() as u64, slab.values.len())
+            }
+            None => (1, self.shape.len()),
+        }
     }
 
     /// Copies the part of the decoded `layers` inside `region` into `out`.
     fn scatter(&self, layers: Range<usize>, values: &[f32], region: &Region, out: &mut [f32]) {
-        self.units.layer_box(layers, self.origin).scatter_into(values, region, out);
+        let tile = match self.blocks {
+            Some(blocks) => blocks.layer_box(layers, self.origin),
+            None => Tile { origin: self.origin, size: self.shape.extents() },
+        };
+        tile.scatter_into(values, region, out);
     }
 }
 
-/// A chunk's decode tiles and the codec blocks in one of them (see
-/// [`PlannedChunk`]).
-fn decode_tiles(entry: &FieldEntry, shape: FieldShape) -> Result<(ChunkGrid, u64)> {
-    let (units, blocks) = match &entry.codebook {
-        Some(book) => (
-            ChunkGrid::new(shape, shape.extents()),
-            lossy_sz::block::tiles(shape, book.block_size()).map(|t| t.len() as u64),
-        ),
-        None => (ChunkGrid::cubes(shape, 4), Ok(1)),
-    };
-    Ok((units.map_err(Error::into_corrupt)?, blocks.map_err(Error::into_corrupt)?))
-}
-
 /// The chunks `region` intersects in ascending id order with the layers
-/// of each it needs, and the accounting of reading them with no cache.
-fn plan(entry: &FieldEntry, region: &Region) -> Result<(Vec<PlannedChunk>, ReadStats)> {
+/// of each it needs, and the accounting of reading them with no cache;
+/// `tilings` is [`block_tilings`] of the entry.
+fn plan<'r>(
+    entry: &FieldEntry,
+    tilings: &'r [ChunkGrid],
+    region: &Region,
+) -> Result<(Vec<PlannedChunk<'r>>, ReadStats)> {
     let grid = entry.grid;
     region.validate_in(grid.shape())?;
     let n = region
@@ -287,7 +277,6 @@ fn plan(entry: &FieldEntry, region: &Region) -> Result<(Vec<PlannedChunk>, ReadS
     };
     let intersecting = grid.intersecting(region);
     let mut chunks = Vec::with_capacity(intersecting.len());
-    let mut last = None;
     for idx in intersecting {
         let id = grid.linear(idx);
         let fragment = *entry
@@ -296,24 +285,44 @@ fn plan(entry: &FieldEntry, region: &Region) -> Result<(Vec<PlannedChunk>, ReadS
             .ok_or_else(|| Error::corrupt(format!("chunk id {id} outside the directory")))?;
         let (origin, shape) = (grid.origin(idx), grid.chunk_shape_at(idx));
         shape.checked_len().ok_or_else(|| Error::corrupt("chunk value count overflows"))?;
-        // Chunks of one shape share their tiling: work it out once a run.
-        let (units, blocks_per_tile) = match last {
-            Some((s, tiles)) if s == shape => tiles,
-            _ => last.insert((shape, decode_tiles(entry, shape)?)).1,
+        let blocks = match entry.codebook {
+            Some(_) => None,
+            None => Some(
+                tilings
+                    .iter()
+                    .find(|b| b.shape() == shape)
+                    .ok_or_else(|| Error::corrupt("a ZFP chunk's blocks do not tile it"))?,
+            ),
         };
-        let layers = units.layers_within(region, origin);
-        let c = PlannedChunk { id, origin, fragment, shape, units, blocks_per_tile, layers };
-        let (blocks, touched, priced) = c.cost(&c.layers);
+        let layers = blocks.map_or(0..1, |b| b.layers_within(region, origin));
+        let c = PlannedChunk { id, origin, fragment, shape, blocks, layers };
+        let (blocks, values) = c.cost(&c.layers);
         stats.chunks_intersected += 1;
-        stats.chunk_bytes += shape.len() as u64 * 4;
         stats.blocks_decoded += blocks;
         stats.compressed_bytes_read += fragment.len;
-        stats.compressed_bytes_decoded += priced;
-        stats.bytes_touched += touched;
+        stats.bytes_touched += values as u64 * 4;
         chunks.push(c);
     }
     stats.chunks_decoded = stats.chunks_intersected;
     Ok((chunks, stats))
+}
+
+/// A ZFP field's chunk shapes — at most one per corner of its grid, as
+/// only the last chunk along an axis is clamped — each tiled into its
+/// `4^d` blocks; none for an SZ field.
+fn block_tilings(entry: &FieldEntry) -> Vec<ChunkGrid> {
+    let mut tilings: Vec<ChunkGrid> = Vec::new();
+    if entry.codebook.is_some() {
+        return tilings;
+    }
+    let last = entry.grid.counts().map(|n| n.saturating_sub(1));
+    for corner in 0..8 {
+        let shape = entry.grid.chunk_shape_at([0, 1, 2].map(|i| (corner >> i & 1) * last[i]));
+        if tilings.iter().all(|b| b.shape() != shape) {
+            tilings.extend(ChunkGrid::cubes(shape, 4));
+        }
+    }
+    tilings
 }
 
 /// Read-side handle over a sealed archive.
@@ -321,6 +330,8 @@ pub struct StoreReader {
     backing: Backing,
     superblock: Superblock,
     directory: Directory,
+    /// [`block_tilings`] of each directory entry.
+    tilings: Vec<Vec<ChunkGrid>>,
     cache: Mutex<ChunkCache>,
     /// [`CACHE_BUDGET_BYTES`], except in this module's eviction tests.
     budget: usize,
@@ -340,7 +351,15 @@ impl StoreReader {
         for book in directory.fields.iter().filter_map(|f| f.codebook.as_ref()) {
             crate::codec::register_codebook(book);
         }
-        Self { backing, superblock, directory, cache: Mutex::default(), budget: CACHE_BUDGET_BYTES }
+        let tilings = directory.fields.iter().map(block_tilings).collect();
+        Self {
+            backing,
+            superblock,
+            directory,
+            tilings,
+            cache: Mutex::default(),
+            budget: CACHE_BUDGET_BYTES,
+        }
     }
 
     /// Opens an in-memory archive image, verifying superblock CRC,
@@ -408,8 +427,8 @@ impl StoreReader {
     /// region meets decoded. A pure function of the directory and the
     /// region; reads no fragment.
     pub fn plan_region(&self, snapshot: u32, name: &str, region: Region) -> Result<ReadStats> {
-        let (_, entry) = self.locate(snapshot, name)?;
-        Ok(plan(entry, &region)?.1)
+        let (field, entry) = self.locate(snapshot, name)?;
+        Ok(plan(entry, &self.tilings[field], &region)?.1)
     }
 
     /// Reads the subvolume `region` of field `(snapshot, name)`,
@@ -440,27 +459,27 @@ impl StoreReader {
         entry: &FieldEntry,
         region: Region,
     ) -> Result<(Vec<f32>, ReadStats)> {
-        let (chunks, planned) = plan(entry, &region)?;
+        let (chunks, planned) = plan(entry, &self.tilings[field], &region)?;
         let mut out = vec![0f32; (planned.bytes_returned / 4) as usize];
 
         // Look up: per chunk, the cached units that cover its layers and
-        // the runs of layers left to decode. A poisoned lock means a
-        // reader panicked inside the cache, so this read goes round it:
-        // everything decoded, nothing inserted.
+        // the run of layers left to decode (which the decode's scatter
+        // overwrites any hit inside of with the same values). A poisoned
+        // lock means a reader panicked inside the cache, so this read goes
+        // round it: everything decoded, nothing inserted.
         let mut hits = Vec::with_capacity(chunks.len());
-        let mut misses: Vec<(&PlannedChunk, Vec<Range<usize>>)> = Vec::new();
+        let mut misses: Vec<(&PlannedChunk, Range<usize>)> = Vec::new();
         match self.cache.lock() {
             Ok(mut cache) => {
-                let mut gaps = Vec::new();
                 for c in &chunks {
                     let hit = |layers, values| hits.push((c, layers, values));
-                    cache.lookup((field, c.id), c.layers.clone(), hit, &mut gaps);
-                    if !gaps.is_empty() {
-                        misses.push((c, std::mem::take(&mut gaps)));
+                    let gap = cache.lookup((field, c.id), c.layers.clone(), hit);
+                    if !gap.is_empty() {
+                        misses.push((c, gap));
                     }
                 }
             }
-            Err(_) => misses.extend(chunks.iter().map(|c| (c, vec![c.layers.clone()]))),
+            Err(_) => misses.extend(chunks.iter().map(|c| (c, c.layers.clone()))),
         }
         for (c, layers, values) in hits {
             c.scatter(layers, &values, &region, &mut out);
@@ -478,7 +497,6 @@ impl StoreReader {
             chunks_decoded: 0,
             blocks_decoded: 0,
             compressed_bytes_read: 0,
-            compressed_bytes_decoded: 0,
             bytes_touched: 0,
             ..planned
         };
@@ -488,8 +506,8 @@ impl StoreReader {
             let mut window_bytes = 0;
             let len = rest
                 .iter()
-                .take_while(|(c, runs)| {
-                    window_bytes += runs.iter().map(|r| c.cost(r).1).sum::<u64>();
+                .take_while(|(c, layers)| {
+                    window_bytes += c.cost(layers).1 as u64 * 4;
                     window_bytes <= budget
                 })
                 .count()
@@ -498,20 +516,17 @@ impl StoreReader {
             rest = tail;
             let decoded = window
                 .par_iter()
-                .map(|(c, runs)| self.decode(entry, c, runs))
+                .map(|(c, layers)| self.decode(entry, c, layers.clone()))
                 .collect::<Result<Vec<_>>>()?;
-            for ((c, runs), decodes) in window.iter().zip(decoded) {
+            for ((c, layers), values) in window.iter().zip(decoded) {
+                let (blocks, n) = c.cost(layers);
                 stats.chunks_decoded += 1;
+                stats.blocks_decoded += blocks;
                 stats.compressed_bytes_read += c.fragment.len;
-                for (layers, values) in runs.iter().zip(decodes) {
-                    let (blocks, touched, priced) = c.cost(layers);
-                    stats.blocks_decoded += blocks;
-                    stats.bytes_touched += touched;
-                    stats.compressed_bytes_decoded += priced;
-                    c.scatter(layers.clone(), &values, &region, &mut out);
-                    if cacheable {
-                        fresh.push(((field, c.id, layers.start), layers.end, Arc::new(values)));
-                    }
+                stats.bytes_touched += n as u64 * 4;
+                c.scatter(layers.clone(), &values, &region, &mut out);
+                if cacheable {
+                    fresh.push(((field, c.id, layers.start), layers.end, Arc::new(values)));
                 }
             }
         }
@@ -540,14 +555,13 @@ impl StoreReader {
     }
 
     /// Fetches one chunk's fragment and checks its CRC — over all of it,
-    /// before any block of it is decoded — then decodes each run of
-    /// layers in `runs`.
+    /// before any block of it is decoded — then decodes `layers`.
     fn decode(
         &self,
         entry: &FieldEntry,
         chunk: &PlannedChunk,
-        runs: &[Range<usize>],
-    ) -> Result<Vec<Vec<f32>>> {
+        layers: Range<usize>,
+    ) -> Result<Vec<f32>> {
         let payload = self.fragment(&chunk.fragment)?;
         if crc32(&payload) != chunk.fragment.crc32 {
             return Err(Error::corrupt(format!(
@@ -555,7 +569,7 @@ impl StoreReader {
                 chunk.id, entry.name
             )));
         }
-        runs.iter().map(|layers| decode_layers(entry, &payload, chunk, layers.clone())).collect()
+        decode_layers(entry, &payload, chunk, layers)
     }
 
     /// Verifies every chunk CRC and every field payload digest without
@@ -660,7 +674,7 @@ fn decode_layers(
     if dims != chunk.shape {
         return Err(Error::corrupt("chunk stream dims disagree with the directory"));
     }
-    let want = chunk.units.layers(layers).values.len();
+    let want = chunk.cost(&layers).1;
     if values.len() != want {
         return Err(Error::corrupt(format!(
             "chunk decoded {} values but the directory promised {want}",
@@ -708,11 +722,11 @@ mod tests {
     }
 
     /// The units `lookup` hands out for layers `want` of chunk `(0, id)`,
-    /// and the gaps it leaves.
-    fn look(cache: &mut ChunkCache, id: usize, want: Range<usize>) -> [Vec<(usize, usize)>; 2] {
-        let (mut hits, mut gaps) = (Vec::new(), Vec::new());
-        cache.lookup((0, id), want, |layers, _| hits.push(layers), &mut gaps);
-        [hits, gaps].map(|runs| runs.iter().map(|r| (r.start, r.end)).collect())
+    /// and the run it leaves to decode.
+    fn look(cache: &mut ChunkCache, id: usize, want: Range<usize>) -> (Vec<[usize; 2]>, Range<usize>) {
+        let mut hits = Vec::new();
+        let gap = cache.lookup((0, id), want, |layers, _| hits.push([layers.start, layers.end]));
+        (hits, gap)
     }
 
     #[test]
@@ -725,10 +739,10 @@ mod tests {
         assert_eq!(cache.insert((0, 1, 0), 1, unit(40), budget), 0, "a present key stays");
         assert_eq!(cache.bytes, 320);
         // Touch chunk 0: chunk 1 is now the coldest and goes first.
-        assert_eq!(look(&mut cache, 0, 0..1), [vec![(0, 1)], vec![]]);
+        assert_eq!(look(&mut cache, 0, 0..1), (vec![[0, 1]], 1..1));
         assert_eq!(cache.insert((1, 0, 0), 1, unit(40), budget), 1);
-        assert_eq!(look(&mut cache, 1, 0..1), [vec![], vec![(0, 1)]]);
-        assert_eq!(look(&mut cache, 0, 0..1)[0].len(), 1);
+        assert_eq!(look(&mut cache, 1, 0..1), (vec![], 0..1));
+        assert_eq!(look(&mut cache, 0, 0..1).0.len(), 1);
         // One large entry pushes out as many as it needs, coldest first.
         assert_eq!(cache.insert((2, 0, 0), 1, unit(100), budget), 2);
         assert_eq!((cache.bytes, cache.entries.len(), cache.by_age.len()), (400, 1, 1));
@@ -738,10 +752,11 @@ mod tests {
     }
 
     /// Units are runs of layers: a lookup uses those that cover what it
-    /// wants, skips those a unit before them already covered, and names
-    /// every uncovered run; only the units it uses get younger.
+    /// wants, skips those a unit before them already covered, and leaves
+    /// one run to decode, from the first uncovered layer to the end of the
+    /// last; only the units it uses get younger.
     #[test]
-    fn lookup_covers_wanted_layers_with_units_and_names_the_gaps() {
+    fn lookup_covers_wanted_layers_with_units_and_leaves_one_run() {
         let unit = |n: usize| Arc::new(vec![0f32; n]);
         let mut cache = ChunkCache::default();
         for (first, end) in [(1, 2), (4, 7), (5, 6), (8, 9)] {
@@ -749,10 +764,11 @@ mod tests {
         }
         cache.insert((0, 1, 0), 9, unit(8), 1 << 20);
         let all = look(&mut cache, 0, 0..9);
-        assert_eq!(all, [vec![(1, 2), (4, 7), (8, 9)], vec![(0, 1), (2, 4), (7, 8)]]);
-        assert_eq!(look(&mut cache, 0, 5..6), [vec![(4, 7)], vec![]]);
-        assert_eq!(look(&mut cache, 0, 2..4), [vec![], vec![(2, 4)]]);
-        assert_eq!(look(&mut cache, 0, 6..10), [vec![(4, 7), (8, 9)], vec![(7, 8), (9, 10)]]);
+        assert_eq!(all, (vec![[1, 2], [4, 7], [8, 9]], 0..8));
+        assert_eq!(look(&mut cache, 0, 5..6), (vec![[4, 7]], 6..6));
+        assert_eq!(look(&mut cache, 0, 2..4), (vec![], 2..4));
+        assert_eq!(look(&mut cache, 0, 6..10), (vec![[4, 7], [8, 9]], 7..10));
+        assert_eq!(look(&mut cache, 0, 4..7), (vec![[4, 7]], 7..7));
         // (0, 0, 5) was never used, and chunk 1's unit is older than the
         // rest, so each of two inserts at a full budget takes one of them.
         for (id, coldest) in [(0, (0, 0, 5)), (1, (0, 1, 0))] {

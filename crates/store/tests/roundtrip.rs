@@ -214,7 +214,6 @@ proptest! {
                         chunks_decoded: 0,
                         blocks_decoded: 0,
                         compressed_bytes_read: 0,
-                        compressed_bytes_decoded: 0,
                         bytes_touched: 0,
                         ..s
                     };

@@ -157,11 +157,6 @@ impl FieldCodebook {
         self.ndim
     }
 
-    /// Edge of the SZ blocks every fragment is cut into.
-    pub fn block_size(&self) -> usize {
-        self.block_size
-    }
-
     /// The key every fragment of the field carries.
     pub fn key(&self) -> u64 {
         self.key

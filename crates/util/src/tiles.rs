@@ -265,6 +265,12 @@ impl Tiles {
         let (axis, ..) = self.layering;
         let e = self.edge[axis];
         let (lo, hi) = (region.lo[axis].saturating_sub(at[axis]), region.hi[axis] - at[axis]);
+        if e.is_power_of_two() {
+            // Block edges are powers of two, and a warm read plans every
+            // chunk it touches: a shift costs a fraction of a divide.
+            let s = e.trailing_zeros();
+            return lo >> s..((hi >> s) + usize::from(hi & (e - 1) != 0)).min(self.counts[axis]);
+        }
         lo / e..hi.div_ceil(e).min(self.counts[axis])
     }
 

@@ -17,11 +17,11 @@
 //! or archive VERSION bump. The store and serve digests were re-blessed
 //! at `.fstr` VERSION 2 (one codebook per SZ field, REL resolved over the
 //! whole field); the codec API and GPU backend digests did not move.
-//! They were re-blessed once more, with no byte or value moved, when
-//! region reads began decoding ZFP chunks in block layers: the read
-//! accounting gained `chunk_bytes`, `blocks_decoded` and
-//! `compressed_bytes_decoded`, and a modelled `StoreRead` copies only the
-//! compressed bytes of the blocks it decodes.
+//! The store digest was re-blessed once more, with no byte or value
+//! moved, when region reads began decoding ZFP chunks in block layers:
+//! `ReadStats` gained `blocks_decoded`, and its `bytes_touched` counts the
+//! layers a read materializes instead of its whole chunks. The serve
+//! digest did not move: the model still prices a read on whole chunks.
 
 use foresight::codec::{self, CodecConfig, Shape};
 use foresight::gpu_backend::{gpu_compress, gpu_decompress};
@@ -37,8 +37,8 @@ use std::sync::Arc;
 
 const CODEC_API_SHA256: &str = "ee246d1bbcc4b8c775f763749b407bf9fa4769c4f3b309c5999d54661380852f";
 const GPU_BACKEND_SHA256: &str = "bac05f2d2a0081330812a003b9faa130db3a4a51a995e94c068e6fbe88e3ce97";
-const STORE_SHA256: &str = "48cb921942bf8cb70fe0f94f8313ae34df7a89f58ee3a5cf4dbe4bfa72c80e2d";
-const SERVE_SHA256: &str = "c832db564f595c3c6ce3b4ebffd694b2de7def52054e90b2a753452023812af4";
+const STORE_SHA256: &str = "af16bbc78651bd0e3ac9c142108deff287f14e07b441ba7587b53ce192b76f7d";
+const SERVE_SHA256: &str = "27c9ed5e6d687830ae996dd78c455c699d64cf2db74740f5cc0462393722a8b0";
 
 /// Smooth ramps plus integer-PRNG noise (no libm: the same bytes on
 /// every platform), offset so no value is zero.
