@@ -132,9 +132,11 @@ pub fn friends_of_friends(
         d2
     };
 
-    // Candidate friend pairs, gathered in parallel per cell (each cell
-    // pairs internally and with its 13 "forward" neighbours so no pair is
-    // generated twice), then merged through a sequential union-find.
+    // Friend pairs, gathered in parallel per cell (each cell pairs
+    // internally and with its 13 "forward" neighbours so no pair is
+    // generated twice), then merged through a sequential union-find. A cell
+    // keeps a spanning forest of its pairs: the same halos from one pair per
+    // particle, however densely a reconstruction piles particles into it.
     let forward: Vec<(i64, i64, i64)> = {
         let mut f = Vec::new();
         for dz in -1i64..=1 {
@@ -152,35 +154,31 @@ pub fn friends_of_friends(
     let pairs: Vec<Vec<(u32, u32)>> = (0..cells.len())
         .into_par_iter()
         .map(|ci| {
-            let mut out = Vec::new();
             let me = &cells[ci];
             if me.is_empty() {
-                return out;
+                return Vec::new();
             }
             let (cx, cy, cz) =
                 ((ci % ncell) as i64, ((ci / ncell) % ncell) as i64, (ci / (ncell * ncell)) as i64);
-            // Intra-cell pairs.
-            for a in 0..me.len() {
-                for b in a + 1..me.len() {
-                    if dist2(me[a], me[b]) <= b2 {
-                        out.push((me[a], me[b]));
-                    }
-                }
-            }
-            // Forward neighbour cells (periodic wrap).
+            // This cell's particles, then its forward neighbours' (periodic wrap).
+            let mut local = me.clone();
             for &(dx, dy, dz) in &forward {
                 let nx = (cx + dx).rem_euclid(nc) as usize;
                 let ny = (cy + dy).rem_euclid(nc) as usize;
                 let nz = (cz + dz).rem_euclid(nc) as usize;
                 let oi = nx + ncell * (ny + ncell * nz);
-                if oi == ci {
-                    continue; // wrap collapsed onto self (tiny grids)
+                if oi != ci {
+                    local.extend_from_slice(&cells[oi]); // else the wrap collapsed onto self
                 }
-                for &a in me {
-                    for &b in &cells[oi] {
-                        if dist2(a, b) <= b2 {
-                            out.push((a, b));
-                        }
+            }
+            let mut forest = UnionFind::new(local.len());
+            let mut out = Vec::new();
+            for a in 0..me.len() {
+                for b in a + 1..local.len() {
+                    let (la, lb) = (a as u32, b as u32);
+                    if forest.find(la) != forest.find(lb) && dist2(local[a], local[b]) <= b2 {
+                        forest.union(la, lb);
+                        out.push((local[a], local[b]));
                     }
                 }
             }
@@ -371,6 +369,17 @@ mod tests {
         assert_eq!(cat.halos[1].count, 30);
         let c = cat.halos[0].center;
         assert!((c[0] - 10.0).abs() < 1.0 && (c[1] - 10.0).abs() < 1.0);
+    }
+
+    #[test]
+    fn a_dense_pile_is_one_halo() {
+        // 3 000 particles on one point, where a codec at a few bits a value
+        // can leave them, plus one far away: one halo of the pile.
+        let mut x = vec![10.0f32; 3000];
+        x.push(40.0);
+        let cat = friends_of_friends(&x, &x, &x, 64.0, 1.0, 10).unwrap();
+        assert_eq!(cat.halos.len(), 1);
+        assert_eq!(cat.halos[0].count, 3000);
     }
 
     #[test]

@@ -93,6 +93,7 @@ fn position_noise_degrades_small_halos_first() {
 
 #[test]
 fn compressing_positions_preserves_power_spectrum_at_tight_bound() {
+    use cosmo_analysis::acceptance::{pk_deviation, Verdict, PK_BINS};
     use lossy_sz_shim::*;
     // Compress-decompress positions with a tight ABS bound and verify the
     // pk ratio stays inside the paper's 1% band.
@@ -102,18 +103,15 @@ fn compressing_positions_preserves_power_spectrum_at_tight_bound() {
     let grid = Grid3::cube(n_side);
     let orig_delta =
         cosmo_analysis::deposit_particles(&p.x, &p.y, &p.z, grid, box_size).unwrap();
-    let orig_pk = power_spectrum(&orig_delta, grid, box_size, 8).unwrap();
+    let orig_pk = power_spectrum(&orig_delta, grid, box_size, PK_BINS).unwrap();
 
     let rx = roundtrip(&p.x, 0.005);
     let ry = roundtrip(&p.y, 0.005);
     let rz = roundtrip(&p.z, 0.005);
     let rec_delta = cosmo_analysis::deposit_particles(&rx, &ry, &rz, grid, box_size).unwrap();
-    let rec_pk = power_spectrum(&rec_delta, grid, box_size, 8).unwrap();
+    let rec_pk = power_spectrum(&rec_delta, grid, box_size, PK_BINS).unwrap();
     let ratios = pk_ratio(&orig_pk, &rec_pk).unwrap();
-    assert!(
-        cosmo_analysis::pk_ratio_within(&ratios, 0.01),
-        "pk ratio outside 1%: {ratios:?}"
-    );
+    assert!(Verdict::pk(pk_deviation(&ratios)).acceptable(), "pk ratio outside 1%: {ratios:?}");
 }
 
 /// Tiny local stand-in so this test file does not need lossy-sz as a dev

@@ -7,6 +7,7 @@
 //! ratio of both reconstructions.
 
 use crate::prelude::*;
+use cosmo_analysis::pk_ratio;
 use foresight::viz::{cube_slice, render_pgm, render_ppm, Scaling};
 
 pub(crate) fn build(ctx: &Ctx) -> Result<Exhibit> {
@@ -28,7 +29,7 @@ pub(crate) fn build(ctx: &Ctx) -> Result<Exhibit> {
         let (_, recon) = roundtrip(field, &CodecConfig::Sz(SzConfig::pw_rel(pw)))?;
         let pgm = render_pgm(&mid_plane(&recon)?, n, n, Scaling::Log10)?;
         ex.file(&format!("fig1{panel}_pwrel_{pw}.pgm"), pgm);
-        let (ratios, _) = pk_deviation(&orig_pk, &recon, grid, box_size, 12)?;
+        let ratios = pk_ratio(&orig_pk, &power_spectrum_f32(&recon, grid, box_size, 12)?)?;
         for &(k, r) in &ratios {
             table.push_row([panel.to_string(), format!("{pw}"), fmt_f64(k), fmt_f64(r)]);
         }

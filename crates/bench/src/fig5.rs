@@ -10,12 +10,11 @@
 //! dataset ratio is reported (paper: 10.7x for cuZFP vs 15.4x for GPU-SZ).
 
 use crate::prelude::*;
+use foresight::{best_fit_per_field, overall_best_ratio, Candidate, CodecKind};
 use std::collections::HashMap;
 
 const ZFP_RATES: [f64; 4] = [1.0, 2.0, 4.0, 8.0];
 const SZ_REL_LEVELS: [f64; 4] = [3e-2, 1e-2, 3e-3, 1e-3];
-const PK_BINS: usize = 12;
-const PK_TOL: f64 = 0.01;
 
 /// The six spectra and which native fields feed each.
 const SPECTRA: [(&str, &[&str]); 6] = [
@@ -41,16 +40,9 @@ fn spectrum_input<V: AsRef<[f32]>>(name: &str, f: &HashMap<&str, V>) -> Vec<f32>
     }
 }
 
-/// One configuration applied to every field.
-struct Level {
-    comp: &'static str,
-    label: String,
-    /// Per spectrum, in `SPECTRA` order: the pk ratio curve and its worst
-    /// |ratio - 1|.
-    curves: Vec<(Vec<(f64, f64)>, f64)>,
-    /// Per field: the compression ratio.
-    field_ratio: Vec<f64>,
-}
+/// One configuration applied to every field: its compressor, its label
+/// and, per spectrum in `SPECTRA` order, the pk ratio curve.
+type Level = (&'static str, String, Vec<Vec<(f64, f64)>>);
 
 pub(crate) fn build(ctx: &Ctx) -> Result<Exhibit> {
     let grid = Grid3::cube(ctx.cli.n_side);
@@ -59,75 +51,71 @@ pub(crate) fn build(ctx: &Ctx) -> Result<Exhibit> {
     let orig_fields: HashMap<&str, &[f32]> = snap.fields().into_iter().collect();
     let orig = SPECTRA
         .iter()
-        .map(|(name, _)| {
-            power_spectrum_f32(&spectrum_input(name, &orig_fields), grid, box_size, PK_BINS)
-        })
+        .map(|(name, _)| spectrum_input(name, &orig_fields))
+        .map(|input| acceptance::spectrum(&input, grid, box_size))
         .collect::<Result<Vec<_>>>()?;
     let configs = (ZFP_RATES.map(|r| CodecConfig::Zfp(ZfpConfig::rate(r))).into_iter())
         .chain(SZ_REL_LEVELS.map(|b| CodecConfig::Sz(SzConfig::rel(b))));
     let mut curves = Table::new(["compressor", "level", "spectrum", "k", "pk_ratio"]);
     let mut summary = Table::new(["compressor", "level", "spectrum", "max_dev", "acceptable"]);
-    let mut levels = Vec::new();
+    let (mut levels, mut candidates): (Vec<Level>, _) = (Vec::new(), Vec::new());
     for cfg in configs {
         let (comp, label) = (cfg.id().display(), cfg.param_label());
-        let (mut recon, mut field_ratio) = (HashMap::new(), Vec::new());
+        let (mut recon, mut records) = (HashMap::new(), Vec::new());
         for f in fields {
             let (rec, data) = roundtrip(f, &cfg)?;
-            field_ratio.push(rec.ratio);
+            records.push(rec);
             recon.insert(f.name.as_str(), data);
         }
         let mut spectra = Vec::new();
         for ((spectrum, _), o) in SPECTRA.iter().zip(&orig) {
             let input = spectrum_input(spectrum, &recon);
-            let (curve, dev) = pk_deviation(o, &input, grid, box_size, PK_BINS)?;
+            let (curve, dev) = acceptance::pk_curve(o, &input, grid, box_size)?;
             let key = [comp.to_string(), label.clone(), spectrum.to_string()];
             for &(k, r) in &curve {
                 curves.push_row(key.iter().cloned().chain([fmt_f64(k), fmt_f64(r)]));
             }
-            summary.push_row(key.into_iter().chain([fmt_f64(dev), (dev <= PK_TOL).to_string()]));
-            spectra.push((curve, dev));
+            let accepted = Verdict::pk(dev).acceptable().to_string();
+            summary.push_row(key.into_iter().chain([fmt_f64(dev), accepted]));
+            spectra.push(curve);
         }
-        levels.push(Level { comp, label, curves: spectra, field_ratio });
+        // A field's pk deviation is the worst shell of every spectrum it feeds.
+        for record in records {
+            let fed: Vec<(f64, f64)> = (SPECTRA.iter().zip(&spectra))
+                .filter(|((_, from), _)| from.contains(&record.field.as_str()))
+                .flat_map(|(_, curve)| curve.iter().copied())
+                .collect();
+            let verdict = Verdict::pk(acceptance::pk_deviation(&fed));
+            candidates.push(Candidate { record, verdict });
+        }
+        levels.push((comp, label, spectra));
     }
 
-    // Best fit per field per compressor: the highest-ratio level whose
-    // relevant spectra all pass, then the overall dataset ratio.
+    // Best fit per field per compressor, then the overall dataset ratio.
     let mut bestfit = Table::new(["compressor", "field", "chosen", "field_ratio"]);
     let mut overall = Vec::new();
-    for (comp, paper) in [("cuZFP", "10.7x"), ("GPU-SZ", "15.4x")] {
-        let (mut orig_bytes, mut comp_bytes, mut all_ok) = (0.0f64, 0.0f64, true);
-        for (i, f) in fields.iter().enumerate() {
-            let passes = |l: &&Level| {
-                SPECTRA.iter().zip(&l.curves).all(|((_, inputs), (_, dev))| {
-                    !inputs.contains(&f.name.as_str()) || *dev <= PK_TOL
-                })
-            };
-            let best = levels
-                .iter()
-                .filter(|l| l.comp == comp)
-                .filter(passes)
-                .max_by(|a, b| a.field_ratio[i].total_cmp(&b.field_ratio[i]));
-            let (chosen, ratio) = match best {
-                Some(l) => {
-                    let r = l.field_ratio[i];
-                    orig_bytes += (f.data.len() * 4) as f64;
-                    comp_bytes += (f.data.len() * 4) as f64 / r;
-                    (l.label.clone(), fmt_f64(r))
+    for (comp, paper) in [(CodecKind::Zfp, "10.7x"), (CodecKind::Sz, "15.4x")] {
+        let (name, mut fits) = (comp.display(), Vec::new());
+        for f in fields {
+            let of_field: Vec<_> =
+                candidates.iter().filter(|c| c.record.field == f.name).cloned().collect();
+            let [chosen, ratio] = match best_fit_per_field(&of_field, comp) {
+                Ok(fit) => {
+                    let row = [fit[0].record.param.clone(), fmt_f64(fit[0].record.ratio)];
+                    fits.extend(fit);
+                    row
                 }
-                None => {
-                    all_ok = false;
-                    ("none acceptable".to_string(), "-".to_string())
-                }
+                Err(_) => ["none acceptable".to_string(), "-".to_string()],
             };
-            bestfit.push_row([comp.to_string(), f.name.clone(), chosen, ratio]);
+            bestfit.push_row([name.to_string(), f.name.clone(), chosen, ratio]);
         }
-        overall.push(if all_ok {
+        overall.push(if fits.len() == fields.len() {
             format!(
-                "{comp}: overall best-fit compression ratio = {:.2}x (paper at 512^3: {paper} )",
-                orig_bytes / comp_bytes
+                "{name}: overall best-fit compression ratio = {:.2}x (paper at 512^3: {paper} )",
+                overall_best_ratio(&fits)
             )
         } else {
-            format!("{comp}: some field had no acceptable config")
+            format!("{name}: some field had no acceptable config")
         });
     }
 
@@ -136,8 +124,8 @@ pub(crate) fn build(ctx: &Ctx) -> Result<Exhibit> {
         let chart_for = |comp: &str| {
             let series: Vec<_> = levels
                 .iter()
-                .filter(|l| l.comp == comp)
-                .map(|l| (l.label.clone(), l.curves[i].0.clone()))
+                .filter(|l| l.0 == comp)
+                .map(|l| (l.1.clone(), l.2[i].clone()))
                 .collect();
             chart(&series, 90, 20)
         };

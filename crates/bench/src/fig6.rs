@@ -10,13 +10,11 @@
 //! 4.25x (GPU-SZ) vs 4x (cuZFP) result.
 
 use crate::prelude::*;
-use cosmo_analysis::{friends_of_friends, halo_count_ratio, linking_length_for, mass_function};
+use cosmo_analysis::{halo_count_ratio, mass_function};
 
 const SZ_POS_BOUNDS: [f64; 3] = [0.005, 0.025, 0.1];
 const SZ_VEL_PWREL: f64 = 0.025;
 const ZFP_RATES: [f64; 3] = [4.0, 8.0, 12.0];
-const MIN_MEMBERS: usize = 10;
-const HALO_TOL: f64 = 0.1;
 
 /// Compresses one coordinate array through the paper's cube reshape;
 /// returns the reconstruction and the compression ratio.
@@ -34,8 +32,7 @@ fn log2_points(mf: &[(usize, usize)]) -> Vec<(f64, f64)> {
 pub(crate) fn build(ctx: &Ctx) -> Result<Exhibit> {
     let snap = ctx.hacc()?;
     let box_size = snap.box_size;
-    let b = linking_length_for(snap.len(), box_size, 0.2);
-    let orig_cat = friends_of_friends(&snap.x, &snap.y, &snap.z, box_size, b, MIN_MEMBERS)?;
+    let orig_cat = acceptance::halos(&snap.x, &snap.y, &snap.z, box_size)?;
 
     let mut curves =
         Table::new(["compressor", "param", "mass_bin", "orig_count", "recon_count", "ratio"]);
@@ -43,7 +40,7 @@ pub(crate) fn build(ctx: &Ctx) -> Result<Exhibit> {
         Table::new(["compressor", "param", "halos", "worst_ratio_dev", "acceptable", "pos_ratio"]);
     summary.push_row(["original", "-", &orig_cat.halos.len().to_string(), "-", "-", "-"]);
     let mut series = vec![("orig".to_string(), log2_points(&mass_function(&orig_cat)))];
-    // (position config, position ratio, acceptance statistic)
+    // (position config, position ratio, acceptable)
     let mut cands = Vec::new();
     let configs = SZ_POS_BOUNDS
         .map(|eb| CodecConfig::Sz(SzConfig::abs(eb)))
@@ -55,40 +52,24 @@ pub(crate) fn build(ctx: &Ctx) -> Result<Exhibit> {
         let mut inv_ratio = 0.0;
         for axis in [&snap.x, &snap.y, &snap.z] {
             let (recon, ratio) = roundtrip_coord(axis, &cfg)?;
-            // Positions may step slightly outside [0, L): wrap as HACC does.
-            coords.push(recon.into_iter().map(|x| x.rem_euclid(box_size as f32)).collect());
+            coords.push(recon);
             inv_ratio += 1.0 / ratio;
         }
         let pos_ratio = 3.0 / inv_ratio;
-        let cat = friends_of_friends(&coords[0], &coords[1], &coords[2], box_size, b, MIN_MEMBERS)?;
+        let cat = acceptance::halos(&coords[0], &coords[1], &coords[2], box_size)?;
         let ratios = halo_count_ratio(&orig_cat, &cat);
-        // Acceptance statistic: count-weighted mean |ratio - 1| over the
-        // populated bins. At bench scales individual bins hold only a
-        // handful of halos, so a per-bin worst-case would flip on single
-        // boundary crossings (the paper's 1e9 particles do not have this
-        // problem); weighting by bin population keeps the statistic
-        // faithful to the curves the paper eyeballs.
-        let (mut wsum, mut w) = (0.0f64, 0.0f64);
-        for &(_, oc, _, r) in ratios.iter().filter(|&&(_, oc, _, _)| oc >= 5) {
-            wsum += oc as f64 * (r - 1.0).abs();
-            w += oc as f64;
-        }
-        let worst = if w > 0.0 { wsum / w } else { 1.0 };
+        let worst = acceptance::halo_deviation(&ratios);
         let key = [comp.to_string(), param.clone()];
         for &(mass, oc, rc, r) in &ratios {
             let counts = [mass, oc, rc].map(|c| c.to_string());
             curves.push_row(key.iter().cloned().chain(counts).chain([fmt_f64(r)]));
         }
-        let accepted = (worst <= HALO_TOL).to_string();
+        let accepted = Verdict::halo(worst).acceptable();
         let halos = cat.halos.len().to_string();
-        summary.push_row(key.into_iter().chain([
-            halos,
-            fmt_f64(worst),
-            accepted,
-            fmt_f64(pos_ratio),
-        ]));
+        let verdict = [halos, fmt_f64(worst), accepted.to_string(), fmt_f64(pos_ratio)];
+        summary.push_row(key.into_iter().chain(verdict));
         series.push((format!("{comp}:{param}"), log2_points(&mass_function(&cat))));
-        cands.push((cfg, pos_ratio, worst));
+        cands.push((cfg, pos_ratio, accepted));
     }
 
     // Overall best-fit dataset ratios: chosen position config + the
@@ -97,7 +78,7 @@ pub(crate) fn build(ctx: &Ctx) -> Result<Exhibit> {
     for (comp, paper) in [("GPU-SZ", "4.25x"), ("cuZFP", "4x")] {
         let best = cands
             .iter()
-            .filter(|c| c.0.id().display() == comp && c.2 <= HALO_TOL)
+            .filter(|c| c.0.id().display() == comp && c.2)
             .max_by(|a, b| a.1.total_cmp(&b.1));
         let Some((cfg, pos_ratio, _)) = best else {
             overall.push(format!("{comp}: no acceptable configuration"));

@@ -9,9 +9,8 @@
 
 #![forbid(unsafe_code)]
 
-use cosmo_analysis::{pk_ratio, power_spectrum_f32, PkBin};
-use cosmo_data::{generate_hacc, generate_nyx, HaccSnapshot, NyxSnapshot, SynthOptions};
-use cosmo_fft::Grid3;
+use cosmo_data::{generate_hacc, HaccSnapshot, NyxSnapshot, SynthOptions};
+pub use foresight::cbench::nyx_fields;
 use foresight::cbench::{run_one, FieldData};
 use foresight::codec::{compress, CodecConfig, Shape};
 use foresight::{ascii_chart, CBenchRecord, CinemaDb};
@@ -26,8 +25,9 @@ use std::path::{Path, PathBuf};
 
 /// The vocabulary every exhibit module shares.
 mod prelude {
-    pub(crate) use crate::{chart, cubed, mean_bitrate, pk_deviation, roundtrip, simulate};
+    pub(crate) use crate::{chart, cubed, mean_bitrate, roundtrip, simulate};
     pub(crate) use crate::{velocity_magnitude, Ctx, Exhibit, ZFP_KERNELS};
+    pub(crate) use cosmo_analysis::acceptance::{self, Verdict};
     pub(crate) use cosmo_analysis::power_spectrum_f32;
     pub(crate) use cosmo_fft::Grid3;
     pub(crate) use foresight::{ascii_chart, cbench::run_one, codec::CodecConfig};
@@ -215,18 +215,6 @@ pub fn run(ctx: &Ctx, entry: &Entry) -> Result<PathBuf> {
     Ok(dir)
 }
 
-/// Generates the Nyx snapshot and wraps its fields for CBench.
-pub fn nyx_fields(opts: &SynthOptions) -> Result<(NyxSnapshot, Vec<FieldData>)> {
-    let snap = generate_nyx(opts)?;
-    let n = snap.n_side;
-    let fields = snap
-        .fields()
-        .iter()
-        .map(|(name, data)| FieldData::new(*name, data.to_vec(), Shape::D3(n, n, n)))
-        .collect::<Result<Vec<_>>>()?;
-    Ok((snap, fields))
-}
-
 /// The paper's per-field HACC compression layout (§IV-B-4): a 1-D array
 /// reshaped to a 3-D cube, zero-padded to whole cubes.
 ///
@@ -266,20 +254,6 @@ pub fn roundtrip(field: &FieldData, cfg: &CodecConfig) -> Result<(CBenchRecord, 
     let mut rec = run_one(field, cfg, true)?;
     let recon = rec.reconstructed.take().ok_or_else(|| Error::invalid("no reconstruction"))?;
     Ok((rec, recon))
-}
-
-/// The pk ratio curve of `recon` against `orig` (binned in `bins` shells)
-/// and its worst |ratio − 1|: the paper's power-spectrum acceptance test.
-pub fn pk_deviation(
-    orig: &[PkBin],
-    recon: &[f32],
-    grid: Grid3,
-    box_size: f64,
-    bins: usize,
-) -> Result<(Vec<(f64, f64)>, f64)> {
-    let ratios = pk_ratio(orig, &power_spectrum_f32(recon, grid, box_size, bins)?)?;
-    let worst = ratios.iter().map(|&(_, r)| (r - 1.0).abs()).fold(0.0f64, f64::max);
-    Ok((ratios, worst))
 }
 
 /// The V100 model's cuZFP kernels: (compress, decompress).

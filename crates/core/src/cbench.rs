@@ -8,6 +8,7 @@
 use crate::codec::{compress, decompress, CodecConfig, CodecKind, Shape};
 use crate::gpu_backend::{gpu_compress, gpu_decompress};
 use cosmo_analysis::metrics::{distortion, Distortion};
+use cosmo_data::{NyxSnapshot, SynthOptions};
 use foresight_util::timer::timed;
 use foresight_util::{telemetry, Error, Result};
 use gpu_sim::{Device, FaultPlan, FaultRates, GpuSpec, SanitizerConfig};
@@ -95,18 +96,6 @@ pub struct CBenchRecord {
     pub sim_seconds: Option<f64>,
     /// Reconstructed field, kept when requested for post-analysis.
     pub reconstructed: Option<Vec<f32>>,
-}
-
-impl CBenchRecord {
-    /// Compression throughput in GB/s (uncompressed volume / time).
-    pub fn compress_throughput_gbs(&self) -> f64 {
-        self.original_bytes as f64 / 1e9 / self.compress_seconds.max(1e-12)
-    }
-
-    /// Decompression throughput in GB/s.
-    pub fn decompress_throughput_gbs(&self) -> f64 {
-        self.original_bytes as f64 / 1e9 / self.decompress_seconds.max(1e-12)
-    }
 }
 
 /// Publishes a finished record's metrics: the per-(field,config) ratio
@@ -435,6 +424,17 @@ pub fn run_sweep_chaos(
         telemetry::counter("cbench.sanitizer_findings", sanitizer.len() as u64);
     }
     Ok(ChaosSweepReport { records, quarantined, sanitizer })
+}
+
+/// Generates the Nyx snapshot `opts` describes and wraps its six fields
+/// for CBench as 3-D grids.
+pub fn nyx_fields(opts: &SynthOptions) -> Result<(NyxSnapshot, Vec<FieldData>)> {
+    let snap = cosmo_data::generate_nyx(opts)?;
+    let n = snap.n_side;
+    let fields = (snap.fields().iter())
+        .map(|(name, data)| FieldData::new(*name, data.to_vec(), Shape::D3(n, n, n)))
+        .collect::<Result<Vec<_>>>()?;
+    Ok((snap, fields))
 }
 
 /// Dataset-level compression ratio for one chosen config per field

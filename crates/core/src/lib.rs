@@ -72,7 +72,7 @@ pub use obs::{
     evaluate_slo, evaluate_slos, ObsOptions, ObsRecorder, ObsTrace, SloLevel, SloSpec,
     SloVerdict, SpanNode, TraceContext,
 };
-pub use optimizer::{best_fit_per_field, overall_best_ratio, Acceptance, BestFit, Candidate};
+pub use optimizer::{best_fit_per_field, overall_best_ratio, BestFit, Candidate};
 pub use pat::{Job, JobResult, JobStatus, RetryPolicy, SlurmSim, Workflow, WorkflowReport};
 pub use runner::{run_pipeline, PipelineReport};
 pub use serve::{

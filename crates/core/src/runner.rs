@@ -11,12 +11,11 @@ use crate::cinema::CinemaDb;
 use crate::codec::Shape;
 use crate::config::{AnalysisKind, DatasetKind, ForesightConfig};
 use crate::gpu_backend::gpu_compress;
-use crate::optimizer::{best_fit_per_field, overall_best_ratio, Acceptance, Candidate};
+use crate::optimizer::{best_fit_per_field, overall_best_ratio, Candidate};
 use crate::pat::{Job, RetryPolicy, SlurmSim, Workflow, WorkflowReport};
 use crate::CodecKind;
-use cosmo_analysis::{
-    friends_of_friends, halo_count_ratio, linking_length_for, pk_ratio, power_spectrum_f32,
-};
+use cosmo_analysis::acceptance::{self, Verdict};
+use cosmo_analysis::halo_count_ratio;
 use cosmo_fft::Grid3;
 use foresight_util::table::{fmt_f64, Table};
 use foresight_util::telemetry::{self, Metrics, MetricsRegistry, TelemetrySnapshot, WindowSeries};
@@ -83,7 +82,6 @@ pub fn run_pipeline(cfg: &ForesightConfig, cluster: &SlurmSim) -> Result<Pipelin
     let sanitizer_cfg = cfg.sanitize.map(|s| s.to_sanitizer_config());
 
     let fields: Arc<Mutex<Vec<FieldData>>> = Arc::new(Mutex::new(Vec::new()));
-    let hacc_coords: Arc<Mutex<Option<[Vec<f32>; 3]>>> = Arc::new(Mutex::new(None));
     let records: Arc<Mutex<Vec<CBenchRecord>>> = Arc::new(Mutex::new(Vec::new()));
     let candidates: Arc<Mutex<Vec<Candidate>>> = Arc::new(Mutex::new(Vec::new()));
     let lines: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
@@ -131,7 +129,6 @@ pub fn run_pipeline(cfg: &ForesightConfig, cluster: &SlurmSim) -> Result<Pipelin
     // Stage 1: dataset generation.
     {
         let fields = fields.clone();
-        let hacc_coords = hacc_coords.clone();
         let input = input.clone();
         wf.add(Job::new("generate", 4, move || {
             let opts = cosmo_data::SynthOptions {
@@ -141,18 +138,9 @@ pub fn run_pipeline(cfg: &ForesightConfig, cluster: &SlurmSim) -> Result<Pipelin
                 steps: input.steps,
             };
             let out = match input.dataset {
-                DatasetKind::Nyx => {
-                    let snap = cosmo_data::generate_nyx(&opts)?;
-                    let n = snap.n_side;
-                    snap.fields()
-                        .iter()
-                        .map(|(name, d)| FieldData::new(*name, d.to_vec(), Shape::D3(n, n, n)))
-                        .collect::<Result<Vec<_>>>()?
-                }
+                DatasetKind::Nyx => crate::cbench::nyx_fields(&opts)?.1,
                 DatasetKind::Hacc => {
                     let snap = cosmo_data::generate_hacc(&opts)?;
-                    *hacc_coords.lock() =
-                        Some([snap.x.clone(), snap.y.clone(), snap.z.clone()]);
                     snap.fields()
                         .iter()
                         .map(|(name, d)| FieldData::new(*name, d.to_vec(), Shape::D1(d.len())))
@@ -280,86 +268,42 @@ pub fn run_pipeline(cfg: &ForesightConfig, cluster: &SlurmSim) -> Result<Pipelin
             .after("generate"),
         )?;
     }
-    // Stage 3: analyses populate candidates.
+    // Stage 3: analyses judge every record by the paper's rule.
     {
         let fields = fields.clone();
         let records = records.clone();
         let candidates = candidates.clone();
-        let hacc_coords = hacc_coords.clone();
         let input = input.clone();
         let analyses2 = analyses.clone();
         wf.add(
             Job::new("analysis", 8, move || {
-                let recs = std::mem::take(&mut *records.lock());
                 let fields = fields.lock();
-                let mut cands = Vec::with_capacity(recs.len());
-                let grid = Grid3::cube(input.n_side);
-                // Original halo catalog, once, for HACC runs.
-                let orig_cat = if analyses2.contains(&AnalysisKind::HaloFinder) {
-                    hacc_coords.lock().as_ref().map(|[x, y, z]| {
-                        let b = linking_length_for(x.len(), input.box_size, 0.2);
-                        friends_of_friends(x, y, z, input.box_size, b, 10)
-                    })
-                } else {
-                    None
-                };
-                for mut rec in recs {
-                    let recon = rec.reconstructed.take();
-                    let mut cand =
-                        Candidate { record: rec, pk_deviation: None, halo_deviation: None };
-                    if let Some(recon) = &recon {
-                        if analyses2.contains(&AnalysisKind::PowerSpectrum)
-                            && input.dataset == DatasetKind::Nyx
-                        {
-                            let field = fields
-                                .iter()
-                                .find(|f| f.name == cand.record.field)
-                                .ok_or_else(|| Error::invalid("missing field"))?;
-                            let orig =
-                                power_spectrum_f32(&field.data, grid, input.box_size, 10)?;
-                            let pk = power_spectrum_f32(recon, grid, input.box_size, 10)?;
-                            let dev = pk_ratio(&orig, &pk)?
-                                .iter()
-                                .map(|&(_, r)| (r - 1.0).abs())
-                                .fold(0.0f64, f64::max);
-                            cand.pk_deviation = Some(dev);
-                        }
-                        if let Some(Ok(orig_cat)) = &orig_cat {
-                            // Halo analysis uses the position fields; the
-                            // reconstructed coordinate replaces one axis at
-                            // a time, which bounds the impact per field.
-                            if ["x", "y", "z"].contains(&cand.record.field.as_str()) {
-                                let coords = hacc_coords.lock();
-                                let [x, y, z] = coords.as_ref().unwrap();
-                                let wrapped: Vec<f32> = recon
-                                    .iter()
-                                    .map(|v| v.rem_euclid(input.box_size as f32))
-                                    .collect();
-                                let (rx, ry, rz) = match cand.record.field.as_str() {
-                                    "x" => (&wrapped, y, z),
-                                    "y" => (x, &wrapped, z),
-                                    _ => (x, y, &wrapped),
-                                };
-                                let b = linking_length_for(x.len(), input.box_size, 0.2);
-                                let cat = friends_of_friends(
-                                    rx,
-                                    ry,
-                                    rz,
-                                    input.box_size,
-                                    b,
-                                    10,
-                                )?;
-                                let worst = halo_count_ratio(orig_cat, &cat)
-                                    .iter()
-                                    .filter(|&&(_, oc, _, _)| oc >= 5)
-                                    .map(|&(_, _, _, r)| (r - 1.0).abs())
-                                    .fold(0.0f64, f64::max);
-                                cand.halo_deviation = Some(worst);
-                            }
-                        }
+                let mut cands: Vec<Candidate> = std::mem::take(&mut *records.lock())
+                    .into_iter()
+                    .map(|record| Candidate { record, verdict: Verdict::default() })
+                    .collect();
+                let box_size = input.box_size;
+                if analyses2.contains(&AnalysisKind::PowerSpectrum)
+                    && input.dataset == DatasetKind::Nyx
+                {
+                    let grid = Grid3::cube(input.n_side);
+                    let orig = (fields.iter())
+                        .map(|f| acceptance::spectrum(&f.data, grid, box_size))
+                        .collect::<Result<Vec<_>>>()?;
+                    for c in &mut cands {
+                        let Some(recon) = &c.record.reconstructed else { continue };
+                        let i = (fields.iter().position(|f| f.name == c.record.field))
+                            .ok_or_else(|| Error::invalid("missing field"))?;
+                        let (_, dev) = acceptance::pk_curve(&orig[i], recon, grid, box_size)?;
+                        c.verdict.pk_deviation = Some(dev);
                     }
-                    cands.push(cand);
                 }
+                if analyses2.contains(&AnalysisKind::HaloFinder)
+                    && input.dataset == DatasetKind::Hacc
+                {
+                    halo_verdicts(&fields, &mut cands, box_size)?;
+                }
+                cands.iter_mut().for_each(|c| c.record.reconstructed = None);
                 let n = cands.len();
                 *candidates.lock() = cands;
                 Ok(format!("{n} candidates"))
@@ -434,7 +378,6 @@ pub fn run_pipeline(cfg: &ForesightConfig, cluster: &SlurmSim) -> Result<Pipelin
         wf.add(
             Job::new("report", 1, move || {
                 let cands = candidates2.lock();
-                let acc = Acceptance::default();
                 let mut table = Table::new([
                     "field",
                     "compressor",
@@ -453,14 +396,14 @@ pub fn run_pipeline(cfg: &ForesightConfig, cluster: &SlurmSim) -> Result<Pipelin
                         fmt_f64(c.record.ratio),
                         fmt_f64(c.record.bitrate),
                         fmt_f64(c.record.distortion.psnr),
-                        c.pk_deviation.map(fmt_f64).unwrap_or_else(|| "-".into()),
-                        c.halo_deviation.map(fmt_f64).unwrap_or_else(|| "-".into()),
+                        c.verdict.pk_deviation.map(fmt_f64).unwrap_or_else(|| "-".into()),
+                        c.verdict.halo_deviation.map(fmt_f64).unwrap_or_else(|| "-".into()),
                     ]);
                 }
                 let mut out_lines = Vec::new();
                 for comp in [CodecKind::Sz, CodecKind::Zfp] {
-                    if let Ok(fits) = best_fit_per_field(&cands, comp, &acc) {
-                        let overall = overall_best_ratio(&fits, &cands);
+                    if let Ok(fits) = best_fit_per_field(&cands, comp) {
+                        let overall = overall_best_ratio(&fits);
                         out_lines.push(format!(
                             "{}: overall best-fit ratio {:.2}x over {} fields",
                             comp.display(),
@@ -541,6 +484,40 @@ pub fn run_pipeline(cfg: &ForesightConfig, cluster: &SlurmSim) -> Result<Pipelin
     Ok(report)
 }
 
+/// The halo test of a HACC run: one FoF run per configuration, on its
+/// three reconstructed position axes at once, whose deviation the x, y
+/// and z records share. A configuration missing an axis (quarantined by
+/// a chaos sweep) has no catalogue to judge and fails.
+fn halo_verdicts(fields: &[FieldData], cands: &mut [Candidate], box_size: f64) -> Result<()> {
+    const AXES: [&str; 3] = ["x", "y", "z"];
+    let axis = |a: &str| -> Result<&[f32]> {
+        let f = fields.iter().find(|f| f.name == a);
+        f.map(|f| &f.data[..]).ok_or_else(|| Error::invalid(format!("halo finder: no field {a}")))
+    };
+    let orig = acceptance::halos(axis("x")?, axis("y")?, axis("z")?, box_size)?;
+    for i in 0..cands.len() {
+        let c = &cands[i];
+        if !AXES.contains(&c.record.field.as_str()) || c.verdict.halo_deviation.is_some() {
+            continue;
+        }
+        let config = |o: &Candidate| (o.record.compressor, o.record.param.clone());
+        let key = config(c);
+        let axes = AXES.map(|a| cands.iter().position(|o| o.record.field == a && config(o) == key));
+        let dev = match axes.map(|j| j.and_then(|j| cands[j].record.reconstructed.as_deref())) {
+            [Some(rx), Some(ry), Some(rz)] => {
+                let cat = acceptance::halos(rx, ry, rz, box_size)?;
+                acceptance::halo_deviation(&halo_count_ratio(&orig, &cat))
+            }
+            // No catalogue to judge: the deviation of an empty one.
+            _ => acceptance::halo_deviation(&[]),
+        };
+        for j in axes.into_iter().flatten() {
+            cands[j].verdict.halo_deviation = Some(dev);
+        }
+    }
+    Ok(())
+}
+
 /// A windowed series of a snapshot's device slices: per-window
 /// busy-duration histograms per track (`<track>.dur_s`) and slice
 /// counters per process (`slices.<process>`). This is how pipeline runs,
@@ -604,7 +581,7 @@ mod tests {
         let cfg = base_config("nyx", "\"distortion\", \"power-spectrum\"");
         let report = run_pipeline(&cfg, &SlurmSim::default()).unwrap();
         assert_eq!(report.records.len(), 12); // 6 fields x 2 configs
-        assert!(report.candidates.iter().all(|c| c.pk_deviation.is_some()));
+        assert!(report.candidates.iter().all(|c| c.verdict.pk_deviation.is_some()));
         assert!(report.artifacts >= 2);
         assert!(report.workflow.job("report").is_some());
         std::fs::remove_dir_all(&cfg.output.dir).ok();
@@ -641,8 +618,58 @@ mod tests {
             .filter(|c| ["x", "y", "z"].contains(&c.record.field.as_str()))
             .collect();
         assert!(!pos.is_empty());
-        assert!(pos.iter().all(|c| c.halo_deviation.is_some()));
+        // One FoF run per configuration: its x, y and z records share it.
+        for c in &pos {
+            let same = pos.iter().filter(|o| o.record.param == c.record.param);
+            assert_eq!(same.clone().count(), 3, "{}", c.record.param);
+            assert!(same.clone().all(|o| o.verdict.halo_deviation == c.verdict.halo_deviation));
+            assert!(c.verdict.halo_deviation.is_some());
+        }
         std::fs::remove_dir_all(&cfg.output.dir).ok();
+    }
+
+    #[test]
+    fn a_hacc_run_without_a_populated_mass_bin_rejects_every_position_config() {
+        // At 16^3 particles no mass bin of the original catalogue holds
+        // five halos, so nothing can show the halos preserved: cuZFP rate 2
+        // (~5 dB PSNR on positions) must not become the best fit.
+        let mut cfg = base_config("hacc", "\"halo-finder\"");
+        cfg.output.cinema = false;
+        cfg.compressors = vec![crate::config::CompressorSweep::Cuzfp { rates: vec![2.0] }];
+        let report = run_pipeline(&cfg, &SlurmSim::default()).unwrap();
+        let pos: Vec<&Candidate> = report
+            .candidates
+            .iter()
+            .filter(|c| ["x", "y", "z"].contains(&c.record.field.as_str()))
+            .collect();
+        assert_eq!(pos.len(), 3);
+        assert!(pos.iter().all(|c| c.verdict.halo_deviation == Some(1.0)), "{pos:?}");
+        assert!(pos.iter().all(|c| !c.verdict.acceptable()));
+        assert!(best_fit_per_field(&report.candidates, CodecKind::Zfp).is_err());
+        assert_eq!(report.workflow.job("report").unwrap().output, "no acceptable configs");
+    }
+
+    #[test]
+    fn a_configuration_missing_a_position_axis_fails_the_halo_test() {
+        let opts = cosmo_data::SynthOptions { n_side: 32, box_size: 256.0, seed: 7, steps: 10 };
+        let snap = cosmo_data::generate_hacc(&opts).unwrap();
+        let fields: Vec<FieldData> = (snap.fields().iter())
+            .map(|(name, d)| FieldData::new(*name, d.to_vec(), Shape::D1(d.len())).unwrap())
+            .collect();
+        let cfg = crate::CodecConfig::Sz(lossy_sz::SzConfig::abs(0.005));
+        let judge = |axes: &[&str]| -> Vec<Option<f64>> {
+            let mut cands: Vec<Candidate> = (fields.iter())
+                .filter(|f| axes.contains(&f.name.as_str()))
+                .map(|f| crate::cbench::run_one(f, &cfg, true).unwrap())
+                .map(|record| Candidate { record, verdict: Verdict::default() })
+                .collect();
+            halo_verdicts(&fields, &mut cands, opts.box_size).unwrap();
+            cands.iter().map(|c| c.verdict.halo_deviation).collect()
+        };
+        let all = judge(&["x", "y", "z"]);
+        assert!(all.iter().all(|&d| d == all[0]) && all[0].unwrap() <= 0.1, "{all:?}");
+        // The sweep lost `z`: no catalogue can be built, so x and y fail.
+        assert_eq!(judge(&["x", "y"]), [Some(1.0), Some(1.0)]);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! decades, exactly why the paper's panels are log-scaled).
 
 use foresight_util::{Error, Result};
-use std::path::Path;
 
 /// How to map field values to [0, 1] before colouring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,16 +95,6 @@ pub fn render_ppm(slice: &[f32], nx: usize, ny: usize, scaling: Scaling) -> Resu
         out.extend_from_slice(&colormap(t));
     }
     Ok(out)
-}
-
-/// Writes an image buffer, creating parent directories.
-pub fn write_image(path: impl AsRef<Path>, bytes: &[u8]) -> Result<()> {
-    let path = path.as_ref();
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    std::fs::write(path, bytes)?;
-    Ok(())
 }
 
 #[cfg(test)]

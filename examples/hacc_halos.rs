@@ -6,7 +6,8 @@
 //! cargo run --release --example hacc_halos
 //! ```
 
-use cosmo_analysis::{friends_of_friends, halo_count_ratio, linking_length_for};
+use cosmo_analysis::acceptance::{self, Verdict};
+use cosmo_analysis::halo_count_ratio;
 use cosmo_data::{generate_hacc, gio, SynthOptions};
 use foresight::cbench::{run_one, FieldData};
 use foresight::codec::{CodecConfig, Shape};
@@ -26,11 +27,14 @@ fn main() {
     std::fs::remove_file(&path).ok();
     println!("round-tripped {} particles through GIO-lite", snap.len());
 
-    let b = linking_length_for(snap.len(), opts.box_size, 0.2);
-    let orig = friends_of_friends(&snap.x, &snap.y, &snap.z, opts.box_size, b, 10).unwrap();
+    let orig = acceptance::halos(&snap.x, &snap.y, &snap.z, opts.box_size).unwrap();
+    let b = orig.linking_length;
     println!("FoF (b = {b:.3}): {} halos in the original\n", orig.halos.len());
 
-    println!("{:<12} {:>8} {:>8} {:>22}", "abs bound", "ratio", "halos", "count ratios by bin");
+    println!(
+        "{:<12} {:>8} {:>8} {:>10} {:>12} {:>22}",
+        "abs bound", "ratio", "halos", "halo dev", "acceptable?", "count ratios by bin"
+    );
     for eb in [0.005f64, 0.05, 0.5, 2.0] {
         let cfg = CodecConfig::Sz(SzConfig::abs(eb));
         let mut recon = Vec::new();
@@ -39,24 +43,20 @@ fn main() {
             let f = FieldData::new("pos", coord.clone(), Shape::D1(coord.len())).unwrap();
             let rec = run_one(&f, &cfg, true).unwrap();
             ratio_acc += rec.ratio / 3.0;
-            recon.push(
-                rec.reconstructed
-                    .unwrap()
-                    .into_iter()
-                    .map(|v| v.rem_euclid(opts.box_size as f32))
-                    .collect::<Vec<f32>>(),
-            );
+            recon.push(rec.reconstructed.unwrap());
         }
-        let cat =
-            friends_of_friends(&recon[0], &recon[1], &recon[2], opts.box_size, b, 10).unwrap();
+        let cat = acceptance::halos(&recon[0], &recon[1], &recon[2], opts.box_size).unwrap();
         let ratios = halo_count_ratio(&orig, &cat);
+        let dev = acceptance::halo_deviation(&ratios);
         let summary: Vec<String> =
             ratios.iter().map(|&(m, _, _, r)| format!("{m}:{r:.2}")).collect();
         println!(
-            "{:<12} {:>7.2}x {:>8} {:>22}",
+            "{:<12} {:>7.2}x {:>8} {:>10.4} {:>12} {:>22}",
             format!("{eb}"),
             ratio_acc,
             cat.halos.len(),
+            dev,
+            if Verdict::halo(dev).acceptable() { "yes" } else { "NO" },
             summary.join(" ")
         );
     }

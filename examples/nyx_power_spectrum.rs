@@ -6,7 +6,7 @@
 //! cargo run --release --example nyx_power_spectrum
 //! ```
 
-use cosmo_analysis::{pk_ratio, pk_ratio_within, power_spectrum_f32};
+use cosmo_analysis::acceptance::{self, Verdict};
 use cosmo_data::{generate_nyx, SynthOptions};
 use cosmo_fft::Grid3;
 use foresight::cbench::{run_one, FieldData};
@@ -26,7 +26,7 @@ fn main() {
         Shape::D3(n, n, n),
     )
     .unwrap();
-    let orig_pk = power_spectrum_f32(&field.data, grid, opts.box_size, 10).unwrap();
+    let orig_pk = acceptance::spectrum(&field.data, grid, opts.box_size).unwrap();
     println!("original P(k): {} shells, P(k_min)/P(k_max) = {:.1}", orig_pk.len(), orig_pk[0].pk / orig_pk.last().unwrap().pk);
 
     println!(
@@ -36,17 +36,15 @@ fn main() {
     for eb in [0.1f64, 10.0, 100.0, 1000.0, 5000.0] {
         let cfg = CodecConfig::Sz(SzConfig::abs(eb));
         let rec = run_one(&field, &cfg, true).expect("cbench");
-        let pk = power_spectrum_f32(rec.reconstructed.as_ref().unwrap(), grid, opts.box_size, 10)
-            .unwrap();
-        let ratios = pk_ratio(&orig_pk, &pk).unwrap();
-        let worst = ratios.iter().map(|&(_, r)| (r - 1.0).abs()).fold(0.0f64, f64::max);
+        let recon = rec.reconstructed.as_ref().unwrap();
+        let (_, worst) = acceptance::pk_curve(&orig_pk, recon, grid, opts.box_size).unwrap();
         println!(
             "{:<14} {:>7.2}x {:>10.2} {:>16.5} {:>12}",
             format!("{eb}"),
             rec.ratio,
             rec.distortion.psnr,
             worst,
-            if pk_ratio_within(&ratios, 0.01) { "yes" } else { "NO" }
+            if Verdict::pk(worst).acceptable() { "yes" } else { "NO" }
         );
     }
     println!(

@@ -2,12 +2,12 @@
 //! file formats -> compression -> analysis -> optimizer, exercised the way
 //! the benchmark binaries drive them.
 
-use cosmo_analysis::{friends_of_friends, linking_length_for, pk_ratio, power_spectrum_f32};
+use cosmo_analysis::acceptance::{self, Verdict};
 use cosmo_data::{generate_hacc, generate_nyx, gio, h5lite, SynthOptions};
 use cosmo_fft::Grid3;
 use foresight::cbench::{run_sweep, FieldData};
 use foresight::codec::{CodecConfig, Shape};
-use foresight::{best_fit_per_field, Acceptance, Candidate, CodecKind};
+use foresight::{best_fit_per_field, Candidate, CodecKind};
 use lossy_sz::SzConfig;
 use lossy_zfp::ZfpConfig;
 
@@ -47,21 +47,15 @@ fn nyx_full_pipeline_files_compression_analysis_optimizer() {
     let mut candidates = Vec::new();
     for mut rec in records {
         let field = fields.iter().find(|f| f.name == rec.field).unwrap();
-        let orig = power_spectrum_f32(&field.data, grid, 256.0, 8).unwrap();
+        let orig = acceptance::spectrum(&field.data, grid, 256.0).unwrap();
         let recon = rec.reconstructed.take().unwrap();
-        let pk = power_spectrum_f32(&recon, grid, 256.0, 8).unwrap();
-        let dev = pk_ratio(&orig, &pk)
-            .unwrap()
-            .iter()
-            .map(|&(_, r)| (r - 1.0).abs())
-            .fold(0.0f64, f64::max);
-        candidates.push(Candidate { record: rec, pk_deviation: Some(dev), halo_deviation: None });
+        let (_, dev) = acceptance::pk_curve(&orig, &recon, grid, 256.0).unwrap();
+        candidates.push(Candidate { record: rec, verdict: Verdict::pk(dev) });
     }
-    let acc = Acceptance::default();
-    let sz = best_fit_per_field(&candidates, CodecKind::Sz, &acc).unwrap();
+    let sz = best_fit_per_field(&candidates, CodecKind::Sz).unwrap();
     assert_eq!(sz.len(), 6, "one best fit per field");
     for f in &sz {
-        assert!(f.ratio > 1.0);
+        assert!(f.record.ratio > 1.0);
         assert!(f.acceptable_count >= 1);
     }
 }
@@ -77,8 +71,7 @@ fn hacc_full_pipeline_gio_compression_halos() {
     let snap = gio::read_hacc(&path, 256.0).unwrap();
     std::fs::remove_file(&path).ok();
 
-    let b = linking_length_for(snap.len(), 256.0, 0.2);
-    let orig = friends_of_friends(&snap.x, &snap.y, &snap.z, 256.0, b, 10).unwrap();
+    let orig = acceptance::halos(&snap.x, &snap.y, &snap.z, 256.0).unwrap();
     assert!(orig.halos.len() >= 20, "halo-rich universe expected, got {}", orig.halos.len());
 
     // Tight-bound compression preserves the halo catalog almost exactly.
@@ -88,15 +81,11 @@ fn hacc_full_pipeline_gio_compression_halos() {
         let f = FieldData::new("c", coord.clone(), Shape::D1(coord.len())).unwrap();
         let rec = foresight::cbench::run_one(&f, &cfg, true).unwrap();
         assert!(rec.distortion.max_abs_err <= 0.005 + 1e-9);
-        recon.push(
-            rec.reconstructed
-                .unwrap()
-                .into_iter()
-                .map(|v| v.rem_euclid(256.0))
-                .collect::<Vec<f32>>(),
-        );
+        recon.push(rec.reconstructed.unwrap());
     }
-    let cat = friends_of_friends(&recon[0], &recon[1], &recon[2], 256.0, b, 10).unwrap();
+    let cat = acceptance::halos(&recon[0], &recon[1], &recon[2], 256.0).unwrap();
+    let dev = acceptance::halo_deviation(&cosmo_analysis::halo_count_ratio(&orig, &cat));
+    assert!(Verdict::halo(dev).acceptable(), "halo deviation {dev}");
     let diff = (cat.halos.len() as f64 - orig.halos.len() as f64).abs()
         / orig.halos.len() as f64;
     assert!(diff < 0.1, "halo count changed by {diff}: {} -> {}", orig.halos.len(), cat.halos.len());
