@@ -1,12 +1,12 @@
-//! Perf-regression gate: runs the committed bench scenarios, emits a
-//! schema-versioned `BENCH_<n>.json`, and compares against the previous
-//! file with noise-aware tolerances.
+//! Perf-regression gate and the workspace's one timing harness: runs the
+//! committed bench scenarios, emits a schema-versioned `BENCH_<n>.json`,
+//! and compares against the previous file with noise-aware tolerances.
 //!
 //! ```text
 //! cargo run --release --bin perf-gate [-- --dir <d>] [--rebaseline "<reason>"]
 //! ```
 //!
-//! Four scenarios cover the perf-critical paths:
+//! Seven scenarios cover the perf-critical paths:
 //!
 //! - **sz** — encode/decode wall throughput of a full SZ roundtrip
 //!   (prediction, quantization, Huffman) on a synthetic Nyx-like field,
@@ -14,13 +14,15 @@
 //!   compressed byte count; decode throughput of the same field under
 //!   noise, whose codes run to ten bits and more (the wide histograms of
 //!   HACC positions, where a decoder that is fast on peaked ones can fall
-//!   off a cliff); and the roundtrip of a 16^3 cut of the field
+//!   off a cliff); the roundtrip of a 16^3 cut of the field
 //!   (µs per call: what a `.fstr` chunk or a serve shard pays, where the
-//!   per-call Huffman tables are the fixed cost);
+//!   per-call Huffman tables are the fixed cost); and the Huffman stage
+//!   alone on the field's codes, one thread, each way;
 //! - **zfp** — fixed-rate ZFP encode/decode wall throughput of a HACC
 //!   1-D array at rate 8 (4-value blocks, coded sixteen at a time) and a
-//!   Nyx 3-D field at rate 4, the µs per call of a 16^3 cut of the field,
-//!   and the exact compressed byte counts;
+//!   Nyx 3-D field at rate 4, the same calls on one thread as ns per
+//!   block, the µs per call of a 16^3 cut of the field, and the exact
+//!   compressed byte counts;
 //! - **store** — cold region reads of a `.fstr` archive: the p50 of a
 //!   one-value plane and of a one-row pencil through a 128^3 ZFP field
 //!   at rate 8 in 16^3 chunks, each on a fresh reader (what a read costs
@@ -30,7 +32,12 @@
 //!   synthetic workload (sim-clock makespan, p50/p95/p99, sustained
 //!   GB/s, exact executed bytes);
 //! - **cluster** — the healthy multi-node router on the default Zipf
-//!   workload (same sim-clock metrics plus completion counts).
+//!   workload (same sim-clock metrics plus completion counts);
+//! - **analysis** — the power spectrum and the Friends-of-Friends halo
+//!   finder of Figs. 5 and 6 on `exhibit`'s 64^3 universe, and the exact
+//!   halo count;
+//! - **ablation** — the compressed sizes of DESIGN §5's codec choices on
+//!   one HACC position array (sizes only; their speeds are not recorded).
 //!
 //! Every metric carries a class that sets its comparison rule:
 //!
@@ -45,9 +52,12 @@
 //!
 //! The output file is `BENCH_<seq>.json` where `seq` is one past the
 //! highest existing `BENCH_*.json` in `--dir` (default: the current
-//! directory), starting at 8 — the PR that introduced the gate. The
-//! newest existing file is the comparison baseline; with none, the run
-//! only records.
+//! directory), starting at 8 — the PR that introduced the gate. That
+//! newest file is the comparison baseline; with none, the run only
+//! records. A newest file that cannot be read or parsed stops the gate
+//! before any scenario runs, and nothing is written. To time one change,
+//! run the gate twice with `--dir` on a scratch directory: the second run
+//! compares with the first.
 //!
 //! An intentional byte change (a stream VERSION bump, say) moves `exact`
 //! metrics on purpose. `--rebaseline "<reason>"` is the only path that
@@ -56,16 +66,20 @@
 //! regressions still fail under it.
 //!
 //! Exit codes: the table in README "Command line" (1 is an `exact` /
-//! `model` regression).
+//! `model` regression or an unreadable newest `BENCH_<n>.json`).
 
-use foresight::config::{ClusterSettings, ServeSettings};
+use cosmo_analysis::acceptance;
 use cosmo_data::{generate_hacc, generate_nyx, SynthOptions};
-use foresight_util::cli::{self, Failure};
+use cosmo_fft::Grid3;
+use foresight::config::{ClusterSettings, ServeSettings};
+use foresight_util::bits::BitWriter;
+use foresight_util::cli::{self, Context, Failure};
 use foresight_util::flags;
 use foresight_util::json::Value;
 use foresight_util::rule::NonBlank;
 use foresight_util::timer::time;
-use lossy_sz::{Dims, SzConfig};
+use lossy_sz::huffman::{histogram, Codebook, LANES};
+use lossy_sz::{Dims, EntropyBackend, PredictorKind, SzConfig};
 use lossy_zfp::ZfpConfig;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -84,6 +98,12 @@ struct Metric {
     class: &'static str,
     /// "higher" | "lower" — which direction is better.
     better: &'static str,
+}
+
+impl Metric {
+    fn new(name: &'static str, value: f64, class: &'static str, better: &'static str) -> Self {
+        Self { name, value, class, better }
+    }
 }
 
 struct Scenario {
@@ -108,11 +128,15 @@ fn main() -> ExitCode {
 
 fn run(argv: &[String]) -> Result<(), Failure> {
     let PerfGate { dir, rebaseline } = PerfGate::parse(argv, &[])?;
+    let previous = newest_bench(&dir)?;
     let scenarios = run_scenarios()
         .map_err(|e| Failure::new(cli::USAGE, format!("perf-gate: scenario failed: {e}")))?;
-    let previous = newest_bench(&dir);
-    let seq = previous.as_ref().map(|(s, _)| s + 1).unwrap_or(BASE_SEQ);
-    let moved = previous.as_ref().map(|(_, doc)| compare(doc, &scenarios)).unwrap_or_default();
+    let seq = previous.as_ref().map_or(BASE_SEQ, |(s, _)| s + 1);
+    let compared = previous.as_ref().map(|(_, doc)| compare(doc, &scenarios));
+    let moved = match &compared {
+        Some(Ok(moved)) => moved.as_slice(),
+        _ => &[],
+    };
     let of_class = |class: &str| -> Vec<&str> {
         moved.iter().filter(|m| m.class == class).map(|m| m.line.as_str()).collect()
     };
@@ -144,6 +168,10 @@ fn run(argv: &[String]) -> Result<(), Failure> {
         println!("perf-gate: no previous BENCH_*.json — baseline recorded, nothing to compare");
         return Ok(());
     };
+    if let Some(Err(schemas)) = compared {
+        println!("perf-gate: nothing compared against BENCH_{prev_seq}.json: {schemas}");
+        return Ok(());
+    }
     for w in of_class("wall") {
         eprintln!("perf-gate: warning (wall-clock, advisory): {w}");
     }
@@ -172,25 +200,25 @@ fn run(argv: &[String]) -> Result<(), Failure> {
     Err(Failure::new(cli::FAILURE, msg))
 }
 
-/// The newest `BENCH_<n>.json` in `dir`, if any parses.
-fn newest_bench(dir: &Path) -> Option<(u64, Value)> {
-    let mut best: Option<(u64, PathBuf)> = None;
-    for entry in std::fs::read_dir(dir).ok()?.flatten() {
-        let name = entry.file_name().to_string_lossy().into_owned();
-        let seq: u64 = match name.strip_prefix("BENCH_").and_then(|s| s.strip_suffix(".json")) {
-            Some(s) => match s.parse() {
-                Ok(n) => n,
-                Err(_) => continue,
-            },
-            None => continue,
-        };
-        if best.as_ref().map(|(b, _)| seq > *b).unwrap_or(true) {
-            best = Some((seq, entry.path()));
-        }
-    }
-    let (seq, path) = best?;
-    let text = std::fs::read_to_string(path).ok()?;
-    Some((seq, Value::parse(&text).ok()?))
+/// The newest `BENCH_<n>.json` in `dir` (the highest `n`) and its
+/// document; `None` when there is none. A newest file that cannot be read
+/// or parsed is a failure naming it: skipping it would reuse a sequence
+/// number and compare with nothing.
+fn newest_bench(dir: &Path) -> Result<Option<(u64, Value)>, Failure> {
+    let entries =
+        std::fs::read_dir(dir).context(format_args!("error: cannot list '{}'", dir.display()))?;
+    let newest = entries
+        .flatten()
+        .filter_map(|entry| {
+            let name = entry.file_name();
+            let seq = name.to_str()?.strip_prefix("BENCH_")?.strip_suffix(".json")?.parse().ok()?;
+            Some((seq, entry.path()))
+        })
+        .max_by_key(|&(seq, _)| seq);
+    let Some((seq, path)) = newest else {
+        return Ok(None);
+    };
+    Ok(Some((seq, cli::load_json(&path.to_string_lossy())?)))
 }
 
 fn git_rev() -> String {
@@ -205,12 +233,17 @@ fn git_rev() -> String {
 }
 
 fn run_scenarios() -> foresight_util::Result<Vec<Scenario>> {
+    // `exhibit`'s universe at its defaults (64^3, seed 0x5EED, 10 steps).
+    let universe = SynthOptions::default();
+    let hacc = generate_hacc(&universe)?;
     Ok(vec![
         sz_scenario()?,
         zfp_scenario()?,
         store_scenario()?,
         serve_scenario()?,
         cluster_scenario()?,
+        analysis_scenario(&universe, &hacc)?,
+        ablation_scenario(&hacc.x)?,
     ])
 }
 
@@ -276,88 +309,107 @@ fn sz_scenario() -> foresight_util::Result<Scenario> {
             std::hint::black_box(lossy_sz::decompress(&chunk_stream).expect("decompress"));
         }
     });
+
+    // The Huffman stage alone on the field's codes, one thread, the way
+    // `compress` and `decompress` run it: one stream per block against one
+    // book, decoded four blocks side by side.
+    let blocks: Vec<Vec<u32>> = lossy_sz::block::partition(dims, cfg.block_size)
+        .iter()
+        .map(|b| {
+            let eb = cfg.mode.value();
+            lossy_sz::block::compress_block(&data, dims.extents(), b, eb, cfg.radius, cfg.predictor)
+                .codes
+        })
+        .collect();
+    let book = Codebook::from_frequencies(&histogram(&blocks.concat()))?;
+    let encode = || {
+        let encoder = book.encoder();
+        let stream = |codes: &Vec<u32>| {
+            let mut w = BitWriter::with_capacity(codes.len() / 2);
+            codes.iter().for_each(|&c| encoder.encode(c, &mut w).expect("encode"));
+            w.into_bytes()
+        };
+        blocks.iter().map(stream).collect::<Vec<_>>()
+    };
+    let code_streams = encode();
+    let huffman_enc_s = best_secs(encode);
+    let decoder = book.decoder_for(data.len());
+    let mut outs: [Vec<u32>; LANES] = Default::default();
+    let huffman_dec_s = best_secs(|| {
+        for (streams, codes) in code_streams.chunks(LANES).zip(blocks.chunks(LANES)) {
+            let lanes = std::array::from_fn(|l| streams.get(l).map_or(&[][..], |s| &s[..]));
+            let counts = std::array::from_fn(|l| codes.get(l).map_or(0, Vec::len));
+            decoder.decode_lanes(lanes, counts, &mut outs).expect("decode");
+        }
+    });
     Ok(Scenario {
         name: "sz",
         metrics: vec![
-            Metric {
-                name: "encode_mbs",
-                value: volume_mb / enc_s,
-                class: "wall",
-                better: "higher",
-            },
-            Metric {
-                name: "decode_mbs",
-                value: volume_mb / dec_s,
-                class: "wall",
-                better: "higher",
-            },
-            Metric {
-                name: "decode_wide_mbs",
-                value: volume_mb / wide_dec_s,
-                class: "wall",
-                better: "higher",
-            },
-            Metric {
-                name: "compressed_bytes",
-                value: stream.len() as f64,
-                class: "exact",
-                better: "lower",
-            },
-            Metric {
-                name: "chunk16_compress_us",
-                value: per_call_us(chunk_enc_s),
-                class: "wall",
-                better: "lower",
-            },
-            Metric {
-                name: "chunk16_decompress_us",
-                value: per_call_us(chunk_dec_s),
-                class: "wall",
-                better: "lower",
-            },
-            Metric {
-                name: "chunk16_compressed_bytes",
-                value: chunk_stream.len() as f64,
-                class: "exact",
-                better: "lower",
-            },
+            Metric::new("encode_mbs", volume_mb / enc_s, "wall", "higher"),
+            Metric::new("decode_mbs", volume_mb / dec_s, "wall", "higher"),
+            Metric::new("decode_wide_mbs", volume_mb / wide_dec_s, "wall", "higher"),
+            Metric::new("compressed_bytes", stream.len() as f64, "exact", "lower"),
+            Metric::new("chunk16_compress_us", per_call_us(chunk_enc_s), "wall", "lower"),
+            Metric::new("chunk16_decompress_us", per_call_us(chunk_dec_s), "wall", "lower"),
+            Metric::new("chunk16_compressed_bytes", chunk_stream.len() as f64, "exact", "lower"),
+            Metric::new("huffman_encode_mbs", volume_mb / huffman_enc_s, "wall", "higher"),
+            Metric::new("huffman_decode_mbs", volume_mb / huffman_dec_s, "wall", "higher"),
         ],
     })
 }
 
 /// Fixed-rate ZFP, the paper's cuZFP mode, on the synthetic universe at
 /// 64^3: a HACC position array as 1-D blocks at rate 8 and a Nyx density
-/// field as 3-D blocks at rate 4, each way, and a 16^3 cut of the field
+/// field as 3-D blocks at rate 4, each way, on the pool and on one thread
+/// (1 MiB each, so the kernel runs in cache), and a 16^3 cut of the field
 /// as one chunk-sized call.
 fn zfp_scenario() -> foresight_util::Result<Scenario> {
     const N: usize = 64;
     let opts = SynthOptions { n_side: N, seed: SEED, steps: 1, ..SynthOptions::default() };
     let hacc = generate_hacc(&opts)?.x;
     let nyx = generate_nyx(&opts)?.baryon_density;
+    let one_thread = rayon::ThreadPoolBuilder::new().num_threads(1).build().expect("pool");
     let mut metrics = Vec::new();
-    for (data, dims, rate, [encode, decode, bytes]) in [
+    for (data, dims, rate, [encode, decode, bytes, encode_1t, decode_1t]) in [
         (
             &hacc,
             lossy_zfp::Dims::D1(hacc.len()),
             8.0,
-            ["hacc1d_encode_mbs", "hacc1d_decode_mbs", "hacc1d_compressed_bytes"],
+            [
+                "hacc1d_encode_mbs",
+                "hacc1d_decode_mbs",
+                "hacc1d_compressed_bytes",
+                "block1t_1d_encode_ns",
+                "block1t_1d_decode_ns",
+            ],
         ),
         (
             &nyx,
             lossy_zfp::Dims::D3(N, N, N),
             4.0,
-            ["nyx3d_encode_mbs", "nyx3d_decode_mbs", "nyx3d_compressed_bytes"],
+            [
+                "nyx3d_encode_mbs",
+                "nyx3d_decode_mbs",
+                "nyx3d_compressed_bytes",
+                "block1t_3d_encode_ns",
+                "block1t_3d_decode_ns",
+            ],
         ),
     ] {
         let cfg = ZfpConfig::rate(rate);
         let stream = lossy_zfp::compress(data, dims, &cfg)?;
         let volume_mb = (data.len() * 4) as f64 / 1e6;
-        let enc_s = best_secs(|| lossy_zfp::compress(data, dims, &cfg).expect("compress"));
-        let dec_s = best_secs(|| lossy_zfp::decompress(&stream).expect("decompress"));
+        let enc = || lossy_zfp::compress(data, dims, &cfg).expect("compress");
+        let dec = || lossy_zfp::decompress(&stream).expect("decompress");
+        let blocks = dims.extents().iter().map(|n| n.div_ceil(4)).product::<usize>() as f64;
+        let (enc_s, dec_s) = (best_secs(enc), best_secs(dec));
+        let (enc_1t_s, dec_1t_s) = one_thread.install(|| (best_secs(enc), best_secs(dec)));
         metrics.extend([
-            Metric { name: encode, value: volume_mb / enc_s, class: "wall", better: "higher" },
-            Metric { name: decode, value: volume_mb / dec_s, class: "wall", better: "higher" },
-            Metric { name: bytes, value: stream.len() as f64, class: "exact", better: "lower" },
+            Metric::new(encode, volume_mb / enc_s, "wall", "higher"),
+            Metric::new(decode, volume_mb / dec_s, "wall", "higher"),
+            Metric::new(bytes, stream.len() as f64, "exact", "lower"),
+            Metric::new(encode_1t, enc_1t_s * 1e9 / blocks, "wall", "lower"),
+            Metric::new(decode_1t, dec_1t_s * 1e9 / blocks, "wall", "lower"),
         ]);
     }
 
@@ -380,24 +432,9 @@ fn zfp_scenario() -> foresight_util::Result<Scenario> {
         }
     });
     metrics.extend([
-        Metric {
-            name: "chunk16_compress_us",
-            value: per_call_us(chunk_enc_s),
-            class: "wall",
-            better: "lower",
-        },
-        Metric {
-            name: "chunk16_decompress_us",
-            value: per_call_us(chunk_dec_s),
-            class: "wall",
-            better: "lower",
-        },
-        Metric {
-            name: "chunk16_compressed_bytes",
-            value: chunk_stream.len() as f64,
-            class: "exact",
-            better: "lower",
-        },
+        Metric::new("chunk16_compress_us", per_call_us(chunk_enc_s), "wall", "lower"),
+        Metric::new("chunk16_decompress_us", per_call_us(chunk_dec_s), "wall", "lower"),
+        Metric::new("chunk16_compressed_bytes", chunk_stream.len() as f64, "exact", "lower"),
     ]);
     Ok(Scenario { name: "zfp", metrics })
 }
@@ -438,24 +475,9 @@ fn store_scenario() -> foresight_util::Result<Scenario> {
     Ok(Scenario {
         name: "store",
         metrics: vec![
-            Metric {
-                name: "zfp128_plane_cold_p50_ms",
-                value: plane_ms,
-                class: "wall",
-                better: "lower",
-            },
-            Metric {
-                name: "zfp128_pencil_cold_p50_ms",
-                value: pencil_ms,
-                class: "wall",
-                better: "lower",
-            },
-            Metric {
-                name: "zfp128_plane_blocks_decoded",
-                value: blocks as f64,
-                class: "exact",
-                better: "lower",
-            },
+            Metric::new("zfp128_plane_cold_p50_ms", plane_ms, "wall", "lower"),
+            Metric::new("zfp128_pencil_cold_p50_ms", pencil_ms, "wall", "lower"),
+            Metric::new("zfp128_plane_blocks_decoded", blocks as f64, "exact", "lower"),
         ],
     })
 }
@@ -467,9 +489,9 @@ fn latency_metrics(
     let s = |f: fn(&foresight_util::telemetry::HistogramSummary) -> f64| {
         summary.as_ref().map(f).unwrap_or(0.0) * 1e3
     };
-    out.push(Metric { name: "p50_ms", value: s(|l| l.p50), class: "model", better: "lower" });
-    out.push(Metric { name: "p95_ms", value: s(|l| l.p95), class: "model", better: "lower" });
-    out.push(Metric { name: "p99_ms", value: s(|l| l.p99), class: "model", better: "lower" });
+    out.push(Metric::new("p50_ms", s(|l| l.p50), "model", "lower"));
+    out.push(Metric::new("p95_ms", s(|l| l.p95), "model", "lower"));
+    out.push(Metric::new("p99_ms", s(|l| l.p99), "model", "lower"));
 }
 
 /// The batched serving scheduler on its default synthetic workload.
@@ -482,19 +504,9 @@ fn serve_scenario() -> foresight_util::Result<Scenario> {
     let reqs = foresight::synth_workload(&wl)?;
     let report = foresight::serve(&node, &opts, &reqs)?;
     let mut metrics = vec![
-        Metric { name: "makespan_s", value: report.makespan_s, class: "model", better: "lower" },
-        Metric {
-            name: "sustained_gbs",
-            value: report.sustained_gbs,
-            class: "model",
-            better: "higher",
-        },
-        Metric {
-            name: "executed_bytes",
-            value: report.executed_bytes as f64,
-            class: "exact",
-            better: "lower",
-        },
+        Metric::new("makespan_s", report.makespan_s, "model", "lower"),
+        Metric::new("sustained_gbs", report.sustained_gbs, "model", "higher"),
+        Metric::new("executed_bytes", report.executed_bytes as f64, "exact", "lower"),
     ];
     latency_metrics(report.latency(), &mut metrics);
     Ok(Scenario { name: "serve", metrics })
@@ -513,22 +525,69 @@ fn cluster_scenario() -> foresight_util::Result<Scenario> {
     let reqs = foresight::cluster_workload(&wl)?;
     let report = foresight::serve_cluster(&spec, &opts, &reqs)?;
     let mut metrics = vec![
-        Metric { name: "makespan_s", value: report.makespan_s, class: "model", better: "lower" },
-        Metric {
-            name: "sustained_gbs",
-            value: report.sustained_gbs,
-            class: "model",
-            better: "higher",
-        },
-        Metric {
-            name: "completed",
-            value: report.completed as f64,
-            class: "exact",
-            better: "higher",
-        },
+        Metric::new("makespan_s", report.makespan_s, "model", "lower"),
+        Metric::new("sustained_gbs", report.sustained_gbs, "model", "higher"),
+        Metric::new("completed", report.completed as f64, "exact", "higher"),
     ];
     latency_metrics(report.latency(), &mut metrics);
     Ok(Scenario { name: "cluster", metrics })
+}
+
+/// The acceptance rule's two analyses on `exhibit`'s universe: the power
+/// spectrum of the Nyx baryon density (Fig. 5; best of three) and the
+/// Friends-of-Friends catalogue of the HACC positions (Fig. 6; one call,
+/// since it takes seconds), with the halo count it finds.
+fn analysis_scenario(
+    universe: &SynthOptions,
+    hacc: &cosmo_data::HaccSnapshot,
+) -> foresight_util::Result<Scenario> {
+    let density = generate_nyx(universe)?.baryon_density;
+    let grid = Grid3::cube(universe.n_side);
+    let pk_s = best_secs(|| acceptance::spectrum(&density, grid, universe.box_size).expect("pk"));
+    let (catalog, fof_s) = time(|| acceptance::halos(&hacc.x, &hacc.y, &hacc.z, hacc.box_size));
+    Ok(Scenario {
+        name: "analysis",
+        metrics: vec![
+            Metric::new("pk64_ms", pk_s * 1e3, "wall", "lower"),
+            Metric::new("fof64_s", fof_s, "wall", "lower"),
+            Metric::new("fof64_halos", catalog?.halos.len() as f64, "exact", "higher"),
+        ],
+    })
+}
+
+/// DESIGN §5's codec ablations as compressed bytes of one HACC position
+/// array. SZ runs at ABS 0.005 (Fig. 6's tightest bound): `sz_bytes` is
+/// the default (block 32, adaptive predictor, Huffman), and each other
+/// row changes one choice. ZFP codes the array as 1-D blocks and as the
+/// paper's two 3-D reshapes, at fixed accuracy 0.005: at a fixed rate the
+/// size is the rate times the padded length, whatever the layout.
+fn ablation_scenario(x: &[f32]) -> foresight_util::Result<Scenario> {
+    use cosmo_data::convert::{cube_shape_for, thin_shape_for, to_3d};
+    let sz = SzConfig::abs(0.005);
+    let mut metrics = Vec::new();
+    for (name, cfg) in [
+        ("sz_bytes", sz.clone()),
+        ("sz_block8_bytes", SzConfig { block_size: 8, ..sz }),
+        ("sz_block16_bytes", SzConfig { block_size: 16, ..sz }),
+        ("sz_lorenzo_bytes", SzConfig { predictor: PredictorKind::Lorenzo, ..sz }),
+        ("sz_regression_bytes", SzConfig { predictor: PredictorKind::Regression, ..sz }),
+        ("sz_lzss_bytes", SzConfig { entropy: EntropyBackend::HuffmanLzss, ..sz }),
+    ] {
+        let bytes = lossy_sz::compress(x, Dims::D1(x.len()), &cfg)?.len();
+        metrics.push(Metric::new(name, bytes as f64, "exact", "lower"));
+    }
+    let zfp = ZfpConfig::accuracy(0.005);
+    let bytes = lossy_zfp::compress(x, lossy_zfp::Dims::D1(x.len()), &zfp)?.len();
+    metrics.push(Metric::new("zfp_1d_bytes", bytes as f64, "exact", "lower"));
+    let (cube, thin) = (cube_shape_for(x.len()), thin_shape_for(x.len()));
+    for (name, (a, b, c)) in [("zfp_cube_bytes", cube), ("zfp_thin_bytes", thin)] {
+        let mut bytes = 0;
+        for part in to_3d(x, (a, b, c))?.parts {
+            bytes += lossy_zfp::compress(&part, lossy_zfp::Dims::D3(a, b, c), &zfp)?.len();
+        }
+        metrics.push(Metric::new(name, bytes as f64, "exact", "lower"));
+    }
+    Ok(Scenario { name: "ablation", metrics })
 }
 
 fn to_doc(seq: u64, scenarios: &[Scenario]) -> Value {
@@ -575,14 +634,15 @@ struct Moved {
 /// Compares current metrics against a previous document; returns one entry
 /// per `exact` difference and `model` regression (these fail the gate) and
 /// one per `wall` collapse (these only warn). Metrics absent on either
-/// side are skipped (the schema is allowed to grow).
-fn compare(prev: &Value, scenarios: &[Scenario]) -> Vec<Moved> {
-    let mut moved = Vec::new();
-    if prev.get("schema").and_then(Value::as_u64) != Some(SCHEMA) {
-        // An unknown schema can't be compared meaningfully; treat as a
-        // fresh baseline rather than failing CI on the format change.
-        return moved;
+/// side are skipped (the schema is allowed to grow). A document of another
+/// schema is not compared: the error names both schemas.
+fn compare(prev: &Value, scenarios: &[Scenario]) -> Result<Vec<Moved>, String> {
+    let schema = prev.get("schema");
+    if schema.and_then(Value::as_u64) != Some(SCHEMA) {
+        let theirs = schema.map_or("no schema".into(), |s| format!("schema {}", s.to_json()));
+        return Err(format!("it has {theirs}, this run writes schema {SCHEMA}"));
     }
+    let mut moved = Vec::new();
     for s in scenarios {
         for m in &s.metrics {
             let Some(old) = prev
@@ -616,5 +676,24 @@ fn compare(prev: &Value, scenarios: &[Scenario]) -> Vec<Moved> {
             }
         }
     }
-    moved
+    Ok(moved)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn another_schema_is_not_compared_and_both_schemas_are_named() {
+        let scenarios = [Scenario {
+            name: "sz",
+            metrics: vec![Metric::new("compressed_bytes", 1.0, "exact", "lower")],
+        }];
+        for (doc, theirs) in [(r#"{"schema":2}"#, "it has schema 2"), ("{}", "it has no schema")] {
+            let err = compare(&Value::parse(doc).unwrap(), &scenarios).err().expect(doc);
+            assert_eq!(err, format!("{theirs}, this run writes schema {SCHEMA}"));
+        }
+        let same = format!(r#"{{"schema":{SCHEMA},"scenarios":{{}}}}"#);
+        assert!(compare(&Value::parse(&same).unwrap(), &scenarios).unwrap().is_empty());
+    }
 }
