@@ -641,3 +641,62 @@ fn range_decoder_refuses_cut_and_forged_streams() {
         assert_eq!(got, decompress_layers(&precise, layers.clone()).unwrap(), "layers {layers:?}");
     }
 }
+
+/// Fixed-rate ZFP streams are read sixteen blocks at a time, each lane
+/// at its own `i * maxbits`, in 1-D, 2-D and 3-D alike, and thin reads
+/// reach the same lanes through `decompress_layers`. Every cut of such a
+/// stream fails closed, whole or by layers; a header re-sealed around a
+/// rate whose block bits disagree with the payload fails closed; and a
+/// payload of hostile bits re-sealed under both CRCs — all zeros, all
+/// ones, random — is still a stream of blocks: it decodes without a
+/// panic, and every layer range to its slice of the whole.
+#[test]
+fn lanes_fail_closed_on_cut_streams_and_read_forged_payloads() {
+    use foresight_util::Tiles;
+    use lossy_zfp::{compress, decompress, decompress_layers, Dims, ZfpConfig};
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    let cases = [
+        (Dims::D3(16, 16, 16), 8.0),
+        (Dims::D3(13, 7, 6), 5.5),
+        (Dims::D2(30, 17), 4.0),
+        (Dims::D1(301), 20.0),
+    ];
+    for (dims, rate) in cases {
+        let data: Vec<f32> = (0..dims.len()).map(|i| (i as f32 * 0.07).sin() * 40.0).collect();
+        let stream = compress(&data, dims, &ZfpConfig::rate(rate)).unwrap();
+        let tiles = Tiles::cubes(dims, 4).unwrap();
+        let n = tiles.layer_count();
+        for cut in (0..stream.len()).step_by(5) {
+            let whole = decompress(&stream[..cut]);
+            assert!(matches!(whole, Err(Error::Corrupt(_))), "{dims:?} cut at {cut}");
+            for layers in [0..1, n - 1..n, 0..n] {
+                let part = decompress_layers(&stream[..cut], layers.clone());
+                assert!(matches!(part, Err(Error::Corrupt(_))), "{dims:?} cut {cut} {layers:?}");
+            }
+        }
+        let mut faster = stream.clone();
+        faster[32..40].copy_from_slice(&(rate * 2.0).to_le_bytes());
+        reseal_zfp(&mut faster, 0);
+        assert!(matches!(decompress(&faster), Err(Error::Corrupt(_))), "{dims:?} rate x2");
+
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        for fill in [Some(0x00), Some(0xFF), None] {
+            let mut forged = stream.clone();
+            for b in &mut forged[64..] {
+                seed ^= seed << 13;
+                seed ^= seed >> 7;
+                seed ^= seed << 17;
+                *b = fill.unwrap_or(seed as u8);
+            }
+            reseal_zfp(&mut forged, 0);
+            let (whole, _) = decompress(&forged).unwrap();
+            for a in 0..n {
+                for b in a + 1..=n {
+                    let (part, _) = decompress_layers(&forged, a..b).unwrap();
+                    let slice = &whole[tiles.layers(a..b).values];
+                    assert!(bits(&part) == bits(slice), "{dims:?} {fill:?} layers {a}..{b}");
+                }
+            }
+        }
+    }
+}

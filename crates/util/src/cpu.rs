@@ -54,6 +54,19 @@ pub trait Kernel {
 
     /// Runs the body.
     fn run(self) -> Self::Output;
+
+    /// Runs the body at [`Level::Baseline`]; [`Kernel::run`] unless the
+    /// body has a form for it. SSE2 has no per-lane variable shift, no
+    /// gather and no bit count, so a body built on them may do better one
+    /// lane at a time there than widened. Both forms return the same
+    /// value.
+    #[inline(always)]
+    fn run_baseline(self) -> Self::Output
+    where
+        Self: Sized,
+    {
+        self.run()
+    }
 }
 
 /// The widest level this CPU runs, detected once per process.
@@ -100,7 +113,7 @@ pub fn at<K: Kernel>(level: Level, body: K) -> Option<K::Output> {
 /// executes that level's instructions.
 unsafe fn run_at<K: Kernel>(level: Level, body: K) -> K::Output {
     match level {
-        Level::Baseline => body.run(),
+        Level::Baseline => body.run_baseline(),
         // SAFETY: `avx2` enables `avx2`, `fma` and `bmi2`, which `detect`
         // found on this CPU for any level from `Avx2` up; the body is safe
         // code, so those instructions are all it adds.
@@ -113,7 +126,7 @@ unsafe fn run_at<K: Kernel>(level: Level, body: K) -> K::Output {
         Level::Avx512 => unsafe { avx512(body) },
         // `detect` never reports more than the baseline here.
         #[cfg(not(target_arch = "x86_64"))]
-        Level::Avx2 | Level::Avx512 => body.run(),
+        Level::Avx2 | Level::Avx512 => body.run_baseline(),
     }
 }
 

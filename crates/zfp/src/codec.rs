@@ -19,25 +19,20 @@
 //! The header spends 1 bit on an all-zero flag plus 8 bits of biased
 //! exponent; both count against the budget, exactly as in cuZFP.
 //!
-//! One kernel serves 16- and 64-value blocks, monomorphised over `N`. It
-//! works a word at a time (DESIGN.md §17.6): a plane is an `N`-bit word
-//! taken from an 8×8 bit-matrix transpose of the coefficients' bytes, a
-//! group test and the unary run behind it are one write — or one peek and
-//! one `trailing_zeros` — and the bit stream's tail word is held by value.
-//! A 4-value block has too few bits to a plane for that to pay: its plane
-//! step is a table lookup (§17.7).
+//! The scalar coder of 16- and 64-value blocks works a word at a time
+//! (DESIGN.md §17.6): a plane is an `N`-bit word from an 8×8 bit-matrix
+//! transpose of the coefficients' bytes, and a group test with its run is
+//! one write, or one peek and one `trailing_zeros`. A 4-value block's
+//! plane step is a table lookup (§17.7).
 //!
-//! Two parts run as [`cpu::Kernel`]s, at the widest vector width the CPU
-//! has (§24). A fixed-rate 4-value block of at most 64 bits starts at
-//! `i * maxbits` and is one word, so [`encode_line`] / [`decode_line`]
-//! code such blocks [`LANES`] at a time — [`EncodeLanes`] and
-//! [`DecodeLanes`] step every lane's planes together through the same
-//! tables — and the array's last group runs padded. The cast, transform,
-//! reorder and negabinary of a 16- or 64-value block are [`Stage`], once
-//! per block, and [`Unstage`] their mirror. Everything else is scalar: the
-//! variable-length modes and blocks over 64 bits, whose blocks do not sit
-//! at fixed offsets or fit a word, the device path's one block per call,
-//! and the bit-plane coder of 16- and 64-value blocks.
+//! [`cpu::Kernel`]s run at the widest vector width the CPU has (§24). A
+//! fixed-rate block starts at `i * maxbits`, so [`DecodeLanes`] reads
+//! every fixed-rate block [`LANES`] at a time ([`Lanes`], [`decode_line`]),
+//! and [`EncodeLanes`] codes 1-D blocks of at most 64 bits the same way.
+//! [`Stage`] and [`Unstage`] are the cast, transform, reorder and
+//! negabinary of one 16- or 64-value block. Scalar: the variable-length
+//! modes, whose blocks do not sit at fixed offsets, the device path's one
+//! block per call, and the plane coder of the 2-D and 3-D encoder.
 
 use crate::config::ZfpMode;
 use crate::lift;
@@ -433,7 +428,7 @@ const PLANE4: ([u32; 8 << 8], [u32; 8 << 4]) = {
     (step, code)
 };
 
-/// Fixed-rate 4-value blocks a group codes side by side: [`EncodeLanes`]
+/// Fixed-rate blocks a group codes or reads side by side: [`EncodeLanes`]
 /// and [`DecodeLanes`] run one block per lane.
 pub const LANES: usize = 16;
 
@@ -742,113 +737,368 @@ fn read_block4(r: &mut BitReader<'_>, c: &BlockCoding, budget: u32) -> Result<(u
     Ok((span, st))
 }
 
-/// [`decode_block`] for a run of fixed-rate 1-D blocks of at most 64 bits
-/// that holds `out`, whose length may cut the last block. Block `i` is
-/// the `maxbits` bits at `i * maxbits`: blocks are taken a word each and
-/// decoded [`LANES`] at a time by [`DecodeLanes`], the last group padded
-/// with all-zero blocks. Leaves `r` behind the last block.
+/// Words of a lane's code: all a 64-value block can read, whatever its
+/// budget (the header; per plane a failed test and a verbatim bit per
+/// significant coefficient; per coefficient a passed test and its run),
+/// and one more, so that a lane's 64-bit window is two loads anywhere.
+pub const ROWS: usize = (HEADER_BITS + INTPREC * 65 + 2 * 64).div_ceil(64) as usize + 1;
+
+/// The codes of a group of [`LANES`] fixed-rate blocks: `rows[j][l]` is
+/// bits `64j..64j + 64` of lane `l`'s block, zero past its budget.
+pub type LaneRows = [[u64; LANES]; ROWS];
+
+/// One x-row of every block of a group, lane `l`'s four values at `4l`:
+/// where the blocks follow one another along x, one run of the array.
+pub type LaneRun = [f32; 4 * LANES];
+
+/// A run of fixed-rate blocks, read [`LANES`] at a time: block `i` is the
+/// `maxbits` bits at `i * maxbits`, so each lane finds its own code.
+pub struct Lanes<'a> {
+    data: &'a [u8],
+    /// The next block's first bit in `data`.
+    at: usize,
+    maxbits: u32,
+    rows: LaneRows,
+}
+
+impl<'a> Lanes<'a> {
+    /// The `blocks` blocks at `r`; [`Error::Corrupt`] when the stream ends
+    /// before their last bit.
+    pub fn new(r: &BitReader<'a>, c: &BlockCoding, blocks: usize) -> Result<Self> {
+        debug_assert!(c.fixed_rate && c.maxbits > HEADER_BITS);
+        if r.remaining_bits() < blocks as u64 * c.maxbits as u64 {
+            return Err(Error::corrupt("bit stream exhausted"));
+        }
+        let (data, at) = r.position();
+        Ok(Self { data, at, maxbits: c.maxbits, rows: [[0; LANES]; ROWS] })
+    }
+
+    /// Decodes the next `blocks` (at most [`LANES`]) `N`-value blocks into
+    /// `out` through [`DecodeLanes`]; the lanes past them are all-zero
+    /// blocks.
+    #[inline]
+    pub fn group<const N: usize>(&mut self, blocks: usize, out: &mut [LaneRun]) {
+        let maxbits = self.maxbits as usize;
+        // A lane takes what its block can read; the rows past stay zero.
+        let span = self.maxbits.min(64 * (ROWS as u32 - 1));
+        let words = span.div_ceil(64) as usize;
+        for j in 0..words {
+            let mask = u64::MAX >> 64u32.saturating_sub(span - 64 * j as u32);
+            for l in 0..LANES {
+                let at = self.at + l * maxbits + 64 * j;
+                self.rows[j][l] = if l < blocks { word_at(self.data, at) & mask } else { 0 };
+            }
+        }
+        self.at += blocks * maxbits;
+        dispatch(DecodeLanes::<N> { rows: &self.rows, maxbits: self.maxbits, out });
+    }
+}
+
+/// Bits `at..at + 64` of `data`, zero past its end.
+#[inline(always)]
+fn word_at(data: &[u8], at: usize) -> u64 {
+    let (i, mut b) = (at / 8, [0u8; 16]);
+    match data.get(i..i + 16) {
+        Some(s) => b.copy_from_slice(s),
+        None => data.iter().skip(i).zip(&mut b).for_each(|(d, b)| *b = *d),
+    }
+    (u128::from_le_bytes(b) >> (at % 8)) as u64
+}
+
+/// [`decode_block`] for a run of fixed-rate 1-D blocks that holds `out`,
+/// whose length may cut the last block: [`LANES`] at a time, the last
+/// group padded with all-zero blocks. Leaves `r` behind the last block.
 #[inline]
 pub fn decode_line(r: &mut BitReader<'_>, c: &BlockCoding, out: &mut [f32]) -> Result<()> {
-    debug_assert!(c.d == 1 && c.fixed_rate && c.maxbits <= 64);
-    if r.remaining_bits() < out.len().div_ceil(4) as u64 * c.maxbits as u64 {
-        return Err(Error::corrupt("bit stream exhausted"));
-    }
-    let mut group = |out: &mut [f32; 4 * LANES], blocks: usize| {
-        let mut words = [0u64; LANES];
-        for word in &mut words[..blocks] {
-            *word = r.take_bits(c.maxbits);
-        }
-        dispatch(DecodeLanes { words: &words, maxbits: c.maxbits, out });
-    };
+    debug_assert!(c.d == 1);
+    let blocks = out.len().div_ceil(4);
+    let mut lanes = Lanes::new(r, c, blocks)?;
     let (whole, rest) = out.as_chunks_mut::<{ 4 * LANES }>();
     for out in whole {
-        group(out, LANES);
+        lanes.group::<4>(LANES, std::slice::from_mut(out));
     }
     if !rest.is_empty() {
         let mut padded = [0.0f32; 4 * LANES];
-        group(&mut padded, rest.len().div_ceil(4));
+        lanes.group::<4>(rest.len().div_ceil(4), std::slice::from_mut(&mut padded));
         rest.copy_from_slice(&padded[..rest.len()]);
     }
+    r.skip_bits(blocks as u64 * c.maxbits as u64);
     Ok(())
 }
 
-/// The scalar reader's steps (`Planes4::open`, `step` and `rebuild`) for a
-/// group of [`LANES`] fixed-rate 4-value blocks of `maxbits <= 64` bits,
-/// side by side — one body for [`cpu::widest`]. `words[l]` is block `l`'s
-/// code (zero above `maxbits`); its values go to `out[4l..4l + 4]`.
+/// A group of [`LANES`] fixed-rate `N`-value blocks, read side by side —
+/// one body for [`cpu::widest`]. Nothing in a step branches on a lane,
+/// and no lane reads past its own budget.
 ///
-/// Every lane steps a plane at once until none is live, a lane that is
-/// done stepping through a done row of the table, which reads nothing.
-/// Nothing in a step branches on a lane.
-pub struct DecodeLanes<'a> {
+/// 4-value blocks of at most 64 bits step through the tables of `Planes4`,
+/// a plane a step. Any other block steps through `read_planes`' actions
+/// ([`Cursor::step`]), then its planes are transposed into coefficients
+/// and negabinary, reorder, inverse transform and cast run across the
+/// lanes, in `Unstage`'s order.
+pub struct DecodeLanes<'a, const N: usize> {
     /// Each block's code.
-    pub words: &'a [u64; LANES],
-    /// Bits a block: more than [`HEADER_BITS`], at most 64.
+    pub rows: &'a LaneRows,
+    /// Bits a block: more than [`HEADER_BITS`].
     pub maxbits: u32,
-    /// The group's blocks, one after the other.
-    pub out: &'a mut [f32; 4 * LANES],
+    /// The group's values by x-row: `out[r]` holds values `4r..4r + 4`
+    /// of every block; `N / 4` rows.
+    pub out: &'a mut [LaneRun],
 }
 
-impl cpu::Kernel for DecodeLanes<'_> {
+impl<const N: usize> cpu::Kernel for DecodeLanes<'_, N> {
     type Output = ();
 
     #[inline(always)]
     fn run(self) {
-        let DecodeLanes { words, maxbits, out } = self;
-        debug_assert!((HEADER_BITS + 1..=64).contains(&maxbits));
-        debug_assert!(maxbits == 64 || words.iter().all(|w| w >> maxbits == 0));
-        // Each lane's unread bits, the bits it has read, its exponent, the
-        // planes it has left and its significant coefficients.
-        let (mut win, mut used, mut emax) = ([0u64; LANES], [0u32; LANES], [0i32; LANES]);
-        let (mut k, mut sig) = ([0u32; LANES], [0u32; LANES]);
+        read_lanes::<N, true>(self.rows, self.maxbits, self.out)
+    }
+
+    #[inline(always)]
+    fn run_baseline(self) {
+        read_lanes::<N, false>(self.rows, self.maxbits, self.out)
+    }
+}
+
+/// `Planes4::open`, `step` and `rebuild` for lanes of 4-value blocks of
+/// at most 64 bits, `words[l]` being lane `l`'s code.
+#[inline(always)]
+fn read_words4(words: &[u64; LANES], maxbits: u32, out: &mut LaneRun) {
+    debug_assert!(maxbits == 64 || words.iter().all(|w| w >> maxbits == 0));
+    // Each lane's unread bits, the bits it has read, its exponent, the
+    // planes it has left and its significant coefficients.
+    let (mut win, mut used, mut emax) = ([0u64; LANES], [0u32; LANES], [0i32; LANES]);
+    let (mut k, mut sig) = ([0u32; LANES], [0u32; LANES]);
+    for l in 0..LANES {
+        let nonzero = words[l] & 1 != 0;
+        // Planes above every coefficient's top bit: a failed test each.
+        let empty = (words[l] >> HEADER_BITS | 1 << INTPREC).trailing_zeros();
+        let empty = empty.min(maxbits - HEADER_BITS);
+        emax[l] = if nonzero { (words[l] >> 1 & 0xff) as i32 - 127 } else { 0 };
+        used[l] = if nonzero { HEADER_BITS + empty } else { 1 };
+        k[l] = if nonzero { INTPREC - empty } else { 0 };
+        win[l] = words[l] >> used[l];
+    }
+    // Coefficients 0 and 1 in the halves of `lo`, 2 and 3 in `hi`'s.
+    let (mut lo, mut hi) = ([0u64; LANES], [0u64; LANES]);
+    loop {
+        let mut any = 0;
         for l in 0..LANES {
-            let nonzero = words[l] & 1 != 0;
-            // Planes above every coefficient's top bit: a failed test each.
-            let empty = (words[l] >> HEADER_BITS | 1 << INTPREC).trailing_zeros();
-            let empty = empty.min(maxbits - HEADER_BITS);
-            emax[l] = if nonzero { (words[l] >> 1 & 0xff) as i32 - 127 } else { 0 };
-            used[l] = if nonzero { HEADER_BITS + empty } else { 1 };
-            k[l] = if nonzero { INTPREC - empty } else { 0 };
-            win[l] = words[l] >> used[l];
+            let live = lane_live(k[l], used[l], maxbits);
+            // Bits of `win` past the budget are zero, so only the marker
+            // `1 << r` tells the table where the budget ends.
+            let r = maxbits.wrapping_sub(used[l]).min(7);
+            let row = sig[l] | ((live ^ 1) * DONE);
+            let e = PLANE4_STEP[(row << 8 | win[l] as u32 & 0x7f | 1 << r) as usize & 0x7ff];
+            let kk = k[l] - live;
+            let x = (e >> 6 & 15) as u64;
+            lo[l] |= (x & 1 | (x & 2) << 31) << kk;
+            hi[l] |= (x >> 2 & 1 | (x & 8) << 29) << kk;
+            win[l] >>= e & 63;
+            used[l] += e & 63;
+            sig[l] = e >> 10;
+            k[l] = kk;
+            any |= live;
         }
-        // Coefficients 0 and 1 in the halves of `lo`, 2 and 3 in `hi`'s.
-        let (mut lo, mut hi) = ([0u64; LANES], [0u64; LANES]);
-        loop {
-            let mut any = 0;
+        if any == 0 {
+            break;
+        }
+    }
+    let mut v = [[0.0f32; LANES]; 4];
+    for l in 0..LANES {
+        let u = [lo[l] as u32, (lo[l] >> 32) as u32, hi[l] as u32, (hi[l] >> 32) as u32];
+        let mut q = u.map(lift::uint2int);
+        lift::inv_lift(&mut q);
+        let scale = f64_pow2(emax[l] - 30);
+        for (vi, qi) in v.iter_mut().zip(q) {
+            vi[l] = (qi as f64 * scale) as f32;
+        }
+    }
+    for (l, block) in out.chunks_exact_mut(4).enumerate() {
+        for (o, vi) in block.iter_mut().zip(&v) {
+            *o = vi[l];
+        }
+    }
+}
+
+/// One lane of [`read_lanes`]: its next bit, its plane, the coefficients
+/// significant before it, the next one to test, 1 while the plane has
+/// tests left, and the plane's bits so far.
+#[derive(Clone, Copy)]
+#[rustfmt::skip]
+struct Cursor { cur: u32, k: u32, sig: u32, pos: u32, open: u32, x: u64 }
+
+impl Cursor {
+    /// 1 while the lane has an open plane, or a plane and budget left.
+    #[inline(always)]
+    fn live(&self, maxbits: u32) -> u32 {
+        self.open | lane_live(self.k, self.cur, maxbits)
+    }
+
+    /// Takes `read_planes`' next actions from `w`, the 64 bits at `cur`:
+    /// opens the next plane if none is open, reading the significant
+    /// coefficients' bits verbatim, then, if the plane is open, one group
+    /// test — a one, then a run that ends behind a one, at the last
+    /// coefficient (whose one is implied) or with the budget. The verbatim
+    /// bits are at most `pos` and the test and its run at most `n - pos`,
+    /// so both fit the window. A lane that is done steps in place.
+    #[inline(always)]
+    fn step(self, w: u64, n: u32, maxbits: u32) -> Self {
+        let Cursor { cur, k, sig, pos, open, x } = self;
+        let start = (open ^ 1) & lane_live(k, cur, maxbits);
+        let m = start * sig.min(maxbits - cur);
+        let opened = 0u64.wrapping_sub(start as u64);
+        let verbatim = w & ((1u64 << (m & 63)).wrapping_sub(1) | 0u64.wrapping_sub((m >> 6) as u64));
+        let (cur, x) = (cur + m, x & !opened | verbatim & opened);
+        let pos = pos.wrapping_add(start.wrapping_mul(sig.wrapping_sub(pos)));
+        let open = open | start & (pos < n) as u32 & (cur < maxbits) as u32;
+        let w = w >> (m & 63);
+        let passed = open & (w as u32 & 1);
+        let limit = (n - 1).wrapping_sub(pos).min((maxbits - cur).wrapping_sub(1)) & 63;
+        let run = w >> 1 & ((1u64 << limit) - 1);
+        let zeros = (run | 1 << limit).trailing_zeros();
+        let read = zeros + (zeros < limit) as u32;
+        let cur = cur + open * (1 + passed * read);
+        let x = x | (passed as u64) << (pos.wrapping_add(zeros) & 63);
+        let pos = pos + passed * (zeros + 1);
+        let next = passed & (pos < n) as u32 & (cur < maxbits) as u32;
+        // A plane that closes leaves its coefficients significant.
+        let closes = (start | open) & (next ^ 1);
+        let sig = sig.wrapping_add(closes.wrapping_mul(pos.wrapping_sub(sig)));
+        Cursor { cur, k: k - start, sig, pos, open: next, x }
+    }
+}
+
+/// Every lane's [`Cursor`], field by field: a step across the lanes is
+/// one vector operation a field.
+#[derive(Default)]
+#[rustfmt::skip]
+struct Cursors {
+    cur: [u32; LANES], k: [u32; LANES], sig: [u32; LANES],
+    pos: [u32; LANES], open: [u32; LANES], x: [u64; LANES],
+}
+
+#[rustfmt::skip]
+impl Cursors {
+    #[inline(always)]
+    fn get(&self, l: usize) -> Cursor {
+        let (cur, k, sig, pos, open) = (self.cur[l], self.k[l], self.sig[l], self.pos[l], self.open[l]);
+        Cursor { cur, k, sig, pos, open, x: self.x[l] }
+    }
+
+    #[inline(always)]
+    fn set(&mut self, l: usize, c: Cursor) {
+        (self.cur[l], self.k[l], self.sig[l], self.pos[l]) = (c.cur, c.k, c.sig, c.pos);
+        (self.open[l], self.x[l]) = (c.open, c.x);
+    }
+}
+
+/// The 64 bits of lane `l`'s code from bit `cur`.
+#[inline(always)]
+fn window(rows: &LaneRows, l: usize, cur: u32) -> u64 {
+    let (j, s) = ((cur >> 6).min(ROWS as u32 - 2) as usize, cur & 63);
+    rows[j][l] >> s | rows[j + 1][l] << 1 << (63 - s)
+}
+
+/// Transposes a 32×32 bit matrix in every lane as far as rows
+/// `0..R` of the result (bit `j` of `a[i][l]` moves to bit `i` of
+/// `a[j][l]`): five rounds of delta swaps exchange the off-diagonal
+/// 16×16 to 1×1 sub-blocks. A round at distance `j` only feeds rows
+/// below `max(R, j)`.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)] // the lane index runs through two rows
+fn transpose32<const R: usize>(a: &mut [[u32; LANES]; 32]) {
+    let masks = [0x0000_FFFF, 0x00FF_00FF, 0x0F0F_0F0F, 0x3333_3333, 0x5555_5555u32];
+    for (j, mask) in [16, 8, 4, 2, 1].into_iter().zip(masks) {
+        for k in (0..R.max(j)).filter(|k| k & j == 0) {
             for l in 0..LANES {
-                let live = lane_live(k[l], used[l], maxbits);
-                // Bits of `win` past the budget are zero, so only the
-                // marker `1 << r` tells the table where the budget ends.
-                let r = maxbits.wrapping_sub(used[l]).min(7);
-                let row = sig[l] | ((live ^ 1) * DONE);
-                let e = PLANE4_STEP[(row << 8 | win[l] as u32 & 0x7f | 1 << r) as usize & 0x7ff];
-                let kk = k[l] - live;
-                let x = (e >> 6 & 15) as u64;
-                lo[l] |= (x & 1 | (x & 2) << 31) << kk;
-                hi[l] |= (x >> 2 & 1 | (x & 8) << 29) << kk;
-                win[l] >>= e & 63;
-                used[l] += e & 63;
-                sig[l] = e >> 10;
-                k[l] = kk;
-                any |= live;
-            }
-            if any == 0 {
-                break;
+                let t = (a[k][l] >> j ^ a[(k + j) % 32][l]) & mask;
+                a[k][l] ^= t << j;
+                if j < R {
+                    a[(k + j) % 32][l] ^= t;
+                }
             }
         }
-        let mut v = [[0.0f32; LANES]; 4];
+    }
+}
+
+/// The body of [`DecodeLanes`]. `LOCKSTEP` steps every lane at once until
+/// none is live, for the vector widths; otherwise the lanes run to their
+/// ends two at a time, for the baseline, which would emulate the vector
+/// form lane by lane.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)] // the lane index is a column of several arrays
+fn read_lanes<const N: usize, const LOCKSTEP: bool>(rows: &LaneRows, maxbits: u32, out: &mut [LaneRun]) {
+    debug_assert!(maxbits > HEADER_BITS && matches!(N, 4 | 16 | 64) && out.len() == N / 4);
+    if N == 4 && maxbits <= 64 {
+        return read_words4(&rows[0], maxbits, &mut out[0]);
+    }
+    let n = N as u32;
+    let (mut at, mut emax, mut any) = (Cursors::default(), [0i32; LANES], 0);
+    for l in 0..LANES {
+        let w = rows[0][l];
+        // Planes above every coefficient's top bit: a failed test each.
+        let empty = (w >> HEADER_BITS | 1 << INTPREC).trailing_zeros().min(maxbits - HEADER_BITS);
+        emax[l] = (w >> 1 & 0xff) as i32 - 127;
+        // An all-zero block has no plane to read.
+        at.k[l] = (w & 1) as u32 * (INTPREC - empty);
+        at.cur[l] = HEADER_BITS + empty;
+        any |= lane_live(at.k[l], at.cur[l], maxbits);
+    }
+    // Plane `k` of lane `l`, as far as it has been read. The step loop
+    // writes it at the lane's own `k`; were it also read at fixed rows,
+    // LLVM would leave the loop scalar, so the transpose works on a copy.
+    let mut planes = [[0u64; LANES]; INTPREC as usize];
+    if LOCKSTEP {
+        while any != 0 {
+            any = 0;
+            for l in 0..LANES {
+                let c = at.get(l);
+                let c = c.step(window(rows, l, c.cur), n, maxbits);
+                planes[(c.k & 31) as usize][l] = c.x;
+                any |= c.live(maxbits);
+                at.set(l, c);
+            }
+        }
+    } else {
+        // Two chains of loads and shifts, each running while the other
+        // waits.
+        for (a, b) in (0..LANES / 2).map(|l| (l, l + LANES / 2)) {
+            let (mut ca, mut cb) = (at.get(a), at.get(b));
+            while ca.live(maxbits) | cb.live(maxbits) != 0 {
+                ca = ca.step(window(rows, a, ca.cur), n, maxbits);
+                cb = cb.step(window(rows, b, cb.cur), n, maxbits);
+                planes[(ca.k & 31) as usize][a] = ca.x;
+                planes[(cb.k & 31) as usize][b] = cb.x;
+            }
+        }
+    }
+    // Bit `r` of plane `k` is bit `k` of the coefficient of sequency rank
+    // `r`, which is block value `PERM[r]`: 0..32 in `lo`, 32..64 in `hi`.
+    let (mut lo, mut hi) = ([[0u32; LANES]; 32], [[0u32; LANES]; 32]);
+    for (p, (lo, hi)) in planes.iter().zip(lo.iter_mut().zip(&mut hi)) {
+        for ((lo, hi), &p) in lo.iter_mut().zip(hi.iter_mut()).zip(p) {
+            (*lo, *hi) = (p as u32, (p >> 32) as u32);
+        }
+    }
+    if N > 32 {
+        transpose32::<32>(&mut lo);
+        transpose32::<32>(&mut hi);
+    } else {
+        transpose32::<N>(&mut lo);
+    }
+    let mut q = [[0i32; LANES]; N];
+    for (r, &p) in Sequency::<N>::PERM.iter().enumerate() {
+        let u = if r < 32 { &lo[r % 32] } else { &hi[r % 32] };
         for l in 0..LANES {
-            let u = [lo[l] as u32, (lo[l] >> 32) as u32, hi[l] as u32, (hi[l] >> 32) as u32];
-            let mut q = u.map(lift::uint2int);
-            lift::inv_lift(&mut q);
-            let scale = f64_pow2(emax[l] - 30);
-            for (vi, qi) in v.iter_mut().zip(q) {
-                vi[l] = (qi as f64 * scale) as f32;
-            }
+            q[p as usize % N][l] = lift::uint2int(u[l]);
         }
-        for (l, block) in out.chunks_exact_mut(4).enumerate() {
-            for (o, vi) in block.iter_mut().zip(&v) {
-                *o = vi[l];
+    }
+    lift::inv_xform_lanes(&mut q);
+    let scale = emax.map(|e| f64_pow2(e - 30));
+    for (r, run) in out.iter_mut().enumerate().take(N / 4) {
+        for l in 0..LANES {
+            for dx in 0..4 {
+                run[4 * l + dx] = (q[(4 * r + dx) % N][l] as f64 * scale[l]) as f32;
             }
         }
     }

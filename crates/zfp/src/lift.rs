@@ -90,11 +90,7 @@ pub fn lift_axis<const N: usize>(data: &mut [i32; N], stride: usize, forward: bo
     debug_assert!(matches!(N, 4 | 16 | 64) && matches!(stride, 1 | 4 | 16) && stride * 4 <= N);
     let lines = N / 4;
     // The first value of each line.
-    let base = |line: usize| match stride {
-        1 => line * 4,
-        4 => line / 4 * 16 + line % 4,
-        _ => line,
-    };
+    let base = |line: usize| line / stride * 4 * stride + line % stride;
     let mut rows = [[0i32; 16]; 4];
     for line in 0..lines {
         for (j, row) in rows.iter_mut().enumerate() {
@@ -115,6 +111,26 @@ pub fn lift_axis<const N: usize>(data: &mut [i32; N], stride: usize, forward: bo
     for line in 0..lines {
         for (j, row) in rows.iter().enumerate() {
             data[base(line) + j * stride] = row[line];
+        }
+    }
+}
+
+/// [`inv_xform`] of `L` blocks side by side, `q[i][l]` being value `i`
+/// of block `l`: each lift step is one operation across the blocks.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)] // the lane index runs through four rows
+pub fn inv_xform_lanes<const N: usize, const L: usize>(q: &mut [[i32; L]; N]) {
+    for stride in [16, 4, 1] {
+        if stride * 4 <= N {
+            for line in 0..N / 4 {
+                let b = line / stride * 4 * stride + line % stride;
+                let (i, j, k, m) = (b % N, (b + stride) % N, (b + 2 * stride) % N, (b + 3 * stride) % N);
+                for l in 0..L {
+                    let mut p = [q[i][l], q[j][l], q[k][l], q[m][l]];
+                    inv_lift(&mut p);
+                    [q[i][l], q[j][l], q[k][l], q[m][l]] = p;
+                }
+            }
         }
     }
 }

@@ -14,10 +14,10 @@
 //! run the block kernel is picked once — [`codec`]'s kernel at the run's
 //! block size — and the block origin is stepped, not recomputed. A 1-D
 //! run has no origin to step: it is a slice of the array, which the line
-//! kernel walks in and out ([`codec::encode_line`], [`codec::decode_line`])
-//! sixteen blocks at a time at a fixed rate of at most 64 bits a block,
-//! and a block at a time otherwise. Blocks are the array's [`Tiles`] of
-//! edge 4.
+//! kernels walk ([`codec::encode_line`] sixteen blocks at a time at a fixed
+//! rate of at most 64 bits a block; [`codec::decode_line`] at any fixed
+//! rate). Fixed-rate 2-D and 3-D slabs decode sixteen blocks at a time
+//! too ([`codec::Lanes`]). Blocks are the array's [`Tiles`] of edge 4.
 //! The decoder's work item is a slab ([`Tiles::par_slabs`]): the part of
 //! the output that whole layers of blocks own — four z-planes in 3-D,
 //! four rows in 2-D, merged until the item holds at least `G` blocks — so
@@ -490,17 +490,50 @@ impl<'a> Decoder<'a> {
     }
 
     /// Decodes `slab` — a run of blocks starting at payload bit `start` —
-    /// into `part`, the output values those blocks own.
+    /// into `part`, the output values those blocks own: [`codec::LANES`] at
+    /// a time at a fixed rate, one by one otherwise.
     fn decode_slab(&self, slab: Slab, start: u64, part: &mut [f32]) -> Result<()> {
         let mut r = self.reader_at(start)?;
-        if self.tiles.shape().ndim() == 1 && self.coding.fixed_rate && self.coding.maxbits <= 64 {
-            // The slab is the values of the run, a word a block: no scatter.
-            return codec::decode_line(&mut r, &self.coding, part);
+        if self.coding.fixed_rate {
+            return match self.tiles.shape().ndim() {
+                // The slab is the values of the run, four a block: no scatter.
+                1 => codec::decode_line(&mut r, &self.coding, part),
+                2 => self.decode_lanes::<16>(slab, &r, part),
+                _ => self.decode_lanes::<64>(slab, &r, part),
+            };
         }
         let (ext, base) = (self.tiles.shape().extents(), slab.values.start);
         self.decode_blocks(slab.tiles, &mut r, |origin, vals| {
             scatter(vals, ext, origin, base, part)
         })
+    }
+
+    /// Decodes the fixed-rate 2-D or 3-D blocks of `slab`, which start at
+    /// `r`, a group of [`codec::LANES`] at a time into `part`. A group's
+    /// blocks in one block row follow one another along x, so each of
+    /// their rows of values goes out as one copy, padding skipped.
+    fn decode_lanes<const N: usize>(&self, slab: Slab, r: &BitReader<'_>, part: &mut [f32]) -> Result<()> {
+        let ([nx, ny, nz], base) = (self.tiles.shape().extents(), slab.values.start);
+        let mut lanes = codec::Lanes::new(r, &self.coding, slab.tiles.len())?;
+        let mut origins = self.tiles.origins(slab.tiles);
+        let (mut rows, mut group) = ([[0.0f32; 4 * codec::LANES]; 16], [[0; 3]; codec::LANES]);
+        while let m @ 1.. = group.iter_mut().zip(origins.by_ref()).map(|(g, o)| *g = o).count() {
+            lanes.group::<N>(m, &mut rows[..N / 4]);
+            let mut first = 0;
+            while let Some(&[ox, oy, oz]) = group[..m].get(first) {
+                let run = group[first..m].iter().take_while(|o| o[1] == oy && o[2] == oz).count();
+                let width = (nx - ox).min(4 * run);
+                for (row, values) in rows[..N / 4].iter().enumerate() {
+                    let (y, z) = (oy + row % 4, oz + row / 4);
+                    if y < ny && z < nz {
+                        let at = ox + nx * (y + ny * z) - base;
+                        part[at..at + width].copy_from_slice(&values[4 * first..4 * first + width]);
+                    }
+                }
+                first += run;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -673,10 +706,12 @@ mod tests {
 
     /// Every vector width codes the same streams and reads the same
     /// values as the baseline, on 1, 2 and 4 threads and on the device
-    /// path, whose 1-D blocks run one at a time through the scalar coder:
+    /// path, whose blocks run one at a time through the scalar coder:
     /// fixed-rate 1-D lengths through a group of lanes and a block past
-    /// it and around a run, budgets of 10 to 64 bits and one past a word,
-    /// and the 2-D and 3-D staging.
+    /// it and around a run, budgets of 10 to 64 bits and past a word, the
+    /// 2-D and 3-D staging, and 2-D and 3-D lanes with a partial last
+    /// group at budgets that are not whole bytes or words — and every
+    /// range of block layers reads to its slice of the baseline's values.
     #[test]
     fn streams_are_identical_at_every_level_thread_count_and_on_the_device() {
         use crate::codec::{forced, LANES};
@@ -692,7 +727,9 @@ mod tests {
             }
         }
         for dims in [Dims::D2(17, 9), Dims::D2(70, 66), Dims::D3(13, 7, 5), Dims::D3(24, 20, 9)] {
-            cases.push((dims, ZfpConfig::rate(4.0)));
+            for rate in [0.7, 4.0, 5.5, 8.0, 33.0] {
+                cases.push((dims, ZfpConfig::rate(rate)));
+            }
             cases.push((dims, ZfpConfig::accuracy(0.01)));
         }
         let values = |v: Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
@@ -719,6 +756,13 @@ mod tests {
                     assert!(stream == base.0, "{dims:?} {cfg:?} {level:?}: device bytes");
                     let (decoded, ..) = crate::gpu_exec::decompress_on(&mut dev, &stream).unwrap();
                     assert!(values(decoded) == base.1, "{dims:?} {cfg:?} {level:?}: device values");
+                    let tiles = Tiles::cubes(dims, 4).unwrap();
+                    let n = tiles.layer_count();
+                    for layers in (0..n).flat_map(|a| (a + 1..=n).map(move |b| a..b)).take(40) {
+                        let got = values(decompress_layers(&stream, layers.clone()).unwrap().0);
+                        let want = &base.1[tiles.layers(layers.clone()).values];
+                        assert!(got == want, "{dims:?} {cfg:?} {level:?}: layers {layers:?}");
+                    }
                 });
                 if ran.is_none() {
                     eprintln!("skipped, this CPU does not run {level:?}");

@@ -27,7 +27,7 @@ use foresight_util::crc::crc32;
 use foresight_util::Error;
 use gpu_sim::{Device, GpuSpec};
 use lossy_zfp::codec::{self, block_cells, BlockCoding, HEADER_BITS};
-use lossy_zfp::codec::{DecodeLanes, EncodeLanes, Stage, Unstage, LANES};
+use lossy_zfp::codec::{DecodeLanes, EncodeLanes, LaneRows, Stage, Unstage, LANES, ROWS};
 use lossy_zfp::gpu_exec::{compress_on, decompress_on};
 use lossy_zfp::{compress, decompress, Dims, ZfpConfig};
 use rayon::ThreadPoolBuilder;
@@ -683,42 +683,52 @@ fn levels() -> Vec<Level> {
 /// values on powers of two, smooth and noisy, and groups whose lanes
 /// alternate with all-zero blocks.
 fn lane_groups(seed: &mut u64) -> Vec<(&'static str, [f32; 4 * LANES])> {
+    lane_values(seed, 4).into_iter().map(|(what, v)| (what, v.try_into().unwrap())).collect()
+}
+
+/// The fifteen classes of [`lane_groups`] for a group of [`LANES`]
+/// blocks of `block` values each: the group's values, one block after
+/// the other.
+fn lane_values(seed: &mut u64, block: usize) -> Vec<(&'static str, Vec<f32>)> {
     let unit = |s: &mut u64| (xorshift(s) >> 40) as f32 / (1 << 24) as f32 - 0.5;
+    let n = block * LANES;
+    let of = |f: &mut dyn FnMut(usize) -> f32| (0..n).map(f).collect::<Vec<f32>>();
     let mut walk = 37.25f32;
-    let mut groups: Vec<(&'static str, [f32; 4 * LANES])> = vec![
-        ("all zero", [0.0; 4 * LANES]),
-        ("negative zeros", [-0.0; 4 * LANES]),
-        (
-            "subnormals",
-            std::array::from_fn(|_| f32::from_bits((xorshift(seed) & 0x807f_ffff) as u32)),
-        ),
-        ("the smallest subnormals", std::array::from_fn(|i| f32::from_bits(i as u32 % 5))),
-        ("near 1e38", std::array::from_fn(|_| unit(seed) * 2e38)),
-        ("the finite extremes", std::array::from_fn(|i| [f32::MAX, f32::MIN, 1e38, -0.0][i % 4])),
+    vec![
+        ("all zero", of(&mut |_| 0.0)),
+        ("negative zeros", of(&mut |_| -0.0)),
+        ("subnormals", of(&mut |_| f32::from_bits((xorshift(seed) & 0x807f_ffff) as u32))),
+        ("the smallest subnormals", of(&mut |i| f32::from_bits(i as u32 % 5))),
+        ("near 1e38", of(&mut |_| unit(seed) * 2e38)),
+        ("the finite extremes", of(&mut |i| [f32::MAX, f32::MIN, 1e38, -0.0][i % 4])),
         (
             "mixed exponents in a block",
-            std::array::from_fn(|i| unit(seed) * 10f32.powi([-30, 30, -3, 8][i % 4])),
+            of(&mut |i| unit(seed) * 10f32.powi([-30, 30, -3, 8][i % 4])),
         ),
-        ("one exponent a lane", std::array::from_fn(|i| unit(seed) * 10f32.powi(i as i32 / 4 - 8))),
-        ("ties in magnitude", std::array::from_fn(|i| if i % 2 == 0 { 3.75 } else { -3.75 })),
-        ("powers of two", std::array::from_fn(|i| 2f32.powi(i as i32 % 17 - 8))),
+        (
+            "one exponent a lane",
+            of(&mut |i| unit(seed) * 10f32.powi((i / block) as i32 - 8)),
+        ),
+        ("ties in magnitude", of(&mut |i| if i % 2 == 0 { 3.75 } else { -3.75 })),
+        ("powers of two", of(&mut |i| 2f32.powi(i as i32 % 17 - 8))),
         (
             "just below powers of two",
-            std::array::from_fn(|i| f32::from_bits((i as u32 % 30 + 100) << 23) - 1e-30),
+            of(&mut |i| f32::from_bits((i as u32 % 30 + 100) << 23) - 1e-30),
         ),
         (
             "smooth",
-            std::array::from_fn(|_| {
+            of(&mut |_| {
                 walk += unit(seed) * 0.01;
                 walk
             }),
         ),
-        ("noise", std::array::from_fn(|_| unit(seed) * 2e4)),
-        ("one-hot", std::array::from_fn(|i| if i == 37 { -1e-3 } else { 0.0 })),
-    ];
-    let alternating = std::array::from_fn(|i| if i / 4 % 2 == 0 { unit(seed) * 9.0 } else { 0.0 });
-    groups.push(("lanes alternating with all-zero blocks", alternating));
-    groups
+        ("noise", of(&mut |_| unit(seed) * 2e4)),
+        ("one-hot", of(&mut |i| if i == 37 { -1e-3 } else { 0.0 })),
+        (
+            "lanes alternating with all-zero blocks",
+            of(&mut |i| if (i / block).is_multiple_of(2) { unit(seed) * 9.0 } else { 0.0 }),
+        ),
+    ]
 }
 
 fn rate_coding(maxbits: u32) -> Coding {
@@ -736,6 +746,14 @@ fn scalar_word(values: &[f32; 4 * LANES], l: usize, c: &Coding) -> u64 {
     let bytes = by_kernel.into_bytes();
     assert!(bytes == by_reference.into_bytes(), "lane {l}, {c:?}");
     BitReader::new(&bytes).take_bits(c.maxbits)
+}
+
+/// Codes of at most 64 bits laid out as the lanes take them: one word a
+/// lane, nothing past it.
+fn one_word_rows(words: &[u64; LANES]) -> LaneRows {
+    let mut rows = [[0; LANES]; ROWS];
+    rows[0] = *words;
+    rows
 }
 
 /// Block `l` of `words` read by the scalar kernel.
@@ -765,9 +783,10 @@ fn lanes_code_and_read_like_the_scalar_coder_at_every_level_and_budget() {
                 let coded = cpu::at(level, EncodeLanes { values, maxbits, words: &mut words });
                 assert_eq!(coded, Some(Some(())), "{what}, {maxbits} bits, {level:?}");
                 assert_eq!(words, want, "{what}, {maxbits} bits, {level:?}: words");
-                let mut out = [f32::NAN; 4 * LANES];
-                cpu::at(level, DecodeLanes { words: &words, maxbits, out: &mut out }).unwrap();
-                assert!(bits(&out) == want_values, "{what}, {maxbits} bits, {level:?}: values");
+                let mut out = [[f32::NAN; 4 * LANES]];
+                let rows = one_word_rows(&words);
+                cpu::at(level, DecodeLanes::<4> { rows: &rows, maxbits, out: &mut out }).unwrap();
+                assert!(bits(&out[0]) == want_values, "{what}, {maxbits} bits, {level:?}: values");
             }
         }
     }
@@ -798,10 +817,11 @@ fn lanes_read_arbitrary_words_like_the_scalar_reader_at_every_level() {
             let want: Vec<u32> =
                 (0..LANES).flat_map(|l| bits(&scalar_values(&words, l, &c))).collect();
             for level in levels() {
-                let mut out = [f32::NAN; 4 * LANES];
-                cpu::at(level, DecodeLanes { words: &words, maxbits, out: &mut out }).unwrap();
+                let mut out = [[f32::NAN; 4 * LANES]];
+                let rows = one_word_rows(&words);
+                cpu::at(level, DecodeLanes::<4> { rows: &rows, maxbits, out: &mut out }).unwrap();
                 assert!(
-                    bits(&out) == want,
+                    bits(&out[0]) == want,
                     "{maxbits} bits, round {round}, {level:?}: {words:#x?}"
                 );
             }
@@ -897,4 +917,232 @@ fn staging_equals_the_per_axis_lift_at_every_level() {
     let mut seed = 0xD1B5_4A32_D192_ED03u64;
     check::<16>(&mut seed);
     check::<64>(&mut seed);
+}
+
+/// Fixed-rate codes of `N`-value blocks, each `maxbits` bits, laid out as
+/// the lanes take them: word `j` of lane `l`'s code in `rows[j][l]`.
+fn rows_of(codes: &[Vec<u8>], maxbits: u32) -> LaneRows {
+    assert!(codes.len() <= LANES && maxbits as usize <= 64 * (ROWS - 1));
+    let mut rows = [[0; LANES]; ROWS];
+    for (l, code) in codes.iter().enumerate() {
+        let mut r = BitReader::new(code);
+        for (j, row) in rows.iter_mut().enumerate().take(maxbits.div_ceil(64) as usize) {
+            row[l] = r.take_bits((maxbits - 64 * j as u32).min(64));
+        }
+    }
+    rows
+}
+
+/// Reads `codes` — a group of fixed-rate `N`-value blocks, all-zero
+/// blocks past them — in the lanes at every level, and requires each
+/// block's values to be the scalar `decode_block::<N>`'s, bit for bit.
+fn assert_lanes_read_like_the_scalar_reader<const N: usize>(
+    codes: &[Vec<u8>],
+    maxbits: u32,
+    what: &dyn Fn() -> String,
+) {
+    let d = N.ilog(4) as u8;
+    let c = Coding { d, maxbits, fixed_rate: true, planes: reference::Planes::Count(32) };
+    let zero = vec![0u8; maxbits.div_ceil(8) as usize];
+    let want: Vec<[f32; N]> = (0..LANES)
+        .map(|l| {
+            let mut out = [f32::NAN; N];
+            let code = codes.get(l).unwrap_or(&zero);
+            let used = codec::decode_block(&mut BitReader::new(code), &c.kernel(), maxbits, &mut out);
+            assert_eq!(used.unwrap(), maxbits, "lane {l}: {}", what());
+            out
+        })
+        .collect();
+    let rows = rows_of(codes, maxbits);
+    for level in levels() {
+        let mut out = vec![[f32::NAN; 4 * LANES]; N / 4];
+        cpu::at(level, DecodeLanes::<N> { rows: &rows, maxbits, out: &mut out }).unwrap();
+        for (l, want) in want.iter().enumerate() {
+            let got: Vec<f32> = (0..N).map(|i| out[i / 4][4 * l + i % 4]).collect();
+            assert!(bits(&got) == bits(want), "lane {l}, {level:?}: {}", what());
+        }
+    }
+}
+
+/// The fixed-rate code of `block`, as the scalar kernel writes it.
+fn code_of<const N: usize>(block: &[f32], maxbits: u32) -> Vec<u8> {
+    let d = N.ilog(4) as u8;
+    let c = Coding { d, maxbits, fixed_rate: true, planes: reference::Planes::Count(32) };
+    let block: &[f32; N] = block.try_into().unwrap();
+    let mut w = BitWriter::new();
+    assert_eq!(codec::encode_block(block, &c.kernel(), &mut w), Some(maxbits));
+    w.into_bytes()
+}
+
+/// 16- and 64-value blocks (and 4-value blocks past one word) read in
+/// the lanes as the scalar reader reads them, at every level, at every
+/// fixed-rate budget from 10 to 1 024 bits — all a 2-D config can ask
+/// for, and the 3-D ones up to rate 16, whole words or not — on groups
+/// that mix the fifteen value classes across the lanes, and at a spread
+/// of budgets on groups of one class each, the last of them partial.
+#[test]
+fn lanes_read_16_and_64_value_blocks_like_the_scalar_reader_at_every_level_and_budget() {
+    fn check<const N: usize>(budgets: impl Iterator<Item = u32>, seed: &mut u64) {
+        let classes = lane_values(seed, N);
+        let block = |class: usize, l: usize| &classes[class % 15].1[N * l..N * l + N];
+        for maxbits in budgets {
+            let what = || format!("N = {N}, {maxbits} bits");
+            for turn in [0, 7] {
+                let codes: Vec<Vec<u8>> = (0..LANES)
+                    .map(|l| code_of::<N>(block(l + turn + maxbits as usize, l), maxbits))
+                    .collect();
+                assert_lanes_read_like_the_scalar_reader::<N>(&codes, maxbits, &what);
+            }
+            if maxbits % 61 == 10 || [64, 65, 128, 256, 512, 1024].contains(&maxbits) {
+                for (class, (name, _)) in classes.iter().enumerate() {
+                    let blocks = LANES - class % 4;
+                    let codes: Vec<Vec<u8>> =
+                        (0..blocks).map(|l| code_of::<N>(block(class, l), maxbits)).collect();
+                    let what = || format!("{name}, {blocks} blocks, N = {N}, {maxbits} bits");
+                    assert_lanes_read_like_the_scalar_reader::<N>(&codes, maxbits, &what);
+                }
+            }
+        }
+    }
+    let mut seed = 0x6A09_E667_F3BC_C908u64;
+    check::<16>(HEADER_BITS + 1..=1024, &mut seed);
+    check::<64>(HEADER_BITS + 1..=1024, &mut seed);
+    check::<4>(65..=9 + 32 * 6, &mut seed);
+}
+
+/// Any bits are a fixed-rate block. Random, sparse and dense codes, and
+/// hostile ones — exponent fields 0 and 255, empty planes up to and past
+/// the budget, unary runs of 50 to 63 zeros, longer than the scalar
+/// reader's 56-bit window, ended by a one or by the budget — read in the
+/// lanes, at every level, as the scalar reader reads each of them.
+#[test]
+fn lanes_read_arbitrary_and_hostile_codes_like_the_scalar_reader_at_every_level() {
+    fn code(kind: usize, maxbits: u32, seed: &mut u64) -> Vec<u8> {
+        let mut w = BitWriter::new();
+        let random = |w: &mut BitWriter, bits: u32, seed: &mut u64, kind: usize| {
+            for at in (0..bits).step_by(64) {
+                let x = match kind % 3 {
+                    0 => xorshift(seed),
+                    1 => xorshift(seed) & xorshift(seed) & xorshift(seed) & xorshift(seed),
+                    _ => !(xorshift(seed) & xorshift(seed)),
+                };
+                w.write_bits(x, (bits - at).min(64));
+            }
+        };
+        let field = [0u64, 255, xorshift(seed) % 256][kind % 3];
+        match kind % 6 {
+            // Random bits, the flag and exponent included.
+            0 | 1 => random(&mut w, maxbits, seed, kind),
+            // A hostile exponent, then random planes.
+            2 => {
+                w.write_bits(1 | field << 1, HEADER_BITS);
+                random(&mut w, maxbits - HEADER_BITS, seed, kind / 6);
+            }
+            // Nothing but empty planes, up to and past the budget.
+            3 => w.write_bits(1 | field << 1, HEADER_BITS),
+            // A passed test and a run of 50..=63 zeros behind it, the
+            // run ended by a one and random bits, or by the budget.
+            _ => {
+                w.write_bits(1 | field << 1, HEADER_BITS);
+                let zeros = 50 + (xorshift(seed) % 14) as u32;
+                w.write_bits(1, 1);
+                w.write_bits(0, zeros.min(maxbits - HEADER_BITS - 1));
+                let left = maxbits.saturating_sub(HEADER_BITS + 1 + zeros);
+                if left > 0 && !kind.is_multiple_of(4) {
+                    w.write_bits(1, 1);
+                    random(&mut w, left - 1, seed, kind / 6);
+                }
+            }
+        }
+        let mut bytes = w.into_bytes();
+        bytes.resize(maxbits.div_ceil(8) as usize, 0);
+        // Bits past the budget are not the block's.
+        if !maxbits.is_multiple_of(8) {
+            *bytes.last_mut().unwrap() &= (1u8 << (maxbits % 8)) - 1;
+        }
+        bytes
+    }
+    fn check<const N: usize>(budgets: impl Iterator<Item = u32>, seed: &mut u64) {
+        for maxbits in budgets {
+            for round in 0..6 {
+                let codes: Vec<Vec<u8>> =
+                    (0..LANES).map(|l| code(round * LANES + l, maxbits, seed)).collect();
+                let what = || format!("N = {N}, {maxbits} bits, round {round}");
+                assert_lanes_read_like_the_scalar_reader::<N>(&codes, maxbits, &what);
+            }
+        }
+    }
+    let mut seed = 0xBB67_AE85_84CA_A73Bu64;
+    let budgets = || (HEADER_BITS + 1..=80).chain((81..=1024).step_by(13)).chain([1024]);
+    check::<16>(budgets(), &mut seed);
+    check::<64>(budgets(), &mut seed);
+    check::<4>(65..=200, &mut seed);
+}
+
+/// The scalar per-block decode the lanes stand in for: each block of a
+/// fixed-rate stream through `decode_block::<N>` and scattered, no lanes.
+fn scalar_decompress(stream: &[u8]) -> Vec<f32> {
+    fn run<const N: usize>(stream: &[u8], dims: Dims, c: &codec::BlockCoding) -> Vec<f32> {
+        let [nx, ny, nz] = dims.extents();
+        let mut r = BitReader::new(&stream[64..]);
+        let mut out = vec![0.0f32; dims.len()];
+        for o in block_origins(dims) {
+            let mut vals = [f32::NAN; N];
+            assert_eq!(codec::decode_block(&mut r, c, c.maxbits, &mut vals).unwrap(), c.maxbits);
+            for (v, (dx, dy, dz)) in vals.iter().zip(cells(dims.ndim())) {
+                let (x, y, z) = (o[0] + dx, o[1] + dy, o[2] + dz);
+                if x < nx && y < ny && z < nz {
+                    out[x + nx * (y + ny * z)] = *v;
+                }
+            }
+        }
+        out
+    }
+    let info = lossy_zfp::info(stream).unwrap();
+    let c = codec::BlockCoding::new(&info.mode, info.dims.ndim());
+    assert!(c.fixed_rate);
+    match info.dims.ndim() {
+        1 => run::<4>(stream, info.dims, &c),
+        2 => run::<16>(stream, info.dims, &c),
+        _ => run::<64>(stream, info.dims, &c),
+    }
+}
+
+/// Through `decompress`: fixed-rate 2-D and 3-D streams whose last group
+/// of lanes is partial, whose extents are not multiples of 4 and whose
+/// blocks are not whole bytes or words, read on 1, 2 and 4 threads to
+/// the scalar per-block decode's values; and every range of block layers
+/// reads to its slice of them.
+#[test]
+fn lanes_decode_streams_and_every_layer_range_like_the_scalar_reader_on_any_thread_count() {
+    let shapes = [
+        Dims::D2(17, 9),
+        Dims::D2(70, 66),
+        Dims::D2(3, 2),
+        Dims::D3(13, 7, 5),
+        Dims::D3(24, 20, 9),
+        Dims::D3(16, 16, 16),
+        Dims::D3(5, 1, 30),
+        Dims::D3(66, 3, 4),
+    ];
+    for dims in shapes {
+        let data = field(dims.len(), 0x3C6E_F372);
+        let tiles = foresight_util::Tiles::cubes(dims, 4).unwrap();
+        for rate in [0.7, 2.5, 4.0, 5.5, 8.0, 16.0, 33.0] {
+            let stream = compress(&data, dims, &ZfpConfig::rate(rate)).unwrap();
+            let want = bits(&scalar_decompress(&stream));
+            for threads in [1, 2, 4] {
+                let got = on_threads(threads, || decompress(&stream).unwrap().0);
+                assert!(bits(&got) == want, "{dims:?} rate {rate}, {threads} threads");
+            }
+            let n = tiles.layer_count();
+            for a in 0..n {
+                for b in a + 1..=n {
+                    let got = lossy_zfp::decompress_layers(&stream, a..b).unwrap().0;
+                    let slice = &want[tiles.layers(a..b).values];
+                    assert!(bits(&got) == slice, "{dims:?} rate {rate}, layers {a}..{b}");
+                }
+            }
+        }
+    }
 }

@@ -21,8 +21,9 @@
 //! - **zfp** — fixed-rate ZFP encode/decode wall throughput of a HACC
 //!   1-D array at rate 8 (4-value blocks, coded sixteen at a time) and a
 //!   Nyx 3-D field at rate 4, the same calls on one thread as ns per
-//!   block, the µs per call of a 16^3 cut of the field, and the exact
-//!   compressed byte counts;
+//!   block, the µs per call of a 16^3 cut of the field (decoded at rate
+//!   8 too, the rate of `.fstr` chunks), and the exact compressed byte
+//!   counts;
 //! - **store** — cold region reads of a `.fstr` archive: the p50 of a
 //!   one-value plane and of a one-row pencil through a 128^3 ZFP field
 //!   at rate 8 in 16^3 chunks, each on a fresh reader (what a read costs
@@ -130,7 +131,7 @@ fn run(argv: &[String]) -> Result<(), Failure> {
     let PerfGate { dir, rebaseline } = PerfGate::parse(argv, &[])?;
     let previous = newest_bench(&dir)?;
     let scenarios = run_scenarios()
-        .map_err(|e| Failure::new(cli::USAGE, format!("perf-gate: scenario failed: {e}")))?;
+        .map_err(|e| Failure::new(cli::FAILURE, format!("perf-gate: scenario failed: {e}")))?;
     let seq = previous.as_ref().map_or(BASE_SEQ, |(s, _)| s + 1);
     let compared = previous.as_ref().map(|(_, doc)| compare(doc, &scenarios));
     let moved = match &compared {
@@ -155,9 +156,7 @@ fn run(argv: &[String]) -> Result<(), Failure> {
         ));
     }
     let out = dir.join(format!("BENCH_{seq}.json"));
-    std::fs::write(&out, doc.to_json()).map_err(|e| {
-        Failure::new(cli::USAGE, format!("perf-gate: cannot write '{}': {e}", out.display()))
-    })?;
+    write_bench(&out, &doc)?;
     println!("perf-gate: wrote {}", out.display());
     for s in &scenarios {
         for m in &s.metrics {
@@ -221,9 +220,25 @@ fn newest_bench(dir: &Path) -> Result<Option<(u64, Value)>, Failure> {
     Ok(Some((seq, cli::load_json(&path.to_string_lossy())?)))
 }
 
+/// Writes `doc` to `out`; a file that cannot be written is a failed run,
+/// not a usage error.
+fn write_bench(out: &Path, doc: &Value) -> Result<(), Failure> {
+    std::fs::write(out, doc.to_json()).map_err(|e| {
+        Failure::new(cli::FAILURE, format!("perf-gate: cannot write '{}': {e}", out.display()))
+    })
+}
+
+/// The code measured: the commit, marked `-dirty` when the working tree
+/// differs from it.
 fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
+    git_rev_with("git")
+}
+
+/// [`git_rev`] through the `git` program at `git`; `unknown` when it
+/// cannot run or fails.
+fn git_rev_with(git: &str) -> String {
+    std::process::Command::new(git)
+        .args(["describe", "--always", "--dirty"])
         .output()
         .ok()
         .filter(|o| o.status.success())
@@ -420,6 +435,9 @@ fn zfp_scenario() -> foresight_util::Result<Scenario> {
         .collect();
     let (chunk_dims, cfg) = (lossy_zfp::Dims::D3(C, C, C), ZfpConfig::rate(4.0));
     let chunk_stream = lossy_zfp::compress(&chunk, chunk_dims, &cfg)?;
+    // Rate 8, 512-bit blocks: what `.fstr` chunks and the cluster's
+    // shards hold.
+    let chunk_r8 = lossy_zfp::compress(&chunk, chunk_dims, &ZfpConfig::rate(8.0))?;
     let per_call_us = |pass_s: f64| pass_s * 1e6 / CALLS as f64;
     let chunk_enc_s = best_secs(|| {
         for _ in 0..CALLS {
@@ -431,9 +449,15 @@ fn zfp_scenario() -> foresight_util::Result<Scenario> {
             std::hint::black_box(lossy_zfp::decompress(&chunk_stream).expect("decompress"));
         }
     });
+    let chunk_r8_dec_s = best_secs(|| {
+        for _ in 0..CALLS {
+            std::hint::black_box(lossy_zfp::decompress(&chunk_r8).expect("decompress"));
+        }
+    });
     metrics.extend([
         Metric::new("chunk16_compress_us", per_call_us(chunk_enc_s), "wall", "lower"),
         Metric::new("chunk16_decompress_us", per_call_us(chunk_dec_s), "wall", "lower"),
+        Metric::new("chunk16_r8_decompress_us", per_call_us(chunk_r8_dec_s), "wall", "lower"),
         Metric::new("chunk16_compressed_bytes", chunk_stream.len() as f64, "exact", "lower"),
     ]);
     Ok(Scenario { name: "zfp", metrics })
@@ -695,5 +719,22 @@ mod tests {
         }
         let same = format!(r#"{{"schema":{SCHEMA},"scenarios":{{}}}}"#);
         assert!(compare(&Value::parse(&same).unwrap(), &scenarios).unwrap().is_empty());
+    }
+
+    /// A `BENCH` file that cannot be written fails the run (exit 1), and
+    /// is not reported as a usage error.
+    #[test]
+    fn an_unwritable_bench_file_is_a_failed_run() {
+        let missing = std::env::temp_dir().join(format!("perf-gate-none-{}", std::process::id()));
+        let err = write_bench(&missing.join("BENCH_8.json"), &Value::Object(vec![])).unwrap_err();
+        assert_eq!(err.code, cli::FAILURE, "{}", err.message);
+        assert!(err.message.contains("cannot write") && err.message.contains("BENCH_8.json"));
+    }
+
+    /// Without a `git` to run, the revision is `unknown`, not an error.
+    #[test]
+    fn the_revision_is_unknown_when_git_cannot_run() {
+        let missing = std::env::temp_dir().join(format!("no-git-{}", std::process::id()));
+        assert_eq!(git_rev_with(&missing.to_string_lossy()), "unknown");
     }
 }
