@@ -26,18 +26,16 @@
 //! plane step is a table lookup (§17.7).
 //!
 //! [`cpu::Kernel`]s run at the widest vector width the CPU has (§24). A
-//! fixed-rate block starts at `i * maxbits`, so [`DecodeLanes`] reads
-//! every fixed-rate block [`LANES`] at a time ([`Lanes`], [`decode_line`]),
-//! and [`EncodeLanes`] codes 1-D blocks of at most 64 bits the same way.
-//! [`Stage`] and [`Unstage`] are the cast, transform, reorder and
-//! negabinary of one 16- or 64-value block. Scalar: the variable-length
-//! modes, whose blocks do not sit at fixed offsets, the device path's one
-//! block per call, and the plane coder of the 2-D and 3-D encoder.
+//! fixed-rate block starts at `i * maxbits`, so [`EncodeLanes`] codes and
+//! [`DecodeLanes`] reads every fixed-rate block [`LANES`] at a time. The
+//! scalar coder serves the variable-length modes, whose blocks do not sit
+//! at fixed offsets, and the device path's one block per call.
 
 use crate::config::ZfpMode;
 use crate::lift;
 use foresight_util::bits::{BitReader, BitWriter, WriterTail};
 use foresight_util::{cpu, Error, Result};
+use std::ops::Range;
 
 /// Bit planes in an `i32` coefficient.
 pub const INTPREC: u32 = 32;
@@ -434,14 +432,10 @@ pub const LANES: usize = 16;
 
 /// Codes the 4-value blocks of `values` into `w`, a short last block
 /// padded with its last value, and reports each block's bit length to
-/// `coded`. `None` when a block holds a NaN or an infinity; blocks are
-/// written up to the one (or, at a fixed rate of at most 64 bits, the
-/// group of [`LANES`] blocks) that holds it.
-///
-/// A fixed-rate block of at most 64 bits is one word, so such blocks run
-/// as [`LANES`]-wide groups through [`EncodeLanes`] — the array's last
-/// group padded, only its real blocks written. Any other coding runs a
-/// block at a time through the scalar coder.
+/// `coded`: at a fixed rate [`LANES`] at a time ([`encode_group`]), the
+/// last group padded, otherwise a block at a time. `None` when a block
+/// holds a NaN or an infinity; the blocks (or groups) before it are
+/// written.
 #[inline]
 pub fn encode_line(
     values: &[f32],
@@ -451,20 +445,17 @@ pub fn encode_line(
 ) -> Option<()> {
     debug_assert!(c.d == 1 && c.maxbits >= HEADER_BITS);
     let mut tail = w.tail();
-    if !(c.fixed_rate && c.maxbits <= 64) {
+    if !c.fixed_rate {
         for block in values.chunks(4) {
             let (emax, u) = stage4(&pad4(block))?;
             coded(encode_planes4(&u, emax, c, &mut tail));
         }
         return Some(());
     }
-    let mut words = [0u64; LANES];
-    let mut group = |values: &[f32; 4 * LANES], blocks: usize| {
-        dispatch(EncodeLanes { values, maxbits: c.maxbits, words: &mut words })?;
-        for &word in &words[..blocks] {
-            tail.write_bits(word, c.maxbits);
-            coded(c.maxbits);
-        }
+    let mut rows = [[0u64; LANES]; ROWS];
+    let mut group = |values: &LaneRun, blocks: usize| {
+        encode_group::<4>(std::slice::from_ref(values), blocks, c.maxbits, &mut rows, &mut tail)?;
+        (0..blocks).for_each(|_| coded(c.maxbits));
         Some(())
     };
     let (whole, rest) = values.as_chunks::<{ 4 * LANES }>();
@@ -477,6 +468,32 @@ pub fn encode_line(
             to.copy_from_slice(&pad4(block));
         }
         group(&padded, rest.len().div_ceil(4))?;
+    }
+    Some(())
+}
+
+/// Codes a group of fixed-rate `N`-value blocks, `values` by x-row,
+/// through [`EncodeLanes`] (`rows` its scratch) and writes the first
+/// `blocks` codes to `w`; `None`, with nothing written, when a lane holds
+/// a NaN or an infinity.
+#[inline]
+pub fn encode_group<const N: usize>(
+    values: &[LaneRun],
+    blocks: usize,
+    maxbits: u32,
+    rows: &mut LaneRows,
+    w: &mut WriterTail<'_>,
+) -> Option<()> {
+    dispatch(EncodeLanes::<N> { values, maxbits, rows })?;
+    // A code is never longer than the rows; past them is padding.
+    let span = maxbits.min(64 * (ROWS as u32 - 1));
+    let whole = (span / 64) as usize;
+    for l in 0..blocks {
+        for row in &rows[..whole] {
+            w.write_bits(row[l], 64);
+        }
+        w.write_bits(rows[whole][l], span % 64);
+        w.write_zeros(maxbits - span);
     }
     Some(())
 }
@@ -502,9 +519,9 @@ fn stage4(block: &[f32; 4]) -> Option<(Option<i32>, [u32; 4])> {
 
 /// Codes a 4-value block (`emax` is `None` when it is all zero) from its
 /// negabinary coefficients, a block at a time: a table step per plane
-/// into a local word that is written when it fills. Serves the codings
-/// [`EncodeLanes`] does not — variable length, blocks over 64 bits — and
-/// the device path's one-block calls. Returns the bits written.
+/// into a local word that is written when it fills. Serves the
+/// variable-length modes and the device path's one-block calls. Returns
+/// the bits written.
 #[inline]
 fn encode_planes4(u: &[u32; 4], emax: Option<i32>, c: &BlockCoding, w: &mut WriterTail<'_>) -> u32 {
     // The word, its fill, and the budget still open at its first bit.
@@ -544,71 +561,105 @@ fn encode_planes4(u: &[u32; 4], emax: Option<i32>, c: &BlockCoding, w: &mut Writ
     c.maxbits - left + span
 }
 
-/// A group of [`LANES`] fixed-rate 4-value blocks of `maxbits <= 64` bits
-/// each, coded side by side — one body for [`cpu::widest`]. Lane `l` is
-/// the block `values[4l..4l + 4]`; its code, padding included, is left
-/// in the low `maxbits` bits of `words[l]`. `None`, with `words`
-/// untouched, when any lane holds a NaN or an infinity.
-///
-/// Each lane runs the steps of the scalar coder (`stage4`, then
-/// `encode_planes4`) in the same order, on arrays of lanes: every lane
-/// steps a plane at once until none is live, a lane that is done (no
-/// plane left, or the budget spent) stepping through a done row of the
-/// table, which codes nothing. Nothing in a step branches on a lane.
-pub struct EncodeLanes<'a> {
-    /// The group's blocks, one after the other.
-    pub values: &'a [f32; 4 * LANES],
-    /// Bits a block: more than [`HEADER_BITS`], at most 64.
+/// A group of [`LANES`] fixed-rate `N`-value blocks, coded side by side —
+/// one body for [`cpu::widest`], the mirror of [`DecodeLanes`]: `Stage`'s
+/// steps across the lanes, then 4-value blocks step through
+/// `PLANE4_ENCODE` and larger ones' planes through `Cursor::put`. `None`,
+/// with `rows` untouched, when any lane holds a NaN or an infinity.
+pub struct EncodeLanes<'a, const N: usize> {
+    /// The group's values by x-row: `values[r]` holds values `4r..4r + 4`
+    /// of every block; `N / 4` rows.
+    pub values: &'a [LaneRun],
+    /// Bits a block: more than [`HEADER_BITS`].
     pub maxbits: u32,
-    /// Each block's code.
-    pub words: &'a mut [u64; LANES],
+    /// Each block's code, zero behind it; bits past `maxbits` are not the
+    /// block's.
+    pub rows: &'a mut LaneRows,
 }
 
-impl cpu::Kernel for EncodeLanes<'_> {
+impl<const N: usize> cpu::Kernel for EncodeLanes<'_, N> {
     type Output = Option<()>;
 
     #[inline(always)]
     fn run(self) -> Option<()> {
-        const INF: u32 = 0x7f80_0000;
-        let EncodeLanes { values, maxbits, words } = self;
-        debug_assert!((HEADER_BITS + 1..=64).contains(&maxbits));
-        // Value `i` of every lane.
-        let mut v = [[0.0f32; LANES]; 4];
-        for (l, block) in values.chunks_exact(4).enumerate() {
-            for (vi, &x) in v.iter_mut().zip(block) {
-                vi[l] = x;
-            }
-        }
-        let mut top = [0u32; LANES];
-        for (l, t) in top.iter_mut().enumerate() {
-            *t = v.iter().fold(0, |m, vi| m.max(vi[l].to_bits() & 0x7fff_ffff));
-        }
-        if top.iter().fold(0, |m, &t| m.max(t)) >= INF {
-            return None;
-        }
-        // Each lane's coefficients 0 and 1 in the halves of `lo`, 2 and 3
-        // in `hi`'s; its word, its fill, the planes it has left and its
-        // significant coefficients, times 16.
-        let (mut lo, mut hi) = ([0u64; LANES], [0u64; LANES]);
-        let (mut acc, mut len) = ([0u64; LANES], [0u32; LANES]);
-        let (mut k, mut sig16) = ([0u32; LANES], [0u32; LANES]);
+        code_lanes::<N, true>(self.values, self.maxbits, self.rows)
+    }
+
+    #[inline(always)]
+    fn run_baseline(self) -> Option<()> {
+        code_lanes::<N, false>(self.values, self.maxbits, self.rows)
+    }
+}
+
+/// The body of [`EncodeLanes`].
+#[inline(always)]
+#[allow(clippy::needless_range_loop)] // the lane index is a column of several arrays
+fn code_lanes<const N: usize, const LOCKSTEP: bool>(
+    values: &[LaneRun],
+    maxbits: u32,
+    rows: &mut LaneRows,
+) -> Option<()> {
+    const INF: u32 = 0x7f80_0000;
+    debug_assert!(maxbits > HEADER_BITS && matches!(N, 4 | 16 | 64) && values.len() == N / 4);
+    let n = N as u32;
+    // Value `i` of every lane, and each lane's largest magnitude.
+    let (mut v, mut top) = ([[0u32; LANES]; N], [0u32; LANES]);
+    for (r, run) in values.iter().enumerate().take(N / 4) {
         for l in 0..LANES {
-            let nonzero = top[l] != 0;
-            let emax = if nonzero { exponent(f32::from_bits(top[l])).clamp(-127, 128) } else { 0 };
-            let mut q = [0i32; 4];
-            for (qi, vi) in q.iter_mut().zip(&v) {
-                *qi = fixed_point(vi[l], emax);
+            for dx in 0..4 {
+                let bits = run[4 * l + dx].to_bits();
+                v[(4 * r + dx) % N][l] = bits;
+                top[l] = top[l].max(bits & 0x7fff_ffff);
             }
-            lift::fwd_lift(&mut q);
-            let u = q.map(lift::int2uint);
-            lo[l] = u[0] as u64 | (u[1] as u64) << 32;
-            hi[l] = u[2] as u64 | (u[3] as u64) << 32;
-            // A plane above every coefficient's top bit: one failed test.
-            let any = u[0] | u[1] | u[2] | u[3];
-            let empty = any.leading_zeros().min(maxbits - HEADER_BITS);
-            acc[l] = if nonzero { 1 | ((emax + 127) as u64) << 1 } else { 0 };
-            len[l] = if nonzero { HEADER_BITS + empty } else { 1 };
-            k[l] = if nonzero { INTPREC - empty } else { 0 };
+        }
+    }
+    if top.iter().fold(0, |m, &t| m.max(t)) >= INF {
+        return None;
+    }
+    let mut emax = [0i32; LANES];
+    for l in 0..LANES {
+        emax[l] = if top[l] != 0 { exponent(f32::from_bits(top[l])).clamp(-127, 128) } else { 0 };
+    }
+    let mut q = [[0i32; LANES]; N];
+    for (q, v) in q.iter_mut().zip(&v) {
+        for l in 0..LANES {
+            q[l] = fixed_point(f32::from_bits(v[l]), emax[l]);
+        }
+    }
+    lift::xform_lanes(&mut q, true);
+    // The coefficient of sequency rank `r` in row `r` of `lo` (0..32) or
+    // `hi` (32..64), then a transpose: row `k` becomes plane `k`.
+    let (mut lo, mut hi) = ([[0u32; LANES]; 32], [[0u32; LANES]; 32]);
+    let mut any = [0u32; LANES];
+    for (r, &p) in Sequency::<N>::PERM.iter().enumerate() {
+        let u = if r < 32 { &mut lo[r % 32] } else { &mut hi[r % 32] };
+        for l in 0..LANES {
+            u[l] = lift::int2uint(q[p as usize % N][l]);
+            any[l] |= u[l];
+        }
+    }
+    // Each lane's code so far: the word at `cur`, filled below `cur % 64`.
+    let (mut at, mut acc) = (Cursors::default(), [0u64; LANES]);
+    for l in 0..LANES {
+        // Planes above every coefficient's top bit: a failed test each.
+        let nonzero = (top[l] != 0) as u32;
+        let empty = any[l].leading_zeros().min(maxbits - HEADER_BITS);
+        acc[l] = (nonzero as u64) * (1 | ((emax[l] + 127) as u64) << 1);
+        at.k[l] = nonzero * (INTPREC - empty);
+        at.cur[l] = if nonzero != 0 { HEADER_BITS + empty } else { 1 };
+    }
+    let span = maxbits.min(64 * (ROWS as u32 - 1));
+    rows[..span.div_ceil(64) as usize].fill([0; LANES]);
+    if N == 4 {
+        // `encode_planes4`, every lane a plane a step, a lane that is done
+        // stepping through a done row of the table, which codes nothing.
+        // Coefficients 0 and 1 in the halves of `pairs[0]`, 2 and 3 in
+        // `pairs[1]`'s, and the significant ones, times 16.
+        let (mut len, mut k, mut sig16) = (at.cur, at.k, [0u32; LANES]);
+        let mut pairs = [[0u64; LANES]; 2];
+        for l in 0..LANES {
+            pairs[0][l] = lo[0][l] as u64 | (lo[1][l] as u64) << 32;
+            pairs[1][l] = lo[2][l] as u64 | (lo[3][l] as u64) << 32;
         }
         loop {
             let mut any = 0;
@@ -621,8 +672,16 @@ impl cpu::Kernel for EncodeLanes<'_> {
                     (x | x >> 31) as u32 & 3
                 };
                 let row16 = sig16[l] | ((live ^ 1) * DONE) << 4;
-                let e = PLANE4_ENCODE[(row16 | pair(lo[l]) | pair(hi[l]) << 2) as usize & 0x7f];
-                acc[l] |= ((e & 0x7f) as u64).wrapping_shl(len[l]);
+                let nibble = pair(pairs[0][l]) | pair(pairs[1][l]) << 2;
+                let e = PLANE4_ENCODE[(row16 | nibble) as usize & 0x7f];
+                let (code, s) = ((e & 0x7f) as u64, len[l] & 63);
+                let word = acc[l] | code << s;
+                if maxbits > 64 {
+                    rows[(len[l] >> 6).min(ROWS as u32 - 1) as usize][l] = word;
+                    acc[l] = if s + (e >> 8 & 7) >= 64 { code >> 1 >> (63 - s) } else { word };
+                } else {
+                    acc[l] = word;
+                }
                 len[l] += e >> 8 & 7;
                 sig16[l] = e >> 8 & 0x70;
                 k[l] = kk;
@@ -632,11 +691,79 @@ impl cpu::Kernel for EncodeLanes<'_> {
                 break;
             }
         }
-        // A code the budget cut may run past it.
-        let budget = u64::MAX >> (64 - maxbits);
-        *words = acc.map(|a| a & budget);
-        Some(())
+        at.cur = len;
+    } else {
+        // Planes 16..32 first, the rest only for a group in which some
+        // lane's budget reaches below them: a block of a few hundred bits
+        // codes a handful of planes.
+        let mut planes = [[0u64; LANES]; INTPREC as usize];
+        swap_rows::<16>(&mut lo, 0..32, true, 0x0000_FFFF);
+        if N > 32 {
+            swap_rows::<16>(&mut hi, 0..32, true, 0x0000_FFFF);
+        }
+        for floor in [16, 0] {
+            let half = floor as usize..floor as usize + 16;
+            if (0..LANES).all(|l| lane_live(at.k[l].wrapping_sub(floor), at.cur[l], maxbits) == 0) {
+                continue;
+            }
+            transpose_half(&mut lo, half.clone());
+            if N > 32 {
+                transpose_half(&mut hi, half.clone());
+            }
+            for k in half {
+                for l in 0..LANES {
+                    planes[k][l] = lo[k][l] as u64 | (hi[k][l] as u64) << 32;
+                }
+            }
+            // One `Cursor::put` of lane `l`, its code written into the lane's
+            // rows at `cur`, `$acc` being its word there; a code of one word
+            // stays in `$acc`. (Made a function, it leaves the lanes scalar.)
+            macro_rules! put {
+                ($c:ident, $l:ident, $acc:expr) => {{
+                    let (j, s) = (($c.cur >> 6).min(ROWS as u32 - 1) as usize, $c.cur & 63);
+                    let plane = planes[($c.k.wrapping_sub(1) & 31) as usize][$l];
+                    let (c, code, len) = $c.put(plane, n, maxbits, floor);
+                    let word = $acc | code << s;
+                    if maxbits > 64 {
+                        rows[j][$l] = word;
+                        // A code that fills the word leaves its rest for the next.
+                        $acc = if s + len >= 64 { code >> 1 >> (63 - s) } else { word };
+                    } else {
+                        $acc = word;
+                    }
+                    c
+                }};
+            }
+            if LOCKSTEP {
+                let mut live = 1;
+                while live != 0 {
+                    live = 0;
+                    for l in 0..LANES {
+                        let c = at.get(l);
+                        let c = put!(c, l, acc[l]);
+                        live |= c.live(maxbits, floor);
+                        at.set(l, c);
+                    }
+                }
+            } else {
+                // A lane at a time to its end: its state stays in registers.
+                for l in 0..LANES {
+                    let (mut c, mut word) = (at.get(l), acc[l]);
+                    while c.live(maxbits, floor) != 0 {
+                        c = put!(c, l, word);
+                    }
+                    acc[l] = word;
+                    at.set(l, c);
+                }
+            }
+        }
     }
+    for l in 0..LANES {
+        // A one-word code the budget cut may run past it.
+        let j = if maxbits > 64 { (at.cur[l] >> 6).min(ROWS as u32 - 1) } else { 0 };
+        rows[j as usize][l] = acc[l] & u64::MAX >> (64 - maxbits.min(64));
+    }
+    Some(())
 }
 
 /// A 4-value block being decoded, between two planes.
@@ -830,8 +957,8 @@ pub fn decode_line(r: &mut BitReader<'_>, c: &BlockCoding, out: &mut [f32]) -> R
 /// one body for [`cpu::widest`]. Nothing in a step branches on a lane,
 /// and no lane reads past its own budget.
 ///
-/// 4-value blocks of at most 64 bits step through the tables of `Planes4`,
-/// a plane a step. Any other block steps through `read_planes`' actions
+/// 4-value blocks step through the tables of `Planes4`, a plane a step.
+/// Any other block steps through `read_planes`' actions
 /// ([`Cursor::step`]), then its planes are transposed into coefficients
 /// and negabinary, reorder, inverse transform and cast run across the
 /// lanes, in `Unstage`'s order.
@@ -859,24 +986,16 @@ impl<const N: usize> cpu::Kernel for DecodeLanes<'_, N> {
     }
 }
 
-/// `Planes4::open`, `step` and `rebuild` for lanes of 4-value blocks of
-/// at most 64 bits, `words[l]` being lane `l`'s code.
+/// `Planes4::step` for lanes of 4-value blocks, lane `l`'s code in
+/// `rows[..][l]` — one word unless `WIDE` — and `at` where its header and
+/// empty planes leave it: coefficient `i` of lane `l` in `[i][l]`.
 #[inline(always)]
-fn read_words4(words: &[u64; LANES], maxbits: u32, out: &mut LaneRun) {
-    debug_assert!(maxbits == 64 || words.iter().all(|w| w >> maxbits == 0));
-    // Each lane's unread bits, the bits it has read, its exponent, the
-    // planes it has left and its significant coefficients.
-    let (mut win, mut used, mut emax) = ([0u64; LANES], [0u32; LANES], [0i32; LANES]);
-    let (mut k, mut sig) = ([0u32; LANES], [0u32; LANES]);
+fn read_words4<const WIDE: bool>(rows: &LaneRows, at: &Cursors, maxbits: u32) -> [[i32; LANES]; 4] {
+    // Each lane's unread bits of a one-word code, the bits it has read,
+    // the planes it has left and its significant coefficients.
+    let (mut win, mut used, mut k, mut sig) = ([0u64; LANES], at.cur, at.k, [0u32; LANES]);
     for l in 0..LANES {
-        let nonzero = words[l] & 1 != 0;
-        // Planes above every coefficient's top bit: a failed test each.
-        let empty = (words[l] >> HEADER_BITS | 1 << INTPREC).trailing_zeros();
-        let empty = empty.min(maxbits - HEADER_BITS);
-        emax[l] = if nonzero { (words[l] >> 1 & 0xff) as i32 - 127 } else { 0 };
-        used[l] = if nonzero { HEADER_BITS + empty } else { 1 };
-        k[l] = if nonzero { INTPREC - empty } else { 0 };
-        win[l] = words[l] >> used[l];
+        win[l] = rows[0][l] >> used[l];
     }
     // Coefficients 0 and 1 in the halves of `lo`, 2 and 3 in `hi`'s.
     let (mut lo, mut hi) = ([0u64; LANES], [0u64; LANES]);
@@ -884,11 +1003,12 @@ fn read_words4(words: &[u64; LANES], maxbits: u32, out: &mut LaneRun) {
         let mut any = 0;
         for l in 0..LANES {
             let live = lane_live(k[l], used[l], maxbits);
-            // Bits of `win` past the budget are zero, so only the marker
-            // `1 << r` tells the table where the budget ends.
+            // Bits past the budget are zero, so only the marker `1 << r`
+            // tells the table where the budget ends.
             let r = maxbits.wrapping_sub(used[l]).min(7);
             let row = sig[l] | ((live ^ 1) * DONE);
-            let e = PLANE4_STEP[(row << 8 | win[l] as u32 & 0x7f | 1 << r) as usize & 0x7ff];
+            let w = if WIDE { window(rows, l, used[l]) } else { win[l] };
+            let e = PLANE4_STEP[(row << 8 | w as u32 & 0x7f | 1 << r) as usize & 0x7ff];
             let kk = k[l] - live;
             let x = (e >> 6 & 15) as u64;
             lo[l] |= (x & 1 | (x & 2) << 31) << kk;
@@ -903,35 +1023,29 @@ fn read_words4(words: &[u64; LANES], maxbits: u32, out: &mut LaneRun) {
             break;
         }
     }
-    let mut v = [[0.0f32; LANES]; 4];
+    let mut q = [[0i32; LANES]; 4];
     for l in 0..LANES {
         let u = [lo[l] as u32, (lo[l] >> 32) as u32, hi[l] as u32, (hi[l] >> 32) as u32];
-        let mut q = u.map(lift::uint2int);
-        lift::inv_lift(&mut q);
-        let scale = f64_pow2(emax[l] - 30);
-        for (vi, qi) in v.iter_mut().zip(q) {
-            vi[l] = (qi as f64 * scale) as f32;
+        for (q, u) in q.iter_mut().zip(u) {
+            q[l] = lift::uint2int(u);
         }
     }
-    for (l, block) in out.chunks_exact_mut(4).enumerate() {
-        for (o, vi) in block.iter_mut().zip(&v) {
-            *o = vi[l];
-        }
-    }
+    q
 }
 
-/// One lane of [`read_lanes`]: its next bit, its plane, the coefficients
-/// significant before it, the next one to test, 1 while the plane has
-/// tests left, and the plane's bits so far.
+/// One lane of [`read_lanes`] or `code_lanes`: its next bit, its plane,
+/// the coefficients significant before it, the next one to test, 1 while
+/// the plane has tests left, and the plane's bits (read so far, or all).
 #[derive(Clone, Copy)]
 #[rustfmt::skip]
 struct Cursor { cur: u32, k: u32, sig: u32, pos: u32, open: u32, x: u64 }
 
 impl Cursor {
-    /// 1 while the lane has an open plane, or a plane and budget left.
+    /// 1 while the lane has an open plane, or a plane above `floor` and
+    /// budget left.
     #[inline(always)]
-    fn live(&self, maxbits: u32) -> u32 {
-        self.open | lane_live(self.k, self.cur, maxbits)
+    fn live(&self, maxbits: u32, floor: u32) -> u32 {
+        self.open | lane_live(self.k.wrapping_sub(floor), self.cur, maxbits)
     }
 
     /// Takes `read_planes`' next actions from `w`, the 64 bits at `cur`:
@@ -945,11 +1059,10 @@ impl Cursor {
     fn step(self, w: u64, n: u32, maxbits: u32) -> Self {
         let Cursor { cur, k, sig, pos, open, x } = self;
         let start = (open ^ 1) & lane_live(k, cur, maxbits);
-        let m = start * sig.min(maxbits - cur);
-        let opened = 0u64.wrapping_sub(start as u64);
-        let verbatim = w & ((1u64 << (m & 63)).wrapping_sub(1) | 0u64.wrapping_sub((m >> 6) as u64));
-        let (cur, x) = (cur + m, x & !opened | verbatim & opened);
-        let pos = pos.wrapping_add(start.wrapping_mul(sig.wrapping_sub(pos)));
+        let m = if start != 0 { sig.min(maxbits - cur) } else { 0 };
+        let verbatim =
+            w & ((1u64 << (m & 63)).wrapping_sub(1) | 0u64.wrapping_sub((m >> 6) as u64));
+        let (x, pos, cur) = if start != 0 { (verbatim, sig, cur + m) } else { (x, pos, cur) };
         let open = open | start & (pos < n) as u32 & (cur < maxbits) as u32;
         let w = w >> (m & 63);
         let passed = open & (w as u32 & 1);
@@ -957,14 +1070,43 @@ impl Cursor {
         let run = w >> 1 & ((1u64 << limit) - 1);
         let zeros = (run | 1 << limit).trailing_zeros();
         let read = zeros + (zeros < limit) as u32;
-        let cur = cur + open * (1 + passed * read);
+        let cur = cur + if passed != 0 { 1 + read } else { open };
         let x = x | (passed as u64) << (pos.wrapping_add(zeros) & 63);
-        let pos = pos + passed * (zeros + 1);
+        let pos = if passed != 0 { pos + zeros + 1 } else { pos };
         let next = passed & (pos < n) as u32 & (cur < maxbits) as u32;
         // A plane that closes leaves its coefficients significant.
         let closes = (start | open) & (next ^ 1);
-        let sig = sig.wrapping_add(closes.wrapping_mul(pos.wrapping_sub(sig)));
+        let sig = if closes != 0 { pos } else { sig };
         Cursor { cur, k: k - start, sig, pos, open: next, x }
+    }
+
+    /// The encoder's mirror of [`Cursor::step`]: `encode_finite`'s next
+    /// actions on `plane`, the one below the last opened (`x` while open),
+    /// and the bits they write and how many. No plane at or below `floor`
+    /// is opened, nor any past the budget, which cuts nothing else: a code
+    /// cut after `maxbits` bits is the budgeted one (the prefix property).
+    #[inline(always)]
+    fn put(self, plane: u64, n: u32, maxbits: u32, floor: u32) -> (Self, u64, u32) {
+        let Cursor { cur, k, sig, pos, open, x } = self;
+        let start = (open ^ 1) & lane_live(k.wrapping_sub(floor), cur, maxbits);
+        let (m, x, pos) = if start != 0 { (sig, plane, sig) } else { (0, x, pos) };
+        let verbatim =
+            x & ((1u64 << (m & 63)).wrapping_sub(1) | 0u64.wrapping_sub((m >> 6) as u64));
+        let open = open | start & (pos < n) as u32;
+        let rest = x >> (pos & 63);
+        let passed = open & (rest != 0) as u32;
+        let limit = (n - 1).wrapping_sub(pos) & 63;
+        let zeros = (rest | 1 << limit).trailing_zeros();
+        let ended = passed & (zeros < limit) as u32;
+        let len = m + if passed != 0 { 1 + zeros + ended } else { open };
+        let test = passed as u64 | (ended as u64) << ((zeros + 1) & 63);
+        let pos = if passed != 0 { pos + zeros + 1 } else { pos };
+        let cur = cur + len;
+        let next = passed & (pos < n) as u32 & (cur < maxbits) as u32;
+        // A plane that closes leaves its coefficients significant.
+        let closes = (start | open) & (next ^ 1);
+        let sig = if closes != 0 { pos } else { sig };
+        (Cursor { cur, k: k - start, sig, pos, open: next, x }, verbatim | test << (m & 63), len)
     }
 }
 
@@ -1005,18 +1147,44 @@ fn window(rows: &LaneRows, l: usize, cur: u32) -> u64 {
 /// 16×16 to 1×1 sub-blocks. A round at distance `j` only feeds rows
 /// below `max(R, j)`.
 #[inline(always)]
-#[allow(clippy::needless_range_loop)] // the lane index runs through two rows
 fn transpose32<const R: usize>(a: &mut [[u32; LANES]; 32]) {
-    let masks = [0x0000_FFFF, 0x00FF_00FF, 0x0F0F_0F0F, 0x3333_3333, 0x5555_5555u32];
-    for (j, mask) in [16, 8, 4, 2, 1].into_iter().zip(masks) {
-        for k in (0..R.max(j)).filter(|k| k & j == 0) {
-            for l in 0..LANES {
-                let t = (a[k][l] >> j ^ a[(k + j) % 32][l]) & mask;
-                a[k][l] ^= t << j;
-                if j < R {
-                    a[(k + j) % 32][l] ^= t;
-                }
-            }
+    swap_rows::<16>(a, 0..R.max(16), 16 < R, 0x0000_FFFF);
+    swap_rows::<8>(a, 0..R.max(8), 8 < R, 0x00FF_00FF);
+    swap_rows::<4>(a, 0..R.max(4), 4 < R, 0x0F0F_0F0F);
+    swap_rows::<2>(a, 0..R.max(2), 2 < R, 0x3333_3333);
+    swap_rows::<1>(a, 0..R, 1 < R, 0x5555_5555);
+}
+
+/// The last four rounds of [`transpose32`] on rows `half` (0..16 or
+/// 16..32) alone, after its first round: they do not mix the halves.
+#[inline(always)]
+fn transpose_half(a: &mut [[u32; LANES]; 32], half: Range<usize>) {
+    swap_rows::<8>(a, half.clone(), true, 0x00FF_00FF);
+    swap_rows::<4>(a, half.clone(), true, 0x0F0F_0F0F);
+    swap_rows::<2>(a, half.clone(), true, 0x3333_3333);
+    swap_rows::<1>(a, half, true, 0x5555_5555);
+}
+
+/// One round of delta swaps at distance `J`: the pairs of rows `(k, k +
+/// J)` with `k` in `rows`, the second row written back only if `both`.
+#[inline(always)]
+fn swap_rows<const J: usize>(
+    a: &mut [[u32; LANES]; 32],
+    rows: Range<usize>,
+    both: bool,
+    mask: u32,
+) {
+    for k in rows.filter(|k| k & J == 0) {
+        // Both rows in hand: the compiler need not prove them apart.
+        let (mut x, mut y) = (a[k % 32], a[(k + J) % 32]);
+        for l in 0..LANES {
+            let t = (x[l] >> J ^ y[l]) & mask;
+            x[l] ^= t << J;
+            y[l] ^= t;
+        }
+        a[k % 32] = x;
+        if both {
+            a[(k + J) % 32] = y;
         }
     }
 }
@@ -1027,11 +1195,12 @@ fn transpose32<const R: usize>(a: &mut [[u32; LANES]; 32]) {
 /// form lane by lane.
 #[inline(always)]
 #[allow(clippy::needless_range_loop)] // the lane index is a column of several arrays
-fn read_lanes<const N: usize, const LOCKSTEP: bool>(rows: &LaneRows, maxbits: u32, out: &mut [LaneRun]) {
+fn read_lanes<const N: usize, const LOCKSTEP: bool>(
+    rows: &LaneRows,
+    maxbits: u32,
+    out: &mut [LaneRun],
+) {
     debug_assert!(maxbits > HEADER_BITS && matches!(N, 4 | 16 | 64) && out.len() == N / 4);
-    if N == 4 && maxbits <= 64 {
-        return read_words4(&rows[0], maxbits, &mut out[0]);
-    }
     let n = N as u32;
     let (mut at, mut emax, mut any) = (Cursors::default(), [0i32; LANES], 0);
     for l in 0..LANES {
@@ -1044,56 +1213,66 @@ fn read_lanes<const N: usize, const LOCKSTEP: bool>(rows: &LaneRows, maxbits: u3
         at.cur[l] = HEADER_BITS + empty;
         any |= lane_live(at.k[l], at.cur[l], maxbits);
     }
-    // Plane `k` of lane `l`, as far as it has been read. The step loop
-    // writes it at the lane's own `k`; were it also read at fixed rows,
-    // LLVM would leave the loop scalar, so the transpose works on a copy.
-    let mut planes = [[0u64; LANES]; INTPREC as usize];
-    if LOCKSTEP {
-        while any != 0 {
-            any = 0;
-            for l in 0..LANES {
-                let c = at.get(l);
-                let c = c.step(window(rows, l, c.cur), n, maxbits);
-                planes[(c.k & 31) as usize][l] = c.x;
-                any |= c.live(maxbits);
-                at.set(l, c);
-            }
-        }
-    } else {
-        // Two chains of loads and shifts, each running while the other
-        // waits.
-        for (a, b) in (0..LANES / 2).map(|l| (l, l + LANES / 2)) {
-            let (mut ca, mut cb) = (at.get(a), at.get(b));
-            while ca.live(maxbits) | cb.live(maxbits) != 0 {
-                ca = ca.step(window(rows, a, ca.cur), n, maxbits);
-                cb = cb.step(window(rows, b, cb.cur), n, maxbits);
-                planes[(ca.k & 31) as usize][a] = ca.x;
-                planes[(cb.k & 31) as usize][b] = cb.x;
-            }
-        }
-    }
-    // Bit `r` of plane `k` is bit `k` of the coefficient of sequency rank
-    // `r`, which is block value `PERM[r]`: 0..32 in `lo`, 32..64 in `hi`.
-    let (mut lo, mut hi) = ([[0u32; LANES]; 32], [[0u32; LANES]; 32]);
-    for (p, (lo, hi)) in planes.iter().zip(lo.iter_mut().zip(&mut hi)) {
-        for ((lo, hi), &p) in lo.iter_mut().zip(hi.iter_mut()).zip(p) {
-            (*lo, *hi) = (p as u32, (p >> 32) as u32);
-        }
-    }
-    if N > 32 {
-        transpose32::<32>(&mut lo);
-        transpose32::<32>(&mut hi);
-    } else {
-        transpose32::<N>(&mut lo);
-    }
     let mut q = [[0i32; LANES]; N];
-    for (r, &p) in Sequency::<N>::PERM.iter().enumerate() {
-        let u = if r < 32 { &lo[r % 32] } else { &hi[r % 32] };
-        for l in 0..LANES {
-            q[p as usize % N][l] = lift::uint2int(u[l]);
+    if N == 4 && maxbits <= 64 {
+        q[..4].copy_from_slice(&read_words4::<false>(rows, &at, maxbits));
+    } else if N == 4 {
+        q[..4].copy_from_slice(&read_words4::<true>(rows, &at, maxbits));
+    } else {
+        // Plane `k` of lane `l`, as far as it has been read. The step loop
+        // writes it at the lane's own `k`; were it also read at fixed rows,
+        // LLVM would leave the loop scalar, so the transpose works on a copy.
+        let mut planes = [[0u64; LANES]; INTPREC as usize];
+        if LOCKSTEP {
+            while any != 0 {
+                any = 0;
+                for l in 0..LANES {
+                    let c = at.get(l);
+                    let c = c.step(window(rows, l, c.cur), n, maxbits);
+                    planes[(c.k & 31) as usize][l] = c.x;
+                    any |= c.live(maxbits, 0);
+                    at.set(l, c);
+                }
+            }
+        } else {
+            // Two chains of loads and shifts, each running while the other
+            // waits.
+            for (a, b) in (0..LANES / 2).map(|l| (l, l + LANES / 2)) {
+                let (mut ca, mut cb) = (at.get(a), at.get(b));
+                while ca.live(maxbits, 0) | cb.live(maxbits, 0) != 0 {
+                    ca = ca.step(window(rows, a, ca.cur), n, maxbits);
+                    cb = cb.step(window(rows, b, cb.cur), n, maxbits);
+                    planes[(ca.k & 31) as usize][a] = ca.x;
+                    planes[(cb.k & 31) as usize][b] = cb.x;
+                }
+                at.set(a, ca);
+                at.set(b, cb);
+            }
+        }
+        // Bit `r` of plane `k` is bit `k` of the coefficient of rank `r`,
+        // block value `PERM[r]`: 0..32 in `lo`, 32..64 in `hi`. No lane
+        // holds a plane below the lowest `k` any lane stopped at.
+        let low = at.k.iter().fold(INTPREC, |m, &k| m.min(k)) as usize;
+        let (mut lo, mut hi) = ([[0u32; LANES]; 32], [[0u32; LANES]; 32]);
+        for k in low..INTPREC as usize {
+            for l in 0..LANES {
+                (lo[k][l], hi[k][l]) = (planes[k][l] as u32, (planes[k][l] >> 32) as u32);
+            }
+        }
+        if N > 32 {
+            transpose32::<32>(&mut lo);
+            transpose32::<32>(&mut hi);
+        } else {
+            transpose32::<N>(&mut lo);
+        }
+        for (r, &p) in Sequency::<N>::PERM.iter().enumerate() {
+            let u = if r < 32 { &lo[r % 32] } else { &hi[r % 32] };
+            for l in 0..LANES {
+                q[p as usize % N][l] = lift::uint2int(u[l]);
+            }
         }
     }
-    lift::inv_xform_lanes(&mut q);
+    lift::xform_lanes(&mut q, false);
     let scale = emax.map(|e| f64_pow2(e - 30));
     for (r, run) in out.iter_mut().enumerate().take(N / 4) {
         for l in 0..LANES {

@@ -115,21 +115,24 @@ pub fn lift_axis<const N: usize>(data: &mut [i32; N], stride: usize, forward: bo
     }
 }
 
-/// [`inv_xform`] of `L` blocks side by side, `q[i][l]` being value `i`
-/// of block `l`: each lift step is one operation across the blocks.
+/// [`fwd_xform`] (`forward`) or [`inv_xform`] of `L` blocks side by
+/// side, `q[i][l]` being value `i` of block `l`: each lift step is one
+/// operation across the blocks.
 #[inline(always)]
 #[allow(clippy::needless_range_loop)] // the lane index runs through four rows
-pub fn inv_xform_lanes<const N: usize, const L: usize>(q: &mut [[i32; L]; N]) {
-    for stride in [16, 4, 1] {
-        if stride * 4 <= N {
-            for line in 0..N / 4 {
-                let b = line / stride * 4 * stride + line % stride;
-                let (i, j, k, m) = (b % N, (b + stride) % N, (b + 2 * stride) % N, (b + 3 * stride) % N);
-                for l in 0..L {
-                    let mut p = [q[i][l], q[j][l], q[k][l], q[m][l]];
+pub fn xform_lanes<const N: usize, const L: usize>(q: &mut [[i32; L]; N], forward: bool) {
+    for stride in if forward { [1, 4, 16] } else { [16, 4, 1] } {
+        for line in 0..if stride * 4 <= N { N / 4 } else { 0 } {
+            let b = line / stride * 4 * stride + line % stride;
+            let (i, j, k, m) = (b % N, (b + stride) % N, (b + 2 * stride) % N, (b + 3 * stride) % N);
+            for l in 0..L {
+                let mut p = [q[i][l], q[j][l], q[k][l], q[m][l]];
+                if forward {
+                    fwd_lift(&mut p);
+                } else {
                     inv_lift(&mut p);
-                    [q[i][l], q[j][l], q[k][l], q[m][l]] = p;
                 }
+                [q[i][l], q[j][l], q[k][l], q[m][l]] = p;
             }
         }
     }

@@ -8,16 +8,15 @@
 //! header so decoding stays parallel.
 //!
 //! A work item is a *run of blocks*, never a block. The encoder cuts the
-//! block sequence into runs of [`G`], gathers each block into a stack
-//! buffer and codes the run back-to-back into one writer; the runs are
-//! then joined by [`BitWriter::append`] right behind the header. Within a
-//! run the block kernel is picked once — [`codec`]'s kernel at the run's
-//! block size — and the block origin is stepped, not recomputed. A 1-D
-//! run has no origin to step: it is a slice of the array, which the line
-//! kernels walk ([`codec::encode_line`] sixteen blocks at a time at a fixed
-//! rate of at most 64 bits a block; [`codec::decode_line`] at any fixed
-//! rate). Fixed-rate 2-D and 3-D slabs decode sixteen blocks at a time
-//! too ([`codec::Lanes`]). Blocks are the array's [`Tiles`] of edge 4.
+//! block sequence into runs of [`G`] and codes each run back-to-back into
+//! one writer; the runs are then joined by [`BitWriter::append`] right
+//! behind the header. Within a run the block kernel is picked once —
+//! [`codec`]'s kernel at the run's block size — and the block origin is
+//! stepped, not recomputed. At a fixed rate blocks are coded and read
+//! sixteen at a time ([`codec::EncodeLanes`], [`codec::Lanes`]): a 1-D run
+//! is a slice of the array, which [`codec::encode_line`] and
+//! [`codec::decode_line`] walk; a 2-D or 3-D group comes in and goes out
+//! by x-runs of its blocks. Blocks are the array's [`Tiles`] of edge 4.
 //! The decoder's work item is a slab ([`Tiles::par_slabs`]): the part of
 //! the output that whole layers of blocks own — four z-planes in 3-D,
 //! four rows in 2-D, merged until the item holds at least `G` blocks — so
@@ -148,9 +147,46 @@ impl<'a> Encoder<'a> {
                 let line = &self.data[4 * blocks.start..self.data.len().min(4 * blocks.end)];
                 codec::encode_line(line, &self.coding, w, coded).ok_or_else(|| self.non_finite())
             }
+            2 if self.coding.fixed_rate => self.encode_lanes::<16>(blocks, w, coded),
+            _ if self.coding.fixed_rate => self.encode_lanes::<64>(blocks, w, coded),
             2 => self.encode_typed::<16>(blocks, w, coded),
             _ => self.encode_typed::<64>(blocks, w, coded),
         }
+    }
+
+    /// Codes the fixed-rate 2-D or 3-D `blocks` a group of
+    /// [`codec::LANES`] at a time, the mirror of [`Decoder::decode_lanes`]:
+    /// each row of values of a group's blocks in one block row comes in as
+    /// one copy, the edge samples replicated as [`gather`] replicates them.
+    fn encode_lanes<const N: usize>(
+        &self,
+        blocks: Range<usize>,
+        w: &mut BitWriter,
+        mut coded: impl FnMut(u32),
+    ) -> Result<()> {
+        let ([nx, ny, nz], maxbits) = (self.tiles.shape().extents(), self.coding.maxbits);
+        let mut origins = self.tiles.origins(blocks);
+        let (mut runs, mut group) = ([[0.0f32; 4 * codec::LANES]; 16], [[0; 3]; codec::LANES]);
+        let (mut rows, mut tail) = ([[0; codec::LANES]; codec::ROWS], w.tail());
+        while let m @ 1.. = group.iter_mut().zip(origins.by_ref()).map(|(g, o)| *g = o).count() {
+            let mut first = 0;
+            while let Some(&[ox, oy, oz]) = group[..m].get(first) {
+                let run = group[first..m].iter().take_while(|o| o[1] == oy && o[2] == oz).count();
+                let width = (nx - ox).min(4 * run);
+                for (row, values) in runs[..N / 4].iter_mut().enumerate() {
+                    let (y, z) = ((oy + row % 4).min(ny - 1), (oz + row / 4).min(nz - 1));
+                    let (at, to) =
+                        (ox + nx * (y + ny * z), &mut values[4 * first..4 * (first + run)]);
+                    to[..width].copy_from_slice(&self.data[at..at + width]);
+                    to[width..].fill(self.data[at + width - 1]);
+                }
+                first += run;
+            }
+            codec::encode_group::<N>(&runs[..N / 4], m, maxbits, &mut rows, &mut tail)
+                .ok_or_else(|| self.non_finite())?;
+            (0..m).for_each(|_| coded(maxbits));
+        }
+        Ok(())
     }
 
     fn encode_typed<const N: usize>(

@@ -779,9 +779,10 @@ fn lanes_code_and_read_like_the_scalar_coder_at_every_level_and_budget() {
             let want_values: Vec<u32> =
                 (0..LANES).flat_map(|l| bits(&scalar_values(&want, l, &c))).collect();
             for level in levels() {
-                let mut words = [0u64; LANES];
-                let coded = cpu::at(level, EncodeLanes { values, maxbits, words: &mut words });
+                let (mut rows, values) = ([[0u64; LANES]; ROWS], std::slice::from_ref(values));
+                let coded = cpu::at(level, EncodeLanes::<4> { values, maxbits, rows: &mut rows });
                 assert_eq!(coded, Some(Some(())), "{what}, {maxbits} bits, {level:?}");
+                let words = rows[0];
                 assert_eq!(words, want, "{what}, {maxbits} bits, {level:?}: words");
                 let mut out = [[f32::NAN; 4 * LANES]];
                 let rows = one_word_rows(&words);
@@ -843,11 +844,15 @@ fn a_non_finite_value_in_any_lane_refuses_its_group_and_writes_nothing() {
                     (xorshift(&mut seed) >> 40) as f32 / (1 << 24) as f32 - 0.5
                 });
                 values[at] = bad;
-                let mut words = [0x5A5A_A5A5_C3C3_3C3C; LANES];
+                let mut rows = [[0x5A5A_A5A5_C3C3_3C3C; LANES]; ROWS];
+                let values = std::slice::from_ref(&values);
                 let coded =
-                    cpu::at(level, EncodeLanes { values: &values, maxbits: 32, words: &mut words });
+                    cpu::at(level, EncodeLanes::<4> { values, maxbits: 32, rows: &mut rows });
                 assert_eq!(coded, Some(None), "{bad} at {at}, {level:?}");
-                assert_eq!(words, [0x5A5A_A5A5_C3C3_3C3C; LANES], "{bad} at {at}, {level:?}");
+                assert_eq!(
+                    rows, [[0x5A5A_A5A5_C3C3_3C3C; LANES]; ROWS],
+                    "{bad} at {at}, {level:?}"
+                );
             }
         }
     }
@@ -1141,6 +1146,216 @@ fn lanes_decode_streams_and_every_layer_range_like_the_scalar_reader_on_any_thre
                     let got = lossy_zfp::decompress_layers(&stream, a..b).unwrap().0;
                     let slice = &want[tiles.layers(a..b).values];
                     assert!(bits(&got) == slice, "{dims:?} rate {rate}, layers {a}..{b}");
+                }
+            }
+        }
+    }
+}
+
+/// A group of [`LANES`] `N`-value blocks as the encoder's lanes take it:
+/// `blocks[l]` is lane `l`'s block, x fastest; row `r` of the result holds
+/// values `4r..4r + 4` of every block side by side.
+fn lane_runs<const N: usize>(blocks: &[&[f32]]) -> Vec<[f32; 4 * LANES]> {
+    (0..N / 4).map(|r| std::array::from_fn(|i| blocks[i / 4][4 * r + i % 4])).collect()
+}
+
+/// The first `maxbits` bits of lane `l`'s code in `rows`, a word at a
+/// time: the bits past the budget are not the block's.
+fn lane_code(rows: &LaneRows, l: usize, maxbits: u32) -> Vec<u64> {
+    (0..maxbits.div_ceil(64) as usize)
+        .map(|j| rows[j][l] & (u64::MAX >> 64u32.saturating_sub(maxbits - 64 * j as u32)))
+        .collect()
+}
+
+/// The reference coder's fixed-rate code of `block`, a word at a time.
+fn reference_code(block: &[f32], d: u8, maxbits: u32) -> Vec<u64> {
+    let c = Coding { d, maxbits, fixed_rate: true, planes: reference::Planes::Count(32) };
+    let mut w = BitWriter::new();
+    assert_eq!(encode_block(block, &c, &mut w), Some(maxbits));
+    let bytes = w.into_bytes();
+    let mut r = BitReader::new(&bytes);
+    (0..maxbits.div_ceil(64)).map(|j| r.take_bits((maxbits - 64 * j).min(64))).collect()
+}
+
+/// The encoder's lanes code 16- and 64-value blocks (and 4-value blocks
+/// past one word) as the bit-at-a-time reference coder codes each of
+/// them, at every level, at every fixed-rate budget from 10 to 1 024
+/// bits: on groups that mix the fifteen value classes across the lanes,
+/// and at a spread of budgets on groups of one class each.
+#[test]
+fn lanes_encode_16_and_64_value_blocks_like_the_scalar_coder_at_every_level_and_budget() {
+    fn check<const N: usize>(budgets: impl Iterator<Item = u32>, seed: &mut u64) {
+        let d = N.ilog(4) as u8;
+        let classes = lane_values(seed, N);
+        let block = |class: usize, l: usize| &classes[class % 15].1[N * l..N * l + N];
+        for maxbits in budgets {
+            let mut groups: Vec<(String, Vec<&[f32]>)> = [0, 7]
+                .iter()
+                .map(|turn| {
+                    let blocks =
+                        (0..LANES).map(|l| block(l + turn + maxbits as usize, l)).collect();
+                    (format!("mixed classes, turn {turn}"), blocks)
+                })
+                .collect();
+            if maxbits % 61 == 10 || [64, 65, 128, 256, 512, 1024].contains(&maxbits) {
+                for (class, (name, _)) in classes.iter().enumerate() {
+                    groups.push((name.to_string(), (0..LANES).map(|l| block(class, l)).collect()));
+                }
+            }
+            for (what, blocks) in &groups {
+                let want: Vec<Vec<u64>> =
+                    blocks.iter().map(|b| reference_code(b, d, maxbits)).collect();
+                let values = lane_runs::<N>(blocks);
+                for level in levels() {
+                    let mut rows = [[0x5A5A_A5A5_C3C3_3C3C; LANES]; ROWS];
+                    let coded = cpu::at(
+                        level,
+                        EncodeLanes::<N> { values: &values, maxbits, rows: &mut rows },
+                    );
+                    assert_eq!(coded, Some(Some(())), "{what}, N = {N}, {maxbits} bits, {level:?}");
+                    for (l, want) in want.iter().enumerate() {
+                        let got = lane_code(&rows, l, maxbits);
+                        assert!(
+                            got == *want,
+                            "{what}, N = {N}, {maxbits} bits, lane {l}, {level:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    let mut seed = 0x3C6E_F372_FE94_F82Bu64;
+    check::<16>(HEADER_BITS + 1..=1024, &mut seed);
+    check::<64>(HEADER_BITS + 1..=1024, &mut seed);
+    check::<4>(65..=9 + 32 * 6, &mut seed);
+}
+
+/// A NaN or an infinity in any single lane refuses the group at every
+/// level, the rows left as they were; through `encode_group` the writer
+/// is left untouched; and through `compress` the error is the typed one,
+/// naming the first such index, wherever in a group it sits.
+#[test]
+fn lanes_refuse_a_non_finite_value_in_any_single_lane_and_leave_the_writer_untouched() {
+    fn check<const N: usize>(maxbits: u32, seed: &mut u64) {
+        let unit = |s: &mut u64| (xorshift(s) >> 40) as f32 / (1 << 24) as f32 - 0.5;
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for l in 0..LANES {
+                let mut blocks: Vec<Vec<f32>> =
+                    (0..LANES).map(|_| (0..N).map(|_| unit(seed) * 1e3).collect()).collect();
+                blocks[l][(l * 7 + 3) % N] = bad;
+                let refs: Vec<&[f32]> = blocks.iter().map(|b| &b[..]).collect();
+                let values = lane_runs::<N>(&refs);
+                let what = format!("{bad} in lane {l}, N = {N}, {maxbits} bits");
+                for level in levels() {
+                    let mut rows = [[0x5A5A_A5A5_C3C3_3C3C; LANES]; ROWS];
+                    let coded = cpu::at(
+                        level,
+                        EncodeLanes::<N> { values: &values, maxbits, rows: &mut rows },
+                    );
+                    assert_eq!(coded, Some(None), "{what}, {level:?}");
+                    assert!(
+                        rows == [[0x5A5A_A5A5_C3C3_3C3C; LANES]; ROWS],
+                        "{what}, {level:?}: rows"
+                    );
+                }
+                let (mut w, mut rows) = (BitWriter::new(), [[0; LANES]; ROWS]);
+                w.write_bits(0b101, 3);
+                let coded =
+                    codec::encode_group::<N>(&values, LANES, maxbits, &mut rows, &mut w.tail());
+                assert_eq!(coded, None, "{what}");
+                assert_eq!(w.bit_len(), 3, "{what}: writer");
+            }
+        }
+    }
+    let mut seed = 0x510E_527F_ADE6_82D1u64;
+    check::<16>(64, &mut seed);
+    check::<64>(256, &mut seed);
+    check::<64>(1000, &mut seed);
+    check::<4>(80, &mut seed);
+    // Through the driver: the bad value in each lane of the first group,
+    // whose blocks span block rows (and, in 3-D, block layers).
+    for dims in [Dims::D3(9, 5, 6), Dims::D2(5, 70)] {
+        let [nx, ny, _] = dims.extents();
+        for (l, o) in block_origins(dims).into_iter().enumerate().take(LANES) {
+            let at = o[0] + nx * (o[1] + ny * o[2]) + nx.min(3) - 1;
+            let mut data = field(dims.len(), 11);
+            data[at] = f32::NAN;
+            for cfg in [ZfpConfig::rate(4.0), ZfpConfig::rate(16.0)] {
+                let err = compress(&data, dims, &cfg).unwrap_err();
+                assert!(matches!(err, Error::InvalidArgument(_)), "{dims:?} lane {l}: {err}");
+                assert!(
+                    err.to_string().contains(&format!("value {at} ")),
+                    "{dims:?} lane {l}: {err}"
+                );
+            }
+        }
+    }
+}
+
+/// The driver codes fixed-rate streams whose groups of lanes cross block
+/// rows, block layers and ragged edges byte for byte as the per-block
+/// oracle does, and they decode to the oracle's values, on 1, 2 and 4
+/// threads: 3-D and 2-D shapes at rates whose blocks are not whole bytes
+/// or words, and 1-D blocks past one word.
+#[test]
+fn lanes_encode_streams_like_the_per_block_oracle_on_any_thread_count() {
+    let mut cases: Vec<(Dims, f64)> = Vec::new();
+    for dims in [Dims::D3(9, 5, 6), Dims::D3(17, 1, 33), Dims::D2(5, 70), Dims::D3(16, 16, 16)] {
+        for rate in [0.3, 1.0, 2.5, 4.0, 5.5, 8.0, 16.0, 33.0] {
+            cases.push((dims, rate));
+        }
+    }
+    for len in [1, 63, 64, 65, 4 * LANES + 3, 4 * G + 1] {
+        for rate in [20.0, 33.0] {
+            cases.push((Dims::D1(len), rate));
+        }
+    }
+    for (dims, rate) in cases {
+        let (data, cfg) = (field(dims.len(), 0xA54F_F53A), ZfpConfig::rate(rate));
+        let want = oracle_compress(&data, dims, &cfg);
+        let values = bits(&oracle_decompress(&want, dims, &cfg));
+        for threads in [1, 2, 4] {
+            let got = on_threads(threads, || compress(&data, dims, &cfg).unwrap());
+            assert!(got == want, "{dims:?} rate {rate}, {threads} threads: bytes");
+            let rec = on_threads(threads, || decompress(&got).unwrap().0);
+            assert!(bits(&rec) == values, "{dims:?} rate {rate}, {threads} threads: values");
+        }
+    }
+}
+
+/// Fixed-rate codes are embedded: in 1-D, 2-D and 3-D streams, for every
+/// pair of rates r' < r of 1, 2, 4, 8, 12 and 16, each block's rate-r'
+/// code is the first bits of its rate-r code — so a stream read at a
+/// lower rate is a prefix read of each block.
+#[test]
+fn lanes_code_each_block_at_a_lower_rate_as_a_prefix_of_its_code_at_a_higher_rate() {
+    let rates = [1.0, 2.0, 4.0, 8.0, 12.0, 16.0];
+    for dims in [Dims::D1(4 * LANES * 5 + 3), Dims::D2(37, 29), Dims::D3(21, 13, 10)] {
+        let data = field(dims.len(), 0x9B05_688C);
+        let blocks = block_origins(dims).len();
+        let payload = |rate: f64| {
+            let stream = compress(&data, dims, &ZfpConfig::rate(rate)).unwrap();
+            (
+                stream[64..].to_vec(),
+                BlockCoding::new(&lossy_zfp::ZfpMode::FixedRate(rate), dims.ndim()).maxbits,
+            )
+        };
+        let coded: Vec<(Vec<u8>, u32)> = rates.iter().map(|&r| payload(r)).collect();
+        for (i, (low, low_bits)) in coded.iter().enumerate() {
+            for (high, high_bits) in &coded[i + 1..] {
+                for b in 0..blocks {
+                    let mut lo = BitReader::new(low);
+                    let mut hi = BitReader::new(high);
+                    lo.skip_bits(b as u64 * *low_bits as u64);
+                    hi.skip_bits(b as u64 * *high_bits as u64);
+                    for at in (0..*low_bits).step_by(56) {
+                        let n = (low_bits - at).min(56);
+                        assert_eq!(
+                            lo.take_bits(n),
+                            hi.take_bits(n),
+                            "{dims:?}: block {b}, {low_bits} bits against {high_bits}, bit {at}"
+                        );
+                    }
                 }
             }
         }

@@ -22,8 +22,9 @@
 //!   1-D array at rate 8 (4-value blocks, coded sixteen at a time) and a
 //!   Nyx 3-D field at rate 4, the same calls on one thread as ns per
 //!   block, the µs per call of a 16^3 cut of the field (decoded at rate
-//!   8 too, the rate of `.fstr` chunks), and the exact compressed byte
-//!   counts;
+//!   8 too, the rate of `.fstr` chunks, and coded at rate 8), the exact
+//!   compressed byte counts, and an exact digest of each stream's bytes
+//!   and decoded values;
 //! - **store** — cold region reads of a `.fstr` archive: the p50 of a
 //!   one-value plane and of a one-row pencil through a 128^3 ZFP field
 //!   at rate 8 in 16^3 chunks, each on a fresh reader (what a read costs
@@ -78,6 +79,7 @@ use foresight_util::cli::{self, Context, Failure};
 use foresight_util::flags;
 use foresight_util::json::Value;
 use foresight_util::rule::NonBlank;
+use foresight_util::sha256::Sha256;
 use foresight_util::timer::time;
 use lossy_sz::huffman::{histogram, Codebook, LANES};
 use lossy_sz::{Dims, EntropyBackend, PredictorKind, SzConfig};
@@ -385,7 +387,7 @@ fn zfp_scenario() -> foresight_util::Result<Scenario> {
     let nyx = generate_nyx(&opts)?.baryon_density;
     let one_thread = rayon::ThreadPoolBuilder::new().num_threads(1).build().expect("pool");
     let mut metrics = Vec::new();
-    for (data, dims, rate, [encode, decode, bytes, encode_1t, decode_1t]) in [
+    for (data, dims, rate, [encode, decode, bytes, digest, encode_1t, decode_1t]) in [
         (
             &hacc,
             lossy_zfp::Dims::D1(hacc.len()),
@@ -394,6 +396,7 @@ fn zfp_scenario() -> foresight_util::Result<Scenario> {
                 "hacc1d_encode_mbs",
                 "hacc1d_decode_mbs",
                 "hacc1d_compressed_bytes",
+                "hacc1d_digest",
                 "block1t_1d_encode_ns",
                 "block1t_1d_decode_ns",
             ],
@@ -406,6 +409,7 @@ fn zfp_scenario() -> foresight_util::Result<Scenario> {
                 "nyx3d_encode_mbs",
                 "nyx3d_decode_mbs",
                 "nyx3d_compressed_bytes",
+                "nyx3d_digest",
                 "block1t_3d_encode_ns",
                 "block1t_3d_decode_ns",
             ],
@@ -423,6 +427,7 @@ fn zfp_scenario() -> foresight_util::Result<Scenario> {
             Metric::new(encode, volume_mb / enc_s, "wall", "higher"),
             Metric::new(decode, volume_mb / dec_s, "wall", "higher"),
             Metric::new(bytes, stream.len() as f64, "exact", "lower"),
+            Metric::new(digest, zfp_digest(&stream)?, "exact", "lower"),
             Metric::new(encode_1t, enc_1t_s * 1e9 / blocks, "wall", "lower"),
             Metric::new(decode_1t, dec_1t_s * 1e9 / blocks, "wall", "lower"),
         ]);
@@ -444,6 +449,12 @@ fn zfp_scenario() -> foresight_util::Result<Scenario> {
             std::hint::black_box(lossy_zfp::compress(&chunk, chunk_dims, &cfg).expect("compress"));
         }
     });
+    let r8 = ZfpConfig::rate(8.0);
+    let chunk_r8_enc_s = best_secs(|| {
+        for _ in 0..CALLS {
+            std::hint::black_box(lossy_zfp::compress(&chunk, chunk_dims, &r8).expect("compress"));
+        }
+    });
     let chunk_dec_s = best_secs(|| {
         for _ in 0..CALLS {
             std::hint::black_box(lossy_zfp::decompress(&chunk_stream).expect("decompress"));
@@ -457,10 +468,25 @@ fn zfp_scenario() -> foresight_util::Result<Scenario> {
     metrics.extend([
         Metric::new("chunk16_compress_us", per_call_us(chunk_enc_s), "wall", "lower"),
         Metric::new("chunk16_decompress_us", per_call_us(chunk_dec_s), "wall", "lower"),
+        Metric::new("chunk16_r8_compress_us", per_call_us(chunk_r8_enc_s), "wall", "lower"),
         Metric::new("chunk16_r8_decompress_us", per_call_us(chunk_r8_dec_s), "wall", "lower"),
         Metric::new("chunk16_compressed_bytes", chunk_stream.len() as f64, "exact", "lower"),
+        Metric::new("chunk16_digest", zfp_digest(&chunk_stream)?, "exact", "lower"),
+        Metric::new("chunk16_r8_digest", zfp_digest(&chunk_r8)?, "exact", "lower"),
     ]);
     Ok(Scenario { name: "zfp", metrics })
+}
+
+/// The first 52 bits of the SHA-256 of a ZFP stream and of the values it
+/// decodes to: an integer an f64 holds exactly, so that an `exact` row
+/// pins every byte and value, not only the stream's length.
+fn zfp_digest(stream: &[u8]) -> foresight_util::Result<f64> {
+    let (values, _) = lossy_zfp::decompress(stream)?;
+    let mut hash = Sha256::new();
+    hash.update(stream);
+    values.iter().for_each(|v| hash.update(&v.to_le_bytes()));
+    let head = u64::from_be_bytes(hash.finalize()[..8].try_into().expect("eight bytes"));
+    Ok((head >> 12) as f64)
 }
 
 /// Cold plane and pencil reads of a fixed-rate ZFP field: sixteen of
@@ -719,6 +745,31 @@ mod tests {
         }
         let same = format!(r#"{{"schema":{SCHEMA},"scenarios":{{}}}}"#);
         assert!(compare(&Value::parse(&same).unwrap(), &scenarios).unwrap().is_empty());
+    }
+
+    /// A digest one bit off is an `exact` change: it fails the gate as
+    /// `changed`.
+    #[test]
+    fn a_digest_one_bit_off_fails_as_changed() {
+        let (data, dims) = ([1.5; 64], lossy_zfp::Dims::D1(64));
+        let digest = zfp_digest(&lossy_zfp::compress(&data, dims, &ZfpConfig::rate(8.0)).unwrap());
+        let digest = digest.unwrap();
+        assert!(digest < (1u64 << 52) as f64 && digest.fract() == 0.0);
+        let doc = Value::parse(&format!(
+            r#"{{"schema":{SCHEMA},"scenarios":{{"zfp":{{"metrics":{{"nyx3d_digest":
+               {{"value":{digest},"class":"exact","better":"lower"}}}}}}}}}}"#
+        ))
+        .unwrap();
+        let now = |value: f64| {
+            let metrics = vec![Metric::new("nyx3d_digest", value, "exact", "lower")];
+            [Scenario { name: "zfp", metrics }]
+        };
+        assert!(compare(&doc, &now(digest)).unwrap().is_empty());
+        let moved = compare(&doc, &now((digest as u64 ^ 1) as f64)).unwrap();
+        assert_eq!(moved.len(), 1);
+        assert_eq!(moved[0].class, "exact");
+        assert!(moved[0].line.starts_with("zfp.nyx3d_digest [exact]"), "{}", moved[0].line);
+        assert!(moved[0].line.ends_with("(changed)"), "{}", moved[0].line);
     }
 
     /// A `BENCH` file that cannot be written fails the run (exit 1), and
