@@ -24,7 +24,9 @@
 //!   block, the µs per call of a 16^3 cut of the field (decoded at rate
 //!   8 too, the rate of `.fstr` chunks, and coded at rate 8), the exact
 //!   compressed byte counts, and an exact digest of each stream's bytes
-//!   and decoded values;
+//!   and decoded values; and the variable-length modes: the Nyx field at
+//!   fixed accuracy 1e-3 each way with its bytes and digest, and the
+//!   digest of the HACC array at fixed precision 16;
 //! - **store** — cold region reads of a `.fstr` archive: the p50 of a
 //!   one-value plane and of a one-row pencil through a 128^3 ZFP field
 //!   at rate 8 in 16^3 chunks, each on a fresh reader (what a read costs
@@ -378,8 +380,9 @@ fn sz_scenario() -> foresight_util::Result<Scenario> {
 /// Fixed-rate ZFP, the paper's cuZFP mode, on the synthetic universe at
 /// 64^3: a HACC position array as 1-D blocks at rate 8 and a Nyx density
 /// field as 3-D blocks at rate 4, each way, on the pool and on one thread
-/// (1 MiB each, so the kernel runs in cache), and a 16^3 cut of the field
-/// as one chunk-sized call.
+/// (1 MiB each, so the kernel runs in cache), the field at fixed accuracy
+/// and the array at fixed precision, whose blocks vary in length, and a
+/// 16^3 cut of the field as one chunk-sized call.
 fn zfp_scenario() -> foresight_util::Result<Scenario> {
     const N: usize = 64;
     let opts = SynthOptions { n_side: N, seed: SEED, steps: 1, ..SynthOptions::default() };
@@ -432,6 +435,24 @@ fn zfp_scenario() -> foresight_util::Result<Scenario> {
             Metric::new(decode_1t, dec_1t_s * 1e9 / blocks, "wall", "lower"),
         ]);
     }
+
+    // The variable-length modes, whose blocks carry a length table: the
+    // field at a fixed accuracy each way, and the HACC array at a fixed
+    // precision, pinned by their bytes and decoded values.
+    let (acc_dims, acc) = (lossy_zfp::Dims::D3(N, N, N), ZfpConfig::accuracy(1e-3));
+    let acc_stream = lossy_zfp::compress(&nyx, acc_dims, &acc)?;
+    let acc_enc_s = best_secs(|| lossy_zfp::compress(&nyx, acc_dims, &acc).expect("compress"));
+    let acc_dec_s = best_secs(|| lossy_zfp::decompress(&acc_stream).expect("decompress"));
+    let nyx_mb = (nyx.len() * 4) as f64 / 1e6;
+    let prec =
+        lossy_zfp::compress(&hacc, lossy_zfp::Dims::D1(hacc.len()), &ZfpConfig::precision(16))?;
+    metrics.extend([
+        Metric::new("nyx3d_acc_encode_mbs", nyx_mb / acc_enc_s, "wall", "higher"),
+        Metric::new("nyx3d_acc_decode_mbs", nyx_mb / acc_dec_s, "wall", "higher"),
+        Metric::new("nyx3d_acc_compressed_bytes", acc_stream.len() as f64, "exact", "lower"),
+        Metric::new("nyx3d_acc_digest", zfp_digest(&acc_stream)?, "exact", "lower"),
+        Metric::new("hacc1d_prec_digest", zfp_digest(&prec)?, "exact", "lower"),
+    ]);
 
     const C: usize = 16;
     const CALLS: usize = 100;
