@@ -25,6 +25,11 @@ pub struct BlockGrid {
     pub values_per_block: u64,
     /// Compressed bits per value this kernel produces/consumes.
     pub bits_per_value: f64,
+    /// Blocks one work item runs side by side, as the threads of a warp:
+    /// the work closure gets an item index, and the grid's
+    /// `blocks.div_ceil(per_item)` items cover every block. Timing and
+    /// waves count blocks, whatever this is; 1 runs each block alone.
+    pub per_item: usize,
 }
 
 /// Per-launch execution report.
@@ -96,11 +101,13 @@ impl BlockAccess {
     }
 }
 
-/// Executes `work(block_index) -> R` for every block in the grid.
+/// Executes `work(item) -> R` for every work item of the grid: block
+/// `item` when [`BlockGrid::per_item`] is 1, else the item's group of
+/// blocks.
 ///
 /// Work really runs (in parallel); the device clock advances by the
 /// modeled kernel time of the whole grid, wave-quantized. Outputs come
-/// back in block order. In chaos mode the launch can abort like any
+/// back in item order. In chaos mode the launch can abort like any
 /// other kernel; each wasted attempt is charged to the fault lane and
 /// the grid work itself runs exactly once, on the surviving attempt.
 pub fn launch_grid<R: Send>(
@@ -134,7 +141,7 @@ pub fn launch_grid_traced<R: Send>(
     let total_values = grid.values_per_block * grid.blocks as u64;
     let traced: Vec<(R, Vec<AccessRecord>)> =
         device.launch(kind, total_values, grid.bits_per_value, label, || {
-            (0..grid.blocks)
+            (0..grid.blocks.div_ceil(grid.per_item.max(1)))
                 .into_par_iter()
                 .map(|b| {
                     let mut access = BlockAccess::new(tracing);
@@ -169,7 +176,7 @@ mod tests {
     fn every_block_runs_exactly_once_in_order() {
         let mut dev = Device::new(GpuSpec::tesla_v100());
         let counter = AtomicUsize::new(0);
-        let grid = BlockGrid { blocks: 500, values_per_block: 64, bits_per_value: 4.0 };
+        let grid = BlockGrid { blocks: 500, values_per_block: 64, bits_per_value: 4.0, per_item: 1 };
         let (out, report) = launch_grid(&mut dev, KernelKind::ZfpCompress, grid, "t", |b| {
             counter.fetch_add(1, Ordering::Relaxed);
             b * 2
@@ -192,6 +199,7 @@ mod tests {
             blocks: concurrent * 3 + 1,
             values_per_block: 64,
             bits_per_value: 4.0,
+            per_item: 1,
         };
         let (_, report) = launch_grid(&mut dev, KernelKind::ZfpCompress, grid, "t", |_| ()).unwrap();
         assert_eq!(report.waves, 4);
@@ -201,7 +209,7 @@ mod tests {
     fn traced_launch_matches_plain_launch_without_sanitizer() {
         // With no sanitizer attached, the traced path must be byte- and
         // clock-identical to the plain one and record nothing.
-        let grid = BlockGrid { blocks: 64, values_per_block: 256, bits_per_value: 4.0 };
+        let grid = BlockGrid { blocks: 64, values_per_block: 256, bits_per_value: 4.0, per_item: 1 };
         let mut plain = Device::new(GpuSpec::tesla_v100());
         let (a, ra) =
             launch_grid(&mut plain, KernelKind::SzCompress, grid, "k", |b| b as u64 * 3).unwrap();
@@ -222,7 +230,7 @@ mod tests {
         use crate::sanitizer::SanitizerConfig;
         let mut dev = Device::new(GpuSpec::tesla_v100()).with_sanitizer(SanitizerConfig::full());
         let buf = dev.malloc(64, "out").unwrap();
-        let grid = BlockGrid { blocks: 2, values_per_block: 8, bits_per_value: 32.0 };
+        let grid = BlockGrid { blocks: 2, values_per_block: 8, bits_per_value: 32.0, per_item: 1 };
         // Both blocks write the same first 8 bytes: a seeded WW race.
         launch_grid_traced(&mut dev, KernelKind::SzCompress, grid, "racy", |_, acc| {
             acc.write(buf, 0, 8);

@@ -14,7 +14,7 @@ fn device(cfg: SanitizerConfig) -> Device {
 }
 
 fn grid(blocks: usize) -> BlockGrid {
-    BlockGrid { blocks, values_per_block: 256, bits_per_value: 4.0 }
+    BlockGrid { blocks, values_per_block: 256, bits_per_value: 4.0, per_item: 1 }
 }
 
 fn kinds(dev: &Device) -> Vec<&'static str> {

@@ -70,7 +70,8 @@ fn compress_launches(
     held.push(quant);
 
     let vpb = (data.len() as u64).div_ceil(blocks.len().max(1) as u64);
-    let grid = BlockGrid { blocks: blocks.len(), values_per_block: vpb, bits_per_value: 32.0 };
+    let grid =
+        BlockGrid { blocks: blocks.len(), values_per_block: vpb, bits_per_value: 32.0, per_item: 1 };
     let (outputs, _) =
         launch_grid_traced(device, KernelKind::SzCompress, grid, "sz.quantize", |bi, acc| {
             let b = &blocks[bi];
@@ -148,7 +149,7 @@ fn decode_launch(
     let vpb = (plan.n_values as u64).div_ceil(nblocks.max(1) as u64);
     let n = plan.n_values;
     let bits = if n == 0 { 0.0 } else { body.len() as f64 * 8.0 / n as f64 };
-    let grid = BlockGrid { blocks: nblocks, values_per_block: vpb, bits_per_value: bits };
+    let grid = BlockGrid { blocks: nblocks, values_per_block: vpb, bits_per_value: bits, per_item: 1 };
     // Each slab belongs to one tile layer, as on the host; the lock only
     // hands it to whichever executor thread holds one of its blocks.
     let slabs: Vec<_> =
@@ -246,6 +247,7 @@ mod tests {
             blocks: tiles.len(),
             values_per_block: (data.len() / tiles.len().max(1)) as u64,
             bits_per_value: 32.0,
+            per_item: 1,
         };
         launch_grid_traced(&mut dev, KernelKind::SzDecompress, grid, "szdq", |bi, acc| {
             let b = tiles.tile(bi);

@@ -1,5 +1,5 @@
-//! Per-block ZFP codec: fixed-point cast, sequency reorder, and the
-//! embedded bit-plane coder.
+//! ZFP's block coder: fixed-point cast, sequency reorder, and the
+//! embedded bit-plane coder, run on groups of blocks side by side.
 //!
 //! A block is `N = 4^d` values (d = 1, 2, 3). Encoding steps:
 //!
@@ -19,17 +19,17 @@
 //! The header spends 1 bit on an all-zero flag plus 8 bits of biased
 //! exponent; both count against the budget, exactly as in cuZFP.
 //!
-//! The scalar coder of 16- and 64-value blocks works a word at a time
-//! (DESIGN.md §17.6): a plane is an `N`-bit word from an 8×8 bit-matrix
-//! transpose of the coefficients' bytes, and a group test with its run is
-//! one write, or one peek and one `trailing_zeros`. A 4-value block's
-//! plane step is a table lookup (§17.7).
-//!
-//! [`cpu::Kernel`]s run at the widest vector width the CPU has (§24). A
-//! fixed-rate block starts at `i * maxbits`, so [`EncodeLanes`] codes and
-//! [`DecodeLanes`] reads every fixed-rate block [`LANES`] at a time. The
-//! scalar coder serves the variable-length modes, whose blocks do not sit
-//! at fixed offsets, and the device path's one block per call.
+//! cuZFP codes one block per GPU thread (PAPER §IV-B-1); here one block
+//! is one lane, and [`EncodeLanes`] codes and [`DecodeLanes`] reads
+//! [`LANES`] blocks at a time, in every mode and on every path (DESIGN.md
+//! §17, §24). Both are [`cpu::Kernel`]s, run at the widest vector width
+//! the CPU has. A 4-value block steps a plane at a time through a table
+//! ([`PLANE4_STEP`], [`PLANE4_ENCODE`]); a larger block steps a group
+//! test at a time, branch-free, on planes transposed across the lanes. At
+//! a fixed rate every lane's budget is the one `maxbits` and every plane
+//! is coded; in the variable-length modes each lane has its own budget
+//! and its own lowest plane. The bodies are instantiated once for each
+//! (`Limits`), so that fixed-rate groups pay nothing for the others.
 
 use crate::config::ZfpMode;
 use crate::lift;
@@ -109,7 +109,7 @@ impl BlockCoding {
     /// at most `2^(kmin+1)` integer units; the inverse transform amplifies
     /// by at most `2^d`, and an integer unit is worth `2^(emax-30)`. Solving
     /// `2^(kmin+1+d+emax-30) <= tol` for `kmin` gives the plane cut-off.
-    #[inline]
+    #[inline(always)]
     fn maxprec(&self, emax: i32) -> u32 {
         match self.planes {
             Planes::Count(p) => p,
@@ -118,6 +118,12 @@ impl BlockCoding {
                 (INTPREC as i32 - kmin.clamp(0, INTPREC as i32)) as u32
             }
         }
+    }
+    /// One budget, `maxbits`, for every block, and every plane coded: a
+    /// fixed rate's coding, whose groups run the `Fixed` bodies.
+    #[inline(always)]
+    fn fixed(&self) -> bool {
+        self.fixed_rate && self.planes == Planes::Count(INTPREC)
     }
 }
 
@@ -189,168 +195,9 @@ fn fixed_point(v: f32, emax: i32) -> i32 {
     (magnitude ^ sign) - sign
 }
 
-/// Largest magnitude in `values`, or `None` when any of them is NaN or
-/// infinite. Magnitude order is the order of the sign-cleared bit
-/// patterns, and every non-finite pattern sorts above every finite one.
-#[inline]
-fn finite_max(values: &[f32]) -> Option<f32> {
-    const INF: u32 = 0x7f80_0000;
-    let top = values.iter().fold(0u32, |m, v| m.max(v.to_bits() & 0x7fff_ffff));
-    (top < INF).then(|| f32::from_bits(top))
-}
-
-/// The low `n` bits set (`n <= 64`).
-#[inline]
-fn low_mask(n: u32) -> u64 {
-    if n >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << n) - 1
-    }
-}
-
-/// `x >> n` for `n <= 64`.
-#[inline]
-fn shr(x: u64, n: u32) -> u64 {
-    if n >= 64 {
-        0
-    } else {
-        x >> n
-    }
-}
-
-/// Transposes an 8×8 bit matrix held row by row in the bytes of `x`: bit
-/// `c` of byte `r` moves to bit `r` of byte `c`. Three delta-swaps
-/// exchange the off-diagonal 1×1, 2×2 and 4×4 sub-blocks.
-#[inline]
-fn transpose8(mut x: u64) -> u64 {
-    let mut t = (x ^ (x >> 7)) & 0x00AA_00AA_00AA_00AA;
-    x ^= t ^ (t << 7);
-    t = (x ^ (x >> 14)) & 0x0000_CCCC_0000_CCCC;
-    x ^= t ^ (t << 14);
-    t = (x ^ (x >> 28)) & 0x0000_0000_F0F0_F0F0;
-    x ^ t ^ (t << 28)
-}
-
-/// Transposes an 8×8 byte matrix held row by row in `m`: byte `c` of
-/// `m[r]` moves to byte `r` of `m[c]`. A `dense` matrix goes through the
-/// same three delta-swaps, between words: 1×1, 2×2 and 4×4 sub-blocks of
-/// bytes. One whose caller knows most rows to be zero, or wants only a
-/// few rows of the result, is moved byte by byte, so that the compiler
-/// drops the bytes that are zero or unused.
-#[inline]
-fn transpose_bytes(mut m: [u64; 8], dense: bool) -> [u64; 8] {
-    if !dense {
-        return std::array::from_fn(|r| {
-            (0..8).fold(0, |row, c| row | (m[c] >> (8 * r) & 0xff) << (8 * c))
-        });
-    }
-    const MASKS: [u64; 3] = [0x00FF_00FF_00FF_00FF, 0x0000_FFFF_0000_FFFF, 0x0000_0000_FFFF_FFFF];
-    for (stage, mask) in MASKS.into_iter().enumerate() {
-        let step = 1 << stage;
-        for lo in (0..8).filter(|lo| lo & step == 0) {
-            let t = (m[lo] >> (8 * step) ^ m[lo + step]) & mask;
-            m[lo] ^= t << (8 * step);
-            m[lo + step] ^= t;
-        }
-    }
-    m
-}
-
-/// The negabinary coefficients of a block, in sequency order, stored as
-/// four rows of bytes — `bytes[g][i]` is byte `g` of coefficient `i` — so
-/// that the eight bit planes `8g..8g+8` of all `N` coefficients are one
-/// pass of [`transpose8`] over row `g`, eight coefficients at a time.
-struct Coefficients<const N: usize> {
-    bytes: [[u8; N]; 4],
-}
-
-impl<const N: usize> Coefficients<N> {
-    /// Words of eight coefficients in a row (`N` is 16 or 64).
-    const WORDS: usize = N / 8;
-
-    /// Eight coefficients of row `g` starting at `8 * j`, as one word.
-    #[inline]
-    fn word(&self, g: usize, j: usize) -> u64 {
-        let mut w = [0u8; 8];
-        w.copy_from_slice(&self.bytes[g & 3][8 * j..8 * j + 8]);
-        u64::from_le_bytes(w)
-    }
-
-    /// Planes `8g..8g+8`: bit `i` of `planes[p]` is bit `8g + p` of
-    /// coefficient `i`.
-    #[inline]
-    fn planes(&self, g: usize) -> [u64; 8] {
-        // Byte `p` of `m[j]` holds plane `8g + p` of coefficients
-        // `8j..8j+8`; a transpose of bytes lines the planes up.
-        let word = |j| if j < Self::WORDS { transpose8(self.word(g, j)) } else { 0 };
-        transpose_bytes(std::array::from_fn(word), Self::WORDS == 8)
-    }
-
-    /// Stores planes `8g..8g+8`, the inverse of [`Coefficients::planes`].
-    #[inline]
-    fn set_planes(&mut self, g: usize, planes: &[u64; 8]) {
-        let m = transpose_bytes(*planes, Self::WORDS == 8);
-        for (j, &t) in m.iter().enumerate().take(Self::WORDS) {
-            self.bytes[g & 3][8 * j..8 * j + 8].copy_from_slice(&transpose8(t).to_le_bytes());
-        }
-    }
-}
-
-/// A block's coefficients with one byte row of them held as planes, for
-/// a coder that walks the planes from the top down. The encoder reads:
-/// a row is transposed only when the coder first asks for one of its
-/// planes. The decoder writes: the planes it puts are collected and the
-/// row is deposited when the coder moves on to the next.
-struct PlaneRows<const N: usize> {
-    coeffs: Coefficients<N>,
-    /// Planes of row `row`; when writing, zero where none was put.
-    group: [u64; 8],
-    /// Which row `group` holds; 4, which is none, to begin with.
-    row: usize,
-}
-
-impl<const N: usize> PlaneRows<N> {
-    #[inline]
-    fn new() -> Self {
-        Self { coeffs: Coefficients { bytes: [[0u8; N]; 4] }, group: [0; 8], row: 4 }
-    }
-
-    /// Plane `k` of the coefficients.
-    #[inline]
-    fn plane(&mut self, k: u32) -> u64 {
-        let g = (k / 8) as usize;
-        if g != self.row {
-            self.group = self.coeffs.planes(g);
-            self.row = g;
-        }
-        self.group[(k % 8) as usize]
-    }
-
-    /// Sets plane `k`; the coefficients have it once its row is flushed.
-    #[inline]
-    fn put(&mut self, k: u32, x: u64) {
-        let g = (k / 8) as usize;
-        if g != self.row {
-            self.flush();
-            self.row = g;
-        }
-        self.group[(k % 8) as usize] = x;
-    }
-
-    /// Deposits the row being written, if any.
-    #[inline]
-    fn flush(&mut self) {
-        if self.row < 4 {
-            self.coeffs.set_planes(self.row, &self.group);
-            self.group = [0; 8];
-        }
-    }
-}
-
 /// Reads one bit plane of a 4-value block from the low `bits` bits of `x`
-/// — all the budget has left — with `sig` coefficients significant, by the
-/// rules of [`read_planes`] a bit at a time: the plane, the bits it spans
+/// — all the budget has left — with `sig` coefficients significant, a bit
+/// at a time by the coder's rules: the plane, the bits it spans
 /// and the coefficients significant behind it. The two tables below are
 /// this function, tabulated.
 const fn read_plane4(mut x: u32, sig: u32, bits: u32) -> (u32, u32, u32) {
@@ -430,12 +277,11 @@ const PLANE4: ([u32; 8 << 8], [u32; 8 << 4]) = {
 /// and [`DecodeLanes`] run one block per lane.
 pub const LANES: usize = 16;
 
-/// Codes the 4-value blocks of `values` into `w`, a short last block
-/// padded with its last value, and reports each block's bit length to
-/// `coded`: at a fixed rate [`LANES`] at a time ([`encode_group`]), the
-/// last group padded, otherwise a block at a time. `None` when a block
-/// holds a NaN or an infinity; the blocks (or groups) before it are
-/// written.
+/// Codes the 4-value blocks of `values` into `w`, [`LANES`] at a time
+/// ([`encode_group`]), a short last block padded with its last value and
+/// the last group with all-zero blocks, and reports each block's bit
+/// length to `coded`. `None` when a block holds a NaN or an infinity; the
+/// groups before it are written.
 #[inline]
 pub fn encode_line(
     values: &[f32],
@@ -443,57 +289,50 @@ pub fn encode_line(
     w: &mut BitWriter,
     mut coded: impl FnMut(u32),
 ) -> Option<()> {
-    debug_assert!(c.d == 1 && c.maxbits >= HEADER_BITS);
-    let mut tail = w.tail();
-    if !c.fixed_rate {
-        for block in values.chunks(4) {
-            let (emax, u) = stage4(&pad4(block))?;
-            coded(encode_planes4(&u, emax, c, &mut tail));
-        }
-        return Some(());
-    }
-    let mut rows = [[0u64; LANES]; ROWS];
-    let mut group = |values: &LaneRun, blocks: usize| {
-        encode_group::<4>(std::slice::from_ref(values), blocks, c.maxbits, &mut rows, &mut tail)?;
-        (0..blocks).for_each(|_| coded(c.maxbits));
-        Some(())
-    };
+    debug_assert!(c.d == 1 && c.maxbits > HEADER_BITS);
+    let (mut rows, mut tail) = ([[0u64; LANES]; ROWS], w.tail());
     let (whole, rest) = values.as_chunks::<{ 4 * LANES }>();
     for values in whole {
-        group(values, LANES)?;
+        encode_group::<4>(std::slice::from_ref(values), LANES, c, &mut rows, &mut tail, &mut coded)?;
     }
     if !rest.is_empty() {
         let mut padded = [0.0f32; 4 * LANES];
         for (to, block) in padded.chunks_exact_mut(4).zip(rest.chunks(4)) {
             to.copy_from_slice(&pad4(block));
         }
-        group(&padded, rest.len().div_ceil(4))?;
+        let blocks = rest.len().div_ceil(4);
+        encode_group::<4>(std::slice::from_ref(&padded), blocks, c, &mut rows, &mut tail, coded)?;
     }
     Some(())
 }
 
-/// Codes a group of fixed-rate `N`-value blocks, `values` by x-row,
-/// through [`EncodeLanes`] (`rows` its scratch) and writes the first
-/// `blocks` codes to `w`; `None`, with nothing written, when a lane holds
-/// a NaN or an infinity.
+/// Codes a group of `N`-value blocks, `values` by x-row, through
+/// [`EncodeLanes`] (`rows` its scratch), writes the first `blocks` codes
+/// to `w` back to back — each padded to `maxbits` at a fixed rate — and
+/// reports each one's bit length to `coded`. `None`, with nothing written,
+/// when a lane holds a NaN or an infinity.
 #[inline]
 pub fn encode_group<const N: usize>(
     values: &[LaneRun],
     blocks: usize,
-    maxbits: u32,
+    c: &BlockCoding,
     rows: &mut LaneRows,
     w: &mut WriterTail<'_>,
+    mut coded: impl FnMut(u32),
 ) -> Option<()> {
-    dispatch(EncodeLanes::<N> { values, maxbits, rows })?;
-    // A code is never longer than the rows; past them is padding.
-    let span = maxbits.min(64 * (ROWS as u32 - 1));
-    let whole = (span / 64) as usize;
-    for l in 0..blocks {
+    let lens = dispatch(EncodeLanes::<N> { values, coding: c, rows })?;
+    for (l, &len) in lens.iter().enumerate().take(blocks) {
+        // At a fixed rate the rows hold the code and its padding as far as
+        // they reach; past them is padding.
+        let span = if c.fixed_rate { c.maxbits } else { len };
+        let held = span.min(64 * (ROWS as u32 - 1));
+        let whole = (held / 64) as usize;
         for row in &rows[..whole] {
             w.write_bits(row[l], 64);
         }
-        w.write_bits(rows[whole][l], span % 64);
-        w.write_zeros(maxbits - span);
+        w.write_bits(rows[whole][l], held % 64);
+        w.write_zeros(span - held);
+        coded(span);
     }
     Some(())
 }
@@ -506,100 +345,131 @@ fn pad4(block: &[f32]) -> [f32; 4] {
     out
 }
 
-/// A 4-value block's exponent (`None` when it is all zero) and its
-/// negabinary coefficients; `None` when it holds a NaN or an infinity.
-#[inline]
-fn stage4(block: &[f32; 4]) -> Option<(Option<i32>, [u32; 4])> {
-    let vmax = finite_max(block)?;
-    let emax = (vmax != 0.0).then(|| exponent(vmax).clamp(-127, 128));
-    let mut q = block.map(|v| fixed_point(v, emax.unwrap_or(0)));
-    lift::fwd_lift(&mut q);
-    Some((emax, q.map(lift::int2uint)))
-}
-
-/// Codes a 4-value block (`emax` is `None` when it is all zero) from its
-/// negabinary coefficients, a block at a time: a table step per plane
-/// into a local word that is written when it fills. Serves the
-/// variable-length modes and the device path's one-block calls. Returns
-/// the bits written.
-#[inline]
-fn encode_planes4(u: &[u32; 4], emax: Option<i32>, c: &BlockCoding, w: &mut WriterTail<'_>) -> u32 {
-    // The word, its fill, and the budget still open at its first bit.
-    let (mut acc, mut len, mut left) = (0u64, 1, c.maxbits);
-    if let Some(emax) = emax {
-        (acc, len) = (1 | ((emax + 127) as u64) << 1, HEADER_BITS);
-        let kmin = INTPREC.saturating_sub(c.maxprec(emax));
-        // A plane above every coefficient's top bit: one failed test.
-        let empty = (u[0] | u[1] | u[2] | u[3]).leading_zeros();
-        let empty = empty.min(INTPREC - kmin).min(left - len);
-        len += empty;
-        let (mut k, mut sig) = (INTPREC - empty, 0);
-        while k > kmin && len < left {
-            if len > 64 - 7 {
-                w.write_bits(acc, len);
-                left -= len;
-                (acc, len) = (0, 0);
-            }
-            k -= 1;
-            let bit = |i: usize| (u[i] >> k & 1) << i;
-            let e = PLANE4_ENCODE[sig << 4 | (bit(0) | bit(1) | bit(2) | bit(3)) as usize];
-            acc |= (e as u64 & 0x7f) << len;
-            len += e >> 8 & 7;
-            sig = (e >> 12) as usize;
-        }
-    }
-    // The budget cuts the last plane; at a fixed rate the padding rides
-    // in the same write while it fits the word.
-    let code = len.min(left);
-    let span = if c.fixed_rate { left } else { code };
-    if span <= 64 {
-        w.write_bits(acc, span);
-    } else {
-        w.write_bits(acc, code);
-        w.write_zeros(span - code);
-    }
-    c.maxbits - left + span
-}
-
-/// A group of [`LANES`] fixed-rate `N`-value blocks, coded side by side —
-/// one body for [`cpu::widest`], the mirror of [`DecodeLanes`]: `Stage`'s
-/// steps across the lanes, then 4-value blocks step through
-/// `PLANE4_ENCODE` and larger ones' planes through `Cursor::put`. `None`,
-/// with `rows` untouched, when any lane holds a NaN or an infinity.
+/// A group of [`LANES`] `N`-value blocks, coded side by side — one body
+/// for [`cpu::widest`], the mirror of [`DecodeLanes`]: the cast, lift,
+/// reorder and negabinary across the lanes, then 4-value blocks step
+/// through `PLANE4_ENCODE` and larger ones' planes through `Cursor::put`.
+/// Returns each lane's code length, at most `maxbits`; `None`, with
+/// `rows` untouched, when any lane holds a NaN or an infinity.
 pub struct EncodeLanes<'a, const N: usize> {
     /// The group's values by x-row: `values[r]` holds values `4r..4r + 4`
     /// of every block; `N / 4` rows.
     pub values: &'a [LaneRun],
-    /// Bits a block: more than [`HEADER_BITS`].
-    pub maxbits: u32,
+    /// The stream's coding: every lane's budget is its `maxbits`, more
+    /// than [`HEADER_BITS`].
+    pub coding: &'a BlockCoding,
     /// Each block's code, zero behind it; bits past `maxbits` are not the
     /// block's.
     pub rows: &'a mut LaneRows,
 }
 
 impl<const N: usize> cpu::Kernel for EncodeLanes<'_, N> {
-    type Output = Option<()>;
+    type Output = Option<[u32; LANES]>;
 
     #[inline(always)]
-    fn run(self) -> Option<()> {
-        code_lanes::<N, true>(self.values, self.maxbits, self.rows)
+    fn run(self) -> Self::Output {
+        self.code::<true>()
     }
 
     #[inline(always)]
-    fn run_baseline(self) -> Option<()> {
-        code_lanes::<N, false>(self.values, self.maxbits, self.rows)
+    fn run_baseline(self) -> Self::Output {
+        self.code::<false>()
     }
 }
 
-/// The body of [`EncodeLanes`].
+impl<const N: usize> EncodeLanes<'_, N> {
+    #[inline(always)]
+    fn code<const LOCKSTEP: bool>(self) -> Option<[u32; LANES]> {
+        let c = *self.coding;
+        if c.fixed() {
+            code_lanes::<N, LOCKSTEP, _>(self.values, Fixed(c.maxbits), self.rows)
+        } else {
+            let limits = Variable::new(c, [c.maxbits; LANES]);
+            code_lanes::<N, LOCKSTEP, _>(self.values, limits, self.rows)
+        }
+    }
+}
+
+/// What the lanes of a group may spend and which planes they code: lane
+/// `l`'s bit budget, and the plane below the last that a block with
+/// exponent `emax` codes. [`Fixed`] for a fixed rate, [`Variable`]
+/// otherwise; each body is instantiated once for each.
+trait Limits: Copy {
+    /// Lane `l`'s budget.
+    fn budget(&self, l: usize) -> u32;
+    /// The largest budget of any lane.
+    fn widest(&self) -> u32;
+    /// The planes below this one are not coded.
+    fn kmin(&self, emax: i32) -> u32;
+}
+
+/// One budget for every lane, and every plane coded: the bodies keep a
+/// scalar `maxbits`.
+#[derive(Clone, Copy)]
+struct Fixed(u32);
+
+impl Limits for Fixed {
+    #[inline(always)]
+    fn budget(&self, _: usize) -> u32 {
+        self.0
+    }
+
+    #[inline(always)]
+    fn widest(&self) -> u32 {
+        self.0
+    }
+
+    #[inline(always)]
+    fn kmin(&self, _: i32) -> u32 {
+        0
+    }
+}
+
+/// Each lane's own budget, and the planes its block's exponent keeps.
+#[derive(Clone, Copy)]
+struct Variable {
+    coding: BlockCoding,
+    budgets: [u32; LANES],
+    widest: u32,
+}
+
+impl Variable {
+    #[inline(always)]
+    fn new(coding: BlockCoding, budgets: [u32; LANES]) -> Self {
+        Self { coding, budgets, widest: budgets.iter().fold(0, |m, &b| m.max(b)) }
+    }
+}
+
+impl Limits for Variable {
+    #[inline(always)]
+    fn budget(&self, l: usize) -> u32 {
+        self.budgets[l]
+    }
+
+    #[inline(always)]
+    fn widest(&self) -> u32 {
+        self.widest
+    }
+
+    #[inline(always)]
+    fn kmin(&self, emax: i32) -> u32 {
+        INTPREC.saturating_sub(self.coding.maxprec(emax))
+    }
+}
+
+/// The body of [`EncodeLanes`]. `LOCKSTEP` steps every lane at once until
+/// none is live, for the vector widths; otherwise each lane runs to its
+/// end, for the baseline, which would emulate the vector form lane by
+/// lane.
 #[inline(always)]
 #[allow(clippy::needless_range_loop)] // the lane index is a column of several arrays
-fn code_lanes<const N: usize, const LOCKSTEP: bool>(
+fn code_lanes<const N: usize, const LOCKSTEP: bool, L: Limits>(
     values: &[LaneRun],
-    maxbits: u32,
+    lim: L,
     rows: &mut LaneRows,
-) -> Option<()> {
+) -> Option<[u32; LANES]> {
     const INF: u32 = 0x7f80_0000;
+    let maxbits = lim.widest();
     debug_assert!(maxbits > HEADER_BITS && matches!(N, 4 | 16 | 64) && values.len() == N / 4);
     let n = N as u32;
     // Value `i` of every lane, and each lane's largest magnitude.
@@ -616,9 +486,10 @@ fn code_lanes<const N: usize, const LOCKSTEP: bool>(
     if top.iter().fold(0, |m, &t| m.max(t)) >= INF {
         return None;
     }
-    let mut emax = [0i32; LANES];
+    let (mut emax, mut kmin) = ([0i32; LANES], [0u32; LANES]);
     for l in 0..LANES {
         emax[l] = if top[l] != 0 { exponent(f32::from_bits(top[l])).clamp(-127, 128) } else { 0 };
+        kmin[l] = lim.kmin(emax[l]);
     }
     let mut q = [[0i32; LANES]; N];
     for (q, v) in q.iter_mut().zip(&v) {
@@ -643,7 +514,7 @@ fn code_lanes<const N: usize, const LOCKSTEP: bool>(
     for l in 0..LANES {
         // Planes above every coefficient's top bit: a failed test each.
         let nonzero = (top[l] != 0) as u32;
-        let empty = any[l].leading_zeros().min(maxbits - HEADER_BITS);
+        let empty = any[l].leading_zeros().min(lim.budget(l) - HEADER_BITS).min(INTPREC - kmin[l]);
         acc[l] = (nonzero as u64) * (1 | ((emax[l] + 127) as u64) << 1);
         at.k[l] = nonzero * (INTPREC - empty);
         at.cur[l] = if nonzero != 0 { HEADER_BITS + empty } else { 1 };
@@ -651,51 +522,64 @@ fn code_lanes<const N: usize, const LOCKSTEP: bool>(
     let span = maxbits.min(64 * (ROWS as u32 - 1));
     rows[..span.div_ceil(64) as usize].fill([0; LANES]);
     if N == 4 {
-        // `encode_planes4`, every lane a plane a step, a lane that is done
-        // stepping through a done row of the table, which codes nothing.
-        // Coefficients 0 and 1 in the halves of `pairs[0]`, 2 and 3 in
-        // `pairs[1]`'s, and the significant ones, times 16.
+        // A plane of lane `l` through `PLANE4_ENCODE`, a lane that is done
+        // stepping through a done row of the table, which codes nothing;
+        // 1 while the lane had a plane left. Coefficients 0 and 1 in the
+        // halves of `pairs[0]`, 2 and 3 in `pairs[1]`'s, and the
+        // significant ones, times 16. (Made a function, it leaves the
+        // lanes scalar.)
         let (mut len, mut k, mut sig16) = (at.cur, at.k, [0u32; LANES]);
         let mut pairs = [[0u64; LANES]; 2];
         for l in 0..LANES {
             pairs[0][l] = lo[0][l] as u64 | (lo[1][l] as u64) << 32;
             pairs[1][l] = lo[2][l] as u64 | (lo[3][l] as u64) << 32;
         }
-        loop {
-            let mut any = 0;
-            for l in 0..LANES {
-                let live = lane_live(k[l], len[l], maxbits);
-                let kk = k[l] - live;
+        macro_rules! plane4 {
+            ($l:ident) => {{
+                let live = lane_live(k[$l].wrapping_sub(kmin[$l]), len[$l], lim.budget($l));
+                let kk = k[$l] - live;
                 // Plane `kk` of two coefficients lands on bits 0 and 32.
                 let pair = |x: u64| {
                     let x = x >> kk & 0x1_0000_0001;
                     (x | x >> 31) as u32 & 3
                 };
-                let row16 = sig16[l] | ((live ^ 1) * DONE) << 4;
-                let nibble = pair(pairs[0][l]) | pair(pairs[1][l]) << 2;
+                let row16 = sig16[$l] | ((live ^ 1) * DONE) << 4;
+                let nibble = pair(pairs[0][$l]) | pair(pairs[1][$l]) << 2;
                 let e = PLANE4_ENCODE[(row16 | nibble) as usize & 0x7f];
-                let (code, s) = ((e & 0x7f) as u64, len[l] & 63);
-                let word = acc[l] | code << s;
+                let (code, s) = ((e & 0x7f) as u64, len[$l] & 63);
+                let word = acc[$l] | code << s;
                 if maxbits > 64 {
-                    rows[(len[l] >> 6).min(ROWS as u32 - 1) as usize][l] = word;
-                    acc[l] = if s + (e >> 8 & 7) >= 64 { code >> 1 >> (63 - s) } else { word };
+                    rows[(len[$l] >> 6).min(ROWS as u32 - 1) as usize][$l] = word;
+                    acc[$l] = if s + (e >> 8 & 7) >= 64 { code >> 1 >> (63 - s) } else { word };
                 } else {
-                    acc[l] = word;
+                    acc[$l] = word;
                 }
-                len[l] += e >> 8 & 7;
-                sig16[l] = e >> 8 & 0x70;
-                k[l] = kk;
-                any |= live;
+                len[$l] += e >> 8 & 7;
+                sig16[$l] = e >> 8 & 0x70;
+                k[$l] = kk;
+                live
+            }};
+        }
+        if LOCKSTEP {
+            loop {
+                let mut any = 0;
+                for l in 0..LANES {
+                    any |= plane4!(l);
+                }
+                if any == 0 {
+                    break;
+                }
             }
-            if any == 0 {
-                break;
+        } else {
+            for l in 0..LANES {
+                while plane4!(l) != 0 {}
             }
         }
         at.cur = len;
     } else {
         // Planes 16..32 first, the rest only for a group in which some
-        // lane's budget reaches below them: a block of a few hundred bits
-        // codes a handful of planes.
+        // lane's budget and planes reach below them: a block of a few
+        // hundred bits codes a handful of planes.
         let mut planes = [[0u64; LANES]; INTPREC as usize];
         swap_rows::<16>(&mut lo, 0..32, true, 0x0000_FFFF);
         if N > 32 {
@@ -703,7 +587,10 @@ fn code_lanes<const N: usize, const LOCKSTEP: bool>(
         }
         for floor in [16, 0] {
             let half = floor as usize..floor as usize + 16;
-            if (0..LANES).all(|l| lane_live(at.k[l].wrapping_sub(floor), at.cur[l], maxbits) == 0) {
+            // Each lane's lowest plane in this half.
+            let stop: [u32; LANES] = std::array::from_fn(|l| kmin[l].max(floor));
+            let open = |l: usize| lane_live(at.k[l].wrapping_sub(stop[l]), at.cur[l], lim.budget(l));
+            if (0..LANES).all(|l| open(l) == 0) {
                 continue;
             }
             transpose_half(&mut lo, half.clone());
@@ -722,7 +609,7 @@ fn code_lanes<const N: usize, const LOCKSTEP: bool>(
                 ($c:ident, $l:ident, $acc:expr) => {{
                     let (j, s) = (($c.cur >> 6).min(ROWS as u32 - 1) as usize, $c.cur & 63);
                     let plane = planes[($c.k.wrapping_sub(1) & 31) as usize][$l];
-                    let (c, code, len) = $c.put(plane, n, maxbits, floor);
+                    let (c, code, len) = $c.put(plane, n, lim.budget($l), stop[$l]);
                     let word = $acc | code << s;
                     if maxbits > 64 {
                         rows[j][$l] = word;
@@ -741,7 +628,7 @@ fn code_lanes<const N: usize, const LOCKSTEP: bool>(
                     for l in 0..LANES {
                         let c = at.get(l);
                         let c = put!(c, l, acc[l]);
-                        live |= c.live(maxbits, floor);
+                        live |= c.live(lim.budget(l), stop[l]);
                         at.set(l, c);
                     }
                 }
@@ -749,7 +636,7 @@ fn code_lanes<const N: usize, const LOCKSTEP: bool>(
                 // A lane at a time to its end: its state stays in registers.
                 for l in 0..LANES {
                     let (mut c, mut word) = (at.get(l), acc[l]);
-                    while c.live(maxbits, floor) != 0 {
+                    while c.live(lim.budget(l), stop[l]) != 0 {
                         c = put!(c, l, word);
                     }
                     acc[l] = word;
@@ -758,110 +645,14 @@ fn code_lanes<const N: usize, const LOCKSTEP: bool>(
             }
         }
     }
+    let mut lens = [0u32; LANES];
     for l in 0..LANES {
         // A one-word code the budget cut may run past it.
         let j = if maxbits > 64 { (at.cur[l] >> 6).min(ROWS as u32 - 1) } else { 0 };
         rows[j as usize][l] = acc[l] & u64::MAX >> (64 - maxbits.min(64));
+        lens[l] = at.cur[l].min(lim.budget(l));
     }
-    Some(())
-}
-
-/// A 4-value block being decoded, between two planes.
-struct Planes4 {
-    emax: i32,
-    /// Unread bits of the code, from bit 0, and bits read of `budget`.
-    win: u64,
-    used: u32,
-    budget: u32,
-    /// The plane last read, the last one coded, significant coefficients.
-    k: u32,
-    kmin: u32,
-    sig: usize,
-    /// Coefficients 0 and 1 in the halves of `lo`, 2 and 3 in `hi`'s.
-    lo: u64,
-    hi: u64,
-}
-
-impl Planes4 {
-    /// Reads the header and the empty planes from `win`, the block's
-    /// first 41 bits or more.
-    #[inline]
-    fn open(win: u64, c: &BlockCoding, budget: u32) -> Self {
-        let (k, kmin) = (INTPREC, INTPREC);
-        let mut st = Self { emax: 0, win: 0, used: 1, budget, k, kmin, sig: 0, lo: 0, hi: 0 };
-        if win & 1 != 0 {
-            st.emax = (win >> 1 & 0xff) as i32 - 127;
-            st.kmin = INTPREC.saturating_sub(c.maxprec(st.emax));
-            // Planes above every coefficient's top bit: a failed test each.
-            let empty = (win >> HEADER_BITS | 1 << INTPREC).trailing_zeros();
-            let empty = empty.min(INTPREC - st.kmin).min(budget.saturating_sub(HEADER_BITS));
-            st.k -= empty;
-            st.used = HEADER_BITS + empty;
-            st.win = win >> st.used;
-        }
-        st // of an all-zero block no plane is coded
-    }
-
-    #[inline]
-    fn live(&self) -> bool {
-        self.k > self.kmin && self.used < self.budget
-    }
-
-    /// Reads the next plane from `win`, whose low seven bits — or all the
-    /// budget has left — must be the code's. Nothing once no plane is
-    /// left.
-    #[inline(always)]
-    fn step(&mut self) {
-        let live = self.live();
-        let r = if live { (self.budget - self.used).min(7) } else { 0 };
-        let e = PLANE4_STEP[self.sig << 8 | self.win as usize & ((1 << r) - 1) | 1 << r] as u64;
-        self.win >>= e & 63;
-        self.used += (e & 63) as u32;
-        self.k -= live as u32;
-        let x = e >> 6 & 15;
-        self.lo |= (x & 1 | (x & 2) << 31) << self.k;
-        self.hi |= (x >> 2 & 1 | (x & 8) << 29) << self.k;
-        self.sig = (e >> 10) as usize;
-    }
-
-    /// Undoes negabinary, lift and cast into `out`, cutting a last block.
-    #[inline]
-    fn rebuild(&self, out: &mut [f32]) {
-        let u = [self.lo as u32, (self.lo >> 32) as u32, self.hi as u32, (self.hi >> 32) as u32];
-        let mut q = u.map(lift::uint2int);
-        lift::inv_lift(&mut q);
-        let scale = f64_pow2(self.emax - 30);
-        for (o, qi) in out.iter_mut().zip(q) {
-            *o = (qi as f64 * scale) as f32;
-        }
-    }
-}
-
-/// Reads the code of one 4-value block under `budget`, as [`decode_block`]
-/// does: its bit span and its planes. On error `r` stays where it was.
-#[inline]
-fn read_block4(r: &mut BitReader<'_>, c: &BlockCoding, budget: u32) -> Result<(u32, Planes4)> {
-    let held = r.remaining_bits();
-    let mut head = r.clone();
-    let first = head.peek_bits(HEADER_BITS + INTPREC);
-    if first & 1 != 0 && budget < HEADER_BITS {
-        return Err(Error::corrupt("block shorter than its header"));
-    }
-    let mut st = Planes4::open(first, c, budget);
-    head.skip_bits(st.used as u64);
-    while st.live() {
-        let before = st.used;
-        st.win = head.peek_bits(7);
-        st.step();
-        head.skip_bits((st.used - before) as u64);
-    }
-    // A fixed-rate block always spans its whole budget.
-    let span = if c.fixed_rate { budget.max(st.used) } else { st.used };
-    if span as u64 > held {
-        return Err(Error::corrupt("bit stream exhausted"));
-    }
-    r.skip_bits(span as u64);
-    Ok((span, st))
+    Some(lens)
 }
 
 /// Words of a lane's code: all a 64-value block can read, whatever its
@@ -878,46 +669,103 @@ pub type LaneRows = [[u64; LANES]; ROWS];
 /// where the blocks follow one another along x, one run of the array.
 pub type LaneRun = [f32; 4 * LANES];
 
-/// A run of fixed-rate blocks, read [`LANES`] at a time: block `i` is the
-/// `maxbits` bits at `i * maxbits`, so each lane finds its own code.
+/// A run of blocks, read [`LANES`] at a time, each lane from its own
+/// start bit under its own budget: block `i` is the `maxbits` bits at `i *
+/// maxbits` at a fixed rate, and otherwise its stored span, behind the
+/// spans of the blocks before it.
 pub struct Lanes<'a> {
     data: &'a [u8],
     /// The next block's first bit in `data`.
     at: usize,
-    maxbits: u32,
+    coding: BlockCoding,
+    /// The stored spans of the blocks not yet read, a little-endian `u32`
+    /// each; empty at a fixed rate.
+    table: &'a [u8],
+    /// The next block's index in the stream.
+    next: usize,
+    /// Each lane's budget: `maxbits` at a fixed rate.
+    spans: [u32; LANES],
+    /// Rows the last group filled.
+    filled: usize,
     rows: LaneRows,
 }
 
 impl<'a> Lanes<'a> {
-    /// The `blocks` blocks at `r`; [`Error::Corrupt`] when the stream ends
-    /// before their last bit.
-    pub fn new(r: &BitReader<'a>, c: &BlockCoding, blocks: usize) -> Result<Self> {
-        debug_assert!(c.fixed_rate && c.maxbits > HEADER_BITS);
-        if r.remaining_bits() < blocks as u64 * c.maxbits as u64 {
+    /// The blocks `blocks` of a stream, the first at `r`, `table` their
+    /// stored spans (empty at a fixed rate); [`Error::Corrupt`] when the
+    /// stream ends before their last bit.
+    pub fn new(
+        r: &BitReader<'a>,
+        c: &BlockCoding,
+        blocks: Range<usize>,
+        table: &'a [u8],
+    ) -> Result<Self> {
+        debug_assert!(c.fixed_rate || table.len() == 4 * blocks.len());
+        let bits = if c.fixed_rate {
+            blocks.len() as u64 * c.maxbits as u64
+        } else {
+            table.chunks_exact(4).map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as u64).sum()
+        };
+        if r.remaining_bits() < bits {
             return Err(Error::corrupt("bit stream exhausted"));
         }
         let (data, at) = r.position();
-        Ok(Self { data, at, maxbits: c.maxbits, rows: [[0; LANES]; ROWS] })
+        let rows = [[0; LANES]; ROWS];
+        let (next, spans) = (blocks.start, [c.maxbits; LANES]);
+        Ok(Self { data, at, coding: *c, table, next, spans, filled: 0, rows })
     }
 
     /// Decodes the next `blocks` (at most [`LANES`]) `N`-value blocks into
     /// `out` through [`DecodeLanes`]; the lanes past them are all-zero
-    /// blocks.
+    /// blocks. A variable-length block must read exactly its stored span:
+    /// the first that does not, in block order, is [`Error::Corrupt`].
     #[inline]
-    pub fn group<const N: usize>(&mut self, blocks: usize, out: &mut [LaneRun]) {
-        let maxbits = self.maxbits as usize;
-        // A lane takes what its block can read; the rows past stay zero.
-        let span = self.maxbits.min(64 * (ROWS as u32 - 1));
-        let words = span.div_ceil(64) as usize;
-        for j in 0..words {
-            let mask = u64::MAX >> 64u32.saturating_sub(span - 64 * j as u32);
+    pub fn group<const N: usize>(&mut self, blocks: usize, out: &mut [LaneRun]) -> Result<()> {
+        let coding = &self.coding;
+        if coding.fixed_rate {
+            let maxbits = coding.maxbits as usize;
+            // A lane takes what its block can read; the rows past stay zero.
+            let span = coding.maxbits.min(64 * (ROWS as u32 - 1));
+            let words = span.div_ceil(64) as usize;
+            for j in 0..words {
+                let mask = u64::MAX >> 64u32.saturating_sub(span - 64 * j as u32);
+                for l in 0..LANES {
+                    let at = self.at + l * maxbits + 64 * j;
+                    self.rows[j][l] = if l < blocks { word_at(self.data, at) & mask } else { 0 };
+                }
+            }
+            self.at += blocks * maxbits;
+            dispatch(DecodeLanes::<N> { rows: &self.rows, coding, spans: &self.spans, out });
+            return Ok(());
+        }
+        let (table, rest) = self.table.split_at(4 * blocks);
+        let (mut starts, mut words) = ([0usize; LANES], 0);
+        for (l, b) in table.chunks_exact(4).enumerate() {
+            self.spans[l] = u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+            starts[l] = self.at;
+            self.at += self.spans[l] as usize;
+            words = words.max(self.spans[l].min(64 * (ROWS as u32 - 1)).div_ceil(64) as usize);
+        }
+        self.spans[blocks..].fill(0);
+        for j in 0..words.max(self.filled) {
             for l in 0..LANES {
-                let at = self.at + l * maxbits + 64 * j;
-                self.rows[j][l] = if l < blocks { word_at(self.data, at) & mask } else { 0 };
+                let left = self.spans[l].saturating_sub(64 * j as u32);
+                let mask = u64::MAX >> (64 - left.min(64)) % 64;
+                self.rows[j][l] = if left > 0 { word_at(self.data, starts[l] + 64 * j) & mask } else { 0 };
             }
         }
-        self.at += blocks * maxbits;
-        dispatch(DecodeLanes::<N> { rows: &self.rows, maxbits: self.maxbits, out });
+        self.filled = words;
+        let used = dispatch(DecodeLanes::<N> { rows: &self.rows, coding, spans: &self.spans, out });
+        if let Some(l) = (0..blocks).find(|&l| used[l] != self.spans[l]) {
+            return Err(Error::corrupt(format!(
+                "block {} consumed {} bits, expected {}",
+                self.next + l,
+                used[l],
+                self.spans[l]
+            )));
+        }
+        (self.table, self.next) = (rest, self.next + blocks);
+        Ok(())
     }
 }
 
@@ -932,95 +780,131 @@ fn word_at(data: &[u8], at: usize) -> u64 {
     (u128::from_le_bytes(b) >> (at % 8)) as u64
 }
 
-/// [`decode_block`] for a run of fixed-rate 1-D blocks that holds `out`,
-/// whose length may cut the last block: [`LANES`] at a time, the last
-/// group padded with all-zero blocks. Leaves `r` behind the last block.
+/// Decodes the run of 1-D blocks `lanes` holds into `out`, whose length
+/// may cut the last block: [`LANES`] at a time, straight into `out`, the
+/// last group padded with all-zero blocks.
 #[inline]
-pub fn decode_line(r: &mut BitReader<'_>, c: &BlockCoding, out: &mut [f32]) -> Result<()> {
-    debug_assert!(c.d == 1);
-    let blocks = out.len().div_ceil(4);
-    let mut lanes = Lanes::new(r, c, blocks)?;
+pub fn decode_line(lanes: &mut Lanes<'_>, out: &mut [f32]) -> Result<()> {
+    debug_assert!(lanes.coding.d == 1);
     let (whole, rest) = out.as_chunks_mut::<{ 4 * LANES }>();
     for out in whole {
-        lanes.group::<4>(LANES, std::slice::from_mut(out));
+        lanes.group::<4>(LANES, std::slice::from_mut(out))?;
     }
     if !rest.is_empty() {
         let mut padded = [0.0f32; 4 * LANES];
-        lanes.group::<4>(rest.len().div_ceil(4), std::slice::from_mut(&mut padded));
+        lanes.group::<4>(rest.len().div_ceil(4), std::slice::from_mut(&mut padded))?;
         rest.copy_from_slice(&padded[..rest.len()]);
     }
-    r.skip_bits(blocks as u64 * c.maxbits as u64);
     Ok(())
 }
 
-/// A group of [`LANES`] fixed-rate `N`-value blocks, read side by side —
-/// one body for [`cpu::widest`]. Nothing in a step branches on a lane,
-/// and no lane reads past its own budget.
+/// A group of [`LANES`] `N`-value blocks, read side by side — one body for
+/// [`cpu::widest`]. Nothing in a step branches on a lane, and no lane
+/// reads past its own budget.
 ///
-/// 4-value blocks step through the tables of `Planes4`, a plane a step.
-/// Any other block steps through `read_planes`' actions
-/// ([`Cursor::step`]), then its planes are transposed into coefficients
-/// and negabinary, reorder, inverse transform and cast run across the
-/// lanes, in `Unstage`'s order.
+/// 4-value blocks step through [`PLANE4_STEP`], a plane a step. Any other
+/// block steps a group test at a time ([`Cursor::step`]), then its planes
+/// are transposed into coefficients, and negabinary, reorder, inverse
+/// transform and cast run across the lanes. Returns the bits each lane
+/// read: one of an all-zero block, else its header, empty planes and
+/// planes — at most its budget, unless the budget is shorter than the
+/// header.
 pub struct DecodeLanes<'a, const N: usize> {
-    /// Each block's code.
+    /// Each block's code, zero past its budget.
     pub rows: &'a LaneRows,
-    /// Bits a block: more than [`HEADER_BITS`].
-    pub maxbits: u32,
+    /// The stream's coding.
+    pub coding: &'a BlockCoding,
+    /// Each lane's budget: its stored span in the variable-length modes.
+    /// At a fixed rate, where every plane is coded, every lane's is
+    /// `maxbits` and these are not read.
+    pub spans: &'a [u32; LANES],
     /// The group's values by x-row: `out[r]` holds values `4r..4r + 4`
     /// of every block; `N / 4` rows.
     pub out: &'a mut [LaneRun],
 }
 
 impl<const N: usize> cpu::Kernel for DecodeLanes<'_, N> {
-    type Output = ();
+    type Output = [u32; LANES];
 
     #[inline(always)]
-    fn run(self) {
-        read_lanes::<N, true>(self.rows, self.maxbits, self.out)
+    fn run(self) -> [u32; LANES] {
+        self.read::<true>()
     }
 
     #[inline(always)]
-    fn run_baseline(self) {
-        read_lanes::<N, false>(self.rows, self.maxbits, self.out)
+    fn run_baseline(self) -> [u32; LANES] {
+        self.read::<false>()
     }
 }
 
-/// `Planes4::step` for lanes of 4-value blocks, lane `l`'s code in
-/// `rows[..][l]` — one word unless `WIDE` — and `at` where its header and
-/// empty planes leave it: coefficient `i` of lane `l` in `[i][l]`.
+impl<const N: usize> DecodeLanes<'_, N> {
+    #[inline(always)]
+    fn read<const LOCKSTEP: bool>(self) -> [u32; LANES] {
+        let c = *self.coding;
+        if c.fixed() {
+            read_lanes::<N, LOCKSTEP, _>(self.rows, Fixed(c.maxbits), self.out)
+        } else {
+            read_lanes::<N, LOCKSTEP, _>(self.rows, Variable::new(c, *self.spans), self.out)
+        }
+    }
+}
+
+/// The planes of lanes of 4-value blocks through [`PLANE4_STEP`], lane
+/// `l`'s code in `rows[..][l]` — one word unless `WIDE` — and `at` where
+/// its header and empty planes leave it, its planes down to `kmin[l]`:
+/// coefficient `i` of lane `l` in `[i][l]`, and `at.cur` behind each
+/// code. `LOCKSTEP` as in [`read_lanes`].
 #[inline(always)]
-fn read_words4<const WIDE: bool>(rows: &LaneRows, at: &Cursors, maxbits: u32) -> [[i32; LANES]; 4] {
+fn read_words4<const WIDE: bool, const LOCKSTEP: bool, L: Limits>(
+    rows: &LaneRows,
+    at: &mut Cursors,
+    kmin: &[u32; LANES],
+    lim: L,
+) -> [[i32; LANES]; 4] {
     // Each lane's unread bits of a one-word code, the bits it has read,
     // the planes it has left and its significant coefficients.
-    let (mut win, mut used, mut k, mut sig) = ([0u64; LANES], at.cur, at.k, [0u32; LANES]);
+    let (mut win, used, mut k, mut sig) = ([0u64; LANES], &mut at.cur, at.k, [0u32; LANES]);
     for l in 0..LANES {
-        win[l] = rows[0][l] >> used[l];
+        win[l] = rows[0][l] >> (used[l] & 63);
     }
     // Coefficients 0 and 1 in the halves of `lo`, 2 and 3 in `hi`'s.
     let (mut lo, mut hi) = ([0u64; LANES], [0u64; LANES]);
-    loop {
-        let mut any = 0;
-        for l in 0..LANES {
-            let live = lane_live(k[l], used[l], maxbits);
+    // A plane of lane `l`, or nothing once it is done; 1 while it had one
+    // left. (Made a function, it leaves the lanes scalar.)
+    macro_rules! plane4 {
+        ($l:ident) => {{
+            let budget = lim.budget($l);
+            let live = lane_live(k[$l].wrapping_sub(kmin[$l]), used[$l], budget);
             // Bits past the budget are zero, so only the marker `1 << r`
             // tells the table where the budget ends.
-            let r = maxbits.wrapping_sub(used[l]).min(7);
-            let row = sig[l] | ((live ^ 1) * DONE);
-            let w = if WIDE { window(rows, l, used[l]) } else { win[l] };
+            let r = budget.wrapping_sub(used[$l]).min(7);
+            let row = sig[$l] | ((live ^ 1) * DONE);
+            let w = if WIDE { window(rows, $l, used[$l]) } else { win[$l] };
             let e = PLANE4_STEP[(row << 8 | w as u32 & 0x7f | 1 << r) as usize & 0x7ff];
-            let kk = k[l] - live;
+            let kk = k[$l] - live;
             let x = (e >> 6 & 15) as u64;
-            lo[l] |= (x & 1 | (x & 2) << 31) << kk;
-            hi[l] |= (x >> 2 & 1 | (x & 8) << 29) << kk;
-            win[l] >>= e & 63;
-            used[l] += e & 63;
-            sig[l] = e >> 10;
-            k[l] = kk;
-            any |= live;
+            lo[$l] |= (x & 1 | (x & 2) << 31) << kk;
+            hi[$l] |= (x >> 2 & 1 | (x & 8) << 29) << kk;
+            win[$l] >>= e & 63;
+            used[$l] += e & 63;
+            sig[$l] = e >> 10;
+            k[$l] = kk;
+            live
+        }};
+    }
+    if LOCKSTEP {
+        loop {
+            let mut any = 0;
+            for l in 0..LANES {
+                any |= plane4!(l);
+            }
+            if any == 0 {
+                break;
+            }
         }
-        if any == 0 {
-            break;
+    } else {
+        for l in 0..LANES {
+            while plane4!(l) != 0 {}
         }
     }
     let mut q = [[0i32; LANES]; 4];
@@ -1048,17 +932,18 @@ impl Cursor {
         self.open | lane_live(self.k.wrapping_sub(floor), self.cur, maxbits)
     }
 
-    /// Takes `read_planes`' next actions from `w`, the 64 bits at `cur`:
-    /// opens the next plane if none is open, reading the significant
+    /// Takes the decoder's next actions from `w`, the 64 bits at `cur`:
+    /// opens the next plane above `floor` if none is open and the budget
+    /// is not spent, reading the significant
     /// coefficients' bits verbatim, then, if the plane is open, one group
     /// test — a one, then a run that ends behind a one, at the last
     /// coefficient (whose one is implied) or with the budget. The verbatim
     /// bits are at most `pos` and the test and its run at most `n - pos`,
     /// so both fit the window. A lane that is done steps in place.
     #[inline(always)]
-    fn step(self, w: u64, n: u32, maxbits: u32) -> Self {
+    fn step(self, w: u64, n: u32, maxbits: u32, floor: u32) -> Self {
         let Cursor { cur, k, sig, pos, open, x } = self;
-        let start = (open ^ 1) & lane_live(k, cur, maxbits);
+        let start = (open ^ 1) & lane_live(k.wrapping_sub(floor), cur, maxbits);
         let m = if start != 0 { sig.min(maxbits - cur) } else { 0 };
         let verbatim =
             w & ((1u64 << (m & 63)).wrapping_sub(1) | 0u64.wrapping_sub((m >> 6) as u64));
@@ -1066,7 +951,7 @@ impl Cursor {
         let open = open | start & (pos < n) as u32 & (cur < maxbits) as u32;
         let w = w >> (m & 63);
         let passed = open & (w as u32 & 1);
-        let limit = (n - 1).wrapping_sub(pos).min((maxbits - cur).wrapping_sub(1)) & 63;
+        let limit = (n - 1).wrapping_sub(pos).min(maxbits.wrapping_sub(cur).wrapping_sub(1)) & 63;
         let run = w >> 1 & ((1u64 << limit) - 1);
         let zeros = (run | 1 << limit).trailing_zeros();
         let read = zeros + (zeros < limit) as u32;
@@ -1080,7 +965,7 @@ impl Cursor {
         Cursor { cur, k: k - start, sig, pos, open: next, x }
     }
 
-    /// The encoder's mirror of [`Cursor::step`]: `encode_finite`'s next
+    /// The encoder's mirror of [`Cursor::step`]: the coder's next
     /// actions on `plane`, the one below the last opened (`x` while open),
     /// and the bits they write and how many. No plane at or below `floor`
     /// is opened, nor any past the budget, which cuts nothing else: a code
@@ -1195,29 +1080,34 @@ fn swap_rows<const J: usize>(
 /// form lane by lane.
 #[inline(always)]
 #[allow(clippy::needless_range_loop)] // the lane index is a column of several arrays
-fn read_lanes<const N: usize, const LOCKSTEP: bool>(
+fn read_lanes<const N: usize, const LOCKSTEP: bool, L: Limits>(
     rows: &LaneRows,
-    maxbits: u32,
+    lim: L,
     out: &mut [LaneRun],
-) {
-    debug_assert!(maxbits > HEADER_BITS && matches!(N, 4 | 16 | 64) && out.len() == N / 4);
+) -> [u32; LANES] {
+    debug_assert!(matches!(N, 4 | 16 | 64) && out.len() == N / 4);
     let n = N as u32;
-    let (mut at, mut emax, mut any) = (Cursors::default(), [0i32; LANES], 0);
+    let (mut at, mut emax, mut kmin, mut flag) =
+        (Cursors::default(), [0i32; LANES], [0u32; LANES], [0u32; LANES]);
+    let mut any = 0;
     for l in 0..LANES {
-        let w = rows[0][l];
-        // Planes above every coefficient's top bit: a failed test each.
-        let empty = (w >> HEADER_BITS | 1 << INTPREC).trailing_zeros().min(maxbits - HEADER_BITS);
+        let (w, budget) = (rows[0][l], lim.budget(l));
         emax[l] = (w >> 1 & 0xff) as i32 - 127;
+        kmin[l] = lim.kmin(emax[l]);
+        // Planes above every coefficient's top bit: a failed test each.
+        let empty = (w >> HEADER_BITS | 1 << INTPREC).trailing_zeros();
+        let empty = empty.min(budget.saturating_sub(HEADER_BITS)).min(INTPREC - kmin[l]);
         // An all-zero block has no plane to read.
-        at.k[l] = (w & 1) as u32 * (INTPREC - empty);
+        flag[l] = (w & 1) as u32;
+        at.k[l] = flag[l] * (INTPREC - empty);
         at.cur[l] = HEADER_BITS + empty;
-        any |= lane_live(at.k[l], at.cur[l], maxbits);
+        any |= lane_live(at.k[l].wrapping_sub(kmin[l]), at.cur[l], budget);
     }
     let mut q = [[0i32; LANES]; N];
-    if N == 4 && maxbits <= 64 {
-        q[..4].copy_from_slice(&read_words4::<false>(rows, &at, maxbits));
+    if N == 4 && lim.widest() <= 64 {
+        q[..4].copy_from_slice(&read_words4::<false, LOCKSTEP, L>(rows, &mut at, &kmin, lim));
     } else if N == 4 {
-        q[..4].copy_from_slice(&read_words4::<true>(rows, &at, maxbits));
+        q[..4].copy_from_slice(&read_words4::<true, LOCKSTEP, L>(rows, &mut at, &kmin, lim));
     } else {
         // Plane `k` of lane `l`, as far as it has been read. The step loop
         // writes it at the lane's own `k`; were it also read at fixed rows,
@@ -1227,10 +1117,10 @@ fn read_lanes<const N: usize, const LOCKSTEP: bool>(
             while any != 0 {
                 any = 0;
                 for l in 0..LANES {
-                    let c = at.get(l);
-                    let c = c.step(window(rows, l, c.cur), n, maxbits);
+                    let (c, budget) = (at.get(l), lim.budget(l));
+                    let c = c.step(window(rows, l, c.cur), n, budget, kmin[l]);
                     planes[(c.k & 31) as usize][l] = c.x;
-                    any |= c.live(maxbits, 0);
+                    any |= c.live(budget, kmin[l]);
                     at.set(l, c);
                 }
             }
@@ -1239,9 +1129,10 @@ fn read_lanes<const N: usize, const LOCKSTEP: bool>(
             // waits.
             for (a, b) in (0..LANES / 2).map(|l| (l, l + LANES / 2)) {
                 let (mut ca, mut cb) = (at.get(a), at.get(b));
-                while ca.live(maxbits, 0) | cb.live(maxbits, 0) != 0 {
-                    ca = ca.step(window(rows, a, ca.cur), n, maxbits);
-                    cb = cb.step(window(rows, b, cb.cur), n, maxbits);
+                let (ba, bb) = (lim.budget(a), lim.budget(b));
+                while ca.live(ba, kmin[a]) | cb.live(bb, kmin[b]) != 0 {
+                    ca = ca.step(window(rows, a, ca.cur), n, ba, kmin[a]);
+                    cb = cb.step(window(rows, b, cb.cur), n, bb, kmin[b]);
                     planes[(ca.k & 31) as usize][a] = ca.x;
                     planes[(cb.k & 31) as usize][b] = cb.x;
                 }
@@ -1281,10 +1172,12 @@ fn read_lanes<const N: usize, const LOCKSTEP: bool>(
             }
         }
     }
+    std::array::from_fn(|l| if flag[l] != 0 { at.cur[l] } else { 1 })
 }
 
-/// 1 while a lane has a plane left (`k > 0`) and budget to code it in
-/// (`used < maxbits`), else 0 — from the sign bits, not by comparing, so
+/// 1 while a lane has a plane left (`k > 0`, or above its lowest when
+/// called with `k - kmin`) and budget to code it in (`used < maxbits`),
+/// else 0 — from the sign bits, not by comparing, so
 /// that nothing downstream becomes a branch.
 #[inline(always)]
 fn lane_live(k: u32, used: u32, maxbits: u32) -> u32 {
@@ -1300,318 +1193,6 @@ fn dispatch<K: cpu::Kernel>(body: K) -> K::Output {
         return cpu::at(level, body).expect("a forced level is one the host runs");
     }
     cpu::widest(body)
-}
-
-/// Encodes one block of `N = 4^d` f32 values into `w`.
-///
-/// Returns the number of bits written (always exactly `c.maxbits` at a
-/// fixed rate), or `None` — with `w` untouched — when the block holds a
-/// NaN or an infinity: the cast to a common exponent has no defined
-/// result for them, so the caller turns that into a typed error.
-#[inline]
-pub fn encode_block<const N: usize>(
-    values: &[f32; N],
-    c: &BlockCoding,
-    w: &mut BitWriter,
-) -> Option<u32> {
-    debug_assert_eq!(block_cells(c.d), N);
-    debug_assert!(c.maxbits >= HEADER_BITS);
-    if N == 4 {
-        let (emax, u) = stage4(&pad4(values))?;
-        return Some(encode_planes4(&u, emax, c, &mut w.tail()));
-    }
-    let vmax = finite_max(values)?;
-    let mut w = w.tail();
-    let used = encode_finite(values, vmax, c, &mut w);
-    if c.fixed_rate {
-        w.write_zeros(c.maxbits - used);
-        Some(c.maxbits)
-    } else {
-        Some(used)
-    }
-}
-
-/// Codes a block whose largest magnitude is the finite `vmax`, without
-/// padding; returns the bits written.
-#[inline]
-fn encode_finite<const N: usize>(
-    values: &[f32; N],
-    vmax: f32,
-    c: &BlockCoding,
-    w: &mut WriterTail<'_>,
-) -> u32 {
-    if vmax == 0.0 {
-        w.write_bits(0, 1); // all-zero block
-        return 1;
-    }
-    // emax in [-127, 128] stored with bias 127 -> [0, 255] in 8 bits,
-    // behind the non-zero flag.
-    let emax = exponent(vmax).clamp(-127, 128);
-    w.write_bits(1 | ((emax + 127) as u64) << 1, HEADER_BITS);
-
-    let mut fetch = PlaneRows::<N>::new();
-    let any = dispatch(Stage { values, emax, rows: &mut fetch.coeffs.bytes });
-
-    // Embedded coding.
-    let budget = c.maxbits - HEADER_BITS;
-    let mut bits = budget;
-    let kmin = INTPREC.saturating_sub(c.maxprec(emax));
-    let n = N as u32;
-    let mut sig = 0u32; // number of coefficients known significant
-    let mut k = INTPREC;
-    // A plane above every coefficient's top bit has nothing significant
-    // to send verbatim and fails its first group test: one zero bit.
-    let empty = any.leading_zeros().min(k - kmin).min(bits);
-    w.write_bits(0, empty);
-    bits -= empty;
-    k -= empty;
-    while sig < n && bits > 0 && k > kmin {
-        k -= 1;
-        let mut x = fetch.plane(k);
-        // Verbatim bits for known-significant coefficients.
-        let m = sig.min(bits);
-        bits -= m;
-        w.write_bits(x, m);
-        x = shr(x, m);
-        // Group tests for the rest, each with the unary run behind it.
-        while sig < n && bits > 0 {
-            if x == 0 {
-                w.write_bits(0, 1);
-                bits -= 1;
-                break;
-            }
-            // The test passes; then one zero per insignificant coefficient
-            // and a one for the next significant one — unless that is the
-            // last coefficient, where the one is implied, or the budget
-            // ends first.
-            let zeros = x.trailing_zeros();
-            let run = (zeros + 1).min(n - 1 - sig).min(bits - 1);
-            w.write_bits(1 | 2 << zeros, 1 + run);
-            bits -= 1 + run;
-            x = shr(x, zeros + 1);
-            sig += zeros + 1;
-        }
-    }
-    // Every coefficient is significant: what is left of the budget is
-    // whole planes, as many to a word as fit.
-    while bits > 0 && k > kmin {
-        let take = (64 / n).min(k - kmin);
-        let mut word = 0u64;
-        for j in 0..take {
-            k -= 1;
-            word |= fetch.plane(k) << (n * j % 64);
-        }
-        let m = (take * n).min(bits);
-        w.write_bits(word, m);
-        bits -= m;
-    }
-    HEADER_BITS + budget - bits
-}
-
-/// Decodes one block; the mirror of [`encode_block`].
-///
-/// `budget` is the block's bit span: `c.maxbits` at a fixed rate, where
-/// exactly that many bits are consumed, and the stored length otherwise,
-/// which the block may not exceed. Returns the bits consumed and leaves
-/// `r` behind them.
-///
-/// Reads inside the block cannot fail — bits past the end of the stream
-/// read as zero — so the bits consumed are checked once against the bits
-/// `r` held: a block the stream ends inside of is [`Error::Corrupt`],
-/// with `out` untouched and `r` where it was.
-#[inline]
-pub fn decode_block<const N: usize>(
-    r: &mut BitReader<'_>,
-    c: &BlockCoding,
-    budget: u32,
-    out: &mut [f32; N],
-) -> Result<u32> {
-    debug_assert_eq!(block_cells(c.d), N);
-    if N == 4 {
-        let (span, st) = read_block4(r, c, budget)?;
-        st.rebuild(out);
-        return Ok(span);
-    }
-    let held = r.remaining_bits();
-    let mut head = r.clone();
-    let (used, coded) = read_planes::<N>(&mut head, c, budget)?;
-    // A fixed-rate block always spans its whole budget.
-    let span = if c.fixed_rate { budget.max(used) } else { used };
-    if span as u64 > held {
-        return Err(Error::corrupt("bit stream exhausted"));
-    }
-    head.skip_bits((span - used) as u64);
-    *r = head;
-    match coded {
-        Some((emax, coeffs)) => dispatch(Unstage { emax, rows: &coeffs.bytes, out }),
-        None => *out = [0.0; N],
-    }
-    Ok(span)
-}
-
-/// Reads the code of one block: the bits read, padding not included, and
-/// the exponent and coefficients of a block that is not all zero.
-#[inline]
-fn read_planes<const N: usize>(
-    r: &mut BitReader<'_>,
-    c: &BlockCoding,
-    budget: u32,
-) -> Result<(u32, Option<(i32, Coefficients<N>)>)> {
-    let header = r.peek_bits(HEADER_BITS);
-    if header & 1 == 0 {
-        r.skip_bits(1);
-        return Ok((1, None));
-    }
-    let budget = budget
-        .checked_sub(HEADER_BITS)
-        .ok_or_else(|| Error::corrupt("block shorter than its header"))?;
-    r.skip_bits(HEADER_BITS as u64);
-    let emax = (header >> 1) as i32 - 127;
-
-    let mut bits = budget;
-    let kmin = INTPREC.saturating_sub(c.maxprec(emax));
-    let n = N as u32;
-    let mut sink = PlaneRows::<N>::new();
-    let mut sig = 0u32;
-    let mut k = INTPREC;
-    // Planes above every coefficient's top bit: one failed test each.
-    let empty = (r.peek_bits(INTPREC) | 1 << INTPREC).trailing_zeros().min(k - kmin).min(bits);
-    r.skip_bits(empty as u64);
-    bits -= empty;
-    k -= empty;
-    while sig < n && bits > 0 && k > kmin {
-        k -= 1;
-        let m = sig.min(bits);
-        bits -= m;
-        let mut x = r.take_bits(m);
-        let mut pos = sig; // next untested coefficient
-        while pos < n && bits > 0 {
-            // One window holds the test and up to 55 bits of the run
-            // behind it.
-            let window = r.peek_bits(56);
-            if window & 1 == 0 {
-                r.skip_bits(1);
-                bits -= 1;
-                break;
-            }
-            // The run ends behind a one, at the last coefficient (whose
-            // one is implied) or with the budget.
-            let limit = (n - 1 - pos).min(bits - 1);
-            let seen = limit.min(55);
-            let run = window >> 1 & low_mask(seen);
-            let (read, zeros) = scan_run(run, seen);
-            r.skip_bits(1 + read as u64);
-            bits -= 1 + read;
-            pos += zeros;
-            if run == 0 && limit > seen {
-                // Only a 64-value block has runs longer than the window.
-                let (read, zeros) = scan_run(r.peek_bits(limit - seen), limit - seen);
-                r.skip_bits(read as u64);
-                bits -= read;
-                pos += zeros;
-            }
-            x |= 1u64 << (pos % 64);
-            pos += 1;
-        }
-        sig = sig.max(pos);
-        sink.put(k, x);
-    }
-    // Every coefficient is significant: whole planes, as many to a read
-    // as fit in a word.
-    while bits > 0 && k > kmin {
-        let take = (64 / n).min(k - kmin);
-        let m = (take * n).min(bits);
-        let word = r.take_bits(m);
-        bits -= m;
-        for j in 0..take {
-            k -= 1;
-            sink.put(k, shr(word, n * j) & low_mask(n));
-        }
-    }
-    sink.flush();
-    Ok((HEADER_BITS + budget - bits, Some((emax, sink.coeffs))))
-}
-
-/// A unary run of at most `limit` bits held in `run`: the bits it spans —
-/// through its terminating one, if it has one — and the zeros in it.
-#[inline]
-fn scan_run(run: u64, limit: u32) -> (u32, u32) {
-    if run != 0 {
-        let zeros = run.trailing_zeros();
-        (zeros + 1, zeros)
-    } else {
-        (limit, limit)
-    }
-}
-
-/// A block's fixed-point cast, transform, sequency reorder and
-/// negabinary into byte rows — one body for [`cpu::widest`], run once per
-/// 16- or 64-value block. Returns the OR of the coefficients.
-pub struct Stage<'a, const N: usize> {
-    /// The block, x fastest.
-    pub values: &'a [f32; N],
-    /// Its exponent: every `|v| < 2^emax`.
-    pub emax: i32,
-    /// Byte `g` of the coefficient of sequency rank `i` goes to
-    /// `rows[g][i]`.
-    pub rows: &'a mut [[u8; N]; 4],
-}
-
-impl<const N: usize> cpu::Kernel for Stage<'_, N> {
-    type Output = u32;
-
-    #[inline(always)]
-    fn run(self) -> u32 {
-        let mut q = [0i32; N];
-        for (qi, &v) in q.iter_mut().zip(self.values) {
-            *qi = fixed_point(v, self.emax);
-        }
-        lift::fwd_xform(&mut q);
-        let mut u = [0u32; N];
-        for (ui, &p) in u.iter_mut().zip(&Sequency::<N>::PERM) {
-            *ui = lift::int2uint(q[p as usize % N]);
-        }
-        for (g, row) in self.rows.iter_mut().enumerate() {
-            for (b, &ui) in row.iter_mut().zip(&u) {
-                *b = (ui >> (8 * g)) as u8;
-            }
-        }
-        u.iter().fold(0, |any, &ui| any | ui)
-    }
-}
-
-/// The mirror of [`Stage`]: negabinary, reorder, inverse transform and
-/// cast from a block's byte rows into `out` — one body for
-/// [`cpu::widest`].
-pub struct Unstage<'a, const N: usize> {
-    /// The block's exponent.
-    pub emax: i32,
-    /// Its coefficients by byte row, as [`Stage`] leaves them.
-    pub rows: &'a [[u8; N]; 4],
-    /// The block, x fastest.
-    pub out: &'a mut [f32; N],
-}
-
-impl<const N: usize> cpu::Kernel for Unstage<'_, N> {
-    type Output = ();
-
-    #[inline(always)]
-    fn run(self) {
-        let [b0, b1, b2, b3] = self.rows;
-        let mut u = [0u32; N];
-        for (i, ui) in u.iter_mut().enumerate() {
-            *ui = u32::from_le_bytes([b0[i], b1[i], b2[i], b3[i]]);
-        }
-        let mut q = [0i32; N];
-        for (&ui, &p) in u.iter().zip(&Sequency::<N>::PERM) {
-            q[p as usize % N] = lift::uint2int(ui);
-        }
-        lift::inv_xform(&mut q);
-        let scale = f64_pow2(self.emax - 30);
-        for (o, &qi) in self.out.iter_mut().zip(&q) {
-            *o = (qi as f64 * scale) as f32;
-        }
-    }
 }
 
 /// A vector width forced on every kernel of the test process, so that
@@ -1665,17 +1246,35 @@ mod tests {
         BlockCoding { d, maxbits: 1 << 16, fixed_rate: false, planes: Planes::Count(maxprec) }
     }
 
+    /// `values` coded under `c` in lane 0 of a group whose other lanes are
+    /// all-zero blocks: lane 0's code length and the group's rows.
+    fn code<const N: usize>(values: &[f32; N], c: &BlockCoding) -> Option<(u32, LaneRows)> {
+        let runs: Vec<LaneRun> = (0..N / 4)
+            .map(|r| std::array::from_fn(|i| if i < 4 { values[4 * r + i] } else { 0.0 }))
+            .collect();
+        let mut rows = [[0; LANES]; ROWS];
+        let lens = dispatch(EncodeLanes::<N> { values: &runs, coding: c, rows: &mut rows })?;
+        Some((lens[0], rows))
+    }
+
+    /// Lane 0's code in `rows` read under `budget`: the bits read and the
+    /// values.
+    fn read<const N: usize>(rows: &LaneRows, c: &BlockCoding, budget: u32) -> (u32, [f32; N]) {
+        let mut mine = [[0; LANES]; ROWS];
+        for (j, row) in mine.iter_mut().enumerate().take(budget.div_ceil(64) as usize) {
+            row[0] = rows[j][0] & u64::MAX >> 64u32.saturating_sub(budget - 64 * j as u32);
+        }
+        let (mut out, mut spans) = (vec![[f32::NAN; 4 * LANES]; N / 4], [0; LANES]);
+        spans[0] = budget;
+        let used = dispatch(DecodeLanes::<N> { rows: &mine, coding: c, spans: &spans, out: &mut out });
+        (used[0], std::array::from_fn(|i| out[i / 4][i % 4]))
+    }
+
     fn roundtrip<const N: usize>(values: &[f32; N], maxbits: u32) -> [f32; N] {
         let c = rate_coding(N.ilog(4) as u8, maxbits);
-        let mut w = BitWriter::new();
-        let used = encode_block(values, &c, &mut w).unwrap();
-        assert_eq!(used, maxbits);
-        let bytes = w.into_bytes();
-        let mut r = BitReader::new(&bytes);
-        let mut out = [0.0f32; N];
-        let consumed = decode_block(&mut r, &c, maxbits, &mut out).unwrap();
-        assert_eq!(consumed, maxbits);
-        out
+        let (len, rows) = code(values, &c).unwrap();
+        assert!(len <= maxbits);
+        read(&rows, &c, maxbits).1
     }
 
     #[test]
@@ -1691,10 +1290,6 @@ mod tests {
         check::<64>();
     }
 
-    fn plane_naive(u: &[u32], k: u32) -> u64 {
-        u.iter().enumerate().fold(0, |x, (i, &ui)| x | (((ui >> k) & 1) as u64) << i)
-    }
-
     fn noise(seed: &mut u64) -> u64 {
         *seed ^= *seed << 13;
         *seed ^= *seed >> 7;
@@ -1702,66 +1297,39 @@ mod tests {
         *seed
     }
 
-    #[test]
-    fn transpose8_moves_bit_c_of_byte_r_to_bit_r_of_byte_c() {
-        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
-        let cases = [0, u64::MAX, 1, 1 << 63, 0x8040_2010_0804_0201, 0x0102_0408_1020_4080];
-        for x in cases.into_iter().chain((0..200).map(|_| noise(&mut seed))) {
-            let mut want = 0u64;
-            for r in 0..8 {
-                for c in 0..8 {
-                    want |= (x >> (8 * r + c) & 1) << (8 * c + r);
-                }
-            }
-            assert_eq!(transpose8(x), want, "{x:#x}");
-            assert_eq!(transpose8(transpose8(x)), x);
-        }
-    }
-
-    #[test]
-    fn transpose_bytes_moves_byte_c_of_word_r_to_byte_r_of_word_c_either_way() {
-        let mut seed = 0xD1B5_4A32_D192_ED03u64;
-        for _ in 0..100 {
-            let m: [u64; 8] = std::array::from_fn(|_| noise(&mut seed));
-            let want: [u64; 8] = std::array::from_fn(|r| {
-                u64::from_le_bytes(std::array::from_fn(|c| m[c].to_le_bytes()[r]))
-            });
-            assert_eq!(transpose_bytes(m, true), want);
-            assert_eq!(transpose_bytes(m, false), want);
-        }
-    }
-
-    /// Fetch and deposit by byte row against the shift-and-or loop per
-    /// plane they replaced, for every plane of the block sizes they serve.
+    /// The lanes' plane fetch — the encoder's first round and then both
+    /// halves — and deposit — the decoder's full transpose — against the
+    /// shift-and-or loop per plane, for sparse, dense and full-range
+    /// coefficients in every lane, as far as each block size reads.
     #[test]
     fn plane_fetch_and_deposit_equal_the_naive_loops() {
-        fn check<const N: usize>(seed: &mut u64) {
-            for round in 0..50 {
-                // Sparse, dense and full-range coefficients.
-                let u: [u32; N] = std::array::from_fn(|_| match round % 3 {
-                    0 => noise(seed) as u32,
-                    1 => (noise(seed) & noise(seed) & noise(seed)) as u32,
-                    _ => (noise(seed) as u32) >> (noise(seed) % 32),
-                });
-                let mut fetch = PlaneRows::<N>::new();
-                for (i, ui) in u.iter().enumerate() {
-                    for (row, b) in fetch.coeffs.bytes.iter_mut().zip(ui.to_le_bytes()) {
-                        row[i] = b;
-                    }
-                }
-                let mut sink = PlaneRows::<N>::new();
-                for k in (0..INTPREC).rev() {
-                    let x = fetch.plane(k);
-                    assert_eq!(x, plane_naive(&u, k), "plane {k} of {N}");
-                    sink.put(k, x);
-                }
-                sink.flush();
-                assert_eq!(sink.coeffs.bytes, fetch.coeffs.bytes);
-            }
-        }
         let mut seed = 0x2545_F491_4F6C_DD1Du64;
-        check::<16>(&mut seed);
-        check::<64>(&mut seed);
+        for round in 0..100 {
+            let u: [[u32; LANES]; 32] = std::array::from_fn(|_| {
+                std::array::from_fn(|_| match round % 3 {
+                    0 => noise(&mut seed) as u32,
+                    1 => (noise(&mut seed) & noise(&mut seed) & noise(&mut seed)) as u32,
+                    _ => (noise(&mut seed) as u32) >> (noise(&mut seed) % 32),
+                })
+            });
+            let plane = |k: usize, l: usize| (0..32).fold(0, |x, i| x | (u[i][l] >> k & 1) << i);
+            let mut fetch = u;
+            swap_rows::<16>(&mut fetch, 0..32, true, 0x0000_FFFF);
+            transpose_half(&mut fetch, 16..32);
+            transpose_half(&mut fetch, 0..16);
+            for (k, row) in fetch.iter().enumerate() {
+                for (l, &x) in row.iter().enumerate() {
+                    assert_eq!(x, plane(k, l), "plane {k} of lane {l}");
+                }
+            }
+            let mut deposit = fetch;
+            transpose32::<32>(&mut deposit);
+            assert_eq!(deposit, u);
+            // A 16-value block's coefficients are rows 0..16 of the result.
+            let mut deposit = fetch;
+            transpose32::<16>(&mut deposit);
+            assert_eq!(deposit[..16], u[..16]);
+        }
     }
 
     /// The tolerance's exponent, taken once per stream, against the libm
@@ -1945,16 +1513,12 @@ mod tests {
     #[test]
     fn maxprec_truncates_planes() {
         let v: [f32; 64] = std::array::from_fn(|i| (i as f32).sqrt() * 10.0);
-        let mut w = BitWriter::new();
-        let used_full = encode_block(&v, &planes_coding(3, INTPREC), &mut w).unwrap();
+        let (used_full, _) = code(&v, &planes_coding(3, INTPREC)).unwrap();
         let low = planes_coding(3, 8);
-        let mut w2 = BitWriter::new();
-        let used_low = encode_block(&v, &low, &mut w2).unwrap();
+        let (used_low, rows) = code(&v, &low).unwrap();
         assert!(used_low < used_full);
-        let bytes = w2.into_bytes();
-        let mut r = BitReader::new(&bytes);
-        let mut out = [0.0f32; 64];
-        decode_block(&mut r, &low, 1 << 16, &mut out).unwrap();
+        let (used, out) = read::<64>(&rows, &low, used_low);
+        assert_eq!(used, used_low);
         // 8 planes on |v| < 2^7: quantization steps of 2^(7-8+1) = 1,
         // amplified by up to ~2^3 through the 3-D inverse transform.
         for (a, b) in v.iter().zip(&out) {
@@ -1964,25 +1528,28 @@ mod tests {
 
     #[test]
     fn variable_length_blocks_chain() {
-        // Without padding, consecutive blocks must decode back-to-back.
+        // Without padding, consecutive blocks must decode back-to-back,
+        // each lane from behind the spans of the lanes before it.
         let blocks: Vec<[f32; 64]> = (0..5)
             .map(|b| std::array::from_fn(|i| ((b * 64 + i) as f32 * 0.11).cos() * 50.0))
             .collect();
         let c = planes_coding(3, 16);
-        let mut w = BitWriter::new();
-        let mut lens = Vec::new();
-        for b in &blocks {
-            lens.push(encode_block(b, &c, &mut w).unwrap());
-        }
+        let runs: Vec<LaneRun> = (0..16)
+            .map(|r| std::array::from_fn(|i| blocks.get(i / 4).map_or(0.0, |b| b[4 * r + i % 4])))
+            .collect();
+        let (mut w, mut rows, mut lens) = (BitWriter::new(), [[0; LANES]; ROWS], Vec::new());
+        encode_group::<64>(&runs, 5, &c, &mut rows, &mut w.tail(), |len| lens.push(len)).unwrap();
+        assert_eq!(w.bit_len(), lens.iter().map(|&l| l as u64).sum::<u64>());
         let bytes = w.into_bytes();
-        let mut r = BitReader::new(&bytes);
-        for (b, &len) in blocks.iter().zip(&lens) {
-            let mut out = [0.0f32; 64];
-            let used = decode_block(&mut r, &c, 1 << 16, &mut out).unwrap();
-            assert_eq!(used, len);
+        let table: Vec<u8> = lens.iter().flat_map(|l| l.to_le_bytes()).collect();
+        let mut lanes = Lanes::new(&BitReader::new(&bytes), &c, 0..5, &table).unwrap();
+        let mut out = vec![[0.0f32; 4 * LANES]; 16];
+        lanes.group::<64>(5, &mut out).unwrap();
+        for (l, b) in blocks.iter().enumerate() {
             // 16 planes on |v| <= 64 leaves quantization steps of a few
             // times 2^(emax-16) ~ 0.004, amplified by the 3-D transform.
-            for (a, o) in b.iter().zip(&out) {
+            for (i, a) in b.iter().enumerate() {
+                let o = out[i / 4][4 * l + i % 4];
                 assert!((a - o).abs() < 0.1, "{a} vs {o}");
             }
         }
@@ -1994,9 +1561,15 @@ mod tests {
             for at in [0usize, 17, 63] {
                 let mut v = [1.0f32; 64];
                 v[at] = bad;
-                let mut w = BitWriter::new();
+                assert!(code(&v, &rate_coding(3, 64 * 8)).is_none(), "{bad} at {at}");
+                let runs = [[1.0f32; 4 * LANES]; 16].map(|mut run| {
+                    run[at % 4] = v[at];
+                    run
+                });
+                let (mut w, mut rows) = (BitWriter::new(), [[0; LANES]; ROWS]);
                 w.write_bits(0b101, 3);
-                assert_eq!(encode_block(&v, &rate_coding(3, 64 * 8), &mut w), None);
+                let c = planes_coding(3, 20);
+                assert_eq!(encode_group::<64>(&runs, 3, &c, &mut rows, &mut w.tail(), |_| ()), None);
                 assert_eq!(w.bit_len(), 3, "{bad} at {at}");
             }
         }
@@ -2007,14 +1580,18 @@ mod tests {
 
     #[test]
     fn a_stored_length_shorter_than_the_header_is_corrupt() {
-        let v = [3.0f32; 4];
         let c = planes_coding(1, INTPREC);
-        let mut w = BitWriter::new();
-        encode_block(&v, &c, &mut w).unwrap();
-        let bytes = w.into_bytes();
-        let mut out = [0.0f32; 4];
-        for budget in 1..HEADER_BITS {
-            assert!(decode_block(&mut BitReader::new(&bytes), &c, budget, &mut out).is_err());
+        let (len, rows) = code(&[3.0f32; 4], &c).unwrap();
+        let bytes: Vec<u8> = rows.iter().flat_map(|row| row[0].to_le_bytes()).collect();
+        for span in 1..HEADER_BITS {
+            let table = span.to_le_bytes();
+            let mut lanes = Lanes::new(&BitReader::new(&bytes), &c, 0..1, &table).unwrap();
+            let err = lanes.group::<4>(1, &mut [[0.0; 4 * LANES]]).unwrap_err();
+            let want = format!("block 0 consumed {HEADER_BITS} bits, expected {span}");
+            assert!(matches!(&err, Error::Corrupt(m) if *m == want), "{err}");
         }
+        let table = len.to_le_bytes();
+        let mut lanes = Lanes::new(&BitReader::new(&bytes), &c, 0..1, &table).unwrap();
+        lanes.group::<4>(1, &mut [[0.0; 4 * LANES]]).unwrap();
     }
 }

@@ -1,28 +1,32 @@
 //! Traced device execution of the ZFP pipeline.
 //!
-//! Runs the same `4^d` block kernels as [`crate::stream`] through the
-//! gpu-sim block executor, declaring every tracked-buffer range each block
-//! touches so the sanitizer can bounds-check them (memcheck) and intersect
-//! them across blocks (racecheck). Blocks are coded, joined and decoded by
-//! the shared [`crate::stream`] encoder and decoder, so traced output is
-//! byte-identical to the plain CPU path. The executor's work item is a
-//! block, so here — and only here — a writer serves one block; decoded
-//! blocks go straight into the output slab that owns them.
+//! Runs the host's block coder through the gpu-sim block executor,
+//! declaring every tracked-buffer range each block touches so the
+//! sanitizer can bounds-check them (memcheck) and intersect them across
+//! work items (racecheck). A work item is a group of [`LANES`] blocks,
+//! like a warp of cuZFP threads, and it runs the very body a host run
+//! does: [`crate::stream`]'s encoder codes the group into one writer, and
+//! its decoder reads the group through [`crate::codec::Lanes`] and
+//! scatters the values into the output. So traced output is
+//! byte-identical to the plain CPU path, and the launch is charged for
+//! its blocks, as one block a thread block.
 //!
 //! ZFP is the motivating case for the sanitizer's *bit*-granular access
 //! records: at rate 4, block `i` occupies payload bits `[4·16·i,
 //! 4·16·(i+1))`, so adjacent blocks legitimately share boundary *bytes* —
 //! byte-level tracking would flag every fractional-rate stream as one long
-//! write-write race. A gather reads the block's rows of the array (edge
-//! blocks replicate those samples into their padding, re-reading nothing
-//! else); a scatter writes the same rows and skips the padding, so blocks
+//! write-write race. A block reads its rows of the array (edge blocks
+//! replicate those samples into their padding, re-reading nothing else)
+//! and writes the same rows on decode, skipping the padding, so items
 //! write disjoint cells.
 
+use crate::codec::LANES;
 use crate::config::{Dims, ZfpConfig, ZfpMode};
 use crate::stream::{self, Decoder, Encoder};
 use foresight_util::bits::BitWriter;
 use foresight_util::{Error, Result};
 use gpu_sim::{launch_grid_traced, BlockGrid, BufferId, Device, GpuRunReport, KernelKind};
+use std::ops::Range;
 use std::sync::{Mutex, PoisonError};
 
 /// Compresses `data` on the simulated device with sanitizer tracing.
@@ -41,8 +45,8 @@ pub fn compress_on(
     let out = device.with_buffers(|device, held| {
         let encoded = encode_launch(device, &enc, data.len(), held)?;
         let out = enc.assemble(
-            encoded.iter().map(|(bytes, used)| (&bytes[..], *used as u64)),
-            encoded.iter().map(|(_, used)| *used),
+            encoded.iter().map(|(bytes, nbits, _)| (&bytes[..], *nbits)),
+            encoded.iter().flat_map(|(.., lens)| lens.iter().copied()),
         );
         device.d2h(out.len() as u64).map(|()| out)
     })?;
@@ -51,12 +55,20 @@ pub fn compress_on(
     Ok((out, rep))
 }
 
+/// The blocks of work item `item` of a grid of `blocks`.
+fn item_blocks(item: usize, blocks: usize) -> Range<usize> {
+    item * LANES..(item * LANES + LANES).min(blocks)
+}
+
+/// Each item's code, its bit length and its blocks' bit lengths.
+type Encoded = Vec<(Vec<u8>, u64, Vec<u32>)>;
+
 fn encode_launch(
     device: &mut Device,
     enc: &Encoder<'_>,
     n_values: usize,
     held: &mut Vec<BufferId>,
-) -> Result<Vec<(Vec<u8>, u32)>> {
+) -> Result<Encoded> {
     let nblocks = enc.tiles.len();
     // lint: allow(alloc-arith) — sized from an in-memory slice, not header data
     let in_buf = device.malloc((n_values * 4) as u64, "zfp.in")?;
@@ -79,18 +91,22 @@ fn encode_launch(
         ZfpMode::FixedRate(rate) => rate,
         _ => 32.0,
     };
-    let grid = BlockGrid { blocks: nblocks, values_per_block: vpb, bits_per_value: bits };
-    // One allocation covers a fixed-rate block exactly; a variable-length
+    let grid = BlockGrid { blocks: nblocks, values_per_block: vpb, bits_per_value: bits, per_item: LANES };
+    // One allocation covers a fixed-rate group exactly; a variable-length
     // one rarely comes near its cap, so its writer grows on demand.
-    let slot_bytes = if enc.coding.fixed_rate { cap_bits.div_ceil(8) as usize } else { 0 };
+    let slot_bytes = if enc.coding.fixed_rate { (cap_bits as usize * LANES).div_ceil(8) } else { 0 };
     let (encoded, _) =
-        launch_grid_traced(device, KernelKind::ZfpCompress, grid, "zfp.encode", |bi, acc| {
-            acc.f32_rows(in_buf, enc.tiles.rows(bi), false);
-            let mut w = BitWriter::with_capacity(slot_bytes);
-            let used = enc.encode_block(bi, &mut w)?;
-            let start = bi as u64 * cap_bits;
-            acc.write_bits(stage, start, start + used as u64);
-            Ok((w.into_bytes(), used))
+        launch_grid_traced(device, KernelKind::ZfpCompress, grid, "zfp.encode", |item, acc| {
+            let blocks = item_blocks(item, nblocks);
+            blocks.clone().for_each(|bi| acc.f32_rows(in_buf, enc.tiles.rows(bi), false));
+            let (mut w, mut lens) = (BitWriter::with_capacity(slot_bytes), Vec::with_capacity(LANES));
+            enc.encode_blocks(blocks.clone(), &mut w, |used| lens.push(used))?;
+            for (bi, &used) in blocks.zip(&lens) {
+                let start = bi as u64 * cap_bits;
+                acc.write_bits(stage, start, start + used as u64);
+            }
+            let nbits = w.bit_len();
+            Ok((w.into_bytes(), nbits, lens))
         })?;
     encoded.into_iter().collect()
 }
@@ -128,31 +144,30 @@ fn decode_launch(
     let nblocks = dec.tiles.len();
     let vpb = (dec.n_values as u64).div_ceil(nblocks.max(1) as u64);
     let bits = if dec.n_values == 0 { 0.0 } else { payload_len as f64 * 8.0 / dec.n_values as f64 };
-    let grid = BlockGrid { blocks: nblocks, values_per_block: vpb, bits_per_value: bits };
-    let mut out = vec![0.0f32; dec.n_values];
-    // Each slab is one layer of blocks; the lock only hands it to
-    // whichever executor thread holds one of them.
-    let slabs: Vec<_> =
-        dec.tiles.split(&mut out, 1).into_iter().map(|(s, part)| (s, Mutex::new(part))).collect();
-    let offsets = dec.offsets(1);
+    let grid = BlockGrid { blocks: nblocks, values_per_block: vpb, bits_per_value: bits, per_item: LANES };
+    // The lock only hands the output to whichever item scatters a group.
+    let out = Mutex::new(vec![0.0f32; dec.n_values]);
+    let (ext, offsets) = (dec.tiles.shape().extents(), dec.offsets(LANES));
     let (decoded, _) =
-        launch_grid_traced(device, KernelKind::ZfpDecompress, grid, "zfp.decode", |bi, acc| {
-            // Bit-exact payload span of this block; fractional rates make
+        launch_grid_traced(device, KernelKind::ZfpDecompress, grid, "zfp.decode", |item, acc| {
+            let (blocks, start) = (item_blocks(item, nblocks), offsets.get(item));
+            // Bit-exact payload span of each block; fractional rates make
             // neighbors share boundary bytes, which bit records keep apart.
-            let start = offsets.get(bi);
-            acc.read_bits(payload_buf, start, start + dec.block_bits(bi) as u64);
-            acc.f32_rows(out_buf, dec.tiles.rows(bi), true);
-            let (slab, part) = &slabs[slabs.partition_point(|(s, _)| s.tiles.end <= bi)];
-            dec.decode_blocks(bi..bi + 1, &mut dec.reader_at(start)?, |origin, vals| {
-                let mut part = part.lock().unwrap_or_else(PoisonError::into_inner);
-                let ext = dec.tiles.shape().extents();
-                stream::scatter(vals, ext, origin, slab.values.start, &mut part);
+            let mut at = start;
+            for bi in blocks.clone() {
+                let end = at + dec.block_bits(bi) as u64;
+                acc.read_bits(payload_buf, at, end);
+                acc.f32_rows(out_buf, dec.tiles.rows(bi), true);
+                at = end;
+            }
+            dec.decode_groups(blocks, start, |group, rows| {
+                let mut out = out.lock().unwrap_or_else(PoisonError::into_inner);
+                stream::scatter(ext, group, rows, 0, &mut out);
             })
         })?;
     decoded.into_iter().collect::<Result<()>>()?;
-    drop(slabs);
     device.d2h_buf(out_buf, "zfp.out")?;
-    Ok(out)
+    Ok(out.into_inner().unwrap_or_else(PoisonError::into_inner))
 }
 
 #[cfg(test)]
@@ -217,23 +232,24 @@ mod tests {
 
     #[test]
     fn executor_runs_a_real_zfp_block_kernel() {
-        // The block executor must produce exactly the per-block encodings
-        // of the serial path (relocated from the gpu-sim crate, which can
-        // no longer dev-depend on this one).
-        let data = smooth_3d(8);
-        let enc = Encoder::new(&data, Dims::D3(8, 8, 8), &ZfpConfig::rate(8.0)).unwrap();
-        let encode_one = |bi: usize| {
-            let mut w = BitWriter::new();
-            let used = enc.encode_block(bi, &mut w).unwrap();
-            (w.into_bytes(), used)
-        };
+        // The block executor must produce exactly the encodings of the
+        // serial path, a group of lanes an item (relocated from the gpu-sim
+        // crate, which can no longer dev-depend on this one).
+        let data = smooth_3d(12);
+        let enc = Encoder::new(&data, Dims::D3(12, 12, 12), &ZfpConfig::rate(8.0)).unwrap();
         let blocks = enc.tiles.len();
-        let serial: Vec<(Vec<u8>, u32)> = (0..blocks).map(encode_one).collect();
+        let encode_group = |item: usize| {
+            let mut w = BitWriter::new();
+            enc.encode_blocks(item_blocks(item, blocks), &mut w, |used| assert_eq!(used, 512)).unwrap();
+            w.into_bytes()
+        };
+        let serial: Vec<Vec<u8>> = (0..blocks.div_ceil(LANES)).map(encode_group).collect();
         let mut dev = Device::new(GpuSpec::tesla_v100());
-        let grid = BlockGrid { blocks, values_per_block: 64, bits_per_value: 8.0 };
+        let grid = BlockGrid { blocks, values_per_block: 64, bits_per_value: 8.0, per_item: LANES };
         let (parallel, report) =
-            launch_grid(&mut dev, KernelKind::ZfpCompress, grid, "zfp.encode", encode_one).unwrap();
+            launch_grid(&mut dev, KernelKind::ZfpCompress, grid, "zfp.encode", encode_group).unwrap();
         assert_eq!(serial, parallel);
+        assert_eq!(parallel.len(), 2, "27 blocks are two groups of lanes");
         assert!(report.simulated_seconds > 0.0);
     }
 

@@ -10,19 +10,19 @@
 //! A work item is a *run of blocks*, never a block. The encoder cuts the
 //! block sequence into runs of [`G`] and codes each run back-to-back into
 //! one writer; the runs are then joined by [`BitWriter::append`] right
-//! behind the header. Within a run the block kernel is picked once —
-//! [`codec`]'s kernel at the run's block size — and the block origin is
-//! stepped, not recomputed. At a fixed rate blocks are coded and read
-//! sixteen at a time ([`codec::EncodeLanes`], [`codec::Lanes`]): a 1-D run
-//! is a slice of the array, which [`codec::encode_line`] and
+//! behind the header. Within a run blocks are coded and read sixteen at a
+//! time, in every mode ([`codec::EncodeLanes`], [`codec::Lanes`]): a 1-D
+//! run is a slice of the array, which [`codec::encode_line`] and
 //! [`codec::decode_line`] walk; a 2-D or 3-D group comes in and goes out
-//! by x-runs of its blocks. Blocks are the array's [`Tiles`] of edge 4.
-//! The decoder's work item is a slab ([`Tiles::par_slabs`]): the part of
-//! the output that whole layers of blocks own — four z-planes in 3-D,
-//! four rows in 2-D, merged until the item holds at least `G` blocks — so
-//! items scatter into disjoint `&mut` slices and nothing is shared. A
-//! call of at most `G` blocks is a single item, which the rayon shim runs
-//! inline on the calling thread.
+//! by x-runs of its blocks. At a fixed rate a lane's code starts at `i *
+//! maxbits`; otherwise behind the stored spans of the blocks before it,
+//! and it must read exactly its own span. Blocks are the array's
+//! [`Tiles`] of edge 4. The decoder's work item is a slab
+//! ([`Tiles::par_slabs`]): the part of the output that whole layers of
+//! blocks own — four z-planes in 3-D, four rows in 2-D, merged until the
+//! item holds at least `G` blocks — so items scatter into disjoint `&mut`
+//! slices and nothing is shared. A call of at most `G` blocks is a single
+//! item, which the rayon shim runs inline on the calling thread.
 //!
 //! Partial edge blocks are padded by replicating the nearest interior
 //! sample, which avoids injecting artificial discontinuities.
@@ -55,40 +55,32 @@ const MAX_EXTENT: u64 = 1 << 40;
 /// join by plain copies.
 const G: usize = 1024;
 
-/// Gathers the `4^d` block at `origin` into `out`, replicating edge
-/// samples for partial blocks. `out` is walked as rows of four x-samples;
-/// row `i` is `(dy, dz) = (i % 4, i / 4)` in every dimensionality.
+/// Scatters a group's decoded values, `rows` by x-row as
+/// [`codec::Lanes::group`] leaves them and `group` its blocks' origins,
+/// into `out`, the part of the array from linear index `base`. A group's
+/// blocks in one block row follow one another along x, so each of their
+/// rows of values goes out as one copy, padding skipped.
 #[inline]
-fn gather(data: &[f32], ext: [usize; 3], origin: [usize; 3], out: &mut [f32]) {
+pub(crate) fn scatter(
+    ext: [usize; 3],
+    group: &[[usize; 3]],
+    rows: &[codec::LaneRun],
+    base: usize,
+    out: &mut [f32],
+) {
     let [nx, ny, nz] = ext;
-    let [ox, oy, oz] = origin;
-    let w = (nx - ox).min(4);
-    for (i, row) in out.chunks_exact_mut(4).enumerate() {
-        let y = (oy + i % 4).min(ny - 1);
-        let z = (oz + i / 4).min(nz - 1);
-        let at = ox + nx * (y + ny * z);
-        if w == 4 {
-            row.copy_from_slice(&data[at..at + 4]);
-        } else {
-            row[..w].copy_from_slice(&data[at..at + w]);
-            row[w..].fill(data[at + w - 1]);
+    let mut first = 0;
+    while let Some(&[ox, oy, oz]) = group.get(first) {
+        let run = group[first..].iter().take_while(|o| o[1] == oy && o[2] == oz).count();
+        let width = (nx - ox).min(4 * run);
+        for (row, values) in rows.iter().enumerate() {
+            let (y, z) = (oy + row % 4, oz + row / 4);
+            if y < ny && z < nz {
+                let at = ox + nx * (y + ny * z) - base;
+                out[at..at + width].copy_from_slice(&values[4 * first..4 * first + width]);
+            }
         }
-    }
-}
-
-/// Scatters a decoded block at `o` into `out`, the part of the array
-/// starting at linear index `base`, skipping replicated padding.
-#[inline]
-pub(crate) fn scatter(vals: &[f32], ext: [usize; 3], o: [usize; 3], base: usize, out: &mut [f32]) {
-    let [nx, ny, nz] = ext;
-    let [ox, oy, oz] = o;
-    let w = (nx - ox).min(4);
-    for (i, row) in vals.chunks_exact(4).enumerate() {
-        let (y, z) = (oy + i % 4, oz + i / 4);
-        if y < ny && z < nz {
-            let at = ox + nx * (y + ny * z) - base;
-            out[at..at + w].copy_from_slice(&row[..w]);
-        }
+        first += run;
     }
 }
 
@@ -118,23 +110,9 @@ impl<'a> Encoder<'a> {
         Ok(Self { data, mode: cfg.mode, tiles, coding: BlockCoding::new(&cfg.mode, dims.ndim()) })
     }
 
-    /// Gathers block `bi` and appends its code to `w`, returning the bits
-    /// written. One block is not worth a group of lanes: it runs through
-    /// the per-block kernel at every dimensionality.
-    pub(crate) fn encode_block(&self, bi: usize, w: &mut BitWriter) -> Result<u32> {
-        let mut used = 0;
-        let coded = |bits| used = bits;
-        match self.tiles.shape().ndim() {
-            1 => self.encode_typed::<4>(bi..bi + 1, w, coded),
-            2 => self.encode_typed::<16>(bi..bi + 1, w, coded),
-            _ => self.encode_typed::<64>(bi..bi + 1, w, coded),
-        }?;
-        Ok(used)
-    }
-
     /// Codes `blocks` back-to-back into `w` and reports each block's bit
     /// length to `coded`. The kernel is chosen here, once for the run.
-    fn encode_blocks(
+    pub(crate) fn encode_blocks(
         &self,
         blocks: Range<usize>,
         w: &mut BitWriter,
@@ -147,24 +125,22 @@ impl<'a> Encoder<'a> {
                 let line = &self.data[4 * blocks.start..self.data.len().min(4 * blocks.end)];
                 codec::encode_line(line, &self.coding, w, coded).ok_or_else(|| self.non_finite())
             }
-            2 if self.coding.fixed_rate => self.encode_lanes::<16>(blocks, w, coded),
-            _ if self.coding.fixed_rate => self.encode_lanes::<64>(blocks, w, coded),
-            2 => self.encode_typed::<16>(blocks, w, coded),
-            _ => self.encode_typed::<64>(blocks, w, coded),
+            2 => self.encode_lanes::<16>(blocks, w, coded),
+            _ => self.encode_lanes::<64>(blocks, w, coded),
         }
     }
 
-    /// Codes the fixed-rate 2-D or 3-D `blocks` a group of
-    /// [`codec::LANES`] at a time, the mirror of [`Decoder::decode_lanes`]:
-    /// each row of values of a group's blocks in one block row comes in as
-    /// one copy, the edge samples replicated as [`gather`] replicates them.
+    /// Codes the 2-D or 3-D `blocks` a group of [`codec::LANES`] at a
+    /// time, the mirror of [`scatter`]: each row of values of a group's
+    /// blocks in one block row comes in as one copy, edge samples
+    /// replicated into the padding.
     fn encode_lanes<const N: usize>(
         &self,
         blocks: Range<usize>,
         w: &mut BitWriter,
         mut coded: impl FnMut(u32),
     ) -> Result<()> {
-        let ([nx, ny, nz], maxbits) = (self.tiles.shape().extents(), self.coding.maxbits);
+        let [nx, ny, nz] = self.tiles.shape().extents();
         let mut origins = self.tiles.origins(blocks);
         let (mut runs, mut group) = ([[0.0f32; 4 * codec::LANES]; 16], [[0; 3]; codec::LANES]);
         let (mut rows, mut tail) = ([[0; codec::LANES]; codec::ROWS], w.tail());
@@ -182,26 +158,8 @@ impl<'a> Encoder<'a> {
                 }
                 first += run;
             }
-            codec::encode_group::<N>(&runs[..N / 4], m, maxbits, &mut rows, &mut tail)
+            codec::encode_group::<N>(&runs[..N / 4], m, &self.coding, &mut rows, &mut tail, &mut coded)
                 .ok_or_else(|| self.non_finite())?;
-            (0..m).for_each(|_| coded(maxbits));
-        }
-        Ok(())
-    }
-
-    fn encode_typed<const N: usize>(
-        &self,
-        blocks: Range<usize>,
-        w: &mut BitWriter,
-        mut coded: impl FnMut(u32),
-    ) -> Result<()> {
-        let ext = self.tiles.shape().extents();
-        let mut vals = [0.0f32; N];
-        for origin in self.tiles.origins(blocks) {
-            gather(self.data, ext, origin, &mut vals);
-            let used =
-                codec::encode_block(&vals, &self.coding, w).ok_or_else(|| self.non_finite())?;
-            coded(used);
         }
         Ok(())
     }
@@ -477,7 +435,7 @@ impl<'a> Decoder<'a> {
     }
 
     /// A reader positioned at payload bit `bit`.
-    pub(crate) fn reader_at(&self, bit: u64) -> Result<BitReader<'a>> {
+    fn reader_at(&self, bit: u64) -> Result<BitReader<'a>> {
         let tail = self
             .payload
             .get((bit / 8) as usize..)
@@ -487,89 +445,55 @@ impl<'a> Decoder<'a> {
         Ok(r)
     }
 
-    /// Decodes `blocks` from `r`, which must stand at the first bit of
-    /// the first one, and hands each block's origin and values to `place`;
-    /// leaves `r` behind the last. The kernel is chosen here, once for
-    /// the run.
-    pub(crate) fn decode_blocks(
+    /// The blocks `blocks`, the first at payload bit `start`, as lanes.
+    pub(crate) fn lanes(&self, blocks: Range<usize>, start: u64) -> Result<codec::Lanes<'a>> {
+        let table = self.table.get(blocks.start * 4..blocks.end * 4).unwrap_or(&[]);
+        codec::Lanes::new(&self.reader_at(start)?, &self.coding, blocks, table)
+    }
+
+    /// Decodes `blocks`, the first at payload bit `start`, a group of
+    /// [`codec::LANES`] at a time, and hands each group's block origins and
+    /// values by x-row to `place`. The kernel is chosen here, once for the
+    /// run.
+    pub(crate) fn decode_groups(
         &self,
         blocks: Range<usize>,
-        r: &mut BitReader<'_>,
-        place: impl FnMut([usize; 3], &[f32]),
+        start: u64,
+        place: impl FnMut(&[[usize; 3]], &[codec::LaneRun]),
     ) -> Result<()> {
         match self.tiles.shape().ndim() {
-            1 => self.decode_typed::<4>(blocks, r, place),
-            2 => self.decode_typed::<16>(blocks, r, place),
-            _ => self.decode_typed::<64>(blocks, r, place),
+            1 => self.decode_typed::<4>(blocks, start, place),
+            2 => self.decode_typed::<16>(blocks, start, place),
+            _ => self.decode_typed::<64>(blocks, start, place),
         }
     }
 
     fn decode_typed<const N: usize>(
         &self,
         blocks: Range<usize>,
-        r: &mut BitReader<'_>,
-        mut place: impl FnMut([usize; 3], &[f32]),
+        start: u64,
+        mut place: impl FnMut(&[[usize; 3]], &[codec::LaneRun]),
     ) -> Result<()> {
-        let mut spans = self.spans(blocks.clone());
-        let mut vals = [0.0f32; N];
-        for (bi, origin) in blocks.clone().zip(self.tiles.origins(blocks)) {
-            let span = spans.next().unwrap_or(self.coding.maxbits);
-            let used = codec::decode_block(r, &self.coding, span, &mut vals)?;
-            if used != span {
-                return Err(Error::corrupt(format!(
-                    "block {bi} consumed {used} bits, expected {span}"
-                )));
-            }
-            place(origin, &vals);
+        let mut lanes = self.lanes(blocks.clone(), start)?;
+        let mut origins = self.tiles.origins(blocks);
+        let (mut rows, mut group) = ([[0.0f32; 4 * codec::LANES]; 16], [[0; 3]; codec::LANES]);
+        while let m @ 1.. = group.iter_mut().zip(origins.by_ref()).map(|(g, o)| *g = o).count() {
+            lanes.group::<N>(m, &mut rows[..N / 4])?;
+            place(&group[..m], &rows[..N / 4]);
         }
         Ok(())
     }
 
     /// Decodes `slab` — a run of blocks starting at payload bit `start` —
-    /// into `part`, the output values those blocks own: [`codec::LANES`] at
-    /// a time at a fixed rate, one by one otherwise.
+    /// into `part`, the output values those blocks own, [`codec::LANES`]
+    /// at a time in every mode.
     fn decode_slab(&self, slab: Slab, start: u64, part: &mut [f32]) -> Result<()> {
-        let mut r = self.reader_at(start)?;
-        if self.coding.fixed_rate {
-            return match self.tiles.shape().ndim() {
-                // The slab is the values of the run, four a block: no scatter.
-                1 => codec::decode_line(&mut r, &self.coding, part),
-                2 => self.decode_lanes::<16>(slab, &r, part),
-                _ => self.decode_lanes::<64>(slab, &r, part),
-            };
+        if self.tiles.shape().ndim() == 1 {
+            // The slab is the values of the run, four a block: no scatter.
+            return codec::decode_line(&mut self.lanes(slab.tiles, start)?, part);
         }
         let (ext, base) = (self.tiles.shape().extents(), slab.values.start);
-        self.decode_blocks(slab.tiles, &mut r, |origin, vals| {
-            scatter(vals, ext, origin, base, part)
-        })
-    }
-
-    /// Decodes the fixed-rate 2-D or 3-D blocks of `slab`, which start at
-    /// `r`, a group of [`codec::LANES`] at a time into `part`. A group's
-    /// blocks in one block row follow one another along x, so each of
-    /// their rows of values goes out as one copy, padding skipped.
-    fn decode_lanes<const N: usize>(&self, slab: Slab, r: &BitReader<'_>, part: &mut [f32]) -> Result<()> {
-        let ([nx, ny, nz], base) = (self.tiles.shape().extents(), slab.values.start);
-        let mut lanes = codec::Lanes::new(r, &self.coding, slab.tiles.len())?;
-        let mut origins = self.tiles.origins(slab.tiles);
-        let (mut rows, mut group) = ([[0.0f32; 4 * codec::LANES]; 16], [[0; 3]; codec::LANES]);
-        while let m @ 1.. = group.iter_mut().zip(origins.by_ref()).map(|(g, o)| *g = o).count() {
-            lanes.group::<N>(m, &mut rows[..N / 4]);
-            let mut first = 0;
-            while let Some(&[ox, oy, oz]) = group[..m].get(first) {
-                let run = group[first..m].iter().take_while(|o| o[1] == oy && o[2] == oz).count();
-                let width = (nx - ox).min(4 * run);
-                for (row, values) in rows[..N / 4].iter().enumerate() {
-                    let (y, z) = (oy + row % 4, oz + row / 4);
-                    if y < ny && z < nz {
-                        let at = ox + nx * (y + ny * z) - base;
-                        part[at..at + width].copy_from_slice(&values[4 * first..4 * first + width]);
-                    }
-                }
-                first += run;
-            }
-        }
-        Ok(())
+        self.decode_groups(slab.tiles, start, |group, rows| scatter(ext, group, rows, base, part))
     }
 }
 

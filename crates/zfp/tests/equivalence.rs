@@ -1,11 +1,12 @@
-//! Equivalence and metamorphic tests of the ZFP block kernel and the
+//! Equivalence and metamorphic tests of the ZFP block coder and the
 //! run-of-blocks driver.
 //!
 //! Two oracles, both code this crate used to ship, kept as test code. The
 //! *coder* oracle ([`reference`]) is the bit-at-a-time embedded coder; the
-//! kernel under test must produce its bytes, its bit counts, its decoded
-//! values and its reader position for every block size, value class, bit
-//! budget and plane count, and must agree with it on arbitrary bits. The
+//! lanes under test ([`EncodeLanes`], [`DecodeLanes`]) must produce its
+//! bytes, its bit counts and its decoded values for every block size,
+//! value class, bit budget and plane count — fixed rate and both
+//! variable-length modes — and must agree with it on arbitrary bits. The
 //! *driver* oracle is the per-block driver: one `BitWriter` per block
 //! spliced into the payload bit by bit, a clamp per gathered sample, one
 //! reader per decoded block and a bounds test per scattered sample, over
@@ -15,11 +16,10 @@
 //! extent and run-boundary block count, on any number of threads, and the
 //! traced device path must agree with both.
 //!
-//! The vector kernels — fixed-rate 1-D blocks coded [`LANES`] at a time,
-//! and the cast + lift of 2-D and 3-D blocks — run here at every
-//! [`Level`] this CPU has, through `cpu::at`, against the scalar coder
-//! and the per-axis lift they stand in for. Only a release build widens
-//! them; a debug build runs the same scalar code at every level.
+//! The lanes — [`LANES`] blocks coded and read side by side, and the lift
+//! across them — run here at every [`Level`] this CPU has, through
+//! `cpu::at`. Only a release build widens them; a debug build runs the
+//! same scalar code at every level.
 
 use foresight_util::bits::{BitReader, BitWriter};
 use foresight_util::cpu::{self, Level};
@@ -27,7 +27,7 @@ use foresight_util::crc::crc32;
 use foresight_util::Error;
 use gpu_sim::{Device, GpuSpec};
 use lossy_zfp::codec::{self, block_cells, BlockCoding, HEADER_BITS};
-use lossy_zfp::codec::{DecodeLanes, EncodeLanes, LaneRows, Stage, Unstage, LANES, ROWS};
+use lossy_zfp::codec::{DecodeLanes, EncodeLanes, LaneRows, LANES, ROWS};
 use lossy_zfp::gpu_exec::{compress_on, decompress_on};
 use lossy_zfp::{compress, decompress, Dims, ZfpConfig};
 use rayon::ThreadPoolBuilder;
@@ -234,67 +234,136 @@ fn value_classes<const N: usize>(seed: &mut u64) -> Vec<(&'static str, [f32; N])
     ]
 }
 
-/// Codes `values` with both coders behind a `phase`-bit prefix, decodes
-/// the result with both, and requires them to agree on everything a
-/// caller can observe.
-fn assert_block_equivalent<const N: usize>(what: &str, values: &[f32; N], c: &Coding, phase: u32) {
-    let kernel = c.kernel();
-    let ctx = || format!("{what}, N = {N}, {c:?}, phase {phase}");
-    let mut want = BitWriter::new();
-    let mut got = BitWriter::new();
-    for w in [&mut want, &mut got] {
-        w.write_bits(0x2D5A_96B4_C3E1_F078, phase);
-    }
-    let want_used = encode_block(values, c, &mut want).expect("finite block");
-    let got_used = codec::encode_block(values, &kernel, &mut got).expect("finite block");
-    assert_eq!(got_used, want_used, "bits written: {}", ctx());
-    assert_eq!(got.bit_len(), want.bit_len(), "writer position: {}", ctx());
-    // A marker behind the block shows the writer is left usable.
-    for w in [&mut want, &mut got] {
-        w.write_bits(0b1_0110_1001, 9);
-    }
-    let bytes = want.into_bytes();
-    assert!(got.into_bytes() == bytes, "bytes: {}", ctx());
+/// A group of [`LANES`] `N`-value blocks as the encoder's lanes take it:
+/// `blocks[l]` is lane `l`'s block, x fastest, all-zero blocks past them;
+/// row `r` of the result holds values `4r..4r + 4` of every block side by
+/// side.
+fn lane_runs<const N: usize>(blocks: &[&[f32]]) -> Vec<[f32; 4 * LANES]> {
+    (0..N / 4)
+        .map(|r| std::array::from_fn(|i| blocks.get(i / 4).map_or(0.0, |b| b[4 * r + i % 4])))
+        .collect()
+}
 
-    // The stored length, and the cap a caller without a table passes.
-    for budget in [want_used, c.maxbits] {
-        assert_decodes_equivalent::<N>(&bytes, phase, c, budget, &ctx);
+/// `blocks` (at most [`LANES`]) coded side by side under `c` by the
+/// driver's group coder, written back to back behind `phase` filler bits:
+/// the bytes and each code's bit length, or `None` with nothing written.
+fn lanes_code<const N: usize>(blocks: &[&[f32]], c: &Coding, phase: u32) -> (Vec<u8>, Vec<u32>) {
+    let (mut w, mut rows, mut lens) = (BitWriter::new(), [[0; LANES]; ROWS], Vec::new());
+    w.write_bits(0x2D5A_96B4_C3E1_F078, phase);
+    let coded = codec::encode_group::<N>(
+        &lane_runs::<N>(blocks),
+        blocks.len(),
+        &c.kernel(),
+        &mut rows,
+        &mut w.tail(),
+        |len| lens.push(len),
+    );
+    assert_eq!(coded, Some(()), "{c:?}");
+    (w.into_bytes(), lens)
+}
+
+/// The 64 bits of `bytes` from bit `at`, zero past their end.
+fn word(bytes: &[u8], at: u64) -> u64 {
+    let mut b = [0u8; 16];
+    b.iter_mut().zip(bytes.iter().skip((at / 8) as usize)).for_each(|(d, s)| *d = *s);
+    (u128::from_le_bytes(b) >> (at % 8)) as u64
+}
+
+/// Lane `l`'s code laid out as the lanes take it: the `budget` bits of
+/// `bytes` from bit `at`, zero past the budget.
+fn set_lane(rows: &mut LaneRows, l: usize, bytes: &[u8], at: u64, budget: u32) {
+    for (j, row) in rows.iter_mut().enumerate().take(ROWS - 1) {
+        let left = budget.saturating_sub(64 * j as u32);
+        row[l] = if left == 0 { 0 } else { word(bytes, at + 64 * j as u64) & u64::MAX >> (64 - left.min(64)) };
     }
 }
 
-/// Decodes the block at bit `phase` of `bytes` with both coders: the same
-/// values, bits consumed and reader position, or an error from both.
-fn assert_decodes_equivalent<const N: usize>(
+/// Blocks read in the lanes at `level`, lane `l` the `(start bit, budget)`
+/// `blocks[l]` of `bytes`, under `c`: each lane's bits read and values.
+fn lanes_read<const N: usize>(
     bytes: &[u8],
-    phase: u32,
+    blocks: &[(u64, u32)],
     c: &Coding,
-    budget: u32,
+    level: Level,
+) -> Option<Vec<(u32, Vec<f32>)>> {
+    let (mut rows, mut spans) = ([[0; LANES]; ROWS], [0; LANES]);
+    for (l, &(at, budget)) in blocks.iter().enumerate() {
+        set_lane(&mut rows, l, bytes, at, budget);
+        spans[l] = budget;
+    }
+    let mut out = vec![[f32::NAN; 4 * LANES]; N / 4];
+    let coding = c.kernel();
+    let used = cpu::at(level, DecodeLanes::<N> { rows: &rows, coding: &coding, spans: &spans, out: &mut out })?;
+    let values = |l: usize| (0..N).map(|i| out[i / 4][4 * l + i % 4]).collect();
+    Some((0..blocks.len()).map(|l| (used[l], values(l))).collect())
+}
+
+/// Codes the blocks of `classes` side by side in the lanes under `c`,
+/// behind a `phase`-bit prefix, and with the reference one by one; both
+/// must write the same bytes and lengths. Then both read every block back
+/// under its stored length and under the cap a caller without a table
+/// passes, and must agree on everything a caller can observe.
+fn assert_group_equivalent<const N: usize>(classes: &[(&str, [f32; N])], c: &Coding, phase: u32) {
+    let ctx = || format!("N = {N}, {c:?}, phase {phase}");
+    let blocks: Vec<&[f32]> = classes.iter().map(|(_, v)| &v[..]).collect();
+    let (got, got_lens) = lanes_code::<N>(&blocks, c, phase);
+    let mut want = BitWriter::new();
+    want.write_bits(0x2D5A_96B4_C3E1_F078, phase);
+    let want_lens: Vec<u32> =
+        blocks.iter().map(|b| encode_block(b, c, &mut want).expect("finite block")).collect();
+    assert_eq!(got_lens, want_lens, "bits written: {}", ctx());
+    let bytes = want.into_bytes();
+    assert!(got == bytes, "bytes: {}", ctx());
+    let starts = want_lens.iter().scan(phase as u64, |at, &len| {
+        *at += len as u64;
+        Some(*at - len as u64)
+    });
+    let starts: Vec<u64> = starts.collect();
+    for cap in [false, true] {
+        let lanes: Vec<(u64, u32)> = starts
+            .iter()
+            .zip(&want_lens)
+            .map(|(&at, &len)| (at, if cap { c.maxbits } else { len }))
+            .collect();
+        assert_reads_equivalent::<N>(&bytes, &lanes, c, cpu::level(), &ctx);
+    }
+}
+
+/// Reads the blocks `lanes` of `bytes` — a `(start bit, budget)` each, at
+/// most [`LANES`] — in the lanes and with the reference: the same values
+/// and bits consumed, or a refusal from both. A lane refuses a block whose
+/// header is longer than its budget; the driver refuses one that ends past
+/// the bytes it holds. At a fixed rate a block spans its whole budget.
+fn assert_reads_equivalent<const N: usize>(
+    bytes: &[u8],
+    lanes: &[(u64, u32)],
+    c: &Coding,
+    level: Level,
     ctx: &dyn Fn() -> String,
 ) {
-    let mut want_r = BitReader::new(bytes);
-    let mut got_r = BitReader::new(bytes);
-    want_r.read_bits(phase).unwrap();
-    got_r.read_bits(phase).unwrap();
-    let mut want = [f32::NAN; N];
-    let mut got = [f32::NAN; N];
-    let want_used = decode_block(&mut want_r, c, budget, &mut want);
-    let got_used = codec::decode_block(&mut got_r, &c.kernel(), budget, &mut got);
-    match (want_used, got_used) {
-        (Ok(w), Ok(g)) => {
-            assert_eq!(g, w, "bits consumed at budget {budget}: {}", ctx());
-            assert!(bits(&got) == bits(&want), "values at budget {budget}: {}", ctx());
-            assert_eq!(
-                got_r.remaining_bits(),
-                want_r.remaining_bits(),
-                "reader position at budget {budget}: {}",
-                ctx()
-            );
-            assert_eq!(got_r.read_bits(7).ok(), want_r.read_bits(7).ok(), "next bits: {}", ctx());
+    // At a fixed rate every lane's budget is the coding's.
+    let got = if !c.fixed_rate || lanes.iter().all(|&(_, b)| b == c.maxbits) {
+        lanes_read::<N>(bytes, lanes, c, level)
+    } else {
+        let one = |&(at, b): &(u64, u32)| lanes_read::<N>(bytes, &[(at, b)], &Coding { maxbits: b, ..*c }, level);
+        lanes.iter().map(one).collect::<Option<Vec<_>>>().map(|v| v.concat())
+    };
+    let got = got.expect("a level this CPU runs");
+    for (l, (&(at, budget), (used, values))) in lanes.iter().zip(got).enumerate() {
+        let mut r = BitReader::new(bytes);
+        r.skip_bits(at);
+        let mut want = vec![f32::NAN; N];
+        let span = if c.fixed_rate { budget } else { used };
+        let refused = used > budget || at + span as u64 > 8 * bytes.len() as u64;
+        match decode_block(&mut r, c, budget, &mut want) {
+            Ok(w) => {
+                assert!(!refused, "lane {l} refused what the reference reads: {}", ctx());
+                assert_eq!(span, w, "lane {l}: bits consumed at budget {budget}: {}", ctx());
+                assert!(bits(&values) == bits(&want), "lane {l}, values at budget {budget}: {}", ctx());
+            }
+            Err(Error::Corrupt(_)) => assert!(refused, "lane {l} read a block the reference refused: {}", ctx()),
+            Err(e) => panic!("lane {l}: reference {e} at budget {budget}: {}", ctx()),
         }
-        (Err(Error::Corrupt(_)), Err(Error::Corrupt(_))) => {
-            assert!(got.iter().all(|v| v.is_nan()), "values from a failed block: {}", ctx());
-        }
-        (w, g) => panic!("reference {w:?}, kernel {g:?} at budget {budget}: {}", ctx()),
     }
 }
 
@@ -323,10 +392,12 @@ fn coder_oracle<const N: usize>(budgets: impl Iterator<Item = u32> + Clone) {
             ..fixed
         });
         for c in std::iter::once(fixed).chain(variable) {
-            for (what, values) in &classes {
-                assert_block_equivalent(what, values, &c, phase % 64);
-                phase += 1;
-            }
+            // Every class in a lane of its own, the classes turned by one
+            // lane each time.
+            let turn = phase % classes.len();
+            let turned: Vec<_> = classes[turn..].iter().chain(&classes[..turn]).copied().collect();
+            assert_group_equivalent(&turned, &c, (phase % 64) as u32);
+            phase += 1;
         }
     }
 }
@@ -378,7 +449,7 @@ fn four_value_tables_equal_the_reference_plane_coder_entry_by_entry() {
 /// The prefix property the tables rest on: a block coded with no budget
 /// and cut after `bits` bits is the budgeted code, because verbatim bits,
 /// group tests and unary runs each stop exactly where the budget does.
-/// Held by the reference coder and by the kernel, for every value class
+/// Held by the reference coder and by the lanes, for every value class
 /// and every budget up to the cap.
 #[test]
 fn budgeted_code_is_the_unbudgeted_code_cut_at_the_budget() {
@@ -406,10 +477,9 @@ fn budgeted_code_is_the_unbudgeted_code_cut_at_the_budget() {
                 let used = encode_block(&values, &c, &mut by_reference).unwrap();
                 assert_eq!(used, full.min(budget), "{what}, N = {N}, budget {budget}");
                 assert!(by_reference.into_bytes() == want, "{what}, N = {N}, budget {budget}");
-                let mut by_kernel = BitWriter::new();
-                let used = codec::encode_block(&values, &c.kernel(), &mut by_kernel).unwrap();
-                assert_eq!(used, full.min(budget), "kernel: {what}, N = {N}, budget {budget}");
-                assert!(by_kernel.into_bytes() == want, "kernel: {what}, N = {N}, budget {budget}");
+                let (by_lanes, used) = lanes_code::<N>(&[&values], &c, 0);
+                assert_eq!(used, [full.min(budget)], "lanes: {what}, N = {N}, budget {budget}");
+                assert!(by_lanes == want, "lanes: {what}, N = {N}, budget {budget}");
             }
         }
     }
@@ -433,9 +503,9 @@ fn kernel_matches_the_bit_at_a_time_coder_on_64_value_blocks_at_a_dense_sample_o
     coder_oracle::<64>((10..=330).chain((331..cap).step_by(37)).chain([cap - 1, cap]));
 }
 
-/// Arbitrary bits are a stream too: whatever they hold, both decoders
-/// must read the same block from them or both refuse — including when the
-/// bits run out inside the block.
+/// Arbitrary bits are a stream too: whatever they hold, the lanes and the
+/// reference must read the same block from them or both refuse —
+/// including when the bits run out inside the block.
 #[test]
 fn kernel_and_reference_agree_on_arbitrary_bits() {
     fn check<const N: usize>(seed: &mut u64) {
@@ -459,7 +529,7 @@ fn kernel_and_reference_agree_on_arbitrary_bits() {
             let c = Coding { d, maxbits, fixed_rate: round % 2 == 0, planes };
             let phase = (xorshift(seed) % 8) as u32 * (round % 5 == 0) as u32;
             let ctx = || format!("round {round}, N = {N}, {c:?}, {len} bytes");
-            assert_decodes_equivalent::<N>(&bytes, phase, &c, maxbits, &ctx);
+            assert_reads_equivalent::<N>(&bytes, &[(phase as u64, maxbits)], &c, cpu::level(), &ctx);
         }
     }
     let mut seed = 0x0123_4567_89AB_CDEF;
@@ -468,10 +538,10 @@ fn kernel_and_reference_agree_on_arbitrary_bits() {
     check::<64>(&mut seed);
 }
 
-/// Any word is a 4-value block under any budget a word can hold: both
-/// decoders must read the same values from it or both refuse — budgets
-/// short of the header, budgets that cut every plane of every code, and
-/// the whole word. The table step sees each of them here.
+/// Any word is a 4-value block under any budget a word can hold: the
+/// lanes and the reference must read the same values from it or both
+/// refuse — budgets short of the header, budgets that cut every plane of
+/// every code, and the whole word. The table step sees each of them here.
 #[test]
 fn kernel_and_reference_agree_on_arbitrary_words_as_4_value_blocks_at_every_budget() {
     let mut seed = 0x9E37_79B9_7F4A_7C15u64;
@@ -486,13 +556,14 @@ fn kernel_and_reference_agree_on_arbitrary_words_as_4_value_blocks_at_every_budg
         let mut bytes = word.to_le_bytes().to_vec();
         bytes.extend_from_slice(&xorshift(&mut seed).to_le_bytes());
         let phase = (round % 4) * 3;
-        for budget in 1..=64 {
-            for fixed_rate in [false, true] {
-                for planes in [reference::Planes::Count(32), plane_settings()[round as usize % 40]]
-                {
-                    let c = Coding { d: 1, maxbits: budget, fixed_rate, planes };
-                    let ctx = || format!("word {word:#018x}, phase {phase}, {c:?}");
-                    assert_decodes_equivalent::<4>(&bytes, phase, &c, budget, &ctx);
+        for fixed_rate in [false, true] {
+            for planes in [reference::Planes::Count(32), plane_settings()[round as usize % 40]] {
+                // The same block under sixteen budgets at once, a lane each.
+                for budgets in (1..=64u32).collect::<Vec<_>>().chunks(LANES) {
+                    let c = Coding { d: 1, maxbits: budgets[0], fixed_rate, planes };
+                    let lanes: Vec<(u64, u32)> = budgets.iter().map(|&b| (phase as u64, b)).collect();
+                    let ctx = || format!("word {word:#018x}, phase {phase}, budgets {budgets:?}, {c:?}");
+                    assert_reads_equivalent::<4>(&bytes, &lanes, &c, cpu::level(), &ctx);
                 }
             }
         }
@@ -501,7 +572,7 @@ fn kernel_and_reference_agree_on_arbitrary_words_as_4_value_blocks_at_every_budg
 
 /// A 64-value block whose first coded plane is one unary run of every
 /// length, behind every reader phase: the run's one sits at each place
-/// inside and outside the decoder's 56-bit window, is implied at the last
+/// inside and outside a 56-bit window, is implied at the last
 /// coefficient, or is cut off by each budget.
 #[test]
 fn kernel_and_reference_agree_on_runs_around_the_peek_window() {
@@ -518,13 +589,14 @@ fn kernel_and_reference_agree_on_runs_around_the_peek_window() {
                 w.write_bits(xorshift(&mut seed) & xorshift(&mut seed), 64);
             }
             let bytes = w.into_bytes();
-            let budgets = (10..=80).chain([200, 512, 9 + 32 * 66]);
-            for maxbits in budgets {
+            let budgets: Vec<u32> = (10..=80).chain([200, 512, 9 + 32 * 66]).collect();
+            for budgets in budgets.chunks(LANES) {
                 for fixed_rate in [false, true] {
                     let planes = reference::Planes::Count(32);
-                    let c = Coding { d: 3, maxbits, fixed_rate, planes };
-                    let ctx = || format!("{zeros} zeros, phase {phase}, {c:?}");
-                    assert_decodes_equivalent::<64>(&bytes, phase, &c, maxbits, &ctx);
+                    let c = Coding { d: 3, maxbits: budgets[0], fixed_rate, planes };
+                    let lanes: Vec<(u64, u32)> = budgets.iter().map(|&b| (phase as u64, b)).collect();
+                    let ctx = || format!("{zeros} zeros, phase {phase}, budgets {budgets:?}, {c:?}");
+                    assert_reads_equivalent::<64>(&bytes, &lanes, &c, cpu::level(), &ctx);
                 }
             }
         }
@@ -735,17 +807,12 @@ fn rate_coding(maxbits: u32) -> Coding {
     Coding { d: 1, maxbits, fixed_rate: true, planes: reference::Planes::Count(32) }
 }
 
-/// Block `l` of `values`, coded by the scalar kernel and by the reference
-/// coder — they must agree — as the word the lanes leave for it.
-fn scalar_word(values: &[f32; 4 * LANES], l: usize, c: &Coding) -> u64 {
-    let block: [f32; 4] = values[4 * l..4 * l + 4].try_into().unwrap();
-    let mut by_kernel = BitWriter::new();
-    assert_eq!(codec::encode_block(&block, &c.kernel(), &mut by_kernel), Some(c.maxbits));
-    let mut by_reference = BitWriter::new();
-    assert_eq!(encode_block(&block, c, &mut by_reference), Some(c.maxbits));
-    let bytes = by_kernel.into_bytes();
-    assert!(bytes == by_reference.into_bytes(), "lane {l}, {c:?}");
-    BitReader::new(&bytes).take_bits(c.maxbits)
+/// Block `l` of `values`, coded by the reference coder, as the word the
+/// lanes leave for it.
+fn reference_word(values: &[f32; 4 * LANES], l: usize, c: &Coding) -> u64 {
+    let mut w = BitWriter::new();
+    assert_eq!(encode_block(&values[4 * l..4 * l + 4], c, &mut w), Some(c.maxbits));
+    BitReader::new(&w.into_bytes()).take_bits(c.maxbits)
 }
 
 /// Codes of at most 64 bits laid out as the lanes take them: one word a
@@ -756,37 +823,41 @@ fn one_word_rows(words: &[u64; LANES]) -> LaneRows {
     rows
 }
 
-/// Block `l` of `words` read by the scalar kernel.
-fn scalar_values(words: &[u64; LANES], l: usize, c: &Coding) -> [f32; 4] {
+/// Block `l` of `words` read by the reference reader.
+fn reference_values(words: &[u64; LANES], l: usize, c: &Coding) -> [f32; 4] {
     let bytes = words[l].to_le_bytes();
     let mut out = [f32::NAN; 4];
-    let used = codec::decode_block(&mut BitReader::new(&bytes), &c.kernel(), c.maxbits, &mut out);
+    let used = decode_block(&mut BitReader::new(&bytes), c, c.maxbits, &mut out);
     assert_eq!(used.unwrap(), c.maxbits, "lane {l}, word {:#x}", words[l]);
     out
 }
 
-/// The lanes code every group as the scalar coder codes its blocks one
-/// by one, at every fixed-rate budget a word holds and at every level,
-/// and read those words back to the scalar decoder's values.
+/// The lanes code every group as the reference codes its blocks one by
+/// one, at every fixed-rate budget a word holds and at every level, and
+/// read those words back to the reference's values.
 #[test]
 fn lanes_code_and_read_like_the_scalar_coder_at_every_level_and_budget() {
     let mut seed = 0x5851_F42D_4C95_7F2Du64;
     let groups = lane_groups(&mut seed);
     for maxbits in HEADER_BITS + 1..=64 {
         let c = rate_coding(maxbits);
+        let coding = c.kernel();
         for (what, values) in &groups {
-            let want: [u64; LANES] = std::array::from_fn(|l| scalar_word(values, l, &c));
+            let want: [u64; LANES] = std::array::from_fn(|l| reference_word(values, l, &c));
             let want_values: Vec<u32> =
-                (0..LANES).flat_map(|l| bits(&scalar_values(&want, l, &c))).collect();
+                (0..LANES).flat_map(|l| bits(&reference_values(&want, l, &c))).collect();
             for level in levels() {
                 let (mut rows, values) = ([[0u64; LANES]; ROWS], std::slice::from_ref(values));
-                let coded = cpu::at(level, EncodeLanes::<4> { values, maxbits, rows: &mut rows });
-                assert_eq!(coded, Some(Some(())), "{what}, {maxbits} bits, {level:?}");
+                let coded =
+                    cpu::at(level, EncodeLanes::<4> { values, coding: &coding, rows: &mut rows });
+                let lens = coded.flatten().unwrap_or_else(|| panic!("{what}, {maxbits} bits, {level:?}"));
+                assert!(lens.iter().all(|&len| len <= maxbits), "{what}, {maxbits} bits, {level:?}");
                 let words = rows[0];
                 assert_eq!(words, want, "{what}, {maxbits} bits, {level:?}: words");
-                let mut out = [[f32::NAN; 4 * LANES]];
-                let rows = one_word_rows(&words);
-                cpu::at(level, DecodeLanes::<4> { rows: &rows, maxbits, out: &mut out }).unwrap();
+                let (mut out, rows) = ([[f32::NAN; 4 * LANES]], one_word_rows(&words));
+                let spans = [maxbits; LANES];
+                let read = DecodeLanes::<4> { rows: &rows, coding: &coding, spans: &spans, out: &mut out };
+                cpu::at(level, read).unwrap();
                 assert!(bits(&out[0]) == want_values, "{what}, {maxbits} bits, {level:?}: values");
             }
         }
@@ -796,12 +867,13 @@ fn lanes_code_and_read_like_the_scalar_coder_at_every_level_and_budget() {
 /// Any word is a fixed-rate block: random, sparse and dense words, and
 /// hostile headers — the smallest and largest exponents, runs of empty
 /// planes up to and past the budget — decode in the lanes, at every
-/// level, to exactly what the scalar reader makes of each word.
+/// level, to exactly what the reference reader makes of each word.
 #[test]
 fn lanes_read_arbitrary_words_like_the_scalar_reader_at_every_level() {
     let mut seed = 0x2545_F491_4F6C_DD1Du64;
     for maxbits in HEADER_BITS + 1..=64 {
         let c = rate_coding(maxbits);
+        let (coding, spans) = (c.kernel(), [maxbits; LANES]);
         let budget = if maxbits == 64 { u64::MAX } else { (1 << maxbits) - 1 };
         for round in 0..24 {
             let words: [u64; LANES] = std::array::from_fn(|l| {
@@ -816,11 +888,11 @@ fn lanes_read_arbitrary_words_like_the_scalar_reader_at_every_level() {
                 w & budget
             });
             let want: Vec<u32> =
-                (0..LANES).flat_map(|l| bits(&scalar_values(&words, l, &c))).collect();
+                (0..LANES).flat_map(|l| bits(&reference_values(&words, l, &c))).collect();
             for level in levels() {
-                let mut out = [[f32::NAN; 4 * LANES]];
-                let rows = one_word_rows(&words);
-                cpu::at(level, DecodeLanes::<4> { rows: &rows, maxbits, out: &mut out }).unwrap();
+                let (mut out, rows) = ([[f32::NAN; 4 * LANES]], one_word_rows(&words));
+                let read = DecodeLanes::<4> { rows: &rows, coding: &coding, spans: &spans, out: &mut out };
+                cpu::at(level, read).unwrap();
                 assert!(
                     bits(&out[0]) == want,
                     "{maxbits} bits, round {round}, {level:?}: {words:#x?}"
@@ -832,7 +904,7 @@ fn lanes_read_arbitrary_words_like_the_scalar_reader_at_every_level() {
 
 /// A NaN or an infinity anywhere in a group refuses the whole group: the
 /// kernel leaves every word as it was, and the line coder writes nothing
-/// of that group — at every level.
+/// of that group — at every level, in every mode.
 #[test]
 fn a_non_finite_value_in_any_lane_refuses_its_group_and_writes_nothing() {
     let mut seed = 0x9E37_79B9_7F4A_7C15u64;
@@ -846,8 +918,7 @@ fn a_non_finite_value_in_any_lane_refuses_its_group_and_writes_nothing() {
                 values[at] = bad;
                 let mut rows = [[0x5A5A_A5A5_C3C3_3C3C; LANES]; ROWS];
                 let values = std::slice::from_ref(&values);
-                let coded =
-                    cpu::at(level, EncodeLanes::<4> { values, maxbits: 32, rows: &mut rows });
+                let coded = cpu::at(level, EncodeLanes::<4> { values, coding: &c, rows: &mut rows });
                 assert_eq!(coded, Some(None), "{bad} at {at}, {level:?}");
                 assert_eq!(
                     rows, [[0x5A5A_A5A5_C3C3_3C3C; LANES]; ROWS],
@@ -858,6 +929,7 @@ fn a_non_finite_value_in_any_lane_refuses_its_group_and_writes_nothing() {
     }
     // Through the line coder: the groups before the bad one are written,
     // nothing of it or after it.
+    let precision = BlockCoding::new(&lossy_zfp::ZfpMode::FixedPrecision(16), 1);
     for bad_group in 0..3 {
         let mut line = field(3 * 4 * LANES + 5, 9);
         line[bad_group * 4 * LANES + 17] = f32::NAN;
@@ -866,56 +938,63 @@ fn a_non_finite_value_in_any_lane_refuses_its_group_and_writes_nothing() {
         assert_eq!(codec::encode_line(&line, &c, &mut w, |_| coded += 1), None);
         assert_eq!(coded, bad_group * LANES, "group {bad_group}");
         assert_eq!(w.bit_len(), (bad_group * LANES) as u64 * 32, "group {bad_group}");
+        let (mut w, mut written) = (BitWriter::new(), 0);
+        assert_eq!(codec::encode_line(&line, &precision, &mut w, |len| written += len as u64), None);
+        assert_eq!(w.bit_len(), written, "group {bad_group}, precision");
     }
 }
 
-/// The cast, transform, reorder and negabinary of a 2-D or 3-D block,
-/// one kernel at every level, against the f64 cast, the per-axis lift
-/// that ran a line at a time, and the reference's reorder — and the
-/// mirror of each on decode, from arbitrary coefficient bytes.
+/// A kernel that lifts `L` blocks side by side, forward or back.
+struct Lift<'a, const N: usize>(&'a mut [[i32; LANES]; N], bool);
+
+impl<const N: usize> cpu::Kernel for Lift<'_, N> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        lossy_zfp::lift::xform_lanes(self.0, self.1);
+    }
+}
+
+/// The transform of 2-D and 3-D blocks across the lanes, at every level,
+/// against the per-axis lift that ran a line at a time, both ways, on the
+/// cast of every value class and on arbitrary coefficients.
 #[test]
 fn staging_equals_the_per_axis_lift_at_every_level() {
     fn check<const N: usize>(seed: &mut u64) {
         let d = N.ilog(4) as u8;
-        let perm = reference::perm(d);
-        for (what, values) in value_classes::<N>(seed) {
-            let top = values.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-            let emax = if top == 0.0 { 0 } else { reference::exponent(top).clamp(-127, 128) };
-            let mut q: Vec<i32> = values
-                .iter()
-                .map(|&v| (v as f64 * reference::f64_pow2(30 - emax)) as i32)
-                .collect();
-            reference::old_lift::fwd_xform(&mut q, d);
-            let u: Vec<u32> =
-                perm.iter().map(|&p| lossy_zfp::lift::int2uint(q[p as usize])).collect();
-            let want: [[u8; N]; 4] =
-                std::array::from_fn(|g| std::array::from_fn(|i| (u[i] >> (8 * g)) as u8));
-            let any = u.iter().fold(0, |a, &x| a | x);
-            for level in levels() {
-                let mut rows = [[0u8; N]; 4];
-                let got = cpu::at(level, Stage { values: &values, emax, rows: &mut rows }).unwrap();
-                assert_eq!(got, any, "{what}, N = {N}, {level:?}");
-                assert!(rows == want, "{what}, N = {N}, {level:?}: rows");
-            }
+        let mut blocks: Vec<Vec<i32>> = value_classes::<N>(seed)
+            .iter()
+            .map(|(_, values)| {
+                let top = values.iter().fold(0.0f32, |m, v| m.max(v.abs()));
+                let emax = if top == 0.0 { 0 } else { reference::exponent(top).clamp(-127, 128) };
+                values.iter().map(|&v| (v as f64 * reference::f64_pow2(30 - emax)) as i32).collect()
+            })
+            .collect();
+        while blocks.len() < 200 {
+            blocks.push((0..N).map(|_| (xorshift(seed) as i32) >> 2).collect());
         }
-        for round in 0..200 {
-            let rows: [[u8; N]; 4] =
-                std::array::from_fn(|_| std::array::from_fn(|_| xorshift(seed) as u8));
-            let emax = (xorshift(seed) % 256) as i32 - 127;
-            let mut q = vec![0i32; N];
-            for (i, &p) in perm.iter().enumerate() {
-                let u = u32::from_le_bytes([rows[0][i], rows[1][i], rows[2][i], rows[3][i]]);
-                q[p as usize] = lossy_zfp::lift::uint2int(u);
-            }
-            reference::old_lift::inv_xform(&mut q, d);
-            let want: Vec<u32> = q
-                .iter()
-                .map(|&qi| ((qi as f64 * reference::f64_pow2(emax - 30)) as f32).to_bits())
-                .collect();
-            for level in levels() {
-                let mut out = [f32::NAN; N];
-                cpu::at(level, Unstage { emax, rows: &rows, out: &mut out }).unwrap();
-                assert!(bits(&out) == want, "round {round}, N = {N}, {level:?}");
+        for (round, group) in blocks.chunks(LANES).enumerate() {
+            for forward in [true, false] {
+                let mut want: Vec<Vec<i32>> = group.to_vec();
+                for q in &mut want {
+                    if forward {
+                        reference::old_lift::fwd_xform(q, d);
+                    } else {
+                        reference::old_lift::inv_xform(q, d);
+                    }
+                }
+                for level in levels() {
+                    let mut q = [[0i32; LANES]; N];
+                    for (l, block) in group.iter().enumerate() {
+                        (0..N).for_each(|i| q[i][l] = block[i]);
+                    }
+                    cpu::at(level, Lift(&mut q, forward)).unwrap();
+                    for (l, want) in want.iter().enumerate() {
+                        let got: Vec<i32> = (0..N).map(|i| q[i][l]).collect();
+                        assert!(got == *want, "round {round}, lane {l}, N = {N}, {forward}, {level:?}");
+                    }
+                }
             }
         }
     }
@@ -930,17 +1009,14 @@ fn rows_of(codes: &[Vec<u8>], maxbits: u32) -> LaneRows {
     assert!(codes.len() <= LANES && maxbits as usize <= 64 * (ROWS - 1));
     let mut rows = [[0; LANES]; ROWS];
     for (l, code) in codes.iter().enumerate() {
-        let mut r = BitReader::new(code);
-        for (j, row) in rows.iter_mut().enumerate().take(maxbits.div_ceil(64) as usize) {
-            row[l] = r.take_bits((maxbits - 64 * j as u32).min(64));
-        }
+        set_lane(&mut rows, l, code, 0, maxbits);
     }
     rows
 }
 
 /// Reads `codes` — a group of fixed-rate `N`-value blocks, all-zero
 /// blocks past them — in the lanes at every level, and requires each
-/// block's values to be the scalar `decode_block::<N>`'s, bit for bit.
+/// block's values to be the reference's, bit for bit.
 fn assert_lanes_read_like_the_scalar_reader<const N: usize>(
     codes: &[Vec<u8>],
     maxbits: u32,
@@ -949,19 +1025,20 @@ fn assert_lanes_read_like_the_scalar_reader<const N: usize>(
     let d = N.ilog(4) as u8;
     let c = Coding { d, maxbits, fixed_rate: true, planes: reference::Planes::Count(32) };
     let zero = vec![0u8; maxbits.div_ceil(8) as usize];
-    let want: Vec<[f32; N]> = (0..LANES)
+    let want: Vec<Vec<f32>> = (0..LANES)
         .map(|l| {
-            let mut out = [f32::NAN; N];
+            let mut out = vec![f32::NAN; N];
             let code = codes.get(l).unwrap_or(&zero);
-            let used = codec::decode_block(&mut BitReader::new(code), &c.kernel(), maxbits, &mut out);
+            let used = decode_block(&mut BitReader::new(code), &c, maxbits, &mut out);
             assert_eq!(used.unwrap(), maxbits, "lane {l}: {}", what());
             out
         })
         .collect();
-    let rows = rows_of(codes, maxbits);
+    let (rows, coding, spans) = (rows_of(codes, maxbits), c.kernel(), [maxbits; LANES]);
     for level in levels() {
         let mut out = vec![[f32::NAN; 4 * LANES]; N / 4];
-        cpu::at(level, DecodeLanes::<N> { rows: &rows, maxbits, out: &mut out }).unwrap();
+        let read = DecodeLanes::<N> { rows: &rows, coding: &coding, spans: &spans, out: &mut out };
+        cpu::at(level, read).unwrap();
         for (l, want) in want.iter().enumerate() {
             let got: Vec<f32> = (0..N).map(|i| out[i / 4][4 * l + i % 4]).collect();
             assert!(bits(&got) == bits(want), "lane {l}, {level:?}: {}", what());
@@ -969,18 +1046,17 @@ fn assert_lanes_read_like_the_scalar_reader<const N: usize>(
     }
 }
 
-/// The fixed-rate code of `block`, as the scalar kernel writes it.
+/// The fixed-rate code of `block`, as the reference writes it.
 fn code_of<const N: usize>(block: &[f32], maxbits: u32) -> Vec<u8> {
     let d = N.ilog(4) as u8;
     let c = Coding { d, maxbits, fixed_rate: true, planes: reference::Planes::Count(32) };
-    let block: &[f32; N] = block.try_into().unwrap();
     let mut w = BitWriter::new();
-    assert_eq!(codec::encode_block(block, &c.kernel(), &mut w), Some(maxbits));
+    assert_eq!(encode_block(block, &c, &mut w), Some(maxbits));
     w.into_bytes()
 }
 
 /// 16- and 64-value blocks (and 4-value blocks past one word) read in
-/// the lanes as the scalar reader reads them, at every level, at every
+/// the lanes as the reference reads them, at every level, at every
 /// fixed-rate budget from 10 to 1 024 bits — all a 2-D config can ask
 /// for, and the 3-D ones up to rate 16, whole words or not — on groups
 /// that mix the fifteen value classes across the lanes, and at a spread
@@ -1084,40 +1160,12 @@ fn lanes_read_arbitrary_and_hostile_codes_like_the_scalar_reader_at_every_level(
     check::<4>(65..=200, &mut seed);
 }
 
-/// The scalar per-block decode the lanes stand in for: each block of a
-/// fixed-rate stream through `decode_block::<N>` and scattered, no lanes.
-fn scalar_decompress(stream: &[u8]) -> Vec<f32> {
-    fn run<const N: usize>(stream: &[u8], dims: Dims, c: &codec::BlockCoding) -> Vec<f32> {
-        let [nx, ny, nz] = dims.extents();
-        let mut r = BitReader::new(&stream[64..]);
-        let mut out = vec![0.0f32; dims.len()];
-        for o in block_origins(dims) {
-            let mut vals = [f32::NAN; N];
-            assert_eq!(codec::decode_block(&mut r, c, c.maxbits, &mut vals).unwrap(), c.maxbits);
-            for (v, (dx, dy, dz)) in vals.iter().zip(cells(dims.ndim())) {
-                let (x, y, z) = (o[0] + dx, o[1] + dy, o[2] + dz);
-                if x < nx && y < ny && z < nz {
-                    out[x + nx * (y + ny * z)] = *v;
-                }
-            }
-        }
-        out
-    }
-    let info = lossy_zfp::info(stream).unwrap();
-    let c = codec::BlockCoding::new(&info.mode, info.dims.ndim());
-    assert!(c.fixed_rate);
-    match info.dims.ndim() {
-        1 => run::<4>(stream, info.dims, &c),
-        2 => run::<16>(stream, info.dims, &c),
-        _ => run::<64>(stream, info.dims, &c),
-    }
-}
-
-/// Through `decompress`: fixed-rate 2-D and 3-D streams whose last group
-/// of lanes is partial, whose extents are not multiples of 4 and whose
-/// blocks are not whole bytes or words, read on 1, 2 and 4 threads to
-/// the scalar per-block decode's values; and every range of block layers
-/// reads to its slice of them.
+/// Through `decompress`: 2-D and 3-D streams in every mode — fixed-rate
+/// ones whose last group of lanes is partial, whose extents are not
+/// multiples of 4 and whose blocks are not whole bytes or words, and
+/// variable-length ones — read on 1, 2 and 4 threads to the per-block
+/// oracle's values; and every range of block layers reads to its slice of
+/// them.
 #[test]
 fn lanes_decode_streams_and_every_layer_range_like_the_scalar_reader_on_any_thread_count() {
     let shapes = [
@@ -1130,33 +1178,30 @@ fn lanes_decode_streams_and_every_layer_range_like_the_scalar_reader_on_any_thre
         Dims::D3(5, 1, 30),
         Dims::D3(66, 3, 4),
     ];
-    for dims in shapes {
-        let data = field(dims.len(), 0x3C6E_F372);
-        let tiles = foresight_util::Tiles::cubes(dims, 4).unwrap();
-        for rate in [0.7, 2.5, 4.0, 5.5, 8.0, 16.0, 33.0] {
-            let stream = compress(&data, dims, &ZfpConfig::rate(rate)).unwrap();
-            let want = bits(&scalar_decompress(&stream));
+    let configs = [0.7, 2.5, 4.0, 5.5, 8.0, 16.0, 33.0]
+        .map(ZfpConfig::rate)
+        .into_iter()
+        .chain([ZfpConfig::precision(12), ZfpConfig::accuracy(1e-3), ZfpConfig::accuracy(30.0)]);
+    for cfg in configs {
+        for dims in shapes {
+            let data = field(dims.len(), 0x3C6E_F372);
+            let tiles = foresight_util::Tiles::cubes(dims, 4).unwrap();
+            let stream = compress(&data, dims, &cfg).unwrap();
+            let want = bits(&oracle_decompress(&stream, dims, &cfg));
             for threads in [1, 2, 4] {
                 let got = on_threads(threads, || decompress(&stream).unwrap().0);
-                assert!(bits(&got) == want, "{dims:?} rate {rate}, {threads} threads");
+                assert!(bits(&got) == want, "{dims:?} {:?}, {threads} threads", cfg.mode);
             }
             let n = tiles.layer_count();
             for a in 0..n {
                 for b in a + 1..=n {
                     let got = lossy_zfp::decompress_layers(&stream, a..b).unwrap().0;
                     let slice = &want[tiles.layers(a..b).values];
-                    assert!(bits(&got) == slice, "{dims:?} rate {rate}, layers {a}..{b}");
+                    assert!(bits(&got) == slice, "{dims:?} {:?}, layers {a}..{b}", cfg.mode);
                 }
             }
         }
     }
-}
-
-/// A group of [`LANES`] `N`-value blocks as the encoder's lanes take it:
-/// `blocks[l]` is lane `l`'s block, x fastest; row `r` of the result holds
-/// values `4r..4r + 4` of every block side by side.
-fn lane_runs<const N: usize>(blocks: &[&[f32]]) -> Vec<[f32; 4 * LANES]> {
-    (0..N / 4).map(|r| std::array::from_fn(|i| blocks[i / 4][4 * r + i % 4])).collect()
 }
 
 /// The first `maxbits` bits of lane `l`'s code in `rows`, a word at a
@@ -1167,58 +1212,66 @@ fn lane_code(rows: &LaneRows, l: usize, maxbits: u32) -> Vec<u64> {
         .collect()
 }
 
-/// The reference coder's fixed-rate code of `block`, a word at a time.
-fn reference_code(block: &[f32], d: u8, maxbits: u32) -> Vec<u64> {
-    let c = Coding { d, maxbits, fixed_rate: true, planes: reference::Planes::Count(32) };
+/// The reference coder's code of `block` under `c`, a word at a time, and
+/// its length.
+fn reference_code(block: &[f32], c: &Coding) -> (Vec<u64>, u32) {
     let mut w = BitWriter::new();
-    assert_eq!(encode_block(block, &c, &mut w), Some(maxbits));
+    let len = encode_block(block, c, &mut w).unwrap();
     let bytes = w.into_bytes();
     let mut r = BitReader::new(&bytes);
-    (0..maxbits.div_ceil(64)).map(|j| r.take_bits((maxbits - 64 * j).min(64))).collect()
+    ((0..len.div_ceil(64)).map(|j| r.take_bits((len - 64 * j).min(64))).collect(), len)
 }
 
 /// The encoder's lanes code 16- and 64-value blocks (and 4-value blocks
 /// past one word) as the bit-at-a-time reference coder codes each of
-/// them, at every level, at every fixed-rate budget from 10 to 1 024
-/// bits: on groups that mix the fifteen value classes across the lanes,
-/// and at a spread of budgets on groups of one class each.
+/// them, at every level: at every fixed-rate budget from 10 to 1 024 bits,
+/// and at fixed precisions and accuracies, whose lanes stop at planes of
+/// their own; on groups that mix the fifteen value classes across the
+/// lanes, and at a spread of budgets on groups of one class each.
 #[test]
 fn lanes_encode_16_and_64_value_blocks_like_the_scalar_coder_at_every_level_and_budget() {
     fn check<const N: usize>(budgets: impl Iterator<Item = u32>, seed: &mut u64) {
         let d = N.ilog(4) as u8;
         let classes = lane_values(seed, N);
         let block = |class: usize, l: usize| &classes[class % 15].1[N * l..N * l + N];
-        for maxbits in budgets {
+        let rate = |maxbits| Coding { d, maxbits, fixed_rate: true, planes: reference::Planes::Count(32) };
+        let cap = Coding::new(&lossy_zfp::ZfpMode::FixedPrecision(32), d).maxbits;
+        let variable = plane_settings().into_iter().map(|planes| Coding {
+            d,
+            maxbits: cap,
+            fixed_rate: false,
+            planes,
+        });
+        for c in budgets.map(rate).chain(variable) {
             let mut groups: Vec<(String, Vec<&[f32]>)> = [0, 7]
                 .iter()
                 .map(|turn| {
                     let blocks =
-                        (0..LANES).map(|l| block(l + turn + maxbits as usize, l)).collect();
+                        (0..LANES).map(|l| block(l + turn + c.maxbits as usize, l)).collect();
                     (format!("mixed classes, turn {turn}"), blocks)
                 })
                 .collect();
-            if maxbits % 61 == 10 || [64, 65, 128, 256, 512, 1024].contains(&maxbits) {
+            let spread = c.maxbits % 61 == 10 || [64, 65, 128, 256, 512, 1024].contains(&c.maxbits);
+            if spread || !c.fixed_rate {
                 for (class, (name, _)) in classes.iter().enumerate() {
                     groups.push((name.to_string(), (0..LANES).map(|l| block(class, l)).collect()));
                 }
             }
+            let coding = c.kernel();
             for (what, blocks) in &groups {
-                let want: Vec<Vec<u64>> =
-                    blocks.iter().map(|b| reference_code(b, d, maxbits)).collect();
+                let want: Vec<(Vec<u64>, u32)> = blocks.iter().map(|b| reference_code(b, &c)).collect();
                 let values = lane_runs::<N>(blocks);
                 for level in levels() {
                     let mut rows = [[0x5A5A_A5A5_C3C3_3C3C; LANES]; ROWS];
-                    let coded = cpu::at(
-                        level,
-                        EncodeLanes::<N> { values: &values, maxbits, rows: &mut rows },
-                    );
-                    assert_eq!(coded, Some(Some(())), "{what}, N = {N}, {maxbits} bits, {level:?}");
-                    for (l, want) in want.iter().enumerate() {
-                        let got = lane_code(&rows, l, maxbits);
-                        assert!(
-                            got == *want,
-                            "{what}, N = {N}, {maxbits} bits, lane {l}, {level:?}"
-                        );
+                    let kernel = EncodeLanes::<N> { values: &values, coding: &coding, rows: &mut rows };
+                    let lens = cpu::at(level, kernel).unwrap();
+                    let lens = lens.unwrap_or_else(|| panic!("{what}, N = {N}, {c:?}, {level:?}"));
+                    for (l, (want, len)) in want.iter().enumerate() {
+                        let got = lane_code(&rows, l, *len);
+                        let ctx = || format!("{what}, N = {N}, {c:?}, lane {l}, {level:?}");
+                        // A fixed-rate code is padded to its budget.
+                        assert!(lens[l] == *len || c.fixed_rate && lens[l] < *len, "{}", ctx());
+                        assert!(got == *want, "{}", ctx());
                     }
                 }
             }
@@ -1233,10 +1286,11 @@ fn lanes_encode_16_and_64_value_blocks_like_the_scalar_coder_at_every_level_and_
 /// A NaN or an infinity in any single lane refuses the group at every
 /// level, the rows left as they were; through `encode_group` the writer
 /// is left untouched; and through `compress` the error is the typed one,
-/// naming the first such index, wherever in a group it sits.
+/// naming the first such index, wherever in a group it sits — in every
+/// mode.
 #[test]
 fn lanes_refuse_a_non_finite_value_in_any_single_lane_and_leave_the_writer_untouched() {
-    fn check<const N: usize>(maxbits: u32, seed: &mut u64) {
+    fn check<const N: usize>(c: &BlockCoding, seed: &mut u64) {
         let unit = |s: &mut u64| (xorshift(s) >> 40) as f32 / (1 << 24) as f32 - 0.5;
         for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
             for l in 0..LANES {
@@ -1245,13 +1299,11 @@ fn lanes_refuse_a_non_finite_value_in_any_single_lane_and_leave_the_writer_untou
                 blocks[l][(l * 7 + 3) % N] = bad;
                 let refs: Vec<&[f32]> = blocks.iter().map(|b| &b[..]).collect();
                 let values = lane_runs::<N>(&refs);
-                let what = format!("{bad} in lane {l}, N = {N}, {maxbits} bits");
+                let what = format!("{bad} in lane {l}, N = {N}, {c:?}");
                 for level in levels() {
                     let mut rows = [[0x5A5A_A5A5_C3C3_3C3C; LANES]; ROWS];
-                    let coded = cpu::at(
-                        level,
-                        EncodeLanes::<N> { values: &values, maxbits, rows: &mut rows },
-                    );
+                    let coded =
+                        cpu::at(level, EncodeLanes::<N> { values: &values, coding: c, rows: &mut rows });
                     assert_eq!(coded, Some(None), "{what}, {level:?}");
                     assert!(
                         rows == [[0x5A5A_A5A5_C3C3_3C3C; LANES]; ROWS],
@@ -1260,18 +1312,20 @@ fn lanes_refuse_a_non_finite_value_in_any_single_lane_and_leave_the_writer_untou
                 }
                 let (mut w, mut rows) = (BitWriter::new(), [[0; LANES]; ROWS]);
                 w.write_bits(0b101, 3);
-                let coded =
-                    codec::encode_group::<N>(&values, LANES, maxbits, &mut rows, &mut w.tail());
+                let coded = codec::encode_group::<N>(&values, LANES, c, &mut rows, &mut w.tail(), |_| ());
                 assert_eq!(coded, None, "{what}");
                 assert_eq!(w.bit_len(), 3, "{what}: writer");
             }
         }
     }
     let mut seed = 0x510E_527F_ADE6_82D1u64;
-    check::<16>(64, &mut seed);
-    check::<64>(256, &mut seed);
-    check::<64>(1000, &mut seed);
-    check::<4>(80, &mut seed);
+    let rate = |d: u8, maxbits: u32| BlockCoding::new(&lossy_zfp::ZfpMode::FixedRate(maxbits as f64 / 4f64.powi(d as i32)), d);
+    check::<16>(&rate(2, 64), &mut seed);
+    check::<64>(&rate(3, 256), &mut seed);
+    check::<64>(&rate(3, 1000), &mut seed);
+    check::<4>(&rate(1, 80), &mut seed);
+    check::<64>(&BlockCoding::new(&lossy_zfp::ZfpMode::FixedAccuracy(1e-3), 3), &mut seed);
+    check::<4>(&BlockCoding::new(&lossy_zfp::ZfpMode::FixedPrecision(16), 1), &mut seed);
     // Through the driver: the bad value in each lane of the first group,
     // whose blocks span block rows (and, in 3-D, block layers).
     for dims in [Dims::D3(9, 5, 6), Dims::D2(5, 70)] {
@@ -1280,7 +1334,7 @@ fn lanes_refuse_a_non_finite_value_in_any_single_lane_and_leave_the_writer_untou
             let at = o[0] + nx * (o[1] + ny * o[2]) + nx.min(3) - 1;
             let mut data = field(dims.len(), 11);
             data[at] = f32::NAN;
-            for cfg in [ZfpConfig::rate(4.0), ZfpConfig::rate(16.0)] {
+            for cfg in [ZfpConfig::rate(4.0), ZfpConfig::rate(16.0), ZfpConfig::accuracy(1e-2)] {
                 let err = compress(&data, dims, &cfg).unwrap_err();
                 assert!(matches!(err, Error::InvalidArgument(_)), "{dims:?} lane {l}: {err}");
                 assert!(
@@ -1292,34 +1346,42 @@ fn lanes_refuse_a_non_finite_value_in_any_single_lane_and_leave_the_writer_untou
     }
 }
 
-/// The driver codes fixed-rate streams whose groups of lanes cross block
-/// rows, block layers and ragged edges byte for byte as the per-block
-/// oracle does, and they decode to the oracle's values, on 1, 2 and 4
-/// threads: 3-D and 2-D shapes at rates whose blocks are not whole bytes
-/// or words, and 1-D blocks past one word.
+/// The driver codes streams whose groups of lanes cross block rows, block
+/// layers and ragged edges byte for byte as the per-block oracle does, in
+/// every mode, and they decode to the oracle's values, on 1, 2 and 4
+/// threads and on the device: 3-D and 2-D shapes at rates whose blocks
+/// are not whole bytes or words and at fixed precisions and accuracies,
+/// and 1-D blocks past one word.
 #[test]
 fn lanes_encode_streams_like_the_per_block_oracle_on_any_thread_count() {
-    let mut cases: Vec<(Dims, f64)> = Vec::new();
+    let mut cases: Vec<(Dims, ZfpConfig)> = Vec::new();
+    let variable = [ZfpConfig::precision(10), ZfpConfig::precision(24), ZfpConfig::accuracy(1e-2)];
     for dims in [Dims::D3(9, 5, 6), Dims::D3(17, 1, 33), Dims::D2(5, 70), Dims::D3(16, 16, 16)] {
         for rate in [0.3, 1.0, 2.5, 4.0, 5.5, 8.0, 16.0, 33.0] {
-            cases.push((dims, rate));
+            cases.push((dims, ZfpConfig::rate(rate)));
         }
+        cases.extend(variable.map(|cfg| (dims, cfg)));
     }
     for len in [1, 63, 64, 65, 4 * LANES + 3, 4 * G + 1] {
-        for rate in [20.0, 33.0] {
-            cases.push((Dims::D1(len), rate));
+        for cfg in [ZfpConfig::rate(20.0), ZfpConfig::rate(33.0)].into_iter().chain(variable) {
+            cases.push((Dims::D1(len), cfg));
         }
     }
-    for (dims, rate) in cases {
-        let (data, cfg) = (field(dims.len(), 0xA54F_F53A), ZfpConfig::rate(rate));
+    for (dims, cfg) in cases {
+        let data = field(dims.len(), 0xA54F_F53A);
         let want = oracle_compress(&data, dims, &cfg);
         let values = bits(&oracle_decompress(&want, dims, &cfg));
         for threads in [1, 2, 4] {
             let got = on_threads(threads, || compress(&data, dims, &cfg).unwrap());
-            assert!(got == want, "{dims:?} rate {rate}, {threads} threads: bytes");
+            assert!(got == want, "{dims:?} {:?}, {threads} threads: bytes", cfg.mode);
             let rec = on_threads(threads, || decompress(&got).unwrap().0);
-            assert!(bits(&rec) == values, "{dims:?} rate {rate}, {threads} threads: values");
+            assert!(bits(&rec) == values, "{dims:?} {:?}, {threads} threads: values", cfg.mode);
         }
+        let mut dev = Device::new(GpuSpec::tesla_v100());
+        let (traced, _) = compress_on(&mut dev, &data, dims, &cfg).unwrap();
+        assert!(traced == want, "{dims:?} {:?}, device: bytes", cfg.mode);
+        let (rec, ..) = decompress_on(&mut dev, &traced).unwrap();
+        assert!(bits(&rec) == values, "{dims:?} {:?}, device: values", cfg.mode);
     }
 }
 

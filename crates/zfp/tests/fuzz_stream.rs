@@ -26,7 +26,7 @@ use foresight_util::bits::{BitReader, BitWriter};
 use foresight_util::crc::crc32;
 use foresight_util::Error;
 use gpu_sim::{Device, GpuSpec};
-use lossy_zfp::codec::{self, BlockCoding};
+use lossy_zfp::codec::BlockCoding;
 use lossy_zfp::gpu_exec::decompress_on;
 use lossy_zfp::{compress, decompress, Dims, ZfpConfig};
 use proptest::prelude::*;
@@ -165,19 +165,22 @@ fn set_stored_len(stream: &mut [u8], bi: usize, len: u32) {
     stream[HDR + bi * 4..HDR + bi * 4 + 4].copy_from_slice(&len.to_le_bytes());
 }
 
+/// The stream is [`Error::Corrupt`] on 1, 2 and 4 threads and on the
+/// device, with the same text on each; returns the text.
 fn assert_corrupt(stream: &[u8], what: &str) -> String {
+    let text = decompress(stream).unwrap_err().to_string();
     for threads in [1, 2, 4] {
         let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
         match pool.install(|| decompress(stream)) {
-            Err(Error::Corrupt(_)) => {}
+            Err(e @ Error::Corrupt(_)) => assert_eq!(e.to_string(), text, "{what} on {threads} threads"),
             other => panic!("{what} on {threads} threads: {:?}", other.map(|(v, d)| (v.len(), d))),
         }
     }
     match decompress_on(&mut Device::new(GpuSpec::tesla_v100()), stream) {
-        Err(Error::Corrupt(_)) => {}
+        Err(e @ Error::Corrupt(_)) => assert_eq!(e.to_string(), text, "{what} on the device path"),
         other => panic!("{what} on the device path: {:?}", other.map(|(v, d, _)| (v.len(), d))),
     }
-    decompress(stream).unwrap_err().to_string()
+    text
 }
 
 #[test]
@@ -226,6 +229,28 @@ fn a_block_that_misses_its_stored_length_fails_first_in_block_order() {
         }
         let msg = assert_corrupt(&bad, "shifted lengths");
         assert!(msg.contains("block 1500 consumed"), "{msg}");
+        // Hostile spans — none, one bit, less than a header, the cap, and
+        // the largest a table holds — with the blocks behind taking up the
+        // difference wherever they can, so that the sum still matches the
+        // payload and only the lanes can tell.
+        let cap = BlockCoding::new(&cfg.mode, 1).maxbits;
+        for (bi, span) in [(700, 0), (1023, 1), (1024, 8), (2047, cap), (3000, u32::MAX)] {
+            let mut bad = stream.clone();
+            let mut owed = stored_len(&bad, bi) as i64 - span as i64;
+            set_stored_len(&mut bad, bi, span);
+            for next in bi + 1..N.div_ceil(4) {
+                let len = (stored_len(&bad, next) as i64 + owed).max(0);
+                owed -= len - stored_len(&bad, next) as i64;
+                set_stored_len(&mut bad, next, len as u32);
+            }
+            let msg = assert_corrupt(&bad, &format!("span {span} at block {bi}"));
+            let want = if span == u32::MAX {
+                "length table disagrees".to_string()
+            } else {
+                format!("block {bi} consumed")
+            };
+            assert!(msg.contains(&want), "span {span} at block {bi}: {msg}");
+        }
     }
 }
 
@@ -248,10 +273,12 @@ fn run_then_filler(zeros: u32, nbits: u32) -> Vec<u8> {
 
 /// [`run_then_filler`] as one whole block under `c`, with its length in
 /// bits: the rate's at a fixed rate, else as many as the coder reads.
-fn block_with_a_run(zeros: u32, c: &BlockCoding) -> (Vec<u8>, u32) {
+fn block_with_a_run(zeros: u32, cfg: &ZfpConfig) -> (Vec<u8>, u32) {
+    let c = reference::Coding::new(&cfg.mode, 3);
     let ample = run_then_filler(zeros, c.maxbits);
     let mut out = [0.0f32; 64];
-    let nbits = codec::decode_block(&mut BitReader::new(&ample), c, c.maxbits, &mut out).unwrap();
+    let nbits = reference::decode_block(&mut BitReader::new(&ample), &c, c.maxbits, &mut out);
+    let nbits = nbits.unwrap();
     let mut w = BitWriter::new();
     w.append(&ample, nbits as u64);
     (w.into_bytes(), nbits)
@@ -275,7 +302,7 @@ fn one_block_stream(cfg: &ZfpConfig, payload: &[u8], nbits: u32) -> Vec<u8> {
 fn cuts_inside_unary_runs_are_corrupt_on_every_path() {
     for (cfg, table) in [(ZfpConfig::rate(8.0), 0), (ZfpConfig::precision(32), 4)] {
         for zeros in [5, 40, 63] {
-            let (payload, nbits) = block_with_a_run(zeros, &BlockCoding::new(&cfg.mode, 3));
+            let (payload, nbits) = block_with_a_run(zeros, &cfg);
             let stream = one_block_stream(&cfg, &payload, nbits);
             let (values, _) = decompress(&stream).expect("the hand-written block is valid");
             assert!(values.iter().all(|v| v.is_finite()));
@@ -295,58 +322,66 @@ fn cuts_inside_unary_runs_are_corrupt_on_every_path() {
     }
 }
 
-/// The stream layer checks sizes before any block is read, so the kernel
-/// is also handed short bytes directly: wherever the bits end inside the
-/// block — in a run, in the long run, one bit before the padding ends —
-/// it must refuse, leave the reader where it was and write no values.
+/// The stream layer checks sizes before any block is read, and a lane
+/// reads zeros past the bytes, so the cut is the driver's to see: a block
+/// behind a one-bit all-zero block in a variable-length stream, or
+/// behind a whole block at a fixed rate, cut wherever the bits end inside
+/// it — in a run, in the long run, one byte before it ends — under its
+/// stored length, the cap and a length far past the bytes, is refused on
+/// every path; a length one bit short of the code reads it cut short.
 #[test]
 fn kernel_refuses_a_block_the_bits_end_inside_of() {
-    let fixed = BlockCoding::new(&lossy_zfp::ZfpMode::FixedRate(8.0), 3);
-    let variable = BlockCoding::new(&lossy_zfp::ZfpMode::FixedPrecision(32), 3);
-    for c in [fixed, variable] {
+    for cfg in [ZfpConfig::rate(8.0), ZfpConfig::precision(32)] {
+        let fixed = matches!(cfg.mode, lossy_zfp::ZfpMode::FixedRate(_));
+        let cap = BlockCoding::new(&cfg.mode, 3).maxbits;
         for zeros in [5, 40, 63] {
-            let (block, nbits) = block_with_a_run(zeros, &c);
-            for phase in [0u32, 1, 5] {
-                let mut w = BitWriter::new();
-                w.write_bits(0b10110, phase);
-                w.append(&block, nbits as u64);
-                let bytes = w.into_bytes();
-                let decode = |held: &[u8], budget: u32| {
-                    let mut r = BitReader::new(held);
-                    r.read_bits(phase).unwrap();
-                    let before = r.remaining_bits();
-                    let mut out = [f32::NAN; 64];
-                    let res = codec::decode_block(&mut r, &c, budget, &mut out);
-                    (res, r.remaining_bits() == before, out.iter().all(|v| v.is_nan()))
-                };
-                let (whole, ..) = decode(&bytes, nbits);
-                assert_eq!(whole.unwrap(), nbits);
-                // With `phase` bits in front, dropping the last byte leaves
-                // the block between one and eight bits short.
-                let full = (phase + nbits).div_ceil(8) as usize;
-                for keep in [2, 5, 8, 9, 10, 30, full - 1] {
-                    // The stored length, and a budget far beyond the bytes.
-                    for budget in [nbits, c.maxbits, 1 << 16] {
-                        let (res, reader_unmoved, no_values) = decode(&bytes[..keep], budget);
-                        let what = format!("{c:?}, run of {zeros}, phase {phase}, {keep} bytes");
-                        assert!(matches!(res, Err(Error::Corrupt(_))), "{what}: {res:?}");
-                        assert!(reader_unmoved && no_values, "{what}");
-                    }
+            let (block, nbits) = block_with_a_run(zeros, &cfg);
+            // Block 0 is all zero: one bit, or a whole fixed-rate block.
+            let first = if fixed { cap } else { 1 };
+            let mut w = BitWriter::new();
+            w.tail().write_zeros(first);
+            w.append(&block, nbits as u64);
+            let payload = w.into_bytes();
+            let real = compress(&[0.0; 128], Dims::D3(4, 4, 8), &cfg).unwrap();
+            let table = if fixed { 0 } else { 8 };
+            let spans = |span: u32| -> Vec<u8> {
+                let mut stream = real[..HDR].to_vec();
+                if !fixed {
+                    stream.extend_from_slice(&first.to_le_bytes());
+                    stream.extend_from_slice(&span.to_le_bytes());
                 }
+                stream.extend_from_slice(&payload);
+                forge_shorter_payload(&stream, table, 0)
+            };
+            let whole = spans(nbits);
+            decompress(&whole).expect("the hand-written block is valid");
+            let full = payload.len();
+            for keep in [2, 5, 8, 9, 10, 30, full - 1].map(|k| k + (first as usize / 8)) {
+                let drop = full.saturating_sub(keep);
+                if drop == 0 {
+                    continue;
+                }
+                for span in [nbits, cap, 1 << 16] {
+                    let what = format!("{:?}, run of {zeros}, {keep} bytes, span {span}", cfg.mode);
+                    let stream = spans(span);
+                    assert_corrupt(&stream[..stream.len() - drop], &format!("plain cut: {what}"));
+                    let resealed = forge_shorter_payload(&stream, table, drop);
+                    assert_corrupt(&resealed, &format!("re-sealed cut: {what}"));
+                }
+            }
+            if !fixed {
+                // A stored length one bit short reads the code cut there.
+                let cut = spans(nbits - 1);
+                let mut r = BitReader::new(&cut[HDR + table..]);
+                r.skip_bits(1);
+                let c = reference::Coding::new(&cfg.mode, 3);
+                let mut want = [0.0f32; 64];
+                assert_eq!(reference::decode_block(&mut r, &c, nbits - 1, &mut want).unwrap(), nbits - 1);
+                let got = decompress(&cut).unwrap().0;
+                assert!(got[64..].iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits()));
             }
         }
     }
-    // One bit short exactly: 511 bits behind a one-bit phase fill 64 bytes.
-    let mut w = BitWriter::new();
-    w.write_bits(1, 1);
-    w.append(&run_then_filler(63, 512), 511);
-    let bytes = w.into_bytes();
-    assert_eq!(bytes.len(), 64);
-    let mut r = BitReader::new(&bytes);
-    r.read_bits(1).unwrap();
-    let mut out = [f32::NAN; 64];
-    assert!(matches!(codec::decode_block(&mut r, &fixed, 512, &mut out), Err(Error::Corrupt(_))));
-    assert!(codec::decode_block(&mut r, &fixed, 511, &mut out).is_ok());
 }
 
 /// A 1-D fixed-rate stream whose blocks are 10 bits (straddling bytes and
