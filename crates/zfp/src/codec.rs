@@ -62,6 +62,17 @@ pub enum Planes {
 impl Planes {
     /// The planes that keep the absolute error below `tol`. A tolerance
     /// that bounds nothing — zero, negative, NaN, infinite — keeps them all.
+    ///
+    /// A block with exponent `emax` keeps the planes down to `kmin =
+    /// ⌊log2 tol⌋ − emax + 30 − (d + 1)` ([`BlockCoding::maxprec`]), and
+    /// its error is at most `tol`. Where `tol < 2^(emax − 28 + d)` that
+    /// `kmin` clamps to 0 — the block's cast step `2^(emax − 30)` is
+    /// within a few units of `tol` — and every plane is coded: then the
+    /// error is the cast's truncation (under one step), the lift's
+    /// roundtrip (at most `2^(d + 2)` steps) and the output's rounding to
+    /// f32, which at most doubles them, so at most `2 (1 + 2^(d + 2))
+    /// 2^(emax − 30)`. `tests/prop_zfp.rs` checks both over shapes and
+    /// value classes.
     pub fn tolerance(tol: f64) -> Self {
         if tol > 0.0 && tol.is_finite() {
             Planes::Tolerance(tol.log2().floor() as i32)
@@ -120,9 +131,9 @@ impl BlockCoding {
         }
     }
     /// One budget, `maxbits`, for every block, and every plane coded: a
-    /// fixed rate's coding, whose groups run the `Fixed` bodies.
+    /// fixed rate's coding, whose groups run the [`Fixed`] bodies.
     #[inline(always)]
-    fn fixed(&self) -> bool {
+    pub fn fixed(&self) -> bool {
         self.fixed_rate && self.planes == Planes::Count(INTPREC)
     }
 }
@@ -273,7 +284,7 @@ const PLANE4: ([u32; 8 << 8], [u32; 8 << 4]) = {
     (step, code)
 };
 
-/// Fixed-rate blocks a group codes or reads side by side: [`EncodeLanes`]
+/// Blocks a group codes or reads side by side: [`EncodeLanes`]
 /// and [`DecodeLanes`] run one block per lane.
 pub const LANES: usize = 16;
 
@@ -311,7 +322,7 @@ pub fn encode_line(
 /// to `w` back to back — each padded to `maxbits` at a fixed rate — and
 /// reports each one's bit length to `coded`. `None`, with nothing written,
 /// when a lane holds a NaN or an infinity.
-#[inline]
+#[inline(always)]
 pub fn encode_group<const N: usize>(
     values: &[LaneRun],
     blocks: usize,
@@ -320,21 +331,36 @@ pub fn encode_group<const N: usize>(
     w: &mut WriterTail<'_>,
     mut coded: impl FnMut(u32),
 ) -> Option<()> {
-    let lens = dispatch(EncodeLanes::<N> { values, coding: c, rows })?;
-    for (l, &len) in lens.iter().enumerate().take(blocks) {
-        // At a fixed rate the rows hold the code and its padding as far as
-        // they reach; past them is padding.
-        let span = if c.fixed_rate { c.maxbits } else { len };
-        let held = span.min(64 * (ROWS as u32 - 1));
-        let whole = (held / 64) as usize;
-        for row in &rows[..whole] {
-            w.write_bits(row[l], 64);
+    // The stream's mode picks the body.
+    if c.fixed() {
+        dispatch(EncodeLanes::<N, _> { values, lim: Fixed(c.maxbits), rows })?;
+        // The rows hold each code and its padding as far as they reach;
+        // past them is padding.
+        let held = c.maxbits.min(64 * (ROWS as u32 - 1));
+        (0..blocks).for_each(|l| write_code(rows, l, held, c.maxbits, w));
+        (0..blocks).for_each(|_| coded(c.maxbits));
+    } else {
+        let lim = Variable::new(*c, [c.maxbits; LANES]);
+        let lens = dispatch(EncodeLanes::<N, _> { values, lim, rows })?;
+        for (l, &len) in lens.iter().enumerate().take(blocks) {
+            let span = if c.fixed_rate { c.maxbits } else { len };
+            write_code(rows, l, len, span, w);
+            coded(span);
         }
-        w.write_bits(rows[whole][l], held % 64);
-        w.write_zeros(span - held);
-        coded(span);
     }
     Some(())
+}
+
+/// Writes `held` bits of lane `l`'s code from `rows`, then zeros up to
+/// `span`.
+#[inline(always)]
+fn write_code(rows: &LaneRows, l: usize, held: u32, span: u32, w: &mut WriterTail<'_>) {
+    let whole = (held / 64) as usize;
+    for row in &rows[..whole] {
+        w.write_bits(row[l], 64);
+    }
+    w.write_bits(rows[whole][l], held % 64);
+    w.write_zeros(span - held);
 }
 
 /// A block of one to four values, padded with its last.
@@ -346,67 +372,54 @@ fn pad4(block: &[f32]) -> [f32; 4] {
 }
 
 /// A group of [`LANES`] `N`-value blocks, coded side by side — one body
-/// for [`cpu::widest`], the mirror of [`DecodeLanes`]: the cast, lift,
-/// reorder and negabinary across the lanes, then 4-value blocks step
-/// through `PLANE4_ENCODE` and larger ones' planes through `Cursor::put`.
-/// Returns each lane's code length, at most `maxbits`; `None`, with
-/// `rows` untouched, when any lane holds a NaN or an infinity.
-pub struct EncodeLanes<'a, const N: usize> {
+/// for [`cpu::widest`] per kind of [`Limits`], the mirror of
+/// [`DecodeLanes`]: the cast, lift, reorder and negabinary across the
+/// lanes, then 4-value blocks step through `PLANE4_ENCODE` and larger
+/// ones' planes through `Cursor::put`. Returns each lane's code length, at
+/// most its budget; `None`, with `rows` untouched, when any lane holds a
+/// NaN or an infinity.
+pub struct EncodeLanes<'a, const N: usize, L> {
     /// The group's values by x-row: `values[r]` holds values `4r..4r + 4`
     /// of every block; `N / 4` rows.
     pub values: &'a [LaneRun],
-    /// The stream's coding: every lane's budget is its `maxbits`, more
-    /// than [`HEADER_BITS`].
-    pub coding: &'a BlockCoding,
-    /// Each block's code, zero behind it; bits past `maxbits` are not the
-    /// block's.
+    /// The coding's budget — more than [`HEADER_BITS`] — and planes.
+    pub lim: L,
+    /// Each block's code, zero behind it; bits past the budget are not
+    /// the block's.
     pub rows: &'a mut LaneRows,
 }
 
-impl<const N: usize> cpu::Kernel for EncodeLanes<'_, N> {
+impl<const N: usize, L: Limits> cpu::Kernel for EncodeLanes<'_, N, L> {
     type Output = Option<[u32; LANES]>;
 
     #[inline(always)]
     fn run(self) -> Self::Output {
-        self.code::<true>()
+        code_lanes::<N, true, L>(self.values, self.lim, self.rows)
     }
 
     #[inline(always)]
     fn run_baseline(self) -> Self::Output {
-        self.code::<false>()
+        code_lanes::<N, false, L>(self.values, self.lim, self.rows)
     }
 }
 
-impl<const N: usize> EncodeLanes<'_, N> {
-    #[inline(always)]
-    fn code<const LOCKSTEP: bool>(self) -> Option<[u32; LANES]> {
-        let c = *self.coding;
-        if c.fixed() {
-            code_lanes::<N, LOCKSTEP, _>(self.values, Fixed(c.maxbits), self.rows)
-        } else {
-            let limits = Variable::new(c, [c.maxbits; LANES]);
-            code_lanes::<N, LOCKSTEP, _>(self.values, limits, self.rows)
-        }
-    }
-}
-
-/// What the lanes of a group may spend and which planes they code: lane
-/// `l`'s bit budget, and the plane below the last that a block with
-/// exponent `emax` codes. [`Fixed`] for a fixed rate, [`Variable`]
-/// otherwise; each body is instantiated once for each.
-trait Limits: Copy {
-    /// Lane `l`'s budget.
+/// What the lanes of a group may spend and which planes they code. A
+/// coding's [`BlockCoding::fixed`] picks [`Fixed`], and [`Variable`]
+/// otherwise: the stream's mode picks the instantiation of each body, so
+/// that a fixed-rate one holds no per-lane arrays.
+pub trait Limits: Copy {
+    /// Lane `l`'s bit budget.
     fn budget(&self, l: usize) -> u32;
     /// The largest budget of any lane.
     fn widest(&self) -> u32;
-    /// The planes below this one are not coded.
-    fn kmin(&self, emax: i32) -> u32;
+    /// Each lane's lowest plane, the planes below it not coded,
+    /// `emax[l]` its block's exponent.
+    fn kmins(&self, emax: &[i32; LANES]) -> [u32; LANES];
 }
 
-/// One budget for every lane, and every plane coded: the bodies keep a
-/// scalar `maxbits`.
+/// `maxbits`, one budget for every lane, and every plane coded.
 #[derive(Clone, Copy)]
-struct Fixed(u32);
+pub struct Fixed(pub u32);
 
 impl Limits for Fixed {
     #[inline(always)]
@@ -420,23 +433,23 @@ impl Limits for Fixed {
     }
 
     #[inline(always)]
-    fn kmin(&self, _: i32) -> u32 {
-        0
+    fn kmins(&self, _: &[i32; LANES]) -> [u32; LANES] {
+        [0; LANES]
     }
 }
 
-/// Each lane's own budget, and the planes its block's exponent keeps.
+/// Each lane's own budget, and the planes the coding keeps of its block.
 #[derive(Clone, Copy)]
-struct Variable {
+pub struct Variable {
     coding: BlockCoding,
     budgets: [u32; LANES],
-    widest: u32,
 }
 
 impl Variable {
+    /// Lane `l`'s budget is `budgets[l]`.
     #[inline(always)]
-    fn new(coding: BlockCoding, budgets: [u32; LANES]) -> Self {
-        Self { coding, budgets, widest: budgets.iter().fold(0, |m, &b| m.max(b)) }
+    pub fn new(coding: BlockCoding, budgets: [u32; LANES]) -> Self {
+        Self { coding, budgets }
     }
 }
 
@@ -448,12 +461,12 @@ impl Limits for Variable {
 
     #[inline(always)]
     fn widest(&self) -> u32 {
-        self.widest
+        self.budgets.iter().fold(0, |m, &b| m.max(b))
     }
 
     #[inline(always)]
-    fn kmin(&self, emax: i32) -> u32 {
-        INTPREC.saturating_sub(self.coding.maxprec(emax))
+    fn kmins(&self, emax: &[i32; LANES]) -> [u32; LANES] {
+        emax.map(|e| INTPREC.saturating_sub(self.coding.maxprec(e)))
     }
 }
 
@@ -486,11 +499,11 @@ fn code_lanes<const N: usize, const LOCKSTEP: bool, L: Limits>(
     if top.iter().fold(0, |m, &t| m.max(t)) >= INF {
         return None;
     }
-    let (mut emax, mut kmin) = ([0i32; LANES], [0u32; LANES]);
+    let mut emax = [0i32; LANES];
     for l in 0..LANES {
         emax[l] = if top[l] != 0 { exponent(f32::from_bits(top[l])).clamp(-127, 128) } else { 0 };
-        kmin[l] = lim.kmin(emax[l]);
     }
+    let kmin = lim.kmins(&emax);
     let mut q = [[0i32; LANES]; N];
     for (q, v) in q.iter_mut().zip(&v) {
         for l in 0..LANES {
@@ -560,7 +573,9 @@ fn code_lanes<const N: usize, const LOCKSTEP: bool, L: Limits>(
                 live
             }};
         }
-        if LOCKSTEP {
+        // At the baseline a code past one word runs a lane at a time to
+        // its end; one-word codes are quicker in lockstep there too.
+        if LOCKSTEP || maxbits <= 64 {
             loop {
                 let mut any = 0;
                 for l in 0..LANES {
@@ -661,7 +676,7 @@ fn code_lanes<const N: usize, const LOCKSTEP: bool, L: Limits>(
 /// and one more, so that a lane's 64-bit window is two loads anywhere.
 pub const ROWS: usize = (HEADER_BITS + INTPREC * 65 + 2 * 64).div_ceil(64) as usize + 1;
 
-/// The codes of a group of [`LANES`] fixed-rate blocks: `rows[j][l]` is
+/// The codes of a group of [`LANES`] blocks: `rows[j][l]` is
 /// bits `64j..64j + 64` of lane `l`'s block, zero past its budget.
 pub type LaneRows = [[u64; LANES]; ROWS];
 
@@ -735,7 +750,11 @@ impl<'a> Lanes<'a> {
                 }
             }
             self.at += blocks * maxbits;
-            dispatch(DecodeLanes::<N> { rows: &self.rows, coding, spans: &self.spans, out });
+            if coding.fixed() {
+                dispatch(DecodeLanes::<N, _> { rows: &self.rows, lim: Fixed(coding.maxbits), out });
+            } else {
+                dispatch(DecodeLanes::<N, _> { rows: &self.rows, lim: Variable::new(*coding, self.spans), out });
+            }
             return Ok(());
         }
         let (table, rest) = self.table.split_at(4 * blocks);
@@ -755,7 +774,8 @@ impl<'a> Lanes<'a> {
             }
         }
         self.filled = words;
-        let used = dispatch(DecodeLanes::<N> { rows: &self.rows, coding, spans: &self.spans, out });
+        let lim = Variable::new(*coding, self.spans);
+        let used = dispatch(DecodeLanes::<N, _> { rows: &self.rows, lim, out });
         if let Some(l) = (0..blocks).find(|&l| used[l] != self.spans[l]) {
             return Err(Error::corrupt(format!(
                 "block {} consumed {} bits, expected {}",
@@ -799,8 +819,8 @@ pub fn decode_line(lanes: &mut Lanes<'_>, out: &mut [f32]) -> Result<()> {
 }
 
 /// A group of [`LANES`] `N`-value blocks, read side by side — one body for
-/// [`cpu::widest`]. Nothing in a step branches on a lane, and no lane
-/// reads past its own budget.
+/// [`cpu::widest`] per kind of [`Limits`]. Nothing in a step branches on
+/// a lane, and no lane reads past its own budget.
 ///
 /// 4-value blocks step through [`PLANE4_STEP`], a plane a step. Any other
 /// block steps a group test at a time ([`Cursor::step`]), then its planes
@@ -809,43 +829,28 @@ pub fn decode_line(lanes: &mut Lanes<'_>, out: &mut [f32]) -> Result<()> {
 /// read: one of an all-zero block, else its header, empty planes and
 /// planes — at most its budget, unless the budget is shorter than the
 /// header.
-pub struct DecodeLanes<'a, const N: usize> {
+pub struct DecodeLanes<'a, const N: usize, L> {
     /// Each block's code, zero past its budget.
     pub rows: &'a LaneRows,
-    /// The stream's coding.
-    pub coding: &'a BlockCoding,
-    /// Each lane's budget: its stored span in the variable-length modes.
-    /// At a fixed rate, where every plane is coded, every lane's is
-    /// `maxbits` and these are not read.
-    pub spans: &'a [u32; LANES],
+    /// The coding's budgets — each lane's stored span in the
+    /// variable-length modes — and planes.
+    pub lim: L,
     /// The group's values by x-row: `out[r]` holds values `4r..4r + 4`
     /// of every block; `N / 4` rows.
     pub out: &'a mut [LaneRun],
 }
 
-impl<const N: usize> cpu::Kernel for DecodeLanes<'_, N> {
+impl<const N: usize, L: Limits> cpu::Kernel for DecodeLanes<'_, N, L> {
     type Output = [u32; LANES];
 
     #[inline(always)]
     fn run(self) -> [u32; LANES] {
-        self.read::<true>()
+        read_lanes::<N, true, L>(self.rows, self.lim, self.out)
     }
 
     #[inline(always)]
     fn run_baseline(self) -> [u32; LANES] {
-        self.read::<false>()
-    }
-}
-
-impl<const N: usize> DecodeLanes<'_, N> {
-    #[inline(always)]
-    fn read<const LOCKSTEP: bool>(self) -> [u32; LANES] {
-        let c = *self.coding;
-        if c.fixed() {
-            read_lanes::<N, LOCKSTEP, _>(self.rows, Fixed(c.maxbits), self.out)
-        } else {
-            read_lanes::<N, LOCKSTEP, _>(self.rows, Variable::new(c, *self.spans), self.out)
-        }
+        read_lanes::<N, false, L>(self.rows, self.lim, self.out)
     }
 }
 
@@ -853,7 +858,7 @@ impl<const N: usize> DecodeLanes<'_, N> {
 /// `l`'s code in `rows[..][l]` — one word unless `WIDE` — and `at` where
 /// its header and empty planes leave it, its planes down to `kmin[l]`:
 /// coefficient `i` of lane `l` in `[i][l]`, and `at.cur` behind each
-/// code. `LOCKSTEP` as in [`read_lanes`].
+/// code. `LOCKSTEP` as in [`read_lanes`], for codes past one word.
 #[inline(always)]
 fn read_words4<const WIDE: bool, const LOCKSTEP: bool, L: Limits>(
     rows: &LaneRows,
@@ -863,7 +868,7 @@ fn read_words4<const WIDE: bool, const LOCKSTEP: bool, L: Limits>(
 ) -> [[i32; LANES]; 4] {
     // Each lane's unread bits of a one-word code, the bits it has read,
     // the planes it has left and its significant coefficients.
-    let (mut win, used, mut k, mut sig) = ([0u64; LANES], &mut at.cur, at.k, [0u32; LANES]);
+    let (mut win, mut used, mut k, mut sig) = ([0u64; LANES], at.cur, at.k, [0u32; LANES]);
     for l in 0..LANES {
         win[l] = rows[0][l] >> (used[l] & 63);
     }
@@ -892,7 +897,7 @@ fn read_words4<const WIDE: bool, const LOCKSTEP: bool, L: Limits>(
             live
         }};
     }
-    if LOCKSTEP {
+    if LOCKSTEP || !WIDE {
         loop {
             let mut any = 0;
             for l in 0..LANES {
@@ -907,6 +912,7 @@ fn read_words4<const WIDE: bool, const LOCKSTEP: bool, L: Limits>(
             while plane4!(l) != 0 {}
         }
     }
+    at.cur = used;
     let mut q = [[0i32; LANES]; 4];
     for l in 0..LANES {
         let u = [lo[l] as u32, (lo[l] >> 32) as u32, hi[l] as u32, (hi[l] >> 32) as u32];
@@ -1087,20 +1093,18 @@ fn read_lanes<const N: usize, const LOCKSTEP: bool, L: Limits>(
 ) -> [u32; LANES] {
     debug_assert!(matches!(N, 4 | 16 | 64) && out.len() == N / 4);
     let n = N as u32;
-    let (mut at, mut emax, mut kmin, mut flag) =
-        (Cursors::default(), [0i32; LANES], [0u32; LANES], [0u32; LANES]);
-    let mut any = 0;
+    let (mut at, mut any) = (Cursors::default(), 0);
+    let emax: [i32; LANES] = std::array::from_fn(|l| (rows[0][l] >> 1 & 0xff) as i32 - 127);
+    let kmin = lim.kmins(&emax);
     for l in 0..LANES {
         let (w, budget) = (rows[0][l], lim.budget(l));
-        emax[l] = (w >> 1 & 0xff) as i32 - 127;
-        kmin[l] = lim.kmin(emax[l]);
         // Planes above every coefficient's top bit: a failed test each.
         let empty = (w >> HEADER_BITS | 1 << INTPREC).trailing_zeros();
         let empty = empty.min(budget.saturating_sub(HEADER_BITS)).min(INTPREC - kmin[l]);
-        // An all-zero block has no plane to read.
-        flag[l] = (w & 1) as u32;
-        at.k[l] = flag[l] * (INTPREC - empty);
-        at.cur[l] = HEADER_BITS + empty;
+        // An all-zero block has no plane to read, and reads its flag.
+        let flag = (w & 1) as u32;
+        at.k[l] = flag * (INTPREC - empty);
+        at.cur[l] = if flag != 0 { HEADER_BITS + empty } else { 1 };
         any |= lane_live(at.k[l].wrapping_sub(kmin[l]), at.cur[l], budget);
     }
     let mut q = [[0i32; LANES]; N];
@@ -1172,7 +1176,7 @@ fn read_lanes<const N: usize, const LOCKSTEP: bool, L: Limits>(
             }
         }
     }
-    std::array::from_fn(|l| if flag[l] != 0 { at.cur[l] } else { 1 })
+    at.cur
 }
 
 /// 1 while a lane has a plane left (`k > 0`, or above its lowest when
@@ -1253,7 +1257,12 @@ mod tests {
             .map(|r| std::array::from_fn(|i| if i < 4 { values[4 * r + i] } else { 0.0 }))
             .collect();
         let mut rows = [[0; LANES]; ROWS];
-        let lens = dispatch(EncodeLanes::<N> { values: &runs, coding: c, rows: &mut rows })?;
+        let lens = if c.fixed() {
+            dispatch(EncodeLanes::<N, _> { values: &runs, lim: Fixed(c.maxbits), rows: &mut rows })
+        } else {
+            let lim = Variable::new(*c, [c.maxbits; LANES]);
+            dispatch(EncodeLanes::<N, _> { values: &runs, lim, rows: &mut rows })
+        }?;
         Some((lens[0], rows))
     }
 
@@ -1266,7 +1275,11 @@ mod tests {
         }
         let (mut out, mut spans) = (vec![[f32::NAN; 4 * LANES]; N / 4], [0; LANES]);
         spans[0] = budget;
-        let used = dispatch(DecodeLanes::<N> { rows: &mine, coding: c, spans: &spans, out: &mut out });
+        let used = if c.fixed() {
+            dispatch(DecodeLanes::<N, _> { rows: &mine, lim: Fixed(budget), out: &mut out })
+        } else {
+            dispatch(DecodeLanes::<N, _> { rows: &mine, lim: Variable::new(*c, spans), out: &mut out })
+        };
         (used[0], std::array::from_fn(|i| out[i / 4][i % 4]))
     }
 

@@ -13,10 +13,8 @@
 //! Every function here is `#[inline(always)]`: they are the leaves of the
 //! codec's [`foresight_util::cpu::Kernel`]s, and a leaf left out of line
 //! would be compiled at the baseline whatever width calls it (DESIGN.md
-//! §23.3). [`lift_axis`] lifts all the lines of a block along one axis as
-//! lanes, side by side, and the fixed-rate 1-D lanes call [`fwd_lift`] /
-//! [`inv_lift`] once per lane the same way; there is one copy of each
-//! lift (§24).
+//! §23.3). [`xform_lanes`] lifts the lines of sixteen blocks side by side,
+//! the lanes of the codec's groups; there is one copy of each lift (§24).
 
 /// Forward lift on one 4-vector (stride-gathered by the caller).
 #[inline(always)]
@@ -76,48 +74,10 @@ pub fn uint2int(x: u32) -> i32 {
     (x ^ NBMASK).wrapping_sub(NBMASK) as i32
 }
 
-/// Lifts every line of a block of `N = 4^d` values, stored x-fastest,
-/// along one axis: `stride` 1 for x, 4 for y, 16 for z.
-///
-/// The lines are the lanes. They are taken apart into four rows — row
-/// `j` holds value `j` of every line — so the lift runs once across all
-/// of them as one plain loop, which the compiler widens to the vector
-/// width of the [`foresight_util::cpu::Kernel`] it is inlined into, and
-/// the rows are put back. `N` and `stride` are constants wherever this is
-/// inlined, so both shuffles are fixed permutations.
-#[inline(always)]
-pub fn lift_axis<const N: usize>(data: &mut [i32; N], stride: usize, forward: bool) {
-    debug_assert!(matches!(N, 4 | 16 | 64) && matches!(stride, 1 | 4 | 16) && stride * 4 <= N);
-    let lines = N / 4;
-    // The first value of each line.
-    let base = |line: usize| line / stride * 4 * stride + line % stride;
-    let mut rows = [[0i32; 16]; 4];
-    for line in 0..lines {
-        for (j, row) in rows.iter_mut().enumerate() {
-            row[line] = data[base(line) + j * stride];
-        }
-    }
-    for line in 0..lines {
-        let mut p = [rows[0][line], rows[1][line], rows[2][line], rows[3][line]];
-        if forward {
-            fwd_lift(&mut p);
-        } else {
-            inv_lift(&mut p);
-        }
-        for (row, v) in rows.iter_mut().zip(p) {
-            row[line] = v;
-        }
-    }
-    for line in 0..lines {
-        for (j, row) in rows.iter().enumerate() {
-            data[base(line) + j * stride] = row[line];
-        }
-    }
-}
-
-/// [`fwd_xform`] (`forward`) or [`inv_xform`] of `L` blocks side by
-/// side, `q[i][l]` being value `i` of block `l`: each lift step is one
-/// operation across the blocks.
+/// The full forward transform (`forward`: one lift per axis the block
+/// has, x first) or the inverse (axes in reverse order) of `L` blocks of
+/// `N = 4^d` values side by side, `q[i][l]` being value `i` (x fastest)
+/// of block `l`: each lift step is one operation across the blocks.
 #[inline(always)]
 #[allow(clippy::needless_range_loop)] // the lane index runs through four rows
 pub fn xform_lanes<const N: usize, const L: usize>(q: &mut [[i32; L]; N], forward: bool) {
@@ -136,31 +96,6 @@ pub fn xform_lanes<const N: usize, const L: usize>(q: &mut [[i32; L]; N], forwar
             }
         }
     }
-}
-
-/// Full forward transform of a block of `N = 4^d` values: one lift per
-/// axis the block has, x first.
-#[inline(always)]
-pub fn fwd_xform<const N: usize>(data: &mut [i32; N]) {
-    lift_axis(data, 1, true);
-    if N >= 16 {
-        lift_axis(data, 4, true);
-    }
-    if N >= 64 {
-        lift_axis(data, 16, true);
-    }
-}
-
-/// Full inverse transform (axes in reverse order).
-#[inline(always)]
-pub fn inv_xform<const N: usize>(data: &mut [i32; N]) {
-    if N >= 64 {
-        lift_axis(data, 16, false);
-    }
-    if N >= 16 {
-        lift_axis(data, 4, false);
-    }
-    lift_axis(data, 1, false);
 }
 
 #[cfg(test)]
@@ -251,14 +186,21 @@ mod tests {
         assert!(int2uint(3).leading_zeros() > int2uint(1000).leading_zeros());
     }
 
+    /// One block through [`xform_lanes`].
+    fn xform<const N: usize>(v: &mut [i32; N], forward: bool) {
+        let mut q = v.map(|x| [x]);
+        xform_lanes(&mut q, forward);
+        *v = q.map(|[x]| x);
+    }
+
     #[test]
     fn xform_roundtrip_3d() {
         fn roundtrip<const N: usize>(d: u32) {
             let orig: [i32; N] =
                 std::array::from_fn(|i| ((i * 2654435761u64 as usize) as i32) >> 8);
             let mut v = orig;
-            fwd_xform(&mut v);
-            inv_xform(&mut v);
+            xform(&mut v, true);
+            xform(&mut v, false);
             // Rounding error compounds per axis but stays tiny relative to
             // the 2^30 fixed-point scale.
             let tol = LIFT_TOL * (1 << d);
@@ -283,7 +225,7 @@ mod tests {
                 }
             }
         }
-        fwd_xform(&mut v);
+        xform(&mut v, true);
         let total: i64 = v.iter().map(|&c| (c as i64).abs()).sum();
         assert!((v[0] as i64).abs() * 2 > total, "DC should dominate: {v:?}");
     }

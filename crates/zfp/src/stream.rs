@@ -666,12 +666,13 @@ mod tests {
 
     /// Every vector width codes the same streams and reads the same
     /// values as the baseline, on 1, 2 and 4 threads and on the device
-    /// path, whose blocks run one at a time through the scalar coder:
-    /// fixed-rate 1-D lengths through a group of lanes and a block past
-    /// it and around a run, budgets of 10 to 64 bits and past a word, the
-    /// 2-D and 3-D staging, and 2-D and 3-D lanes with a partial last
-    /// group at budgets that are not whole bytes or words — and every
-    /// range of block layers reads to its slice of the baseline's values.
+    /// path, whose items are groups of lanes too: fixed-rate 1-D lengths
+    /// through a group of lanes and a block past it and around a run,
+    /// budgets of 10 to 64 bits and past a word, and 2-D and 3-D lanes
+    /// with a partial last group at budgets that are not whole bytes or
+    /// words, and at a tolerance — and every range of block layers reads
+    /// to its slice of the baseline's values. Forged length tables fail
+    /// with the same text at every width, host and device.
     #[test]
     fn streams_are_identical_at_every_level_thread_count_and_on_the_device() {
         use crate::codec::{forced, LANES};
@@ -726,6 +727,37 @@ mod tests {
                 });
                 if ran.is_none() {
                     eprintln!("skipped, this CPU does not run {level:?}");
+                }
+            }
+        }
+        // Forged length tables — a span of 0, 1, 8, the cap and the
+        // largest a table holds, the next block's taking up the
+        // difference where it can — fail alike at every level.
+        let forged = [(Dims::D3(24, 20, 9), ZfpConfig::precision(16)), (Dims::D1(301), ZfpConfig::accuracy(1e-2))];
+        for (dims, cfg) in forged {
+            let data: Vec<f32> = (0..dims.len()).map(|i| (i as f32 * 0.37).sin() * 30.0).collect();
+            let stream = compress(&data, dims, &cfg).unwrap();
+            let cap = BlockCoding::new(&cfg.mode, dims.ndim()).maxbits;
+            for span in [0, 1, 8, cap, u32::MAX] {
+                let (bi, mut bad) = (17, stream.clone());
+                let at = |bi: usize| HDR + 4 * bi..HDR + 4 * bi + 4;
+                let len = |bad: &[u8], bi| u32::from_le_bytes(bad[at(bi)].try_into().unwrap()) as u64;
+                let pair = len(&bad, bi) + len(&bad, bi + 1);
+                bad[at(bi)].copy_from_slice(&span.to_le_bytes());
+                if let Some(rest) = pair.checked_sub(span as u64) {
+                    bad[at(bi + 1)].copy_from_slice(&(rest as u32).to_le_bytes());
+                }
+                let text = |r: Result<(Vec<f32>, Dims)>| r.map(|_| ()).unwrap_err().to_string();
+                let base = forced::at(Level::Baseline, || text(decompress(&bad))).unwrap();
+                for level in Level::ALL {
+                    let got = forced::at(level, || {
+                        let mut dev = Device::new(GpuSpec::tesla_v100());
+                        let device = crate::gpu_exec::decompress_on(&mut dev, &bad);
+                        (text(decompress(&bad)), device.map(|_| ()).unwrap_err().to_string())
+                    });
+                    if let Some((host, device)) = got {
+                        assert!(host == base && device == base, "{dims:?} span {span} {level:?}: {base}");
+                    }
                 }
             }
         }

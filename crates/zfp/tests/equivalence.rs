@@ -27,7 +27,7 @@ use foresight_util::crc::crc32;
 use foresight_util::Error;
 use gpu_sim::{Device, GpuSpec};
 use lossy_zfp::codec::{self, block_cells, BlockCoding, HEADER_BITS};
-use lossy_zfp::codec::{DecodeLanes, EncodeLanes, LaneRows, LANES, ROWS};
+use lossy_zfp::codec::{DecodeLanes, EncodeLanes, Fixed, LaneRows, LaneRun, Variable, LANES, ROWS};
 use lossy_zfp::gpu_exec::{compress_on, decompress_on};
 use lossy_zfp::{compress, decompress, Dims, ZfpConfig};
 use rayon::ThreadPoolBuilder;
@@ -234,6 +234,38 @@ fn value_classes<const N: usize>(seed: &mut u64) -> Vec<(&'static str, [f32; N])
     ]
 }
 
+/// The lanes' coder at `level`, under the limits the coding's mode picks
+/// as the driver picks them.
+fn encode_at<const N: usize>(
+    level: Level,
+    values: &[LaneRun],
+    c: &BlockCoding,
+    rows: &mut LaneRows,
+) -> Option<Option<[u32; LANES]>> {
+    if c.fixed() {
+        cpu::at(level, EncodeLanes::<N, _> { values, lim: Fixed(c.maxbits), rows })
+    } else {
+        let lim = Variable::new(*c, [c.maxbits; LANES]);
+        cpu::at(level, EncodeLanes::<N, _> { values, lim, rows })
+    }
+}
+
+/// The lanes' reader at `level`, lane `l`'s budget `spans[l]` unless the
+/// mode is a fixed rate, under the limits the mode picks.
+fn decode_at<const N: usize>(
+    level: Level,
+    rows: &LaneRows,
+    c: &BlockCoding,
+    spans: &[u32; LANES],
+    out: &mut [LaneRun],
+) -> Option<[u32; LANES]> {
+    if c.fixed() {
+        cpu::at(level, DecodeLanes::<N, _> { rows, lim: Fixed(c.maxbits), out })
+    } else {
+        cpu::at(level, DecodeLanes::<N, _> { rows, lim: Variable::new(*c, *spans), out })
+    }
+}
+
 /// A group of [`LANES`] `N`-value blocks as the encoder's lanes take it:
 /// `blocks[l]` is lane `l`'s block, x fastest, all-zero blocks past them;
 /// row `r` of the result holds values `4r..4r + 4` of every block side by
@@ -293,7 +325,7 @@ fn lanes_read<const N: usize>(
     }
     let mut out = vec![[f32::NAN; 4 * LANES]; N / 4];
     let coding = c.kernel();
-    let used = cpu::at(level, DecodeLanes::<N> { rows: &rows, coding: &coding, spans: &spans, out: &mut out })?;
+    let used = decode_at::<N>(level, &rows, &coding, &spans, &mut out)?;
     let values = |l: usize| (0..N).map(|i| out[i / 4][4 * l + i % 4]).collect();
     Some((0..blocks.len()).map(|l| (used[l], values(l))).collect())
 }
@@ -849,15 +881,14 @@ fn lanes_code_and_read_like_the_scalar_coder_at_every_level_and_budget() {
             for level in levels() {
                 let (mut rows, values) = ([[0u64; LANES]; ROWS], std::slice::from_ref(values));
                 let coded =
-                    cpu::at(level, EncodeLanes::<4> { values, coding: &coding, rows: &mut rows });
+                    encode_at::<4>(level, values, &coding, &mut rows);
                 let lens = coded.flatten().unwrap_or_else(|| panic!("{what}, {maxbits} bits, {level:?}"));
                 assert!(lens.iter().all(|&len| len <= maxbits), "{what}, {maxbits} bits, {level:?}");
                 let words = rows[0];
                 assert_eq!(words, want, "{what}, {maxbits} bits, {level:?}: words");
                 let (mut out, rows) = ([[f32::NAN; 4 * LANES]], one_word_rows(&words));
                 let spans = [maxbits; LANES];
-                let read = DecodeLanes::<4> { rows: &rows, coding: &coding, spans: &spans, out: &mut out };
-                cpu::at(level, read).unwrap();
+                decode_at::<4>(level, &rows, &coding, &spans, &mut out).unwrap();
                 assert!(bits(&out[0]) == want_values, "{what}, {maxbits} bits, {level:?}: values");
             }
         }
@@ -891,8 +922,7 @@ fn lanes_read_arbitrary_words_like_the_scalar_reader_at_every_level() {
                 (0..LANES).flat_map(|l| bits(&reference_values(&words, l, &c))).collect();
             for level in levels() {
                 let (mut out, rows) = ([[f32::NAN; 4 * LANES]], one_word_rows(&words));
-                let read = DecodeLanes::<4> { rows: &rows, coding: &coding, spans: &spans, out: &mut out };
-                cpu::at(level, read).unwrap();
+                decode_at::<4>(level, &rows, &coding, &spans, &mut out).unwrap();
                 assert!(
                     bits(&out[0]) == want,
                     "{maxbits} bits, round {round}, {level:?}: {words:#x?}"
@@ -918,7 +948,7 @@ fn a_non_finite_value_in_any_lane_refuses_its_group_and_writes_nothing() {
                 values[at] = bad;
                 let mut rows = [[0x5A5A_A5A5_C3C3_3C3C; LANES]; ROWS];
                 let values = std::slice::from_ref(&values);
-                let coded = cpu::at(level, EncodeLanes::<4> { values, coding: &c, rows: &mut rows });
+                let coded = encode_at::<4>(level, values, &c, &mut rows);
                 assert_eq!(coded, Some(None), "{bad} at {at}, {level:?}");
                 assert_eq!(
                     rows, [[0x5A5A_A5A5_C3C3_3C3C; LANES]; ROWS],
@@ -1037,8 +1067,7 @@ fn assert_lanes_read_like_the_scalar_reader<const N: usize>(
     let (rows, coding, spans) = (rows_of(codes, maxbits), c.kernel(), [maxbits; LANES]);
     for level in levels() {
         let mut out = vec![[f32::NAN; 4 * LANES]; N / 4];
-        let read = DecodeLanes::<N> { rows: &rows, coding: &coding, spans: &spans, out: &mut out };
-        cpu::at(level, read).unwrap();
+        decode_at::<N>(level, &rows, &coding, &spans, &mut out).unwrap();
         for (l, want) in want.iter().enumerate() {
             let got: Vec<f32> = (0..N).map(|i| out[i / 4][4 * l + i % 4]).collect();
             assert!(bits(&got) == bits(want), "lane {l}, {level:?}: {}", what());
@@ -1263,8 +1292,7 @@ fn lanes_encode_16_and_64_value_blocks_like_the_scalar_coder_at_every_level_and_
                 let values = lane_runs::<N>(blocks);
                 for level in levels() {
                     let mut rows = [[0x5A5A_A5A5_C3C3_3C3C; LANES]; ROWS];
-                    let kernel = EncodeLanes::<N> { values: &values, coding: &coding, rows: &mut rows };
-                    let lens = cpu::at(level, kernel).unwrap();
+                    let lens = encode_at::<N>(level, &values, &coding, &mut rows).unwrap();
                     let lens = lens.unwrap_or_else(|| panic!("{what}, N = {N}, {c:?}, {level:?}"));
                     for (l, (want, len)) in want.iter().enumerate() {
                         let got = lane_code(&rows, l, *len);
@@ -1303,7 +1331,7 @@ fn lanes_refuse_a_non_finite_value_in_any_single_lane_and_leave_the_writer_untou
                 for level in levels() {
                     let mut rows = [[0x5A5A_A5A5_C3C3_3C3C; LANES]; ROWS];
                     let coded =
-                        cpu::at(level, EncodeLanes::<N> { values: &values, coding: c, rows: &mut rows });
+                        encode_at::<N>(level, &values, c, &mut rows);
                     assert_eq!(coded, Some(None), "{what}, {level:?}");
                     assert!(
                         rows == [[0x5A5A_A5A5_C3C3_3C3C; LANES]; ROWS],
