@@ -342,7 +342,9 @@ pub fn encode_group<const N: usize>(
     } else {
         let lim = Variable::new(*c, [c.maxbits; LANES]);
         let lens = dispatch(EncodeLanes::<N, _> { values, lim, rows })?;
-        for (l, &len) in lens.iter().enumerate().take(blocks) {
+        for (l, &cur) in lens.iter().enumerate().take(blocks) {
+            // The budget cuts a code that runs past it.
+            let len = cur.min(c.maxbits);
             let span = if c.fixed_rate { c.maxbits } else { len };
             write_code(rows, l, len, span, w);
             coded(span);
@@ -375,9 +377,9 @@ fn pad4(block: &[f32]) -> [f32; 4] {
 /// for [`cpu::widest`] per kind of [`Limits`], the mirror of
 /// [`DecodeLanes`]: the cast, lift, reorder and negabinary across the
 /// lanes, then 4-value blocks step through `PLANE4_ENCODE` and larger
-/// ones' planes through `Cursor::put`. Returns each lane's code length, at
-/// most its budget; `None`, with `rows` untouched, when any lane holds a
-/// NaN or an infinity.
+/// ones' planes through `Cursor::put`. Returns each lane's code length,
+/// which its budget cuts; `None`, with `rows` untouched, when any lane
+/// holds a NaN or an infinity.
 pub struct EncodeLanes<'a, const N: usize, L> {
     /// The group's values by x-row: `values[r]` holds values `4r..4r + 4`
     /// of every block; `N / 4` rows.
@@ -660,14 +662,12 @@ fn code_lanes<const N: usize, const LOCKSTEP: bool, L: Limits>(
             }
         }
     }
-    let mut lens = [0u32; LANES];
     for l in 0..LANES {
         // A one-word code the budget cut may run past it.
         let j = if maxbits > 64 { (at.cur[l] >> 6).min(ROWS as u32 - 1) } else { 0 };
         rows[j as usize][l] = acc[l] & u64::MAX >> (64 - maxbits.min(64));
-        lens[l] = at.cur[l].min(lim.budget(l));
     }
-    Some(lens)
+    Some(at.cur)
 }
 
 /// Words of a lane's code: all a 64-value block can read, whatever its
@@ -767,10 +767,10 @@ impl<'a> Lanes<'a> {
         }
         self.spans[blocks..].fill(0);
         for j in 0..words.max(self.filled) {
-            for l in 0..LANES {
+            for (l, &start) in starts.iter().enumerate() {
                 let left = self.spans[l].saturating_sub(64 * j as u32);
-                let mask = u64::MAX >> (64 - left.min(64)) % 64;
-                self.rows[j][l] = if left > 0 { word_at(self.data, starts[l] + 64 * j) & mask } else { 0 };
+                let mask = u64::MAX >> ((64 - left.min(64)) % 64);
+                self.rows[j][l] = if left > 0 { word_at(self.data, start + 64 * j) & mask } else { 0 };
             }
         }
         self.filled = words;
@@ -1263,7 +1263,7 @@ mod tests {
             let lim = Variable::new(*c, [c.maxbits; LANES]);
             dispatch(EncodeLanes::<N, _> { values: &runs, lim, rows: &mut rows })
         }?;
-        Some((lens[0], rows))
+        Some((lens[0].min(c.maxbits), rows))
     }
 
     /// Lane 0's code in `rows` read under `budget`: the bits read and the
