@@ -101,8 +101,9 @@ pub fn friends_of_friends(
         )));
     }
 
-    // Cell grid: cell edge >= linking length.
-    let ncell = ((box_size / linking_length).floor() as usize).clamp(1, 512);
+    // Cell grid: cell edge >= linking length, and at most ~one cell per particle.
+    let per_particle = (n as f64).cbrt().ceil() as usize;
+    let ncell = ((box_size / linking_length) as usize).min(per_particle).max(1);
     let cell_of = |px: f32, py: f32, pz: f32| -> usize {
         let c = |v: f32| -> usize {
             let g = (v as f64 / box_size).rem_euclid(1.0);
@@ -137,19 +138,10 @@ pub fn friends_of_friends(
     // generated twice), then merged through a sequential union-find. A cell
     // keeps a spanning forest of its pairs: the same halos from one pair per
     // particle, however densely a reconstruction piles particles into it.
-    let forward: Vec<(i64, i64, i64)> = {
-        let mut f = Vec::new();
-        for dz in -1i64..=1 {
-            for dy in -1i64..=1 {
-                for dx in -1i64..=1 {
-                    if (dz, dy, dx) > (0, 0, 0) {
-                        f.push((dx, dy, dz));
-                    }
-                }
-            }
-        }
-        f
-    };
+    let forward: Vec<(i64, i64, i64)> = (0..27)
+        .map(|k| (k % 3 - 1, k / 3 % 3 - 1, k / 9 - 1))
+        .filter(|&(dx, dy, dz)| (dz, dy, dx) > (0, 0, 0))
+        .collect();
     let nc = ncell as i64;
     let pairs: Vec<Vec<(u32, u32)>> = (0..cells.len())
         .into_par_iter()
@@ -342,6 +334,78 @@ mod tests {
             into.0.push(cx + (t * 0.7).sin() * spread);
             into.1.push(cy + (t * 1.3).cos() * spread);
             into.2.push(cz + (t * 2.1).sin() * spread);
+        }
+    }
+
+    type Particles = (Vec<f32>, Vec<f32>, Vec<f32>);
+
+    /// FoF by its definition: every pair within `b` joined, O(n^2), then
+    /// the same finalisation and order.
+    fn brute_force(p: &Particles, box_size: f64, b: f64, min: usize) -> String {
+        let n = p.0.len();
+        let mut uf = UnionFind::new(n);
+        let d = |a: &[f32], i: usize, j: usize| {
+            let d = (a[i] as f64 - a[j] as f64).abs();
+            d.min(box_size - d)
+        };
+        for i in 0..n {
+            for j in i + 1..n {
+                let (dx, dy, dz) = (d(&p.0, i, j), d(&p.1, i, j), d(&p.2, i, j));
+                if dx * dx + dy * dy + dz * dz <= b * b {
+                    uf.union(i as u32, j as u32);
+                }
+            }
+        }
+        let mut groups: std::collections::BTreeMap<u32, Vec<u32>> = Default::default();
+        for i in 0..n as u32 {
+            groups.entry(uf.find(i)).or_default().push(i);
+        }
+        let mut halos: Vec<Halo> = (groups.into_values().filter(|m| m.len() >= min.max(1)))
+            .map(|m| finalize_halo(m, &p.0, &p.1, &p.2, box_size, b))
+            .collect();
+        halos.sort_by(|a, b| b.count.cmp(&a.count).then(a.members[0].cmp(&b.members[0])));
+        format!("{halos:?}")
+    }
+
+    #[test]
+    fn catalogues_equal_the_all_pairs_oracle() {
+        // A small LCG: uniform field particles in [0, side).
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut uniform = |side: f32| {
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            (state >> 40) as f32 / (1u64 << 24) as f32 * side
+        };
+        let mut field = |k: usize, p: &mut (Vec<f32>, Vec<f32>, Vec<f32>)| {
+            for _ in 0..k {
+                let v = [uniform(64.0), uniform(64.0), uniform(64.0)];
+                p.0.push(v[0]);
+                p.1.push(v[1]);
+                p.2.push(v[2]);
+            }
+        };
+        let mut clumps = (vec![], vec![], vec![]);
+        clump(10.0, 10.0, 10.0, 60, 0.4, &mut clumps);
+        clump(40.0, 20.0, 50.0, 25, 0.3, &mut clumps);
+        clump(30.0, 30.0, 30.0, 12, 1.5, &mut clumps);
+        field(400, &mut clumps);
+        let mut pile = (vec![33.0f32; 500], vec![7.0f32; 500], vec![60.0f32; 500]);
+        clump(33.0, 7.0, 60.0, 40, 0.6, &mut pile);
+        field(100, &mut pile);
+        // One clump across the corner of the box, on all three seams.
+        let mut seam = (vec![], vec![], vec![]);
+        clump(0.0, 0.0, 0.0, 30, 0.4, &mut seam);
+        for v in [&mut seam.0, &mut seam.1, &mut seam.2] {
+            v.iter_mut().for_each(|c| *c = c.rem_euclid(64.0));
+        }
+        let tiny = (seam.0[..6].to_vec(), seam.1[..6].to_vec(), seam.2[..6].to_vec());
+        field(50, &mut seam);
+        let mut uniform_only = (vec![], vec![], vec![]);
+        field(1500, &mut uniform_only);
+        let cases = [(&clumps, 1.0, 5), (&pile, 1.0, 10), (&seam, 0.8, 5), (&tiny, 0.8, 2)];
+        for (i, (p, b, min)) in cases.into_iter().chain([(&uniform_only, 2.5, 2)]).enumerate() {
+            let cat = friends_of_friends(&p.0, &p.1, &p.2, 64.0, b, min).unwrap();
+            assert!(!cat.halos.is_empty(), "case {i} finds no halo");
+            assert_eq!(format!("{:?}", cat.halos), brute_force(p, 64.0, b, min), "case {i}");
         }
     }
 

@@ -10,23 +10,16 @@
 //! fails the exhibit.
 
 use crate::prelude::*;
-use foresight::{best_fit_per_field, overall_best_ratio, run_pipeline, CodecKind};
-use foresight::{ForesightConfig, SlurmSim};
+use foresight::{best_fit_per_field, overall_best_ratio, CodecKind};
 
 pub(crate) fn build(ctx: &Ctx) -> Result<Exhibit> {
-    let s = ctx.cli.synth();
-    let cfg = ForesightConfig::from_json(&format!(
-        r#"{{"input": {{"dataset": "nyx", "n_side": {}, "seed": {}, "steps": {}, "box_size": {:?}}},
-            "compressors": [{{"name": "gpu-sz", "mode": "rel", "bounds": [1e-3, 3e-3, 1e-2]}},
-                            {{"name": "cuzfp", "rates": [2, 4, 8]}}],
-            "analysis": ["power-spectrum"], "output": {{"dir": "."}}}}"#,
-        s.n_side, s.seed, s.steps, s.box_size
-    ))?;
-    let report = run_pipeline(&cfg, &SlurmSim::default())?;
-    if !report.workflow.all_ok() {
-        let failed = report.workflow.failure_summary();
-        return Err(Error::Workflow(format!("workflow failed:\n{failed}")));
-    }
+    let report = pipeline(
+        ctx,
+        "nyx",
+        r#"[{"name": "gpu-sz", "mode": "rel", "bounds": [1e-3, 3e-3, 1e-2]},
+            {"name": "cuzfp", "rates": [2, 4, 8]}]"#,
+        r#"["power-spectrum"]"#,
+    )?;
     let mut table = Table::new(["compressor", "field", "chosen", "ratio", "acceptable/total"]);
     let mut lines = Vec::new();
     for comp in [CodecKind::Sz, CodecKind::Zfp] {

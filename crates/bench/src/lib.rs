@@ -12,8 +12,9 @@
 use cosmo_data::{generate_hacc, HaccSnapshot, NyxSnapshot, SynthOptions};
 pub use foresight::cbench::nyx_fields;
 use foresight::cbench::{run_one, FieldData};
-use foresight::codec::{compress, CodecConfig, Shape};
-use foresight::{ascii_chart, CBenchRecord, CinemaDb};
+use foresight::codec::{compress, CodecConfig};
+use foresight::{ascii_chart, run_pipeline, CBenchRecord, CinemaDb};
+use foresight::{ForesightConfig, PipelineReport, SlurmSim};
 use foresight_util::cli::Failure;
 use foresight_util::flags;
 use foresight_util::rule::PowerOfTwo;
@@ -25,8 +26,9 @@ use std::path::{Path, PathBuf};
 
 /// The vocabulary every exhibit module shares.
 mod prelude {
-    pub(crate) use crate::{chart, cubed, mean_bitrate, roundtrip, simulate};
+    pub(crate) use crate::{chart, mean_bitrate, pipeline, roundtrip, simulate};
     pub(crate) use crate::{velocity_magnitude, Ctx, Exhibit, ZFP_KERNELS};
+    pub(crate) use foresight::cbench::cubed;
     pub(crate) use cosmo_analysis::acceptance::{self, Verdict};
     pub(crate) use cosmo_analysis::power_spectrum_f32;
     pub(crate) use cosmo_fft::Grid3;
@@ -215,19 +217,23 @@ pub fn run(ctx: &Ctx, entry: &Entry) -> Result<PathBuf> {
     Ok(dir)
 }
 
-/// The paper's per-field HACC compression layout (§IV-B-4): a 1-D array
-/// reshaped to a 3-D cube, zero-padded to whole cubes.
-///
-/// Position fields use ABS mode directly; velocity fields use PW_REL
-/// (realized in `lossy-sz` by the log transform), so callers pick the
-/// error-bound mode — this helper only handles the reshape.
-pub fn cubed(name: &str, data: &[f32]) -> Result<FieldData> {
-    let shape = cosmo_data::convert::cube_shape_for(data.len());
-    let parts = cosmo_data::convert::to_3d(data, shape)?.parts;
-    // Up to 512^3 values one partition suffices (n^3 values fit in one
-    // cube); past that the partitions are stacked along z.
-    let nz_total = shape.2 * parts.len();
-    FieldData::new(name, parts.concat(), Shape::D3(shape.0, shape.1, nz_total))
+/// Runs the pipeline a `foresight-cli` user would configure over the
+/// CLI's universe: `dataset`, and the config's `compressors` (`sweep`)
+/// and `analysis` as JSON. A failed or skipped job fails the exhibit.
+pub fn pipeline(ctx: &Ctx, dataset: &str, sweep: &str, analysis: &str) -> Result<PipelineReport> {
+    let s = ctx.cli.synth();
+    let cfg = ForesightConfig::from_json(&format!(
+        r#"{{"input": {{"dataset": "{dataset}", "n_side": {}, "seed": {}, "steps": {},
+                        "box_size": {:?}}},
+            "compressors": {sweep}, "analysis": {analysis}, "output": {{"dir": "."}}}}"#,
+        s.n_side, s.seed, s.steps, s.box_size
+    ))?;
+    let report = run_pipeline(&cfg, &SlurmSim::default())?;
+    if !report.workflow.all_ok() {
+        let failed = report.workflow.failure_summary();
+        return Err(Error::Workflow(format!("workflow failed:\n{failed}")));
+    }
+    Ok(report)
 }
 
 /// Velocity magnitude `|v|` from three component arrays (paper Fig. 5's
@@ -286,6 +292,8 @@ pub fn simulate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use foresight::cbench::cubed;
+    use foresight::codec::Shape;
 
     #[test]
     fn nyx_fields_have_right_shape() {

@@ -6,7 +6,10 @@
 //! - every `fig5` verdict and pick is the rule's, recomputed here from the
 //!   reconstructions;
 //! - every `fig6` verdict is the rule's, recomputed from the exhibit's own
-//!   halo counts, at `--n-side 16` and in the committed `results/fig6/`.
+//!   halo counts, at `--n-side 16` and in the committed `results/fig6/`;
+//! - `fig6` shows what `run_pipeline` finds on the config a `foresight-cli`
+//!   user would write for its sweep: each position configuration's verdict
+//!   and both overall HACC ratios, at `--n-side 16` and 32.
 //!
 //! ```sh
 //! cargo test -q --offline -p foresight-bench --test agreement
@@ -24,11 +27,11 @@ use lossy_sz::SzConfig;
 use lossy_zfp::ZfpConfig;
 use std::path::{Path, PathBuf};
 
-/// Runs exhibit `id` at `--n-side 16` and returns its output directory.
-fn exhibit(id: &str) -> PathBuf {
-    let tmp = format!("foresight-agreement-{id}-{}", std::process::id());
+/// Runs exhibit `id` at `--n-side n_side` and returns its output directory.
+fn exhibit(id: &str, n_side: usize) -> PathBuf {
+    let tmp = format!("foresight-agreement-{id}-{n_side}-{}", std::process::id());
     let out = std::env::temp_dir().join(tmp);
-    let ctx = Ctx::new(Cli { n_side: 16, out, ..Cli::default() });
+    let ctx = Ctx::new(Cli { n_side, out, ..Cli::default() });
     let entry = EXHIBITS.iter().find(|e| e.id == id).unwrap();
     run(&ctx, entry).unwrap()
 }
@@ -41,7 +44,7 @@ fn csv(path: &Path) -> Vec<Vec<String>> {
 
 #[test]
 fn the_guideline_exhibit_picks_what_the_pipeline_picks() {
-    let dir = exhibit("guideline");
+    let dir = exhibit("guideline", 16);
     let rows = csv(&dir.join("bestfit.csv"));
     std::fs::remove_dir_all(dir.parent().unwrap()).unwrap();
 
@@ -68,7 +71,7 @@ fn the_guideline_exhibit_picks_what_the_pipeline_picks() {
 
 #[test]
 fn fig5_verdicts_and_picks_are_the_rules() {
-    let dir = exhibit("fig5");
+    let dir = exhibit("fig5", 16);
     let verdicts = csv(&dir.join("fig5_acceptance.csv"));
     let picks = csv(&dir.join("fig5_bestfit.csv"));
     std::fs::remove_dir_all(dir.parent().unwrap()).unwrap();
@@ -167,8 +170,51 @@ fn fig6_agrees(dir: &Path) {
 
 #[test]
 fn fig6_verdicts_are_the_rules() {
-    let dir = exhibit("fig6");
+    let dir = exhibit("fig6", 16);
     fig6_agrees(&dir);
     std::fs::remove_dir_all(dir.parent().unwrap()).unwrap();
     fig6_agrees(&Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/fig6"));
+}
+
+#[test]
+fn fig6_shows_what_the_pipeline_finds_on_the_clis_config() {
+    for n_side in [16, 32] {
+        let dir = exhibit("fig6", n_side);
+        let summary = csv(&dir.join("fig6_summary.csv"));
+        let overall = std::fs::read_to_string(dir.join("fig6_overall.txt")).unwrap();
+        std::fs::remove_dir_all(dir.parent().unwrap()).unwrap();
+
+        let cfg = ForesightConfig::from_json(&format!(
+            r#"{{"input": {{"dataset": "hacc", "n_side": {n_side}, "seed": 24301, "steps": 10}},
+                "compressors": [{{"name": "gpu-sz", "mode": "abs", "bounds": [0.005, 0.025, 0.1]}},
+                                {{"name": "cuzfp", "rates": [4, 8, 12]}}],
+                "analysis": ["halo-finder"],
+                "output": {{"dir": "fig6-agreement"}}}}"#
+        ))
+        .unwrap();
+        let report = run_pipeline(&cfg, &SlurmSim::default()).unwrap();
+        let rows: Vec<_> = summary.iter().filter(|r| r[0] != "original").collect();
+        assert_eq!(rows.len(), 6);
+        for row in rows {
+            for axis in ["x", "y", "z"] {
+                let c = report.candidates.iter().find(|c| {
+                    let r = &c.record;
+                    (r.field.as_str(), r.compressor.display(), &r.param) == (axis, &row[0], &row[1])
+                });
+                let v = c.unwrap().verdict;
+                let cli = [fmt_f64(v.halo_deviation.unwrap()), v.acceptable().to_string()];
+                assert_eq!(cli, [row[3].clone(), row[4].clone()], "{n_side}: {axis} {row:?}");
+            }
+        }
+        // "<comp>: ... ratio <r>x ...", or no ratio when nothing passed.
+        let ratio = |line: Option<&str>| {
+            let after = line?.split("ratio ").nth(1)?;
+            after.split('x').next().map(String::from)
+        };
+        for comp in ["GPU-SZ:", "cuZFP:"] {
+            let cli = report.best_fit_lines.iter().find(|l| l.starts_with(comp));
+            let fig6 = overall.lines().find(|l| l.starts_with(comp));
+            assert_eq!(ratio(cli.map(String::as_str)), ratio(fig6), "{n_side}: {comp}");
+        }
+    }
 }

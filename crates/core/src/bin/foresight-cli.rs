@@ -64,7 +64,7 @@
 use foresight::obs;
 use foresight::runner::run_pipeline;
 use foresight::trace;
-use foresight::{FieldShape, ForesightConfig, Region, ServeReport, SlurmSim, StoreReader};
+use foresight::{ForesightConfig, Region, ServeReport, SlurmSim, StoreReader};
 use foresight_util::cli::{self, Context, Entry, Failure};
 use foresight_util::flags;
 use foresight_util::json::Value;
@@ -632,30 +632,9 @@ fn store_pack(args: StorePack) -> Result<(), Failure> {
         return Err(Failure::new(cli::FAILURE, "error: config has no compressor to pack with"));
     };
     let pack = || -> foresight_util::Result<usize> {
-        let opts = cosmo_data::SynthOptions {
-            n_side: cfg.input.n_side,
-            box_size: cfg.input.box_size,
-            seed: cfg.input.seed,
-            steps: cfg.input.steps,
-        };
         let mut writer = foresight::StoreWriter::new();
-        let mut add = |name, data: &[f32], shape, chunks| {
-            writer.add_field(snapshot, name, data, shape, chunks, &codec)
-        };
-        match cfg.input.dataset {
-            foresight::DatasetKind::Nyx => {
-                let snap = cosmo_data::generate_nyx(&opts)?;
-                let n = snap.n_side;
-                for (name, data) in snap.fields() {
-                    add(name, data, FieldShape::d3(n, n, n), [chunk, chunk, chunk])?;
-                }
-            }
-            foresight::DatasetKind::Hacc => {
-                let snap = cosmo_data::generate_hacc(&opts)?;
-                for (name, data) in snap.fields() {
-                    add(name, data, FieldShape::d1(data.len()), [chunk * chunk * chunk, 1, 1])?;
-                }
-            }
+        for f in foresight::runner::generate(&cfg.input)? {
+            writer.add_field(snapshot, &f.name, &f.data, f.shape, [chunk, chunk, chunk], &codec)?;
         }
         let n_fields = writer.field_count();
         writer.write_file(Path::new(&args.archive))?;
@@ -878,19 +857,8 @@ fn pipeline(cli: Run) -> Result<(), Failure> {
         );
     }
     if !cli.quiet && !report.records.is_empty() {
-        let mut table = Table::new(["field", "compressor", "param", "ratio", "bitrate", "psnr_db"]);
-        for r in &report.records {
-            table.push_row([
-                r.field.clone(),
-                r.compressor.display().to_string(),
-                r.param.clone(),
-                fmt_f64(r.ratio),
-                fmt_f64(r.bitrate),
-                fmt_f64(r.distortion.psnr),
-            ]);
-        }
         println!("\n== records ==");
-        print!("{}", table.to_ascii());
+        print!("{}", foresight::runner::candidate_table(&report.candidates).to_ascii());
     }
     if !report.resilience.is_empty() {
         println!("\n== resilience ==");

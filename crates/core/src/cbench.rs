@@ -98,20 +98,44 @@ pub struct CBenchRecord {
     pub reconstructed: Option<Vec<f32>>,
 }
 
-/// Publishes a finished record's metrics: the per-(field,config) ratio
+/// The row of one round trip of `field` at `cfg` to a `stream`-byte
+/// stream, taking `secs` (compress, decompress); `sim_seconds` marks a
+/// GPU-path record. Publishes its metrics: the per-(field,config) ratio
 /// gauge (idempotent under PAT job reruns) and the deterministic
-/// simulated-seconds histogram. No-op when telemetry is off.
-fn record_metrics(rec: &CBenchRecord) {
-    if !telemetry::is_enabled() {
-        return;
+/// simulated-seconds histogram, when telemetry is on.
+fn record(
+    field: &FieldData,
+    cfg: &CodecConfig,
+    stream: usize,
+    recon: Vec<f32>,
+    secs: (f64, f64),
+    sim_seconds: Option<f64>,
+    keep_recon: bool,
+) -> CBenchRecord {
+    let original_bytes = field.data.len() * 4;
+    let rec = CBenchRecord {
+        field: field.name.clone(),
+        compressor: cfg.id(),
+        param: cfg.param_label(),
+        compressed_bytes: stream,
+        original_bytes,
+        ratio: original_bytes as f64 / stream.max(1) as f64,
+        bitrate: stream as f64 * 8.0 / field.data.len().max(1) as f64,
+        distortion: distortion(&field.data, &recon),
+        compress_seconds: secs.0,
+        decompress_seconds: secs.1,
+        exec: if sim_seconds.is_some() { ExecPath::Gpu } else { ExecPath::Cpu },
+        sim_seconds,
+        reconstructed: if keep_recon { Some(recon) } else { None },
+    };
+    if telemetry::is_enabled() {
+        let (field, comp, param) = (&rec.field, rec.compressor.display(), &rec.param);
+        telemetry::gauge(&format!("cbench.ratio.{field}/{comp} {param}"), rec.ratio);
+        if let Some(s) = rec.sim_seconds {
+            telemetry::observe("cbench.sim_seconds", s);
+        }
     }
-    telemetry::gauge(
-        &format!("cbench.ratio.{}/{} {}", rec.field, rec.compressor.display(), rec.param),
-        rec.ratio,
-    );
-    if let Some(s) = rec.sim_seconds {
-        telemetry::observe("cbench.sim_seconds", s);
-    }
+    rec
 }
 
 /// Runs one (field, config) measurement.
@@ -123,25 +147,7 @@ pub fn run_one(field: &FieldData, cfg: &CodecConfig, keep_recon: bool) -> Result
     if shape.len() != field.shape.len() {
         return Err(Error::corrupt("reconstructed shape mismatch"));
     }
-    let dist = distortion(&field.data, &recon);
-    let original_bytes = field.data.len() * 4;
-    let rec = CBenchRecord {
-        field: field.name.clone(),
-        compressor: cfg.id(),
-        param: cfg.param_label(),
-        compressed_bytes: stream.len(),
-        original_bytes,
-        ratio: original_bytes as f64 / stream.len().max(1) as f64,
-        bitrate: stream.len() as f64 * 8.0 / field.data.len().max(1) as f64,
-        distortion: dist,
-        compress_seconds: c_secs,
-        decompress_seconds: d_secs,
-        exec: ExecPath::Cpu,
-        sim_seconds: None,
-        reconstructed: if keep_recon { Some(recon) } else { None },
-    };
-    record_metrics(&rec);
-    Ok(rec)
+    Ok(record(field, cfg, stream.len(), recon, (c_secs, d_secs), None, keep_recon))
 }
 
 /// One GPU roundtrip attempt: compress on device, download (chaos may
@@ -163,25 +169,8 @@ fn gpu_roundtrip(
     if recon.len() != field.data.len() {
         return Err(Error::corrupt("reconstructed length mismatch"));
     }
-    let dist = distortion(&field.data, &recon);
-    let original_bytes = field.data.len() * 4;
-    let rec = CBenchRecord {
-        field: field.name.clone(),
-        compressor: cfg.id(),
-        param: cfg.param_label(),
-        compressed_bytes: stream.len(),
-        original_bytes,
-        ratio: original_bytes as f64 / stream.len().max(1) as f64,
-        bitrate: stream.len() as f64 * 8.0 / field.data.len().max(1) as f64,
-        distortion: dist,
-        compress_seconds: c_secs,
-        decompress_seconds: d_secs,
-        exec: ExecPath::Gpu,
-        sim_seconds: Some(crep.breakdown.total() + drep.breakdown.total()),
-        reconstructed: if keep_recon { Some(recon) } else { None },
-    };
-    record_metrics(&rec);
-    Ok(rec)
+    let sim = crep.breakdown.total() + drep.breakdown.total();
+    Ok(record(field, cfg, stream.len(), recon, (c_secs, d_secs), Some(sim), keep_recon))
 }
 
 /// Runs one (field, config) measurement on the simulated GPU with
@@ -224,21 +213,21 @@ pub fn run_one_gpu(
     }
 }
 
-/// Runs the full sweep: every field against every configuration, in
-/// parallel across (field, config) pairs.
+/// One measurement of a sweep: a field and the configuration it is coded at.
+pub type Pair<'a> = (&'a FieldData, &'a CodecConfig);
+
+/// Every field against every configuration, fields outer.
+pub fn cross<'a>(fields: &'a [FieldData], configs: &'a [CodecConfig]) -> Vec<Pair<'a>> {
+    fields.iter().flat_map(|f| configs.iter().map(move |c| (f, c))).collect()
+}
+
+/// Runs a sweep: every pair (e.g. [`cross`]), in parallel across pairs.
 ///
-/// The output order is deterministic — fields outer, configs inner, same
-/// as the serial double loop. Every pair is measured even when some fail;
-/// the error names each failing (field, config) pair.
-pub fn run_sweep(
-    fields: &[FieldData],
-    configs: &[CodecConfig],
-    keep_recon: bool,
-) -> Result<Vec<CBenchRecord>> {
+/// The output order is the order of `pairs`. Every pair is measured even
+/// when some fail; the error names each failing (field, config) pair.
+pub fn run_sweep(pairs: &[Pair], keep_recon: bool) -> Result<Vec<CBenchRecord>> {
     let sweep = telemetry::span("cbench.sweep");
     let sweep_id = sweep.id();
-    let pairs: Vec<(&FieldData, &CodecConfig)> =
-        fields.iter().flat_map(|f| configs.iter().map(move |c| (f, c))).collect();
     let results: Vec<Result<CBenchRecord>> = pairs
         .par_iter()
         .map(|(f, c)| {
@@ -348,7 +337,7 @@ impl ChaosSweepReport {
     }
 }
 
-/// Runs the full sweep through the simulated GPU under fault injection.
+/// Runs a sweep through the simulated GPU under fault injection.
 ///
 /// Unlike [`run_sweep`], persistent failures do not fail the sweep: each
 /// failing pair is quarantined with its error and the remaining records
@@ -356,8 +345,7 @@ impl ChaosSweepReport {
 /// `field/codec param` label, so results are bit-identical for a given
 /// seed regardless of rayon's scheduling.
 pub fn run_sweep_chaos(
-    fields: &[FieldData],
-    configs: &[CodecConfig],
+    pairs: &[Pair],
     keep_recon: bool,
     chaos: &ChaosConfig,
 ) -> Result<ChaosSweepReport> {
@@ -365,8 +353,6 @@ pub fn run_sweep_chaos(
     let sweep = telemetry::span("cbench.sweep_chaos");
     let sweep_id = sweep.id();
     let parent = FaultPlan::new(chaos.seed, chaos.rates).with_max_retries(chaos.device_retries);
-    let pairs: Vec<(&FieldData, &CodecConfig)> =
-        fields.iter().flat_map(|f| configs.iter().map(move |c| (f, c))).collect();
     let results: Vec<(Result<CBenchRecord>, Vec<String>)> = pairs
         .par_iter()
         .map(|(f, c)| {
@@ -437,6 +423,34 @@ pub fn nyx_fields(opts: &SynthOptions) -> Result<(NyxSnapshot, Vec<FieldData>)> 
     Ok((snap, fields))
 }
 
+/// The HACC position arrays: the halo test reads these three.
+pub const HACC_AXES: [&str; 3] = ["x", "y", "z"];
+
+/// The paper's GPU-SZ bound for HACC velocities (§V-B): PW_REL 0.025.
+pub const SZ_VEL_PWREL: f64 = 0.025;
+
+/// The paper's HACC layout (§IV-B-4): a 1-D array reshaped to a 3-D cube,
+/// zero-padded to whole cubes. Up to 512^3 values one cube suffices;
+/// past that the cubes are stacked along z. A record of a padded field
+/// counts the padding in its bytes and ratio; the particles are the first
+/// `data.len()` values of its reconstruction.
+pub fn cubed(name: &str, data: &[f32]) -> Result<FieldData> {
+    let shape = cosmo_data::convert::cube_shape_for(data.len());
+    let parts = cosmo_data::convert::to_3d(data, shape)?.parts;
+    let nz_total = shape.2 * parts.len();
+    FieldData::new(name, parts.concat(), Shape::D3(shape.0, shape.1, nz_total))
+}
+
+/// The configuration the paper codes HACC velocities at beside positions
+/// coded at `position`: GPU-SZ at PW_REL [`SZ_VEL_PWREL`], cuZFP at the
+/// same rate.
+pub fn velocity_config(position: &CodecConfig) -> CodecConfig {
+    match position {
+        CodecConfig::Sz(_) => CodecConfig::Sz(lossy_sz::SzConfig::pw_rel(SZ_VEL_PWREL)),
+        zfp => zfp.clone(),
+    }
+}
+
 /// Dataset-level compression ratio for one chosen config per field
 /// (the paper's "overall compression ratio", e.g. 10.7x / 15.4x).
 pub fn overall_ratio(records: &[&CBenchRecord]) -> f64 {
@@ -488,7 +502,7 @@ mod tests {
             CodecConfig::Zfp(ZfpConfig::rate(4.0)),
             CodecConfig::Zfp(ZfpConfig::rate(8.0)),
         ];
-        let records = run_sweep(&fields, &configs, false).unwrap();
+        let records = run_sweep(&cross(&fields, &configs), false).unwrap();
         assert_eq!(records.len(), 6);
         assert!(records.iter().all(|r| r.reconstructed.is_none()));
         // Fixed-rate 4 gives ~8x ratio.
@@ -503,7 +517,7 @@ mod tests {
             CodecConfig::Zfp(ZfpConfig::rate(4.0)),
             CodecConfig::Zfp(ZfpConfig::rate(8.0)),
         ];
-        let records = run_sweep(&fields, &configs, false).unwrap();
+        let records = run_sweep(&cross(&fields, &configs), false).unwrap();
         let order: Vec<(String, String)> =
             records.iter().map(|r| (r.field.clone(), r.param.clone())).collect();
         let expected: Vec<(String, String)> = ["a", "b"]
@@ -521,7 +535,7 @@ mod tests {
             // Invalid bound: compression of this pair must fail.
             CodecConfig::Sz(SzConfig::abs(-1.0)),
         ];
-        let err = run_sweep(&fields, &configs, false).unwrap_err().to_string();
+        let err = run_sweep(&cross(&fields, &configs), false).unwrap_err().to_string();
         assert!(err.contains("good_field"), "error names the field: {err}");
         assert!(err.contains("abs=-1"), "error names the config: {err}");
         assert!(err.contains("1 of 2"), "error counts failures: {err}");
@@ -549,9 +563,9 @@ mod tests {
             CodecConfig::Sz(SzConfig::abs(0.5)),
             CodecConfig::Zfp(ZfpConfig::rate(4.0)),
         ];
-        let cpu = run_sweep(&fields, &configs, false).unwrap();
+        let cpu = run_sweep(&cross(&fields, &configs), false).unwrap();
         let chaos = ChaosConfig::new(42, FaultRates::default());
-        let report = run_sweep_chaos(&fields, &configs, false, &chaos).unwrap();
+        let report = run_sweep_chaos(&cross(&fields, &configs), false, &chaos).unwrap();
         assert!(report.quarantined.is_empty());
         assert_eq!(report.fallbacks(), 0);
         assert_eq!(report.records.len(), cpu.len());
@@ -580,7 +594,7 @@ mod tests {
         let mut chaos = ChaosConfig::new(7, rates);
         chaos.device_retries = 1;
         chaos.op_retries = 1;
-        let run = || run_sweep_chaos(&fields, &configs, false, &chaos).unwrap();
+        let run = || run_sweep_chaos(&cross(&fields, &configs), false, &chaos).unwrap();
         let a = run();
         // Nothing quarantined: every pair lands via GPU retries or CPU
         // fallback (the codec configs themselves are valid).
@@ -609,10 +623,10 @@ mod tests {
             CodecConfig::Zfp(ZfpConfig::rate(4.0)),
             CodecConfig::Zfp(ZfpConfig::precision(20)),
         ];
-        let plain = run_sweep(&fields, &configs, false).unwrap();
+        let plain = run_sweep(&cross(&fields, &configs), false).unwrap();
         let chaos = ChaosConfig::new(0, FaultRates::default())
             .with_sanitizer(SanitizerConfig::full());
-        let report = run_sweep_chaos(&fields, &configs, false, &chaos).unwrap();
+        let report = run_sweep_chaos(&cross(&fields, &configs), false, &chaos).unwrap();
         assert_eq!(report.sanitizer, Vec::<String>::new(), "shipped kernels run clean");
         assert!(report.quarantined.is_empty());
         assert_eq!(report.records.len(), plain.len());
@@ -644,7 +658,7 @@ mod tests {
         let mut chaos = ChaosConfig::new(9, rates).with_sanitizer(SanitizerConfig::full());
         chaos.device_retries = 1;
         chaos.op_retries = 1;
-        let report = run_sweep_chaos(&fields, &configs, false, &chaos).unwrap();
+        let report = run_sweep_chaos(&cross(&fields, &configs), false, &chaos).unwrap();
         assert_eq!(report.quarantined.len(), 2, "the invalid bound fails for both fields");
         assert_eq!(report.records.len(), 4);
         assert!(
@@ -667,7 +681,7 @@ mod tests {
             CodecConfig::Sz(SzConfig::abs(-1.0)), // invalid: retries cannot help
         ];
         let chaos = ChaosConfig::new(3, FaultRates::default());
-        let report = run_sweep_chaos(&fields, &configs, false, &chaos).unwrap();
+        let report = run_sweep_chaos(&cross(&fields, &configs), false, &chaos).unwrap();
         assert_eq!(report.records.len(), 1, "the good pair survives");
         assert_eq!(report.quarantined.len(), 1);
         let q = &report.quarantined[0];
@@ -679,6 +693,6 @@ mod tests {
     #[test]
     fn bad_rates_rejected() {
         let chaos = ChaosConfig::new(1, FaultRates { transfer: 2.0, ..Default::default() });
-        assert!(run_sweep_chaos(&[], &[], false, &chaos).is_err());
+        assert!(run_sweep_chaos(&[], false, &chaos).is_err());
     }
 }

@@ -74,7 +74,7 @@ pub use obs::{
 };
 pub use optimizer::{best_fit_per_field, overall_best_ratio, BestFit, Candidate};
 pub use pat::{Job, JobResult, JobStatus, RetryPolicy, SlurmSim, Workflow, WorkflowReport};
-pub use runner::{run_pipeline, PipelineReport};
+pub use runner::{run_pipeline, Catalogue, PipelineReport};
 pub use serve::{
     serve, serve_serial, synth_workload, ServeNode, ServeOptions, ServePayload, ServeReport,
     ServeRequest, ServeResponse, ServeStatus, WorkloadSpec,

@@ -31,16 +31,16 @@ pub struct BestFit {
     pub total_count: usize,
 }
 
-/// Picks the best-fit configuration per field for one compressor.
+/// Picks the best-fit configuration per field for one compressor. A
+/// record that no analysis or policy judged (its verdict ran no test) is
+/// never picked, so a field with only such records gets no pick.
 ///
-/// Returns an error if a field has no acceptable configuration — the
-/// guideline then asks for tighter bounds to be swept.
+/// Returns an error if a judged field has no acceptable configuration —
+/// the guideline then asks for tighter bounds to be swept.
 pub fn best_fit_per_field(candidates: &[Candidate], compressor: CodecKind) -> Result<Vec<BestFit>> {
-    let ours: Vec<&Candidate> =
-        candidates.iter().filter(|c| c.record.compressor == compressor).collect();
-    if ours.is_empty() {
-        return Err(Error::invalid(format!("no candidates for {}", compressor.display())));
-    }
+    let ours: Vec<&Candidate> = (candidates.iter())
+        .filter(|c| c.record.compressor == compressor && c.verdict != Verdict::default())
+        .collect();
     let mut out: Vec<BestFit> = Vec::new();
     for c in &ours {
         let field = &c.record.field;
@@ -116,11 +116,22 @@ mod tests {
     }
 
     #[test]
-    fn missing_analyses_count_as_pass() {
-        let mut c = candidate("f", 0.1, 0.5);
-        c.verdict = Verdict::default();
-        assert!(c.verdict.acceptable());
-        assert_eq!(best_fit_per_field(&[c], CodecKind::Sz).unwrap()[0].acceptable_count, 1);
+    fn unjudged_records_are_never_picked() {
+        let unjudged = |field: &str, eb: f64| {
+            let mut c = candidate(field, eb, 0.0);
+            c.verdict = Verdict::default();
+            c
+        };
+        // Nothing judged: no pick at all.
+        let none = [unjudged("f", 0.1), unjudged("g", 0.1)];
+        assert!(best_fit_per_field(&none, CodecKind::Sz).unwrap().is_empty());
+        // The higher-ratio unjudged record loses to the judged one, and a
+        // field with no judged record gets no pick.
+        let cands = [candidate("f", 0.1, 0.001), unjudged("f", 0.9), unjudged("g", 0.5)];
+        let fits = best_fit_per_field(&cands, CodecKind::Sz).unwrap();
+        assert_eq!(fits.len(), 1);
+        let (pick, counts) = (&fits[0].record.param, (fits[0].acceptable_count, fits[0].total_count));
+        assert_eq!((pick.as_str(), counts), ("abs=0.1", (1, 1)));
     }
 
     #[test]

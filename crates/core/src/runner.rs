@@ -1,21 +1,22 @@
 //! End-to-end pipeline runner: everything a `ForesightConfig` describes,
 //! executed as PAT jobs — generate, CBench, analyses, report.
 //!
-//! This is the library behind the `foresight-cli` binary and the
-//! `foresight_pipeline` example; tests drive it directly.
+//! This is the library behind `foresight-cli`, the `guideline` and `fig6`
+//! exhibits and the `foresight_pipeline` example; tests drive it directly.
 
 use crate::cbench::{
-    run_sweep, run_sweep_chaos, CBenchRecord, ChaosConfig, ExecPath, FieldData, QuarantinedPair,
+    cubed, run_sweep, run_sweep_chaos, velocity_config, CBenchRecord, ChaosConfig, ExecPath,
+    FieldData, Pair, QuarantinedPair, HACC_AXES,
 };
 use crate::cinema::CinemaDb;
-use crate::codec::Shape;
-use crate::config::{AnalysisKind, DatasetKind, ForesightConfig};
+use crate::codec::CodecConfig;
+use crate::config::{AnalysisKind, DatasetKind, ForesightConfig, InputConfig};
 use crate::gpu_backend::gpu_compress;
 use crate::optimizer::{best_fit_per_field, overall_best_ratio, Candidate};
 use crate::pat::{Job, RetryPolicy, SlurmSim, Workflow, WorkflowReport};
 use crate::CodecKind;
 use cosmo_analysis::acceptance::{self, Verdict};
-use cosmo_analysis::halo_count_ratio;
+use cosmo_analysis::{halo_count_ratio, mass_function, HaloCatalog};
 use cosmo_fft::Grid3;
 use foresight_util::table::{fmt_f64, Table};
 use foresight_util::telemetry::{self, Metrics, MetricsRegistry, TelemetrySnapshot, WindowSeries};
@@ -61,6 +62,25 @@ pub struct PipelineReport {
     /// The windowed series the SLOs were evaluated against (None when no
     /// `slo` section was configured or telemetry was off).
     pub series: Option<WindowSeries>,
+    /// The halo test's catalogues: the original's first, then one per
+    /// position configuration that has all three axes. Empty unless a
+    /// HACC run asked for `halo-finder`.
+    pub halos: Vec<Catalogue>,
+}
+
+/// What the halo test found in one catalogue; it keeps no particle data.
+#[derive(Debug, Clone)]
+pub struct Catalogue {
+    /// The position configuration `(compressor, param)` whose
+    /// reconstruction it was found in; `None` for the original.
+    pub config: Option<(CodecKind, String)>,
+    /// Halos found.
+    pub halos: usize,
+    /// `(mass bin, halos)` ([`mass_function`]).
+    pub mass_function: Vec<(usize, usize)>,
+    /// `(mass bin, original, reconstructed, ratio)` against the original
+    /// ([`halo_count_ratio`]).
+    pub count_ratio: Vec<(usize, usize, usize, f64)>,
 }
 
 /// Runs the configured pipeline on the (simulated) cluster.
@@ -81,9 +101,12 @@ pub fn run_pipeline(cfg: &ForesightConfig, cluster: &SlurmSim) -> Result<Pipelin
     let chaos = cfg.chaos.clone();
     let sanitizer_cfg = cfg.sanitize.map(|s| s.to_sanitizer_config());
 
+    let hacc_halos =
+        input.dataset == DatasetKind::Hacc && analyses.contains(&AnalysisKind::HaloFinder);
     let fields: Arc<Mutex<Vec<FieldData>>> = Arc::new(Mutex::new(Vec::new()));
     let records: Arc<Mutex<Vec<CBenchRecord>>> = Arc::new(Mutex::new(Vec::new()));
     let candidates: Arc<Mutex<Vec<Candidate>>> = Arc::new(Mutex::new(Vec::new()));
+    let halos: Arc<Mutex<Vec<Catalogue>>> = Arc::new(Mutex::new(Vec::new()));
     let lines: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
     let artifacts: Arc<Mutex<usize>> = Arc::new(Mutex::new(0));
     // Per-run registry: always on, independent of the global collector.
@@ -131,22 +154,7 @@ pub fn run_pipeline(cfg: &ForesightConfig, cluster: &SlurmSim) -> Result<Pipelin
         let fields = fields.clone();
         let input = input.clone();
         wf.add(Job::new("generate", 4, move || {
-            let opts = cosmo_data::SynthOptions {
-                n_side: input.n_side,
-                box_size: input.box_size,
-                seed: input.seed,
-                steps: input.steps,
-            };
-            let out = match input.dataset {
-                DatasetKind::Nyx => crate::cbench::nyx_fields(&opts)?.1,
-                DatasetKind::Hacc => {
-                    let snap = cosmo_data::generate_hacc(&opts)?;
-                    snap.fields()
-                        .iter()
-                        .map(|(name, d)| FieldData::new(*name, d.to_vec(), Shape::D1(d.len())))
-                        .collect::<Result<Vec<_>>>()?
-                }
-            };
+            let out = generate(&input)?;
             let n = out.len();
             *fields.lock() = out;
             Ok(format!("{n} fields"))
@@ -170,23 +178,12 @@ pub fn run_pipeline(cfg: &ForesightConfig, cluster: &SlurmSim) -> Result<Pipelin
             Job::new("archive", 2, move || {
                 let f = fields.lock();
                 let mut writer = foresight_store::StoreWriter::new();
+                // Every field is the 3-D grid the codec saw: a Nyx grid or
+                // a HACC cube.
                 let c = store_cfg.chunk;
                 for field in f.iter() {
-                    let chunk = match field.shape {
-                        // 1-D fields chunk along their only axis with a
-                        // volume matching the 3-D chunk's value count.
-                        Shape::D1(_) => [c * c * c, 1, 1],
-                        Shape::D2(..) => [c, c, 1],
-                        Shape::D3(..) => [c, c, c],
-                    };
-                    writer.add_field(
-                        store_cfg.snapshot,
-                        &field.name,
-                        &field.data,
-                        field.shape,
-                        chunk,
-                        &pack_codec,
-                    )?;
+                    let (snapshot, name, data) = (store_cfg.snapshot, &field.name, &field.data);
+                    writer.add_field(snapshot, name, data, field.shape, [c, c, c], &pack_codec)?;
                 }
                 let n_fields = writer.field_count();
                 let bytes = writer.finish()?;
@@ -224,15 +221,30 @@ pub fn run_pipeline(cfg: &ForesightConfig, cluster: &SlurmSim) -> Result<Pipelin
         wf.add(
             Job::new("cbench", 8, move || {
                 let f = fields.lock();
+                // A HACC run judged by halos codes its velocities by the
+                // paper's policy: at each configuration's companion, once.
+                let mut vel_configs: Vec<CodecConfig> = Vec::new();
+                for v in configs.iter().map(velocity_config) {
+                    if !vel_configs.contains(&v) {
+                        vel_configs.push(v);
+                    }
+                }
+                // Fields outer, configs inner.
+                let pairs: Vec<Pair> = (f.iter())
+                    .flat_map(|f| {
+                        let vel = hacc_halos && !HACC_AXES.contains(&f.name.as_str());
+                        (if vel { &vel_configs } else { &configs }).iter().map(move |c| (f, c))
+                    })
+                    .collect();
                 match &chaos_cfg {
                     None => {
-                        let recs = run_sweep(&f, &configs, keep)?;
+                        let recs = run_sweep(&pairs, keep)?;
                         let n = recs.len();
                         *records.lock() = recs;
                         Ok(format!("{n} records"))
                     }
                     Some(cc) => {
-                        let rep = run_sweep_chaos(&f, &configs, keep, cc)?;
+                        let rep = run_sweep_chaos(&pairs, keep, cc)?;
                         let fallbacks = rep.fallbacks();
                         let retried = rep
                             .records
@@ -273,8 +285,10 @@ pub fn run_pipeline(cfg: &ForesightConfig, cluster: &SlurmSim) -> Result<Pipelin
         let fields = fields.clone();
         let records = records.clone();
         let candidates = candidates.clone();
+        let halos = halos.clone();
         let input = input.clone();
         let analyses2 = analyses.clone();
+        let configs = configs.clone();
         wf.add(
             Job::new("analysis", 8, move || {
                 let fields = fields.lock();
@@ -298,10 +312,9 @@ pub fn run_pipeline(cfg: &ForesightConfig, cluster: &SlurmSim) -> Result<Pipelin
                         c.verdict.pk_deviation = Some(dev);
                     }
                 }
-                if analyses2.contains(&AnalysisKind::HaloFinder)
-                    && input.dataset == DatasetKind::Hacc
-                {
-                    halo_verdicts(&fields, &mut cands, box_size)?;
+                if hacc_halos {
+                    let n = input.n_side.pow(3);
+                    *halos.lock() = halo_verdicts(&fields, &mut cands, &configs, box_size, n)?;
                 }
                 cands.iter_mut().for_each(|c| c.record.reconstructed = None);
                 let n = cands.len();
@@ -357,14 +370,9 @@ pub fn run_pipeline(cfg: &ForesightConfig, cluster: &SlurmSim) -> Result<Pipelin
                     .into_iter()
                     .collect::<Result<Vec<(String, Vec<String>)>>>()?;
                 let n = out.len();
-                let mut rows = Vec::with_capacity(n);
-                let mut findings = Vec::new();
-                for (row, f) in out {
-                    rows.push(row);
-                    findings.extend(f);
-                }
+                let (rows, findings): (Vec<String>, Vec<Vec<String>>) = out.into_iter().unzip();
                 lines.lock().extend(rows);
-                *thr_san.lock() = findings;
+                *thr_san.lock() = findings.concat();
                 Ok(format!("{n} throughput rows"))
             })
             .after("generate"),
@@ -378,40 +386,8 @@ pub fn run_pipeline(cfg: &ForesightConfig, cluster: &SlurmSim) -> Result<Pipelin
         wf.add(
             Job::new("report", 1, move || {
                 let cands = candidates2.lock();
-                let mut table = Table::new([
-                    "field",
-                    "compressor",
-                    "param",
-                    "ratio",
-                    "bitrate",
-                    "psnr_db",
-                    "pk_dev",
-                    "halo_dev",
-                ]);
-                for c in cands.iter() {
-                    table.push_row([
-                        c.record.field.clone(),
-                        c.record.compressor.display().to_string(),
-                        c.record.param.clone(),
-                        fmt_f64(c.record.ratio),
-                        fmt_f64(c.record.bitrate),
-                        fmt_f64(c.record.distortion.psnr),
-                        c.verdict.pk_deviation.map(fmt_f64).unwrap_or_else(|| "-".into()),
-                        c.verdict.halo_deviation.map(fmt_f64).unwrap_or_else(|| "-".into()),
-                    ]);
-                }
-                let mut out_lines = Vec::new();
-                for comp in [CodecKind::Sz, CodecKind::Zfp] {
-                    if let Ok(fits) = best_fit_per_field(&cands, comp) {
-                        let overall = overall_best_ratio(&fits);
-                        out_lines.push(format!(
-                            "{}: overall best-fit ratio {:.2}x over {} fields",
-                            comp.display(),
-                            overall,
-                            fits.len()
-                        ));
-                    }
-                }
+                let table = candidate_table(&cands);
+                let out_lines = best_fit_lines(&cands);
                 if want_cinema {
                     let mut db = CinemaDb::create(&outdir)?;
                     db.add_table("cbench.csv", &table, &[("stage", "report".into())])?;
@@ -439,8 +415,6 @@ pub fn run_pipeline(cfg: &ForesightConfig, cluster: &SlurmSim) -> Result<Pipelin
     let final_candidates = std::mem::take(&mut *candidates.lock());
     let final_records: Vec<CBenchRecord> =
         final_candidates.iter().map(|c| c.record.clone()).collect();
-    let final_lines = std::mem::take(&mut *lines.lock());
-    let final_artifacts = *artifacts.lock();
     let final_quarantined = std::mem::take(&mut *quarantined.lock());
     let mut final_sanitizer = std::mem::take(&mut *cbench_san.lock());
     final_sanitizer.extend(std::mem::take(&mut *thr_san.lock()));
@@ -452,15 +426,16 @@ pub fn run_pipeline(cfg: &ForesightConfig, cluster: &SlurmSim) -> Result<Pipelin
     let mut report = PipelineReport {
         records: final_records,
         candidates: final_candidates,
-        best_fit_lines: final_lines,
+        best_fit_lines: std::mem::take(&mut *lines.lock()),
         workflow,
-        artifacts: final_artifacts,
+        artifacts: *artifacts.lock(),
         resilience: crate::trace::resilience_lines(&metrics, &final_quarantined),
         metrics,
         quarantined: final_quarantined,
         sanitizer: final_sanitizer,
         slo: Vec::new(),
         series: None,
+        halos: std::mem::take(&mut *halos.lock()),
     };
     if telemetry::is_enabled() {
         // Close the run span so it appears in the snapshot, then write the
@@ -484,29 +459,98 @@ pub fn run_pipeline(cfg: &ForesightConfig, cluster: &SlurmSim) -> Result<Pipelin
     Ok(report)
 }
 
-/// The halo test of a HACC run: one FoF run per configuration, on its
-/// three reconstructed position axes at once, whose deviation the x, y
-/// and z records share. A configuration missing an axis (quarantined by
-/// a chaos sweep) has no catalogue to judge and fails.
-fn halo_verdicts(fields: &[FieldData], cands: &mut [Candidate], box_size: f64) -> Result<()> {
-    const AXES: [&str; 3] = ["x", "y", "z"];
+/// The fields of the configured dataset as the codecs see them: Nyx's six
+/// grids, or HACC's six arrays each in the paper's cube layout ([`cubed`]).
+pub fn generate(input: &InputConfig) -> Result<Vec<FieldData>> {
+    let (n_side, box_size, seed, steps) = (input.n_side, input.box_size, input.seed, input.steps);
+    let opts = cosmo_data::SynthOptions { n_side, box_size, seed, steps };
+    match input.dataset {
+        DatasetKind::Nyx => Ok(crate::cbench::nyx_fields(&opts)?.1),
+        DatasetKind::Hacc => {
+            (cosmo_data::generate_hacc(&opts)?.fields().iter()).map(|(n, d)| cubed(n, d)).collect()
+        }
+    }
+}
+
+/// Every candidate as a row: what `cbench.csv` holds and `foresight-cli`
+/// prints.
+pub fn candidate_table(cands: &[Candidate]) -> Table {
+    let dev = |d: Option<f64>| d.map(fmt_f64).unwrap_or_else(|| "-".into());
+    let mut table = Table::new([
+        "field", "compressor", "param", "ratio", "bitrate", "psnr_db", "pk_dev", "halo_dev",
+    ]);
+    for c in cands {
+        let r = &c.record;
+        let name = [r.field.clone(), r.compressor.display().to_string(), r.param.clone()];
+        let size = [r.ratio, r.bitrate, r.distortion.psnr].map(fmt_f64);
+        let verdict = [dev(c.verdict.pk_deviation), dev(c.verdict.halo_deviation)];
+        table.push_row(name.into_iter().chain(size).chain(verdict));
+    }
+    table
+}
+
+/// Per compressor: the overall ratio of its picks, naming the fields it
+/// counts, and the fields nothing judged, which get no pick.
+fn best_fit_lines(cands: &[Candidate]) -> Vec<String> {
+    let mut out = Vec::new();
+    for comp in [CodecKind::Sz, CodecKind::Zfp] {
+        let Ok(fits) = best_fit_per_field(cands, comp) else { continue };
+        let name = comp.display();
+        let picked: Vec<&str> = fits.iter().map(|f| &f.record.field[..]).collect();
+        if !fits.is_empty() {
+            let (ratio, over) = (overall_best_ratio(&fits), picked.join(", "));
+            out.push(format!("{name}: overall best-fit ratio {ratio:.2}x over {over}"));
+        }
+        let mut unjudged: Vec<&str> = (cands.iter().filter(|c| c.record.compressor == comp))
+            .map(|c| &c.record.field[..])
+            .filter(|f| !picked.contains(f))
+            .collect();
+        unjudged.dedup();
+        if !unjudged.is_empty() {
+            out.push(format!("{name}: no pick for unjudged {}", unjudged.join(", ")));
+        }
+    }
+    out
+}
+
+/// The halo test of a HACC run whose first `n` values per array are
+/// particles (the rest is [`cubed`]'s padding): one FoF run per position
+/// configuration, on its three reconstructed axes at once, whose
+/// deviation the x, y and z records share. A configuration missing an
+/// axis (quarantined by a chaos sweep) has no catalogue to judge and
+/// fails. A velocity record takes the best verdict among the position
+/// configurations it is the companion of ([`velocity_config`]), so it
+/// is acceptable exactly when one of them is. Returns the catalogues.
+fn halo_verdicts(
+    fields: &[FieldData],
+    cands: &mut [Candidate],
+    configs: &[CodecConfig],
+    box_size: f64,
+    n: usize,
+) -> Result<Vec<Catalogue>> {
     let axis = |a: &str| -> Result<&[f32]> {
         let f = fields.iter().find(|f| f.name == a);
-        f.map(|f| &f.data[..]).ok_or_else(|| Error::invalid(format!("halo finder: no field {a}")))
+        f.map(|f| &f.data[..n]).ok_or_else(|| Error::invalid(format!("halo finder: no field {a}")))
     };
     let orig = acceptance::halos(axis("x")?, axis("y")?, axis("z")?, box_size)?;
-    for i in 0..cands.len() {
-        let c = &cands[i];
-        if !AXES.contains(&c.record.field.as_str()) || c.verdict.halo_deviation.is_some() {
-            continue;
-        }
-        let config = |o: &Candidate| (o.record.compressor, o.record.param.clone());
-        let key = config(c);
-        let axes = AXES.map(|a| cands.iter().position(|o| o.record.field == a && config(o) == key));
+    let summary = |config, cat: &HaloCatalog| {
+        let (halos, mass_function) = (cat.halos.len(), mass_function(cat));
+        Catalogue { config, halos, mass_function, count_ratio: halo_count_ratio(&orig, cat) }
+    };
+    let mut found = vec![summary(None, &orig)];
+    let config = |c: &Candidate| (c.record.compressor, c.record.param.clone());
+    let mut companions = Vec::new();
+    for cfg in configs {
+        let key = (cfg.id(), cfg.param_label());
+        let at = |a: &str| cands.iter().position(|o| o.record.field == a && config(o) == key);
+        let axes = HACC_AXES.map(at);
         let dev = match axes.map(|j| j.and_then(|j| cands[j].record.reconstructed.as_deref())) {
             [Some(rx), Some(ry), Some(rz)] => {
-                let cat = acceptance::halos(rx, ry, rz, box_size)?;
-                acceptance::halo_deviation(&halo_count_ratio(&orig, &cat))
+                let cat = acceptance::halos(&rx[..n], &ry[..n], &rz[..n], box_size)?;
+                let cat = summary(Some(key), &cat);
+                let dev = acceptance::halo_deviation(&cat.count_ratio);
+                found.push(cat);
+                dev
             }
             // No catalogue to judge: the deviation of an empty one.
             _ => acceptance::halo_deviation(&[]),
@@ -514,8 +558,14 @@ fn halo_verdicts(fields: &[FieldData], cands: &mut [Candidate], box_size: f64) -
         for j in axes.into_iter().flatten() {
             cands[j].verdict.halo_deviation = Some(dev);
         }
+        let v = velocity_config(cfg);
+        companions.push(((v.id(), v.param_label()), dev));
     }
-    Ok(())
+    for c in cands.iter_mut().filter(|c| !HACC_AXES.contains(&c.record.field.as_str())) {
+        let ours = companions.iter().filter(|(v, _)| *v == config(c)).map(|&(_, d)| d);
+        c.verdict.halo_deviation = ours.min_by(f64::total_cmp);
+    }
+    Ok(found)
 }
 
 /// A windowed series of a snapshot's device slices: per-window
@@ -650,20 +700,96 @@ mod tests {
     }
 
     #[test]
+    fn a_hacc_runs_velocities_follow_the_papers_policy_and_their_picks() {
+        // Fig. 6's sweep at 32^3: GPU-SZ abs 0.005 / 0.025 pass, and cuZFP
+        // rate 12 alone.
+        let cfg = ForesightConfig::from_json(
+            r#"{"input": {"dataset": "hacc", "n_side": 32, "seed": 24301, "steps": 10},
+                "compressors": [{"name": "gpu-sz", "mode": "abs", "bounds": [0.005, 0.025, 0.1]},
+                                {"name": "cuzfp", "rates": [4, 8, 12]}],
+                "analysis": ["halo-finder"], "output": {"dir": "."}}"#,
+        );
+        let report = run_pipeline(&cfg.unwrap(), &SlurmSim::default()).unwrap();
+        let is_axis = |c: &&Candidate| HACC_AXES.contains(&c.record.field.as_str());
+        let (pos, vel): (Vec<&Candidate>, Vec<&Candidate>) =
+            report.candidates.iter().partition(is_axis);
+        assert_eq!((pos.len(), vel.len()), (18, 12), "velocities: PW_REL once, each rate");
+        for v in &vel {
+            let r = &v.record;
+            let companions: Vec<&&Candidate> = (pos.iter())
+                .filter(|p| p.record.compressor == r.compressor)
+                .filter(|p| r.compressor == CodecKind::Sz || p.record.param == r.param)
+                .collect();
+            let expect = companions.iter().any(|p| p.verdict.acceptable());
+            assert!(r.compressor == CodecKind::Zfp || r.param == "pw_rel=0.025", "{r:?}");
+            assert_eq!(v.verdict.acceptable(), expect, "{} {}", r.field, r.param);
+        }
+        for comp in [CodecKind::Sz, CodecKind::Zfp] {
+            let fits = best_fit_per_field(&report.candidates, comp).unwrap();
+            let pick = |f: &str| {
+                fits.iter().find(|b| b.record.field == f).unwrap().record.param.clone()
+            };
+            let want = if comp == CodecKind::Sz { "pw_rel=0.025".to_string() } else { pick("x") };
+            assert_eq!(["vx", "vy", "vz"].map(pick), [(); 3].map(|_| want.clone()), "{comp:?}");
+            assert_eq!(fits.len(), 6);
+        }
+        assert!(report.best_fit_lines.iter().all(|l| l.ends_with("over x, y, z, vx, vy, vz")));
+        // At 16^3 (seed 11) nothing passes: neither do the velocities.
+        let mut cfg = base_config("hacc", "\"halo-finder\"");
+        cfg.output.cinema = false;
+        let report = run_pipeline(&cfg, &SlurmSim::default()).unwrap();
+        assert!(report.candidates.iter().all(|c| c.verdict.halo_deviation == Some(1.0)));
+        assert!(best_fit_per_field(&report.candidates, CodecKind::Sz).is_err());
+        assert!(best_fit_per_field(&report.candidates, CodecKind::Zfp).is_err());
+    }
+
+    #[test]
+    fn a_padded_cube_is_judged_on_its_particles_alone() {
+        // 13 824 particles (24^3) are coded as a zero-padded 16 x 16 x 64 cube.
+        let opts = cosmo_data::SynthOptions { n_side: 32, box_size: 256.0, seed: 5, steps: 10 };
+        let snap = cosmo_data::generate_hacc(&opts).unwrap();
+        let n = 24 * 24 * 24;
+        let fields = snap.fields();
+        let fields: Vec<FieldData> =
+            HACC_AXES.map(|a| cubed(a, &fields.iter().find(|f| f.0 == a).unwrap().1[..n]).unwrap())
+                .into();
+        assert!(fields.iter().all(|f| f.shape == crate::codec::Shape::D3(16, 16, 64)));
+        let configs = [CodecConfig::sz_abs(0.1), CodecConfig::Zfp(lossy_zfp::ZfpConfig::rate(8.0))];
+        let records = run_sweep(&crate::cbench::cross(&fields, &configs), true).unwrap();
+        let mut cands: Vec<Candidate> = (records.into_iter())
+            .map(|record| Candidate { record, verdict: Verdict::default() })
+            .collect();
+        assert!(cands.iter().all(|c| c.record.original_bytes == 16 * 16 * 64 * 4));
+        let recons: Vec<Vec<f32>> =
+            cands.iter().map(|c| c.record.reconstructed.clone().unwrap()).collect();
+        halo_verdicts(&fields, &mut cands, &configs, opts.box_size, n).unwrap();
+        let fof = |a: [&[f32]; 3]| acceptance::halos(&a[0][..n], &a[1][..n], &a[2][..n], 256.);
+        let orig = fof([0, 1, 2].map(|a| &fields[a].data[..])).unwrap();
+        for (k, cfg) in configs.iter().enumerate() {
+            // Records are fields outer, configs inner.
+            let recon = fof([0, 1, 2].map(|a| &recons[a * configs.len() + k][..])).unwrap();
+            let dev = acceptance::halo_deviation(&halo_count_ratio(&orig, &recon));
+            for c in cands.iter().filter(|c| c.record.param == cfg.param_label()) {
+                assert_eq!(c.verdict.halo_deviation, Some(dev), "{}", c.record.field);
+            }
+        }
+    }
+
+    #[test]
     fn a_configuration_missing_a_position_axis_fails_the_halo_test() {
         let opts = cosmo_data::SynthOptions { n_side: 32, box_size: 256.0, seed: 7, steps: 10 };
         let snap = cosmo_data::generate_hacc(&opts).unwrap();
-        let fields: Vec<FieldData> = (snap.fields().iter())
-            .map(|(name, d)| FieldData::new(*name, d.to_vec(), Shape::D1(d.len())).unwrap())
-            .collect();
-        let cfg = crate::CodecConfig::Sz(lossy_sz::SzConfig::abs(0.005));
+        let fields: Vec<FieldData> =
+            (snap.fields().iter()).map(|(name, d)| cubed(name, d).unwrap()).collect();
+        let cfg = CodecConfig::Sz(lossy_sz::SzConfig::abs(0.005));
         let judge = |axes: &[&str]| -> Vec<Option<f64>> {
             let mut cands: Vec<Candidate> = (fields.iter())
                 .filter(|f| axes.contains(&f.name.as_str()))
                 .map(|f| crate::cbench::run_one(f, &cfg, true).unwrap())
                 .map(|record| Candidate { record, verdict: Verdict::default() })
                 .collect();
-            halo_verdicts(&fields, &mut cands, opts.box_size).unwrap();
+            let cfgs = std::slice::from_ref(&cfg);
+            halo_verdicts(&fields, &mut cands, cfgs, opts.box_size, snap.len()).unwrap();
             cands.iter().map(|c| c.verdict.halo_deviation).collect()
         };
         let all = judge(&["x", "y", "z"]);
@@ -785,6 +911,22 @@ mod tests {
         let report = run_pipeline(&cfg, &SlurmSim::default()).unwrap();
         assert!(!report.records.is_empty());
         assert_eq!(report.sanitizer, Vec::<String>::new(), "fault paths must not leak");
+    }
+
+    #[test]
+    fn a_run_nothing_judges_prints_no_best_fit_ratio() {
+        let mut cfg = base_config("nyx", "\"distortion\"");
+        cfg.output.cinema = false;
+        let report = run_pipeline(&cfg, &SlurmSim::default()).unwrap();
+        let fields = "baryon_density, dark_matter_density, temperature, velocity_x, velocity_y, \
+                      velocity_z";
+        assert_eq!(
+            report.best_fit_lines,
+            [
+                format!("GPU-SZ: no pick for unjudged {fields}"),
+                format!("cuZFP: no pick for unjudged {fields}")
+            ]
+        );
     }
 
     #[test]

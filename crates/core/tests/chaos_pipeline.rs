@@ -7,7 +7,8 @@
 //! must be bit-identical across two runs with the same seed, despite
 //! rayon's nondeterministic scheduling.
 
-use foresight::cbench::{run_sweep_chaos, ChaosConfig, ChaosSweepReport, ExecPath, FieldData};
+use foresight::cbench::{cross, run_sweep_chaos, ChaosConfig, ChaosSweepReport, ExecPath};
+use foresight::cbench::FieldData;
 use foresight::codec::{CodecConfig, Shape};
 use foresight::pat::{Job, JobStatus, RetryPolicy, SlurmSim, Workflow};
 use gpu_sim::{FaultPlan, FaultRates};
@@ -74,8 +75,8 @@ fn chaos_sweep_completes_and_replays_bit_identically() {
     let configs = configs();
     let chaos = ChaosConfig { device_retries: 1, op_retries: 1, ..ChaosConfig::new(42, stormy_rates()) };
 
-    let a = run_sweep_chaos(&fields, &configs, false, &chaos).unwrap();
-    let b = run_sweep_chaos(&fields, &configs, false, &chaos).unwrap();
+    let a = run_sweep_chaos(&cross(&fields, &configs), false, &chaos).unwrap();
+    let b = run_sweep_chaos(&cross(&fields, &configs), false, &chaos).unwrap();
 
     // Every pair is accounted for: a record or a quarantine entry.
     assert_eq!(a.records.len() + a.quarantined.len(), fields.len() * configs.len());
@@ -96,15 +97,13 @@ fn different_seeds_give_different_fault_histories() {
     let fields = fields();
     let configs = configs();
     let a = run_sweep_chaos(
-        &fields,
-        &configs,
+        &cross(&fields, &configs),
         false,
         &ChaosConfig { device_retries: 1, op_retries: 1, ..ChaosConfig::new(1, stormy_rates()) },
     )
     .unwrap();
     let b = run_sweep_chaos(
-        &fields,
-        &configs,
+        &cross(&fields, &configs),
         false,
         &ChaosConfig { device_retries: 1, op_retries: 1, ..ChaosConfig::new(2, stormy_rates()) },
     )
@@ -140,7 +139,8 @@ fn workflow_of_chaos_sweeps_is_deterministic_end_to_end() {
                     op_retries: 1,
                     ..ChaosConfig::new(seed ^ ci as u64, stormy_rates())
                 };
-                let rep = run_sweep_chaos(&fields, std::slice::from_ref(&cfg), false, &chaos)?;
+                let pairs = cross(&fields, std::slice::from_ref(&cfg));
+                let rep = run_sweep_chaos(&pairs, false, &chaos)?;
                 sweeps.lock().unwrap().push((job_name.clone(), fingerprint(&rep)));
                 Ok(format!("{} records", rep.records.len()))
             }))
@@ -193,7 +193,7 @@ fn quiet_chaos_pipeline_reports_no_resilience_events() {
     let fields = fields();
     let configs = configs();
     let chaos = ChaosConfig::new(9, FaultRates::default());
-    let rep = run_sweep_chaos(&fields, &configs, false, &chaos).unwrap();
+    let rep = run_sweep_chaos(&cross(&fields, &configs), false, &chaos).unwrap();
     assert!(rep.quarantined.is_empty());
     assert_eq!(rep.fallbacks(), 0);
     assert!(rep.records.iter().all(|r| r.exec == ExecPath::Gpu));

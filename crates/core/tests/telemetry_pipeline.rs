@@ -5,7 +5,7 @@
 //! These tests mutate the process-global collector, so every test takes
 //! the same lock and resets the collector on entry and exit.
 
-use foresight::cbench::{run_sweep, run_sweep_chaos, ChaosConfig, FieldData};
+use foresight::cbench::{cross, run_sweep, run_sweep_chaos, ChaosConfig, FieldData};
 use foresight::codec::{CodecConfig, Shape};
 use foresight::config::ForesightConfig;
 use foresight::pat::SlurmSim;
@@ -87,7 +87,7 @@ fn chrome_trace_export_is_deterministic_for_fixed_seed() {
     for _ in 0..2 {
         telemetry::reset();
         telemetry::enable();
-        run_sweep_chaos(&fields(), &configs(), false, &chaos()).unwrap();
+        run_sweep_chaos(&cross(&fields(), &configs()), false, &chaos()).unwrap();
         let snap = telemetry::snapshot();
         // Wall-clock spans carry real timings and legitimately differ
         // between runs; the simulated-device content must not.
@@ -111,7 +111,7 @@ const PIPELINE_TRACE_SHA256: &str = "43cead51d9fc7133c2a20d278b4387158127a349eb2
 fn sweep_spans_nest_under_sweep_parent_across_rayon() {
     let _g = lock();
     telemetry::enable();
-    run_sweep(&fields(), &configs(), false).unwrap();
+    run_sweep(&cross(&fields(), &configs()), false).unwrap();
     let snap = telemetry::snapshot();
     let sweep = snap
         .spans

@@ -1,6 +1,7 @@
 //! HACC halo workflow: simulate a particle universe, write/read it in the
-//! GIO-lite format, compress the positions at several bounds, and compare
-//! Friends-of-Friends halo catalogs (paper Fig. 6 in miniature).
+//! GIO-lite format, compress the positions at several bounds in the
+//! paper's cube layout, and compare Friends-of-Friends halo catalogs
+//! (paper Fig. 6 in miniature).
 //!
 //! ```text
 //! cargo run --release --example hacc_halos
@@ -9,8 +10,8 @@
 use cosmo_analysis::acceptance::{self, Verdict};
 use cosmo_analysis::halo_count_ratio;
 use cosmo_data::{generate_hacc, gio, SynthOptions};
-use foresight::cbench::{run_one, FieldData};
-use foresight::codec::{CodecConfig, Shape};
+use foresight::cbench::{cubed, overall_ratio, run_one};
+use foresight::codec::CodecConfig;
 use lossy_sz::SzConfig;
 
 fn main() {
@@ -35,15 +36,17 @@ fn main() {
         "{:<12} {:>8} {:>8} {:>10} {:>12} {:>22}",
         "abs bound", "ratio", "halos", "halo dev", "acceptable?", "count ratios by bin"
     );
+    let positions: Vec<_> =
+        [("x", &snap.x), ("y", &snap.y), ("z", &snap.z)].map(|(a, d)| cubed(a, d).unwrap()).into();
     for eb in [0.005f64, 0.05, 0.5, 2.0] {
         let cfg = CodecConfig::Sz(SzConfig::abs(eb));
+        let mut records = Vec::new();
         let mut recon = Vec::new();
-        let mut ratio_acc = 0.0;
-        for coord in [&snap.x, &snap.y, &snap.z] {
-            let f = FieldData::new("pos", coord.clone(), Shape::D1(coord.len())).unwrap();
-            let rec = run_one(&f, &cfg, true).unwrap();
-            ratio_acc += rec.ratio / 3.0;
-            recon.push(rec.reconstructed.unwrap());
+        for f in &positions {
+            let mut rec = run_one(f, &cfg, true).unwrap();
+            // The cube's padding follows the particles.
+            recon.push(rec.reconstructed.take().unwrap()[..snap.len()].to_vec());
+            records.push(rec);
         }
         let cat = acceptance::halos(&recon[0], &recon[1], &recon[2], opts.box_size).unwrap();
         let ratios = halo_count_ratio(&orig, &cat);
@@ -53,7 +56,7 @@ fn main() {
         println!(
             "{:<12} {:>7.2}x {:>8} {:>10.4} {:>12} {:>22}",
             format!("{eb}"),
-            ratio_acc,
+            overall_ratio(&records.iter().collect::<Vec<_>>()),
             cat.halos.len(),
             dev,
             if Verdict::halo(dev).acceptable() { "yes" } else { "NO" },

@@ -5,7 +5,7 @@
 use cosmo_analysis::acceptance::{self, Verdict};
 use cosmo_data::{generate_hacc, generate_nyx, gio, h5lite, SynthOptions};
 use cosmo_fft::Grid3;
-use foresight::cbench::{run_sweep, FieldData};
+use foresight::cbench::{cross, run_sweep, FieldData};
 use foresight::codec::{CodecConfig, Shape};
 use foresight::{best_fit_per_field, Candidate, CodecKind};
 use lossy_sz::SzConfig;
@@ -39,7 +39,7 @@ fn nyx_full_pipeline_files_compression_analysis_optimizer() {
         CodecConfig::Zfp(ZfpConfig::rate(4.0)),
         CodecConfig::Zfp(ZfpConfig::rate(8.0)),
     ];
-    let records = run_sweep(&fields, &configs, true).unwrap();
+    let records = run_sweep(&cross(&fields, &configs), true).unwrap();
     assert_eq!(records.len(), 24);
 
     // Power-spectrum acceptance per record, then the guideline.
